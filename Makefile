@@ -10,10 +10,9 @@ build:
 test:
 	$(GO) test ./...
 
-# Race-detector pass over the packages with host concurrency (the grouped
-# force engine's worker pool and the rank goroutines).
+# Race-detector pass over the whole tree (a few minutes on two cores).
 race:
-	$(GO) test -race ./internal/core/... ./internal/gravity/... ./internal/htree/... ./internal/mp/... ./internal/obs/... ./internal/serve/...
+	$(GO) test -race ./...
 
 vet:
 	$(GO) vet ./...

@@ -388,7 +388,7 @@ func BenchmarkTreewalkPerBody32k(b *testing.B) {
 	b.ResetTimer()
 	var inter int
 	for i := 0; i < b.N; i++ {
-		_, _, st := tr.AccelAll(0.7, 0.01, true)
+		_, _, st := tr.AccelAll(0.7, 0.01, false)
 		inter = st.CellInteractions + st.BodyInteractions
 	}
 	b.ReportMetric(b.Elapsed().Seconds()/float64(b.N*len(tr.Bodies))*1e9, "ns/body")
@@ -403,7 +403,7 @@ func BenchmarkTreewalkGrouped32k(b *testing.B) {
 	b.ResetTimer()
 	var inter int
 	for i := 0; i < b.N; i++ {
-		_, _, st := tr.AccelAllGrouped(0.7, 0.01, true, gravity.Float64, 1)
+		_, _, st := tr.AccelAllGrouped(0.7, 0.01, false, gravity.Float64, 1)
 		inter = st.CellInteractions + st.BodyInteractions
 	}
 	b.ReportMetric(b.Elapsed().Seconds()/float64(b.N*len(tr.Bodies))*1e9, "ns/body")
@@ -416,7 +416,7 @@ func BenchmarkTreewalkGroupedWorkers32k(b *testing.B) {
 	tr := treewalkTree(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tr.AccelAllGrouped(0.7, 0.01, true, gravity.Float64, 0)
+		tr.AccelAllGrouped(0.7, 0.01, false, gravity.Float64, 0)
 	}
 	b.ReportMetric(b.Elapsed().Seconds()/float64(b.N*len(tr.Bodies))*1e9, "ns/body")
 }

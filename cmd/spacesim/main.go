@@ -63,7 +63,7 @@ func main() {
 		theta   = flag.Float64("theta", 0.7, "multipole acceptance parameter")
 		eps     = flag.Float64("eps", 0.01, "Plummer softening")
 		ic      = flag.String("ic", "plummer", "initial condition: plummer|coldsphere")
-		karp    = flag.Bool("karp", false, "use the Karp reciprocal sqrt kernel")
+		karp    = flag.Bool("karp", false, "use the Karp reciprocal sqrt kernel (float64 only)")
 		prec    = flag.String("precision", "float64", "force-kernel accumulation precision: float64|float32")
 		seed    = flag.Int64("seed", 1, "RNG seed")
 		ckpt    = flag.String("checkpoint", "", "directory for a final striped checkpoint")
@@ -91,6 +91,10 @@ func main() {
 	precision, err := gravity.ParsePrecision(*prec)
 	if err != nil {
 		log.Fatal(err)
+	}
+	if *karp && precision == gravity.Float32 {
+		fmt.Fprintln(os.Stderr, "spacesim: -karp needs -precision float64: the float32 mode has no Karp kernel")
+		os.Exit(2)
 	}
 
 	if *cpuProf != "" {

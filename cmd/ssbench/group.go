@@ -77,8 +77,8 @@ type groupDistributed struct {
 //	    writing invocation (the key into the run ledger). Stamped by
 //	    every writer.
 //	8 — adds the kernel microbenchmark block (`kernels`): the batched-
-//	    kernel sweep over kernel (body/cell) x variant (libm/Karp) x
-//	    precision (float64/float32) x list length, the bit-identity
+//	    kernel sweep over list length of body libm/Karp float64, body
+//	    libm float32 and cell libm float64/float32, the bit-identity
 //	    verdict of the default float64 path against the seed evaluation,
 //	    and the measured float32 error budget. Written by `ssbench
 //	    kernels`, which merges like treebuild does.
@@ -127,7 +127,8 @@ func groupBench() {
 	}
 	tr.SetObs(runObs)
 
-	// best-of-3 wall time for each engine
+	// best-of-3 wall time for each engine, all on the default libm kernels —
+	// the path every production run and BENCHMARK.json workload takes.
 	const reps = 3
 	time3 := func(f func() (acc []vec.V3, pot []float64, inter int64)) (float64, []vec.V3, []float64, int64) {
 		best := math.Inf(1)
@@ -145,16 +146,16 @@ func groupBench() {
 	}
 
 	tP, accP, potP, interP := time3(func() ([]vec.V3, []float64, int64) {
-		a, p, st := tr.AccelAll(theta, eps, true)
+		a, p, st := tr.AccelAll(theta, eps, false)
 		return a, p, int64(st.CellInteractions + st.BodyInteractions)
 	})
 	t1, acc1, pot1, inter1 := time3(func() ([]vec.V3, []float64, int64) {
-		a, p, st := tr.AccelAllGrouped(theta, eps, true, gravity.Float64, 1)
+		a, p, st := tr.AccelAllGrouped(theta, eps, false, gravity.Float64, 1)
 		return a, p, int64(st.CellInteractions + st.BodyInteractions)
 	})
 	nw := runtime.GOMAXPROCS(0)
 	tN, accN, potN, interN := time3(func() ([]vec.V3, []float64, int64) {
-		a, p, st := tr.AccelAllGrouped(theta, eps, true, gravity.Float64, nw)
+		a, p, st := tr.AccelAllGrouped(theta, eps, false, gravity.Float64, nw)
 		return a, p, int64(st.CellInteractions + st.BodyInteractions)
 	})
 

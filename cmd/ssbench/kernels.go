@@ -26,7 +26,7 @@ type kernelEntry struct {
 	// quadrupole multipoles).
 	Kernel string `json:"kernel"`
 	// Variant is "libm" (hardware sqrt + divide) or "karp" (the table-driven
-	// reciprocal sqrt of Table 5).
+	// reciprocal sqrt of Table 5; float64 body kernel only).
 	Variant string `json:"variant"`
 	// Precision is "float64" or "float32" accumulation.
 	Precision string `json:"precision"`
@@ -47,14 +47,13 @@ type kernelsReport struct {
 	Sinks      int   `json:"sinks"`
 	Lengths    []int `json:"lengths"`
 	GOMAXPROCS int   `json:"gomaxprocs"`
-	// Entries is the kernel x variant x precision x length sweep.
+	// Entries is the sweep over list length of the kernels that exist: body
+	// libm/karp float64, body libm float32, cell libm float64/float32.
 	Entries []kernelEntry `json:"entries"`
 	// KarpSpeedupBody is libm ns / karp ns for the float64 body kernel at
 	// the longest list length (>1 means Karp wins, the paper's claim for
 	// hardware with slow sqrt/divide).
 	KarpSpeedupBody float64 `json:"karp_speedup_body"`
-	// KarpSpeedupCell is the same ratio for the cell (multipole) kernel.
-	KarpSpeedupCell float64 `json:"karp_speedup_cell"`
 	// DefaultBitIdentical reports that the blocked float64 kernels
 	// reproduced the seed evaluation (scalar AccelAt cells + unblocked body
 	// loops) bit for bit on randomized lists, for both body-kernel
@@ -137,10 +136,10 @@ func timeKernel(ev *gravity.Evaluator, l *kernelList, minDur time.Duration) floa
 	return best
 }
 
-// kernelsBench sweeps the batched kernels over variant x precision x list
-// length, verifies the default float64 path bit-identical against the seed
-// evaluation, measures the float32 error budget, and merges the results
-// into the BENCH_treecode.json record (bumping it to schema_version 8).
+// kernelsBench sweeps the batched kernels over list length, verifies the
+// default float64 path bit-identical against the seed evaluation, measures
+// the float32 error budget, and merges the results into the
+// BENCH_treecode.json record (bumping it to schema_version 8).
 func kernelsBench() {
 	const eps = 0.01
 	sinks := 64
@@ -215,17 +214,15 @@ func kernelsBench() {
 	// rows run a list with no cells, the cell rows a list with no bodies,
 	// so ns/interaction is that kernel's cost alone (list build and f32
 	// conversion amortize over sinks x length).
-	type cfg struct {
+	cfgs := []struct {
 		kernel, variant string
 		prec            gravity.Precision
-	}
-	var cfgs []cfg
-	for _, kernel := range []string{"body", "cell"} {
-		for _, variant := range []string{"libm", "karp"} {
-			for _, p := range []gravity.Precision{gravity.Float64, gravity.Float32} {
-				cfgs = append(cfgs, cfg{kernel, variant, p})
-			}
-		}
+	}{
+		{"body", "libm", gravity.Float64},
+		{"body", "libm", gravity.Float32},
+		{"body", "karp", gravity.Float64},
+		{"cell", "libm", gravity.Float64},
+		{"cell", "libm", gravity.Float32},
 	}
 	nsOf := map[string]float64{}
 	for _, L := range lengths {
@@ -237,14 +234,7 @@ func kernelsBench() {
 			if c.kernel == "cell" {
 				l = cell
 			}
-			ev := gravity.Evaluator{Eps: eps, Prec: c.prec}
-			if c.variant == "karp" {
-				if c.kernel == "cell" {
-					ev.CellKarp = true
-				} else {
-					ev.UseKarp = true
-				}
-			}
+			ev := gravity.Evaluator{Eps: eps, Prec: c.prec, UseKarp: c.variant == "karp"}
 			sec := timeKernel(&ev, l, minDur)
 			inter := float64(sinks) * float64(L)
 			e := kernelEntry{
@@ -261,9 +251,6 @@ func kernelsBench() {
 	rep.KarpSpeedupBody = ratioOf(
 		nsOf[fmt.Sprintf("body/libm/float64/%d", longest)],
 		nsOf[fmt.Sprintf("body/karp/float64/%d", longest)])
-	rep.KarpSpeedupCell = ratioOf(
-		nsOf[fmt.Sprintf("cell/libm/float64/%d", longest)],
-		nsOf[fmt.Sprintf("cell/karp/float64/%d", longest)])
 
 	fmt.Printf("batched kernel sweep, %d sinks per list (min %.0f ms per config)\n", sinks, minDur.Seconds()*1e3)
 	fmt.Printf("%-6s %-8s %-9s %8s %12s %14s\n", "kernel", "variant", "precision", "length", "ns/inter", "inter/s")
@@ -271,8 +258,8 @@ func kernelsBench() {
 		fmt.Printf("%-6s %-8s %-9s %8d %12.2f %14.3e\n",
 			e.Kernel, e.Variant, e.Precision, e.Length, e.NsPerInteraction, e.InterPerSec)
 	}
-	fmt.Printf("karp/libm speedup at length %d (float64): body %.2fx, cell %.2fx\n",
-		longest, rep.KarpSpeedupBody, rep.KarpSpeedupCell)
+	fmt.Printf("karp/libm speedup of the float64 body kernel at length %d: %.2fx\n",
+		longest, rep.KarpSpeedupBody)
 	fmt.Printf("default float64 path bit-identical to seed evaluation: true\n")
 	fmt.Printf("float32 RMS acceleration error: %.3g (budget %.3g)\n", rms, f32Budget)
 

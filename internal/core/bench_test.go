@@ -7,14 +7,14 @@ import (
 	"spacesim/internal/mp"
 )
 
-// benchForces runs one collective force evaluation per iteration on a
-// 4-rank distributed tree, with either engine.
-func benchForces(b *testing.B, perBody bool) {
+// BenchmarkComputeForcesGrouped runs one collective force evaluation per
+// iteration on a 4-rank distributed tree.
+func BenchmarkComputeForcesGrouped(b *testing.B) {
 	rng := rand.New(rand.NewSource(40))
 	const n = 4000
 	const p = 4
 	ics := PlummerSphere(rng, n, 1.0)
-	opt := Options{Theta: 0.6, Eps: 0.02, PerBody: perBody}
+	opt := Options{Theta: 0.6, Eps: 0.02}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		mp.Run(testCluster(), p, func(r *mp.Rank) {
@@ -26,6 +26,3 @@ func benchForces(b *testing.B, perBody bool) {
 		})
 	}
 }
-
-func BenchmarkComputeForcesPerBody(b *testing.B) { benchForces(b, true) }
-func BenchmarkComputeForcesGrouped(b *testing.B) { benchForces(b, false) }

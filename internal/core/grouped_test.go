@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"spacesim/internal/gravity"
+	"spacesim/internal/htree"
 	"spacesim/internal/key"
 	"spacesim/internal/mp"
 	"spacesim/internal/vec"
@@ -31,11 +32,12 @@ func forcesWith(ics []Body, p int, opt Options) ([]vec.V3, []float64) {
 	return acc, pot
 }
 
-// The grouped engine must match the per-body engine within the MAC error
-// bound: its bucket-level MAC is strictly more conservative (the opening
+// The engine must stay inside the per-body error regime: its bucket-level
+// MAC is strictly more conservative than the per-body one (the opening
 // radius is widened by the bucket's bounding sphere), so its error versus
-// direct summation must not exceed the per-body engine's regime.
-func TestGroupedMatchesPerBodyEngine(t *testing.T) {
+// direct summation must not exceed that of the serial per-body walk
+// htree.Tree.AccelAll at the same theta, on one rank and on several.
+func TestGroupedWithinPerBodyErrorRegime(t *testing.T) {
 	rng := rand.New(rand.NewSource(30))
 	const n = 600
 	ics := PlummerSphere(rng, n, 1.0)
@@ -46,11 +48,15 @@ func TestGroupedMatchesPerBodyEngine(t *testing.T) {
 	}
 	eps := 0.02
 	ref, _ := gravity.Direct(pos, mass, eps)
+	tr, err := htree.Build(pos, mass, htree.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	perBody, _, _ := tr.AccelAll(0.5, eps, false)
+	rmsP := rmsAccErr(perBody, ref)
 
 	for _, p := range []int{1, 3} {
 		grouped, _ := forcesWith(ics, p, Options{Theta: 0.5, Eps: eps})
-		perBody, _ := forcesWith(ics, p, Options{Theta: 0.5, Eps: eps, PerBody: true})
-		rmsP := rmsAccErr(perBody, ref)
 		rmsG := rmsAccErr(grouped, ref)
 		if rmsG > rmsP*1.05+1e-12 {
 			t.Fatalf("p=%d: grouped rms error %g exceeds per-body %g", p, rmsG, rmsP)
@@ -58,6 +64,45 @@ func TestGroupedMatchesPerBodyEngine(t *testing.T) {
 		if d := rmsAccErr(grouped, perBody); d > 2*rmsP+1e-12 {
 			t.Fatalf("p=%d: grouped vs per-body rms %g (per-body vs direct %g)", p, d, rmsP)
 		}
+	}
+}
+
+// There is one bucket walker: on a single rank the distributed engine hands
+// the whole tree to htree's GatherList and EvalBucket, so its forces equal
+// htree.Tree.AccelAllGrouped on the same box and bucket size bit for bit,
+// under either reciprocal square root.
+func TestOneRankMatchesSerialGroupedWalk(t *testing.T) {
+	ics := PlummerSphere(rand.New(rand.NewSource(35)), 3000, 1.0)
+	const theta, eps = 0.6, 0.02
+	for _, karp := range []bool{false, true} {
+		mp.Run(testCluster(), 1, func(r *mp.Rank) {
+			bodies, splitters, boxLo, boxSize := Decompose(r, append([]Body(nil), ics...))
+			opt := Options{Theta: theta, Eps: eps, UseKarp: karp}
+			acc, pot, st := BuildDistributed(r, bodies, splitters, boxLo, boxSize, opt).ComputeForces(bodies)
+
+			pos := make([]vec.V3, len(bodies))
+			mass := make([]float64, len(bodies))
+			for i, b := range bodies {
+				pos[i], mass[i] = b.Pos, b.Mass
+			}
+			tr, err := htree.Build(pos, mass, htree.Options{MaxLeaf: opt.withDefaults().MaxLeaf, BoxLo: boxLo, BoxSize: boxSize})
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			wantAcc, wantPot, ws := tr.AccelAllGrouped(theta, eps, karp, gravity.Float64, 1)
+			for i := range acc {
+				if acc[i] != wantAcc[i] || pot[i] != wantPot[i] {
+					t.Errorf("karp=%v: body %d: engine (%v, %v), serial walk (%v, %v)",
+						karp, i, acc[i], pot[i], wantAcc[i], wantPot[i])
+					return
+				}
+			}
+			if st.BodyInteractions != int64(ws.BodyInteractions) || st.CellInteractions != int64(ws.CellInteractions) {
+				t.Errorf("karp=%v: engine counted %d body + %d cell interactions, serial walk %d + %d",
+					karp, st.BodyInteractions, st.CellInteractions, ws.BodyInteractions, ws.CellInteractions)
+			}
+		})
 	}
 }
 

@@ -39,13 +39,16 @@ type Body struct {
 type Options struct {
 	// Theta is the multipole acceptance parameter (default 0.7).
 	Theta float64
-	// Eps is the Plummer softening length (default 0.01 of the box).
+	// Eps is the Plummer softening length. There is no default: zero means
+	// unsoftened gravity, which also sends every bucket through the slower
+	// checked kernel loop (the branch-free self-exclusion needs Eps > 0).
 	Eps float64
 	// DT is the leapfrog timestep.
 	DT float64
 	// MaxLeaf is the tree bucket size (default 8).
 	MaxLeaf int
-	// UseKarp selects the Karp reciprocal sqrt in the inner kernel.
+	// UseKarp selects the Karp reciprocal sqrt in the body kernel (the
+	// paper's Table 5/6 exhibit). It applies to gravity.Float64 only.
 	UseKarp bool
 	// Precision selects the kernel accumulation arithmetic. The default,
 	// gravity.Float64, is bit-identical to the seed engine; gravity.Float32
@@ -59,11 +62,8 @@ type Options struct {
 	// kernel sustains when charging virtual time (default: the Karp
 	// micro-kernel rate of the SS CPU model, as in Table 6).
 	KernelEff float64
-	// PerBody selects the seed one-walker-per-body traversal instead of
-	// the default bucket-grouped engine (kept for A/B validation).
-	PerBody bool
 	// Workers is the number of host goroutines evaluating bucket
-	// interaction lists in the grouped engine and running the tree-build
+	// interaction lists and running the tree-build
 	// pipeline (default runtime.GOMAXPROCS(0)). Results are bit-identical
 	// for any value.
 	Workers int

@@ -249,175 +249,9 @@ func KernelBatchLibm(sx, sy, sz []float64, src *SoA, eps2 float64, ax, ay, az, p
 	}
 }
 
-// KernelBatchKarp is KernelBatchLibm with the reciprocal square root
-// computed by the Karp decomposition, inlined into the loop body so the
-// chain schedules across the paired sinks instead of paying a function
-// call per interaction.
-func KernelBatchKarp(sx, sy, sz []float64, src *SoA, eps2 float64, ax, ay, az, pot []float64) {
-	n := src.Len()
-	if n == 0 {
-		return
-	}
-	if eps2 == 0 {
-		kernelBatchKarpRef(sx, sy, sz, src, eps2, ax, ay, az, pot)
-		return
-	}
-	xs, ys, zs, ms := src.X[:n], src.Y[:n], src.Z[:n], src.M[:n]
-	var fx, fy, fz, fp [sinkBlock]float64
-	for b0 := 0; b0 < len(sx); b0 += sinkBlock {
-		b1 := min(b0+sinkBlock, len(sx))
-		bn := b1 - b0
-		for j := 0; j < bn; j++ {
-			fx[j], fy[j], fz[j], fp[j] = 0, 0, 0, 0
-		}
-		for t0 := 0; t0 < n; t0 += srcTile {
-			t1 := min(t0+srcTile, n)
-			tx := xs[t0:t1]
-			ty := ys[t0:t1:t1]
-			tz := zs[t0:t1:t1]
-			tm := ms[t0:t1:t1]
-			j := 0
-			for ; j+2 <= bn; j += 2 {
-				px0, py0, pz0 := sx[b0+j], sy[b0+j], sz[b0+j]
-				px1, py1, pz1 := sx[b0+j+1], sy[b0+j+1], sz[b0+j+1]
-				fx0, fy0, fz0, fp0 := fx[j], fy[j], fz[j], fp[j]
-				fx1, fy1, fz1, fp1 := fx[j+1], fy[j+1], fz[j+1], fp[j+1]
-				for i := range tx {
-					xi, yi, zi, mi := tx[i], ty[i], tz[i], tm[i]
-					dx0 := xi - px0
-					dy0 := yi - py0
-					dz0 := zi - pz0
-					r20 := dx0*dx0 + dy0*dy0 + dz0*dz0
-					m0 := mi
-					if r20 == 0 {
-						m0 = 0
-					}
-					dx1 := xi - px1
-					dy1 := yi - py1
-					dz1 := zi - pz1
-					r21 := dx1*dx1 + dy1*dy1 + dz1*dz1
-					m1 := mi
-					if r21 == 0 {
-						m1 = 0
-					}
-					// Karp rsqrt, hand-expanded (the compiler will not inline
-					// karpRsqrtInline at its cost) with the two chains
-					// interleaved. Same operation sequence as KarpRsqrt's
-					// fast path, so results are bit-identical; non-normal
-					// arguments (subnormal sums, infinities) defer to the
-					// full function.
-					q0 := r20 + eps2
-					q1 := r21 + eps2
-					kb0 := math.Float64bits(q0)
-					kb1 := math.Float64bits(q1)
-					ke0 := kb0 >> 52 & 0x7ff
-					ke1 := kb1 >> 52 & 0x7ff
-					var rinv0, rinv1 float64
-					if ke0-1 < 0x7fe && ke1-1 < 0x7fe {
-						km0 := math.Float64frombits(kb0&(1<<52-1) | 1023<<52)
-						km1 := math.Float64frombits(kb1&(1<<52-1) | 1023<<52)
-						kx0 := int(ke0) - 1023
-						kx1 := int(ke1) - 1023
-						if kx0&1 != 0 {
-							km0 *= 2
-						}
-						if kx1&1 != 0 {
-							km1 *= 2
-						}
-						ki0 := int((km0 - 1) * float64(len(karpTable)) / 3)
-						ki1 := int((km1 - 1) * float64(len(karpTable)) / 3)
-						if ki0 >= len(karpTable) {
-							ki0 = len(karpTable) - 1
-						}
-						if ki1 >= len(karpTable) {
-							ki1 = len(karpTable) - 1
-						}
-						ks0 := karpTable[ki0]
-						ks1 := karpTable[ki1]
-						y0 := ks0.a + ks0.b*km0
-						y1 := ks1.a + ks1.b*km1
-						y0 = y0 * (1.5 - 0.5*km0*y0*y0)
-						y1 = y1 * (1.5 - 0.5*km1*y1*y1)
-						y0 = y0 * (1.5 - 0.5*km0*y0*y0)
-						y1 = y1 * (1.5 - 0.5*km1*y1*y1)
-						rinv0 = y0 * math.Float64frombits(uint64(1023-kx0>>1)<<52)
-						rinv1 = y1 * math.Float64frombits(uint64(1023-kx1>>1)<<52)
-					} else {
-						rinv0 = KarpRsqrt(q0)
-						rinv1 = KarpRsqrt(q1)
-					}
-					rinv30 := rinv0 * rinv0 * rinv0
-					mr30 := m0 * rinv30
-					fx0 += mr30 * dx0
-					fy0 += mr30 * dy0
-					fz0 += mr30 * dz0
-					fp0 -= m0 * rinv0
-					rinv31 := rinv1 * rinv1 * rinv1
-					mr31 := m1 * rinv31
-					fx1 += mr31 * dx1
-					fy1 += mr31 * dy1
-					fz1 += mr31 * dz1
-					fp1 -= m1 * rinv1
-				}
-				fx[j], fy[j], fz[j], fp[j] = fx0, fy0, fz0, fp0
-				fx[j+1], fy[j+1], fz[j+1], fp[j+1] = fx1, fy1, fz1, fp1
-			}
-			if j < bn {
-				px0, py0, pz0 := sx[b0+j], sy[b0+j], sz[b0+j]
-				fx0, fy0, fz0, fp0 := fx[j], fy[j], fz[j], fp[j]
-				for i := range tx {
-					dx0 := tx[i] - px0
-					dy0 := ty[i] - py0
-					dz0 := tz[i] - pz0
-					r20 := dx0*dx0 + dy0*dy0 + dz0*dz0
-					m0 := tm[i]
-					if r20 == 0 {
-						m0 = 0
-					}
-					q0 := r20 + eps2
-					kb0 := math.Float64bits(q0)
-					ke0 := kb0 >> 52 & 0x7ff
-					var rinv0 float64
-					if ke0-1 < 0x7fe {
-						km0 := math.Float64frombits(kb0&(1<<52-1) | 1023<<52)
-						kx0 := int(ke0) - 1023
-						if kx0&1 != 0 {
-							km0 *= 2
-						}
-						ki0 := int((km0 - 1) * float64(len(karpTable)) / 3)
-						if ki0 >= len(karpTable) {
-							ki0 = len(karpTable) - 1
-						}
-						ks0 := karpTable[ki0]
-						y0 := ks0.a + ks0.b*km0
-						y0 = y0 * (1.5 - 0.5*km0*y0*y0)
-						y0 = y0 * (1.5 - 0.5*km0*y0*y0)
-						rinv0 = y0 * math.Float64frombits(uint64(1023-kx0>>1)<<52)
-					} else {
-						rinv0 = KarpRsqrt(q0)
-					}
-					rinv30 := rinv0 * rinv0 * rinv0
-					mr30 := m0 * rinv30
-					fx0 += mr30 * dx0
-					fy0 += mr30 * dy0
-					fz0 += mr30 * dz0
-					fp0 -= m0 * rinv0
-				}
-				fx[j], fy[j], fz[j], fp[j] = fx0, fy0, fz0, fp0
-			}
-		}
-		for j := 0; j < bn; j++ {
-			ax[b0+j] += fx[j]
-			ay[b0+j] += fy[j]
-			az[b0+j] += fz[j]
-			pot[b0+j] += fp[j]
-		}
-	}
-}
-
 // kernelBatchLibmRef is the seed's unblocked batch loop, kept verbatim: it
-// is the reference the blocked kernels are tested bit-identical against,
-// and the fallback when eps == 0 makes the branch-free self-exclusion
+// is the reference the blocked kernel is tested bit-identical against, and
+// the fallback when eps == 0 makes the branch-free self-exclusion
 // impossible.
 func kernelBatchLibmRef(sx, sy, sz []float64, src *SoA, eps2 float64, ax, ay, az, pot []float64) {
 	n := src.Len()
@@ -452,9 +286,13 @@ func kernelBatchLibmRef(sx, sy, sz []float64, src *SoA, eps2 float64, ax, ay, az
 	}
 }
 
-// kernelBatchKarpRef is the seed's unblocked Karp batch loop (see
-// kernelBatchLibmRef).
-func kernelBatchKarpRef(sx, sy, sz []float64, src *SoA, eps2 float64, ax, ay, az, pot []float64) {
+// KernelBatchKarp is the batch kernel with the reciprocal square root
+// computed by the Karp decomposition: the seed's unblocked loop, one
+// KarpRsqrt call per interaction. It is the paper's Table 5 exhibit on the
+// grouped path (Evaluator.UseKarp), not a tuned kernel — on hardware with a
+// pipelined sqrt it is slower than KernelBatchLibm, which is the point of
+// the comparison `ssbench kernels` records.
+func KernelBatchKarp(sx, sy, sz []float64, src *SoA, eps2 float64, ax, ay, az, pot []float64) {
 	n := src.Len()
 	if n == 0 {
 		return

@@ -2,7 +2,7 @@ package gravity
 
 import "math"
 
-// Batched cell kernels: the multipole (monopole + quadrupole) field of
+// Batched cell kernel: the multipole (monopole + quadrupole) field of
 // Multipole.AccelAt evaluated over a MultipoleSoA in blocked loops, so the
 // cell half of an interaction list streams flat arrays exactly like the
 // body half — no Multipole value is materialized and no method is called
@@ -16,8 +16,8 @@ import "math"
 // in pairs to keep two sqrt/divide chains in flight per cell load.
 
 // CellBatchLibm accumulates into (ax, ay, az, pot)[j] the multipole field
-// of every listed cell at sink j, using the math library square root (the
-// seed path: cells always used libm, Karp applied to bodies only).
+// of every listed cell at sink j, using the math library square root (cells
+// always use libm; the Karp exhibit applies to bodies only).
 func CellBatchLibm(cells *MultipoleSoA, sx, sy, sz []float64, eps2 float64, ax, ay, az, pot []float64) {
 	nc := cells.Len()
 	if nc == 0 {
@@ -120,203 +120,6 @@ func CellBatchLibm(cells *MultipoleSoA, sx, sy, sz []float64, eps2 float64, ax, 
 				z0 := pz0 - czi
 				r20 := x0*x0 + y0*y0 + z0*z0 + eps2
 				rinv0 := 1 / math.Sqrt(r20)
-				rinv20 := rinv0 * rinv0
-				rinv30 := rinv0 * rinv20
-				rinv50 := rinv30 * rinv20
-				rinv70 := rinv50 * rinv20
-				s0 := -mi * rinv30
-				a0 := s0 * x0
-				b0 := s0 * y0
-				c0 := s0 * z0
-				p0 := -mi * rinv0
-				qx0 := qxx[i]*x0 + qxy[i]*y0 + qxz[i]*z0
-				qy0 := qxy[i]*x0 + qyy[i]*y0 + qyz[i]*z0
-				qz0 := qxz[i]*x0 + qyz[i]*y0 + qzz[i]*z0
-				xqx0 := x0*qx0 + y0*qy0 + z0*qz0
-				a0 += rinv50 * qx0
-				b0 += rinv50 * qy0
-				c0 += rinv50 * qz0
-				u0 := -2.5 * xqx0 * rinv70
-				a0 += u0 * x0
-				b0 += u0 * y0
-				c0 += u0 * z0
-				p0 -= 0.5 * xqx0 * rinv50
-				ax0 += a0
-				ay0 += b0
-				az0 += c0
-				pp0 += p0
-			}
-			ax[j], ay[j], az[j], pot[j] = ax0, ay0, az0, pp0
-		}
-	}
-}
-
-// CellBatchKarp is CellBatchLibm with the reciprocal square root computed
-// by the inlined Karp decomposition. This is not the default path (the
-// seed evaluated cells with libm even under UseKarp, and bit-identity is
-// preserved by keeping that); it exists for the measured libm-vs-Karp
-// comparison of `ssbench kernels` and the Evaluator's opt-in CellKarp.
-func CellBatchKarp(cells *MultipoleSoA, sx, sy, sz []float64, eps2 float64, ax, ay, az, pot []float64) {
-	nc := cells.Len()
-	if nc == 0 {
-		return
-	}
-	ns := len(sx)
-	for t0 := 0; t0 < nc; t0 += cellTile {
-		t1 := min(t0+cellTile, nc)
-		cx := cells.CX[t0:t1]
-		cy := cells.CY[t0:t1:t1]
-		cz := cells.CZ[t0:t1:t1]
-		cm := cells.M[t0:t1:t1]
-		qxx := cells.QXX[t0:t1:t1]
-		qyy := cells.QYY[t0:t1:t1]
-		qzz := cells.QZZ[t0:t1:t1]
-		qxy := cells.QXY[t0:t1:t1]
-		qxz := cells.QXZ[t0:t1:t1]
-		qyz := cells.QYZ[t0:t1:t1]
-		j := 0
-		for ; j+2 <= ns; j += 2 {
-			px0, py0, pz0 := sx[j], sy[j], sz[j]
-			px1, py1, pz1 := sx[j+1], sy[j+1], sz[j+1]
-			ax0, ay0, az0, pp0 := ax[j], ay[j], az[j], pot[j]
-			ax1, ay1, az1, pp1 := ax[j+1], ay[j+1], az[j+1], pot[j+1]
-			for i := range cx {
-				cxi, cyi, czi, mi := cx[i], cy[i], cz[i], cm[i]
-				x0 := px0 - cxi
-				y0 := py0 - cyi
-				z0 := pz0 - czi
-				r20 := x0*x0 + y0*y0 + z0*z0 + eps2
-				x1 := px1 - cxi
-				y1 := py1 - cyi
-				z1 := pz1 - czi
-				r21 := x1*x1 + y1*y1 + z1*z1 + eps2
-				// Karp rsqrt, hand-expanded with the two chains interleaved
-				// (see KernelBatchKarp); non-normal arguments defer to the
-				// full function.
-				kb0 := math.Float64bits(r20)
-				kb1 := math.Float64bits(r21)
-				ke0 := kb0 >> 52 & 0x7ff
-				ke1 := kb1 >> 52 & 0x7ff
-				var rinv0, rinv1 float64
-				if ke0-1 < 0x7fe && ke1-1 < 0x7fe {
-					km0 := math.Float64frombits(kb0&(1<<52-1) | 1023<<52)
-					km1 := math.Float64frombits(kb1&(1<<52-1) | 1023<<52)
-					kx0 := int(ke0) - 1023
-					kx1 := int(ke1) - 1023
-					if kx0&1 != 0 {
-						km0 *= 2
-					}
-					if kx1&1 != 0 {
-						km1 *= 2
-					}
-					ki0 := int((km0 - 1) * float64(len(karpTable)) / 3)
-					ki1 := int((km1 - 1) * float64(len(karpTable)) / 3)
-					if ki0 >= len(karpTable) {
-						ki0 = len(karpTable) - 1
-					}
-					if ki1 >= len(karpTable) {
-						ki1 = len(karpTable) - 1
-					}
-					ks0 := karpTable[ki0]
-					ks1 := karpTable[ki1]
-					y0 := ks0.a + ks0.b*km0
-					y1 := ks1.a + ks1.b*km1
-					y0 = y0 * (1.5 - 0.5*km0*y0*y0)
-					y1 = y1 * (1.5 - 0.5*km1*y1*y1)
-					y0 = y0 * (1.5 - 0.5*km0*y0*y0)
-					y1 = y1 * (1.5 - 0.5*km1*y1*y1)
-					rinv0 = y0 * math.Float64frombits(uint64(1023-kx0>>1)<<52)
-					rinv1 = y1 * math.Float64frombits(uint64(1023-kx1>>1)<<52)
-				} else {
-					rinv0 = KarpRsqrt(r20)
-					rinv1 = KarpRsqrt(r21)
-				}
-
-				rinv20 := rinv0 * rinv0
-				rinv30 := rinv0 * rinv20
-				rinv50 := rinv30 * rinv20
-				rinv70 := rinv50 * rinv20
-				s0 := -mi * rinv30
-				a0 := s0 * x0
-				b0 := s0 * y0
-				c0 := s0 * z0
-				p0 := -mi * rinv0
-				qx0 := qxx[i]*x0 + qxy[i]*y0 + qxz[i]*z0
-				qy0 := qxy[i]*x0 + qyy[i]*y0 + qyz[i]*z0
-				qz0 := qxz[i]*x0 + qyz[i]*y0 + qzz[i]*z0
-				xqx0 := x0*qx0 + y0*qy0 + z0*qz0
-				a0 += rinv50 * qx0
-				b0 += rinv50 * qy0
-				c0 += rinv50 * qz0
-				u0 := -2.5 * xqx0 * rinv70
-				a0 += u0 * x0
-				b0 += u0 * y0
-				c0 += u0 * z0
-				p0 -= 0.5 * xqx0 * rinv50
-				ax0 += a0
-				ay0 += b0
-				az0 += c0
-				pp0 += p0
-
-				rinv21 := rinv1 * rinv1
-				rinv31 := rinv1 * rinv21
-				rinv51 := rinv31 * rinv21
-				rinv71 := rinv51 * rinv21
-				s1 := -mi * rinv31
-				a1 := s1 * x1
-				b1 := s1 * y1
-				c1 := s1 * z1
-				p1 := -mi * rinv1
-				qx1 := qxx[i]*x1 + qxy[i]*y1 + qxz[i]*z1
-				qy1 := qxy[i]*x1 + qyy[i]*y1 + qyz[i]*z1
-				qz1 := qxz[i]*x1 + qyz[i]*y1 + qzz[i]*z1
-				xqx1 := x1*qx1 + y1*qy1 + z1*qz1
-				a1 += rinv51 * qx1
-				b1 += rinv51 * qy1
-				c1 += rinv51 * qz1
-				u1 := -2.5 * xqx1 * rinv71
-				a1 += u1 * x1
-				b1 += u1 * y1
-				c1 += u1 * z1
-				p1 -= 0.5 * xqx1 * rinv51
-				ax1 += a1
-				ay1 += b1
-				az1 += c1
-				pp1 += p1
-			}
-			ax[j], ay[j], az[j], pot[j] = ax0, ay0, az0, pp0
-			ax[j+1], ay[j+1], az[j+1], pot[j+1] = ax1, ay1, az1, pp1
-		}
-		if j < ns {
-			px0, py0, pz0 := sx[j], sy[j], sz[j]
-			ax0, ay0, az0, pp0 := ax[j], ay[j], az[j], pot[j]
-			for i := range cx {
-				cxi, cyi, czi, mi := cx[i], cy[i], cz[i], cm[i]
-				x0 := px0 - cxi
-				y0 := py0 - cyi
-				z0 := pz0 - czi
-				r20 := x0*x0 + y0*y0 + z0*z0 + eps2
-				kb0 := math.Float64bits(r20)
-				ke0 := kb0 >> 52 & 0x7ff
-				var rinv0 float64
-				if ke0-1 < 0x7fe {
-					km0 := math.Float64frombits(kb0&(1<<52-1) | 1023<<52)
-					kx0 := int(ke0) - 1023
-					if kx0&1 != 0 {
-						km0 *= 2
-					}
-					ki0 := int((km0 - 1) * float64(len(karpTable)) / 3)
-					if ki0 >= len(karpTable) {
-						ki0 = len(karpTable) - 1
-					}
-					ks0 := karpTable[ki0]
-					y0 := ks0.a + ks0.b*km0
-					y0 = y0 * (1.5 - 0.5*km0*y0*y0)
-					y0 = y0 * (1.5 - 0.5*km0*y0*y0)
-					rinv0 = y0 * math.Float64frombits(uint64(1023-kx0>>1)<<52)
-				} else {
-					rinv0 = KarpRsqrt(r20)
-				}
 				rinv20 := rinv0 * rinv0
 				rinv30 := rinv0 * rinv20
 				rinv50 := rinv30 * rinv20

@@ -13,13 +13,10 @@ import "spacesim/internal/vec"
 type Evaluator struct {
 	// Eps is the Plummer softening length.
 	Eps float64
-	// UseKarp selects the Karp reciprocal sqrt for the body kernel (the
-	// seed semantics: cells always use libm on the default path).
+	// UseKarp selects the Karp reciprocal sqrt for the body kernel (cells
+	// always use libm). It applies to Float64 only: the Float32 mode has no
+	// Karp kernel and evaluates with the hardware sqrt regardless.
 	UseKarp bool
-	// CellKarp additionally selects the Karp reciprocal sqrt for the
-	// cell kernel. Off the bit-identical default path; used by the
-	// `ssbench kernels` libm-vs-Karp experiment.
-	CellKarp bool
 	// Prec selects the accumulation arithmetic (Float64 default).
 	Prec Precision
 
@@ -34,11 +31,7 @@ func (e *Evaluator) EvalList(cells *MultipoleSoA, src *SoA, sx, sy, sz, ax, ay, 
 		return
 	}
 	eps2 := e.Eps * e.Eps
-	if e.CellKarp {
-		CellBatchKarp(cells, sx, sy, sz, eps2, ax, ay, az, pot)
-	} else {
-		CellBatchLibm(cells, sx, sy, sz, eps2, ax, ay, az, pot)
-	}
+	CellBatchLibm(cells, sx, sy, sz, eps2, ax, ay, az, pot)
 	if e.UseKarp {
 		KernelBatchKarp(sx, sy, sz, src, eps2, ax, ay, az, pot)
 	} else {
@@ -89,12 +82,8 @@ func (e *Evaluator) evalList32(cells *MultipoleSoA, src *SoA, sx, sy, sz, ax, ay
 	}
 	ee := float32(e.Eps)
 	eps2 := ee * ee
-	cellBatch32(s, s.sx, s.sy, s.sz, eps2, e.CellKarp, s.ax, s.ay, s.az, s.pp)
-	if e.UseKarp {
-		kernelBatchKarp32(s.sx, s.sy, s.sz, s.bx, s.by, s.bz, s.bm, eps2, s.ax, s.ay, s.az, s.pp)
-	} else {
-		kernelBatchLibm32(s.sx, s.sy, s.sz, s.bx, s.by, s.bz, s.bm, eps2, s.ax, s.ay, s.az, s.pp)
-	}
+	cellBatch32(s, s.sx, s.sy, s.sz, eps2, s.ax, s.ay, s.az, s.pp)
+	kernelBatchLibm32(s.sx, s.sy, s.sz, s.bx, s.by, s.bz, s.bm, eps2, s.ax, s.ay, s.az, s.pp)
 	for j := 0; j < ns; j++ {
 		ax[j] += float64(s.ax[j])
 		ay[j] += float64(s.ay[j])
@@ -106,6 +95,8 @@ func (e *Evaluator) evalList32(cells *MultipoleSoA, src *SoA, sx, sy, sz, ax, ay
 // EvalListReference is the seed evaluation kept verbatim — scalar
 // Multipole.AccelAt per (cell, sink) plus the unblocked batch body kernel
 // — as the oracle the blocked kernels are pinned bit-identical against.
+// (Under useKarp the body half is the production loop itself: the Karp
+// kernel has no blocked variant.)
 func EvalListReference(cells *MultipoleSoA, src *SoA, sx, sy, sz []float64, eps float64, useKarp bool, ax, ay, az, pot []float64) {
 	for ci := 0; ci < cells.Len(); ci++ {
 		m := cells.At(ci)
@@ -119,7 +110,7 @@ func EvalListReference(cells *MultipoleSoA, src *SoA, sx, sy, sz []float64, eps 
 	}
 	eps2 := eps * eps
 	if useKarp {
-		kernelBatchKarpRef(sx, sy, sz, src, eps2, ax, ay, az, pot)
+		KernelBatchKarp(sx, sy, sz, src, eps2, ax, ay, az, pot)
 	} else {
 		kernelBatchLibmRef(sx, sy, sz, src, eps2, ax, ay, az, pot)
 	}

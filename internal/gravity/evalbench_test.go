@@ -54,50 +54,45 @@ func newBenchState(rng *rand.Rand, ncells, nbodies, nsinks int) *benchState {
 }
 
 func BenchmarkCellBatch(b *testing.B) {
-	for _, karp := range []bool{false, true} {
-		name := "libm"
-		if karp {
-			name = "karp"
-		}
-		for _, n := range benchLengths {
-			b.Run(fmt.Sprintf("%s/len%d", name, n), func(b *testing.B) {
-				st := newBenchState(rand.New(rand.NewSource(5)), n, 0, benchSinks)
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if karp {
-						CellBatchKarp(st.cells, st.sx, st.sy, st.sz, 1e-4, st.ax, st.ay, st.az, st.pp)
-					} else {
-						CellBatchLibm(st.cells, st.sx, st.sy, st.sz, 1e-4, st.ax, st.ay, st.az, st.pp)
-					}
-				}
-				b.ReportMetric(float64(b.N*n*benchSinks)/b.Elapsed().Seconds()/1e6, "Minter/s")
-			})
-		}
+	for _, n := range benchLengths {
+		b.Run(fmt.Sprintf("libm/len%d", n), func(b *testing.B) {
+			st := newBenchState(rand.New(rand.NewSource(5)), n, 0, benchSinks)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				CellBatchLibm(st.cells, st.sx, st.sy, st.sz, 1e-4, st.ax, st.ay, st.az, st.pp)
+			}
+			b.ReportMetric(float64(b.N*n*benchSinks)/b.Elapsed().Seconds()/1e6, "Minter/s")
+		})
 	}
 }
 
+// evalVariants are the Evaluator configurations that have a kernel: the
+// Karp reciprocal sqrt exists in float64 only.
+var evalVariants = []struct {
+	prec Precision
+	karp bool
+}{{Float64, false}, {Float64, true}, {Float32, false}}
+
 func BenchmarkEvalList(b *testing.B) {
-	for _, prec := range []Precision{Float64, Float32} {
-		for _, karp := range []bool{false, true} {
-			name := "libm"
-			if karp {
-				name = "karp"
-			}
-			for _, n := range benchLengths {
-				b.Run(fmt.Sprintf("%s/%s/len%d", prec, name, n), func(b *testing.B) {
-					// Split the list budget the way real buckets do: a few
-					// accepted cells, the rest direct bodies.
-					nc := n / 8
-					st := newBenchState(rand.New(rand.NewSource(6)), nc, n-nc, benchSinks)
-					ev := Evaluator{Eps: 0.01, UseKarp: karp, CellKarp: karp, Prec: prec}
+	for _, v := range evalVariants {
+		name := "libm"
+		if v.karp {
+			name = "karp"
+		}
+		for _, n := range benchLengths {
+			b.Run(fmt.Sprintf("%s/%s/len%d", v.prec, name, n), func(b *testing.B) {
+				// Split the list budget the way real buckets do: a few
+				// accepted cells, the rest direct bodies.
+				nc := n / 8
+				st := newBenchState(rand.New(rand.NewSource(6)), nc, n-nc, benchSinks)
+				ev := Evaluator{Eps: 0.01, UseKarp: v.karp, Prec: v.prec}
+				ev.EvalList(st.cells, st.soa, st.sx, st.sy, st.sz, st.ax, st.ay, st.az, st.pp)
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
 					ev.EvalList(st.cells, st.soa, st.sx, st.sy, st.sz, st.ax, st.ay, st.az, st.pp)
-					b.ResetTimer()
-					for i := 0; i < b.N; i++ {
-						ev.EvalList(st.cells, st.soa, st.sx, st.sy, st.sz, st.ax, st.ay, st.az, st.pp)
-					}
-					b.ReportMetric(float64(b.N*n*benchSinks)/b.Elapsed().Seconds()/1e6, "Minter/s")
-				})
-			}
+				}
+				b.ReportMetric(float64(b.N*n*benchSinks)/b.Elapsed().Seconds()/1e6, "Minter/s")
+			})
 		}
 	}
 }
@@ -123,17 +118,12 @@ func TestKernelAllocsPinned(t *testing.T) {
 	run("CellBatchLibm", func() {
 		CellBatchLibm(st.cells, st.sx, st.sy, st.sz, 1e-4, st.ax, st.ay, st.az, st.pp)
 	})
-	run("CellBatchKarp", func() {
-		CellBatchKarp(st.cells, st.sx, st.sy, st.sz, 1e-4, st.ax, st.ay, st.az, st.pp)
-	})
-	for _, prec := range []Precision{Float64, Float32} {
-		for _, karp := range []bool{false, true} {
-			ev := Evaluator{Eps: 0.01, UseKarp: karp, CellKarp: karp, Prec: prec}
-			// Warm the float32 scratch: the first call may grow it.
+	for _, v := range evalVariants {
+		ev := Evaluator{Eps: 0.01, UseKarp: v.karp, Prec: v.prec}
+		// Warm the float32 scratch: the first call may grow it.
+		ev.EvalList(st.cells, st.soa, st.sx, st.sy, st.sz, st.ax, st.ay, st.az, st.pp)
+		run(fmt.Sprintf("EvalList/%s/karp=%v", v.prec, v.karp), func() {
 			ev.EvalList(st.cells, st.soa, st.sx, st.sy, st.sz, st.ax, st.ay, st.az, st.pp)
-			run(fmt.Sprintf("EvalList/%s/karp=%v", prec, karp), func() {
-				ev.EvalList(st.cells, st.soa, st.sx, st.sy, st.sz, st.ax, st.ay, st.az, st.pp)
-			})
-		}
+		})
 	}
 }

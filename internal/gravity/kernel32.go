@@ -2,7 +2,7 @@ package gravity
 
 import "math"
 
-// Single-precision renderings of the batched kernels, used by the
+// Single-precision renderings of the batched libm kernels, used by the
 // Evaluator's Float32 mode: one interaction list is converted to float32
 // scratch once per bucket, evaluated and accumulated in float32, and the
 // bucket totals are folded back into the float64 outputs. The loops keep
@@ -18,7 +18,7 @@ func kernelBatchLibm32(sx, sy, sz, xs, ys, zs, ms []float32, eps2 float32, ax, a
 		return
 	}
 	if eps2 == 0 {
-		kernelBatch32Checked(sx, sy, sz, xs, ys, zs, ms, eps2, false, ax, ay, az, pot)
+		kernelBatch32Checked(sx, sy, sz, xs, ys, zs, ms, eps2, ax, ay, az, pot)
 		return
 	}
 	for t0 := 0; t0 < n; t0 += srcTile {
@@ -52,49 +52,9 @@ func kernelBatchLibm32(sx, sy, sz, xs, ys, zs, ms []float32, eps2 float32, ax, a
 	}
 }
 
-func kernelBatchKarp32(sx, sy, sz, xs, ys, zs, ms []float32, eps2 float32, ax, ay, az, pot []float32) {
-	n := len(xs)
-	if n == 0 {
-		return
-	}
-	if eps2 == 0 {
-		kernelBatch32Checked(sx, sy, sz, xs, ys, zs, ms, eps2, true, ax, ay, az, pot)
-		return
-	}
-	for t0 := 0; t0 < n; t0 += srcTile {
-		t1 := min(t0+srcTile, n)
-		tx := xs[t0:t1]
-		ty := ys[t0:t1:t1]
-		tz := zs[t0:t1:t1]
-		tm := ms[t0:t1:t1]
-		for j := range sx {
-			px, py, pz := sx[j], sy[j], sz[j]
-			fx, fy, fz, fp := ax[j], ay[j], az[j], pot[j]
-			for i := range tx {
-				dx := tx[i] - px
-				dy := ty[i] - py
-				dz := tz[i] - pz
-				r2 := dx*dx + dy*dy + dz*dz
-				mi := tm[i]
-				if r2 == 0 {
-					mi = 0
-				}
-				rinv := karpRsqrtInline32(r2 + eps2)
-				rinv3 := rinv * rinv * rinv
-				mr3 := mi * rinv3
-				fx += mr3 * dx
-				fy += mr3 * dy
-				fz += mr3 * dz
-				fp -= mi * rinv
-			}
-			ax[j], ay[j], az[j], pot[j] = fx, fy, fz, fp
-		}
-	}
-}
-
 // kernelBatch32Checked is the eps == 0 fallback with the explicit skip
 // branch (an excluded term would be infinite without softening).
-func kernelBatch32Checked(sx, sy, sz, xs, ys, zs, ms []float32, eps2 float32, useKarp bool, ax, ay, az, pot []float32) {
+func kernelBatch32Checked(sx, sy, sz, xs, ys, zs, ms []float32, eps2 float32, ax, ay, az, pot []float32) {
 	for j := range sx {
 		px, py, pz := sx[j], sy[j], sz[j]
 		fx, fy, fz, fp := ax[j], ay[j], az[j], pot[j]
@@ -106,12 +66,7 @@ func kernelBatch32Checked(sx, sy, sz, xs, ys, zs, ms []float32, eps2 float32, us
 			if r2 == 0 {
 				continue
 			}
-			var rinv float32
-			if useKarp {
-				rinv = KarpRsqrt32(r2 + eps2)
-			} else {
-				rinv = 1 / float32(math.Sqrt(float64(r2+eps2)))
-			}
+			rinv := 1 / float32(math.Sqrt(float64(r2+eps2)))
 			rinv3 := rinv * rinv * rinv
 			mr3 := ms[i] * rinv3
 			fx += mr3 * dx
@@ -124,7 +79,7 @@ func kernelBatch32Checked(sx, sy, sz, xs, ys, zs, ms []float32, eps2 float32, us
 }
 
 // cellBatch32 evaluates the multipole field over the float32 cell scratch.
-func cellBatch32(s *evalScratch32, sx, sy, sz []float32, eps2 float32, useKarp bool, ax, ay, az, pot []float32) {
+func cellBatch32(s *evalScratch32, sx, sy, sz []float32, eps2 float32, ax, ay, az, pot []float32) {
 	nc := len(s.cx)
 	if nc == 0 {
 		return
@@ -150,12 +105,7 @@ func cellBatch32(s *evalScratch32, sx, sy, sz []float32, eps2 float32, useKarp b
 				y := py - cy[i]
 				z := pz - cz[i]
 				r2 := x*x + y*y + z*z + eps2
-				var rinv float32
-				if useKarp {
-					rinv = karpRsqrtInline32(r2)
-				} else {
-					rinv = 1 / float32(math.Sqrt(float64(r2)))
-				}
+				rinv := 1 / float32(math.Sqrt(float64(r2)))
 				rinv2 := rinv * rinv
 				rinv3 := rinv * rinv2
 				rinv5 := rinv3 * rinv2

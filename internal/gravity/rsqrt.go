@@ -21,12 +21,6 @@ type karpSeg struct{ a, b float64 }
 
 var karpTable = buildKarpTable()
 
-// karpSeg32 is the float32 rendering of a table segment, used by the
-// float32 kernels so the lookup stays conversion-free.
-type karpSeg32 struct{ a, b float32 }
-
-var karpTable32 = buildKarpTable32()
-
 // buildKarpTable fits 1/sqrt(m) on each of 2^karpTableBits segments of
 // [1,4) with the degree-1 Chebyshev interpolant (the fit through the two
 // Chebyshev nodes of the segment, which minimizes worst-case error among
@@ -47,14 +41,6 @@ func buildKarpTable() [1 << karpTableBits]karpSeg {
 		b := (y1 - y0) / (x1 - x0)
 		a := y0 - b*x0
 		tbl[i] = karpSeg{a: a, b: b}
-	}
-	return tbl
-}
-
-func buildKarpTable32() [1 << karpTableBits]karpSeg32 {
-	var tbl [1 << karpTableBits]karpSeg32
-	for i, s := range karpTable {
-		tbl[i] = karpSeg32{a: float32(s.a), b: float32(s.b)}
 	}
 	return tbl
 }
@@ -116,62 +102,6 @@ func karpRsqrtEdge(x float64) float64 {
 		// 2^-966), and rsqrt scales back by the exact factor 2^54.
 		return KarpRsqrt(x*0x1p108) * 0x1p54
 	}
-}
-
-// KarpRsqrt32 is the single-precision Karp reciprocal square root: the
-// same table (rounded to float32) with one Newton-Raphson iteration, which
-// already reaches a few ulps of float32. Non-normal inputs route through
-// the float64 edge path.
-func KarpRsqrt32(x float32) float32 {
-	bits := math.Float32bits(x)
-	if e := bits >> 23 & 0xff; e == 0 || e == 0xff || bits>>31 != 0 {
-		return float32(KarpRsqrt(float64(x)))
-	}
-	exp := int(bits>>23&0xff) - 127
-	m := math.Float32frombits(bits&(1<<23-1) | 127<<23)
-	k := exp >> 1
-	if exp&1 != 0 {
-		m *= 2
-	}
-	idx := int((m - 1) * float32(len(karpTable32)) / 3)
-	if idx >= len(karpTable32) {
-		idx = len(karpTable32) - 1
-	}
-	seg := karpTable32[idx]
-	y := seg.a + seg.b*m
-	y = y * (1.5 - 0.5*m*y*y)
-	return y * math.Float32frombits(uint32(127-k)<<23)
-}
-
-// The float64 batched kernels hand-expand the fast path of KarpRsqrt into
-// their loop bodies (the expansion exceeds the compiler's inline budget as
-// a function): the same operation sequence, with a single unsigned compare
-// `e-1 < 0x7fe` deferring zeros, subnormals, infinities and NaNs to the
-// full function. Their callers guarantee x >= 0 (a sum of squares plus a
-// softening), so no sign check is carried in the loops.
-
-// karpRsqrtInline32 is the float32 fast path of KarpRsqrt32 for the
-// float32 kernels (same operation sequence, edge cases deferred).
-func karpRsqrtInline32(x float32) float32 {
-	bits := math.Float32bits(x)
-	e := bits >> 23 & 0xff
-	if e == 0 || e == 0xff {
-		return float32(KarpRsqrt(float64(x)))
-	}
-	exp := int(e) - 127
-	m := math.Float32frombits(bits&(1<<23-1) | 127<<23)
-	k := exp >> 1
-	if exp&1 != 0 {
-		m *= 2
-	}
-	idx := int((m - 1) * float32(len(karpTable32)) / 3)
-	if idx >= len(karpTable32) {
-		idx = len(karpTable32) - 1
-	}
-	seg := karpTable32[idx]
-	y := seg.a + seg.b*m
-	y = y * (1.5 - 0.5*m*y*y)
-	return y * math.Float32frombits(uint32(127-k)<<23)
 }
 
 // KarpRsqrt3 returns 1/sqrt(x) cubed, i.e. x^(-3/2), the quantity the

@@ -86,49 +86,3 @@ func TestKarpRsqrtExponentSweep(t *testing.T) {
 		t.Fatal("sweep measured zero error; harness is broken")
 	}
 }
-
-// TestKarpRsqrt32 pins the single-precision variant: the same special-value
-// contract on the edges (routed through the float64 path) and a few float32
-// ulps of relative error across every normal binade.
-func TestKarpRsqrt32(t *testing.T) {
-	if v := KarpRsqrt32(0); !math.IsInf(float64(v), 1) {
-		t.Errorf("KarpRsqrt32(+0) = %v, want +Inf", v)
-	}
-	if v := KarpRsqrt32(float32(math.Copysign(0, -1))); !math.IsInf(float64(v), -1) {
-		t.Errorf("KarpRsqrt32(-0) = %v, want -Inf", v)
-	}
-	if v := KarpRsqrt32(float32(math.Inf(1))); v != 0 {
-		t.Errorf("KarpRsqrt32(+Inf) = %v, want 0", v)
-	}
-	if v := KarpRsqrt32(-1); !math.IsNaN(float64(v)) {
-		t.Errorf("KarpRsqrt32(-1) = %v, want NaN", v)
-	}
-	if v := KarpRsqrt32(float32(math.NaN())); !math.IsNaN(float64(v)) {
-		t.Errorf("KarpRsqrt32(NaN) = %v, want NaN", v)
-	}
-	// Smallest positive subnormal float32: the edge route solves it in
-	// float64, so the result is correct to float32 rounding.
-	sub := math.Float32frombits(1)
-	if got, want := float64(KarpRsqrt32(sub)), 1/math.Sqrt(float64(sub)); math.Abs(got-want)/want > 1.0/(1<<23) {
-		t.Errorf("KarpRsqrt32(min subnormal) = %g, want %g", got, want)
-	}
-
-	const ulp32 = 1.0 / (1 << 23)
-	maxErr := 0.0
-	for exp := -126; exp <= 127; exp++ {
-		for _, m := range []float32{1, 1.0000001, 1.3, 1.5, 1.9999999} {
-			x := m * float32(math.Ldexp(1, exp))
-			if x == 0 || math.IsInf(float64(x), 0) {
-				continue
-			}
-			got := float64(KarpRsqrt32(x))
-			want := 1 / math.Sqrt(float64(x))
-			if e := math.Abs(got-want) / want; e > maxErr {
-				maxErr = e
-			}
-		}
-	}
-	if maxErr > 4*ulp32 {
-		t.Fatalf("max relative error %g, want <= 4 float32 ulps (%g)", maxErr, 4*ulp32)
-	}
-}

@@ -54,20 +54,33 @@ func (c *Cell) BoundingSphere() (center vec.V3, radius float64) {
 	return c.Mp.COM, c.Bmax
 }
 
-// groupScratch is the per-worker reusable buffer set of the grouped walk.
-// The evaluator rides along so the Float32 mode's conversion scratch is
-// reused across buckets too.
-type groupScratch struct {
+// BucketScratch holds one bucket's interaction list and the reusable
+// traversal and sink-side buffers of its evaluation. It is the one scratch
+// type of the grouped walk: the serial tree keeps one per worker, the
+// parallel engine (package core) one per suspended bucket. The evaluator
+// rides along so the Float32 mode's conversion scratch is reused across
+// buckets too. The zero value is ready to use.
+type BucketScratch struct {
+	// Cells and Srcs are the interaction list: accepted cell multipoles and
+	// direct-interaction bodies, appended to by GatherList (and, in the
+	// parallel engine, by remote cells and fetched bodies).
+	Cells gravity.MultipoleSoA
+	Srcs  gravity.SoA
+
 	stack          []key.K
-	cells          gravity.MultipoleSoA
-	srcs           gravity.SoA
 	sx, sy, sz     []float64
 	ax, ay, az, pp []float64
 	ev             gravity.Evaluator
 }
 
+// Reset empties the interaction list, keeping the backing arrays.
+func (sc *BucketScratch) Reset() {
+	sc.Cells.Reset()
+	sc.Srcs.Reset()
+}
+
 // grow resizes the sink-side arrays to n sinks, zeroing the accumulators.
-func (sc *groupScratch) grow(n int) {
+func (sc *BucketScratch) grow(n int) {
 	if cap(sc.sx) < n {
 		sc.sx = make([]float64, n)
 		sc.sy = make([]float64, n)
@@ -84,40 +97,44 @@ func (sc *groupScratch) grow(n int) {
 	}
 }
 
-// gatherList walks the tree once for the bucket, accumulating accepted
-// cells and direct-interaction bodies into the scratch buffers.
-func (t *Tree) gatherList(bucket *Cell, theta float64, sc *groupScratch, st *WalkStats) {
-	center, radius := bucket.Mp.COM, bucket.Bmax
-	sc.stack = append(sc.stack[:0], key.Root)
-	sc.cells.Reset()
-	sc.srcs.Reset()
-	for len(sc.stack) > 0 {
-		k := sc.stack[len(sc.stack)-1]
-		sc.stack = sc.stack[:len(sc.stack)-1]
+// GatherList walks the subtree under root once for the bucket whose
+// bounding sphere is (center, radius), appending accepted cells and
+// direct-interaction bodies to the scratch's list, and returns the number
+// of cells it opened. root must be a cell of this tree: key.Root for a
+// whole-tree walk, or a locally owned branch of the distributed tree.
+func (t *Tree) GatherList(root key.K, center vec.V3, radius, theta float64, sc *BucketScratch) (opened int) {
+	stack := append(sc.stack[:0], root)
+	for len(stack) > 0 {
+		k := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
 		c := t.store.get(k)
 		d := c.Mp.COM.Dist(center) - radius
 		if !c.Leaf && AcceptMAC(d, c.Bmax, theta) {
-			sc.cells.Push(&c.Mp)
+			sc.Cells.Push(&c.Mp)
 			continue
 		}
 		if c.Leaf {
 			for i := c.Lo; i < c.Hi; i++ {
-				sc.srcs.Push(t.Bodies[i].Pos, t.Bodies[i].Mass)
+				sc.Srcs.Push(t.Bodies[i].Pos, t.Bodies[i].Mass)
 			}
 			continue
 		}
-		st.CellsOpened++
+		opened++
 		for oct := 0; oct < 8; oct++ {
 			if c.ChildMask&(1<<uint(oct)) != 0 {
-				sc.stack = append(sc.stack, k.Child(oct))
+				stack = append(stack, k.Child(oct))
 			}
 		}
 	}
+	sc.stack = stack[:0]
+	return opened
 }
 
-// evalBucket applies the gathered list to every body of the bucket,
-// scattering results by original body ID.
-func (t *Tree) evalBucket(bucket *Cell, eps float64, useKarp bool, prec gravity.Precision, sc *groupScratch, acc []vec.V3, pot []float64) {
+// EvalBucket applies the scratch's interaction list to every body of the
+// bucket, scattering results by original body ID. It touches only the
+// scratch, the read-only body array and the bucket's disjoint entries of
+// the output arrays, so buckets may be evaluated concurrently.
+func (t *Tree) EvalBucket(bucket *Cell, eps float64, useKarp bool, prec gravity.Precision, sc *BucketScratch, acc []vec.V3, pot []float64) {
 	ns := bucket.Hi - bucket.Lo
 	sc.grow(ns)
 	for j := 0; j < ns; j++ {
@@ -125,7 +142,7 @@ func (t *Tree) evalBucket(bucket *Cell, eps float64, useKarp bool, prec gravity.
 		sc.sx[j], sc.sy[j], sc.sz[j] = p[0], p[1], p[2]
 	}
 	sc.ev.Eps, sc.ev.UseKarp, sc.ev.Prec = eps, useKarp, prec
-	sc.ev.EvalList(&sc.cells, &sc.srcs, sc.sx, sc.sy, sc.sz, sc.ax, sc.ay, sc.az, sc.pp)
+	sc.ev.EvalList(&sc.Cells, &sc.Srcs, sc.sx, sc.sy, sc.sz, sc.ax, sc.ay, sc.az, sc.pp)
 	for j := 0; j < ns; j++ {
 		id := t.Bodies[bucket.Lo+j].ID
 		acc[id] = vec.V3{sc.ax[j], sc.ay[j], sc.az[j]}
@@ -162,18 +179,23 @@ func (t *Tree) AccelAllGrouped(theta, eps float64, useKarp bool, prec gravity.Pr
 	for w := 0; w < workers; w++ {
 		go func() {
 			defer wg.Done()
-			var sc groupScratch
+			var sc BucketScratch
 			for {
 				i := int(atomic.AddInt64(&next, 1)) - 1
 				if i >= len(leaves) {
 					return
 				}
 				b := leaves[i]
-				t.gatherList(b, theta, &sc, &stats[i])
+				center, radius := b.BoundingSphere()
+				sc.Reset()
+				opened := t.GatherList(key.Root, center, radius, theta, &sc)
 				ns := b.Hi - b.Lo
-				stats[i].CellInteractions += ns * sc.cells.Len()
-				stats[i].BodyInteractions += ns*sc.srcs.Len() - ns
-				t.evalBucket(b, eps, useKarp, prec, &sc, acc, pot)
+				stats[i] = WalkStats{
+					CellsOpened:      opened,
+					CellInteractions: ns * sc.Cells.Len(),
+					BodyInteractions: ns*sc.Srcs.Len() - ns,
+				}
+				t.EvalBucket(b, eps, useKarp, prec, &sc, acc, pot)
 			}
 		}()
 	}
