@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet fmt-check bench smoke analyze-smoke fault-smoke treebuild-smoke kernels-smoke scale-smoke live-smoke ledger-smoke serve-smoke ci all
+.PHONY: build test race vet fmt-check bench bench-e2e smoke analyze-smoke fault-smoke treebuild-smoke kernels-smoke scale-smoke live-smoke ledger-smoke serve-smoke ci all
 
 all: build test vet fmt-check
 
@@ -26,6 +26,13 @@ fmt-check:
 # writes the comparison to BENCH_treecode.json.
 bench:
 	$(GO) run ./cmd/ssbench group -o BENCH_treecode.json
+
+# The BENCHMARK.json benchmark (bench/README.md) on the seed it holds back
+# for checking a claim, five fresh-process runs per workload. To judge a
+# change, run it in two separate checkouts (parent, change) alternating
+# which goes first, then `go run ./bench -compare A/record.json B/record.json`.
+bench-e2e:
+	$(GO) run ./bench -seed 2 -runs 5
 
 # Generates a small trace + metrics pair from a short distributed run and
 # schema-validates both files with the tracecheck tool.

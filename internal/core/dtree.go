@@ -1,8 +1,6 @@
 package core
 
 import (
-	"sort"
-
 	"spacesim/internal/gravity"
 	"spacesim/internal/htree"
 	"spacesim/internal/key"
@@ -20,9 +18,12 @@ import (
 // its descendants) requires the owner's data, fetched through the ABM
 // layer using the global key name space: "a hash table is used in order to
 // translate the key into a pointer ... this level of indirection can also
-// be used to catch accesses to non-local data" (Section 4.2).
+// be used to catch accesses to non-local data" (Section 4.2). Here the key
+// is resolved once, when a cell enters the slab below; after that a cell is
+// its slab index, and a missing child link catches the non-local access.
 
-// cellInfo is the replicated metadata of a non-local (or fill) cell.
+// cellInfo is the replicated metadata of a non-local (or fill) cell, and
+// the wire form of a cell in the branch exchange and in fetch replies.
 type cellInfo struct {
 	Key       key.K
 	Mp        gravity.Multipole
@@ -35,6 +36,17 @@ type cellInfo struct {
 
 // cellInfoWireBytes is the accounted wire size of one cellInfo.
 const cellInfoWireBytes = 104
+
+// cell is one slab entry: the metadata plus what is resident below it.
+type cell struct {
+	cellInfo
+	// child is the slab index of the first resident daughter; the others
+	// follow in ascending octant order. 0 (the root, nobody's daughter)
+	// means they are not resident.
+	child int32
+	// bodies are the fetched bodies of a remote leaf; nil until they arrive.
+	bodies []gravity.Source
+}
 
 // fetchReply answers an expansion request for one remote cell.
 type fetchReply struct {
@@ -55,22 +67,25 @@ type DTree struct {
 	boxSize   float64
 	splitters []key.K
 
-	local  *htree.Tree        // may be nil when the rank holds no bodies
-	remote map[key.K]cellInfo // fills + replicated branches + fetched cells
+	local *htree.Tree // may be nil when the rank holds no bodies
 
-	// bodyCache holds fetched remote leaf bodies by cell key, bounded by
-	// bodyCacheCap and cleared at the start of every force evaluation.
-	bodyCache map[key.K][]gravity.Source
+	// cells is the slab of every cell this rank knows besides its own tree.
+	// cells[:persist] is the replicated top laid out by exchangeBranches:
+	// root at index 0, fills and every rank's branches, the children of one
+	// parent side by side in ascending octant order. Behind it each fetch
+	// reply appends the children it carried, which may move the slab: never
+	// hold a *cell across an ABM Poll.
+	cells   []cell
+	persist int
 
-	// fetchedCells records keys added to remote by fetch replies (as opposed
-	// to the persistent branch/fill cells), so resetCaches can prune them.
-	fetchedCells []key.K
-
-	// fetching tracks in-flight expansion requests: key -> continuations
+	// fetching tracks in-flight expansion requests: slab index -> walkers
 	// waiting on the reply. It deduplicates concurrent requests: whichever
 	// walker asks first triggers the one ABM request, later walkers for the
-	// same key just append their continuation.
-	fetching map[key.K][]func(fetchReply)
+	// same cell just join the list.
+	fetching map[int32][]*bucketWalker
+
+	// counting tallies local subtrees for walks that have given up their list.
+	counting htree.BucketScratch
 
 	// counters
 	fetches int64
@@ -80,37 +95,34 @@ type DTree struct {
 	o                                     *obs.Obs
 	cFetch, cDedup, cCacheHit, cCacheMiss *obs.Counter
 	cListCells, cListBodies, cBuckets     *obs.Counter
+	cWalkDirect, cWalkSecond              *obs.Counter
 	gListCellsMax, gListBodiesMax         *obs.Gauge
 	hListCells, hListBodies               *obs.Histogram
 	cPoolBusyNS, cPoolWallNS, cPoolJobs   *obs.Counter
 }
 
-// bodyCacheCap bounds the fetched-leaf-bodies cache. Once full, further
-// fetched leaves are consumed but not retained; repeated demand for them
-// re-fetches. With MaxLeaf-sized leaves this caps the cache near
-// bodyCacheCap*MaxLeaf bodies.
-const bodyCacheCap = 1 << 14
-
-// resetCaches drops the transient per-evaluation state: the fetched-bodies
-// cache and every remote-cell entry that arrived through a fetch rather
-// than the branch exchange. Without this, repeated force evaluations on a
-// long-lived tree grow both tables without bound.
+// resetCaches drops the transient per-evaluation state: every cell a fetch
+// reply appended, and the child links and bodies replies hung on the branch
+// entries. The second pass needs all that one evaluation fetched resident;
+// none of it survives into the next, which is the bound on the slab.
 func (dt *DTree) resetCaches() {
-	for k := range dt.bodyCache {
-		delete(dt.bodyCache, k)
+	clear(dt.cells[dt.persist:]) // release the fetched bodies they point at
+	dt.cells = dt.cells[:dt.persist]
+	for i := range dt.cells {
+		if c := &dt.cells[i]; c.Owner >= 0 {
+			c.child, c.bodies = 0, nil
+		}
 	}
-	for _, k := range dt.fetchedCells {
-		delete(dt.remote, k)
-	}
-	dt.fetchedCells = dt.fetchedCells[:0]
 }
 
-// requestCell asks the owner of cell k for its expansion, invoking onReply
-// when the data arrives during a Poll. Replies populate the remote-cell
-// table and bodies cache so later walkers are served locally.
-func (dt *DTree) requestCell(k key.K, owner int, st *TraversalStats, onReply func(fetchReply)) {
-	waiters, inFlight := dt.fetching[k]
-	dt.fetching[k] = append(waiters, onReply)
+// requestCell asks the owner of slab cell i for its expansion on behalf of
+// walker w, calling resume for every waiting walker when the reply has
+// arrived during a Poll and is resident — a leaf's bodies on the cell
+// itself, an internal cell's children appended to the slab and linked from
+// it — so later walkers are served locally.
+func (dt *DTree) requestCell(i int32, st *TraversalStats, w *bucketWalker, resume func(*bucketWalker, int32)) {
+	waiters, inFlight := dt.fetching[i]
+	dt.fetching[i] = append(waiters, w)
 	if inFlight {
 		// Another walker already asked for this cell; no new request goes out.
 		dt.cDedup.Inc()
@@ -123,27 +135,21 @@ func (dt *DTree) requestCell(k key.K, owner int, st *TraversalStats, onReply fun
 	// when the reply continuation runs (both points on the rank goroutine).
 	fid := dt.fetches
 	t0 := dt.r.Clock()
-	dt.abm.Request(owner, hFetch, k, 8, func(resp any) {
+	dt.abm.Request(dt.cells[i].Owner, hFetch, dt.cells[i].Key, 8, func(resp any) {
 		reply := resp.(fetchReply)
 		dt.ro.Async("fetch", "fetch", fid, t0, dt.r.Clock())
-		// Cache so future walkers don't re-fetch.
 		if reply.Bodies != nil {
-			info := dt.remote[k]
-			info.Leaf = true
-			dt.remote[k] = info
-			dt.bodiesCacheSet(k, reply.Bodies)
+			dt.cells[i].bodies = reply.Bodies
 		} else {
+			dt.cells[i].child = int32(len(dt.cells))
 			for _, c := range reply.Children {
-				if _, ok := dt.remote[c.Key]; !ok {
-					dt.fetchedCells = append(dt.fetchedCells, c.Key)
-				}
-				dt.remote[c.Key] = c
+				dt.cells = append(dt.cells, cell{cellInfo: c})
 			}
 		}
-		ws := dt.fetching[k]
-		delete(dt.fetching, k)
-		for _, fn := range ws {
-			fn(reply)
+		ws := dt.fetching[i]
+		delete(dt.fetching, i)
+		for _, w := range ws {
+			resume(w, i)
 		}
 	})
 }
@@ -156,9 +162,8 @@ func BuildDistributed(r *mp.Rank, bodies []Body, splitters []key.K, boxLo vec.V3
 		r: r, opt: opt,
 		boxLo: boxLo, boxSize: boxSize,
 		splitters: splitters,
-		remote:    map[key.K]cellInfo{},
-		bodyCache: map[key.K][]gravity.Source{},
-		fetching:  map[key.K][]func(fetchReply){},
+		fetching:  map[int32][]*bucketWalker{},
+		counting:  htree.BucketScratch{CountOnly: true},
 	}
 	dt.abm = mp.NewABM(r)
 	dt.abm.Handle(hFetch, dt.serveFetch)
@@ -174,6 +179,8 @@ func BuildDistributed(r *mp.Rank, bodies []Body, splitters []key.K, boxLo vec.V3
 	dt.cListCells = reg.Counter("core.list.cells")
 	dt.cListBodies = reg.Counter("core.list.bodies")
 	dt.cBuckets = reg.Counter("core.buckets")
+	dt.cWalkDirect = reg.Counter("core.walk.direct")
+	dt.cWalkSecond = reg.Counter("core.walk.second_pass")
 	dt.gListCellsMax = reg.Gauge("core.list.cells_max")
 	dt.gListBodiesMax = reg.Gauge("core.list.bodies_max")
 	dt.hListCells = reg.Histogram("core.list.cells_len")
@@ -284,102 +291,81 @@ func (dt *DTree) branches() []cellInfo {
 	return out
 }
 
-// exchangeBranches replicates every rank's branch cells and builds the
-// fill cells above them, so the top of the tree is globally consistent.
+// exchangeBranches replicates every rank's branch cells and builds the fill
+// cells above them, so the top of the tree is globally consistent, as the
+// persistent part of the slab. Ranks own ascending key ranges and list their
+// branches depth first, so the gathered branches come in ascending key-range
+// order and the ancestors one adds are those that do not contain its
+// predecessor. The slab is in ascending key order — level by level, root
+// first, siblings side by side by octant — and within a level branches and
+// new ancestors already arrive that way, so two sweeps (count per level, then
+// place) sort it without comparing keys.
 func (dt *DTree) exchangeBranches() {
 	mine := dt.branches()
 	gathered := dt.r.AllgatherAny(mine, int64(len(mine)*cellInfoWireBytes))
-	var all []cellInfo
-	for _, g := range gathered {
-		if g != nil {
-			all = append(all, g.([]cellInfo)...)
-		}
-	}
-	for _, c := range all {
-		dt.remote[c.Key] = c
-	}
-	// Build fills bottom-up, deepest levels first.
-	sort.Slice(all, func(i, j int) bool { return all[i].Key.Level() > all[j].Key.Level() })
-	type agg struct {
-		parts []cellInfo
-		mask  uint8
-	}
-	pend := map[key.K]*agg{}
-	addChild := func(c cellInfo) {
-		if c.Key == key.Root {
-			return
-		}
-		pk := c.Key.Parent()
-		a := pend[pk]
-		if a == nil {
-			a = &agg{}
-			pend[pk] = a
-		}
-		a.parts = append(a.parts, c)
-		a.mask |= 1 << uint(c.Key.Octant())
-	}
-	for _, c := range all {
-		addChild(c)
-	}
-	// Collapse pending parents level by level.
-	for len(pend) > 0 {
-		// deepest pending parent level
-		deepest := -1
-		for k := range pend {
-			if l := k.Level(); l > deepest {
-				deepest = l
-			}
-		}
-		next := map[key.K]*agg{}
-		for k, a := range pend {
-			if k.Level() != deepest {
-				// Merge with any aggregate already propagated to this key
-				// (map iteration order must not matter).
-				if ex := next[k]; ex != nil {
-					ex.parts = append(ex.parts, a.parts...)
-					ex.mask |= a.mask
-				} else {
-					next[k] = a
+	sweep := func(visit func(level int, c cellInfo)) {
+		prev := key.Invalid
+		for _, g := range gathered {
+			for _, b := range g.([]cellInfo) {
+				level := b.Key.Level()
+				for a, l := b.Key, level; a != key.Root; {
+					a, l = a.Parent(), l-1
+					if a.Contains(prev) {
+						break
+					}
+					visit(l, cellInfo{Key: a, Owner: -1})
 				}
-				continue
-			}
-			// Parts accumulate in map-iteration order; sort by key so the
-			// multipole combination order — and therefore every fill moment
-			// bit — is identical from run to run.
-			sort.Slice(a.parts, func(i, j int) bool { return a.parts[i].Key < a.parts[j].Key })
-			mps := make([]gravity.Multipole, len(a.parts))
-			n := 0
-			for i, p := range a.parts {
-				mps[i] = p.Mp
-				n += p.N
-			}
-			mp0 := gravity.Combine(mps...)
-			bmax := 0.0
-			for _, p := range a.parts {
-				if b := p.COMDist(mp0.COM) + p.Bmax; b > bmax {
-					bmax = b
-				}
-			}
-			fill := cellInfo{Key: k, Mp: mp0, Bmax: bmax, N: n, ChildMask: a.mask, Owner: -1}
-			dt.remote[k] = fill
-			if k != key.Root {
-				// propagate upward
-				pk := k.Parent()
-				pa := next[pk]
-				if pa == nil {
-					pa = &agg{}
-					next[pk] = pa
-				}
-				pa.parts = append(pa.parts, fill)
-				pa.mask |= 1 << uint(k.Octant())
+				visit(level, b)
+				prev = b.Key
 			}
 		}
-		pend = next
+	}
+	var next [key.MaxLevel + 2]int32 // next[l]: where level l's next cell goes
+	sweep(func(level int, _ cellInfo) { next[level+1]++ })
+	for l := 1; l < len(next); l++ {
+		next[l] += next[l-1]
+	}
+	dt.persist = int(next[len(next)-1])
+	dt.cells = make([]cell, dt.persist)
+	sweep(func(level int, c cellInfo) {
+		dt.cells[next[level]].cellInfo = c
+		next[level]++
+	})
+
+	// Fills bottom-up. Deeper keys are larger, so in descending order every
+	// child is finished before its parent and the sibling groups come up in
+	// the order of their parents: a fill's children are the cells just below
+	// end that name it as parent. Combining them in ascending octant order
+	// keeps every fill moment bit-reproducible.
+	end := dt.persist
+	for i := end - 1; i >= 0; i-- {
+		f := &dt.cells[i]
+		if f.Owner != -1 {
+			continue
+		}
+		lo := end
+		for lo > i+1 && dt.cells[lo-1].Key.Parent() == f.Key {
+			lo--
+		}
+		kids := dt.cells[lo:end]
+		f.child, end = int32(lo), lo
+		var mps [8]gravity.Multipole
+		for j := range kids {
+			mps[j] = kids[j].Mp
+			f.N += kids[j].N
+			f.ChildMask |= 1 << uint(kids[j].Key.Octant())
+		}
+		f.Mp = gravity.Combine(mps[:len(kids)]...)
+		for j := range kids {
+			if b := kids[j].Mp.COM.Dist(f.Mp.COM) + kids[j].Bmax; b > f.Bmax {
+				f.Bmax = b
+			}
+		}
+	}
+	if end > 1 {
+		panic("core: branch cells do not tile key space")
 	}
 }
-
-// COMDist returns the distance from this cell's center of mass to p.
-func (c cellInfo) COMDist(p vec.V3) float64 { return c.Mp.COM.Dist(p) }
 
 // serveFetch answers an expansion request: children of an internal cell,
 // or the bodies of a leaf.
@@ -412,25 +398,6 @@ func (dt *DTree) serveFetch(src int, req any) (any, int64) {
 		})
 	}
 	return fetchReply{Children: children}, int64(cellInfoWireBytes * len(children))
-}
-
-// bodiesCacheSet retains fetched remote leaf bodies keyed by cell, up to
-// bodyCacheCap entries; beyond that the reply is used but not cached.
-func (dt *DTree) bodiesCacheSet(k key.K, src []gravity.Source) {
-	if len(dt.bodyCache) >= bodyCacheCap {
-		return
-	}
-	dt.bodyCache[k] = src
-}
-
-func (dt *DTree) bodiesCacheGet(k key.K) ([]gravity.Source, bool) {
-	src, ok := dt.bodyCache[k]
-	if ok {
-		dt.cCacheHit.Inc()
-	} else {
-		dt.cCacheMiss.Inc()
-	}
-	return src, ok
 }
 
 // Fetches returns the number of remote expansion requests issued.

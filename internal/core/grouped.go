@@ -13,20 +13,31 @@ package core
 // The bucket walk itself is htree's: a locally owned subtree is gathered by
 // htree.Tree.GatherList and a finished list applied by Tree.EvalBucket, the
 // same two functions the serial Tree.AccelAllGrouped runs. This file adds
-// only what is distributed — the suspended stack of global keys, MAC tests
-// on replicated cells, fetch continuations, the canonical list sort and
+// only what is distributed — the suspended stack of slab indices, MAC tests
+// on replicated cells, fetch continuations, the second pass and
 // deterministic charging.
 //
+// Two passes. Pass 1 is the latency-hiding traversal: a walker that needs a
+// remote cell that is not resident asks for it and is put aside. One that
+// never misses has its list in depth-first tree order and is evaluated at
+// once; at its first miss a walker gives its list up and from then on only
+// counts what it accepts — all the accounting and the virtual-time charge
+// need — so a rank holds the lists in evaluation, not one per waiting
+// bucket. Pass 2 runs when every walker has finished: whatever a suspended
+// walk opened is resident on the slab by then, so its bucket is walked again
+// from the root without waiting, and evaluated.
+//
 // Determinism rule: the traversal, interaction counting and virtual-time
-// charging all run on the rank's own goroutine in bucket order; workers
-// only evaluate finished lists into disjoint output ranges, and on
-// multi-rank runs each list is sorted into a canonical order first. The
-// result is therefore bit-identical for any Workers count, and independent
-// of the order in which fetch replies happened to arrive.
+// charging all run on the rank's own goroutine in bucket order; workers only
+// build and evaluate lists into disjoint output ranges, and either pass
+// yields the list in tree order — a function of the tree and the bucket, not
+// of when fetch replies arrived. The result is therefore bit-identical for
+// any Workers count.
 
 import (
 	"context"
 	"fmt"
+	"math/bits"
 	"runtime"
 	"runtime/pprof"
 	"strconv"
@@ -34,32 +45,53 @@ import (
 	"time"
 
 	"spacesim/internal/htree"
-	"spacesim/internal/key"
 	"spacesim/internal/obs"
 	"spacesim/internal/vec"
 )
 
-// bucketScratch is one bucket's reusable state: the interaction list and
-// evaluation buffers of the shared walker (htree.BucketScratch) plus the
-// stack of distributed-tree keys still to visit, which is what survives a
-// suspension. Instances recycle through a pool across buckets, steps and
-// tree rebuilds, so steady-state force evaluation allocates almost nothing.
+// bucketScratch is the reusable state of one bucket being gathered: the
+// interaction list and evaluation buffers of the shared walker
+// (htree.BucketScratch) plus the backing array of its stack. Instances
+// recycle through a pool across buckets, steps and tree rebuilds, so
+// steady-state force evaluation allocates almost nothing.
 type bucketScratch struct {
 	htree.BucketScratch
-	stack []key.K
+	stack []int32
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(bucketScratch) }}
 
-// bucketWalker is one leaf bucket's suspended traversal state.
+// bucketWalker is one leaf bucket's traversal state.
 type bucketWalker struct {
-	*bucketScratch
-	cell    *htree.Cell
-	center  vec.V3
-	radius  float64
-	blocked int
-	queued  bool
-	done    bool
+	cell   *htree.Cell
+	center vec.V3
+	radius float64
+	// sc holds the list being gathered; nil before the first run and again
+	// after a suspension, when only the lengths nc and nb are kept.
+	sc *bucketScratch
+	// stack holds the slab indices still to visit. It borrows sc's array
+	// while there is one; a suspended walker owns a copy.
+	stack     []int32
+	nc, nb    int
+	blocked   int
+	queued    bool
+	suspended bool
+}
+
+// begin starts a walk at the root with an empty list on a pooled scratch.
+func (w *bucketWalker) begin() {
+	w.sc = scratchPool.Get().(*bucketScratch)
+	w.sc.Reset()
+	w.stack = append(w.sc.stack[:0], 0)
+}
+
+// suspend gives up the list at the walk's first miss, keeping its lengths.
+func (w *bucketWalker) suspend() {
+	sc := w.sc
+	w.nc, w.nb = sc.Cells.Len(), sc.Srcs.Len()
+	sc.stack, w.stack = w.stack[:0], append([]int32(nil), w.stack...)
+	w.sc, w.suspended = nil, true
+	scratchPool.Put(sc)
 }
 
 // evalPool runs bucket evaluations on a fixed set of host goroutines. The
@@ -123,7 +155,7 @@ func (p *evalPool) close() { close(p.jobs) }
 // ComputeForces evaluates the gravitational field at every local body using
 // the distributed tree, returning accelerations, potentials and work stats.
 // All ranks must call it collectively (it quiesces the ABM traffic).
-// Transient caches from any previous evaluation on this tree are dropped
+// Transient state from any previous evaluation on this tree is dropped
 // first, so repeated evaluations do not accumulate unbounded state.
 func (dt *DTree) ComputeForces(bodies []Body) ([]vec.V3, []float64, TraversalStats) {
 	dt.resetCaches()
@@ -144,11 +176,8 @@ func (dt *DTree) ComputeForces(bodies []Body) ([]vec.V3, []float64, TraversalSta
 	runnable := make([]*bucketWalker, 0, len(leaves))
 	for i, c := range leaves {
 		w := &walkers[i]
-		w.bucketScratch = scratchPool.Get().(*bucketScratch)
 		w.cell = c
 		w.center, w.radius = c.BoundingSphere()
-		w.stack = append(w.stack[:0], key.Root)
-		w.Reset()
 		w.queued = true
 		runnable = append(runnable, w)
 	}
@@ -158,27 +187,27 @@ func (dt *DTree) ComputeForces(bodies []Body) ([]vec.V3, []float64, TraversalSta
 	hostStart := time.Now()
 	pool := dt.newEvalPool(dt.opt.Workers)
 	defer pool.close()
-	// Multi-rank lists mix locally walked and fetched data, so their order
-	// depends on reply timing; sorting restores a canonical order (see the
-	// determinism rule above). Single-rank lists are already deterministic.
-	canonicalize := dt.r.Size() > 1
 
-	fetch := func(w *bucketWalker, k key.K, owner int) {
+	// Pass 1's answer to a miss: ask for the cell and put the walker aside;
+	// resume takes it up again once the reply has made the cell resident.
+	resume := func(w *bucketWalker, i int32) {
+		w.blocked--
+		if c := &dt.cells[i]; c.Leaf {
+			w.nb += len(c.bodies)
+		} else {
+			w.pushChildren(c)
+		}
+		if !w.queued {
+			w.queued = true
+			runnable = append(runnable, w)
+		}
+	}
+	fetch := func(w *bucketWalker, i int32) {
+		if w.sc != nil {
+			w.suspend()
+		}
 		w.blocked++
-		dt.requestCell(k, owner, &st, func(reply fetchReply) {
-			w.blocked--
-			if reply.Bodies != nil {
-				w.Srcs.PushSources(reply.Bodies)
-			} else {
-				for _, c := range reply.Children {
-					w.stack = append(w.stack, c.Key)
-				}
-			}
-			if !w.done && !w.queued {
-				w.queued = true
-				runnable = append(runnable, w)
-			}
-		})
+		dt.requestCell(i, &st, w, resume)
 	}
 
 	for remaining > 0 {
@@ -194,80 +223,117 @@ func (dt *DTree) ComputeForces(bodies []Body) ([]vec.V3, []float64, TraversalSta
 		w := runnable[len(runnable)-1]
 		runnable = runnable[:len(runnable)-1]
 		w.queued = false
-		if w.done {
-			continue
+		if w.sc == nil && !w.suspended {
+			w.begin()
 		}
-		dt.runBucket(w, fetch)
+		dt.walk(w, fetch)
 		if len(w.stack) == 0 && w.blocked == 0 {
-			w.done = true
 			remaining--
-			dt.finishBucket(w, &st, charge, pool, canonicalize, acc, pot)
+			dt.finishBucket(w, &st, charge)
+			if !w.suspended {
+				pool.submit(func() { dt.evalBucket(w, acc, pot) })
+			}
 		}
 		dt.abm.Poll()
 	}
+
+	// Pass 2. No request is outstanding, so the slab is final and the pool
+	// may read it; the rank must not poll again before the pool is done.
+	endSecond := dt.r.Span("phase", "second-pass")
+	for i := range walkers {
+		if w := &walkers[i]; w.suspended {
+			pool.submit(func() {
+				dt.regather(w)
+				if nc, nb := w.sc.Cells.Len(), w.sc.Srcs.Len(); nc != w.nc || nb != w.nb {
+					panic(fmt.Sprintf("core: bucket %v: pass 2 gathered %d+%d, pass 1 counted %d+%d", w.cell.Key, nc, nb, w.nc, w.nb))
+				}
+				dt.evalBucket(w, acc, pot)
+			})
+		}
+	}
 	pool.wait()
+	endSecond()
 	dt.cPoolWallNS.Add(time.Since(hostStart).Nanoseconds())
 	charge()
 	dt.abm.Quiesce()
 	return acc, pot, st
 }
 
-// runBucket drains the bucket walker's stack as far as possible without
-// waiting, accumulating accepted cells and direct bodies on its list.
-func (dt *DTree) runBucket(w *bucketWalker, fetch func(*bucketWalker, key.K, int)) {
-	theta := dt.opt.Theta
-	for len(w.stack) > 0 {
-		k := w.stack[len(w.stack)-1]
-		w.stack = w.stack[:len(w.stack)-1]
-		info, ok := dt.remote[k]
-		if !ok {
-			panic("core: traversal reached unknown cell " + k.String())
-		}
-		if info.Owner == dt.r.ID() {
-			// A fully local subtree: the shared serial walker gathers it.
-			dt.local.GatherList(k, w.center, w.radius, theta, &w.BucketScratch)
-			continue
-		}
-		d := info.Mp.COM.Dist(w.center) - w.radius
-		if htree.AcceptMAC(d, info.Bmax, theta) {
-			w.Cells.Push(&info.Mp)
-			continue
-		}
-		if info.Owner == -1 {
-			// Fill cell: children are replicated, push them directly.
-			for oct := 0; oct < 8; oct++ {
-				if info.ChildMask&(1<<uint(oct)) != 0 {
-					w.stack = append(w.stack, k.Child(oct))
-				}
-			}
-			continue
-		}
-		if info.Leaf {
-			if src, ok := dt.bodiesCacheGet(k); ok {
-				w.Srcs.PushSources(src)
-				continue
-			}
-			fetch(w, k, info.Owner)
-			continue
-		}
-		if dt.childrenCached(k, info) {
-			for oct := 0; oct < 8; oct++ {
-				if info.ChildMask&(1<<uint(oct)) != 0 {
-					w.stack = append(w.stack, k.Child(oct))
-				}
-			}
-			continue
-		}
-		fetch(w, k, info.Owner)
+// pushChildren stacks the resident daughters of c.
+func (w *bucketWalker) pushChildren(c *cell) {
+	for j, hi := c.child, c.child+int32(bits.OnesCount8(c.ChildMask)); j < hi; j++ {
+		w.stack = append(w.stack, j)
 	}
 }
 
-// finishBucket accounts the bucket's work deterministically (counts derive
-// from list lengths alone) and hands the numeric evaluation to the pool.
-func (dt *DTree) finishBucket(w *bucketWalker, st *TraversalStats, charge func(), pool *evalPool, canonicalize bool, acc []vec.V3, pot []float64) {
+// walk drains the walker's stack as far as possible without waiting, putting
+// accepted cells and direct bodies on its list — or on its tally, once the
+// list is gone. It is the one distributed walk loop; what miss does with a
+// remote cell whose expansion is not resident tells the passes apart.
+func (dt *DTree) walk(w *bucketWalker, miss func(*bucketWalker, int32)) {
+	theta, me := dt.opt.Theta, dt.r.ID()
+	for len(w.stack) > 0 {
+		i := w.stack[len(w.stack)-1]
+		w.stack = w.stack[:len(w.stack)-1]
+		c := &dt.cells[i] // good until the next Poll: replies append
+		if c.Owner == me {
+			// A fully local subtree: the shared serial walker gathers it.
+			if w.sc != nil {
+				dt.local.GatherList(c.Key, w.center, w.radius, theta, &w.sc.BucketScratch)
+			} else {
+				dt.counting.Reset()
+				dt.local.GatherList(c.Key, w.center, w.radius, theta, &dt.counting)
+				w.nc += dt.counting.NCells
+				w.nb += dt.counting.NSrcs
+			}
+			continue
+		}
+		d := c.Mp.COM.Dist(w.center) - w.radius
+		switch {
+		case htree.AcceptMAC(d, c.Bmax, theta):
+			if w.sc != nil {
+				w.sc.Cells.Push(&c.Mp)
+			} else {
+				w.nc++
+			}
+		case c.child != 0: // a fill, or a remote cell whose children a reply brought
+			w.pushChildren(c)
+		case c.bodies != nil:
+			dt.cCacheHit.Inc()
+			if w.sc != nil {
+				w.sc.Srcs.PushSources(c.bodies)
+			} else {
+				w.nb += len(c.bodies)
+			}
+		default:
+			if c.Leaf {
+				dt.cCacheMiss.Inc()
+			}
+			miss(w, i)
+		}
+	}
+}
+
+// regather is pass 2's walk: it rebuilds a suspended walker's list from
+// resident cells alone, in tree order.
+func (dt *DTree) regather(w *bucketWalker) {
+	w.begin()
+	dt.walk(w, func(_ *bucketWalker, i int32) {
+		panic("core: second pass reached non-resident cell " + dt.cells[i].Key.String())
+	})
+}
+
+// finishBucket accounts the bucket's work deterministically: counts derive
+// from list lengths alone, whether the list is at hand or was only counted.
+func (dt *DTree) finishBucket(w *bucketWalker, st *TraversalStats, charge func()) {
+	if w.suspended {
+		dt.cWalkSecond.Inc()
+	} else {
+		dt.cWalkDirect.Inc()
+		w.nc, w.nb = w.sc.Cells.Len(), w.sc.Srcs.Len()
+	}
 	ns := w.cell.Hi - w.cell.Lo
-	nc := w.Cells.Len()
-	nb := w.Srcs.Len()
+	nc, nb := w.nc, w.nb
 	dt.cBuckets.Inc()
 	dt.cListCells.Add(int64(nc))
 	dt.cListBodies.Add(int64(nb))
@@ -285,16 +351,14 @@ func (dt *DTree) finishBucket(w *bucketWalker, st *TraversalStats, charge func()
 		st.PerBody[dt.local.Bodies[i].ID] = work
 	}
 	charge()
-	pool.submit(func() {
-		// On a pool worker: touches only the walker's own scratch, the
-		// read-only body array and the bucket's entries of acc and pot.
-		sc := w.bucketScratch
-		if canonicalize {
-			sc.Cells.Sort()
-			sc.Srcs.Sort()
-		}
-		dt.local.EvalBucket(w.cell, dt.opt.Eps, dt.opt.UseKarp, dt.opt.Precision, &sc.BucketScratch, acc, pot)
-		w.bucketScratch = nil
-		scratchPool.Put(sc)
-	})
+}
+
+// evalBucket applies the walker's list and recycles the scratch. On a pool
+// worker: touches only the walker, its scratch, the read-only body array and
+// the bucket's entries of acc and pot.
+func (dt *DTree) evalBucket(w *bucketWalker, acc []vec.V3, pot []float64) {
+	sc := w.sc
+	dt.local.EvalBucket(w.cell, dt.opt.Eps, dt.opt.UseKarp, dt.opt.Precision, &sc.BucketScratch, acc, pot)
+	sc.stack, w.stack, w.sc = w.stack[:0], nil, nil
+	scratchPool.Put(sc)
 }

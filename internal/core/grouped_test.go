@@ -2,12 +2,14 @@ package core
 
 import (
 	"math"
+	"math/bits"
 	"math/rand"
+	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"spacesim/internal/gravity"
 	"spacesim/internal/htree"
-	"spacesim/internal/key"
 	"spacesim/internal/mp"
 	"spacesim/internal/vec"
 )
@@ -107,8 +109,8 @@ func TestOneRankMatchesSerialGroupedWalk(t *testing.T) {
 }
 
 // Results must be bit-identical for any Workers count, including on
-// multiple ranks where interaction-list assembly order depends on fetch
-// reply timing (the canonical list sort restores determinism).
+// multiple ranks where fetch reply timing decides when a walk resumes (every
+// list is gathered in tree order, whatever the timing).
 func TestGroupedWorkersBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	ics := PlummerSphere(rng, 500, 1.0)
@@ -131,9 +133,11 @@ func TestGroupedWorkersBitIdentical(t *testing.T) {
 	}
 }
 
-// Satellite regression: repeated evaluations on one long-lived tree must not
-// grow the fetched-bodies cache or the remote-cell table — resetCaches drops
-// the transient state at the start of every ComputeForces.
+// The slab's memory bound: what one evaluation fetches is resident until the
+// next one starts and no longer. resetCaches truncates the slab to the
+// branch/fill set and unhooks what replies hung on the branch entries, so a
+// second evaluation on the same tree re-fetches exactly the same cells and
+// reproduces the forces bit for bit.
 func TestCachesBoundedAcrossEvaluations(t *testing.T) {
 	rng := rand.New(rand.NewSource(32))
 	const n = 600
@@ -144,24 +148,21 @@ func TestCachesBoundedAcrossEvaluations(t *testing.T) {
 		local := append([]Body(nil), ics[lo:hi]...)
 		bodies, splitters, boxLo, boxSize := Decompose(r, local)
 		dt := BuildDistributed(r, bodies, splitters, boxLo, boxSize, Options{Theta: 0.5, Eps: 0.02})
-		baseRemote := len(dt.remote)
+		if len(dt.cells) != dt.persist {
+			t.Errorf("rank %d: slab holds %d cells after the branch exchange, persist = %d", r.ID(), len(dt.cells), dt.persist)
+		}
 
 		acc1, pot1, _ := dt.ComputeForces(bodies)
-		r1, b1, f1 := len(dt.remote), len(dt.bodyCache), dt.Fetches()
-		if f1 == 0 {
-			t.Errorf("rank %d: no fetches on %d ranks", r.ID(), p)
+		n1, f1 := len(dt.cells), dt.Fetches()
+		if f1 == 0 || n1 == dt.persist {
+			t.Errorf("rank %d: %d fetches left %d cells beyond persist on %d ranks", r.ID(), f1, n1-dt.persist, p)
 		}
 
 		acc2, pot2, _ := dt.ComputeForces(bodies)
-		r2, b2, f2 := len(dt.remote), len(dt.bodyCache), dt.Fetches()
-		if r2 != r1 || b2 != b1 {
-			t.Errorf("rank %d: caches grew across evaluations: remote %d -> %d, bodyCache %d -> %d",
-				r.ID(), r1, r2, b1, b2)
+		if n2 := len(dt.cells); n2 != n1 {
+			t.Errorf("rank %d: slab grew across evaluations: %d -> %d cells", r.ID(), n1, n2)
 		}
-		// The traversal is deterministic, so after the reset the second
-		// evaluation re-fetches exactly the same cells and reproduces the
-		// same forces bit for bit.
-		if f2 != 2*f1 {
+		if f2 := dt.Fetches(); f2 != 2*f1 {
 			t.Errorf("rank %d: fetch counts %d then %d, want exact repeat", r.ID(), f1, f2)
 		}
 		for i := range acc1 {
@@ -172,45 +173,52 @@ func TestCachesBoundedAcrossEvaluations(t *testing.T) {
 		}
 
 		dt.resetCaches()
-		if len(dt.bodyCache) != 0 {
-			t.Errorf("rank %d: bodyCache not cleared: %d entries", r.ID(), len(dt.bodyCache))
+		if len(dt.cells) != dt.persist {
+			t.Errorf("rank %d: slab not truncated to the branch/fill set: %d vs %d", r.ID(), len(dt.cells), dt.persist)
 		}
-		if len(dt.remote) != baseRemote {
-			t.Errorf("rank %d: remote not pruned to branch/fill set: %d vs %d",
-				r.ID(), len(dt.remote), baseRemote)
+		for i := range dt.cells {
+			if c := &dt.cells[i]; c.Owner >= 0 && (c.child != 0 || c.bodies != nil) {
+				t.Errorf("rank %d: branch %v keeps a child link or bodies after the reset", r.ID(), c.Key)
+			}
+		}
+		for _, c := range dt.cells[dt.persist:cap(dt.cells)] {
+			if c.bodies != nil {
+				t.Errorf("rank %d: truncated slab tail still references fetched bodies", r.ID())
+				break
+			}
 		}
 	})
 }
 
-func TestBodiesCacheSetGet(t *testing.T) {
-	dt := &DTree{bodyCache: map[key.K][]gravity.Source{}}
-	k := key.Root.Child(3)
-	if _, ok := dt.bodiesCacheGet(k); ok {
-		t.Fatal("hit on empty cache")
+// With every bucket's list recycled through one scratch instead of being
+// kept until the end, a warm single-rank evaluation allocates its outputs,
+// its walkers and little else (hundreds of MB before the two-pass walk).
+func TestWarmEvaluationAllocatesLittle(t *testing.T) {
+	if bi, ok := debug.ReadBuildInfo(); ok {
+		for _, s := range bi.Settings {
+			if s.Key == "-race" && s.Value == "true" {
+				t.Skip("under the race detector sync.Pool drops a quarter of its Puts")
+			}
+		}
 	}
-	src := []gravity.Source{{Pos: vec.V3{1, 2, 3}, Mass: 4}}
-	dt.bodiesCacheSet(k, src)
-	got, ok := dt.bodiesCacheGet(k)
-	if !ok || len(got) != 1 || got[0] != src[0] {
-		t.Fatalf("roundtrip failed: %v %v", got, ok)
-	}
-	// At capacity further inserts are dropped (existing entries stay).
-	for i := 0; len(dt.bodyCache) < bodyCacheCap; i++ {
-		dt.bodyCache[key.K(1000+i)] = nil
-	}
-	overflow := key.Root.Child(5)
-	dt.bodiesCacheSet(overflow, src)
-	if _, ok := dt.bodiesCacheGet(overflow); ok {
-		t.Fatal("insert above bodyCacheCap was retained")
-	}
-	if _, ok := dt.bodiesCacheGet(k); !ok {
-		t.Fatal("existing entry evicted by dropped insert")
-	}
+	ics := PlummerSphere(rand.New(rand.NewSource(36)), 8192, 1.0)
+	mp.Run(testCluster(), 1, func(r *mp.Rank) {
+		bodies, splitters, boxLo, boxSize := Decompose(r, ics)
+		dt := BuildDistributed(r, bodies, splitters, boxLo, boxSize, Options{Theta: 0.7, Eps: 0.01, Workers: 1})
+		dt.ComputeForces(bodies)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		dt.ComputeForces(bodies)
+		runtime.ReadMemStats(&after)
+		if mb := float64(after.TotalAlloc-before.TotalAlloc) / (1 << 20); mb >= 8 {
+			t.Errorf("second evaluation of 8192 bodies allocated %.1f MB, want < 8", mb)
+		}
+	})
 }
 
 // Two walkers requesting the same remote cell must trigger exactly one ABM
-// request; the second walker just joins the waiter list and both
-// continuations fire when the one reply arrives.
+// request; the second walker just joins the waiter list and both are
+// resumed when the one reply arrives.
 func TestFetchDedup(t *testing.T) {
 	rng := rand.New(rand.NewSource(33))
 	const n = 300
@@ -226,23 +234,24 @@ func TestFetchDedup(t *testing.T) {
 			dt.abm.Quiesce()
 			return
 		}
-		// Smallest remote-owned cell key: deterministic pick.
-		var target key.K
-		owner := -1
-		for k, info := range dt.remote {
-			if info.Owner >= 0 && info.Owner != r.ID() && (owner == -1 || k < target) {
-				target, owner = k, info.Owner
+		// First remote-owned internal cell of the slab: deterministic pick.
+		target := int32(-1)
+		for i := range dt.cells {
+			if c := &dt.cells[i]; c.Owner >= 0 && c.Owner != r.ID() && !c.Leaf {
+				target = int32(i)
+				break
 			}
 		}
-		if owner == -1 {
-			t.Error("no remote-owned cells on 2 ranks")
+		if target == -1 {
+			t.Error("no remote-owned internal cells on 2 ranks")
 			dt.abm.Quiesce()
 			return
 		}
 		var st TraversalStats
 		calls := 0
-		dt.requestCell(target, owner, &st, func(fetchReply) { calls++ })
-		dt.requestCell(target, owner, &st, func(fetchReply) { calls++ })
+		resume := func(*bucketWalker, int32) { calls++ }
+		dt.requestCell(target, &st, new(bucketWalker), resume)
+		dt.requestCell(target, &st, new(bucketWalker), resume)
 		if dt.Fetches() != 1 || st.Fetches != 1 {
 			t.Errorf("two concurrent requests issued %d fetches (stats %d), want 1", dt.Fetches(), st.Fetches)
 		}
@@ -251,12 +260,113 @@ func TestFetchDedup(t *testing.T) {
 		}
 		dt.abm.Quiesce()
 		if calls != 2 {
-			t.Errorf("%d continuations fired, want 2", calls)
+			t.Errorf("%d walkers resumed, want 2", calls)
 		}
 		if len(dt.fetching) != 0 {
 			t.Errorf("fetching map not drained: %d in flight", len(dt.fetching))
 		}
+		// The reply is resident: children appended side by side behind the
+		// persistent part, linked from the cell that was asked for.
+		lo32 := dt.cells[target].child
+		hi32 := lo32 + int32(bits.OnesCount8(dt.cells[target].ChildMask))
+		if int(lo32) != dt.persist || int(hi32) != len(dt.cells) || hi32 == lo32 {
+			t.Errorf("children of cell %d at [%d,%d), slab [%d,%d)", target, lo32, hi32, dt.persist, len(dt.cells))
+		}
+		for j := lo32; j < hi32; j++ {
+			if c := &dt.cells[j]; c.Key.Parent() != dt.cells[target].Key || (j > lo32 && c.Key <= dt.cells[j-1].Key) {
+				t.Errorf("slab cell %d (%v) is not the next daughter of %v", j, c.Key, dt.cells[target].Key)
+			}
+		}
 	})
+}
+
+// regatherForces re-walks every bucket of a finished evaluation with the
+// engine's own resident walk (pass 2's) and evaluates the lists, optionally
+// sorting each by value first, the way the seed canonicalised them.
+func regatherForces(dt *DTree, bodies []Body, sorted bool) ([]vec.V3, []float64) {
+	acc := make([]vec.V3, len(bodies))
+	pot := make([]float64, len(bodies))
+	for _, c := range dt.local.Leaves() {
+		w := &bucketWalker{cell: c}
+		w.center, w.radius = c.BoundingSphere()
+		dt.regather(w)
+		if sorted {
+			w.sc.Cells.Sort()
+			w.sc.Srcs.Sort()
+		}
+		dt.evalBucket(w, acc, pot)
+	}
+	return acc, pot
+}
+
+// A bucket whose walk never suspended is evaluated from its pass-1 list; one
+// that did is gathered again by pass 2. Both lists are the depth-first walk
+// of the same resident tree, so re-gathering every bucket after the fact
+// reproduces the engine's forces bit for bit, whichever pass produced them.
+func TestDirectEqualsSecondPass(t *testing.T) {
+	const n, p = 1500, 3
+	ics := PlummerSphere(rand.New(rand.NewSource(37)), n, 1.0)
+	st := mp.Run(testCluster(), p, func(r *mp.Rank) {
+		lo, hi := n*r.ID()/p, n*(r.ID()+1)/p
+		bodies, splitters, boxLo, boxSize := Decompose(r, append([]Body(nil), ics[lo:hi]...))
+		dt := BuildDistributed(r, bodies, splitters, boxLo, boxSize, Options{Theta: 0.7, Eps: 0.01})
+		acc, pot, _ := dt.ComputeForces(bodies)
+		acc2, pot2 := regatherForces(dt, bodies, false)
+		for i := range acc {
+			if acc[i] != acc2[i] || pot[i] != pot2[i] {
+				t.Errorf("rank %d body %d: engine (%v, %v), re-gathered (%v, %v)", r.ID(), i, acc[i], pot[i], acc2[i], pot2[i])
+				return
+			}
+		}
+	})
+	direct := st.Obs.Reg.Counter("core.walk.direct").Value()
+	second := st.Obs.Reg.Counter("core.walk.second_pass").Value()
+	if direct == 0 || second == 0 || direct+second != st.Obs.Reg.Counter("core.buckets").Value() {
+		t.Errorf("walks: %d direct + %d second pass of %d buckets; want both kinds", direct, second, st.Obs.Reg.Counter("core.buckets").Value())
+	}
+}
+
+// More ranks than bodies: ranks without bodies only serve, and the slab of a
+// rank that has some is built from a handful of deep branches.
+func TestMoreRanksThanBodies(t *testing.T) {
+	for _, n := range []int{1, 2, 3, 9} {
+		for _, engine := range []mp.Engine{mp.EngineGoroutine, mp.EngineEvent} {
+			ics := PlummerSphere(rand.New(rand.NewSource(44)), n, 1.0)
+			res := Run(RunConfig{
+				Cluster: testCluster(), Procs: 8, Steps: 2,
+				Opt:    Options{Theta: 0.6, Eps: 0.02, DT: 0.005},
+				Engine: engine,
+			}, ics)
+			if res.Err != nil || res.CompletedSteps != 2 {
+				t.Errorf("n=%d engine=%v: err %v after %d steps", n, engine, res.Err, res.CompletedSteps)
+			}
+		}
+	}
+}
+
+// The schedule pin: pass 1 is the same message DAG as the one-pass walk it
+// replaced — same stack discipline, fetches, dedup and charge points — so
+// the virtual makespan and every count of a reproducible-mode run (event
+// engine, one engine worker) equal the values recorded at the parent commit
+// 0b4a841, before the two-pass walk was written.
+func TestSchedulePinnedAcrossTwoPassRewrite(t *testing.T) {
+	ics := PlummerSphere(rand.New(rand.NewSource(43)), 2000, 1.0)
+	res := Run(RunConfig{
+		Cluster: testCluster(), Procs: 4, Steps: 3,
+		Opt:           Options{Theta: 0.6, Eps: 0.02, DT: 0.005},
+		Engine:        mp.EngineEvent,
+		EngineWorkers: 1,
+	}, ics)
+	if res.Err != nil {
+		t.Fatal(res.Err)
+	}
+	if res.Fetches != 3130 || res.Interactions != 3558151 || res.Comm.Messages != 824 {
+		t.Errorf("fetches %d, interactions %d, messages %d; parent had 3130, 3558151, 824",
+			res.Fetches, res.Interactions, res.Comm.Messages)
+	}
+	if runtime.GOARCH == "amd64" && res.ElapsedVirtual != 0.2657051716832888 {
+		t.Errorf("virtual makespan %v, parent had 0.2657051716832888", res.ElapsedVirtual)
+	}
 }
 
 // Exercises the grouped engine's worker pool across multiple steps and

@@ -1,9 +1,6 @@
 package core
 
-import (
-	"spacesim/internal/gravity"
-	"spacesim/internal/key"
-)
+import "spacesim/internal/gravity"
 
 // The latency-hiding traversal (Section 4.2): "to avoid stalls during
 // non-local data access, we effectively do explicit context switching using
@@ -11,8 +8,8 @@ import (
 // waiting for messages to arrive."
 //
 // The engine (grouped.go) runs one walker per leaf bucket: each owns a stack
-// of pending cell keys, and when it needs a non-local cell that is not yet
-// cached, the expansion request is batched through the ABM layer and the
+// of pending slab cells, and when it needs a non-local cell that is not yet
+// resident, the expansion request is batched through the ABM layer and the
 // engine moves on to other walkers. Responses re-enable walkers through
 // their continuations. This file holds the accounting the walkers share.
 
@@ -49,20 +46,4 @@ func (dt *DTree) chargeFunc(st *TraversalStats) func() {
 		dt.r.Charge(flops, dt.opt.KernelEff, float64(db+dc)*32)
 		lastBody, lastCell = st.BodyInteractions, st.CellInteractions
 	}
-}
-
-// childrenCached reports whether every child of an internal remote cell is
-// already present in the replicated-cell table.
-func (dt *DTree) childrenCached(k key.K, info cellInfo) bool {
-	if info.ChildMask == 0 {
-		return false
-	}
-	for oct := 0; oct < 8; oct++ {
-		if info.ChildMask&(1<<uint(oct)) != 0 {
-			if _, ok := dt.remote[k.Child(oct)]; !ok {
-				return false
-			}
-		}
-	}
-	return true
 }

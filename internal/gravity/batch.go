@@ -72,8 +72,8 @@ func (s *SoA) PushSources(src []Source) {
 
 // Sort orders the list by (x, y, z, m). The batched kernels sum in list
 // order, so sorting makes the accumulated floating-point result a canonical
-// function of the particle *set* — independent of the order fetch replies
-// arrived in (the parallel engine's bit-reproducibility rule).
+// function of the particle *set*. The seed's parallel engine did this to
+// every list; core now sums in tree order and keeps Sort as a test oracle.
 func (s *SoA) Sort() {
 	soaQuickSort(s, 0, s.Len()-1)
 }

@@ -51,8 +51,8 @@ func (c *MultipoleSoA) At(i int) Multipole {
 // components as final tie-breakers. Distinct cells have distinct centers
 // of mass and identical entries are interchangeable under summation, so
 // the kernels' in-order accumulation becomes a canonical function of the
-// cell *set* — independent of the order fetch replies arrived in (the
-// parallel engine's bit-reproducibility rule, same as SoA.Sort).
+// cell *set*. Like SoA.Sort, no longer called by the parallel engine: a
+// test oracle (core.TestSeedDigestFromSortedLists) and a bench probe.
 func (c *MultipoleSoA) Sort() {
 	msoaQuickSort(c, 0, c.Len()-1)
 }

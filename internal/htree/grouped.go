@@ -57,15 +57,21 @@ func (c *Cell) BoundingSphere() (center vec.V3, radius float64) {
 // BucketScratch holds one bucket's interaction list and the reusable
 // traversal and sink-side buffers of its evaluation. It is the one scratch
 // type of the grouped walk: the serial tree keeps one per worker, the
-// parallel engine (package core) one per suspended bucket. The evaluator
-// rides along so the Float32 mode's conversion scratch is reused across
-// buckets too. The zero value is ready to use.
+// parallel engine (package core) one per list being gathered or evaluated.
+// The evaluator rides along so the Float32 mode's conversion scratch is
+// reused across buckets too. The zero value is ready to use.
 type BucketScratch struct {
 	// Cells and Srcs are the interaction list: accepted cell multipoles and
 	// direct-interaction bodies, appended to by GatherList (and, in the
-	// parallel engine, by remote cells and fetched bodies).
+	// parallel engine, by replicated cells and fetched bodies).
 	Cells gravity.MultipoleSoA
 	Srcs  gravity.SoA
+
+	// CountOnly makes GatherList tally what it would have appended in NCells
+	// and NSrcs and leave the list alone: the mode of a walk whose list
+	// lengths are wanted but whose list will be gathered again later.
+	CountOnly     bool
+	NCells, NSrcs int
 
 	stack          []key.K
 	sx, sy, sz     []float64
@@ -73,10 +79,12 @@ type BucketScratch struct {
 	ev             gravity.Evaluator
 }
 
-// Reset empties the interaction list, keeping the backing arrays.
+// Reset empties the interaction list, keeping the backing arrays, and
+// zeroes the count-only tallies.
 func (sc *BucketScratch) Reset() {
 	sc.Cells.Reset()
 	sc.Srcs.Reset()
+	sc.NCells, sc.NSrcs = 0, 0
 }
 
 // grow resizes the sink-side arrays to n sinks, zeroing the accumulators.
@@ -99,21 +107,31 @@ func (sc *BucketScratch) grow(n int) {
 
 // GatherList walks the subtree under root once for the bucket whose
 // bounding sphere is (center, radius), appending accepted cells and
-// direct-interaction bodies to the scratch's list, and returns the number
-// of cells it opened. root must be a cell of this tree: key.Root for a
-// whole-tree walk, or a locally owned branch of the distributed tree.
+// direct-interaction bodies to the scratch's list (or, in its count-only
+// mode, counting them), and returns the number of cells it opened. root
+// must be a cell of this tree: key.Root for a whole-tree walk, or a locally
+// owned branch of the distributed tree.
 func (t *Tree) GatherList(root key.K, center vec.V3, radius, theta float64, sc *BucketScratch) (opened int) {
 	stack := append(sc.stack[:0], root)
+	countOnly := sc.CountOnly
 	for len(stack) > 0 {
 		k := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		c := t.store.get(k)
 		d := c.Mp.COM.Dist(center) - radius
 		if !c.Leaf && AcceptMAC(d, c.Bmax, theta) {
-			sc.Cells.Push(&c.Mp)
+			if countOnly {
+				sc.NCells++
+			} else {
+				sc.Cells.Push(&c.Mp)
+			}
 			continue
 		}
 		if c.Leaf {
+			if countOnly {
+				sc.NSrcs += c.Hi - c.Lo
+				continue
+			}
 			for i := c.Lo; i < c.Hi; i++ {
 				sc.Srcs.Push(t.Bodies[i].Pos, t.Bodies[i].Mass)
 			}

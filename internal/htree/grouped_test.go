@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"spacesim/internal/gravity"
+	"spacesim/internal/key"
 	"spacesim/internal/vec"
 )
 
@@ -125,6 +126,34 @@ func TestGroupedWorkerCountInvariance(t *testing.T) {
 		}
 		if stN != st1 {
 			t.Fatalf("workers=%d: stats differ: %+v vs %+v", workers, stN, st1)
+		}
+	}
+}
+
+// Count-only mode runs the same walk and reports the lengths the list would
+// have had, without touching the list.
+func TestGatherListCountOnly(t *testing.T) {
+	pos, mass := randomBodies(rand.New(rand.NewSource(24)), 900)
+	tr, err := Build(pos, mass, Options{MaxLeaf: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var list BucketScratch
+	count := BucketScratch{CountOnly: true}
+	for _, b := range tr.Leaves() {
+		center, radius := b.BoundingSphere()
+		list.Reset()
+		count.Reset()
+		opened := tr.GatherList(key.Root, center, radius, 0.6, &list)
+		if got := tr.GatherList(key.Root, center, radius, 0.6, &count); got != opened {
+			t.Fatalf("bucket %v: count-only walk opened %d cells, list walk %d", b.Key, got, opened)
+		}
+		if count.NCells != list.Cells.Len() || count.NSrcs != list.Srcs.Len() {
+			t.Fatalf("bucket %v: counted %d cells + %d bodies, list holds %d + %d",
+				b.Key, count.NCells, count.NSrcs, list.Cells.Len(), list.Srcs.Len())
+		}
+		if count.Cells.Len() != 0 || count.Srcs.Len() != 0 {
+			t.Fatalf("bucket %v: count-only walk appended to the list", b.Key)
 		}
 	}
 }

@@ -529,6 +529,9 @@ func phaseStats(ranks []rankData) []PhaseStats {
 			}
 		}
 		ps.MeanSec = ps.TotalSec / n
+		// A phase that costs no virtual time anywhere (core's second pass:
+		// its work was charged when pass 1 counted it) is balanced.
+		ps.Imbalance = 1
 		if ps.MeanSec > 0 {
 			ps.Imbalance = ps.MaxSec / ps.MeanSec
 		}
