@@ -173,6 +173,36 @@ func histogramSane(h obs.HistogramSnapshot) bool {
 	return h.Min <= h.P50 && h.P50 <= h.P95 && h.P95 <= h.P99 && h.P99 <= h.Max
 }
 
+// efficiencyErr validates a report's parallel efficiency — compute seconds
+// summed over ranks, divided by ranks × makespan — against the figures it
+// must agree with: it is a share, the ranks cannot have computed while they
+// waited (efficiency <= 1 - idle fraction), and when the report carries the
+// per-rank metrics it equals what their compute_sec add up to.
+func efficiencyErr(rep *analysis.Report) error {
+	eff := rep.ParallelEfficiency
+	if eff < 0 || eff > 1+1e-9 {
+		return fmt.Errorf("parallel efficiency %g outside [0, 1]", eff)
+	}
+	if rep.IdleFraction < 0 || rep.IdleFraction > 1+1e-9 {
+		return fmt.Errorf("idle fraction %g outside [0, 1]", rep.IdleFraction)
+	}
+	if eff > 1-rep.IdleFraction+1e-9 {
+		return fmt.Errorf("parallel efficiency %g exceeds 1 - idle fraction %g", eff, rep.IdleFraction)
+	}
+	if len(rep.RankMetrics) > 0 {
+		var compute float64
+		for _, rm := range rep.RankMetrics {
+			compute += rm.ComputeSec
+		}
+		want := compute / (float64(rep.Ranks) * rep.MakespanSec)
+		if math.Abs(eff-want) > 1e-9 {
+			return fmt.Errorf("parallel efficiency %g, but rank_metrics give %g s compute / (%d ranks x %g s) = %g",
+				eff, compute, rep.Ranks, rep.MakespanSec, want)
+		}
+	}
+	return nil
+}
+
 // checkAnalysis validates an ANALYSIS.json report: schema version, a
 // positive makespan fully accounted for by the critical path, nonnegative
 // category attribution, consistent phase statistics, and sane utilization.
@@ -190,8 +220,8 @@ func checkAnalysis(path string) bool {
 	if rep.MakespanSec <= 0 {
 		return fail(path, "makespan %g, want > 0", rep.MakespanSec)
 	}
-	if rep.ParallelEfficiency < 0 || rep.ParallelEfficiency > 1+1e-9 {
-		return fail(path, "parallel efficiency %g outside [0, 1]", rep.ParallelEfficiency)
+	if err := efficiencyErr(rep); err != nil {
+		return fail(path, "%v", err)
 	}
 	cp := rep.CriticalPath
 	if d := math.Abs(cp.TotalSec - rep.MakespanSec); d > 1e-6*rep.MakespanSec {

@@ -74,7 +74,9 @@ type DTree struct {
 	// root at index 0, fills and every rank's branches, the children of one
 	// parent side by side in ascending octant order. Behind it each fetch
 	// reply appends the children it carried, which may move the slab: never
-	// hold a *cell across an ABM Poll.
+	// hold a *cell across an ABM Poll while a request is outstanding. Once
+	// none is, nothing writes the slab until the next evaluation resets it,
+	// and the eval pool reads it from its own goroutines (pass 2).
 	cells   []cell
 	persist int
 
@@ -326,7 +328,15 @@ func (dt *DTree) exchangeBranches() {
 		next[l] += next[l-1]
 	}
 	dt.persist = int(next[len(next)-1])
-	dt.cells = make([]cell, dt.persist)
+	// Fetch replies append behind the persistent part. Leave them room, or
+	// the first one copies the whole replicated top: the quarter append would
+	// grow by anyway, plus twice this rank's own tree — what a rank opens of
+	// its neighbours goes with the surface of its domain, as its tree does.
+	headroom := dt.persist / 4
+	if dt.local != nil {
+		headroom += 2 * dt.local.NumCells()
+	}
+	dt.cells = make([]cell, dt.persist, dt.persist+headroom)
 	sweep(func(level int, c cellInfo) {
 		dt.cells[next[level]].cellInfo = c
 		next[level]++

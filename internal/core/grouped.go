@@ -23,16 +23,23 @@ package core
 // once; at its first miss a walker gives its list up and from then on only
 // counts what it accepts — all the accounting and the virtual-time charge
 // need — so a rank holds the lists in evaluation, not one per waiting
-// bucket. Pass 2 runs when every walker has finished: whatever a suspended
+// bucket. Pass 2 starts when every walker has finished: whatever a suspended
 // walk opened is resident on the slab by then, so its bucket is walked again
-// from the root without waiting, and evaluated.
+// from the root without waiting, and evaluated. Pass 2 is the pool's: the
+// rank hands it the suspended walkers and goes on into Quiesce, so on a host
+// thread shared by many ranks (the event engine) other ranks' pass 1 runs
+// beside this rank's pass 2.
 //
-// Determinism rule: the traversal, interaction counting and virtual-time
-// charging all run on the rank's own goroutine in bucket order; workers only
-// build and evaluate lists into disjoint output ranges, and either pass
-// yields the list in tree order — a function of the tree and the bucket, not
-// of when fetch replies arrived. The result is therefore bit-identical for
-// any Workers count.
+// Determinism rule: the pass-1 traversal, interaction counting and
+// virtual-time charging all run on the rank's own goroutine in bucket order;
+// workers only build and evaluate lists into disjoint output ranges, and
+// either pass yields the list in tree order — a function of the tree and the
+// bucket, not of when fetch replies arrived. The result is therefore
+// bit-identical for any Workers count. What the pool reads while the rank is
+// in Quiesce cannot change under it: the slab is written only by fetch
+// replies, and a rank whose walkers have all finished has none outstanding
+// (ComputeForces panics otherwise); serving other ranks' fetches reads the
+// local tree, which is immutable once built.
 
 import (
 	"context"
@@ -42,6 +49,7 @@ import (
 	"runtime/pprof"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"spacesim/internal/htree"
@@ -63,9 +71,8 @@ var scratchPool = sync.Pool{New: func() any { return new(bucketScratch) }}
 
 // bucketWalker is one leaf bucket's traversal state.
 type bucketWalker struct {
-	cell   *htree.Cell
-	center vec.V3
-	radius float64
+	cell *htree.Cell
+	mac  htree.BucketMAC
 	// sc holds the list being gathered; nil before the first run and again
 	// after a suspension, when only the lengths nc and nb are kept.
 	sc *bucketScratch
@@ -98,8 +105,16 @@ func (w *bucketWalker) suspend() {
 // job channel is bounded, so a traversal that outruns the workers blocks on
 // submit instead of queueing unbounded interaction lists.
 type evalPool struct {
-	jobs chan func()
-	wg   sync.WaitGroup
+	workers int
+	jobs    chan poolJob
+	wg      sync.WaitGroup
+}
+
+// poolJob is one piece of work and the name of its span on the worker's
+// host-time trace row.
+type poolJob struct {
+	name string
+	f    func()
 }
 
 // newEvalPool starts the workers. Each measures its busy time in *host*
@@ -109,7 +124,7 @@ func (dt *DTree) newEvalPool(workers int) *evalPool {
 	if workers < 1 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	p := &evalPool{jobs: make(chan func(), 4*workers)}
+	p := &evalPool{workers: workers, jobs: make(chan poolJob, 4*workers)}
 	dt.r.Metrics().Gauge("core.pool.workers").Max(float64(workers))
 	for i := 0; i < workers; i++ {
 		var tr *obs.Track
@@ -122,18 +137,17 @@ func (dt *DTree) newEvalPool(workers int) *evalPool {
 			// evaluation of their owning rank (see mp/labels.go).
 			pprof.SetGoroutineLabels(pprof.WithLabels(context.Background(), pprof.Labels(
 				"engine", "core-eval", "rank", strconv.Itoa(dt.r.ID()), "phase", "eval")))
-			for f := range p.jobs {
+			for job := range p.jobs {
 				t0 := time.Now()
 				var h0 float64
 				if tr != nil {
 					h0 = dt.o.Tracer.HostNow()
 				}
-				f()
+				job.f()
 				if tr != nil {
-					tr.Span("eval", "bucket", h0, dt.o.Tracer.HostNow())
+					tr.Span("eval", job.name, h0, dt.o.Tracer.HostNow())
 				}
 				dt.cPoolBusyNS.Add(time.Since(t0).Nanoseconds())
-				dt.cPoolJobs.Inc()
 				p.wg.Done()
 			}
 		}()
@@ -141,9 +155,9 @@ func (dt *DTree) newEvalPool(workers int) *evalPool {
 	return p
 }
 
-func (p *evalPool) submit(f func()) {
+func (p *evalPool) submit(name string, f func()) {
 	p.wg.Add(1)
-	p.jobs <- f
+	p.jobs <- poolJob{name, f}
 }
 
 // wait blocks until every submitted job has finished.
@@ -177,7 +191,8 @@ func (dt *DTree) ComputeForces(bodies []Body) ([]vec.V3, []float64, TraversalSta
 	for i, c := range leaves {
 		w := &walkers[i]
 		w.cell = c
-		w.center, w.radius = c.BoundingSphere()
+		center, radius := c.BoundingSphere()
+		w.mac = htree.NewBucketMAC(center, radius, dt.opt.Theta)
 		w.queued = true
 		runnable = append(runnable, w)
 	}
@@ -231,31 +246,38 @@ func (dt *DTree) ComputeForces(bodies []Body) ([]vec.V3, []float64, TraversalSta
 			remaining--
 			dt.finishBucket(w, &st, charge)
 			if !w.suspended {
-				pool.submit(func() { dt.evalBucket(w, acc, pot) })
+				pool.submit("bucket", func() { dt.evalBucket(w, acc, pot) })
 			}
 		}
 		dt.abm.Poll()
 	}
 
-	// Pass 2. No request is outstanding, so the slab is final and the pool
-	// may read it; the rank must not poll again before the pool is done.
-	endSecond := dt.r.Span("phase", "second-pass")
-	for i := range walkers {
-		if w := &walkers[i]; w.suspended {
-			pool.submit(func() {
+	// Pass 2: the pool's workers pull the suspended walkers off a shared index
+	// while this goroutine goes on into Quiesce. The slab they read is final
+	// only if no reply is still to come. Every bucket was charged at
+	// finishBucket, so virtual time does not see where or when pass 2 runs.
+	if len(dt.fetching) != 0 || dt.abm.Outstanding() != 0 {
+		panic(fmt.Sprintf("core: rank %d starts pass 2 with %d cells being fetched, %d requests outstanding",
+			dt.r.ID(), len(dt.fetching), dt.abm.Outstanding()))
+	}
+	var next atomic.Int64
+	second := func() {
+		for i := next.Add(1) - 1; i < int64(len(walkers)); i = next.Add(1) - 1 {
+			if w := &walkers[i]; w.suspended {
 				dt.regather(w)
 				if nc, nb := w.sc.Cells.Len(), w.sc.Srcs.Len(); nc != w.nc || nb != w.nb {
 					panic(fmt.Sprintf("core: bucket %v: pass 2 gathered %d+%d, pass 1 counted %d+%d", w.cell.Key, nc, nb, w.nc, w.nb))
 				}
 				dt.evalBucket(w, acc, pot)
-			})
+			}
 		}
 	}
-	pool.wait()
-	endSecond()
-	dt.cPoolWallNS.Add(time.Since(hostStart).Nanoseconds())
-	charge()
+	for range pool.workers {
+		pool.submit("second-pass", second)
+	}
 	dt.abm.Quiesce()
+	pool.wait() // acc and pot are complete only now
+	dt.cPoolWallNS.Add(time.Since(hostStart).Nanoseconds())
 	return acc, pot, st
 }
 
@@ -271,7 +293,7 @@ func (w *bucketWalker) pushChildren(c *cell) {
 // list is gone. It is the one distributed walk loop; what miss does with a
 // remote cell whose expansion is not resident tells the passes apart.
 func (dt *DTree) walk(w *bucketWalker, miss func(*bucketWalker, int32)) {
-	theta, me := dt.opt.Theta, dt.r.ID()
+	me, mac := dt.r.ID(), &w.mac
 	for len(w.stack) > 0 {
 		i := w.stack[len(w.stack)-1]
 		w.stack = w.stack[:len(w.stack)-1]
@@ -279,18 +301,21 @@ func (dt *DTree) walk(w *bucketWalker, miss func(*bucketWalker, int32)) {
 		if c.Owner == me {
 			// A fully local subtree: the shared serial walker gathers it.
 			if w.sc != nil {
-				dt.local.GatherList(c.Key, w.center, w.radius, theta, &w.sc.BucketScratch)
+				dt.local.GatherList(c.Key, mac, &w.sc.BucketScratch)
 			} else {
 				dt.counting.Reset()
-				dt.local.GatherList(c.Key, w.center, w.radius, theta, &dt.counting)
+				dt.local.GatherList(c.Key, mac, &dt.counting)
 				w.nc += dt.counting.NCells
 				w.nb += dt.counting.NSrcs
 			}
 			continue
 		}
-		d := c.Mp.COM.Dist(w.center) - w.radius
+		accept, decided := mac.Prefilter(mac.Dist2(&c.Mp.COM), c.Bmax)
+		if !decided {
+			accept = mac.Exact(&c.Mp.COM, c.Bmax)
+		}
 		switch {
-		case htree.AcceptMAC(d, c.Bmax, theta):
+		case accept:
 			if w.sc != nil {
 				w.sc.Cells.Push(&c.Mp)
 			} else {
@@ -359,6 +384,7 @@ func (dt *DTree) finishBucket(w *bucketWalker, st *TraversalStats, charge func()
 func (dt *DTree) evalBucket(w *bucketWalker, acc []vec.V3, pot []float64) {
 	sc := w.sc
 	dt.local.EvalBucket(w.cell, dt.opt.Eps, dt.opt.UseKarp, dt.opt.Precision, &sc.BucketScratch, acc, pot)
+	dt.cPoolJobs.Inc()
 	sc.stack, w.stack, w.sc = w.stack[:0], nil, nil
 	scratchPool.Put(sc)
 }

@@ -1,15 +1,19 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/bits"
 	"math/rand"
 	"runtime"
 	"runtime/debug"
+	"sort"
+	"strings"
 	"testing"
 
 	"spacesim/internal/gravity"
 	"spacesim/internal/htree"
+	"spacesim/internal/key"
 	"spacesim/internal/mp"
 	"spacesim/internal/vec"
 )
@@ -17,10 +21,15 @@ import (
 // forcesWith runs one collective force evaluation over p ranks and returns
 // accelerations and potentials indexed by global body ID.
 func forcesWith(ics []Body, p int, opt Options) ([]vec.V3, []float64) {
+	return forcesWithEngine(ics, p, opt, mp.RunOptions{})
+}
+
+// forcesWithEngine is forcesWith under a chosen rank runtime.
+func forcesWithEngine(ics []Body, p int, opt Options, ro mp.RunOptions) ([]vec.V3, []float64) {
 	n := len(ics)
 	acc := make([]vec.V3, n)
 	pot := make([]float64, n)
-	mp.Run(testCluster(), p, func(r *mp.Rank) {
+	mp.RunWith(testCluster(), p, ro, func(r *mp.Rank) {
 		lo, hi := n*r.ID()/p, n*(r.ID()+1)/p
 		local := append([]Body(nil), ics[lo:hi]...)
 		bodies, splitters, boxLo, boxSize := Decompose(r, local)
@@ -131,6 +140,74 @@ func TestGroupedWorkersBitIdentical(t *testing.T) {
 			}
 		}
 	}
+
+	// Pass 2 runs on the pool while the rank serves fetches in Quiesce. Eight
+	// ranks with four fifths of the bodies on rank 0 (the decomposition
+	// balances work, so the first bodies in key order are made cheap): the
+	// light ranks are through pass 1 and into pass 2 long before rank 0 stops
+	// asking them for cells, and rank 0's own pass 2 runs while they wait in
+	// Quiesce. Under either engine, whatever runs beside whatever, every bit
+	// must come out the same.
+	const n, p = 1600, 8
+	ics = PlummerSphere(rng, n, 1.0)
+	lo, size := htree.BoundingCube(positions(ics))
+	sort.Slice(ics, func(i, j int) bool {
+		return key.FromPosition(ics[i].Pos, lo, size) < key.FromPosition(ics[j].Pos, lo, size)
+	})
+	for i := range ics {
+		ics[i].ID = int64(i)
+		ics[i].Work = 1
+		if i < n*4/5 {
+			ics[i].Work = 1.0 / (4 * (p - 1)) // the first 4n/5 together weigh what n/5/(p-1) others do
+		}
+	}
+	var acc1 []vec.V3
+	var pot1 []float64
+	for _, ro := range []mp.RunOptions{
+		{Engine: mp.EngineGoroutine},
+		{Engine: mp.EngineEvent, Workers: 1},
+		{Engine: mp.EngineEvent, Workers: 4},
+	} {
+		for _, workers := range []int{1, 2, 8} {
+			acc, pot := forcesWithEngine(ics, p, Options{Theta: 0.6, Eps: 0.02, Workers: workers}, ro)
+			if acc1 == nil {
+				acc1, pot1 = acc, pot
+				continue
+			}
+			for i := range acc1 {
+				if acc[i] != acc1[i] || pot[i] != pot1[i] {
+					t.Fatalf("engine=%v engine-workers=%d workers=%d: body %d differs: (%v, %v) vs (%v, %v)",
+						ro.Engine, ro.Workers, workers, i, acc[i], pot[i], acc1[i], pot1[i])
+				}
+			}
+		}
+	}
+}
+
+func positions(bodies []Body) []vec.V3 {
+	pos := make([]vec.V3, len(bodies))
+	for i := range bodies {
+		pos[i] = bodies[i].Pos
+	}
+	return pos
+}
+
+// Pass 2 hands the slab to the pool on the strength of one fact: no request
+// is outstanding, so nothing can write it. A rank that reaches pass 2 with a
+// fetch still in flight must say so, not race.
+func TestSecondPassRefusesOutstandingFetch(t *testing.T) {
+	ics := PlummerSphere(rand.New(rand.NewSource(38)), 300, 1.0)
+	mp.Run(testCluster(), 1, func(r *mp.Rank) {
+		bodies, splitters, boxLo, boxSize := Decompose(r, ics)
+		dt := BuildDistributed(r, bodies, splitters, boxLo, boxSize, Options{Theta: 0.6, Eps: 0.02})
+		dt.fetching[-1] = nil // a request no reply will ever clear
+		defer func() {
+			if e, want := fmt.Sprint(recover()), "starts pass 2 with 1 cells being fetched"; !strings.Contains(e, want) {
+				t.Errorf("ComputeForces with a fetch in flight: recovered %q, want a panic saying %q", e, want)
+			}
+		}()
+		dt.ComputeForces(bodies)
+	})
 }
 
 // The slab's memory bound: what one evaluation fetches is resident until the
@@ -287,8 +364,8 @@ func regatherForces(dt *DTree, bodies []Body, sorted bool) ([]vec.V3, []float64)
 	acc := make([]vec.V3, len(bodies))
 	pot := make([]float64, len(bodies))
 	for _, c := range dt.local.Leaves() {
-		w := &bucketWalker{cell: c}
-		w.center, w.radius = c.BoundingSphere()
+		center, radius := c.BoundingSphere()
+		w := &bucketWalker{cell: c, mac: htree.NewBucketMAC(center, radius, dt.opt.Theta)}
 		dt.regather(w)
 		if sorted {
 			w.sc.Cells.Sort()

@@ -144,8 +144,9 @@ func TestGatherListCountOnly(t *testing.T) {
 		center, radius := b.BoundingSphere()
 		list.Reset()
 		count.Reset()
-		opened := tr.GatherList(key.Root, center, radius, 0.6, &list)
-		if got := tr.GatherList(key.Root, center, radius, 0.6, &count); got != opened {
+		mac := NewBucketMAC(center, radius, 0.6)
+		opened := tr.GatherList(key.Root, &mac, &list)
+		if got := tr.GatherList(key.Root, &mac, &count); got != opened {
 			t.Fatalf("bucket %v: count-only walk opened %d cells, list walk %d", b.Key, got, opened)
 		}
 		if count.NCells != list.Cells.Len() || count.NSrcs != list.Srcs.Len() {

@@ -172,11 +172,14 @@ type WalkStats struct {
 	CellsOpened      int
 }
 
-// AcceptMAC is the multipole acceptance criterion: a cell of size s whose
-// center of mass lies at distance d from the sink may be accepted when
-// d > s/theta + bmax-correction. We use the Salmon-Warren style criterion
-// d > bmax/theta which bounds the worst-case error by the true body
-// distribution rather than the geometric cell size.
+// AcceptMAC is the multipole acceptance criterion: a cell whose center of
+// mass lies at distance d from the sink — for a bucket of sinks, from the
+// surface of its bounding sphere — is accepted when d > bmax/theta and
+// d > 0, bmax being the distance from the center of mass to the farthest
+// body of the cell. This is the Salmon-Warren style criterion, which bounds
+// the worst-case error by the true body distribution rather than the
+// geometric cell size; the second clause keeps a cell of coincident bodies
+// (bmax 0) from being accepted by a sink on or inside it.
 func AcceptMAC(d, bmax, theta float64) bool {
 	return d > bmax/theta && d > 0
 }

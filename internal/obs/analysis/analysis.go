@@ -76,7 +76,10 @@ type Report struct {
 	// MakespanSec is the run's virtual wall-clock: max over ranks of their
 	// final clocks.
 	MakespanSec float64 `json:"makespan_sec"`
-	// ParallelEfficiency is mean(rank clock)/max(rank clock).
+	// ParallelEfficiency is the share of the machine's time spent computing:
+	// the ranks' charged compute seconds summed, over ranks × makespan.
+	// Compute and wait time are disjoint parts of a rank's clock, so it never
+	// exceeds 1 − IdleFraction.
 	ParallelEfficiency float64 `json:"parallel_efficiency"`
 	// IdleFraction is total wait time over total rank time.
 	IdleFraction float64      `json:"idle_fraction"`
@@ -306,7 +309,7 @@ func Analyze(o *obs.Obs, cl machine.Cluster, opt Options) (*Report, error) {
 
 	var makespan float64
 	start := 0
-	var sumClock, sumWait float64
+	var sumClock, sumWait, sumCompute float64
 	for i, rd := range ranks {
 		if rd.clock > makespan {
 			makespan = rd.clock
@@ -314,6 +317,7 @@ func Analyze(o *obs.Obs, cl machine.Cluster, opt Options) (*Report, error) {
 		}
 		sumClock += rd.clock
 		sumWait += metByRank[rd.id].WaitSec
+		sumCompute += metByRank[rd.id].ComputeSec
 	}
 
 	prov := ledger.Prov()
@@ -328,7 +332,7 @@ func Analyze(o *obs.Obs, cl machine.Cluster, opt Options) (*Report, error) {
 	}
 	rep.Counters, rep.Gauges = o.Reg.Snapshot()
 	if makespan > 0 {
-		rep.ParallelEfficiency = sumClock / float64(len(ranks)) / makespan
+		rep.ParallelEfficiency = sumCompute / (float64(len(ranks)) * makespan)
 	}
 	if sumClock > 0 {
 		rep.IdleFraction = sumWait / sumClock

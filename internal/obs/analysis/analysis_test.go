@@ -34,6 +34,7 @@ func handTrace() *obs.Obs {
 	r0.Span("comm", "send", 4, 4.5)
 	r0.MsgSent(1, 100, 4, 4.5, 6, false)
 	r0.M.Clock = 4.5
+	r0.M.ComputeSec = 4
 
 	r1 := o.Rank(1)
 	r1.Span("phase", "step", 0, 9.5)
@@ -44,6 +45,7 @@ func handTrace() *obs.Obs {
 	r1.Span("comm", "send", 9, 9.5)
 	r1.MsgSent(2, 200, 9, 9.5, 10, false)
 	r1.M.Clock = 9.5
+	r1.M.ComputeSec = 5
 	r1.M.WaitSec = 4
 
 	r2 := o.Rank(2)
@@ -53,6 +55,7 @@ func handTrace() *obs.Obs {
 	r2.MsgRecvd(1, 200, 9, 10, 1, true)
 	r2.Span("compute", "compute", 10, 12)
 	r2.M.Clock = 12
+	r2.M.ComputeSec = 3
 	r2.M.WaitSec = 9
 
 	return o
@@ -141,8 +144,14 @@ func TestCriticalPathHandBuilt(t *testing.T) {
 		t.Fatalf("idle fraction = %v, want 0.5", ph.IdleFraction)
 	}
 
-	if math.Abs(rep.ParallelEfficiency-wantMean/12) > 1e-12 {
-		t.Fatalf("parallel efficiency = %v", rep.ParallelEfficiency)
+	// 4 + 5 + 3 compute seconds on 3 ranks over a makespan of 12 — not the
+	// 72% that mean/max of the final clocks would report — and never more
+	// than the time the ranks did not spend waiting.
+	if math.Abs(rep.ParallelEfficiency-12.0/36.0) > 1e-12 {
+		t.Fatalf("parallel efficiency = %v, want 1/3", rep.ParallelEfficiency)
+	}
+	if rep.ParallelEfficiency > 1-rep.IdleFraction {
+		t.Fatalf("parallel efficiency %v exceeds 1 - idle fraction %v", rep.ParallelEfficiency, rep.IdleFraction)
 	}
 }
 
@@ -292,8 +301,8 @@ func TestCriticalPathEqualsMakespan(t *testing.T) {
 		t.Fatalf("category sum %v != total %v", catSum, cp.TotalSec)
 	}
 
-	if rep.ParallelEfficiency <= 0 || rep.ParallelEfficiency > 1 {
-		t.Fatalf("parallel efficiency = %v", rep.ParallelEfficiency)
+	if rep.ParallelEfficiency <= 0 || rep.ParallelEfficiency > 1-rep.IdleFraction+1e-12 {
+		t.Fatalf("parallel efficiency = %v with idle fraction %v", rep.ParallelEfficiency, rep.IdleFraction)
 	}
 	phases := map[string]bool{}
 	for _, p := range rep.Phases {

@@ -8,7 +8,8 @@ import (
 
 // Thresholds configures when a run-to-run delta counts as a regression.
 // All *Frac fields are relative increases (0.10 = +10%); EfficiencyDrop is
-// an absolute drop in parallel efficiency (0.05 = five points).
+// an absolute drop in parallel efficiency — the share of ranks × makespan
+// spent computing — (0.05 = five points).
 type Thresholds struct {
 	MakespanFrac   float64 `json:"makespan_frac"`
 	CategoryFrac   float64 `json:"category_frac"`
@@ -140,7 +141,8 @@ func Diff(oldR, newR *Report, th Thresholds) DiffResult {
 		}
 	}
 
-	// Parallel efficiency: absolute drop in points.
+	// Parallel efficiency: absolute drop in points — the same compute over
+	// a longer makespan.
 	if newR.ParallelEfficiency < oldR.ParallelEfficiency-th.EfficiencyDrop {
 		reg("parallel_efficiency", oldR.ParallelEfficiency, newR.ParallelEfficiency,
 			oldR.ParallelEfficiency-th.EfficiencyDrop)

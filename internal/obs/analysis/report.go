@@ -67,7 +67,7 @@ func (r *Report) Render() string {
 	f := func(format string, args ...any) { fmt.Fprintf(&b, format, args...) }
 
 	f("analysis (schema %d)  machine=%s  ranks=%d\n", r.SchemaVersion, r.Machine.Name, r.Ranks)
-	f("  makespan %s   parallel efficiency %.1f%%   idle %.1f%%\n",
+	f("  makespan %s   parallel efficiency %.1f%% (compute / ranks x makespan)   idle %.1f%%\n",
 		fsec(r.MakespanSec), 100*r.ParallelEfficiency, 100*r.IdleFraction)
 
 	f("\ncritical path: %s over %d segments, %d cross-rank hops\n",
