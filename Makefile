@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet fmt-check bench bench-e2e smoke analyze-smoke fault-smoke treebuild-smoke kernels-smoke scale-smoke live-smoke ledger-smoke serve-smoke ci all
+.PHONY: build test race vet fmt-check bench bench-e2e smoke analyze-smoke fault-smoke treebuild-smoke kernels-smoke live-smoke ledger-smoke serve-smoke one-slot ci all
 
 all: build test vet fmt-check
 
@@ -13,6 +13,13 @@ test:
 # Race-detector pass over the whole tree (a few minutes on two cores).
 race:
 	$(GO) test -race ./...
+
+# The rank scheduler's pool defaults to min(GOMAXPROCS, ranks) slots, so a
+# 1-CPU host runs every world on one slot: a polling loop that does not
+# Yield livelocks there and nowhere else. The timeout turns that into a
+# failure.
+one-slot:
+	GOMAXPROCS=1 $(GO) test -count=1 -timeout 300s ./internal/mp ./internal/core ./internal/serve
 
 vet:
 	$(GO) vet ./...
@@ -81,24 +88,14 @@ kernels-smoke:
 	$(GO) run ./cmd/tracecheck -bench /tmp/spacesim-smoke-kernels.json
 	$(GO) run ./cmd/ssbench diff /tmp/spacesim-smoke-kernels.json /tmp/spacesim-smoke-kernels.json
 
-# Engine-scaling smoke: a small rank-count sweep under both the goroutine
-# oracle and the discrete-event scheduler (the sweep itself verifies that
-# their virtual schedules are bit-identical and exits nonzero on
-# divergence), schema-validation of the v5 bench record, and a self-diff
-# through the bench arm of the perf gate.
-scale-smoke:
-	$(GO) run ./cmd/ssbench scale -quick -o /tmp/spacesim-smoke-scale.json
-	$(GO) run ./cmd/tracecheck -bench /tmp/spacesim-smoke-scale.json
-	$(GO) run ./cmd/ssbench diff /tmp/spacesim-smoke-scale.json /tmp/spacesim-smoke-scale.json
-
 # Live-telemetry smoke: a run served over -http is probed while in flight
 # (Prometheus exposition, the progress/ETA JSON, and a 1-second CPU profile
-# from net/http/pprof), then the analysis report and the quick group bench
+# from net/http/pprof — so the run is sized to last a few seconds), then the analysis report and the quick group bench
 # record — both carrying the sampler's final series dump — are
 # schema-validated, live block included.
 live-smoke:
 	$(GO) build -o /tmp/spacesim-live ./cmd/spacesim
-	/tmp/spacesim-live -n 6000 -procs 4 -steps 7 -http 127.0.0.1:17071 \
+	/tmp/spacesim-live -n 30000 -procs 4 -steps 10 -http 127.0.0.1:17071 \
 		-report -analysis /tmp/spacesim-smoke-live.json >/tmp/spacesim-smoke-live.log & pid=$$!; \
 	up=0; for i in $$(seq 1 50); do \
 		if curl -sf http://127.0.0.1:17071/progress.json >/dev/null; then up=1; break; fi; sleep 0.1; done; \
@@ -186,7 +183,7 @@ serve-smoke:
 		|| { echo "serve-smoke: drain exited nonzero"; exit 1; }; \
 	echo "serve-smoke: SIGTERM drained cleanly (exit 0)"
 
-# Full local CI pass: formatting, static checks, tests, race detector, and
-# the observability + trace-analysis + fault-injection + tree-build +
-# engine-scaling + live-telemetry + run-ledger + job-server smoke runs.
-ci: fmt-check vet test race smoke analyze-smoke fault-smoke treebuild-smoke kernels-smoke scale-smoke live-smoke ledger-smoke serve-smoke
+# Full local CI pass: formatting, static checks, tests, race detector, the
+# one-slot pass, and the observability + trace-analysis + fault-injection +
+# tree-build + kernels + live-telemetry + run-ledger + job-server smoke runs.
+ci: fmt-check vet test race one-slot smoke analyze-smoke fault-smoke treebuild-smoke kernels-smoke live-smoke ledger-smoke serve-smoke

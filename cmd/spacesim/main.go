@@ -45,7 +45,6 @@ import (
 	"spacesim/internal/faults"
 	"spacesim/internal/gravity"
 	"spacesim/internal/machine"
-	"spacesim/internal/mp"
 	"spacesim/internal/netsim"
 	"spacesim/internal/obs"
 	"spacesim/internal/obs/analysis"
@@ -77,17 +76,12 @@ func main() {
 		aOut    = flag.String("analysis", "ANALYSIS.json", "analysis report path (with -report)")
 		cpuProf = flag.String("cpuprofile", "", "write a host-side CPU profile to this file")
 		memProf = flag.String("memprofile", "", "write a host-side heap profile to this file on exit")
-		engine  = flag.String("engine", "goroutine", "rank runtime: goroutine (oracle) or event (discrete-event scheduler)")
-		engineW = flag.Int("engine-workers", 0, "event-engine worker pool size (0 = host cores; 1 = fully reproducible schedules)")
+		engineW = flag.Int("engine-workers", 0, "rank scheduler's worker pool size (0 = host cores; 1 = fully reproducible schedules)")
 		httpA   = flag.String("http", "", "serve live telemetry (metrics, progress, series, pprof) on this address during the run")
 		sampleE = flag.Duration("sample-every", 250*time.Millisecond, "live sampler cadence (with -http)")
 		ledgerD = flag.String("ledger", ledger.DefaultDir, "run-ledger directory for the cross-run history (empty disables ledger writes)")
 	)
 	flag.Parse()
-	eng, err := mp.ParseEngine(*engine)
-	if err != nil {
-		log.Fatal(err)
-	}
 	precision, err := gravity.ParsePrecision(*prec)
 	if err != nil {
 		log.Fatal(err)
@@ -179,7 +173,7 @@ func main() {
 	lcfg := ledger.Config{
 		Tool: "spacesim", Experiment: "run", Scenario: *ic,
 		N: *n, Ranks: *procs, Steps: *steps,
-		Engine: *engine, Workers: *engineW, Seed: *seed,
+		Workers: *engineW, Seed: *seed,
 		Flags: map[string]string{
 			"theta": fmt.Sprint(*theta), "dt": fmt.Sprint(*dt),
 			"eps": fmt.Sprint(*eps), "karp": fmt.Sprint(*karp),
@@ -199,9 +193,9 @@ func main() {
 			Theta: *theta, Eps: *eps, DT: *dt, UseKarp: *karp,
 			Precision: precision,
 		},
-		GatherBodies: *ckpt != "" || *fSeed != 0,
-		Engine:       eng, EngineWorkers: *engineW,
-		Interrupt: stopFlag.Load,
+		GatherBodies:  *ckpt != "" || *fSeed != 0,
+		EngineWorkers: *engineW,
+		Interrupt:     stopFlag.Load,
 	}
 
 	var res core.Result

@@ -94,8 +94,6 @@ func diffCmd(args []string) {
 		"allowed absolute parallel-efficiency drop")
 	treebuildFrac := fs.Float64("treebuild-frac", 0.35,
 		"allowed relative tree-construction time increase (bench records)")
-	scaleFrac := fs.Float64("scale-frac", 0.5,
-		"allowed relative ranks/sec drop in the engine scaling sweep (bench records)")
 	kernelFrac := fs.Float64("kernel-frac", 0.5,
 		"allowed relative ns/interaction increase per kernel configuration (bench records)")
 	baseline := fs.Bool("baseline", false,
@@ -135,16 +133,13 @@ func diffCmd(args []string) {
 	}
 	if oldBench {
 		oldRep, newRep := readGroupReport(fs.Arg(0)), readGroupReport(fs.Arg(1))
-		if newRep.Treebuild == nil && newRep.Scale == nil && newRep.Kernels == nil {
-			fmt.Fprintf(os.Stderr, "diff: %s has no treebuild, scale, or kernels block (run `ssbench treebuild`, `ssbench scale`, or `ssbench kernels`)\n", fs.Arg(1))
+		if newRep.Treebuild == nil && newRep.Kernels == nil {
+			fmt.Fprintf(os.Stderr, "diff: %s has no treebuild or kernels block (run `ssbench treebuild` or `ssbench kernels`)\n", fs.Arg(1))
 			os.Exit(2)
 		}
 		ok := true
 		if newRep.Treebuild != nil {
 			ok = diffTreebuild(oldRep, newRep, fs.Arg(0), *treebuildFrac) && ok
-		}
-		if newRep.Scale != nil {
-			ok = diffScale(oldRep, newRep, fs.Arg(0), *scaleFrac) && ok
 		}
 		if newRep.Kernels != nil {
 			ok = diffKernels(oldRep, newRep, fs.Arg(0), *kernelFrac) && ok

@@ -90,20 +90,20 @@ func TestFlagsMixedOrder(t *testing.T) {
 	}
 }
 
-// TestOwnFlagCmdsBypassReparse pins that diff/faultsweep/scale keep their
-// trailing arguments unparsed: `-ranks` is not a global flag, so a global
-// re-parse would reject the invocation.
+// TestOwnFlagCmdsBypassReparse pins that diff/faultsweep/trend/report keep
+// their trailing arguments unparsed: `-accel` is not a global flag, so a
+// global re-parse would reject the invocation.
 func TestOwnFlagCmdsBypassReparse(t *testing.T) {
 	saveFlags(t)
 	cmd, rest, err := parseInvocation(flag.CommandLine,
-		[]string{"scale", "-ranks", "8,16", "-o", "out.json"})
+		[]string{"faultsweep", "-accel", "40", "-o", "out.json"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cmd != "scale" {
-		t.Fatalf("cmd = %q, want scale", cmd)
+	if cmd != "faultsweep" {
+		t.Fatalf("cmd = %q, want faultsweep", cmd)
 	}
-	want := []string{"-ranks", "8,16", "-o", "out.json"}
+	want := []string{"-accel", "40", "-o", "out.json"}
 	if len(rest) != len(want) {
 		t.Fatalf("rest = %v, want %v", rest, want)
 	}

@@ -63,11 +63,10 @@ type groupDistributed struct {
 //	    parallel-pipeline phase timings, speedups, and the bit-identity
 //	    verdict. Written by `ssbench treebuild`, which merges into an
 //	    existing record; the other blocks stay optional.
-//	5 — adds the engine scaling block (`scale`): the rank-count sweep of
-//	    the discrete-event scheduler against the goroutine oracle (host
-//	    wall-clock, peak RSS, ranks/sec, ranks/GB per configuration) and
-//	    its bit-identity verdict. Written by `ssbench scale`, which merges
-//	    like treebuild does.
+//	5 — added the engine scaling block (`scale`), a rank-count sweep of
+//	    the event scheduler against the goroutine runtime it replaced.
+//	    Nothing writes or reads the block any more; records that carry it
+//	    still load, the key is skipped.
 //	6 — adds the live-telemetry block (`live`): the time-series sampler's
 //	    retained window (host/virtual time columns plus one ring per
 //	    metric) and the final progress/ETA view. Written by any experiment
@@ -100,7 +99,6 @@ type groupReport struct {
 	Analysis        *analysis.Summary    `json:"analysis,omitempty"`
 	Treebuild       *treebuildReport     `json:"treebuild,omitempty"`
 	Kernels         *kernelsReport       `json:"kernels,omitempty"`
-	Scale           *scaleReport         `json:"scale,omitempty"`
 	Live            *live.Dump           `json:"live,omitempty"`
 	Provenance      *ledger.Provenance   `json:"provenance,omitempty"`
 }

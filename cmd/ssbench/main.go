@@ -65,7 +65,7 @@ var (
 // ownFlagCmds are the subcommands that own their argument parsing
 // (positional file arguments or private flag sets), so the global
 // after-the-experiment-name re-parse must leave their arguments alone.
-var ownFlagCmds = map[string]bool{"diff": true, "faultsweep": true, "scale": true, "trend": true, "report": true}
+var ownFlagCmds = map[string]bool{"diff": true, "faultsweep": true, "trend": true, "report": true}
 
 // parseInvocation parses an ssbench argument vector (without the program
 // name) against fs. Global flags are accepted both before and after the
@@ -106,9 +106,6 @@ func main() {
 		return
 	case "faultsweep":
 		faultsweepCmd(rest)
-		return
-	case "scale":
-		scaleCmd(rest)
 		return
 	case "trend":
 		trendCmd(rest)
@@ -170,11 +167,10 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: ssbench [-quick] [-ledger DIR] [-trace FILE] [-metrics FILE] [-http ADDR] [-sample-every DUR] [-cpuprofile FILE] [-memprofile FILE] <table1|table2|...|fig8|group|kernels|treebuild|analyze|diff|faultsweep|scale|trend|report|switch|spec|reliability|moore|all>")
+	fmt.Fprintln(os.Stderr, "usage: ssbench [-quick] [-ledger DIR] [-trace FILE] [-metrics FILE] [-http ADDR] [-sample-every DUR] [-cpuprofile FILE] [-memprofile FILE] <table1|table2|...|fig8|group|kernels|treebuild|analyze|diff|faultsweep|trend|report|switch|spec|reliability|moore|all>")
 	fmt.Fprintln(os.Stderr, "       (global flags are accepted before or after the experiment name)")
 	fmt.Fprintln(os.Stderr, "       ssbench diff [flags] OLD.json NEW.json   (ANALYSIS.json or BENCH_treecode.json pairs)")
 	fmt.Fprintln(os.Stderr, "       ssbench diff -baseline [flags] NEW.json  (gate NEW against its ledger history)")
-	fmt.Fprintln(os.Stderr, "       ssbench scale [-quick] [-ranks 8,64,294] [-event-ranks 1024,2048] [-o BENCH_treecode.json]   (engine scaling sweep)")
 	fmt.Fprintln(os.Stderr, "       ssbench trend [-ledger DIR] [-config DIGEST] [-last K] [-gate]   (per-metric history vs median/MAD baseline)")
 	fmt.Fprintln(os.Stderr, "       ssbench report [-ledger DIR] -html FILE   (static HTML dashboard of the ledger)")
 }

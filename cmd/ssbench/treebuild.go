@@ -190,9 +190,6 @@ func isBenchFile(path string) bool {
 	if _, ok := probe["results"]; ok {
 		return true
 	}
-	if _, ok := probe["scale"]; ok {
-		return true
-	}
 	if _, ok := probe["kernels"]; ok {
 		return true
 	}
@@ -288,8 +285,8 @@ func writeTreebuild(tb treebuildReport, cfg ledger.Config) {
 		rep.N, rep.MaxLeaf, rep.GOMAXPROCS = tb.N, tb.MaxLeaf, tb.GOMAXPROCS
 		rep.Theta, rep.Eps = 0.7, 0.01
 	}
-	// Merge order must not downgrade the record: a v5 file (scale block
-	// present) keeps its version when only the treebuild block is refreshed.
+	// Merge order must not downgrade the record: a file at a later version
+	// keeps it when only the treebuild block is refreshed.
 	if rep.SchemaVersion < benchSchemaVersion {
 		rep.SchemaVersion = benchSchemaVersion
 	}

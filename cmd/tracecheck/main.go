@@ -475,13 +475,13 @@ func (p benchPhases) nonneg() bool {
 // with an engine comparison must embed both the metrics snapshot and the
 // trace-analysis summary. The schema version is the max over the optional
 // blocks present (see the groupReport history): exactly 4 requires the
-// treebuild block, exactly 5 the engine-scaling (scale) block, >= 6
-// the live-telemetry (live) block, which is validated by checkLive
-// wherever it appears, and exactly 8 the kernel-microbenchmark (kernels)
-// block. A record may hold only the treebuild, scale, or kernels block
-// (written by `ssbench treebuild`/`ssbench scale`/`ssbench kernels`
-// without a prior `group` run), in which case the engine-comparison
-// requirements do not apply.
+// treebuild block, >= 6 the live-telemetry (live) block, which is
+// validated by checkLive wherever it appears, and exactly 8 the
+// kernel-microbenchmark (kernels) block. A record may hold only the
+// treebuild or kernels block (written by `ssbench treebuild`/`ssbench
+// kernels` without a prior `group` run), in which case the
+// engine-comparison requirements do not apply. The `scale` block of old
+// records (version 5) is not read.
 func checkBench(path string) bool {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -505,23 +505,6 @@ func checkBench(path string) bool {
 				Phases        benchPhases `json:"phases"`
 			} `json:"entries"`
 		} `json:"treebuild"`
-		Scale *struct {
-			Quick         bool `json:"quick"`
-			BitIdentical  bool `json:"bit_identical"`
-			IdentityRanks int  `json:"identity_ranks"`
-			MaxEventRanks int  `json:"max_event_ranks"`
-			Entries       []struct {
-				Workload     string  `json:"workload"`
-				Engine       string  `json:"engine"`
-				Ranks        int     `json:"ranks"`
-				VirtualSec   float64 `json:"virtual_sec"`
-				HostSec      float64 `json:"host_sec"`
-				PeakRSSBytes int64   `json:"peak_rss_bytes"`
-				Messages     int64   `json:"messages"`
-				RanksPerSec  float64 `json:"ranks_per_sec"`
-				RanksPerGB   float64 `json:"ranks_per_gb"`
-			} `json:"entries"`
-		} `json:"scale"`
 		Kernels *struct {
 			Sinks               int     `json:"sinks"`
 			Lengths             []int   `json:"lengths"`
@@ -547,14 +530,11 @@ func checkBench(path string) bool {
 	if rep.N <= 0 {
 		return fail(path, "missing workload description (n=%d)", rep.N)
 	}
-	if len(rep.Results) == 0 && rep.Treebuild == nil && rep.Scale == nil && rep.Kernels == nil {
+	if len(rep.Results) == 0 && rep.Treebuild == nil && rep.Kernels == nil {
 		return fail(path, "record holds neither engine results nor a benchmark block")
 	}
 	if rep.SchemaVersion == 4 && rep.Treebuild == nil {
 		return fail(path, "schema v%d record without a treebuild block", rep.SchemaVersion)
-	}
-	if rep.SchemaVersion == 5 && rep.Scale == nil {
-		return fail(path, "schema v%d record without a scale block", rep.SchemaVersion)
 	}
 	if rep.SchemaVersion == 6 && rep.Live == nil {
 		return fail(path, "schema v%d record without a live block", rep.SchemaVersion)
@@ -572,44 +552,6 @@ func checkBench(path string) bool {
 	}
 	if rep.Live != nil && !checkLive(path, rep.Live) {
 		return false
-	}
-	if sc := rep.Scale; sc != nil {
-		if len(sc.Entries) == 0 {
-			return fail(path, "scale: no entries")
-		}
-		if !sc.BitIdentical {
-			return fail(path, "scale: record not bit-identical across engines")
-		}
-		if sc.IdentityRanks <= 0 {
-			return fail(path, "scale: identity_ranks %d, want > 0", sc.IdentityRanks)
-		}
-		maxEvent := 0
-		for i, e := range sc.Entries {
-			if e.Engine != "goroutine" && e.Engine != "event" {
-				return fail(path, "scale entry %d: unknown engine %q", i, e.Engine)
-			}
-			if e.Workload == "" || e.Ranks <= 0 {
-				return fail(path, "scale entry %d: workload=%q ranks=%d", i, e.Workload, e.Ranks)
-			}
-			if e.VirtualSec <= 0 || e.HostSec <= 0 || e.PeakRSSBytes <= 0 || e.Messages <= 0 {
-				return fail(path, "scale entry %d: non-positive measurement %+v", i, e)
-			}
-			if d := math.Abs(e.RanksPerSec - float64(e.Ranks)/e.HostSec); d > 1e-6*e.RanksPerSec {
-				return fail(path, "scale entry %d: ranks_per_sec %g inconsistent with %d/%g",
-					i, e.RanksPerSec, e.Ranks, e.HostSec)
-			}
-			want := float64(e.Ranks) / (float64(e.PeakRSSBytes) / (1 << 30))
-			if d := math.Abs(e.RanksPerGB - want); d > 1e-6*e.RanksPerGB {
-				return fail(path, "scale entry %d: ranks_per_gb %g inconsistent with %g",
-					i, e.RanksPerGB, want)
-			}
-			if e.Engine == "event" && e.Ranks > maxEvent {
-				maxEvent = e.Ranks
-			}
-		}
-		if sc.MaxEventRanks != maxEvent {
-			return fail(path, "scale: max_event_ranks %d, entries say %d", sc.MaxEventRanks, maxEvent)
-		}
 	}
 	if tb := rep.Treebuild; tb != nil {
 		if tb.N <= 0 || tb.MaxLeaf <= 0 {
@@ -709,10 +651,6 @@ func checkBench(path string) bool {
 	tbNote := ""
 	if rep.Treebuild != nil {
 		tbNote = fmt.Sprintf(", treebuild %d entries", len(rep.Treebuild.Entries))
-	}
-	if rep.Scale != nil {
-		tbNote += fmt.Sprintf(", scale %d entries (max event world %d ranks)",
-			len(rep.Scale.Entries), rep.Scale.MaxEventRanks)
 	}
 	if rep.Kernels != nil {
 		tbNote += fmt.Sprintf(", kernels %d entries (f32 rms %.2g)",

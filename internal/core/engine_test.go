@@ -1,27 +1,33 @@
 package core
 
 import (
+	"encoding/binary"
 	"errors"
+	"hash/fnv"
+	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"spacesim/internal/mp"
 	"spacesim/internal/obs"
+	"spacesim/internal/vec"
 )
 
-// The discrete-event scheduler must be observationally equivalent to the
-// goroutine oracle on the physics: an 8-rank treecode slice produces
-// bit-identical positions and velocities under either engine, at any worker
-// count, with tracing on or off. Virtual clocks are additionally pinned on
-// single-rank runs, where they are a pure function of the charged work; on
-// multi-rank runs the traversal's polling loops make the clock depend on
-// host-time arrival order in BOTH engines (see DESIGN.md on virtual-time
+// The physics must not depend on how the scheduler runs the ranks: an
+// 8-rank treecode slice produces bit-identical positions and velocities at
+// any worker count, with tracing on or off — the bits recorded at commit
+// 623b44b, the last with two runtimes, where the goroutine runtime was the
+// reference and the event scheduler matched it. Virtual clocks are
+// additionally pinned on single-rank runs, where they are a pure function of
+// the charged work; on multi-rank runs the traversal's polling loops make
+// the clock depend on host-time arrival order (see DESIGN.md on virtual-time
 // semantics), so only the numerics are compared there.
 func TestEngineBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(40))
 	ics := PlummerSphere(rng, 800, 1.0)
 
-	run := func(procs int, engine mp.Engine, workers int, trace bool) Result {
+	run := func(procs, workers int, trace bool) Result {
 		cl := testCluster()
 		if trace {
 			cl = cl.WithObs(obs.New(true))
@@ -30,38 +36,64 @@ func TestEngineBitIdentical(t *testing.T) {
 			Cluster: cl, Procs: procs, Steps: 2,
 			Opt:           Options{Theta: 0.6, Eps: 0.02, DT: 0.005},
 			GatherBodies:  true,
-			Engine:        engine,
 			EngineWorkers: workers,
 		}, ics)
 	}
-
-	for _, procs := range []int{1, 8} {
-		ref := run(procs, mp.EngineGoroutine, 0, false)
-		if ref.Err != nil {
-			t.Fatalf("procs=%d oracle: %v", procs, ref.Err)
+	digest := func(bodies []Body) uint64 {
+		h := fnv.New64a()
+		var buf [8]byte
+		for i := range bodies {
+			for _, v := range []vec.V3{bodies[i].Pos, bodies[i].Vel} {
+				for _, x := range v {
+					binary.LittleEndian.PutUint64(buf[:], math.Float64bits(x))
+					h.Write(buf[:])
+				}
+			}
 		}
-		for _, cfg := range []struct {
+		return h.Sum64()
+	}
+
+	for _, pin := range []struct {
+		procs  int
+		bodies uint64  // digest of the final positions and velocities
+		clock  float64 // rank 0's final clock; pinned for procs == 1 only
+	}{
+		{1, 0x4ac8fc93a8e290e4, 0.09525816928794391},
+		{8, 0x6f5b20fd73b32c94, 0},
+	} {
+		procs := pin.procs
+		var ref Result
+		for i, cfg := range []struct {
 			workers int
 			trace   bool
 		}{{0, false}, {1, false}, {2, true}} {
-			got := run(procs, mp.EngineEvent, cfg.workers, cfg.trace)
+			got := run(procs, cfg.workers, cfg.trace)
 			if got.Err != nil {
 				t.Fatalf("procs=%d workers=%d: %v", procs, cfg.workers, got.Err)
 			}
-			for i := range ref.Bodies {
-				if got.Bodies[i].Pos != ref.Bodies[i].Pos || got.Bodies[i].Vel != ref.Bodies[i].Vel {
+			if i == 0 {
+				ref = got
+				continue
+			}
+			for b := range ref.Bodies {
+				if got.Bodies[b].Pos != ref.Bodies[b].Pos || got.Bodies[b].Vel != ref.Bodies[b].Vel {
 					t.Fatalf("procs=%d workers=%d trace=%v: body %d differs: %+v vs %+v",
-						procs, cfg.workers, cfg.trace, i, got.Bodies[i], ref.Bodies[i])
+						procs, cfg.workers, cfg.trace, b, got.Bodies[b], ref.Bodies[b])
 				}
 			}
-			if procs == 1 {
-				for r := range ref.Comm.RankClocks {
-					if got.Comm.RankClocks[r] != ref.Comm.RankClocks[r] {
-						t.Fatalf("procs=1 workers=%d: rank %d clock %v, want %v",
-							cfg.workers, r, got.Comm.RankClocks[r], ref.Comm.RankClocks[r])
-					}
-				}
+			if procs == 1 && got.Comm.RankClocks[0] != ref.Comm.RankClocks[0] {
+				t.Fatalf("procs=1 workers=%d: clock %v, want %v",
+					cfg.workers, got.Comm.RankClocks[0], ref.Comm.RankClocks[0])
 			}
+		}
+		if runtime.GOARCH != "amd64" {
+			continue
+		}
+		if d := digest(ref.Bodies); d != pin.bodies {
+			t.Errorf("procs=%d: body digest %#x, commit 623b44b had %#x", procs, d, pin.bodies)
+		}
+		if procs == 1 && ref.Comm.RankClocks[0] != pin.clock {
+			t.Errorf("procs=1: clock %v, commit 623b44b had %v", ref.Comm.RankClocks[0], pin.clock)
 		}
 	}
 }
@@ -102,24 +134,23 @@ func TestEventEngineReproducibleSchedule(t *testing.T) {
 	}
 }
 
-// An armed fault plan must behave identically through the event loop: the
-// scheduled crash aborts the run with the same diagnostic under both
-// engines, and checkpoint-restart recovery still completes.
+// An armed fault plan works through core.Run: the scheduled crash aborts the
+// run with the same diagnostic at any worker count.
 func TestEngineFaultPlan(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	ics := PlummerSphere(rng, 400, 1.0)
-	for _, engine := range []mp.Engine{mp.EngineGoroutine, mp.EngineEvent} {
+	for _, workers := range []int{0, 1} {
 		plan := mp.NewFaultPlan(4)
 		plan.Crash(2, 0.002, "PSU")
 		res := Run(RunConfig{
 			Cluster: testCluster(), Procs: 4, Steps: 3,
-			Opt:    Options{Theta: 0.6, Eps: 0.02, DT: 0.005},
-			Faults: plan,
-			Engine: engine,
+			Opt:           Options{Theta: 0.6, Eps: 0.02, DT: 0.005},
+			Faults:        plan,
+			EngineWorkers: workers,
 		}, ics)
 		var ce *mp.CrashError
 		if !errors.As(res.Err, &ce) || ce.Rank != 2 || ce.AtSec != 0.002 {
-			t.Fatalf("engine=%v: want rank-2 crash at 0.002, got %v", engine, res.Err)
+			t.Fatalf("engine-workers=%d: want rank-2 crash at 0.002, got %v", workers, res.Err)
 		}
 	}
 }

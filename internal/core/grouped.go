@@ -230,7 +230,7 @@ func (dt *DTree) ComputeForces(bodies []Body) ([]vec.V3, []float64, TraversalSta
 			dt.abm.FlushAll()
 			if dt.abm.Poll() == 0 {
 				// Hand the execution slot to the rank we are waiting on
-				// (required under the event engine's bounded worker pool).
+				// (required: the scheduler's pool may be one slot wide).
 				dt.r.Yield()
 			}
 			continue

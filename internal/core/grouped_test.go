@@ -24,7 +24,7 @@ func forcesWith(ics []Body, p int, opt Options) ([]vec.V3, []float64) {
 	return forcesWithEngine(ics, p, opt, mp.RunOptions{})
 }
 
-// forcesWithEngine is forcesWith under a chosen rank runtime.
+// forcesWithEngine is forcesWith under chosen message-layer options.
 func forcesWithEngine(ics []Body, p int, opt Options, ro mp.RunOptions) ([]vec.V3, []float64) {
 	n := len(ics)
 	acc := make([]vec.V3, n)
@@ -146,8 +146,9 @@ func TestGroupedWorkersBitIdentical(t *testing.T) {
 	// balances work, so the first bodies in key order are made cheap): the
 	// light ranks are through pass 1 and into pass 2 long before rank 0 stops
 	// asking them for cells, and rank 0's own pass 2 runs while they wait in
-	// Quiesce. Under either engine, whatever runs beside whatever, every bit
-	// must come out the same.
+	// Quiesce. At any width of the scheduler's pool, whatever runs beside
+	// whatever, every bit must come out the same — the bits recorded at
+	// commit 623b44b, where the goroutine runtime was the first row.
 	const n, p = 1600, 8
 	ics = PlummerSphere(rng, n, 1.0)
 	lo, size := htree.BoundingCube(positions(ics))
@@ -163,24 +164,25 @@ func TestGroupedWorkersBitIdentical(t *testing.T) {
 	}
 	var acc1 []vec.V3
 	var pot1 []float64
-	for _, ro := range []mp.RunOptions{
-		{Engine: mp.EngineGoroutine},
-		{Engine: mp.EngineEvent, Workers: 1},
-		{Engine: mp.EngineEvent, Workers: 4},
-	} {
+	for _, engineWorkers := range []int{0, 1, 4} {
 		for _, workers := range []int{1, 2, 8} {
-			acc, pot := forcesWithEngine(ics, p, Options{Theta: 0.6, Eps: 0.02, Workers: workers}, ro)
+			acc, pot := forcesWithEngine(ics, p, Options{Theta: 0.6, Eps: 0.02, Workers: workers},
+				mp.RunOptions{Workers: engineWorkers})
 			if acc1 == nil {
 				acc1, pot1 = acc, pot
 				continue
 			}
 			for i := range acc1 {
 				if acc[i] != acc1[i] || pot[i] != pot1[i] {
-					t.Fatalf("engine=%v engine-workers=%d workers=%d: body %d differs: (%v, %v) vs (%v, %v)",
-						ro.Engine, ro.Workers, workers, i, acc[i], pot[i], acc1[i], pot1[i])
+					t.Fatalf("engine-workers=%d workers=%d: body %d differs: (%v, %v) vs (%v, %v)",
+						engineWorkers, workers, i, acc[i], pot[i], acc1[i], pot1[i])
 				}
 			}
 		}
+	}
+	const want = 0x455cdd86d2e6ebc0
+	if d := digestForces(acc1, pot1); runtime.GOARCH == "amd64" && d != want {
+		t.Errorf("force digest %#x, commit 623b44b had %#x", d, uint64(want))
 	}
 }
 
@@ -407,15 +409,15 @@ func TestDirectEqualsSecondPass(t *testing.T) {
 // rank that has some is built from a handful of deep branches.
 func TestMoreRanksThanBodies(t *testing.T) {
 	for _, n := range []int{1, 2, 3, 9} {
-		for _, engine := range []mp.Engine{mp.EngineGoroutine, mp.EngineEvent} {
+		for _, engineWorkers := range []int{0, 1} {
 			ics := PlummerSphere(rand.New(rand.NewSource(44)), n, 1.0)
 			res := Run(RunConfig{
 				Cluster: testCluster(), Procs: 8, Steps: 2,
-				Opt:    Options{Theta: 0.6, Eps: 0.02, DT: 0.005},
-				Engine: engine,
+				Opt:           Options{Theta: 0.6, Eps: 0.02, DT: 0.005},
+				EngineWorkers: engineWorkers,
 			}, ics)
 			if res.Err != nil || res.CompletedSteps != 2 {
-				t.Errorf("n=%d engine=%v: err %v after %d steps", n, engine, res.Err, res.CompletedSteps)
+				t.Errorf("n=%d engine-workers=%d: err %v after %d steps", n, engineWorkers, res.Err, res.CompletedSteps)
 			}
 		}
 	}

@@ -69,11 +69,12 @@ type RunConfig struct {
 	Faults *mp.FaultPlan
 	// Checkpoint enables periodic state stripes for crash recovery.
 	Checkpoint *CheckpointConfig
-	// Engine selects the message-layer runtime: the goroutine-per-rank
-	// oracle (default) or the discrete-event scheduler, which runs large
-	// worlds on a bounded worker pool. EngineWorkers sizes that pool
-	// (0 = host cores).
-	Engine        mp.Engine
+	// Engine is read by no code: retained for bench/, which builder PRs
+	// may not edit and which spells RunConfig{Engine: mp.EngineEvent}
+	// (see mp.Engine). Goes with the next [benchmark] PR.
+	Engine mp.Engine
+	// EngineWorkers sizes the message layer's pool of execution slots
+	// (0 = host cores; 1 = reproducible schedules, see mp.RunOptions).
 	EngineWorkers int
 	// Interrupt, when non-nil, is polled host-side by rank 0 at every step
 	// boundary and the decision broadcast to all ranks (one extra scalar
@@ -88,10 +89,10 @@ type RunConfig struct {
 	Interrupt func() bool
 }
 
-// runOptions maps the engine-related RunConfig knobs onto the message
-// layer's options (the fault plan rides along so restarts inherit it).
+// runOptions maps RunConfig onto the message layer's options (the fault
+// plan rides along so restarts inherit it).
 func (cfg RunConfig) runOptions() mp.RunOptions {
-	return mp.RunOptions{Plan: cfg.Faults, Engine: cfg.Engine, Workers: cfg.EngineWorkers}
+	return mp.RunOptions{Plan: cfg.Faults, Workers: cfg.EngineWorkers}
 }
 
 // segment describes where a run (re)starts: from the initial conditions

@@ -137,7 +137,8 @@ func (a *ABM) FlushAll() {
 
 // Poll drains arrived ABM traffic: serves request batches (sending response
 // batches back) and delivers responses to their continuations. It returns
-// the number of envelopes processed; it never blocks.
+// the number of envelopes processed; it never blocks. A loop that polls for
+// remote progress must Yield on an empty poll (see Rank.TryRecv).
 func (a *ABM) Poll() int {
 	n := 0
 	for {
@@ -187,10 +188,9 @@ func (a *ABM) Quiesce() {
 		a.FlushAll()
 		for len(a.pending) > 0 {
 			if a.Poll() == 0 {
-				// Under the event engine this hands the execution slot to a
-				// ready rank (the one whose reply we await may be parked
-				// behind us); under goroutines it is a host-scheduler yield.
-				a.r.yieldHost()
+				// Hand the execution slot to a ready rank: the one whose
+				// reply we await may be queued behind us.
+				a.r.Yield()
 			}
 		}
 		sums := a.pollingAllreduce3(float64(a.sent), float64(a.gotResp), float64(a.served))
@@ -225,7 +225,7 @@ func (a *ABM) pollingAllreduce3(x, y, z float64) [3]float64 {
 				return d.([]float64)
 			}
 			if a.Poll() == 0 {
-				a.r.yieldHost()
+				a.r.Yield()
 			}
 		}
 	}

@@ -139,7 +139,9 @@ func TestABMLatencyHiding(t *testing.T) {
 					a.Request(1, hEcho, i, 1024, func(resp any) { done = true })
 					a.FlushAll()
 					for !done {
-						a.Poll()
+						if a.Poll() == 0 {
+							r.Yield()
+						}
 					}
 					r.Charge(flopsPerItem, 0.5, 0)
 				}

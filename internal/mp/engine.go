@@ -1,13 +1,12 @@
 package mp
 
-// Discrete-event rank scheduler (EngineEvent). Ranks are resumable tasks
-// executed by a pool of host-core-sized execution slots instead of free
-// goroutines: at most `workers` ranks run user code at any instant, the
-// rest are parked. Message delivery to a parked receiver goes through a
-// per-world min-heap of wake events keyed by (virtual arrival, sequence),
-// so wakeups are O(log E) heap operations instead of condition-variable
-// broadcasts, and the blocking path costs one leaf-lock acquisition instead
-// of the goroutine watchdog's per-block waiter registration.
+// Discrete-event rank scheduler: the runtime every mp.Run executes on.
+// Ranks are resumable tasks executed by a pool of host-core-sized execution
+// slots: at most `workers` ranks run user code at any instant, the rest are
+// parked. Message delivery to a parked receiver goes through a per-world
+// min-heap of wake events keyed by (virtual arrival, sequence), so a wakeup
+// is an O(log E) heap operation and blocking costs one leaf-lock
+// acquisition.
 //
 // Task states:
 //
@@ -29,19 +28,33 @@ package mp
 // the receiver is marked blocked (the sender pushes a wake event). The
 // scheduler lock nests strictly under any single inbox mutex.
 //
-// Determinism rule: virtual clocks are a pure function of the message
-// causality DAG — a receive advances the receiver's clock to
-// max(clock, arrival) regardless of host order — so the event engine
-// produces bit-identical virtual schedules to the goroutine oracle. The
-// heap fixes the order in which *host* execution resumes blocked ranks
-// (earliest virtual arrival first); it never alters a timestamp.
+// Determinism rule: a receive advances the receiver's clock to
+// max(clock, arrival) regardless of host order, so for programs built from
+// blocking operations virtual clocks are a pure function of the message
+// causality DAG, whatever the worker count. The heap fixes the order in
+// which *host* execution resumes blocked ranks (earliest virtual arrival
+// first); it never alters a timestamp. A TryRecv sees whatever has been put
+// so far, so a polling program's clocks depend on the order the host ran
+// the ranks; one worker makes that order, and the schedule, repeatable.
 //
 // Quiescence: when no task is running or ready and the event heap is
 // empty, no rank can ever run again — detected in O(1) on the last slot
-// release, where the goroutine watchdog needs an O(active) registry scan
-// per blocking operation. Resolution order matches the watchdog exactly:
-// earliest-deadline timed receive, then earliest scheduled crash among the
-// blocked ranks, then a DeadlockError naming every blocked rank.
+// release. Detection is by state, never by wall clock: virtual time has no
+// relation to host time, so a timer would misfire on a slow host. The
+// resolution ladder, in order of preference:
+//  1. wake the RecvTimeout with the earliest virtual deadline (ties to the
+//     lowest rank) — a timed receive is a recoverable event;
+//  2. fire the earliest scheduled crash among the blocked ranks — a rank
+//     whose clock froze before its crash time still dies, it just dies
+//     blocked;
+//  3. abort the world with a DeadlockError naming every blocked rank and
+//     its pending receive.
+//
+// Known limitation: a rank that polls with TryRecv (the ABM layer) yields
+// its slot but never parks, so a pure polling livelock is not detected.
+// Polling loops do check the abort flag, so they terminate whenever
+// anything else (a crash, a deadlock among the blocking ranks) aborts the
+// world.
 
 import (
 	"math"
@@ -286,10 +299,10 @@ func (e *eventEngine) taskExit(t *task) {
 	e.mu.Unlock()
 }
 
-// put is the event-engine message delivery: enqueue under the receiver's
-// inbox mutex, and push a wake event if the receiver is parked on a match.
-// The inbox mutex serializes this against the receiver's scan-then-park, so
-// a wakeup can never be lost.
+// put delivers a message: enqueue under the receiver's inbox mutex, and
+// push a wake event (keyed by virtual arrival) when — and only when — the
+// receiver is parked on a matching receive. The inbox mutex serializes this
+// against the receiver's scan-then-park, so a wakeup can never be lost.
 func (e *eventEngine) put(dst int, m message) {
 	ib := e.w.boxes[dst]
 	ib.mu.Lock()
@@ -306,13 +319,21 @@ func (e *eventEngine) put(dst int, m message) {
 	ib.mu.Unlock()
 }
 
-// takeBlockingEvent is takeBlocking under the event engine; same matching
-// and timeout semantics as the goroutine path, with parking instead of
-// condition-variable waits. A wake with timedOut set is quiescence
-// resolution firing this receive's virtual deadline; any other wake means a
-// matching message was delivered (rescanned, since a raced earlier wake may
-// have consumed it).
-func (r *Rank) takeBlockingEvent(src, tag int, deadline float64) (message, bool) {
+// matchMsg is the MPI-style (src, tag) match with wildcards.
+func matchMsg(m message, src, tag int) bool {
+	return (src == AnySource || m.src == src) && (tag == AnyTag || m.tag == tag)
+}
+
+// takeBlocking removes and returns a message matching (src, tag) from this
+// rank's inbox, parking the rank until one exists. With a finite deadline it
+// implements RecvTimeout's virtual-time semantics: among queued matches it
+// picks the earliest virtual arrival, reports a timeout (leaving the message
+// queued) when that arrival is past the deadline, and reports a timeout when
+// quiescence resolution fires this receive's deadline (a wake with timedOut
+// set). Any other wake means a matching message was delivered (rescanned,
+// since a raced earlier wake may have consumed it). It panics rankAbort when
+// the world aborts.
+func (r *Rank) takeBlocking(src, tag int, deadline float64) (message, bool) {
 	w := r.w
 	e := w.eng
 	ib := w.boxes[r.id]
@@ -364,26 +385,15 @@ func (r *Rank) takeBlockingEvent(src, tag int, deadline float64) (message, bool)
 	}
 }
 
-// Yield cooperatively releases this rank's execution slot so another rank
-// can run. Polling loops that wait on remote progress (TryRecv spinning)
-// MUST call it when a poll comes up empty: under the event engine's bounded
-// worker pool — sized to host cores, possibly 1 — a spinning rank would
-// otherwise hold its slot forever while the rank it awaits sits parked.
-// Under the goroutine runtime it is a plain host-scheduler yield.
-func (r *Rank) Yield() { r.yieldHost() }
-
-// yieldHost releases this rank's execution slot to the back of the ready
-// queue — the event-engine analogue of runtime.Gosched for polling loops
-// (ABM Poll/Quiesce). Without it a polling rank could hold a slot forever
-// while the rank it awaits sits ready but undispatched. When nothing else
-// is dispatchable the slot is kept and the host scheduler is yielded
+// Yield releases this rank's execution slot to the back of the ready queue
+// so another rank can run. A loop that polls for remote progress (TryRecv,
+// ABM.Poll) MUST call it when a poll comes up empty: the pool is sized to
+// host cores, possibly 1, and a spinning rank would otherwise hold its slot
+// forever while the rank it awaits sits ready but undispatched. When nothing
+// else is dispatchable the slot is kept and the host scheduler is yielded
 // instead.
-func (r *Rank) yieldHost() {
+func (r *Rank) Yield() {
 	e := r.w.eng
-	if e == nil {
-		runtime.Gosched()
-		return
-	}
 	t := e.tasks[r.id]
 	e.mu.Lock()
 	// Ready any pending wakeups first, so the yielder queues BEHIND the
@@ -403,15 +413,23 @@ func (r *Rank) yieldHost() {
 	<-t.resume
 }
 
-// wakeAll readies every blocked task so it can observe the abort flag and
-// unwind; the world must already be marked aborted.
-func (e *eventEngine) wakeAll() {
+// abort marks the world dead with the given cause and readies every blocked
+// task so it can observe the flag and unwind. Only the first abort wins;
+// abort reports whether this call was it.
+func (w *World) abort(err error) bool {
+	if !w.setAborted(err) {
+		return false
+	}
+	e := w.eng
 	e.mu.Lock()
 	e.wakeAllLocked()
 	e.pump()
 	e.mu.Unlock()
+	return true
 }
 
+// wakeAllLocked readies every blocked task; the world must already be
+// marked aborted. Caller holds mu.
 func (e *eventEngine) wakeAllLocked() {
 	for _, t := range e.tasks {
 		if t.state == taskBlocked {
@@ -422,9 +440,8 @@ func (e *eventEngine) wakeAllLocked() {
 	}
 }
 
-// resolveQuiescence applies the watchdog's resolution ladder at a proven
-// quiescent point and reports whether it made a task dispatchable. Caller
-// holds mu.
+// resolveQuiescence applies the resolution ladder at a proven quiescent
+// point and reports whether it made a task dispatchable. Caller holds mu.
 func (e *eventEngine) resolveQuiescence() bool {
 	w := e.w
 	// 1. Fire the earliest-deadline timed receive (ties to the lowest
@@ -481,4 +498,12 @@ func (e *eventEngine) resolveQuiescence() bool {
 	w.setAborted(&DeadlockError{Blocked: blocked})
 	e.wakeAllLocked()
 	return true
+}
+
+// crashTime is rank's scheduled crash time, +Inf without one.
+func (w *World) crashTime(rank int) float64 {
+	if w.plan == nil {
+		return math.Inf(1)
+	}
+	return w.plan.crashAt(rank)
 }

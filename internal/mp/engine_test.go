@@ -1,61 +1,111 @@
 package mp
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/fnv"
 	"math"
+	"runtime"
 	"testing"
 )
 
-// engines under test: the goroutine oracle and the event scheduler at a few
-// worker-pool widths (1 serializes everything; 3 forces slot contention).
+// engineConfigs are the worker-pool widths under test: the default (host
+// cores), 1 (serializes everything) and 3 (forces slot contention). The
+// names are the ones the subtests have always had.
 var engineConfigs = []struct {
 	name string
 	opt  RunOptions
 }{
-	{"goroutine", RunOptions{}},
-	{"event", RunOptions{Engine: EngineEvent}},
-	{"event-w1", RunOptions{Engine: EngineEvent, Workers: 1}},
-	{"event-w3", RunOptions{Engine: EngineEvent, Workers: 3}},
+	{"event", RunOptions{}},
+	{"event-w1", RunOptions{Workers: 1}},
+	{"event-w3", RunOptions{Workers: 3}},
 }
 
-// runBoth runs fn under every engine configuration and asserts the virtual
-// schedules are bit-identical to the goroutine oracle.
-func runBoth(t *testing.T, n int, fn func(r *Rank)) Stats {
+// schedulePin is the virtual schedule of one blocking workload as recorded
+// at commit 623b44b, the last one that had two runtimes; there the
+// goroutine runtime and the event scheduler agreed on every one of these
+// bit for bit. clocks is clockDigest(Stats.RankClocks). Like the golden
+// force digests, makespan and clocks encode amd64 arithmetic (no FMA
+// contraction in the network model); the traffic counts hold anywhere.
+type schedulePin struct {
+	makespan    float64
+	clocks      uint64
+	msgs, bytes int64
+}
+
+// clockDigest is FNV-1a over the little-endian bits of every rank's clock.
+func clockDigest(clocks []float64) uint64 {
+	h := fnv.New64a()
+	var buf [8]byte
+	for _, c := range clocks {
+		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(c))
+		h.Write(buf[:])
+	}
+	return h.Sum64()
+}
+
+// runPinned runs fn at every worker-pool width, asserts the virtual
+// schedules are bit-identical to one another, and holds the first against
+// the pin.
+func runPinned(t *testing.T, n int, want schedulePin, fn func(r *Rank)) {
 	t.Helper()
-	oracle := RunWith(testCluster(n), n, RunOptions{}, fn)
-	for _, ec := range engineConfigs[1:] {
+	var first Stats
+	ref := engineConfigs[0].name
+	for i, ec := range engineConfigs {
 		st := RunWith(testCluster(n), n, ec.opt, fn)
-		if st.ElapsedVirtual != oracle.ElapsedVirtual {
-			t.Errorf("%s n=%d: makespan %v, oracle %v", ec.name, n, st.ElapsedVirtual, oracle.ElapsedVirtual)
+		if st.Err != nil {
+			t.Fatalf("%s n=%d: %v", ec.name, n, st.Err)
 		}
-		for i := range oracle.RankClocks {
-			if st.RankClocks[i] != oracle.RankClocks[i] {
-				t.Errorf("%s n=%d: rank %d clock %v, oracle %v",
-					ec.name, n, i, st.RankClocks[i], oracle.RankClocks[i])
+		if i == 0 {
+			first = st
+			continue
+		}
+		if st.ElapsedVirtual != first.ElapsedVirtual {
+			t.Errorf("%s n=%d: makespan %v, %s had %v", ec.name, n, st.ElapsedVirtual, ref, first.ElapsedVirtual)
+		}
+		for r := range first.RankClocks {
+			if st.RankClocks[r] != first.RankClocks[r] {
+				t.Errorf("%s n=%d: rank %d clock %v, %s had %v",
+					ec.name, n, r, st.RankClocks[r], ref, first.RankClocks[r])
 			}
 		}
-		if st.Messages != oracle.Messages || st.Bytes != oracle.Bytes {
-			t.Errorf("%s n=%d: traffic %d/%d, oracle %d/%d",
-				ec.name, n, st.Messages, st.Bytes, oracle.Messages, oracle.Bytes)
+		if st.Messages != first.Messages || st.Bytes != first.Bytes {
+			t.Errorf("%s n=%d: traffic %d/%d, %s had %d/%d",
+				ec.name, n, st.Messages, st.Bytes, ref, first.Messages, first.Bytes)
 		}
 	}
-	return oracle
+	got := schedulePin{first.ElapsedVirtual, clockDigest(first.RankClocks), first.Messages, first.Bytes}
+	if runtime.GOARCH != "amd64" {
+		got.makespan, got.clocks = want.makespan, want.clocks
+	}
+	if got != want {
+		t.Errorf("n=%d: schedule {%v, %#x, %d, %d}, pinned {%v, %#x, %d, %d}",
+			n, got.makespan, got.clocks, got.msgs, got.bytes, want.makespan, want.clocks, want.msgs, want.bytes)
+	}
 }
 
-// TestCollectivesBothEngines is the non-power-of-two collective matrix of
-// the scheduler PR: Barrier, Bcast, Reduce, Allgather, and Alltoall at
-// n ∈ {3, 7, 294} must produce correct results and identical virtual
-// completion times under both engines.
+// TestCollectivesBothEngines is the non-power-of-two collective matrix:
+// Barrier, Bcast, Reduce, Allgather, and Alltoall at n ∈ {3, 7, 294} must
+// produce correct results and the pinned virtual completion times at every
+// pool width. (The name dates from the two runtimes the pins were recorded
+// on.)
 func TestCollectivesBothEngines(t *testing.T) {
-	ns := []int{3, 7, 294}
-	if testing.Short() {
-		ns = []int{3, 7}
+	pins := []struct {
+		n    int
+		want schedulePin
+	}{
+		{3, schedulePin{0.0008910310467395436, 0x75d557d0f30bbe96, 26, 208}},
+		{7, schedulePin{0.0020403910145537604, 0xbe5bf8c2c6cd1fe7, 131, 1024}},
+		{294, schedulePin{0.05428191048241126, 0x4b50fbfcc1ed38df, 177640, 1406984}},
 	}
-	for _, n := range ns {
-		n := n
+	if testing.Short() {
+		pins = pins[:2]
+	}
+	for _, tc := range pins {
+		n, want := tc.n, tc.want
 		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
-			runBoth(t, n, func(r *Rank) {
+			runPinned(t, n, want, func(r *Rank) {
 				id, size := r.ID(), r.Size()
 				r.Barrier()
 
@@ -109,11 +159,15 @@ func TestCollectivesBothEngines(t *testing.T) {
 	}
 }
 
-// TestEventEnginePointToPoint pins bit-identity on irregular traffic:
+// TestEventEnginePointToPoint pins the schedule of irregular traffic:
 // wildcard receives, selective tags, self-sends, charge/advance mixing.
 func TestEventEnginePointToPoint(t *testing.T) {
-	for _, n := range []int{2, 5, 8} {
-		runBoth(t, n, func(r *Rank) {
+	for n, want := range map[int]schedulePin{
+		2: {0.08004310905837783, 0xb2597296926a38c7, 8, 176},
+		5: {0.19879818415719208, 0xc08ec7b92f0fa594, 30, 440},
+		8: {0.31737525925600607, 0x47b6bf81ac43380a, 48, 704},
+	} {
+		runPinned(t, n, want, func(r *Rank) {
 			id, size := r.ID(), r.Size()
 			next, prev := (id+1)%size, (id+size-1)%size
 			r.Charge(1e8*float64(id+1), 0.5, 1e6)
@@ -136,10 +190,9 @@ func TestEventEnginePointToPoint(t *testing.T) {
 	}
 }
 
-// TestEventEngineRecvTimeout checks both timeout modes under the event
-// engine: a queued-but-late match times out immediately leaving the message
-// behind, and a never-sent match fires only at quiescence, at the exact
-// virtual deadline — identical to the watchdog semantics.
+// TestEventEngineRecvTimeout checks both timeout modes: a queued-but-late
+// match times out immediately leaving the message behind, and a never-sent
+// match fires only at quiescence, at the exact virtual deadline.
 func TestEventEngineRecvTimeout(t *testing.T) {
 	for _, ec := range engineConfigs {
 		ec := ec
@@ -178,7 +231,7 @@ func TestEventEngineRecvTimeout(t *testing.T) {
 }
 
 // TestEventEngineDeadlock checks the O(1) quiescence detector aborts a
-// stuck world with the same diagnostic the watchdog produces.
+// stuck world with a diagnostic naming every blocked rank and its receive.
 func TestEventEngineDeadlock(t *testing.T) {
 	for _, ec := range engineConfigs {
 		ec := ec
@@ -266,11 +319,11 @@ func TestEventEngineCrashWhileBlocked(t *testing.T) {
 	}
 }
 
-// TestEventEngineABM runs the ABM request/quiesce machinery under every
-// engine, including a 1-worker pool — the hardest case for polling loops,
+// TestEventEngineABM runs the ABM request/quiesce machinery at every pool
+// width, including a 1-worker pool — the hardest case for polling loops,
 // which must yield the slot instead of spinning. Polling workloads are
-// host-order-dependent in virtual time (a pre-existing property of the
-// latency-hiding engine, see DESIGN.md), so only the numerics are checked:
+// host-order-dependent in virtual time (a property of the latency-hiding
+// layer, see DESIGN.md), so only the numerics are checked:
 // every rank must get exactly the right multiset of responses.
 func TestEventEngineABM(t *testing.T) {
 	work := func(t *testing.T, r *Rank) {
@@ -315,8 +368,12 @@ func TestEventEngineABM(t *testing.T) {
 // gather) where inbox queues grow long — the case the ring-buffer inbox
 // compaction targets.
 func TestEventEngineGather(t *testing.T) {
-	for _, n := range []int{3, 7, 16} {
-		runBoth(t, n, func(r *Rank) {
+	for n, want := range map[int]schedulePin{
+		3:  {9.50888888888889e-05, 0x1308a079dd13d355, 6, 48},
+		7:  {9.50888888888889e-05, 0x80354b25b337761d, 18, 144},
+		16: {9.50888888888889e-05, 0x67872463d3ade02c, 45, 360},
+	} {
+		runPinned(t, n, want, func(r *Rank) {
 			for round := 0; round < 3; round++ {
 				xs := r.Gather(0, []float64{float64(r.ID()*100 + round)})
 				if r.ID() == 0 {
@@ -359,18 +416,5 @@ func TestEventEngine1024Collectives(t *testing.T) {
 	}
 	if st.ElapsedVirtual <= 0 {
 		t.Fatalf("makespan = %v", st.ElapsedVirtual)
-	}
-}
-
-// TestEngineString pins the flag round-trip.
-func TestEngineString(t *testing.T) {
-	for _, e := range []Engine{EngineGoroutine, EngineEvent} {
-		got, err := ParseEngine(e.String())
-		if err != nil || got != e {
-			t.Errorf("ParseEngine(%q) = %v, %v", e.String(), got, err)
-		}
-	}
-	if _, err := ParseEngine("threads"); err == nil {
-		t.Error("ParseEngine accepted junk")
 	}
 }

@@ -32,8 +32,8 @@ var (
 	// ErrTimeout is returned by RecvTimeout when no matching message arrives
 	// by the virtual deadline.
 	ErrTimeout = errors.New("mp: receive timed out")
-	// ErrDeadlock marks a run aborted by the shutdown watchdog: every live
-	// rank was blocked in a receive no pending send could satisfy.
+	// ErrDeadlock marks a run aborted at quiescence: every live rank was
+	// blocked in a receive no pending send could satisfy.
 	ErrDeadlock = errors.New("mp: world deadlocked")
 )
 
@@ -60,7 +60,7 @@ type BlockedRank struct {
 	Clock float64
 }
 
-// DeadlockError reports a run aborted by the shutdown watchdog, listing
+// DeadlockError reports a run aborted by quiescence resolution, listing
 // every blocked rank and its pending receive so the hang is debuggable
 // instead of a silent `go test` timeout.
 type DeadlockError struct {
@@ -77,7 +77,7 @@ func (e *DeadlockError) Error() string {
 	return b.String()
 }
 
-// Unwrap makes errors.Is(err, ErrDeadlock) true for watchdog aborts.
+// Unwrap makes errors.Is(err, ErrDeadlock) true for deadlock aborts.
 func (e *DeadlockError) Unwrap() error { return ErrDeadlock }
 
 // fmtSel renders a src/tag selector, naming the wildcard.
@@ -173,7 +173,7 @@ func (r *Rank) checkFaults() {
 // fireCrash aborts the world with this rank's crash and unwinds.
 func (r *Rank) fireCrash(t float64) {
 	w := r.w
-	if w.abort(&CrashError{Rank: r.id, AtSec: t, Cause: w.plan.cause(r.id)}, -1) {
+	if w.abort(&CrashError{Rank: r.id, AtSec: t, Cause: w.plan.cause(r.id)}) {
 		w.cCrashes.Inc()
 		r.obs.Span("fault", "crash", t, r.clock)
 	}
@@ -182,7 +182,7 @@ func (r *Rank) fireCrash(t float64) {
 
 // setAborted records the first abort cause and flips the aborted flag,
 // reporting whether this call won the race. Waking the blocked ranks is the
-// caller's (engine-specific) job.
+// caller's job (abort, or quiescence resolution under the scheduler lock).
 func (w *World) setAborted(err error) bool {
 	w.abortMu.Lock()
 	if w.aborted.Load() {
@@ -192,28 +192,5 @@ func (w *World) setAborted(err error) bool {
 	w.abortErr = err
 	w.aborted.Store(true)
 	w.abortMu.Unlock()
-	return true
-}
-
-// abort marks the world dead with the given cause and wakes every blocked
-// rank so it can unwind; skip is an inbox whose mutex the caller already
-// holds (-1 for none). Only the first abort wins; abort reports whether this
-// call was it.
-func (w *World) abort(err error, skip int) bool {
-	if !w.setAborted(err) {
-		return false
-	}
-	if w.eng != nil {
-		w.eng.wakeAll()
-		return true
-	}
-	for i, ib := range w.boxes {
-		if i == skip {
-			continue
-		}
-		ib.mu.Lock()
-		ib.cond.Broadcast()
-		ib.mu.Unlock()
-	}
 	return true
 }

@@ -37,7 +37,7 @@ func BenchmarkInboxDrain(b *testing.B) {
 		msgs := benchMessages(pending)
 
 		b.Run(fmt.Sprintf("ring/pending=%d", pending), func(b *testing.B) {
-			ib := newInbox()
+			ib := &inbox{}
 			b.ReportAllocs()
 			for b.Loop() {
 				b.StopTimer()
@@ -77,7 +77,7 @@ func BenchmarkInboxSelective(b *testing.B) {
 	const pending = 4096
 	msgs := benchMessages(pending)
 	b.Run("ring", func(b *testing.B) {
-		ib := newInbox()
+		ib := &inbox{}
 		b.ReportAllocs()
 		for b.Loop() {
 			b.StopTimer()
@@ -116,7 +116,7 @@ func BenchmarkInboxSelective(b *testing.B) {
 // receives, earliest-arrival for finite-deadline scans, compaction keeps
 // the live window intact.
 func TestInboxRing(t *testing.T) {
-	ib := newInbox()
+	ib := &inbox{}
 	for i := 0; i < 300; i++ {
 		ib.enqueue(message{src: i % 3, tag: i % 2, arrive: float64(300 - i)})
 	}

@@ -6,26 +6,18 @@ import (
 	"strconv"
 )
 
-// Profiler labels: every rank goroutine (under either engine) carries
-// pprof labels ("rank", "engine"), and Rank.Span overlays a "phase" label
-// for the span's extent, so host CPU profiles taken through the live
-// /debug/pprof endpoints attribute samples to simulation phases. Labels
-// are host-side observation only — they never touch virtual time, so runs
-// stay bit-identical with or without a profiler attached.
+// Profiler labels: every rank goroutine carries a "rank" pprof label, and
+// Rank.Span overlays a "phase" label for the span's extent, so host CPU
+// profiles taken through the live /debug/pprof endpoints attribute samples
+// to simulation phases. Labels are host-side observation only — they never
+// touch virtual time, so runs stay bit-identical with or without a profiler
+// attached.
 
-// engineLabel names the runtime for the "engine" pprof label.
-func (w *World) engineLabel() string {
-	if w.eng != nil {
-		return "event"
-	}
-	return "goroutine"
-}
-
-// applyLabels stamps the calling goroutine (the rank's, under either
-// engine) with this rank's base labels and returns a restore function.
+// applyLabels stamps the calling goroutine (the rank's) with this rank's
+// base label and returns a restore function.
 func (r *Rank) applyLabels() func() {
 	ctx := pprof.WithLabels(context.Background(),
-		pprof.Labels("rank", strconv.Itoa(r.id), "engine", r.w.engineLabel()))
+		pprof.Labels("rank", strconv.Itoa(r.id)))
 	r.labelCtx = ctx
 	pprof.SetGoroutineLabels(ctx)
 	return func() {

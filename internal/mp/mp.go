@@ -1,15 +1,20 @@
 // Package mp is the message-passing substrate standing in for MPI on the
-// simulated cluster. Each rank runs as a goroutine; messages move through
-// in-process mailboxes carrying *virtual timestamps*.
+// simulated cluster. Ranks are resumable tasks of one discrete-event
+// scheduler (engine.go): a bounded pool of execution slots runs them, a
+// blocked receive parks its rank, and messages move through in-process
+// mailboxes carrying *virtual timestamps*.
 //
 // Virtual time: every rank owns a clock (seconds). Computation is charged
 // explicitly through Charge (roofline node model); communication is charged
 // by the network model — a message sent at sender-time t arrives at
 // t + transfer(bytes), and the receiver's clock advances to
-// max(receiver clock, arrival). Because the real data dependencies are
-// enforced by real channel communication, the resulting virtual schedule is
-// causally consistent, and cluster-scale performance shapes (Linpack, NPB
-// scaling, treecode throughput) are reproduced on a single host CPU.
+// max(receiver clock, arrival). A receive cannot return before its message
+// was really put, so the resulting virtual schedule is causally consistent,
+// and cluster-scale performance shapes (Linpack, NPB scaling, treecode
+// throughput) are reproduced on a single host CPU. For programs built from
+// blocking operations the schedule is a pure function of the message DAG;
+// polling (TryRecv, ABM) makes it depend on the order the host runs the
+// ranks, which one engine worker fixes (RunOptions.Workers).
 //
 // Sends are buffered (they never block); receives block until a matching
 // message exists. Collectives are implemented on top of point-to-point with
@@ -65,36 +70,15 @@ type message struct {
 // queue is a ring: live messages occupy q[head:], so consuming the oldest
 // match — the overwhelmingly common case, and the only case under AnySource
 // fan-in — advances head in O(1) instead of shifting the whole tail the way
-// `append(q[:i], q[i+1:]...)` did. seq counts puts (read lock-free by the
-// shutdown watchdog's quiescence check); fireTimeout is set by the watchdog
-// to wake the owner's RecvTimeout once the world is provably idle.
+// `append(q[:i], q[i+1:]...)` did.
 type inbox struct {
-	mu          sync.Mutex
-	cond        *sync.Cond
-	q           []message
-	head        int
-	seq         atomic.Uint64
-	fireTimeout bool
-}
-
-func newInbox() *inbox {
-	ib := &inbox{}
-	ib.cond = sync.NewCond(&ib.mu)
-	return ib
+	mu   sync.Mutex
+	q    []message
+	head int
 }
 
 // enqueue appends a message; caller holds mu.
-func (ib *inbox) enqueue(m message) {
-	ib.q = append(ib.q, m)
-	ib.seq.Add(1)
-}
-
-func (ib *inbox) put(m message) {
-	ib.mu.Lock()
-	ib.enqueue(m)
-	ib.cond.Broadcast()
-	ib.mu.Unlock()
-}
+func (ib *inbox) enqueue(m message) { ib.q = append(ib.q, m) }
 
 // scanMatch returns the physical index of the message a blocking receive
 // should take: the first match in queue order, or — when earliest is set
@@ -166,19 +150,12 @@ type World struct {
 	// plan schedules fault injection (nil for a healthy run).
 	plan *FaultPlan
 
-	// aborted flips once when the world dies (crash or watchdog); every
-	// operation checks it so all ranks unwind promptly. abortErr records
-	// the first cause.
+	// aborted flips once when the world dies (a crash, or a deadlock found
+	// at quiescence); every operation checks it so all ranks unwind
+	// promptly. abortErr records the first cause.
 	aborted  atomic.Bool
 	abortMu  sync.Mutex
 	abortErr error
-
-	// Shutdown-watchdog state: the count of ranks still running fn and the
-	// registry of ranks blocked in takeBlocking. wdMu is a leaf lock (it
-	// nests under at most one inbox mutex, never the reverse).
-	wdMu    sync.Mutex
-	active  int
-	waiters map[int]waiter
 
 	statsMu    sync.Mutex
 	totalMsgs  int64
@@ -206,8 +183,7 @@ type World struct {
 	congestedOnce sync.Once
 	congestedBps  float64
 
-	// eng is the discrete-event scheduler when the run uses EngineEvent;
-	// nil under the goroutine runtime.
+	// eng is the discrete-event scheduler that runs the ranks.
 	eng *eventEngine
 }
 
@@ -234,7 +210,7 @@ type Stats struct {
 	Obs *obs.Obs
 	// Err is non-nil when the run aborted instead of completing: a
 	// *CrashError (errors.Is ErrRankDown) for an injected rank crash, or a
-	// *DeadlockError (errors.Is ErrDeadlock) from the shutdown watchdog.
+	// *DeadlockError (errors.Is ErrDeadlock) from quiescence resolution.
 	// RankClocks then hold each rank's clock at its death.
 	Err error
 }
@@ -246,63 +222,33 @@ func Run(cluster machine.Cluster, nprocs int, fn func(r *Rank)) Stats {
 	return RunWith(cluster, nprocs, RunOptions{}, fn)
 }
 
-// Engine selects the rank-execution runtime for one run. Both engines
-// produce the same virtual schedule — virtual clocks are a pure function of
-// the message-causality DAG, never of host scheduling — so the goroutine
-// runtime doubles as the bit-identity oracle for the event scheduler.
+// Engine is retained for bench/, which builder PRs may not edit and which
+// spells RunOptions{Engine: EngineEvent}; no code reads it. There is one
+// runtime, the discrete-event scheduler of engine.go. Goes with the next
+// [benchmark] PR.
 type Engine int
 
-const (
-	// EngineGoroutine runs every rank as a free goroutine with per-inbox
-	// condition-variable handoffs and the O(active) shutdown watchdog. The
-	// original runtime, retained as the oracle.
-	EngineGoroutine Engine = iota
-	// EngineEvent runs ranks as resumable tasks on a worker pool sized to
-	// host cores; message delivery goes through a per-world event heap
-	// keyed by virtual arrival time, and quiescence (deadlock/timeout
-	// resolution) is detected in O(1) when the heap and ready queue drain.
-	EngineEvent
-)
+// EngineEvent is the only Engine value (retained for bench/, see Engine).
+const EngineEvent Engine = 0
 
-func (e Engine) String() string {
-	switch e {
-	case EngineGoroutine:
-		return "goroutine"
-	case EngineEvent:
-		return "event"
-	}
-	return fmt.Sprintf("Engine(%d)", int(e))
-}
-
-// ParseEngine maps the command-line names onto an Engine.
-func ParseEngine(s string) (Engine, error) {
-	switch s {
-	case "goroutine", "":
-		return EngineGoroutine, nil
-	case "event":
-		return EngineEvent, nil
-	}
-	return 0, fmt.Errorf("mp: unknown engine %q (want goroutine or event)", s)
-}
-
-// RunOptions configures fault injection and the execution engine for one run.
+// RunOptions configures fault injection and the scheduler's pool for one run.
 type RunOptions struct {
 	// Plan schedules rank crashes in virtual time; nil injects nothing.
 	// Link/port degradation rides on the cluster's network health
 	// (netsim.Network.WithHealth), not here.
 	Plan *FaultPlan
-	// Engine selects the rank-execution runtime; the zero value is the
-	// goroutine oracle.
+	// Engine is read by no code; retained for bench/ (see Engine).
 	Engine Engine
-	// Workers bounds the event engine's concurrently-executing ranks;
-	// <= 0 means min(GOMAXPROCS, nprocs). Ignored by EngineGoroutine.
+	// Workers bounds the concurrently-executing ranks; <= 0 means
+	// min(GOMAXPROCS, nprocs). With one worker the host runs the ranks in
+	// one fixed order, so even a polling program repeats its schedule.
 	Workers int
 }
 
 // RunWith is Run with options. When the run aborts — an injected crash, or
-// the shutdown watchdog detecting a world-wide deadlock — the returned
-// Stats carry the cause in Err and each rank's clock at death; the process
-// itself always survives.
+// a world-wide deadlock found at quiescence — the returned Stats carry the
+// cause in Err and each rank's clock at death; the process itself always
+// survives.
 func RunWith(cluster machine.Cluster, nprocs int, opt RunOptions, fn func(r *Rank)) Stats {
 	if nprocs <= 0 {
 		panic("mp: nprocs must be positive")
@@ -311,11 +257,9 @@ func RunWith(cluster machine.Cluster, nprocs int, opt RunOptions, fn func(r *Ran
 		panic(fmt.Sprintf("mp: %d ranks exceed %d nodes of %s", nprocs, cluster.Nodes, cluster.Name))
 	}
 	w := &World{n: nprocs, cluster: cluster, plan: opt.Plan}
-	w.active = nprocs
-	w.waiters = make(map[int]waiter, nprocs)
 	w.boxes = make([]*inbox, nprocs)
 	for i := range w.boxes {
-		w.boxes[i] = newInbox()
+		w.boxes[i] = &inbox{}
 	}
 	w.initObs()
 	clocks := make([]float64, nprocs)
@@ -325,21 +269,8 @@ func RunWith(cluster machine.Cluster, nprocs int, opt RunOptions, fn func(r *Ran
 		r.obs = w.obs.Rank(i)
 		ranks[i] = r
 	}
-	if opt.Engine == EngineEvent {
-		w.eng = newEventEngine(w, ranks, opt.Workers)
-		w.eng.run(fn, clocks)
-	} else {
-		var wg sync.WaitGroup
-		wg.Add(nprocs)
-		for _, r := range ranks {
-			r := r
-			go func() {
-				defer wg.Done()
-				w.rankMain(r, fn, clocks, w.rankDone)
-			}()
-		}
-		wg.Wait()
-	}
+	w.eng = newEventEngine(w, ranks, opt.Workers)
+	w.eng.run(fn, clocks)
 	st := Stats{
 		RankClocks: clocks,
 		Messages:   w.totalMsgs, Bytes: w.totalBytes,
@@ -355,9 +286,9 @@ func RunWith(cluster machine.Cluster, nprocs int, opt RunOptions, fn func(r *Ran
 	return st
 }
 
-// rankMain is the body of one rank under either engine: it runs fn,
-// recovers the rankAbort unwind, records the rank's final clock, and calls
-// the engine-specific exit hook (watchdog retirement or task completion).
+// rankMain is the body of one rank's goroutine: it runs fn, recovers the
+// rankAbort unwind, records the rank's final clock, and calls exit (the
+// scheduler's task retirement).
 func (w *World) rankMain(r *Rank, fn func(r *Rank), clocks []float64, exit func()) {
 	defer func() {
 		e := recover()
@@ -372,18 +303,6 @@ func (w *World) rankMain(r *Rank, fn func(r *Rank), clocks []float64, exit func(
 	}()
 	defer r.applyLabels()()
 	fn(r)
-}
-
-// put delivers a message into dst's inbox under the run's engine: the
-// goroutine runtime broadcasts the inbox condition variable; the event
-// engine instead pushes a wake event (keyed by virtual arrival) when — and
-// only when — the destination task is parked on a matching receive.
-func (w *World) put(dst int, m message) {
-	if w.eng == nil {
-		w.boxes[dst].put(m)
-		return
-	}
-	w.eng.put(dst, m)
 }
 
 // initObs resolves the run's observation handle (the cluster's, or a fresh
@@ -477,8 +396,8 @@ type Rank struct {
 	// msgSeq numbers this rank's sends for async trace slice ids.
 	msgSeq int64
 	// labelCtx is the current pprof label set on the rank's goroutine
-	// (rank/engine base labels plus the innermost Span's phase overlay);
-	// owned by the rank's goroutine, see labels.go.
+	// (the rank base label plus the innermost Span's phase overlay); owned
+	// by the rank's goroutine, see labels.go.
 	labelCtx context.Context
 }
 
@@ -624,7 +543,7 @@ func (r *Rank) sendAt(dst, tag int, data any, bytes int64, congested bool) {
 		xfer = net.TransferTimeAt(r.id, dst, bytes, t0)
 	}
 	m := message{src: r.id, tag: tag, data: data, bytes: bytes, sent: t0, arrive: r.clock + xfer}
-	r.w.put(dst, m)
+	r.w.eng.put(dst, m)
 	r.observeSend(dst, bytes, t0, m.arrive)
 }
 
@@ -686,7 +605,7 @@ func (r *Rank) Recv(src, tag int) (any, Status) {
 // to the deadline and any late-arriving match left queued for a later
 // receive. Timeouts are exact in virtual time: a match whose arrival is past
 // the deadline times out even if it is already queued, and a receive with no
-// match pending only times out once the shutdown watchdog proves the world
+// match pending only times out once the scheduler proves the world
 // quiescent (no sender can still be running) — never earlier, so a slow host
 // cannot change the virtual schedule.
 func (r *Rank) RecvTimeout(src, tag int, timeoutSec float64) (any, Status, error) {
@@ -715,6 +634,10 @@ func (r *Rank) RecvTimeout(src, tag int, timeoutSec float64) (any, Status, error
 // returns a message whose virtual arrival time has been reached by this
 // rank's clock OR any available matching message if the rank is idle-polling
 // (we accept slight optimism here; the arrival max still applies).
+//
+// A loop that polls for remote progress must Yield on an empty poll: the
+// pool of execution slots may be one wide, and a rank that spins on TryRecv
+// holds its slot while the rank it waits for never runs.
 func (r *Rank) TryRecv(src, tag int) (any, Status, bool) {
 	r.checkFaults()
 	m, ok := r.w.boxes[r.id].tryTake(src, tag)

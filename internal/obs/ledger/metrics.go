@@ -7,7 +7,7 @@ import (
 
 // Artifact kinds recognized by SniffKind.
 const (
-	KindBench      = "bench"      // BENCH_treecode.json (group/treebuild/scale)
+	KindBench      = "bench"      // BENCH_treecode.json (group/treebuild)
 	KindAnalysis   = "analysis"   // ANALYSIS.json
 	KindFaultsweep = "faultsweep" // FAULTSWEEP.json
 	KindUnknown    = "unknown"
@@ -27,9 +27,6 @@ func SniffKind(data []byte) string {
 	if _, ok := top["treebuild"]; ok {
 		return KindBench
 	}
-	if _, ok := top["scale"]; ok {
-		return KindBench
-	}
 	if _, ok := top["baseline_virtual_sec"]; ok {
 		return KindFaultsweep
 	}
@@ -41,7 +38,7 @@ func SniffKind(data []byte) string {
 
 // ExtractMetrics pulls the headline metrics out of a known artifact:
 // virtual makespan and parallel efficiency, grouped-kernel ns/interaction,
-// tree-build speedup, event-engine ranks/sec, checkpoint overhead. The
+// tree-build speedup, checkpoint overhead. The
 // decode is generic (untyped JSON) so the ledger stays independent of the
 // report structs; unknown or malformed artifacts yield an empty map.
 func ExtractMetrics(data []byte) map[string]float64 {
@@ -98,26 +95,6 @@ func extractBench(top map[string]any, out map[string]float64) {
 		}
 		if best > 0 {
 			out["treebuild_speedup"] = best
-		}
-	}
-	if sc, ok := top["scale"].(map[string]any); ok {
-		// ranks/sec of the event engine at its largest swept world — the
-		// headline scheduler-throughput figure.
-		maxRanks := num(sc["max_event_ranks"])
-		if entries, ok := sc["entries"].([]any); ok {
-			best := 0.0
-			for _, e := range entries {
-				ent, ok := e.(map[string]any)
-				if !ok {
-					continue
-				}
-				if str(ent["engine"]) == "event" && num(ent["ranks"]) == maxRanks {
-					best = math.Max(best, num(ent["ranks_per_sec"]))
-				}
-			}
-			if best > 0 {
-				out["ranks_per_sec"] = best
-			}
 		}
 	}
 }

@@ -34,7 +34,7 @@ type GateSpec struct {
 // deterministic per config digest, so their bands are tight (mirroring
 // analysis.DefaultThresholds); host-timed metrics wobble with machine load,
 // so their bands match the loose fracs the pairwise diff gates already use
-// (-treebuild-frac 0.35, -scale-frac 0.5).
+// (-treebuild-frac 0.35, -kernel-frac 0.5).
 var Gates = map[string]GateSpec{
 	"makespan_sec":        {Frac: 0.10, Gated: true},
 	"parallel_efficiency": {Abs: 0.05, HigherBetter: true, Gated: true},
@@ -42,7 +42,6 @@ var Gates = map[string]GateSpec{
 	"gflops":              {Frac: 0.10, HigherBetter: true, Gated: true},
 	"ns_per_interaction":  {Frac: 0.50, Gated: true},
 	"treebuild_speedup":   {Frac: 0.35, HigherBetter: true, Gated: true},
-	"ranks_per_sec":       {Frac: 0.50, HigherBetter: true, Gated: true},
 	"peak_rss_bytes":      {Frac: 0.50, Gated: true},
 	// Tracked, not gated: overhead depends on the fault schedule drawn.
 	"checkpoint_overhead_sec": {},

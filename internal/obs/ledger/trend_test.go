@@ -58,11 +58,11 @@ func TestGateVerdicts(t *testing.T) {
 		t.Fatalf("-30%% makespan verdict = %s, want improved", tr.Verdict)
 	}
 	// Higher-better metric: a drop is the regression direction.
-	if tr := gateOne(t, "ranks_per_sec", []float64{1000, 1000}, 400); tr.Verdict != VerdictRegression {
-		t.Fatalf("ranks/sec halved verdict = %s, want regression", tr.Verdict)
+	if tr := gateOne(t, "treebuild_speedup", []float64{10, 10}, 4); tr.Verdict != VerdictRegression {
+		t.Fatalf("tree-build speedup more than halved verdict = %s, want regression", tr.Verdict)
 	}
-	if tr := gateOne(t, "ranks_per_sec", []float64{1000, 1000}, 2000); tr.Verdict != VerdictImproved {
-		t.Fatalf("ranks/sec doubled verdict = %s, want improved", tr.Verdict)
+	if tr := gateOne(t, "treebuild_speedup", []float64{10, 10}, 20); tr.Verdict != VerdictImproved {
+		t.Fatalf("tree-build speedup doubled verdict = %s, want improved", tr.Verdict)
 	}
 	// Absolute gate: parallel efficiency −0.06 beyond the ±0.05 band.
 	if tr := gateOne(t, "parallel_efficiency", []float64{0.9, 0.9}, 0.83); tr.Verdict != VerdictRegression {

@@ -6,7 +6,6 @@ import (
 
 	"spacesim/internal/core"
 	"spacesim/internal/machine"
-	"spacesim/internal/mp"
 	"spacesim/internal/netsim"
 	"spacesim/internal/obs"
 	"spacesim/internal/obs/ledger"
@@ -22,10 +21,10 @@ type JobSpec struct {
 	N        int    `json:"n,omitempty"`
 	Ranks    int    `json:"ranks,omitempty"`
 	Steps    int    `json:"steps,omitempty"`
-	// Engine selects the rank runtime: goroutine (default) or event;
-	// EngineWorkers sizes the event engine's pool (1 = fully reproducible
-	// schedules, the serve default so retried jobs replay identically).
-	Engine        string  `json:"engine,omitempty"`
+	// EngineWorkers sizes the rank scheduler's pool (0 = host cores; 1 =
+	// fully reproducible schedules). There is no runtime to select: an
+	// "engine" key, which older clients sent and older journals carry in
+	// every spec, is ignored like any unknown key.
 	EngineWorkers int     `json:"engine_workers,omitempty"`
 	Seed          int64   `json:"seed,omitempty"`
 	DT            float64 `json:"dt,omitempty"`
@@ -64,9 +63,6 @@ func (sp JobSpec) withDefaults() JobSpec {
 	if sp.Steps == 0 {
 		sp.Steps = 4
 	}
-	if sp.Engine == "" {
-		sp.Engine = "goroutine"
-	}
 	if sp.Seed == 0 {
 		sp.Seed = 1
 	}
@@ -94,9 +90,6 @@ func (sp JobSpec) Validate() error {
 	if _, err := core.MakeICs(sp.Scenario, sp.Seed, 1); err != nil {
 		return err
 	}
-	if _, err := mp.ParseEngine(sp.Engine); err != nil {
-		return err
-	}
 	if sp.N < 16 || sp.N > 1_000_000 {
 		return fmt.Errorf("serve: n %d out of range [16, 1000000]", sp.N)
 	}
@@ -122,7 +115,7 @@ func (sp JobSpec) LedgerConfig() ledger.Config {
 	cfg := ledger.Config{
 		Tool: "spacesimd", Experiment: "job", Scenario: sp.Scenario,
 		N: sp.N, Ranks: sp.Ranks, Steps: sp.Steps,
-		Engine: sp.Engine, Workers: sp.EngineWorkers, Seed: sp.Seed,
+		Workers: sp.EngineWorkers, Seed: sp.Seed,
 		Flags: map[string]string{
 			"theta": fmt.Sprint(sp.Theta), "dt": fmt.Sprint(sp.DT),
 			"eps": fmt.Sprint(sp.Eps),
@@ -142,18 +135,14 @@ func (sp JobSpec) Digest() string { return sp.LedgerConfig().Digest() }
 // runConfig builds the core run configuration for one attempt, observed by
 // o. Shared by the runner and the tests that pre-seed checkpoints, so both
 // execute the identical simulation.
-func (sp JobSpec) runConfig(o *obs.Obs) (core.RunConfig, error) {
-	eng, err := mp.ParseEngine(sp.Engine)
-	if err != nil {
-		return core.RunConfig{}, err
-	}
+func (sp JobSpec) runConfig(o *obs.Obs) core.RunConfig {
 	cl := machine.SpaceSimulator(netsim.ProfileLAM).WithObs(o)
 	return core.RunConfig{
 		Cluster: cl, Procs: sp.Ranks, Steps: sp.Steps,
-		Opt:          core.Options{Theta: sp.Theta, Eps: sp.Eps, DT: sp.DT},
-		GatherBodies: true,
-		Engine:       eng, EngineWorkers: sp.EngineWorkers,
-	}, nil
+		Opt:           core.Options{Theta: sp.Theta, Eps: sp.Eps, DT: sp.DT},
+		GatherBodies:  true,
+		EngineWorkers: sp.EngineWorkers,
+	}
 }
 
 // Job states. queued → running → done is the happy path; running falls back

@@ -22,10 +22,7 @@ func seedKilledDaemonState(t *testing.T, dir string, spec JobSpec, stopAfterStep
 	id := fmt.Sprintf("j%06d-%s", 1, spec.Digest()[:8])
 
 	o := obs.New(false)
-	cfg, err := spec.runConfig(o)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cfg := spec.runConfig(o)
 	ckDir := filepath.Join(dir, "jobs", id)
 	if err := os.MkdirAll(ckDir, 0o755); err != nil {
 		t.Fatal(err)
@@ -105,6 +102,39 @@ func TestReplayResumesKilledJobBitIdentical(t *testing.T) {
 		t.Fatalf("post-replay sequence = %d, want 2", jobSeq(next.ID))
 	}
 	waitJob(t, s, next.ID, StateDone)
+}
+
+// A journal written before the rank runtime stopped being selectable: the
+// two lines are what commit 623b44b's daemon appended for smallSpec() before
+// a kill -9, "engine":"goroutine" included (withDefaults put it in every
+// spec). The job must load, run and finish; the dead key changes nothing, so
+// the job is keyed and answered like the same spec submitted today.
+func TestReplayJournalFromBeforeEngineRemoval(t *testing.T) {
+	const id = "j000001-7fe866fd"
+	journal := `{"ev":"submit","id":"j000001-7fe866fd","t":1,"spec":{"scenario":"plummer","n":300,"ranks":2,"steps":2,"engine":"goroutine","engine_workers":1,"seed":7,"dt":0.005,"theta":0.7,"eps":0.01,"checkpoint_every":1}}
+{"ev":"start","id":"j000001-7fe866fd","t":2,"attempts":1}
+`
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, JournalFile), []byte(journal), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s := newTestServer(t, dir, nil)
+	defer s.Drain()
+	if n := s.m.replayed.Value(); n != 1 {
+		t.Fatalf("replayed_jobs = %d, want 1", n)
+	}
+	got := waitJob(t, s, id, StateDone)
+	if want := smallSpec().withDefaults().Digest(); got.ConfigDigest != want {
+		t.Fatalf("replayed job keyed %s, the same spec submitted now %s", got.ConfigDigest, want)
+	}
+	again, err := s.Submit(smallSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hit := waitJob(t, s, again.ID, StateDone); !hit.CacheHit || hit.ResultDigest != got.ResultDigest {
+		t.Fatalf("resubmission: cache hit %v, digest %s; the replayed job produced %s",
+			hit.CacheHit, hit.ResultDigest, got.ResultDigest)
+	}
 }
 
 func TestReplayToleratesTornTail(t *testing.T) {

@@ -146,18 +146,21 @@ func TestCacheHitAndNoCacheRecompute(t *testing.T) {
 }
 
 func TestOverloadRejectedWith429(t *testing.T) {
+	// The first job is held at the start of its attempt until the test is
+	// over, so it is unfinished when the second POST is answered however
+	// fast the host runs a simulation.
+	release := make(chan struct{})
 	s := newTestServer(t, t.TempDir(), func(c *Config) {
 		c.Workers = 1
 		c.MaxQueue = 1
+		c.BeforeAttempt = func(string, int) error { <-release; return nil }
 	})
 	defer s.Drain()
+	defer close(release) // before Drain, which waits for the attempt
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	slow := smallSpec()
-	slow.N = 2000
-	slow.Steps = 6
-	body, _ := json.Marshal(slow)
+	body, _ := json.Marshal(smallSpec())
 	resp, err := http.Post(ts.URL+"/jobs", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
@@ -429,6 +432,33 @@ func TestSpecValidation(t *testing.T) {
 	}
 	if n := s.m.submitted.Value(); n != 0 {
 		t.Fatalf("invalid specs counted as submissions: %d", n)
+	}
+}
+
+// Clients written against the two-runtime daemon still send "engine". The
+// key selects nothing now and is dropped like any unknown key — whatever its
+// value, the submission is accepted, not a 400, and keyed like one without.
+func TestSubmittedEngineFieldIgnored(t *testing.T) {
+	s := newTestServer(t, t.TempDir(), nil)
+	defer s.Drain()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	for _, engine := range []string{"goroutine", "event", "threads"} {
+		body := fmt.Sprintf(`{"n":300,"ranks":2,"steps":2,"checkpoint_every":1,"seed":7,"engine_workers":1,"engine":%q}`, engine)
+		resp, err := http.Post(ts.URL+"/jobs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var v jobView
+		err = json.NewDecoder(resp.Body).Decode(&v)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusAccepted || err != nil {
+			t.Fatalf("engine=%q: status %d (decode: %v), want 202", engine, resp.StatusCode, err)
+		}
+		if want := smallSpec().withDefaults().Digest(); v.ConfigDigest != want {
+			t.Fatalf("engine=%q: config digest %s, without the key %s", engine, v.ConfigDigest, want)
+		}
+		waitJob(t, s, v.ID, StateDone)
 	}
 }
 

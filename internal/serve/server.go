@@ -1,6 +1,6 @@
 // Package serve is the simulation-as-a-service layer: a crash-safe job
 // server over the deterministic core. Clients POST job specs (scenario, N,
-// ranks, steps, engine, faults, seed); the server persists every state
+// ranks, steps, faults, seed); the server persists every state
 // transition to an append-only journal, executes jobs on a bounded worker
 // pool, and caches results content-addressed by the ledger config digest —
 // the same invocation never simulates twice.
@@ -508,10 +508,7 @@ func (s *Server) execute(j *Job, spec JobSpec, sampler *live.Sampler) (core.Resu
 		sampler.SetObs(o)
 		return o
 	}
-	cfg, err := spec.runConfig(obs.New(false))
-	if err != nil {
-		return core.Result{}, core.RecoveryStats{}, err
-	}
+	cfg := spec.runConfig(obs.New(false))
 	ckDir := s.jobDir(j.ID)
 	if err := os.MkdirAll(ckDir, 0o755); err != nil {
 		return core.Result{}, core.RecoveryStats{}, err
