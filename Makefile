@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet fmt-check bench bench-e2e smoke analyze-smoke fault-smoke treebuild-smoke kernels-smoke live-smoke ledger-smoke serve-smoke one-slot ci all
+.PHONY: build test race vet cross-build fmt-check bench bench-e2e smoke analyze-smoke fault-smoke treebuild-smoke kernels-smoke live-smoke ledger-smoke serve-smoke one-slot ci all
 
 all: build test vet fmt-check
 
@@ -21,8 +21,15 @@ race:
 one-slot:
 	GOMAXPROCS=1 $(GO) test -count=1 -timeout 300s ./internal/mp ./internal/core ./internal/serve
 
+# Also the asmdecl check of internal/gravity/lanes_amd64.s: frame sizes and
+# argument offsets against the Go declarations.
 vet:
 	$(GO) vet ./...
+
+# The force kernels have assembly bodies on amd64 only; every other
+# platform must still build, on the Go loops (works offline).
+cross-build:
+	GOARCH=arm64 $(GO) build ./... && GOARCH=arm64 $(GO) vet ./internal/gravity
 
 fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
@@ -183,7 +190,7 @@ serve-smoke:
 		|| { echo "serve-smoke: drain exited nonzero"; exit 1; }; \
 	echo "serve-smoke: SIGTERM drained cleanly (exit 0)"
 
-# Full local CI pass: formatting, static checks, tests, race detector, the
-# one-slot pass, and the observability + trace-analysis + fault-injection +
+# Full local CI pass: formatting, static checks, the arm64 cross-build, tests,
+# race detector, the one-slot pass, and the observability + trace-analysis + fault-injection +
 # tree-build + kernels + live-telemetry + run-ledger + job-server smoke runs.
-ci: fmt-check vet test race one-slot smoke analyze-smoke fault-smoke treebuild-smoke kernels-smoke live-smoke ledger-smoke serve-smoke
+ci: fmt-check vet cross-build test race one-slot smoke analyze-smoke fault-smoke treebuild-smoke kernels-smoke live-smoke ledger-smoke serve-smoke

@@ -54,11 +54,11 @@ type kernelsReport struct {
 	// the longest list length (>1 means Karp wins, the paper's claim for
 	// hardware with slow sqrt/divide).
 	KarpSpeedupBody float64 `json:"karp_speedup_body"`
-	// DefaultBitIdentical reports that the blocked float64 kernels
-	// reproduced the seed evaluation (scalar AccelAt cells + unblocked body
-	// loops) bit for bit on randomized lists, for both body-kernel
-	// variants. The run aborts when they do not, so a written record always
-	// says true.
+	// DefaultBitIdentical reports that the float64 kernels this process
+	// dispatches to (gravity.KernelISA) reproduced the seed evaluation
+	// (scalar AccelAt cells + the Go body loops) bit for bit on randomized
+	// lists, for both body-kernel variants. The run aborts when they do
+	// not, so a written record always says true.
 	DefaultBitIdentical bool `json:"default_bit_identical"`
 	// RmsAccErrFloat32 is the RMS relative acceleration error of the
 	// float32 mode against float64 on the sweep's randomized lists; the run
@@ -155,7 +155,7 @@ func kernelsBench() {
 	// reproduce the seed evaluation exactly for both body variants on a
 	// randomized mixed list. This is the contract the golden-digest tests
 	// pin at tree scale, re-checked here at kernel scale on every run.
-	idList := makeKernelList(rng, 48, 1000, 37) // odd sink count exercises the pair tail
+	idList := makeKernelList(rng, 48, 1000, 37) // 9 groups of four sinks + 1: exercises the padded tail
 	for _, karp := range []bool{false, true} {
 		ev := gravity.Evaluator{Eps: eps, UseKarp: karp}
 		idList.zero()
@@ -169,7 +169,7 @@ func kernelsBench() {
 			eps, karp, wax, way, waz, wpp)
 		for j := range wax {
 			if idList.ax[j] != wax[j] || idList.ay[j] != way[j] || idList.az[j] != waz[j] || idList.pp[j] != wpp[j] {
-				fmt.Fprintf(os.Stderr, "kernels: karp=%v sink %d: blocked kernels NOT bit-identical to the seed evaluation\n", karp, j)
+				fmt.Fprintf(os.Stderr, "kernels: karp=%v sink %d: %s kernels NOT bit-identical to the seed evaluation\n", karp, j, gravity.KernelISA())
 				os.Exit(1)
 			}
 		}
@@ -252,6 +252,7 @@ func kernelsBench() {
 		nsOf[fmt.Sprintf("body/libm/float64/%d", longest)],
 		nsOf[fmt.Sprintf("body/karp/float64/%d", longest)])
 
+	fmt.Printf("float64 libm kernels: %s\n", gravity.KernelISA())
 	fmt.Printf("batched kernel sweep, %d sinks per list (min %.0f ms per config)\n", sinks, minDur.Seconds()*1e3)
 	fmt.Printf("%-6s %-8s %-9s %8s %12s %14s\n", "kernel", "variant", "precision", "length", "ns/inter", "inter/s")
 	for _, e := range rep.Entries {

@@ -93,10 +93,10 @@ func (e *Evaluator) evalList32(cells *MultipoleSoA, src *SoA, sx, sy, sz, ax, ay
 }
 
 // EvalListReference is the seed evaluation kept verbatim — scalar
-// Multipole.AccelAt per (cell, sink) plus the unblocked batch body kernel
-// — as the oracle the blocked kernels are pinned bit-identical against.
-// (Under useKarp the body half is the production loop itself: the Karp
-// kernel has no blocked variant.)
+// Multipole.AccelAt per (cell, sink) plus the Go batch body loop — as the
+// oracle both bodies of the production kernels are pinned bit-identical
+// against. (Under useKarp the body half is the production loop itself: the
+// Karp kernel has one body.)
 func EvalListReference(cells *MultipoleSoA, src *SoA, sx, sy, sz []float64, eps float64, useKarp bool, ax, ay, az, pot []float64) {
 	for ci := 0; ci < cells.Len(); ci++ {
 		m := cells.At(ci)
@@ -112,6 +112,6 @@ func EvalListReference(cells *MultipoleSoA, src *SoA, sx, sy, sz []float64, eps 
 	if useKarp {
 		KernelBatchKarp(sx, sy, sz, src, eps2, ax, ay, az, pot)
 	} else {
-		kernelBatchLibmRef(sx, sy, sz, src, eps2, ax, ay, az, pot)
+		kernelBatchLibmGo(sx, sy, sz, src, eps2, ax, ay, az, pot)
 	}
 }

@@ -10,7 +10,7 @@ import (
 
 // benchLengths mirrors the ssbench kernels sweep so the Go benchmarks and
 // the recorded BENCH_treecode.json kernels block measure the same regimes:
-// a short leaf-sized list, an L1-resident list, and a tile-straddling one.
+// a short leaf-sized list, an L1-resident list, and one that spills L1.
 var benchLengths = []int{16, 256, 4096}
 
 // randomCells builds n well-separated multipoles (8-body clusters far from

@@ -126,6 +126,16 @@ func TestProvHostKeyAndStamp(t *testing.T) {
 	if !strings.Contains(p.HostKey(), p.GOOS) {
 		t.Fatalf("HostKey %q missing goos", p.HostKey())
 	}
+	// The kernel ISA is recorded and printed, but an older record without
+	// it must still key to the same host.
+	if p.KernelISA == "" || !strings.Contains(p.String(), "kernels "+p.KernelISA) {
+		t.Fatalf("kernel ISA %q not in %q", p.KernelISA, p.String())
+	}
+	old := p
+	old.KernelISA = ""
+	if !SameHost(old, p) {
+		t.Fatalf("HostKey depends on the kernel ISA: %q vs %q", old.HostKey(), p.HostKey())
+	}
 	reg := obs.NewRegistry()
 	p.Stamp(reg)
 	texts := reg.TextSnapshots()

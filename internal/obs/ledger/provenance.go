@@ -9,6 +9,7 @@ import (
 	"strings"
 	"sync"
 
+	"spacesim/internal/gravity"
 	"spacesim/internal/obs"
 )
 
@@ -26,6 +27,12 @@ type Provenance struct {
 	GOARCH      string `json:"goarch"`
 	NumCPU      int    `json:"num_cpu"`
 	GOMAXPROCS  int    `json:"gomaxprocs"`
+	// KernelISA names the float64 force-kernel bodies the process runs
+	// (gravity.KernelISA: "avx2" or "go"). It decides a 2-4x factor in
+	// every kernel-bound host figure, so it is recorded and printed — but
+	// kept out of HostKey, so series recorded before the field existed
+	// still trend against this host.
+	KernelISA string `json:"kernel_isa,omitempty"`
 	// ConfigDigest is filled when a Provenance block is stamped into an
 	// artifact, tying the artifact back to its ledger key. Empty on the
 	// process-level Prov() value.
@@ -46,6 +53,7 @@ func Prov() Provenance {
 			GOARCH:     runtime.GOARCH,
 			NumCPU:     runtime.NumCPU(),
 			GOMAXPROCS: runtime.GOMAXPROCS(0),
+			KernelISA:  gravity.KernelISA(),
 		}
 		if host, err := os.Hostname(); err == nil {
 			p.Hostname = host
@@ -97,8 +105,13 @@ func (p Provenance) String() string {
 		b.WriteString(" rev ")
 		b.WriteString(rev)
 	}
-	fmt.Fprintf(&b, " on %s (%s, %d cpus, gomaxprocs %d)",
+	fmt.Fprintf(&b, " on %s (%s, %d cpus, gomaxprocs %d",
 		p.Hostname, p.GOOS+"/"+p.GOARCH, p.NumCPU, p.GOMAXPROCS)
+	if p.KernelISA != "" {
+		b.WriteString(", kernels ")
+		b.WriteString(p.KernelISA)
+	}
+	b.WriteString(")")
 	return b.String()
 }
 
