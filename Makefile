@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet cross-build fmt-check bench bench-e2e smoke analyze-smoke fault-smoke treebuild-smoke kernels-smoke live-smoke ledger-smoke serve-smoke one-slot ci all
+.PHONY: build test race vet cross-build fmt-check loc fuzz-smoke bench bench-e2e smoke analyze-smoke fault-smoke treebuild-smoke kernels-smoke live-smoke ledger-smoke serve-smoke one-slot ci all
 
 all: build test vet fmt-check
 
@@ -35,6 +35,17 @@ fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; \
 	fi
+
+# The size figure every PR reports in CHANGES.md: non-test Go lines outside
+# bench/, and the core+htree+gravity subtotal ROADMAP item 3 scores.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' | xargs wc -l | tail -1 | awk '{print $$1, "non-test Go lines outside bench/"}'
+	@find internal/core internal/htree internal/gravity -name '*.go' ! -name '*_test.go' | xargs wc -l | tail -1 | awk '{print $$1, "of them in internal/core + internal/htree + internal/gravity"}'
+
+# Ten seconds of native fuzzing on the run-configuration target (offline;
+# a failing input lands under internal/core/testdata/fuzz/).
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz FuzzRunConfig -fuzztime 10s ./internal/core
 
 # Times the per-body vs bucket-grouped treewalk on a 32k Plummer sphere and
 # writes the comparison to BENCH_treecode.json.
@@ -85,11 +96,10 @@ treebuild-smoke:
 	$(GO) run ./cmd/tracecheck -bench /tmp/spacesim-smoke-treebuild.json
 	$(GO) run ./cmd/ssbench diff /tmp/spacesim-smoke-treebuild.json /tmp/spacesim-smoke-treebuild.json
 
-# Kernel smoke: a quick variant x length x precision sweep of the force
-# kernels (which itself verifies the default float64 path is bit-identical
-# to the scalar reference and that the float32 RMS error stays inside the
-# pinned budget, exiting nonzero on either breach), schema-validation of
-# the v8 bench record, and a self-diff through the bench arm of the gate.
+# Kernel smoke: a quick variant x length sweep of the three force kernels
+# (which itself verifies the default path is bit-identical to the scalar
+# reference, exiting nonzero if not), schema-validation of the v8 bench
+# record, and a self-diff through the bench arm of the gate.
 kernels-smoke:
 	$(GO) run ./cmd/ssbench kernels -quick -o /tmp/spacesim-smoke-kernels.json
 	$(GO) run ./cmd/tracecheck -bench /tmp/spacesim-smoke-kernels.json
@@ -191,6 +201,6 @@ serve-smoke:
 	echo "serve-smoke: SIGTERM drained cleanly (exit 0)"
 
 # Full local CI pass: formatting, static checks, the arm64 cross-build, tests,
-# race detector, the one-slot pass, and the observability + trace-analysis + fault-injection +
-# tree-build + kernels + live-telemetry + run-ledger + job-server smoke runs.
-ci: fmt-check vet cross-build test race one-slot smoke analyze-smoke fault-smoke treebuild-smoke kernels-smoke live-smoke ledger-smoke serve-smoke
+# race detector, the one-slot pass, the observability + trace-analysis + fault-injection +
+# tree-build + kernels + live-telemetry + run-ledger + job-server smoke runs, and the fuzz smoke.
+ci: fmt-check vet cross-build test race one-slot smoke analyze-smoke fault-smoke treebuild-smoke kernels-smoke live-smoke ledger-smoke serve-smoke fuzz-smoke

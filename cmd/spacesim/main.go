@@ -5,8 +5,7 @@
 // Usage:
 //
 //	spacesim [-n 4000] [-procs 16] [-steps 10] [-dt 0.005] [-theta 0.7]
-//	         [-ic plummer|coldsphere] [-karp] [-precision float64|float32]
-//	         [-checkpoint dir]
+//	         [-ic plummer|coldsphere] [-karp] [-checkpoint dir]
 //	         [-faults seed] [-fault-accel 50] [-checkpoint-every 2]
 //	         [-verify-recovery]
 //	         [-trace trace.json] [-metrics metrics.json]
@@ -43,7 +42,6 @@ import (
 
 	"spacesim/internal/core"
 	"spacesim/internal/faults"
-	"spacesim/internal/gravity"
 	"spacesim/internal/machine"
 	"spacesim/internal/netsim"
 	"spacesim/internal/obs"
@@ -62,8 +60,7 @@ func main() {
 		theta   = flag.Float64("theta", 0.7, "multipole acceptance parameter")
 		eps     = flag.Float64("eps", 0.01, "Plummer softening")
 		ic      = flag.String("ic", "plummer", "initial condition: plummer|coldsphere")
-		karp    = flag.Bool("karp", false, "use the Karp reciprocal sqrt kernel (float64 only)")
-		prec    = flag.String("precision", "float64", "force-kernel accumulation precision: float64|float32")
+		karp    = flag.Bool("karp", false, "use the Karp reciprocal sqrt kernel")
 		seed    = flag.Int64("seed", 1, "RNG seed")
 		ckpt    = flag.String("checkpoint", "", "directory for a final striped checkpoint")
 		fSeed   = flag.Int64("faults", 0, "inject a seeded fault schedule (0 = off)")
@@ -82,12 +79,25 @@ func main() {
 		ledgerD = flag.String("ledger", ledger.DefaultDir, "run-ledger directory for the cross-run history (empty disables ledger writes)")
 	)
 	flag.Parse()
-	precision, err := gravity.ParsePrecision(*prec)
-	if err != nil {
-		log.Fatal(err)
+
+	// The run configuration is checked before anything starts: a value no
+	// run can honour is a usage error, not a profile, a listener and a
+	// stack trace.
+	var stopFlag atomic.Bool
+	cfg := core.RunConfig{
+		Cluster: machine.SpaceSimulator(netsim.ProfileLAM), Procs: *procs, Steps: *steps,
+		Opt:           core.Options{Theta: *theta, Eps: *eps, DT: *dt, UseKarp: *karp},
+		GatherBodies:  *ckpt != "" || *fSeed != 0,
+		EngineWorkers: *engineW,
+		Interrupt:     stopFlag.Load,
 	}
-	if *karp && precision == gravity.Float32 {
-		fmt.Fprintln(os.Stderr, "spacesim: -karp needs -precision float64: the float32 mode has no Karp kernel")
+	err := cfg.Validate()
+	var ics []core.Body
+	if err == nil {
+		ics, err = core.MakeICs(*ic, *seed, *n)
+	}
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "spacesim:", err)
 		os.Exit(2)
 	}
 
@@ -115,16 +125,10 @@ func main() {
 		}()
 	}
 
-	ics, err := core.MakeICs(*ic, *seed, *n)
-	if err != nil {
-		log.Fatal(err)
-	}
-
 	// Graceful interrupt: the first SIGINT/SIGTERM raises a flag that rank
 	// 0 polls at step boundaries — the run checkpoints (when enabled),
 	// gathers its partial state, and the process flushes artifacts and
 	// exits nonzero. A second signal force-quits immediately.
-	var stopFlag atomic.Bool
 	sigc := make(chan os.Signal, 2)
 	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
 	go func() {
@@ -177,7 +181,6 @@ func main() {
 		Flags: map[string]string{
 			"theta": fmt.Sprint(*theta), "dt": fmt.Sprint(*dt),
 			"eps": fmt.Sprint(*eps), "karp": fmt.Sprint(*karp),
-			"precision": precision.String(),
 		},
 	}
 	if *fSeed != 0 {
@@ -186,17 +189,8 @@ func main() {
 		lcfg.Flags["checkpoint_every"] = fmt.Sprint(*ckEvery)
 	}
 
-	cl := machine.SpaceSimulator(netsim.ProfileLAM).WithObs(o)
-	cfg := core.RunConfig{
-		Cluster: cl, Procs: *procs, Steps: *steps,
-		Opt: core.Options{
-			Theta: *theta, Eps: *eps, DT: *dt, UseKarp: *karp,
-			Precision: precision,
-		},
-		GatherBodies:  *ckpt != "" || *fSeed != 0,
-		EngineWorkers: *engineW,
-		Interrupt:     stopFlag.Load,
-	}
+	cfg.Cluster.Obs = o
+	cl := cfg.Cluster
 
 	var res core.Result
 	var faultRep *analysis.FaultSummary

@@ -76,11 +76,13 @@ type groupDistributed struct {
 //	    writing invocation (the key into the run ledger). Stamped by
 //	    every writer.
 //	8 — adds the kernel microbenchmark block (`kernels`): the batched-
-//	    kernel sweep over list length of body libm/Karp float64, body
-//	    libm float32 and cell libm float64/float32, the bit-identity
-//	    verdict of the default float64 path against the seed evaluation,
-//	    and the measured float32 error budget. Written by `ssbench
-//	    kernels`, which merges like treebuild does.
+//	    kernel sweep over list length of body libm, body Karp and cell
+//	    libm, and the bit-identity verdict of the default path against
+//	    the seed evaluation. Written by `ssbench kernels`, which merges
+//	    like treebuild does. Until the float32 mode was removed (PR 20)
+//	    the sweep had two float32 rows and the block two more members,
+//	    `rms_acc_err_float32` and `float32_err_budget`; they are no
+//	    longer written and are ignored when read.
 type groupReport struct {
 	SchemaVersion   int                  `json:"schema_version"`
 	N               int                  `json:"n"`

@@ -26,9 +26,12 @@ type kernelEntry struct {
 	// quadrupole multipoles).
 	Kernel string `json:"kernel"`
 	// Variant is "libm" (hardware sqrt + divide) or "karp" (the table-driven
-	// reciprocal sqrt of Table 5; float64 body kernel only).
+	// reciprocal sqrt of Table 5; body kernel only).
 	Variant string `json:"variant"`
-	// Precision is "float64" or "float32" accumulation.
+	// Precision is always "float64", the only arithmetic since PR 20; the
+	// member stays, in the record and in diffKernels' key, so that a v8
+	// record written before then still pairs like for like (its float32
+	// entries find no partner).
 	Precision string `json:"precision"`
 	// Length is the interaction-list length (sources or cells per sink).
 	Length int `json:"length"`
@@ -41,32 +44,26 @@ type kernelEntry struct {
 // kernelsReport is the `kernels` block of BENCH_treecode.json
 // (schema_version 8): the kernel-variant microbenchmark sweep, the
 // libm-vs-Karp comparison the paper's Table 5 motivates applied to this
-// code's batched kernels, the bit-identity verdict of the default float64
-// path against the seed evaluation, and the measured float32 error budget.
+// code's batched kernels, and the bit-identity verdict of the production
+// path against the seed evaluation. (v8 records written before PR 20 also
+// carry rms_acc_err_float32 and float32_err_budget; they are ignored.)
 type kernelsReport struct {
 	Sinks      int   `json:"sinks"`
 	Lengths    []int `json:"lengths"`
 	GOMAXPROCS int   `json:"gomaxprocs"`
 	// Entries is the sweep over list length of the kernels that exist: body
-	// libm/karp float64, body libm float32, cell libm float64/float32.
+	// libm, body karp, cell libm.
 	Entries []kernelEntry `json:"entries"`
-	// KarpSpeedupBody is libm ns / karp ns for the float64 body kernel at
+	// KarpSpeedupBody is libm ns / karp ns for the body kernel at
 	// the longest list length (>1 means Karp wins, the paper's claim for
 	// hardware with slow sqrt/divide).
 	KarpSpeedupBody float64 `json:"karp_speedup_body"`
-	// DefaultBitIdentical reports that the float64 kernels this process
+	// DefaultBitIdentical reports that the kernels this process
 	// dispatches to (gravity.KernelISA) reproduced the seed evaluation
 	// (scalar AccelAt cells + the Go body loops) bit for bit on randomized
 	// lists, for both body-kernel variants. The run aborts when they do
 	// not, so a written record always says true.
 	DefaultBitIdentical bool `json:"default_bit_identical"`
-	// RmsAccErrFloat32 is the RMS relative acceleration error of the
-	// float32 mode against float64 on the sweep's randomized lists; the run
-	// asserts it under Float32ErrBudget.
-	RmsAccErrFloat32 float64 `json:"rms_acc_err_float32"`
-	// Float32ErrBudget is the bound RmsAccErrFloat32 was asserted against
-	// (the grouped-vs-per-body RMS already accepted by the group record).
-	Float32ErrBudget float64 `json:"float32_err_budget"`
 }
 
 // kernelList is one randomized interaction list in every layout the sweep
@@ -137,9 +134,9 @@ func timeKernel(ev *gravity.Evaluator, l *kernelList, minDur time.Duration) floa
 }
 
 // kernelsBench sweeps the batched kernels over list length, verifies the
-// default float64 path bit-identical against the seed evaluation, measures
-// the float32 error budget, and merges the results into the
-// BENCH_treecode.json record (bumping it to schema_version 8).
+// default path bit-identical against the seed evaluation, and merges
+// the results into the BENCH_treecode.json record (bumping it to
+// schema_version 8).
 func kernelsBench() {
 	const eps = 0.01
 	sinks := 64
@@ -151,7 +148,7 @@ func kernelsBench() {
 	}
 	rng := rand.New(rand.NewSource(11))
 
-	// Bit-identity gate first: the default path (float64, libm cells) must
+	// Bit-identity gate first: the default path (libm cells) must
 	// reproduce the seed evaluation exactly for both body variants on a
 	// randomized mixed list. This is the contract the golden-digest tests
 	// pin at tree scale, re-checked here at kernel scale on every run.
@@ -175,54 +172,17 @@ func kernelsBench() {
 		}
 	}
 
-	// Float32 error budget on the same list: RMS relative acceleration
-	// error against the float64 run, asserted under the budget already
-	// accepted for grouped-vs-per-body evaluation in the group record.
-	const f32Budget = 5.04e-3
-	ev64 := gravity.Evaluator{Eps: eps}
-	idList.zero()
-	ev64.EvalList(&idList.cells, &idList.src, idList.sx, idList.sy, idList.sz,
-		idList.ax, idList.ay, idList.az, idList.pp)
-	a64 := append([]float64(nil), idList.ax...)
-	b64 := append([]float64(nil), idList.ay...)
-	c64 := append([]float64(nil), idList.az...)
-	ev32 := gravity.Evaluator{Eps: eps, Prec: gravity.Float32}
-	idList.zero()
-	ev32.EvalList(&idList.cells, &idList.src, idList.sx, idList.sy, idList.sz,
-		idList.ax, idList.ay, idList.az, idList.pp)
-	var num, den float64
-	for j := range a64 {
-		dx := idList.ax[j] - a64[j]
-		dy := idList.ay[j] - b64[j]
-		dz := idList.az[j] - c64[j]
-		num += dx*dx + dy*dy + dz*dz
-		den += a64[j]*a64[j] + b64[j]*b64[j] + c64[j]*c64[j]
-	}
-	rms := math.Sqrt(num / den)
-	if rms > f32Budget {
-		fmt.Fprintf(os.Stderr, "kernels: float32 RMS acceleration error %.3g exceeds budget %.3g\n", rms, f32Budget)
-		os.Exit(1)
-	}
-
 	rep := kernelsReport{
 		Sinks: sinks, Lengths: lengths, GOMAXPROCS: runtime.GOMAXPROCS(0),
 		DefaultBitIdentical: true,
-		RmsAccErrFloat32:    rms,
-		Float32ErrBudget:    f32Budget,
 	}
 	// The sweep proper. Each configuration isolates one kernel: the body
 	// rows run a list with no cells, the cell rows a list with no bodies,
-	// so ns/interaction is that kernel's cost alone (list build and f32
-	// conversion amortize over sinks x length).
-	cfgs := []struct {
-		kernel, variant string
-		prec            gravity.Precision
-	}{
-		{"body", "libm", gravity.Float64},
-		{"body", "libm", gravity.Float32},
-		{"body", "karp", gravity.Float64},
-		{"cell", "libm", gravity.Float64},
-		{"cell", "libm", gravity.Float32},
+	// so ns/interaction is that kernel's cost alone.
+	cfgs := []struct{ kernel, variant string }{
+		{"body", "libm"},
+		{"body", "karp"},
+		{"cell", "libm"},
 	}
 	nsOf := map[string]float64{}
 	for _, L := range lengths {
@@ -234,35 +194,34 @@ func kernelsBench() {
 			if c.kernel == "cell" {
 				l = cell
 			}
-			ev := gravity.Evaluator{Eps: eps, Prec: c.prec, UseKarp: c.variant == "karp"}
+			ev := gravity.Evaluator{Eps: eps, UseKarp: c.variant == "karp"}
 			sec := timeKernel(&ev, l, minDur)
 			inter := float64(sinks) * float64(L)
 			e := kernelEntry{
-				Kernel: c.kernel, Variant: c.variant, Precision: c.prec.String(),
+				Kernel: c.kernel, Variant: c.variant, Precision: "float64",
 				Length: L, Sinks: sinks,
 				NsPerInteraction: sec / inter * 1e9,
 				InterPerSec:      inter / sec,
 			}
 			rep.Entries = append(rep.Entries, e)
-			nsOf[fmt.Sprintf("%s/%s/%s/%d", c.kernel, c.variant, c.prec, L)] = e.NsPerInteraction
+			nsOf[fmt.Sprintf("%s/%s/%d", c.kernel, c.variant, L)] = e.NsPerInteraction
 		}
 	}
 	longest := lengths[len(lengths)-1]
 	rep.KarpSpeedupBody = ratioOf(
-		nsOf[fmt.Sprintf("body/libm/float64/%d", longest)],
-		nsOf[fmt.Sprintf("body/karp/float64/%d", longest)])
+		nsOf[fmt.Sprintf("body/libm/%d", longest)],
+		nsOf[fmt.Sprintf("body/karp/%d", longest)])
 
 	fmt.Printf("float64 libm kernels: %s\n", gravity.KernelISA())
 	fmt.Printf("batched kernel sweep, %d sinks per list (min %.0f ms per config)\n", sinks, minDur.Seconds()*1e3)
-	fmt.Printf("%-6s %-8s %-9s %8s %12s %14s\n", "kernel", "variant", "precision", "length", "ns/inter", "inter/s")
+	fmt.Printf("%-6s %-8s %8s %12s %14s\n", "kernel", "variant", "length", "ns/inter", "inter/s")
 	for _, e := range rep.Entries {
-		fmt.Printf("%-6s %-8s %-9s %8d %12.2f %14.3e\n",
-			e.Kernel, e.Variant, e.Precision, e.Length, e.NsPerInteraction, e.InterPerSec)
+		fmt.Printf("%-6s %-8s %8d %12.2f %14.3e\n",
+			e.Kernel, e.Variant, e.Length, e.NsPerInteraction, e.InterPerSec)
 	}
-	fmt.Printf("karp/libm speedup of the float64 body kernel at length %d: %.2fx\n",
+	fmt.Printf("karp/libm speedup of the body kernel at length %d: %.2fx\n",
 		longest, rep.KarpSpeedupBody)
-	fmt.Printf("default float64 path bit-identical to seed evaluation: true\n")
-	fmt.Printf("float32 RMS acceleration error: %.3g (budget %.3g)\n", rms, f32Budget)
+	fmt.Printf("default path bit-identical to seed evaluation: true\n")
 
 	writeKernels(rep, ledgerConfig("kernels", longest, 0, 0, 0, "", 11))
 }
@@ -305,7 +264,7 @@ func writeKernels(kr kernelsReport, cfg ledger.Config) {
 // diffKernels is the kernels arm of the bench-record diff: it compares the
 // kernel sweeps of two BENCH_treecode.json records and reports false when
 // any matching configuration slowed past frac, or when the new record lost
-// bit-identity or blew the float32 budget.
+// bit-identity.
 func diffKernels(oldRep, newRep groupReport, oldPath string, frac float64) bool {
 	if oldRep.Kernels == nil {
 		fmt.Printf("kernels: baseline %s has no kernels block; nothing to compare\n", oldPath)
@@ -315,11 +274,6 @@ func diffKernels(oldRep, newRep groupReport, oldPath string, frac float64) bool 
 	nk, ok1 := newRep.Kernels, oldRep.Kernels
 	if !nk.DefaultBitIdentical {
 		fmt.Printf("FAIL kernels: new record is not bit-identical on the default path\n")
-		ok = false
-	}
-	if nk.RmsAccErrFloat32 > nk.Float32ErrBudget {
-		fmt.Printf("FAIL kernels: float32 RMS error %.3g exceeds budget %.3g\n",
-			nk.RmsAccErrFloat32, nk.Float32ErrBudget)
 		ok = false
 	}
 	key := func(e kernelEntry) string {

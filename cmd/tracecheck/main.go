@@ -506,11 +506,9 @@ func checkBench(path string) bool {
 			} `json:"entries"`
 		} `json:"treebuild"`
 		Kernels *struct {
-			Sinks               int     `json:"sinks"`
-			Lengths             []int   `json:"lengths"`
-			DefaultBitIdentical bool    `json:"default_bit_identical"`
-			RmsAccErrFloat32    float64 `json:"rms_acc_err_float32"`
-			Float32ErrBudget    float64 `json:"float32_err_budget"`
+			Sinks               int   `json:"sinks"`
+			Lengths             []int `json:"lengths"`
+			DefaultBitIdentical bool  `json:"default_bit_identical"`
 			Entries             []struct {
 				Kernel           string  `json:"kernel"`
 				Variant          string  `json:"variant"`
@@ -592,13 +590,6 @@ func checkBench(path string) bool {
 		if !kr.DefaultBitIdentical {
 			return fail(path, "kernels: default path not bit-identical to the seed evaluation")
 		}
-		if kr.Float32ErrBudget <= 0 {
-			return fail(path, "kernels: float32_err_budget %g, want > 0", kr.Float32ErrBudget)
-		}
-		if kr.RmsAccErrFloat32 <= 0 || kr.RmsAccErrFloat32 > kr.Float32ErrBudget {
-			return fail(path, "kernels: rms_acc_err_float32 %g outside (0, %g]",
-				kr.RmsAccErrFloat32, kr.Float32ErrBudget)
-		}
 		for i, e := range kr.Entries {
 			if e.Kernel != "body" && e.Kernel != "cell" {
 				return fail(path, "kernels entry %d: unknown kernel %q", i, e.Kernel)
@@ -606,6 +597,7 @@ func checkBench(path string) bool {
 			if e.Variant != "libm" && e.Variant != "karp" {
 				return fail(path, "kernels entry %d: unknown variant %q", i, e.Variant)
 			}
+			// "float32": v8 records written before the mode was removed.
 			if e.Precision != "float64" && e.Precision != "float32" {
 				return fail(path, "kernels entry %d: unknown precision %q", i, e.Precision)
 			}
@@ -653,8 +645,7 @@ func checkBench(path string) bool {
 		tbNote = fmt.Sprintf(", treebuild %d entries", len(rep.Treebuild.Entries))
 	}
 	if rep.Kernels != nil {
-		tbNote += fmt.Sprintf(", kernels %d entries (f32 rms %.2g)",
-			len(rep.Kernels.Entries), rep.Kernels.RmsAccErrFloat32)
+		tbNote += fmt.Sprintf(", kernels %d entries", len(rep.Kernels.Entries))
 	}
 	if rep.Live != nil {
 		tbNote += fmt.Sprintf(", live block (%d samples, %d series)", rep.Live.Samples, len(rep.Live.Series))

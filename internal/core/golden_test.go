@@ -8,7 +8,6 @@ import (
 	"runtime"
 	"testing"
 
-	"spacesim/internal/gravity"
 	"spacesim/internal/mp"
 	"spacesim/internal/vec"
 )
@@ -103,34 +102,6 @@ func TestSeedDigestFromSortedLists(t *testing.T) {
 		})
 		if d := digestForces(acc, pot); d != tc.want {
 			t.Errorf("karp=%v: digest of sorted tree-order lists %#x, want seed %#x", tc.karp, d, tc.want)
-		}
-	}
-}
-
-// Float32 mode through the full distributed engine: bounded RMS error
-// against the float64 run, and bit-identical across worker counts.
-func TestDistributedFloat32ErrorBudget(t *testing.T) {
-	ics := PlummerSphere(rand.New(rand.NewSource(7)), 1500, 1.0)
-	acc64, _ := forcesWith(ics, 3, Options{Theta: 0.7, Eps: 0.01, Workers: 1})
-	acc32, _ := forcesWith(ics, 3, Options{Theta: 0.7, Eps: 0.01, Workers: 1, Precision: gravity.Float32})
-	var num, den float64
-	for i := range acc64 {
-		num += acc32[i].Sub(acc64[i]).Norm2()
-		den += acc64[i].Norm2()
-	}
-	rms := math.Sqrt(num / den)
-	const budget = 5.04e-3
-	if rms > budget {
-		t.Fatalf("float32 RMS acceleration error %g exceeds budget %g", rms, budget)
-	}
-	if rms == 0 {
-		t.Fatalf("float32 mode produced bit-identical results; mode plumbing is broken")
-	}
-	t.Logf("float32 RMS acceleration error = %.3g (budget %.3g)", rms, budget)
-	acc32b, _ := forcesWith(ics, 3, Options{Theta: 0.7, Eps: 0.01, Workers: 4, Precision: gravity.Float32})
-	for i := range acc32 {
-		if acc32[i] != acc32b[i] {
-			t.Fatalf("float32 workers=4 differs at body %d", i)
 		}
 	}
 }

@@ -91,6 +91,9 @@ func RunRecovered(cfg RecoveryConfig, ics []Body) (Result, RecoveryStats, error)
 	if cfg.MaxRestarts == 0 {
 		cfg.MaxRestarts = 8
 	}
+	if err := cfg.Validate(); err != nil {
+		return Result{}, RecoveryStats{}, err
+	}
 	if cfg.Injector != nil && cfg.Checkpoint == nil {
 		return Result{}, RecoveryStats{}, errors.New("core: fault injection without a checkpoint config cannot recover")
 	}

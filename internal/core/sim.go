@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"spacesim/internal/htree"
@@ -95,6 +96,32 @@ func (cfg RunConfig) runOptions() mp.RunOptions {
 	return mp.RunOptions{Plan: cfg.Faults, Workers: cfg.EngineWorkers}
 }
 
+// Validate reports the first field of the configuration, taken after option
+// defaults, that no run can honour. Run and RunRecovered return the error
+// before any rank starts; callers that take configurations from outside the
+// program (spacesim, serve.JobSpec) call it for the message.
+func (cfg RunConfig) Validate() error {
+	opt := cfg.Opt.withDefaults()
+	finite := func(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
+	switch {
+	case cfg.Procs < 1 || cfg.Procs > cfg.Cluster.Nodes:
+		return fmt.Errorf("core: procs %d outside [1, %d] (the nodes of %s)", cfg.Procs, cfg.Cluster.Nodes, cfg.Cluster.Name)
+	case cfg.Steps < 0:
+		return fmt.Errorf("core: steps %d is negative", cfg.Steps)
+	case !finite(opt.Theta) || opt.Theta <= 0:
+		return fmt.Errorf("core: theta %g must be finite and positive", opt.Theta)
+	case !finite(opt.Eps) || opt.Eps < 0:
+		return fmt.Errorf("core: eps %g must be finite and non-negative", opt.Eps)
+	case !finite(opt.DT) || opt.DT < 0:
+		return fmt.Errorf("core: dt %g must be finite and non-negative", opt.DT)
+	case !finite(opt.KernelEff) || opt.KernelEff < 0:
+		return fmt.Errorf("core: kernel efficiency %g must be finite and non-negative", opt.KernelEff)
+	case opt.MaxLeaf < 0 || opt.BranchLevel < 0 || opt.Workers < 0:
+		return fmt.Errorf("core: max leaf %d, branch level %d and workers %d must be non-negative", opt.MaxLeaf, opt.BranchLevel, opt.Workers)
+	}
+	return nil
+}
+
 // segment describes where a run (re)starts: from the initial conditions
 // (zero value), or from a restored checkpoint at startStep with each rank's
 // verified stripe payload in restore and the energy history through
@@ -117,8 +144,11 @@ func Run(cfg RunConfig, ics []Body) Result {
 // run is Run with an explicit start segment — the restart driver re-enters
 // here after rolling back to a checkpoint.
 func run(cfg RunConfig, ics []Body, seg segment) Result {
-	opt := cfg.Opt.withDefaults()
 	res := Result{Steps: cfg.Steps}
+	if res.Err = cfg.Validate(); res.Err != nil {
+		return res
+	}
+	opt := cfg.Opt.withDefaults()
 	energyAt := make([]Energies, cfg.Steps+1)
 	copy(energyAt, seg.energies)
 	var totalInts, totalFetches int64

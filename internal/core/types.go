@@ -15,7 +15,6 @@ import (
 	"math"
 	"math/rand"
 
-	"spacesim/internal/gravity"
 	"spacesim/internal/htree"
 	"spacesim/internal/key"
 	"spacesim/internal/vec"
@@ -48,13 +47,8 @@ type Options struct {
 	// MaxLeaf is the tree bucket size (default 8).
 	MaxLeaf int
 	// UseKarp selects the Karp reciprocal sqrt in the body kernel (the
-	// paper's Table 5/6 exhibit). It applies to gravity.Float64 only.
+	// paper's Table 5/6 exhibit).
 	UseKarp bool
-	// Precision selects the kernel accumulation arithmetic. The default,
-	// gravity.Float64, is bit-identical to the seed engine; gravity.Float32
-	// evaluates interaction lists in single precision with an RMS error
-	// budget pinned by tests (see `ssbench kernels`).
-	Precision gravity.Precision
 	// BranchLevel controls how deep the globally replicated top of the
 	// tree reaches (default 3: up to 8^3 = 512 branch cells per rank).
 	BranchLevel int
@@ -153,6 +147,9 @@ func Scenarios() []string { return []string{"plummer", "coldsphere"} }
 // single construction path shared by the CLIs and the job server, so a
 // (scenario, seed, n) triple always produces the same bodies bit for bit.
 func MakeICs(scenario string, seed int64, n int) ([]Body, error) {
+	if n < 0 {
+		return nil, fmt.Errorf("core: n %d is negative", n)
+	}
 	rng := rand.New(rand.NewSource(seed))
 	switch scenario {
 	case "plummer":

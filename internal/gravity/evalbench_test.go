@@ -66,26 +66,21 @@ func BenchmarkCellBatch(b *testing.B) {
 	}
 }
 
-// evalVariants are the Evaluator configurations that have a kernel: the
-// Karp reciprocal sqrt exists in float64 only.
+// evalVariants are the Evaluator's two body kernels.
 var evalVariants = []struct {
-	prec Precision
+	name string
 	karp bool
-}{{Float64, false}, {Float64, true}, {Float32, false}}
+}{{"libm", false}, {"karp", true}}
 
 func BenchmarkEvalList(b *testing.B) {
 	for _, v := range evalVariants {
-		name := "libm"
-		if v.karp {
-			name = "karp"
-		}
 		for _, n := range benchLengths {
-			b.Run(fmt.Sprintf("%s/%s/len%d", v.prec, name, n), func(b *testing.B) {
+			b.Run(fmt.Sprintf("%s/len%d", v.name, n), func(b *testing.B) {
 				// Split the list budget the way real buckets do: a few
 				// accepted cells, the rest direct bodies.
 				nc := n / 8
 				st := newBenchState(rand.New(rand.NewSource(6)), nc, n-nc, benchSinks)
-				ev := Evaluator{Eps: 0.01, UseKarp: v.karp, Prec: v.prec}
+				ev := Evaluator{Eps: 0.01, UseKarp: v.karp}
 				ev.EvalList(st.cells, st.soa, st.sx, st.sy, st.sz, st.ax, st.ay, st.az, st.pp)
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
@@ -98,8 +93,7 @@ func BenchmarkEvalList(b *testing.B) {
 }
 
 // The hot path must stay allocation-free: the batched kernels write into
-// caller accumulators, and the Evaluator's float32 scratch, once grown for
-// a list size, is reused on every later call.
+// caller accumulators and the Evaluator holds no buffers of its own.
 func TestKernelAllocsPinned(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	st := newBenchState(rng, 48, 512, benchSinks)
@@ -119,10 +113,8 @@ func TestKernelAllocsPinned(t *testing.T) {
 		CellBatchLibm(st.cells, st.sx, st.sy, st.sz, 1e-4, st.ax, st.ay, st.az, st.pp)
 	})
 	for _, v := range evalVariants {
-		ev := Evaluator{Eps: 0.01, UseKarp: v.karp, Prec: v.prec}
-		// Warm the float32 scratch: the first call may grow it.
-		ev.EvalList(st.cells, st.soa, st.sx, st.sy, st.sz, st.ax, st.ay, st.az, st.pp)
-		run(fmt.Sprintf("EvalList/%s/karp=%v", v.prec, v.karp), func() {
+		ev := Evaluator{Eps: 0.01, UseKarp: v.karp}
+		run("EvalList/"+v.name, func() {
 			ev.EvalList(st.cells, st.soa, st.sx, st.sy, st.sz, st.ax, st.ay, st.az, st.pp)
 		})
 	}

@@ -1,41 +1,10 @@
 package gravity
 
-import "fmt"
-
-// Precision selects the accumulation arithmetic of the batched kernels.
-// The zero value is full double precision, the engine default; Float32
-// evaluates and accumulates one interaction list in single precision
-// (folding the bucket totals back into the float64 outputs), trading a
-// measured RMS error for cache footprint — the error budget is pinned by
-// the package tests and measured by `ssbench kernels`.
+// Precision is retained for bench/, which builder PRs may not edit and which
+// spells AccelAllGrouped(..., gravity.Float64, ...); no code reads it.
+// Float64 is the only arithmetic the kernels have. Goes with the next
+// [benchmark] PR.
 type Precision uint8
 
-const (
-	// Float64 is the default full-precision mode; results are
-	// bit-identical to the seed engine for any worker count.
-	Float64 Precision = iota
-	// Float32 accumulates interaction lists in single precision.
-	Float32
-)
-
-// String names the mode the way the CLI flag spells it.
-func (p Precision) String() string {
-	switch p {
-	case Float64:
-		return "float64"
-	case Float32:
-		return "float32"
-	}
-	return fmt.Sprintf("Precision(%d)", uint8(p))
-}
-
-// ParsePrecision parses a CLI spelling of a precision mode.
-func ParsePrecision(s string) (Precision, error) {
-	switch s {
-	case "float64", "f64", "double", "":
-		return Float64, nil
-	case "float32", "f32", "single":
-		return Float32, nil
-	}
-	return Float64, fmt.Errorf("gravity: unknown precision %q (want float64 or float32)", s)
-}
+// Float64 is the only Precision value (retained for bench/, see Precision).
+const Float64 Precision = 0

@@ -82,39 +82,3 @@ func TestGroupedGoldenDigest(t *testing.T) {
 		}
 	}
 }
-
-// The Float32 mode's RMS acceleration error against the float64 engine
-// must stay inside the error budget already accepted for grouped-vs-
-// per-body evaluation (5.04e-3 in BENCH_treecode.json), and in practice
-// sits orders of magnitude below it.
-func TestGroupedFloat32ErrorBudget(t *testing.T) {
-	pos, mass := goldenBodies(4096)
-	tr, err := Build(pos, mass, Options{MaxLeaf: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	acc64, _, _ := tr.AccelAllGrouped(0.7, 0.01, false, gravity.Float64, 1)
-	acc32, _, _ := tr.AccelAllGrouped(0.7, 0.01, false, gravity.Float32, 1)
-	var num, den float64
-	for i := range acc64 {
-		num += acc32[i].Sub(acc64[i]).Norm2()
-		den += acc64[i].Norm2()
-	}
-	rms := math.Sqrt(num / den)
-	const budget = 5.04e-3
-	if rms > budget {
-		t.Fatalf("float32 RMS acceleration error %g exceeds budget %g", rms, budget)
-	}
-	if rms == 0 {
-		t.Fatalf("float32 mode produced bit-identical results; mode plumbing is broken")
-	}
-	t.Logf("float32 RMS acceleration error = %.3g (budget %.3g)", rms, budget)
-	// Worker-count invariance must hold in Float32 mode too: lists are
-	// deterministic per bucket, workers only choose who evaluates them.
-	acc32b, _, _ := tr.AccelAllGrouped(0.7, 0.01, false, gravity.Float32, 4)
-	for i := range acc32 {
-		if acc32[i] != acc32b[i] {
-			t.Fatalf("float32 workers=4 differs at body %d", i)
-		}
-	}
-}

@@ -132,8 +132,7 @@ func (m *BucketMAC) Exact(com *vec.V3, bmax float64) bool {
 // traversal and sink-side buffers of its evaluation. It is the one scratch
 // type of the grouped walk: the serial tree keeps one per worker, the
 // parallel engine (package core) one per list being gathered or evaluated.
-// The evaluator rides along so the Float32 mode's conversion scratch is
-// reused across buckets too. The zero value is ready to use.
+// The zero value is ready to use.
 type BucketScratch struct {
 	// Cells and Srcs are the interaction list: accepted cell multipoles and
 	// direct-interaction bodies, appended to by GatherList (and, in the
@@ -150,7 +149,6 @@ type BucketScratch struct {
 	stack          []key.K
 	sx, sy, sz     []float64
 	ax, ay, az, pp []float64
-	ev             gravity.Evaluator
 }
 
 // Reset empties the interaction list, keeping the backing arrays, and
@@ -228,15 +226,15 @@ func (t *Tree) GatherList(root key.K, mac *BucketMAC, sc *BucketScratch) (opened
 // bucket, scattering results by original body ID. It touches only the
 // scratch, the read-only body array and the bucket's disjoint entries of
 // the output arrays, so buckets may be evaluated concurrently.
-func (t *Tree) EvalBucket(bucket *Cell, eps float64, useKarp bool, prec gravity.Precision, sc *BucketScratch, acc []vec.V3, pot []float64) {
+func (t *Tree) EvalBucket(bucket *Cell, eps float64, useKarp bool, sc *BucketScratch, acc []vec.V3, pot []float64) {
 	ns := bucket.Hi - bucket.Lo
 	sc.grow(ns)
 	for j := 0; j < ns; j++ {
 		p := t.Bodies[bucket.Lo+j].Pos
 		sc.sx[j], sc.sy[j], sc.sz[j] = p[0], p[1], p[2]
 	}
-	sc.ev.Eps, sc.ev.UseKarp, sc.ev.Prec = eps, useKarp, prec
-	sc.ev.EvalList(&sc.Cells, &sc.Srcs, sc.sx, sc.sy, sc.sz, sc.ax, sc.ay, sc.az, sc.pp)
+	ev := gravity.Evaluator{Eps: eps, UseKarp: useKarp}
+	ev.EvalList(&sc.Cells, &sc.Srcs, sc.sx, sc.sy, sc.sz, sc.ax, sc.ay, sc.az, sc.pp)
 	for j := 0; j < ns; j++ {
 		id := t.Bodies[bucket.Lo+j].ID
 		acc[id] = vec.V3{sc.ax[j], sc.ay[j], sc.az[j]}
@@ -249,9 +247,9 @@ func (t *Tree) EvalBucket(bucket *Cell, eps float64, useKarp bool, prec gravity.
 // (workers < 1 means runtime.GOMAXPROCS(0)). Each bucket writes a disjoint
 // slice of the output and its stats are merged in bucket order, so the
 // result — including every floating-point bit — is identical for any
-// worker count. prec selects the kernel arithmetic; gravity.Float64 is the
-// seed-bit-identical default.
-func (t *Tree) AccelAllGrouped(theta, eps float64, useKarp bool, prec gravity.Precision, workers int) ([]vec.V3, []float64, WalkStats) {
+// worker count. The gravity.Precision argument is read by nothing; it is
+// retained for bench/ (see gravity.Precision).
+func (t *Tree) AccelAllGrouped(theta, eps float64, useKarp bool, _ gravity.Precision, workers int) ([]vec.V3, []float64, WalkStats) {
 	var h0 float64
 	if t.tr != nil {
 		h0 = t.o.Tracer.HostNow()
@@ -290,7 +288,7 @@ func (t *Tree) AccelAllGrouped(theta, eps float64, useKarp bool, prec gravity.Pr
 					CellInteractions: ns * sc.Cells.Len(),
 					BodyInteractions: ns*sc.Srcs.Len() - ns,
 				}
-				t.EvalBucket(b, eps, useKarp, prec, &sc, acc, pot)
+				t.EvalBucket(b, eps, useKarp, &sc, acc, pot)
 			}
 		}()
 	}

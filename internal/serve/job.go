@@ -84,8 +84,9 @@ func (sp JobSpec) withDefaults() JobSpec {
 	return sp
 }
 
-// Validate bounds a (defaulted) spec to what the modeled cluster and a
-// multi-tenant daemon can sensibly run.
+// Validate bounds a (defaulted) spec to what a multi-tenant daemon can
+// sensibly run; what the engine itself cannot run (a NaN theta, a negative
+// eps) is core.RunConfig.Validate's to say.
 func (sp JobSpec) Validate() error {
 	if _, err := core.MakeICs(sp.Scenario, sp.Seed, 1); err != nil {
 		return err
@@ -102,10 +103,7 @@ func (sp JobSpec) Validate() error {
 	if sp.CheckpointEvery < 1 {
 		return fmt.Errorf("serve: checkpoint_every %d must be >= 1", sp.CheckpointEvery)
 	}
-	if sp.DT <= 0 || sp.Theta <= 0 || sp.Eps <= 0 {
-		return fmt.Errorf("serve: dt, theta and eps must be positive")
-	}
-	return nil
+	return sp.runConfig(nil).Validate()
 }
 
 // LedgerConfig is the canonical configuration of the job — the digest key

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -424,6 +425,11 @@ func TestSpecValidation(t *testing.T) {
 		{N: 4},
 		{Steps: -1},
 		{DT: -0.1},
+		{Theta: math.NaN()},
+		{Eps: math.NaN()},
+		{DT: math.NaN()},
+		{Theta: math.Inf(1)},
+		{Eps: -1},
 	}
 	for _, spec := range bad {
 		if _, err := s.Submit(spec); err == nil {

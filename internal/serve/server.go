@@ -473,6 +473,9 @@ func (s *Server) runJob(id string) {
 		return
 	}
 	s.appendLedger(art)
+	// The artifact is durable, so the checkpoints are spent. They go before
+	// the job reads as done: a client that sees "done" sees no job directory.
+	os.RemoveAll(s.jobDir(id))
 	now := time.Now().UnixNano()
 	s.mu.Lock()
 	j.State = StateDone
@@ -488,7 +491,6 @@ func (s *Server) runJob(id string) {
 	s.mu.Unlock()
 	s.m.completed.Inc()
 	s.journal.append(event{Ev: evDone, ID: id, ResultDigest: art.ResultDigest, ResumedStep: resumed})
-	os.RemoveAll(s.jobDir(id)) // the job is done; its checkpoints are spent
 }
 
 // jobDir is the per-job checkpoint directory.
