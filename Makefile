@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet cross-build fmt-check loc fuzz-smoke bench bench-e2e smoke analyze-smoke fault-smoke treebuild-smoke kernels-smoke live-smoke ledger-smoke serve-smoke one-slot ci all
+.PHONY: build test race vet cross-build fmt-check loc fuzz-smoke bench bench-e2e profile-serial smoke analyze-smoke fault-smoke treebuild-smoke kernels-smoke live-smoke ledger-smoke serve-smoke one-slot ci all
 
 all: build test vet fmt-check
 
@@ -22,12 +22,14 @@ one-slot:
 	GOMAXPROCS=1 $(GO) test -count=1 -timeout 300s ./internal/mp ./internal/core ./internal/serve
 
 # Also the asmdecl check of internal/gravity/lanes_amd64.s: frame sizes and
-# argument offsets against the Go declarations.
+# argument offsets against the Go declarations (the kernels take a pointer
+# to a list of references and a count).
 vet:
 	$(GO) vet ./...
 
 # The force kernels have assembly bodies on amd64 only; every other
-# platform must still build, on the Go loops (works offline).
+# platform must still build, on the Go loops and the stubs of
+# lanes_other.go (works offline).
 cross-build:
 	GOARCH=arm64 $(GO) build ./... && GOARCH=arm64 $(GO) vet ./internal/gravity
 
@@ -58,6 +60,14 @@ bench:
 # which goes first, then `go run ./bench -compare A/record.json B/record.json`.
 bench-e2e:
 	$(GO) run ./bench -seed 2 -runs 5
+
+# The one-rank budget in one command: BenchmarkComputeForcesSerial is bench/'s
+# plummer-serial configuration (spacesim cannot be given MaxLeaf or Workers,
+# and its default profile differs), run under the CPU profiler and listed.
+profile-serial:
+	$(GO) test -run '^$$' -bench ComputeForcesSerial -benchtime 15x \
+		-cpuprofile /tmp/spacesim-serial.pprof -o /tmp/spacesim-core.test ./internal/core
+	$(GO) tool pprof -top -nodecount 25 /tmp/spacesim-core.test /tmp/spacesim-serial.pprof
 
 # Generates a small trace + metrics pair from a short distributed run and
 # schema-validates both files with the tracecheck tool.

@@ -395,7 +395,7 @@ func BenchmarkTreewalkPerBody32k(b *testing.B) {
 	b.ReportMetric(float64(b.N*inter)/b.Elapsed().Seconds()/1e6, "Minter/s")
 }
 
-// BenchmarkTreewalkGrouped32k is the bucket-grouped engine with batched SoA
+// BenchmarkTreewalkGrouped32k is the bucket-grouped engine with batched
 // kernels (single worker, so the speedup over the per-body benchmark is
 // algorithmic, not parallelism).
 func BenchmarkTreewalkGrouped32k(b *testing.B) {

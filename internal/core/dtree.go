@@ -101,6 +101,7 @@ type DTree struct {
 	gListCellsMax, gListBodiesMax         *obs.Gauge
 	hListCells, hListBodies               *obs.Histogram
 	cPoolBusyNS, cPoolWallNS, cPoolJobs   *obs.Counter
+	cPoolInline                           *obs.Counter
 }
 
 // resetCaches drops the transient per-evaluation state: every cell a fetch
@@ -190,6 +191,7 @@ func BuildDistributed(r *mp.Rank, bodies []Body, splitters []key.K, boxLo vec.V3
 	dt.cPoolBusyNS = reg.Counter("core.pool.busy_ns")
 	dt.cPoolWallNS = reg.Counter("core.pool.wall_ns")
 	dt.cPoolJobs = reg.Counter("core.pool.jobs")
+	dt.cPoolInline = reg.Counter("core.pool.inline_jobs")
 
 	defer r.Span("phase", "tree-build")()
 

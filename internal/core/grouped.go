@@ -6,9 +6,11 @@ package core
 // leaf center of mass, opening radius widened by the leaf Bmax — so every
 // accepted cell satisfies the per-body criterion for all sinks in the
 // bucket and the per-body error bound is preserved. The walk accumulates an
-// interaction list (accepted cell multipoles + direct-interaction bodies in
-// SoA layout); completed lists are evaluated for the whole bucket by the
-// batched kernels on a pool of host workers.
+// interaction list by reference (gravity.List: pointers to the multipoles
+// of accepted cells, segments of direct-interaction bodies, all of it
+// payload that is resident and unchanging for the evaluation); completed
+// lists are evaluated for the whole bucket by the batched kernels on a pool
+// of host workers — or, when the pool's queue is full, by the rank itself.
 //
 // The bucket walk itself is htree's: a locally owned subtree is gathered by
 // htree.Tree.GatherList and a finished list applied by Tree.EvalBucket, the
@@ -32,14 +34,15 @@ package core
 //
 // Determinism rule: the pass-1 traversal, interaction counting and
 // virtual-time charging all run on the rank's own goroutine in bucket order;
-// workers only build and evaluate lists into disjoint output ranges, and
-// either pass yields the list in tree order — a function of the tree and the
-// bucket, not of when fetch replies arrived. The result is therefore
-// bit-identical for any Workers count. What the pool reads while the rank is
-// in Quiesce cannot change under it: the slab is written only by fetch
-// replies, and a rank whose walkers have all finished has none outstanding
-// (ComputeForces panics otherwise); serving other ranks' fetches reads the
-// local tree, which is immutable once built.
+// evaluation — on a worker or on the rank — only writes a bucket's disjoint
+// output range from its list, and either pass yields the list in tree order
+// — a function of the tree and the bucket, not of when fetch replies
+// arrived. The result is therefore bit-identical for any Workers count, and
+// virtual time cannot tell who evaluated what. What the pool reads while the
+// rank is in Quiesce cannot change under it: the slab is written only by
+// fetch replies, and a rank whose walkers have all finished has none
+// outstanding (ComputeForces panics otherwise); serving other ranks' fetches
+// reads the local tree, which is immutable once built.
 
 import (
 	"context"
@@ -47,6 +50,7 @@ import (
 	"math/bits"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -78,32 +82,42 @@ type bucketWalker struct {
 	sc *bucketScratch
 	// stack holds the slab indices still to visit. It borrows sc's array
 	// while there is one; a suspended walker owns a copy.
-	stack     []int32
-	nc, nb    int
-	blocked   int
-	queued    bool
-	suspended bool
+	stack []int32
+	// nc cells and nb bodies in nseg segments: the list's lengths.
+	nc, nb, nseg int
+	blocked      int
+	queued       bool
+	suspended    bool
 }
 
-// begin starts a walk at the root with an empty list on a pooled scratch.
+// begin starts a walk at the root with an empty list on a pooled scratch,
+// with room for the lengths the walker knows (pass 2 knows them all).
 func (w *bucketWalker) begin() {
 	w.sc = scratchPool.Get().(*bucketScratch)
 	w.sc.Reset()
+	l := &w.sc.List
+	l.Cells, l.Segs = slices.Grow(l.Cells, w.nc), slices.Grow(l.Segs, w.nseg)
 	w.stack = append(w.sc.stack[:0], 0)
+}
+
+// lengths takes the walker's counts from its list.
+func (w *bucketWalker) lengths() {
+	l := &w.sc.List
+	w.nc, w.nb, w.nseg = len(l.Cells), l.Bodies(), len(l.Segs)
 }
 
 // suspend gives up the list at the walk's first miss, keeping its lengths.
 func (w *bucketWalker) suspend() {
 	sc := w.sc
-	w.nc, w.nb = sc.Cells.Len(), sc.Srcs.Len()
+	w.lengths()
 	sc.stack, w.stack = w.stack[:0], append([]int32(nil), w.stack...)
 	w.sc, w.suspended = nil, true
 	scratchPool.Put(sc)
 }
 
 // evalPool runs bucket evaluations on a fixed set of host goroutines. The
-// job channel is bounded, so a traversal that outruns the workers blocks on
-// submit instead of queueing unbounded interaction lists.
+// job channel is bounded, so a traversal that outruns the workers does not
+// queue unbounded interaction lists: it evaluates the bucket itself (run).
 type evalPool struct {
 	workers int
 	jobs    chan poolJob
@@ -155,9 +169,25 @@ func (dt *DTree) newEvalPool(workers int) *evalPool {
 	return p
 }
 
+// submit queues f, waiting for room.
 func (p *evalPool) submit(name string, f func()) {
 	p.wg.Add(1)
 	p.jobs <- poolJob{name, f}
+}
+
+// run queues f if there is room and otherwise calls it here, reporting
+// which: the caller was going to wait for a worker anyway, and what a
+// bucket evaluation writes does not depend on who runs it.
+func (p *evalPool) run(name string, f func()) (queued bool) {
+	p.wg.Add(1)
+	select {
+	case p.jobs <- poolJob{name, f}:
+		return true
+	default:
+		f()
+		p.wg.Done()
+		return false
+	}
 }
 
 // wait blocks until every submitted job has finished.
@@ -209,6 +239,7 @@ func (dt *DTree) ComputeForces(bodies []Body) ([]vec.V3, []float64, TraversalSta
 		w.blocked--
 		if c := &dt.cells[i]; c.Leaf {
 			w.nb += len(c.bodies)
+			w.nseg++
 		} else {
 			w.pushChildren(c)
 		}
@@ -245,8 +276,8 @@ func (dt *DTree) ComputeForces(bodies []Body) ([]vec.V3, []float64, TraversalSta
 		if len(w.stack) == 0 && w.blocked == 0 {
 			remaining--
 			dt.finishBucket(w, &st, charge)
-			if !w.suspended {
-				pool.submit("bucket", func() { dt.evalBucket(w, acc, pot) })
+			if !w.suspended && !pool.run("bucket", func() { dt.evalBucket(w, acc, pot) }) {
+				dt.cPoolInline.Inc()
 			}
 		}
 		dt.abm.Poll()
@@ -264,9 +295,11 @@ func (dt *DTree) ComputeForces(bodies []Body) ([]vec.V3, []float64, TraversalSta
 	second := func() {
 		for i := next.Add(1) - 1; i < int64(len(walkers)); i = next.Add(1) - 1 {
 			if w := &walkers[i]; w.suspended {
+				nc, nb, nseg := w.nc, w.nb, w.nseg
 				dt.regather(w)
-				if nc, nb := w.sc.Cells.Len(), w.sc.Srcs.Len(); nc != w.nc || nb != w.nb {
-					panic(fmt.Sprintf("core: bucket %v: pass 2 gathered %d+%d, pass 1 counted %d+%d", w.cell.Key, nc, nb, w.nc, w.nb))
+				if w.lengths(); nc != w.nc || nb != w.nb || nseg != w.nseg {
+					panic(fmt.Sprintf("core: bucket %v: pass 2 gathered %d+%d/%d, pass 1 counted %d+%d/%d",
+						w.cell.Key, w.nc, w.nb, w.nseg, nc, nb, nseg))
 				}
 				dt.evalBucket(w, acc, pot)
 			}
@@ -307,6 +340,7 @@ func (dt *DTree) walk(w *bucketWalker, miss func(*bucketWalker, int32)) {
 				dt.local.GatherList(c.Key, mac, &dt.counting)
 				w.nc += dt.counting.NCells
 				w.nb += dt.counting.NSrcs
+				w.nseg += dt.counting.NSegs
 			}
 			continue
 		}
@@ -317,7 +351,8 @@ func (dt *DTree) walk(w *bucketWalker, miss func(*bucketWalker, int32)) {
 		switch {
 		case accept:
 			if w.sc != nil {
-				w.sc.Cells.Push(&c.Mp)
+				// Good through a move of the slab (see DTree.cells).
+				w.sc.List.Cells = append(w.sc.List.Cells, &c.Mp)
 			} else {
 				w.nc++
 			}
@@ -326,9 +361,10 @@ func (dt *DTree) walk(w *bucketWalker, miss func(*bucketWalker, int32)) {
 		case c.bodies != nil:
 			dt.cCacheHit.Inc()
 			if w.sc != nil {
-				w.sc.Srcs.PushSources(c.bodies)
+				w.sc.List.Segs = append(w.sc.List.Segs, c.bodies)
 			} else {
 				w.nb += len(c.bodies)
+				w.nseg++
 			}
 		default:
 			if c.Leaf {
@@ -355,7 +391,7 @@ func (dt *DTree) finishBucket(w *bucketWalker, st *TraversalStats, charge func()
 		dt.cWalkSecond.Inc()
 	} else {
 		dt.cWalkDirect.Inc()
-		w.nc, w.nb = w.sc.Cells.Len(), w.sc.Srcs.Len()
+		w.lengths()
 	}
 	ns := w.cell.Hi - w.cell.Lo
 	nc, nb := w.nc, w.nb
@@ -379,8 +415,8 @@ func (dt *DTree) finishBucket(w *bucketWalker, st *TraversalStats, charge func()
 }
 
 // evalBucket applies the walker's list and recycles the scratch. On a pool
-// worker: touches only the walker, its scratch, the read-only body array and
-// the bucket's entries of acc and pot.
+// worker or the rank: touches only the walker, its scratch, what the list
+// refers to — read-only — and the bucket's entries of acc and pot.
 func (dt *DTree) evalBucket(w *bucketWalker, acc []vec.V3, pot []float64) {
 	sc := w.sc
 	dt.local.EvalBucket(w.cell, dt.opt.Eps, dt.opt.UseKarp, &sc.BucketScratch, acc, pot)

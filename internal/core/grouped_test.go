@@ -9,6 +9,7 @@ import (
 	"runtime/debug"
 	"sort"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"spacesim/internal/gravity"
@@ -138,6 +139,37 @@ func TestGroupedWorkersBitIdentical(t *testing.T) {
 						p, workers, i, acc[i], pot[i], acc1[i], pot1[i])
 				}
 			}
+		}
+	}
+
+	// One worker and hundreds of buckets: the rank gathers lists several times
+	// faster than the worker evaluates them, the queue of four fills, and from
+	// then on the rank evaluates what does not fit itself. Who evaluated a
+	// bucket shows in a counter and nowhere in the forces.
+	many := PlummerSphere(rand.New(rand.NewSource(45)), 3000, 1.0)
+	var accW [2][]vec.V3
+	var potW [2][]float64
+	for i, workers := range []int{1, 8} {
+		accW[i], potW[i] = make([]vec.V3, len(many)), make([]float64, len(many))
+		st := mp.Run(testCluster(), 1, func(r *mp.Rank) {
+			bodies, splitters, boxLo, boxSize := Decompose(r, append([]Body(nil), many...))
+			dt := BuildDistributed(r, bodies, splitters, boxLo, boxSize, Options{Theta: 0.6, Eps: 0.02, Workers: workers})
+			a, ph, _ := dt.ComputeForces(bodies)
+			for j := range bodies {
+				accW[i][bodies[j].ID], potW[i][bodies[j].ID] = a[j], ph[j]
+			}
+		})
+		reg := st.Obs.Reg
+		inline, jobs, buckets := reg.Counter("core.pool.inline_jobs").Value(), reg.Counter("core.pool.jobs").Value(), reg.Counter("core.buckets").Value()
+		if jobs != buckets || inline > jobs || (workers == 1 && inline == 0) {
+			t.Errorf("workers=%d: %d of %d buckets evaluated, %d of them by the rank; want all, and some by the rank on one worker",
+				workers, jobs, buckets, inline)
+		}
+	}
+	for i := range accW[0] {
+		if accW[0][i] != accW[1][i] || potW[0][i] != potW[1][i] {
+			t.Fatalf("saturated queue: body %d differs: (%v, %v) on one worker, (%v, %v) on eight",
+				i, accW[0][i], potW[0][i], accW[1][i], potW[1][i])
 		}
 	}
 
@@ -361,7 +393,9 @@ func TestFetchDedup(t *testing.T) {
 
 // regatherForces re-walks every bucket of a finished evaluation with the
 // engine's own resident walk (pass 2's) and evaluates the lists, optionally
-// sorting each by value first, the way the seed canonicalised them.
+// sorting each by value first, the way the seed canonicalised them: what the
+// list refers to is copied out row by row, sorted, and the list pointed at
+// the copies — cells in sorted order, bodies as one sorted segment.
 func regatherForces(dt *DTree, bodies []Body, sorted bool) ([]vec.V3, []float64) {
 	acc := make([]vec.V3, len(bodies))
 	pot := make([]float64, len(bodies))
@@ -370,8 +404,21 @@ func regatherForces(dt *DTree, bodies []Body, sorted bool) ([]vec.V3, []float64)
 		w := &bucketWalker{cell: c, mac: htree.NewBucketMAC(center, radius, dt.opt.Theta)}
 		dt.regather(w)
 		if sorted {
-			w.sc.Cells.Sort()
-			w.sc.Srcs.Sort()
+			var cells gravity.MultipoleSoA
+			var srcs gravity.SoA
+			l := &w.sc.List
+			for _, m := range l.Cells {
+				cells.Push(m)
+			}
+			for _, seg := range l.Segs {
+				for _, b := range seg {
+					srcs.Push(b.Pos, b.Mass)
+				}
+			}
+			cells.Sort()
+			srcs.Sort()
+			l.Cells = append(l.Cells[:0], cells.Refs()...)
+			l.Segs = append(l.Segs[:0], srcs.Rows())
 		}
 		dt.evalBucket(w, acc, pot)
 	}
@@ -446,6 +493,39 @@ func TestSchedulePinnedAcrossTwoPassRewrite(t *testing.T) {
 	if runtime.GOARCH == "amd64" && res.ElapsedVirtual != 0.2657051716832888 {
 		t.Errorf("virtual makespan %v, parent had 0.2657051716832888", res.ElapsedVirtual)
 	}
+}
+
+// run hands a job to the pool while the queue has room and calls it on the
+// spot when it has not: with the one worker held inside a job, four more fit
+// the queue and the fifth runs before run returns.
+func TestEvalPoolRunsInlineWhenFull(t *testing.T) {
+	ics := PlummerSphere(rand.New(rand.NewSource(39)), 50, 1.0)
+	mp.Run(testCluster(), 1, func(r *mp.Rank) {
+		bodies, splitters, boxLo, boxSize := Decompose(r, ics)
+		dt := BuildDistributed(r, bodies, splitters, boxLo, boxSize, Options{Theta: 0.6, Eps: 0.02})
+		pool := dt.newEvalPool(1)
+		defer pool.close()
+		started, release := make(chan struct{}), make(chan struct{})
+		pool.submit("hold", func() { close(started); <-release })
+		<-started
+		var ran atomic.Int32
+		for i := 0; i < cap(pool.jobs); i++ {
+			if !pool.run("queued", func() { ran.Add(1) }) {
+				t.Errorf("job %d ran on the caller with room in the queue", i)
+			}
+		}
+		if n := ran.Load(); n != 0 {
+			t.Errorf("%d queued jobs ran while the worker was held", n)
+		}
+		if pool.run("inline", func() { ran.Add(100) }) || ran.Load() != 100 {
+			t.Errorf("job offered to a full queue: ran counter %d, want it run on the caller before run returned", ran.Load())
+		}
+		close(release)
+		pool.wait()
+		if n := ran.Load(); n != 100+int32(cap(pool.jobs)) {
+			t.Errorf("ran counter %d after wait, want %d", n, 100+cap(pool.jobs))
+		}
+	})
 }
 
 // Exercises the grouped engine's worker pool across multiple steps and

@@ -20,6 +20,9 @@ func randomSoA(rng *rand.Rand, n int) (*SoA, []Source) {
 	return s, src
 }
 
+// oneSeg is the list as the body kernels take it, uncut.
+func oneSeg(s *SoA) [][]Source { return [][]Source{s.rows} }
+
 // The batched kernels must agree with the scalar kernels sink by sink
 // (identical summation order, so equality is exact).
 func TestKernelBatchMatchesScalar(t *testing.T) {
@@ -41,9 +44,9 @@ func TestKernelBatchMatchesScalar(t *testing.T) {
 		az := make([]float64, ns)
 		pp := make([]float64, ns)
 		if karp {
-			KernelBatchKarp(sx, sy, sz, soa, eps2, ax, ay, az, pp)
+			bodyKernelKarp(oneSeg(soa), sx, sy, sz, eps2, ax, ay, az, pp)
 		} else {
-			KernelBatchLibm(sx, sy, sz, soa, eps2, ax, ay, az, pp)
+			bodyKernelLibm(oneSeg(soa), sx, sy, sz, eps2, ax, ay, az, pp)
 		}
 		for j := 0; j < ns; j++ {
 			var want vec.V3
@@ -75,7 +78,7 @@ func TestKernelBatchSkipsSelf(t *testing.T) {
 	ay := []float64{0}
 	az := []float64{0}
 	pp := []float64{0}
-	KernelBatchLibm(sx, sy, sz, soa, 0.01, ax, ay, az, pp)
+	bodyKernelLibm(oneSeg(soa), sx, sy, sz, 0.01, ax, ay, az, pp)
 	other := []Source{{Pos: vec.V3{2, 0, 0}, Mass: 1.0}}
 	want, wantP := KernelLibm(self, other, 0.01)
 	if (vec.V3{ax[0], ay[0], az[0]}) != want || pp[0] != wantP {
@@ -97,11 +100,11 @@ func TestSoASort(t *testing.T) {
 	}
 	var mass float64
 	for i := 0; i < n; i++ {
-		mass += soa.M[i]
+		mass += soa.rows[i].Mass
 		if i == 0 {
 			continue
 		}
-		if soaLess(soa, i, i-1) {
+		if lessSources(&soa.rows[i], &soa.rows[i-1]) {
 			t.Fatalf("not sorted at %d", i)
 		}
 	}
@@ -117,11 +120,11 @@ func TestSoASort(t *testing.T) {
 	perm := &SoA{}
 	order := rng.Perm(n)
 	for _, i := range order {
-		perm.Push(vec.V3{soa.X[i], soa.Y[i], soa.Z[i]}, soa.M[i])
+		perm.Push(soa.rows[i].Pos, soa.rows[i].Mass)
 	}
 	perm.Sort()
 	for i := 0; i < n; i++ {
-		if perm.X[i] != soa.X[i] || perm.Y[i] != soa.Y[i] || perm.Z[i] != soa.Z[i] || perm.M[i] != soa.M[i] {
+		if perm.rows[i] != soa.rows[i] {
 			t.Fatalf("canonical order differs at %d", i)
 		}
 	}
@@ -219,9 +222,9 @@ func benchBatch(b *testing.B, karp bool) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if karp {
-			KernelBatchKarp(sx, sy, sz, soa, 1e-4, ax, ay, az, pp)
+			bodyKernelKarp(oneSeg(soa), sx, sy, sz, 1e-4, ax, ay, az, pp)
 		} else {
-			KernelBatchLibm(sx, sy, sz, soa, 1e-4, ax, ay, az, pp)
+			bodyKernelLibm(oneSeg(soa), sx, sy, sz, 1e-4, ax, ay, az, pp)
 		}
 	}
 	b.ReportMetric(float64(b.N*benchSrc*benchSinks)/b.Elapsed().Seconds()/1e6, "Minter/s")

@@ -2,13 +2,39 @@ package gravity
 
 import "spacesim/internal/vec"
 
-// Evaluator applies one bucket's interaction list — accepted cell
-// multipoles in SoA plus a SoA of direct-interaction bodies — to every
-// sink in the bucket, accumulating into (ax, ay, az, pot). This is the
-// evaluation half of the grouped traversal, shared by the serial tree, the
-// parallel engine and the out-of-core path. It holds no state beyond its
-// two settings; the zero value is ready to use and evaluates the seed
-// semantics (libm cells + libm bodies) bit-identically.
+// List is one bucket's interaction list, by reference: accepted cells as
+// pointers to their multipoles, direct bodies as segments of []Source. The
+// payload stays where it is — in the tree, in the replicated slab, in a
+// fetch reply — and must not change while a list that names it is in use;
+// gathering a list copies no multipole and no body.
+type List struct {
+	Cells []*Multipole
+	Segs  [][]Source
+}
+
+// Reset empties the list, keeping the backing arrays (and dropping what
+// they pointed at).
+func (l *List) Reset() {
+	clear(l.Cells)
+	clear(l.Segs)
+	l.Cells, l.Segs = l.Cells[:0], l.Segs[:0]
+}
+
+// Bodies returns the number of direct bodies on the list.
+func (l *List) Bodies() int {
+	n := 0
+	for _, seg := range l.Segs {
+		n += len(seg)
+	}
+	return n
+}
+
+// Evaluator applies one bucket's interaction list to every sink in the
+// bucket, accumulating into (ax, ay, az, pot). This is the evaluation half
+// of the grouped traversal, shared by the serial tree, the parallel engine
+// and the out-of-core path. It holds no state beyond its two settings; the
+// zero value is ready to use and evaluates the seed semantics (libm cells +
+// libm bodies) bit-identically.
 type Evaluator struct {
 	// Eps is the Plummer softening length.
 	Eps float64
@@ -17,23 +43,30 @@ type Evaluator struct {
 	UseKarp bool
 }
 
-// EvalList evaluates the list. The sink arrays and the four accumulator
-// arrays must share one length.
-func (e *Evaluator) EvalList(cells *MultipoleSoA, src *SoA, sx, sy, sz, ax, ay, az, pot []float64) {
+// Eval evaluates the list: cells first, then bodies, each in list order.
+// The sink arrays and the four accumulator arrays must share one length.
+func (e *Evaluator) Eval(l *List, sx, sy, sz, ax, ay, az, pot []float64) {
 	eps2 := e.Eps * e.Eps
-	CellBatchLibm(cells, sx, sy, sz, eps2, ax, ay, az, pot)
+	cellKernelLibm(l.Cells, sx, sy, sz, eps2, ax, ay, az, pot)
 	if e.UseKarp {
-		KernelBatchKarp(sx, sy, sz, src, eps2, ax, ay, az, pot)
+		bodyKernelKarp(l.Segs, sx, sy, sz, eps2, ax, ay, az, pot)
 	} else {
-		KernelBatchLibm(sx, sy, sz, src, eps2, ax, ay, az, pot)
+		bodyKernelLibm(l.Segs, sx, sy, sz, eps2, ax, ay, az, pot)
 	}
 }
 
+// EvalList is Eval for a list the caller owns row by row: the cells'
+// rows referenced in order, the bodies' as one segment.
+func (e *Evaluator) EvalList(cells *MultipoleSoA, src *SoA, sx, sy, sz, ax, ay, az, pot []float64) {
+	segs := [1][]Source{src.rows}
+	e.Eval(&List{Cells: cells.Refs(), Segs: segs[:]}, sx, sy, sz, ax, ay, az, pot)
+}
+
 // EvalListReference is the seed evaluation kept verbatim — scalar
-// Multipole.AccelAt per (cell, sink) plus the Go batch body loop — as the
-// oracle both bodies of the production kernels are pinned bit-identical
-// against. (Under useKarp the body half is the production loop itself: the
-// Karp kernel has one body.)
+// Multipole.AccelAt per (cell, sink) plus the Go body loop over the bodies
+// as one segment — as the oracle both bodies of the production kernels are
+// pinned bit-identical against. (Under useKarp the body half is the
+// production loop itself: the Karp kernel has one body.)
 func EvalListReference(cells *MultipoleSoA, src *SoA, sx, sy, sz []float64, eps float64, useKarp bool, ax, ay, az, pot []float64) {
 	for ci := 0; ci < cells.Len(); ci++ {
 		m := cells.At(ci)
@@ -46,9 +79,10 @@ func EvalListReference(cells *MultipoleSoA, src *SoA, sx, sy, sz []float64, eps 
 		}
 	}
 	eps2 := eps * eps
+	segs := [][]Source{src.rows}
 	if useKarp {
-		KernelBatchKarp(sx, sy, sz, src, eps2, ax, ay, az, pot)
+		bodyKernelKarp(segs, sx, sy, sz, eps2, ax, ay, az, pot)
 	} else {
-		kernelBatchLibmGo(sx, sy, sz, src, eps2, ax, ay, az, pot)
+		bodyKernelLibmGo(segs, sx, sy, sz, eps2, ax, ay, az, pot)
 	}
 }

@@ -57,9 +57,10 @@ func BenchmarkCellBatch(b *testing.B) {
 	for _, n := range benchLengths {
 		b.Run(fmt.Sprintf("libm/len%d", n), func(b *testing.B) {
 			st := newBenchState(rand.New(rand.NewSource(5)), n, 0, benchSinks)
+			refs := st.cells.Refs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				CellBatchLibm(st.cells, st.sx, st.sy, st.sz, 1e-4, st.ax, st.ay, st.az, st.pp)
+				cellKernelLibm(refs, st.sx, st.sy, st.sz, 1e-4, st.ax, st.ay, st.az, st.pp)
 			}
 			b.ReportMetric(float64(b.N*n*benchSinks)/b.Elapsed().Seconds()/1e6, "Minter/s")
 		})
@@ -93,7 +94,8 @@ func BenchmarkEvalList(b *testing.B) {
 }
 
 // The hot path must stay allocation-free: the batched kernels write into
-// caller accumulators and the Evaluator holds no buffers of its own.
+// caller accumulators and the Evaluator holds no buffers of its own (the
+// pointer list EvalList hands the cell kernel is the MultipoleSoA's).
 func TestKernelAllocsPinned(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	st := newBenchState(rng, 48, 512, benchSinks)
@@ -103,14 +105,15 @@ func TestKernelAllocsPinned(t *testing.T) {
 			t.Errorf("%s: %v allocs/op, want 0", name, allocs)
 		}
 	}
-	run("KernelBatchLibm", func() {
-		KernelBatchLibm(st.sx, st.sy, st.sz, st.soa, 1e-4, st.ax, st.ay, st.az, st.pp)
+	segs, refs := oneSeg(st.soa), st.cells.Refs()
+	run("bodyKernelLibm", func() {
+		bodyKernelLibm(segs, st.sx, st.sy, st.sz, 1e-4, st.ax, st.ay, st.az, st.pp)
 	})
-	run("KernelBatchKarp", func() {
-		KernelBatchKarp(st.sx, st.sy, st.sz, st.soa, 1e-4, st.ax, st.ay, st.az, st.pp)
+	run("bodyKernelKarp", func() {
+		bodyKernelKarp(segs, st.sx, st.sy, st.sz, 1e-4, st.ax, st.ay, st.az, st.pp)
 	})
-	run("CellBatchLibm", func() {
-		CellBatchLibm(st.cells, st.sx, st.sy, st.sz, 1e-4, st.ax, st.ay, st.az, st.pp)
+	run("cellKernelLibm", func() {
+		cellKernelLibm(refs, st.sx, st.sy, st.sz, 1e-4, st.ax, st.ay, st.az, st.pp)
 	})
 	for _, v := range evalVariants {
 		ev := Evaluator{Eps: 0.01, UseKarp: v.karp}

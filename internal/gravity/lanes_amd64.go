@@ -8,11 +8,19 @@ func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 //go:noescape
 func xgetbv() (eax, edx uint32)
 
+// bodyLanesAVX2 adds to the block's accumulators the sums, over the bodies
+// of segs[0:nseg] in order, of the four lanes' sinks. It reads a Source as
+// x, y, z, m at bytes 0, 8, 16, 24 of a 32-byte row.
+//
 //go:noescape
-func bodyLanesAVX2(blk *lanes, xs, ys, zs, ms *float64, n int)
+func bodyLanesAVX2(blk *lanes, segs *[]Source, nseg int)
 
+// cellLanesAVX2 adds the fields of cells[0:n] in order to the block's
+// accumulators. It reads a Multipole as M at byte 0, COM at 8 and Q (xx,
+// yy, zz, xy, xz, yz) at 32.
+//
 //go:noescape
-func cellLanesAVX2(blk *lanes, cx, cy, cz, cm, qxx, qyy, qzz, qxy, qxz, qyz *float64, n int)
+func cellLanesAVX2(blk *lanes, cells **Multipole, n int)
 
 // useAVX2 selects the assembly kernels, once per process, from what the
 // CPU and the OS report. Only export_test.go writes it afterwards.
@@ -73,26 +81,20 @@ func (g *lanes) store(ax, ay, az, pot []float64, j int) {
 	}
 }
 
-func kernelBatchAVX2(sx, sy, sz []float64, src *SoA, eps2 float64, ax, ay, az, pot []float64) {
-	n := src.Len()
-	xs, ys, zs, ms := src.X[:n], src.Y[:n], src.Z[:n], src.M[:n]
+func bodyKernelAVX2(segs [][]Source, sx, sy, sz []float64, eps2 float64, ax, ay, az, pot []float64) {
 	g := newLanes(eps2)
 	for j := 0; j < len(sx); j += 4 {
 		g.load(sx, sy, sz, ax, ay, az, pot, j)
-		bodyLanesAVX2(&g, &xs[0], &ys[0], &zs[0], &ms[0], n)
+		bodyLanesAVX2(&g, &segs[0], len(segs))
 		g.store(ax, ay, az, pot, j)
 	}
 }
 
-func cellBatchAVX2(c *MultipoleSoA, sx, sy, sz []float64, eps2 float64, ax, ay, az, pot []float64) {
-	n := c.Len()
-	cx, cy, cz, cm := c.CX[:n], c.CY[:n], c.CZ[:n], c.M[:n]
-	qxx, qyy, qzz := c.QXX[:n], c.QYY[:n], c.QZZ[:n]
-	qxy, qxz, qyz := c.QXY[:n], c.QXZ[:n], c.QYZ[:n]
+func cellKernelAVX2(cells []*Multipole, sx, sy, sz []float64, eps2 float64, ax, ay, az, pot []float64) {
 	g := newLanes(eps2)
 	for j := 0; j < len(sx); j += 4 {
 		g.load(sx, sy, sz, ax, ay, az, pot, j)
-		cellLanesAVX2(&g, &cx[0], &cy[0], &cz[0], &cm[0], &qxx[0], &qyy[0], &qzz[0], &qxy[0], &qxz[0], &qyz[0], n)
+		cellLanesAVX2(&g, &cells[0], len(cells))
 		g.store(ax, ay, az, pot, j)
 	}
 }

@@ -2,8 +2,9 @@
 
 // AVX2 bodies of the two float64 production kernels. A lane is a sink: one
 // YMM register holds the same quantity for four sinks, every source (or
-// cell) is broadcast and applied to all four, and no instruction moves data
-// between lanes. Only VSUBPD/VMULPD/VADDPD/VSQRTPD/VDIVPD do arithmetic — no
+// cell) is broadcast — from where its list entry points, a row of a body
+// segment or a multipole in a tree cell — and applied to all four, and no
+// instruction moves data between lanes. Only VSUBPD/VMULPD/VADDPD/VSQRTPD/VDIVPD do arithmetic — no
 // FMA — and one lane's operations are issued in the order the Go loops in
 // batch.go and cellkernel.go write them, so each sink sees the same
 // correctly-rounded IEEE-754 operations in the same order as on the scalar
@@ -32,26 +33,16 @@ TEXT ·xgetbv(SB), NOSPLIT, $0-8
 	MOVL DX, edx+4(FP)
 	RET
 
-// func bodyLanesAVX2(blk *lanes, xs, ys, zs, ms *float64, n int)
+// func bodyLanesAVX2(blk *lanes, segs *[]Source, nseg int)
 //
-// Y0-Y3 partial sums (fx, fy, fz, p), Y4-Y6 sinks, Y7 eps2, Y8 one,
-// Y15 zero, Y9-Y14 temporaries. SI runs from -8n up to 0 against array
-// pointers advanced to their ends.
-TEXT ·bodyLanesAVX2(SB), NOSPLIT, $0-48
+// Y0-Y3 partial sums (fx, fy, fz, p) carried across the segments and added
+// to the block's accumulators once after the last, Y4-Y6 sinks, Y7 eps2,
+// Y8 one, Y15 zero, Y9-Y14 temporaries. BX walks the slice headers (24
+// bytes: pointer, length, capacity), AX the 32-byte rows of one segment.
+TEXT ·bodyLanesAVX2(SB), NOSPLIT, $0-24
 	MOVQ blk+0(FP), DI
-	MOVQ xs+8(FP), AX
-	MOVQ ys+16(FP), BX
-	MOVQ zs+24(FP), CX
-	MOVQ ms+32(FP), DX
-	MOVQ n+40(FP), SI
-	TESTQ SI, SI
-	JLE  bodydone
-	SHLQ $3, SI
-	ADDQ SI, AX
-	ADDQ SI, BX
-	ADDQ SI, CX
-	ADDQ SI, DX
-	NEGQ SI
+	MOVQ segs+8(FP), BX
+	MOVQ nseg+16(FP), CX
 	VMOVUPD 0(DI), Y4
 	VMOVUPD 32(DI), Y5
 	VMOVUPD 64(DI), Y6
@@ -62,13 +53,22 @@ TEXT ·bodyLanesAVX2(SB), NOSPLIT, $0-48
 	VXORPD Y2, Y2, Y2
 	VXORPD Y3, Y3, Y3
 	VXORPD Y15, Y15, Y15
+	TESTQ CX, CX
+	JLE  bodysum
+
+bodyseg:
+	MOVQ 0(BX), AX
+	MOVQ 8(BX), SI
+	ADDQ $24, BX
+	TESTQ SI, SI
+	JLE  bodynext
 
 bodyloop:
-	VBROADCASTSD (AX)(SI*1), Y9
-	VSUBPD Y4, Y9, Y9              // dx = xs[i] - px
-	VBROADCASTSD (BX)(SI*1), Y10
+	VBROADCASTSD 0(AX), Y9
+	VSUBPD Y4, Y9, Y9              // dx = x - px
+	VBROADCASTSD 8(AX), Y10
 	VSUBPD Y5, Y10, Y10            // dy
-	VBROADCASTSD (CX)(SI*1), Y11
+	VBROADCASTSD 16(AX), Y11
 	VSUBPD Y6, Y11, Y11            // dz
 	VMULPD Y9, Y9, Y12
 	VMULPD Y10, Y10, Y13
@@ -76,7 +76,7 @@ bodyloop:
 	VMULPD Y11, Y11, Y13
 	VADDPD Y13, Y12, Y12           // r2 = (dx*dx + dy*dy) + dz*dz
 	VCMPPD $0, Y15, Y12, Y13       // EQ_OQ: all ones where r2 == 0
-	VBROADCASTSD (DX)(SI*1), Y14
+	VBROADCASTSD 24(AX), Y14
 	VANDNPD Y14, Y13, Y14          // m, or +0 for the self pair
 	VADDPD Y7, Y12, Y12            // r2 += eps2
 	VSQRTPD Y12, Y12
@@ -92,9 +92,15 @@ bodyloop:
 	VADDPD Y11, Y2, Y2             // fz += mr3*dz
 	VMULPD Y12, Y14, Y12
 	VSUBPD Y12, Y3, Y3             // p -= m*rinv
-	ADDQ $8, SI
+	ADDQ $32, AX
+	DECQ SI
 	JNZ  bodyloop
 
+bodynext:
+	DECQ CX
+	JNZ  bodyseg
+
+bodysum:
 	VADDPD 256(DI), Y0, Y0         // ax[j] += fx
 	VMOVUPD Y0, 256(DI)
 	VADDPD 288(DI), Y1, Y1
@@ -104,56 +110,37 @@ bodyloop:
 	VADDPD 352(DI), Y3, Y3
 	VMOVUPD Y3, 352(DI)
 	VZEROUPPER
-bodydone:
 	RET
 
-// func cellLanesAVX2(blk *lanes, cx, cy, cz, cm, qxx, qyy, qzz, qxy, qxz, qyz *float64, n int)
+// func cellLanesAVX2(blk *lanes, cells **Multipole, n int)
 //
 // Y0-Y3 running sums (ax, ay, az, pot) loaded from and stored to the block,
 // Y4-Y6 x, y, z, Y8 p, Y10 rinv5, Y11 rinv7, Y12-Y14 a, b, c, Y7/Y9/Y15
 // temporaries; sinks, eps2 and the constants are memory operands from the
-// block because sixteen registers do not hold them too. R13 runs from -8n
-// up to 0 against array pointers advanced to their ends.
-TEXT ·cellLanesAVX2(SB), NOSPLIT, $0-96
+// block because sixteen registers do not hold them too. AX walks the
+// pointer list, BX is the multipole in hand: M 0, COM 8/16/24, Q xx 32,
+// yy 40, zz 48, xy 56, xz 64, yz 72.
+TEXT ·cellLanesAVX2(SB), NOSPLIT, $0-24
 	MOVQ blk+0(FP), DI
-	MOVQ cx+8(FP), AX
-	MOVQ cy+16(FP), BX
-	MOVQ cz+24(FP), CX
-	MOVQ cm+32(FP), DX
-	MOVQ qxx+40(FP), SI
-	MOVQ qyy+48(FP), R8
-	MOVQ qzz+56(FP), R9
-	MOVQ qxy+64(FP), R10
-	MOVQ qxz+72(FP), R11
-	MOVQ qyz+80(FP), R12
-	MOVQ n+88(FP), R13
-	TESTQ R13, R13
+	MOVQ cells+8(FP), AX
+	MOVQ n+16(FP), CX
+	TESTQ CX, CX
 	JLE  celldone
-	SHLQ $3, R13
-	ADDQ R13, AX
-	ADDQ R13, BX
-	ADDQ R13, CX
-	ADDQ R13, DX
-	ADDQ R13, SI
-	ADDQ R13, R8
-	ADDQ R13, R9
-	ADDQ R13, R10
-	ADDQ R13, R11
-	ADDQ R13, R12
-	NEGQ R13
 	VMOVUPD 256(DI), Y0
 	VMOVUPD 288(DI), Y1
 	VMOVUPD 320(DI), Y2
 	VMOVUPD 352(DI), Y3
 
 cellloop:
-	VBROADCASTSD (AX)(R13*1), Y7
+	MOVQ (AX), BX
+	ADDQ $8, AX
+	VBROADCASTSD 8(BX), Y7
 	VMOVUPD 0(DI), Y4
-	VSUBPD Y7, Y4, Y4              // x = px - cx[i]
-	VBROADCASTSD (BX)(R13*1), Y7
+	VSUBPD Y7, Y4, Y4              // x = px - cx
+	VBROADCASTSD 16(BX), Y7
 	VMOVUPD 32(DI), Y5
 	VSUBPD Y7, Y5, Y5              // y
-	VBROADCASTSD (CX)(R13*1), Y7
+	VBROADCASTSD 24(BX), Y7
 	VMOVUPD 64(DI), Y6
 	VSUBPD Y7, Y6, Y6              // z
 	VMULPD Y4, Y4, Y7
@@ -169,7 +156,7 @@ cellloop:
 	VMULPD Y9, Y7, Y15             // rinv3 = rinv*rinv2
 	VMULPD Y9, Y15, Y10            // rinv5 = rinv3*rinv2
 	VMULPD Y9, Y10, Y11            // rinv7 = rinv5*rinv2
-	VBROADCASTSD (DX)(R13*1), Y9
+	VBROADCASTSD 0(BX), Y9
 	VXORPD 224(DI), Y9, Y9         // -m
 	VMULPD Y15, Y9, Y15            // s = -m*rinv3
 	VMULPD Y7, Y9, Y8              // p = -m*rinv
@@ -177,24 +164,24 @@ cellloop:
 	VMULPD Y5, Y15, Y13            // b = s*y
 	VMULPD Y6, Y15, Y14            // c = s*z
 
-	VBROADCASTSD (SI)(R13*1), Y7
+	VBROADCASTSD 32(BX), Y7
 	VMULPD Y4, Y7, Y7
-	VBROADCASTSD (R10)(R13*1), Y9
+	VBROADCASTSD 56(BX), Y9
 	VMULPD Y5, Y9, Y9
 	VADDPD Y9, Y7, Y7
-	VBROADCASTSD (R11)(R13*1), Y9
+	VBROADCASTSD 64(BX), Y9
 	VMULPD Y6, Y9, Y9
 	VADDPD Y9, Y7, Y7              // qx = (qxx*x + qxy*y) + qxz*z
 	VMULPD Y7, Y10, Y9
 	VADDPD Y9, Y12, Y12            // a += rinv5*qx
 	VMULPD Y7, Y4, Y7              // x*qx, the first term of xqx
 
-	VBROADCASTSD (R10)(R13*1), Y9
+	VBROADCASTSD 56(BX), Y9
 	VMULPD Y4, Y9, Y9
-	VBROADCASTSD (R8)(R13*1), Y15
+	VBROADCASTSD 40(BX), Y15
 	VMULPD Y5, Y15, Y15
 	VADDPD Y15, Y9, Y9
-	VBROADCASTSD (R12)(R13*1), Y15
+	VBROADCASTSD 72(BX), Y15
 	VMULPD Y6, Y15, Y15
 	VADDPD Y15, Y9, Y9             // qy = (qxy*x + qyy*y) + qyz*z
 	VMULPD Y9, Y10, Y15
@@ -202,12 +189,12 @@ cellloop:
 	VMULPD Y9, Y5, Y9
 	VADDPD Y9, Y7, Y7              // x*qx + y*qy
 
-	VBROADCASTSD (R11)(R13*1), Y9
+	VBROADCASTSD 64(BX), Y9
 	VMULPD Y4, Y9, Y9
-	VBROADCASTSD (R12)(R13*1), Y15
+	VBROADCASTSD 72(BX), Y15
 	VMULPD Y5, Y15, Y15
 	VADDPD Y15, Y9, Y9
-	VBROADCASTSD (R9)(R13*1), Y15
+	VBROADCASTSD 48(BX), Y15
 	VMULPD Y6, Y15, Y15
 	VADDPD Y15, Y9, Y9             // qz = (qxz*x + qyz*y) + qzz*z
 	VMULPD Y9, Y10, Y15
@@ -230,7 +217,7 @@ cellloop:
 	VADDPD Y13, Y1, Y1
 	VADDPD Y14, Y2, Y2
 	VADDPD Y8, Y3, Y3              // pot[j] += p
-	ADDQ $8, R13
+	DECQ CX
 	JNZ  cellloop
 
 	VMOVUPD Y0, 256(DI)

@@ -8,7 +8,7 @@ import (
 )
 
 // Lane-edge properties of the dispatching kernels: whatever body
-// KernelBatchLibm and CellBatchLibm choose (assembly with four sinks per
+// bodyKernelLibm and cellKernelLibm choose (assembly with four sinks per
 // register on an AVX2 host, the Go loop elsewhere) must equal the Go loops
 // bit for bit at every group boundary, with a self pair in any lane, and
 // with a poisoned sink confined to its own lane.
@@ -66,12 +66,12 @@ func checkLanes(t *testing.T, label string, s *laneSinks, cells *MultipoleSoA, s
 	t.Helper()
 	got, want := s.clone(), s.clone()
 	if cells != nil {
-		CellBatchLibm(cells, got.sx, got.sy, got.sz, eps2, got.ax, got.ay, got.az, got.pp)
-		cellBatchLibmGo(cells, want.sx, want.sy, want.sz, eps2, want.ax, want.ay, want.az, want.pp)
+		cellKernelLibm(cells.Refs(), got.sx, got.sy, got.sz, eps2, got.ax, got.ay, got.az, got.pp)
+		cellKernelLibmGo(cells.Refs(), want.sx, want.sy, want.sz, eps2, want.ax, want.ay, want.az, want.pp)
 	}
 	if src != nil {
-		KernelBatchLibm(got.sx, got.sy, got.sz, src, eps2, got.ax, got.ay, got.az, got.pp)
-		kernelBatchLibmGo(want.sx, want.sy, want.sz, src, eps2, want.ax, want.ay, want.az, want.pp)
+		bodyKernelLibm(oneSeg(src), got.sx, got.sy, got.sz, eps2, got.ax, got.ay, got.az, got.pp)
+		bodyKernelLibmGo(oneSeg(src), want.sx, want.sy, want.sz, eps2, want.ax, want.ay, want.az, want.pp)
 	}
 	g, w := got.outputs(), want.outputs()
 	for c := range g {
@@ -122,9 +122,9 @@ func TestLanesSelfPair(t *testing.T) {
 		for lane := 0; lane < ns; lane++ {
 			for _, twice := range []bool{false, true} {
 				src, _ := randomSoA(rng, 21)
-				src.X[5], src.Y[5], src.Z[5] = s.sx[lane], s.sy[lane], s.sz[lane]
+				src.rows[5].Pos = [3]float64{s.sx[lane], s.sy[lane], s.sz[lane]}
 				if twice {
-					src.X[20], src.Y[20], src.Z[20] = s.sx[lane], s.sy[lane], s.sz[lane]
+					src.rows[20].Pos = src.rows[5].Pos
 				}
 				label := fmt.Sprintf("%d sinks, self pair in lane %d, twice=%v", ns, lane, twice)
 				got := checkLanes(t, label, s, nil, src, 1e-4)
@@ -132,8 +132,8 @@ func TestLanesSelfPair(t *testing.T) {
 					continue
 				}
 				// Both images excluded, their masses cannot matter.
-				src.M[5] *= 3
-				src.M[20] *= 3
+				src.rows[5].Mass *= 3
+				src.rows[20].Mass *= 3
 				again := checkLanes(t, label, s, nil, src, 1e-4)
 				g, a := got.outputs(), again.outputs()
 				for c := range g {
@@ -196,16 +196,14 @@ func TestLanesSpecialValuesStayInLane(t *testing.T) {
 			}
 		}
 		for _, v := range specials {
-			ps := &SoA{X: append([]float64(nil), src.X...), Y: src.Y, Z: src.Z, M: append([]float64(nil), src.M...)}
-			ps.X[7] = v
+			ps := &SoA{rows: append([]Source(nil), src.rows...)}
+			ps.rows[7].Pos[0] = v
 			checkLanes(t, fmt.Sprintf("%d sinks, source x = %v", ns, v), s, nil, ps, 1e-4)
-			ps.X[7], ps.M[7] = src.X[7], v
+			ps.rows[7].Pos[0], ps.rows[7].Mass = src.rows[7].Pos[0], v
 			checkLanes(t, fmt.Sprintf("%d sinks, source mass = %v", ns, v), s, nil, ps, 1e-4)
-			pc := *cells
-			pc.M = append([]float64(nil), cells.M...)
-			pc.QXY = append([]float64(nil), cells.QXY...)
-			pc.M[3], pc.QXY[11] = v, v
-			checkLanes(t, fmt.Sprintf("%d sinks, cell mass and qxy = %v", ns, v), s, &pc, nil, 1e-4)
+			pc := &MultipoleSoA{rows: append([]Multipole(nil), cells.rows...)}
+			pc.rows[3].M, pc.rows[11].Q[3] = v, v
+			checkLanes(t, fmt.Sprintf("%d sinks, cell mass and qxy = %v", ns, v), s, pc, nil, 1e-4)
 		}
 	}
 }

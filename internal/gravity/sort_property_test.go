@@ -6,10 +6,10 @@ import (
 	"testing"
 )
 
-// The hand-rolled lockstep quicksorts must order exactly like the library
-// sort under the same comparator. Each case builds a pristine copy, sorts
-// an index permutation of the copy with sort.SliceStable, and demands the
-// in-place sort reproduce that order field by field (rows with fully equal
+// The hand-rolled quicksort must order exactly like the library sort under
+// the same comparator. Each case builds a pristine copy,
+// sorts an index permutation of the copy with sort.SliceStable, and demands
+// the in-place sort reproduce that order row by row (rows with fully equal
 // keys are identical, so stability cannot distinguish the two).
 
 // sortCase generates the i-th row of an adversarial input shape.
@@ -57,28 +57,18 @@ func TestSoASortAgainstLibrary(t *testing.T) {
 			s := &SoA{}
 			for i := 0; i < n; i++ {
 				r := c.row(rng, i, n)
-				s.X = append(s.X, r[0])
-				s.Y = append(s.Y, r[1])
-				s.Z = append(s.Z, r[2])
-				s.M = append(s.M, r[3])
+				s.Push([3]float64{r[0], r[1], r[2]}, r[3])
 			}
-			ref := &SoA{
-				X: append([]float64(nil), s.X...),
-				Y: append([]float64(nil), s.Y...),
-				Z: append([]float64(nil), s.Z...),
-				M: append([]float64(nil), s.M...),
-			}
+			ref := append([]Source(nil), s.rows...)
 			idx := make([]int, n)
 			for i := range idx {
 				idx[i] = i
 			}
-			sort.SliceStable(idx, func(a, b int) bool { return soaLess(ref, idx[a], idx[b]) })
+			sort.SliceStable(idx, func(a, b int) bool { return lessSources(&ref[idx[a]], &ref[idx[b]]) })
 			s.Sort()
 			for i := 0; i < n; i++ {
-				j := idx[i]
-				if s.X[i] != ref.X[j] || s.Y[i] != ref.Y[j] || s.Z[i] != ref.Z[j] || s.M[i] != ref.M[j] {
-					t.Fatalf("%s n=%d: row %d = (%v %v %v %v), library says (%v %v %v %v)",
-						c.name, n, i, s.X[i], s.Y[i], s.Z[i], s.M[i], ref.X[j], ref.Y[j], ref.Z[j], ref.M[j])
+				if s.rows[i] != ref[idx[i]] {
+					t.Fatalf("%s n=%d: row %d = %v, library says %v", c.name, n, i, s.rows[i], ref[idx[i]])
 				}
 			}
 		}
@@ -104,20 +94,16 @@ func TestMultipoleSoASortAgainstLibrary(t *testing.T) {
 				}
 				s.Push(&m)
 			}
-			ref := &MultipoleSoA{}
-			for i := 0; i < n; i++ {
-				m := s.At(i)
-				ref.Push(&m)
-			}
+			ref := append([]Multipole(nil), s.rows...)
 			idx := make([]int, n)
 			for i := range idx {
 				idx[i] = i
 			}
-			sort.SliceStable(idx, func(a, b int) bool { return msoaLess(ref, idx[a], idx[b]) })
+			sort.SliceStable(idx, func(a, b int) bool { return lessMultipoles(&ref[idx[a]], &ref[idx[b]]) })
 			s.Sort()
 			for i := 0; i < n; i++ {
-				if s.At(i) != ref.At(idx[i]) {
-					t.Fatalf("%s n=%d: row %d = %+v, library says %+v", c.name, n, i, s.At(i), ref.At(idx[i]))
+				if s.At(i) != ref[idx[i]] {
+					t.Fatalf("%s n=%d: row %d = %+v, library says %+v", c.name, n, i, s.At(i), ref[idx[i]])
 				}
 			}
 		}

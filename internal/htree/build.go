@@ -63,6 +63,7 @@ type Arena struct {
 	sorter  key.Sorter
 	keys    []key.K
 	bodies  []Body
+	src     []gravity.Source
 	store   cellStore
 	tasks   []buildTask
 	skel    []skelCell
@@ -173,16 +174,18 @@ func Build(pos []vec.V3, mass []float64, opt Options) (*Tree, error) {
 	perm := ar.sorter.SortPerm(keys, workers)
 	if cap(ar.bodies) < n {
 		ar.bodies = make([]Body, n)
+		ar.src = make([]gravity.Source, n)
 	}
-	ar.bodies = ar.bodies[:n]
-	bodies := ar.bodies
+	ar.bodies, ar.src = ar.bodies[:n], ar.src[:n]
+	bodies, src := ar.bodies, ar.src
 	parallelRanges(n, workers, func(blo, bhi int) {
 		for i := blo; i < bhi; i++ {
 			p := perm[i]
 			bodies[i] = Body{Pos: pos[p], Mass: mass[p], Key: keys[p], ID: int(p)}
+			src[i] = gravity.Source{Pos: pos[p], Mass: mass[p]}
 		}
 	})
-	t.Bodies = bodies
+	t.Bodies, t.src = bodies, src
 
 	// Phase 3: plan subtree tasks and build them in the worker pool.
 	t2, h2 := time.Now(), hostNow()
@@ -252,20 +255,22 @@ func Build(pos []vec.V3, mass []float64, opt Options) (*Tree, error) {
 	for i := len(skel) - 1; i >= 0; i-- {
 		sk := &skel[i]
 		var parts [8]gravity.Multipole
+		var kids [8]int32
 		np := 0
 		var mask uint8
+		idx := int32(len(cs.cells))
 		for oct := 0; oct < 8; oct++ {
-			if c := cs.get(sk.k.Child(oct)); c != nil {
+			if ci := cs.find(sk.k.Child(oct)); ci >= 0 {
 				mask |= 1 << uint(oct)
-				parts[np] = c.Mp
+				parts[np] = cs.cells[ci].Mp
+				kids[np] = ci - idx
 				np++
 			}
 		}
 		mp := gravity.Combine(parts[:np]...)
-		idx := int32(len(cs.cells))
 		cs.cells = append(cs.cells, Cell{
 			Key: sk.k, Mp: mp, N: sk.hi - sk.lo,
-			Bmax: maxDist2Sqrt(mp.COM, t.Bodies[sk.lo:sk.hi]), ChildMask: mask,
+			Bmax: maxDist2Sqrt(mp.COM, t.Bodies[sk.lo:sk.hi]), ChildMask: mask, kids: kids,
 		})
 		cs.insert(idx)
 	}
@@ -414,6 +419,7 @@ func (bw *buildWorker) buildRange(t *Tree, k key.K, lo, hi int) {
 	// Partition the sorted range by daughter key ranges.
 	start := lo
 	var parts [8]gravity.Multipole
+	var kids [8]int32
 	np := 0
 	var mask uint8
 	for oct := 0; oct < 8; oct++ {
@@ -424,6 +430,7 @@ func (bw *buildWorker) buildRange(t *Tree, k key.K, lo, hi int) {
 			bw.buildRange(t, ck, start, end)
 			mask |= 1 << uint(oct)
 			parts[np] = bw.cells[childCi].Mp
+			kids[np] = int32(childCi - ci)
 			np++
 		}
 		start = end
@@ -431,6 +438,7 @@ func (bw *buildWorker) buildRange(t *Tree, k key.K, lo, hi int) {
 	mp := gravity.Combine(parts[:np]...)
 	c := &bw.cells[ci]
 	c.ChildMask = mask
+	c.kids = kids
 	c.Mp = mp
 	// Bmax over all bodies below (exact, from the contiguous range).
 	c.Bmax = maxDist2Sqrt(mp.COM, t.Bodies[lo:hi])

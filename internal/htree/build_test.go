@@ -41,8 +41,8 @@ func sameTree(t *testing.T, label string, a, b *Tree) {
 		t.Fatalf("%s: %d vs %d bodies", label, len(a.Bodies), len(b.Bodies))
 	}
 	for i := range a.Bodies {
-		if a.Bodies[i] != b.Bodies[i] {
-			t.Fatalf("%s: body %d differs: %+v vs %+v", label, i, a.Bodies[i], b.Bodies[i])
+		if a.Bodies[i] != b.Bodies[i] || a.src[i] != b.src[i] {
+			t.Fatalf("%s: body %d differs: %+v %+v vs %+v %+v", label, i, a.Bodies[i], a.src[i], b.Bodies[i], b.src[i])
 		}
 	}
 	if a.NumCells() != b.NumCells() {
@@ -54,8 +54,12 @@ func sameTree(t *testing.T, label string, a, b *Tree) {
 		if !ok {
 			t.Fatalf("%s: cell %v missing", label, ca.Key)
 		}
-		if *ca != *cb {
-			t.Fatalf("%s: cell %v differs:\n%+v\nvs\n%+v", label, ca.Key, *ca, *cb)
+		// The daughter links are slab positions, and the two slabs may be laid
+		// out differently; CheckInvariants holds each tree's to its own keys.
+		va, vb := *ca, *cb
+		va.kids, vb.kids = [8]int32{}, [8]int32{}
+		if va != vb {
+			t.Fatalf("%s: cell %v differs:\n%+v\nvs\n%+v", label, ca.Key, va, vb)
 		}
 	}
 }

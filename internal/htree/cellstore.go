@@ -7,8 +7,11 @@ import "spacesim/internal/key"
 // key to its slab position. This is the literal "hash table used to
 // translate the key into a pointer" of the HOT paper, minus the per-cell
 // pointer: a lookup costs one multiplicative hash and (almost always) one
-// probe into an int32 array whose hot prefix stays in cache, and building a
-// tree allocates two slices instead of one map entry per cell.
+// probe into an int32 array, and building a tree allocates two slices
+// instead of one map entry per cell. The hash serves whoever has only a
+// key — a fetch request from another rank, the branch search, Tree.Cell,
+// the root of a walk; the walks themselves go from a cell to its daughters
+// by slab position (Cell.kids) and never come here.
 type cellStore struct {
 	// cells is the slab. Construction appends task-built cells in body
 	// order first, then the skeleton cells above the task frontier, so a
@@ -72,21 +75,29 @@ func (cs *cellStore) insert(idx int32) {
 	cs.tab[i] = idx + 1
 }
 
-// get returns the cell stored under k, or nil.
-func (cs *cellStore) get(k key.K) *Cell {
+// find returns the slab position of the cell stored under k, or -1.
+func (cs *cellStore) find(k key.K) int32 {
 	if len(cs.tab) == 0 {
-		return nil
+		return -1
 	}
 	mask := uint64(len(cs.tab) - 1)
 	i := cs.slot(k)
 	for {
 		ci := cs.tab[i]
 		if ci == 0 {
-			return nil
+			return -1
 		}
-		if c := &cs.cells[ci-1]; c.Key == k {
-			return c
+		if cs.cells[ci-1].Key == k {
+			return ci - 1
 		}
 		i = (i + 1) & mask
 	}
+}
+
+// get returns the cell stored under k, or nil.
+func (cs *cellStore) get(k key.K) *Cell {
+	if i := cs.find(k); i >= 0 {
+		return &cs.cells[i]
+	}
+	return nil
 }

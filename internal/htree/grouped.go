@@ -2,8 +2,11 @@ package htree
 
 // Bucket-grouped traversal (the 2HOT grouped walk): instead of one tree
 // walk per body, one walk per leaf bucket builds a single interaction list
-// that is then applied to every body in the bucket through the batched SoA
-// kernels. The multipole acceptance test is made at the bucket level: the
+// that is then applied to every body in the bucket through the batched
+// kernels. The walk goes from a cell to its daughters by slab position and
+// the list it writes holds references into the tree (gravity.List): a
+// visit costs no hash lookup and an entry no copy of a multipole or a
+// body. The multipole acceptance test is made at the bucket level: the
 // distance is measured from the bucket's bounding sphere (center = leaf
 // center of mass, radius = leaf Bmax), so a cell accepted for the bucket
 // satisfies the per-body MAC for every sink inside it — by the triangle
@@ -134,19 +137,20 @@ func (m *BucketMAC) Exact(com *vec.V3, bmax float64) bool {
 // parallel engine (package core) one per list being gathered or evaluated.
 // The zero value is ready to use.
 type BucketScratch struct {
-	// Cells and Srcs are the interaction list: accepted cell multipoles and
-	// direct-interaction bodies, appended to by GatherList (and, in the
-	// parallel engine, by replicated cells and fetched bodies).
-	Cells gravity.MultipoleSoA
-	Srcs  gravity.SoA
+	// List is the interaction list: accepted cells and segments of direct
+	// bodies, appended to by GatherList (and, in the parallel engine, by
+	// replicated cells and fetched bodies). It refers to the tree's cells
+	// and bodies, so it is good for as long as the tree is.
+	List gravity.List
 
-	// CountOnly makes GatherList tally what it would have appended in NCells
-	// and NSrcs and leave the list alone: the mode of a walk whose list
-	// lengths are wanted but whose list will be gathered again later.
-	CountOnly     bool
-	NCells, NSrcs int
+	// CountOnly makes GatherList tally what it would have appended — cells
+	// in NCells, bodies in NSrcs, the segments they come in in NSegs — and
+	// leave the list alone: the mode of a walk whose list lengths are
+	// wanted but whose list will be gathered again later.
+	CountOnly            bool
+	NCells, NSrcs, NSegs int
 
-	stack          []key.K
+	stack          []int32
 	sx, sy, sz     []float64
 	ax, ay, az, pp []float64
 }
@@ -154,9 +158,8 @@ type BucketScratch struct {
 // Reset empties the interaction list, keeping the backing arrays, and
 // zeroes the count-only tallies.
 func (sc *BucketScratch) Reset() {
-	sc.Cells.Reset()
-	sc.Srcs.Reset()
-	sc.NCells, sc.NSrcs = 0, 0
+	sc.List.Reset()
+	sc.NCells, sc.NSrcs, sc.NSegs = 0, 0, 0
 }
 
 // grow resizes the sink-side arrays to n sinks, zeroing the accumulators.
@@ -183,19 +186,19 @@ func (sc *BucketScratch) grow(n int) {
 // the number of cells it opened. root must be a cell of this tree: key.Root
 // for a whole-tree walk, or a locally owned branch of the distributed tree.
 func (t *Tree) GatherList(root key.K, mac *BucketMAC, sc *BucketScratch) (opened int) {
-	stack := append(sc.stack[:0], root)
+	cells := t.store.cells
+	stack := append(sc.stack[:0], t.store.find(root))
 	countOnly := sc.CountOnly
 	for len(stack) > 0 {
-		k := stack[len(stack)-1]
+		ci := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		c := t.store.get(k)
+		c := &cells[ci]
 		if c.Leaf { // never accepted as a multipole: no test
 			if countOnly {
 				sc.NSrcs += c.Hi - c.Lo
-				continue
-			}
-			for i := c.Lo; i < c.Hi; i++ {
-				sc.Srcs.Push(t.Bodies[i].Pos, t.Bodies[i].Mass)
+				sc.NSegs++
+			} else {
+				sc.List.Segs = append(sc.List.Segs, t.src[c.Lo:c.Hi])
 			}
 			continue
 		}
@@ -207,15 +210,16 @@ func (t *Tree) GatherList(root key.K, mac *BucketMAC, sc *BucketScratch) (opened
 			if countOnly {
 				sc.NCells++
 			} else {
-				sc.Cells.Push(&c.Mp)
+				sc.List.Cells = append(sc.List.Cells, &c.Mp)
 			}
 			continue
 		}
 		opened++
-		for oct := 0; oct < 8; oct++ {
-			if c.ChildMask&(1<<uint(oct)) != 0 {
-				stack = append(stack, k.Child(oct))
+		for _, d := range c.kids {
+			if d == 0 {
+				break
 			}
+			stack = append(stack, ci+d)
 		}
 	}
 	sc.stack = stack[:0]
@@ -229,12 +233,11 @@ func (t *Tree) GatherList(root key.K, mac *BucketMAC, sc *BucketScratch) (opened
 func (t *Tree) EvalBucket(bucket *Cell, eps float64, useKarp bool, sc *BucketScratch, acc []vec.V3, pot []float64) {
 	ns := bucket.Hi - bucket.Lo
 	sc.grow(ns)
-	for j := 0; j < ns; j++ {
-		p := t.Bodies[bucket.Lo+j].Pos
-		sc.sx[j], sc.sy[j], sc.sz[j] = p[0], p[1], p[2]
+	for j, s := range t.src[bucket.Lo:bucket.Hi] {
+		sc.sx[j], sc.sy[j], sc.sz[j] = s.Pos[0], s.Pos[1], s.Pos[2]
 	}
 	ev := gravity.Evaluator{Eps: eps, UseKarp: useKarp}
-	ev.EvalList(&sc.Cells, &sc.Srcs, sc.sx, sc.sy, sc.sz, sc.ax, sc.ay, sc.az, sc.pp)
+	ev.Eval(&sc.List, sc.sx, sc.sy, sc.sz, sc.ax, sc.ay, sc.az, sc.pp)
 	for j := 0; j < ns; j++ {
 		id := t.Bodies[bucket.Lo+j].ID
 		acc[id] = vec.V3{sc.ax[j], sc.ay[j], sc.az[j]}
@@ -285,8 +288,8 @@ func (t *Tree) AccelAllGrouped(theta, eps float64, useKarp bool, _ gravity.Preci
 				ns := b.Hi - b.Lo
 				stats[i] = WalkStats{
 					CellsOpened:      opened,
-					CellInteractions: ns * sc.Cells.Len(),
-					BodyInteractions: ns*sc.Srcs.Len() - ns,
+					CellInteractions: ns * len(sc.List.Cells),
+					BodyInteractions: ns*sc.List.Bodies() - ns,
 				}
 				t.EvalBucket(b, eps, useKarp, &sc, acc, pot)
 			}

@@ -149,11 +149,12 @@ func TestGatherListCountOnly(t *testing.T) {
 		if got := tr.GatherList(key.Root, &mac, &count); got != opened {
 			t.Fatalf("bucket %v: count-only walk opened %d cells, list walk %d", b.Key, got, opened)
 		}
-		if count.NCells != list.Cells.Len() || count.NSrcs != list.Srcs.Len() {
-			t.Fatalf("bucket %v: counted %d cells + %d bodies, list holds %d + %d",
-				b.Key, count.NCells, count.NSrcs, list.Cells.Len(), list.Srcs.Len())
+		l := &list.List
+		if count.NCells != len(l.Cells) || count.NSrcs != l.Bodies() || count.NSegs != len(l.Segs) {
+			t.Fatalf("bucket %v: counted %d cells + %d bodies in %d segments, list holds %d + %d in %d",
+				b.Key, count.NCells, count.NSrcs, count.NSegs, len(l.Cells), l.Bodies(), len(l.Segs))
 		}
-		if count.Cells.Len() != 0 || count.Srcs.Len() != 0 {
+		if len(count.List.Cells) != 0 || len(count.List.Segs) != 0 {
 			t.Fatalf("bucket %v: count-only walk appended to the list", b.Key)
 		}
 	}

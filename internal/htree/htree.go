@@ -38,6 +38,11 @@ type Cell struct {
 	Lo, Hi int
 	// ChildMask has bit i set when daughter octant i exists.
 	ChildMask uint8
+	// kids are the slab positions of the daughters relative to this cell's
+	// own, in ascending octant order, ended by a zero when there are fewer
+	// than eight (no cell is its own daughter). Relative, so a run of cells
+	// keeps its links when it is copied into another slab.
+	kids [8]int32
 }
 
 // Body is a particle in tree order.
@@ -66,6 +71,10 @@ type Tree struct {
 
 	forceSplit func(k key.K) bool
 	store      cellStore
+	// src holds position and mass of Bodies, index for index, in the form
+	// the force kernels read: a leaf's bodies go on an interaction list as
+	// the segment src[Lo:Hi], and nothing is copied per list.
+	src []gravity.Source
 
 	// observation handles (no-ops until SetObs).
 	o  *obs.Obs
@@ -159,10 +168,7 @@ func (t *Tree) LeafBodies(c *Cell) []gravity.Source {
 // extended slice — the allocation-free variant of LeafBodies for callers
 // with a reusable scratch buffer.
 func (t *Tree) AppendLeafBodies(dst []gravity.Source, c *Cell) []gravity.Source {
-	for i := c.Lo; i < c.Hi; i++ {
-		dst = append(dst, gravity.Source{Pos: t.Bodies[i].Pos, Mass: t.Bodies[i].Mass})
-	}
-	return dst
+	return append(dst, t.src[c.Lo:c.Hi]...)
 }
 
 // WalkStats counts the work of one force evaluation.
@@ -260,7 +266,8 @@ func (t *Tree) AccelAll(theta, eps float64, useKarp bool) ([]vec.V3, []float64, 
 // CheckInvariants verifies structural invariants, returning the first
 // violation found: every body in exactly one leaf, leaf ranges partition
 // the body array, multipole masses match, child masks are consistent with
-// the hash table, and every slab cell is reachable from the root.
+// the hash table and daughter links with both, the kernel-form body array
+// mirrors Bodies, and every slab cell is reachable from the root.
 func (t *Tree) CheckInvariants() error {
 	root := t.Root()
 	if root.N != len(t.Bodies) {
@@ -289,6 +296,7 @@ func (t *Tree) CheckInvariants() error {
 		}
 		sum := 0
 		var mass float64
+		ci, nk := t.store.find(k), 0
 		for oct := 0; oct < 8; oct++ {
 			has := c.ChildMask&(1<<uint(oct)) != 0
 			child, inTab := t.Cell(k.Child(oct))
@@ -296,12 +304,19 @@ func (t *Tree) CheckInvariants() error {
 				return fmt.Errorf("cell %v childmask/hash mismatch at octant %d", k, oct)
 			}
 			if has {
+				if d := c.kids[nk]; d == 0 || &t.store.cells[ci+d] != child {
+					return fmt.Errorf("cell %v daughter link %d (%+d) does not lead to octant %d", k, nk, d, oct)
+				}
+				nk++
 				if err := walk(k.Child(oct)); err != nil {
 					return err
 				}
 				sum += child.N
 				mass += child.Mp.M
 			}
+		}
+		if nk < 8 && c.kids[nk] != 0 {
+			return fmt.Errorf("cell %v has a daughter link past its %d daughters", k, nk)
 		}
 		if sum != c.N {
 			return fmt.Errorf("cell %v N=%d but children sum %d", k, c.N, sum)
@@ -313,6 +328,14 @@ func (t *Tree) CheckInvariants() error {
 	}
 	if err := walk(key.Root); err != nil {
 		return err
+	}
+	if len(t.src) != len(t.Bodies) {
+		return fmt.Errorf("%d kernel-form bodies for %d bodies", len(t.src), len(t.Bodies))
+	}
+	for i := range t.Bodies {
+		if b := &t.Bodies[i]; t.src[i] != (gravity.Source{Pos: b.Pos, Mass: b.Mass}) {
+			return fmt.Errorf("kernel-form body %d is %+v, body %d is %+v", i, t.src[i], i, *b)
+		}
 	}
 	if covered != len(t.Bodies) {
 		return fmt.Errorf("leaves cover %d of %d bodies", covered, len(t.Bodies))

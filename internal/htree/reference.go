@@ -57,25 +57,33 @@ func BuildReference(pos []vec.V3, mass []float64, opt Options) (*Tree, error) {
 		a, b := &t.Bodies[i], &t.Bodies[j]
 		return a.Key < b.Key || (a.Key == b.Key && a.ID < b.ID)
 	})
+	t.src = make([]gravity.Source, len(t.Bodies))
+	for i := range t.Bodies {
+		t.src[i] = gravity.Source{Pos: t.Bodies[i].Pos, Mass: t.Bodies[i].Mass}
+	}
 	t2 := time.Now()
 	cells := make(map[key.K]*Cell, 2*len(pos)/opt.MaxLeaf+16)
 	refBuild(t, cells, key.Root, 0, len(t.Bodies))
 	t3 := time.Now()
 
 	// Convert the cell map into the flat store, pre-order from the root so
-	// the slab meets leaves in body order (what Leaves relies on).
+	// the slab meets leaves in body order (what Leaves relies on), linking
+	// each cell to where its daughters land.
 	t.store.reset(len(cells))
-	var flatten func(k key.K)
-	flatten = func(k key.K) {
+	var flatten func(k key.K) int32
+	flatten = func(k key.K) int32 {
 		c := cells[k]
 		idx := int32(len(t.store.cells))
 		t.store.cells = append(t.store.cells, *c)
 		t.store.insert(idx)
+		n := 0
 		for oct := 0; oct < 8; oct++ {
 			if c.ChildMask&(1<<uint(oct)) != 0 {
-				flatten(k.Child(oct))
+				t.store.cells[idx].kids[n] = flatten(k.Child(oct)) - idx
+				n++
 			}
 		}
+		return idx
 	}
 	flatten(key.Root)
 	t4 := time.Now()

@@ -236,7 +236,7 @@ func (s *Store) ForcePass(theta, eps float64) ([]vec.V3, error) {
 	}
 	acc := make([]vec.V3, 0, s.N)
 	// Grouped evaluation per sink block: one interaction list (accepted
-	// block multipoles + streamed near-block bodies in SoA layout) is built
+	// block multipoles + streamed near-block bodies, owned row by row) is built
 	// and applied to every sink in the block by the batched kernel, which
 	// skips the zero-separation self terms of the in-block interactions.
 	var cells gravity.MultipoleSoA
