@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet cross-build fmt-check loc fuzz-smoke bench bench-e2e profile-serial smoke analyze-smoke fault-smoke treebuild-smoke kernels-smoke live-smoke ledger-smoke serve-smoke one-slot ci all
+.PHONY: build test race vet cross-build fmt-check loc fuzz-smoke bench bench-e2e profile-serial profile-sph smoke analyze-smoke fault-smoke treebuild-smoke kernels-smoke live-smoke ledger-smoke serve-smoke one-slot ci all
 
 all: build test vet fmt-check
 
@@ -68,6 +68,14 @@ profile-serial:
 	$(GO) test -run '^$$' -bench ComputeForcesSerial -benchtime 15x \
 		-cpuprofile /tmp/spacesim-serial.pprof -o /tmp/spacesim-core.test ./internal/core
 	$(GO) tool pprof -top -nodecount 25 /tmp/spacesim-core.test /tmp/spacesim-serial.pprof
+
+# The SPH budget in one command: BenchmarkCollapseStep is bench/'s
+# sph-collapse configuration (8000 particles, two workers), one Step() per
+# iteration, run under the CPU profiler and listed.
+profile-sph:
+	$(GO) test -run '^$$' -bench CollapseStep -benchtime 60x \
+		-cpuprofile /tmp/spacesim-sph.pprof -o /tmp/spacesim-sph.test ./internal/sph
+	$(GO) tool pprof -top -nodecount 25 /tmp/spacesim-sph.test /tmp/spacesim-sph.pprof
 
 # Generates a small trace + metrics pair from a short distributed run and
 # schema-validates both files with the tracecheck tool.

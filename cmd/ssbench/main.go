@@ -508,6 +508,7 @@ func fig8() {
 	s := sph.NewRotatingCollapse(sph.RotatingCollapseOptions{
 		N: n, Omega: 0.3, PressureDeficit: 0.85, Seed: 3,
 	})
+	s.SetObs(runObs)
 	steps, bounced := s.RunUntilBounce(300)
 	d := s.Diag()
 	fmt.Printf("rotating collapse: N=%d, bounce=%v after %d steps, maxRho=%.2f (nuc %.2f)\n",

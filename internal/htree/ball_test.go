@@ -1,0 +1,150 @@
+package htree
+
+import (
+	"math/rand"
+	"testing"
+
+	"spacesim/internal/key"
+	"spacesim/internal/vec"
+)
+
+// ballTrees are the trees the ball search is checked on: a centrally
+// condensed cluster, a set with a pile of coincident bodies (one leaf above
+// MaxLeaf at MaxLevel), and the one- and two-body trees.
+func ballTrees(t *testing.T) map[string]*Tree {
+	t.Helper()
+	rng := rand.New(rand.NewSource(31))
+	sets := map[string][]vec.V3{}
+	sets["plummer"], _ = plummerish(rng, 700)
+	pile, _ := randomBodies(rng, 40)
+	for i := 0; i < 20; i++ {
+		pile = append(pile, vec.V3{0.25, -0.5, 0.125})
+	}
+	sets["coincident"] = pile
+	sets["one"] = []vec.V3{{1, 2, 3}}
+	sets["two"] = []vec.V3{{0, 0, 0}, {1, 0.5, 0.25}}
+	trees := map[string]*Tree{}
+	for name, pos := range sets {
+		mass := make([]float64, len(pos))
+		for i := range mass {
+			mass[i] = 1 + 0.5*rng.Float64()
+		}
+		tr, err := Build(pos, mass, Options{MaxLeaf: 8})
+		if err != nil {
+			t.Fatal(err)
+		}
+		trees[name] = tr
+	}
+	big := false
+	for _, b := range trees["coincident"].Leaves() {
+		big = big || b.Hi-b.Lo > 8
+	}
+	if !big {
+		t.Fatal("the coincident set has no leaf above MaxLeaf")
+	}
+	return trees
+}
+
+// A ball search around a bucket must list, as whole leaf ranges each at most
+// once, every body a brute-force scan finds within R of the bucket's
+// bounding sphere, and no leaf whose own bounding sphere the ball misses.
+func TestGatherListBall(t *testing.T) {
+	for name, tr := range ballTrees(t) {
+		leafHi := map[int]int{}
+		for _, b := range tr.Leaves() {
+			leafHi[b.Lo] = b.Hi
+		}
+		sc := BucketScratch{Ball: true}
+		for _, b := range tr.Leaves() {
+			center, radius := b.BoundingSphere()
+			for _, R := range []float64{0, 1e-9 * tr.BoxSize, b.Bmax, 0.05 * tr.BoxSize, 2 * tr.BoxSize} {
+				sc.Reset()
+				mac := NewBucketMAC(center, radius+R, 1)
+				tr.GatherList(key.Root, &mac, &sc)
+				if len(sc.List.Cells)+len(sc.List.Segs)+sc.NCells+sc.NSrcs+sc.NSegs != 0 {
+					t.Fatalf("%s: ball walk touched the list or the tallies", name)
+				}
+				listed := make([]bool, len(tr.Bodies))
+				for _, rg := range sc.Ranges {
+					if hi, ok := leafHi[rg.Lo]; !ok || hi != rg.Hi {
+						t.Fatalf("%s bucket %v R=%g: range %v is not a leaf's", name, b.Key, R, rg)
+					}
+					if listed[rg.Lo] {
+						t.Fatalf("%s bucket %v R=%g: range %v listed twice", name, b.Key, R, rg)
+					}
+					for k := rg.Lo; k < rg.Hi; k++ {
+						listed[k] = true
+					}
+				}
+				for k := range tr.Bodies {
+					d := tr.Bodies[k].Pos.Dist(center)
+					if d-radius <= R*(1-1e-12) && !listed[k] {
+						t.Fatalf("%s bucket %v R=%g: body %d at %g from a sphere of radius %g not listed",
+							name, b.Key, R, k, d, radius)
+					}
+				}
+				for _, l := range tr.Leaves() {
+					if d := l.Mp.COM.Dist(center); listed[l.Lo] && d > (radius+R+l.Bmax)*(1+1e-8) {
+						t.Fatalf("%s bucket %v R=%g: leaf %v listed though its sphere is %g away, reach %g",
+							name, b.Key, R, l.Key, d, radius+R+l.Bmax)
+					}
+				}
+				if R == 2*tr.BoxSize {
+					for k, ok := range listed {
+						if !ok {
+							t.Fatalf("%s bucket %v: a ball over the whole box misses body %d", name, b.Key, k)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// A scratch that has made a ball walk lists and counts like a new one once
+// the mode is switched off.
+func TestGatherListAfterBallWalk(t *testing.T) {
+	tr := ballTrees(t)["plummer"]
+	var used, fresh BucketScratch
+	for _, b := range tr.Leaves() {
+		center, radius := b.BoundingSphere()
+		used.Reset()
+		used.Ball, used.CountOnly = true, false
+		ball := NewBucketMAC(center, radius+0.1, 1)
+		tr.GatherList(key.Root, &ball, &used)
+		if len(used.Ranges) == 0 {
+			t.Fatalf("bucket %v: ball walk found nothing", b.Key)
+		}
+
+		mac := NewBucketMAC(center, radius, 0.6)
+		used.Reset()
+		used.Ball = false
+		fresh.Reset()
+		if o1, o2 := tr.GatherList(key.Root, &mac, &used), tr.GatherList(key.Root, &mac, &fresh); o1 != o2 {
+			t.Fatalf("bucket %v: opened %d cells after a ball walk, %d on a new scratch", b.Key, o1, o2)
+		}
+		lu, lf := &used.List, &fresh.List
+		if len(lu.Cells) != len(lf.Cells) || len(lu.Segs) != len(lf.Segs) || len(used.Ranges) != 0 {
+			t.Fatalf("bucket %v: list %d+%d (ranges %d) after a ball walk, %d+%d on a new scratch",
+				b.Key, len(lu.Cells), len(lu.Segs), len(used.Ranges), len(lf.Cells), len(lf.Segs))
+		}
+		for i := range lf.Cells {
+			if lu.Cells[i] != lf.Cells[i] {
+				t.Fatalf("bucket %v: cell entry %d differs", b.Key, i)
+			}
+		}
+		for i := range lf.Segs {
+			if len(lu.Segs[i]) != len(lf.Segs[i]) || &lu.Segs[i][0] != &lf.Segs[i][0] {
+				t.Fatalf("bucket %v: body segment %d differs", b.Key, i)
+			}
+		}
+
+		used.Reset()
+		used.CountOnly = true
+		tr.GatherList(key.Root, &mac, &used)
+		if used.NCells != len(lf.Cells) || used.NSrcs != lf.Bodies() || used.NSegs != len(lf.Segs) {
+			t.Fatalf("bucket %v: counted %d+%d in %d after a ball walk, list holds %d+%d in %d",
+				b.Key, used.NCells, used.NSrcs, used.NSegs, len(lf.Cells), lf.Bodies(), len(lf.Segs))
+		}
+	}
+}

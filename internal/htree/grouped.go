@@ -150,16 +150,33 @@ type BucketScratch struct {
 	CountOnly            bool
 	NCells, NSrcs, NSegs int
 
+	// Ball turns the walk into a neighbour search around the bucket: with a
+	// test built as NewBucketMAC(center, radius+R, 1), "accepted" means the
+	// cell's bounding sphere (COM, Bmax) lies wholly outside the ball of
+	// radius R around the bucket's bounding sphere, so GatherList drops an
+	// accepted cell instead of listing it, tests leaves like any other cell,
+	// and appends the body range of every leaf that survives to Ranges. The
+	// list and the count-only tallies are left alone. Every body within R of
+	// any point of the bucket's sphere is in a listed range, up to the
+	// rounding of the distances involved.
+	Ball   bool
+	Ranges []BodyRange
+
 	stack          []int32
 	sx, sy, sz     []float64
 	ax, ay, az, pp []float64
 }
 
-// Reset empties the interaction list, keeping the backing arrays, and
-// zeroes the count-only tallies.
+// BodyRange is the half-open range Bodies[Lo:Hi] (and Sources()[Lo:Hi]) of
+// one leaf, as a ball search lists it.
+type BodyRange struct{ Lo, Hi int }
+
+// Reset empties the interaction list and the ball search's ranges, keeping
+// the backing arrays, and zeroes the count-only tallies.
 func (sc *BucketScratch) Reset() {
 	sc.List.Reset()
 	sc.NCells, sc.NSrcs, sc.NSegs = 0, 0, 0
+	sc.Ranges = sc.Ranges[:0]
 }
 
 // grow resizes the sink-side arrays to n sinks, zeroing the accumulators.
@@ -182,18 +199,20 @@ func (sc *BucketScratch) grow(n int) {
 
 // GatherList walks the subtree under root once for the bucket whose test is
 // mac, appending accepted cells and direct-interaction bodies to the
-// scratch's list (or, in its count-only mode, counting them), and returns
-// the number of cells it opened. root must be a cell of this tree: key.Root
-// for a whole-tree walk, or a locally owned branch of the distributed tree.
+// scratch's list (or, in its count-only mode, counting them; or, in its ball
+// mode, appending the body ranges of the leaves the ball reaches to Ranges),
+// and returns the number of cells it opened. root must be a cell of this
+// tree: key.Root for a whole-tree walk, or a locally owned branch of the
+// distributed tree.
 func (t *Tree) GatherList(root key.K, mac *BucketMAC, sc *BucketScratch) (opened int) {
 	cells := t.store.cells
 	stack := append(sc.stack[:0], t.store.find(root))
-	countOnly := sc.CountOnly
+	countOnly, ball := sc.CountOnly, sc.Ball
 	for len(stack) > 0 {
 		ci := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		c := &cells[ci]
-		if c.Leaf { // never accepted as a multipole: no test
+		if c.Leaf && !ball { // never accepted as a multipole: no test
 			if countOnly {
 				sc.NSrcs += c.Hi - c.Lo
 				sc.NSegs++
@@ -207,11 +226,17 @@ func (t *Tree) GatherList(root key.K, mac *BucketMAC, sc *BucketScratch) (opened
 			accept = mac.Exact(&c.Mp.COM, c.Bmax)
 		}
 		if accept {
-			if countOnly {
+			switch {
+			case ball: // wholly outside the ball: dropped
+			case countOnly:
 				sc.NCells++
-			} else {
+			default:
 				sc.List.Cells = append(sc.List.Cells, &c.Mp)
 			}
+			continue
+		}
+		if c.Leaf { // ball mode only
+			sc.Ranges = append(sc.Ranges, BodyRange{c.Lo, c.Hi})
 			continue
 		}
 		opened++

@@ -158,6 +158,11 @@ func (t *Tree) Root() *Cell {
 // NumCells returns the number of cells in the hash table.
 func (t *Tree) NumCells() int { return len(t.store.cells) }
 
+// Sources returns position and mass of Bodies, index for index, in the row
+// form the kernels read: the array the ranges of a ball search index. It is
+// the tree's own storage and must not be written.
+func (t *Tree) Sources() []gravity.Source { return t.src }
+
 // LeafBodies returns the bodies of a leaf cell as kernel sources in a
 // freshly allocated slice the caller owns.
 func (t *Tree) LeafBodies(c *Cell) []gravity.Source {

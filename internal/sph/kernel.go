@@ -4,8 +4,9 @@
 // N-body studies, we have been able to include both the essential physics
 // and a flux-limited diffusion algorithm to model the neutrino transport."
 //
-// The pieces: a cubic-spline kernel, grid-hashed neighbor search, density
-// summation with adaptive smoothing lengths, a hybrid nuclear equation of
+// The pieces: a cubic-spline kernel, neighbor search on the gravity tree (a
+// ball search per leaf bucket, see search.go), density summation with
+// adaptive smoothing lengths, a hybrid nuclear equation of
 // state (soft below nuclear density, stiff above — the bounce mechanism),
 // Monaghan artificial viscosity, tree gravity (package htree), gray
 // flux-limited neutrino diffusion with a Levermore-Pomraning limiter, and

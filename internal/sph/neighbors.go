@@ -5,7 +5,10 @@ import (
 )
 
 // Grid is a uniform hash grid for fixed-radius neighbor queries, sized so
-// one cell spans the largest kernel support in the particle set.
+// one cell spans the largest kernel support in the particle set. The
+// simulation no longer searches with it (see search.go): it remains as the
+// oracle the tree search's neighbour sets are tested against, and because
+// bench/'s neighbour probe replays BuildGrid and Neighbors by name.
 type Grid struct {
 	cell  float64
 	inv   float64

@@ -1,0 +1,365 @@
+package sph
+
+import (
+	"math"
+	"reflect"
+	"sort"
+	"testing"
+
+	"spacesim/internal/gravity"
+	"spacesim/internal/htree"
+	"spacesim/internal/obs"
+	"spacesim/internal/vec"
+)
+
+// tinySim wraps the given positions (equal masses summing to one, a little
+// thermal and neutrino energy) in a Sim with every physics term switched on.
+func tinySim(pos []vec.V3) *Sim {
+	n := len(pos)
+	p := &Particles{Pos: pos, Vel: make([]vec.V3, n), Mass: make([]float64, n),
+		U: make([]float64, n), Enu: make([]float64, n)}
+	for i := range p.Mass {
+		p.Mass[i] = 1 / float64(n)
+		p.U[i] = 0.1
+		p.Enu[i] = 0.01 * float64(i+1)
+	}
+	eos := NewEOS(0.1, 100, 4.0/3.0, 2.5, 5.0/3.0)
+	fld := &FLD{C: 10, Kappa0: 5, EmissRate: 0.1, RhoEmit: 1}
+	return NewSim(DefaultConfig(eos, fld), p)
+}
+
+// Degenerate particle sets go through NewSim and Step without a panic and
+// with finite results. The expected rho and h, after NewSim and after the
+// step, are the ones the grid-searched code before the tree search produced
+// (which panicked on the empty set).
+func TestTinyAndCoincidentSets(t *testing.T) {
+	a, b := vec.V3{0.5, 0.25, -0.125}, vec.V3{-0.5, 0.75, 0.375}
+	type state struct{ rho, h []float64 }
+	for _, tc := range []struct {
+		name        string
+		pos         []vec.V3
+		fresh, step state
+	}{
+		{name: "empty"},
+		{"one", []vec.V3{a},
+			state{[]float64{0.039297281028655935}, []float64{3.3610602820249924}},
+			state{[]float64{0.0017884629232597208}, []float64{9.413919688332227}}},
+		// equal h on both sides of the one pair: the tie rule of the pair pass
+		{"two apart", []vec.V3{a, b},
+			state{[]float64{0.06142543353030844, 0.06142543353030844}, []float64{2.2986405336774216, 2.2986405336774216}},
+			state{[]float64{0.008611685681860222, 0.008611685681860222}, []float64{4.424773869615678, 4.424773869615678}}},
+		{"two coincident", []vec.V3{a, a},
+			state{[]float64{0.15718912411462374, 0.15718912411462374}, []float64{1.6805301410124962, 1.6805301410124962}},
+			state{[]float64{0.02861540677215552, 0.02861540677215552}, []float64{2.965198894337389, 2.965198894337389}}},
+		{"three, two coincident", []vec.V3{a, b, a},
+			state{[]float64{0.1739559646577435, 0.07013724516690455, 0.1739559646577435},
+				[]float64{1.4193089550005198, 1.9212054790146624, 1.4193089550005198}},
+			state{[]float64{0.04747073890988199, 0.016969775546528225, 0.04747073890988199},
+				[]float64{2.1881716508191174, 3.0831738823797963, 2.1881716508191174}}},
+	} {
+		s := tinySim(tc.pos)
+		check := func(when string, want state) {
+			t.Helper()
+			for i := range tc.pos {
+				if relErr(s.P.Rho[i], want.rho[i]) > 1e-14 || relErr(s.P.H[i], want.h[i]) > 1e-14 {
+					t.Fatalf("%s, %s: particle %d has rho %v h %v, want %v %v",
+						tc.name, when, i, s.P.Rho[i], s.P.H[i], want.rho[i], want.h[i])
+				}
+			}
+		}
+		check("after NewSim", tc.fresh)
+		if dt := s.Step(); !(dt > 0) || math.IsInf(dt, 0) {
+			t.Fatalf("%s: dt = %v", tc.name, dt)
+		}
+		check("after Step", tc.step)
+		s.UpdateDensity()
+		d := s.Diag()
+		for _, x := range []float64{d.Total(), d.MaxRho, d.CentralVr, d.Momentum.Norm(), d.AngMom.Norm()} {
+			if math.IsNaN(x) || math.IsInf(x, 0) {
+				t.Fatalf("%s: diagnostics not finite: %+v", tc.name, d)
+			}
+		}
+		if len(tc.pos) == 0 && d != (Diagnostics{}) {
+			t.Fatalf("empty set: diagnostics %+v, want zero", d)
+		}
+	}
+}
+
+func relErr(got, want float64) float64 {
+	if got == want {
+		return 0
+	}
+	return math.Abs(got-want) / math.Max(math.Abs(got), math.Abs(want))
+}
+
+func cloneParticles(p *Particles) *Particles {
+	return &Particles{
+		Pos: append([]vec.V3(nil), p.Pos...), Vel: append([]vec.V3(nil), p.Vel...),
+		Mass: append([]float64(nil), p.Mass...), U: append([]float64(nil), p.U...),
+		Enu: append([]float64(nil), p.Enu...), H: append([]float64(nil), p.H...),
+		Rho: append([]float64(nil), p.Rho...), P: append([]float64(nil), p.P...),
+		Cs: append([]float64(nil), p.Cs...),
+	}
+}
+
+// Sim.P is exported: a caller that moves particles between calls must get the
+// results of a Sim built from the moved state, not those of the tree the last
+// step left behind.
+func TestStaleTreeRebuilt(t *testing.T) {
+	opt := RotatingCollapseOptions{N: 300, Omega: 0.3, PressureDeficit: 0.85, Seed: 11}
+	s := NewRotatingCollapse(opt)
+	s.Step()
+	s.P.Pos[7] = s.P.Pos[7].Add(vec.V3{0.05, -0.02, 0.01})
+	s.P.Pos[120] = s.P.Pos[120].Scale(0.9)
+
+	// A fresh Sim builds its tree on the edited positions and then continues
+	// from the very state s is in (NewSim alone would iterate h twice more).
+	fresh := NewSim(s.Cfg, cloneParticles(s.P))
+	fresh.P = cloneParticles(s.P)
+
+	if got, want := s.Diag(), fresh.Diag(); got != want {
+		t.Fatalf("Diag after an edit of P.Pos:\n%+v\nfresh Sim:\n%+v", got, want)
+	}
+	if got, want := s.Step(), fresh.Step(); got != want {
+		t.Fatalf("dt after an edit of P.Pos: %v, fresh Sim %v", got, want)
+	}
+	if !reflect.DeepEqual(s.P, fresh.P) {
+		t.Fatal("particle state after an edit of P.Pos and a Step differs from a fresh Sim's")
+	}
+}
+
+// One tree per position set: a Step builds exactly one tree, and neither the
+// Diag that follows it nor a repeated density pass builds another.
+func TestOneTreeBuildPerStep(t *testing.T) {
+	s := NewRotatingCollapse(RotatingCollapseOptions{N: 300, Omega: 0.3, PressureDeficit: 0.85, Seed: 11})
+	o := obs.New(false)
+	s.SetObs(o)
+	builds := o.Reg.Counter("htree.builds")
+	for step := 1; step <= 3; step++ {
+		s.Step()
+		s.Diag()
+		s.UpdateDensity()
+		if got := builds.Value(); got != int64(step) {
+			t.Fatalf("after %d steps, each with a Diag and a density pass: %d tree builds", step, got)
+		}
+	}
+	cand, nbr := o.Reg.Counter("sph.search.candidates").Value(), o.Reg.Counter("sph.search.neighbors").Value()
+	if nbr <= 0 || cand < nbr {
+		t.Fatalf("search counters: %d candidates, %d neighbours", cand, nbr)
+	}
+}
+
+// collapseState is a small collapse a few steps in, where smoothing lengths
+// already differ by more than half across the set.
+func collapseState(t *testing.T) *Sim {
+	t.Helper()
+	s := NewRotatingCollapse(RotatingCollapseOptions{N: 500, Omega: 0.3, PressureDeficit: 0.85, Seed: 4})
+	for i := 0; i < 6; i++ {
+		s.Step()
+	}
+	lo, hi := math.Inf(1), 0.0
+	for _, h := range s.P.H {
+		lo, hi = math.Min(lo, h), math.Max(hi, h)
+	}
+	if hi < 1.5*lo {
+		t.Fatalf("smoothing lengths span only %.3g..%.3g", lo, hi)
+	}
+	return s
+}
+
+// The density pass against O(N^2) loops: gather over r <= 2 h_i, twice, h
+// updated in between.
+func TestDensityAgainstBruteForce(t *testing.T) {
+	s := collapseState(t)
+	p := s.P
+	n := p.N()
+	h := append([]float64(nil), p.H...)
+	rho := make([]float64, n)
+	eta := 0.5 * math.Cbrt(3*float64(s.Cfg.NNeighbors)/(4*math.Pi))
+	for pass := 0; pass < 2; pass++ {
+		for i := 0; i < n; i++ {
+			rho[i] = 0
+			for j := 0; j < n; j++ {
+				if r := p.Pos[i].Dist(p.Pos[j]); r <= 2*h[i] {
+					rho[i] += p.Mass[j] * W(r, h[i])
+				}
+			}
+			h[i] = eta * math.Cbrt(p.Mass[i]/rho[i])
+		}
+	}
+	s.UpdateDensity()
+	for i := 0; i < n; i++ {
+		if relErr(p.Rho[i], rho[i]) > 1e-12 || relErr(p.H[i], h[i]) > 1e-12 {
+			t.Fatalf("particle %d: rho %v h %v, brute force %v %v", i, p.Rho[i], p.H[i], rho[i], h[i])
+		}
+	}
+}
+
+// The force pass against O(N^2) loops: the FLD gradient gathered over
+// r <= 2 h_i, every pair with r < h_i + h_j evaluated once.
+func TestForcesAgainstBruteForce(t *testing.T) {
+	s := collapseState(t)
+	p, cfg := s.P, s.Cfg
+	n := p.N()
+	// Give the neutrino field something to diffuse.
+	for i := range p.Enu {
+		p.Enu[i] = 0.02 * p.U[i] * (1 + math.Sin(float64(i)))
+	}
+	diffD := make([]float64, n)
+	maxDiffOverH2 := 0.0
+	for i := 0; i < n; i++ {
+		e := p.Rho[i] * p.Enu[i]
+		var grad vec.V3
+		for j := 0; j < n; j++ {
+			rij := p.Pos[i].Sub(p.Pos[j])
+			r := rij.Norm()
+			if r == 0 || r > 2*p.H[i] {
+				continue
+			}
+			grad = grad.AddScaled(p.Mass[j]/p.Rho[j]*(p.Rho[j]*p.Enu[j]-e)*DW(r, p.H[i])/r, rij)
+		}
+		diffD[i] = cfg.FLD.DiffusionCoeff(p.Rho[i], e, grad.Norm())
+		maxDiffOverH2 = math.Max(maxDiffOverH2, diffD[i]/(p.H[i]*p.H[i]))
+	}
+	acc := make([]vec.V3, n)
+	dudt := make([]float64, n)
+	dnu := make([]float64, n)
+	pairs := 0
+	gth := cfg.EOS.GammaTh - 1
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			rij := p.Pos[i].Sub(p.Pos[j])
+			r := rij.Norm()
+			if r == 0 || r >= p.H[i]+p.H[j] {
+				continue
+			}
+			pairs++
+			hm := 0.5 * (p.H[i] + p.H[j])
+			dw := DW(r, hm)
+			gradW := rij.Scale(dw / r)
+			vij := p.Vel[i].Sub(p.Vel[j])
+			visc := 0.0
+			if vdotr := vij.Dot(rij); vdotr < 0 {
+				mu := hm * vdotr / (r*r + 0.01*hm*hm)
+				visc = (-cfg.AlphaVisc*0.5*(p.Cs[i]+p.Cs[j])*mu + cfg.BetaVisc*mu*mu) / (0.5 * (p.Rho[i] + p.Rho[j]))
+			}
+			term := p.P[i]/(p.Rho[i]*p.Rho[i]) + p.P[j]/(p.Rho[j]*p.Rho[j]) + visc
+			acc[i] = acc[i].AddScaled(-p.Mass[j]*term, gradW)
+			acc[j] = acc[j].AddScaled(p.Mass[i]*term, gradW)
+			work := 0.5 * (gth*p.U[i]/p.Rho[i] + gth*p.U[j]/p.Rho[j] + visc) * vij.Dot(gradW)
+			dudt[i] += p.Mass[j] * work
+			dudt[j] += p.Mass[i] * work
+			if di, dj := diffD[i], diffD[j]; di > 0 && dj > 0 {
+				flux := 4 * di * dj / (di + dj) * (-dw / r) / (p.Rho[i] * p.Rho[j]) *
+					(p.Rho[j]*p.Enu[j] - p.Rho[i]*p.Enu[i])
+				dnu[i] += p.Mass[j] * flux
+				dnu[j] -= p.Mass[i] * flux
+			}
+		}
+	}
+	for i := 0; i < n; i++ {
+		if f := cfg.FLD; p.Rho[i] > f.RhoEmit && p.U[i] > 0 {
+			rate := f.EmissRate * (p.Rho[i] / f.RhoEmit) * (p.Rho[i] / f.RhoEmit)
+			dudt[i] -= rate * p.U[i]
+			dnu[i] += rate * p.U[i]
+		}
+	}
+
+	o := obs.New(false)
+	s.SetObs(o)
+	s.computeForces()
+	// The same call on the same tree gives the gravity term bit for bit.
+	grav, _, _ := s.tree.AccelAllGrouped(cfg.GravTheta, cfg.GravEps, false, gravity.Float64, cfg.Workers)
+	var accMax, dudtMax, dnuMax float64
+	for i := 0; i < n; i++ {
+		accMax = math.Max(accMax, acc[i].Norm())
+		dudtMax = math.Max(dudtMax, math.Abs(dudt[i]))
+		dnuMax = math.Max(dnuMax, math.Abs(dnu[i]))
+	}
+	if accMax == 0 || dudtMax == 0 || dnuMax == 0 || maxDiffOverH2 == 0 {
+		t.Fatalf("a term is switched off: max acc %v dudt %v dnu %v D/h^2 %v", accMax, dudtMax, dnuMax, maxDiffOverH2)
+	}
+	for i := 0; i < n; i++ {
+		if d := s.acc[i].Sub(grav[i]).Sub(acc[i]).Norm(); d > 1e-12*accMax {
+			t.Fatalf("particle %d: hydro acceleration off by %v (max %v)", i, d, accMax)
+		}
+		if d := math.Abs(s.dudt[i] - dudt[i]); d > 1e-12*dudtMax {
+			t.Fatalf("particle %d: dudt %v, brute force %v", i, s.dudt[i], dudt[i])
+		}
+		if d := math.Abs(s.dnu[i] - dnu[i]); d > 1e-12*dnuMax {
+			t.Fatalf("particle %d: dnu %v, brute force %v", i, s.dnu[i], dnu[i])
+		}
+	}
+	if relErr(s.maxDiffOverH2, maxDiffOverH2) > 1e-12 {
+		t.Fatalf("max D/h^2 %v, brute force %v", s.maxDiffOverH2, maxDiffOverH2)
+	}
+	// The pair pass counts a neighbour once per pair it evaluates; the FLD
+	// pass counts every body inside a support, the particle itself included.
+	gathered := 0
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			if p.Pos[i].Dist(p.Pos[j]) <= 2*p.H[i] {
+				gathered++
+			}
+		}
+	}
+	if got := o.Reg.Counter("sph.search.neighbors").Value(); got != int64(pairs+gathered) {
+		t.Fatalf("sph.search.neighbors = %d, want %d pairs + %d gathered", got, pairs, gathered)
+	}
+}
+
+// What the tree search finds inside each particle's support is, as a set,
+// what the grid finds.
+func TestNeighbourSetsEqualGrid(t *testing.T) {
+	s := collapseState(t)
+	p := s.P
+	maxH := 0.0
+	for _, h := range p.H {
+		maxH = math.Max(maxH, h)
+	}
+	grid := BuildGrid(p.Pos, SupportRadius(maxH))
+	s.ensureTree()
+	bodies := s.tree.Bodies
+	visited := 0
+	s.eachBucket(false, func(b *htree.Cell, cand []htree.BodyRange) (int, int) {
+		for k := b.Lo; k < b.Hi; k++ {
+			i := bodies[k].ID
+			visited++
+			var got []int32
+			for _, rg := range cand {
+				for kj := rg.Lo; kj < rg.Hi; kj++ {
+					if p.Pos[i].Sub(bodies[kj].Pos).Norm2() <= SupportRadius(p.H[i])*SupportRadius(p.H[i]) {
+						got = append(got, int32(bodies[kj].ID))
+					}
+				}
+			}
+			want := grid.Neighbors(p.Pos, p.Pos[i], SupportRadius(p.H[i]), nil)
+			sort.Slice(got, func(a, b int) bool { return got[a] < got[b] })
+			sort.Slice(want, func(a, b int) bool { return want[a] < want[b] })
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("particle %d: tree search finds %v, grid %v", i, got, want)
+			}
+		}
+		return 0, 0
+	})
+	if visited != p.N() {
+		t.Fatalf("buckets hold %d of %d particles", visited, p.N())
+	}
+}
+
+// BenchmarkCollapseStep is one Step() per iteration at the configuration of
+// bench/'s sph-collapse workload: 8000 particles, two workers. `make
+// profile-sph` profiles it. nbr/cand is the share of distance-tested bodies
+// that lay inside the support tested for.
+func BenchmarkCollapseStep(b *testing.B) {
+	s := NewRotatingCollapse(RotatingCollapseOptions{N: 8000, Omega: 0.3, PressureDeficit: 0.85, Seed: 1})
+	s.Cfg.Workers = 2
+	o := obs.New(false)
+	s.SetObs(o)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.Step()
+	}
+	c := func(name string) float64 { return float64(o.Reg.Counter(name).Value()) }
+	b.ReportMetric(c("sph.search.neighbors")/c("sph.search.candidates"), "nbr/cand")
+}

@@ -42,9 +42,9 @@ type Config struct {
 	GravTheta float64
 	// CFL is the timestep safety factor.
 	CFL float64
-	// Workers bounds the host goroutines of the gravity tree build and the
-	// grouped force walk (<= 0 means GOMAXPROCS). Results are bit-identical
-	// for any value.
+	// Workers bounds the host goroutines of the tree build, the grouped
+	// force walk and the density and FLD gather passes (<= 0 means
+	// GOMAXPROCS). Results are bit-identical for any value.
 	Workers int
 }
 
@@ -75,24 +75,32 @@ type Sim struct {
 	// the explicit-diffusion stability bound.
 	maxDiffOverH2 float64
 
-	// arena holds the gravity tree's reusable build storage so per-step
-	// rebuilds stop allocating.
+	// tree is the one tree over the particle positions (see ensureTree), nil
+	// when there are no particles. arena holds its reusable build storage so
+	// per-step rebuilds stop allocating.
+	tree  *htree.Tree
 	arena htree.Arena
 
 	// observation handles (no-ops until SetObs).
 	o      *obs.Obs
 	tr     *obs.Track
 	cSteps *obs.Counter
-	prog   *obs.Progress
+	// cCand counts the bodies the neighbour search distance-tested, cNbr
+	// those inside the support tested for: their ratio is the share of the
+	// search's work that was useful.
+	cCand, cNbr *obs.Counter
+	prog        *obs.Progress
 }
 
-// SetObs attaches an observation handle: a step counter, the run-progress
-// publisher, and, when the tracer is enabled, a host-time row with the
-// per-step phase spans (SPH runs on the host, not inside the virtual
-// machine model).
+// SetObs attaches an observation handle: a step counter, the neighbour
+// search's candidate and neighbour counters, the run-progress publisher,
+// and, when the tracer is enabled, a host-time row with the per-step phase
+// spans (SPH runs on the host, not inside the virtual machine model).
 func (s *Sim) SetObs(o *obs.Obs) {
 	s.o = o
 	s.cSteps = o.Reg.Counter("sph.steps")
+	s.cCand = o.Reg.Counter("sph.search.candidates")
+	s.cNbr = o.Reg.Counter("sph.search.neighbors")
 	s.prog = o.Progress()
 	if o.Tracer != nil {
 		s.tr = o.Tracer.Track(obs.PidHost, 2, "sph sim")
@@ -117,11 +125,10 @@ func NewSim(cfg Config, p *Particles) *Sim {
 	s.acc = make([]vec.V3, n)
 	s.dudt = make([]float64, n)
 	s.dnu = make([]float64, n)
-	if len(p.H) == 0 {
+	if len(p.H) == 0 && n > 0 {
 		p.H = make([]float64, n)
 		// initial guess from mean interparticle spacing
-		lo, size := htree.BoundingCube(p.Pos)
-		_ = lo
+		_, size := htree.BoundingCube(p.Pos)
 		d := size / math.Cbrt(float64(n))
 		for i := range p.H {
 			p.H[i] = 1.2 * d
@@ -137,32 +144,44 @@ func NewSim(cfg Config, p *Particles) *Sim {
 }
 
 // UpdateDensity recomputes smoothing lengths (two fixed-point iterations
-// toward the target neighbor count) and densities.
+// toward the target neighbor count) and densities. Each particle gathers
+// within its own support 2h and writes only its own rho and h, so the
+// buckets run on Cfg.Workers goroutines.
 func (s *Sim) UpdateDensity() {
 	defer s.span("density")()
 	p := s.P
 	n := p.N()
+	s.ensureTree()
+	if s.tree == nil {
+		return
+	}
+	bodies, src := s.tree.Bodies, s.tree.Sources()
 	// support 2h holds NN neighbors: (4pi/3)(2h)^3 rho/m = NN
 	eta := 0.5 * math.Cbrt(3*float64(s.Cfg.NNeighbors)/(4*math.Pi))
 	for pass := 0; pass < 2; pass++ {
-		maxH := 0.0
-		for _, h := range p.H {
-			if h > maxH {
-				maxH = h
+		s.eachBucket(true, func(b *htree.Cell, cand []htree.BodyRange) (tested, found int) {
+			for k := b.Lo; k < b.Hi; k++ {
+				i := bodies[k].ID
+				xi, h := src[k].Pos, p.H[i]
+				r2max := SupportRadius(h) * SupportRadius(h)
+				rho := 0.0
+				for _, rg := range cand {
+					tested += rg.Hi - rg.Lo
+					for kj := rg.Lo; kj < rg.Hi; kj++ {
+						sj := &src[kj]
+						dx, dy, dz := xi[0]-sj.Pos[0], xi[1]-sj.Pos[1], xi[2]-sj.Pos[2]
+						if r2 := dx*dx + dy*dy + dz*dz; r2 <= r2max {
+							found++
+							rho += sj.Mass * W(math.Sqrt(r2), h)
+						}
+					}
+				}
+				p.Rho[i] = rho
+				// adaptive h: the kernel support 2h encloses ~NNeighbors
+				p.H[i] = eta * math.Cbrt(p.Mass[i]/rho)
 			}
-		}
-		grid := BuildGrid(p.Pos, SupportRadius(maxH))
-		var nbr []int32
-		for i := 0; i < n; i++ {
-			nbr = grid.Neighbors(p.Pos, p.Pos[i], SupportRadius(p.H[i]), nbr[:0])
-			rho := 0.0
-			for _, j := range nbr {
-				rho += p.Mass[j] * W(p.Pos[i].Dist(p.Pos[int(j)]), p.H[i])
-			}
-			p.Rho[i] = rho
-			// adaptive h: the kernel support 2h encloses ~NNeighbors
-			p.H[i] = eta * math.Cbrt(p.Mass[i]/rho)
-		}
+			return tested, found
+		})
 	}
 	for i := 0; i < n; i++ {
 		p.P[i] = s.Cfg.EOS.Pressure(p.Rho[i], p.U[i])
@@ -182,100 +201,92 @@ func (s *Sim) computeForces() {
 		s.dudt[i] = 0
 		s.dnu[i] = 0
 	}
-
-	maxH := 0.0
-	for _, h := range p.H {
-		if h > maxH {
-			maxH = h
-		}
+	s.maxDiffOverH2 = 0
+	s.ensureTree()
+	if s.tree == nil {
+		return
 	}
-	grid := BuildGrid(p.Pos, SupportRadius(maxH))
-	var nbr []int32
+	bodies, src := s.tree.Bodies, s.tree.Sources()
 
-	// FLD precompute: energy density and limited diffusion coefficient.
+	// FLD precompute: energy density and limited diffusion coefficient, a
+	// gather over each particle's own support like the density pass.
 	diffD := make([]float64, n)
 	if cfg.FLD != nil {
-		for i := 0; i < n; i++ {
-			e := p.Rho[i] * p.Enu[i]
-			// gradient magnitude estimate via SPH
-			nbr = grid.Neighbors(p.Pos, p.Pos[i], SupportRadius(p.H[i]), nbr[:0])
-			var grad vec.V3
-			for _, j32 := range nbr {
-				j := int(j32)
-				if j == i {
-					continue
+		s.eachBucket(true, func(b *htree.Cell, cand []htree.BodyRange) (tested, found int) {
+			for k := b.Lo; k < b.Hi; k++ {
+				i := bodies[k].ID
+				xi, h := src[k].Pos, p.H[i]
+				r2max := SupportRadius(h) * SupportRadius(h)
+				e := p.Rho[i] * p.Enu[i]
+				// gradient magnitude estimate via SPH
+				var grad vec.V3
+				for _, rg := range cand {
+					tested += rg.Hi - rg.Lo
+					for kj := rg.Lo; kj < rg.Hi; kj++ {
+						sj := &src[kj]
+						rij := vec.V3{xi[0] - sj.Pos[0], xi[1] - sj.Pos[1], xi[2] - sj.Pos[2]}
+						r2 := rij[0]*rij[0] + rij[1]*rij[1] + rij[2]*rij[2]
+						if r2 > r2max {
+							continue
+						}
+						found++
+						if r2 == 0 { // the particle itself, or one on top of it
+							continue
+						}
+						j := bodies[kj].ID
+						r := math.Sqrt(r2)
+						ej := p.Rho[j] * p.Enu[j]
+						grad = grad.AddScaled(sj.Mass/p.Rho[j]*(ej-e)*DW(r, h)/r, rij)
+					}
 				}
-				rij := p.Pos[i].Sub(p.Pos[j])
-				r := rij.Norm()
-				if r == 0 {
-					continue
-				}
-				ej := p.Rho[j] * p.Enu[j]
-				grad = grad.AddScaled(p.Mass[j]/p.Rho[j]*(ej-e)*DW(r, p.H[i])/r, rij)
+				diffD[i] = cfg.FLD.DiffusionCoeff(p.Rho[i], e, grad.Norm())
 			}
-			diffD[i] = cfg.FLD.DiffusionCoeff(p.Rho[i], e, grad.Norm())
-		}
+			return tested, found
+		})
 	}
-	s.maxDiffOverH2 = 0
 	for i := 0; i < n; i++ {
 		if v := diffD[i] / (p.H[i] * p.H[i]); v > s.maxDiffOverH2 {
 			s.maxDiffOverH2 = v
 		}
 	}
 
-	for i := 0; i < n; i++ {
-		hi := p.H[i]
-		nbr = grid.Neighbors(p.Pos, p.Pos[i], SupportRadius(maxH), nbr[:0])
-		for _, j32 := range nbr {
-			j := int(j32)
-			if j <= i {
-				continue // pairwise, each pair once
-			}
-			rij := p.Pos[i].Sub(p.Pos[j])
-			r := rij.Norm()
-			hm := 0.5 * (hi + p.H[j])
-			if r == 0 || r >= SupportRadius(hm) {
-				continue
-			}
-			dw := DW(r, hm)
-			gradW := rij.Scale(dw / r)
-			vij := p.Vel[i].Sub(p.Vel[j])
-
-			// Monaghan artificial viscosity for approaching pairs
-			pi := 0.0
-			vdotr := vij.Dot(rij)
-			if vdotr < 0 {
-				mu := hm * vdotr / (r*r + 0.01*hm*hm)
-				cm := 0.5 * (p.Cs[i] + p.Cs[j])
-				rhom := 0.5 * (p.Rho[i] + p.Rho[j])
-				pi = (-cfg.AlphaVisc*cm*mu + cfg.BetaVisc*mu*mu) / rhom
-			}
-			term := p.P[i]/(p.Rho[i]*p.Rho[i]) + p.P[j]/(p.Rho[j]*p.Rho[j]) + pi
-			s.acc[i] = s.acc[i].AddScaled(-p.Mass[j]*term, gradW)
-			s.acc[j] = s.acc[j].AddScaled(p.Mass[i]*term, gradW)
-			// Only the thermal pressure and viscosity do work on u: the
-			// cold branch is barotropic, its energy is a function of rho
-			// alone and is accounted separately (EOS.ColdEnergy).
-			gth := cfg.EOS.GammaTh - 1
-			thTerm := gth*p.U[i]/p.Rho[i] + gth*p.U[j]/p.Rho[j] + pi
-			work := 0.5 * thTerm * vij.Dot(gradW)
-			s.dudt[i] += p.Mass[j] * work
-			s.dudt[j] += p.Mass[i] * work
-
-			// FLD diffusion between the pair (Cleary-Monaghan form)
-			if cfg.FLD != nil {
-				di, dj := diffD[i], diffD[j]
-				if di > 0 && dj > 0 {
-					dbar := 4 * di * dj / (di + dj)
-					f := -dw / r // >= 0
-					flux := dbar * f / (p.Rho[i] * p.Rho[j]) *
-						(p.Rho[j]*p.Enu[j] - p.Rho[i]*p.Enu[i])
-					s.dnu[i] += p.Mass[j] * flux
-					s.dnu[j] -= p.Mass[i] * flux
+	// Pair pass: a pair interacts when r < h_i + h_j and is evaluated once,
+	// from the side of the particle with the larger h (ties go to the lower
+	// index): h_j <= h_i puts the partner inside that particle's own support
+	// 2 h_i, which its bucket's search covers, so no cell needs to know the
+	// largest h below it. The pass scatters to both partners, so it is
+	// serial, in tree order, and independent of Cfg.Workers.
+	s.eachBucket(false, func(b *htree.Cell, cand []htree.BodyRange) (tested, found int) {
+		for k := b.Lo; k < b.Hi; k++ {
+			i := bodies[k].ID
+			xi, hi := src[k].Pos, p.H[i]
+			r2max := SupportRadius(hi) * SupportRadius(hi)
+			for _, rg := range cand {
+				tested += rg.Hi - rg.Lo
+				for kj := rg.Lo; kj < rg.Hi; kj++ {
+					sj := &src[kj]
+					rij := vec.V3{xi[0] - sj.Pos[0], xi[1] - sj.Pos[1], xi[2] - sj.Pos[2]}
+					r2 := rij[0]*rij[0] + rij[1]*rij[1] + rij[2]*rij[2]
+					if r2 > r2max || r2 == 0 {
+						continue
+					}
+					j := bodies[kj].ID
+					hj := p.H[j]
+					if hj > hi || (hj == hi && j < i) {
+						continue // the partner's side evaluates this pair
+					}
+					r := math.Sqrt(r2)
+					hm := 0.5 * (hi + hj)
+					if r >= SupportRadius(hm) {
+						continue
+					}
+					found++
+					s.pairTerms(i, j, rij, r, hm, diffD)
 				}
 			}
 		}
-	}
+		return tested, found
+	})
 
 	// neutrino emission: thermal energy converts to neutrino energy in the
 	// hot dense core
@@ -290,16 +301,56 @@ func (s *Sim) computeForces() {
 		}
 	}
 
-	// self-gravity via the hashed oct-tree
-	tr, err := htree.Build(p.Pos, p.Mass, htree.Options{
-		MaxLeaf: 8, Workers: cfg.Workers, Arena: &s.arena, Obs: s.o,
-	})
-	if err != nil {
-		panic("sph: gravity tree: " + err.Error())
-	}
-	gacc, _, _ := tr.AccelAllGrouped(cfg.GravTheta, cfg.GravEps, false, gravity.Float64, cfg.Workers)
+	// self-gravity on the same tree
+	gacc, _, _ := s.tree.AccelAllGrouped(cfg.GravTheta, cfg.GravEps, false, gravity.Float64, cfg.Workers)
 	for i := 0; i < n; i++ {
 		s.acc[i] = s.acc[i].Add(gacc[i])
+	}
+}
+
+// pairTerms adds the interaction of particles i and j, a distance r =
+// |rij| apart with rij = x_i - x_j and mean smoothing length hm, to both
+// partners: pressure and viscous acceleration, their work on u, and the
+// neutrino flux between them. Every term is symmetric or antisymmetric under
+// exchange of i and j, so it does not matter which side calls.
+func (s *Sim) pairTerms(i, j int, rij vec.V3, r, hm float64, diffD []float64) {
+	p, cfg := s.P, &s.Cfg
+	dw := DW(r, hm)
+	gradW := rij.Scale(dw / r)
+	vij := p.Vel[i].Sub(p.Vel[j])
+
+	// Monaghan artificial viscosity for approaching pairs
+	pi := 0.0
+	vdotr := vij.Dot(rij)
+	if vdotr < 0 {
+		mu := hm * vdotr / (r*r + 0.01*hm*hm)
+		cm := 0.5 * (p.Cs[i] + p.Cs[j])
+		rhom := 0.5 * (p.Rho[i] + p.Rho[j])
+		pi = (-cfg.AlphaVisc*cm*mu + cfg.BetaVisc*mu*mu) / rhom
+	}
+	term := p.P[i]/(p.Rho[i]*p.Rho[i]) + p.P[j]/(p.Rho[j]*p.Rho[j]) + pi
+	s.acc[i] = s.acc[i].AddScaled(-p.Mass[j]*term, gradW)
+	s.acc[j] = s.acc[j].AddScaled(p.Mass[i]*term, gradW)
+	// Only the thermal pressure and viscosity do work on u: the cold branch
+	// is barotropic, its energy is a function of rho alone and is accounted
+	// separately (EOS.ColdEnergy).
+	gth := cfg.EOS.GammaTh - 1
+	thTerm := gth*p.U[i]/p.Rho[i] + gth*p.U[j]/p.Rho[j] + pi
+	work := 0.5 * thTerm * vij.Dot(gradW)
+	s.dudt[i] += p.Mass[j] * work
+	s.dudt[j] += p.Mass[i] * work
+
+	// FLD diffusion between the pair (Cleary-Monaghan form)
+	if cfg.FLD != nil {
+		di, dj := diffD[i], diffD[j]
+		if di > 0 && dj > 0 {
+			dbar := 4 * di * dj / (di + dj)
+			f := -dw / r // >= 0
+			flux := dbar * f / (p.Rho[i] * p.Rho[j]) *
+				(p.Rho[j]*p.Enu[j] - p.Rho[i]*p.Enu[i])
+			s.dnu[i] += p.Mass[j] * flux
+			s.dnu[j] -= p.Mass[i] * flux
+		}
 	}
 }
 
@@ -376,17 +427,16 @@ func (d Diagnostics) Total() float64 {
 	return d.Kinetic + d.Thermal + d.Neutrino + d.Potential
 }
 
-// Diag computes the current diagnostics (potential by tree, theta=0.3).
+// Diag computes the current diagnostics (potential by tree, theta=0.3); all
+// zero when there are no particles.
 func (s *Sim) Diag() Diagnostics {
 	p := s.P
 	var d Diagnostics
-	tr, err := htree.Build(p.Pos, p.Mass, htree.Options{
-		MaxLeaf: 8, Workers: s.Cfg.Workers, Arena: &s.arena, Obs: s.o,
-	})
-	if err != nil {
-		panic(err)
+	s.ensureTree()
+	if s.tree == nil {
+		return d
 	}
-	_, pot, _ := tr.AccelAllGrouped(0.3, s.Cfg.GravEps, false, gravity.Float64, s.Cfg.Workers)
+	_, pot, _ := s.tree.AccelAllGrouped(0.3, s.Cfg.GravEps, false, gravity.Float64, s.Cfg.Workers)
 	dense := make([]rhoi, p.N())
 	for i := 0; i < p.N(); i++ {
 		m := p.Mass[i]

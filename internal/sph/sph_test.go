@@ -3,6 +3,7 @@ package sph
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -270,11 +271,12 @@ func TestSortByRhoStableTies(t *testing.T) {
 	}
 }
 
-// The gravity tree's Workers setting must not change a single bit of the
-// simulation state: run the same collapse with serial and parallel builds
-// and compare diagnostics exactly.
+// The Workers setting — tree build, gravity walk, density and FLD gather
+// passes — must not change a single bit of the simulation state: run the
+// same collapse at several worker counts and compare the particles and the
+// diagnostics exactly.
 func TestSimWorkersBitIdentical(t *testing.T) {
-	run := func(workers int) Diagnostics {
+	run := func(workers int) (*Particles, Diagnostics) {
 		s := NewRotatingCollapse(RotatingCollapseOptions{
 			N: 400, Omega: 0.2, PressureDeficit: 0.6, Seed: 9,
 		})
@@ -282,12 +284,16 @@ func TestSimWorkersBitIdentical(t *testing.T) {
 		for i := 0; i < 10; i++ {
 			s.Step()
 		}
-		return s.Diag()
+		return s.P, s.Diag()
 	}
-	want := run(1)
+	wantP, wantD := run(1)
 	for _, w := range []int{2, 4, 7} {
-		if got := run(w); got != want {
-			t.Fatalf("workers=%d diagnostics diverge:\n%+v\nvs\n%+v", w, got, want)
+		gotP, gotD := run(w)
+		if gotD != wantD {
+			t.Fatalf("workers=%d diagnostics diverge:\n%+v\nvs\n%+v", w, gotD, wantD)
+		}
+		if !reflect.DeepEqual(gotP, wantP) {
+			t.Fatalf("workers=%d: particle state (Pos, Vel, U, Enu, Rho, H, ...) differs from workers=1", w)
 		}
 	}
 }
