@@ -2,9 +2,11 @@ package core
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"spacesim/internal/mp"
+	"spacesim/internal/obs"
 )
 
 // BenchmarkComputeForcesGrouped runs one collective force evaluation per
@@ -48,4 +50,34 @@ func BenchmarkComputeForcesSerial(b *testing.B) {
 	c := func(name string) float64 { return float64(st.Obs.Reg.Counter(name).Value()) }
 	b.ReportMetric(c("core.pool.busy_ns")/c("core.pool.wall_ns"), "pool-busy")
 	b.ReportMetric(c("core.pool.inline_jobs")/c("core.pool.jobs"), "inline-share")
+}
+
+// BenchmarkStepDist64 is bench/'s coldsphere-dist64 configuration — 32768
+// cold-sphere bodies on 64 ranks over four switch modules, two pool workers a
+// rank, every rank on one engine thread, buckets of 16 — through Run, one
+// leapfrog step per iteration: decomposition, tree build and branch exchange,
+// walk and kernels, all 64 times over on one host. The initial evaluation is
+// inside the timer, so b.N iterations are b.N+1 force evaluations and the
+// reported metrics are per evaluation. `make profile-dist64` profiles it.
+func BenchmarkStepDist64(b *testing.B) {
+	ics, err := MakeICs("coldsphere", 1, 32768)
+	if err != nil {
+		b.Fatal(err)
+	}
+	o := obs.New(false)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	b.ResetTimer()
+	res := Run(RunConfig{
+		Cluster: testCluster().WithObs(o), Procs: 64, Steps: b.N, EngineWorkers: 1,
+		Opt: Options{Theta: 0.7, Eps: 0.01, DT: 0.005, MaxLeaf: 16, Workers: 2},
+	}, ics)
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	if res.Err != nil {
+		b.Fatal(res.Err)
+	}
+	evals := float64(b.N + 1)
+	b.ReportMetric(float64(o.Snapshot().Counters["core.top.builds"])/evals, "top-builds/step")
+	b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/(1<<20)/evals, "MB/step")
 }

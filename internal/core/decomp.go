@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sort"
 
 	"spacesim/internal/key"
@@ -40,7 +41,10 @@ func globalBox(r *mp.Rank, bodies []Body) (vec.V3, float64) {
 // associated with each item." Bodies are key-labeled in the global box,
 // sample-sorted on keys with work-weighted splitters, exchanged all-to-all,
 // and returned locally sorted. The splitters slice (length P-1) and the box
-// are also returned; rank p owns keys in [splitters[p-1], splitters[p]).
+// are also returned; rank p owns keys in [splitters[p-1], splitters[p]). The
+// splitters are one slice for the whole world (allgatherOnce): never write it.
+// Decompose takes ownership of bodies: it reorders them and hands runs of the
+// slice to other ranks by reference, so the caller must not touch it again.
 func Decompose(r *mp.Rank, bodies []Body) (local []Body, splitters []key.K, boxLo vec.V3, boxSize float64) {
 	p := r.Size()
 	boxLo, boxSize = globalBox(r, bodies)
@@ -71,15 +75,10 @@ func Decompose(r *mp.Rank, bodies []Body) (local []Body, splitters []key.K, boxL
 
 	// Regular sampling weighted by work: each rank emits s samples at equal
 	// cumulative-work positions, each carrying its work quantum.
-	const samplesPerRank = 32
-	s := samplesPerRank
+	const s = 32
 	localWork := 0.0
 	for i := range bodies {
 		localWork += bodies[i].Work
-	}
-	type sample struct {
-		k key.K
-		w float64
 	}
 	mySamples := make([]sample, 0, s)
 	if n > 0 {
@@ -95,18 +94,57 @@ func Decompose(r *mp.Rank, bodies []Body) (local []Body, splitters []key.K, boxL
 			}
 		}
 	}
-	gathered := r.AllgatherAny(mySamples, int64(16*len(mySamples)))
-	var all []sample
-	for _, g := range gathered {
-		all = append(all, g.([]sample)...)
+	splitters = allgatherOnce(r, mySamples, int64(16*len(mySamples)), func(samples [][]sample) []key.K {
+		r.Metrics().Counter("core.splitters.builds").Inc()
+		return splitterTable(samples)
+	})
+
+	// Exchange. The bodies are key-sorted and the splitters ascend, so what
+	// goes to each rank is a contiguous run, handed over by reference.
+	chunks := make([]any, p)
+	sizes := make([]int64, p)
+	lo := 0
+	for d := range chunks {
+		hi := lo
+		for hi < n && (d == p-1 || bodies[hi].Key < splitters[d]) {
+			hi++
+		}
+		chunks[d] = bodies[lo:hi]
+		sizes[d] = int64((hi - lo) * bodyWireBytes)
+		lo = hi
 	}
+	runs := make([][]Body, p)
+	for src, c := range r.AlltoallAny(chunks, sizes) {
+		runs[src] = c.([]Body)
+	}
+	local = slices.Concat(runs...)
+	endSort = r.Span("phase", "tree-sort")
+	sortBodiesByKey(local)
+	if m := len(local); m > 1 {
+		cmp := float64(m) * logf(m)
+		r.Charge(2*cmp, 0.5, 16*cmp)
+	}
+	endSort()
+	return local, splitters, boxLo, boxSize
+}
+
+// sample is one of a rank's regular samples: a key and the work it stands for.
+type sample struct {
+	k key.K
+	w float64
+}
+
+// splitterTable merges every rank's samples and cuts them into one run of
+// equal weight per rank: the keys where one rank's range ends and the next begins.
+func splitterTable(samples [][]sample) []key.K {
+	p, all := len(samples), slices.Concat(samples...)
 	sort.Slice(all, func(i, j int) bool { return all[i].k < all[j].k })
 	totalWork := 0.0
 	for _, sm := range all {
 		totalWork += sm.w
 	}
 	// Splitters at equal cumulative weight.
-	splitters = make([]key.K, 0, p-1)
+	splitters := make([]key.K, 0, p-1)
 	target := totalWork / float64(p)
 	cum := 0.0
 	for _, sm := range all {
@@ -120,37 +158,7 @@ func Decompose(r *mp.Rank, bodies []Body) (local []Body, splitters []key.K, boxL
 		// (possibly empty) tail ranges.
 		splitters = append(splitters, ^key.K(0))
 	}
-
-	// Bin bodies by destination rank and exchange.
-	chunks := make([]any, p)
-	sizes := make([]int64, p)
-	bins := make([][]Body, p)
-	dst := 0
-	for i := range bodies {
-		for dst < p-1 && bodies[i].Key >= splitters[dst] {
-			dst++
-		}
-		bins[dst] = append(bins[dst], bodies[i])
-	}
-	for d := 0; d < p; d++ {
-		chunks[d] = bins[d]
-		sizes[d] = int64(len(bins[d]) * bodyWireBytes)
-	}
-	recv := r.AlltoallAny(chunks, sizes)
-	local = local[:0]
-	for _, c := range recv {
-		if c != nil {
-			local = append(local, c.([]Body)...)
-		}
-	}
-	endSort = r.Span("phase", "tree-sort")
-	sortBodiesByKey(local)
-	if m := len(local); m > 1 {
-		cmp := float64(m) * logf(m)
-		r.Charge(2*cmp, 0.5, 16*cmp)
-	}
-	endSort()
-	return local, splitters, boxLo, boxSize
+	return splitters
 }
 
 // sortBodiesByKey orders bodies by (Key, ID): the stable composite order

@@ -40,6 +40,11 @@ const cellInfoWireBytes = 104
 // cell is one slab entry: the metadata plus what is resident below it.
 type cell struct {
 	cellInfo
+	resident
+}
+
+// resident is what one rank holds below a cell.
+type resident struct {
 	// child is the slab index of the first resident daughter; the others
 	// follow in ascending octant order. 0 (the root, nobody's daughter)
 	// means they are not resident.
@@ -63,22 +68,24 @@ type DTree struct {
 	abm *mp.ABM
 	opt Options
 
-	boxLo     vec.V3
-	boxSize   float64
 	splitters []key.K
 
 	local *htree.Tree // may be nil when the rank holds no bodies
 
-	// cells is the slab of every cell this rank knows besides its own tree.
-	// cells[:persist] is the replicated top laid out by exchangeBranches:
-	// root at index 0, fills and every rank's branches, the children of one
-	// parent side by side in ascending octant order. Behind it each fetch
-	// reply appends the children it carried, which may move the slab: never
-	// hold a *cell across an ABM Poll while a request is outstanding. Once
-	// none is, nothing writes the slab until the next evaluation resets it,
-	// and the eval pool reads it from its own goroutines (pass 2).
-	cells   []cell
-	persist int
+	// Every cell this rank knows besides its own tree has a slab index. Those
+	// below len(top) name the replicated top laid out by buildTop: root at
+	// index 0, fills and every rank's branches, the children of one parent
+	// side by side in ascending octant order. The top is one array for the
+	// whole world and nobody writes it; what a fetch reply makes resident
+	// below a branch goes on over, this rank's overlay, one entry per top
+	// cell. Index len(top)+j names cells[j], the rank's own slab: a reply
+	// appends its children, which may move the slab, so never hold a pointer
+	// into it across an ABM Poll while a request is outstanding. Once none is,
+	// nothing writes slab or overlay until the next evaluation resets them,
+	// and the eval pool reads them from its own goroutines (pass 2).
+	top   []cell
+	over  []resident
+	cells []cell
 
 	// fetching tracks in-flight expansion requests: slab index -> walkers
 	// waiting on the reply. It deduplicates concurrent requests: whichever
@@ -104,25 +111,35 @@ type DTree struct {
 	cPoolInline                           *obs.Counter
 }
 
-// resetCaches drops the transient per-evaluation state: every cell a fetch
-// reply appended, and the child links and bodies replies hung on the branch
-// entries. The second pass needs all that one evaluation fetched resident;
-// none of it survives into the next, which is the bound on the slab.
-func (dt *DTree) resetCaches() {
-	clear(dt.cells[dt.persist:]) // release the fetched bodies they point at
-	dt.cells = dt.cells[:dt.persist]
-	for i := range dt.cells {
-		if c := &dt.cells[i]; c.Owner >= 0 {
-			c.child, c.bodies = 0, nil
-		}
+// at resolves slab index i to the cell's metadata, in the shared top or the
+// rank's own slab, and to where this rank keeps what is resident below it.
+func (dt *DTree) at(i int32) (*cellInfo, *resident) {
+	if n := int32(len(dt.top)); i >= n {
+		c := &dt.cells[i-n]
+		return &c.cellInfo, &c.resident
 	}
+	c := &dt.top[i]
+	if c.Owner >= 0 {
+		return &c.cellInfo, &dt.over[i]
+	}
+	return &c.cellInfo, &c.resident // a fill: its daughters are in the top too
+}
+
+// resetCaches drops the transient per-evaluation state: every cell a fetch
+// reply appended, and the child links and bodies replies hung on the overlay.
+// The second pass needs all that one evaluation fetched resident; none of it
+// survives into the next, which is the bound on the slab.
+func (dt *DTree) resetCaches() {
+	clear(dt.cells) // release the fetched bodies they point at
+	dt.cells = dt.cells[:0]
+	clear(dt.over)
 }
 
 // requestCell asks the owner of slab cell i for its expansion on behalf of
 // walker w, calling resume for every waiting walker when the reply has
-// arrived during a Poll and is resident — a leaf's bodies on the cell
-// itself, an internal cell's children appended to the slab and linked from
-// it — so later walkers are served locally.
+// arrived during a Poll and is resident — a leaf's bodies, or an internal
+// cell's children appended to the slab, linked from the cell's resident entry
+// — so later walkers are served locally.
 func (dt *DTree) requestCell(i int32, st *TraversalStats, w *bucketWalker, resume func(*bucketWalker, int32)) {
 	waiters, inFlight := dt.fetching[i]
 	dt.fetching[i] = append(waiters, w)
@@ -138,13 +155,14 @@ func (dt *DTree) requestCell(i int32, st *TraversalStats, w *bucketWalker, resum
 	// when the reply continuation runs (both points on the rank goroutine).
 	fid := dt.fetches
 	t0 := dt.r.Clock()
-	dt.abm.Request(dt.cells[i].Owner, hFetch, dt.cells[i].Key, 8, func(resp any) {
+	c, _ := dt.at(i)
+	dt.abm.Request(c.Owner, hFetch, c.Key, 8, func(resp any) {
 		reply := resp.(fetchReply)
 		dt.ro.Async("fetch", "fetch", fid, t0, dt.r.Clock())
-		if reply.Bodies != nil {
-			dt.cells[i].bodies = reply.Bodies
+		if _, res := dt.at(i); reply.Bodies != nil {
+			res.bodies = reply.Bodies
 		} else {
-			dt.cells[i].child = int32(len(dt.cells))
+			res.child = int32(len(dt.top) + len(dt.cells)) // before the append moves res
 			for _, c := range reply.Children {
 				dt.cells = append(dt.cells, cell{cellInfo: c})
 			}
@@ -163,7 +181,6 @@ func BuildDistributed(r *mp.Rank, bodies []Body, splitters []key.K, boxLo vec.V3
 	opt = opt.withDefaults()
 	dt := &DTree{
 		r: r, opt: opt,
-		boxLo: boxLo, boxSize: boxSize,
 		splitters: splitters,
 		fetching:  map[int32][]*bucketWalker{},
 		counting:  htree.BucketScratch{CountOnly: true},
@@ -226,8 +243,20 @@ func BuildDistributed(r *mp.Rank, bodies []Body, splitters []key.K, boxLo vec.V3
 		endConstruct()
 	}
 
+	// One rank's tree-merge span is long (it built the world's top), the rest short.
 	endMerge := r.Span("phase", "tree-merge")
-	dt.exchangeBranches()
+	mine := dt.branches()
+	dt.top = allgatherOnce(r, mine, int64(len(mine)*cellInfoWireBytes), func(branches [][]cellInfo) []cell {
+		top := buildTop(branches)
+		reg.Counter("core.top.builds").Inc()
+		reg.Counter("core.top.cells").Add(int64(len(top)))
+		return top
+	})
+	dt.over = make([]resident, len(dt.top))
+	if dt.local != nil {
+		// What a rank opens of its neighbours goes with its domain's surface.
+		dt.cells = make([]cell, 0, 2*dt.local.NumCells())
+	}
 	endMerge()
 	return dt
 }
@@ -295,22 +324,21 @@ func (dt *DTree) branches() []cellInfo {
 	return out
 }
 
-// exchangeBranches replicates every rank's branch cells and builds the fill
-// cells above them, so the top of the tree is globally consistent, as the
-// persistent part of the slab. Ranks own ascending key ranges and list their
-// branches depth first, so the gathered branches come in ascending key-range
-// order and the ancestors one adds are those that do not contain its
-// predecessor. The slab is in ascending key order — level by level, root
-// first, siblings side by side by octant — and within a level branches and
-// new ancestors already arrive that way, so two sweeps (count per level, then
-// place) sort it without comparing keys.
-func (dt *DTree) exchangeBranches() {
-	mine := dt.branches()
-	gathered := dt.r.AllgatherAny(mine, int64(len(mine)*cellInfoWireBytes))
+// buildTop lays out the replicated top of the tree from every rank's branch
+// cells, indexed by rank, and builds the fill cells above them, so the top is
+// globally consistent. It is a pure function of its input and runs once per
+// branch exchange for the whole world (see allgatherOnce). Ranks own
+// ascending key ranges and list their branches depth first, so the branches
+// come in ascending key-range order and the ancestors one adds are those that
+// do not contain its predecessor. The top is in ascending key order — level
+// by level, root first, siblings side by side by octant — and within a level
+// branches and new ancestors already arrive that way, so two sweeps (count per
+// level, then place) sort it without comparing keys.
+func buildTop(branches [][]cellInfo) []cell {
 	sweep := func(visit func(level int, c cellInfo)) {
 		prev := key.Invalid
-		for _, g := range gathered {
-			for _, b := range g.([]cellInfo) {
+		for _, g := range branches {
+			for _, b := range g {
 				level := b.Key.Level()
 				for a, l := b.Key, level; a != key.Root; {
 					a, l = a.Parent(), l-1
@@ -329,18 +357,9 @@ func (dt *DTree) exchangeBranches() {
 	for l := 1; l < len(next); l++ {
 		next[l] += next[l-1]
 	}
-	dt.persist = int(next[len(next)-1])
-	// Fetch replies append behind the persistent part. Leave them room, or
-	// the first one copies the whole replicated top: the quarter append would
-	// grow by anyway, plus twice this rank's own tree — what a rank opens of
-	// its neighbours goes with the surface of its domain, as its tree does.
-	headroom := dt.persist / 4
-	if dt.local != nil {
-		headroom += 2 * dt.local.NumCells()
-	}
-	dt.cells = make([]cell, dt.persist, dt.persist+headroom)
+	top := make([]cell, next[len(next)-1])
 	sweep(func(level int, c cellInfo) {
-		dt.cells[next[level]].cellInfo = c
+		top[next[level]].cellInfo = c
 		next[level]++
 	})
 
@@ -349,17 +368,17 @@ func (dt *DTree) exchangeBranches() {
 	// the order of their parents: a fill's children are the cells just below
 	// end that name it as parent. Combining them in ascending octant order
 	// keeps every fill moment bit-reproducible.
-	end := dt.persist
+	end := len(top)
 	for i := end - 1; i >= 0; i-- {
-		f := &dt.cells[i]
+		f := &top[i]
 		if f.Owner != -1 {
 			continue
 		}
 		lo := end
-		for lo > i+1 && dt.cells[lo-1].Key.Parent() == f.Key {
+		for lo > i+1 && top[lo-1].Key.Parent() == f.Key {
 			lo--
 		}
-		kids := dt.cells[lo:end]
+		kids := top[lo:end]
 		f.child, end = int32(lo), lo
 		var mps [8]gravity.Multipole
 		for j := range kids {
@@ -377,6 +396,7 @@ func (dt *DTree) exchangeBranches() {
 	if end > 1 {
 		panic("core: branch cells do not tile key space")
 	}
+	return top
 }
 
 // serveFetch answers an expansion request: children of an internal cell,

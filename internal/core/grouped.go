@@ -39,10 +39,11 @@ package core
 // — a function of the tree and the bucket, not of when fetch replies
 // arrived. The result is therefore bit-identical for any Workers count, and
 // virtual time cannot tell who evaluated what. What the pool reads while the
-// rank is in Quiesce cannot change under it: the slab is written only by
-// fetch replies, and a rank whose walkers have all finished has none
-// outstanding (ComputeForces panics otherwise); serving other ranks' fetches
-// reads the local tree, which is immutable once built.
+// rank is in Quiesce cannot change under it: the replicated top is never
+// written, the rank's slab and overlay only by fetch replies, and a rank
+// whose walkers have all finished has none outstanding (ComputeForces panics
+// otherwise); serving other ranks' fetches reads the local tree, which is
+// immutable once built.
 
 import (
 	"context"
@@ -237,11 +238,11 @@ func (dt *DTree) ComputeForces(bodies []Body) ([]vec.V3, []float64, TraversalSta
 	// resume takes it up again once the reply has made the cell resident.
 	resume := func(w *bucketWalker, i int32) {
 		w.blocked--
-		if c := &dt.cells[i]; c.Leaf {
-			w.nb += len(c.bodies)
+		if c, res := dt.at(i); c.Leaf {
+			w.nb += len(res.bodies)
 			w.nseg++
 		} else {
-			w.pushChildren(c)
+			w.pushChildren(res.child, c.ChildMask)
 		}
 		if !w.queued {
 			w.queued = true
@@ -314,9 +315,9 @@ func (dt *DTree) ComputeForces(bodies []Body) ([]vec.V3, []float64, TraversalSta
 	return acc, pot, st
 }
 
-// pushChildren stacks the resident daughters of c.
-func (w *bucketWalker) pushChildren(c *cell) {
-	for j, hi := c.child, c.child+int32(bits.OnesCount8(c.ChildMask)); j < hi; j++ {
+// pushChildren stacks a cell's resident daughters: one per bit of mask, from child on.
+func (w *bucketWalker) pushChildren(child int32, mask uint8) {
+	for j, hi := child, child+int32(bits.OnesCount8(mask)); j < hi; j++ {
 		w.stack = append(w.stack, j)
 	}
 }
@@ -330,7 +331,7 @@ func (dt *DTree) walk(w *bucketWalker, miss func(*bucketWalker, int32)) {
 	for len(w.stack) > 0 {
 		i := w.stack[len(w.stack)-1]
 		w.stack = w.stack[:len(w.stack)-1]
-		c := &dt.cells[i] // good until the next Poll: replies append
+		c, res := dt.at(i) // good until the next Poll: replies append
 		if c.Owner == me {
 			// A fully local subtree: the shared serial walker gathers it.
 			if w.sc != nil {
@@ -351,19 +352,19 @@ func (dt *DTree) walk(w *bucketWalker, miss func(*bucketWalker, int32)) {
 		switch {
 		case accept:
 			if w.sc != nil {
-				// Good through a move of the slab (see DTree.cells).
+				// Good through a move of the slab (see DTree.top).
 				w.sc.List.Cells = append(w.sc.List.Cells, &c.Mp)
 			} else {
 				w.nc++
 			}
-		case c.child != 0: // a fill, or a remote cell whose children a reply brought
-			w.pushChildren(c)
-		case c.bodies != nil:
+		case res.child != 0: // a fill, or a remote cell whose children a reply brought
+			w.pushChildren(res.child, c.ChildMask)
+		case res.bodies != nil:
 			dt.cCacheHit.Inc()
 			if w.sc != nil {
-				w.sc.List.Segs = append(w.sc.List.Segs, c.bodies)
+				w.sc.List.Segs = append(w.sc.List.Segs, res.bodies)
 			} else {
-				w.nb += len(c.bodies)
+				w.nb += len(res.bodies)
 				w.nseg++
 			}
 		default:
@@ -380,7 +381,8 @@ func (dt *DTree) walk(w *bucketWalker, miss func(*bucketWalker, int32)) {
 func (dt *DTree) regather(w *bucketWalker) {
 	w.begin()
 	dt.walk(w, func(_ *bucketWalker, i int32) {
-		panic("core: second pass reached non-resident cell " + dt.cells[i].Key.String())
+		c, _ := dt.at(i)
+		panic("core: second pass reached non-resident cell " + c.Key.String())
 	})
 }
 

@@ -245,10 +245,11 @@ func TestSecondPassRefusesOutstandingFetch(t *testing.T) {
 }
 
 // The slab's memory bound: what one evaluation fetches is resident until the
-// next one starts and no longer. resetCaches truncates the slab to the
-// branch/fill set and unhooks what replies hung on the branch entries, so a
-// second evaluation on the same tree re-fetches exactly the same cells and
-// reproduces the forces bit for bit.
+// next one starts and no longer. resetCaches empties the rank's slab and
+// clears what replies hung on its overlay, so a second evaluation on the same
+// tree re-fetches exactly the same cells and reproduces the forces bit for
+// bit. None of it touches the replicated top, which is the world's: an
+// evaluation leaves every bit of it as the branch exchange made it.
 func TestCachesBoundedAcrossEvaluations(t *testing.T) {
 	rng := rand.New(rand.NewSource(32))
 	const n = 600
@@ -259,15 +260,29 @@ func TestCachesBoundedAcrossEvaluations(t *testing.T) {
 		local := append([]Body(nil), ics[lo:hi]...)
 		bodies, splitters, boxLo, boxSize := Decompose(r, local)
 		dt := BuildDistributed(r, bodies, splitters, boxLo, boxSize, Options{Theta: 0.5, Eps: 0.02})
-		if len(dt.cells) != dt.persist {
-			t.Errorf("rank %d: slab holds %d cells after the branch exchange, persist = %d", r.ID(), len(dt.cells), dt.persist)
+		if len(dt.cells) != 0 || len(dt.over) != len(dt.top) {
+			t.Errorf("rank %d: after the branch exchange the slab holds %d cells, the overlay %d entries for a top of %d",
+				r.ID(), len(dt.cells), len(dt.over), len(dt.top))
+		}
+		top0 := make([]cellBits, len(dt.top))
+		for i := range dt.top {
+			top0[i] = bitsOf(&dt.top[i])
+		}
+		topUnwritten := func(when string) {
+			for i := range dt.top {
+				if got := bitsOf(&dt.top[i]); got != top0[i] {
+					t.Errorf("rank %d: top cell %d (%v) changed %s", r.ID(), i, dt.top[i].Key, when)
+					return
+				}
+			}
 		}
 
 		acc1, pot1, _ := dt.ComputeForces(bodies)
 		n1, f1 := len(dt.cells), dt.Fetches()
-		if f1 == 0 || n1 == dt.persist {
-			t.Errorf("rank %d: %d fetches left %d cells beyond persist on %d ranks", r.ID(), f1, n1-dt.persist, p)
+		if f1 == 0 || n1 == 0 {
+			t.Errorf("rank %d: %d fetches left %d cells on the slab on %d ranks", r.ID(), f1, n1, p)
 		}
+		topUnwritten("during the first evaluation")
 
 		acc2, pot2, _ := dt.ComputeForces(bodies)
 		if n2 := len(dt.cells); n2 != n1 {
@@ -282,19 +297,20 @@ func TestCachesBoundedAcrossEvaluations(t *testing.T) {
 				break
 			}
 		}
+		topUnwritten("during the second evaluation")
 
 		dt.resetCaches()
-		if len(dt.cells) != dt.persist {
-			t.Errorf("rank %d: slab not truncated to the branch/fill set: %d vs %d", r.ID(), len(dt.cells), dt.persist)
+		if len(dt.cells) != 0 {
+			t.Errorf("rank %d: slab not emptied: %d cells", r.ID(), len(dt.cells))
 		}
-		for i := range dt.cells {
-			if c := &dt.cells[i]; c.Owner >= 0 && (c.child != 0 || c.bodies != nil) {
-				t.Errorf("rank %d: branch %v keeps a child link or bodies after the reset", r.ID(), c.Key)
+		for i, res := range dt.over {
+			if res.child != 0 || res.bodies != nil {
+				t.Errorf("rank %d: branch %v keeps a child link or bodies after the reset", r.ID(), dt.top[i].Key)
 			}
 		}
-		for _, c := range dt.cells[dt.persist:cap(dt.cells)] {
+		for _, c := range dt.cells[:cap(dt.cells)] {
 			if c.bodies != nil {
-				t.Errorf("rank %d: truncated slab tail still references fetched bodies", r.ID())
+				t.Errorf("rank %d: emptied slab still references fetched bodies", r.ID())
 				break
 			}
 		}
@@ -345,10 +361,10 @@ func TestFetchDedup(t *testing.T) {
 			dt.abm.Quiesce()
 			return
 		}
-		// First remote-owned internal cell of the slab: deterministic pick.
+		// First remote-owned internal cell of the top: deterministic pick.
 		target := int32(-1)
-		for i := range dt.cells {
-			if c := &dt.cells[i]; c.Owner >= 0 && c.Owner != r.ID() && !c.Leaf {
+		for i := range dt.top {
+			if c := &dt.top[i]; c.Owner >= 0 && c.Owner != r.ID() && !c.Leaf {
 				target = int32(i)
 				break
 			}
@@ -376,17 +392,24 @@ func TestFetchDedup(t *testing.T) {
 		if len(dt.fetching) != 0 {
 			t.Errorf("fetching map not drained: %d in flight", len(dt.fetching))
 		}
-		// The reply is resident: children appended side by side behind the
-		// persistent part, linked from the cell that was asked for.
-		lo32 := dt.cells[target].child
-		hi32 := lo32 + int32(bits.OnesCount8(dt.cells[target].ChildMask))
-		if int(lo32) != dt.persist || int(hi32) != len(dt.cells) || hi32 == lo32 {
-			t.Errorf("children of cell %d at [%d,%d), slab [%d,%d)", target, lo32, hi32, dt.persist, len(dt.cells))
+		// The reply is resident: children side by side on the rank's own slab,
+		// indexed behind the top, linked from the overlay entry of the cell
+		// that was asked for — not from the cell, which is everybody's.
+		asked, res := dt.at(target)
+		if res != &dt.over[target] || dt.top[target].child != 0 {
+			t.Errorf("cell %d: the link to its children is not on the overlay (shared cell has child %d)", target, dt.top[target].child)
 		}
-		for j := lo32; j < hi32; j++ {
-			if c := &dt.cells[j]; c.Key.Parent() != dt.cells[target].Key || (j > lo32 && c.Key <= dt.cells[j-1].Key) {
-				t.Errorf("slab cell %d (%v) is not the next daughter of %v", j, c.Key, dt.cells[target].Key)
+		lo32 := res.child
+		hi32 := lo32 + int32(bits.OnesCount8(asked.ChildMask))
+		if int(lo32) != len(dt.top) || int(hi32) != len(dt.top)+len(dt.cells) || hi32 == lo32 {
+			t.Errorf("children of cell %d at [%d,%d), slab [%d,%d)", target, lo32, hi32, len(dt.top), len(dt.top)+len(dt.cells))
+		}
+		for j, prev := lo32, key.K(0); j < hi32; j++ {
+			c, _ := dt.at(j)
+			if c != &dt.cells[int(j)-len(dt.top)].cellInfo || c.Key.Parent() != asked.Key || c.Key <= prev {
+				t.Errorf("slab cell %d (%v) is not the next daughter of %v", j, c.Key, asked.Key)
 			}
+			prev = c.Key
 		}
 	})
 }

@@ -116,8 +116,8 @@ func (cfg RunConfig) Validate() error {
 		return fmt.Errorf("core: dt %g must be finite and non-negative", opt.DT)
 	case !finite(opt.KernelEff) || opt.KernelEff < 0:
 		return fmt.Errorf("core: kernel efficiency %g must be finite and non-negative", opt.KernelEff)
-	case opt.MaxLeaf < 0 || opt.BranchLevel < 0 || opt.Workers < 0:
-		return fmt.Errorf("core: max leaf %d, branch level %d and workers %d must be non-negative", opt.MaxLeaf, opt.BranchLevel, opt.Workers)
+	case opt.MaxLeaf < 0 || opt.Workers < 0:
+		return fmt.Errorf("core: max leaf %d and workers %d must be non-negative", opt.MaxLeaf, opt.Workers)
 	}
 	return nil
 }

@@ -49,9 +49,6 @@ type Options struct {
 	// UseKarp selects the Karp reciprocal sqrt in the body kernel (the
 	// paper's Table 5/6 exhibit).
 	UseKarp bool
-	// BranchLevel controls how deep the globally replicated top of the
-	// tree reaches (default 3: up to 8^3 = 512 branch cells per rank).
-	BranchLevel int
 	// KernelEff overrides the modeled fraction of node peak the inner
 	// kernel sustains when charging virtual time (default: the Karp
 	// micro-kernel rate of the SS CPU model, as in Table 6).
@@ -75,9 +72,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.MaxLeaf == 0 {
 		o.MaxLeaf = 8
-	}
-	if o.BranchLevel == 0 {
-		o.BranchLevel = 3
 	}
 	if o.KernelEff == 0 {
 		o.KernelEff = 0.125 // ~630 Mflop/s of the 5.06 Gflop/s SS node peak
