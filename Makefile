@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet cross-build fmt-check loc fuzz-smoke bench bench-e2e profile-serial profile-sph profile-dist64 smoke analyze-smoke fault-smoke treebuild-smoke kernels-smoke live-smoke ledger-smoke serve-smoke one-slot ci all
+.PHONY: build test race vet cross-build kernels-widths fmt-check loc fuzz-smoke bench bench-e2e profile-serial profile-sph profile-dist64 smoke analyze-smoke fault-smoke treebuild-smoke kernels-smoke live-smoke ledger-smoke serve-smoke one-slot ci all
 
 all: build test vet fmt-check
 
@@ -21,17 +21,30 @@ race:
 one-slot:
 	GOMAXPROCS=1 $(GO) test -count=1 -timeout 300s ./internal/mp ./internal/core ./internal/serve
 
-# Also the asmdecl check of internal/gravity/lanes_amd64.s: frame sizes and
-# argument offsets against the Go declarations (the kernels take a pointer
-# to a list of references and a count).
+# Also the asmdecl check of internal/gravity/lanes_amd64.s, AVX2 and AVX-512
+# bodies alike: frame sizes and argument offsets against the Go declarations
+# (the kernels take a pointer to a list of references and a count).
 vet:
 	$(GO) vet ./...
 
 # The force kernels have assembly bodies on amd64 only; every other
-# platform must still build, on the Go loops and the stubs of
-# lanes_other.go (works offline).
+# platform must still build, on the Go loops (math.FMA is one instruction
+# there) and the stubs of lanes_other.go, and so must the oldest amd64
+# baseline, where the bodies are chosen from CPUID at run time (works
+# offline).
 cross-build:
 	GOARCH=arm64 $(GO) build ./... && GOARCH=arm64 $(GO) vet ./internal/gravity
+	GOAMD64=v1 $(GO) build ./...
+
+# One arithmetic at every width: the lane, list, allocation, digest and
+# scaling tests of internal/gravity — the last three through htree's grouped
+# walk and core.Run — once per kernel body, each forced through the
+# test-only override (gravity.EachISA; a body this CPU lacks is skipped).
+kernels-widths:
+	@for isa in go avx2 avx512; do \
+		echo "kernel bodies: $$isa"; \
+		$(GO) test -count=1 -run "^(TestLanes|TestListEval|TestKernelAllocs|TestFallbackDigest|TestWidths)/^$$isa$$" ./internal/gravity || exit 1; \
+	done
 
 fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
@@ -44,10 +57,13 @@ loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' | xargs wc -l | tail -1 | awk '{print $$1, "non-test Go lines outside bench/"}'
 	@find internal/core internal/htree internal/gravity -name '*.go' ! -name '*_test.go' | xargs wc -l | tail -1 | awk '{print $$1, "of them in internal/core + internal/htree + internal/gravity"}'
 
-# Ten seconds of native fuzzing on the run-configuration target (offline;
-# a failing input lands under internal/core/testdata/fuzz/).
+# Ten seconds of native fuzzing on each target — the run configuration and
+# first body against core.Run, any bit pattern against the kernels'
+# reciprocal square root (offline; a failing input lands under the package's
+# testdata/fuzz/).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzRunConfig -fuzztime 10s ./internal/core
+	$(GO) test -run '^$$' -fuzz FuzzRsqrt -fuzztime 10s ./internal/gravity
 
 # Times the per-body vs bucket-grouped treewalk on a 32k Plummer sphere and
 # writes the comparison to BENCH_treecode.json.
@@ -125,9 +141,9 @@ treebuild-smoke:
 	$(GO) run ./cmd/tracecheck -bench /tmp/spacesim-smoke-treebuild.json
 	$(GO) run ./cmd/ssbench diff /tmp/spacesim-smoke-treebuild.json /tmp/spacesim-smoke-treebuild.json
 
-# Kernel smoke: a quick variant x length sweep of the three force kernels
-# (which itself verifies the default path is bit-identical to the scalar
-# reference, exiting nonzero if not), schema-validation of the v8 bench
+# Kernel smoke: a quick width x length sweep of the two force kernels beside
+# the scalar Table 5 micro-kernels (which itself verifies every width
+# bit-identical to the scalar reference, exiting nonzero if not), schema-validation of the v8 bench
 # record, and a self-diff through the bench arm of the gate.
 kernels-smoke:
 	$(GO) run ./cmd/ssbench kernels -quick -o /tmp/spacesim-smoke-kernels.json
@@ -230,6 +246,6 @@ serve-smoke:
 	echo "serve-smoke: SIGTERM drained cleanly (exit 0)"
 
 # Full local CI pass: formatting, static checks, the arm64 cross-build, tests,
-# race detector, the one-slot pass, the observability + trace-analysis + fault-injection +
+# race detector, the one-slot pass, the per-width kernel pass, the observability + trace-analysis + fault-injection +
 # tree-build + kernels + live-telemetry + run-ledger + job-server smoke runs, and the fuzz smoke.
-ci: fmt-check vet cross-build test race one-slot smoke analyze-smoke fault-smoke treebuild-smoke kernels-smoke live-smoke ledger-smoke serve-smoke fuzz-smoke
+ci: fmt-check vet cross-build test race one-slot kernels-widths smoke analyze-smoke fault-smoke treebuild-smoke kernels-smoke live-smoke ledger-smoke serve-smoke fuzz-smoke

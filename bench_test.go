@@ -124,7 +124,7 @@ func BenchmarkTable6Treecode(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		res := core.Run(core.RunConfig{
 			Cluster: ss(), Procs: 16, Steps: 1,
-			Opt: core.Options{Theta: 0.7, Eps: 0.01, DT: 1e-3, UseKarp: true},
+			Opt: core.Options{Theta: 0.7, Eps: 0.01, DT: 1e-3},
 		}, ics)
 		perProc = res.MflopsPerProc
 	}

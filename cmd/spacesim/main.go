@@ -5,7 +5,7 @@
 // Usage:
 //
 //	spacesim [-n 4000] [-procs 16] [-steps 10] [-dt 0.005] [-theta 0.7]
-//	         [-ic plummer|coldsphere] [-karp] [-checkpoint dir]
+//	         [-ic plummer|coldsphere] [-checkpoint dir]
 //	         [-faults seed] [-fault-accel 50] [-checkpoint-every 2]
 //	         [-verify-recovery]
 //	         [-trace trace.json] [-metrics metrics.json]
@@ -60,7 +60,6 @@ func main() {
 		theta   = flag.Float64("theta", 0.7, "multipole acceptance parameter")
 		eps     = flag.Float64("eps", 0.01, "Plummer softening")
 		ic      = flag.String("ic", "plummer", "initial condition: plummer|coldsphere")
-		karp    = flag.Bool("karp", false, "use the Karp reciprocal sqrt kernel")
 		seed    = flag.Int64("seed", 1, "RNG seed")
 		ckpt    = flag.String("checkpoint", "", "directory for a final striped checkpoint")
 		fSeed   = flag.Int64("faults", 0, "inject a seeded fault schedule (0 = off)")
@@ -86,7 +85,7 @@ func main() {
 	var stopFlag atomic.Bool
 	cfg := core.RunConfig{
 		Cluster: machine.SpaceSimulator(netsim.ProfileLAM), Procs: *procs, Steps: *steps,
-		Opt:           core.Options{Theta: *theta, Eps: *eps, DT: *dt, UseKarp: *karp},
+		Opt:           core.Options{Theta: *theta, Eps: *eps, DT: *dt},
 		GatherBodies:  *ckpt != "" || *fSeed != 0,
 		EngineWorkers: *engineW,
 		Interrupt:     stopFlag.Load,
@@ -180,7 +179,7 @@ func main() {
 		Workers: *engineW, Seed: *seed,
 		Flags: map[string]string{
 			"theta": fmt.Sprint(*theta), "dt": fmt.Sprint(*dt),
-			"eps": fmt.Sprint(*eps), "karp": fmt.Sprint(*karp),
+			"eps": fmt.Sprint(*eps),
 		},
 	}
 	if *fSeed != 0 {

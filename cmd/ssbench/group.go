@@ -75,10 +75,12 @@ type groupDistributed struct {
 //	    VCS revision, hostname, and the canonical config digest of the
 //	    writing invocation (the key into the run ledger). Stamped by
 //	    every writer.
-//	8 — adds the kernel microbenchmark block (`kernels`): the batched-
-//	    kernel sweep over list length of body libm, body Karp and cell
-//	    libm, and the bit-identity verdict of the default path against
-//	    the seed evaluation. Written by `ssbench kernels`, which merges
+//	8 — adds the kernel microbenchmark block (`kernels`): the sweep over
+//	    list length of the production body and cell kernels per width
+//	    beside the scalar Table 5 micro-kernels, and the bit-identity
+//	    verdict of every width against the scalar reference (before
+//	    ISSUE 24: body libm, body Karp and cell libm batch kernels against
+//	    the seed evaluation). Written by `ssbench kernels`, which merges
 //	    like treebuild does. Until the float32 mode was removed (PR 20)
 //	    the sweep had two float32 rows and the block two more members,
 //	    `rms_acc_err_float32` and `float32_err_budget`; they are no

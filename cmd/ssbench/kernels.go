@@ -25,8 +25,14 @@ type kernelEntry struct {
 	// Kernel is "body" (monopole point sources) or "cell" (monopole +
 	// quadrupole multipoles).
 	Kernel string `json:"kernel"`
-	// Variant is "libm" (hardware sqrt + divide) or "karp" (the table-driven
-	// reciprocal sqrt of Table 5; body kernel only).
+	// Variant names what ran. "avx512", "avx2" and "go" are the production
+	// kernel (Newton reciprocal square root, fused multiply-adds) in
+	// eight-lane blocks, in four-lane blocks and in the Go loop;
+	// "scalar-libm" (math.Sqrt and a divide) and "scalar-karp" (the
+	// table-driven reciprocal square root) are the micro-kernels of the
+	// paper's Table 5, one sink at a time, body only — the baselines. ("libm"
+	// and "karp" in older records were batched kernels that no longer
+	// exist; they pair with nothing.)
 	Variant string `json:"variant"`
 	// Precision is always "float64", the only arithmetic since PR 20; the
 	// member stays, in the record and in diffKernels' key, so that a v8
@@ -42,27 +48,31 @@ type kernelEntry struct {
 }
 
 // kernelsReport is the `kernels` block of BENCH_treecode.json
-// (schema_version 8): the kernel-variant microbenchmark sweep, the
-// libm-vs-Karp comparison the paper's Table 5 motivates applied to this
-// code's batched kernels, and the bit-identity verdict of the production
-// path against the seed evaluation. (v8 records written before PR 20 also
-// carry rms_acc_err_float32 and float32_err_budget; they are ignored.)
+// (schema_version 8): the production kernels at each width this CPU has
+// beside the two scalar micro-kernels of the paper's Table 5, and the
+// bit-identity verdict of every width against the scalar reference. (v8
+// records written before PR 20 also carry rms_acc_err_float32 and
+// float32_err_budget; they are ignored.)
 type kernelsReport struct {
 	Sinks      int   `json:"sinks"`
 	Lengths    []int `json:"lengths"`
 	GOMAXPROCS int   `json:"gomaxprocs"`
-	// Entries is the sweep over list length of the kernels that exist: body
-	// libm, body karp, cell libm.
+	// Entries is the sweep over list length: the two scalar body kernels,
+	// then the production body and cell kernels per width.
 	Entries []kernelEntry `json:"entries"`
-	// KarpSpeedupBody is libm ns / karp ns for the body kernel at
+	// KarpSpeedupBody is libm ns / karp ns for the scalar body kernels at
 	// the longest list length (>1 means Karp wins, the paper's claim for
 	// hardware with slow sqrt/divide).
 	KarpSpeedupBody float64 `json:"karp_speedup_body"`
-	// DefaultBitIdentical reports that the kernels this process
-	// dispatches to (gravity.KernelISA) reproduced the seed evaluation
-	// (scalar AccelAt cells + the Go body loops) bit for bit on randomized
-	// lists, for both body-kernel variants. The run aborts when they do
-	// not, so a written record always says true.
+	// NewtonSpeedupBody is libm ns / production ns at the widest width and
+	// the longest list: what dropping the square root and the divide, and
+	// evaluating a register of sinks at a time, buys on this host.
+	NewtonSpeedupBody float64 `json:"newton_speedup_body,omitempty"`
+	// DefaultBitIdentical reports that every width of the production
+	// kernels this CPU has reproduced the scalar reference
+	// (gravity.EvalListReference: Multipole.AccelAt's arithmetic and the Go
+	// body loop) bit for bit on randomized lists. The run aborts when one
+	// does not, so a written record always says true.
 	DefaultBitIdentical bool `json:"default_bit_identical"`
 }
 
@@ -78,7 +88,8 @@ type kernelList struct {
 // makeKernelList builds a list of nc cells and nb bodies applied to ns
 // sinks, shaped like a real bucket list: sinks clustered in a unit box,
 // sources nearby, cells well separated (so the multipole series is in its
-// domain of validity and the Karp table sees realistic exponents).
+// domain of validity and the reciprocal square roots see realistic
+// exponents).
 func makeKernelList(rng *rand.Rand, nc, nb, ns int) *kernelList {
 	l := &kernelList{}
 	for c := 0; c < nc; c++ {
@@ -115,28 +126,62 @@ func (l *kernelList) zero() {
 	}
 }
 
-// timeKernel runs ev.EvalList over the list until minDur has elapsed and
-// returns seconds per call (best single rep, so background noise only ever
-// inflates the number it discards).
-func timeKernel(ev *gravity.Evaluator, l *kernelList, minDur time.Duration) float64 {
+// kernelWidth is one production kernel body and the sink-group size that
+// selects it: nothing outside the gravity package chooses a body, but a call
+// with at most four sinks is one four-lane block, and with eight (or 64)
+// only eight-lane blocks where the CPU has them.
+type kernelWidth struct {
+	variant string
+	group   int
+}
+
+// kernelWidths lists the bodies this CPU has, widest last.
+func kernelWidths() []kernelWidth {
+	switch gravity.KernelISA() {
+	case "avx512":
+		return []kernelWidth{{"avx2", 4}, {"avx512", 8}}
+	case "avx2":
+		return []kernelWidth{{"avx2", 4}}
+	}
+	return []kernelWidth{{"go", 8}}
+}
+
+// evalGrouped applies the list to its sinks, group sinks to a call.
+func (l *kernelList) evalGrouped(ev *gravity.Evaluator, list *gravity.List, group int) {
+	for lo := 0; lo < len(l.sx); lo += group {
+		hi := min(lo+group, len(l.sx))
+		ev.Eval(list, l.sx[lo:hi], l.sy[lo:hi], l.sz[lo:hi], l.ax[lo:hi], l.ay[lo:hi], l.az[lo:hi], l.pp[lo:hi])
+	}
+}
+
+// scalarKernel runs a Table 5 micro-kernel over the list's bodies for every
+// sink.
+func (l *kernelList) scalarKernel(src []gravity.Source, eps2 float64, k func(vec.V3, []gravity.Source, float64) (vec.V3, float64)) {
+	for j := range l.sx {
+		a, p := k(vec.V3{l.sx[j], l.sy[j], l.sz[j]}, src, eps2)
+		l.ax[j], l.ay[j], l.az[j], l.pp[j] = a[0], a[1], a[2], p
+	}
+}
+
+// timeBest calls f until minDur has elapsed and returns the seconds of its
+// best single call, so background noise only ever inflates the numbers it
+// discards.
+func timeBest(minDur time.Duration, f func()) float64 {
 	best := math.Inf(1)
 	for elapsed := time.Duration(0); elapsed < minDur; {
-		l.zero()
 		t0 := time.Now()
-		ev.EvalList(&l.cells, &l.src, l.sx, l.sy, l.sz, l.ax, l.ay, l.az, l.pp)
+		f()
 		d := time.Since(t0)
 		elapsed += d
-		if s := d.Seconds(); s < best {
-			best = s
-		}
+		best = min(best, d.Seconds())
 	}
 	return best
 }
 
-// kernelsBench sweeps the batched kernels over list length, verifies the
-// default path bit-identical against the seed evaluation, and merges
-// the results into the BENCH_treecode.json record (bumping it to
-// schema_version 8).
+// kernelsBench verifies every width of the production kernels bit-identical
+// to the scalar reference, sweeps them and the two scalar Table 5
+// micro-kernels over list length, and merges the results into the
+// BENCH_treecode.json record (bumping it to schema_version 8).
 func kernelsBench() {
 	const eps = 0.01
 	sinks := 64
@@ -147,26 +192,25 @@ func kernelsBench() {
 		minDur = 50 * time.Millisecond
 	}
 	rng := rand.New(rand.NewSource(11))
+	ev := gravity.Evaluator{Eps: eps}
+	widths := kernelWidths()
 
-	// Bit-identity gate first: the default path (libm cells) must
-	// reproduce the seed evaluation exactly for both body variants on a
-	// randomized mixed list. This is the contract the golden-digest tests
-	// pin at tree scale, re-checked here at kernel scale on every run.
-	idList := makeKernelList(rng, 48, 1000, 37) // 9 groups of four sinks + 1: exercises the padded tail
-	for _, karp := range []bool{false, true} {
-		ev := gravity.Evaluator{Eps: eps, UseKarp: karp}
+	// Bit-identity gate first: every width must reproduce the scalar
+	// reference exactly on a randomized mixed list. This is the contract
+	// the golden-digest tests pin at tree scale, re-checked here at kernel
+	// scale on every run.
+	idList := makeKernelList(rng, 48, 1000, 37) // eight-lane blocks, then a padded four-lane tail
+	wax := make([]float64, len(idList.sx))
+	way := make([]float64, len(idList.sx))
+	waz := make([]float64, len(idList.sx))
+	wpp := make([]float64, len(idList.sx))
+	gravity.EvalListReference(&idList.cells, &idList.src, idList.sx, idList.sy, idList.sz, eps, wax, way, waz, wpp)
+	for _, group := range []int{len(idList.sx), 4, 3} {
 		idList.zero()
-		ev.EvalList(&idList.cells, &idList.src, idList.sx, idList.sy, idList.sz,
-			idList.ax, idList.ay, idList.az, idList.pp)
-		wax := make([]float64, len(idList.sx))
-		way := make([]float64, len(idList.sx))
-		waz := make([]float64, len(idList.sx))
-		wpp := make([]float64, len(idList.sx))
-		gravity.EvalListReference(&idList.cells, &idList.src, idList.sx, idList.sy, idList.sz,
-			eps, karp, wax, way, waz, wpp)
+		idList.evalGrouped(&ev, &gravity.List{Cells: idList.cells.Refs(), Segs: [][]gravity.Source{idList.src.Rows()}}, group)
 		for j := range wax {
 			if idList.ax[j] != wax[j] || idList.ay[j] != way[j] || idList.az[j] != waz[j] || idList.pp[j] != wpp[j] {
-				fmt.Fprintf(os.Stderr, "kernels: karp=%v sink %d: %s kernels NOT bit-identical to the seed evaluation\n", karp, j, gravity.KernelISA())
+				fmt.Fprintf(os.Stderr, "kernels: sink %d, %d sinks to a call: %s kernels NOT bit-identical to the scalar reference\n", j, group, gravity.KernelISA())
 				os.Exit(1)
 			}
 		}
@@ -179,49 +223,47 @@ func kernelsBench() {
 	// The sweep proper. Each configuration isolates one kernel: the body
 	// rows run a list with no cells, the cell rows a list with no bodies,
 	// so ns/interaction is that kernel's cost alone.
-	cfgs := []struct{ kernel, variant string }{
-		{"body", "libm"},
-		{"body", "karp"},
-		{"cell", "libm"},
-	}
 	nsOf := map[string]float64{}
 	for _, L := range lengths {
-		var body, cell *kernelList
-		body = makeKernelList(rng, 0, L, sinks)
-		cell = makeKernelList(rng, L, 0, sinks)
-		for _, c := range cfgs {
-			l := body
-			if c.kernel == "cell" {
-				l = cell
-			}
-			ev := gravity.Evaluator{Eps: eps, UseKarp: c.variant == "karp"}
-			sec := timeKernel(&ev, l, minDur)
+		record := func(kernel, variant string, sec float64) {
 			inter := float64(sinks) * float64(L)
 			e := kernelEntry{
-				Kernel: c.kernel, Variant: c.variant, Precision: "float64",
+				Kernel: kernel, Variant: variant, Precision: "float64",
 				Length: L, Sinks: sinks,
 				NsPerInteraction: sec / inter * 1e9,
 				InterPerSec:      inter / sec,
 			}
 			rep.Entries = append(rep.Entries, e)
-			nsOf[fmt.Sprintf("%s/%s/%d", c.kernel, c.variant, L)] = e.NsPerInteraction
+			nsOf[fmt.Sprintf("%s/%s/%d", kernel, variant, L)] = e.NsPerInteraction
+		}
+		body := makeKernelList(rng, 0, L, sinks)
+		cell := makeKernelList(rng, L, 0, sinks)
+		src := body.src.Rows()
+		record("body", "scalar-libm", timeBest(minDur, func() { body.scalarKernel(src, eps*eps, gravity.KernelLibm) }))
+		record("body", "scalar-karp", timeBest(minDur, func() { body.scalarKernel(src, eps*eps, gravity.KernelKarp) }))
+		bodyList := &gravity.List{Segs: [][]gravity.Source{src}}
+		cellList := &gravity.List{Cells: cell.cells.Refs()}
+		for _, w := range widths {
+			record("body", w.variant, timeBest(minDur, func() { body.zero(); body.evalGrouped(&ev, bodyList, w.group) }))
+			record("cell", w.variant, timeBest(minDur, func() { cell.zero(); cell.evalGrouped(&ev, cellList, w.group) }))
 		}
 	}
 	longest := lengths[len(lengths)-1]
-	rep.KarpSpeedupBody = ratioOf(
-		nsOf[fmt.Sprintf("body/libm/%d", longest)],
-		nsOf[fmt.Sprintf("body/karp/%d", longest)])
+	libm := nsOf[fmt.Sprintf("body/scalar-libm/%d", longest)]
+	rep.KarpSpeedupBody = ratioOf(libm, nsOf[fmt.Sprintf("body/scalar-karp/%d", longest)])
+	widest := widths[len(widths)-1].variant
+	rep.NewtonSpeedupBody = ratioOf(libm, nsOf[fmt.Sprintf("body/%s/%d", widest, longest)])
 
-	fmt.Printf("float64 libm kernels: %s\n", gravity.KernelISA())
-	fmt.Printf("batched kernel sweep, %d sinks per list (min %.0f ms per config)\n", sinks, minDur.Seconds()*1e3)
-	fmt.Printf("%-6s %-8s %8s %12s %14s\n", "kernel", "variant", "length", "ns/inter", "inter/s")
+	fmt.Printf("production kernels: %s\n", gravity.KernelISA())
+	fmt.Printf("kernel sweep, %d sinks per list (min %.0f ms per config); scalar-* are the Table 5 micro-kernels\n", sinks, minDur.Seconds()*1e3)
+	fmt.Printf("%-6s %-12s %8s %12s %14s\n", "kernel", "variant", "length", "ns/inter", "inter/s")
 	for _, e := range rep.Entries {
-		fmt.Printf("%-6s %-8s %8d %12.2f %14.3e\n",
+		fmt.Printf("%-6s %-12s %8d %12.2f %14.3e\n",
 			e.Kernel, e.Variant, e.Length, e.NsPerInteraction, e.InterPerSec)
 	}
-	fmt.Printf("karp/libm speedup of the body kernel at length %d: %.2fx\n",
-		longest, rep.KarpSpeedupBody)
-	fmt.Printf("default path bit-identical to seed evaluation: true\n")
+	fmt.Printf("scalar karp vs scalar libm body kernel at length %d: %.2fx\n", longest, rep.KarpSpeedupBody)
+	fmt.Printf("production (%s) vs scalar libm body kernel at length %d: %.2fx\n", widest, longest, rep.NewtonSpeedupBody)
+	fmt.Printf("all widths bit-identical to the scalar reference: true\n")
 
 	writeKernels(rep, ledgerConfig("kernels", longest, 0, 0, 0, "", 11))
 }
@@ -273,7 +315,7 @@ func diffKernels(oldRep, newRep groupReport, oldPath string, frac float64) bool 
 	ok := true
 	nk, ok1 := newRep.Kernels, oldRep.Kernels
 	if !nk.DefaultBitIdentical {
-		fmt.Printf("FAIL kernels: new record is not bit-identical on the default path\n")
+		fmt.Printf("FAIL kernels: new record's widths are not bit-identical to the scalar reference\n")
 		ok = false
 	}
 	key := func(e kernelEntry) string {

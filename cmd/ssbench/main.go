@@ -322,7 +322,7 @@ func table6() {
 	ics := core.ColdSphere(rng, n, 1.0)
 	res := core.Run(core.RunConfig{
 		Cluster: ssCluster(), Procs: procs, Steps: 1,
-		Opt: core.Options{Theta: 0.7, Eps: 0.01, DT: 1e-3, UseKarp: true},
+		Opt: core.Options{Theta: 0.7, Eps: 0.01, DT: 1e-3},
 	}, ics)
 	fmt.Printf("\nvirtual-time treecode (cold sphere, N=%d, %d procs): %.1f Mflops/proc, imbalance %.2f\n",
 		n, procs, res.MflopsPerProc, res.MaxImbalance)

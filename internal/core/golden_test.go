@@ -12,23 +12,24 @@ import (
 	"spacesim/internal/vec"
 )
 
-// Golden digests of the distributed grouped engine on this configuration:
+// Golden digest of the distributed grouped engine on this configuration:
 // 3 ranks, so interaction lists mix local and fetched data. The constants
-// encode amd64 semantics (no FMA contraction); elsewhere only worker-count
+// encode amd64 semantics (the tree build is left to the compiler's
+// contraction elsewhere); on other architectures only worker-count
 // invariance is asserted.
 //
-// seedCoreLibm/Karp were captured from the seed, which sorted every
-// multi-rank list by value before summing it. goldenCoreLibm/Karp were
-// re-pinned once, when the engine began summing each list in depth-first
-// tree order instead (ISSUE 15): the lists hold the same cells and bodies —
-// TestSeedDigestFromSortedLists sorts them again and recovers the seed
-// constants — and only the order of summation moved.
+// seedCoreLibm was captured from the seed, which sorted every multi-rank
+// list by value before summing it with one math.Sqrt and one divide per
+// interaction. goldenCoreLibm has been re-pinned twice, each time with the
+// lists proven unchanged by TestSeedDigestFromSortedLists, which sorts them
+// again, sums them with the seed's arithmetic (gravity/seedref) and recovers
+// the seed constant: when the engine began summing each list in depth-first
+// tree order (ISSUE 15, 0xae053dacef880958), and when the kernels took the
+// Newton reciprocal square root and fused multiply-adds (ISSUE 24).
 const (
 	seedCoreLibm = 0x160724b8d237cd8f
-	seedCoreKarp = 0x44f6a8d2585f487a
 
-	goldenCoreLibm = 0xae053dacef880958
-	goldenCoreKarp = 0x8842747549b0ac83
+	goldenCoreLibm = 0xc86177c97c9ed1d3
 )
 
 func digestForces(acc []vec.V3, pot []float64) uint64 {
@@ -49,59 +50,44 @@ func digestForces(acc []vec.V3, pot []float64) uint64 {
 
 func TestDistributedGroupedGoldenDigest(t *testing.T) {
 	ics := PlummerSphere(rand.New(rand.NewSource(7)), 1500, 1.0)
-	for _, tc := range []struct {
-		karp bool
-		want uint64
-	}{
-		{false, goldenCoreLibm},
-		{true, goldenCoreKarp},
-	} {
-		var first uint64
-		for _, w := range []int{1, 4} {
-			acc, pot := forcesWith(ics, 3, Options{Theta: 0.7, Eps: 0.01, Workers: w, UseKarp: tc.karp})
-			d := digestForces(acc, pot)
-			if w == 1 {
-				first = d
-			} else if d != first {
-				t.Fatalf("karp=%v: workers=%d digest %#x != workers=1 digest %#x", tc.karp, w, d, first)
-			}
-			if runtime.GOARCH == "amd64" && d != tc.want {
-				t.Errorf("karp=%v workers=%d: digest %#x, want %#x", tc.karp, w, d, tc.want)
-			}
+	var first uint64
+	for _, w := range []int{1, 4} {
+		acc, pot := forcesWith(ics, 3, Options{Theta: 0.7, Eps: 0.01, Workers: w})
+		d := digestForces(acc, pot)
+		if w == 1 {
+			first = d
+		} else if d != first {
+			t.Fatalf("workers=%d digest %#x != workers=1 digest %#x", w, d, first)
+		}
+		if runtime.GOARCH == "amd64" && d != goldenCoreLibm {
+			t.Errorf("workers=%d: digest %#x, want %#x", w, d, uint64(goldenCoreLibm))
 		}
 	}
 }
 
 // The tree-order lists are the seed's lists: gather every bucket again with
 // the engine's own resident walk, sort both halves of each list by value the
-// way the seed did, evaluate, and the seed's digests come back unedited.
+// way the seed did, evaluate with the seed's arithmetic, and the seed's
+// digest comes back unedited.
 func TestSeedDigestFromSortedLists(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skip("seed digests encode amd64 floating-point semantics")
 	}
 	const n, p = 1500, 3
 	ics := PlummerSphere(rand.New(rand.NewSource(7)), n, 1.0)
-	for _, tc := range []struct {
-		karp bool
-		want uint64
-	}{
-		{false, seedCoreLibm},
-		{true, seedCoreKarp},
-	} {
-		acc := make([]vec.V3, n)
-		pot := make([]float64, n)
-		mp.Run(testCluster(), p, func(r *mp.Rank) {
-			lo, hi := n*r.ID()/p, n*(r.ID()+1)/p
-			bodies, splitters, boxLo, boxSize := Decompose(r, append([]Body(nil), ics[lo:hi]...))
-			dt := BuildDistributed(r, bodies, splitters, boxLo, boxSize, Options{Theta: 0.7, Eps: 0.01, Workers: 1, UseKarp: tc.karp})
-			dt.ComputeForces(bodies)
-			a, ph := regatherForces(dt, bodies, true)
-			for i := range bodies {
-				acc[bodies[i].ID], pot[bodies[i].ID] = a[i], ph[i]
-			}
-		})
-		if d := digestForces(acc, pot); d != tc.want {
-			t.Errorf("karp=%v: digest of sorted tree-order lists %#x, want seed %#x", tc.karp, d, tc.want)
+	acc := make([]vec.V3, n)
+	pot := make([]float64, n)
+	mp.Run(testCluster(), p, func(r *mp.Rank) {
+		lo, hi := n*r.ID()/p, n*(r.ID()+1)/p
+		bodies, splitters, boxLo, boxSize := Decompose(r, append([]Body(nil), ics[lo:hi]...))
+		dt := BuildDistributed(r, bodies, splitters, boxLo, boxSize, Options{Theta: 0.7, Eps: 0.01, Workers: 1})
+		dt.ComputeForces(bodies)
+		a, ph := regatherForces(dt, bodies, true)
+		for i := range bodies {
+			acc[bodies[i].ID], pot[bodies[i].ID] = a[i], ph[i]
 		}
+	})
+	if d := digestForces(acc, pot); d != seedCoreLibm {
+		t.Errorf("digest of sorted tree-order lists under the seed's arithmetic %#x, want seed %#x", d, uint64(seedCoreLibm))
 	}
 }

@@ -421,7 +421,7 @@ func (dt *DTree) finishBucket(w *bucketWalker, st *TraversalStats, charge func()
 // refers to — read-only — and the bucket's entries of acc and pot.
 func (dt *DTree) evalBucket(w *bucketWalker, acc []vec.V3, pot []float64) {
 	sc := w.sc
-	dt.local.EvalBucket(w.cell, dt.opt.Eps, dt.opt.UseKarp, &sc.BucketScratch, acc, pot)
+	dt.local.EvalBucket(w.cell, dt.opt.Eps, &sc.BucketScratch, acc, pot)
 	dt.cPoolJobs.Inc()
 	sc.stack, w.stack, w.sc = w.stack[:0], nil, nil
 	scratchPool.Put(sc)

@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"spacesim/internal/gravity"
+	"spacesim/internal/gravity/seedref"
 	"spacesim/internal/htree"
 	"spacesim/internal/key"
 	"spacesim/internal/mp"
@@ -81,41 +82,37 @@ func TestGroupedWithinPerBodyErrorRegime(t *testing.T) {
 
 // There is one bucket walker: on a single rank the distributed engine hands
 // the whole tree to htree's GatherList and EvalBucket, so its forces equal
-// htree.Tree.AccelAllGrouped on the same box and bucket size bit for bit,
-// under either reciprocal square root.
+// htree.Tree.AccelAllGrouped on the same box and bucket size bit for bit.
 func TestOneRankMatchesSerialGroupedWalk(t *testing.T) {
 	ics := PlummerSphere(rand.New(rand.NewSource(35)), 3000, 1.0)
 	const theta, eps = 0.6, 0.02
-	for _, karp := range []bool{false, true} {
-		mp.Run(testCluster(), 1, func(r *mp.Rank) {
-			bodies, splitters, boxLo, boxSize := Decompose(r, append([]Body(nil), ics...))
-			opt := Options{Theta: theta, Eps: eps, UseKarp: karp}
-			acc, pot, st := BuildDistributed(r, bodies, splitters, boxLo, boxSize, opt).ComputeForces(bodies)
+	mp.Run(testCluster(), 1, func(r *mp.Rank) {
+		bodies, splitters, boxLo, boxSize := Decompose(r, append([]Body(nil), ics...))
+		opt := Options{Theta: theta, Eps: eps}
+		acc, pot, st := BuildDistributed(r, bodies, splitters, boxLo, boxSize, opt).ComputeForces(bodies)
 
-			pos := make([]vec.V3, len(bodies))
-			mass := make([]float64, len(bodies))
-			for i, b := range bodies {
-				pos[i], mass[i] = b.Pos, b.Mass
-			}
-			tr, err := htree.Build(pos, mass, htree.Options{MaxLeaf: opt.withDefaults().MaxLeaf, BoxLo: boxLo, BoxSize: boxSize})
-			if err != nil {
-				t.Error(err)
+		pos := make([]vec.V3, len(bodies))
+		mass := make([]float64, len(bodies))
+		for i, b := range bodies {
+			pos[i], mass[i] = b.Pos, b.Mass
+		}
+		tr, err := htree.Build(pos, mass, htree.Options{MaxLeaf: opt.withDefaults().MaxLeaf, BoxLo: boxLo, BoxSize: boxSize})
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		wantAcc, wantPot, ws := tr.AccelAllGrouped(theta, eps, false, gravity.Float64, 1)
+		for i := range acc {
+			if acc[i] != wantAcc[i] || pot[i] != wantPot[i] {
+				t.Errorf("body %d: engine (%v, %v), serial walk (%v, %v)", i, acc[i], pot[i], wantAcc[i], wantPot[i])
 				return
 			}
-			wantAcc, wantPot, ws := tr.AccelAllGrouped(theta, eps, karp, gravity.Float64, 1)
-			for i := range acc {
-				if acc[i] != wantAcc[i] || pot[i] != wantPot[i] {
-					t.Errorf("karp=%v: body %d: engine (%v, %v), serial walk (%v, %v)",
-						karp, i, acc[i], pot[i], wantAcc[i], wantPot[i])
-					return
-				}
-			}
-			if st.BodyInteractions != int64(ws.BodyInteractions) || st.CellInteractions != int64(ws.CellInteractions) {
-				t.Errorf("karp=%v: engine counted %d body + %d cell interactions, serial walk %d + %d",
-					karp, st.BodyInteractions, st.CellInteractions, ws.BodyInteractions, ws.CellInteractions)
-			}
-		})
-	}
+		}
+		if st.BodyInteractions != int64(ws.BodyInteractions) || st.CellInteractions != int64(ws.CellInteractions) {
+			t.Errorf("engine counted %d body + %d cell interactions, serial walk %d + %d",
+				st.BodyInteractions, st.CellInteractions, ws.BodyInteractions, ws.CellInteractions)
+		}
+	})
 }
 
 // Results must be bit-identical for any Workers count, including on
@@ -179,8 +176,9 @@ func TestGroupedWorkersBitIdentical(t *testing.T) {
 	// light ranks are through pass 1 and into pass 2 long before rank 0 stops
 	// asking them for cells, and rank 0's own pass 2 runs while they wait in
 	// Quiesce. At any width of the scheduler's pool, whatever runs beside
-	// whatever, every bit must come out the same — the bits recorded at
-	// commit 623b44b, where the goroutine runtime was the first row.
+	// whatever, every bit must come out the same — a digest recorded at
+	// commit 623b44b, where the goroutine runtime was the first row, and
+	// re-pinned once, with the kernels' arithmetic (ISSUE 24).
 	const n, p = 1600, 8
 	ics = PlummerSphere(rng, n, 1.0)
 	lo, size := htree.BoundingCube(positions(ics))
@@ -212,9 +210,9 @@ func TestGroupedWorkersBitIdentical(t *testing.T) {
 			}
 		}
 	}
-	const want = 0x455cdd86d2e6ebc0
+	const want = 0x6d2a84e5dd4e5441
 	if d := digestForces(acc1, pot1); runtime.GOARCH == "amd64" && d != want {
-		t.Errorf("force digest %#x, commit 623b44b had %#x", d, uint64(want))
+		t.Errorf("force digest %#x, pinned %#x", d, uint64(want))
 	}
 }
 
@@ -415,37 +413,49 @@ func TestFetchDedup(t *testing.T) {
 }
 
 // regatherForces re-walks every bucket of a finished evaluation with the
-// engine's own resident walk (pass 2's) and evaluates the lists, optionally
-// sorting each by value first, the way the seed canonicalised them: what the
-// list refers to is copied out row by row, sorted, and the list pointed at
-// the copies — cells in sorted order, bodies as one sorted segment.
-func regatherForces(dt *DTree, bodies []Body, sorted bool) ([]vec.V3, []float64) {
+// engine's own resident walk (pass 2's) and evaluates the lists. With seed
+// set it evaluates them the way the seed did: what the list refers to is
+// copied out row by row, sorted by value, the list pointed at the copies —
+// cells in sorted order, bodies as one sorted segment — and summed with the
+// seed's arithmetic (gravity/seedref) in place of the kernels'.
+func regatherForces(dt *DTree, bodies []Body, seed bool) ([]vec.V3, []float64) {
 	acc := make([]vec.V3, len(bodies))
 	pot := make([]float64, len(bodies))
 	for _, c := range dt.local.Leaves() {
 		center, radius := c.BoundingSphere()
 		w := &bucketWalker{cell: c, mac: htree.NewBucketMAC(center, radius, dt.opt.Theta)}
 		dt.regather(w)
-		if sorted {
-			var cells gravity.MultipoleSoA
-			var srcs gravity.SoA
-			l := &w.sc.List
-			for _, m := range l.Cells {
-				cells.Push(m)
-			}
-			for _, seg := range l.Segs {
-				for _, b := range seg {
-					srcs.Push(b.Pos, b.Mass)
-				}
-			}
-			cells.Sort()
-			srcs.Sort()
-			l.Cells = append(l.Cells[:0], cells.Refs()...)
-			l.Segs = append(l.Segs[:0], srcs.Rows())
+		if !seed {
+			dt.evalBucket(w, acc, pot)
+			continue
 		}
-		dt.evalBucket(w, acc, pot)
+		var cells gravity.MultipoleSoA
+		var srcs gravity.SoA
+		for _, m := range w.sc.List.Cells {
+			cells.Push(m)
+		}
+		for _, seg := range w.sc.List.Segs {
+			for _, b := range seg {
+				srcs.Push(b.Pos, b.Mass)
+			}
+		}
+		cells.Sort()
+		srcs.Sort()
+		sinks := dt.local.Bodies[c.Lo:c.Hi]
+		a, ph := seedref.Forces(&gravity.List{Cells: cells.Refs(), Segs: [][]gravity.Source{srcs.Rows()}}, positionsOf(sinks), dt.opt.Eps)
+		for j := range sinks {
+			acc[sinks[j].ID], pot[sinks[j].ID] = a[j], ph[j]
+		}
 	}
 	return acc, pot
+}
+
+func positionsOf(bodies []htree.Body) []vec.V3 {
+	pos := make([]vec.V3, len(bodies))
+	for i := range bodies {
+		pos[i] = bodies[i].Pos
+	}
+	return pos
 }
 
 // A bucket whose walk never suspended is evaluated from its pass-1 list; one

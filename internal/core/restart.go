@@ -94,6 +94,9 @@ func RunRecovered(cfg RecoveryConfig, ics []Body) (Result, RecoveryStats, error)
 	if err := cfg.Validate(); err != nil {
 		return Result{}, RecoveryStats{}, err
 	}
+	if err := ValidateBodies(ics); err != nil {
+		return Result{}, RecoveryStats{}, err
+	}
 	if cfg.Injector != nil && cfg.Checkpoint == nil {
 		return Result{}, RecoveryStats{}, errors.New("core: fault injection without a checkpoint config cannot recover")
 	}

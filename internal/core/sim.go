@@ -102,7 +102,6 @@ func (cfg RunConfig) runOptions() mp.RunOptions {
 // program (spacesim, serve.JobSpec) call it for the message.
 func (cfg RunConfig) Validate() error {
 	opt := cfg.Opt.withDefaults()
-	finite := func(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
 	switch {
 	case cfg.Procs < 1 || cfg.Procs > cfg.Cluster.Nodes:
 		return fmt.Errorf("core: procs %d outside [1, %d] (the nodes of %s)", cfg.Procs, cfg.Cluster.Nodes, cfg.Cluster.Name)
@@ -118,6 +117,48 @@ func (cfg RunConfig) Validate() error {
 		return fmt.Errorf("core: kernel efficiency %g must be finite and non-negative", opt.KernelEff)
 	case opt.MaxLeaf < 0 || opt.Workers < 0:
 		return fmt.Errorf("core: max leaf %d and workers %d must be non-negative", opt.MaxLeaf, opt.Workers)
+	}
+	return nil
+}
+
+func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
+
+// Sides of the initial bounding cube a run accepts: squared separations
+// inside it stay far from the ends of the double range.
+const (
+	minBoxSide = 0x1p-400
+	maxBoxSide = 0x1p400
+)
+
+// ValidateBodies reports the first thing about the initial conditions that
+// no run can integrate: a position, velocity or mass that is NaN or
+// infinite, or a bounding cube (a side of 1 around coincident bodies) whose
+// side is outside [2^-400, 2^400] or whose centre overflows. Run and
+// RunRecovered return the error before any rank starts.
+func ValidateBodies(ics []Body) error {
+	if len(ics) == 0 {
+		return nil
+	}
+	finite3 := func(v vec.V3) bool { return finite(v[0]) && finite(v[1]) && finite(v[2]) }
+	mn, mx := ics[0].Pos, ics[0].Pos
+	for i := range ics {
+		b := &ics[i]
+		switch {
+		case !finite3(b.Pos):
+			return fmt.Errorf("core: body %d has position %v", i, b.Pos)
+		case !finite3(b.Vel):
+			return fmt.Errorf("core: body %d has velocity %v", i, b.Vel)
+		case !finite(b.Mass):
+			return fmt.Errorf("core: body %d has mass %g", i, b.Mass)
+		}
+		mn, mx = vec.Min(mn, b.Pos), vec.Max(mx, b.Pos)
+	}
+	side := mx.Sub(mn).MaxAbs()
+	if side == 0 {
+		side = 1
+	}
+	if !(side >= minBoxSide && side <= maxBoxSide) || !finite3(mn.Add(mx)) {
+		return fmt.Errorf("core: bounding cube of the bodies, side %g from %v, is outside [2^-400, 2^400]", side, mn)
 	}
 	return nil
 }
@@ -146,6 +187,9 @@ func Run(cfg RunConfig, ics []Body) Result {
 func run(cfg RunConfig, ics []Body, seg segment) Result {
 	res := Result{Steps: cfg.Steps}
 	if res.Err = cfg.Validate(); res.Err != nil {
+		return res
+	}
+	if res.Err = ValidateBodies(ics); res.Err != nil {
 		return res
 	}
 	opt := cfg.Opt.withDefaults()

@@ -40,15 +40,12 @@ type Options struct {
 	Theta float64
 	// Eps is the Plummer softening length. There is no default: zero means
 	// unsoftened gravity, which also sends every bucket through the slower
-	// checked kernel loop (the branch-free self-exclusion needs Eps > 0).
+	// checked kernel loop (the assembly kernels need Eps*Eps >= 2^-1000).
 	Eps float64
 	// DT is the leapfrog timestep.
 	DT float64
 	// MaxLeaf is the tree bucket size (default 8).
 	MaxLeaf int
-	// UseKarp selects the Karp reciprocal sqrt in the body kernel (the
-	// paper's Table 5/6 exhibit).
-	UseKarp bool
 	// KernelEff overrides the modeled fraction of node peak the inner
 	// kernel sustains when charging virtual time (default: the Karp
 	// micro-kernel rate of the SS CPU model, as in Table 6).

@@ -13,23 +13,35 @@ import (
 // multipoles (List, eval.go) — and the kernels read each source through its
 // reference once per group of sinks.
 //
-// Each float64 kernel has two bodies. On amd64 with AVX2 the assembly in
-// lanes_amd64.s evaluates four sinks per register, one sink per lane; the
-// plain Go loop below it is the portable fallback and the oracle the
-// assembly is tested bit-identical against. Per sink both apply the same
-// correctly-rounded operations in list order, so which one ran cannot be
-// told from the result (DESIGN.md, "Lanes = sinks").
+// Each kernel has three bodies that cannot be told apart from the result.
+// The plain Go loop below spells the arithmetic once, every multiply that
+// feeds an add written as math.FMA: Rsqrt (newton.go) for the reciprocal
+// square root — no hardware square root, no divide — and one fixed order of
+// fused operations around it. On amd64 the assembly in lanes_amd64.s issues
+// those operations, one for one, for four sinks per YMM register (AVX2 +
+// FMA) and for eight per ZMM register (AVX-512F), one sink per lane; a
+// bucket takes eight-lane blocks while more than four sinks remain and a
+// four-lane block for the tail. Every operation is correctly rounded and
+// none crosses lanes, so a sink gets the same bits from any width and from
+// the Go loop, on every host (DESIGN.md, "Lanes = sinks").
 //
-// The assembly realizes the r2 == 0 self-exclusion by zeroing the source
-// mass instead of branching. The acceleration terms then add an exact +-0
-// and the potential subtracts 0*rinv — both bitwise no-ops (a running sum
-// that starts at +0 can never be -0 under round-to-nearest). With eps == 0
-// the excluded term would be 0*Inf, so that case takes the Go loop.
+// The assembly iterates on r2+eps2 without Rsqrt's range test. It is entered
+// only with eps2 >= rsqrtMin, which bounds every argument from below, and
+// keeps a running maximum of the arguments' bit patterns; a block whose
+// maximum reaches rsqrtMax (or a NaN) is discarded and its sinks go through
+// the Go loop. It realizes the r2 == 0 self-exclusion without branching, by
+// zeroing the source mass (AVX2) or the product m*rinv and the potential
+// update (AVX-512, under an opmask): the acceleration terms then add an
+// exact +-0 and the potential keeps its bits — bitwise no-ops (a running
+// sum that starts at +0 can never be -0 under round-to-nearest).
 
-// KernelISA names the float64 kernel bodies this process runs: "avx2" or
-// "go".
+// KernelISA names the kernel bodies this process runs: "avx512" (eight-lane
+// blocks, four-lane tails), "avx2" or "go".
 func KernelISA() string {
-	if useAVX2 {
+	switch kernelLanes {
+	case 8:
+		return "avx512"
+	case 4:
 		return "avx2"
 	}
 	return "go"
@@ -123,25 +135,25 @@ func sortRows[T any](s []T, less func(a, b *T) bool) {
 	}
 }
 
-// bodyKernelLibm accumulates into (ax, ay, az, pot)[j] the softened field at
-// sink j from every body of every segment, in list order, using the math
-// library square root. Zero-separation pairs (a sink meeting itself inside
-// its own bucket) are skipped, matching the per-body traversal's
-// self-exclusion. Each sink's sums over the whole list are formed apart and
-// added to its accumulators once, after the last segment, so where the
-// list is cut into segments cannot be told from the result. The sink
-// arrays and the four accumulator arrays must share one length.
-func bodyKernelLibm(segs [][]Source, sx, sy, sz []float64, eps2 float64, ax, ay, az, pot []float64) {
-	if useAVX2 && eps2 != 0 && len(segs) > 0 {
-		bodyKernelAVX2(segs, sx, sy, sz, eps2, ax, ay, az, pot)
+// bodyKernel accumulates into (ax, ay, az, pot)[j] the softened field at
+// sink j from every body of every segment, in list order. Zero-separation
+// pairs (a sink meeting itself inside its own bucket) are skipped, matching
+// the per-body traversal's self-exclusion. Each sink's sums over the whole
+// list are formed apart and added to its accumulators once, after the last
+// segment, so where the list is cut into segments cannot be told from the
+// result. The sink arrays and the four accumulator arrays must share one
+// length.
+func bodyKernel(segs [][]Source, sx, sy, sz []float64, eps2 float64, ax, ay, az, pot []float64) {
+	if kernelLanes != 0 && eps2 >= rsqrtMin && len(segs) > 0 {
+		bodyKernelLanes(segs, sx, sy, sz, eps2, ax, ay, az, pot)
 		return
 	}
-	bodyKernelLibmGo(segs, sx, sy, sz, eps2, ax, ay, az, pot)
+	bodyKernelGo(segs, sx, sy, sz, eps2, ax, ay, az, pot)
 }
 
-// bodyKernelLibmGo is the portable body and the oracle of bodyLanesAVX2:
-// the seed's batch loop, with the segments as one more loop level.
-func bodyKernelLibmGo(segs [][]Source, sx, sy, sz []float64, eps2 float64, ax, ay, az, pot []float64) {
+// bodyKernelGo is the portable body and the oracle of the assembly. The
+// per-body walk (htree.Tree.Accel) repeats its operations for one sink.
+func bodyKernelGo(segs [][]Source, sx, sy, sz []float64, eps2 float64, ax, ay, az, pot []float64) {
 	for j := range sx {
 		px, py, pz := sx[j], sy[j], sz[j]
 		var fx, fy, fz, p float64
@@ -151,54 +163,16 @@ func bodyKernelLibmGo(segs [][]Source, sx, sy, sz []float64, eps2 float64, ax, a
 				dx := s.Pos[0] - px
 				dy := s.Pos[1] - py
 				dz := s.Pos[2] - pz
-				r2 := dx*dx + dy*dy + dz*dz
+				r2 := math.FMA(dz, dz, math.FMA(dy, dy, dx*dx))
 				if r2 == 0 {
 					continue
 				}
-				r2 += eps2
-				rinv := 1 / math.Sqrt(r2)
-				rinv3 := rinv * rinv * rinv
-				mr3 := s.Mass * rinv3
-				fx += mr3 * dx
-				fy += mr3 * dy
-				fz += mr3 * dz
-				p -= s.Mass * rinv
-			}
-		}
-		ax[j] += fx
-		ay[j] += fy
-		az[j] += fz
-		pot[j] += p
-	}
-}
-
-// bodyKernelKarp is the body kernel with the reciprocal square root
-// computed by the Karp decomposition: the seed's loop, one KarpRsqrt call
-// per interaction. It is the paper's Table 5 exhibit on the grouped path
-// (Evaluator.UseKarp), not a tuned kernel — on hardware with a pipelined
-// sqrt it is slower than bodyKernelLibm, which is the point of the
-// comparison `ssbench kernels` records.
-func bodyKernelKarp(segs [][]Source, sx, sy, sz []float64, eps2 float64, ax, ay, az, pot []float64) {
-	for j := range sx {
-		px, py, pz := sx[j], sy[j], sz[j]
-		var fx, fy, fz, p float64
-		for _, seg := range segs {
-			for i := range seg {
-				s := &seg[i]
-				dx := s.Pos[0] - px
-				dy := s.Pos[1] - py
-				dz := s.Pos[2] - pz
-				r2 := dx*dx + dy*dy + dz*dz
-				if r2 == 0 {
-					continue
-				}
-				rinv := KarpRsqrt(r2 + eps2)
-				rinv3 := rinv * rinv * rinv
-				mr3 := s.Mass * rinv3
-				fx += mr3 * dx
-				fy += mr3 * dy
-				fz += mr3 * dz
-				p -= s.Mass * rinv
+				rinv := Rsqrt(r2 + eps2)
+				mr3 := (s.Mass * rinv) * (rinv * rinv)
+				fx = math.FMA(mr3, dx, fx)
+				fy = math.FMA(mr3, dy, fy)
+				fz = math.FMA(mr3, dz, fz)
+				p = math.FMA(-s.Mass, rinv, p)
 			}
 		}
 		ax[j] += fx

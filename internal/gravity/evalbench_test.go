@@ -53,72 +53,69 @@ func newBenchState(rng *rand.Rand, ncells, nbodies, nsinks int) *benchState {
 	return st
 }
 
+// eachBenchISA runs f as one sub-benchmark per kernel body the CPU has.
+func eachBenchISA(b *testing.B, f func(b *testing.B)) {
+	defer func() { kernelLanes = detectedLanes }()
+	for _, lanes := range []int{0, 4, 8} {
+		if lanes > detectedLanes {
+			break
+		}
+		kernelLanes = lanes
+		b.Run(KernelISA(), f)
+	}
+}
+
 func BenchmarkCellBatch(b *testing.B) {
 	for _, n := range benchLengths {
-		b.Run(fmt.Sprintf("libm/len%d", n), func(b *testing.B) {
-			st := newBenchState(rand.New(rand.NewSource(5)), n, 0, benchSinks)
-			refs := st.cells.Refs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				cellKernelLibm(refs, st.sx, st.sy, st.sz, 1e-4, st.ax, st.ay, st.az, st.pp)
-			}
-			b.ReportMetric(float64(b.N*n*benchSinks)/b.Elapsed().Seconds()/1e6, "Minter/s")
+		st := newBenchState(rand.New(rand.NewSource(5)), n, 0, benchSinks)
+		refs := st.cells.Refs()
+		b.Run(fmt.Sprintf("len%d", n), func(b *testing.B) {
+			eachBenchISA(b, func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					cellKernel(refs, st.sx, st.sy, st.sz, 1e-4, st.ax, st.ay, st.az, st.pp)
+				}
+				b.ReportMetric(float64(b.N*n*benchSinks)/b.Elapsed().Seconds()/1e6, "Minter/s")
+			})
 		})
 	}
 }
 
-// evalVariants are the Evaluator's two body kernels.
-var evalVariants = []struct {
-	name string
-	karp bool
-}{{"libm", false}, {"karp", true}}
-
 func BenchmarkEvalList(b *testing.B) {
-	for _, v := range evalVariants {
-		for _, n := range benchLengths {
-			b.Run(fmt.Sprintf("%s/len%d", v.name, n), func(b *testing.B) {
-				// Split the list budget the way real buckets do: a few
-				// accepted cells, the rest direct bodies.
-				nc := n / 8
-				st := newBenchState(rand.New(rand.NewSource(6)), nc, n-nc, benchSinks)
-				ev := Evaluator{Eps: 0.01, UseKarp: v.karp}
-				ev.EvalList(st.cells, st.soa, st.sx, st.sy, st.sz, st.ax, st.ay, st.az, st.pp)
-				b.ResetTimer()
+	for _, n := range benchLengths {
+		// Split the list budget the way real buckets do: a few accepted
+		// cells, the rest direct bodies.
+		nc := n / 8
+		st := newBenchState(rand.New(rand.NewSource(6)), nc, n-nc, benchSinks)
+		ev := Evaluator{Eps: 0.01}
+		b.Run(fmt.Sprintf("len%d", n), func(b *testing.B) {
+			eachBenchISA(b, func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					ev.EvalList(st.cells, st.soa, st.sx, st.sy, st.sz, st.ax, st.ay, st.az, st.pp)
 				}
 				b.ReportMetric(float64(b.N*n*benchSinks)/b.Elapsed().Seconds()/1e6, "Minter/s")
 			})
-		}
+		})
 	}
 }
 
-// The hot path must stay allocation-free: the batched kernels write into
-// caller accumulators and the Evaluator holds no buffers of its own (the
-// pointer list EvalList hands the cell kernel is the MultipoleSoA's).
+// The hot path must stay allocation-free at every width: the batched kernels
+// write into caller accumulators, the lanes block lives on the stack, and
+// the Evaluator holds no buffers of its own (the pointer list EvalList hands
+// the cell kernel is the MultipoleSoA's).
 func TestKernelAllocsPinned(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	st := newBenchState(rng, 48, 512, benchSinks)
-	run := func(name string, f func()) {
-		t.Helper()
-		if allocs := testing.AllocsPerRun(10, f); allocs != 0 {
-			t.Errorf("%s: %v allocs/op, want 0", name, allocs)
-		}
-	}
+	st := newBenchState(rng, 48, 512, benchSinks-3) // an eight-lane block, then a four-lane tail
 	segs, refs := oneSeg(st.soa), st.cells.Refs()
-	run("bodyKernelLibm", func() {
-		bodyKernelLibm(segs, st.sx, st.sy, st.sz, 1e-4, st.ax, st.ay, st.az, st.pp)
+	ev := Evaluator{Eps: 0.01}
+	EachISA(t, func(t *testing.T) {
+		for name, f := range map[string]func(){
+			"bodyKernel": func() { bodyKernel(segs, st.sx, st.sy, st.sz, 1e-4, st.ax, st.ay, st.az, st.pp) },
+			"cellKernel": func() { cellKernel(refs, st.sx, st.sy, st.sz, 1e-4, st.ax, st.ay, st.az, st.pp) },
+			"EvalList":   func() { ev.EvalList(st.cells, st.soa, st.sx, st.sy, st.sz, st.ax, st.ay, st.az, st.pp) },
+		} {
+			if allocs := testing.AllocsPerRun(10, f); allocs != 0 {
+				t.Errorf("%s: %v allocs/op, want 0", name, allocs)
+			}
+		}
 	})
-	run("bodyKernelKarp", func() {
-		bodyKernelKarp(segs, st.sx, st.sy, st.sz, 1e-4, st.ax, st.ay, st.az, st.pp)
-	})
-	run("cellKernelLibm", func() {
-		cellKernelLibm(refs, st.sx, st.sy, st.sz, 1e-4, st.ax, st.ay, st.az, st.pp)
-	})
-	for _, v := range evalVariants {
-		ev := Evaluator{Eps: 0.01, UseKarp: v.karp}
-		run("EvalList/"+v.name, func() {
-			ev.EvalList(st.cells, st.soa, st.sx, st.sy, st.sz, st.ax, st.ay, st.az, st.pp)
-		})
-	}
 }

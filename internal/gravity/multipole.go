@@ -69,30 +69,11 @@ func Combine(parts ...Multipole) Multipole {
 // AccelAt evaluates the expansion at point p (softening eps applies to the
 // monopole term only, as in the treecode: cells passing the acceptance
 // criterion are far enough that softening is negligible for higher
-// moments). Returns acceleration and potential.
-//
-// phi(x) = -M/r - x^T Q x / (2 r^5)
-// a(x)   = -grad phi = -M x/r^3 + Qx/r^5 - (5/2) (x^T Q x) x / r^7
-//
-// with x the vector from the center of mass to p.
+// moments). Returns acceleration and potential: one cell of the cell
+// kernel's sum (addField, cellkernel.go), started from zero.
 func (m Multipole) AccelAt(p vec.V3, eps float64) (vec.V3, float64) {
-	x := p.Sub(m.COM)
-	r2 := x.Norm2() + eps*eps
-	rinv := 1 / math.Sqrt(r2)
-	rinv2 := rinv * rinv
-	rinv3 := rinv * rinv2
-	rinv5 := rinv3 * rinv2
-	rinv7 := rinv5 * rinv2
-
-	acc := x.Scale(-m.M * rinv3)
-	pot := -m.M * rinv
-
-	qx := m.Q.MulVec(x)
-	xqx := x.Dot(qx)
-	acc = acc.AddScaled(rinv5, qx)
-	acc = acc.AddScaled(-2.5*xqx*rinv7, x)
-	pot -= 0.5 * xqx * rinv5
-	return acc, pot
+	ax, ay, az, pot := m.addField(p[0], p[1], p[2], eps*eps, 0, 0, 0, 0)
+	return vec.V3{ax, ay, az}, pot
 }
 
 // MonopoleOnly evaluates just the monopole term — used when comparing the

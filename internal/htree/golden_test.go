@@ -9,20 +9,25 @@ import (
 	"testing"
 
 	"spacesim/internal/gravity"
+	"spacesim/internal/gravity/seedref"
+	"spacesim/internal/key"
 	"spacesim/internal/vec"
 )
 
-// Golden digests of the grouped walk, captured from the seed engine (the
-// scalar Multipole.AccelAt cell loop and unblocked batch kernels) on this
-// configuration. The blocked SoA kernels must reproduce the seed results
-// bit for bit at every worker count — this is the repo's determinism rule
-// applied across the kernel rewrite. The constants encode amd64 semantics
-// (no FMA contraction); on other architectures the compiler may fuse
-// multiply-adds differently, so the raw digests are only asserted there
-// against themselves across worker counts.
+// Digests of the grouped walk on this configuration. seedHtreeLibm was
+// captured from the seed engine (the scalar Multipole.AccelAt cell loop and
+// unblocked batch kernels, one math.Sqrt and one divide per interaction);
+// TestSeedDigestFromLibmLoops still recovers it, unedited, from today's
+// lists summed with that arithmetic (gravity/seedref). goldenHtree is the
+// production kernels' digest, pinned when they took the Newton reciprocal
+// square root and fused multiply-adds (ISSUE 24); every kernel width and any
+// worker count must reproduce it. The constants encode amd64 semantics; on
+// other architectures the compiler may fuse the tree build's multiply-adds,
+// so the raw digests are only asserted there against themselves across
+// worker counts.
 const (
-	goldenHtreeLibm = 0x993f680ff744bb1f
-	goldenHtreeKarp = 0xc9105edeebc95db7
+	seedHtreeLibm = 0x993f680ff744bb1f
+	goldenHtree   = 0xe7c69ce1c7fa0151
 )
 
 func goldenBodies(n int) ([]vec.V3, []float64) {
@@ -60,25 +65,52 @@ func TestGroupedGoldenDigest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, tc := range []struct {
-		karp bool
-		want uint64
-	}{
-		{false, goldenHtreeLibm},
-		{true, goldenHtreeKarp},
-	} {
-		var first uint64
-		for _, w := range []int{1, 4} {
-			acc, pot, _ := tr.AccelAllGrouped(0.7, 0.01, tc.karp, gravity.Float64, w)
-			d := digestAccPot(acc, pot)
-			if w == 1 {
-				first = d
-			} else if d != first {
-				t.Fatalf("karp=%v: workers=%d digest %#x != workers=1 digest %#x", tc.karp, w, d, first)
-			}
-			if runtime.GOARCH == "amd64" && d != tc.want {
-				t.Errorf("karp=%v workers=%d: digest %#x, want seed %#x", tc.karp, w, d, tc.want)
-			}
+	var first uint64
+	for _, w := range []int{1, 4} {
+		acc, pot, _ := tr.AccelAllGrouped(0.7, 0.01, false, gravity.Float64, w)
+		d := digestAccPot(acc, pot)
+		if w == 1 {
+			first = d
+		} else if d != first {
+			t.Fatalf("workers=%d digest %#x != workers=1 digest %#x", w, d, first)
 		}
+		if runtime.GOARCH == "amd64" && d != goldenHtree {
+			t.Errorf("workers=%d: digest %#x, want %#x", w, d, uint64(goldenHtree))
+		}
+	}
+}
+
+// The lists are the seed's lists: gather every bucket of the same tree with
+// the production walk, sum each list with the seed's arithmetic, and the
+// seed's digest comes back.
+func TestSeedDigestFromLibmLoops(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skip("seed digests encode amd64 floating-point semantics")
+	}
+	pos, mass := goldenBodies(4096)
+	tr, err := Build(pos, mass, Options{MaxLeaf: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	acc := make([]vec.V3, len(pos))
+	pot := make([]float64, len(pos))
+	var sc BucketScratch
+	for _, b := range tr.Leaves() {
+		center, radius := b.BoundingSphere()
+		mac := NewBucketMAC(center, radius, 0.7)
+		sc.Reset()
+		tr.GatherList(key.Root, &mac, &sc)
+		sinks := tr.Bodies[b.Lo:b.Hi]
+		spos := make([]vec.V3, len(sinks))
+		for j := range sinks {
+			spos[j] = sinks[j].Pos
+		}
+		a, p := seedref.Forces(&sc.List, spos, 0.01)
+		for j := range sinks {
+			acc[sinks[j].ID], pot[sinks[j].ID] = a[j], p[j]
+		}
+	}
+	if d := digestAccPot(acc, pot); d != seedHtreeLibm {
+		t.Errorf("digest of today's lists under the seed's arithmetic %#x, want seed %#x", d, uint64(seedHtreeLibm))
 	}
 }

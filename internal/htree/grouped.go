@@ -255,13 +255,13 @@ func (t *Tree) GatherList(root key.K, mac *BucketMAC, sc *BucketScratch) (opened
 // bucket, scattering results by original body ID. It touches only the
 // scratch, the read-only body array and the bucket's disjoint entries of
 // the output arrays, so buckets may be evaluated concurrently.
-func (t *Tree) EvalBucket(bucket *Cell, eps float64, useKarp bool, sc *BucketScratch, acc []vec.V3, pot []float64) {
+func (t *Tree) EvalBucket(bucket *Cell, eps float64, sc *BucketScratch, acc []vec.V3, pot []float64) {
 	ns := bucket.Hi - bucket.Lo
 	sc.grow(ns)
 	for j, s := range t.src[bucket.Lo:bucket.Hi] {
 		sc.sx[j], sc.sy[j], sc.sz[j] = s.Pos[0], s.Pos[1], s.Pos[2]
 	}
-	ev := gravity.Evaluator{Eps: eps, UseKarp: useKarp}
+	ev := gravity.Evaluator{Eps: eps}
 	ev.Eval(&sc.List, sc.sx, sc.sy, sc.sz, sc.ax, sc.ay, sc.az, sc.pp)
 	for j := 0; j < ns; j++ {
 		id := t.Bodies[bucket.Lo+j].ID
@@ -275,9 +275,10 @@ func (t *Tree) EvalBucket(bucket *Cell, eps float64, useKarp bool, sc *BucketScr
 // (workers < 1 means runtime.GOMAXPROCS(0)). Each bucket writes a disjoint
 // slice of the output and its stats are merged in bucket order, so the
 // result — including every floating-point bit — is identical for any
-// worker count. The gravity.Precision argument is read by nothing; it is
-// retained for bench/ (see gravity.Precision).
-func (t *Tree) AccelAllGrouped(theta, eps float64, useKarp bool, _ gravity.Precision, workers int) ([]vec.V3, []float64, WalkStats) {
+// worker count. The bool and gravity.Precision arguments are read by
+// nothing: the kernels have one reciprocal square root and one arithmetic;
+// they are retained for bench/ (see gravity.Precision).
+func (t *Tree) AccelAllGrouped(theta, eps float64, _ bool, _ gravity.Precision, workers int) ([]vec.V3, []float64, WalkStats) {
 	var h0 float64
 	if t.tr != nil {
 		h0 = t.o.Tracer.HostNow()
@@ -316,7 +317,7 @@ func (t *Tree) AccelAllGrouped(theta, eps float64, useKarp bool, _ gravity.Preci
 					CellInteractions: ns * len(sc.List.Cells),
 					BodyInteractions: ns*sc.List.Bodies() - ns,
 				}
-				t.EvalBucket(b, eps, useKarp, &sc, acc, pot)
+				t.EvalBucket(b, eps, &sc, acc, pot)
 			}
 		}()
 	}

@@ -197,9 +197,12 @@ func AcceptMAC(d, bmax, theta float64) bool {
 
 // Accel evaluates the gravitational field at p by tree traversal with
 // opening parameter theta and Plummer softening eps. Bodies exactly at p
-// (self-interaction) are skipped. useKarp selects the reciprocal-sqrt
-// variant for leaf interactions.
-func (t *Tree) Accel(p vec.V3, theta, eps float64, useKarp bool) (vec.V3, float64, WalkStats) {
+// (self-interaction) are skipped. The leaf loop repeats gravity's body
+// kernel for one sink, operation for operation, so that with no cell
+// accepted the per-body and the grouped walk agree bit for bit. The bool is
+// read by nothing (the Karp variant it selected is gone); it is retained
+// for bench/.
+func (t *Tree) Accel(p vec.V3, theta, eps float64, _ bool) (vec.V3, float64, WalkStats) {
 	var acc vec.V3
 	var pot float64
 	var st WalkStats
@@ -222,20 +225,16 @@ func (t *Tree) Accel(p vec.V3, theta, eps float64, useKarp bool) (vec.V3, float6
 			for i := c.Lo; i < c.Hi; i++ {
 				b := &t.Bodies[i]
 				dv := b.Pos.Sub(p)
-				r2 := dv.Norm2()
+				r2 := math.FMA(dv[2], dv[2], math.FMA(dv[1], dv[1], dv[0]*dv[0]))
 				if r2 == 0 {
 					continue // self
 				}
-				r2 += eps2
-				var rinv float64
-				if useKarp {
-					rinv = gravity.KarpRsqrt(r2)
-				} else {
-					rinv = 1 / math.Sqrt(r2)
-				}
-				rinv3 := rinv * rinv * rinv
-				acc = acc.AddScaled(b.Mass*rinv3, dv)
-				pot -= b.Mass * rinv
+				rinv := gravity.Rsqrt(r2 + eps2)
+				mr3 := (b.Mass * rinv) * (rinv * rinv)
+				acc[0] = math.FMA(mr3, dv[0], acc[0])
+				acc[1] = math.FMA(mr3, dv[1], acc[1])
+				acc[2] = math.FMA(mr3, dv[2], acc[2])
+				pot = math.FMA(-b.Mass, rinv, pot)
 				st.BodyInteractions++
 			}
 			continue
@@ -252,13 +251,13 @@ func (t *Tree) Accel(p vec.V3, theta, eps float64, useKarp bool) (vec.V3, float6
 
 // AccelAll evaluates the field at every body, returning accelerations and
 // potentials indexed by the original body IDs, plus aggregate walk stats.
-func (t *Tree) AccelAll(theta, eps float64, useKarp bool) ([]vec.V3, []float64, WalkStats) {
+func (t *Tree) AccelAll(theta, eps float64, _ bool) ([]vec.V3, []float64, WalkStats) {
 	n := len(t.Bodies)
 	acc := make([]vec.V3, n)
 	pot := make([]float64, n)
 	var total WalkStats
 	for i := range t.Bodies {
-		a, p, st := t.Accel(t.Bodies[i].Pos, theta, eps, useKarp)
+		a, p, st := t.Accel(t.Bodies[i].Pos, theta, eps, false)
 		acc[t.Bodies[i].ID] = a
 		pot[t.Bodies[i].ID] = p
 		total.CellInteractions += st.CellInteractions

@@ -171,26 +171,6 @@ func TestTreeThetaZeroExact(t *testing.T) {
 	}
 }
 
-// The Karp traversal variant must agree with libm to high precision.
-func TestTreeKarpVariant(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	pos, mass := plummerish(rng, 200)
-	tr, err := Build(pos, mass, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	a1, p1, _ := tr.AccelAll(0.6, 0.01, false)
-	a2, p2, _ := tr.AccelAll(0.6, 0.01, true)
-	for i := range a1 {
-		if a1[i].Sub(a2[i]).Norm() > 1e-8*(1+a1[i].Norm()) {
-			t.Fatalf("body %d acc: %v vs %v", i, a1[i], a2[i])
-		}
-		if math.Abs(p1[i]-p2[i]) > 1e-8*(1+math.Abs(p1[i])) {
-			t.Fatalf("body %d pot mismatch", i)
-		}
-	}
-}
-
 // The traversal does O(N log N)-ish work: interactions per body must be far
 // below N and grow slowly.
 func TestTreeWorkScaling(t *testing.T) {

@@ -27,8 +27,8 @@ type Provenance struct {
 	GOARCH      string `json:"goarch"`
 	NumCPU      int    `json:"num_cpu"`
 	GOMAXPROCS  int    `json:"gomaxprocs"`
-	// KernelISA names the float64 force-kernel bodies the process runs
-	// (gravity.KernelISA: "avx2" or "go"). It decides a 2-4x factor in
+	// KernelISA names the force-kernel bodies the process runs
+	// (gravity.KernelISA: "avx512", "avx2" or "go"). It decides a 2-10x factor in
 	// every kernel-bound host figure, so it is recorded and printed — but
 	// kept out of HostKey, so series recorded before the field existed
 	// still trend against this host.
