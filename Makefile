@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet cross-build kernels-widths fmt-check loc fuzz-smoke bench bench-e2e profile-serial profile-sph profile-dist64 smoke analyze-smoke fault-smoke treebuild-smoke kernels-smoke live-smoke ledger-smoke serve-smoke one-slot ci all
+.PHONY: build test race vet cross-build kernels-widths fmt-check loc fuzz-smoke bench bench-e2e profile-serial profile-sph profile-dist8 profile-dist64 smoke analyze-smoke fault-smoke treebuild-smoke kernels-smoke live-smoke ledger-smoke serve-smoke one-slot ci all
 
 all: build test vet fmt-check
 
@@ -93,16 +93,17 @@ profile-sph:
 		-cpuprofile /tmp/spacesim-sph.pprof -o /tmp/spacesim-sph.test ./internal/sph
 	$(GO) tool pprof -top -nodecount 25 /tmp/spacesim-sph.test /tmp/spacesim-sph.pprof
 
-# The many-rank budget in one command: BenchmarkStepDist64 is bench/'s
-# coldsphere-dist64 configuration (32768 bodies, 64 ranks, one engine thread,
-# two pool workers a rank), one step per iteration through core.Run, run
-# under the CPU profiler and listed; then the split of the samples by the
-# `phase` label the rank runtime and the eval pool put on their goroutines.
-profile-dist64:
-	$(GO) test -run '^$$' -bench StepDist64 -benchtime 30x \
-		-cpuprofile /tmp/spacesim-dist64.pprof -o /tmp/spacesim-dist64.test ./internal/core
-	$(GO) tool pprof -top -nodecount 25 /tmp/spacesim-dist64.test /tmp/spacesim-dist64.pprof
-	$(GO) tool pprof -tags -tagshow '^phase$$' /tmp/spacesim-dist64.test /tmp/spacesim-dist64.pprof
+# The many-rank budgets in one command each: BenchmarkStep/dist8 and
+# BenchmarkStep/dist64 are bench/'s plummer-dist8 and coldsphere-dist64
+# configurations (32768 bodies, 8 or 64 ranks, one engine thread, two pool
+# workers a rank), one step per iteration through core.Run, run under the
+# CPU profiler and listed; then the split of the samples by the `phase`
+# label the rank runtime and the eval pool put on their goroutines.
+profile-dist8 profile-dist64: profile-dist%:
+	$(GO) test -run '^$$' -bench '^BenchmarkStep$$/^dist$*$$' -benchtime 30x \
+		-cpuprofile /tmp/spacesim-dist$*.pprof -o /tmp/spacesim-dist$*.test ./internal/core
+	$(GO) tool pprof -top -nodecount 25 /tmp/spacesim-dist$*.test /tmp/spacesim-dist$*.pprof
+	$(GO) tool pprof -tags -tagshow '^phase$$' /tmp/spacesim-dist$*.test /tmp/spacesim-dist$*.pprof
 
 # Generates a small trace + metrics pair from a short distributed run and
 # schema-validates both files with the tracecheck tool.

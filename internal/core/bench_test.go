@@ -52,32 +52,41 @@ func BenchmarkComputeForcesSerial(b *testing.B) {
 	b.ReportMetric(c("core.pool.inline_jobs")/c("core.pool.jobs"), "inline-share")
 }
 
-// BenchmarkStepDist64 is bench/'s coldsphere-dist64 configuration — 32768
-// cold-sphere bodies on 64 ranks over four switch modules, two pool workers a
-// rank, every rank on one engine thread, buckets of 16 — through Run, one
-// leapfrog step per iteration: decomposition, tree build and branch exchange,
-// walk and kernels, all 64 times over on one host. The initial evaluation is
-// inside the timer, so b.N iterations are b.N+1 force evaluations and the
-// reported metrics are per evaluation. `make profile-dist64` profiles it.
-func BenchmarkStepDist64(b *testing.B) {
-	ics, err := MakeICs("coldsphere", 1, 32768)
-	if err != nil {
-		b.Fatal(err)
+// BenchmarkStep runs bench/'s two distributed configurations — dist8: 32768
+// Plummer bodies on 8 ranks in one switch module; dist64: 32768 cold-sphere
+// bodies on 64 ranks over four — with two pool workers a rank, every rank on
+// one engine thread and buckets of 16, through Run, one leapfrog step per
+// iteration: decomposition, tree build and branch exchange, walk and
+// kernels, all P times over on one host. The initial evaluation is inside
+// the timer, so b.N iterations are b.N+1 force evaluations and the reported
+// metrics are per evaluation: the sink groups walked and the MB allocated.
+// `make profile-dist8` and `make profile-dist64` profile them.
+func BenchmarkStep(b *testing.B) {
+	for _, w := range []struct {
+		name, scenario string
+		procs          int
+	}{{"dist8", "plummer", 8}, {"dist64", "coldsphere", 64}} {
+		b.Run(w.name, func(b *testing.B) {
+			ics, err := MakeICs(w.scenario, 1, 32768)
+			if err != nil {
+				b.Fatal(err)
+			}
+			o := obs.New(false)
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			b.ResetTimer()
+			res := Run(RunConfig{
+				Cluster: testCluster().WithObs(o), Procs: w.procs, Steps: b.N, EngineWorkers: 1,
+				Opt: Options{Theta: 0.7, Eps: 0.01, DT: 0.005, MaxLeaf: 16, Workers: 2},
+			}, ics)
+			b.StopTimer()
+			runtime.ReadMemStats(&after)
+			if res.Err != nil {
+				b.Fatal(res.Err)
+			}
+			evals := float64(b.N + 1)
+			b.ReportMetric(float64(o.Snapshot().Counters["core.buckets"])/evals, "groups/step")
+			b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/(1<<20)/evals, "MB/step")
+		})
 	}
-	o := obs.New(false)
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	b.ResetTimer()
-	res := Run(RunConfig{
-		Cluster: testCluster().WithObs(o), Procs: 64, Steps: b.N, EngineWorkers: 1,
-		Opt: Options{Theta: 0.7, Eps: 0.01, DT: 0.005, MaxLeaf: 16, Workers: 2},
-	}, ics)
-	b.StopTimer()
-	runtime.ReadMemStats(&after)
-	if res.Err != nil {
-		b.Fatal(res.Err)
-	}
-	evals := float64(b.N + 1)
-	b.ReportMetric(float64(o.Snapshot().Counters["core.top.builds"])/evals, "top-builds/step")
-	b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/(1<<20)/evals, "MB/step")
 }

@@ -1,9 +1,12 @@
 package core
 
 import (
+	"fmt"
+	"math"
 	"slices"
 	"sort"
 
+	"spacesim/internal/htree"
 	"spacesim/internal/key"
 	"spacesim/internal/mp"
 	"spacesim/internal/vec"
@@ -13,26 +16,33 @@ import (
 // work, key, id).
 const bodyWireBytes = 96
 
-// globalBox agrees on the bounding cube of all bodies across ranks.
+// globalBox agrees on the bounding cube of all bodies across ranks: the cube
+// ValidateBodies checks, of every rank's bodies (a unit cube when there are
+// none). A NaN coordinate anywhere makes it NaN everywhere.
 func globalBox(r *mp.Rank, bodies []Body) (vec.V3, float64) {
-	mn := vec.V3{1e300, 1e300, 1e300}
-	mx := vec.V3{-1e300, -1e300, -1e300}
+	inf := math.Inf(1)
+	mn := vec.V3{inf, inf, inf}
+	mx := vec.V3{-inf, -inf, -inf}
 	for i := range bodies {
 		mn = vec.Min(mn, bodies[i].Pos)
 		mx = vec.Max(mx, bodies[i].Pos)
 	}
 	lo := r.Allreduce(mn[:], mp.OpMin)
 	hi := r.Allreduce(mx[:], mp.OpMax)
-	mn = vec.V3{lo[0], lo[1], lo[2]}
-	mx = vec.V3{hi[0], hi[1], hi[2]}
-	d := mx.Sub(mn)
-	size := d.MaxAbs()
-	if size <= 0 {
-		size = 1
+	if lo[0] > hi[0] { // no bodies anywhere
+		return htree.BoundingCube([]vec.V3{{}})
 	}
-	size *= 1 + 2e-6
-	c := mn.Add(mx).Scale(0.5)
-	return vec.V3{c[0] - size/2, c[1] - size/2, c[2] - size/2}, size
+	return htree.BoundingCube([]vec.V3{{lo[0], lo[1], lo[2]}, {hi[0], hi[1], hi[2]}})
+}
+
+// cubeError says why no run can integrate bodies in the cube of this side
+// from lo: a side outside [2^-400, 2^400] (squared separations near the ends
+// of the double range) or a corner that is not finite.
+func cubeError(lo vec.V3, side float64) error {
+	if side >= minBoxSide && side <= maxBoxSide && finite(lo[0]) && finite(lo[1]) && finite(lo[2]) {
+		return nil
+	}
+	return fmt.Errorf("bounding cube of the bodies, side %g from %v, is outside [2^-400, 2^400]", side, lo)
 }
 
 // Decompose implements the paper's domain decomposition: "practically

@@ -20,7 +20,9 @@ import (
 // 623b44b, the last with two runtimes, where the goroutine runtime was the
 // reference and the event scheduler matched it; the body digests (not the
 // clock) were re-pinned once since, when the kernels took the Newton
-// reciprocal square root and fused multiply-adds (ISSUE 24). Virtual clocks are
+// reciprocal square root and fused multiply-adds (ISSUE 24). Those pins still
+// hold one walker per leaf (leafGroups); digests and clock one walker per sink
+// group were pinned when the walk went to groups (ISSUE 25). Virtual clocks are
 // additionally pinned on single-rank runs, where they are a pure function of
 // the charged work; on multi-rank runs the traversal's polling loops make
 // the clock depend on host-time arrival order (see DESIGN.md on virtual-time
@@ -56,13 +58,19 @@ func TestEngineBitIdentical(t *testing.T) {
 	}
 
 	for _, pin := range []struct {
+		leaves bool // one walker per leaf from here on
 		procs  int
 		bodies uint64  // digest of the final positions and velocities
 		clock  float64 // rank 0's final clock; pinned for procs == 1 only
 	}{
-		{1, 0x232018fe6cbfb1fb, 0.09525816928794391},
-		{8, 0x6a615ea844e30e07, 0},
+		{false, 1, 0x346df710695e78bc, 0.1209383906634839},
+		{false, 8, 0xc3f2a33c06cf8c68, 0},
+		{true, 1, 0x232018fe6cbfb1fb, 0.09525816928794391},
+		{true, 8, 0x6a615ea844e30e07, 0},
 	} {
+		if pin.leaves {
+			leafGroups(t)
+		}
 		procs := pin.procs
 		var ref Result
 		for i, cfg := range []struct {
@@ -92,10 +100,10 @@ func TestEngineBitIdentical(t *testing.T) {
 			continue
 		}
 		if d := digest(ref.Bodies); d != pin.bodies {
-			t.Errorf("procs=%d: body digest %#x, pinned %#x", procs, d, pin.bodies)
+			t.Errorf("leaves=%v procs=%d: body digest %#x, pinned %#x", pin.leaves, procs, d, pin.bodies)
 		}
 		if procs == 1 && ref.Comm.RankClocks[0] != pin.clock {
-			t.Errorf("procs=1: clock %v, commit 623b44b had %v", ref.Comm.RankClocks[0], pin.clock)
+			t.Errorf("leaves=%v procs=1: clock %v, pinned %v", pin.leaves, ref.Comm.RankClocks[0], pin.clock)
 		}
 	}
 }

@@ -20,16 +20,20 @@ import (
 //
 // seedCoreLibm was captured from the seed, which sorted every multi-rank
 // list by value before summing it with one math.Sqrt and one divide per
-// interaction. goldenCoreLibm has been re-pinned twice, each time with the
-// lists proven unchanged by TestSeedDigestFromSortedLists, which sorts them
-// again, sums them with the seed's arithmetic (gravity/seedref) and recovers
-// the seed constant: when the engine began summing each list in depth-first
-// tree order (ISSUE 15, 0xae053dacef880958), and when the kernels took the
-// Newton reciprocal square root and fused multiply-adds (ISSUE 24).
+// interaction. The production digest was re-pinned twice with the lists
+// proven unchanged by TestSeedDigestFromSortedLists, which walks one group
+// per leaf as the seed did, sorts the lists again, sums them with the seed's
+// arithmetic (gravity/seedref) and recovers the seed constant: when the
+// engine began summing each list in depth-first tree order (ISSUE 15,
+// 0xae053dacef880958), and when the kernels took the Newton reciprocal square
+// root and fused multiply-adds (ISSUE 24) — leafCoreLibm, which the engine
+// still reproduces one walker per leaf (leafGroups). goldenCoreLibm is the
+// digest one walker per sink group (ISSUE 25).
 const (
 	seedCoreLibm = 0x160724b8d237cd8f
 
-	goldenCoreLibm = 0xc86177c97c9ed1d3
+	leafCoreLibm   = 0xc86177c97c9ed1d3
+	goldenCoreLibm = 0x1c42f69f6a3020c2
 )
 
 func digestForces(acc []vec.V3, pot []float64) uint64 {
@@ -50,29 +54,38 @@ func digestForces(acc []vec.V3, pot []float64) uint64 {
 
 func TestDistributedGroupedGoldenDigest(t *testing.T) {
 	ics := PlummerSphere(rand.New(rand.NewSource(7)), 1500, 1.0)
-	var first uint64
-	for _, w := range []int{1, 4} {
-		acc, pot := forcesWith(ics, 3, Options{Theta: 0.7, Eps: 0.01, Workers: w})
-		d := digestForces(acc, pot)
-		if w == 1 {
-			first = d
-		} else if d != first {
-			t.Fatalf("workers=%d digest %#x != workers=1 digest %#x", w, d, first)
+	for _, pin := range []struct {
+		leaves bool
+		want   uint64
+	}{{false, goldenCoreLibm}, {true, leafCoreLibm}} {
+		if pin.leaves {
+			leafGroups(t)
 		}
-		if runtime.GOARCH == "amd64" && d != goldenCoreLibm {
-			t.Errorf("workers=%d: digest %#x, want %#x", w, d, uint64(goldenCoreLibm))
+		var first uint64
+		for _, w := range []int{1, 4} {
+			acc, pot := forcesWith(ics, 3, Options{Theta: 0.7, Eps: 0.01, Workers: w})
+			d := digestForces(acc, pot)
+			if w == 1 {
+				first = d
+			} else if d != first {
+				t.Fatalf("leaves=%v workers=%d digest %#x != workers=1 digest %#x", pin.leaves, w, d, first)
+			}
+			if runtime.GOARCH == "amd64" && d != pin.want {
+				t.Errorf("leaves=%v workers=%d: digest %#x, want %#x", pin.leaves, w, d, pin.want)
+			}
 		}
 	}
 }
 
-// The tree-order lists are the seed's lists: gather every bucket again with
-// the engine's own resident walk, sort both halves of each list by value the
-// way the seed did, evaluate with the seed's arithmetic, and the seed's
-// digest comes back unedited.
+// The tree-order lists are the seed's lists: walk one group per leaf as the
+// seed did, gather every bucket again with the engine's own resident walk,
+// sort both halves of each list by value the way the seed did, evaluate with
+// the seed's arithmetic, and the seed's digest comes back unedited.
 func TestSeedDigestFromSortedLists(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skip("seed digests encode amd64 floating-point semantics")
 	}
+	leafGroups(t)
 	const n, p = 1500, 3
 	ics := PlummerSphere(rand.New(rand.NewSource(7)), n, 1.0)
 	acc := make([]vec.V3, n)

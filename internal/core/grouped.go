@@ -1,11 +1,12 @@
 package core
 
-// The bucket-grouped force engine (2HOT's grouped walk, Warren SC'13): one
-// walker per local leaf bucket traverses the distributed tree once, testing
-// the MAC against the bucket's bounding sphere — distance measured from the
-// leaf center of mass, opening radius widened by the leaf Bmax — so every
-// accepted cell satisfies the per-body criterion for all sinks in the
-// bucket and the per-body error bound is preserved. The walk accumulates an
+// The grouped force engine (2HOT's grouped walk, Warren SC'13): one walker
+// per sink group ("bucket" below) of the local tree — htree.Tree.Groups, the
+// largest cells of at most 32 bodies — traverses the distributed tree once,
+// testing the MAC against the group's bounding sphere — distance measured
+// from its center of mass, opening radius widened by its Bmax — so every
+// accepted cell satisfies the per-body criterion for all sinks in the group
+// and the per-body error bound is preserved. The walk accumulates an
 // interaction list by reference (gravity.List: pointers to the multipoles
 // of accepted cells, segments of direct-interaction bodies, all of it
 // payload that is resident and unchanging for the evaluation); completed
@@ -74,7 +75,11 @@ type bucketScratch struct {
 
 var scratchPool = sync.Pool{New: func() any { return new(bucketScratch) }}
 
-// bucketWalker is one leaf bucket's traversal state.
+// sinkGroups lists the buckets a rank starts one walker for. Only
+// export_test.go swaps it, to walk per leaf as before sink groups.
+var sinkGroups = (*htree.Tree).Groups
+
+// bucketWalker is one sink group's traversal state.
 type bucketWalker struct {
 	cell *htree.Cell
 	mac  htree.BucketMAC
@@ -215,11 +220,10 @@ func (dt *DTree) ComputeForces(bodies []Body) ([]vec.V3, []float64, TraversalSta
 		return acc, pot, st
 	}
 
-	leaves := dt.local.Leaves()
-	st.Buckets = int64(len(leaves))
-	walkers := make([]bucketWalker, len(leaves))
-	runnable := make([]*bucketWalker, 0, len(leaves))
-	for i, c := range leaves {
+	groups := sinkGroups(dt.local)
+	walkers := make([]bucketWalker, len(groups))
+	runnable := make([]*bucketWalker, 0, len(groups))
+	for i, c := range groups {
 		w := &walkers[i]
 		w.cell = c
 		center, radius := c.BoundingSphere()
@@ -406,8 +410,8 @@ func (dt *DTree) finishBucket(w *bucketWalker, st *TraversalStats, charge func()
 	dt.hListBodies.Observe(float64(nb))
 	st.CellInteractions += int64(ns * nc)
 	// Every sink meets every listed body except itself (the bucket's own
-	// bodies are always on the list, since its own leaf can never pass the
-	// bucket MAC).
+	// bodies are always on the list, since no leaf is ever accepted and no
+	// cell of the bucket can pass its MAC).
 	st.BodyInteractions += int64(ns*nb - ns)
 	work := float64(nc + nb - 1)
 	for i := w.cell.Lo; i < w.cell.Hi; i++ {

@@ -178,7 +178,9 @@ func TestGroupedWorkersBitIdentical(t *testing.T) {
 	// Quiesce. At any width of the scheduler's pool, whatever runs beside
 	// whatever, every bit must come out the same — a digest recorded at
 	// commit 623b44b, where the goroutine runtime was the first row, and
-	// re-pinned once, with the kernels' arithmetic (ISSUE 24).
+	// re-pinned once, with the kernels' arithmetic (ISSUE 24): the one that
+	// still holds one walker per leaf. One walker per sink group has its own
+	// (ISSUE 25).
 	const n, p = 1600, 8
 	ics = PlummerSphere(rng, n, 1.0)
 	lo, size := htree.BoundingCube(positions(ics))
@@ -192,27 +194,34 @@ func TestGroupedWorkersBitIdentical(t *testing.T) {
 			ics[i].Work = 1.0 / (4 * (p - 1)) // the first 4n/5 together weigh what n/5/(p-1) others do
 		}
 	}
-	var acc1 []vec.V3
-	var pot1 []float64
-	for _, engineWorkers := range []int{0, 1, 4} {
-		for _, workers := range []int{1, 2, 8} {
-			acc, pot := forcesWithEngine(ics, p, Options{Theta: 0.6, Eps: 0.02, Workers: workers},
-				mp.RunOptions{Workers: engineWorkers})
-			if acc1 == nil {
-				acc1, pot1 = acc, pot
-				continue
-			}
-			for i := range acc1 {
-				if acc[i] != acc1[i] || pot[i] != pot1[i] {
-					t.Fatalf("engine-workers=%d workers=%d: body %d differs: (%v, %v) vs (%v, %v)",
-						engineWorkers, workers, i, acc[i], pot[i], acc1[i], pot1[i])
+	for _, pin := range []struct {
+		leaves bool
+		want   uint64
+	}{{false, 0x7bc698d5e81c33ee}, {true, 0x6d2a84e5dd4e5441}} {
+		if pin.leaves {
+			leafGroups(t)
+		}
+		var acc1 []vec.V3
+		var pot1 []float64
+		for _, engineWorkers := range []int{0, 1, 4} {
+			for _, workers := range []int{1, 2, 8} {
+				acc, pot := forcesWithEngine(ics, p, Options{Theta: 0.6, Eps: 0.02, Workers: workers},
+					mp.RunOptions{Workers: engineWorkers})
+				if acc1 == nil {
+					acc1, pot1 = acc, pot
+					continue
+				}
+				for i := range acc1 {
+					if acc[i] != acc1[i] || pot[i] != pot1[i] {
+						t.Fatalf("leaves=%v engine-workers=%d workers=%d: body %d differs: (%v, %v) vs (%v, %v)",
+							pin.leaves, engineWorkers, workers, i, acc[i], pot[i], acc1[i], pot1[i])
+					}
 				}
 			}
 		}
-	}
-	const want = 0x6d2a84e5dd4e5441
-	if d := digestForces(acc1, pot1); runtime.GOARCH == "amd64" && d != want {
-		t.Errorf("force digest %#x, pinned %#x", d, uint64(want))
+		if d := digestForces(acc1, pot1); runtime.GOARCH == "amd64" && d != pin.want {
+			t.Errorf("leaves=%v: force digest %#x, pinned %#x", pin.leaves, d, pin.want)
+		}
 	}
 }
 
@@ -412,8 +421,9 @@ func TestFetchDedup(t *testing.T) {
 	})
 }
 
-// regatherForces re-walks every bucket of a finished evaluation with the
-// engine's own resident walk (pass 2's) and evaluates the lists. With seed
+// regatherForces re-walks every bucket of a finished evaluation — the same
+// sink groups, over the slab they fetched — with the engine's own resident
+// walk (pass 2's) and evaluates the lists. With seed
 // set it evaluates them the way the seed did: what the list refers to is
 // copied out row by row, sorted by value, the list pointed at the copies —
 // cells in sorted order, bodies as one sorted segment — and summed with the
@@ -421,7 +431,7 @@ func TestFetchDedup(t *testing.T) {
 func regatherForces(dt *DTree, bodies []Body, seed bool) ([]vec.V3, []float64) {
 	acc := make([]vec.V3, len(bodies))
 	pot := make([]float64, len(bodies))
-	for _, c := range dt.local.Leaves() {
+	for _, c := range sinkGroups(dt.local) {
 		center, radius := c.BoundingSphere()
 		w := &bucketWalker{cell: c, mac: htree.NewBucketMAC(center, radius, dt.opt.Theta)}
 		dt.regather(w)
@@ -506,25 +516,38 @@ func TestMoreRanksThanBodies(t *testing.T) {
 // The schedule pin: pass 1 is the same message DAG as the one-pass walk it
 // replaced — same stack discipline, fetches, dedup and charge points — so
 // the virtual makespan and every count of a reproducible-mode run (event
-// engine, one engine worker) equal the values recorded at the parent commit
-// 0b4a841, before the two-pass walk was written.
+// engine, one engine worker) one walker per leaf equal the values recorded at
+// the parent commit 0b4a841, before the two-pass walk was written. One walker
+// per sink group has its own, recorded when the walk went to groups (ISSUE 25).
 func TestSchedulePinnedAcrossTwoPassRewrite(t *testing.T) {
 	ics := PlummerSphere(rand.New(rand.NewSource(43)), 2000, 1.0)
-	res := Run(RunConfig{
-		Cluster: testCluster(), Procs: 4, Steps: 3,
-		Opt:           Options{Theta: 0.6, Eps: 0.02, DT: 0.005},
-		Engine:        mp.EngineEvent,
-		EngineWorkers: 1,
-	}, ics)
-	if res.Err != nil {
-		t.Fatal(res.Err)
-	}
-	if res.Fetches != 3130 || res.Interactions != 3558151 || res.Comm.Messages != 824 {
-		t.Errorf("fetches %d, interactions %d, messages %d; parent had 3130, 3558151, 824",
-			res.Fetches, res.Interactions, res.Comm.Messages)
-	}
-	if runtime.GOARCH == "amd64" && res.ElapsedVirtual != 0.2657051716832888 {
-		t.Errorf("virtual makespan %v, parent had 0.2657051716832888", res.ElapsedVirtual)
+	for _, pin := range []struct {
+		leaves                          bool
+		fetches, interactions, messages int64
+		makespan                        float64
+	}{
+		{false, 6039, 5214552, 998, 0.3307583288601062},
+		{true, 3130, 3558151, 824, 0.2657051716832888},
+	} {
+		if pin.leaves {
+			leafGroups(t)
+		}
+		res := Run(RunConfig{
+			Cluster: testCluster(), Procs: 4, Steps: 3,
+			Opt:           Options{Theta: 0.6, Eps: 0.02, DT: 0.005},
+			Engine:        mp.EngineEvent,
+			EngineWorkers: 1,
+		}, ics)
+		if res.Err != nil {
+			t.Fatal(res.Err)
+		}
+		if res.Fetches != pin.fetches || res.Interactions != pin.interactions || res.Comm.Messages != pin.messages {
+			t.Errorf("leaves=%v: fetches %d, interactions %d, messages %d; pinned %d, %d, %d", pin.leaves,
+				res.Fetches, res.Interactions, res.Comm.Messages, pin.fetches, pin.interactions, pin.messages)
+		}
+		if runtime.GOARCH == "amd64" && res.ElapsedVirtual != pin.makespan {
+			t.Errorf("leaves=%v: virtual makespan %v, pinned %v", pin.leaves, res.ElapsedVirtual, pin.makespan)
+		}
 	}
 }
 

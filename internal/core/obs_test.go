@@ -86,6 +86,35 @@ func TestTracingBitIdentical(t *testing.T) {
 	}
 }
 
+// The eval pool's accounting identities, which keep core.pool_utilization —
+// busy / (wall × workers) — a share: every sink group is evaluated exactly
+// once, on a worker, inline on the rank or in pass 2; the rank evaluates no
+// more than all of them; and the workers are busy no longer than the pool's
+// wall time allows.
+func TestEvalPoolAccounting(t *testing.T) {
+	ics := PlummerSphere(rand.New(rand.NewSource(46)), 3000, 1.0)
+	for _, procs := range []int{1, 8} {
+		o := obs.New(false)
+		res := Run(RunConfig{
+			Cluster: testCluster().WithObs(o), Procs: procs, Steps: 2,
+			Opt: Options{Theta: 0.7, Eps: 0.01, DT: 0.005, MaxLeaf: 16, Workers: 2},
+		}, ics)
+		if res.Err != nil {
+			t.Fatal(res.Err)
+		}
+		snap := o.Snapshot()
+		c := snap.Counters
+		jobs, inline, buckets := c["core.pool.jobs"], c["core.pool.inline_jobs"], c["core.buckets"]
+		busy, wall, workers := c["core.pool.busy_ns"], c["core.pool.wall_ns"], snap.Gauges["core.pool.workers"]
+		if jobs != buckets || buckets == 0 || inline > jobs {
+			t.Errorf("procs=%d: %d evaluations (%d inline) of %d groups; want each group once", procs, jobs, inline, buckets)
+		}
+		if workers != 2 || float64(busy) > float64(wall)*workers {
+			t.Errorf("procs=%d: pool busy %d ns on %v workers over %d ns wall", procs, busy, workers, wall)
+		}
+	}
+}
+
 // The engine counters must be populated on a multi-rank run, and the
 // per-rank breakdown must expose nonzero compute and wait time.
 func TestEngineMetricsPopulated(t *testing.T) {

@@ -123,8 +123,8 @@ func (cfg RunConfig) Validate() error {
 
 func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
 
-// Sides of the initial bounding cube a run accepts: squared separations
-// inside it stay far from the ends of the double range.
+// Sides of the bounding cube a run accepts: squared separations inside it
+// stay far from the ends of the double range.
 const (
 	minBoxSide = 0x1p-400
 	maxBoxSide = 0x1p400
@@ -133,8 +133,10 @@ const (
 // ValidateBodies reports the first thing about the initial conditions that
 // no run can integrate: a position, velocity or mass that is NaN or
 // infinite, or a bounding cube (a side of 1 around coincident bodies) whose
-// side is outside [2^-400, 2^400] or whose centre overflows. Run and
-// RunRecovered return the error before any rank starts.
+// side is outside [2^-400, 2^400] or whose corner overflows. Run and
+// RunRecovered return the error before any rank starts. The cube is the one
+// every step decomposes in, and Run checks it again each step: bodies that
+// leave it mid-run stop the run with the same error for that step.
 func ValidateBodies(ics []Body) error {
 	if len(ics) == 0 {
 		return nil
@@ -153,12 +155,8 @@ func ValidateBodies(ics []Body) error {
 		}
 		mn, mx = vec.Min(mn, b.Pos), vec.Max(mx, b.Pos)
 	}
-	side := mx.Sub(mn).MaxAbs()
-	if side == 0 {
-		side = 1
-	}
-	if !(side >= minBoxSide && side <= maxBoxSide) || !finite3(mn.Add(mx)) {
-		return fmt.Errorf("core: bounding cube of the bodies, side %g from %v, is outside [2^-400, 2^400]", side, mn)
+	if err := cubeError(htree.BoundingCube([]vec.V3{mn, mx})); err != nil {
+		return fmt.Errorf("core: %w", err)
 	}
 	return nil
 }
@@ -208,6 +206,7 @@ func run(cfg RunConfig, ics []Body, seg segment) Result {
 	if cp != nil && cp.Every <= 0 {
 		cp = nil
 	}
+	var stepErr error // rank 0's; every rank stops at the same step
 
 	st := mp.RunWith(cfg.Cluster, cfg.Procs, cfg.runOptions(), func(r *mp.Rank) {
 		var local []Body
@@ -233,10 +232,19 @@ func run(cfg RunConfig, ics []Body, seg segment) Result {
 		ropt := opt
 		ropt.BuildArena = &htree.Arena{}
 
-		eval := func() ([]Body, []vec.V3, []float64, TraversalStats) {
+		// eval computes the forces at step s, or reports that the bodies have
+		// left the cube a run can integrate in. The cube is the world's, so
+		// every rank decides alike and none waits in a collective.
+		eval := func(s int) ([]Body, []vec.V3, []float64, TraversalStats, bool) {
 			endDecomp := r.Span("phase", "decompose")
 			bodies, splitters, boxLo, boxSize := Decompose(r, local)
 			endDecomp()
+			if err := cubeError(boxLo, boxSize); err != nil {
+				if r.ID() == 0 {
+					stepErr = fmt.Errorf("core: step %d: %w", s, err)
+				}
+				return nil, nil, nil, TraversalStats{}, false
+			}
 			dt := BuildDistributed(r, bodies, splitters, boxLo, boxSize, ropt)
 			acc, pot, ts := dt.ComputeForces(bodies)
 			// Feed each body's interaction count back as its decomposition
@@ -245,7 +253,7 @@ func run(cfg RunConfig, ics []Body, seg segment) Result {
 			for i := range bodies {
 				bodies[i].Work = ts.PerBody[i]
 			}
-			return bodies, acc, pot, ts
+			return bodies, acc, pot, ts, true
 		}
 
 		// lastCk is the most recent step this world checkpointed (the
@@ -259,6 +267,7 @@ func run(cfg RunConfig, ics []Body, seg segment) Result {
 		var acc []vec.V3
 		var pot []float64
 		var ts TraversalStats
+		var ok bool
 		if seg.restore != nil {
 			// Resume: the restored stripe carries this rank's exact bodies
 			// (with decomposition weights) and accelerations, so the
@@ -278,7 +287,9 @@ func run(cfg RunConfig, ics []Body, seg segment) Result {
 			n, p := len(ics), r.Size()
 			lo, hi := n*r.ID()/p, n*(r.ID()+1)/p
 			local = append([]Body(nil), ics[lo:hi]...)
-			local, acc, pot, ts = eval()
+			if local, acc, pot, ts, ok = eval(0); !ok {
+				return
+			}
 			recordStats(r, ts, &totalInts, &totalFlops, &totalFetches, &imbHist)
 			if e := diagnostics(r, local, pot); r.ID() == 0 {
 				energyAt[0] = e
@@ -322,7 +333,10 @@ func run(cfg RunConfig, ics []Body, seg segment) Result {
 				local[i].Pos = local[i].Pos.AddScaled(opt.DT, local[i].Vel)
 			}
 			r.Charge(float64(12*len(local)), 0.5, float64(96*len(local)))
-			local, acc, pot, ts = eval()
+			if local, acc, pot, ts, ok = eval(s + 1); !ok {
+				endStep()
+				return
+			}
 			for i := range local {
 				local[i].Vel = local[i].Vel.AddScaled(opt.DT/2, acc[i])
 			}
@@ -364,7 +378,11 @@ func run(cfg RunConfig, ics []Body, seg segment) Result {
 		}
 	})
 
-	if p := st.Obs.Progress(); st.Err != nil {
+	res.Err = st.Err
+	if res.Err == nil {
+		res.Err = stepErr
+	}
+	if p := st.Obs.Progress(); res.Err != nil {
 		p.State("crashed")
 	} else if !interrupted {
 		p.Phase("done")
@@ -383,7 +401,6 @@ func run(cfg RunConfig, ics []Body, seg segment) Result {
 	}
 	res.Bodies = gathered
 	res.Comm = st
-	res.Err = st.Err
 	res.CompletedSteps = completed
 	res.Interrupted = interrupted
 	res.CheckpointWrites = ckWrites

@@ -7,7 +7,7 @@ import "spacesim/internal/gravity"
 // a software queue to keep track of which computations have been put aside
 // waiting for messages to arrive."
 //
-// The engine (grouped.go) runs one walker per leaf bucket: each owns a stack
+// The engine (grouped.go) runs one walker per sink group: each owns a stack
 // of pending slab cells, and when it needs a non-local cell that is not yet
 // resident, the expansion request is batched through the ABM layer and the
 // engine moves on to other walkers. Responses re-enable walkers through
@@ -23,8 +23,6 @@ type TraversalStats struct {
 	CellInteractions int64
 	Fetches          int64
 	Flops            float64
-	// Buckets is the number of leaf buckets walked.
-	Buckets int64
 	// PerBody is the interaction count of each local body, the work weight
 	// fed back into the next domain decomposition.
 	PerBody []float64

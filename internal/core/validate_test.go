@@ -89,6 +89,27 @@ func FuzzRunConfig(f *testing.F) {
 	})
 }
 
+// Bodies that leave the integrable cube mid-run — an absurd timestep throws
+// them past 2^400 or to infinity — stop the run at that step, on every rank
+// at once (the cube is the world's), with one "core: step N:" error where the
+// run used to finish on NaNs or 300-digit energies.
+func TestBodiesLeavingTheCubeStopTheRun(t *testing.T) {
+	ics := PlummerSphere(rand.New(rand.NewSource(22)), 300, 1.0)
+	for _, procs := range []int{1, 3} {
+		for _, dt := range []float64{1e150, 1e300} {
+			res := Run(RunConfig{
+				Cluster: testCluster(), Procs: procs, Steps: 3,
+				Opt: Options{Theta: 0.7, Eps: 0.01, DT: dt},
+			}, ics)
+			if res.Err == nil || !strings.HasPrefix(res.Err.Error(), "core: step ") ||
+				!strings.Contains(res.Err.Error(), "bounding cube") || res.CompletedSteps >= res.Steps {
+				t.Errorf("procs=%d dt=%g: error %v after %d of %d steps, want a core: step error before the last",
+					procs, dt, res.Err, res.CompletedSteps, res.Steps)
+			}
+		}
+	}
+}
+
 // Run and RunRecovered refuse initial conditions no step can integrate with
 // one "core:" error before a rank starts, and accept the degenerate ones the
 // engine handles (no bodies, one body, coincident bodies, a huge offset).

@@ -11,6 +11,7 @@ import (
 	"spacesim/internal/core"
 	"spacesim/internal/gravity"
 	"spacesim/internal/htree"
+	"spacesim/internal/key"
 	"spacesim/internal/machine"
 	"spacesim/internal/netsim"
 	"spacesim/internal/vec"
@@ -38,21 +39,40 @@ func plummer(seed int64, n int) ([]vec.V3, []float64) {
 	return pos, mass
 }
 
+// leafForces is AccelAllGrouped one walk per leaf, the grouping before sink
+// groups, through the tree's exported walk.
+func leafForces(tr *htree.Tree, theta, eps float64) ([]vec.V3, []float64) {
+	acc, pot := make([]vec.V3, len(tr.Bodies)), make([]float64, len(tr.Bodies))
+	var sc htree.BucketScratch
+	for _, b := range tr.Leaves() {
+		center, radius := b.BoundingSphere()
+		mac := htree.NewBucketMAC(center, radius, theta)
+		sc.Reset()
+		tr.GatherList(key.Root, &mac, &sc)
+		tr.EvalBucket(b, eps, &sc, acc, pot)
+	}
+	return acc, pot
+}
+
 // The kernel bodies must be indistinguishable at tree scale too: a grouped
-// walk over a Plummer sample (buckets of up to 13: eight-lane blocks with
-// four-lane tails of every length) digests to the same pinned value from the
-// Go loops and from every width the CPU has.
+// walk over a Plummer sample (groups of up to 32 and leaves of up to 13:
+// eight-lane blocks with four-lane tails of every length) digests to the
+// same pinned value from the Go loops and from every width the CPU has. The
+// digest one walk per leaf is the one pinned before sink groups (ISSUE 24).
 func TestFallbackDigestMatchesAssembly(t *testing.T) {
 	pos, mass := plummer(19, 3000)
 	tr, err := htree.Build(pos, mass, htree.Options{MaxLeaf: 13})
 	if err != nil {
 		t.Fatal(err)
 	}
-	const want = 0x58c941f46c2fbc55
+	const want, wantLeaves = 0xd326dd8b9c6d8367, 0x58c941f46c2fbc55
 	gravity.EachISA(t, func(t *testing.T) {
 		acc, pot, _ := tr.AccelAllGrouped(0.7, 0.01, false, gravity.Float64, 2)
 		if d := digest(acc, pot); runtime.GOARCH == "amd64" && d != want {
 			t.Fatalf("digest %#x, want %#x", d, uint64(want))
+		}
+		if d := digest(leafForces(tr, 0.7, 0.01)); runtime.GOARCH == "amd64" && d != wantLeaves {
+			t.Fatalf("digest one walk per leaf %#x, want %#x", d, uint64(wantLeaves))
 		}
 	})
 }

@@ -68,6 +68,7 @@ type Arena struct {
 	tasks   []buildTask
 	skel    []skelCell
 	workers []buildWorker
+	groups  []*Cell
 
 	pos  []vec.V3
 	mass []float64
@@ -269,12 +270,14 @@ func Build(pos []vec.V3, mass []float64, opt Options) (*Tree, error) {
 		}
 		mp := gravity.Combine(parts[:np]...)
 		cs.cells = append(cs.cells, Cell{
-			Key: sk.k, Mp: mp, N: sk.hi - sk.lo,
+			Key: sk.k, Mp: mp, N: sk.hi - sk.lo, Lo: sk.lo, Hi: sk.hi,
 			Bmax: maxDist2Sqrt(mp.COM, t.Bodies[sk.lo:sk.hi]), ChildMask: mask, kids: kids,
 		})
 		cs.insert(idx)
 	}
 	t.store = *cs
+	t.recordGroups(ar.groups[:0])
+	ar.groups = t.groups
 	t4, h4 := time.Now(), hostNow()
 
 	t.Phases = BuildPhases{
@@ -383,7 +386,7 @@ func (t *Tree) childEnd(ck key.K, start, hi int) int {
 // sqrt(max d^2) == max sqrt(d^2) exactly.
 func (bw *buildWorker) buildRange(t *Tree, k key.K, lo, hi int) {
 	ci := len(bw.cells)
-	bw.cells = append(bw.cells, Cell{Key: k, N: hi - lo})
+	bw.cells = append(bw.cells, Cell{Key: k, N: hi - lo, Lo: lo, Hi: hi})
 	if t.isLeafRange(k, lo, hi) {
 		bodies := t.Bodies[lo:hi]
 		var mp gravity.Multipole
@@ -411,7 +414,6 @@ func (bw *buildWorker) buildRange(t *Tree, k key.K, lo, hi int) {
 		}
 		c := &bw.cells[ci]
 		c.Leaf = true
-		c.Lo, c.Hi = lo, hi
 		c.Mp = mp
 		c.Bmax = math.Sqrt(bm2)
 		return

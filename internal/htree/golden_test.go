@@ -18,16 +18,19 @@ import (
 // captured from the seed engine (the scalar Multipole.AccelAt cell loop and
 // unblocked batch kernels, one math.Sqrt and one divide per interaction);
 // TestSeedDigestFromLibmLoops still recovers it, unedited, from today's
-// lists summed with that arithmetic (gravity/seedref). goldenHtree is the
-// production kernels' digest, pinned when they took the Newton reciprocal
-// square root and fused multiply-adds (ISSUE 24); every kernel width and any
-// worker count must reproduce it. The constants encode amd64 semantics; on
+// leaf lists summed with that arithmetic (gravity/seedref). goldenHtree is
+// the production kernels' digest, re-pinned when the walk went from one per
+// leaf to one per sink group (ISSUE 25); leafHtree is its value one walk per
+// leaf (LeafGroups), pinned when the kernels took the Newton reciprocal
+// square root and fused multiply-adds (ISSUE 24). Every kernel width and any
+// worker count must reproduce both. The constants encode amd64 semantics; on
 // other architectures the compiler may fuse the tree build's multiply-adds,
 // so the raw digests are only asserted there against themselves across
 // worker counts.
 const (
 	seedHtreeLibm = 0x993f680ff744bb1f
-	goldenHtree   = 0xe7c69ce1c7fa0151
+	goldenHtree   = 0x793234bfb90a29df
+	leafHtree     = 0xe7c69ce1c7fa0151
 )
 
 func goldenBodies(n int) ([]vec.V3, []float64) {
@@ -61,32 +64,41 @@ func digestAccPot(acc []vec.V3, pot []float64) uint64 {
 
 func TestGroupedGoldenDigest(t *testing.T) {
 	pos, mass := goldenBodies(4096)
-	tr, err := Build(pos, mass, Options{MaxLeaf: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var first uint64
-	for _, w := range []int{1, 4} {
-		acc, pot, _ := tr.AccelAllGrouped(0.7, 0.01, false, gravity.Float64, w)
-		d := digestAccPot(acc, pot)
-		if w == 1 {
-			first = d
-		} else if d != first {
-			t.Fatalf("workers=%d digest %#x != workers=1 digest %#x", w, d, first)
+	for _, pin := range []struct {
+		leaves bool
+		want   uint64
+	}{{false, goldenHtree}, {true, leafHtree}} {
+		if pin.leaves {
+			LeafGroups(t)
 		}
-		if runtime.GOARCH == "amd64" && d != goldenHtree {
-			t.Errorf("workers=%d: digest %#x, want %#x", w, d, uint64(goldenHtree))
+		tr, err := Build(pos, mass, Options{MaxLeaf: 16})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var first uint64
+		for _, w := range []int{1, 4} {
+			acc, pot, _ := tr.AccelAllGrouped(0.7, 0.01, false, gravity.Float64, w)
+			d := digestAccPot(acc, pot)
+			if w == 1 {
+				first = d
+			} else if d != first {
+				t.Fatalf("leaves=%v workers=%d digest %#x != workers=1 digest %#x", pin.leaves, w, d, first)
+			}
+			if runtime.GOARCH == "amd64" && d != pin.want {
+				t.Errorf("leaves=%v workers=%d: digest %#x, want %#x", pin.leaves, w, d, pin.want)
+			}
 		}
 	}
 }
 
 // The lists are the seed's lists: gather every bucket of the same tree with
-// the production walk, sum each list with the seed's arithmetic, and the
-// seed's digest comes back.
+// the production walk one group per leaf, as the seed walked, sum each list
+// with the seed's arithmetic, and the seed's digest comes back.
 func TestSeedDigestFromLibmLoops(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skip("seed digests encode amd64 floating-point semantics")
 	}
+	LeafGroups(t)
 	pos, mass := goldenBodies(4096)
 	tr, err := Build(pos, mass, Options{MaxLeaf: 16})
 	if err != nil {
@@ -95,7 +107,7 @@ func TestSeedDigestFromLibmLoops(t *testing.T) {
 	acc := make([]vec.V3, len(pos))
 	pot := make([]float64, len(pos))
 	var sc BucketScratch
-	for _, b := range tr.Leaves() {
+	for _, b := range tr.Groups() {
 		center, radius := b.BoundingSphere()
 		mac := NewBucketMAC(center, radius, 0.7)
 		sc.Reset()

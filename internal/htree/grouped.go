@@ -1,17 +1,17 @@
 package htree
 
-// Bucket-grouped traversal (the 2HOT grouped walk): instead of one tree
-// walk per body, one walk per leaf bucket builds a single interaction list
-// that is then applied to every body in the bucket through the batched
-// kernels. The walk goes from a cell to its daughters by slab position and
-// the list it writes holds references into the tree (gravity.List): a
-// visit costs no hash lookup and an entry no copy of a multipole or a
-// body. The multipole acceptance test is made at the bucket level: the
-// distance is measured from the bucket's bounding sphere (center = leaf
-// center of mass, radius = leaf Bmax), so a cell accepted for the bucket
-// satisfies the per-body MAC for every sink inside it — by the triangle
-// inequality dist(sink, COM) >= dist(center, COM) - radius — and the
-// per-body worst-case error bound is preserved.
+// Grouped traversal (the 2HOT grouped walk): instead of one tree walk per
+// body, one walk per sink group (Groups — a cell, not necessarily a leaf;
+// "bucket" below) builds a single interaction list that is then applied to
+// every body in the group through the batched kernels. The walk goes from a
+// cell to its daughters by slab position and the list it writes holds
+// references into the tree (gravity.List): a visit costs no hash lookup and
+// an entry no copy of a multipole or a body. The multipole acceptance test
+// is made at the group level: the distance is measured from the group's
+// bounding sphere (center = its center of mass, radius = its Bmax), so a
+// cell accepted for the group satisfies the per-body MAC for every sink
+// inside it — by the triangle inequality dist(sink, COM) >= dist(center,
+// COM) - radius — and the per-body worst-case error bound is preserved.
 
 import (
 	"math"
@@ -51,6 +51,40 @@ func (t *Tree) Leaves() []*Cell {
 	}
 	return out
 }
+
+// groupMax is the most bodies a sink group holds unless it is one leaf: 32
+// sinks fill four eight-lane (or eight four-lane) kernel blocks. It does not
+// depend on the ISA, MaxLeaf or any option, so forces are the same bits on
+// every host and for any worker count. Only export_test.go lowers it.
+var groupMax = 32
+
+// recordGroups sets the tree's sink groups, appended to dst in body order:
+// the maximal cells holding at most groupMax bodies, and each leaf holding
+// more (a MaxLevel pile, or MaxLeaf above groupMax).
+func (t *Tree) recordGroups(dst []*Cell) {
+	cells := t.store.cells
+	stack := []int32{t.store.find(key.Root)}
+	for len(stack) > 0 {
+		ci := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		c := &cells[ci]
+		if c.Leaf || c.N <= groupMax {
+			dst = append(dst, c)
+			continue
+		}
+		for j := 7; j >= 0; j-- { // ascending octants pop first
+			if d := c.kids[j]; d != 0 {
+				stack = append(stack, ci+d)
+			}
+		}
+	}
+	t.groups = dst
+}
+
+// Groups returns the tree's sink groups, recorded at build (recordGroups),
+// in body order: group i covers Bodies[g.Lo:g.Hi] with ascending, adjacent
+// ranges. The slice is the tree's: do not write it.
+func (t *Tree) Groups() []*Cell { return t.groups }
 
 // BoundingSphere returns the cell's bounding sphere over its bodies:
 // centered on the center of mass with radius Bmax.
@@ -270,14 +304,14 @@ func (t *Tree) EvalBucket(bucket *Cell, eps float64, sc *BucketScratch, acc []ve
 	}
 }
 
-// AccelAllGrouped evaluates the field at every body with the bucket-grouped
-// walk, fanning leaf buckets out over the given number of host workers
-// (workers < 1 means runtime.GOMAXPROCS(0)). Each bucket writes a disjoint
-// slice of the output and its stats are merged in bucket order, so the
-// result — including every floating-point bit — is identical for any
-// worker count. The bool and gravity.Precision arguments are read by
-// nothing: the kernels have one reciprocal square root and one arithmetic;
-// they are retained for bench/ (see gravity.Precision).
+// AccelAllGrouped evaluates the field at every body with the grouped walk,
+// fanning sink groups out over the given number of host workers (workers < 1
+// means runtime.GOMAXPROCS(0)). Each group writes a disjoint slice of the
+// output and its stats are merged in group order, so the result — including
+// every floating-point bit — is identical for any worker count. The bool and
+// gravity.Precision arguments are read by nothing: the kernels have one
+// reciprocal square root and one arithmetic; they are retained for bench/
+// (see gravity.Precision).
 func (t *Tree) AccelAllGrouped(theta, eps float64, _ bool, _ gravity.Precision, workers int) ([]vec.V3, []float64, WalkStats) {
 	var h0 float64
 	if t.tr != nil {
@@ -286,13 +320,13 @@ func (t *Tree) AccelAllGrouped(theta, eps float64, _ bool, _ gravity.Precision, 
 	n := len(t.Bodies)
 	acc := make([]vec.V3, n)
 	pot := make([]float64, n)
-	leaves := t.Leaves()
-	stats := make([]WalkStats, len(leaves))
+	groups := t.Groups()
+	stats := make([]WalkStats, len(groups))
 	if workers < 1 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(leaves) {
-		workers = len(leaves)
+	if workers > len(groups) {
+		workers = len(groups)
 	}
 	var next int64
 	var wg sync.WaitGroup
@@ -303,10 +337,10 @@ func (t *Tree) AccelAllGrouped(theta, eps float64, _ bool, _ gravity.Precision, 
 			var sc BucketScratch
 			for {
 				i := int(atomic.AddInt64(&next, 1)) - 1
-				if i >= len(leaves) {
+				if i >= len(groups) {
 					return
 				}
-				b := leaves[i]
+				b := groups[i]
 				center, radius := b.BoundingSphere()
 				mac := NewBucketMAC(center, radius, theta)
 				sc.Reset()
@@ -330,7 +364,7 @@ func (t *Tree) AccelAllGrouped(theta, eps float64, _ bool, _ gravity.Precision, 
 	}
 	if t.o != nil {
 		reg := t.o.Reg
-		reg.Counter("htree.walk.buckets").Add(int64(len(leaves)))
+		reg.Counter("htree.walk.buckets").Add(int64(len(groups)))
 		reg.Counter("htree.walk.cells_opened").Add(int64(total.CellsOpened))
 		reg.Counter("htree.walk.cell_interactions").Add(int64(total.CellInteractions))
 		reg.Counter("htree.walk.body_interactions").Add(int64(total.BodyInteractions))

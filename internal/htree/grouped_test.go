@@ -1,8 +1,10 @@
 package htree
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"spacesim/internal/gravity"
@@ -156,6 +158,122 @@ func TestGatherListCountOnly(t *testing.T) {
 		}
 		if len(count.List.Cells) != 0 || len(count.List.Segs) != 0 {
 			t.Fatalf("bucket %v: count-only walk appended to the list", b.Key)
+		}
+	}
+}
+
+// groupTrees are the trees the sink-group contract is checked on, at two
+// bucket sizes: a Plummer-like cluster with coincident pairs, a cold uniform
+// sphere, and a Gaussian blob with a pile of coincident bodies larger than
+// groupMax (one leaf above both MaxLeaf and groupMax, at MaxLevel).
+func groupTrees(t *testing.T) map[string]*Tree {
+	t.Helper()
+	rng := rand.New(rand.NewSource(25))
+	sets := map[string][]vec.V3{}
+	sets["plummer"], _ = plummerBodies(3000, 26)
+	sphere := make([]vec.V3, 3000)
+	for i := range sphere {
+		for {
+			p := vec.V3{2*rng.Float64() - 1, 2*rng.Float64() - 1, 2*rng.Float64() - 1}
+			if p.Norm2() <= 1 {
+				sphere[i] = p
+				break
+			}
+		}
+	}
+	sets["coldsphere"] = sphere
+	pile, _ := randomBodies(rng, 600)
+	for i := 0; i < 40; i++ {
+		pile = append(pile, vec.V3{0.25, -0.5, 0.125})
+	}
+	sets["pile"] = pile
+	trees := map[string]*Tree{}
+	for _, name := range []string{"plummer", "coldsphere", "pile"} {
+		pos := sets[name]
+		mass := make([]float64, len(pos))
+		for i := range mass {
+			mass[i] = 1 + 0.5*rng.Float64()
+		}
+		for _, maxLeaf := range []int{8, 16} {
+			tr, err := Build(pos, mass, Options{MaxLeaf: maxLeaf, Workers: 3})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := tr.CheckInvariants(); err != nil {
+				t.Fatalf("%s/%d: %v", name, maxLeaf, err)
+			}
+			trees[fmt.Sprintf("%s/%d", name, maxLeaf)] = tr
+		}
+	}
+	return trees
+}
+
+// The sink-group contract. Groups tile the bodies in ascending, adjacent
+// ranges; each is the largest cell of at most groupMax bodies, or a leaf
+// holding more. Every cell on a group's list passes the per-body MAC for
+// every sink of the group (the triangle inequality behind the group's
+// bounding sphere; 1e-12 is room for rounding), so the per-body error bound
+// holds. And each sink finds its own body on the list exactly once, as a
+// direct body, so a group of ns sinks and nb listed bodies does ns·nb − ns
+// body interactions.
+func TestGroupMACContract(t *testing.T) {
+	for name, tr := range groupTrees(t) {
+		owner := map[*gravity.Multipole]*Cell{}
+		leafAt := map[*gravity.Source]*Cell{} // a segment is one leaf's bodies
+		for i := range tr.store.cells {
+			c := &tr.store.cells[i]
+			owner[&c.Mp] = c
+			if c.Leaf {
+				leafAt[&tr.src[c.Lo]] = c
+			}
+		}
+		at, bigLeaf := 0, false
+		var sc BucketScratch
+		for _, g := range tr.Groups() {
+			if g.Lo != at || g.Hi <= g.Lo || g.N != g.Hi-g.Lo {
+				t.Fatalf("%s: group %v covers [%d,%d) of %d bodies, want to start at %d", name, g.Key, g.Lo, g.Hi, g.N, at)
+			}
+			at = g.Hi
+			if g.N > groupMax && !g.Leaf {
+				t.Fatalf("%s: group %v holds %d bodies and is not a leaf", name, g.Key, g.N)
+			}
+			bigLeaf = bigLeaf || g.N > groupMax
+			if p, ok := tr.Cell(g.Key.Parent()); g.Key != key.Root && (!ok || p.N <= groupMax) {
+				t.Fatalf("%s: group %v is not the largest cell of at most %d bodies", name, g.Key, groupMax)
+			}
+			for _, theta := range []float64{0.4, 0.7, 1.0} {
+				center, radius := g.BoundingSphere()
+				mac := NewBucketMAC(center, radius, theta)
+				sc.Reset()
+				tr.GatherList(key.Root, &mac, &sc)
+				for _, m := range sc.List.Cells {
+					c := owner[m]
+					for i := g.Lo; i < g.Hi; i++ {
+						if d := tr.Bodies[i].Pos.Dist(c.Mp.COM); !AcceptMAC(d*(1+1e-12), c.Bmax, theta) {
+							t.Fatalf("%s: theta %v: cell %v on group %v's list fails the MAC of its body %d (d %v, bmax %v)",
+								name, theta, c.Key, g.Key, i, d, c.Bmax)
+						}
+					}
+				}
+				seen := make([]int, g.Hi-g.Lo)
+				for _, seg := range sc.List.Segs {
+					l := leafAt[&seg[0]]
+					for i := max(l.Lo, g.Lo); i < min(l.Hi, g.Hi); i++ {
+						seen[i-g.Lo]++
+					}
+				}
+				for j, n := range seen {
+					if n != 1 {
+						t.Fatalf("%s: theta %v: sink %d of group %v is on its list %d times", name, theta, g.Lo+j, g.Key, n)
+					}
+				}
+			}
+		}
+		if at != len(tr.Bodies) {
+			t.Fatalf("%s: groups cover %d of %d bodies", name, at, len(tr.Bodies))
+		}
+		if strings.HasPrefix(name, "pile") != bigLeaf {
+			t.Fatalf("%s: a leaf above groupMax is a group: %v", name, bigLeaf)
 		}
 	}
 }

@@ -33,7 +33,8 @@ type Cell struct {
 	// Bmax is the maximum distance from the center of mass to any body in
 	// the cell, used by the multipole acceptance criterion.
 	Bmax float64
-	// Leaf marks a bucket; Lo/Hi is its body index range (half-open).
+	// Leaf marks a bucket. Lo/Hi is the body index range below the cell
+	// (half-open), on every cell: a leaf's bodies, or a sink group's.
 	Leaf   bool
 	Lo, Hi int
 	// ChildMask has bit i set when daughter octant i exists.
@@ -75,6 +76,8 @@ type Tree struct {
 	// the force kernels read: a leaf's bodies go on an interaction list as
 	// the segment src[Lo:Hi], and nothing is copied per list.
 	src []gravity.Source
+	// groups are the sink groups in body order, recorded at build (Groups).
+	groups []*Cell
 
 	// observation handles (no-ops until SetObs).
 	o  *obs.Obs
@@ -268,16 +271,17 @@ func (t *Tree) AccelAll(theta, eps float64, _ bool) ([]vec.V3, []float64, WalkSt
 }
 
 // CheckInvariants verifies structural invariants, returning the first
-// violation found: every body in exactly one leaf, leaf ranges partition
-// the body array, multipole masses match, child masks are consistent with
-// the hash table and daughter links with both, the kernel-form body array
-// mirrors Bodies, and every slab cell is reachable from the root.
+// violation found: every cell holds N bodies over its range, the root's is
+// the body array and an internal cell's the span of its daughters' (so the
+// leaves partition the body array), every body's key lies in its leaf,
+// multipole masses match, child masks are consistent with the hash table and
+// daughter links with both, the kernel-form body array mirrors Bodies, and
+// every slab cell is reachable from the root.
 func (t *Tree) CheckInvariants() error {
 	root := t.Root()
-	if root.N != len(t.Bodies) {
-		return fmt.Errorf("root N = %d, want %d", root.N, len(t.Bodies))
+	if root.N != len(t.Bodies) || root.Lo != 0 || root.Hi != len(t.Bodies) {
+		return fmt.Errorf("root N = %d over [%d,%d), want %d over all", root.N, root.Lo, root.Hi, len(t.Bodies))
 	}
-	covered := 0
 	visited := 0
 	var walk func(k key.K) error
 	walk = func(k key.K) error {
@@ -286,11 +290,10 @@ func (t *Tree) CheckInvariants() error {
 			return fmt.Errorf("missing cell %v", k)
 		}
 		visited++
+		if c.N < 0 || c.N != c.Hi-c.Lo {
+			return fmt.Errorf("cell %v holds %d bodies over [%d,%d)", k, c.N, c.Lo, c.Hi)
+		}
 		if c.Leaf {
-			if c.Hi < c.Lo {
-				return fmt.Errorf("leaf %v inverted range", k)
-			}
-			covered += c.Hi - c.Lo
 			for i := c.Lo; i < c.Hi; i++ {
 				if !k.Contains(t.Bodies[i].Key) {
 					return fmt.Errorf("body %d key %v outside leaf %v", i, t.Bodies[i].Key, k)
@@ -298,9 +301,8 @@ func (t *Tree) CheckInvariants() error {
 			}
 			return nil
 		}
-		sum := 0
 		var mass float64
-		ci, nk := t.store.find(k), 0
+		ci, nk, at := t.store.find(k), 0, c.Lo
 		for oct := 0; oct < 8; oct++ {
 			has := c.ChildMask&(1<<uint(oct)) != 0
 			child, inTab := t.Cell(k.Child(oct))
@@ -311,19 +313,22 @@ func (t *Tree) CheckInvariants() error {
 				if d := c.kids[nk]; d == 0 || &t.store.cells[ci+d] != child {
 					return fmt.Errorf("cell %v daughter link %d (%+d) does not lead to octant %d", k, nk, d, oct)
 				}
+				if child.Lo != at {
+					return fmt.Errorf("cell %v: daughter %v starts at body %d, want %d", k, child.Key, child.Lo, at)
+				}
+				at = child.Hi
 				nk++
 				if err := walk(k.Child(oct)); err != nil {
 					return err
 				}
-				sum += child.N
 				mass += child.Mp.M
 			}
 		}
 		if nk < 8 && c.kids[nk] != 0 {
 			return fmt.Errorf("cell %v has a daughter link past its %d daughters", k, nk)
 		}
-		if sum != c.N {
-			return fmt.Errorf("cell %v N=%d but children sum %d", k, c.N, sum)
+		if at != c.Hi {
+			return fmt.Errorf("cell %v spans bodies [%d,%d) but its daughters end at %d", k, c.Lo, c.Hi, at)
 		}
 		if math.Abs(mass-c.Mp.M) > 1e-9*(1+math.Abs(c.Mp.M)) {
 			return fmt.Errorf("cell %v mass %v but children sum %v", k, c.Mp.M, mass)
@@ -340,9 +345,6 @@ func (t *Tree) CheckInvariants() error {
 		if b := &t.Bodies[i]; t.src[i] != (gravity.Source{Pos: b.Pos, Mass: b.Mass}) {
 			return fmt.Errorf("kernel-form body %d is %+v, body %d is %+v", i, t.src[i], i, *b)
 		}
-	}
-	if covered != len(t.Bodies) {
-		return fmt.Errorf("leaves cover %d of %d bodies", covered, len(t.Bodies))
 	}
 	if visited != t.NumCells() {
 		return fmt.Errorf("walk reached %d of %d stored cells", visited, t.NumCells())

@@ -57,6 +57,20 @@ func TestBuildInvariants(t *testing.T) {
 			t.Fatalf("root mass = %v", tr.Root().Mp.M)
 		}
 	}
+	// A body range that is not its daughters' span is caught, on internal
+	// cells as on leaves.
+	pos, mass := plummerish(rng, 1000)
+	tr, err := Build(pos, mass, Options{MaxLeaf: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []*Cell{tr.Root(), tr.Groups()[1], tr.Leaves()[2]} {
+		c.Lo, c.Hi = c.Lo+1, c.Hi+1
+		if tr.CheckInvariants() == nil {
+			t.Fatalf("cell %v shifted to [%d,%d) passes", c.Key, c.Lo, c.Hi)
+		}
+		c.Lo, c.Hi = c.Lo-1, c.Hi-1
+	}
 }
 
 func TestBoundingCube(t *testing.T) {

@@ -86,6 +86,7 @@ func BuildReference(pos []vec.V3, mass []float64, opt Options) (*Tree, error) {
 		return idx
 	}
 	flatten(key.Root)
+	t.recordGroups(nil)
 	t4 := time.Now()
 
 	t.Phases = BuildPhases{
@@ -103,11 +104,10 @@ func BuildReference(pos []vec.V3, mass []float64, opt Options) (*Tree, error) {
 // refBuild recursively constructs the cell for k covering Bodies[lo:hi] —
 // the seed algorithm, verbatim.
 func refBuild(t *Tree, cells map[key.K]*Cell, k key.K, lo, hi int) *Cell {
-	c := &Cell{Key: k, N: hi - lo}
+	c := &Cell{Key: k, N: hi - lo, Lo: lo, Hi: hi}
 	cells[k] = c
 	if t.isLeafRange(k, lo, hi) {
 		c.Leaf = true
-		c.Lo, c.Hi = lo, hi
 		pos := make([]vec.V3, hi-lo)
 		mass := make([]float64, hi-lo)
 		for i := lo; i < hi; i++ {

@@ -5,24 +5,17 @@ package mp
 // from the network model (latency-dominated at small sizes,
 // bandwidth-dominated at large ones) rather than being postulated.
 
+import "math"
+
 // Op is a pointwise reduction operator over float64.
 type Op func(a, b float64) float64
 
-// Standard reduction operators.
+// Standard reduction operators. OpMax and OpMin are math.Max and math.Min:
+// commutative to the sign of zero, and a NaN on any rank is a NaN on all.
 var (
 	OpSum Op = func(a, b float64) float64 { return a + b }
-	OpMax Op = func(a, b float64) float64 {
-		if a > b {
-			return a
-		}
-		return b
-	}
-	OpMin Op = func(a, b float64) float64 {
-		if a < b {
-			return a
-		}
-		return b
-	}
+	OpMax Op = math.Max
+	OpMin Op = math.Min
 )
 
 // Barrier blocks until all ranks reach it (dissemination algorithm:

@@ -179,6 +179,14 @@ func TestAllreduceAllSizes(t *testing.T) {
 			if mn != 0 {
 				t.Errorf("allreduce min = %v", mn)
 			}
+			// A NaN on one rank is a NaN on all: core's world box relies on it.
+			v := float64(r.ID())
+			if r.ID() == n-1 {
+				v = math.NaN()
+			}
+			if mn, mx := r.AllreduceScalar(v, OpMin), r.AllreduceScalar(v, OpMax); !math.IsNaN(mn) || !math.IsNaN(mx) {
+				t.Errorf("n=%d rank=%d: min %v, max %v with a NaN on rank %d", n, r.ID(), mn, mx, n-1)
+			}
 			if s := r.AllreduceInt(2); s != 2*n {
 				t.Errorf("allreduce int = %d", s)
 			}
