@@ -87,11 +87,13 @@ profile-serial:
 
 # The SPH budget in one command: BenchmarkCollapseStep is bench/'s
 # sph-collapse configuration (8000 particles, two workers), one Step() per
-# iteration, run under the CPU profiler and listed.
+# iteration, run under the CPU profiler and listed; then the split of the
+# samples by the `phase` label each SPH pass puts on its goroutines.
 profile-sph:
 	$(GO) test -run '^$$' -bench CollapseStep -benchtime 60x \
 		-cpuprofile /tmp/spacesim-sph.pprof -o /tmp/spacesim-sph.test ./internal/sph
 	$(GO) tool pprof -top -nodecount 25 /tmp/spacesim-sph.test /tmp/spacesim-sph.pprof
+	$(GO) tool pprof -tags -tagshow '^phase$$' /tmp/spacesim-sph.test /tmp/spacesim-sph.pprof
 
 # The many-rank budgets in one command each: BenchmarkStep/dist8 and
 # BenchmarkStep/dist64 are bench/'s plummer-dist8 and coldsphere-dist64

@@ -104,7 +104,9 @@ func cloneParticles(p *Particles) *Particles {
 
 // Sim.P is exported: a caller that moves particles between calls must get the
 // results of a Sim built from the moved state, not those of the tree the last
-// step left behind.
+// step left behind; one that raises smoothing lengths must get leaves
+// searched again for the larger supports, not the neighbours of the last
+// search.
 func TestStaleTreeRebuilt(t *testing.T) {
 	opt := RotatingCollapseOptions{N: 300, Omega: 0.3, PressureDeficit: 0.85, Seed: 11}
 	s := NewRotatingCollapse(opt)
@@ -125,6 +127,26 @@ func TestStaleTreeRebuilt(t *testing.T) {
 	}
 	if !reflect.DeepEqual(s.P, fresh.P) {
 		t.Fatal("particle state after an edit of P.Pos and a Step differs from a fresh Sim's")
+	}
+
+	// Larger smoothing lengths on the same tree, then on a moved one. A
+	// search from a few smaller supports would still find most neighbours
+	// of a set this small, so every seventh particle grows.
+	for _, move := range []bool{false, true} {
+		for i := 0; i < s.P.N(); i += 7 {
+			s.P.H[i] *= 1.5
+		}
+		if move {
+			s.P.Pos[42] = s.P.Pos[42].Add(vec.V3{-0.03, 0.02, 0.04})
+		}
+		fresh := NewSim(s.Cfg, cloneParticles(s.P))
+		fresh.P = cloneParticles(s.P)
+		if got, want := s.Step(), fresh.Step(); got != want {
+			t.Fatalf("moved=%v: dt after raising P.H: %v, fresh Sim %v", move, got, want)
+		}
+		if !reflect.DeepEqual(s.P, fresh.P) {
+			t.Fatalf("moved=%v: particle state after raising P.H and a Step differs from a fresh Sim's", move)
+		}
 	}
 }
 
@@ -347,19 +369,47 @@ func TestNeighbourSetsEqualGrid(t *testing.T) {
 	}
 }
 
+// A leaf is searched at most once per tree for the supports its search
+// covers: forces evaluated again on the same tree and the same smoothing
+// lengths walk nothing, and give the same bits.
+func TestRepeatedForcesWalkNothing(t *testing.T) {
+	s := collapseState(t)
+	o := obs.New(false)
+	s.SetObs(o)
+	walks := o.Reg.Counter("sph.search.walks")
+	s.computeForces()
+	first := walks.Value()
+	if first <= 0 || first > int64(len(s.leaves)) {
+		t.Fatalf("first force evaluation: %d walks over %d leaves", first, len(s.leaves))
+	}
+	acc := append([]vec.V3(nil), s.acc...)
+	dudt, dnu := append([]float64(nil), s.dudt...), append([]float64(nil), s.dnu...)
+	s.computeForces()
+	if got := walks.Value(); got != first {
+		t.Fatalf("second force evaluation on the same tree and h: %d more walks", got-first)
+	}
+	if !reflect.DeepEqual(acc, s.acc) || !reflect.DeepEqual(dudt, s.dudt) || !reflect.DeepEqual(dnu, s.dnu) {
+		t.Fatal("second force evaluation on the same tree and h differs from the first")
+	}
+}
+
 // BenchmarkCollapseStep is one Step() per iteration at the configuration of
 // bench/'s sph-collapse workload: 8000 particles, two workers. `make
 // profile-sph` profiles it. nbr/cand is the share of distance-tested bodies
-// that lay inside the support tested for.
+// that lay inside the support tested for, walks/leaf the ball searches per
+// leaf per step.
 func BenchmarkCollapseStep(b *testing.B) {
 	s := NewRotatingCollapse(RotatingCollapseOptions{N: 8000, Omega: 0.3, PressureDeficit: 0.85, Seed: 1})
 	s.Cfg.Workers = 2
 	o := obs.New(false)
 	s.SetObs(o)
+	leaves := 0
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		leaves += len(s.leaves)
 		s.Step()
 	}
 	c := func(name string) float64 { return float64(o.Reg.Counter(name).Value()) }
 	b.ReportMetric(c("sph.search.neighbors")/c("sph.search.candidates"), "nbr/cand")
+	b.ReportMetric(c("sph.search.walks")/float64(leaves), "walks/leaf")
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"spacesim/internal/gravity"
@@ -43,8 +44,9 @@ type Config struct {
 	// CFL is the timestep safety factor.
 	CFL float64
 	// Workers bounds the host goroutines of the tree build, the grouped
-	// force walk and the density and FLD gather passes (<= 0 means
-	// GOMAXPROCS). Results are bit-identical for any value.
+	// force walk, the density and FLD gather passes and the evaluation of
+	// the hydro pairs (<= 0 means GOMAXPROCS). Results are bit-identical for
+	// any value: pairs are applied in tree order on one goroutine.
 	Workers int
 }
 
@@ -77,9 +79,23 @@ type Sim struct {
 
 	// tree is the one tree over the particle positions (see ensureTree), nil
 	// when there are no particles. arena holds its reusable build storage so
-	// per-step rebuilds stop allocating.
-	tree  *htree.Tree
-	arena htree.Arena
+	// per-step rebuilds stop allocating. leaves are its leaf buckets in tree
+	// order and searched[i] the last ball search of leaves[i] (eachLeaf);
+	// work holds the state of each pass goroutine.
+	tree     *htree.Tree
+	arena    htree.Arena
+	leaves   []*htree.Cell
+	searched []leafSearch
+	work     []worker
+
+	// computeForces' per-step state, kept for its capacity: the diffusion
+	// coefficients; per tree position k, the source indices inside the
+	// support of particle Bodies[k].ID (itself and bodies on top of it
+	// excluded) that the FLD gather found; per leaf, the pairs evaluated from
+	// its particles' side.
+	diffD []float64
+	nbr   [][]int32
+	pairs [][]pairRec
 
 	// observation handles (no-ops until SetObs).
 	o      *obs.Obs
@@ -87,20 +103,22 @@ type Sim struct {
 	cSteps *obs.Counter
 	// cCand counts the bodies the neighbour search distance-tested, cNbr
 	// those inside the support tested for: their ratio is the share of the
-	// search's work that was useful.
-	cCand, cNbr *obs.Counter
-	prog        *obs.Progress
+	// search's work that was useful. cWalks counts the leaf ball searches.
+	cCand, cNbr, cWalks *obs.Counter
+	prog                *obs.Progress
 }
 
 // SetObs attaches an observation handle: a step counter, the neighbour
-// search's candidate and neighbour counters, the run-progress publisher,
-// and, when the tracer is enabled, a host-time row with the per-step phase
-// spans (SPH runs on the host, not inside the virtual machine model).
+// search's walk, candidate and neighbour counters, the run-progress
+// publisher, and, when the tracer is enabled, a host-time row with the
+// per-step phase spans (SPH runs on the host, not inside the virtual machine
+// model).
 func (s *Sim) SetObs(o *obs.Obs) {
 	s.o = o
 	s.cSteps = o.Reg.Counter("sph.steps")
 	s.cCand = o.Reg.Counter("sph.search.candidates")
 	s.cNbr = o.Reg.Counter("sph.search.neighbors")
+	s.cWalks = o.Reg.Counter("sph.search.walks")
 	s.prog = o.Progress()
 	if o.Tracer != nil {
 		s.tr = o.Tracer.Track(obs.PidHost, 2, "sph sim")
@@ -125,6 +143,8 @@ func NewSim(cfg Config, p *Particles) *Sim {
 	s.acc = make([]vec.V3, n)
 	s.dudt = make([]float64, n)
 	s.dnu = make([]float64, n)
+	s.diffD = make([]float64, n)
+	s.nbr = make([][]int32, n)
 	if len(p.H) == 0 && n > 0 {
 		p.H = make([]float64, n)
 		// initial guess from mean interparticle spacing
@@ -158,31 +178,33 @@ func (s *Sim) UpdateDensity() {
 	bodies, src := s.tree.Bodies, s.tree.Sources()
 	// support 2h holds NN neighbors: (4pi/3)(2h)^3 rho/m = NN
 	eta := 0.5 * math.Cbrt(3*float64(s.Cfg.NNeighbors)/(4*math.Pi))
-	for pass := 0; pass < 2; pass++ {
-		s.eachBucket(true, func(b *htree.Cell, cand []htree.BodyRange) (tested, found int) {
-			for k := b.Lo; k < b.Hi; k++ {
-				i := bodies[k].ID
-				xi, h := src[k].Pos, p.H[i]
-				r2max := SupportRadius(h) * SupportRadius(h)
-				rho := 0.0
-				for _, rg := range cand {
-					tested += rg.Hi - rg.Lo
-					for kj := rg.Lo; kj < rg.Hi; kj++ {
-						sj := &src[kj]
-						dx, dy, dz := xi[0]-sj.Pos[0], xi[1]-sj.Pos[1], xi[2]-sj.Pos[2]
-						if r2 := dx*dx + dy*dy + dz*dz; r2 <= r2max {
-							found++
-							rho += sj.Mass * W(math.Sqrt(r2), h)
+	phase("density", func() {
+		for pass := 0; pass < 2; pass++ {
+			s.eachBucket(true, func(b *htree.Cell, cand []htree.BodyRange) (tested, found int) {
+				for k := b.Lo; k < b.Hi; k++ {
+					i := bodies[k].ID
+					xi, h := src[k].Pos, p.H[i]
+					r2max := SupportRadius(h) * SupportRadius(h)
+					rho := 0.0
+					for _, rg := range cand {
+						tested += rg.Hi - rg.Lo
+						for kj := rg.Lo; kj < rg.Hi; kj++ {
+							sj := &src[kj]
+							dx, dy, dz := xi[0]-sj.Pos[0], xi[1]-sj.Pos[1], xi[2]-sj.Pos[2]
+							if r2 := dx*dx + dy*dy + dz*dz; r2 <= r2max {
+								found++
+								rho += sj.Mass * W(math.Sqrt(r2), h)
+							}
 						}
 					}
+					p.Rho[i] = rho
+					// adaptive h: the kernel support 2h encloses ~NNeighbors
+					p.H[i] = eta * math.Cbrt(p.Mass[i]/rho)
 				}
-				p.Rho[i] = rho
-				// adaptive h: the kernel support 2h encloses ~NNeighbors
-				p.H[i] = eta * math.Cbrt(p.Mass[i]/rho)
-			}
-			return tested, found
-		})
-	}
+				return tested, found
+			})
+		}
+	})
 	for i := 0; i < n; i++ {
 		p.P[i] = s.Cfg.EOS.Pressure(p.Rho[i], p.U[i])
 		p.Cs[i] = s.Cfg.EOS.SoundSpeed(p.Rho[i], p.U[i])
@@ -208,16 +230,23 @@ func (s *Sim) computeForces() {
 	}
 	bodies, src := s.tree.Bodies, s.tree.Sources()
 
-	// FLD precompute: energy density and limited diffusion coefficient, a
-	// gather over each particle's own support like the density pass.
-	diffD := make([]float64, n)
-	if cfg.FLD != nil {
-		s.eachBucket(true, func(b *htree.Cell, cand []htree.BodyRange) (tested, found int) {
+	// The FLD gather: energy density and limited diffusion coefficient, a
+	// gather over each particle's own support like the density pass. It runs
+	// without FLD too, because it records every particle's neighbours at the
+	// final h for the pair pass.
+	diffD := s.diffD
+	clear(diffD)
+	for w := range s.work {
+		s.work[w].nbr, s.work[w].pairs = s.work[w].nbr[:0], s.work[w].pairs[:0]
+	}
+	phase("fld", func() {
+		s.eachLeaf(true, func(w *worker, b *htree.Cell, cand []htree.BodyRange) (tested, found int) {
 			for k := b.Lo; k < b.Hi; k++ {
 				i := bodies[k].ID
 				xi, h := src[k].Pos, p.H[i]
 				r2max := SupportRadius(h) * SupportRadius(h)
 				e := p.Rho[i] * p.Enu[i]
+				lo := len(w.nbr)
 				// gradient magnitude estimate via SPH
 				var grad vec.V3
 				for _, rg := range cand {
@@ -233,17 +262,24 @@ func (s *Sim) computeForces() {
 						if r2 == 0 { // the particle itself, or one on top of it
 							continue
 						}
+						w.nbr = append(w.nbr, int32(kj))
+						if cfg.FLD == nil {
+							continue
+						}
 						j := bodies[kj].ID
 						r := math.Sqrt(r2)
 						ej := p.Rho[j] * p.Enu[j]
 						grad = grad.AddScaled(sj.Mass/p.Rho[j]*(ej-e)*DW(r, h)/r, rij)
 					}
 				}
-				diffD[i] = cfg.FLD.DiffusionCoeff(p.Rho[i], e, grad.Norm())
+				s.nbr[k] = w.nbr[lo:]
+				if cfg.FLD != nil {
+					diffD[i] = cfg.FLD.DiffusionCoeff(p.Rho[i], e, grad.Norm())
+				}
 			}
 			return tested, found
 		})
-	}
+	})
 	for i := 0; i < n; i++ {
 		if v := diffD[i] / (p.H[i] * p.H[i]); v > s.maxDiffOverH2 {
 			s.maxDiffOverH2 = v
@@ -253,39 +289,54 @@ func (s *Sim) computeForces() {
 	// Pair pass: a pair interacts when r < h_i + h_j and is evaluated once,
 	// from the side of the particle with the larger h (ties go to the lower
 	// index): h_j <= h_i puts the partner inside that particle's own support
-	// 2 h_i, which its bucket's search covers, so no cell needs to know the
-	// largest h below it. The pass scatters to both partners, so it is
-	// serial, in tree order, and independent of Cfg.Workers.
-	s.eachBucket(false, func(b *htree.Cell, cand []htree.BodyRange) (tested, found int) {
-		for k := b.Lo; k < b.Hi; k++ {
-			i := bodies[k].ID
-			xi, hi := src[k].Pos, p.H[i]
-			r2max := SupportRadius(hi) * SupportRadius(hi)
-			for _, rg := range cand {
-				tested += rg.Hi - rg.Lo
-				for kj := rg.Lo; kj < rg.Hi; kj++ {
-					sj := &src[kj]
-					rij := vec.V3{xi[0] - sj.Pos[0], xi[1] - sj.Pos[1], xi[2] - sj.Pos[2]}
-					r2 := rij[0]*rij[0] + rij[1]*rij[1] + rij[2]*rij[2]
-					if r2 > r2max || r2 == 0 {
-						continue
-					}
+	// 2 h_i, so it is on the particle's FLD gather list and no cell needs to
+	// know the largest h below it. Leaves fan out over Cfg.Workers to
+	// evaluate their pairs into records; one goroutine then adds the records
+	// to both partners in tree order, every sum in the order of a serial pass.
+	s.pairs = slices.Grow(s.pairs[:0], len(s.leaves))[:len(s.leaves)]
+	phase("pairs", func() {
+		s.fanOut(true, len(s.leaves), func(w *worker, li int) (tested, found int) {
+			b, lo := s.leaves[li], len(w.pairs)
+			for k := b.Lo; k < b.Hi; k++ {
+				i := bodies[k].ID
+				xi, hi := src[k].Pos, p.H[i]
+				tested += len(s.nbr[k])
+				for _, kj := range s.nbr[k] {
 					j := bodies[kj].ID
 					hj := p.H[j]
 					if hj > hi || (hj == hi && j < i) {
 						continue // the partner's side evaluates this pair
 					}
-					r := math.Sqrt(r2)
+					sj := &src[kj]
+					rij := vec.V3{xi[0] - sj.Pos[0], xi[1] - sj.Pos[1], xi[2] - sj.Pos[2]}
+					r := math.Sqrt(rij[0]*rij[0] + rij[1]*rij[1] + rij[2]*rij[2])
 					hm := 0.5 * (hi + hj)
 					if r >= SupportRadius(hm) {
 						continue
 					}
 					found++
-					s.pairTerms(i, j, rij, r, hm, diffD)
+					w.pairs = append(w.pairs, s.pairTerms(i, j, rij, r, hm))
+				}
+			}
+			s.pairs[li] = w.pairs[lo:]
+			return tested, found
+		})
+	})
+	phase("pair-apply", func() {
+		for _, pairs := range s.pairs {
+			for q := range pairs {
+				rec := &pairs[q]
+				i, j := int(rec.i), int(rec.j)
+				s.acc[i] = s.acc[i].AddScaled(-p.Mass[j]*rec.term, rec.gradW)
+				s.acc[j] = s.acc[j].AddScaled(p.Mass[i]*rec.term, rec.gradW)
+				s.dudt[i] += p.Mass[j] * rec.work
+				s.dudt[j] += p.Mass[i] * rec.work
+				if di, dj := diffD[i], diffD[j]; cfg.FLD != nil && di > 0 && dj > 0 {
+					s.dnu[i] += p.Mass[j] * rec.flux
+					s.dnu[j] -= p.Mass[i] * rec.flux
 				}
 			}
 		}
-		return tested, found
 	})
 
 	// neutrino emission: thermal energy converts to neutrino energy in the
@@ -302,18 +353,31 @@ func (s *Sim) computeForces() {
 	}
 
 	// self-gravity on the same tree
-	gacc, _, _ := s.tree.AccelAllGrouped(cfg.GravTheta, cfg.GravEps, false, gravity.Float64, cfg.Workers)
-	for i := 0; i < n; i++ {
-		s.acc[i] = s.acc[i].Add(gacc[i])
-	}
+	phase("gravity", func() {
+		gacc, _, _ := s.tree.AccelAllGrouped(cfg.GravTheta, cfg.GravEps, false, gravity.Float64, cfg.Workers)
+		for i := 0; i < n; i++ {
+			s.acc[i] = s.acc[i].Add(gacc[i])
+		}
+	})
 }
 
-// pairTerms adds the interaction of particles i and j, a distance r =
-// |rij| apart with rij = x_i - x_j and mean smoothing length hm, to both
-// partners: pressure and viscous acceleration, their work on u, and the
-// neutrino flux between them. Every term is symmetric or antisymmetric under
-// exchange of i and j, so it does not matter which side calls.
-func (s *Sim) pairTerms(i, j int, rij vec.V3, r, hm float64, diffD []float64) {
+// pairRec is one evaluated pair, i the particle whose side evaluated it and
+// j its partner, holding what the apply scales by the partners' masses: the
+// kernel gradient, the pressure and viscosity term along it, the work on u
+// and the neutrino flux.
+type pairRec struct {
+	i, j             int32
+	gradW            vec.V3
+	term, work, flux float64
+}
+
+// pairTerms evaluates the interaction of particles i and j, a distance r =
+// |rij| apart with rij = x_i - x_j and mean smoothing length hm: pressure and
+// viscous acceleration, their work on u, and the neutrino flux between them,
+// from s.diffD. Every term is symmetric or antisymmetric under exchange of i
+// and j, so it does not matter which side calls. It reads the particles and
+// writes nothing, so pairs may be evaluated concurrently.
+func (s *Sim) pairTerms(i, j int, rij vec.V3, r, hm float64) pairRec {
 	p, cfg := s.P, &s.Cfg
 	dw := DW(r, hm)
 	gradW := rij.Scale(dw / r)
@@ -328,30 +392,23 @@ func (s *Sim) pairTerms(i, j int, rij vec.V3, r, hm float64, diffD []float64) {
 		rhom := 0.5 * (p.Rho[i] + p.Rho[j])
 		pi = (-cfg.AlphaVisc*cm*mu + cfg.BetaVisc*mu*mu) / rhom
 	}
-	term := p.P[i]/(p.Rho[i]*p.Rho[i]) + p.P[j]/(p.Rho[j]*p.Rho[j]) + pi
-	s.acc[i] = s.acc[i].AddScaled(-p.Mass[j]*term, gradW)
-	s.acc[j] = s.acc[j].AddScaled(p.Mass[i]*term, gradW)
+	rec := pairRec{i: int32(i), j: int32(j), gradW: gradW}
+	rec.term = p.P[i]/(p.Rho[i]*p.Rho[i]) + p.P[j]/(p.Rho[j]*p.Rho[j]) + pi
 	// Only the thermal pressure and viscosity do work on u: the cold branch
 	// is barotropic, its energy is a function of rho alone and is accounted
 	// separately (EOS.ColdEnergy).
 	gth := cfg.EOS.GammaTh - 1
 	thTerm := gth*p.U[i]/p.Rho[i] + gth*p.U[j]/p.Rho[j] + pi
-	work := 0.5 * thTerm * vij.Dot(gradW)
-	s.dudt[i] += p.Mass[j] * work
-	s.dudt[j] += p.Mass[i] * work
+	rec.work = 0.5 * thTerm * vij.Dot(gradW)
 
 	// FLD diffusion between the pair (Cleary-Monaghan form)
-	if cfg.FLD != nil {
-		di, dj := diffD[i], diffD[j]
-		if di > 0 && dj > 0 {
-			dbar := 4 * di * dj / (di + dj)
-			f := -dw / r // >= 0
-			flux := dbar * f / (p.Rho[i] * p.Rho[j]) *
-				(p.Rho[j]*p.Enu[j] - p.Rho[i]*p.Enu[i])
-			s.dnu[i] += p.Mass[j] * flux
-			s.dnu[j] -= p.Mass[i] * flux
-		}
+	if di, dj := s.diffD[i], s.diffD[j]; cfg.FLD != nil && di > 0 && dj > 0 {
+		dbar := 4 * di * dj / (di + dj)
+		f := -dw / r // >= 0
+		rec.flux = dbar * f / (p.Rho[i] * p.Rho[j]) *
+			(p.Rho[j]*p.Enu[j] - p.Rho[i]*p.Enu[i])
 	}
+	return rec
 }
 
 // TimestepCFL returns the Courant-limited timestep.

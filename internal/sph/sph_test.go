@@ -1,9 +1,12 @@
 package sph
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -272,9 +275,9 @@ func TestSortByRhoStableTies(t *testing.T) {
 }
 
 // The Workers setting — tree build, gravity walk, density and FLD gather
-// passes — must not change a single bit of the simulation state: run the
-// same collapse at several worker counts and compare the particles and the
-// diagnostics exactly.
+// passes, pair evaluation — must not change a single bit of the simulation
+// state: run the same collapse at several worker counts and compare the
+// particles and the diagnostics exactly.
 func TestSimWorkersBitIdentical(t *testing.T) {
 	run := func(workers int) (*Particles, Diagnostics) {
 		s := NewRotatingCollapse(RotatingCollapseOptions{
@@ -294,6 +297,58 @@ func TestSimWorkersBitIdentical(t *testing.T) {
 		}
 		if !reflect.DeepEqual(gotP, wantP) {
 			t.Fatalf("workers=%d: particle state (Pos, Vel, U, Enu, Rho, H, ...) differs from workers=1", w)
+		}
+	}
+}
+
+// collapseDigest is the FNV-1a 64 digest of a 500-particle collapse after 12
+// steps, pinned before the step searched each leaf once per tree and
+// evaluated its pairs in parallel: the trajectory itself, not only its
+// independence of Cfg.Workers, must not move.
+const collapseDigest = 0x9b9f164a914424fd
+
+// digestParticles folds every bit of Pos, Vel, U, Enu, H and Rho, in
+// particle order, into an FNV-1a 64 stream.
+func digestParticles(p *Particles) uint64 {
+	h := fnv.New64a()
+	var buf [8]byte
+	put := func(x float64) {
+		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(x))
+		h.Write(buf[:])
+	}
+	for i := 0; i < p.N(); i++ {
+		for _, v := range []vec.V3{p.Pos[i], p.Vel[i]} {
+			put(v[0])
+			put(v[1])
+			put(v[2])
+		}
+		put(p.U[i])
+		put(p.Enu[i])
+		put(p.H[i])
+		put(p.Rho[i])
+	}
+	return h.Sum64()
+}
+
+// The collapse's trajectory is pinned bit for bit at every worker count. The
+// pin encodes amd64 floating-point semantics (other architectures may fuse
+// multiply-adds), so elsewhere only the worker counts are compared.
+func TestCollapseTrajectoryPinned(t *testing.T) {
+	first := uint64(0)
+	for _, w := range []int{1, 2, 4, 7} {
+		s := NewRotatingCollapse(RotatingCollapseOptions{N: 500, Omega: 0.3, PressureDeficit: 0.85, Seed: 4})
+		s.Cfg.Workers = w
+		for i := 0; i < 12; i++ {
+			s.Step()
+		}
+		d := digestParticles(s.P)
+		if w == 1 {
+			first = d
+		} else if d != first {
+			t.Fatalf("workers=%d digest %#x != workers=1 digest %#x", w, d, first)
+		}
+		if runtime.GOARCH == "amd64" && d != collapseDigest {
+			t.Errorf("workers=%d: digest %#x, want %#x", w, d, uint64(collapseDigest))
 		}
 	}
 }
