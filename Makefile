@@ -59,11 +59,13 @@ loc:
 
 # Ten seconds of native fuzzing on each target — the run configuration and
 # first body against core.Run, any bit pattern against the kernels'
-# reciprocal square root (offline; a failing input lands under the package's
-# testdata/fuzz/).
+# reciprocal square root, any sphere, cell, theta and scale against a sink
+# group's acceptance test (offline; a failing input lands under the
+# package's testdata/fuzz/).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzRunConfig -fuzztime 10s ./internal/core
 	$(GO) test -run '^$$' -fuzz FuzzRsqrt -fuzztime 10s ./internal/gravity
+	$(GO) test -run '^$$' -fuzz FuzzBucketMAC -fuzztime 10s ./internal/htree
 
 # Times the per-body vs bucket-grouped treewalk on a 32k Plummer sphere and
 # writes the comparison to BENCH_treecode.json.

@@ -28,12 +28,13 @@ import (
 // 0xae053dacef880958), and when the kernels took the Newton reciprocal square
 // root and fused multiply-adds (ISSUE 24) — leafCoreLibm, which the engine
 // still reproduces one walker per leaf (leafGroups). goldenCoreLibm is the
-// digest one walker per sink group (ISSUE 25).
+// digest one walker per sink group, re-pinned when local leaves were tested
+// like remote ones and groups grew to 80 bodies.
 const (
 	seedCoreLibm = 0x160724b8d237cd8f
 
 	leafCoreLibm   = 0xc86177c97c9ed1d3
-	goldenCoreLibm = 0x1c42f69f6a3020c2
+	goldenCoreLibm = 0xedfb117bee86ba6e
 )
 
 func digestForces(acc []vec.V3, pot []float64) uint64 {

@@ -2,7 +2,7 @@ package core
 
 // The grouped force engine (2HOT's grouped walk, Warren SC'13): one walker
 // per sink group ("bucket" below) of the local tree — htree.Tree.Groups, the
-// largest cells of at most 32 bodies — traverses the distributed tree once,
+// largest cells of at most 80 bodies — traverses the distributed tree once,
 // testing the MAC against the group's bounding sphere — distance measured
 // from its center of mass, opening radius widened by its Bmax — so every
 // accepted cell satisfies the per-body criterion for all sinks in the group
@@ -74,10 +74,6 @@ type bucketScratch struct {
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(bucketScratch) }}
-
-// sinkGroups lists the buckets a rank starts one walker for. Only
-// export_test.go swaps it, to walk per leaf as before sink groups.
-var sinkGroups = (*htree.Tree).Groups
 
 // bucketWalker is one sink group's traversal state.
 type bucketWalker struct {
@@ -220,14 +216,13 @@ func (dt *DTree) ComputeForces(bodies []Body) ([]vec.V3, []float64, TraversalSta
 		return acc, pot, st
 	}
 
-	groups := sinkGroups(dt.local)
+	groups := dt.local.Groups()
 	walkers := make([]bucketWalker, len(groups))
 	runnable := make([]*bucketWalker, 0, len(groups))
 	for i, c := range groups {
 		w := &walkers[i]
 		w.cell = c
-		center, radius := c.BoundingSphere()
-		w.mac = htree.NewBucketMAC(center, radius, dt.opt.Theta)
+		w.mac = htree.NewGroupMAC(c, dt.opt.Theta)
 		w.queued = true
 		runnable = append(runnable, w)
 	}
@@ -329,9 +324,12 @@ func (w *bucketWalker) pushChildren(child int32, mask uint8) {
 // walk drains the walker's stack as far as possible without waiting, putting
 // accepted cells and direct bodies on its list — or on its tally, once the
 // list is gone. It is the one distributed walk loop; what miss does with a
-// remote cell whose expansion is not resident tells the passes apart.
+// remote cell whose expansion is not resident tells the passes apart. A cell
+// is tested whether it is a leaf or not, but a fill whose key contains the
+// group's, or lies inside it, may hold some of its sinks and is never
+// accepted — the key form of the body-range test GatherList makes (Owns).
 func (dt *DTree) walk(w *bucketWalker, miss func(*bucketWalker, int32)) {
-	me, mac := dt.r.ID(), &w.mac
+	me, mac, g := dt.r.ID(), &w.mac, w.cell.Key
 	for len(w.stack) > 0 {
 		i := w.stack[len(w.stack)-1]
 		w.stack = w.stack[:len(w.stack)-1]
@@ -349,9 +347,13 @@ func (dt *DTree) walk(w *bucketWalker, miss func(*bucketWalker, int32)) {
 			}
 			continue
 		}
-		accept, decided := mac.Prefilter(mac.Dist2(&c.Mp.COM), c.Bmax)
-		if !decided {
-			accept = mac.Exact(&c.Mp.COM, c.Bmax)
+		accept := false
+		if c.Owner >= 0 || !c.Key.Overlaps(g) {
+			var decided bool
+			accept, decided = mac.Prefilter(mac.Dist2(&c.Mp.COM), c.Bmax)
+			if !decided {
+				accept = mac.Exact(&c.Mp.COM, c.Bmax)
+			}
 		}
 		switch {
 		case accept:
@@ -409,9 +411,9 @@ func (dt *DTree) finishBucket(w *bucketWalker, st *TraversalStats, charge func()
 	dt.hListCells.Observe(float64(nc))
 	dt.hListBodies.Observe(float64(nb))
 	st.CellInteractions += int64(ns * nc)
-	// Every sink meets every listed body except itself (the bucket's own
-	// bodies are always on the list, since no leaf is ever accepted and no
-	// cell of the bucket can pass its MAC).
+	// Every sink meets every listed body except itself: the bucket's own
+	// bodies are always on the list as bodies, once each, since no cell that
+	// holds one is ever accepted (Owns in GatherList, the key test on fills).
 	st.BodyInteractions += int64(ns*nb - ns)
 	work := float64(nc + nb - 1)
 	for i := w.cell.Lo; i < w.cell.Hi; i++ {

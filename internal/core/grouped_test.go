@@ -23,26 +23,30 @@ import (
 // forcesWith runs one collective force evaluation over p ranks and returns
 // accelerations and potentials indexed by global body ID.
 func forcesWith(ics []Body, p int, opt Options) ([]vec.V3, []float64) {
-	return forcesWithEngine(ics, p, opt, mp.RunOptions{})
+	acc, pot, _ := forcesWithEngine(ics, p, opt, mp.RunOptions{})
+	return acc, pot
 }
 
-// forcesWithEngine is forcesWith under chosen message-layer options.
-func forcesWithEngine(ics []Body, p int, opt Options, ro mp.RunOptions) ([]vec.V3, []float64) {
+// forcesWithEngine is forcesWith under chosen message-layer options, also
+// returning the interactions the ranks counted, summed over the world.
+func forcesWithEngine(ics []Body, p int, opt Options, ro mp.RunOptions) ([]vec.V3, []float64, int64) {
 	n := len(ics)
 	acc := make([]vec.V3, n)
 	pot := make([]float64, n)
+	var interactions atomic.Int64
 	mp.RunWith(testCluster(), p, ro, func(r *mp.Rank) {
 		lo, hi := n*r.ID()/p, n*(r.ID()+1)/p
 		local := append([]Body(nil), ics[lo:hi]...)
 		bodies, splitters, boxLo, boxSize := Decompose(r, local)
 		dt := BuildDistributed(r, bodies, splitters, boxLo, boxSize, opt)
-		a, ph, _ := dt.ComputeForces(bodies)
+		a, ph, st := dt.ComputeForces(bodies)
 		for i := range bodies {
 			acc[bodies[i].ID] = a[i]
 			pot[bodies[i].ID] = ph[i]
 		}
+		interactions.Add(st.BodyInteractions + st.CellInteractions)
 	})
-	return acc, pot
+	return acc, pot, interactions.Load()
 }
 
 // The engine must stay inside the per-body error regime: its bucket-level
@@ -179,8 +183,9 @@ func TestGroupedWorkersBitIdentical(t *testing.T) {
 	// whatever, every bit must come out the same — a digest recorded at
 	// commit 623b44b, where the goroutine runtime was the first row, and
 	// re-pinned once, with the kernels' arithmetic (ISSUE 24): the one that
-	// still holds one walker per leaf. One walker per sink group has its own
-	// (ISSUE 25).
+	// still holds one walker per leaf. One walker per sink group has its own,
+	// re-pinned when local leaves were tested like remote ones and groups
+	// grew to 80 bodies.
 	const n, p = 1600, 8
 	ics = PlummerSphere(rng, n, 1.0)
 	lo, size := htree.BoundingCube(positions(ics))
@@ -197,7 +202,7 @@ func TestGroupedWorkersBitIdentical(t *testing.T) {
 	for _, pin := range []struct {
 		leaves bool
 		want   uint64
-	}{{false, 0x7bc698d5e81c33ee}, {true, 0x6d2a84e5dd4e5441}} {
+	}{{false, 0x8dbcfbd59c3d0b57}, {true, 0x6d2a84e5dd4e5441}} {
 		if pin.leaves {
 			leafGroups(t)
 		}
@@ -205,7 +210,7 @@ func TestGroupedWorkersBitIdentical(t *testing.T) {
 		var pot1 []float64
 		for _, engineWorkers := range []int{0, 1, 4} {
 			for _, workers := range []int{1, 2, 8} {
-				acc, pot := forcesWithEngine(ics, p, Options{Theta: 0.6, Eps: 0.02, Workers: workers},
+				acc, pot, _ := forcesWithEngine(ics, p, Options{Theta: 0.6, Eps: 0.02, Workers: workers},
 					mp.RunOptions{Workers: engineWorkers})
 				if acc1 == nil {
 					acc1, pot1 = acc, pot
@@ -431,9 +436,8 @@ func TestFetchDedup(t *testing.T) {
 func regatherForces(dt *DTree, bodies []Body, seed bool) ([]vec.V3, []float64) {
 	acc := make([]vec.V3, len(bodies))
 	pot := make([]float64, len(bodies))
-	for _, c := range sinkGroups(dt.local) {
-		center, radius := c.BoundingSphere()
-		w := &bucketWalker{cell: c, mac: htree.NewBucketMAC(center, radius, dt.opt.Theta)}
+	for _, c := range dt.local.Groups() {
+		w := &bucketWalker{cell: c, mac: htree.NewGroupMAC(c, dt.opt.Theta)}
 		dt.regather(w)
 		if !seed {
 			dt.evalBucket(w, acc, pot)
@@ -518,7 +522,9 @@ func TestMoreRanksThanBodies(t *testing.T) {
 // the virtual makespan and every count of a reproducible-mode run (event
 // engine, one engine worker) one walker per leaf equal the values recorded at
 // the parent commit 0b4a841, before the two-pass walk was written. One walker
-// per sink group has its own, recorded when the walk went to groups (ISSUE 25).
+// per sink group has its own, recorded when the walk went to groups and
+// again when local leaves were tested like remote ones and groups grew to 80
+// bodies.
 func TestSchedulePinnedAcrossTwoPassRewrite(t *testing.T) {
 	ics := PlummerSphere(rand.New(rand.NewSource(43)), 2000, 1.0)
 	for _, pin := range []struct {
@@ -526,7 +532,7 @@ func TestSchedulePinnedAcrossTwoPassRewrite(t *testing.T) {
 		fetches, interactions, messages int64
 		makespan                        float64
 	}{
-		{false, 6039, 5214552, 998, 0.3307583288601062},
+		{false, 7835, 6950842, 1140, 0.396624630252577},
 		{true, 3130, 3558151, 824, 0.2657051716832888},
 	} {
 		if pin.leaves {

@@ -39,9 +39,11 @@ func plummer(seed int64, n int) ([]vec.V3, []float64) {
 	return pos, mass
 }
 
-// leafForces is AccelAllGrouped one walk per leaf, the grouping before sink
-// groups, through the tree's exported walk.
+// leafForces is AccelAllGrouped one walk per leaf with leaves never accepted,
+// the walk before sink groups (htree.Grouping), through the tree's exported
+// walk.
 func leafForces(tr *htree.Tree, theta, eps float64) ([]vec.V3, []float64) {
+	defer htree.Grouping(0, true)()
 	acc, pot := make([]vec.V3, len(tr.Bodies)), make([]float64, len(tr.Bodies))
 	var sc htree.BucketScratch
 	for _, b := range tr.Leaves() {
@@ -55,7 +57,7 @@ func leafForces(tr *htree.Tree, theta, eps float64) ([]vec.V3, []float64) {
 }
 
 // The kernel bodies must be indistinguishable at tree scale too: a grouped
-// walk over a Plummer sample (groups of up to 32 and leaves of up to 13:
+// walk over a Plummer sample (groups of up to 80 and leaves of up to 13:
 // eight-lane blocks with four-lane tails of every length) digests to the
 // same pinned value from the Go loops and from every width the CPU has. The
 // digest one walk per leaf is the one pinned before sink groups (ISSUE 24).
@@ -65,7 +67,7 @@ func TestFallbackDigestMatchesAssembly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const want, wantLeaves = 0xd326dd8b9c6d8367, 0x58c941f46c2fbc55
+	const want, wantLeaves = 0xc30c8182755092a8, 0x58c941f46c2fbc55
 	gravity.EachISA(t, func(t *testing.T) {
 		acc, pot, _ := tr.AccelAllGrouped(0.7, 0.01, false, gravity.Float64, 2)
 		if d := digest(acc, pot); runtime.GOARCH == "amd64" && d != want {

@@ -20,16 +20,18 @@ import (
 // TestSeedDigestFromLibmLoops still recovers it, unedited, from today's
 // leaf lists summed with that arithmetic (gravity/seedref). goldenHtree is
 // the production kernels' digest, re-pinned when the walk went from one per
-// leaf to one per sink group (ISSUE 25); leafHtree is its value one walk per
-// leaf (LeafGroups), pinned when the kernels took the Newton reciprocal
-// square root and fused multiply-adds (ISSUE 24). Every kernel width and any
-// worker count must reproduce both. The constants encode amd64 semantics; on
+// leaf to one per sink group and again when leaves were tested like any other
+// cell and groups grew to 80 bodies; leafHtree is its value one walk per leaf
+// with leaves never accepted (LeafGroups), pinned when the kernels took the
+// Newton reciprocal square root and fused multiply-adds. Every kernel width
+// and any worker count must reproduce both. The constants encode amd64
+// semantics; on
 // other architectures the compiler may fuse the tree build's multiply-adds,
 // so the raw digests are only asserted there against themselves across
 // worker counts.
 const (
 	seedHtreeLibm = 0x993f680ff744bb1f
-	goldenHtree   = 0x793234bfb90a29df
+	goldenHtree   = 0x863f87bc69ba8d16
 	leafHtree     = 0xe7c69ce1c7fa0151
 )
 
@@ -108,8 +110,7 @@ func TestSeedDigestFromLibmLoops(t *testing.T) {
 	pot := make([]float64, len(pos))
 	var sc BucketScratch
 	for _, b := range tr.Groups() {
-		center, radius := b.BoundingSphere()
-		mac := NewBucketMAC(center, radius, 0.7)
+		mac := NewGroupMAC(b, 0.7)
 		sc.Reset()
 		tr.GatherList(key.Root, &mac, &sc)
 		sinks := tr.Bodies[b.Lo:b.Hi]

@@ -52,11 +52,29 @@ func (t *Tree) Leaves() []*Cell {
 	return out
 }
 
-// groupMax is the most bodies a sink group holds unless it is one leaf: 32
-// sinks fill four eight-lane (or eight four-lane) kernel blocks. It does not
+// groupMax is the most bodies a sink group holds unless it is one leaf: 80
+// sinks fill ten eight-lane (or twenty four-lane) kernel blocks. It does not
 // depend on the ISA, MaxLeaf or any option, so forces are the same bits on
-// every host and for any worker count. Only export_test.go lowers it.
-var groupMax = 32
+// every host and for any worker count. Only Grouping changes it.
+var groupMax = 80
+
+// exactLeaves makes GatherList list every leaf's bodies without testing the
+// leaf, the rule before leaves were tested like any other cell. Only
+// Grouping sets it.
+var exactLeaves = false
+
+// Grouping makes the trees built from now on group their sinks in the
+// largest cells of at most max bodies (max 0: one group per leaf), and
+// GatherList list every leaf's bodies untested if exact is set, until restore
+// is called. It exists for tests: the pins recorded one walk per leaf with
+// leaves never accepted hold under Grouping(0, true), and the error–cost
+// table of DESIGN.md §6 sweeps max. It writes package state, so nothing may
+// build or walk a tree between the call and restore.
+func Grouping(max int, exact bool) (restore func()) {
+	oldMax, oldExact := groupMax, exactLeaves
+	groupMax, exactLeaves = max, exact
+	return func() { groupMax, exactLeaves = oldMax, oldExact }
+}
 
 // recordGroups sets the tree's sink groups, appended to dst in body order:
 // the maximal cells holding at most groupMax bodies, and each leaf holding
@@ -104,10 +122,16 @@ func (c *Cell) BoundingSphere() (center vec.V3, radius float64) {
 // squared form only when r² misses the threshold by more than macBand,
 // relatively; Exact, the expression above, decides the rest, so the two
 // together equal it on every input, bit for bit.
+//
+// A test built for a sink group (NewGroupMAC) also knows the group's body
+// range, and a walk accepts no cell that shares a body with it (Owns): the
+// group's own bodies reach its sinks only as direct bodies, each exactly
+// once, whatever theta is.
 type BucketMAC struct {
 	center        vec.V3
 	radius, theta float64
 	invTheta      float64
+	lo, hi        int
 }
 
 const (
@@ -132,6 +156,20 @@ func NewBucketMAC(center vec.V3, radius, theta float64) BucketMAC {
 	}
 	return m
 }
+
+// NewGroupMAC returns the test of sink group g's walk at opening parameter
+// theta: NewBucketMAC on g's bounding sphere, owning g's body range.
+func NewGroupMAC(g *Cell, theta float64) BucketMAC {
+	center, radius := g.BoundingSphere()
+	m := NewBucketMAC(center, radius, theta)
+	m.lo, m.hi = g.Lo, g.Hi
+	return m
+}
+
+// Owns reports whether the body range [lo, hi) shares a body with the group
+// the test was built for (none, for NewBucketMAC): a cell that does holds one
+// of the group's sinks and is never accepted.
+func (m *BucketMAC) Owns(lo, hi int) bool { return lo < m.hi && m.lo < hi }
 
 // Dist2 is the squared distance from the bucket's center to com: the r²
 // Prefilter takes, and the square whose root Exact takes. It is written on
@@ -188,11 +226,10 @@ type BucketScratch struct {
 	// test built as NewBucketMAC(center, radius+R, 1), "accepted" means the
 	// cell's bounding sphere (COM, Bmax) lies wholly outside the ball of
 	// radius R around the bucket's bounding sphere, so GatherList drops an
-	// accepted cell instead of listing it, tests leaves like any other cell,
-	// and appends the body range of every leaf that survives to Ranges. The
-	// list and the count-only tallies are left alone. Every body within R of
-	// any point of the bucket's sphere is in a listed range, up to the
-	// rounding of the distances involved.
+	// accepted cell instead of listing it and appends the body range of every
+	// leaf that survives to Ranges. The list and the count-only tallies are
+	// left alone. Every body within R of any point of the bucket's sphere is
+	// in a listed range, up to the rounding of the distances involved.
 	Ball   bool
 	Ranges []BodyRange
 
@@ -237,48 +274,47 @@ func (sc *BucketScratch) grow(n int) {
 // mode, appending the body ranges of the leaves the ball reaches to Ranges),
 // and returns the number of cells it opened. root must be a cell of this
 // tree: key.Root for a whole-tree walk, or a locally owned branch of the
-// distributed tree.
+// distributed tree. A leaf is tested like any other cell: accepted, it goes
+// on the list as its multipole (a one-body leaf's is exact); rejected, as
+// its bodies. No cell the test Owns is accepted.
 func (t *Tree) GatherList(root key.K, mac *BucketMAC, sc *BucketScratch) (opened int) {
 	cells := t.store.cells
 	stack := append(sc.stack[:0], t.store.find(root))
 	countOnly, ball := sc.CountOnly, sc.Ball
+	exact := exactLeaves && !ball
 	for len(stack) > 0 {
 		ci := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		c := &cells[ci]
-		if c.Leaf && !ball { // never accepted as a multipole: no test
-			if countOnly {
-				sc.NSrcs += c.Hi - c.Lo
-				sc.NSegs++
-			} else {
-				sc.List.Segs = append(sc.List.Segs, t.src[c.Lo:c.Hi])
+		accept := false
+		if !(exact && c.Leaf) && !mac.Owns(c.Lo, c.Hi) {
+			var decided bool
+			accept, decided = mac.Prefilter(mac.Dist2(&c.Mp.COM), c.Bmax)
+			if !decided {
+				accept = mac.Exact(&c.Mp.COM, c.Bmax)
 			}
-			continue
 		}
-		accept, decided := mac.Prefilter(mac.Dist2(&c.Mp.COM), c.Bmax)
-		if !decided {
-			accept = mac.Exact(&c.Mp.COM, c.Bmax)
-		}
-		if accept {
-			switch {
-			case ball: // wholly outside the ball: dropped
-			case countOnly:
-				sc.NCells++
-			default:
-				sc.List.Cells = append(sc.List.Cells, &c.Mp)
+		switch {
+		case accept && ball: // wholly outside the ball: dropped
+		case accept && countOnly:
+			sc.NCells++
+		case accept:
+			sc.List.Cells = append(sc.List.Cells, &c.Mp)
+		case !c.Leaf:
+			opened++
+			for _, d := range c.kids {
+				if d == 0 {
+					break
+				}
+				stack = append(stack, ci+d)
 			}
-			continue
-		}
-		if c.Leaf { // ball mode only
+		case ball:
 			sc.Ranges = append(sc.Ranges, BodyRange{c.Lo, c.Hi})
-			continue
-		}
-		opened++
-		for _, d := range c.kids {
-			if d == 0 {
-				break
-			}
-			stack = append(stack, ci+d)
+		case countOnly:
+			sc.NSrcs += c.Hi - c.Lo
+			sc.NSegs++
+		default:
+			sc.List.Segs = append(sc.List.Segs, t.src[c.Lo:c.Hi])
 		}
 	}
 	sc.stack = stack[:0]
@@ -341,8 +377,7 @@ func (t *Tree) AccelAllGrouped(theta, eps float64, _ bool, _ gravity.Precision, 
 					return
 				}
 				b := groups[i]
-				center, radius := b.BoundingSphere()
-				mac := NewBucketMAC(center, radius, theta)
+				mac := NewGroupMAC(b, theta)
 				sc.Reset()
 				opened := t.GatherList(key.Root, &mac, &sc)
 				ns := b.Hi - b.Lo

@@ -90,9 +90,9 @@ func TestGroupedMatchesPerBodyWithinMACBound(t *testing.T) {
 	}
 }
 
-// With theta -> 0 no cell is ever accepted, both engines visit leaves in the
-// same depth-first order, and the grouped result must be bit-identical to
-// the per-body result.
+// At theta 0 no cell is ever accepted (bmax/0 is +Inf, or NaN for a one-body
+// leaf), both engines visit leaves in the same depth-first order, and the
+// grouped result must be bit-identical to the per-body result.
 func TestGroupedExactAtThetaZero(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	pos, mass := randomBodies(rng, 400)
@@ -101,8 +101,11 @@ func TestGroupedExactAtThetaZero(t *testing.T) {
 		t.Fatal(err)
 	}
 	eps := 0.05
-	accP, potP, _ := tr.AccelAll(1e-9, eps, false)
-	accG, potG, _ := tr.AccelAllGrouped(1e-9, eps, false, gravity.Float64, 1)
+	accP, potP, _ := tr.AccelAll(0, eps, false)
+	accG, potG, stG := tr.AccelAllGrouped(0, eps, false, gravity.Float64, 1)
+	if stG.CellInteractions != 0 {
+		t.Fatalf("theta 0: grouped walk accepted %d cell interactions", stG.CellInteractions)
+	}
 	for i := range accP {
 		if accG[i] != accP[i] || potG[i] != potP[i] {
 			t.Fatalf("body %d: grouped (%v, %v) vs per-body (%v, %v)", i, accG[i], potG[i], accP[i], potP[i])
@@ -183,7 +186,7 @@ func groupTrees(t *testing.T) map[string]*Tree {
 	}
 	sets["coldsphere"] = sphere
 	pile, _ := randomBodies(rng, 600)
-	for i := 0; i < 40; i++ {
+	for i := 0; i < 100; i++ {
 		pile = append(pile, vec.V3{0.25, -0.5, 0.125})
 	}
 	sets["pile"] = pile
@@ -215,7 +218,9 @@ func groupTrees(t *testing.T) map[string]*Tree {
 // bounding sphere; 1e-12 is room for rounding), so the per-body error bound
 // holds. And each sink finds its own body on the list exactly once, as a
 // direct body, so a group of ns sinks and nb listed bodies does ns·nb − ns
-// body interactions.
+// body interactions — at every theta: above 1 the group's sphere can pass the
+// MAC of a cell that contains it, and only the test's Owns keeps such a cell
+// off the list.
 func TestGroupMACContract(t *testing.T) {
 	for name, tr := range groupTrees(t) {
 		owner := map[*gravity.Multipole]*Cell{}
@@ -241,9 +246,8 @@ func TestGroupMACContract(t *testing.T) {
 			if p, ok := tr.Cell(g.Key.Parent()); g.Key != key.Root && (!ok || p.N <= groupMax) {
 				t.Fatalf("%s: group %v is not the largest cell of at most %d bodies", name, g.Key, groupMax)
 			}
-			for _, theta := range []float64{0.4, 0.7, 1.0} {
-				center, radius := g.BoundingSphere()
-				mac := NewBucketMAC(center, radius, theta)
+			for _, theta := range []float64{0.4, 0.7, 1, 1.5, 2} {
+				mac := NewGroupMAC(g, theta)
 				sc.Reset()
 				tr.GatherList(key.Root, &mac, &sc)
 				for _, m := range sc.List.Cells {

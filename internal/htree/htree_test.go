@@ -173,10 +173,10 @@ func TestTreeThetaZeroExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	accT, _, st := tr.AccelAll(1e-10, eps, false)
+	accT, _, st := tr.AccelAll(0, eps, false)
 	accD, _ := gravity.Direct(pos, mass, eps)
 	if st.CellInteractions != 0 {
-		t.Fatalf("theta~0 should accept no cells, got %d", st.CellInteractions)
+		t.Fatalf("theta 0 should accept no cells, got %d", st.CellInteractions)
 	}
 	for i := range accD {
 		if accT[i].Sub(accD[i]).Norm() > 1e-11*(1+accD[i].Norm()) {

@@ -82,6 +82,80 @@ func TestBucketMACMatchesDefinitionAllScales(t *testing.T) {
 	}
 }
 
+// FuzzBucketMAC holds a sink group's test to its definition on any sphere,
+// cell and theta in [0, 4] at scales from 1e-160 to 1e150, the distance
+// drawn around the threshold: the prefilter plus Exact is AcceptMAC, theta 0
+// accepts nothing, any positive theta accepts a cell of Bmax 0 outside the
+// sphere (its monopole is exact), and the test owns exactly the cells whose
+// body range overlaps the group's, which the walks never accept. Seeded from
+// the adversarial table's spheres, scales and origins.
+func FuzzBucketMAC(f *testing.F) {
+	type sphere struct{ radius, bmax float64 }
+	i := 0
+	for _, theta := range []float64{0, 0.3, 0.7, 1, 2, 4} {
+		for _, e := range []int16{0, -3, 6, -160, 150} {
+			for _, s := range []sphere{{0.25, 0.5}, {0, 0.5}, {0.25, 0}, {0, 0}, {1, 1e-9}, {1e-9, 1}} {
+				for _, o := range []vec.V3{{}, {1, -2, 0.5}} {
+					i++
+					f.Add(o[0], o[1], o[2], s.radius, s.bmax, theta, 0.5*float64(i%5), 0.3, -0.4, 1.2, e, int8(i%9-4),
+						uint8(i%7), uint8(i%3*8), uint8(i%11), uint8(i%4))
+				}
+			}
+		}
+	}
+	f.Fuzz(func(t *testing.T, cx, cy, cz, radius, bmax, theta, r, ux, uy, uz float64, e int16, k int8, glo, gn, clo, cn uint8) {
+		for _, x := range []float64{cx, cy, cz, radius, bmax, theta, r, ux, uy, uz} {
+			if math.IsNaN(x) || math.IsInf(x, 0) {
+				return // TestBucketMACAdversarial covers non-finite inputs
+			}
+		}
+		scale := math.Pow(10, float64(min(max(e, -160), 150)))
+		if !(theta >= 0 && theta <= 4) {
+			theta = math.Mod(math.Abs(theta), 4)
+		}
+		radius = math.Mod(math.Abs(radius), 2) * scale
+		bmax = math.Mod(math.Abs(bmax), 2) * scale
+		center := vec.V3{math.Mod(cx, 4), math.Mod(cy, 4), math.Mod(cz, 4)}.Scale(scale)
+		dir := vec.V3{ux, uy, uz}
+		if n := dir.Norm(); !(n > 1e-100 && n < 1e100) {
+			dir = vec.V3{1, 0, 0}
+		}
+		thr := radius + bmax
+		if theta > 0 {
+			thr = radius + bmax/theta
+		}
+		com := center.AddScaled(ulps(math.Mod(math.Abs(r), 3)*thr, int(k%5)), dir.Unit())
+
+		// Neither a group nor a cell is ever empty.
+		g := &Cell{Lo: int(glo), Hi: int(glo) + int(gn) + 1, Bmax: radius}
+		g.Mp.COM = center
+		m := NewGroupMAC(g, theta)
+		got, decided := macGot(&m, com, bmax)
+		d := com.Dist(center) - radius
+		if want := AcceptMAC(d, bmax, theta); got != want {
+			t.Fatalf("center %v radius %v theta %v com %v bmax %v: got %v (decided %v), AcceptMAC %v",
+				center, radius, theta, com, bmax, got, decided, want)
+		}
+		if theta == 0 && got {
+			t.Fatalf("theta 0 accepted a cell: center %v radius %v com %v bmax %v", center, radius, com, bmax)
+		}
+		if theta > 0 && bmax == 0 && d > 0 && !got {
+			t.Fatalf("theta %v rejected a cell of Bmax 0 at distance %v outside the sphere", theta, d)
+		}
+		lo, hi := int(clo), int(clo)+int(cn)+1
+		overlap := false
+		for b := lo; b < hi; b++ {
+			overlap = overlap || (b >= g.Lo && b < g.Hi)
+		}
+		if owns := m.Owns(lo, hi); owns != overlap {
+			t.Fatalf("group [%d,%d), cell [%d,%d): Owns %v, bodies shared %v", g.Lo, g.Hi, lo, hi, owns, overlap)
+		}
+		if plain := NewBucketMAC(center, radius, theta); plain.Owns(lo, hi) {
+			t.Fatalf("a test built without a group owns cell [%d,%d)", lo, hi)
+		}
+	})
+}
+
 // ulps steps x by n representable values, up for positive n.
 func ulps(x float64, n int) float64 {
 	to := math.Inf(1)

@@ -13,7 +13,8 @@ import (
 // gatherByKey is the bucket walk as it was before cells carried daughter
 // links: every cell, the root included, is reached by its key through the
 // hash table and daughters are named by key arithmetic. It returns what the
-// walk emits, in order: the accepted cells and the body range of each leaf.
+// walk emits, in order: the accepted cells — leaves included, none the test
+// owns — and the body range of each leaf not accepted.
 func gatherByKey(t *Tree, root key.K, mac *BucketMAC) (cells []*Cell, ranges [][2]int, opened int) {
 	stack := []key.K{root}
 	for len(stack) > 0 {
@@ -21,10 +22,10 @@ func gatherByKey(t *Tree, root key.K, mac *BucketMAC) (cells []*Cell, ranges [][
 		stack = stack[:len(stack)-1]
 		c := t.store.get(k)
 		switch {
+		case !mac.Owns(c.Lo, c.Hi) && mac.Exact(&c.Mp.COM, c.Bmax):
+			cells = append(cells, c)
 		case c.Leaf:
 			ranges = append(ranges, [2]int{c.Lo, c.Hi})
-		case mac.Exact(&c.Mp.COM, c.Bmax):
-			cells = append(cells, c)
 		default:
 			opened++
 			for oct := 0; oct < 8; oct++ {
@@ -41,7 +42,8 @@ func gatherByKey(t *Tree, root key.K, mac *BucketMAC) (cells []*Cell, ranges [][
 // key, in the same order, as references into the tree itself — on trees
 // whose slab has the skeleton cells behind the task cells (Workers > 1), on
 // force-split trees with their one-body leaves, and from roots below the
-// top — and the count-only walk tallies the same lengths.
+// top, for groups that own a leaf — and the count-only walk tallies the same
+// lengths.
 func TestIndexWalkMatchesKeyWalk(t *testing.T) {
 	pos, mass := plummerBodies(5000, 31)
 	for _, tc := range []struct {
@@ -75,8 +77,7 @@ func TestIndexWalkMatchesKeyWalk(t *testing.T) {
 		leaves := tr.Leaves()
 		for bi := 0; bi < len(leaves); bi += 7 {
 			b := leaves[bi]
-			center, radius := b.BoundingSphere()
-			mac := NewBucketMAC(center, radius, 0.7)
+			mac := NewGroupMAC(b, 0.7)
 			for _, root := range roots {
 				wantCells, wantRanges, wantOpened := gatherByKey(tr, root, &mac)
 				list.Reset()

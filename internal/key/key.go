@@ -155,6 +155,16 @@ func (k K) Contains(b K) bool {
 	return b.AncestorAt(lk) == k
 }
 
+// Overlaps reports whether cells k and b share any point: one is an
+// ancestor-or-self of the other (octree cells are nested or disjoint).
+func (k K) Overlaps(b K) bool {
+	lk, lb := k.Level(), b.Level()
+	if lk > lb {
+		k, b, lk, lb = b, k, lb, lk
+	}
+	return b>>uint(3*(lb-lk)) == k
+}
+
 // BodyKeyRange returns the half-open range [lo, hi) of level-MaxLevel body
 // keys contained in cell k. This is how the domain decomposition maps a
 // split of the 1-D key list back onto space.

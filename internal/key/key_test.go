@@ -114,6 +114,14 @@ func TestContains(t *testing.T) {
 	if inside.Contains(a) {
 		t.Fatal("descendant must not contain ancestor")
 	}
+	for _, tc := range []struct {
+		x, y K
+		want bool
+	}{{a, a, true}, {a, inside, true}, {inside, a, true}, {Root, inside, true}, {a, outside, false}, {outside, inside, false}, {a.Child(1), inside, false}} {
+		if got := tc.x.Overlaps(tc.y); got != tc.want || got != (tc.x.Contains(tc.y) || tc.y.Contains(tc.x)) {
+			t.Fatalf("%v overlaps %v: %v, want %v", tc.x, tc.y, got, tc.want)
+		}
+	}
 }
 
 func TestBodyKeyRange(t *testing.T) {

@@ -7,9 +7,11 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"sort"
 	"testing"
 	"testing/quick"
 
+	"spacesim/internal/gravity"
 	"spacesim/internal/vec"
 )
 
@@ -304,8 +306,11 @@ func TestSimWorkersBitIdentical(t *testing.T) {
 // collapseDigest is the FNV-1a 64 digest of a 500-particle collapse after 12
 // steps, pinned before the step searched each leaf once per tree and
 // evaluated its pairs in parallel: the trajectory itself, not only its
-// independence of Cfg.Workers, must not move.
-const collapseDigest = 0x9b9f164a914424fd
+// independence of Cfg.Workers, must not move. It was re-pinned once since,
+// through gravity alone, when the walk began testing leaves like any other
+// cell in groups of up to 80 (TestSelfGravityAgainstDirect holds that
+// gravity to direct summation).
+const collapseDigest = 0xbbd023015e7a3aee
 
 // digestParticles folds every bit of Pos, Vel, U, Enu, H and Rho, in
 // particle order, into an FNV-1a 64 stream.
@@ -328,6 +333,39 @@ func digestParticles(p *Particles) uint64 {
 		put(p.Rho[i])
 	}
 	return h.Sum64()
+}
+
+// Self-gravity is held to physics, not only to a digest: at the rotating
+// collapse's initial conditions (2000 particles on the simulation's own tree,
+// its default opening angle and softening) the grouped walk's accelerations
+// stay within the error regime of the treecode against direct summation,
+// and Diag's θ 0.3 potential energy is the direct sum's to 1e-4.
+func TestSelfGravityAgainstDirect(t *testing.T) {
+	s := NewRotatingCollapse(RotatingCollapseOptions{Omega: 0.3, PressureDeficit: 0.85, Seed: 1})
+	p, cfg := s.P, s.Cfg
+	s.ensureTree()
+	acc, _, _ := s.tree.AccelAllGrouped(cfg.GravTheta, cfg.GravEps, false, gravity.Float64, cfg.Workers)
+	ref, refPot := gravity.Direct(p.Pos, p.Mass, cfg.GravEps)
+	rel := make([]float64, p.N())
+	for i := range rel {
+		rel[i] = acc[i].Sub(ref[i]).Norm() / ref[i].Norm()
+	}
+	sort.Float64s(rel)
+	med, p99 := rel[len(rel)/2], rel[len(rel)*99/100]
+	t.Logf("θ %v: median relative error %.3g, p99 %.3g", cfg.GravTheta, med, p99)
+	if med > 2e-3 || p99 > 1.5e-2 {
+		t.Errorf("θ %v: median relative acceleration error %.3g (bound 2e-3), p99 %.3g (bound 1.5e-2)", cfg.GravTheta, med, p99)
+	}
+
+	var want float64
+	for i, phi := range refPot {
+		want += 0.5 * p.Mass[i] * phi
+	}
+	got := s.Diag().Potential
+	t.Logf("potential energy %.12g, direct %.12g", got, want)
+	if d := math.Abs(got-want) / math.Abs(want); d > 1e-4 {
+		t.Errorf("Diag potential energy %.12g, direct summation %.12g: relative difference %.3g", got, want, d)
+	}
 }
 
 // The collapse's trajectory is pinned bit for bit at every worker count. The
