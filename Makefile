@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet cross-build kernels-widths fmt-check loc fuzz-smoke bench bench-e2e profile-serial profile-sph profile-dist8 profile-dist64 smoke analyze-smoke fault-smoke treebuild-smoke kernels-smoke live-smoke ledger-smoke serve-smoke one-slot ci all
+.PHONY: build test race vet cross-build kernels-widths fmt-check loc fuzz-smoke bench-e2e profile-serial profile-sph profile-dist8 profile-dist64 smoke analyze-smoke fault-smoke live-smoke ledger-smoke serve-smoke one-slot ci all
 
 all: build test vet fmt-check
 
@@ -52,7 +52,7 @@ fmt-check:
 	fi
 
 # The size figure every PR reports in CHANGES.md: non-test Go lines outside
-# bench/, and the core+htree+gravity subtotal ROADMAP item 3 scores.
+# bench/, and the core+htree+gravity subtotal of ROADMAP's deletion score.
 loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' | xargs wc -l | tail -1 | awk '{print $$1, "non-test Go lines outside bench/"}'
 	@find internal/core internal/htree internal/gravity -name '*.go' ! -name '*_test.go' | xargs wc -l | tail -1 | awk '{print $$1, "of them in internal/core + internal/htree + internal/gravity"}'
@@ -66,11 +66,6 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzRunConfig -fuzztime 10s ./internal/core
 	$(GO) test -run '^$$' -fuzz FuzzRsqrt -fuzztime 10s ./internal/gravity
 	$(GO) test -run '^$$' -fuzz FuzzBucketMAC -fuzztime 10s ./internal/htree
-
-# Times the per-body vs bucket-grouped treewalk on a 32k Plummer sphere and
-# writes the comparison to BENCH_treecode.json.
-bench:
-	$(GO) run ./cmd/ssbench group -o BENCH_treecode.json
 
 # The BENCHMARK.json benchmark (bench/README.md) on the seed it holds back
 # for checking a claim, five fresh-process runs per workload. To judge a
@@ -137,28 +132,10 @@ fault-smoke:
 	$(GO) run ./cmd/tracecheck -analysis /tmp/spacesim-smoke-faults.json \
 		-faultsweep /tmp/spacesim-smoke-faultsweep.json
 
-# Tree-construction smoke: a quick seed-vs-pipeline build benchmark (which
-# itself verifies bit-identity across worker counts and exits nonzero on
-# divergence), schema-validation of the v4 bench record, and a self-diff
-# through the bench arm of the perf gate.
-treebuild-smoke:
-	$(GO) run ./cmd/ssbench treebuild -quick -o /tmp/spacesim-smoke-treebuild.json
-	$(GO) run ./cmd/tracecheck -bench /tmp/spacesim-smoke-treebuild.json
-	$(GO) run ./cmd/ssbench diff /tmp/spacesim-smoke-treebuild.json /tmp/spacesim-smoke-treebuild.json
-
-# Kernel smoke: a quick width x length sweep of the two force kernels beside
-# the scalar Table 5 micro-kernels (which itself verifies every width
-# bit-identical to the scalar reference, exiting nonzero if not), schema-validation of the v8 bench
-# record, and a self-diff through the bench arm of the gate.
-kernels-smoke:
-	$(GO) run ./cmd/ssbench kernels -quick -o /tmp/spacesim-smoke-kernels.json
-	$(GO) run ./cmd/tracecheck -bench /tmp/spacesim-smoke-kernels.json
-	$(GO) run ./cmd/ssbench diff /tmp/spacesim-smoke-kernels.json /tmp/spacesim-smoke-kernels.json
-
 # Live-telemetry smoke: a run served over -http is probed while in flight
 # (Prometheus exposition, the progress/ETA JSON, and a 1-second CPU profile
-# from net/http/pprof — so the run is sized to last a few seconds), then the analysis report and the quick group bench
-# record — both carrying the sampler's final series dump — are
+# from net/http/pprof — so the run is sized to last a few seconds), then its
+# analysis report, which carries the sampler's final series dump, is
 # schema-validated, live block included.
 live-smoke:
 	$(GO) build -o /tmp/spacesim-live ./cmd/spacesim
@@ -172,20 +149,22 @@ live-smoke:
 	curl -sf -o /tmp/spacesim-smoke-live.pprof "http://127.0.0.1:17071/debug/pprof/profile?seconds=1" || { echo "live-smoke: pprof"; kill $$pid 2>/dev/null; exit 1; }; \
 	wait $$pid
 	$(GO) run ./cmd/tracecheck -analysis /tmp/spacesim-smoke-live.json
-	$(GO) run ./cmd/ssbench -quick -http 127.0.0.1:17072 -sample-every 20ms group -o /tmp/spacesim-smoke-live-bench.json
-	$(GO) run ./cmd/tracecheck -bench /tmp/spacesim-smoke-live-bench.json
 
-# Run-ledger smoke: two quick grouped-bench runs recorded into a scratch
-# ledger must stamp identical config digests (the digest covers only
+# Run-ledger smoke: two identical short spacesim runs recorded into a
+# scratch ledger must stamp identical config digests (the digest covers only
 # deterministic invocation parameters); the trend report must render; the
-# baseline arm of the perf gate must pass a self-diff against that history;
-# the HTML dashboard must render; and tracecheck must re-verify every run
-# record and content-addressed artifact blob.
+# baseline arm of the perf gate must pass the second run's report against
+# the first (one engine worker, so the virtual schedule repeats); the HTML
+# dashboard must render; and tracecheck must re-verify every run record and
+# content-addressed artifact blob.
 ledger-smoke:
 	$(GO) build -o /tmp/spacesim-smoke-ssbench ./cmd/ssbench
+	$(GO) build -o /tmp/spacesim-smoke-spacesim ./cmd/spacesim
 	rm -rf /tmp/spacesim-smoke-ledger
-	/tmp/spacesim-smoke-ssbench -quick -ledger /tmp/spacesim-smoke-ledger group -o /tmp/spacesim-smoke-ledger-a.json
-	/tmp/spacesim-smoke-ssbench -quick -ledger /tmp/spacesim-smoke-ledger group -o /tmp/spacesim-smoke-ledger-b.json
+	/tmp/spacesim-smoke-spacesim -n 600 -procs 3 -steps 2 -engine-workers 1 -report \
+		-ledger /tmp/spacesim-smoke-ledger -analysis /tmp/spacesim-smoke-ledger-a.json
+	/tmp/spacesim-smoke-spacesim -n 600 -procs 3 -steps 2 -engine-workers 1 -report \
+		-ledger /tmp/spacesim-smoke-ledger -analysis /tmp/spacesim-smoke-ledger-b.json
 	@da=$$(grep -o '"config_digest": *"[0-9a-f]*"' /tmp/spacesim-smoke-ledger-a.json); \
 	db=$$(grep -o '"config_digest": *"[0-9a-f]*"' /tmp/spacesim-smoke-ledger-b.json); \
 	[ -n "$$da" ] && [ "$$da" = "$$db" ] || { echo "ledger-smoke: config digests differ: $$da vs $$db"; exit 1; }; \
@@ -252,5 +231,5 @@ serve-smoke:
 
 # Full local CI pass: formatting, static checks, the arm64 cross-build, tests,
 # race detector, the one-slot pass, the per-width kernel pass, the observability + trace-analysis + fault-injection +
-# tree-build + kernels + live-telemetry + run-ledger + job-server smoke runs, and the fuzz smoke.
-ci: fmt-check vet cross-build test race one-slot kernels-widths smoke analyze-smoke fault-smoke treebuild-smoke kernels-smoke live-smoke ledger-smoke serve-smoke fuzz-smoke
+# live-telemetry + run-ledger + job-server smoke runs, and the fuzz smoke.
+ci: fmt-check vet cross-build test race one-slot kernels-widths smoke analyze-smoke fault-smoke live-smoke ledger-smoke serve-smoke fuzz-smoke

@@ -16,9 +16,7 @@ import (
 	"spacesim/internal/cluster"
 	"spacesim/internal/core"
 	"spacesim/internal/cosmo"
-	"spacesim/internal/gravity"
 	"spacesim/internal/hpl"
-	"spacesim/internal/htree"
 	"spacesim/internal/machine"
 	"spacesim/internal/netsim"
 	"spacesim/internal/npb"
@@ -26,7 +24,6 @@ import (
 	"spacesim/internal/perfmodel"
 	"spacesim/internal/reliability"
 	"spacesim/internal/sph"
-	"spacesim/internal/vec"
 )
 
 func ss() machine.Cluster { return machine.SpaceSimulator(netsim.ProfileLAM) }
@@ -280,145 +277,6 @@ func BenchmarkMooresLaw(b *testing.B) {
 		vs = cluster.TreecodeMoore().ImprovementVsPredicted
 	}
 	b.ReportMetric(vs, "treecode-vs-Moore")
-}
-
-// treewalkTree builds the 32k-particle Plummer tree shared by the treewalk
-// engine benchmarks.
-func treewalkTree(b *testing.B) *htree.Tree {
-	rng := rand.New(rand.NewSource(5))
-	ics := core.PlummerSphere(rng, 32768, 1.0)
-	pos := make([]vec.V3, len(ics))
-	mass := make([]float64, len(ics))
-	for i := range ics {
-		pos[i], mass[i] = ics[i].Pos, ics[i].Mass
-	}
-	tr, err := htree.Build(pos, mass, htree.Options{MaxLeaf: 16})
-	if err != nil {
-		b.Fatal(err)
-	}
-	return tr
-}
-
-// treewalkParticles returns the particle set behind the tree-construction
-// benchmarks.
-func treewalkParticles() ([]vec.V3, []float64) {
-	rng := rand.New(rand.NewSource(5))
-	ics := core.PlummerSphere(rng, 32768, 1.0)
-	pos := make([]vec.V3, len(ics))
-	mass := make([]float64, len(ics))
-	for i := range ics {
-		pos[i], mass[i] = ics[i].Pos, ics[i].Mass
-	}
-	return pos, mass
-}
-
-// BenchmarkTreeBuildReference32k is the seed construction path: serial
-// keying, comparison sort, and the map-backed recursive build.
-func BenchmarkTreeBuildReference32k(b *testing.B) {
-	pos, mass := treewalkParticles()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := htree.BuildReference(pos, mass, htree.Options{MaxLeaf: 16}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkTreeBuildPipeline32k is the parallel pipeline at one worker with
-// a reused arena — the steady per-step rebuild cost. The allocs/op column
-// against the reference benchmark shows the arena's effect.
-func BenchmarkTreeBuildPipeline32k(b *testing.B) {
-	pos, mass := treewalkParticles()
-	ar := &htree.Arena{}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := htree.Build(pos, mass, htree.Options{MaxLeaf: 16, Workers: 1, Arena: ar}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkTreeBuildPipelineWorkers32k fans the build over every host core.
-func BenchmarkTreeBuildPipelineWorkers32k(b *testing.B) {
-	pos, mass := treewalkParticles()
-	ar := &htree.Arena{}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := htree.Build(pos, mass, htree.Options{MaxLeaf: 16, Workers: 0, Arena: ar}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkLeafBodies32k gathers every leaf's sources with the allocating
-// accessor — the per-leaf garbage the walk used to produce.
-func BenchmarkLeafBodies32k(b *testing.B) {
-	tr := treewalkTree(b)
-	leaves := tr.Leaves()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, c := range leaves {
-			tr.LeafBodies(c)
-		}
-	}
-}
-
-// BenchmarkAppendLeafBodies32k is the same gather through the scratch-reusing
-// append accessor; allocs/op drops to zero once the buffer is warm.
-func BenchmarkAppendLeafBodies32k(b *testing.B) {
-	tr := treewalkTree(b)
-	leaves := tr.Leaves()
-	var scratch []gravity.Source
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, c := range leaves {
-			scratch = tr.AppendLeafBodies(scratch[:0], c)
-		}
-	}
-}
-
-// BenchmarkTreewalkPerBody32k is the seed engine: one tree walk per body.
-func BenchmarkTreewalkPerBody32k(b *testing.B) {
-	tr := treewalkTree(b)
-	b.ResetTimer()
-	var inter int
-	for i := 0; i < b.N; i++ {
-		_, _, st := tr.AccelAll(0.7, 0.01, false)
-		inter = st.CellInteractions + st.BodyInteractions
-	}
-	b.ReportMetric(b.Elapsed().Seconds()/float64(b.N*len(tr.Bodies))*1e9, "ns/body")
-	b.ReportMetric(float64(b.N*inter)/b.Elapsed().Seconds()/1e6, "Minter/s")
-}
-
-// BenchmarkTreewalkGrouped32k is the bucket-grouped engine with batched
-// kernels (single worker, so the speedup over the per-body benchmark is
-// algorithmic, not parallelism).
-func BenchmarkTreewalkGrouped32k(b *testing.B) {
-	tr := treewalkTree(b)
-	b.ResetTimer()
-	var inter int
-	for i := 0; i < b.N; i++ {
-		_, _, st := tr.AccelAllGrouped(0.7, 0.01, false, gravity.Float64, 1)
-		inter = st.CellInteractions + st.BodyInteractions
-	}
-	b.ReportMetric(b.Elapsed().Seconds()/float64(b.N*len(tr.Bodies))*1e9, "ns/body")
-	b.ReportMetric(float64(b.N*inter)/b.Elapsed().Seconds()/1e6, "Minter/s")
-}
-
-// BenchmarkTreewalkGroupedWorkers32k fans the grouped walk over every host
-// core.
-func BenchmarkTreewalkGroupedWorkers32k(b *testing.B) {
-	tr := treewalkTree(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tr.AccelAllGrouped(0.7, 0.01, false, gravity.Float64, 0)
-	}
-	b.ReportMetric(b.Elapsed().Seconds()/float64(b.N*len(tr.Bodies))*1e9, "ns/body")
 }
 
 // BenchmarkAblationKarpVsLibm contrasts the two kernel variants under the

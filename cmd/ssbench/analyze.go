@@ -61,7 +61,7 @@ func analyzeBench() {
 		fmt.Fprintln(os.Stderr, "analyze:", err)
 		os.Exit(1)
 	}
-	cfg := ledgerConfig("analyze", n, 8, steps, 4, "", 1)
+	cfg := ledgerConfig("analyze", n, 8, steps, 4, 1)
 	if rep.Provenance != nil {
 		rep.Provenance.ConfigDigest = cfg.Digest()
 	}
@@ -78,9 +78,8 @@ func analyzeBench() {
 	}
 }
 
-// diffCmd compares two ANALYSIS.json files — or two BENCH_treecode.json
-// records, detected by their schema_version field — and exits nonzero when
-// the new run regressed past the thresholds. This is the CI perf gate.
+// diffCmd compares two ANALYSIS.json files and exits nonzero when the new
+// run regressed past the thresholds. This is the CI perf gate.
 func diffCmd(args []string) {
 	fs := flag.NewFlagSet("diff", flag.ExitOnError)
 	th := analysis.DefaultThresholds()
@@ -92,10 +91,6 @@ func diffCmd(args []string) {
 		"allowed relative message-latency p99 increase")
 	fs.Float64Var(&th.EfficiencyDrop, "efficiency-drop", th.EfficiencyDrop,
 		"allowed absolute parallel-efficiency drop")
-	treebuildFrac := fs.Float64("treebuild-frac", 0.35,
-		"allowed relative tree-construction time increase (bench records)")
-	kernelFrac := fs.Float64("kernel-frac", 0.5,
-		"allowed relative ns/interaction increase per kernel configuration (bench records)")
 	baseline := fs.Bool("baseline", false,
 		"gate NEW.json against its ledger history instead of an OLD.json file")
 	ledgerFlag := fs.String("ledger", *ledgerDir, "ledger directory for -baseline")
@@ -125,29 +120,6 @@ func diffCmd(args []string) {
 	if fs.NArg() != 2 {
 		fs.Usage()
 		os.Exit(2)
-	}
-	oldBench, newBench := isBenchFile(fs.Arg(0)), isBenchFile(fs.Arg(1))
-	if oldBench != newBench {
-		fmt.Fprintln(os.Stderr, "diff: cannot compare a bench record with an analysis report")
-		os.Exit(2)
-	}
-	if oldBench {
-		oldRep, newRep := readGroupReport(fs.Arg(0)), readGroupReport(fs.Arg(1))
-		if newRep.Treebuild == nil && newRep.Kernels == nil {
-			fmt.Fprintf(os.Stderr, "diff: %s has no treebuild or kernels block (run `ssbench treebuild` or `ssbench kernels`)\n", fs.Arg(1))
-			os.Exit(2)
-		}
-		ok := true
-		if newRep.Treebuild != nil {
-			ok = diffTreebuild(oldRep, newRep, fs.Arg(0), *treebuildFrac) && ok
-		}
-		if newRep.Kernels != nil {
-			ok = diffKernels(oldRep, newRep, fs.Arg(0), *kernelFrac) && ok
-		}
-		if !ok {
-			os.Exit(1)
-		}
-		return
 	}
 	oldR, err := analysis.ReadFile(fs.Arg(0))
 	if err != nil {

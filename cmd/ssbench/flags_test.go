@@ -29,16 +29,16 @@ func saveFlags(t *testing.T) {
 	})
 }
 
-// TestFlagsBeforeSubcommand pins `ssbench -http ... -sample-every ... group`.
+// TestFlagsBeforeSubcommand pins `ssbench -http ... -sample-every ... fig8`.
 func TestFlagsBeforeSubcommand(t *testing.T) {
 	saveFlags(t)
 	cmd, rest, err := parseInvocation(flag.CommandLine,
-		[]string{"-http", "127.0.0.1:0", "-sample-every", "5ms", "group"})
+		[]string{"-http", "127.0.0.1:0", "-sample-every", "5ms", "fig8"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cmd != "group" || len(rest) != 0 {
-		t.Fatalf("cmd=%q rest=%v, want group with no trailing args", cmd, rest)
+	if cmd != "fig8" || len(rest) != 0 {
+		t.Fatalf("cmd=%q rest=%v, want fig8 with no trailing args", cmd, rest)
 	}
 	if *httpAddr != "127.0.0.1:0" {
 		t.Errorf("-http = %q, want 127.0.0.1:0", *httpAddr)
@@ -48,17 +48,17 @@ func TestFlagsBeforeSubcommand(t *testing.T) {
 	}
 }
 
-// TestFlagsAfterSubcommand pins `ssbench group -http ... -quick`: the
-// documented (and Makefile-used) trailing-flag form must keep working.
+// TestFlagsAfterSubcommand pins `ssbench fig8 -http ... -quick`: the
+// documented trailing-flag form must keep working.
 func TestFlagsAfterSubcommand(t *testing.T) {
 	saveFlags(t)
 	cmd, rest, err := parseInvocation(flag.CommandLine,
-		[]string{"group", "-http", "localhost:9090", "-sample-every", "50ms", "-quick"})
+		[]string{"fig8", "-http", "localhost:9090", "-sample-every", "50ms", "-quick"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cmd != "group" || len(rest) != 0 {
-		t.Fatalf("cmd=%q rest=%v, want group with no trailing args", cmd, rest)
+	if cmd != "fig8" || len(rest) != 0 {
+		t.Fatalf("cmd=%q rest=%v, want fig8 with no trailing args", cmd, rest)
 	}
 	if *httpAddr != "localhost:9090" {
 		t.Errorf("-http = %q, want localhost:9090", *httpAddr)
@@ -75,12 +75,12 @@ func TestFlagsAfterSubcommand(t *testing.T) {
 func TestFlagsMixedOrder(t *testing.T) {
 	saveFlags(t)
 	cmd, _, err := parseInvocation(flag.CommandLine,
-		[]string{"-quick", "treebuild", "-http", ":0"})
+		[]string{"-quick", "analyze", "-http", ":0"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cmd != "treebuild" {
-		t.Fatalf("cmd = %q, want treebuild", cmd)
+	if cmd != "analyze" {
+		t.Fatalf("cmd = %q, want analyze", cmd)
 	}
 	if !*quick {
 		t.Error("-quick before the subcommand not applied")

@@ -39,14 +39,13 @@ func openLedgerAt(dir string) *ledger.Store {
 // ledgerConfig assembles the canonical config for an ssbench experiment.
 // Only deterministic invocation parameters go in — the digest must be
 // identical across repeated identical invocations on any machine.
-func ledgerConfig(experiment string, n, ranks, steps, workers int, engine string, seed int64) ledger.Config {
+func ledgerConfig(experiment string, n, ranks, steps, workers int, seed int64) ledger.Config {
 	return ledger.Config{
 		Tool:       "ssbench",
 		Experiment: experiment,
 		N:          n,
 		Ranks:      ranks,
 		Steps:      steps,
-		Engine:     engine,
 		Workers:    workers,
 		Seed:       seed,
 		Flags:      map[string]string{"quick": strconv.FormatBool(*quick)},
@@ -60,19 +59,6 @@ func provFor(cfg ledger.Config) *ledger.Provenance {
 	p := ledger.Prov()
 	p.ConfigDigest = cfg.Digest()
 	return &p
-}
-
-// benchProvSchemaVersion is the BENCH_treecode.json schema once the
-// provenance block is stamped (see the history on groupReport).
-const benchProvSchemaVersion = 7
-
-// stampProvenance embeds cfg's provenance block into a bench record and
-// raises the schema version accordingly (never downgrading a newer file).
-func stampProvenance(rep *groupReport, cfg ledger.Config) {
-	rep.Provenance = provFor(cfg)
-	if rep.SchemaVersion < benchProvSchemaVersion {
-		rep.SchemaVersion = benchProvSchemaVersion
-	}
 }
 
 // ledgerAppend records one finished experiment: the artifact file at path

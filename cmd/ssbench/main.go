@@ -7,8 +7,7 @@
 //	ssbench <experiment> [flags]
 //
 // Experiments: table1 table2 table3 table4 table5 table6 table7 fig2 fig3
-// fig4 fig5 fig6 fig7 fig8 group kernels treebuild switch spec reliability
-// moore all
+// fig4 fig5 fig6 fig7 fig8 analyze switch spec reliability moore all
 package main
 
 import (
@@ -48,7 +47,7 @@ var (
 	cpuProfile  = flag.String("cpuprofile", "", "write a host-side CPU profile to this file")
 	memProfile  = flag.String("memprofile", "", "write a host-side heap profile to this file on exit")
 	httpAddr    = flag.String("http", "", "serve live telemetry (/metrics, /progress.json, /debug/pprof/) on this address during the run")
-	sampleEvery = flag.Duration("sample-every", 250*time.Millisecond, "live-telemetry sampling period (with -http, or to embed a live block in the bench record)")
+	sampleEvery = flag.Duration("sample-every", 250*time.Millisecond, "live-telemetry sampling period (with -http)")
 )
 
 // runObs observes every cluster run of the invocation (see ssCluster); the
@@ -56,7 +55,7 @@ var (
 var runObs *obs.Obs
 
 // liveSampler/liveServer are non-nil while -http live telemetry is on; the
-// sampler snapshots runObs and the bench record embeds its final dump.
+// sampler snapshots runObs.
 var (
 	liveSampler *live.Sampler
 	liveServer  *live.Server
@@ -69,7 +68,7 @@ var ownFlagCmds = map[string]bool{"diff": true, "faultsweep": true, "trend": tru
 
 // parseInvocation parses an ssbench argument vector (without the program
 // name) against fs. Global flags are accepted both before and after the
-// experiment name — `ssbench -http :0 group` and `ssbench group -http :0`
+// experiment name — `ssbench -http :0 fig8` and `ssbench fig8 -http :0`
 // are equivalent — except for ownFlagCmds, whose trailing arguments are
 // returned unparsed. Returns the experiment name ("" when absent) and the
 // positional arguments that follow it.
@@ -136,9 +135,6 @@ func main() {
 		"fig6":        fig6,
 		"fig7":        fig7,
 		"fig8":        fig8,
-		"group":       groupBench,
-		"kernels":     kernelsBench,
-		"treebuild":   treebuildBench,
 		"analyze":     analyzeBench,
 		"switch":      switchBackplane,
 		"spec":        spec,
@@ -167,17 +163,16 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: ssbench [-quick] [-ledger DIR] [-trace FILE] [-metrics FILE] [-http ADDR] [-sample-every DUR] [-cpuprofile FILE] [-memprofile FILE] <table1|table2|...|fig8|group|kernels|treebuild|analyze|diff|faultsweep|trend|report|switch|spec|reliability|moore|all>")
+	fmt.Fprintln(os.Stderr, "usage: ssbench [-quick] [-ledger DIR] [-trace FILE] [-metrics FILE] [-http ADDR] [-sample-every DUR] [-cpuprofile FILE] [-memprofile FILE] <table1|table2|...|fig8|analyze|diff|faultsweep|trend|report|switch|spec|reliability|moore|all>")
 	fmt.Fprintln(os.Stderr, "       (global flags are accepted before or after the experiment name)")
-	fmt.Fprintln(os.Stderr, "       ssbench diff [flags] OLD.json NEW.json   (ANALYSIS.json or BENCH_treecode.json pairs)")
+	fmt.Fprintln(os.Stderr, "       ssbench diff [flags] OLD.json NEW.json   (two ANALYSIS.json reports)")
 	fmt.Fprintln(os.Stderr, "       ssbench diff -baseline [flags] NEW.json  (gate NEW against its ledger history)")
 	fmt.Fprintln(os.Stderr, "       ssbench trend [-ledger DIR] [-config DIGEST] [-last K] [-gate]   (per-metric history vs median/MAD baseline)")
 	fmt.Fprintln(os.Stderr, "       ssbench report [-ledger DIR] -html FILE   (static HTML dashboard of the ledger)")
 }
 
 // startLive starts the live-telemetry sampler over runObs and, when -http
-// is set, the exposition server. Without -http no sampler runs and the
-// bench record carries no live block.
+// is set, the exposition server. Without -http no sampler runs.
 func startLive() {
 	if *httpAddr == "" {
 		return
@@ -201,17 +196,6 @@ func startLive() {
 func stopLive() {
 	liveSampler.Stop()
 	liveServer.Close()
-}
-
-// liveDump takes a final sample and returns the sampler's retained series,
-// or nil when live telemetry is off — callers embed it as a bench-record
-// `live` block.
-func liveDump() *live.Dump {
-	if liveSampler == nil {
-		return nil
-	}
-	liveSampler.SampleNow()
-	return liveSampler.Dump()
 }
 
 // startProfiles begins host-side pprof capture when requested.

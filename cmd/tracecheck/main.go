@@ -1,11 +1,10 @@
 // Command tracecheck validates the observability artifacts the simulator
 // emits: a Chrome trace_event JSON file (-trace), a metrics snapshot JSON
-// file (-metrics), a trace-analysis report (-analysis), a treecode
-// benchmark record (-bench), a checkpoint-cadence sweep (-faultsweep),
-// and/or a run-ledger directory (-ledger). It exits nonzero with a
-// diagnostic when a file does not satisfy the expected schema, and prints a
-// one-line summary when it does. Used by `make ci` to smoke-test the
-// observability pipeline.
+// file (-metrics), a trace-analysis report (-analysis), a checkpoint-cadence
+// sweep (-faultsweep), and/or a run-ledger directory (-ledger). It exits
+// nonzero with a diagnostic when a file does not satisfy the expected
+// schema, and prints a one-line summary when it does. Used by `make ci` to
+// smoke-test the observability pipeline.
 package main
 
 import (
@@ -25,12 +24,11 @@ func main() {
 	trace := flag.String("trace", "", "Chrome trace_event JSON file to validate")
 	metrics := flag.String("metrics", "", "metrics snapshot JSON file to validate")
 	analysisPath := flag.String("analysis", "", "trace-analysis report (ANALYSIS.json) to validate")
-	bench := flag.String("bench", "", "treecode benchmark record (BENCH_treecode.json) to validate")
 	sweep := flag.String("faultsweep", "", "checkpoint-cadence sweep (FAULTSWEEP.json) to validate")
 	ledgerDir := flag.String("ledger", "", "run-ledger directory (.ssruns) to validate")
 	flag.Parse()
-	if *trace == "" && *metrics == "" && *analysisPath == "" && *bench == "" && *sweep == "" && *ledgerDir == "" {
-		fmt.Fprintln(os.Stderr, "usage: tracecheck [-trace FILE] [-metrics FILE] [-analysis FILE] [-bench FILE] [-faultsweep FILE] [-ledger DIR]")
+	if *trace == "" && *metrics == "" && *analysisPath == "" && *sweep == "" && *ledgerDir == "" {
+		fmt.Fprintln(os.Stderr, "usage: tracecheck [-trace FILE] [-metrics FILE] [-analysis FILE] [-faultsweep FILE] [-ledger DIR]")
 		os.Exit(2)
 	}
 	ok := true
@@ -42,9 +40,6 @@ func main() {
 	}
 	if *analysisPath != "" {
 		ok = checkAnalysis(*analysisPath) && ok
-	}
-	if *bench != "" {
-		ok = checkBench(*bench) && ok
 	}
 	if *sweep != "" {
 		ok = checkFaultsweep(*sweep) && ok
@@ -203,22 +198,14 @@ func efficiencyErr(rep *analysis.Report) error {
 	return nil
 }
 
-// checkAnalysis validates an ANALYSIS.json report: schema version, a
-// positive makespan fully accounted for by the critical path, nonnegative
+// checkAnalysis validates an ANALYSIS.json report: what analysis.ReadFile
+// requires (schema version, ranks, a positive makespan, a critical path),
+// then a makespan fully accounted for by the critical path, nonnegative
 // category attribution, consistent phase statistics, and sane utilization.
 func checkAnalysis(path string) bool {
 	rep, err := analysis.ReadFile(path)
 	if err != nil {
 		return fail(path, "%v", err)
-	}
-	if rep.SchemaVersion < 1 {
-		return fail(path, "schema_version %d < 1", rep.SchemaVersion)
-	}
-	if rep.Ranks <= 0 {
-		return fail(path, "ranks = %d", rep.Ranks)
-	}
-	if rep.MakespanSec <= 0 {
-		return fail(path, "makespan %g, want > 0", rep.MakespanSec)
 	}
 	if err := efficiencyErr(rep); err != nil {
 		return fail(path, "%v", err)
@@ -286,8 +273,10 @@ func checkAnalysis(path string) bool {
 			return fail(path, "faults: recovery verification recorded a divergent state")
 		}
 	}
-	if rep.Live != nil && !checkLive(path, rep.Live) {
-		return false
+	if rep.Live != nil {
+		if err := liveErr(rep.Live); err != nil {
+			return fail(path, "%v", err)
+		}
 	}
 	faultsNote := ""
 	if rep.Faults != nil {
@@ -301,17 +290,8 @@ func checkAnalysis(path string) bool {
 	return true
 }
 
-// checkLive validates a live-telemetry block in the artifact at path,
-// reporting the first violation liveErr finds.
-func checkLive(path string, d *live.Dump) bool {
-	if err := liveErr(d); err != nil {
-		return fail(path, "%v", err)
-	}
-	return true
-}
-
-// liveErr validates a live-telemetry block (shared by ANALYSIS.json and
-// BENCH_treecode.json): the sampler must have ticked, the retained host
+// liveErr validates the live-telemetry block of an ANALYSIS.json report:
+// the sampler must have ticked, the retained host
 // and virtual time columns must be monotone and equally long, every series
 // ring must be in lockstep with them, and the final progress view must be
 // internally consistent (fraction in [0,1], nonnegative counts, ETA either
@@ -455,212 +435,6 @@ func checkFaultsweep(path string) bool {
 	}
 	fmt.Printf("tracecheck: %s ok: schema v%d, %d ranks, %d cadences, %d scheduled crash(es), all bit-identical\n",
 		path, rep.SchemaVersion, rep.Ranks, len(rep.Entries), rep.ScheduledCrashes)
-	return true
-}
-
-// benchPhases mirrors htree.BuildPhases in the bench record.
-type benchPhases struct {
-	KeySec   float64 `json:"key_sec"`
-	SortSec  float64 `json:"sort_sec"`
-	BuildSec float64 `json:"build_sec"`
-	MergeSec float64 `json:"merge_sec"`
-}
-
-func (p benchPhases) sum() float64 { return p.KeySec + p.SortSec + p.BuildSec + p.MergeSec }
-func (p benchPhases) nonneg() bool {
-	return p.KeySec >= 0 && p.SortSec >= 0 && p.BuildSec >= 0 && p.MergeSec >= 0
-}
-
-// checkBench validates BENCH_treecode.json. Records at schema_version >= 3
-// with an engine comparison must embed both the metrics snapshot and the
-// trace-analysis summary. The schema version is the max over the optional
-// blocks present (see the groupReport history): exactly 4 requires the
-// treebuild block, >= 6 the live-telemetry (live) block, which is
-// validated by checkLive wherever it appears, and exactly 8 the
-// kernel-microbenchmark (kernels) block. A record may hold only the
-// treebuild or kernels block (written by `ssbench treebuild`/`ssbench
-// kernels` without a prior `group` run), in which case the
-// engine-comparison requirements do not apply. The `scale` block of old
-// records (version 5) is not read.
-func checkBench(path string) bool {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return fail(path, "%v", err)
-	}
-	var rep struct {
-		SchemaVersion int                  `json:"schema_version"`
-		N             int                  `json:"n"`
-		Results       []json.RawMessage    `json:"results"`
-		Metrics       *obs.MetricsSnapshot `json:"metrics"`
-		Analysis      *analysis.Summary    `json:"analysis"`
-		Treebuild     *struct {
-			N            int     `json:"n"`
-			MaxLeaf      int     `json:"max_leaf"`
-			SeedSeconds  float64 `json:"seed_seconds"`
-			BitIdentical bool    `json:"bit_identical"`
-			Entries      []struct {
-				Workers       int         `json:"workers"`
-				Seconds       float64     `json:"seconds"`
-				SpeedupVsSeed float64     `json:"speedup_vs_seed"`
-				Phases        benchPhases `json:"phases"`
-			} `json:"entries"`
-		} `json:"treebuild"`
-		Kernels *struct {
-			Sinks               int   `json:"sinks"`
-			Lengths             []int `json:"lengths"`
-			DefaultBitIdentical bool  `json:"default_bit_identical"`
-			Entries             []struct {
-				Kernel           string  `json:"kernel"`
-				Variant          string  `json:"variant"`
-				Precision        string  `json:"precision"`
-				Length           int     `json:"length"`
-				Sinks            int     `json:"sinks"`
-				NsPerInteraction float64 `json:"ns_per_interaction"`
-				InterPerSec      float64 `json:"interactions_per_sec"`
-			} `json:"entries"`
-		} `json:"kernels"`
-		Live       *live.Dump         `json:"live"`
-		Provenance *ledger.Provenance `json:"provenance"`
-	}
-	if err := json.Unmarshal(data, &rep); err != nil {
-		return fail(path, "not valid bench JSON: %v", err)
-	}
-	if rep.N <= 0 {
-		return fail(path, "missing workload description (n=%d)", rep.N)
-	}
-	if len(rep.Results) == 0 && rep.Treebuild == nil && rep.Kernels == nil {
-		return fail(path, "record holds neither engine results nor a benchmark block")
-	}
-	if rep.SchemaVersion == 4 && rep.Treebuild == nil {
-		return fail(path, "schema v%d record without a treebuild block", rep.SchemaVersion)
-	}
-	if rep.SchemaVersion == 6 && rep.Live == nil {
-		return fail(path, "schema v%d record without a live block", rep.SchemaVersion)
-	}
-	if rep.SchemaVersion == 8 && rep.Kernels == nil {
-		return fail(path, "schema v%d record without a kernels block", rep.SchemaVersion)
-	}
-	if rep.SchemaVersion >= 7 {
-		if rep.Provenance == nil {
-			return fail(path, "schema v%d record without a provenance block", rep.SchemaVersion)
-		}
-		if rep.Provenance.GoVersion == "" || rep.Provenance.ConfigDigest == "" {
-			return fail(path, "provenance block missing go_version or config_digest: %+v", rep.Provenance)
-		}
-	}
-	if rep.Live != nil && !checkLive(path, rep.Live) {
-		return false
-	}
-	if tb := rep.Treebuild; tb != nil {
-		if tb.N <= 0 || tb.MaxLeaf <= 0 {
-			return fail(path, "treebuild: missing workload description (n=%d, max_leaf=%d)", tb.N, tb.MaxLeaf)
-		}
-		if tb.SeedSeconds <= 0 {
-			return fail(path, "treebuild: seed_seconds %g, want > 0", tb.SeedSeconds)
-		}
-		if len(tb.Entries) == 0 {
-			return fail(path, "treebuild: no entries")
-		}
-		if !tb.BitIdentical {
-			return fail(path, "treebuild: record not bit-identical")
-		}
-		for i, e := range tb.Entries {
-			if e.Workers <= 0 || e.Seconds <= 0 {
-				return fail(path, "treebuild entry %d: workers=%d seconds=%g", i, e.Workers, e.Seconds)
-			}
-			if d := math.Abs(e.SpeedupVsSeed - tb.SeedSeconds/e.Seconds); d > 1e-6*e.SpeedupVsSeed {
-				return fail(path, "treebuild entry %d: speedup %g inconsistent with %g/%g",
-					i, e.SpeedupVsSeed, tb.SeedSeconds, e.Seconds)
-			}
-			if !e.Phases.nonneg() {
-				return fail(path, "treebuild entry %d: negative phase time %+v", i, e.Phases)
-			}
-			if s := e.Phases.sum(); s > e.Seconds*(1+1e-9)+1e-6 {
-				return fail(path, "treebuild entry %d: phase sum %g exceeds total %g", i, s, e.Seconds)
-			}
-		}
-	}
-	if kr := rep.Kernels; kr != nil {
-		if kr.Sinks <= 0 || len(kr.Lengths) == 0 {
-			return fail(path, "kernels: missing workload description (sinks=%d, %d lengths)", kr.Sinks, len(kr.Lengths))
-		}
-		if len(kr.Entries) == 0 {
-			return fail(path, "kernels: no entries")
-		}
-		if !kr.DefaultBitIdentical {
-			return fail(path, "kernels: a kernel width is not bit-identical to the scalar reference")
-		}
-		for i, e := range kr.Entries {
-			if e.Kernel != "body" && e.Kernel != "cell" {
-				return fail(path, "kernels entry %d: unknown kernel %q", i, e.Kernel)
-			}
-			// The kernel bodies a gravity.KernelISA names (the production
-			// kernel per width), the scalar Table 5 micro-kernels beside
-			// them, or the batched kernels of records written before the
-			// Newton reciprocal square root.
-			switch e.Variant {
-			case "go", "avx2", "avx512", "scalar-libm", "scalar-karp", "libm", "karp":
-			default:
-				return fail(path, "kernels entry %d: unknown variant %q", i, e.Variant)
-			}
-			// "float32": v8 records written before the mode was removed.
-			if e.Precision != "float64" && e.Precision != "float32" {
-				return fail(path, "kernels entry %d: unknown precision %q", i, e.Precision)
-			}
-			if e.Length <= 0 || e.Sinks <= 0 {
-				return fail(path, "kernels entry %d: length=%d sinks=%d", i, e.Length, e.Sinks)
-			}
-			if e.NsPerInteraction <= 0 {
-				return fail(path, "kernels entry %d: ns_per_interaction %g, want > 0", i, e.NsPerInteraction)
-			}
-			if d := math.Abs(e.InterPerSec - 1e9/e.NsPerInteraction); d > 1e-6*e.InterPerSec {
-				return fail(path, "kernels entry %d: interactions_per_sec %g inconsistent with 1e9/%g",
-					i, e.InterPerSec, e.NsPerInteraction)
-			}
-		}
-	}
-	// The engine-comparison blocks below only bind when the comparison ran.
-	if len(rep.Results) > 0 && rep.SchemaVersion >= 2 && rep.Metrics == nil {
-		return fail(path, "schema v%d record without embedded metrics", rep.SchemaVersion)
-	}
-	if len(rep.Results) > 0 && rep.SchemaVersion >= 3 {
-		a := rep.Analysis
-		if a == nil {
-			return fail(path, "schema v%d record without embedded analysis summary", rep.SchemaVersion)
-		}
-		if a.MakespanSec <= 0 || a.CriticalPathSec <= 0 {
-			return fail(path, "analysis summary not populated: %+v", a)
-		}
-		if d := math.Abs(a.CriticalPathSec - a.MakespanSec); d > 1e-6*a.MakespanSec {
-			return fail(path, "analysis critical path %g does not equal makespan %g",
-				a.CriticalPathSec, a.MakespanSec)
-		}
-		var catSum float64
-		for cat, v := range a.ByCategory {
-			if v < 0 {
-				return fail(path, "analysis category %q negative: %g", cat, v)
-			}
-			catSum += v
-		}
-		if d := math.Abs(catSum - a.CriticalPathSec); d > 1e-6*a.CriticalPathSec {
-			return fail(path, "analysis categories sum to %g, want %g", catSum, a.CriticalPathSec)
-		}
-	}
-	tbNote := ""
-	if rep.Treebuild != nil {
-		tbNote = fmt.Sprintf(", treebuild %d entries", len(rep.Treebuild.Entries))
-	}
-	if rep.Kernels != nil {
-		tbNote += fmt.Sprintf(", kernels %d entries", len(rep.Kernels.Entries))
-	}
-	if rep.Live != nil {
-		tbNote += fmt.Sprintf(", live block (%d samples, %d series)", rep.Live.Samples, len(rep.Live.Series))
-	}
-	if rep.Provenance != nil {
-		tbNote += fmt.Sprintf(", provenance (config %.12s)", rep.Provenance.ConfigDigest)
-	}
-	fmt.Printf("tracecheck: %s ok: schema v%d, n=%d, %d results, metrics=%v, analysis=%v%s\n",
-		path, rep.SchemaVersion, rep.N, len(rep.Results), rep.Metrics != nil, rep.Analysis != nil, tbNote)
 	return true
 }
 

@@ -69,7 +69,7 @@ func TestGroupedWithinPerBodyErrorRegime(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	perBody, _, _ := tr.AccelAll(0.5, eps, false)
+	perBody, _, _ := tr.AccelAll(0.5, eps)
 	rmsP := rmsAccErr(perBody, ref)
 
 	for _, p := range []int{1, 3} {

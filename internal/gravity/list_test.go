@@ -30,6 +30,21 @@ func cutSegments(rows []Source, cuts uint, empties bool) [][]Source {
 	return segs
 }
 
+// EvalListReference is the scalar evaluation — Multipole.AccelAt's
+// arithmetic per (cell, sink), cell by cell, plus the Go body loop over the
+// bodies as one segment — the oracle every body of the production kernels
+// is pinned bit-identical against.
+func EvalListReference(cells *MultipoleSoA, src *SoA, sx, sy, sz []float64, eps float64, ax, ay, az, pot []float64) {
+	eps2 := eps * eps
+	for ci := range cells.rows {
+		m := &cells.rows[ci]
+		for j := range sx {
+			ax[j], ay[j], az[j], pot[j] = m.addField(sx[j], sy[j], sz[j], eps2, ax[j], ay[j], az[j], pot[j])
+		}
+	}
+	bodyKernelGo([][]Source{src.rows}, sx, sy, sz, eps2, ax, ay, az, pot)
+}
+
 // checkList evaluates the reference list (cells by pointer, bodies as segs)
 // on a copy of s and requires the bits EvalListReference leaves on another.
 func checkList(t *testing.T, label string, s *laneSinks, cells *MultipoleSoA, src *SoA, segs [][]Source, eps float64) {

@@ -48,9 +48,6 @@ type BuildPhases struct {
 	MergeSec float64 `json:"merge_sec"`
 }
 
-// Total returns the summed phase time.
-func (p BuildPhases) Total() float64 { return p.KeySec + p.SortSec + p.BuildSec + p.MergeSec }
-
 // Arena holds every reusable buffer of the build pipeline: key and body
 // storage, radix-sort scratch, the cell slab and hash index, task lists,
 // and per-worker leaf scratch. Passing the same Arena to successive builds

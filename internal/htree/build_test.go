@@ -77,7 +77,7 @@ func TestBuildBitIdentical(t *testing.T) {
 	if err := ref.CheckInvariants(); err != nil {
 		t.Fatalf("reference invariants: %v", err)
 	}
-	refAcc, refPot, _ := ref.AccelAll(0.7, 0.01, false)
+	refAcc, refPot, _ := ref.AccelAll(0.7, 0.01)
 
 	for _, workers := range []int{1, 2, 4, 7} {
 		o := opt
@@ -90,7 +90,7 @@ func TestBuildBitIdentical(t *testing.T) {
 			t.Fatalf("workers=%d invariants: %v", workers, err)
 		}
 		sameTree(t, "workers", ref, tr)
-		acc, pot, _ := tr.AccelAll(0.7, 0.01, false)
+		acc, pot, _ := tr.AccelAll(0.7, 0.01)
 		for i := range acc {
 			if acc[i] != refAcc[i] || pot[i] != refPot[i] {
 				t.Fatalf("workers=%d: body %d acc/pot differ: %v/%v vs %v/%v",

@@ -63,7 +63,7 @@ func TestGroupedMatchesPerBodyWithinMACBound(t *testing.T) {
 	eps := 0.02
 	ref, _ := gravity.Direct(pos, mass, eps)
 	for _, theta := range []float64{0.4, 0.7, 1.0} {
-		accP, potP, stP := tr.AccelAll(theta, eps, false)
+		accP, potP, stP := tr.AccelAll(theta, eps)
 		accG, potG, stG := tr.AccelAllGrouped(theta, eps, false, gravity.Float64, 0)
 		rmsP := rmsErr(accP, ref)
 		rmsG := rmsErr(accG, ref)
@@ -101,7 +101,7 @@ func TestGroupedExactAtThetaZero(t *testing.T) {
 		t.Fatal(err)
 	}
 	eps := 0.05
-	accP, potP, _ := tr.AccelAll(0, eps, false)
+	accP, potP, _ := tr.AccelAll(0, eps)
 	accG, potG, stG := tr.AccelAllGrouped(0, eps, false, gravity.Float64, 1)
 	if stG.CellInteractions != 0 {
 		t.Fatalf("theta 0: grouped walk accepted %d cell interactions", stG.CellInteractions)

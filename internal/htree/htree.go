@@ -202,10 +202,8 @@ func AcceptMAC(d, bmax, theta float64) bool {
 // opening parameter theta and Plummer softening eps. Bodies exactly at p
 // (self-interaction) are skipped. The leaf loop repeats gravity's body
 // kernel for one sink, operation for operation, so that with no cell
-// accepted the per-body and the grouped walk agree bit for bit. The bool is
-// read by nothing (the Karp variant it selected is gone); it is retained
-// for bench/.
-func (t *Tree) Accel(p vec.V3, theta, eps float64, _ bool) (vec.V3, float64, WalkStats) {
+// accepted the per-body and the grouped walk agree bit for bit.
+func (t *Tree) Accel(p vec.V3, theta, eps float64) (vec.V3, float64, WalkStats) {
 	var acc vec.V3
 	var pot float64
 	var st WalkStats
@@ -254,13 +252,13 @@ func (t *Tree) Accel(p vec.V3, theta, eps float64, _ bool) (vec.V3, float64, Wal
 
 // AccelAll evaluates the field at every body, returning accelerations and
 // potentials indexed by the original body IDs, plus aggregate walk stats.
-func (t *Tree) AccelAll(theta, eps float64, _ bool) ([]vec.V3, []float64, WalkStats) {
+func (t *Tree) AccelAll(theta, eps float64) ([]vec.V3, []float64, WalkStats) {
 	n := len(t.Bodies)
 	acc := make([]vec.V3, n)
 	pot := make([]float64, n)
 	var total WalkStats
 	for i := range t.Bodies {
-		a, p, st := t.Accel(t.Bodies[i].Pos, theta, eps, false)
+		a, p, st := t.Accel(t.Bodies[i].Pos, theta, eps)
 		acc[t.Bodies[i].ID] = a
 		pot[t.Bodies[i].ID] = p
 		total.CellInteractions += st.CellInteractions

@@ -133,7 +133,7 @@ func TestTreeForceVsDirect(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		accT, potT, st := tr.AccelAll(tc.theta, eps, false)
+		accT, potT, st := tr.AccelAll(tc.theta, eps)
 		if st.CellInteractions == 0 {
 			t.Fatal("no cell interactions: MAC never accepted")
 		}
@@ -173,7 +173,7 @@ func TestTreeThetaZeroExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	accT, _, st := tr.AccelAll(0, eps, false)
+	accT, _, st := tr.AccelAll(0, eps)
 	accD, _ := gravity.Direct(pos, mass, eps)
 	if st.CellInteractions != 0 {
 		t.Fatalf("theta 0 should accept no cells, got %d", st.CellInteractions)
@@ -195,7 +195,7 @@ func TestTreeWorkScaling(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, _, st := tr.AccelAll(0.7, 0.01, false)
+		_, _, st := tr.AccelAll(0.7, 0.01)
 		return float64(st.CellInteractions+st.BodyInteractions) / float64(n)
 	}
 	w1, w2 := perBody(500), perBody(4000)
@@ -292,6 +292,6 @@ func BenchmarkAccelAll4k(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tr.AccelAll(0.7, 0.01, false)
+		tr.AccelAll(0.7, 0.01)
 	}
 }

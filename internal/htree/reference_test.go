@@ -3,29 +3,23 @@ package htree
 import (
 	"fmt"
 	"sort"
-	"time"
 
 	"spacesim/internal/gravity"
 	"spacesim/internal/key"
 	"spacesim/internal/vec"
 )
 
-// BuildReference is the seed serial construction path, kept as the A/B
-// baseline for the treebuild benchmark and as the oracle for bit-identity
-// tests: one-at-a-time keying, a comparison sort, and a recursive build
-// that allocates one map entry per cell and fresh pos/mass slices per leaf.
+// BuildReference is the seed serial construction path, the oracle of the
+// bit-identity tests: one-at-a-time keying, a comparison sort, and a
+// recursive build that allocates one map entry per cell and fresh pos/mass
+// slices per leaf, then converted into the flat store so the returned Tree
+// walks like any other.
 //
 // The one deviation from the original seed is the sort order: the seed used
 // an unstable key-only sort.Slice, which put coincident bodies (equal
 // Morton keys) in arbitrary order and perturbed leaf combine order. Both
 // this path and the pipeline order bodies by (Key, ID), so their trees —
 // and every derived float — are directly comparable bit for bit.
-//
-// Phases records keying/sorting/map-build as KeySec/SortSec/BuildSec; the
-// conversion of the cell map into the flat store (not part of the seed
-// algorithm, needed only so the returned Tree walks like any other) is
-// reported separately as MergeSec, letting the benchmark time the seed
-// algorithm alone as KeySec+SortSec+BuildSec.
 func BuildReference(pos []vec.V3, mass []float64, opt Options) (*Tree, error) {
 	if len(pos) != len(mass) {
 		return nil, fmt.Errorf("htree: %d positions but %d masses", len(pos), len(mass))
@@ -47,12 +41,10 @@ func BuildReference(pos []vec.V3, mass []float64, opt Options) (*Tree, error) {
 		forceSplit: opt.ForceSplit,
 	}
 
-	t0 := time.Now()
 	t.Bodies = make([]Body, len(pos))
 	for i := range pos {
 		t.Bodies[i] = Body{Pos: pos[i], Mass: mass[i], Key: key.FromPosition(pos[i], lo, size), ID: i}
 	}
-	t1 := time.Now()
 	sort.Slice(t.Bodies, func(i, j int) bool {
 		a, b := &t.Bodies[i], &t.Bodies[j]
 		return a.Key < b.Key || (a.Key == b.Key && a.ID < b.ID)
@@ -61,10 +53,8 @@ func BuildReference(pos []vec.V3, mass []float64, opt Options) (*Tree, error) {
 	for i := range t.Bodies {
 		t.src[i] = gravity.Source{Pos: t.Bodies[i].Pos, Mass: t.Bodies[i].Mass}
 	}
-	t2 := time.Now()
 	cells := make(map[key.K]*Cell, 2*len(pos)/opt.MaxLeaf+16)
 	refBuild(t, cells, key.Root, 0, len(t.Bodies))
-	t3 := time.Now()
 
 	// Convert the cell map into the flat store, pre-order from the root so
 	// the slab meets leaves in body order (what Leaves relies on), linking
@@ -87,14 +77,6 @@ func BuildReference(pos []vec.V3, mass []float64, opt Options) (*Tree, error) {
 	}
 	flatten(key.Root)
 	t.recordGroups(nil)
-	t4 := time.Now()
-
-	t.Phases = BuildPhases{
-		KeySec:   t1.Sub(t0).Seconds(),
-		SortSec:  t2.Sub(t1).Seconds(),
-		BuildSec: t3.Sub(t2).Seconds(),
-		MergeSec: t4.Sub(t3).Seconds(),
-	}
 	if opt.Obs != nil {
 		t.SetObs(opt.Obs)
 	}

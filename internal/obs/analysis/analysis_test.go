@@ -3,7 +3,9 @@ package analysis_test
 import (
 	"math"
 	"math/rand"
+	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"spacesim/internal/core"
@@ -346,7 +348,41 @@ func TestCriticalPathEqualsMakespan(t *testing.T) {
 	if out := rep.Render(); len(out) == 0 {
 		t.Fatal("empty render")
 	}
-	if s := rep.Summary(); s.CriticalPathSec != cp.TotalSec || s.MsgLatencyP99Sec <= 0 {
-		t.Fatalf("summary = %+v", s)
+}
+
+// ReadFile loads analysis reports only: a document that merely carries a
+// schema_version — an empty one, a checkpoint-cadence sweep, an old treecode
+// bench record — is refused with its path, so `ssbench diff` cannot pass two
+// of them as an empty diff.
+func TestReadFileRefusesOtherDocuments(t *testing.T) {
+	dir := t.TempDir()
+	rep, err := analysis.Analyze(handTrace(), handCluster(), analysis.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	good := filepath.Join(dir, "ANALYSIS.json")
+	if err := rep.WriteJSON(good); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := analysis.ReadFile(good); err != nil {
+		t.Fatalf("real report refused: %v", err)
+	}
+	for _, tc := range []struct{ name, doc string }{
+		{"empty", `{"schema_version": 3}`},
+		{"faultsweep", `{"schema_version": 1, "seed": 1, "ranks": 8, "bodies": 1024, "steps": 12,
+			"baseline_virtual_sec": 0.4, "scheduled_crashes": 1,
+			"entries": [{"interval_steps": 1, "crashes": 1, "attempts": 2, "bit_identical": true}]}`},
+		{"bench-v8", `{"schema_version": 8, "n": 32768, "theta": 0.7,
+			"results": [{"engine": "grouped", "workers": 1, "ns_per_interaction": 15.5}],
+			"analysis": {"makespan_sec": 12.5, "critical_path_sec": 12.5, "parallel_efficiency": 0.9},
+			"kernels": {"sinks": 64, "lengths": [16], "default_bit_identical": true}}`},
+	} {
+		path := filepath.Join(dir, tc.name+".json")
+		if err := os.WriteFile(path, []byte(tc.doc), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := analysis.ReadFile(path); err == nil || !strings.Contains(err.Error(), path) {
+			t.Errorf("%s: ReadFile error = %v, want a refusal naming %s", tc.name, err, path)
+		}
 	}
 }

@@ -17,7 +17,10 @@ func (r *Report) WriteJSON(path string) error {
 	return os.WriteFile(path, append(b, '\n'), 0o644)
 }
 
-// ReadFile loads a report written by WriteJSON.
+// ReadFile loads a report written by WriteJSON. Other JSON documents carry a
+// schema_version too (a checkpoint-cadence sweep, an old bench record), so a
+// report must also have ranks, a positive makespan and a critical path:
+// without them two files would compare as an empty, passing diff.
 func ReadFile(path string) (*Report, error) {
 	b, err := os.ReadFile(path)
 	if err != nil {
@@ -27,38 +30,17 @@ func ReadFile(path string) (*Report, error) {
 	if err := json.Unmarshal(b, &r); err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
-	if r.SchemaVersion < 1 {
+	switch {
+	case r.SchemaVersion < 1:
 		return nil, fmt.Errorf("%s: missing or bad schema_version", path)
+	case r.Ranks <= 0:
+		return nil, fmt.Errorf("%s: ranks = %d, not an analysis report", path, r.Ranks)
+	case r.MakespanSec <= 0:
+		return nil, fmt.Errorf("%s: makespan %g, not an analysis report", path, r.MakespanSec)
+	case r.CriticalPath.TotalSec <= 0:
+		return nil, fmt.Errorf("%s: no critical_path, not an analysis report", path)
 	}
 	return &r, nil
-}
-
-// Summary is the compact digest embedded into benchmark reports
-// (BENCH_treecode.json schema_version >= 3).
-type Summary struct {
-	MakespanSec        float64            `json:"makespan_sec"`
-	ParallelEfficiency float64            `json:"parallel_efficiency"`
-	IdleFraction       float64            `json:"idle_fraction"`
-	CriticalPathSec    float64            `json:"critical_path_sec"`
-	CriticalPathHops   int                `json:"critical_path_hops"`
-	ByCategory         map[string]float64 `json:"critical_path_by_category"`
-	MsgLatencyP99Sec   float64            `json:"msg_latency_p99_sec,omitempty"`
-}
-
-// Summary digests the report.
-func (r *Report) Summary() *Summary {
-	s := &Summary{
-		MakespanSec:        r.MakespanSec,
-		ParallelEfficiency: r.ParallelEfficiency,
-		IdleFraction:       r.IdleFraction,
-		CriticalPathSec:    r.CriticalPath.TotalSec,
-		CriticalPathHops:   r.CriticalPath.Hops,
-		ByCategory:         r.CriticalPath.ByCategory,
-	}
-	if h, ok := r.Histograms["mp.msg.latency_sec"]; ok {
-		s.MsgLatencyP99Sec = h.P99
-	}
-	return s
 }
 
 // Render formats the report for humans.

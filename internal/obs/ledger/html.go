@@ -174,7 +174,7 @@ var indexTmpl = template.Must(template.New("index").Parse(`<!doctype html>
 <title>{{.Title}}</title><style>` + dashCSS + `</style></head><body>
 <h1>{{.Title}}</h1>
 <p class="sub">Run ledger at <code>{{.Dir}}</code> — grouped by config digest and host; verdicts are robust median/MAD gates over each group's history.</p>
-{{if .Empty}}<div class="card"><p class="meta">No runs recorded yet. Run <code>ssbench -ledger {{.Dir}} -quick group</code> to append one.</p></div>{{end}}
+{{if .Empty}}<div class="card"><p class="meta">No runs recorded yet. Run <code>spacesim -ledger {{.Dir}} -report</code> to append one.</p></div>{{end}}
 {{range .Groups}}
 <div class="card">
   <h2>{{.Title}}</h2>

@@ -13,15 +13,15 @@ func dashboardStore(t *testing.T) (*Store, string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	art := []byte(`{"results":[],"schema_version":6,
+	art := []byte(`{"critical_path":{"total_sec":10},"makespan_sec":10,"schema_version":2,
 		"live":{"samples":3,"virtual_sec":[0,1,2],
 		        "series":[{"name":"progress.fraction","values":[0.1,0.5,1.0]}]}}`)
 	var lastID string
 	for _, mk := range []float64{10, 10.2, 9.9} {
-		id, err := s.Append(testRecord("group", map[string]float64{
-			"makespan_sec":       mk,
-			"ns_per_interaction": 16,
-		}), map[string][]byte{"BENCH_treecode.json": art})
+		id, err := s.Append(testRecord("analyze", map[string]float64{
+			"makespan_sec":        mk,
+			"parallel_efficiency": 0.9,
+		}), map[string][]byte{"ANALYSIS.json": art})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -81,7 +81,7 @@ func TestRunDetailAndBlobPages(t *testing.T) {
 	body := sb.String()
 	for _, want := range []string{
 		id,
-		"BENCH_treecode.json",
+		"ANALYSIS.json",
 		"progress.fraction", // live series sparkline on the detail page
 		"metrics vs group baseline",
 	} {
@@ -90,7 +90,7 @@ func TestRunDetailAndBlobPages(t *testing.T) {
 		}
 	}
 
-	blob, err := srv.Client().Get(srv.URL + "/runs/" + id + "/blob/BENCH_treecode.json")
+	blob, err := srv.Client().Get(srv.URL + "/runs/" + id + "/blob/ANALYSIS.json")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,5 +137,9 @@ func TestRenderIndexHTMLEmpty(t *testing.T) {
 	}
 	if !strings.Contains(sb.String(), "No runs recorded yet") {
 		t.Fatal("empty-ledger report missing empty state")
+	}
+	// The hint names a command that exists and writes a run record.
+	if !strings.Contains(sb.String(), "spacesim -ledger "+s.Dir+" -report") {
+		t.Fatal("empty-ledger report does not point to spacesim -report")
 	}
 }

@@ -8,10 +8,10 @@
 //   - build and host provenance (VCS revision and go version from
 //     runtime/debug.ReadBuildInfo, hostname, GOMAXPROCS — see Provenance),
 //   - the run's headline metrics extracted from its artifacts (virtual
-//     makespan, ns/interaction, tree-build speedup, ranks/sec, checkpoint
-//     overhead, peak RSS — see ExtractMetrics), and
+//     makespan, parallel efficiency, message latency, checkpoint overhead —
+//     see ExtractMetrics) plus the writer's own (Gflop/s, peak RSS), and
 //   - SHA-256 digests of the full artifacts (ANALYSIS.json,
-//     BENCH_treecode.json, ...) stored content-addressed under blobs/.
+//     FAULTSWEEP.json, ...) stored content-addressed under blobs/.
 //
 // The store is two pieces on disk:
 //
@@ -71,7 +71,7 @@ type Record struct {
 	// Metrics are the run's headline measurements (ExtractMetrics output
 	// plus writer-side extras such as peak_rss_bytes).
 	Metrics map[string]float64 `json:"metrics"`
-	// Artifacts maps artifact names (ANALYSIS.json, BENCH_treecode.json)
+	// Artifacts maps artifact names (ANALYSIS.json, FAULTSWEEP.json)
 	// to the SHA-256 of their bytes in the blob store.
 	Artifacts map[string]string `json:"artifacts,omitempty"`
 }

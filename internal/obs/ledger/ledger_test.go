@@ -22,14 +22,14 @@ func TestAppendAndRecordsRoundtrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	art := []byte(`{"results":[],"schema_version":3}`)
-	id1, err := s.Append(testRecord("group", map[string]float64{"makespan_sec": 1.5}),
-		map[string][]byte{"BENCH_treecode.json": art})
+	art := []byte(`{"critical_path":{},"makespan_sec":1.5,"schema_version":2}`)
+	id1, err := s.Append(testRecord("analyze", map[string]float64{"makespan_sec": 1.5}),
+		map[string][]byte{"ANALYSIS.json": art})
 	if err != nil {
 		t.Fatal(err)
 	}
-	id2, err := s.Append(testRecord("group", map[string]float64{"makespan_sec": 1.6}),
-		map[string][]byte{"BENCH_treecode.json": art})
+	id2, err := s.Append(testRecord("analyze", map[string]float64{"makespan_sec": 1.6}),
+		map[string][]byte{"ANALYSIS.json": art})
 	if err != nil {
 		t.Fatal(err)
 	}

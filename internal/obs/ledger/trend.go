@@ -33,23 +33,19 @@ type GateSpec struct {
 // Gates maps headline metrics to their specs. Virtual-time metrics are
 // deterministic per config digest, so their bands are tight (mirroring
 // analysis.DefaultThresholds); host-timed metrics wobble with machine load,
-// so their bands match the loose fracs the pairwise diff gates already use
-// (-treebuild-frac 0.35, -kernel-frac 0.5).
+// so their bands are loose. A metric without an entry — such as those of
+// records written by tools since deleted — is tracked, never gated.
 var Gates = map[string]GateSpec{
 	"makespan_sec":        {Frac: 0.10, Gated: true},
 	"parallel_efficiency": {Abs: 0.05, HigherBetter: true, Gated: true},
 	"msg_latency_p99_sec": {Frac: 0.50, Gated: true},
 	"gflops":              {Frac: 0.10, HigherBetter: true, Gated: true},
-	"ns_per_interaction":  {Frac: 0.50, Gated: true},
-	"treebuild_speedup":   {Frac: 0.35, HigherBetter: true, Gated: true},
 	"peak_rss_bytes":      {Frac: 0.50, Gated: true},
 	// Tracked, not gated: overhead depends on the fault schedule drawn.
 	"checkpoint_overhead_sec": {},
 	"lost_virtual_sec":        {},
 	"idle_fraction":           {},
 	"max_imbalance":           {},
-	"speedup_grouped_wn":      {},
-	"treebuild_seed_sec":      {},
 }
 
 // MetricTrend is one metric's history and verdict within a comparable

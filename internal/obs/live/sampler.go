@@ -28,8 +28,7 @@ import (
 	"spacesim/internal/obs"
 )
 
-// SchemaVersion stamps the live Dump block embedded in ANALYSIS.json and
-// BENCH_treecode.json.
+// SchemaVersion stamps the live Dump block embedded in ANALYSIS.json.
 //
 //	1 — host/virtual time columns, per-metric value series, progress view
 const SchemaVersion = 1
@@ -374,9 +373,8 @@ type SeriesDump struct {
 }
 
 // Dump is the exported state of the sampler: the retained window of every
-// series plus the progress view, embedded into ANALYSIS.json and the BENCH
-// live block on exit so the live view and the post-mortem view are the
-// same data.
+// series plus the progress view, embedded into ANALYSIS.json on exit so the
+// live view and the post-mortem view are the same data.
 type Dump struct {
 	SchemaVersion  int              `json:"schema_version"`
 	SampleEverySec float64          `json:"sample_every_sec"`
