@@ -74,13 +74,16 @@ fuzz-smoke:
 bench-e2e:
 	$(GO) run ./bench -seed 2 -runs 5
 
-# The one-rank budget in one command: BenchmarkComputeForcesSerial is bench/'s
+# The one-rank budget in one command: BenchmarkStep/serial is bench/'s
 # plummer-serial configuration (spacesim cannot be given MaxLeaf or Workers,
-# and its default profile differs), run under the CPU profiler and listed.
+# and its default profile differs), one whole step per iteration, run under
+# the CPU profiler and listed; then the split of the samples by `phase`
+# (decompose and tree-* beside walk and eval).
 profile-serial:
-	$(GO) test -run '^$$' -bench ComputeForcesSerial -benchtime 15x \
+	$(GO) test -run '^$$' -bench '^BenchmarkStep$$/^serial$$' -benchtime 15x \
 		-cpuprofile /tmp/spacesim-serial.pprof -o /tmp/spacesim-core.test ./internal/core
 	$(GO) tool pprof -top -nodecount 25 /tmp/spacesim-core.test /tmp/spacesim-serial.pprof
+	$(GO) tool pprof -tags -tagshow '^phase$$' /tmp/spacesim-core.test /tmp/spacesim-serial.pprof
 
 # The SPH budget in one command: BenchmarkCollapseStep is bench/'s
 # sph-collapse configuration (8000 particles, two workers), one Step() per

@@ -52,20 +52,22 @@ func BenchmarkComputeForcesSerial(b *testing.B) {
 	b.ReportMetric(c("core.pool.inline_jobs")/c("core.pool.jobs"), "inline-share")
 }
 
-// BenchmarkStep runs bench/'s two distributed configurations — dist8: 32768
-// Plummer bodies on 8 ranks in one switch module; dist64: 32768 cold-sphere
-// bodies on 64 ranks over four — with two pool workers a rank, every rank on
-// one engine thread and buckets of 16, through Run, one leapfrog step per
-// iteration: decomposition, tree build and branch exchange, walk and
-// kernels, all P times over on one host. The initial evaluation is inside
-// the timer, so b.N iterations are b.N+1 force evaluations and the reported
-// metrics are per evaluation: the sink groups walked and the MB allocated.
-// `make profile-dist8` and `make profile-dist64` profile them.
+// BenchmarkStep runs bench/'s three N-body configurations — serial: 32768
+// Plummer bodies on one rank with one pool worker; dist8: the same bodies on
+// 8 ranks in one switch module; dist64: 32768 cold-sphere bodies on 64 ranks
+// over four, both with two pool workers a rank — every rank on one engine
+// thread and buckets of 16, through Run, one leapfrog step per iteration:
+// decomposition, tree build and branch exchange, walk and kernels, all P
+// times over on one host. The initial evaluation is inside the timer, so b.N
+// iterations are b.N+1 force evaluations and the reported metrics are per
+// evaluation: the sink groups walked and the MB allocated. `make
+// profile-serial`, `make profile-dist8` and `make profile-dist64` profile
+// them.
 func BenchmarkStep(b *testing.B) {
 	for _, w := range []struct {
 		name, scenario string
-		procs          int
-	}{{"dist8", "plummer", 8}, {"dist64", "coldsphere", 64}} {
+		procs, workers int
+	}{{"serial", "plummer", 1, 1}, {"dist8", "plummer", 8, 2}, {"dist64", "coldsphere", 64, 2}} {
 		b.Run(w.name, func(b *testing.B) {
 			ics, err := MakeICs(w.scenario, 1, 32768)
 			if err != nil {
@@ -77,7 +79,7 @@ func BenchmarkStep(b *testing.B) {
 			b.ResetTimer()
 			res := Run(RunConfig{
 				Cluster: testCluster().WithObs(o), Procs: w.procs, Steps: b.N, EngineWorkers: 1,
-				Opt: Options{Theta: 0.7, Eps: 0.01, DT: 0.005, MaxLeaf: 16, Workers: 2},
+				Opt: Options{Theta: 0.7, Eps: 0.01, DT: 0.005, MaxLeaf: 16, Workers: w.workers},
 			}, ics)
 			b.StopTimer()
 			runtime.ReadMemStats(&after)

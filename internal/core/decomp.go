@@ -1,10 +1,12 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"slices"
 	"sort"
+	"sync"
 
 	"spacesim/internal/htree"
 	"spacesim/internal/key"
@@ -171,14 +173,55 @@ func splitterTable(samples [][]sample) []key.K {
 	return splitters
 }
 
+// bodySort is sortBodiesByKey's scratch, pooled because Decompose keeps no
+// state between calls.
+type bodySort struct {
+	sorter key.Sorter
+	keys   []key.K
+}
+
+var bodySorts = sync.Pool{New: func() any { return new(bodySort) }}
+
 // sortBodiesByKey orders bodies by (Key, ID): the stable composite order
 // keeps coincident bodies (equal Morton keys) in a deterministic sequence,
-// matching the (Key, original-index) order the tree build produces.
+// matching the (Key, original-index) order the tree build produces. The keys
+// are radix sorted (stable, so an already sorted array stays where it is),
+// the bodies moved into place along the permutation's cycles, and each run
+// of equal keys ordered by ID.
 func sortBodiesByKey(bodies []Body) {
-	sort.Slice(bodies, func(i, j int) bool {
-		a, b := &bodies[i], &bodies[j]
-		return a.Key < b.Key || (a.Key == b.Key && a.ID < b.ID)
-	})
+	n := len(bodies)
+	s := bodySorts.Get().(*bodySort)
+	defer bodySorts.Put(s)
+	s.keys = slices.Grow(s.keys[:0], n)[:n]
+	for i := range bodies {
+		s.keys[i] = bodies[i].Key
+	}
+	// Position j takes the body at perm[j]; a placed position is marked by
+	// perm[j] = j, so every body is copied once and a body in place never.
+	perm := s.sorter.SortPerm(s.keys, 1)
+	for i := range perm {
+		if perm[i] == int32(i) {
+			continue
+		}
+		held := bodies[i]
+		j := int32(i)
+		for perm[j] != int32(i) {
+			k := perm[j]
+			bodies[j], perm[j] = bodies[k], j
+			j = k
+		}
+		bodies[j], perm[j] = held, j
+	}
+	for lo := 0; lo < n; {
+		hi := lo + 1
+		for hi < n && bodies[hi].Key == bodies[lo].Key {
+			hi++
+		}
+		if hi-lo > 1 {
+			slices.SortStableFunc(bodies[lo:hi], func(a, b Body) int { return cmp.Compare(a.ID, b.ID) })
+		}
+		lo = hi
+	}
 }
 
 // Owner returns the rank owning a key under the given splitters.

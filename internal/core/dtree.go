@@ -162,6 +162,11 @@ func (dt *DTree) requestCell(i int32, st *TraversalStats, w *bucketWalker, resum
 		if _, res := dt.at(i); reply.Bodies != nil {
 			res.bodies = reply.Bodies
 		} else {
+			if dt.cells == nil && dt.local != nil {
+				// What a rank opens of its neighbours goes with its domain's
+				// surface; a rank that opens nothing (one rank) allocates nothing.
+				dt.cells = make([]cell, 0, 2*dt.local.NumCells())
+			}
 			res.child = int32(len(dt.top) + len(dt.cells)) // before the append moves res
 			for _, c := range reply.Children {
 				dt.cells = append(dt.cells, cell{cellInfo: c})
@@ -253,10 +258,6 @@ func BuildDistributed(r *mp.Rank, bodies []Body, splitters []key.K, boxLo vec.V3
 		return top
 	})
 	dt.over = make([]resident, len(dt.top))
-	if dt.local != nil {
-		// What a rank opens of its neighbours goes with its domain's surface.
-		dt.cells = make([]cell, 0, 2*dt.local.NumCells())
-	}
 	endMerge()
 	return dt
 }

@@ -205,7 +205,7 @@ func RunRecovered(cfg RecoveryConfig, ics []Body) (Result, RecoveryStats, error)
 		}
 		st.RestoredSteps = append(st.RestoredSteps, seg.startStep)
 		st.LostVirtualSec += lost
-		st.ReplayedSteps += maxInt(0, res.CompletedSteps-seg.startStep)
+		st.ReplayedSteps += max(0, res.CompletedSteps-seg.startStep)
 
 		// The crashed node reboots; its fired fault (and any crash or disk
 		// fault overtaken by the outage) is retired, and the surviving
@@ -276,11 +276,4 @@ func accumulate(master, res *Result, startStep int) {
 	master.Gflops = res.Gflops
 	master.MflopsPerProc = res.MflopsPerProc
 	master.CheckpointClocks = res.CheckpointClocks
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

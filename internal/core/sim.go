@@ -455,10 +455,3 @@ func diagnostics(r *mp.Rank, local []Body, pot []float64) Energies {
 		AngMom:    vec.V3{out[5], out[6], out[7]},
 	}
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

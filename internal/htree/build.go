@@ -268,8 +268,9 @@ func Build(pos []vec.V3, mass []float64, opt Options) (*Tree, error) {
 		mp := gravity.Combine(parts[:np]...)
 		cs.cells = append(cs.cells, Cell{
 			Key: sk.k, Mp: mp, N: sk.hi - sk.lo, Lo: sk.lo, Hi: sk.hi,
-			Bmax: maxDist2Sqrt(mp.COM, t.Bodies[sk.lo:sk.hi]), ChildMask: mask, kids: kids,
+			ChildMask: mask, kids: kids,
 		})
+		cs.cells[idx].Bmax = math.Sqrt(farthest2(t.Bodies, cs.cells, int(idx), mp.COM, 0))
 		cs.insert(idx)
 	}
 	t.store = *cs
@@ -439,21 +440,56 @@ func (bw *buildWorker) buildRange(t *Tree, k key.K, lo, hi int) {
 	c.ChildMask = mask
 	c.kids = kids
 	c.Mp = mp
-	// Bmax over all bodies below (exact, from the contiguous range).
-	c.Bmax = maxDist2Sqrt(mp.COM, t.Bodies[lo:hi])
+	c.Bmax = math.Sqrt(farthest2(t.Bodies, bw.cells, ci, mp.COM, 0))
 }
 
-// maxDist2Sqrt returns the max distance of the bodies from a point, scanning
-// squared distances and rooting once — bit-identical to a max over
-// vec.V3.Dist because math.Sqrt is monotone.
-func maxDist2Sqrt(from vec.V3, bodies []Body) float64 {
-	m := 0.0
-	for i := range bodies {
-		if d2 := bodies[i].Pos.Sub(from).Norm2(); d2 > m {
-			m = d2
+// bmaxMargin widens the bound on a daughter's bodies far beyond the few ulps
+// its rounded distances can be off, and pruneFloor is the running maximum
+// below which nothing is skipped: under it a square may have underflowed and
+// its error is absolute, not relative.
+const (
+	bmaxMargin = 1 + 1e-9
+	pruneFloor = 0x1p-900
+)
+
+// farthest2 returns the larger of m and the largest squared distance from c
+// of a body below cells[ci] (daughters at their relative links, Bmax already
+// set): bit for bit what a scan of the cell's whole body range finds. Every
+// body of daughter k lies within |c − COM_k| + Bmax_k of c, so daughters are
+// visited by that bound, largest first, and the first whose bound (widened
+// by bmaxMargin) squared is below the running maximum ends the visit: it and
+// every later daughter hold no farther body. Only the order of the scan
+// changes, and the maximum of a set does not depend on it.
+func farthest2(bodies []Body, cells []Cell, ci int, c vec.V3, m float64) float64 {
+	cl := &cells[ci]
+	if cl.Leaf {
+		for i := cl.Lo; i < cl.Hi; i++ {
+			if d2 := bodies[i].Pos.Sub(c).Norm2(); d2 > m {
+				m = d2
+			}
 		}
+		return m
 	}
-	return math.Sqrt(m)
+	var kid [8]int
+	var bound2 [8]float64
+	nk := 0
+	for ; nk < 8 && cl.kids[nk] != 0; nk++ {
+		k := ci + int(cl.kids[nk])
+		b := (cells[k].Mp.COM.Dist(c) + cells[k].Bmax) * bmaxMargin
+		// Insertion by descending bound; ties keep octant order.
+		j := nk
+		for ; j > 0 && bound2[j-1] < b*b; j-- {
+			kid[j], bound2[j] = kid[j-1], bound2[j-1]
+		}
+		kid[j], bound2[j] = k, b*b
+	}
+	for j := 0; j < nk; j++ {
+		if bound2[j] < m && m >= pruneFloor {
+			break
+		}
+		m = farthest2(bodies, cells, kid[j], c, m)
+	}
+	return m
 }
 
 // parallelRanges runs fn over an even partition of [0, n) on up to workers

@@ -132,16 +132,6 @@ func BoundingCube(pos []vec.V3) (lo vec.V3, size float64) {
 	return lo, size
 }
 
-func maxDist(from vec.V3, pos []vec.V3) float64 {
-	m := 0.0
-	for _, p := range pos {
-		if d := p.Dist(from); d > m {
-			m = d
-		}
-	}
-	return m
-}
-
 // Cell returns the cell stored under k, if any — the hash-table lookup at
 // the heart of the HOT scheme.
 func (t *Tree) Cell(k key.K) (*Cell, bool) {
@@ -272,9 +262,10 @@ func (t *Tree) AccelAll(theta, eps float64) ([]vec.V3, []float64, WalkStats) {
 // violation found: every cell holds N bodies over its range, the root's is
 // the body array and an internal cell's the span of its daughters' (so the
 // leaves partition the body array), every body's key lies in its leaf,
-// multipole masses match, child masks are consistent with the hash table and
-// daughter links with both, the kernel-form body array mirrors Bodies, and
-// every slab cell is reachable from the root.
+// every Bmax is its range's farthest body from the center of mass to the
+// bit, multipole masses match, child masks are consistent with the hash
+// table and daughter links with both, the kernel-form body array mirrors
+// Bodies, and every slab cell is reachable from the root.
 func (t *Tree) CheckInvariants() error {
 	root := t.Root()
 	if root.N != len(t.Bodies) || root.Lo != 0 || root.Hi != len(t.Bodies) {
@@ -290,6 +281,15 @@ func (t *Tree) CheckInvariants() error {
 		visited++
 		if c.N < 0 || c.N != c.Hi-c.Lo {
 			return fmt.Errorf("cell %v holds %d bodies over [%d,%d)", k, c.N, c.Lo, c.Hi)
+		}
+		bm2 := 0.0
+		for i := c.Lo; i < c.Hi; i++ {
+			if d2 := t.Bodies[i].Pos.Sub(c.Mp.COM).Norm2(); d2 > bm2 {
+				bm2 = d2
+			}
+		}
+		if c.Bmax != math.Sqrt(bm2) {
+			return fmt.Errorf("cell %v Bmax %v, but its farthest body is %v from its center of mass", k, c.Bmax, math.Sqrt(bm2))
 		}
 		if c.Leaf {
 			for i := c.Lo; i < c.Hi; i++ {

@@ -124,3 +124,15 @@ func refBuild(t *Tree, cells map[key.K]*Cell, k key.K, lo, hi int) *Cell {
 	c.Bmax = bm
 	return c
 }
+
+// maxDist is the reference's Bmax: the largest distance of pos from a point,
+// one square root per body.
+func maxDist(from vec.V3, pos []vec.V3) float64 {
+	m := 0.0
+	for _, p := range pos {
+		if d := p.Dist(from); d > m {
+			m = d
+		}
+	}
+	return m
+}

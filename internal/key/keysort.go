@@ -2,14 +2,15 @@ package key
 
 import (
 	"runtime"
+	"slices"
 	"sync"
 )
 
 // keysort.go implements a parallel least-significant-digit radix sort over
-// 64-bit Morton keys. It replaces the comparison sort in the tree build: a
-// Plummer sphere's key distribution is close to uniform over the high bits,
-// so the 8x8-bit counting passes beat sort.Slice by a wide margin and, unlike
-// it, are stable.
+// 64-bit Morton keys, the one key sort of the decomposition and the tree
+// build: a Plummer sphere's key distribution is close to uniform over the
+// high bits, so the 8x8-bit counting passes beat sort.Slice by a wide margin
+// and, unlike it, are stable.
 //
 // Determinism: the output permutation is a pure function of the input keys —
 // it does not depend on the worker count. Each pass splits the input into
@@ -50,6 +51,10 @@ type Sorter struct {
 // is identical for every worker count; it aliases internal scratch and is
 // valid until the next SortPerm call. Inputs are limited to n < 2^31 (ids
 // are int32, matching the tree's body-count limits).
+//
+// Keys that are already non-decreasing — the tree build's, whenever its
+// bodies come from a key-sorted decomposition — get the identity, which is
+// exactly the stable answer, without a radix pass.
 func (s *Sorter) SortPerm(keys []K, workers int) []int32 {
 	n := len(keys)
 	if workers < 1 {
@@ -61,7 +66,10 @@ func (s *Sorter) SortPerm(keys []K, workers int) []int32 {
 		s.perm = make([]int32, n)
 	}
 	s.a, s.b, s.perm = s.a[:n], s.b[:n], s.perm[:n]
-	if n == 0 {
+	if slices.IsSorted(keys) {
+		for i := range s.perm {
+			s.perm[i] = int32(i)
+		}
 		return s.perm
 	}
 

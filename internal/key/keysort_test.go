@@ -1,6 +1,7 @@
 package key
 
 import (
+	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
@@ -90,6 +91,45 @@ func TestSortPermAdversarial(t *testing.T) {
 		keys[i] = ^K(0) - K(rng.Intn(3))
 	}
 	checkPerm(t, "near-max", keys)
+}
+
+// TestSortPermSortedFastPath covers the already-sorted shortcut: sorted
+// keys, with and without ties, come back as the identity, and one inversion
+// at either end is enough to take the radix path and match the oracle.
+func TestSortPermSortedFastPath(t *testing.T) {
+	const n = 5000
+	identity := func(name string, keys []K) {
+		t.Helper()
+		for _, workers := range []int{1, 4} {
+			var s Sorter
+			for i, p := range s.SortPerm(keys, workers) {
+				if p != int32(i) {
+					t.Fatalf("%s workers=%d: perm[%d] = %d, want the identity", name, workers, i, p)
+				}
+			}
+		}
+		checkPerm(t, name, keys)
+	}
+	for _, m := range []int{0, 1} {
+		identity(fmt.Sprintf("n=%d", m), make([]K, m))
+	}
+	keys := make([]K, n)
+	for i := range keys {
+		keys[i] = K(i) << 30
+	}
+	identity("sorted", keys)
+	ties := make([]K, n)
+	for i := range ties {
+		ties[i] = K(i/7) << 11
+	}
+	identity("sorted-ties", ties)
+
+	end := append([]K(nil), keys...)
+	end[n-1], end[n-2] = end[n-2], end[n-1]
+	checkPerm(t, "inversion-at-end", end)
+	start := append([]K(nil), ties...)
+	start[0] = ties[n-1] + 1
+	checkPerm(t, "inversion-at-start", start)
 }
 
 func TestSortPermEmpty(t *testing.T) {

@@ -510,7 +510,7 @@ func (s *Sim) Diag() Diagnostics {
 	}
 	// central radial velocity: densest decile
 	sortByRho(dense)
-	top := dense[:maxInt(1, len(dense)/10)]
+	top := dense[:max(1, len(dense)/10)]
 	var vr, m float64
 	for _, e := range top {
 		i := e.i
@@ -542,13 +542,6 @@ func sortByRho(xs []rhoi) {
 	sort.Slice(xs, func(a, b int) bool {
 		return xs[a].rho > xs[b].rho || (xs[a].rho == xs[b].rho && xs[a].i < xs[b].i)
 	})
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // AngularMomentumByAngle bins the specific angular momentum |j| of mass by
