@@ -60,12 +60,14 @@ loc:
 # Ten seconds of native fuzzing on each target — the run configuration and
 # first body against core.Run, any bit pattern against the kernels'
 # reciprocal square root, any sphere, cell, theta and scale against a sink
-# group's acceptance test (offline; a failing input lands under the
-# package's testdata/fuzz/).
+# group's acceptance test, small particle sets against the two-pass density
+# oracle (offline; a failing input lands under the package's
+# testdata/fuzz/).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzRunConfig -fuzztime 10s ./internal/core
 	$(GO) test -run '^$$' -fuzz FuzzRsqrt -fuzztime 10s ./internal/gravity
 	$(GO) test -run '^$$' -fuzz FuzzBucketMAC -fuzztime 10s ./internal/htree
+	$(GO) test -run '^$$' -fuzz FuzzDensityScan -fuzztime 10s ./internal/sph
 
 # The BENCHMARK.json benchmark (bench/README.md) on the seed it holds back
 # for checking a claim, five fresh-process runs per workload. To judge a

@@ -1,8 +1,10 @@
 package sph
 
 import (
+	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -395,9 +397,10 @@ func TestRepeatedForcesWalkNothing(t *testing.T) {
 
 // BenchmarkCollapseStep is one Step() per iteration at the configuration of
 // bench/'s sph-collapse workload: 8000 particles, two workers. `make
-// profile-sph` profiles it. nbr/cand is the share of distance-tested bodies
-// that lay inside the support tested for, walks/leaf the ball searches per
-// leaf per step.
+// profile-sph` profiles it. nbr/cand is the share of distance tests that
+// found a body inside the support tested for, walks/leaf the ball searches
+// per leaf per step, refits/particle the particles per step whose support
+// outgrew the candidates their first scan kept.
 func BenchmarkCollapseStep(b *testing.B) {
 	s := NewRotatingCollapse(RotatingCollapseOptions{N: 8000, Omega: 0.3, PressureDeficit: 0.85, Seed: 1})
 	s.Cfg.Workers = 2
@@ -412,4 +415,312 @@ func BenchmarkCollapseStep(b *testing.B) {
 	c := func(name string) float64 { return float64(o.Reg.Counter(name).Value()) }
 	b.ReportMetric(c("sph.search.neighbors")/c("sph.search.candidates"), "nbr/cand")
 	b.ReportMetric(c("sph.search.walks")/float64(leaves), "walks/leaf")
+	b.ReportMetric(c("sph.search.refits")/float64(b.N*s.P.N()), "refits/particle")
+}
+
+// eachBucket calls visit once per leaf bucket of s.tree with the body ranges
+// of the leaf's ball search (Sim.search): in tree order on the caller's
+// goroutine, or with parallel set over Cfg.Workers goroutines. The tested and
+// found counts visit reports go to the sph.search counters.
+func (s *Sim) eachBucket(parallel bool, visit func(b *htree.Cell, cand []htree.BodyRange) (tested, found int)) {
+	s.fanOut(parallel, len(s.leaves), func(w *worker, li int) (int, int) {
+		return visit(s.leaves[li], s.search(w, li).ranges)
+	})
+}
+
+// twoPassDensity is the density pass before the single scan, the oracle of
+// UpdateDensity: two passes over the leaves, every particle testing every
+// candidate of its leaf's search at its current h in each. It leaves no
+// neighbour record current.
+func twoPassDensity(s *Sim) {
+	p := s.P
+	s.ensureTree()
+	if s.tree == nil {
+		return
+	}
+	clear(s.nbr)
+	bodies, src := s.tree.Bodies, s.tree.Sources()
+	eta := 0.5 * math.Cbrt(3*float64(s.Cfg.NNeighbors)/(4*math.Pi))
+	for pass := 0; pass < 2; pass++ {
+		s.eachBucket(true, func(b *htree.Cell, cand []htree.BodyRange) (tested, found int) {
+			for k := b.Lo; k < b.Hi; k++ {
+				i := bodies[k].ID
+				xi, h := src[k].Pos, p.H[i]
+				r2max := SupportRadius(h) * SupportRadius(h)
+				rho := 0.0
+				for _, rg := range cand {
+					tested += rg.Hi - rg.Lo
+					for kj := rg.Lo; kj < rg.Hi; kj++ {
+						sj := &src[kj]
+						dx, dy, dz := xi[0]-sj.Pos[0], xi[1]-sj.Pos[1], xi[2]-sj.Pos[2]
+						if r2 := dx*dx + dy*dy + dz*dz; r2 <= r2max {
+							found++
+							rho += sj.Mass * W(math.Sqrt(r2), h)
+						}
+					}
+				}
+				p.Rho[i] = rho
+				p.H[i] = eta * math.Cbrt(p.Mass[i]/rho)
+			}
+			return tested, found
+		})
+	}
+	for i := range p.Pos {
+		p.P[i] = s.Cfg.EOS.Pressure(p.Rho[i], p.U[i])
+		p.Cs[i] = s.Cfg.EOS.SoundSpeed(p.Rho[i], p.U[i])
+	}
+}
+
+// twoPassNeighbours is the FLD gather's candidate scan before the records,
+// their oracle: every particle tests every candidate of its leaf's search at
+// its h, and what lies inside its support becomes its record, current on
+// this tree. It returns the diffusion coefficients that scan computed.
+func twoPassNeighbours(s *Sim) []float64 {
+	p, cfg := s.P, s.Cfg
+	diffD := make([]float64, p.N())
+	s.ensureTree()
+	if s.tree == nil {
+		return diffD
+	}
+	bodies, src := s.tree.Bodies, s.tree.Sources()
+	s.eachBucket(true, func(b *htree.Cell, cand []htree.BodyRange) (tested, found int) {
+		for k := b.Lo; k < b.Hi; k++ {
+			i := bodies[k].ID
+			xi, h := src[k].Pos, p.H[i]
+			r2max := SupportRadius(h) * SupportRadius(h)
+			e := p.Rho[i] * p.Enu[i]
+			rec := nbrList{gen: s.gen, h: h}
+			var grad vec.V3
+			for _, rg := range cand {
+				tested += rg.Hi - rg.Lo
+				for kj := rg.Lo; kj < rg.Hi; kj++ {
+					sj := &src[kj]
+					rij := vec.V3{xi[0] - sj.Pos[0], xi[1] - sj.Pos[1], xi[2] - sj.Pos[2]}
+					r2 := rij[0]*rij[0] + rij[1]*rij[1] + rij[2]*rij[2]
+					if r2 > r2max {
+						continue
+					}
+					rec.found++
+					if r2 == 0 {
+						continue
+					}
+					rec.src = append(rec.src, int32(kj))
+					j := bodies[kj].ID
+					r := math.Sqrt(r2)
+					ej := p.Rho[j] * p.Enu[j]
+					grad = grad.AddScaled(sj.Mass/p.Rho[j]*(ej-e)*DW(r, h)/r, rij)
+				}
+			}
+			s.nbr[k] = rec
+			found += rec.found
+			if cfg.FLD != nil {
+				diffD[i] = cfg.FLD.DiffusionCoeff(p.Rho[i], e, grad.Norm())
+			}
+		}
+		return tested, found
+	})
+	return diffD
+}
+
+// atState returns a Sim over a copy of p with nothing computed from it yet:
+// NewSim's density pass runs on another copy, and the tree it built is
+// dropped, so the next pass builds one and searches every leaf from scratch.
+func atState(cfg Config, p *Particles, workers int) *Sim {
+	cfg.Workers = workers
+	s := NewSim(cfg, cloneParticles(p))
+	s.P, s.tree = cloneParticles(p), nil
+	return s
+}
+
+// sameBits reports the first index at which two float slices differ bit for
+// bit, or -1.
+func sameBits(a, b []float64) int {
+	if len(a) != len(b) {
+		return 0
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return i
+		}
+	}
+	return -1
+}
+
+// matchOracle checks that two Sims at one state, s after the single-scan
+// path and o after the oracle's (twoPassDensity, twoPassNeighbours, whose
+// diffusion coefficients are diffD, then computeForces), agree bit for bit:
+// rho, h, P, Cs, every neighbour record, and the forces.
+func matchOracle(t *testing.T, what string, s, o *Sim, diffD []float64) {
+	t.Helper()
+	for _, f := range []struct {
+		name string
+		a, b []float64
+	}{
+		{"rho", s.P.Rho, o.P.Rho}, {"h", s.P.H, o.P.H}, {"P", s.P.P, o.P.P}, {"Cs", s.P.Cs, o.P.Cs},
+		{"dudt", s.dudt, o.dudt}, {"dnu", s.dnu, o.dnu}, {"diffD", s.diffD, diffD},
+	} {
+		if i := sameBits(f.a, f.b); i >= 0 {
+			t.Fatalf("%s: %s differs from the two-pass oracle's at %d", what, f.name, i)
+		}
+	}
+	for i := range s.acc {
+		if s.acc[i] != o.acc[i] {
+			t.Fatalf("%s: acc[%d] %v, two-pass oracle %v", what, i, s.acc[i], o.acc[i])
+		}
+	}
+	if s.maxDiffOverH2 != o.maxDiffOverH2 {
+		t.Fatalf("%s: max D/h^2 %v, two-pass oracle %v", what, s.maxDiffOverH2, o.maxDiffOverH2)
+	}
+	if s.tree == nil {
+		return
+	}
+	for k := range s.tree.Bodies {
+		got, want := s.nbr[k], o.nbr[k]
+		if got.gen != s.gen || got.h != s.P.H[s.tree.Bodies[k].ID] {
+			t.Fatalf("%s: record %d is stale after the force pass", what, k)
+		}
+		if got.found != want.found || !slices.Equal(got.src, want.src) {
+			t.Fatalf("%s: record %d holds %d found, %v; two-pass oracle %d, %v",
+				what, k, got.found, got.src, want.found, want.src)
+		}
+	}
+}
+
+// oracleStep runs the oracle path on o: the two-pass density, then the
+// candidate scan, then the force pass on the records it made.
+func oracleStep(o *Sim) []float64 {
+	twoPassDensity(o)
+	diffD := twoPassNeighbours(o)
+	o.computeForces()
+	return diffD
+}
+
+// The single scan and its records give what two full passes and a scan per
+// force pass give, bit for bit, for any worker count: on a collapse in
+// progress, on tiny and coincident sets, and with every smoothing length
+// halved (most supports outgrow the first search: the refit path) or
+// doubled.
+func TestSingleScanMatchesTwoPass(t *testing.T) {
+	base := NewRotatingCollapse(RotatingCollapseOptions{N: 500, Omega: 0.3, PressureDeficit: 0.85, Seed: 4})
+	for i := 0; i < 3; i++ {
+		base.Step()
+	}
+	scaled := func(f float64) *Particles {
+		p := cloneParticles(base.P)
+		for i := range p.H {
+			p.H[i] *= f
+		}
+		return p
+	}
+	a := vec.V3{0.5, 0.25, -0.125}
+	pile := make([]vec.V3, 50)
+	for i := range pile {
+		pile[i] = a
+	}
+	type state struct {
+		name      string
+		cfg       Config
+		p         *Particles
+		minRefits int64
+	}
+	states := []state{
+		{"collapse", base.Cfg, base.P, 0},
+		{"h halved", base.Cfg, scaled(0.5), 100},
+		{"h doubled", base.Cfg, scaled(2), 0},
+	}
+	for _, pos := range [][]vec.V3{nil, {a}, {a, {-0.5, 0.75, 0.375}}, {a, {-0.5, 0.75, 0.375}, a}, pile} {
+		s := tinySim(pos)
+		states = append(states, state{fmt.Sprintf("%d particles", len(pos)), s.Cfg, s.P, 0})
+	}
+	for _, st := range states {
+		for _, workers := range []int{1, 2, 4, 7} {
+			what := fmt.Sprintf("%s, workers=%d", st.name, workers)
+			s, o := atState(st.cfg, st.p, workers), atState(st.cfg, st.p, workers)
+			obsS := obs.New(false)
+			s.SetObs(obsS)
+			s.UpdateDensity()
+			s.computeForces()
+			diffD := oracleStep(o)
+			matchOracle(t, what, s, o, diffD)
+			if got := obsS.Reg.Counter("sph.search.refits").Value(); got < st.minRefits {
+				t.Fatalf("%s: %d refits, want the refit path taken at least %d times", what, got, st.minRefits)
+			}
+		}
+	}
+}
+
+// A record is trusted only while it is current: whatever a caller does
+// between the density pass and the force pass, the forces are the oracle's
+// bit for bit.
+func TestStaleRecordsMatchTwoPass(t *testing.T) {
+	base := collapseState(t)
+	for _, tc := range []struct {
+		name string
+		// between runs after the density pass and before the force pass.
+		between func(s *Sim)
+		// density and forces are the passes run at either end.
+		density func(s *Sim)
+		forces  func(s *Sim)
+	}{
+		{name: "one h raised", between: func(s *Sim) { s.P.H[17] *= 1.4 }},
+		{name: "one particle moved", between: func(s *Sim) {
+			s.P.Pos[42] = s.P.Pos[42].Add(vec.V3{-0.03, 0.02, 0.04})
+		}},
+		{name: "density twice", density: func(s *Sim) { s.UpdateDensity(); s.UpdateDensity() }},
+		{name: "forces twice", forces: func(s *Sim) { s.computeForces(); s.computeForces() }},
+	} {
+		for _, workers := range []int{1, 3} {
+			what := fmt.Sprintf("%s, workers=%d", tc.name, workers)
+			s, o := atState(base.Cfg, base.P, workers), atState(base.Cfg, base.P, workers)
+			if tc.density != nil {
+				tc.density(s)
+				twoPassDensity(o)
+				twoPassDensity(o)
+			} else {
+				s.UpdateDensity()
+				twoPassDensity(o)
+			}
+			if tc.between != nil {
+				tc.between(s)
+				tc.between(o)
+			}
+			if tc.forces != nil {
+				tc.forces(s)
+			} else {
+				s.computeForces()
+			}
+			diffD := twoPassNeighbours(o)
+			o.computeForces()
+			matchOracle(t, what, s, o, diffD)
+		}
+	}
+}
+
+// FuzzDensityScan runs small particle sets through the single scan and the
+// two-pass oracle: each three bytes are a particle on a lattice of spacing
+// 1/64 (so coincident particles are common), hExp scales every smoothing
+// length by 2^(hExp/16) before the passes.
+func FuzzDensityScan(f *testing.F) {
+	a, b := []byte{32, 16, 0xf8}, []byte{0xe0, 48, 24} // TestTinyAndCoincidentSets' a and b
+	for _, seed := range [][]byte{nil, a, slices.Concat(a, b), slices.Concat(a, a), slices.Concat(a, b, a)} {
+		f.Add(seed, int8(0))
+	}
+	f.Add(slices.Concat(a, b, a), int8(-40))
+	f.Fuzz(func(t *testing.T, coords []byte, hExp int8) {
+		pos := make([]vec.V3, min(len(coords)/3, 64))
+		for i := range pos {
+			for d := 0; d < 3; d++ {
+				pos[i][d] = float64(int8(coords[3*i+d])) / 64
+			}
+		}
+		base := tinySim(pos)
+		for i := range base.P.H {
+			base.P.H[i] *= math.Exp2(float64(hExp) / 16)
+		}
+		s, o := atState(base.Cfg, base.P, 2), atState(base.Cfg, base.P, 2)
+		s.UpdateDensity()
+		s.computeForces()
+		diffD := oracleStep(o)
+		matchOracle(t, "fuzzed set", s, o, diffD)
+	})
 }

@@ -78,38 +78,48 @@ type Sim struct {
 	maxDiffOverH2 float64
 
 	// tree is the one tree over the particle positions (see ensureTree), nil
-	// when there are no particles. arena holds its reusable build storage so
-	// per-step rebuilds stop allocating. leaves are its leaf buckets in tree
-	// order and searched[i] the last ball search of leaves[i] (eachLeaf);
-	// work holds the state of each pass goroutine.
+	// when there are no particles, and gen counts the trees built. arena
+	// holds its reusable build storage so per-step rebuilds stop allocating.
+	// leaves are its leaf buckets in tree order and searched[i] the last ball
+	// search of leaves[i] (search); work holds the state of each pass
+	// goroutine.
 	tree     *htree.Tree
+	gen      uint64
 	arena    htree.Arena
 	leaves   []*htree.Cell
 	searched []leafSearch
 	work     []worker
 
+	// nbr[k] is the neighbour record of particle tree.Bodies[k].ID, made by
+	// UpdateDensity or, when stale, by computeForces' FLD gather.
+	nbr []nbrList
+
 	// computeForces' per-step state, kept for its capacity: the diffusion
-	// coefficients; per tree position k, the source indices inside the
-	// support of particle Bodies[k].ID (itself and bodies on top of it
-	// excluded) that the FLD gather found; per leaf, the pairs evaluated from
-	// its particles' side.
+	// coefficients; per leaf, the pairs evaluated from its particles' side.
 	diffD []float64
-	nbr   [][]int32
 	pairs [][]pairRec
 
 	// observation handles (no-ops until SetObs).
 	o      *obs.Obs
 	tr     *obs.Track
 	cSteps *obs.Counter
-	// cCand counts the bodies the neighbour search distance-tested, cNbr
-	// those inside the support tested for: their ratio is the share of the
-	// search's work that was useful. cWalks counts the leaf ball searches.
-	cCand, cNbr, cWalks *obs.Counter
-	prog                *obs.Progress
+	// cCand counts the neighbour search's distance tests: one per candidate
+	// a scan of a leaf's search tested and one per entry of a kept run that
+	// a density iteration or a record read; the FLD gather tests nothing for
+	// a particle whose record is current, and the pair pass one per entry of
+	// the record. cNbr counts the bodies inside the support tested for, once
+	// per density iteration, FLD gather and evaluated pair: the ratio is the
+	// share of the search's work that was useful. cWalks counts the leaf
+	// ball searches, cRefits the candidate scans beyond a particle's first
+	// of a density pass: those whose support outgrew their kept run after
+	// the first iteration, and those the FLD gather records again because
+	// their record is stale.
+	cCand, cNbr, cWalks, cRefits *obs.Counter
+	prog                         *obs.Progress
 }
 
 // SetObs attaches an observation handle: a step counter, the neighbour
-// search's walk, candidate and neighbour counters, the run-progress
+// search's walk, refit, candidate and neighbour counters, the run-progress
 // publisher, and, when the tracer is enabled, a host-time row with the
 // per-step phase spans (SPH runs on the host, not inside the virtual machine
 // model).
@@ -119,6 +129,7 @@ func (s *Sim) SetObs(o *obs.Obs) {
 	s.cCand = o.Reg.Counter("sph.search.candidates")
 	s.cNbr = o.Reg.Counter("sph.search.neighbors")
 	s.cWalks = o.Reg.Counter("sph.search.walks")
+	s.cRefits = o.Reg.Counter("sph.search.refits")
 	s.prog = o.Progress()
 	if o.Tracer != nil {
 		s.tr = o.Tracer.Track(obs.PidHost, 2, "sph sim")
@@ -144,7 +155,7 @@ func NewSim(cfg Config, p *Particles) *Sim {
 	s.dudt = make([]float64, n)
 	s.dnu = make([]float64, n)
 	s.diffD = make([]float64, n)
-	s.nbr = make([][]int32, n)
+	s.nbr = make([]nbrList, n)
 	if len(p.H) == 0 && n > 0 {
 		p.H = make([]float64, n)
 		// initial guess from mean interparticle spacing
@@ -164,9 +175,18 @@ func NewSim(cfg Config, p *Particles) *Sim {
 }
 
 // UpdateDensity recomputes smoothing lengths (two fixed-point iterations
-// toward the target neighbor count) and densities. Each particle gathers
-// within its own support 2h and writes only its own rho and h, so the
-// buckets run on Cfg.Workers goroutines.
+// toward the target neighbor count) and densities, and records each
+// particle's neighbours at the final h for the force pass. Each particle
+// gathers within its own support 2h and writes only its own rho, h and
+// record, so the buckets run on Cfg.Workers goroutines.
+//
+// A particle tests the candidates of its leaf's search once: the first
+// iteration keeps those within the search's support, and the second
+// iteration and the record read the kept run. A particle whose new support
+// outgrows its run after the first iteration scans again, against the one
+// search of its leaf at the leaf's largest new support; one whose final
+// support outgrows it is left without a record, for computeForces to search
+// as it would any stale one.
 func (s *Sim) UpdateDensity() {
 	defer s.span("density")()
 	p := s.P
@@ -175,35 +195,50 @@ func (s *Sim) UpdateDensity() {
 	if s.tree == nil {
 		return
 	}
-	bodies, src := s.tree.Bodies, s.tree.Sources()
+	bodies := s.tree.Bodies
 	// support 2h holds NN neighbors: (4pi/3)(2h)^3 rho/m = NN
 	eta := 0.5 * math.Cbrt(3*float64(s.Cfg.NNeighbors)/(4*math.Pi))
+	for w := range s.work {
+		s.work[w].nbr = s.work[w].nbr[:0]
+	}
 	phase("density", func() {
-		for pass := 0; pass < 2; pass++ {
-			s.eachBucket(true, func(b *htree.Cell, cand []htree.BodyRange) (tested, found int) {
-				for k := b.Lo; k < b.Hi; k++ {
-					i := bodies[k].ID
-					xi, h := src[k].Pos, p.H[i]
-					r2max := SupportRadius(h) * SupportRadius(h)
-					rho := 0.0
-					for _, rg := range cand {
-						tested += rg.Hi - rg.Lo
-						for kj := rg.Lo; kj < rg.Hi; kj++ {
-							sj := &src[kj]
-							dx, dy, dz := xi[0]-sj.Pos[0], xi[1]-sj.Pos[1], xi[2]-sj.Pos[2]
-							if r2 := dx*dx + dy*dy + dz*dz; r2 <= r2max {
-								found++
-								rho += sj.Mass * W(math.Sqrt(r2), h)
-							}
-						}
-					}
-					p.Rho[i] = rho
-					// adaptive h: the kernel support 2h encloses ~NNeighbors
-					p.H[i] = eta * math.Cbrt(p.Mass[i]/rho)
+		s.fanOut(true, len(s.leaves), func(w *worker, li int) (tested, found int) {
+			b := s.leaves[li]
+			w.kept, w.runs = w.kept[:0], w.runs[:0]
+			c := s.search(w, li)
+			for k := b.Lo; k < b.Hi; k++ {
+				i := bodies[k].ID
+				r, nt := s.keep(w, k, c.ranges, c.support)
+				rho, nr, nf := s.density(w.kept[r.lo:r.hi], p.H[i])
+				tested, found = tested+nt+nr, found+nf
+				p.Rho[i] = rho
+				// adaptive h: the kernel support 2h encloses ~NNeighbors
+				p.H[i] = eta * math.Cbrt(p.Mass[i]/rho)
+				w.runs = append(w.runs, r)
+			}
+			c = s.search(w, li)
+			refits := 0
+			for k := b.Lo; k < b.Hi; k++ {
+				i, r := bodies[k].ID, &w.runs[k-b.Lo]
+				if !(SupportRadius(p.H[i]) <= r.cover) {
+					var nt int
+					*r, nt = s.keep(w, k, c.ranges, c.support)
+					tested += nt
+					refits++
 				}
-				return tested, found
-			})
-		}
+				rho, nr, nf := s.density(w.kept[r.lo:r.hi], p.H[i])
+				tested, found = tested+nr, found+nf
+				p.Rho[i] = rho
+				p.H[i] = eta * math.Cbrt(p.Mass[i]/rho)
+				s.nbr[k] = nbrList{}
+				if SupportRadius(p.H[i]) <= r.cover {
+					s.nbr[k] = s.record(w, w.kept[r.lo:r.hi], p.H[i])
+					tested += r.hi - r.lo
+				}
+			}
+			s.cRefits.Add(int64(refits))
+			return tested, found
+		})
 	})
 	for i := 0; i < n; i++ {
 		p.P[i] = s.Cfg.EOS.Pressure(p.Rho[i], p.U[i])
@@ -231,52 +266,53 @@ func (s *Sim) computeForces() {
 	bodies, src := s.tree.Bodies, s.tree.Sources()
 
 	// The FLD gather: energy density and limited diffusion coefficient, a
-	// gather over each particle's own support like the density pass. It runs
-	// without FLD too, because it records every particle's neighbours at the
-	// final h for the pair pass.
+	// gather over each particle's own support like the density iterations,
+	// over the neighbours UpdateDensity recorded at the final h. A particle
+	// whose record is stale (the tree or its h changed since, or its final
+	// support outgrew its kept run) is recorded again from its leaf's search
+	// first. The pair pass reads the same records.
 	diffD := s.diffD
 	clear(diffD)
 	for w := range s.work {
-		s.work[w].nbr, s.work[w].pairs = s.work[w].nbr[:0], s.work[w].pairs[:0]
+		s.work[w].pairs = s.work[w].pairs[:0]
 	}
 	phase("fld", func() {
-		s.eachLeaf(true, func(w *worker, b *htree.Cell, cand []htree.BodyRange) (tested, found int) {
+		s.fanOut(true, len(s.leaves), func(w *worker, li int) (tested, found int) {
+			b := s.leaves[li]
+			var c *leafSearch
+			refits := 0
 			for k := b.Lo; k < b.Hi; k++ {
 				i := bodies[k].ID
 				xi, h := src[k].Pos, p.H[i]
-				r2max := SupportRadius(h) * SupportRadius(h)
+				nb := &s.nbr[k]
+				if nb.gen != s.gen || nb.h != h {
+					if c == nil {
+						c = s.search(w, li)
+					}
+					w.kept = w.kept[:0]
+					r, nt := s.keep(w, k, c.ranges, SupportRadius(h))
+					*nb = s.record(w, w.kept[r.lo:r.hi], h)
+					tested += nt + r.hi - r.lo
+					refits++
+				}
+				found += nb.found
+				if cfg.FLD == nil {
+					continue
+				}
 				e := p.Rho[i] * p.Enu[i]
-				lo := len(w.nbr)
 				// gradient magnitude estimate via SPH
 				var grad vec.V3
-				for _, rg := range cand {
-					tested += rg.Hi - rg.Lo
-					for kj := rg.Lo; kj < rg.Hi; kj++ {
-						sj := &src[kj]
-						rij := vec.V3{xi[0] - sj.Pos[0], xi[1] - sj.Pos[1], xi[2] - sj.Pos[2]}
-						r2 := rij[0]*rij[0] + rij[1]*rij[1] + rij[2]*rij[2]
-						if r2 > r2max {
-							continue
-						}
-						found++
-						if r2 == 0 { // the particle itself, or one on top of it
-							continue
-						}
-						w.nbr = append(w.nbr, int32(kj))
-						if cfg.FLD == nil {
-							continue
-						}
-						j := bodies[kj].ID
-						r := math.Sqrt(r2)
-						ej := p.Rho[j] * p.Enu[j]
-						grad = grad.AddScaled(sj.Mass/p.Rho[j]*(ej-e)*DW(r, h)/r, rij)
-					}
+				for _, kj := range nb.src {
+					sj := &src[kj]
+					rij := vec.V3{xi[0] - sj.Pos[0], xi[1] - sj.Pos[1], xi[2] - sj.Pos[2]}
+					r := math.Sqrt(rij[0]*rij[0] + rij[1]*rij[1] + rij[2]*rij[2])
+					j := bodies[kj].ID
+					ej := p.Rho[j] * p.Enu[j]
+					grad = grad.AddScaled(sj.Mass/p.Rho[j]*(ej-e)*DW(r, h)/r, rij)
 				}
-				s.nbr[k] = w.nbr[lo:]
-				if cfg.FLD != nil {
-					diffD[i] = cfg.FLD.DiffusionCoeff(p.Rho[i], e, grad.Norm())
-				}
+				diffD[i] = cfg.FLD.DiffusionCoeff(p.Rho[i], e, grad.Norm())
 			}
+			s.cRefits.Add(int64(refits))
 			return tested, found
 		})
 	})
@@ -300,8 +336,8 @@ func (s *Sim) computeForces() {
 			for k := b.Lo; k < b.Hi; k++ {
 				i := bodies[k].ID
 				xi, hi := src[k].Pos, p.H[i]
-				tested += len(s.nbr[k])
-				for _, kj := range s.nbr[k] {
+				tested += len(s.nbr[k].src)
+				for _, kj := range s.nbr[k].src {
 					j := bodies[kj].ID
 					hj := p.H[j]
 					if hj > hi || (hj == hi && j < i) {
