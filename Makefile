@@ -52,22 +52,25 @@ fmt-check:
 	fi
 
 # The size figure every PR reports in CHANGES.md: non-test Go lines outside
-# bench/, and the core+htree+gravity subtotal of ROADMAP's deletion score.
+# bench/, the core+htree+gravity subtotal of ROADMAP's deletion score, and
+# the core+htree subtotal its item 6 is judged by.
 loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' | xargs wc -l | tail -1 | awk '{print $$1, "non-test Go lines outside bench/"}'
 	@find internal/core internal/htree internal/gravity -name '*.go' ! -name '*_test.go' | xargs wc -l | tail -1 | awk '{print $$1, "of them in internal/core + internal/htree + internal/gravity"}'
+	@find internal/core internal/htree -name '*.go' ! -name '*_test.go' | xargs wc -l | tail -1 | awk '{print $$1, "of them in internal/core + internal/htree"}'
 
 # Ten seconds of native fuzzing on each target — the run configuration and
 # first body against core.Run, any bit pattern against the kernels'
 # reciprocal square root, any sphere, cell, theta and scale against a sink
 # group's acceptance test, small particle sets against the two-pass density
-# oracle (offline; a failing input lands under the package's
-# testdata/fuzz/).
+# oracle, any file against the checkpoint stripe reader (offline; a failing
+# input lands under the package's testdata/fuzz/).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzRunConfig -fuzztime 10s ./internal/core
 	$(GO) test -run '^$$' -fuzz FuzzRsqrt -fuzztime 10s ./internal/gravity
 	$(GO) test -run '^$$' -fuzz FuzzBucketMAC -fuzztime 10s ./internal/htree
 	$(GO) test -run '^$$' -fuzz FuzzDensityScan -fuzztime 10s ./internal/sph
+	$(GO) test -run '^$$' -fuzz FuzzReadStripe -fuzztime 10s ./internal/pario
 
 # The BENCHMARK.json benchmark (bench/README.md) on the seed it holds back
 # for checking a claim, five fresh-process runs per workload. To judge a

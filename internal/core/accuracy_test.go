@@ -76,8 +76,8 @@ func TestOwnBodyOnceAtThetaTwo(t *testing.T) {
 		}
 		src := dt.local.Sources()
 		for _, g := range dt.local.Groups() {
-			w := &bucketWalker{cell: g, mac: htree.NewGroupMAC(g, dt.opt.Theta)}
-			dt.regather(w)
+			w := dt.walker(g)
+			dt.regather(&w)
 			seen := map[*gravity.Source]int{}
 			for _, seg := range w.sc.List.Segs {
 				for j := range seg {

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math/bits"
+
 	"spacesim/internal/gravity"
 	"spacesim/internal/htree"
 	"spacesim/internal/key"
@@ -20,47 +22,24 @@ import (
 // translate the key into a pointer ... this level of indirection can also
 // be used to catch accesses to non-local data" (Section 4.2). Here the key
 // is resolved once, when a cell enters the slab below; after that a cell is
-// its slab index, and a missing child link catches the non-local access.
+// its slab index, and a cell whose daughters or bodies are not resident
+// catches the non-local access. Every cell is an htree.Cell, in one index
+// space (htree.Far): the local tree's, then the top's, then those fetched.
 
-// cellInfo is the replicated metadata of a non-local (or fill) cell, and
-// the wire form of a cell in the branch exchange and in fetch replies.
-type cellInfo struct {
-	Key       key.K
-	Mp        gravity.Multipole
-	Bmax      float64
-	N         int
-	Leaf      bool
-	ChildMask uint8
-	Owner     int // owning rank; -1 for fill cells (global knowledge)
-}
-
-// cellInfoWireBytes is the accounted wire size of one cellInfo.
-const cellInfoWireBytes = 104
-
-// cell is one slab entry: the metadata plus what is resident below it.
-type cell struct {
-	cellInfo
-	resident
-}
-
-// resident is what one rank holds below a cell.
-type resident struct {
-	// child is the slab index of the first resident daughter; the others
-	// follow in ascending octant order. 0 (the root, nobody's daughter)
-	// means they are not resident.
-	child int32
-	// bodies are the fetched bodies of a remote leaf; nil until they arrive.
-	bodies []gravity.Source
-}
-
-// fetchReply answers an expansion request for one remote cell.
-type fetchReply struct {
-	Children []cellInfo       // for internal cells
-	Bodies   []gravity.Source // for leaf cells
-}
+// cellWireBytes is the accounted wire size of one cell in the branch
+// exchange and in fetch replies, whatever Go struct carries it.
+const cellWireBytes = 104
 
 // hFetch is the ABM handler id for cell-expansion requests.
 const hFetch = 1
+
+// topTree is the replicated top of the tree, laid out by buildTop: root at
+// index 0, fills and every rank's branches, the daughters of one parent side
+// by side in ascending octant order, each fill linked to its daughters.
+type topTree struct {
+	cells []htree.Cell
+	owner []int32 // owning rank of each cell; -1 for a fill
+}
 
 // DTree is the per-rank view of the distributed tree.
 type DTree struct {
@@ -70,31 +49,31 @@ type DTree struct {
 
 	splitters []key.K
 
-	local *htree.Tree // may be nil when the rank holds no bodies
+	local  *htree.Tree // may be nil when the rank holds no bodies
+	nLocal int32       // the local tree's NumCells: where the top's indices start
 
-	// Every cell this rank knows besides its own tree has a slab index. Those
-	// below len(top) name the replicated top laid out by buildTop: root at
-	// index 0, fills and every rank's branches, the children of one parent
-	// side by side in ascending octant order. The top is one array for the
-	// whole world and nobody writes it; what a fetch reply makes resident
-	// below a branch goes on over, this rank's overlay, one entry per top
-	// cell. Index len(top)+j names cells[j], the rank's own slab: a reply
-	// appends its children, which may move the slab, so never hold a pointer
-	// into it across an ABM Poll while a request is outstanding. Once none is,
-	// nothing writes slab or overlay until the next evaluation resets them,
-	// and the eval pool reads them from its own goroutines (pass 2).
-	top   []cell
-	over  []resident
-	cells []cell
+	// The top is one array for the whole world and nobody writes it. route is
+	// this rank's overlay on it, the index a walk takes each top cell at
+	// (htree.Far): for a branch this rank owns, its local cell; for another
+	// rank's branch whose expansion a reply has brought, this rank's copy of
+	// it in the fetched slab, which links to that; otherwise the cell itself.
+	top   *topTree
+	route []int32
+	// fetched is the rank's own slab, at indices from nLocal+len(top.cells)
+	// on. A reply appends the daughters of the cell asked for and links them,
+	// or appends a leaf's bodies to bodies and points the leaf's Lo:Hi at
+	// that entry (empty until then). Appends may move both: hold no pointer
+	// into them across a Poll while a request is outstanding. Once none is,
+	// nothing writes them until the next evaluation resets them, and the
+	// eval pool reads them (pass 2).
+	fetched []htree.Cell
+	bodies  [][]gravity.Source
 
 	// fetching tracks in-flight expansion requests: slab index -> walkers
 	// waiting on the reply. It deduplicates concurrent requests: whichever
 	// walker asks first triggers the one ABM request, later walkers for the
 	// same cell just join the list.
 	fetching map[int32][]*bucketWalker
-
-	// counting tallies local subtrees for walks that have given up their list.
-	counting htree.BucketScratch
 
 	// counters
 	fetches int64
@@ -111,36 +90,28 @@ type DTree struct {
 	cPoolInline                           *obs.Counter
 }
 
-// at resolves slab index i to the cell's metadata, in the shared top or the
-// rank's own slab, and to where this rank keeps what is resident below it.
-func (dt *DTree) at(i int32) (*cellInfo, *resident) {
-	if n := int32(len(dt.top)); i >= n {
-		c := &dt.cells[i-n]
-		return &c.cellInfo, &c.resident
-	}
-	c := &dt.top[i]
-	if c.Owner >= 0 {
-		return &c.cellInfo, &dt.over[i]
-	}
-	return &c.cellInfo, &c.resident // a fill: its daughters are in the top too
-}
-
-// resetCaches drops the transient per-evaluation state: every cell a fetch
-// reply appended, and the child links and bodies replies hung on the overlay.
-// The second pass needs all that one evaluation fetched resident; none of it
-// survives into the next, which is the bound on the slab.
+// resetCaches drops the transient per-evaluation state: every cell and body a
+// fetch reply brought, and the routes to them. The second pass needs all that
+// one evaluation fetched resident; none of it survives into the next, which is
+// the bound on the slab.
 func (dt *DTree) resetCaches() {
-	clear(dt.cells) // release the fetched bodies they point at
-	dt.cells = dt.cells[:0]
-	clear(dt.over)
+	clear(dt.bodies) // release the fetched bodies
+	dt.fetched, dt.bodies = dt.fetched[:0], dt.bodies[:0]
+	for j, o := range dt.top.owner {
+		dt.route[j] = dt.nLocal + int32(j)
+		if int(o) == dt.r.ID() {
+			dt.route[j] = dt.local.Find(dt.top.cells[j].Key)
+		}
+	}
 }
 
-// requestCell asks the owner of slab cell i for its expansion on behalf of
-// walker w, calling resume for every waiting walker when the reply has
-// arrived during a Poll and is resident — a leaf's bodies, or an internal
-// cell's children appended to the slab, linked from the cell's resident entry
-// — so later walkers are served locally.
-func (dt *DTree) requestCell(i int32, st *TraversalStats, w *bucketWalker, resume func(*bucketWalker, int32)) {
+// requestCell asks the owner of slab cell i, key k, for its expansion on
+// behalf of walker w, calling resume for every waiting walker when the reply
+// has arrived during a Poll and is resident — a leaf's bodies, or an internal
+// cell's daughters appended to the slab and linked from the cell (for a top
+// branch, from this rank's copy of it) — so later walkers are served
+// locally. resume gets the resident cell and its slab index.
+func (dt *DTree) requestCell(i int32, k key.K, st *TraversalStats, w *bucketWalker, resume func(*bucketWalker, *htree.Cell, int32)) {
 	waiters, inFlight := dt.fetching[i]
 	dt.fetching[i] = append(waiters, w)
 	if inFlight {
@@ -155,27 +126,36 @@ func (dt *DTree) requestCell(i int32, st *TraversalStats, w *bucketWalker, resum
 	// when the reply continuation runs (both points on the rank goroutine).
 	fid := dt.fetches
 	t0 := dt.r.Clock()
-	c, _ := dt.at(i)
-	dt.abm.Request(c.Owner, hFetch, c.Key, 8, func(resp any) {
-		reply := resp.(fetchReply)
+	lo, _ := k.BodyKeyRange()
+	dt.abm.Request(Owner(dt.splitters, lo), hFetch, k, 8, func(resp any) {
 		dt.ro.Async("fetch", "fetch", fid, t0, dt.r.Clock())
-		if _, res := dt.at(i); reply.Bodies != nil {
-			res.bodies = reply.Bodies
+		if dt.fetched == nil {
+			// What a rank opens of its neighbours goes with its domain's
+			// surface; a rank that opens nothing (one rank) allocates nothing.
+			dt.fetched = make([]htree.Cell, 0, 2*dt.nLocal)
+		}
+		base := dt.nLocal + int32(len(dt.top.cells))
+		at := i
+		if j := i - dt.nLocal; j < int32(len(dt.top.cells)) {
+			// The top is the world's: this rank's copy of the branch takes the link.
+			at = base + int32(len(dt.fetched))
+			dt.route[j] = at
+			dt.fetched = append(dt.fetched, dt.top.cells[j])
+		}
+		first := base + int32(len(dt.fetched))
+		kids, internal := resp.([]htree.Cell)
+		dt.fetched = append(dt.fetched, kids...)
+		c := &dt.fetched[at-base]
+		if internal {
+			c.Link(at, first)
 		} else {
-			if dt.cells == nil && dt.local != nil {
-				// What a rank opens of its neighbours goes with its domain's
-				// surface; a rank that opens nothing (one rank) allocates nothing.
-				dt.cells = make([]cell, 0, 2*dt.local.NumCells())
-			}
-			res.child = int32(len(dt.top) + len(dt.cells)) // before the append moves res
-			for _, c := range reply.Children {
-				dt.cells = append(dt.cells, cell{cellInfo: c})
-			}
+			c.Lo, c.Hi = len(dt.bodies), len(dt.bodies)+1
+			dt.bodies = append(dt.bodies, resp.([]gravity.Source))
 		}
 		ws := dt.fetching[i]
 		delete(dt.fetching, i)
 		for _, w := range ws {
-			resume(w, i)
+			resume(w, c, at)
 		}
 	})
 }
@@ -188,7 +168,6 @@ func BuildDistributed(r *mp.Rank, bodies []Body, splitters []key.K, boxLo vec.V3
 		r: r, opt: opt,
 		splitters: splitters,
 		fetching:  map[int32][]*bucketWalker{},
-		counting:  htree.BucketScratch{CountOnly: true},
 	}
 	dt.abm = mp.NewABM(r)
 	dt.abm.Handle(hFetch, dt.serveFetch)
@@ -240,7 +219,7 @@ func BuildDistributed(r *mp.Rank, bodies []Body, splitters []key.K, boxLo vec.V3
 		if err != nil {
 			panic("core: local tree build: " + err.Error())
 		}
-		dt.local = tr
+		dt.local, dt.nLocal = tr, int32(tr.NumCells())
 		// Charge tree construction: key generation + sort happened in
 		// Decompose; the build itself is ~O(n log n) light work.
 		n := float64(len(bodies))
@@ -251,77 +230,44 @@ func BuildDistributed(r *mp.Rank, bodies []Body, splitters []key.K, boxLo vec.V3
 	// One rank's tree-merge span is long (it built the world's top), the rest short.
 	endMerge := r.Span("phase", "tree-merge")
 	mine := dt.branches()
-	dt.top = allgatherOnce(r, mine, int64(len(mine)*cellInfoWireBytes), func(branches [][]cellInfo) []cell {
+	dt.top = allgatherOnce(r, mine, int64(len(mine)*cellWireBytes), func(branches [][]htree.Cell) *topTree {
 		top := buildTop(branches)
 		reg.Counter("core.top.builds").Inc()
-		reg.Counter("core.top.cells").Add(int64(len(top)))
+		reg.Counter("core.top.cells").Add(int64(len(top.cells)))
 		return top
 	})
-	dt.over = make([]resident, len(dt.top))
+	dt.route = make([]int32, len(dt.top.cells))
+	dt.resetCaches()
 	endMerge()
 	return dt
 }
 
-// keyRange returns this rank's key interval [lo, hi); hi==0 means +inf.
-func (dt *DTree) keyRange() (lo, hi key.K) {
-	p := dt.r.ID()
-	if len(dt.splitters) == 0 {
-		return 0, 0
-	}
-	if p > 0 {
-		lo = dt.splitters[p-1]
-	}
-	if p < len(dt.splitters) {
-		hi = dt.splitters[p]
-	}
-	return lo, hi
-}
-
-// complete reports whether cell k lies entirely within this rank's range.
+// complete reports whether cell k lies entirely within this rank's range:
+// its first and last body keys both have this rank as Owner.
 func (dt *DTree) complete(k key.K) bool {
-	if dt.r.Size() == 1 {
-		return true
-	}
-	clo, chi := k.BodyKeyRange()
-	rlo, rhi := dt.keyRange()
-	if clo < rlo {
-		return false
-	}
-	if rhi == 0 { // owner range extends to the top of key space
-		return true
-	}
-	if chi <= clo { // cell range wraps: extends to the top of key space
-		return false
-	}
-	return chi <= rhi
+	lo, hi := k.BodyKeyRange() // hi wraps to 0 at the top of key space
+	return Owner(dt.splitters, lo) == dt.r.ID() && Owner(dt.splitters, hi-1) == dt.r.ID()
 }
 
-// branches returns this rank's maximal complete cells.
-func (dt *DTree) branches() []cellInfo {
+// branches returns this rank's maximal complete cells, bare.
+func (dt *DTree) branches() []htree.Cell {
 	if dt.local == nil {
 		return nil
 	}
-	var out []cellInfo
-	var walk func(k key.K)
-	walk = func(k key.K) {
-		c, ok := dt.local.Cell(k)
-		if !ok {
+	var out []htree.Cell
+	var walk func(i int32)
+	walk = func(i int32) {
+		c := dt.local.At(i)
+		if dt.complete(c.Key) {
+			out = append(out, c.Bare())
 			return
 		}
-		if dt.complete(k) {
-			out = append(out, cellInfo{
-				Key: k, Mp: c.Mp, Bmax: c.Bmax, N: c.N,
-				Leaf: c.Leaf, ChildMask: c.ChildMask, Owner: dt.r.ID(),
-			})
-			return
-		}
-		for oct := 0; oct < 8; oct++ {
-			if c.ChildMask&(1<<uint(oct)) != 0 {
-				walk(k.Child(oct))
-			}
+		var kids [8]int32
+		for _, d := range c.Daughters(i, kids[:0]) {
+			walk(d)
 		}
 	}
-	walk(key.Root)
+	walk(dt.local.Find(key.Root))
 	return out
 }
 
@@ -335,10 +281,10 @@ func (dt *DTree) branches() []cellInfo {
 // by level, root first, siblings side by side by octant — and within a level
 // branches and new ancestors already arrive that way, so two sweeps (count per
 // level, then place) sort it without comparing keys.
-func buildTop(branches [][]cellInfo) []cell {
-	sweep := func(visit func(level int, c cellInfo)) {
+func buildTop(branches [][]htree.Cell) *topTree {
+	sweep := func(visit func(level int, c htree.Cell, owner int32)) {
 		prev := key.Invalid
-		for _, g := range branches {
+		for p, g := range branches {
 			for _, b := range g {
 				level := b.Key.Level()
 				for a, l := b.Key, level; a != key.Root; {
@@ -346,21 +292,22 @@ func buildTop(branches [][]cellInfo) []cell {
 					if a.Contains(prev) {
 						break
 					}
-					visit(l, cellInfo{Key: a, Owner: -1})
+					visit(l, htree.Cell{Key: a}, -1)
 				}
-				visit(level, b)
+				visit(level, b, int32(p))
 				prev = b.Key
 			}
 		}
 	}
 	var next [key.MaxLevel + 2]int32 // next[l]: where level l's next cell goes
-	sweep(func(level int, _ cellInfo) { next[level+1]++ })
+	sweep(func(level int, _ htree.Cell, _ int32) { next[level+1]++ })
 	for l := 1; l < len(next); l++ {
 		next[l] += next[l-1]
 	}
-	top := make([]cell, next[len(next)-1])
-	sweep(func(level int, c cellInfo) {
-		top[next[level]].cellInfo = c
+	n := next[len(next)-1]
+	top := &topTree{cells: make([]htree.Cell, n), owner: make([]int32, n)}
+	sweep(func(level int, c htree.Cell, owner int32) {
+		top.cells[next[level]], top.owner[next[level]] = c, owner
 		next[level]++
 	})
 
@@ -369,24 +316,25 @@ func buildTop(branches [][]cellInfo) []cell {
 	// the order of their parents: a fill's children are the cells just below
 	// end that name it as parent. Combining them in ascending octant order
 	// keeps every fill moment bit-reproducible.
-	end := len(top)
+	cells, end := top.cells, len(top.cells)
 	for i := end - 1; i >= 0; i-- {
-		f := &top[i]
-		if f.Owner != -1 {
+		if top.owner[i] != -1 {
 			continue
 		}
+		f := &cells[i]
 		lo := end
-		for lo > i+1 && top[lo-1].Key.Parent() == f.Key {
+		for lo > i+1 && cells[lo-1].Key.Parent() == f.Key {
 			lo--
 		}
-		kids := top[lo:end]
-		f.child, end = int32(lo), lo
+		kids := cells[lo:end]
+		end = lo
 		var mps [8]gravity.Multipole
 		for j := range kids {
 			mps[j] = kids[j].Mp
 			f.N += kids[j].N
 			f.ChildMask |= 1 << uint(kids[j].Key.Octant())
 		}
+		f.Link(int32(i), int32(lo))
 		f.Mp = gravity.Combine(mps[:len(kids)]...)
 		for j := range kids {
 			if b := kids[j].Mp.COM.Dist(f.Mp.COM) + kids[j].Bmax; b > f.Bmax {
@@ -400,37 +348,29 @@ func buildTop(branches [][]cellInfo) []cell {
 	return top
 }
 
-// serveFetch answers an expansion request: children of an internal cell,
-// or the bodies of a leaf.
+// serveFetch answers an expansion request: the daughters of an internal
+// cell, reached by link and sent bare ([]htree.Cell), or the bodies of a
+// leaf ([]gravity.Source).
 func (dt *DTree) serveFetch(src int, req any) (any, int64) {
 	k := req.(key.K)
 	if dt.local == nil {
 		panic("core: fetch request on rank without a tree")
 	}
-	c, ok := dt.local.Cell(k)
-	if !ok {
+	i := dt.local.Find(k)
+	if i < 0 {
 		panic("core: fetch request for unknown cell " + k.String())
 	}
+	c := dt.local.At(i)
 	if c.Leaf {
 		bodies := dt.local.LeafBodies(c)
-		return fetchReply{Bodies: bodies}, int64(32 * len(bodies))
+		return bodies, int64(32 * len(bodies))
 	}
-	var children []cellInfo
-	for oct := 0; oct < 8; oct++ {
-		if c.ChildMask&(1<<uint(oct)) == 0 {
-			continue
-		}
-		ck := k.Child(oct)
-		cc, ok := dt.local.Cell(ck)
-		if !ok {
-			panic("core: childmask/hash mismatch")
-		}
-		children = append(children, cellInfo{
-			Key: ck, Mp: cc.Mp, Bmax: cc.Bmax, N: cc.N,
-			Leaf: cc.Leaf, ChildMask: cc.ChildMask, Owner: dt.r.ID(),
-		})
+	var kids [8]int32
+	children := make([]htree.Cell, 0, bits.OnesCount8(c.ChildMask))
+	for _, d := range c.Daughters(i, kids[:0]) {
+		children = append(children, dt.local.At(d).Bare())
 	}
-	return fetchReply{Children: children}, int64(cellInfoWireBytes * len(children))
+	return children, int64(cellWireBytes * len(children))
 }
 
 // Fetches returns the number of remote expansion requests issued.

@@ -13,25 +13,27 @@ package core
 // lists are evaluated for the whole bucket by the batched kernels on a pool
 // of host workers — or, when the pool's queue is full, by the rank itself.
 //
-// The bucket walk itself is htree's: a locally owned subtree is gathered by
-// htree.Tree.GatherList and a finished list applied by Tree.EvalBucket, the
-// same two functions the serial Tree.AccelAllGrouped runs. This file adds
-// only what is distributed — the suspended stack of slab indices, MAC tests
-// on replicated cells, fetch continuations, the second pass and
-// deterministic charging.
+// Every list is gathered by the one loop of htree.Tree.Gather and applied by
+// Tree.EvalBucket, as in the serial Tree.AccelAllGrouped; the walker is the
+// loop's htree.Far, laying out the indices past the local tree's (dtree.go)
+// and answering a miss. This file adds that hook, fetch continuations, the
+// second pass and deterministic charging.
 //
-// Two passes. Pass 1 is the latency-hiding traversal: a walker that needs a
-// remote cell that is not resident asks for it and is put aside. One that
-// never misses has its list in depth-first tree order and is evaluated at
-// once; at its first miss a walker gives its list up and from then on only
-// counts what it accepts — all the accounting and the virtual-time charge
-// need — so a rank holds the lists in evaluation, not one per waiting
-// bucket. Pass 2 starts when every walker has finished: whatever a suspended
-// walk opened is resident on the slab by then, so its bucket is walked again
-// from the root without waiting, and evaluated. Pass 2 is the pool's: the
-// rank hands it the suspended walkers and goes on into Quiesce, so on a host
-// thread shared by many ranks (the event engine) other ranks' pass 1 runs
-// beside this rank's pass 2.
+// Two passes. Pass 1 is the latency-hiding traversal of Section 4.2 — "we
+// effectively do explicit context switching using a software queue to keep
+// track of which computations have been put aside waiting for messages to
+// arrive": a walker that needs a remote cell that is not resident asks for
+// it and is put aside. One that never misses has its list in depth-first
+// tree order and is evaluated at once; after the run in which it first
+// misses a walker gives its list up and from then on only counts what it
+// accepts, in the loop's count-only mode — all the accounting and the
+// virtual-time charge need — so a rank holds the lists in evaluation, not
+// one per waiting bucket. Pass 2 starts when every walker has finished:
+// whatever a suspended walk opened is resident by then, so its bucket is
+// walked again from the root without waiting, and evaluated. Pass 2 is the
+// pool's: the rank hands it the suspended walkers and goes on into Quiesce,
+// so on a host thread shared by many ranks (the event engine) other ranks'
+// pass 1 runs beside this rank's pass 2.
 //
 // Determinism rule: the pass-1 traversal, interaction counting and
 // virtual-time charging all run on the rank's own goroutine in bucket order;
@@ -49,7 +51,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"math/bits"
 	"runtime"
 	"runtime/pprof"
 	"slices"
@@ -58,33 +59,35 @@ import (
 	"sync/atomic"
 	"time"
 
+	"spacesim/internal/gravity"
 	"spacesim/internal/htree"
+	"spacesim/internal/key"
 	"spacesim/internal/obs"
 	"spacesim/internal/vec"
 )
 
-// bucketScratch is the reusable state of one bucket being gathered: the
-// interaction list and evaluation buffers of the shared walker
-// (htree.BucketScratch) plus the backing array of its stack. Instances
-// recycle through a pool across buckets, steps and tree rebuilds, so
-// steady-state force evaluation allocates almost nothing.
-type bucketScratch struct {
-	htree.BucketScratch
-	stack []int32
-}
+// Scratch recycles through two pools across buckets, steps and tree
+// rebuilds, so steady-state force evaluation allocates almost nothing: one
+// for the lists being gathered or evaluated, one for the tallies of
+// suspended walks, which never hold a list.
+var (
+	listPool  = sync.Pool{New: func() any { return new(htree.BucketScratch) }}
+	countPool = sync.Pool{New: func() any { return &htree.BucketScratch{CountOnly: true} }}
+)
 
-var scratchPool = sync.Pool{New: func() any { return new(bucketScratch) }}
-
-// bucketWalker is one sink group's traversal state.
+// bucketWalker is one sink group's traversal state, and the htree.Far of its
+// walks: it lays out the indices past the local tree's and answers a far
+// leaf, or a miss the way the pass says.
 type bucketWalker struct {
+	dt   *DTree
 	cell *htree.Cell
 	mac  htree.BucketMAC
-	// sc holds the list being gathered; nil before the first run and again
-	// after a suspension, when only the lengths nc and nb are kept.
-	sc *bucketScratch
-	// stack holds the slab indices still to visit. It borrows sc's array
-	// while there is one; a suspended walker owns a copy.
-	stack []int32
+	// sc is the walk's scratch: a list scratch until the walk misses, a
+	// count-only one from then on in pass 1, a list scratch again in pass 2.
+	sc *htree.BucketScratch
+	// miss is pass 1's answer to a cell that is not resident; nil in pass 2,
+	// where every cell is.
+	miss func(w *bucketWalker, i int32, k key.K)
 	// nc cells and nb bodies in nseg segments: the list's lengths.
 	nc, nb, nseg int
 	blocked      int
@@ -95,26 +98,54 @@ type bucketWalker struct {
 // begin starts a walk at the root with an empty list on a pooled scratch,
 // with room for the lengths the walker knows (pass 2 knows them all).
 func (w *bucketWalker) begin() {
-	w.sc = scratchPool.Get().(*bucketScratch)
+	w.sc = listPool.Get().(*htree.BucketScratch)
 	w.sc.Reset()
 	l := &w.sc.List
 	l.Cells, l.Segs = slices.Grow(l.Cells, w.nc), slices.Grow(l.Segs, w.nseg)
-	w.stack = append(w.sc.stack[:0], 0)
+	w.sc.Push(w.dt.route[0]) // the root: on one rank, the local tree's
 }
 
-// lengths takes the walker's counts from its list.
+// lengths takes the walker's counts from its list, or its tally.
 func (w *bucketWalker) lengths() {
-	l := &w.sc.List
-	w.nc, w.nb, w.nseg = len(l.Cells), l.Bodies(), len(l.Segs)
+	if sc := w.sc; sc.CountOnly {
+		w.nc, w.nb, w.nseg = sc.NCells, sc.NSrcs, sc.NSegs
+	} else {
+		w.nc, w.nb, w.nseg = len(sc.List.Cells), sc.List.Bodies(), len(sc.List.Segs)
+	}
 }
 
-// suspend gives up the list at the walk's first miss, keeping its lengths.
+// suspend gives up the list after the run in which the walk first missed,
+// going on from its lengths in count-only mode.
 func (w *bucketWalker) suspend() {
-	sc := w.sc
 	w.lengths()
-	sc.stack, w.stack = w.stack[:0], append([]int32(nil), w.stack...)
-	w.sc, w.suspended = nil, true
-	scratchPool.Put(sc)
+	listPool.Put(w.sc)
+	w.sc, w.suspended = countPool.Get().(*htree.BucketScratch), true
+	w.sc.NCells, w.sc.NSrcs, w.sc.NSegs = w.nc, w.nb, w.nseg
+}
+
+// Layout hands the walk the top with this rank's routes through it, and the
+// fetched slab.
+func (w *bucketWalker) Layout() ([]htree.Cell, []int32, int32, []htree.Cell) {
+	dt := w.dt
+	return dt.top.cells, dt.route, dt.nLocal + int32(len(dt.top.cells)), dt.fetched
+}
+
+// Open returns the bodies of remote leaf i if a reply has brought them, and
+// otherwise passes the miss to the pass.
+func (w *bucketWalker) Open(i int32, c *htree.Cell) []gravity.Source {
+	dt := w.dt
+	if c.Hi > c.Lo {
+		dt.cCacheHit.Inc()
+		return dt.bodies[c.Lo]
+	}
+	if c.Leaf {
+		dt.cCacheMiss.Inc()
+	}
+	if w.miss == nil {
+		panic("core: second pass reached non-resident cell " + c.Key.String())
+	}
+	w.miss(w, i, c.Key)
+	return nil
 }
 
 // evalPool runs bucket evaluations on a fixed set of host goroutines. The
@@ -198,6 +229,39 @@ func (p *evalPool) wait() { p.wg.Wait() }
 // close releases the worker goroutines.
 func (p *evalPool) close() { close(p.jobs) }
 
+// cellFlops is the accounted flop cost of one cell-body (quadrupole)
+// interaction; body-body interactions cost gravity.KernelFlops.
+const cellFlops = 70
+
+// TraversalStats aggregates the work of a force evaluation on one rank.
+type TraversalStats struct {
+	BodyInteractions int64
+	CellInteractions int64
+	Fetches          int64
+	Flops            float64
+	// PerBody is the interaction count of each local body, the work weight
+	// fed back into the next domain decomposition.
+	PerBody []float64
+}
+
+// chargeFunc converts interaction counts accumulated since the last call
+// into virtual compute time; the engine calls it at deterministic points so
+// virtual-time accounting does not depend on evaluation concurrency.
+func (dt *DTree) chargeFunc(st *TraversalStats) func() {
+	var lastBody, lastCell int64
+	return func() {
+		db := st.BodyInteractions - lastBody
+		dc := st.CellInteractions - lastCell
+		if db == 0 && dc == 0 {
+			return
+		}
+		flops := float64(db)*gravity.KernelFlops + float64(dc)*cellFlops
+		st.Flops += flops
+		dt.r.Charge(flops, dt.opt.KernelEff, float64(db+dc)*32)
+		lastBody, lastCell = st.BodyInteractions, st.CellInteractions
+	}
+}
+
 // ComputeForces evaluates the gravitational field at every local body using
 // the distributed tree, returning accelerations, potentials and work stats.
 // All ranks must call it collectively (it quiesces the ABM traffic).
@@ -220,11 +284,8 @@ func (dt *DTree) ComputeForces(bodies []Body) ([]vec.V3, []float64, TraversalSta
 	walkers := make([]bucketWalker, len(groups))
 	runnable := make([]*bucketWalker, 0, len(groups))
 	for i, c := range groups {
-		w := &walkers[i]
-		w.cell = c
-		w.mac = htree.NewGroupMAC(c, dt.opt.Theta)
-		w.queued = true
-		runnable = append(runnable, w)
+		walkers[i] = bucketWalker{dt: dt, cell: c, mac: htree.NewGroupMAC(c, dt.opt.Theta), queued: true}
+		runnable = append(runnable, &walkers[i])
 	}
 	remaining := len(walkers)
 
@@ -235,25 +296,23 @@ func (dt *DTree) ComputeForces(bodies []Body) ([]vec.V3, []float64, TraversalSta
 
 	// Pass 1's answer to a miss: ask for the cell and put the walker aside;
 	// resume takes it up again once the reply has made the cell resident.
-	resume := func(w *bucketWalker, i int32) {
+	resume := func(w *bucketWalker, c *htree.Cell, at int32) {
 		w.blocked--
-		if c, res := dt.at(i); c.Leaf {
-			w.nb += len(res.bodies)
-			w.nseg++
+		if c.Leaf {
+			w.sc.NSrcs += c.N
+			w.sc.NSegs++
 		} else {
-			w.pushChildren(res.child, c.ChildMask)
+			var kids [8]int32
+			w.sc.Push(c.Daughters(at, kids[:0])...)
 		}
 		if !w.queued {
 			w.queued = true
 			runnable = append(runnable, w)
 		}
 	}
-	fetch := func(w *bucketWalker, i int32) {
-		if w.sc != nil {
-			w.suspend()
-		}
+	fetch := func(w *bucketWalker, i int32, k key.K) {
 		w.blocked++
-		dt.requestCell(i, &st, w, resume)
+		dt.requestCell(i, k, &st, w, resume)
 	}
 
 	for remaining > 0 {
@@ -269,11 +328,15 @@ func (dt *DTree) ComputeForces(bodies []Body) ([]vec.V3, []float64, TraversalSta
 		w := runnable[len(runnable)-1]
 		runnable = runnable[:len(runnable)-1]
 		w.queued = false
-		if w.sc == nil && !w.suspended {
+		if w.sc == nil {
 			w.begin()
+			w.miss = fetch
 		}
-		dt.walk(w, fetch)
-		if len(w.stack) == 0 && w.blocked == 0 {
+		dt.local.Gather(&w.mac, w.sc, w)
+		if w.blocked > 0 && !w.suspended {
+			w.suspend()
+		}
+		if w.blocked == 0 {
 			remaining--
 			dt.finishBucket(w, &st, charge)
 			if !w.suspended && !pool.run("bucket", func() { dt.evalBucket(w, acc, pot) }) {
@@ -314,92 +377,26 @@ func (dt *DTree) ComputeForces(bodies []Body) ([]vec.V3, []float64, TraversalSta
 	return acc, pot, st
 }
 
-// pushChildren stacks a cell's resident daughters: one per bit of mask, from child on.
-func (w *bucketWalker) pushChildren(child int32, mask uint8) {
-	for j, hi := child, child+int32(bits.OnesCount8(mask)); j < hi; j++ {
-		w.stack = append(w.stack, j)
-	}
-}
-
-// walk drains the walker's stack as far as possible without waiting, putting
-// accepted cells and direct bodies on its list — or on its tally, once the
-// list is gone. It is the one distributed walk loop; what miss does with a
-// remote cell whose expansion is not resident tells the passes apart. A cell
-// is tested whether it is a leaf or not, but a fill whose key contains the
-// group's, or lies inside it, may hold some of its sinks and is never
-// accepted — the key form of the body-range test GatherList makes (Owns).
-func (dt *DTree) walk(w *bucketWalker, miss func(*bucketWalker, int32)) {
-	me, mac, g := dt.r.ID(), &w.mac, w.cell.Key
-	for len(w.stack) > 0 {
-		i := w.stack[len(w.stack)-1]
-		w.stack = w.stack[:len(w.stack)-1]
-		c, res := dt.at(i) // good until the next Poll: replies append
-		if c.Owner == me {
-			// A fully local subtree: the shared serial walker gathers it.
-			if w.sc != nil {
-				dt.local.GatherList(c.Key, mac, &w.sc.BucketScratch)
-			} else {
-				dt.counting.Reset()
-				dt.local.GatherList(c.Key, mac, &dt.counting)
-				w.nc += dt.counting.NCells
-				w.nb += dt.counting.NSrcs
-				w.nseg += dt.counting.NSegs
-			}
-			continue
-		}
-		accept := false
-		if c.Owner >= 0 || !c.Key.Overlaps(g) {
-			var decided bool
-			accept, decided = mac.Prefilter(mac.Dist2(&c.Mp.COM), c.Bmax)
-			if !decided {
-				accept = mac.Exact(&c.Mp.COM, c.Bmax)
-			}
-		}
-		switch {
-		case accept:
-			if w.sc != nil {
-				// Good through a move of the slab (see DTree.top).
-				w.sc.List.Cells = append(w.sc.List.Cells, &c.Mp)
-			} else {
-				w.nc++
-			}
-		case res.child != 0: // a fill, or a remote cell whose children a reply brought
-			w.pushChildren(res.child, c.ChildMask)
-		case res.bodies != nil:
-			dt.cCacheHit.Inc()
-			if w.sc != nil {
-				w.sc.List.Segs = append(w.sc.List.Segs, res.bodies)
-			} else {
-				w.nb += len(res.bodies)
-				w.nseg++
-			}
-		default:
-			if c.Leaf {
-				dt.cCacheMiss.Inc()
-			}
-			miss(w, i)
-		}
-	}
-}
-
 // regather is pass 2's walk: it rebuilds a suspended walker's list from
 // resident cells alone, in tree order.
 func (dt *DTree) regather(w *bucketWalker) {
+	w.miss = nil
 	w.begin()
-	dt.walk(w, func(_ *bucketWalker, i int32) {
-		c, _ := dt.at(i)
-		panic("core: second pass reached non-resident cell " + c.Key.String())
-	})
+	dt.local.Gather(&w.mac, w.sc, w)
 }
 
 // finishBucket accounts the bucket's work deterministically: counts derive
 // from list lengths alone, whether the list is at hand or was only counted.
+// A suspended walker's tally goes back to its pool here.
 func (dt *DTree) finishBucket(w *bucketWalker, st *TraversalStats, charge func()) {
+	w.lengths()
 	if w.suspended {
 		dt.cWalkSecond.Inc()
+		w.sc.Reset()
+		countPool.Put(w.sc)
+		w.sc = nil
 	} else {
 		dt.cWalkDirect.Inc()
-		w.lengths()
 	}
 	ns := w.cell.Hi - w.cell.Lo
 	nc, nb := w.nc, w.nb
@@ -413,7 +410,7 @@ func (dt *DTree) finishBucket(w *bucketWalker, st *TraversalStats, charge func()
 	st.CellInteractions += int64(ns * nc)
 	// Every sink meets every listed body except itself: the bucket's own
 	// bodies are always on the list as bodies, once each, since no cell that
-	// holds one is ever accepted (Owns in GatherList, the key test on fills).
+	// holds one is ever accepted (Owns on local cells, the key test on fills).
 	st.BodyInteractions += int64(ns*nb - ns)
 	work := float64(nc + nb - 1)
 	for i := w.cell.Lo; i < w.cell.Hi; i++ {
@@ -426,9 +423,8 @@ func (dt *DTree) finishBucket(w *bucketWalker, st *TraversalStats, charge func()
 // worker or the rank: touches only the walker, its scratch, what the list
 // refers to — read-only — and the bucket's entries of acc and pot.
 func (dt *DTree) evalBucket(w *bucketWalker, acc []vec.V3, pot []float64) {
-	sc := w.sc
-	dt.local.EvalBucket(w.cell, dt.opt.Eps, &sc.BucketScratch, acc, pot)
+	dt.local.EvalBucket(w.cell, dt.opt.Eps, w.sc, acc, pot)
 	dt.cPoolJobs.Inc()
-	sc.stack, w.stack, w.sc = w.stack[:0], nil, nil
-	scratchPool.Put(sc)
+	listPool.Put(w.sc)
+	w.sc = nil
 }

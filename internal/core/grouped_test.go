@@ -230,6 +230,11 @@ func TestGroupedWorkersBitIdentical(t *testing.T) {
 	}
 }
 
+// walker returns the walker of sink group g, not yet begun.
+func (dt *DTree) walker(g *htree.Cell) bucketWalker {
+	return bucketWalker{dt: dt, cell: g, mac: htree.NewGroupMAC(g, dt.opt.Theta)}
+}
+
 func positions(bodies []Body) []vec.V3 {
 	pos := make([]vec.V3, len(bodies))
 	for i := range bodies {
@@ -257,11 +262,12 @@ func TestSecondPassRefusesOutstandingFetch(t *testing.T) {
 }
 
 // The slab's memory bound: what one evaluation fetches is resident until the
-// next one starts and no longer. resetCaches empties the rank's slab and
-// clears what replies hung on its overlay, so a second evaluation on the same
-// tree re-fetches exactly the same cells and reproduces the forces bit for
-// bit. None of it touches the replicated top, which is the world's: an
-// evaluation leaves every bit of it as the branch exchange made it.
+// next one starts and no longer. resetCaches empties the rank's fetched slab,
+// releases the bodies it held and drops the overlay's links into it, so a
+// second evaluation on the same tree re-fetches exactly the same cells and
+// reproduces the forces bit for bit.
+// None of it touches the replicated top, which is the world's: an evaluation
+// leaves every bit of it as the branch exchange made it.
 func TestCachesBoundedAcrossEvaluations(t *testing.T) {
 	rng := rand.New(rand.NewSource(32))
 	const n = 600
@@ -272,32 +278,33 @@ func TestCachesBoundedAcrossEvaluations(t *testing.T) {
 		local := append([]Body(nil), ics[lo:hi]...)
 		bodies, splitters, boxLo, boxSize := Decompose(r, local)
 		dt := BuildDistributed(r, bodies, splitters, boxLo, boxSize, Options{Theta: 0.5, Eps: 0.02})
-		if len(dt.cells) != 0 || len(dt.over) != len(dt.top) {
+		if len(dt.fetched) != 0 || len(dt.route) != len(dt.top.cells) {
 			t.Errorf("rank %d: after the branch exchange the slab holds %d cells, the overlay %d entries for a top of %d",
-				r.ID(), len(dt.cells), len(dt.over), len(dt.top))
+				r.ID(), len(dt.fetched), len(dt.route), len(dt.top.cells))
 		}
-		top0 := make([]cellBits, len(dt.top))
-		for i := range dt.top {
-			top0[i] = bitsOf(&dt.top[i])
+		route0 := append([]int32(nil), dt.route...)
+		top0 := make([]cellBits, len(dt.top.cells))
+		for i := range dt.top.cells {
+			top0[i] = bitsOf(&dt.top.cells[i], int32(i), dt.top.owner[i])
 		}
 		topUnwritten := func(when string) {
-			for i := range dt.top {
-				if got := bitsOf(&dt.top[i]); got != top0[i] {
-					t.Errorf("rank %d: top cell %d (%v) changed %s", r.ID(), i, dt.top[i].Key, when)
+			for i := range dt.top.cells {
+				if got := bitsOf(&dt.top.cells[i], int32(i), dt.top.owner[i]); got != top0[i] {
+					t.Errorf("rank %d: top cell %d (%v) changed %s", r.ID(), i, dt.top.cells[i].Key, when)
 					return
 				}
 			}
 		}
 
 		acc1, pot1, _ := dt.ComputeForces(bodies)
-		n1, f1 := len(dt.cells), dt.Fetches()
-		if f1 == 0 || n1 == 0 {
-			t.Errorf("rank %d: %d fetches left %d cells on the slab on %d ranks", r.ID(), f1, n1, p)
+		n1, f1 := len(dt.fetched), dt.Fetches()
+		if f1 == 0 || n1 == 0 || len(dt.bodies) == 0 {
+			t.Errorf("rank %d: %d fetches left %d cells and %d leaves' bodies on the slab on %d ranks", r.ID(), f1, n1, len(dt.bodies), p)
 		}
 		topUnwritten("during the first evaluation")
 
 		acc2, pot2, _ := dt.ComputeForces(bodies)
-		if n2 := len(dt.cells); n2 != n1 {
+		if n2 := len(dt.fetched); n2 != n1 {
 			t.Errorf("rank %d: slab grew across evaluations: %d -> %d cells", r.ID(), n1, n2)
 		}
 		if f2 := dt.Fetches(); f2 != 2*f1 {
@@ -312,18 +319,18 @@ func TestCachesBoundedAcrossEvaluations(t *testing.T) {
 		topUnwritten("during the second evaluation")
 
 		dt.resetCaches()
-		if len(dt.cells) != 0 {
-			t.Errorf("rank %d: slab not emptied: %d cells", r.ID(), len(dt.cells))
+		if len(dt.fetched) != 0 || len(dt.bodies) != 0 {
+			t.Errorf("rank %d: slab not emptied: %d cells, %d leaves' bodies", r.ID(), len(dt.fetched), len(dt.bodies))
 		}
-		for i, res := range dt.over {
-			if res.child != 0 || res.bodies != nil {
-				t.Errorf("rank %d: branch %v keeps a child link or bodies after the reset", r.ID(), dt.top[i].Key)
-			}
-		}
-		for _, c := range dt.cells[:cap(dt.cells)] {
-			if c.bodies != nil {
+		for _, b := range dt.bodies[:cap(dt.bodies)] {
+			if b != nil {
 				t.Errorf("rank %d: emptied slab still references fetched bodies", r.ID())
 				break
+			}
+		}
+		for i, o := range dt.route {
+			if o != route0[i] {
+				t.Errorf("rank %d: overlay entry of %v is %d after the reset, %d after the branch exchange", r.ID(), dt.top.cells[i].Key, o, route0[i])
 			}
 		}
 	})
@@ -375,9 +382,9 @@ func TestFetchDedup(t *testing.T) {
 		}
 		// First remote-owned internal cell of the top: deterministic pick.
 		target := int32(-1)
-		for i := range dt.top {
-			if c := &dt.top[i]; c.Owner >= 0 && c.Owner != r.ID() && !c.Leaf {
-				target = int32(i)
+		for i, o := range dt.top.owner {
+			if o >= 0 && int(o) != r.ID() && !dt.top.cells[i].Leaf {
+				target = dt.nLocal + int32(i)
 				break
 			}
 		}
@@ -387,10 +394,11 @@ func TestFetchDedup(t *testing.T) {
 			return
 		}
 		var st TraversalStats
-		calls := 0
-		resume := func(*bucketWalker, int32) { calls++ }
-		dt.requestCell(target, &st, new(bucketWalker), resume)
-		dt.requestCell(target, &st, new(bucketWalker), resume)
+		calls, ats := 0, []int32{}
+		resume := func(_ *bucketWalker, _ *htree.Cell, at int32) { calls++; ats = append(ats, at) }
+		k := dt.top.cells[target-dt.nLocal].Key
+		dt.requestCell(target, k, &st, new(bucketWalker), resume)
+		dt.requestCell(target, k, &st, new(bucketWalker), resume)
 		if dt.Fetches() != 1 || st.Fetches != 1 {
 			t.Errorf("two concurrent requests issued %d fetches (stats %d), want 1", dt.Fetches(), st.Fetches)
 		}
@@ -404,24 +412,32 @@ func TestFetchDedup(t *testing.T) {
 		if len(dt.fetching) != 0 {
 			t.Errorf("fetching map not drained: %d in flight", len(dt.fetching))
 		}
-		// The reply is resident: children side by side on the rank's own slab,
-		// indexed behind the top, linked from the overlay entry of the cell
-		// that was asked for — not from the cell, which is everybody's.
-		asked, res := dt.at(target)
-		if res != &dt.over[target] || dt.top[target].child != 0 {
-			t.Errorf("cell %d: the link to its children is not on the overlay (shared cell has child %d)", target, dt.top[target].child)
+		// The reply is resident: this rank's copy of the cell that was asked
+		// for heads its own slab, indexed behind the top and linked from the
+		// overlay, and the children follow it side by side, linked from the
+		// copy — not from the top's cell, which is everybody's.
+		base := dt.nLocal + int32(len(dt.top.cells))
+		asked, copyAt := &dt.top.cells[target-dt.nLocal], dt.route[target-dt.nLocal]
+		fetched := func(i int32) *htree.Cell { return &dt.fetched[i-base] }
+		if copyAt != base || fetched(copyAt).Key != asked.Key {
+			t.Errorf("cell %d: overlay leads to %d, want the copy at the head of the slab, %d", target, copyAt, base)
 		}
-		lo32 := res.child
-		hi32 := lo32 + int32(bits.OnesCount8(asked.ChildMask))
-		if int(lo32) != len(dt.top) || int(hi32) != len(dt.top)+len(dt.cells) || hi32 == lo32 {
-			t.Errorf("children of cell %d at [%d,%d), slab [%d,%d)", target, lo32, hi32, len(dt.top), len(dt.top)+len(dt.cells))
+		if d := asked.Daughters(target, nil); len(d) != 0 {
+			t.Errorf("cell %d: the shared cell links to daughters %v", target, d)
 		}
-		for j, prev := lo32, key.K(0); j < hi32; j++ {
-			c, _ := dt.at(j)
-			if c != &dt.cells[int(j)-len(dt.top)].cellInfo || c.Key.Parent() != asked.Key || c.Key <= prev {
-				t.Errorf("slab cell %d (%v) is not the next daughter of %v", j, c.Key, asked.Key)
+		kids := fetched(copyAt).Daughters(copyAt, nil)
+		if len(kids) != bits.OnesCount8(asked.ChildMask) || int(base)+len(dt.fetched) != int(copyAt)+1+len(kids) {
+			t.Errorf("children of cell %d: %v, slab [%d,%d)", target, kids, base, int(base)+len(dt.fetched))
+		}
+		for j, prev := range kids {
+			if c := fetched(prev); prev != copyAt+1+int32(j) || c.Key.Parent() != asked.Key || (j > 0 && c.Key <= fetched(kids[j-1]).Key) {
+				t.Errorf("slab cell %d (%v) is not the next daughter of %v", prev, c.Key, asked.Key)
 			}
-			prev = c.Key
+		}
+		for _, at := range ats {
+			if at != copyAt {
+				t.Errorf("a walker resumed at %d, the copy is at %d", at, copyAt)
+			}
 		}
 	})
 }
@@ -437,7 +453,8 @@ func regatherForces(dt *DTree, bodies []Body, seed bool) ([]vec.V3, []float64) {
 	acc := make([]vec.V3, len(bodies))
 	pot := make([]float64, len(bodies))
 	for _, c := range dt.local.Groups() {
-		w := &bucketWalker{cell: c, mac: htree.NewGroupMAC(c, dt.opt.Theta)}
+		wk := dt.walker(c)
+		w := &wk
 		dt.regather(w)
 		if !seed {
 			dt.evalBucket(w, acc, pot)
@@ -496,6 +513,67 @@ func TestDirectEqualsSecondPass(t *testing.T) {
 	second := st.Obs.Reg.Counter("core.walk.second_pass").Value()
 	if direct == 0 || second == 0 || direct+second != st.Obs.Reg.Counter("core.buckets").Value() {
 		t.Errorf("walks: %d direct + %d second pass of %d buckets; want both kinds", direct, second, st.Obs.Reg.Counter("core.buckets").Value())
+	}
+}
+
+// The count-only mode of the one walk loop, across ranks: after an
+// evaluation every group is walked again over the resident slab, once
+// gathering its list and once only counting, and the tallies equal the
+// list's lengths. On several ranks the lists mix local cells, fills, other
+// ranks' branches and fetched cells, and every kind is checked to appear.
+func TestCountOnlyMatchesListAcrossRanks(t *testing.T) {
+	const n = 1500
+	ics := PlummerSphere(rand.New(rand.NewSource(7)), n, 1.0)
+	for _, p := range []int{1, 3, 8} {
+		var kinds [4]atomic.Int64 // local, top fill, top branch, fetched
+		mp.Run(testCluster(), p, func(r *mp.Rank) {
+			lo, hi := n*r.ID()/p, n*(r.ID()+1)/p
+			bodies, splitters, boxLo, boxSize := Decompose(r, append([]Body(nil), ics[lo:hi]...))
+			dt := BuildDistributed(r, bodies, splitters, boxLo, boxSize, Options{Theta: 0.7, Eps: 0.01})
+			dt.ComputeForces(bodies)
+			if dt.local == nil {
+				return
+			}
+			kind := func(m *gravity.Multipole) int {
+				for j := range dt.top.cells {
+					if m == &dt.top.cells[j].Mp {
+						return 1 + int(min(dt.top.owner[j]+1, 1))
+					}
+				}
+				for j := range dt.fetched {
+					if m == &dt.fetched[j].Mp {
+						return 3
+					}
+				}
+				return 0
+			}
+			count := htree.BucketScratch{CountOnly: true}
+			for _, g := range dt.local.Groups() {
+				w := dt.walker(g)
+				dt.regather(&w)
+				count.Reset()
+				count.Push(dt.route[0])
+				dt.local.Gather(&w.mac, &count, &w)
+				l := &w.sc.List
+				if count.NCells != len(l.Cells) || count.NSrcs != l.Bodies() || count.NSegs != len(l.Segs) {
+					t.Errorf("p=%d rank %d group %v: counted %d cells + %d bodies in %d segments, list holds %d + %d in %d",
+						p, r.ID(), g.Key, count.NCells, count.NSrcs, count.NSegs, len(l.Cells), l.Bodies(), len(l.Segs))
+					return
+				}
+				if len(count.List.Cells) != 0 || len(count.List.Segs) != 0 {
+					t.Errorf("p=%d rank %d group %v: count-only walk appended to the list", p, r.ID(), g.Key)
+					return
+				}
+				for _, m := range l.Cells {
+					kinds[kind(m)].Add(1)
+				}
+			}
+		})
+		for k, name := range []string{"local cells", "fills", "other ranks' branches", "fetched cells"} {
+			if got := kinds[k].Load(); (got == 0) != (p == 1 && k > 0) {
+				t.Errorf("p=%d: %d %s on the lists", p, got, name)
+			}
+		}
 	}
 }
 

@@ -5,32 +5,33 @@ import (
 	"math/rand"
 	"testing"
 
+	"spacesim/internal/htree"
 	"spacesim/internal/key"
 	"spacesim/internal/mp"
 	"spacesim/internal/obs"
 	"spacesim/internal/vec"
 )
 
-// cellBits is everything a slab cell holds in comparable form, floats as
-// their bit patterns.
+// cellBits is everything a cell of a slab holds in comparable form, floats
+// as their bit patterns, daughter links as the indices they lead to, with
+// the owner the top keeps beside it.
 type cellBits struct {
-	key          key.K
-	mp           [10]uint64
-	bmax         uint64
-	n, owner     int
-	leaf         bool
-	mask         uint8
-	child        int32
-	bodies       int
-	bodiesNonNil bool
+	key       key.K
+	mp        [10]uint64
+	bmax      uint64
+	n, lo, hi int
+	owner     int32
+	leaf      bool
+	mask      uint8
+	kids      [8]int32
 }
 
-func bitsOf(c *cell) cellBits {
+func bitsOf(c *htree.Cell, at, owner int32) cellBits {
 	b := cellBits{
-		key: c.Key, bmax: math.Float64bits(c.Bmax), n: c.N, owner: c.Owner,
-		leaf: c.Leaf, mask: c.ChildMask, child: c.child,
-		bodies: len(c.bodies), bodiesNonNil: c.bodies != nil,
+		key: c.Key, bmax: math.Float64bits(c.Bmax), n: c.N, lo: c.Lo, hi: c.Hi,
+		owner: owner, leaf: c.Leaf, mask: c.ChildMask,
 	}
+	copy(b.kids[:], c.Daughters(at, nil))
 	b.mp[0] = math.Float64bits(c.Mp.M)
 	for i, x := range c.Mp.COM {
 		b.mp[1+i] = math.Float64bits(x)
@@ -49,25 +50,27 @@ func bitsOf(c *cell) cellBits {
 func TestSharedTopEqualsEveryRanksOwnBuild(t *testing.T) {
 	for _, tc := range []struct{ p, n int }{{3, 500}, {8, 1200}, {64, 640}} {
 		ics := PlummerSphere(rand.New(rand.NewSource(50)), tc.n, 1.0)
-		tops, tables := make([]*cell, tc.p), make([]*key.K, tc.p)
+		tops, tables := make([]*topTree, tc.p), make([]*key.K, tc.p)
 		mp.Run(testCluster(), tc.p, func(r *mp.Rank) {
 			lo, hi := tc.n*r.ID()/tc.p, tc.n*(r.ID()+1)/tc.p
 			bodies, splitters, boxLo, boxSize := Decompose(r, append([]Body(nil), ics[lo:hi]...))
 			dt := BuildDistributed(r, bodies, splitters, boxLo, boxSize, Options{Theta: 0.6, Eps: 0.02})
-			tops[r.ID()], tables[r.ID()] = &dt.top[0], &splitters[0]
+			tops[r.ID()], tables[r.ID()] = dt.top, &splitters[0]
 
 			mine := dt.branches()
-			branches := make([][]cellInfo, tc.p)
-			for i, g := range r.AllgatherAny(mine, int64(len(mine)*cellInfoWireBytes)) {
-				branches[i] = g.([]cellInfo)
+			branches := make([][]htree.Cell, tc.p)
+			for i, g := range r.AllgatherAny(mine, int64(len(mine)*cellWireBytes)) {
+				branches[i] = g.([]htree.Cell)
 			}
 			want := buildTop(branches)
-			if len(want) != len(dt.top) {
-				t.Errorf("p=%d rank %d: shared top has %d cells, the rank's own build %d", tc.p, r.ID(), len(dt.top), len(want))
+			if len(want.cells) != len(dt.top.cells) || len(dt.top.owner) != len(dt.top.cells) {
+				t.Errorf("p=%d rank %d: shared top has %d cells and %d owners, the rank's own build %d",
+					tc.p, r.ID(), len(dt.top.cells), len(dt.top.owner), len(want.cells))
 				return
 			}
-			for i := range want {
-				if got, w := bitsOf(&dt.top[i]), bitsOf(&want[i]); got != w {
+			for i := range want.cells {
+				at := int32(i)
+				if got, w := bitsOf(&dt.top.cells[i], at, dt.top.owner[i]), bitsOf(&want.cells[i], at, want.owner[i]); got != w {
 					t.Errorf("p=%d rank %d: top cell %d: shared %+v, own build %+v", tc.p, r.ID(), i, got, w)
 					return
 				}

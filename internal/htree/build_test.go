@@ -213,26 +213,3 @@ func TestLeavesBodyOrder(t *testing.T) {
 		}
 	}
 }
-
-// TestAppendLeafBodies checks the scratch-reusing variant against the
-// allocating one.
-func TestAppendLeafBodies(t *testing.T) {
-	pos, mass := plummerBodies(500, 3)
-	tr, err := Build(pos, mass, Options{MaxLeaf: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	buf := tr.AppendLeafBodies(nil, tr.Leaves()[0])
-	for _, c := range tr.Leaves() {
-		want := tr.LeafBodies(c)
-		buf = tr.AppendLeafBodies(buf[:0], c)
-		if len(buf) != len(want) {
-			t.Fatalf("leaf %v: %d vs %d sources", c.Key, len(buf), len(want))
-		}
-		for i := range want {
-			if buf[i] != want[i] {
-				t.Fatalf("leaf %v: source %d differs", c.Key, i)
-			}
-		}
-	}
-}

@@ -124,14 +124,15 @@ func (c *Cell) BoundingSphere() (center vec.V3, radius float64) {
 // together equal it on every input, bit for bit.
 //
 // A test built for a sink group (NewGroupMAC) also knows the group's body
-// range, and a walk accepts no cell that shares a body with it (Owns): the
-// group's own bodies reach its sinks only as direct bodies, each exactly
-// once, whatever theta is.
+// range and key, and a walk accepts no cell that shares a body with it
+// (Owns, OwnsKey): the group's own bodies reach its sinks only as direct
+// bodies, each exactly once, whatever theta is.
 type BucketMAC struct {
 	center        vec.V3
 	radius, theta float64
 	invTheta      float64
 	lo, hi        int
+	key           key.K
 }
 
 const (
@@ -162,7 +163,7 @@ func NewBucketMAC(center vec.V3, radius, theta float64) BucketMAC {
 func NewGroupMAC(g *Cell, theta float64) BucketMAC {
 	center, radius := g.BoundingSphere()
 	m := NewBucketMAC(center, radius, theta)
-	m.lo, m.hi = g.Lo, g.Hi
+	m.lo, m.hi, m.key = g.Lo, g.Hi, g.Key
 	return m
 }
 
@@ -170,6 +171,11 @@ func NewGroupMAC(g *Cell, theta float64) BucketMAC {
 // the test was built for (none, for NewBucketMAC): a cell that does holds one
 // of the group's sinks and is never accepted.
 func (m *BucketMAC) Owns(lo, hi int) bool { return lo < m.hi && m.lo < hi }
+
+// OwnsKey reports whether cell k contains the group's cell or lies inside it
+// (never, for NewBucketMAC): the key form of Owns, for a cell above the
+// bodies of several owners whose body range this tree does not know.
+func (m *BucketMAC) OwnsKey(k key.K) bool { return m.key != 0 && k.Overlaps(m.key) }
 
 // Dist2 is the squared distance from the bucket's center to com: the r²
 // Prefilter takes, and the square whose root Exact takes. It is written on
@@ -206,17 +212,17 @@ func (m *BucketMAC) Exact(com *vec.V3, bmax float64) bool {
 // BucketScratch holds one bucket's interaction list and the reusable
 // traversal and sink-side buffers of its evaluation. It is the one scratch
 // type of the grouped walk: the serial tree keeps one per worker, the
-// parallel engine (package core) one per list being gathered or evaluated.
-// The zero value is ready to use.
+// parallel engine (package core) one per list being gathered or evaluated
+// and one per suspended walk, count-only. The zero value is ready to use.
 type BucketScratch struct {
 	// List is the interaction list: accepted cells and segments of direct
-	// bodies, appended to by GatherList (and, in the parallel engine, by
-	// replicated cells and fetched bodies). It refers to the tree's cells
-	// and bodies, so it is good for as long as the tree is.
+	// bodies, appended to by Gather. It refers to the tree's cells and
+	// bodies (and to what Far resolves), so it is good for as long as they
+	// are.
 	List gravity.List
 
-	// CountOnly makes GatherList tally what it would have appended — cells
-	// in NCells, bodies in NSrcs, the segments they come in in NSegs — and
+	// CountOnly makes Gather tally what it would have appended — cells in
+	// NCells, bodies in NSrcs, the segments they come in in NSegs — and
 	// leave the list alone: the mode of a walk whose list lengths are
 	// wanted but whose list will be gathered again later.
 	CountOnly            bool
@@ -233,6 +239,7 @@ type BucketScratch struct {
 	Ball   bool
 	Ranges []BodyRange
 
+	// stack holds the slab indices the walk has still to visit (Push).
 	stack          []int32
 	sx, sy, sz     []float64
 	ax, ay, az, pp []float64
@@ -268,26 +275,79 @@ func (sc *BucketScratch) grow(n int) {
 	}
 }
 
-// GatherList walks the subtree under root once for the bucket whose test is
-// mac, appending accepted cells and direct-interaction bodies to the
-// scratch's list (or, in its count-only mode, counting them; or, in its ball
-// mode, appending the body ranges of the leaves the ball reaches to Ranges),
-// and returns the number of cells it opened. root must be a cell of this
-// tree: key.Root for a whole-tree walk, or a locally owned branch of the
-// distributed tree. A leaf is tested like any other cell: accepted, it goes
-// on the list as its multipole (a one-body leaf's is exact); rejected, as
-// its bodies. No cell the test Owns is accepted.
+// GatherList walks the subtree under root, a cell of this tree, once for the
+// bucket whose test is mac: Gather from root, over this tree alone.
 func (t *Tree) GatherList(root key.K, mac *BucketMAC, sc *BucketScratch) (opened int) {
+	sc.stack = append(sc.stack[:0], t.store.find(root))
+	return t.Gather(mac, sc, nil)
+}
+
+// Push puts slab indices on the scratch's walk stack, the last on top.
+func (sc *BucketScratch) Push(i ...int32) { sc.stack = append(sc.stack, i...) }
+
+// Far lays out the cells at indices from a tree's NumCells on, which other
+// ranks own, for a walk over a distributed tree (package core).
+type Far interface {
+	// Layout returns the top, the cells from index NumCells on, and the
+	// fetched cells, from index base on. The walk takes top cell j at index
+	// route[j] — at NumCells+j as it is, at another index instead — and
+	// accepts no top cell linked to daughters (it is above several owners'
+	// bodies) whose key overlaps the group's (OwnsKey).
+	Layout() (top []Cell, route []int32, base int32, fetched []Cell)
+	// Open returns the bodies of far cell i, not accepted, if resident;
+	// otherwise it handles the miss and returns nil.
+	Open(i int32, c *Cell) []gravity.Source
+}
+
+// Gather drains the scratch's walk stack (Push) for the bucket whose test is
+// mac, appending accepted cells and direct-interaction bodies to the list
+// (or, in count-only mode, counting them; or, in ball mode, appending the
+// body ranges of the leaves the ball reaches to Ranges), and returns the
+// number of cells it opened. Daughters are pushed in ascending octant order
+// and popped last first. A leaf is tested like any other cell: accepted, it
+// goes on the list as its multipole (a one-body leaf's is exact); rejected,
+// as its bodies. No cell of this tree that the test Owns is accepted, and
+// under Grouping's exact leaves its leaves are listed untested. far lays out
+// the indices past NumCells; it may be nil if the stack holds none.
+func (t *Tree) Gather(mac *BucketMAC, sc *BucketScratch, far Far) (opened int) {
 	cells := t.store.cells
-	stack := append(sc.stack[:0], t.store.find(root))
+	stack := sc.stack
 	countOnly, ball := sc.CountOnly, sc.Ball
 	exact := exactLeaves && !ball
+	// Local cells link only to local cells: a walk meets far cells only if it
+	// starts among them, and asks far for them only then.
+	fv := farView{far: far, n: int32(len(cells))}
+	for _, i := range stack {
+		if int(i) >= len(cells) {
+			fv.top, fv.route, fv.base, fv.fetched = far.Layout()
+			break
+		}
+	}
 	for len(stack) > 0 {
 		ci := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		c := &cells[ci]
+		var c *Cell
+		var test bool
+		if int(ci) < len(cells) {
+			c = &cells[ci]
+			test = !(exact && c.Leaf) && !mac.Owns(c.Lo, c.Hi)
+		} else {
+			if ci < fv.base {
+				ci = fv.route[ci-fv.n]
+			}
+			switch {
+			case int(ci) < len(cells): // a branch this tree holds
+				c = &cells[ci]
+				test = !(exact && c.Leaf) && !mac.Owns(c.Lo, c.Hi)
+			case ci >= fv.base:
+				c, test = &fv.fetched[ci-fv.base], true
+			default:
+				c = &fv.top[ci-fv.n]
+				test = c.kids[0] == 0 || !mac.OwnsKey(c.Key)
+			}
+		}
 		accept := false
-		if !(exact && c.Leaf) && !mac.Owns(c.Lo, c.Hi) {
+		if test {
 			var decided bool
 			accept, decided = mac.Prefilter(mac.Dist2(&c.Mp.COM), c.Bmax)
 			if !decided {
@@ -300,13 +360,22 @@ func (t *Tree) GatherList(root key.K, mac *BucketMAC, sc *BucketScratch) (opened
 			sc.NCells++
 		case accept:
 			sc.List.Cells = append(sc.List.Cells, &c.Mp)
-		case !c.Leaf:
+		case c.kids[0] != 0:
 			opened++
 			for _, d := range c.kids {
 				if d == 0 {
 					break
 				}
 				stack = append(stack, ci+d)
+			}
+		case int(ci) >= len(cells): // not this tree's: far has its bodies, or the miss
+			switch seg := fv.far.Open(ci, c); {
+			case seg == nil:
+			case countOnly:
+				sc.NSrcs += len(seg)
+				sc.NSegs++
+			default:
+				sc.List.Segs = append(sc.List.Segs, seg)
 			}
 		case ball:
 			sc.Ranges = append(sc.Ranges, BodyRange{c.Lo, c.Hi})
@@ -319,6 +388,15 @@ func (t *Tree) GatherList(root key.K, mac *BucketMAC, sc *BucketScratch) (opened
 	}
 	sc.stack = stack[:0]
 	return opened
+}
+
+// farView is a walk's copy of its Far's Layout, kept in memory and read
+// for far cells only, so that the registers stay with the local walk.
+type farView struct {
+	far          Far
+	top, fetched []Cell
+	route        []int32
+	n, base      int32
 }
 
 // EvalBucket applies the scratch's interaction list to every body of the

@@ -15,6 +15,7 @@ package htree
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"spacesim/internal/gravity"
 	"spacesim/internal/key"
@@ -33,10 +34,11 @@ type Cell struct {
 	// Bmax is the maximum distance from the center of mass to any body in
 	// the cell, used by the multipole acceptance criterion.
 	Bmax float64
-	// Leaf marks a bucket. Lo/Hi is the body index range below the cell
-	// (half-open), on every cell: a leaf's bodies, or a sink group's.
-	Leaf   bool
+	// Lo/Hi is the body index range below the cell (half-open), on every
+	// cell: a leaf's bodies, or a sink group's.
 	Lo, Hi int
+	// Leaf marks a bucket.
+	Leaf bool
 	// ChildMask has bit i set when daughter octant i exists.
 	ChildMask uint8
 	// kids are the slab positions of the daughters relative to this cell's
@@ -140,13 +142,7 @@ func (t *Tree) Cell(k key.K) (*Cell, bool) {
 }
 
 // Root returns the root cell.
-func (t *Tree) Root() *Cell {
-	c := t.store.get(key.Root)
-	if c == nil {
-		panic("htree: tree has no root")
-	}
-	return c
-}
+func (t *Tree) Root() *Cell { return t.At(t.Find(key.Root)) }
 
 // NumCells returns the number of cells in the hash table.
 func (t *Tree) NumCells() int { return len(t.store.cells) }
@@ -159,14 +155,44 @@ func (t *Tree) Sources() []gravity.Source { return t.src }
 // LeafBodies returns the bodies of a leaf cell as kernel sources in a
 // freshly allocated slice the caller owns.
 func (t *Tree) LeafBodies(c *Cell) []gravity.Source {
-	return t.AppendLeafBodies(make([]gravity.Source, 0, c.Hi-c.Lo), c)
+	return append([]gravity.Source(nil), t.src[c.Lo:c.Hi]...)
 }
 
-// AppendLeafBodies appends the bodies of a leaf cell to dst and returns the
-// extended slice — the allocation-free variant of LeafBodies for callers
-// with a reusable scratch buffer.
-func (t *Tree) AppendLeafBodies(dst []gravity.Source, c *Cell) []gravity.Source {
-	return append(dst, t.src[c.Lo:c.Hi]...)
+// Find returns the slab index of the cell stored under k, or -1: the index
+// by which a walk's stack names the cell (BucketScratch.Push).
+func (t *Tree) Find(k key.K) int32 { return t.store.find(k) }
+
+// At returns the cell at slab index i.
+func (t *Tree) At(i int32) *Cell { return &t.store.cells[i] }
+
+// Daughters appends to dst the slab indices of the daughters of the cell,
+// which sits at index at of its slab, in ascending octant order.
+func (c *Cell) Daughters(at int32, dst []int32) []int32 {
+	for _, d := range c.kids {
+		if d == 0 {
+			break
+		}
+		dst = append(dst, at+d)
+	}
+	return dst
+}
+
+// Link makes the cell at index at of a slab that no build laid out (package
+// core's replicated top and fetched cells) the parent of the cells at first,
+// first+1, ..., one per bit of ChildMask in ascending octant order: a walk
+// then opens it like a cell of a built tree.
+func (c *Cell) Link(at, first int32) {
+	for j := int32(0); j < int32(bits.OnesCount8(c.ChildMask)); j++ {
+		c.kids[j] = first + j - at
+	}
+}
+
+// Bare returns the cell without what places it in this tree's slab — its
+// daughter links and body range — as another slab receives it.
+func (c *Cell) Bare() Cell {
+	b := *c
+	b.Lo, b.Hi, b.kids = 0, 0, [8]int32{}
+	return b
 }
 
 // WalkStats counts the work of one force evaluation.
@@ -199,11 +225,11 @@ func (t *Tree) Accel(p vec.V3, theta, eps float64) (vec.V3, float64, WalkStats) 
 	var st WalkStats
 	eps2 := eps * eps
 
-	stack := []key.K{key.Root}
+	stack := []int32{t.store.find(key.Root)}
 	for len(stack) > 0 {
-		k := stack[len(stack)-1]
+		ci := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		c := t.store.get(k)
+		c := &t.store.cells[ci]
 		d := p.Dist(c.Mp.COM)
 		if !c.Leaf && AcceptMAC(d, c.Bmax, theta) {
 			a, ph := c.Mp.AccelAt(p, eps)
@@ -231,11 +257,7 @@ func (t *Tree) Accel(p vec.V3, theta, eps float64) (vec.V3, float64, WalkStats) 
 			continue
 		}
 		st.CellsOpened++
-		for oct := 0; oct < 8; oct++ {
-			if c.ChildMask&(1<<uint(oct)) != 0 {
-				stack = append(stack, k.Child(oct))
-			}
-		}
+		stack = c.Daughters(ci, stack)
 	}
 	return acc, pot, st
 }

@@ -105,10 +105,11 @@ func ReadStripe(path string, wantRank int) ([]float64, error) {
 		return nil, fmt.Errorf("%w: %s: stripe rank %d, want %d", ErrWrongRank, path, rank, wantRank)
 	}
 	// Validate the payload count against the file size before allocating:
-	// a corrupted count must not turn into a giant allocation.
-	if want := int64(count)*8 + stripeOverhead; fi.Size() != want {
-		return nil, fmt.Errorf("%w: %s: %d bytes on disk, header promises %d",
-			ErrCorrupt, path, fi.Size(), want)
+	// a corrupted count must not turn into a giant allocation, so it is held
+	// to the count the size implies, with no product of it that could wrap.
+	if payload := fi.Size() - stripeOverhead; payload < 0 || payload%8 != 0 || count != uint64(payload/8) {
+		return nil, fmt.Errorf("%w: %s: %d bytes on disk, header promises %d values",
+			ErrCorrupt, path, fi.Size(), count)
 	}
 	data := make([]float64, count)
 	buf := make([]byte, 8)
