@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet cross-build kernels-widths fmt-check loc fuzz-smoke bench-e2e profile-serial profile-sph profile-dist8 profile-dist64 smoke analyze-smoke fault-smoke live-smoke ledger-smoke serve-smoke one-slot ci all
+.PHONY: build test race vet cross-build kernels-widths fmt-check loc experiments experiments-check fuzz-smoke bench-e2e profile-serial profile-sph profile-dist8 profile-dist64 smoke analyze-smoke fault-smoke live-smoke ledger-smoke serve-smoke one-slot ci all
 
 all: build test vet fmt-check
 
@@ -59,18 +59,37 @@ loc:
 	@find internal/core internal/htree internal/gravity -name '*.go' ! -name '*_test.go' | xargs wc -l | tail -1 | awk '{print $$1, "of them in internal/core + internal/htree + internal/gravity"}'
 	@find internal/core internal/htree -name '*.go' ! -name '*_test.go' | xargs wc -l | tail -1 | awk '{print $$1, "of them in internal/core + internal/htree"}'
 
+# EXPERIMENTS.md's paper-vs-reproduction tables are `ssbench all` at full
+# size (about a minute), written between the file's two marker comments;
+# ssbench exits 1, and the file is left alone, when a row leaves its band.
+# experiments-check fails when the committed tables differ from a fresh run.
+experiments:
+	@grep -q '^<!-- exhibits:begin' EXPERIMENTS.md && grep -q '^<!-- exhibits:end' EXPERIMENTS.md
+	$(GO) run ./cmd/ssbench all > .experiments.rows
+	awk 'FNR == NR { rows = rows $$0 "\n"; next } \
+		/^<!-- exhibits:end/ { printf "%s", rows; skip = 0 } \
+		!skip { print } \
+		/^<!-- exhibits:begin/ { skip = 1 }' .experiments.rows EXPERIMENTS.md > .experiments.md
+	mv .experiments.md EXPERIMENTS.md
+	rm .experiments.rows
+
+experiments-check: experiments
+	git diff --exit-code EXPERIMENTS.md
+
 # Ten seconds of native fuzzing on each target — the run configuration and
 # first body against core.Run, any bit pattern against the kernels'
 # reciprocal square root, any sphere, cell, theta and scale against a sink
 # group's acceptance test, small particle sets against the two-pass density
-# oracle, any file against the checkpoint stripe reader (offline; a failing
-# input lands under the package's testdata/fuzz/).
+# oracle, any file against the checkpoint stripe reader and the job server's
+# journal replay (offline; a failing input lands under the package's
+# testdata/fuzz/).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzRunConfig -fuzztime 10s ./internal/core
 	$(GO) test -run '^$$' -fuzz FuzzRsqrt -fuzztime 10s ./internal/gravity
 	$(GO) test -run '^$$' -fuzz FuzzBucketMAC -fuzztime 10s ./internal/htree
 	$(GO) test -run '^$$' -fuzz FuzzDensityScan -fuzztime 10s ./internal/sph
 	$(GO) test -run '^$$' -fuzz FuzzReadStripe -fuzztime 10s ./internal/pario
+	$(GO) test -run '^$$' -fuzz FuzzReplayJournal -fuzztime 10s ./internal/serve
 
 # The BENCHMARK.json benchmark (bench/README.md) on the seed it holds back
 # for checking a claim, five fresh-process runs per workload. To judge a
@@ -239,5 +258,6 @@ serve-smoke:
 
 # Full local CI pass: formatting, static checks, the arm64 cross-build, tests,
 # race detector, the one-slot pass, the per-width kernel pass, the observability + trace-analysis + fault-injection +
-# live-telemetry + run-ledger + job-server smoke runs, and the fuzz smoke.
-ci: fmt-check vet cross-build test race one-slot kernels-widths smoke analyze-smoke fault-smoke live-smoke ledger-smoke serve-smoke fuzz-smoke
+# live-telemetry + run-ledger + job-server smoke runs, the fuzz smoke, and the
+# check that EXPERIMENTS.md's tables are what the registry prints.
+ci: fmt-check vet cross-build test race one-slot kernels-widths smoke analyze-smoke fault-smoke live-smoke ledger-smoke serve-smoke fuzz-smoke experiments-check

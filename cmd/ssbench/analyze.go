@@ -58,8 +58,7 @@ func analyzeBench() {
 
 	rep, err := analysis.Analyze(runObs, cl, analysis.Options{})
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "analyze:", err)
-		os.Exit(1)
+		die(1, "analyze:", err)
 	}
 	cfg := ledgerConfig("analyze", n, 8, steps, 4, 1)
 	if rep.Provenance != nil {
@@ -70,8 +69,7 @@ func analyzeBench() {
 	fmt.Print(rep.Render())
 	if *analysisOut != "" {
 		if err := rep.WriteJSON(*analysisOut); err != nil {
-			fmt.Fprintln(os.Stderr, "analyze: write:", err)
-			os.Exit(1)
+			die(1, "analyze: write:", err)
 		}
 		fmt.Printf("\nwrote %s\n", *analysisOut)
 		ledgerAppend(cfg, filepath.Base(*analysisOut), *analysisOut)
@@ -123,13 +121,11 @@ func diffCmd(args []string) {
 	}
 	oldR, err := analysis.ReadFile(fs.Arg(0))
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "diff:", err)
-		os.Exit(2)
+		die(2, "diff:", err)
 	}
 	newR, err := analysis.ReadFile(fs.Arg(1))
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "diff:", err)
-		os.Exit(2)
+		die(2, "diff:", err)
 	}
 	d := analysis.Diff(oldR, newR, th)
 	fmt.Print(d.Render())
@@ -146,13 +142,11 @@ func diffCmd(args []string) {
 func diffBaseline(newPath, ledgerPath string, lastK int, allowCross bool) {
 	data, err := os.ReadFile(newPath)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "diff:", err)
-		os.Exit(2)
+		die(2, "diff:", err)
 	}
 	prov, ok := ledger.ExtractProvenance(data)
 	if !ok || prov.ConfigDigest == "" {
-		fmt.Fprintf(os.Stderr, "diff: %s carries no provenance config digest; regenerate it with a current ssbench\n", newPath)
-		os.Exit(2)
+		die(2, fmt.Sprintf("diff: %s carries no provenance config digest; regenerate it with a current ssbench", newPath))
 	}
 	st := openLedgerAt(ledgerPath)
 	if st == nil {
@@ -161,8 +155,7 @@ func diffBaseline(newPath, ledgerPath string, lastK int, allowCross bool) {
 	}
 	recs, err := st.Records()
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "diff:", err)
-		os.Exit(2)
+		die(2, "diff:", err)
 	}
 	var base []ledger.Record
 	if allowCross {

@@ -93,8 +93,7 @@ func faultsweepCmd(args []string) {
 
 	base := core.Run(cfg, ics)
 	if base.Err != nil {
-		fmt.Fprintln(os.Stderr, "faultsweep: baseline:", base.Err)
-		os.Exit(1)
+		die(1, "faultsweep: baseline:", base.Err)
 	}
 	horizon := base.ElapsedVirtual
 
@@ -128,22 +127,19 @@ func faultsweepCmd(args []string) {
 	for _, k := range []int{1, 2, 4, 8} {
 		dir, err := os.MkdirTemp("", "faultsweep-ck-")
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "faultsweep:", err)
-			os.Exit(1)
+			die(1, "faultsweep:", err)
 		}
 		ckCfg := cfg
 		ckCfg.Checkpoint = &core.CheckpointConfig{Dir: dir, Every: k}
 		clean := core.Run(ckCfg, ics)
 		os.RemoveAll(dir)
 		if clean.Err != nil {
-			fmt.Fprintln(os.Stderr, "faultsweep: clean run:", clean.Err)
-			os.Exit(1)
+			die(1, "faultsweep: clean run:", clean.Err)
 		}
 
 		dir, err = os.MkdirTemp("", "faultsweep-ck-")
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "faultsweep:", err)
-			os.Exit(1)
+			die(1, "faultsweep:", err)
 		}
 		fCfg := ckCfg
 		fCfg.Checkpoint = &core.CheckpointConfig{Dir: dir, Every: k}
@@ -153,8 +149,7 @@ func faultsweepCmd(args []string) {
 		}, ics)
 		os.RemoveAll(dir)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "faultsweep: recovery:", err)
-			os.Exit(1)
+			die(1, "faultsweep: recovery:", err)
 		}
 
 		e := FaultsweepEntry{
@@ -174,8 +169,7 @@ func faultsweepCmd(args []string) {
 		fmt.Printf("  K=%d: io overhead %.4fs, %d crash(es), lost %.4fs, replayed %d steps, total %.4fs, bit-identical %v\n",
 			k, e.IOOverheadSec, e.Crashes, e.LostVirtualSec, e.ReplayedSteps, e.TotalVirtualSec, e.BitIdentical)
 		if !e.BitIdentical {
-			fmt.Fprintf(os.Stderr, "faultsweep: K=%d recovery diverged from the fault-free run\n", k)
-			os.Exit(1)
+			die(1, fmt.Sprintf("faultsweep: K=%d recovery diverged from the fault-free run", k))
 		}
 	}
 
@@ -190,12 +184,10 @@ func faultsweepCmd(args []string) {
 	rep.Provenance = provFor(lcfg)
 	b, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "faultsweep:", err)
-		os.Exit(1)
+		die(1, "faultsweep:", err)
 	}
 	if err := os.WriteFile(*out, append(b, '\n'), 0o644); err != nil {
-		fmt.Fprintln(os.Stderr, "faultsweep:", err)
-		os.Exit(1)
+		die(1, "faultsweep:", err)
 	}
 	fmt.Printf("wrote %s\n", *out)
 	ledgerAppend(lcfg, filepath.Base(*out), *out)

@@ -18,12 +18,8 @@ import (
 var ledgerDir = flag.String("ledger", ledger.DefaultDir,
 	"run-ledger directory for the cross-run history (empty disables ledger writes)")
 
-// openLedger opens the invocation's ledger store, or nil when disabled or
-// unopenable (warned once).
-func openLedger() *ledger.Store {
-	return openLedgerAt(*ledgerDir)
-}
-
+// openLedgerAt opens the ledger store in dir, or nil when dir is empty
+// (ledger disabled) or unopenable (warned once).
 func openLedgerAt(dir string) *ledger.Store {
 	if dir == "" {
 		return nil
@@ -65,7 +61,7 @@ func provFor(cfg ledger.Config) *ledger.Provenance {
 // is stored as a content-addressed blob, its headline metrics extracted,
 // and a run record appended. Best-effort by contract.
 func ledgerAppend(cfg ledger.Config, artifactName, artifactPath string) {
-	st := openLedger()
+	st := openLedgerAt(*ledgerDir)
 	if st == nil {
 		return
 	}

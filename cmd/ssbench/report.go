@@ -5,6 +5,7 @@ package main
 // archiving next to the JSON artifacts.
 
 import (
+	"bytes"
 	"flag"
 	"fmt"
 	"os"
@@ -24,29 +25,18 @@ func reportCmd(args []string) {
 	}
 	st := openLedgerAt(*dir)
 	if st == nil {
-		fmt.Fprintln(os.Stderr, "report: no ledger")
-		os.Exit(2)
+		die(2, "report: no ledger")
+	}
+	var b bytes.Buffer
+	if err := st.RenderIndexHTML(&b); err != nil {
+		die(1, "report:", err)
 	}
 	if *htmlOut == "-" {
-		if err := st.RenderIndexHTML(os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, "report:", err)
-			os.Exit(1)
-		}
+		os.Stdout.Write(b.Bytes())
 		return
 	}
-	f, err := os.Create(*htmlOut)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "report:", err)
-		os.Exit(1)
-	}
-	if err := st.RenderIndexHTML(f); err != nil {
-		f.Close()
-		fmt.Fprintln(os.Stderr, "report:", err)
-		os.Exit(1)
-	}
-	if err := f.Close(); err != nil {
-		fmt.Fprintln(os.Stderr, "report:", err)
-		os.Exit(1)
+	if err := os.WriteFile(*htmlOut, b.Bytes(), 0o644); err != nil {
+		die(1, "report:", err)
 	}
 	fmt.Printf("wrote %s\n", *htmlOut)
 }

@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"os"
 	"sort"
+	"strings"
 
 	"spacesim/internal/obs/ledger"
 )
@@ -33,13 +34,11 @@ func trendCmd(args []string) {
 	}
 	st := openLedgerAt(*dir)
 	if st == nil {
-		fmt.Fprintln(os.Stderr, "trend: no ledger")
-		os.Exit(2)
+		die(2, "trend: no ledger")
 	}
 	recs, err := st.Records()
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "trend:", err)
-		os.Exit(2)
+		die(2, "trend:", err)
 	}
 	host := *hostFlag
 	if host == "" && !*allHosts {
@@ -54,7 +53,7 @@ func trendCmd(args []string) {
 	byKey := map[string]*group{}
 	var order []*group
 	for _, r := range recs { // Records() is oldest→newest
-		if *configFlag != "" && !prefixMatch(r.ConfigDigest, *configFlag) {
+		if *configFlag != "" && !strings.HasPrefix(r.ConfigDigest, *configFlag) {
 			continue
 		}
 		hk := r.Build.HostKey()
@@ -108,9 +107,4 @@ func printTrends(trends []ledger.MetricTrend) {
 		fmt.Printf("  %-26s %-12s latest %.6g  median %.6g  %s\n",
 			t.Name, ledger.TextSparkline(t.Values), t.Latest, t.Median, verdict)
 	}
-}
-
-// prefixMatch reports whether digest starts with the (possibly short) query.
-func prefixMatch(digest, query string) bool {
-	return len(query) <= len(digest) && digest[:len(query)] == query
 }

@@ -4,5 +4,6 @@
 // and cosmology applications, plus a virtual-time cluster simulator that
 // stands in for the 294-node Pentium 4 / Gigabit Ethernet machine the paper
 // describes. See README.md for the tour and DESIGN.md for the system
-// inventory; bench_test.go regenerates every table and figure.
+// inventory; cmd/ssbench regenerates every table and figure and checks it
+// against the paper (EXPERIMENTS.md).
 package spacesim

@@ -113,8 +113,6 @@ func (cfg RunConfig) Validate() error {
 		return fmt.Errorf("core: eps %g must be finite and non-negative", opt.Eps)
 	case !finite(opt.DT) || opt.DT < 0:
 		return fmt.Errorf("core: dt %g must be finite and non-negative", opt.DT)
-	case !finite(opt.KernelEff) || opt.KernelEff < 0:
-		return fmt.Errorf("core: kernel efficiency %g must be finite and non-negative", opt.KernelEff)
 	case opt.MaxLeaf < 0 || opt.Workers < 0:
 		return fmt.Errorf("core: max leaf %d and workers %d must be non-negative", opt.MaxLeaf, opt.Workers)
 	}

@@ -46,10 +46,6 @@ type Options struct {
 	DT float64
 	// MaxLeaf is the tree bucket size (default 8).
 	MaxLeaf int
-	// KernelEff overrides the modeled fraction of node peak the inner
-	// kernel sustains when charging virtual time (default: the Karp
-	// micro-kernel rate of the SS CPU model, as in Table 6).
-	KernelEff float64
 	// Workers is the number of host goroutines evaluating bucket
 	// interaction lists and running the tree-build
 	// pipeline (default runtime.GOMAXPROCS(0)). Results are bit-identical
@@ -69,9 +65,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.MaxLeaf == 0 {
 		o.MaxLeaf = 8
-	}
-	if o.KernelEff == 0 {
-		o.KernelEff = 0.125 // ~630 Mflop/s of the 5.06 Gflop/s SS node peak
 	}
 	return o
 }

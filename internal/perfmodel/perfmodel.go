@@ -10,11 +10,7 @@
 // Table 2 ratios — the documented substitution of DESIGN.md.
 package perfmodel
 
-import (
-	"fmt"
-
-	"spacesim/internal/machine"
-)
+import "spacesim/internal/machine"
 
 // Config is one column of Table 2.
 type Config struct {
@@ -110,19 +106,6 @@ var Table2Paper = map[string][3]float64{
 	"CINT2000": {0.83, 0.81, 1.051},
 	"CFP2000":  {0.71, 0.87, 1.054},
 	"Linpack":  {0.868, 0.788, 1.053},
-}
-
-// Row renders one Table 2 line: value plus ratio per configuration.
-func Row(w Workload) string {
-	s := fmt.Sprintf("%-10s", w.Name)
-	for _, c := range Configs() {
-		if c == Normal {
-			s += fmt.Sprintf(" %9.1f", w.Value(c))
-			continue
-		}
-		s += fmt.Sprintf(" %9.1f(%.3f)", w.Value(c), w.Ratio(c))
-	}
-	return s
 }
 
 // SPECReport reproduces the Section 3.5 price/performance claim: node cost

@@ -83,14 +83,6 @@ func TestOverclockGainsEverywhere(t *testing.T) {
 	}
 }
 
-func TestRowRendering(t *testing.T) {
-	w := Table2Workloads()[0]
-	row := Row(w)
-	if len(row) == 0 || row[:4] != "copy" {
-		t.Fatalf("row = %q", row)
-	}
-}
-
 // Section 3.5: $1.20 per SPECfp; the Itanium2 system must cost < $2546 to
 // match; July 2003 node prices reach ~$0.93/SPECfp.
 func TestSPECPricePerformance(t *testing.T) {

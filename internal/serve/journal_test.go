@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -137,18 +138,20 @@ func TestReplayJournalFromBeforeEngineRemoval(t *testing.T) {
 	}
 }
 
-func TestReplayToleratesTornTail(t *testing.T) {
-	dir := t.TempDir()
-	spec := smallSpec()
-	b, err := json.Marshal(event{Ev: evSubmit, ID: "j000001-deadbeef", TimeUnixNS: 1,
-		Spec: func() *JobSpec { s := spec.withDefaults(); return &s }()})
+// tornJournal is a journal whose daemon died halfway through appending the
+// start event after one submit.
+func tornJournal(t testing.TB) []byte {
+	spec := smallSpec().withDefaults()
+	b, err := json.Marshal(event{Ev: evSubmit, ID: "j000001-deadbeef", TimeUnixNS: 1, Spec: &spec})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The daemon died halfway through appending the start event.
-	journal := append(b, '\n')
-	journal = append(journal, []byte(`{"ev":"sta`)...)
-	if err := os.WriteFile(filepath.Join(dir, JournalFile), journal, 0o644); err != nil {
+	return append(b, []byte("\n{\"ev\":\"sta")...)
+}
+
+func TestReplayToleratesTornTail(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, JournalFile), tornJournal(t), 0o644); err != nil {
 		t.Fatal(err)
 	}
 
@@ -213,4 +216,31 @@ func TestJournalEventRoundtrip(t *testing.T) {
 	if job.Error != "" {
 		t.Fatalf("done job kept stale error %q", job.Error)
 	}
+}
+
+// FuzzReplayJournal feeds replayJournal arbitrary journals, seeded from the
+// torn-tail tables: any input must give an error or a job table in which
+// every submitted id in order has its job, and never a panic.
+func FuzzReplayJournal(f *testing.F) {
+	torn := tornJournal(f)
+	f.Add(torn)
+	f.Add(torn[:bytes.IndexByte(torn, '\n')+1])
+	f.Add(append(append([]byte{}, torn[:bytes.IndexByte(torn, '\n')+1]...), `{"ev":"start","id":"j000001-deadbeef","t":2,"attempts":1}`+"\n"...))
+	f.Add([]byte("{\"ev\":\"garbage\n{\"ev\":\"submit\",\"id\":\"j000001-x\",\"t\":1,\"spec\":{}}\n"))
+	f.Add([]byte(`{"ev":"done","id":"j000009-orphan","t":3}` + "\n"))
+	f.Fuzz(func(t *testing.T, journal []byte) {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, JournalFile), journal, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		jobs, order, _, err := replayJournal(dir)
+		if err != nil {
+			return
+		}
+		for _, id := range order {
+			if jobs[id] == nil {
+				t.Fatalf("order names %q, which has no job", id)
+			}
+		}
+	})
 }
