@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet cross-build kernels-widths fmt-check loc experiments experiments-check fuzz-smoke bench-e2e profile-serial profile-sph profile-dist8 profile-dist64 smoke analyze-smoke fault-smoke live-smoke ledger-smoke serve-smoke one-slot ci all
+.PHONY: build test race vet cross-build kernels-widths fmt-check reachable loc experiments experiments-check fuzz-smoke bench-e2e profile-serial profile-sph profile-dist8 profile-dist64 smoke analyze-smoke fault-smoke live-smoke ledger-smoke serve-smoke one-slot ci all
 
 all: build test vet fmt-check
 
@@ -51,6 +51,20 @@ fmt-check:
 		echo "gofmt needed on:"; echo "$$out"; exit 1; \
 	fi
 
+# Every package under internal/ must be built into a command, an example or
+# the benchmark: a package no binary imports is surface nothing runs. The
+# one exception is internal/gravity/seedref, the tests' reference
+# arithmetic. Plain sh, like every recipe here.
+reachable:
+	@deps=$$($(GO) list -deps ./cmd/... ./examples/... ./bench) && \
+	pkgs=$$($(GO) list ./internal/...) || exit 1; \
+	dead=$$(echo "$$pkgs" | grep -vxF -e "$$deps" | grep -vx 'spacesim/internal/gravity/seedref'); \
+	if [ -n "$$dead" ]; then \
+		echo "reachable: no command, example or bench/ imports these packages:"; \
+		echo "$$dead"; exit 1; \
+	fi; \
+	echo "reachable: every package under internal/ is built into a binary"
+
 # The size figure every PR reports in CHANGES.md: non-test Go lines outside
 # bench/, the core+htree+gravity subtotal of ROADMAP's deletion score, and
 # the core+htree subtotal its item 6 is judged by.
@@ -80,16 +94,18 @@ experiments-check: experiments
 # first body against core.Run, any bit pattern against the kernels'
 # reciprocal square root, any sphere, cell, theta and scale against a sink
 # group's acceptance test, small particle sets against the two-pass density
-# oracle, any file against the checkpoint stripe reader and the job server's
-# journal replay (offline; a failing input lands under the package's
-# testdata/fuzz/).
+# oracle, any file against the checkpoint stripe reader, the checkpoint
+# set scan, the ledger's JSONL reader and the job server's journal replay
+# (offline; a failing input lands under the package's testdata/fuzz/).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzRunConfig -fuzztime 10s ./internal/core
+	$(GO) test -run '^$$' -fuzz FuzzLoadCheckpoint -fuzztime 10s ./internal/core
 	$(GO) test -run '^$$' -fuzz FuzzRsqrt -fuzztime 10s ./internal/gravity
 	$(GO) test -run '^$$' -fuzz FuzzBucketMAC -fuzztime 10s ./internal/htree
 	$(GO) test -run '^$$' -fuzz FuzzDensityScan -fuzztime 10s ./internal/sph
 	$(GO) test -run '^$$' -fuzz FuzzReadStripe -fuzztime 10s ./internal/pario
 	$(GO) test -run '^$$' -fuzz FuzzReplayJournal -fuzztime 10s ./internal/serve
+	$(GO) test -run '^$$' -fuzz FuzzReadJSONL -fuzztime 10s ./internal/obs/ledger
 
 # The BENCHMARK.json benchmark (bench/README.md) on the seed it holds back
 # for checking a claim, five fresh-process runs per workload. To judge a
@@ -256,8 +272,9 @@ serve-smoke:
 		|| { echo "serve-smoke: drain exited nonzero"; exit 1; }; \
 	echo "serve-smoke: SIGTERM drained cleanly (exit 0)"
 
-# Full local CI pass: formatting, static checks, the arm64 cross-build, tests,
-# race detector, the one-slot pass, the per-width kernel pass, the observability + trace-analysis + fault-injection +
+# Full local CI pass: formatting, static checks, the reachability check, the
+# arm64 cross-build, tests, race detector, the one-slot pass, the per-width
+# kernel pass, the observability + trace-analysis + fault-injection +
 # live-telemetry + run-ledger + job-server smoke runs, the fuzz smoke, and the
 # check that EXPERIMENTS.md's tables are what the registry prints.
-ci: fmt-check vet cross-build test race one-slot kernels-widths smoke analyze-smoke fault-smoke live-smoke ledger-smoke serve-smoke fuzz-smoke experiments-check
+ci: fmt-check vet reachable cross-build test race one-slot kernels-widths smoke analyze-smoke fault-smoke live-smoke ledger-smoke serve-smoke fuzz-smoke experiments-check

@@ -56,12 +56,10 @@ func encodeState(local []Body, acc []vec.V3) []float64 {
 	return out
 }
 
-// decodeState is the inverse of encodeState. Morton keys are not stored:
-// Decompose recomputes them from positions before they are read.
-func decodeState(data []float64) ([]Body, []vec.V3, error) {
-	if len(data)%ckFloatsPerBody != 0 {
-		return nil, nil, fmt.Errorf("checkpoint payload of %d floats is not a whole number of bodies", len(data))
-	}
+// decodeState is the inverse of encodeState, on a payload loadCheckpoint
+// has checked to hold whole bodies. Morton keys are not stored: Decompose
+// recomputes them from positions before they are read.
+func decodeState(data []float64) ([]Body, []vec.V3) {
 	n := len(data) / ckFloatsPerBody
 	local := make([]Body, n)
 	acc := make([]vec.V3, n)
@@ -76,7 +74,7 @@ func decodeState(data []float64) ([]Body, []vec.V3, error) {
 		}
 		acc[i] = vec.V3{f[6], f[7], f[8]}
 	}
-	return local, acc, nil
+	return local, acc
 }
 
 // ckName returns the stripe base name for a checkpoint at the given step;
@@ -208,19 +206,39 @@ func FindCheckpoints(dir string) []int {
 	return steps
 }
 
+// errForeignSet marks a checkpoint set whose stripes verify but which
+// cannot have been written by this run: more steps than the run has, a
+// payload of partial bodies, or another body count (another rank count
+// leaves bodies behind in the stripes not read). Like pario.ErrWrongRank it
+// is a bug, not disk damage, so recovery stops instead of falling back.
+var errForeignSet = errors.New("core: checkpoint set does not fit this run")
+
 // loadCheckpoint reads and verifies every rank's stripe for one checkpoint,
-// plus the rank-0 energy sidecar. A missing or corrupt stripe fails the
-// whole checkpoint (wrapped pario.ErrCorrupt where applicable) so the
-// caller can fall back to an older one; pario.ErrWrongRank is passed
-// through — a misrouted stripe is a bug, not a disk fault.
-func loadCheckpoint(dir string, step, nprocs int) ([][]float64, []Energies, error) {
+// plus the rank-0 energy sidecar, for a run of nbodies bodies over nsteps
+// steps. A missing or corrupt stripe fails the whole checkpoint (wrapped
+// pario.ErrCorrupt where applicable) so the caller can fall back to an
+// older one; pario.ErrWrongRank and errForeignSet are passed through.
+func loadCheckpoint(dir string, step, nprocs, nbodies, nsteps int) ([][]float64, []Energies, error) {
+	if step > nsteps {
+		return nil, nil, fmt.Errorf("%w: %s is past the run's %d steps", errForeignSet, ckName(step), nsteps)
+	}
 	restore := make([][]float64, nprocs)
+	total := 0
 	for rank := 0; rank < nprocs; rank++ {
 		data, err := pario.ReadStripe(ckPath(dir, step, rank), rank)
 		if err != nil {
 			return nil, nil, err
 		}
+		if len(data)%ckFloatsPerBody != 0 {
+			return nil, nil, fmt.Errorf("%w: %s rank %d holds %d floats, not a whole number of bodies",
+				errForeignSet, ckName(step), rank, len(data))
+		}
 		restore[rank] = data
+		total += len(data) / ckFloatsPerBody
+	}
+	if total != nbodies {
+		return nil, nil, fmt.Errorf("%w: %s holds %d bodies on %d ranks, the run has %d",
+			errForeignSet, ckName(step), total, nprocs, nbodies)
 	}
 	eraw, err := pario.ReadStripe(ckEnergyPath(dir, step), 0)
 	if err != nil {
@@ -240,15 +258,16 @@ func loadCheckpoint(dir string, step, nprocs int) ([][]float64, []Energies, erro
 // the first one whose stripes (and energy sidecar) all verify, together
 // with how many corrupt stripe sets were skipped on the way. ok=false means
 // recovery must restart from the initial conditions. A rank-mismatched
-// stripe aborts with an error: that is never disk damage.
-func lastGoodCheckpoint(dir string, nprocs int) (step int, restore [][]float64, hist []Energies, corrupt int, ok bool, err error) {
+// stripe or a set another run wrote aborts with an error: that is never
+// disk damage.
+func lastGoodCheckpoint(dir string, nprocs, nbodies, nsteps int) (step int, restore [][]float64, hist []Energies, corrupt int, ok bool, err error) {
 	steps := FindCheckpoints(dir)
 	for i := len(steps) - 1; i >= 0; i-- {
-		data, energies, lerr := loadCheckpoint(dir, steps[i], nprocs)
+		data, energies, lerr := loadCheckpoint(dir, steps[i], nprocs, nbodies, nsteps)
 		if lerr == nil {
 			return steps[i], data, energies, corrupt, true, nil
 		}
-		if errors.Is(lerr, pario.ErrWrongRank) {
+		if errors.Is(lerr, pario.ErrWrongRank) || errors.Is(lerr, errForeignSet) {
 			return 0, nil, nil, corrupt, false, lerr
 		}
 		if errors.Is(lerr, pario.ErrCorrupt) {

@@ -32,7 +32,9 @@ type RecoveryConfig struct {
 	// conditions — the job-server path after a daemon kill or drain. The
 	// restored energy sidecar refills the history prefix, so the completed
 	// run is bit-identical to one that was never stopped. With no usable
-	// checkpoint on disk the run starts from the initial conditions.
+	// checkpoint on disk the run starts from the initial conditions; a set
+	// that verifies but does not fit this run (past its steps, partial
+	// bodies, another body count) is an error.
 	ResumeFromDisk bool
 }
 
@@ -86,7 +88,7 @@ type RecoveryStats struct {
 //
 // The returned error is non-nil only when recovery itself fails: the
 // restart budget is exhausted, a non-crash abort (deadlock) occurs, or a
-// checkpoint stripe turns out to be misrouted.
+// checkpoint stripe turns out to be misrouted or another run's.
 func RunRecovered(cfg RecoveryConfig, ics []Body) (Result, RecoveryStats, error) {
 	if cfg.MaxRestarts == 0 {
 		cfg.MaxRestarts = 8
@@ -113,7 +115,7 @@ func RunRecovered(cfg RecoveryConfig, ics []Body) (Result, RecoveryStats, error)
 	offset := 0.0 // global virtual time at the current segment's clock zero
 	seg := segment{}
 	if cfg.ResumeFromDisk && cfg.Checkpoint != nil && cfg.Checkpoint.Every > 0 {
-		step, restore, hist, corrupt, ok, err := lastGoodCheckpoint(cfg.Checkpoint.Dir, cfg.Procs)
+		step, restore, hist, corrupt, ok, err := lastGoodCheckpoint(cfg.Checkpoint.Dir, cfg.Procs, len(ics), cfg.Steps)
 		st.CorruptStripes += corrupt
 		if err != nil {
 			return master, st, err
@@ -189,7 +191,7 @@ func RunRecovered(cfg RecoveryConfig, ics []Body) (Result, RecoveryStats, error)
 		}
 
 		// Roll back to the newest checkpoint that verifies.
-		step, restore, hist, corrupt, ok, err := lastGoodCheckpoint(cfg.Checkpoint.Dir, cfg.Procs)
+		step, restore, hist, corrupt, ok, err := lastGoodCheckpoint(cfg.Checkpoint.Dir, cfg.Procs, len(ics), cfg.Steps)
 		st.CorruptStripes += corrupt
 		if err != nil {
 			return master, st, err

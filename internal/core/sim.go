@@ -273,11 +273,7 @@ func run(cfg RunConfig, ics []Body, seg segment) Result {
 			// half-kick reuses the stored forces bit for bit. The restored
 			// step's diagnostics were already recorded by the segment that
 			// wrote the checkpoint.
-			var err error
-			local, acc, err = decodeState(seg.restore[r.ID()])
-			if err != nil {
-				panic(fmt.Sprintf("core: rank %d restore: %v", r.ID(), err))
-			}
+			local, acc = decodeState(seg.restore[r.ID()])
 			r.ChargeDisk(float64(len(seg.restore[r.ID()]) * 8))
 		} else {
 			// Block scatter of the initial conditions.

@@ -29,9 +29,9 @@ func (l *List) Bodies() int {
 
 // Evaluator applies one bucket's interaction list to every sink in the
 // bucket, accumulating into (ax, ay, az, pot). This is the evaluation half
-// of the grouped traversal, shared by the serial tree, the parallel engine
-// and the out-of-core path. It holds no state beyond its setting; the zero
-// value is ready to use.
+// of the grouped traversal, shared by the serial tree and the parallel
+// engine. It holds no state beyond its setting; the zero value is ready to
+// use.
 type Evaluator struct {
 	// Eps is the Plummer softening length.
 	Eps float64

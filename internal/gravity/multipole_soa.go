@@ -1,8 +1,8 @@
 package gravity
 
 // MultipoleSoA is an owned list of accepted cell multipoles: the rows a
-// caller pushes, for lists whose cells live nowhere else (the out-of-core
-// block multipoles, the benchmark probes). The cell kernel reads a list of
+// caller pushes, for lists whose cells live nowhere else (the benchmark
+// probes). The cell kernel reads a list of
 // pointers, so evaluating one references its rows in order. Like SoA the
 // name dates from the parallel-array layout and is what bench/ spells.
 type MultipoleSoA struct {

@@ -2,6 +2,7 @@ package ledger
 
 import (
 	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -132,31 +133,36 @@ func TestRecordsEmptyLedger(t *testing.T) {
 	}
 }
 
-func TestRecordsTornWriteTolerance(t *testing.T) {
-	good1 := `{"schema_version":1,"id":"aaaaaaaaaaaa","time_unix_ns":1,"config_digest":"d1","config":{"tool":"ssbench"},"build":{},"metrics":{"makespan_sec":1.5}}`
-	good2 := `{"schema_version":1,"id":"bbbbbbbbbbbb","time_unix_ns":2,"config_digest":"d1","config":{"tool":"ssbench"},"build":{},"metrics":{"makespan_sec":1.6}}`
-	torn := `{"schema_version":1,"id":"cccccccccccc","time_un` // crash mid-append
+// tornIndexes are index files with and without a crash mid-append, and
+// what Records must make of each.
+const (
+	indexGood1 = `{"schema_version":1,"id":"aaaaaaaaaaaa","time_unix_ns":1,"config_digest":"d1","config":{"tool":"ssbench"},"build":{},"metrics":{"makespan_sec":1.5}}`
+	indexGood2 = `{"schema_version":1,"id":"bbbbbbbbbbbb","time_unix_ns":2,"config_digest":"d1","config":{"tool":"ssbench"},"build":{},"metrics":{"makespan_sec":1.6}}`
+	indexTorn  = `{"schema_version":1,"id":"cccccccccccc","time_un` // crash mid-append
+)
 
-	cases := []struct {
-		name    string
-		index   string
-		wantIDs []string
-		wantErr bool
-	}{
-		{name: "all valid", index: good1 + "\n" + good2 + "\n",
-			wantIDs: []string{"aaaaaaaaaaaa", "bbbbbbbbbbbb"}},
-		{name: "torn final line skipped", index: good1 + "\n" + good2 + "\n" + torn,
-			wantIDs: []string{"aaaaaaaaaaaa", "bbbbbbbbbbbb"}},
-		{name: "torn final line no newline before", index: good1 + "\n" + torn,
-			wantIDs: []string{"aaaaaaaaaaaa"}},
-		{name: "corrupt middle line errors", index: good1 + "\n" + torn + "\n" + good2 + "\n",
-			wantErr: true},
-		{name: "empty index", index: "", wantIDs: nil},
-		{name: "blank lines only", index: "\n\n", wantIDs: nil},
-		{name: "trailing blank line after torn", index: good1 + "\n" + torn + "\n\n",
-			wantIDs: []string{"aaaaaaaaaaaa"}},
-	}
-	for _, tc := range cases {
+var tornIndexes = []struct {
+	name    string
+	index   string
+	wantIDs []string
+	wantErr bool
+}{
+	{name: "all valid", index: indexGood1 + "\n" + indexGood2 + "\n",
+		wantIDs: []string{"aaaaaaaaaaaa", "bbbbbbbbbbbb"}},
+	{name: "torn final line skipped", index: indexGood1 + "\n" + indexGood2 + "\n" + indexTorn,
+		wantIDs: []string{"aaaaaaaaaaaa", "bbbbbbbbbbbb"}},
+	{name: "torn final line no newline before", index: indexGood1 + "\n" + indexTorn,
+		wantIDs: []string{"aaaaaaaaaaaa"}},
+	{name: "corrupt middle line errors", index: indexGood1 + "\n" + indexTorn + "\n" + indexGood2 + "\n",
+		wantErr: true},
+	{name: "empty index", index: "", wantIDs: nil},
+	{name: "blank lines only", index: "\n\n", wantIDs: nil},
+	{name: "trailing blank line after torn", index: indexGood1 + "\n" + indexTorn + "\n\n",
+		wantIDs: []string{"aaaaaaaaaaaa"}},
+}
+
+func TestRecordsTornWriteTolerance(t *testing.T) {
+	for _, tc := range tornIndexes {
 		t.Run(tc.name, func(t *testing.T) {
 			s, err := Open(t.TempDir())
 			if err != nil {
@@ -219,4 +225,62 @@ func TestReadJSONLTornReported(t *testing.T) {
 	if err != nil || torn {
 		t.Fatalf("missing file: torn=%v err=%v", torn, err)
 	}
+}
+
+// FuzzReadJSONL feeds ReadJSONL arbitrary files, seeded from
+// TestReadJSONLTornReported and the indexes of TestRecordsTornWriteTolerance,
+// with a reader that rejects what is not JSON. It must never panic, and its
+// answer must follow from the file's non-empty lines: they reach the reader
+// whole and in order, a clean read accepted every one, a torn read rejected
+// the last one only, and an error stops at a rejected line that is not the
+// last.
+func FuzzReadJSONL(f *testing.F) {
+	f.Add([]byte("{\"a\":1}\n{\"bro"))
+	for _, tc := range tornIndexes {
+		f.Add([]byte(tc.index))
+	}
+	f.Add([]byte("{}\r\n\r\n[1]\r\n"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		path := filepath.Join(t.TempDir(), "f.jsonl")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var seen []string
+		rejected := -1
+		torn, err := ReadJSONL(path, func(line []byte) error {
+			seen = append(seen, string(line))
+			if !json.Valid(line) {
+				rejected = len(seen) - 1
+				return errors.New("not JSON")
+			}
+			return nil
+		})
+		// The non-empty lines as bufio.ScanLines cuts them: at each
+		// newline, dropping one carriage return before it.
+		var lines []string
+		for _, l := range strings.Split(string(data), "\n") {
+			if l = strings.TrimSuffix(l, "\r"); l != "" {
+				lines = append(lines, l)
+			}
+		}
+		if len(seen) > len(lines) {
+			t.Fatalf("reader saw %d lines of %d", len(seen), len(lines))
+		}
+		for i := range seen {
+			if seen[i] != lines[i] {
+				t.Fatalf("line %d reached the reader as %q, want %q", i, seen[i], lines[i])
+			}
+		}
+		last := len(lines) - 1
+		switch {
+		case err != nil:
+			if rejected < 0 || rejected != len(seen)-1 || rejected == last {
+				t.Fatalf("error %v after %d of %d lines, last rejected %d", err, len(seen), len(lines), rejected)
+			}
+		case len(seen) != len(lines):
+			t.Fatalf("clean read saw %d of %d lines", len(seen), len(lines))
+		case torn != (rejected >= 0) || (torn && rejected != last):
+			t.Fatalf("torn %v, but line %d of %d was rejected", torn, rejected, len(lines))
+		}
+	})
 }

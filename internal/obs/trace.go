@@ -19,7 +19,7 @@ import (
 //   - PidWorkers: one row per host pool worker, timestamps are HOST seconds
 //     since the tracer was created (kernel evaluation is real work on the
 //     host, it has no virtual duration).
-//   - PidHost:    host-time rows for shared-memory phase spans (htree, ooc,
+//   - PidHost:    host-time rows for shared-memory phase spans (htree,
 //     sph) that run outside any rank.
 //
 // Virtual and host rows deliberately live in different trace "processes" so
