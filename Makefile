@@ -95,8 +95,9 @@ experiments-check: experiments
 # reciprocal square root, any sphere, cell, theta and scale against a sink
 # group's acceptance test, small particle sets against the two-pass density
 # oracle, any file against the checkpoint stripe reader, the checkpoint
-# set scan, the ledger's JSONL reader and the job server's journal replay
-# (offline; a failing input lands under the package's testdata/fuzz/).
+# set scan, the ledger's JSONL reader, the analysis report reader and the
+# job server's journal replay (offline; a failing input lands under the
+# package's testdata/fuzz/).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzRunConfig -fuzztime 10s ./internal/core
 	$(GO) test -run '^$$' -fuzz FuzzLoadCheckpoint -fuzztime 10s ./internal/core
@@ -106,6 +107,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzReadStripe -fuzztime 10s ./internal/pario
 	$(GO) test -run '^$$' -fuzz FuzzReplayJournal -fuzztime 10s ./internal/serve
 	$(GO) test -run '^$$' -fuzz FuzzReadJSONL -fuzztime 10s ./internal/obs/ledger
+	$(GO) test -run '^$$' -fuzz FuzzReadReport -fuzztime 10s ./internal/obs/analysis
 
 # The BENCHMARK.json benchmark (bench/README.md) on the seed it holds back
 # for checking a claim, five fresh-process runs per workload. To judge a
@@ -147,39 +149,36 @@ profile-dist8 profile-dist64: profile-dist%:
 	$(GO) tool pprof -top -nodecount 25 /tmp/spacesim-dist$*.test /tmp/spacesim-dist$*.pprof
 	$(GO) tool pprof -tags -tagshow '^phase$$' /tmp/spacesim-dist$*.test /tmp/spacesim-dist$*.pprof
 
-# Generates a small trace + metrics pair from a short distributed run and
-# schema-validates both files with the tracecheck tool.
+# Writes a small trace + metrics pair from a short distributed run (the
+# files' invariants are asserted on the same run by
+# core.TestEngineMetricsPopulated).
 smoke:
 	$(GO) run ./cmd/spacesim -n 600 -procs 3 -steps 2 \
 		-trace /tmp/spacesim-smoke-trace.json -metrics /tmp/spacesim-smoke-metrics.json
-	$(GO) run ./cmd/tracecheck \
-		-trace /tmp/spacesim-smoke-trace.json -metrics /tmp/spacesim-smoke-metrics.json
 
-# Trace-analysis smoke: a quick analyze run on the 2-module slice,
-# schema-validation of the report, and a self-diff (which must pass — the
-# no-op case of the CI perf gate).
+# Trace-analysis smoke: a quick analyze run on the 2-module slice (the
+# report is checked as it is written) and a self-diff, which reads it back
+# and must pass — the no-op case of the CI perf gate.
 analyze-smoke:
 	$(GO) run ./cmd/ssbench analyze -quick -analysis-out /tmp/spacesim-smoke-analysis.json
-	$(GO) run ./cmd/tracecheck -analysis /tmp/spacesim-smoke-analysis.json
 	$(GO) run ./cmd/ssbench diff /tmp/spacesim-smoke-analysis.json /tmp/spacesim-smoke-analysis.json
 
 # Fault-injection smoke: a seeded fault-injected run that must crash at
 # least once, recover through checkpoint rollback bit-identically to an
 # uninterrupted twin, and emit a fault-annotated analysis report; then a
-# quick checkpoint-cadence sweep. Both artifacts are schema-validated.
+# quick checkpoint-cadence sweep. Each writer checks its artifact before
+# writing it and exits nonzero when an invariant fails.
 fault-smoke:
 	$(GO) run ./cmd/spacesim -n 600 -procs 4 -steps 6 \
 		-faults 11 -fault-accel 3000 -verify-recovery \
 		-report -analysis /tmp/spacesim-smoke-faults.json
 	$(GO) run ./cmd/ssbench faultsweep -quick -o /tmp/spacesim-smoke-faultsweep.json
-	$(GO) run ./cmd/tracecheck -analysis /tmp/spacesim-smoke-faults.json \
-		-faultsweep /tmp/spacesim-smoke-faultsweep.json
 
 # Live-telemetry smoke: a run served over -http is probed while in flight
 # (Prometheus exposition, the progress/ETA JSON, and a 1-second CPU profile
-# from net/http/pprof — so the run is sized to last a few seconds), then its
+# from net/http/pprof — so the run is sized to last a few seconds); its
 # analysis report, which carries the sampler's final series dump, is
-# schema-validated, live block included.
+# checked, live block included, as spacesim writes it.
 live-smoke:
 	$(GO) build -o /tmp/spacesim-live ./cmd/spacesim
 	/tmp/spacesim-live -n 30000 -procs 4 -steps 10 -http 127.0.0.1:17071 \
@@ -191,15 +190,14 @@ live-smoke:
 	curl -sf http://127.0.0.1:17071/progress.json | grep -q '"state"' || { echo "live-smoke: /progress.json"; kill $$pid 2>/dev/null; exit 1; }; \
 	curl -sf -o /tmp/spacesim-smoke-live.pprof "http://127.0.0.1:17071/debug/pprof/profile?seconds=1" || { echo "live-smoke: pprof"; kill $$pid 2>/dev/null; exit 1; }; \
 	wait $$pid
-	$(GO) run ./cmd/tracecheck -analysis /tmp/spacesim-smoke-live.json
 
 # Run-ledger smoke: two identical short spacesim runs recorded into a
 # scratch ledger must stamp identical config digests (the digest covers only
 # deterministic invocation parameters); the trend report must render; the
 # baseline arm of the perf gate must pass the second run's report against
-# the first (one engine worker, so the virtual schedule repeats); the HTML
-# dashboard must render; and tracecheck must re-verify every run record and
-# content-addressed artifact blob.
+# the first (one engine worker, so the virtual schedule repeats), which
+# also proves the first run was recorded; and the HTML dashboard must
+# render.
 ledger-smoke:
 	$(GO) build -o /tmp/spacesim-smoke-ssbench ./cmd/ssbench
 	$(GO) build -o /tmp/spacesim-smoke-spacesim ./cmd/spacesim
@@ -213,9 +211,11 @@ ledger-smoke:
 	[ -n "$$da" ] && [ "$$da" = "$$db" ] || { echo "ledger-smoke: config digests differ: $$da vs $$db"; exit 1; }; \
 	echo "ledger-smoke: identical config digests across both runs"
 	/tmp/spacesim-smoke-ssbench trend -ledger /tmp/spacesim-smoke-ledger
-	/tmp/spacesim-smoke-ssbench diff -baseline -ledger /tmp/spacesim-smoke-ledger /tmp/spacesim-smoke-ledger-b.json
+	/tmp/spacesim-smoke-ssbench diff -baseline -ledger /tmp/spacesim-smoke-ledger \
+		/tmp/spacesim-smoke-ledger-b.json | tee /tmp/spacesim-smoke-ledger-diff.log
+	@grep -q 'OK vs baseline of 1 comparable runs' /tmp/spacesim-smoke-ledger-diff.log \
+		|| { echo "ledger-smoke: the baseline gate did not find the first run's record"; exit 1; }
 	/tmp/spacesim-smoke-ssbench report -ledger /tmp/spacesim-smoke-ledger -html /tmp/spacesim-smoke-ledger-runs.html
-	$(GO) run ./cmd/tracecheck -ledger /tmp/spacesim-smoke-ledger
 
 # Job-server smoke: the crash-safety story end to end. A spacesimd daemon
 # takes a job, is killed -9 mid-run after its first checkpoint, and a

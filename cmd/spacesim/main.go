@@ -238,7 +238,7 @@ func main() {
 	// the deferred Stop.
 	sampler.Stop()
 
-	artifact := ""
+	artifact, headline := "", map[string]float64(nil)
 	if *report && res.Interrupted {
 		// The event log stops at the interrupt; a trace analysis over a
 		// partial run would mislead, and a partial result must never enter
@@ -261,7 +261,7 @@ func main() {
 				log.Fatalf("report: %v", err)
 			}
 			fmt.Printf("  analysis: %s\n", *aOut)
-			artifact = *aOut
+			artifact, headline = *aOut, rep.Headline()
 		}
 	}
 
@@ -281,14 +281,14 @@ func main() {
 	if res.Interrupted {
 		os.Exit(1)
 	}
-	appendRun(*ledgerD, lcfg, artifact, res)
+	appendRun(*ledgerD, lcfg, artifact, headline, res)
 }
 
 // appendRun records the finished run in the ledger: headline metrics from
-// the result (and, when written, the ANALYSIS.json artifact), peak RSS, and
-// the content-addressed artifact blob. Best-effort — a failed append warns
-// and never fails the run.
-func appendRun(dir string, cfg ledger.Config, artifactPath string, res core.Result) {
+// the result and, when the ANALYSIS.json artifact was written, from its
+// report (headline), peak RSS, and the content-addressed artifact blob.
+// Best-effort — a failed append warns and never fails the run.
+func appendRun(dir string, cfg ledger.Config, artifactPath string, headline map[string]float64, res core.Result) {
 	if dir == "" {
 		return
 	}
@@ -302,13 +302,13 @@ func appendRun(dir string, cfg ledger.Config, artifactPath string, res core.Resu
 		"gflops":        res.Gflops,
 		"max_imbalance": res.MaxImbalance,
 	}
+	for k, v := range headline {
+		metrics[k] = v
+	}
 	var artifacts map[string][]byte
 	if artifactPath != "" {
 		if data, err := os.ReadFile(artifactPath); err == nil {
 			artifacts = map[string][]byte{filepath.Base(artifactPath): data}
-			for k, v := range ledger.ExtractMetrics(data) {
-				metrics[k] = v
-			}
 		}
 	}
 	if rss := ledger.PeakRSSBytes(); rss > 0 {

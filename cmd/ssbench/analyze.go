@@ -72,7 +72,7 @@ func analyzeBench() {
 			die(1, "analyze: write:", err)
 		}
 		fmt.Printf("\nwrote %s\n", *analysisOut)
-		ledgerAppend(cfg, filepath.Base(*analysisOut), *analysisOut)
+		ledgerAppend(cfg, filepath.Base(*analysisOut), *analysisOut, rep.Headline())
 	}
 }
 
@@ -134,18 +134,22 @@ func diffCmd(args []string) {
 	}
 }
 
-// diffBaseline is the ledger arm of the diff gate: it keys the NEW artifact
+// diffBaseline is the ledger arm of the diff gate: it keys the NEW report
 // back to its comparable ledger history (same config digest, same host
 // unless crossed) and judges each headline metric against the median/MAD of
 // the last K runs. Exit 1 on regression; an empty baseline passes with a
 // note, so the gate is safe to enable before any history exists.
 func diffBaseline(newPath, ledgerPath string, lastK int, allowCross bool) {
+	rep, err := analysis.ReadFile(newPath)
+	if err != nil {
+		die(2, "diff:", err)
+	}
 	data, err := os.ReadFile(newPath)
 	if err != nil {
 		die(2, "diff:", err)
 	}
-	prov, ok := ledger.ExtractProvenance(data)
-	if !ok || prov.ConfigDigest == "" {
+	prov := rep.Provenance
+	if prov == nil || prov.ConfigDigest == "" {
 		die(2, fmt.Sprintf("diff: %s carries no provenance config digest; regenerate it with a current ssbench", newPath))
 	}
 	st := openLedgerAt(ledgerPath)
@@ -182,7 +186,7 @@ func diffBaseline(newPath, ledgerPath string, lastK int, allowCross bool) {
 			prov.ConfigDigest, st.Dir)
 		return
 	}
-	trends := ledger.GateAgainst(base, ledger.ExtractMetrics(data), lastK)
+	trends := ledger.GateAgainst(base, rep.Headline(), lastK)
 	printTrends(trends)
 	if ledger.AnyRegression(trends) {
 		fmt.Printf("diff: FAIL (baseline of %d comparable runs)\n", len(base))

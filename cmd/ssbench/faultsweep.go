@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -171,6 +172,9 @@ func faultsweepCmd(args []string) {
 		if !e.BitIdentical {
 			die(1, fmt.Sprintf("faultsweep: K=%d recovery diverged from the fault-free run", k))
 		}
+		if err := rep.checkEntry(e); err != nil {
+			die(1, "faultsweep:", err)
+		}
 	}
 
 	lcfg := ledger.Config{
@@ -190,7 +194,52 @@ func faultsweepCmd(args []string) {
 		die(1, "faultsweep:", err)
 	}
 	fmt.Printf("wrote %s\n", *out)
-	ledgerAppend(lcfg, filepath.Base(*out), *out)
+	ledgerAppend(lcfg, filepath.Base(*out), *out, rep.headline())
+}
+
+// checkEntry holds the invariants of one cadence's outcome: one attempt per
+// crash plus one, every scheduled crash fired, no more rollbacks than
+// crashes and each to a step of the run, no negative cost, and a total no
+// cheaper than the fault-free baseline.
+func (r *FaultsweepReport) checkEntry(e FaultsweepEntry) error {
+	k := e.IntervalSteps
+	if e.Attempts != e.Crashes+1 {
+		return fmt.Errorf("K=%d: %d attempts inconsistent with %d crashes", k, e.Attempts, e.Crashes)
+	}
+	if e.Crashes != r.ScheduledCrashes {
+		return fmt.Errorf("K=%d: %d crashes fired, schedule holds %d", k, e.Crashes, r.ScheduledCrashes)
+	}
+	if len(e.RestoredSteps) > e.Crashes {
+		return fmt.Errorf("K=%d: %d rollbacks exceed %d crashes", k, len(e.RestoredSteps), e.Crashes)
+	}
+	for _, s := range e.RestoredSteps {
+		if s < 0 || s >= r.Steps {
+			return fmt.Errorf("K=%d: rollback step %d outside [0, %d)", k, s, r.Steps)
+		}
+	}
+	if e.IOOverheadSec < 0 || e.ReplayedSteps < 0 || e.LostVirtualSec < 0 ||
+		e.TotalVirtualSec < 0 || e.CheckpointWrites < 0 || e.CorruptStripes < 0 {
+		return fmt.Errorf("K=%d: negative cost metric: %+v", k, e)
+	}
+	if e.TotalVirtualSec < r.BaselineVirtualSec*(1-1e-9) {
+		return fmt.Errorf("K=%d: total virtual %g below the fault-free baseline %g",
+			k, e.TotalVirtualSec, r.BaselineVirtualSec)
+	}
+	return nil
+}
+
+// headline returns the metrics the ledger keeps from the sweep: the
+// fault-free makespan, the checkpoint overhead of the K=1 cadence (which
+// pays the full I/O cost) and the most virtual time any cadence lost.
+func (r *FaultsweepReport) headline() map[string]float64 {
+	out := map[string]float64{"makespan_sec": r.BaselineVirtualSec, "lost_virtual_sec": 0}
+	for _, e := range r.Entries {
+		if e.IntervalSteps == 1 {
+			out["checkpoint_overhead_sec"] = e.IOOverheadSec
+		}
+		out["lost_virtual_sec"] = math.Max(out["lost_virtual_sec"], e.LostVirtualSec)
+	}
+	return out
 }
 
 // sweepBitIdentical compares gathered bodies and energy histories exactly.

@@ -58,30 +58,23 @@ func provFor(cfg ledger.Config) *ledger.Provenance {
 }
 
 // ledgerAppend records one finished experiment: the artifact file at path
-// is stored as a content-addressed blob, its headline metrics extracted,
-// and a run record appended. Best-effort by contract.
-func ledgerAppend(cfg ledger.Config, artifactName, artifactPath string) {
+// is stored as a content-addressed blob and a run record appended with the
+// headline metrics the caller holds. Best-effort by contract.
+func ledgerAppend(cfg ledger.Config, artifactName, artifactPath string, metrics map[string]float64) {
 	st := openLedgerAt(*ledgerDir)
 	if st == nil {
 		return
 	}
-	rec := &ledger.Record{Config: cfg, Build: ledger.Prov()}
-	var artifacts map[string][]byte
-	metrics := map[string]float64{}
-	if artifactPath != "" {
-		data, err := os.ReadFile(artifactPath)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "ledger:", err)
-			return
-		}
-		artifacts = map[string][]byte{artifactName: data}
-		metrics = ledger.ExtractMetrics(data)
+	data, err := os.ReadFile(artifactPath)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "ledger:", err)
+		return
 	}
 	if rss := ledger.PeakRSSBytes(); rss > 0 {
 		metrics["peak_rss_bytes"] = float64(rss)
 	}
-	rec.Metrics = metrics
-	id, err := st.Append(rec, artifacts)
+	rec := &ledger.Record{Config: cfg, Build: ledger.Prov(), Metrics: metrics}
+	id, err := st.Append(rec, map[string][]byte{artifactName: data})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "ledger:", err)
 		return

@@ -1,7 +1,10 @@
 package core
 
 import (
+	"encoding/json"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"spacesim/internal/obs"
@@ -116,17 +119,30 @@ func TestEvalPoolAccounting(t *testing.T) {
 }
 
 // The engine counters must be populated on a multi-rank run, and the
-// per-rank breakdown must expose nonzero compute and wait time.
+// per-rank breakdown must expose nonzero compute and wait time. The run is
+// `make smoke`'s size (600 bodies, 3 ranks) with tracing on, and the trace
+// and metrics files it writes must hold the formats' invariants.
 func TestEngineMetricsPopulated(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	ics := PlummerSphere(rng, 600, 1.0)
-	o := obs.New(false)
+	o := obs.New(true)
 	Run(RunConfig{
 		Cluster: testCluster().WithObs(o), Procs: 3, Steps: 1,
 		Opt: Options{Theta: 0.6, Eps: 0.02, DT: 0.005},
 	}, ics)
 
-	snap := o.Snapshot()
+	dir := t.TempDir()
+	tracePath, metricsPath := filepath.Join(dir, "trace.json"), filepath.Join(dir, "metrics.json")
+	if err := o.WriteTraceFile(tracePath); err != nil {
+		t.Fatal(err)
+	}
+	if err := o.WriteMetricsFile(metricsPath); err != nil {
+		t.Fatal(err)
+	}
+	checkTraceFile(t, tracePath)
+
+	var snap obs.MetricsSnapshot
+	readJSON(t, metricsPath, &snap)
 	if snap.SchemaVersion != obs.MetricsSchemaVersion {
 		t.Errorf("schema_version = %d, want %d", snap.SchemaVersion, obs.MetricsSchemaVersion)
 	}
@@ -145,11 +161,83 @@ func TestEngineMetricsPopulated(t *testing.T) {
 		t.Fatalf("want 3 rank breakdowns, got %d", len(snap.Ranks))
 	}
 	for _, m := range snap.Ranks {
-		if m.ComputeSec <= 0 || m.Clock <= 0 {
-			t.Errorf("rank %d: compute %v clock %v, want > 0", m.Rank, m.ComputeSec, m.Clock)
+		if m.ComputeSec <= 0 || m.Clock <= 0 || m.WaitSec < 0 {
+			t.Errorf("rank %d: compute %v wait %v clock %v, want compute, clock > 0 and wait >= 0",
+				m.Rank, m.ComputeSec, m.WaitSec, m.Clock)
+		}
+		if m.ComputeSec+m.WaitSec > m.Clock*(1+1e-9)+1e-9 {
+			t.Errorf("rank %d: compute+wait %.6g exceeds clock %.6g", m.Rank, m.ComputeSec+m.WaitSec, m.Clock)
 		}
 		if m.Messages <= 0 {
 			t.Errorf("rank %d: no messages recorded", m.Rank)
 		}
+	}
+	if len(snap.Histograms) == 0 {
+		t.Error("no histograms in the metrics file")
+	}
+	for name, h := range snap.Histograms {
+		if h.Count < 0 || (h.Count > 0 && !(h.Min <= h.P50 && h.P50 <= h.P95 && h.P95 <= h.P99 && h.P99 <= h.Max)) {
+			t.Errorf("histogram %s: inconsistent summary %+v", name, h)
+		}
+	}
+}
+
+// checkTraceFile asserts the trace_event file's invariants: events exist,
+// each is a complete span (nonnegative duration), metadata or an async
+// begin/end, with a name and a nonnegative timestamp; at least one span;
+// and events on the rank pid.
+func checkTraceFile(t *testing.T, path string) {
+	t.Helper()
+	var doc struct {
+		TraceEvents []struct {
+			Name string  `json:"name"`
+			Ph   string  `json:"ph"`
+			Ts   float64 `json:"ts"`
+			Dur  float64 `json:"dur"`
+			Pid  int     `json:"pid"`
+		} `json:"traceEvents"`
+	}
+	readJSON(t, path, &doc)
+	if len(doc.TraceEvents) == 0 {
+		t.Fatal("no traceEvents")
+	}
+	spans, rankEvents := 0, 0
+	for i, ev := range doc.TraceEvents {
+		switch ev.Ph {
+		case "X":
+			spans++
+			if ev.Dur < 0 {
+				t.Errorf("event %d (%s): negative duration %g", i, ev.Name, ev.Dur)
+			}
+		case "M", "b", "e":
+		default:
+			t.Errorf("event %d: unexpected phase %q", i, ev.Ph)
+		}
+		if ev.Name == "" {
+			t.Errorf("event %d: empty name", i)
+		}
+		if ev.Ts < 0 {
+			t.Errorf("event %d (%s): negative timestamp %g", i, ev.Name, ev.Ts)
+		}
+		if ev.Pid == obs.PidRanks {
+			rankEvents++
+		}
+	}
+	if spans == 0 {
+		t.Error("no complete (ph=X) span events")
+	}
+	if rankEvents == 0 {
+		t.Errorf("no events on the rank pid (%d)", obs.PidRanks)
+	}
+}
+
+func readJSON(t *testing.T, path string, v any) {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(data, v); err != nil {
+		t.Fatalf("%s: %v", path, err)
 	}
 }

@@ -1,6 +1,8 @@
 package analysis_test
 
 import (
+	"bytes"
+	"encoding/json"
 	"math"
 	"math/rand"
 	"os"
@@ -384,5 +386,81 @@ func TestReadFileRefusesOtherDocuments(t *testing.T) {
 		if _, err := analysis.ReadFile(path); err == nil || !strings.Contains(err.Error(), path) {
 			t.Errorf("%s: ReadFile error = %v, want a refusal naming %s", tc.name, err, path)
 		}
+	}
+}
+
+// ReadFile parses outside input and holds every invariant: any bytes give an
+// error or a report that WriteJSON writes back and ReadFile reads again to
+// the same bytes; no input panics.
+func FuzzReadReport(f *testing.F) {
+	rep, err := analysis.Analyze(handTrace(), handCluster(), analysis.Options{})
+	if err != nil {
+		f.Fatal(err)
+	}
+	good, err := json.Marshal(rep)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(good)
+	f.Add([]byte(`{"schema_version": 2, "ranks": 1, "makespan_sec": 1,
+		"critical_path": {"total_sec": 1, "by_category": {"compute": 1}}}`))
+	f.Add([]byte(`{"schema_version": 3}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		dir := t.TempDir()
+		in := filepath.Join(dir, "in.json")
+		if err := os.WriteFile(in, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		rep, err := analysis.ReadFile(in)
+		if err != nil {
+			return
+		}
+		once, twice := filepath.Join(dir, "once.json"), filepath.Join(dir, "twice.json")
+		if err := rep.WriteJSON(once); err != nil {
+			t.Fatalf("a report ReadFile accepted is refused by WriteJSON: %v", err)
+		}
+		back, err := analysis.ReadFile(once)
+		if err != nil {
+			t.Fatalf("a report WriteJSON wrote is refused by ReadFile: %v", err)
+		}
+		if err := back.WriteJSON(twice); err != nil {
+			t.Fatal(err)
+		}
+		a, _ := os.ReadFile(once)
+		b, _ := os.ReadFile(twice)
+		if !bytes.Equal(a, b) {
+			t.Fatalf("round trip changed the report:\n%s\nvs\n%s", a, b)
+		}
+	})
+}
+
+// Headline keeps the report's headline figures under the ledger's metric
+// names and leaves zero values out.
+func TestHeadline(t *testing.T) {
+	rep := &analysis.Report{
+		MakespanSec: 12.5, ParallelEfficiency: 0.91, IdleFraction: 0.04,
+		Histograms: map[string]obs.HistogramSnapshot{"mp.msg.latency_sec": {Count: 10, P99: 0.0021}},
+		Faults:     &analysis.FaultSummary{CheckpointSec: 0.4, LostVirtualSec: 1.2},
+	}
+	want := map[string]float64{
+		"makespan_sec":            12.5,
+		"parallel_efficiency":     0.91,
+		"idle_fraction":           0.04,
+		"msg_latency_p99_sec":     0.0021,
+		"checkpoint_overhead_sec": 0.4,
+		"lost_virtual_sec":        1.2,
+	}
+	got := rep.Headline()
+	if len(got) != len(want) {
+		t.Errorf("Headline = %v, want %v", got, want)
+	}
+	for name, v := range want {
+		if got[name] != v {
+			t.Errorf("%s = %v, want %v", name, got[name], v)
+		}
+	}
+	rep.IdleFraction, rep.Faults, rep.Histograms = 0, nil, nil
+	if got := rep.Headline(); len(got) != 2 {
+		t.Errorf("Headline kept zero values: %v", got)
 	}
 }

@@ -2,14 +2,23 @@ package analysis
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
+	"math"
 	"os"
 	"sort"
 	"strings"
+
+	"spacesim/internal/obs/ledger"
+	"spacesim/internal/obs/live"
 )
 
-// WriteJSON writes the report to path as indented JSON.
+// WriteJSON checks the report (see check) and writes it to path as
+// indented JSON; a report that breaks its own invariants is not written.
 func (r *Report) WriteJSON(path string) error {
+	if err := r.check(); err != nil {
+		return fmt.Errorf("%s: %w", path, err)
+	}
 	b, err := json.MarshalIndent(r, "", "  ")
 	if err != nil {
 		return err
@@ -17,10 +26,10 @@ func (r *Report) WriteJSON(path string) error {
 	return os.WriteFile(path, append(b, '\n'), 0o644)
 }
 
-// ReadFile loads a report written by WriteJSON. Other JSON documents carry a
-// schema_version too (a checkpoint-cadence sweep, an old bench record), so a
-// report must also have ranks, a positive makespan and a critical path:
-// without them two files would compare as an empty, passing diff.
+// ReadFile loads a report written by WriteJSON and refuses one that fails
+// check, naming path. Other JSON documents carry a schema_version too (a
+// checkpoint-cadence sweep, an old bench record), so without the check two
+// of them would compare as an empty, passing diff.
 func ReadFile(path string) (*Report, error) {
 	b, err := os.ReadFile(path)
 	if err != nil {
@@ -30,17 +39,201 @@ func ReadFile(path string) (*Report, error) {
 	if err := json.Unmarshal(b, &r); err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
-	switch {
-	case r.SchemaVersion < 1:
-		return nil, fmt.Errorf("%s: missing or bad schema_version", path)
-	case r.Ranks <= 0:
-		return nil, fmt.Errorf("%s: ranks = %d, not an analysis report", path, r.Ranks)
-	case r.MakespanSec <= 0:
-		return nil, fmt.Errorf("%s: makespan %g, not an analysis report", path, r.MakespanSec)
-	case r.CriticalPath.TotalSec <= 0:
-		return nil, fmt.Errorf("%s: no critical_path, not an analysis report", path)
+	if err := r.check(); err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
 	}
 	return &r, nil
+}
+
+// check holds the invariants of ANALYSIS.json. A report has a schema
+// version, ranks, a positive makespan and a critical path. The critical path
+// tiles the makespan, and its nonnegative categories sum to it. Parallel
+// efficiency is a share no larger than 1 - idle fraction, and equals what
+// the rank metrics' compute seconds give. Phase, histogram and link
+// summaries are ordered and in range. The fault summary counts one attempt
+// per crash plus one and records no divergent recovery. The live block, when
+// present, is sound (checkLive).
+func (r *Report) check() error {
+	switch {
+	case r.SchemaVersion < 1:
+		return errors.New("missing or bad schema_version")
+	case r.Ranks <= 0:
+		return fmt.Errorf("ranks = %d, not an analysis report", r.Ranks)
+	case r.MakespanSec <= 0:
+		return fmt.Errorf("makespan %g, not an analysis report", r.MakespanSec)
+	case r.CriticalPath.TotalSec <= 0:
+		return errors.New("no critical_path, not an analysis report")
+	}
+
+	eff := r.ParallelEfficiency
+	if eff < 0 || eff > 1+1e-9 {
+		return fmt.Errorf("parallel efficiency %g outside [0, 1]", eff)
+	}
+	if r.IdleFraction < 0 || r.IdleFraction > 1+1e-9 {
+		return fmt.Errorf("idle fraction %g outside [0, 1]", r.IdleFraction)
+	}
+	if eff > 1-r.IdleFraction+1e-9 {
+		return fmt.Errorf("parallel efficiency %g exceeds 1 - idle fraction %g", eff, r.IdleFraction)
+	}
+	if len(r.RankMetrics) > 0 {
+		var compute float64
+		for _, rm := range r.RankMetrics {
+			compute += rm.ComputeSec
+		}
+		want := compute / (float64(r.Ranks) * r.MakespanSec)
+		if math.Abs(eff-want) > 1e-9 {
+			return fmt.Errorf("parallel efficiency %g, but rank_metrics give %g s compute / (%d ranks x %g s) = %g",
+				eff, compute, r.Ranks, r.MakespanSec, want)
+		}
+	}
+
+	cp := r.CriticalPath
+	if math.Abs(cp.TotalSec-r.MakespanSec) > 1e-6*r.MakespanSec {
+		return fmt.Errorf("critical path %g does not equal makespan %g", cp.TotalSec, r.MakespanSec)
+	}
+	var catSum float64
+	for cat, v := range cp.ByCategory {
+		if v < 0 {
+			return fmt.Errorf("critical path category %q negative: %g", cat, v)
+		}
+		catSum += v
+	}
+	if math.Abs(catSum-cp.TotalSec) > 1e-6*cp.TotalSec {
+		return fmt.Errorf("critical path categories sum to %g, want %g", catSum, cp.TotalSec)
+	}
+	for _, p := range r.Phases {
+		if p.MeanSec < 0 || p.MaxSec < p.MeanSec-1e-9 {
+			return fmt.Errorf("phase %s: mean %g max %g", p.Name, p.MeanSec, p.MaxSec)
+		}
+		if p.IdleFraction < 0 || p.IdleFraction > 1+1e-9 {
+			return fmt.Errorf("phase %s: idle fraction %g", p.Name, p.IdleFraction)
+		}
+	}
+	for name, h := range r.Histograms {
+		if h.Count < 0 || (h.Count > 0 && !(h.Min <= h.P50 && h.P50 <= h.P95 && h.P95 <= h.P99 && h.P99 <= h.Max)) {
+			return fmt.Errorf("histogram %s: inconsistent summary %+v", name, h)
+		}
+	}
+	for _, l := range r.Links {
+		if l.Bytes < 0 || l.MeanUtil < 0 || l.PeakUtil < l.MeanUtil-1e-9 {
+			return fmt.Errorf("link %s: bytes %d mean %g peak %g", l.Name, l.Bytes, l.MeanUtil, l.PeakUtil)
+		}
+		if l.BusyFraction < 0 || l.BusyFraction > 1 {
+			return fmt.Errorf("link %s: busy fraction %g", l.Name, l.BusyFraction)
+		}
+	}
+
+	if fr := r.Faults; fr != nil {
+		if fr.Attempts < 1 {
+			return fmt.Errorf("faults: attempts %d < 1", fr.Attempts)
+		}
+		if fr.Crashes != len(fr.CrashRanks) || fr.Crashes != len(fr.CrashTimesSec) {
+			return fmt.Errorf("faults: %d crashes but %d ranks, %d times",
+				fr.Crashes, len(fr.CrashRanks), len(fr.CrashTimesSec))
+		}
+		if fr.Attempts != fr.Crashes+1 {
+			return fmt.Errorf("faults: %d attempts inconsistent with %d crashes", fr.Attempts, fr.Crashes)
+		}
+		if len(fr.RestoredSteps) > fr.Crashes {
+			return fmt.Errorf("faults: %d rollbacks exceed %d crashes", len(fr.RestoredSteps), fr.Crashes)
+		}
+		for i, t := range fr.CrashTimesSec {
+			if t < 0 {
+				return fmt.Errorf("faults: crash %d at negative time %g", i, t)
+			}
+		}
+		if fr.ReplayedSteps < 0 || fr.LostVirtualSec < 0 || fr.TotalVirtualSec < 0 ||
+			fr.DegradedLinkSec < 0 || fr.FlappingPortSec < 0 ||
+			fr.CheckpointWrites < 0 || fr.CheckpointSec < 0 || fr.CorruptStripes < 0 {
+			return fmt.Errorf("faults: negative recovery metric: %+v", fr)
+		}
+		if fr.RecoveredBitIdentical != nil && !*fr.RecoveredBitIdentical {
+			return errors.New("faults: recovery verification recorded a divergent state")
+		}
+	}
+	if r.Live != nil {
+		return checkLive(r.Live)
+	}
+	return nil
+}
+
+// checkLive holds the invariants of the live block: the sampler ticked,
+// the retained host and virtual time columns are monotone and equally long,
+// every series ring is in lockstep with them, and the final progress view
+// is consistent (fraction in [0, 1], nonnegative counts, ETA unknown (-1)
+// or nonnegative).
+func checkLive(d *live.Dump) error {
+	if d.SchemaVersion < 1 {
+		return fmt.Errorf("live: schema_version %d < 1", d.SchemaVersion)
+	}
+	if d.Samples <= 0 {
+		return fmt.Errorf("live: %d samples, want > 0", d.Samples)
+	}
+	if d.SampleEverySec <= 0 {
+		return fmt.Errorf("live: sample_every_sec %g, want > 0", d.SampleEverySec)
+	}
+	if d.Capacity <= 0 {
+		return fmt.Errorf("live: capacity %d, want > 0", d.Capacity)
+	}
+	n := len(d.HostSec)
+	if n == 0 || n > d.Capacity {
+		return fmt.Errorf("live: %d retained samples outside (0, capacity %d]", n, d.Capacity)
+	}
+	if len(d.VirtualSec) != n {
+		return fmt.Errorf("live: virtual_sec has %d samples, host_sec has %d", len(d.VirtualSec), n)
+	}
+	for i := 1; i < n; i++ {
+		if d.HostSec[i] < d.HostSec[i-1] {
+			return fmt.Errorf("live: host_sec not monotone at sample %d (%g < %g)", i, d.HostSec[i], d.HostSec[i-1])
+		}
+		if d.VirtualSec[i] < d.VirtualSec[i-1] {
+			return fmt.Errorf("live: virtual_sec not monotone at sample %d (%g < %g)", i, d.VirtualSec[i], d.VirtualSec[i-1])
+		}
+	}
+	for _, s := range d.Series {
+		if s.Name == "" {
+			return errors.New("live: series with empty name")
+		}
+		if len(s.Values) != n {
+			return fmt.Errorf("live: series %s has %d samples, time columns have %d", s.Name, len(s.Values), n)
+		}
+	}
+	p := d.Progress
+	if p.StepFraction < 0 || p.StepFraction > 1 {
+		return fmt.Errorf("live: step_fraction %g outside [0, 1]", p.StepFraction)
+	}
+	if p.StepsDone < 0 || p.StepsTotal < 0 || p.VirtualSec < 0 || p.HostSec < 0 {
+		return fmt.Errorf("live: negative progress measurement %+v", p)
+	}
+	if p.Checkpoints < 0 || p.Recoveries < 0 {
+		return fmt.Errorf("live: negative checkpoint/recovery counts %+v", p)
+	}
+	if p.ETASec < 0 && p.ETASec != -1 {
+		return fmt.Errorf("live: eta_sec %g, want -1 (unknown) or >= 0", p.ETASec)
+	}
+	return nil
+}
+
+// Headline returns the metrics a run record keeps from the report: virtual
+// makespan, parallel efficiency, idle fraction, message-latency p99 and,
+// for a fault-injected run, checkpoint overhead and lost virtual time. A
+// zero value is left out.
+func (r *Report) Headline() map[string]float64 {
+	out := map[string]float64{}
+	put := func(name string, v float64) {
+		if v != 0 {
+			out[name] = v
+		}
+	}
+	put("makespan_sec", r.MakespanSec)
+	put("parallel_efficiency", r.ParallelEfficiency)
+	put("idle_fraction", r.IdleFraction)
+	put("msg_latency_p99_sec", r.Histograms["mp.msg.latency_sec"].P99)
+	if r.Faults != nil {
+		put("checkpoint_overhead_sec", r.Faults.CheckpointSec)
+		put("lost_virtual_sec", r.Faults.LostVirtualSec)
+	}
+	return out
 }
 
 // Render formats the report for humans.
@@ -102,7 +295,7 @@ func (r *Report) Render() string {
 		f("  %-16s %14s %8s %8s %8s  %s\n", "link", "bytes", "mean", "peak", "busy", "timeline")
 		for _, l := range r.Links {
 			f("  %-16s %14d %7.2f%% %7.2f%% %7.1f%%  %s\n",
-				l.Name, l.Bytes, 100*l.MeanUtil, 100*l.PeakUtil, 100*l.BusyFraction, sparkline(l.Timeline))
+				l.Name, l.Bytes, 100*l.MeanUtil, 100*l.PeakUtil, 100*l.BusyFraction, ledger.TextSparkline(l.Timeline))
 		}
 	}
 	return b.String()
@@ -137,35 +330,6 @@ func renderShare(b *strings.Builder, label string, m map[string]float64, total f
 		fmt.Fprintf(b, "  %s %.1f%%", name, 100*e.v/total)
 	}
 	fmt.Fprintln(b)
-}
-
-// sparkline renders a utilization timeline as unicode block characters.
-func sparkline(tl []float64) string {
-	if len(tl) == 0 {
-		return ""
-	}
-	levels := []rune(" ▁▂▃▄▅▆▇█")
-	peak := 0.0
-	for _, v := range tl {
-		if v > peak {
-			peak = v
-		}
-	}
-	if peak <= 0 {
-		return strings.Repeat(" ", len(tl))
-	}
-	var sb strings.Builder
-	for _, v := range tl {
-		i := int(v / peak * float64(len(levels)-1))
-		if i < 0 {
-			i = 0
-		}
-		if i >= len(levels) {
-			i = len(levels) - 1
-		}
-		sb.WriteRune(levels[i])
-	}
-	return sb.String()
 }
 
 func timelineLen(links []LinkStats) int {

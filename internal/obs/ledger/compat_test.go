@@ -5,10 +5,41 @@ import (
 	"testing"
 )
 
+const benchJSON = `{
+  "schema_version": 6,
+  "n": 32768,
+  "results": [
+    {"engine": "per-body", "workers": 1, "ns_per_interaction": 42.0},
+    {"engine": "grouped", "workers": 1, "ns_per_interaction": 15.5},
+    {"engine": "grouped", "workers": 8, "ns_per_interaction": 2.1}
+  ],
+  "speedup_grouped_wn_vs_per_body": 6.2,
+  "distributed": {"gflops": 3.5, "max_imbalance": 1.08},
+  "analysis": {"makespan_sec": 12.5, "parallel_efficiency": 0.91, "msg_latency_p99_sec": 0.002},
+  "treebuild": {"seed_seconds": 0.09, "entries": [
+    {"workers": 1, "speedup_vs_seed": 1.1},
+    {"workers": 4, "speedup_vs_seed": 2.6}
+  ]},
+  "scale": {"max_event_ranks": 294, "entries": [
+    {"workload": "step", "engine": "event", "ranks": 294, "ranks_per_sec": 1400}
+  ]}
+}`
+
+const analysisJSON = `{
+  "schema_version": 2,
+  "machine": {"name": "Space Simulator"},
+  "critical_path": {"total_sec": 12.5},
+  "makespan_sec": 12.5,
+  "parallel_efficiency": 0.91,
+  "idle_fraction": 0.04,
+  "histograms": {"mp.msg.latency_sec": {"count": 10, "p99": 0.0021}},
+  "faults": {"checkpoint_sec": 0.4, "lost_virtual_sec": 1.2}
+}`
+
 // A ledger written before the BENCH_treecode.json record and its writers
 // (`ssbench group`, `treebuild`, `kernels`) were deleted still trends,
-// renders and verifies. Such a record's artifact is no longer sniffed, and
-// the metrics it stored, whose gates went with their writer, read as info.
+// renders and verifies. The metrics such a record stored, whose gates went
+// with their writer, read as info.
 func TestLedgerReadsPreDeletionBenchRecords(t *testing.T) {
 	s, err := Open(t.TempDir())
 	if err != nil {
@@ -75,8 +106,5 @@ func TestLedgerReadsPreDeletionBenchRecords(t *testing.T) {
 				t.Errorf("record %s artifact %s: %v", r.ID, name, err)
 			}
 		}
-	}
-	if k := SniffKind([]byte(benchJSON)); k != KindUnknown {
-		t.Errorf("legacy bench artifact sniffed as %s, want %s", k, KindUnknown)
 	}
 }

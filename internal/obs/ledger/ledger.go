@@ -7,9 +7,9 @@
 //     which runs are comparable across time,
 //   - build and host provenance (VCS revision and go version from
 //     runtime/debug.ReadBuildInfo, hostname, GOMAXPROCS — see Provenance),
-//   - the run's headline metrics extracted from its artifacts (virtual
-//     makespan, parallel efficiency, message latency, checkpoint overhead —
-//     see ExtractMetrics) plus the writer's own (Gflop/s, peak RSS), and
+//   - the run's headline metrics, which the writer takes from the report it
+//     holds (virtual makespan, parallel efficiency, message latency,
+//     checkpoint overhead) plus its own (Gflop/s, peak RSS), and
 //   - SHA-256 digests of the full artifacts (ANALYSIS.json,
 //     FAULTSWEEP.json, ...) stored content-addressed under blobs/.
 //
@@ -68,8 +68,8 @@ type Record struct {
 	Config       Config `json:"config"`
 	// Build is the provenance of the binary and host that produced the run.
 	Build Provenance `json:"build"`
-	// Metrics are the run's headline measurements (ExtractMetrics output
-	// plus writer-side extras such as peak_rss_bytes).
+	// Metrics are the run's headline measurements (the writer's report
+	// headline plus extras such as peak_rss_bytes).
 	Metrics map[string]float64 `json:"metrics"`
 	// Artifacts maps artifact names (ANALYSIS.json, FAULTSWEEP.json)
 	// to the SHA-256 of their bytes in the blob store.
@@ -154,18 +154,16 @@ func (s *Store) ReadBlob(digest string) ([]byte, error) {
 }
 
 // Append stores the artifacts as blobs, fills rec.Artifacts, stamps the
-// record (schema version, time, ID) and appends it to the index. The
-// returned ID identifies the record (e.g. in the /runs/{id} page). Callers
-// treat errors as best-effort: a run never fails because its ledger write
-// did.
+// record (schema version, time, the digest of rec.Config, ID) and appends
+// it to the index. The returned ID identifies the record (e.g. in the
+// /runs/{id} page). Callers treat errors as best-effort: a run never fails
+// because its ledger write did.
 func (s *Store) Append(rec *Record, artifacts map[string][]byte) (string, error) {
 	if rec.TimeUnixNS == 0 {
 		rec.TimeUnixNS = time.Now().UnixNano()
 	}
 	rec.SchemaVersion = SchemaVersion
-	if rec.ConfigDigest == "" {
-		rec.ConfigDigest = rec.Config.Digest()
-	}
+	rec.ConfigDigest = rec.Config.Digest()
 	if len(artifacts) > 0 && rec.Artifacts == nil {
 		rec.Artifacts = map[string]string{}
 	}

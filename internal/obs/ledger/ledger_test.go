@@ -24,8 +24,10 @@ func TestAppendAndRecordsRoundtrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	art := []byte(`{"critical_path":{},"makespan_sec":1.5,"schema_version":2}`)
-	id1, err := s.Append(testRecord("analyze", map[string]float64{"makespan_sec": 1.5}),
-		map[string][]byte{"ANALYSIS.json": art})
+	// A preset digest that disagrees with the config is overwritten.
+	first := testRecord("analyze", map[string]float64{"makespan_sec": 1.5})
+	first.ConfigDigest = "stale"
+	id1, err := s.Append(first, map[string][]byte{"ANALYSIS.json": art})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,12 +49,32 @@ func TestAppendAndRecordsRoundtrip(t *testing.T) {
 	if recs[0].ID != id1 || recs[1].ID != id2 {
 		t.Fatalf("order/id mismatch: %s %s vs %s %s", recs[0].ID, recs[1].ID, id1, id2)
 	}
-	if recs[0].ConfigDigest == "" || recs[0].ConfigDigest != recs[1].ConfigDigest {
+	if recs[0].ConfigDigest != recs[1].ConfigDigest {
 		t.Fatalf("config digests differ for identical configs: %q vs %q",
 			recs[0].ConfigDigest, recs[1].ConfigDigest)
 	}
-	if recs[0].SchemaVersion != SchemaVersion {
-		t.Fatalf("schema_version %d, want %d", recs[0].SchemaVersion, SchemaVersion)
+	for _, r := range recs {
+		if r.SchemaVersion != SchemaVersion {
+			t.Fatalf("record %s: schema_version %d, want %d", r.ID, r.SchemaVersion, SchemaVersion)
+		}
+		if r.ConfigDigest != r.Config.Digest() {
+			t.Fatalf("record %s: config digest %.12s does not match its config (%.12s)",
+				r.ID, r.ConfigDigest, r.Config.Digest())
+		}
+		if r.TimeUnixNS <= 0 {
+			t.Fatalf("record %s: append time %d, want > 0", r.ID, r.TimeUnixNS)
+		}
+		if r.Build.GoVersion == "" || r.Build.Hostname == "" {
+			t.Fatalf("record %s: provenance missing go_version or hostname", r.ID)
+		}
+		if len(r.Artifacts) != 1 {
+			t.Fatalf("record %s: %d artifacts, want 1", r.ID, len(r.Artifacts))
+		}
+		for name, digest := range r.Artifacts {
+			if _, err := s.ReadBlob(digest); err != nil {
+				t.Fatalf("record %s: artifact %s: %v", r.ID, name, err)
+			}
+		}
 	}
 	if recs[0].Metrics["makespan_sec"] != 1.5 {
 		t.Fatalf("metrics lost in roundtrip: %v", recs[0].Metrics)

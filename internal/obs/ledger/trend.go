@@ -202,12 +202,13 @@ func Comparable(recs []Record, configDigest, hostKey string) []Record {
 	return out
 }
 
-// textSparkLevels are the eight block glyphs of the unicode sparkline,
-// matching the analysis renderer's.
+// textSparkLevels are the blank and the eight block glyphs of the unicode
+// sparkline.
 const textSparkLevels = " ▁▂▃▄▅▆▇█"
 
 // TextSparkline renders values as a unicode sparkline normalized to the
-// series peak (the same convention as analysis.Render's timelines).
+// series' peak magnitude; an all-zero series is all blanks. ssbench trend
+// and analysis.Render's link timelines use it.
 func TextSparkline(values []float64) string {
 	peak := 0.0
 	for _, v := range values {

@@ -126,4 +126,8 @@ func TestTextSparkline(t *testing.T) {
 	if s[len(s)-3:] != "█" {
 		t.Fatalf("peak of %q is not the full block", s)
 	}
+	// An idle link's timeline in analysis.Render: blanks, one per bin.
+	if s := TextSparkline([]float64{0, 0, 0}); s != "   " {
+		t.Fatalf("all-zero sparkline %q, want three blanks", s)
+	}
 }
