@@ -141,13 +141,16 @@ profile-sph:
 # BenchmarkStep/dist64 are bench/'s plummer-dist8 and coldsphere-dist64
 # configurations (32768 bodies, 8 or 64 ranks, one engine thread, two pool
 # workers a rank), one step per iteration through core.Run, run under the
-# CPU profiler and listed; then the split of the samples by the `phase`
-# label the rank runtime and the eval pool put on their goroutines.
+# CPU and memory profilers and listed; then the split of the CPU samples by
+# the `phase` label the rank runtime and the eval pool put on their
+# goroutines, and the sites that allocate the most bytes.
 profile-dist8 profile-dist64: profile-dist%:
 	$(GO) test -run '^$$' -bench '^BenchmarkStep$$/^dist$*$$' -benchtime 30x \
-		-cpuprofile /tmp/spacesim-dist$*.pprof -o /tmp/spacesim-dist$*.test ./internal/core
+		-cpuprofile /tmp/spacesim-dist$*.pprof -memprofile /tmp/spacesim-dist$*.mem \
+		-o /tmp/spacesim-dist$*.test ./internal/core
 	$(GO) tool pprof -top -nodecount 25 /tmp/spacesim-dist$*.test /tmp/spacesim-dist$*.pprof
 	$(GO) tool pprof -tags -tagshow '^phase$$' /tmp/spacesim-dist$*.test /tmp/spacesim-dist$*.pprof
+	$(GO) tool pprof -sample_index=alloc_space -top -nodecount 15 /tmp/spacesim-dist$*.test /tmp/spacesim-dist$*.mem
 
 # Writes a small trace + metrics pair from a short distributed run (the
 # files' invariants are asserted on the same run by

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"math/bits"
-
 	"spacesim/internal/gravity"
 	"spacesim/internal/htree"
 	"spacesim/internal/key"
@@ -59,21 +57,8 @@ type DTree struct {
 	// it in the fetched slab, which links to that; otherwise the cell itself.
 	top   *topTree
 	route []int32
-	// fetched is the rank's own slab, at indices from nLocal+len(top.cells)
-	// on. A reply appends the daughters of the cell asked for and links them,
-	// or appends a leaf's bodies to bodies and points the leaf's Lo:Hi at
-	// that entry (empty until then). Appends may move both: hold no pointer
-	// into them across a Poll while a request is outstanding. Once none is,
-	// nothing writes them until the next evaluation resets them, and the
-	// eval pool reads them (pass 2).
-	fetched []htree.Cell
-	bodies  [][]gravity.Source
-
-	// fetching tracks in-flight expansion requests: slab index -> walkers
-	// waiting on the reply. It deduplicates concurrent requests: whichever
-	// walker asks first triggers the one ABM request, later walkers for the
-	// same cell just join the list.
-	fetching map[int32][]*bucketWalker
+	// The rank's fetch state, kept from step to step (fetchArena).
+	*fetchArena
 
 	// counters
 	fetches int64
@@ -90,13 +75,50 @@ type DTree struct {
 	cPoolInline                           *obs.Counter
 }
 
+// fetchArena is what a rank's fetches write: the slab of fetched cells, the
+// table of leaf body segments and the waiter lists. Run keeps one per rank
+// next to its build arena, so a steady step grows none of it; a DTree built
+// without one (BuildDistributed) starts from an empty arena. It is rank
+// state: one goroutine at a time.
+type fetchArena struct {
+	// fetched is the rank's own slab, at indices from nLocal+len(top.cells)
+	// on. A reply appends the daughters of the cell asked for and links them,
+	// or appends a leaf's bodies to bodies and points the leaf's Lo:Hi at
+	// that entry (empty until then). Appends that grow them move them: hold
+	// no pointer into them across a Poll while a request is outstanding. Once
+	// none is, nothing writes them until the next evaluation resets them, and
+	// the eval pool reads them (pass 2).
+	fetched []htree.Cell
+	bodies  [][]gravity.Source
+
+	// waiting tracks in-flight expansion requests: waiting[i-nLocal] is the
+	// list of walkers waiting on slab cell i, in the order they asked — the
+	// first and last of its entries in waiters, chained by next; -1 when no
+	// request for i is in flight. It deduplicates concurrent requests:
+	// whichever walker asks first triggers the one ABM request, later
+	// walkers for the same cell just join the list. inFlight counts the
+	// lists that are not empty.
+	waiting  []waitList
+	waiters  []waiter
+	inFlight int
+}
+
+type waitList struct{ head, tail int32 }
+
+type waiter struct {
+	w    *bucketWalker
+	next int32
+}
+
 // resetCaches drops the transient per-evaluation state: every cell and body a
-// fetch reply brought, and the routes to them. The second pass needs all that
-// one evaluation fetched resident; none of it survives into the next, which is
-// the bound on the slab.
+// fetch reply brought, the routes to them and the waiter entries, keeping
+// their storage. The second pass needs all that one evaluation fetched
+// resident; none of it survives into the next, which is the bound on the
+// slab.
 func (dt *DTree) resetCaches() {
-	clear(dt.bodies) // release the fetched bodies
-	dt.fetched, dt.bodies = dt.fetched[:0], dt.bodies[:0]
+	clear(dt.bodies) // release the other ranks' trees
+	clear(dt.waiters)
+	dt.fetched, dt.bodies, dt.waiters = dt.fetched[:0], dt.bodies[:0], dt.waiters[:0]
 	for j, o := range dt.top.owner {
 		dt.route[j] = dt.nLocal + int32(j)
 		if int(o) == dt.r.ID() {
@@ -106,19 +128,27 @@ func (dt *DTree) resetCaches() {
 }
 
 // requestCell asks the owner of slab cell i, key k, for its expansion on
-// behalf of walker w, calling resume for every waiting walker when the reply
-// has arrived during a Poll and is resident — a leaf's bodies, or an internal
-// cell's daughters appended to the slab and linked from the cell (for a top
-// branch, from this rank's copy of it) — so later walkers are served
-// locally. resume gets the resident cell and its slab index.
+// behalf of walker w, calling resume for every waiting walker, in the order
+// they asked, when the reply has arrived during a Poll and is resident — a
+// leaf's bodies, or an internal cell's daughters appended to the slab and
+// linked from the cell (for a top branch, from this rank's copy of it) — so
+// later walkers are served locally. resume gets the resident cell and its
+// slab index.
 func (dt *DTree) requestCell(i int32, k key.K, st *TraversalStats, w *bucketWalker, resume func(*bucketWalker, *htree.Cell, int32)) {
-	waiters, inFlight := dt.fetching[i]
-	dt.fetching[i] = append(waiters, w)
-	if inFlight {
+	j := i - dt.nLocal
+	for int(j) >= len(dt.waiting) {
+		dt.waiting = append(dt.waiting, waitList{-1, -1})
+	}
+	n := int32(len(dt.waiters))
+	dt.waiters = append(dt.waiters, waiter{w, -1})
+	if l := &dt.waiting[j]; l.head >= 0 {
 		// Another walker already asked for this cell; no new request goes out.
+		dt.waiters[l.tail].next, l.tail = n, n
 		dt.cDedup.Inc()
 		return
 	}
+	dt.waiting[j] = waitList{n, n}
+	dt.inFlight++
 	st.Fetches++
 	dt.fetches++
 	dt.cFetch.Inc()
@@ -136,26 +166,31 @@ func (dt *DTree) requestCell(i int32, k key.K, st *TraversalStats, w *bucketWalk
 		}
 		base := dt.nLocal + int32(len(dt.top.cells))
 		at := i
-		if j := i - dt.nLocal; j < int32(len(dt.top.cells)) {
+		if j < int32(len(dt.top.cells)) {
 			// The top is the world's: this rank's copy of the branch takes the link.
 			at = base + int32(len(dt.fetched))
 			dt.route[j] = at
 			dt.fetched = append(dt.fetched, dt.top.cells[j])
 		}
 		first := base + int32(len(dt.fetched))
-		kids, internal := resp.([]htree.Cell)
-		dt.fetched = append(dt.fetched, kids...)
-		c := &dt.fetched[at-base]
-		if internal {
-			c.Link(at, first)
-		} else {
-			c.Lo, c.Hi = len(dt.bodies), len(dt.bodies)+1
-			dt.bodies = append(dt.bodies, resp.([]gravity.Source))
+		rep := resp.(fetchReply)
+		oc := rep.t.At(rep.i)
+		var kids [8]int32
+		for _, d := range oc.Daughters(rep.i, kids[:0]) {
+			dt.fetched = append(dt.fetched, rep.t.At(d).Bare())
 		}
-		ws := dt.fetching[i]
-		delete(dt.fetching, i)
-		for _, w := range ws {
-			resume(w, c, at)
+		c := &dt.fetched[at-base]
+		if oc.Leaf {
+			c.Lo, c.Hi = len(dt.bodies), len(dt.bodies)+1
+			dt.bodies = append(dt.bodies, rep.t.Sources()[oc.Lo:oc.Hi:oc.Hi])
+		} else {
+			c.Link(at, first)
+		}
+		head := dt.waiting[j].head
+		dt.waiting[j] = waitList{-1, -1}
+		dt.inFlight--
+		for n := head; n >= 0; n = dt.waiters[n].next {
+			resume(dt.waiters[n].w, c, at)
 		}
 	})
 }
@@ -163,12 +198,13 @@ func (dt *DTree) requestCell(i int32, k key.K, st *TraversalStats, w *bucketWalk
 // BuildDistributed constructs the per-rank tree over the (already
 // decomposed, key-sorted) local bodies, and performs the branch exchange.
 func BuildDistributed(r *mp.Rank, bodies []Body, splitters []key.K, boxLo vec.V3, boxSize float64, opt Options) *DTree {
+	return buildDistributed(r, bodies, splitters, boxLo, boxSize, opt, &fetchArena{})
+}
+
+// buildDistributed is BuildDistributed on the rank's fetch arena fa.
+func buildDistributed(r *mp.Rank, bodies []Body, splitters []key.K, boxLo vec.V3, boxSize float64, opt Options, fa *fetchArena) *DTree {
 	opt = opt.withDefaults()
-	dt := &DTree{
-		r: r, opt: opt,
-		splitters: splitters,
-		fetching:  map[int32][]*bucketWalker{},
-	}
+	dt := &DTree{r: r, opt: opt, splitters: splitters, fetchArena: fa}
 	dt.abm = mp.NewABM(r)
 	dt.abm.Handle(hFetch, dt.serveFetch)
 
@@ -348,9 +384,20 @@ func buildTop(branches [][]htree.Cell) *topTree {
 	return top
 }
 
-// serveFetch answers an expansion request: the daughters of an internal
-// cell, reached by link and sent bare ([]htree.Cell), or the bodies of a
-// leaf ([]gravity.Source).
+// fetchReply is the answer to an expansion request: cell i of the owner's
+// local tree t, by reference. The requester copies the daughters of an
+// internal cell into its slab, bare, or keeps a leaf's bodies as a segment
+// of t.Sources(). The owner builds t again only after the next Decompose's
+// collectives, which a requester enters only once its evaluation — pass 2
+// on the pool included — is over (DESIGN.md, "What the world shares").
+type fetchReply struct {
+	t *htree.Tree
+	i int32
+}
+
+// serveFetch answers an expansion request, charging the wire size of what
+// it refers to: the daughters of an internal cell, sent bare, or the bodies
+// of a leaf.
 func (dt *DTree) serveFetch(src int, req any) (any, int64) {
 	k := req.(key.K)
 	if dt.local == nil {
@@ -361,16 +408,12 @@ func (dt *DTree) serveFetch(src int, req any) (any, int64) {
 		panic("core: fetch request for unknown cell " + k.String())
 	}
 	c := dt.local.At(i)
-	if c.Leaf {
-		bodies := dt.local.LeafBodies(c)
-		return bodies, int64(32 * len(bodies))
+	bytes := int64(32 * (c.Hi - c.Lo))
+	if !c.Leaf {
+		var kids [8]int32
+		bytes = int64(cellWireBytes * len(c.Daughters(i, kids[:0])))
 	}
-	var kids [8]int32
-	children := make([]htree.Cell, 0, bits.OnesCount8(c.ChildMask))
-	for _, d := range c.Daughters(i, kids[:0]) {
-		children = append(children, dt.local.At(d).Bare())
-	}
-	return children, int64(cellWireBytes * len(children))
+	return fetchReply{dt.local, i}, bytes
 }
 
 // Fetches returns the number of remote expansion requests issued.

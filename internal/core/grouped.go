@@ -46,7 +46,8 @@ package core
 // written, the rank's slab and overlay only by fetch replies, and a rank
 // whose walkers have all finished has none outstanding (ComputeForces panics
 // otherwise); serving other ranks' fetches reads the local tree, which is
-// immutable once built.
+// immutable once built, as are the other ranks' lists that a reply made
+// refer to it.
 
 import (
 	"context"
@@ -155,7 +156,15 @@ type evalPool struct {
 	workers int
 	jobs    chan poolJob
 	wg      sync.WaitGroup
+	// hold, when holdWorkers is set, keeps the workers from their first job
+	// until release.
+	hold chan struct{}
 }
+
+// holdWorkers is a test hook (export_test.go): while it is set, a new pool's
+// workers take no job until the rank first finds the queue full, or hands
+// the pool pass 2, so the queue fills whatever the host's speeds.
+var holdWorkers bool
 
 // poolJob is one piece of work and the name of its span on the worker's
 // host-time trace row.
@@ -172,6 +181,10 @@ func (dt *DTree) newEvalPool(workers int) *evalPool {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	p := &evalPool{workers: workers, jobs: make(chan poolJob, 4*workers)}
+	if holdWorkers {
+		p.hold = make(chan struct{})
+	}
+	hold := p.hold
 	dt.r.Metrics().Gauge("core.pool.workers").Max(float64(workers))
 	for i := 0; i < workers; i++ {
 		var tr *obs.Track
@@ -184,6 +197,9 @@ func (dt *DTree) newEvalPool(workers int) *evalPool {
 			// evaluation of their owning rank (see mp/labels.go).
 			pprof.SetGoroutineLabels(pprof.WithLabels(context.Background(), pprof.Labels(
 				"engine", "core-eval", "rank", strconv.Itoa(dt.r.ID()), "phase", "eval")))
+			if hold != nil {
+				<-hold
+			}
 			for job := range p.jobs {
 				t0 := time.Now()
 				var h0 float64
@@ -204,6 +220,7 @@ func (dt *DTree) newEvalPool(workers int) *evalPool {
 
 // submit queues f, waiting for room.
 func (p *evalPool) submit(name string, f func()) {
+	p.release()
 	p.wg.Add(1)
 	p.jobs <- poolJob{name, f}
 }
@@ -217,9 +234,18 @@ func (p *evalPool) run(name string, f func()) (queued bool) {
 	case p.jobs <- poolJob{name, f}:
 		return true
 	default:
+		p.release()
 		f()
 		p.wg.Done()
 		return false
+	}
+}
+
+// release lets held workers (holdWorkers) take jobs.
+func (p *evalPool) release() {
+	if p.hold != nil {
+		close(p.hold)
+		p.hold = nil
 	}
 }
 
@@ -227,7 +253,10 @@ func (p *evalPool) run(name string, f func()) (queued bool) {
 func (p *evalPool) wait() { p.wg.Wait() }
 
 // close releases the worker goroutines.
-func (p *evalPool) close() { close(p.jobs) }
+func (p *evalPool) close() {
+	p.release()
+	close(p.jobs)
+}
 
 // cellFlops is the accounted flop cost of one cell-body (quadrupole)
 // interaction; body-body interactions cost gravity.KernelFlops.
@@ -355,9 +384,9 @@ func (dt *DTree) ComputeForces(bodies []Body) ([]vec.V3, []float64, TraversalSta
 	// while this goroutine goes on into Quiesce. The slab they read is final
 	// only if no reply is still to come. Every bucket was charged at
 	// finishBucket, so virtual time does not see where or when pass 2 runs.
-	if len(dt.fetching) != 0 || dt.abm.Outstanding() != 0 {
+	if dt.inFlight != 0 || dt.abm.Outstanding() != 0 {
 		panic(fmt.Sprintf("core: rank %d starts pass 2 with %d cells being fetched, %d requests outstanding",
-			dt.r.ID(), len(dt.fetching), dt.abm.Outstanding()))
+			dt.r.ID(), dt.inFlight, dt.abm.Outstanding()))
 	}
 	var next atomic.Int64
 	second := func() {

@@ -223,12 +223,14 @@ func run(cfg RunConfig, ics []Body, seg segment) Result {
 			}
 		}
 
-		// Per-rank build arena: every step's tree rebuild reuses this
-		// rank's key/body/cell storage instead of re-allocating. Arenas are
-		// exclusive state, so each rank goroutine gets its own (any arena
-		// set on cfg.Opt is deliberately not shared).
+		// Per-rank arenas: every step's tree rebuild reuses this rank's
+		// key/body/cell storage, and every evaluation its fetched slab and
+		// waiter tables, instead of re-allocating. Arenas are exclusive
+		// state, so each rank goroutine gets its own (any arena set on
+		// cfg.Opt is deliberately not shared).
 		ropt := opt
 		ropt.BuildArena = &htree.Arena{}
+		fa := &fetchArena{}
 
 		// eval computes the forces at step s, or reports that the bodies have
 		// left the cube a run can integrate in. The cube is the world's, so
@@ -243,7 +245,7 @@ func run(cfg RunConfig, ics []Body, seg segment) Result {
 				}
 				return nil, nil, nil, TraversalStats{}, false
 			}
-			dt := BuildDistributed(r, bodies, splitters, boxLo, boxSize, ropt)
+			dt := buildDistributed(r, bodies, splitters, boxLo, boxSize, ropt, fa)
 			acc, pot, ts := dt.ComputeForces(bodies)
 			// Feed each body's interaction count back as its decomposition
 			// weight — "the amount of data that ends up in each processor is

@@ -152,12 +152,6 @@ func (t *Tree) NumCells() int { return len(t.store.cells) }
 // the tree's own storage and must not be written.
 func (t *Tree) Sources() []gravity.Source { return t.src }
 
-// LeafBodies returns the bodies of a leaf cell as kernel sources in a
-// freshly allocated slice the caller owns.
-func (t *Tree) LeafBodies(c *Cell) []gravity.Source {
-	return append([]gravity.Source(nil), t.src[c.Lo:c.Hi]...)
-}
-
 // Find returns the slab index of the cell stored under k, or -1: the index
 // by which a walk's stack names the cell (BucketScratch.Push).
 func (t *Tree) Find(k key.K) int32 { return t.store.find(k) }

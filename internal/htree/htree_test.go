@@ -222,7 +222,8 @@ func TestCellLookupAndRanges(t *testing.T) {
 	if tr.NumCells() < 2 {
 		t.Fatal("tree too small")
 	}
-	// LeafBodies returns exactly Hi-Lo sources with the right total mass.
+	// A leaf's sources, Sources()[Lo:Hi], are its N bodies with the right
+	// total mass.
 	var findLeaf func(k key.K) *Cell
 	findLeaf = func(k key.K) *Cell {
 		c := mustCell(t, tr, k)
@@ -238,9 +239,9 @@ func TestCellLookupAndRanges(t *testing.T) {
 		return nil
 	}
 	leaf := findLeaf(key.Root)
-	src := tr.LeafBodies(leaf)
-	if len(src) != leaf.Hi-leaf.Lo {
-		t.Fatal("LeafBodies length mismatch")
+	src := tr.Sources()[leaf.Lo:leaf.Hi]
+	if len(src) != leaf.N {
+		t.Fatal("leaf sources length mismatch")
 	}
 	var m float64
 	for _, s := range src {
