@@ -196,11 +196,11 @@ live-smoke:
 
 # Run-ledger smoke: two identical short spacesim runs recorded into a
 # scratch ledger must stamp identical config digests (the digest covers only
-# deterministic invocation parameters); the trend report must render; the
+# deterministic invocation parameters); the trend view (the same text as
+# the live server's /runs) must print them as one group of 2 runs; and the
 # baseline arm of the perf gate must pass the second run's report against
 # the first (one engine worker, so the virtual schedule repeats), which
-# also proves the first run was recorded; and the HTML dashboard must
-# render.
+# also proves the first run was recorded.
 ledger-smoke:
 	$(GO) build -o /tmp/spacesim-smoke-ssbench ./cmd/ssbench
 	$(GO) build -o /tmp/spacesim-smoke-spacesim ./cmd/spacesim
@@ -213,12 +213,14 @@ ledger-smoke:
 	db=$$(grep -o '"config_digest": *"[0-9a-f]*"' /tmp/spacesim-smoke-ledger-b.json); \
 	[ -n "$$da" ] && [ "$$da" = "$$db" ] || { echo "ledger-smoke: config digests differ: $$da vs $$db"; exit 1; }; \
 	echo "ledger-smoke: identical config digests across both runs"
-	/tmp/spacesim-smoke-ssbench trend -ledger /tmp/spacesim-smoke-ledger
+	/tmp/spacesim-smoke-ssbench trend -ledger /tmp/spacesim-smoke-ledger | tee /tmp/spacesim-smoke-ledger-trend.log
+	@[ "$$(grep -c '^config ' /tmp/spacesim-smoke-ledger-trend.log)" = 1 ] \
+		&& grep -q '^config .*  2 runs (latest ' /tmp/spacesim-smoke-ledger-trend.log \
+		|| { echo "ledger-smoke: trend did not print one group of 2 runs"; exit 1; }
 	/tmp/spacesim-smoke-ssbench diff -baseline -ledger /tmp/spacesim-smoke-ledger \
 		/tmp/spacesim-smoke-ledger-b.json | tee /tmp/spacesim-smoke-ledger-diff.log
 	@grep -q 'OK vs baseline of 1 comparable runs' /tmp/spacesim-smoke-ledger-diff.log \
 		|| { echo "ledger-smoke: the baseline gate did not find the first run's record"; exit 1; }
-	/tmp/spacesim-smoke-ssbench report -ledger /tmp/spacesim-smoke-ledger -html /tmp/spacesim-smoke-ledger-runs.html
 
 # Job-server smoke: the crash-safety story end to end. A spacesimd daemon
 # takes a job, is killed -9 mid-run after its first checkpoint, and a

@@ -160,7 +160,11 @@ func main() {
 		defer sampler.Stop()
 		var mounts []live.Mount
 		if *ledgerD != "" {
-			if st, err := ledger.Open(*ledgerD); err == nil {
+			// Best-effort like every ledger use: the server comes up
+			// without /runs, and says so.
+			if st, err := ledger.Open(*ledgerD); err != nil {
+				fmt.Fprintln(os.Stderr, "ledger:", err)
+			} else {
 				mounts = append(mounts, live.Mount{Prefix: "/runs", Handler: st.Handler()})
 			}
 		}

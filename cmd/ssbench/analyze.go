@@ -187,7 +187,7 @@ func diffBaseline(newPath, ledgerPath string, lastK int, allowCross bool) {
 		return
 	}
 	trends := ledger.GateAgainst(base, rep.Headline(), lastK)
-	printTrends(trends)
+	ledger.WriteTrends(os.Stdout, trends)
 	if ledger.AnyRegression(trends) {
 		fmt.Printf("diff: FAIL (baseline of %d comparable runs)\n", len(base))
 		os.Exit(1)

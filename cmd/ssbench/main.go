@@ -42,7 +42,7 @@ var (
 // ownFlagCmds are the subcommands that own their argument parsing
 // (positional file arguments or private flag sets), so the global
 // after-the-experiment-name re-parse must leave their arguments alone.
-var ownFlagCmds = map[string]func([]string){"diff": diffCmd, "faultsweep": faultsweepCmd, "trend": trendCmd, "report": reportCmd}
+var ownFlagCmds = map[string]func([]string){"diff": diffCmd, "faultsweep": faultsweepCmd, "trend": trendCmd}
 
 // parseInvocation parses an ssbench argument vector (without the program
 // name) against fs. Global flags are accepted both before and after the
@@ -109,12 +109,11 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: ssbench [-quick] [-ledger DIR] [-trace FILE] [-metrics FILE] [-http ADDR] [-sample-every DUR] [-cpuprofile FILE] [-memprofile FILE] <all|row-id prefix (table3, fig8, s2.1, ...)|analyze|diff|faultsweep|trend|report>")
+	fmt.Fprintln(os.Stderr, "usage: ssbench [-quick] [-ledger DIR] [-trace FILE] [-metrics FILE] [-http ADDR] [-sample-every DUR] [-cpuprofile FILE] [-memprofile FILE] <all|row-id prefix (table3, fig8, s2.1, ...)|analyze|diff|faultsweep|trend>")
 	fmt.Fprintln(os.Stderr, "       (global flags are accepted before or after the experiment name)")
 	fmt.Fprintln(os.Stderr, "       ssbench diff [flags] OLD.json NEW.json   (two ANALYSIS.json reports)")
 	fmt.Fprintln(os.Stderr, "       ssbench diff -baseline [flags] NEW.json  (gate NEW against its ledger history)")
-	fmt.Fprintln(os.Stderr, "       ssbench trend [-ledger DIR] [-config DIGEST] [-last K] [-gate]   (per-metric history vs median/MAD baseline)")
-	fmt.Fprintln(os.Stderr, "       ssbench report [-ledger DIR] -html FILE   (static HTML dashboard of the ledger)")
+	fmt.Fprintln(os.Stderr, "       ssbench trend [-ledger DIR] [-config DIGEST] [-host KEY|-all-hosts] [-last K] [-gate]   (per-metric history vs median/MAD baseline; the /runs text)")
 }
 
 // startLive starts the live-telemetry sampler over runObs and, when -http

@@ -4,13 +4,14 @@ package main
 // group (same config digest, same host) it prints the headline metrics'
 // sparkline history and judges the newest run against the median/MAD of the
 // runs before it. With -gate, any regression exits nonzero, turning the
-// trend view into a CI gate that needs no explicit baseline file.
+// trend view into a CI gate that needs no explicit baseline file. The live
+// server's /runs page prints the same text (ledger.WriteGroups).
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"sort"
 	"strings"
 
 	"spacesim/internal/obs/ledger"
@@ -18,6 +19,13 @@ import (
 
 // trendCmd owns its flag set like diff does (see ownFlagCmds).
 func trendCmd(args []string) {
+	if code := runTrend(os.Stdout, args); code != 0 {
+		os.Exit(code)
+	}
+}
+
+// runTrend is `ssbench trend` writing to w; it returns the exit code.
+func runTrend(w io.Writer, args []string) int {
 	fs := flag.NewFlagSet("trend", flag.ExitOnError)
 	dir := fs.String("ledger", *ledgerDir, "ledger directory to read")
 	configFlag := fs.String("config", "", "only this config digest (prefix allowed)")
@@ -30,81 +38,35 @@ func trendCmd(args []string) {
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
-		os.Exit(2)
+		return 2
 	}
 	st := openLedgerAt(*dir)
 	if st == nil {
-		die(2, "trend: no ledger")
+		fmt.Fprintln(os.Stderr, "trend: no ledger")
+		return 2
 	}
 	recs, err := st.Records()
 	if err != nil {
-		die(2, "trend:", err)
+		fmt.Fprintln(os.Stderr, "trend:", err)
+		return 2
 	}
 	host := *hostFlag
 	if host == "" && !*allHosts {
 		host = ledger.Prov().HostKey()
 	}
-
-	// Group records by (config digest, host key), newest activity first.
-	type group struct {
-		digest, host string
-		recs         []ledger.Record
-	}
-	byKey := map[string]*group{}
-	var order []*group
-	for _, r := range recs { // Records() is oldest→newest
-		if *configFlag != "" && !strings.HasPrefix(r.ConfigDigest, *configFlag) {
-			continue
+	var keep []ledger.Record
+	for _, r := range recs {
+		if strings.HasPrefix(r.ConfigDigest, *configFlag) && (host == "" || r.Build.HostKey() == host) {
+			keep = append(keep, r)
 		}
-		hk := r.Build.HostKey()
-		if host != "" && hk != host {
-			continue
-		}
-		k := r.ConfigDigest + "|" + hk
-		g, ok := byKey[k]
-		if !ok {
-			g = &group{digest: r.ConfigDigest, host: hk}
-			byKey[k] = g
-			order = append(order, g)
-		}
-		g.recs = append(g.recs, r)
 	}
-	sort.SliceStable(order, func(i, j int) bool {
-		return order[i].recs[len(order[i].recs)-1].TimeUnixNS >
-			order[j].recs[len(order[j].recs)-1].TimeUnixNS
-	})
-	if len(order) == 0 {
-		fmt.Printf("trend: no matching runs in %s\n", st.Dir)
-		return
+	if len(keep) == 0 {
+		fmt.Fprintf(w, "trend: no matching runs in %s\n", st.Dir)
+		return 0
 	}
-
-	regressed := false
-	for _, g := range order {
-		latest := g.recs[len(g.recs)-1]
-		fmt.Printf("config %.12s  %s/%s  host %s  %d runs (latest %s)\n",
-			g.digest, latest.Config.Tool, latest.Config.Experiment, g.host, len(g.recs), latest.ID)
-		trends := ledger.Trend(g.recs, *lastK)
-		printTrends(trends)
-		if ledger.AnyRegression(trends) {
-			regressed = true
-		}
-		fmt.Println()
+	if ledger.WriteGroups(w, ledger.GroupRecords(keep), *lastK) && *gate {
+		fmt.Fprintln(w, "trend: FAIL (regression against the run history)")
+		return 1
 	}
-	if *gate && regressed {
-		fmt.Println("trend: FAIL (regression against the run history)")
-		os.Exit(1)
-	}
-}
-
-// printTrends renders per-metric trend rows: history sparkline, latest
-// value, robust baseline, verdict.
-func printTrends(trends []ledger.MetricTrend) {
-	for _, t := range trends {
-		verdict := string(t.Verdict)
-		if t.Detail != "" {
-			verdict += "  " + t.Detail
-		}
-		fmt.Printf("  %-26s %-12s latest %.6g  median %.6g  %s\n",
-			t.Name, ledger.TextSparkline(t.Values), t.Latest, t.Median, verdict)
-	}
+	return 0
 }

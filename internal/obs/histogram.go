@@ -209,20 +209,13 @@ func (h *Histogram) Quantile(p float64) float64 {
 	return h.Max()
 }
 
-// Quantiles returns estimates for each p in ps (see Quantile). Nil-safe:
-// on a nil or empty histogram every entry is 0. The live sampler and the
-// analysis path share this implementation so both report the same numbers.
-func (h *Histogram) Quantiles(ps []float64) []float64 {
-	out := make([]float64, len(ps))
-	h.QuantilesInto(ps, out)
-	return out
-}
-
 // QuantilesInto writes the estimate for each ps[i] into out[i] without
 // allocating (out must be at least as long as ps). When ps is nondecreasing
 // — the common case, e.g. {0.5, 0.95, 0.99} — all quantiles are answered in
 // one cumulative pass over the buckets; unsorted ps fall back to per-entry
-// scans. Results for nondecreasing ps are themselves nondecreasing.
+// scans. Results for nondecreasing ps are themselves nondecreasing. Nil-safe:
+// on a nil or empty histogram every entry is 0. Snapshot and the live
+// sampler both answer through it, so they report the same numbers.
 func (h *Histogram) QuantilesInto(ps, out []float64) {
 	if h == nil || h.Count() == 0 {
 		for i := range ps {
@@ -276,32 +269,6 @@ func (h *Histogram) QuantilesInto(ps, out []float64) {
 	for ; k < len(ps); k++ {
 		out[k] = mx
 	}
-}
-
-// Merge folds other's observations into h. Nil-safe on both sides and a
-// no-op when other is empty. Concurrent observers on either side land
-// before or after the merge (order-independence holds; point-in-time
-// atomicity across the two histograms is not promised).
-func (h *Histogram) Merge(other *Histogram) {
-	if h == nil || other == nil || other.Count() == 0 {
-		return
-	}
-	for i := 0; i < histBuckets; i++ {
-		if c := other.buckets[i].Load(); c != 0 {
-			h.buckets[i].Add(c)
-		}
-	}
-	h.count.Add(other.count.Load())
-	s := other.Sum()
-	for {
-		old := h.sum.Load()
-		nv := math.Float64frombits(old) + s
-		if h.sum.CompareAndSwap(old, math.Float64bits(nv)) {
-			break
-		}
-	}
-	h.foldMin(other.Min())
-	h.foldMax(other.Max())
 }
 
 // HistogramSnapshot is the JSON shape of one histogram in a metrics dump.

@@ -28,7 +28,6 @@ func TestHistogramEmpty(t *testing.T) {
 func TestHistogramNilSafe(t *testing.T) {
 	var h *Histogram
 	h.Observe(1) // must not panic
-	h.Merge(NewHistogram())
 	if h.Count() != 0 || h.Sum() != 0 || h.Min() != 0 || h.Max() != 0 || h.Mean() != 0 {
 		t.Fatal("nil histogram should read as empty")
 	}
@@ -37,13 +36,6 @@ func TestHistogramNilSafe(t *testing.T) {
 	}
 	if s := h.Snapshot(); s.Count != 0 {
 		t.Fatalf("nil snapshot: %+v", s)
-	}
-	// Merging a nil source is a no-op.
-	dst := NewHistogram()
-	dst.Observe(3)
-	dst.Merge(nil)
-	if dst.Count() != 1 {
-		t.Fatal("merge(nil) changed the histogram")
 	}
 }
 
@@ -120,45 +112,6 @@ func TestHistogramExtremesAndZero(t *testing.T) {
 		if q < h.Min() || q > h.Max() {
 			t.Fatalf("Quantile(%v) = %v outside [%v, %v]", p, q, h.Min(), h.Max())
 		}
-	}
-}
-
-func TestHistogramMerge(t *testing.T) {
-	a, b := NewHistogram(), NewHistogram()
-	for i := 1; i <= 100; i++ {
-		a.Observe(float64(i))
-	}
-	for i := 101; i <= 200; i++ {
-		b.Observe(float64(i))
-	}
-	// Merge order must not matter: compare against observing everything
-	// into one histogram.
-	all := NewHistogram()
-	for i := 1; i <= 200; i++ {
-		all.Observe(float64(i))
-	}
-	a.Merge(b)
-	if a.Count() != all.Count() || a.Sum() != all.Sum() {
-		t.Fatalf("merged count/sum = %d/%v, want %d/%v", a.Count(), a.Sum(), all.Count(), all.Sum())
-	}
-	if a.Min() != all.Min() || a.Max() != all.Max() {
-		t.Fatalf("merged min/max = %v/%v", a.Min(), a.Max())
-	}
-	for _, p := range []float64{0.25, 0.5, 0.95} {
-		if a.Quantile(p) != all.Quantile(p) {
-			t.Fatalf("merged Quantile(%v) = %v, want %v", p, a.Quantile(p), all.Quantile(p))
-		}
-	}
-	// Merging an empty histogram is a no-op either direction.
-	before := a.Snapshot()
-	a.Merge(NewHistogram())
-	if a.Snapshot() != before {
-		t.Fatal("merge(empty) changed the histogram")
-	}
-	empty := NewHistogram()
-	empty.Merge(a)
-	if empty.Count() != a.Count() || empty.Min() != a.Min() || empty.Max() != a.Max() {
-		t.Fatal("empty.Merge(a) did not copy the population")
 	}
 }
 
@@ -260,26 +213,21 @@ func TestEventLogRetention(t *testing.T) {
 }
 
 func TestHistogramQuantilesMergedMonotone(t *testing.T) {
-	// Build two disjoint-range histograms, merge, and require the batch
+	// Observe two disjoint ranges into one histogram and require the batch
 	// helper to agree with single-p Quantile and stay monotone.
-	a, b := NewHistogram(), NewHistogram()
-	for i := 1; i <= 500; i++ {
-		a.Observe(float64(i) * 1e-3) // 0.001 .. 0.5
-	}
-	for i := 1; i <= 500; i++ {
-		b.Observe(float64(i)) // 1 .. 500
-	}
 	m := NewHistogram()
-	m.Merge(a)
-	m.Merge(b)
-	ps := []float64{0, 0.25, 0.5, 0.75, 0.95, 0.99, 1}
-	qs := m.Quantiles(ps)
-	if len(qs) != len(ps) {
-		t.Fatalf("Quantiles returned %d values for %d ps", len(qs), len(ps))
+	for i := 1; i <= 500; i++ {
+		m.Observe(float64(i) * 1e-3) // 0.001 .. 0.5
 	}
+	for i := 1; i <= 500; i++ {
+		m.Observe(float64(i)) // 1 .. 500
+	}
+	ps := []float64{0, 0.25, 0.5, 0.75, 0.95, 0.99, 1}
+	qs := make([]float64, len(ps))
+	m.QuantilesInto(ps, qs)
 	for i, p := range ps {
 		if want := m.Quantile(p); qs[i] != want {
-			t.Fatalf("Quantiles[%v] = %v, Quantile = %v", p, qs[i], want)
+			t.Fatalf("QuantilesInto[%v] = %v, Quantile = %v", p, qs[i], want)
 		}
 		if i > 0 && qs[i] < qs[i-1] {
 			t.Fatalf("quantiles not monotone: q(%v)=%v < q(%v)=%v", ps[i], qs[i], ps[i-1], qs[i-1])
@@ -296,9 +244,10 @@ func TestHistogramQuantilesMergedMonotone(t *testing.T) {
 
 func TestHistogramQuantilesNilAndUnsorted(t *testing.T) {
 	var nilH *Histogram
-	qs := nilH.Quantiles([]float64{0.5, 0.99})
+	qs := []float64{1, 1}
+	nilH.QuantilesInto([]float64{0.5, 0.99}, qs)
 	if qs[0] != 0 || qs[1] != 0 {
-		t.Fatalf("nil Quantiles = %v", qs)
+		t.Fatalf("nil QuantilesInto = %v", qs)
 	}
 	h := NewHistogram()
 	for i := 1; i <= 100; i++ {
@@ -306,10 +255,11 @@ func TestHistogramQuantilesNilAndUnsorted(t *testing.T) {
 	}
 	// Unsorted ps fall back to per-entry scans but stay correct.
 	ps := []float64{0.99, 0.5, 0.95}
-	qs = h.Quantiles(ps)
+	qs = make([]float64, len(ps))
+	h.QuantilesInto(ps, qs)
 	for i, p := range ps {
 		if want := h.Quantile(p); qs[i] != want {
-			t.Fatalf("unsorted Quantiles[%v] = %v, want %v", p, qs[i], want)
+			t.Fatalf("unsorted QuantilesInto[%v] = %v, want %v", p, qs[i], want)
 		}
 	}
 	// Zero-allocation batch path.

@@ -155,8 +155,8 @@ func (s *Store) ReadBlob(digest string) ([]byte, error) {
 
 // Append stores the artifacts as blobs, fills rec.Artifacts, stamps the
 // record (schema version, time, the digest of rec.Config, ID) and appends
-// it to the index. The returned ID identifies the record (e.g. in the
-// /runs/{id} page). Callers treat errors as best-effort: a run never fails
+// it to the index. The returned ID identifies the record (e.g. at
+// /runs/{id} on the live server). Callers treat errors as best-effort: a run never fails
 // because its ledger write did.
 func (s *Store) Append(rec *Record, artifacts map[string][]byte) (string, error) {
 	if rec.TimeUnixNS == 0 {

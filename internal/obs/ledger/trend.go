@@ -171,7 +171,7 @@ func GateAgainst(baseline []Record, newMetrics map[string]float64, lastK int) []
 
 // Trend treats the newest record in group as the run under test and gates
 // it against the older ones. The group must already share a config digest
-// and host (see GroupComparable).
+// and host (see GroupRecords).
 func Trend(group []Record, lastK int) []MetricTrend {
 	if len(group) == 0 {
 		return nil

@@ -23,7 +23,7 @@ import (
 //
 // All endpoints are read-only and safe while a run is in flight.
 //
-// Extra page trees — the run-ledger dashboard, for one — are attached via
+// Extra page trees — the run ledger's /runs, for one — are attached via
 // Mounts; live itself stays ignorant of what it hosts, which keeps the
 // dependency arrow pointing into this package only.
 func Handler(s *Sampler, mounts ...Mount) http.Handler {
@@ -76,7 +76,7 @@ func Handler(s *Sampler, mounts ...Mount) http.Handler {
 }
 
 // Mount attaches an extra handler subtree to the live server — e.g. the
-// run-ledger dashboard at /runs. The prefix is registered both bare and as
+// run ledger's text view at /runs. The prefix is registered both bare and as
 // a subtree.
 type Mount struct {
 	Prefix  string
@@ -173,7 +173,7 @@ type Server struct {
 
 // Serve starts an HTTP server for s on addr (host:port; port 0 picks a
 // free port) and returns once the listener is bound. The server runs until
-// Close. Extra mounts (the run-ledger dashboard) are passed through to
+// Close. Extra mounts (the run ledger's /runs) are passed through to
 // Handler.
 func Serve(addr string, s *Sampler, mounts ...Mount) (*Server, error) {
 	ln, err := net.Listen("tcp", addr)

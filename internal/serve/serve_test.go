@@ -11,6 +11,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"spacesim/internal/obs/ledger"
 )
 
 // smallSpec is the cheapest job that still exercises checkpoints: two
@@ -361,7 +363,11 @@ func waitForCheckpoint(t *testing.T, dir string) {
 }
 
 func TestHTTPJobLifecycle(t *testing.T) {
-	s := newTestServer(t, t.TempDir(), nil)
+	st, err := ledger.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := newTestServer(t, t.TempDir(), func(c *Config) { c.Ledger = st })
 	defer s.Drain()
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -413,6 +419,11 @@ func TestHTTPJobLifecycle(t *testing.T) {
 	// The daemon metrics are exposed in Prometheus text form.
 	if !strings.Contains(string(get("/metrics")), "spacesim_serve_jobs_completed 1") {
 		t.Fatal("daemon /metrics missing serve.jobs_completed")
+	}
+	// The computed job's ledger record heads the mounted /runs page.
+	if runs := string(get("/runs")); !strings.Contains(runs, "spacesimd job  host ") ||
+		!strings.Contains(runs, " 1 runs (latest ") {
+		t.Fatalf("daemon /runs lacks the job's group header:\n%s", runs)
 	}
 }
 

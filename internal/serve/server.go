@@ -685,7 +685,7 @@ func (s *Server) appendLedger(a *Artifact) {
 //	GET    /jobs/{id}/artifact   the cached result artifact
 //	DELETE /jobs/{id}       cancel
 //	/metrics, /progress.json, /series.json, /debug/pprof/  (live exposition
-//	        over the daemon registry), /runs (ledger dashboard, if open)
+//	        over the daemon registry), /runs (ledger text view, if open)
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/jobs", s.handleJobs)
