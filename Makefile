@@ -178,10 +178,10 @@ fault-smoke:
 	$(GO) run ./cmd/ssbench faultsweep -quick -o /tmp/spacesim-smoke-faultsweep.json
 
 # Live-telemetry smoke: a run served over -http is probed while in flight
-# (Prometheus exposition, the progress/ETA JSON, and a 1-second CPU profile
-# from net/http/pprof — so the run is sized to last a few seconds); its
-# analysis report, which carries the sampler's final series dump, is
-# checked, live block included, as spacesim writes it.
+# (Prometheus exposition, the progress/ETA JSON, /series.json answering
+# 404, and a 1-second CPU profile from net/http/pprof — so the run is sized
+# to last a few seconds); its analysis report, checked as spacesim writes
+# it, must carry no live block.
 live-smoke:
 	$(GO) build -o /tmp/spacesim-live ./cmd/spacesim
 	/tmp/spacesim-live -n 30000 -procs 4 -steps 10 -http 127.0.0.1:17071 \
@@ -190,9 +190,13 @@ live-smoke:
 		if curl -sf http://127.0.0.1:17071/progress.json >/dev/null; then up=1; break; fi; sleep 0.1; done; \
 	[ $$up = 1 ] || { echo "live-smoke: server never came up"; kill $$pid 2>/dev/null; exit 1; }; \
 	curl -sf http://127.0.0.1:17071/metrics | grep -q "# TYPE" || { echo "live-smoke: /metrics"; kill $$pid 2>/dev/null; exit 1; }; \
-	curl -sf http://127.0.0.1:17071/progress.json | grep -q '"state"' || { echo "live-smoke: /progress.json"; kill $$pid 2>/dev/null; exit 1; }; \
+	curl -sf http://127.0.0.1:17071/progress.json | grep -q '"eta_sec"' || { echo "live-smoke: /progress.json"; kill $$pid 2>/dev/null; exit 1; }; \
+	code=$$(curl -s -o /dev/null -w '%{http_code}' http://127.0.0.1:17071/series.json); \
+	[ "$$code" = 404 ] || { echo "live-smoke: /series.json answered $$code, want 404"; kill $$pid 2>/dev/null; exit 1; }; \
 	curl -sf -o /tmp/spacesim-smoke-live.pprof "http://127.0.0.1:17071/debug/pprof/profile?seconds=1" || { echo "live-smoke: pprof"; kill $$pid 2>/dev/null; exit 1; }; \
-	wait $$pid
+	wait $$pid || exit 1; \
+	test -s /tmp/spacesim-smoke-live.json || { echo "live-smoke: no report written"; exit 1; }; \
+	if grep -q '"live"' /tmp/spacesim-smoke-live.json; then echo "live-smoke: the report carries a live block"; exit 1; fi
 
 # Run-ledger smoke: two identical short spacesim runs recorded into a
 # scratch ledger must stamp identical config digests (the digest covers only

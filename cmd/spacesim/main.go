@@ -11,13 +11,12 @@
 //	         [-trace trace.json] [-metrics metrics.json]
 //	         [-report] [-analysis ANALYSIS.json]
 //	         [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
-//	         [-http 127.0.0.1:8080] [-sample-every 250ms]
+//	         [-http 127.0.0.1:8080]
 //
 // With -http, a live-telemetry server runs for the duration: /metrics
-// (Prometheus text), /metrics.json, /series.json (sampled time series),
-// /progress.json (step fraction, rate, ETA), and /debug/pprof/. With
-// -report, the sampler's final series dump lands in the ANALYSIS.json
-// "live" block.
+// (Prometheus text), /metrics.json, /progress.json (step fraction, rate,
+// ETA), /runs (the ledger's trend text) and /debug/pprof/, each read from
+// the run's current observation when requested.
 //
 // With -faults, a seeded fault schedule (drawn from the paper's Section 2.1
 // hazard rates, accelerated by -fault-accel) is injected into the run:
@@ -38,7 +37,6 @@ import (
 	"runtime/pprof"
 	"sync/atomic"
 	"syscall"
-	"time"
 
 	"spacesim/internal/core"
 	"spacesim/internal/faults"
@@ -73,8 +71,7 @@ func main() {
 		cpuProf = flag.String("cpuprofile", "", "write a host-side CPU profile to this file")
 		memProf = flag.String("memprofile", "", "write a host-side heap profile to this file on exit")
 		engineW = flag.Int("engine-workers", 0, "rank scheduler's worker pool size (0 = host cores; 1 = fully reproducible schedules)")
-		httpA   = flag.String("http", "", "serve live telemetry (metrics, progress, series, pprof) on this address during the run")
-		sampleE = flag.Duration("sample-every", 250*time.Millisecond, "live sampler cadence (with -http)")
+		httpA   = flag.String("http", "", "serve live telemetry (metrics, progress, pprof) on this address during the run")
 		ledgerD = flag.String("ledger", ledger.DefaultDir, "run-ledger directory for the cross-run history (empty disables ledger writes)")
 	)
 	flag.Parse()
@@ -139,25 +136,21 @@ func main() {
 		os.Exit(130)
 	}()
 
-	// Live telemetry: a background sampler snapshots the metrics registry
-	// into ring-buffer series, served over HTTP during the run. newObs
-	// re-points the sampler whenever the fault path starts a fresh
-	// observation segment, so the series stay continuous across restarts.
-	var sampler *live.Sampler
+	// Live telemetry serves whichever observation is current: newObs
+	// publishes each one, and the fault path starts a fresh one per
+	// recovery segment.
+	var cur atomic.Pointer[obs.Obs]
 	newObs := func() *obs.Obs {
 		o := obs.New(*trace != "")
 		if *report {
 			o.EnableEvents()
 		}
 		ledger.Prov().Stamp(o.Reg)
-		sampler.SetObs(o)
+		cur.Store(o)
 		return o
 	}
 	o := newObs()
 	if *httpA != "" {
-		sampler = live.NewSampler(o, live.Config{Every: *sampleE})
-		sampler.Start()
-		defer sampler.Stop()
 		var mounts []live.Mount
 		if *ledgerD != "" {
 			// Best-effort like every ledger use: the server comes up
@@ -168,12 +161,12 @@ func main() {
 				mounts = append(mounts, live.Mount{Prefix: "/runs", Handler: st.Handler()})
 			}
 		}
-		srv, err := live.Serve(*httpA, sampler, mounts...)
+		srv, err := live.Serve(*httpA, cur.Load, mounts...)
 		if err != nil {
 			log.Fatalf("http: %v", err)
 		}
 		defer srv.Close()
-		fmt.Printf("live telemetry: http://%s/ (metrics, progress.json, series.json, runs, debug/pprof)\n", srv.Addr())
+		fmt.Printf("live telemetry: http://%s/ (metrics, progress.json, runs, debug/pprof)\n", srv.Addr())
 	}
 	// The canonical run configuration: everything that makes two invocations
 	// comparable in the ledger. Host-dependent values stay out by design.
@@ -237,11 +230,6 @@ func main() {
 		fmt.Printf("  checkpoint: %s (%d bodies)\n", path, len(res.Bodies))
 	}
 
-	// Stop sampling (taking the final sample) before the report is built so
-	// the ANALYSIS.json live block carries the end state. Idempotent with
-	// the deferred Stop.
-	sampler.Stop()
-
 	artifact, headline := "", map[string]float64(nil)
 	if *report && res.Interrupted {
 		// The event log stops at the interrupt; a trace analysis over a
@@ -254,7 +242,6 @@ func main() {
 			log.Fatalf("report: %v", err)
 		}
 		rep.Faults = faultRep
-		rep.Live = sampler.Dump()
 		if rep.Provenance != nil {
 			rep.Provenance.ConfigDigest = lcfg.Digest()
 		}

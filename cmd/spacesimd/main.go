@@ -8,7 +8,7 @@
 //	spacesimd [-addr 127.0.0.1:8080] [-state .spacesimd] [-workers 2]
 //	          [-max-queue 64] [-max-retries 2] [-retry-base 1s]
 //	          [-min-deadline 60s] [-deadline-factor 4]
-//	          [-sample-every 100ms] [-ledger .ssruns]
+//	          [-ledger .ssruns]
 //
 // Submit a job:
 //
@@ -52,7 +52,6 @@ func main() {
 		rMax     = flag.Duration("retry-max", 30*time.Second, "retry backoff cap")
 		minDL    = flag.Duration("min-deadline", 60*time.Second, "watchdog deadline floor per attempt")
 		dlFactor = flag.Float64("deadline-factor", 4, "watchdog deadline as a multiple of the job's own first ETA estimate")
-		sampleE  = flag.Duration("sample-every", 100*time.Millisecond, "live sampler cadence (daemon and per-job)")
 		ledgerD  = flag.String("ledger", ledger.DefaultDir, "run-ledger directory (empty disables ledger records and /runs)")
 	)
 	flag.Parse()
@@ -61,7 +60,6 @@ func main() {
 		Dir: *state, Workers: *workers, MaxQueue: *maxQueue,
 		MaxRetries: *retries, RetryBase: *rBase, RetryMax: *rMax,
 		MinDeadline: *minDL, DeadlineFactor: *dlFactor,
-		SampleEvery: *sampleE,
 	}
 	if *ledgerD != "" {
 		st, err := ledger.Open(*ledgerD)

@@ -4,7 +4,6 @@ import (
 	"flag"
 	"strings"
 	"testing"
-	"time"
 )
 
 // saveFlags snapshots every flag on the global set and restores it when
@@ -29,11 +28,11 @@ func saveFlags(t *testing.T) {
 	})
 }
 
-// TestFlagsBeforeSubcommand pins `ssbench -http ... -sample-every ... fig8`.
+// TestFlagsBeforeSubcommand pins `ssbench -http ... fig8`.
 func TestFlagsBeforeSubcommand(t *testing.T) {
 	saveFlags(t)
 	cmd, rest, err := parseInvocation(flag.CommandLine,
-		[]string{"-http", "127.0.0.1:0", "-sample-every", "5ms", "fig8"})
+		[]string{"-http", "127.0.0.1:0", "fig8"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,9 +42,6 @@ func TestFlagsBeforeSubcommand(t *testing.T) {
 	if *httpAddr != "127.0.0.1:0" {
 		t.Errorf("-http = %q, want 127.0.0.1:0", *httpAddr)
 	}
-	if *sampleEvery != 5*time.Millisecond {
-		t.Errorf("-sample-every = %v, want 5ms", *sampleEvery)
-	}
 }
 
 // TestFlagsAfterSubcommand pins `ssbench fig8 -http ... -quick`: the
@@ -53,7 +49,7 @@ func TestFlagsBeforeSubcommand(t *testing.T) {
 func TestFlagsAfterSubcommand(t *testing.T) {
 	saveFlags(t)
 	cmd, rest, err := parseInvocation(flag.CommandLine,
-		[]string{"fig8", "-http", "localhost:9090", "-sample-every", "50ms", "-quick"})
+		[]string{"fig8", "-http", "localhost:9090", "-quick"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,9 +58,6 @@ func TestFlagsAfterSubcommand(t *testing.T) {
 	}
 	if *httpAddr != "localhost:9090" {
 		t.Errorf("-http = %q, want localhost:9090", *httpAddr)
-	}
-	if *sampleEvery != 50*time.Millisecond {
-		t.Errorf("-sample-every = %v, want 50ms", *sampleEvery)
 	}
 	if !*quick {
 		t.Error("-quick after the subcommand not applied")

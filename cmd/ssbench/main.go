@@ -11,7 +11,6 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"time"
 
 	"spacesim/internal/obs"
 	"spacesim/internal/obs/ledger"
@@ -19,25 +18,20 @@ import (
 )
 
 var (
-	quick       = flag.Bool("quick", false, "shrink the simulated workloads for a fast pass")
-	traceOut    = flag.String("trace", "", "write a Chrome trace_event JSON file of the run (enables the tracer)")
-	metricsOut  = flag.String("metrics", "", "write a metrics snapshot JSON file of the run")
-	cpuProfile  = flag.String("cpuprofile", "", "write a host-side CPU profile to this file")
-	memProfile  = flag.String("memprofile", "", "write a host-side heap profile to this file on exit")
-	httpAddr    = flag.String("http", "", "serve live telemetry (/metrics, /progress.json, /debug/pprof/) on this address during the run")
-	sampleEvery = flag.Duration("sample-every", 250*time.Millisecond, "live-telemetry sampling period (with -http)")
+	quick      = flag.Bool("quick", false, "shrink the simulated workloads for a fast pass")
+	traceOut   = flag.String("trace", "", "write a Chrome trace_event JSON file of the run (enables the tracer)")
+	metricsOut = flag.String("metrics", "", "write a metrics snapshot JSON file of the run")
+	cpuProfile = flag.String("cpuprofile", "", "write a host-side CPU profile to this file")
+	memProfile = flag.String("memprofile", "", "write a host-side heap profile to this file on exit")
+	httpAddr   = flag.String("http", "", "serve live telemetry (/metrics, /progress.json, /debug/pprof/) on this address during the run")
 )
 
 // runObs observes every cluster run of the invocation (see ssCluster); the
 // tracer is attached only when -trace is set.
 var runObs *obs.Obs
 
-// liveSampler/liveServer are non-nil while -http live telemetry is on; the
-// sampler snapshots runObs.
-var (
-	liveSampler *live.Sampler
-	liveServer  *live.Server
-)
+// liveServer serves runObs while -http live telemetry is on; nil otherwise.
+var liveServer *live.Server
 
 // ownFlagCmds are the subcommands that own their argument parsing
 // (positional file arguments or private flag sets), so the global
@@ -92,7 +86,7 @@ func main() {
 	startLive()
 	defer writeObs()
 	defer stopProfiles()
-	defer stopLive()
+	defer liveServer.Close()
 	startProfiles()
 	if cmd == "analyze" {
 		analyzeBench()
@@ -109,37 +103,28 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: ssbench [-quick] [-ledger DIR] [-trace FILE] [-metrics FILE] [-http ADDR] [-sample-every DUR] [-cpuprofile FILE] [-memprofile FILE] <all|row-id prefix (table3, fig8, s2.1, ...)|analyze|diff|faultsweep|trend>")
+	fmt.Fprintln(os.Stderr, "usage: ssbench [-quick] [-ledger DIR] [-trace FILE] [-metrics FILE] [-http ADDR] [-cpuprofile FILE] [-memprofile FILE] <all|row-id prefix (table3, fig8, s2.1, ...)|analyze|diff|faultsweep|trend>")
 	fmt.Fprintln(os.Stderr, "       (global flags are accepted before or after the experiment name)")
 	fmt.Fprintln(os.Stderr, "       ssbench diff [flags] OLD.json NEW.json   (two ANALYSIS.json reports)")
 	fmt.Fprintln(os.Stderr, "       ssbench diff -baseline [flags] NEW.json  (gate NEW against its ledger history)")
 	fmt.Fprintln(os.Stderr, "       ssbench trend [-ledger DIR] [-config DIGEST] [-host KEY|-all-hosts] [-last K] [-gate]   (per-metric history vs median/MAD baseline; the /runs text)")
 }
 
-// startLive starts the live-telemetry sampler over runObs and, when -http
-// is set, the exposition server. Without -http no sampler runs.
+// startLive starts the live-telemetry server over runObs when -http is set.
 func startLive() {
 	if *httpAddr == "" {
 		return
 	}
-	liveSampler = live.NewSampler(runObs, live.Config{Every: *sampleEvery})
-	liveSampler.Start()
 	var mounts []live.Mount
 	if st := openLedgerAt(*ledgerDir); st != nil {
 		mounts = append(mounts, live.Mount{Prefix: "/runs", Handler: st.Handler()})
 	}
-	srv, err := live.Serve(*httpAddr, liveSampler, mounts...)
+	srv, err := live.Serve(*httpAddr, func() *obs.Obs { return runObs }, mounts...)
 	if err != nil {
 		die(1, "http:", err)
 	}
 	liveServer = srv
 	fmt.Printf("live telemetry on http://%s/ (metrics, progress.json, runs, debug/pprof)\n", srv.Addr())
-}
-
-// stopLive tears the live-telemetry pipeline down (final sample included).
-func stopLive() {
-	liveSampler.Stop()
-	liveServer.Close()
 }
 
 // startProfiles begins host-side pprof capture when requested.

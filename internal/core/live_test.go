@@ -1,50 +1,74 @@
 package core
 
 import (
+	"io"
 	"math/rand"
+	"net/http"
+	"net/http/httptest"
 	"testing"
-	"time"
 
 	"spacesim/internal/obs"
 	"spacesim/internal/obs/live"
 )
 
-// TestSamplerBitIdentical is the live-telemetry determinism guard: a run
-// observed by a fast-ticking background Sampler (and its progress
-// publisher) must produce bit-identical state to the unobserved run, at
-// both Workers=1 and Workers=4 — sampling reads the registry from a host
-// goroutine and must never perturb virtual time or evaluation order.
-func TestSamplerBitIdentical(t *testing.T) {
+// TestLiveReadersBitIdentical is the live-telemetry determinism guard:
+// while the run executes, a goroutine reads /progress.json and /metrics
+// through live.Handler in a loop, and the run must produce bit-identical
+// state to the unobserved run, at both Workers=1 and Workers=4 — reading
+// the registry and the progress marks from a host goroutine must never
+// perturb virtual time or evaluation order.
+func TestLiveReadersBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	ics := PlummerSphere(rng, 600, 1.0)
 
-	run := func(procs, workers int, sample bool) Result {
-		cl := testCluster()
+	run := func(procs, workers int, served bool) Result {
 		o := obs.New(false)
-		cl = cl.WithObs(o)
-		var s *live.Sampler
-		if sample {
-			s = live.NewSampler(o, live.Config{Every: time.Millisecond})
-			s.Start()
+		cl := testCluster().WithObs(o)
+		var reads int
+		stop, done := make(chan struct{}), make(chan struct{})
+		if served {
+			srv := httptest.NewServer(live.Handler(func() *obs.Obs { return o }))
+			defer srv.Close()
+			go func() {
+				defer close(done)
+				for {
+					for _, path := range []string{"/progress.json", "/metrics"} {
+						resp, err := http.Get(srv.URL + path)
+						if err != nil {
+							t.Errorf("GET %s: %v", path, err)
+							return
+						}
+						io.Copy(io.Discard, resp.Body)
+						resp.Body.Close()
+						if resp.StatusCode != http.StatusOK {
+							t.Errorf("GET %s: status %d", path, resp.StatusCode)
+							return
+						}
+						reads++
+					}
+					select {
+					case <-stop:
+						return
+					default:
+					}
+				}
+			}()
 		}
 		res := Run(RunConfig{
 			Cluster: cl, Procs: procs, Steps: 2,
 			Opt:          Options{Theta: 0.6, Eps: 0.02, DT: 0.005, Workers: workers},
 			GatherBodies: true,
 		}, ics)
-		if sample {
-			s.Stop()
-			d := s.Dump()
-			if d.Samples < 1 {
-				t.Fatalf("procs=%d workers=%d: sampler took no samples", procs, workers)
+		if served {
+			close(stop)
+			<-done
+			if reads == 0 {
+				t.Fatalf("procs=%d workers=%d: no live reads completed", procs, workers)
 			}
-			if d.Progress.State != "done" {
-				t.Fatalf("procs=%d workers=%d: final progress state %q, want done",
-					procs, workers, d.Progress.State)
-			}
-			if d.Progress.StepFraction != 1 {
-				t.Fatalf("procs=%d workers=%d: final step fraction %v, want 1",
-					procs, workers, d.Progress.StepFraction)
+			p := o.Progress().Snapshot()
+			if p.State != "done" || p.StepFraction != 1 {
+				t.Fatalf("procs=%d workers=%d: final progress state %q fraction %v, want done and 1",
+					procs, workers, p.State, p.StepFraction)
 			}
 		}
 		return res
@@ -59,7 +83,7 @@ func TestSamplerBitIdentical(t *testing.T) {
 			got := run(procs, workers, true)
 			for i := range ref.Bodies {
 				if got.Bodies[i].Pos != ref.Bodies[i].Pos || got.Bodies[i].Vel != ref.Bodies[i].Vel {
-					t.Fatalf("procs=%d workers=%d sampled: body %d differs: %+v vs %+v",
+					t.Fatalf("procs=%d workers=%d served: body %d differs: %+v vs %+v",
 						procs, workers, i, got.Bodies[i], ref.Bodies[i])
 				}
 			}
@@ -70,7 +94,7 @@ func TestSamplerBitIdentical(t *testing.T) {
 			if procs == 1 {
 				for r := range ref.Comm.RankClocks {
 					if got.Comm.RankClocks[r] != ref.Comm.RankClocks[r] {
-						t.Fatalf("procs=%d workers=%d sampled: rank %d clock %v, want %v",
+						t.Fatalf("procs=%d workers=%d served: rank %d clock %v, want %v",
 							procs, workers, r, got.Comm.RankClocks[r], ref.Comm.RankClocks[r])
 					}
 				}

@@ -136,7 +136,7 @@ func RunRecovered(cfg RecoveryConfig, ics []Body) (Result, RecoveryStats, error)
 		}
 		if st.Crashes > 0 {
 			// Publish recovery state before the segment starts so a live
-			// sampler pointed at the fresh Obs sees it; with a per-segment
+			// reader of the fresh Obs sees it; with a per-segment
 			// registry the cumulative crash count is republished.
 			p := rc.Cluster.Obs.Progress()
 			p.State("recovering")

@@ -212,15 +212,17 @@ func run(cfg RunConfig, ics []Body, seg segment) Result {
 		// Rank 0 publishes run progress into the metrics registry (all
 		// publisher methods are nil-safe, so other ranks call through a nil
 		// handle). Gauges fold with Max, so a rollback replaying steps
-		// never moves the externally visible fraction backwards.
+		// never moves the externally visible fraction backwards. A resumed
+		// segment publishes its restored step first, so the first progress
+		// mark, which the rate and ETA count from, sits at that step.
 		var prog *obs.Progress
 		if r.ID() == 0 {
 			prog = r.WorldObs().Progress()
-			prog.SetTotal(cfg.Steps)
-			prog.State("running")
 			if seg.startStep > 0 {
 				prog.StepDone(seg.startStep, r.Clock())
 			}
+			prog.SetTotal(cfg.Steps)
+			prog.State("running")
 		}
 
 		// Per-rank arenas: every step's tree rebuild reuses this rank's

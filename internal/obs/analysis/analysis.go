@@ -29,14 +29,14 @@ import (
 	"spacesim/internal/machine"
 	"spacesim/internal/obs"
 	"spacesim/internal/obs/ledger"
-	"spacesim/internal/obs/live"
 )
 
 // SchemaVersion stamps ANALYSIS.json.
 //
 //	1 — critical path, phases, links, histograms, rank metrics, faults
 //	2 — adds the optional live block (sampler series dump + progress)
-const SchemaVersion = 2
+//	3 — drops the live block; a v2 file still reads (the key is ignored)
+const SchemaVersion = 3
 
 // Critical-path segment categories.
 const (
@@ -97,12 +97,6 @@ type Report struct {
 	// attached by the driver (the telemetry Analyze consumes covers only
 	// the completing segment).
 	Faults *FaultSummary `json:"faults,omitempty"`
-
-	// Live is the live-telemetry sampler's final series dump (ring-buffer
-	// time series + progress view), attached by the driver when the run
-	// was sampled (-http / -sample-every); nil otherwise. The live view
-	// and the post-mortem artifact are the same data.
-	Live *live.Dump `json:"live,omitempty"`
 
 	// Provenance records the binary and host that produced the report
 	// (go version, VCS revision, hostname, GOMAXPROCS) plus — when the

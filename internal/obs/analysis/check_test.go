@@ -1,18 +1,17 @@
 package analysis
 
 import (
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"spacesim/internal/obs"
-	"spacesim/internal/obs/live"
 )
 
 // validReport is a minimal sound report. Two ranks, makespan 10: 6 + 2
 // compute seconds of 20, a quarter of the ranks' 16 clock seconds spent
-// waiting; the critical path tiles the makespan; the live block is
-// validDump's.
+// waiting; the critical path tiles the makespan.
 func validReport() *Report {
 	return &Report{
 		SchemaVersion: SchemaVersion, Ranks: 2, MakespanSec: 10,
@@ -22,24 +21,6 @@ func validReport() *Report {
 			{Rank: 0, Clock: 10, ComputeSec: 6, WaitSec: 1},
 			{Rank: 1, Clock: 6, ComputeSec: 2, WaitSec: 3},
 		},
-		Live: validDump(),
-	}
-}
-
-// validDump builds a minimal sound live block; each case mutates one
-// aspect and asserts the precise diagnostic check produces.
-func validDump() *live.Dump {
-	return &live.Dump{
-		SchemaVersion:  1,
-		SampleEverySec: 0.25,
-		Samples:        3,
-		Capacity:       256,
-		HostSec:        []float64{0.1, 0.2, 0.3},
-		VirtualSec:     []float64{0, 1, 2},
-		Series: []live.SeriesDump{
-			{Name: "progress.fraction", Values: []float64{0.1, 0.5, 1}},
-		},
-		Progress: live.ProgressSnapshot{StepFraction: 1, StepsDone: 2, StepsTotal: 2, ETASec: -1},
 	}
 }
 
@@ -82,86 +63,6 @@ func TestCheckEfficiency(t *testing.T) {
 		rep := validReport()
 		c.mutate(rep)
 		wantCheckErr(t, c.name, rep, c.wantErr)
-	}
-}
-
-func TestCheckLiveValid(t *testing.T) {
-	if err := checkLive(validDump()); err != nil {
-		t.Fatalf("valid dump rejected: %v", err)
-	}
-}
-
-func TestCheckLiveEdgeCases(t *testing.T) {
-	cases := []struct {
-		name    string
-		mutate  func(d *live.Dump)
-		wantErr string
-	}{
-		{
-			// A sampler that never ticked must not pass as a live block.
-			name:    "zero-sample dump",
-			mutate:  func(d *live.Dump) { d.Samples = 0 },
-			wantErr: "live: 0 samples, want > 0",
-		},
-		{
-			// One retained sample is legal — the monotonicity loops are
-			// vacuous but the lockstep rule still binds every series.
-			name: "single-sample series out of lockstep",
-			mutate: func(d *live.Dump) {
-				d.Samples = 1
-				d.HostSec = []float64{0.1}
-				d.VirtualSec = []float64{0}
-				d.Series = []live.SeriesDump{{Name: "mp.msg.count", Values: []float64{1, 2}}}
-			},
-			wantErr: "live: series mp.msg.count has 2 samples, time columns have 1",
-		},
-		{
-			name:    "missing virtual time column",
-			mutate:  func(d *live.Dump) { d.VirtualSec = nil },
-			wantErr: "live: virtual_sec has 0 samples, host_sec has 3",
-		},
-		{
-			name:    "missing host time column",
-			mutate:  func(d *live.Dump) { d.HostSec = nil },
-			wantErr: "live: 0 retained samples outside (0, capacity 256]",
-		},
-		{
-			name:    "retained window exceeds capacity",
-			mutate:  func(d *live.Dump) { d.Capacity = 2 },
-			wantErr: "live: 3 retained samples outside (0, capacity 2]",
-		},
-		{
-			name:    "host clock runs backwards",
-			mutate:  func(d *live.Dump) { d.HostSec[2] = 0.15 },
-			wantErr: "live: host_sec not monotone at sample 2 (0.15 < 0.2)",
-		},
-		{
-			name:    "virtual clock runs backwards",
-			mutate:  func(d *live.Dump) { d.VirtualSec[1] = -1 },
-			wantErr: "live: virtual_sec not monotone at sample 1 (-1 < 0)",
-		},
-		{
-			name:    "anonymous series",
-			mutate:  func(d *live.Dump) { d.Series[0].Name = "" },
-			wantErr: "live: series with empty name",
-		},
-		{
-			name:    "step fraction above one",
-			mutate:  func(d *live.Dump) { d.Progress.StepFraction = 1.5 },
-			wantErr: "live: step_fraction 1.5 outside [0, 1]",
-		},
-		{
-			name:    "negative eta sentinel",
-			mutate:  func(d *live.Dump) { d.Progress.ETASec = -0.5 },
-			wantErr: "live: eta_sec -0.5, want -1 (unknown) or >= 0",
-		},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			rep := validReport()
-			tc.mutate(rep.Live)
-			wantCheckErr(t, tc.name, rep, tc.wantErr)
-		})
 	}
 }
 
@@ -209,5 +110,28 @@ func TestWriteJSONRefusesBrokenReport(t *testing.T) {
 	}
 	if _, err := ReadFile(path); err == nil {
 		t.Fatal("a refused report was written")
+	}
+}
+
+// A schema-2 report still reads: its live block (the retired sampler's
+// series dump) is an unknown key and is ignored.
+func TestReadFileIgnoresV2LiveBlock(t *testing.T) {
+	v2 := `{"schema_version": 2, "ranks": 2, "makespan_sec": 10,
+		"parallel_efficiency": 0.4, "idle_fraction": 0.25,
+		"critical_path": {"total_sec": 10, "by_category": {"compute": 8, "send": 2}},
+		"live": {"schema_version": 1, "sample_every_sec": 0.25, "samples": 3, "capacity": 256,
+			"host_sec": [0.1, 0.2, 0.3], "virtual_sec": [0, 1, 2],
+			"series": [{"name": "progress.steps_done", "values": [0, 1, 2]}],
+			"progress": {"state": "done", "step_fraction": 1, "steps_done": 2, "steps_total": 2, "eta_sec": -1, "samples": 3}}}`
+	path := filepath.Join(t.TempDir(), "ANALYSIS.json")
+	if err := os.WriteFile(path, []byte(v2), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := ReadFile(path)
+	if err != nil {
+		t.Fatalf("v2 report with a live block refused: %v", err)
+	}
+	if rep.SchemaVersion != 2 || rep.MakespanSec != 10 {
+		t.Fatalf("v2 report read as %+v", rep)
 	}
 }

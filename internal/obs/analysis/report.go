@@ -10,7 +10,6 @@ import (
 	"strings"
 
 	"spacesim/internal/obs/ledger"
-	"spacesim/internal/obs/live"
 )
 
 // WriteJSON checks the report (see check) and writes it to path as
@@ -51,8 +50,7 @@ func ReadFile(path string) (*Report, error) {
 // efficiency is a share no larger than 1 - idle fraction, and equals what
 // the rank metrics' compute seconds give. Phase, histogram and link
 // summaries are ordered and in range. The fault summary counts one attempt
-// per crash plus one and records no divergent recovery. The live block, when
-// present, is sound (checkLive).
+// per crash plus one and records no divergent recovery.
 func (r *Report) check() error {
 	switch {
 	case r.SchemaVersion < 1:
@@ -150,66 +148,6 @@ func (r *Report) check() error {
 		if fr.RecoveredBitIdentical != nil && !*fr.RecoveredBitIdentical {
 			return errors.New("faults: recovery verification recorded a divergent state")
 		}
-	}
-	if r.Live != nil {
-		return checkLive(r.Live)
-	}
-	return nil
-}
-
-// checkLive holds the invariants of the live block: the sampler ticked,
-// the retained host and virtual time columns are monotone and equally long,
-// every series ring is in lockstep with them, and the final progress view
-// is consistent (fraction in [0, 1], nonnegative counts, ETA unknown (-1)
-// or nonnegative).
-func checkLive(d *live.Dump) error {
-	if d.SchemaVersion < 1 {
-		return fmt.Errorf("live: schema_version %d < 1", d.SchemaVersion)
-	}
-	if d.Samples <= 0 {
-		return fmt.Errorf("live: %d samples, want > 0", d.Samples)
-	}
-	if d.SampleEverySec <= 0 {
-		return fmt.Errorf("live: sample_every_sec %g, want > 0", d.SampleEverySec)
-	}
-	if d.Capacity <= 0 {
-		return fmt.Errorf("live: capacity %d, want > 0", d.Capacity)
-	}
-	n := len(d.HostSec)
-	if n == 0 || n > d.Capacity {
-		return fmt.Errorf("live: %d retained samples outside (0, capacity %d]", n, d.Capacity)
-	}
-	if len(d.VirtualSec) != n {
-		return fmt.Errorf("live: virtual_sec has %d samples, host_sec has %d", len(d.VirtualSec), n)
-	}
-	for i := 1; i < n; i++ {
-		if d.HostSec[i] < d.HostSec[i-1] {
-			return fmt.Errorf("live: host_sec not monotone at sample %d (%g < %g)", i, d.HostSec[i], d.HostSec[i-1])
-		}
-		if d.VirtualSec[i] < d.VirtualSec[i-1] {
-			return fmt.Errorf("live: virtual_sec not monotone at sample %d (%g < %g)", i, d.VirtualSec[i], d.VirtualSec[i-1])
-		}
-	}
-	for _, s := range d.Series {
-		if s.Name == "" {
-			return errors.New("live: series with empty name")
-		}
-		if len(s.Values) != n {
-			return fmt.Errorf("live: series %s has %d samples, time columns have %d", s.Name, len(s.Values), n)
-		}
-	}
-	p := d.Progress
-	if p.StepFraction < 0 || p.StepFraction > 1 {
-		return fmt.Errorf("live: step_fraction %g outside [0, 1]", p.StepFraction)
-	}
-	if p.StepsDone < 0 || p.StepsTotal < 0 || p.VirtualSec < 0 || p.HostSec < 0 {
-		return fmt.Errorf("live: negative progress measurement %+v", p)
-	}
-	if p.Checkpoints < 0 || p.Recoveries < 0 {
-		return fmt.Errorf("live: negative checkpoint/recovery counts %+v", p)
-	}
-	if p.ETASec < 0 && p.ETASec != -1 {
-		return fmt.Errorf("live: eta_sec %g, want -1 (unknown) or >= 0", p.ETASec)
 	}
 	return nil
 }

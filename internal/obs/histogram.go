@@ -209,68 +209,6 @@ func (h *Histogram) Quantile(p float64) float64 {
 	return h.Max()
 }
 
-// QuantilesInto writes the estimate for each ps[i] into out[i] without
-// allocating (out must be at least as long as ps). When ps is nondecreasing
-// — the common case, e.g. {0.5, 0.95, 0.99} — all quantiles are answered in
-// one cumulative pass over the buckets; unsorted ps fall back to per-entry
-// scans. Results for nondecreasing ps are themselves nondecreasing. Nil-safe:
-// on a nil or empty histogram every entry is 0. Snapshot and the live
-// sampler both answer through it, so they report the same numbers.
-func (h *Histogram) QuantilesInto(ps, out []float64) {
-	if h == nil || h.Count() == 0 {
-		for i := range ps {
-			out[i] = 0
-		}
-		return
-	}
-	for i := 1; i < len(ps); i++ {
-		if ps[i] < ps[i-1] {
-			for j := range ps {
-				out[j] = h.Quantile(ps[j])
-			}
-			return
-		}
-	}
-	n := h.count.Load()
-	mn, mx := h.Min(), h.Max()
-	clamp := func(v float64) float64 {
-		if v < mn {
-			return mn
-		}
-		if v > mx {
-			return mx
-		}
-		return v
-	}
-	k := 0
-	for k < len(ps) && ps[k] <= 0 {
-		out[k] = mn
-		k++
-	}
-	var cum int64
-	for i := 0; i < histBuckets && k < len(ps); i++ {
-		c := h.buckets[i].Load()
-		if c == 0 {
-			continue
-		}
-		cum += c
-		for k < len(ps) && ps[k] < 1 {
-			rank := int64(math.Ceil(ps[k] * float64(n)))
-			if rank < 1 {
-				rank = 1
-			}
-			if cum < rank {
-				break
-			}
-			out[k] = clamp(bucketMid(i))
-			k++
-		}
-	}
-	for ; k < len(ps); k++ {
-		out[k] = mx
-	}
-}
-
 // HistogramSnapshot is the JSON shape of one histogram in a metrics dump.
 type HistogramSnapshot struct {
 	Count int64   `json:"count"`
@@ -288,11 +226,9 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 	if h == nil {
 		return HistogramSnapshot{}
 	}
-	var q [3]float64
-	h.QuantilesInto([]float64{0.50, 0.95, 0.99}, q[:])
 	return HistogramSnapshot{
 		Count: h.Count(), Sum: h.Sum(),
 		Min: h.Min(), Max: h.Max(), Mean: h.Mean(),
-		P50: q[0], P95: q[1], P99: q[2],
+		P50: h.Quantile(0.50), P95: h.Quantile(0.95), P99: h.Quantile(0.99),
 	}
 }

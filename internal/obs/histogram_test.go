@@ -211,61 +211,3 @@ func TestEventLogRetention(t *testing.T) {
 		t.Fatal("events enabled unexpectedly")
 	}
 }
-
-func TestHistogramQuantilesMergedMonotone(t *testing.T) {
-	// Observe two disjoint ranges into one histogram and require the batch
-	// helper to agree with single-p Quantile and stay monotone.
-	m := NewHistogram()
-	for i := 1; i <= 500; i++ {
-		m.Observe(float64(i) * 1e-3) // 0.001 .. 0.5
-	}
-	for i := 1; i <= 500; i++ {
-		m.Observe(float64(i)) // 1 .. 500
-	}
-	ps := []float64{0, 0.25, 0.5, 0.75, 0.95, 0.99, 1}
-	qs := make([]float64, len(ps))
-	m.QuantilesInto(ps, qs)
-	for i, p := range ps {
-		if want := m.Quantile(p); qs[i] != want {
-			t.Fatalf("QuantilesInto[%v] = %v, Quantile = %v", p, qs[i], want)
-		}
-		if i > 0 && qs[i] < qs[i-1] {
-			t.Fatalf("quantiles not monotone: q(%v)=%v < q(%v)=%v", ps[i], qs[i], ps[i-1], qs[i-1])
-		}
-	}
-	if qs[0] != m.Min() || qs[len(qs)-1] != m.Max() {
-		t.Fatalf("extremes: q0=%v min=%v q1=%v max=%v", qs[0], m.Min(), qs[len(qs)-1], m.Max())
-	}
-	s := m.Snapshot()
-	if !(s.Min <= s.P50 && s.P50 <= s.P95 && s.P95 <= s.P99 && s.P99 <= s.Max) {
-		t.Fatalf("snapshot quantiles not ordered: %+v", s)
-	}
-}
-
-func TestHistogramQuantilesNilAndUnsorted(t *testing.T) {
-	var nilH *Histogram
-	qs := []float64{1, 1}
-	nilH.QuantilesInto([]float64{0.5, 0.99}, qs)
-	if qs[0] != 0 || qs[1] != 0 {
-		t.Fatalf("nil QuantilesInto = %v", qs)
-	}
-	h := NewHistogram()
-	for i := 1; i <= 100; i++ {
-		h.Observe(float64(i))
-	}
-	// Unsorted ps fall back to per-entry scans but stay correct.
-	ps := []float64{0.99, 0.5, 0.95}
-	qs = make([]float64, len(ps))
-	h.QuantilesInto(ps, qs)
-	for i, p := range ps {
-		if want := h.Quantile(p); qs[i] != want {
-			t.Fatalf("unsorted QuantilesInto[%v] = %v, want %v", p, qs[i], want)
-		}
-	}
-	// Zero-allocation batch path.
-	out := make([]float64, 3)
-	sorted := []float64{0.5, 0.95, 0.99}
-	if n := testing.AllocsPerRun(100, func() { h.QuantilesInto(sorted, out) }); n != 0 {
-		t.Fatalf("QuantilesInto allocates %v/op", n)
-	}
-}

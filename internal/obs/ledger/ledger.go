@@ -24,8 +24,8 @@
 //
 // Ledger writes are best-effort and happen strictly after a run's virtual
 // clocks have stopped: a failed append never fails the run, and an enabled
-// ledger never perturbs bit-identity (core.TestSamplerBitIdentical and the
-// other pins hold with the ledger on).
+// ledger never perturbs bit-identity (core.TestLiveReadersBitIdentical and
+// the other pins hold with the ledger on).
 package ledger
 
 import (

@@ -116,9 +116,9 @@ func (p Provenance) String() string {
 }
 
 // Stamp publishes the provenance as the build.info Text metric so the
-// Prometheus exposition carries a spacesim_build_info info gauge. Text
-// metrics are not sampled by the live sampler and registry writes never
-// touch virtual time, so stamping is invisible to bit-identity.
+// Prometheus exposition carries a spacesim_build_info info gauge. Registry
+// writes never touch virtual time, so stamping is invisible to
+// bit-identity.
 func (p Provenance) Stamp(reg *obs.Registry) {
 	if reg == nil {
 		return

@@ -1,3 +1,12 @@
+// Package live is the opt-in stdlib net/http exposition of a running
+// simulation: the obs metrics registry as Prometheus text and JSON, the
+// run-progress view (step fraction, virtual-sec/sec rate, ETA) that
+// obs.Progress computes from the step marks engines publish, and pprof.
+//
+// Every endpoint reads the current Obs when it is requested; nothing runs
+// between requests, and nothing a request reads touches virtual time, so a
+// run served live is bit-identical to one that is not (pinned by
+// core.TestLiveReadersBitIdentical).
 package live
 
 import (
@@ -9,16 +18,20 @@ import (
 	"sort"
 	"strings"
 	"sync/atomic"
+
+	"spacesim/internal/obs"
 )
 
-// Handler returns the live-telemetry HTTP handler over s:
+// Handler returns the live-telemetry HTTP handler over the Obs that cur
+// returns at each request (nil while none is attached):
 //
 //	/metrics        Prometheus text exposition (counters, gauges,
 //	                histogram summaries with p50/p95/p99, text metrics as
 //	                labeled info gauges)
-//	/metrics.json   typed obs.MetricsSnapshot
-//	/series.json    ring-buffer time series (the Dump shape)
-//	/progress.json  run progress: step fraction, rate, ETA
+//	/metrics.json   typed obs.MetricsSnapshot of the registry (the per-rank
+//	                breakdowns, which rank goroutines write without locks,
+//	                are left out)
+//	/progress.json  run progress: step fraction, rate, ETA (obs.ProgressSnapshot)
 //	/debug/pprof/   net/http/pprof (profile, heap, trace, ...)
 //
 // All endpoints are read-only and safe while a run is in flight.
@@ -26,25 +39,22 @@ import (
 // Extra page trees — the run ledger's /runs, for one — are attached via
 // Mounts; live itself stays ignorant of what it hosts, which keeps the
 // dependency arrow pointing into this package only.
-func Handler(s *Sampler, mounts ...Mount) http.Handler {
+func Handler(cur func() *obs.Obs, mounts ...Mount) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		writePrometheus(w, s)
+		writePrometheus(w, cur())
 	})
 	mux.HandleFunc("/metrics.json", func(w http.ResponseWriter, r *http.Request) {
-		o := s.obs.Load()
+		o := cur()
 		if o == nil {
 			http.Error(w, "no observation attached", http.StatusServiceUnavailable)
 			return
 		}
-		writeJSON(w, o.Snapshot())
-	})
-	mux.HandleFunc("/series.json", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, s.Dump())
+		writeJSON(w, o.Reg.MetricsSnapshot())
 	})
 	mux.HandleFunc("/progress.json", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, s.Progress())
+		writeJSON(w, cur().Progress().Snapshot())
 	})
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
@@ -67,7 +77,7 @@ func Handler(s *Sampler, mounts ...Mount) http.Handler {
 			http.NotFound(w, r)
 			return
 		}
-		fmt.Fprint(w, "spacesim live telemetry\n\n/metrics\n/metrics.json\n/series.json\n/progress.json\n/debug/pprof/\n")
+		fmt.Fprint(w, "spacesim live telemetry\n\n/metrics\n/metrics.json\n/progress.json\n/debug/pprof/\n")
 		for _, p := range extra {
 			fmt.Fprintln(w, p)
 		}
@@ -110,12 +120,11 @@ func promName(name string) string {
 
 // writePrometheus renders the current registry in the text exposition
 // format (sorted by name — deterministic output).
-func writePrometheus(w http.ResponseWriter, s *Sampler) {
-	o := s.obs.Load()
-	if o == nil || o.Reg == nil {
+func writePrometheus(w http.ResponseWriter, o *obs.Obs) {
+	if o == nil {
 		return
 	}
-	snap := o.Snapshot()
+	snap := o.Reg.MetricsSnapshot()
 
 	names := make([]string, 0, len(snap.Counters))
 	for n := range snap.Counters {
@@ -171,16 +180,16 @@ type Server struct {
 	closed atomic.Bool
 }
 
-// Serve starts an HTTP server for s on addr (host:port; port 0 picks a
+// Serve starts an HTTP server over cur's Obs on addr (host:port; port 0 picks a
 // free port) and returns once the listener is bound. The server runs until
 // Close. Extra mounts (the run ledger's /runs) are passed through to
 // Handler.
-func Serve(addr string, s *Sampler, mounts ...Mount) (*Server, error) {
+func Serve(addr string, cur func() *obs.Obs, mounts ...Mount) (*Server, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, err
 	}
-	srv := &http.Server{Handler: Handler(s, mounts...)}
+	srv := &http.Server{Handler: Handler(cur, mounts...)}
 	go srv.Serve(ln)
 	return &Server{ln: ln, srv: srv}, nil
 }

@@ -7,183 +7,9 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
-	"time"
 
 	"spacesim/internal/obs"
 )
-
-func TestSamplerSeries(t *testing.T) {
-	o := obs.New(false)
-	c := o.Reg.Counter("test.count")
-	g := o.Reg.Gauge("test.gauge")
-	h := o.Reg.Histogram("test.hist")
-	s := NewSampler(o, Config{Capacity: 8})
-
-	for i := 1; i <= 3; i++ {
-		c.Add(10)
-		g.Max(float64(i))
-		h.Observe(float64(i))
-		o.Progress().SetTotal(10)
-		o.Progress().StepDone(i, float64(i)*0.5)
-		s.SampleNow()
-	}
-
-	d := s.Dump()
-	if d.SchemaVersion != SchemaVersion {
-		t.Fatalf("schema %d", d.SchemaVersion)
-	}
-	if d.Samples != 3 || len(d.HostSec) != 3 || len(d.VirtualSec) != 3 {
-		t.Fatalf("samples=%d host=%d virt=%d", d.Samples, len(d.HostSec), len(d.VirtualSec))
-	}
-	for i := 1; i < len(d.HostSec); i++ {
-		if d.HostSec[i] < d.HostSec[i-1] || d.VirtualSec[i] < d.VirtualSec[i-1] {
-			t.Fatalf("time columns not monotone: %v %v", d.HostSec, d.VirtualSec)
-		}
-	}
-	byName := map[string][]float64{}
-	for i, se := range d.Series {
-		byName[se.Name] = se.Values
-		if len(se.Values) != len(d.HostSec) {
-			t.Fatalf("series %q length %d != %d", se.Name, len(se.Values), len(d.HostSec))
-		}
-		if i > 0 && d.Series[i].Name <= d.Series[i-1].Name {
-			t.Fatalf("series not sorted: %q after %q", d.Series[i].Name, d.Series[i-1].Name)
-		}
-	}
-	if got := byName["test.count"]; got[0] != 10 || got[2] != 30 {
-		t.Fatalf("counter series %v", got)
-	}
-	if got := byName["test.gauge"]; got[2] != 3 {
-		t.Fatalf("gauge series %v", got)
-	}
-	for _, suffix := range []string{".count", ".p50", ".p95", ".p99"} {
-		if _, ok := byName["test.hist"+suffix]; !ok {
-			t.Fatalf("missing histogram series %q (have %v)", "test.hist"+suffix, len(byName))
-		}
-	}
-	if got := byName["test.hist.count"]; got[2] != 3 {
-		t.Fatalf("hist count series %v", got)
-	}
-	if got := byName[obs.ProgressStepsDone]; got[2] != 3 {
-		t.Fatalf("progress series %v", got)
-	}
-}
-
-func TestSamplerRingWraps(t *testing.T) {
-	o := obs.New(false)
-	c := o.Reg.Counter("c")
-	s := NewSampler(o, Config{Capacity: 4})
-	for i := 1; i <= 10; i++ {
-		c.Inc()
-		s.SampleNow()
-	}
-	d := s.Dump()
-	if d.Samples != 10 || len(d.HostSec) != 4 {
-		t.Fatalf("samples=%d retained=%d", d.Samples, len(d.HostSec))
-	}
-	var vals []float64
-	for _, se := range d.Series {
-		if se.Name == "c" {
-			vals = se.Values
-		}
-	}
-	want := []float64{7, 8, 9, 10}
-	for i := range want {
-		if vals[i] != want[i] {
-			t.Fatalf("wrapped counter series %v, want %v", vals, want)
-		}
-	}
-}
-
-func TestSamplerLateMetricZeroPadded(t *testing.T) {
-	o := obs.New(false)
-	s := NewSampler(o, Config{Capacity: 8})
-	o.Reg.Counter("early").Add(1)
-	s.SampleNow()
-	s.SampleNow()
-	late := o.Reg.Counter("late")
-	late.Add(5)
-	s.SampleNow()
-	d := s.Dump()
-	for _, se := range d.Series {
-		if len(se.Values) != 3 {
-			t.Fatalf("series %q length %d, want 3", se.Name, len(se.Values))
-		}
-		if se.Name == "late" && (se.Values[0] != 0 || se.Values[1] != 0 || se.Values[2] != 5) {
-			t.Fatalf("late series %v", se.Values)
-		}
-	}
-}
-
-func TestSamplerSetObsContinuity(t *testing.T) {
-	o1 := obs.New(false)
-	o1.Reg.Counter("x").Add(7)
-	s := NewSampler(o1, Config{Capacity: 8})
-	s.SampleNow()
-
-	// Recovery segment: fresh Obs, same metric names.
-	o2 := obs.New(false)
-	o2.Reg.Counter("x").Add(9)
-	o2.Progress().Recovery()
-	s.SetObs(o2)
-	s.SampleNow()
-
-	d := s.Dump()
-	if d.Samples != 2 {
-		t.Fatalf("samples %d", d.Samples)
-	}
-	for _, se := range d.Series {
-		if se.Name == "x" {
-			if se.Values[0] != 7 || se.Values[1] != 9 {
-				t.Fatalf("series across SetObs: %v", se.Values)
-			}
-		}
-	}
-	if p := s.Progress(); p.Recoveries != 1 {
-		t.Fatalf("recoveries %d", p.Recoveries)
-	}
-}
-
-func TestProgressSnapshot(t *testing.T) {
-	o := obs.New(false)
-	s := NewSampler(o, Config{Capacity: 64, Window: 4})
-	p := o.Progress()
-	p.SetTotal(20)
-	p.State("running")
-	p.Phase("step")
-	base := time.Now()
-	for i := 1; i <= 6; i++ {
-		p.StepDone(i, float64(i)*0.25)
-		s.sampleAt(base.Add(time.Duration(i) * 100 * time.Millisecond))
-	}
-	snap := s.Progress()
-	if snap.State != "running" || snap.Phase != "step" {
-		t.Fatalf("state/phase: %+v", snap)
-	}
-	if snap.StepsDone != 6 || snap.StepsTotal != 20 {
-		t.Fatalf("steps: %+v", snap)
-	}
-	if snap.StepFraction < 0.29 || snap.StepFraction > 0.31 {
-		t.Fatalf("fraction %v", snap.StepFraction)
-	}
-	// Window (4) is full and steps advance 1 per 0.1s -> ETA ~ 14/10 = 1.4s.
-	if snap.ETASec < 0 {
-		t.Fatalf("ETA not finite with a filled window: %+v", snap)
-	}
-	if snap.ETASec < 0.5 || snap.ETASec > 5 {
-		t.Fatalf("ETA out of range: %v", snap.ETASec)
-	}
-	if snap.VirtualPerHostSec <= 0 {
-		t.Fatalf("virtual rate: %+v", snap)
-	}
-
-	// Before the window fills, ETA is -1 (unknown).
-	s2 := NewSampler(obs.New(false), Config{Window: 8})
-	s2.SampleNow()
-	if got := s2.Progress(); got.ETASec != -1 {
-		t.Fatalf("early ETA = %v, want -1", got.ETASec)
-	}
-}
 
 func TestHandlerEndpoints(t *testing.T) {
 	o := obs.New(false)
@@ -193,23 +19,25 @@ func TestHandlerEndpoints(t *testing.T) {
 	o.Progress().SetTotal(4)
 	o.Progress().StepDone(1, 0.5)
 	o.Progress().State("running")
-	s := NewSampler(o, Config{Capacity: 8})
-	s.SampleNow()
 
-	srv := httptest.NewServer(Handler(s))
+	srv := httptest.NewServer(Handler(func() *obs.Obs { return o }))
 	defer srv.Close()
 
-	get := func(path string) string {
+	getStatus := func(path string) (int, string) {
 		resp, err := http.Get(srv.URL + path)
 		if err != nil {
 			t.Fatalf("GET %s: %v", path, err)
 		}
 		defer resp.Body.Close()
-		if resp.StatusCode != 200 {
-			t.Fatalf("GET %s: status %d", path, resp.StatusCode)
-		}
 		b, _ := io.ReadAll(resp.Body)
-		return string(b)
+		return resp.StatusCode, string(b)
+	}
+	get := func(path string) string {
+		code, body := getStatus(path)
+		if code != 200 {
+			t.Fatalf("GET %s: status %d", path, code)
+		}
+		return body
 	}
 
 	prom := get("/metrics")
@@ -235,15 +63,7 @@ func TestHandlerEndpoints(t *testing.T) {
 		t.Fatalf("metrics.json: %+v", ms)
 	}
 
-	var d Dump
-	if err := json.Unmarshal([]byte(get("/series.json")), &d); err != nil {
-		t.Fatalf("series.json: %v", err)
-	}
-	if d.Samples != 1 || len(d.Series) == 0 {
-		t.Fatalf("series.json: %+v", d)
-	}
-
-	var p ProgressSnapshot
+	var p obs.ProgressSnapshot
 	if err := json.Unmarshal([]byte(get("/progress.json")), &p); err != nil {
 		t.Fatalf("progress.json: %v", err)
 	}
@@ -254,15 +74,17 @@ func TestHandlerEndpoints(t *testing.T) {
 	if idx := get("/debug/pprof/"); !strings.Contains(idx, "goroutine") {
 		t.Fatalf("pprof index: %q", idx)
 	}
-	if !strings.Contains(get("/"), "/progress.json") {
-		t.Fatal("index page")
+	if idx := get("/"); !strings.Contains(idx, "/progress.json") || strings.Contains(idx, "/series.json") {
+		t.Fatalf("index page:\n%s", idx)
+	}
+	if code, _ := getStatus("/series.json"); code != http.StatusNotFound {
+		t.Fatalf("GET /series.json: status %d, want 404", code)
 	}
 }
 
 func TestServeAndClose(t *testing.T) {
 	o := obs.New(false)
-	s := NewSampler(o, Config{})
-	srv, err := Serve("127.0.0.1:0", s)
+	srv, err := Serve("127.0.0.1:0", func() *obs.Obs { return o })
 	if err != nil {
 		t.Fatalf("serve: %v", err)
 	}
@@ -283,43 +105,5 @@ func TestServeAndClose(t *testing.T) {
 	var nilSrv *Server
 	if nilSrv.Addr() != "" || nilSrv.Close() != nil {
 		t.Fatal("nil server")
-	}
-}
-
-func TestSamplerStartStop(t *testing.T) {
-	o := obs.New(false)
-	o.Reg.Counter("c").Add(1)
-	s := NewSampler(o, Config{Every: time.Millisecond, Capacity: 16})
-	s.Start()
-	s.Start() // idempotent while running
-	deadline := time.Now().Add(2 * time.Second)
-	for s.Samples() < 3 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	s.Stop()
-	n := s.Samples()
-	if n < 3 {
-		t.Fatalf("only %d samples before deadline", n)
-	}
-	s.Stop() // idempotent when stopped
-	if s.Samples() != n {
-		t.Fatal("stopped sampler kept sampling")
-	}
-	// A stopped sampler may restart.
-	s.Start()
-	s.Stop()
-	if s.Samples() <= n {
-		t.Fatal("restart did not take the final sample")
-	}
-
-	var nilS *Sampler
-	nilS.Start()
-	nilS.Stop()
-	nilS.SetObs(nil)
-	if nilS.Dump() != nil || nilS.Samples() != 0 {
-		t.Fatal("nil sampler")
-	}
-	if p := nilS.Progress(); p.ETASec != -1 {
-		t.Fatal("nil sampler progress")
 	}
 }

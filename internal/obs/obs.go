@@ -126,10 +126,6 @@ type Registry struct {
 	gauges     map[string]*Gauge
 	histograms map[string]*Histogram
 	texts      map[string]*Text
-	// gen counts metric creations. A reader holding resolved handles can
-	// compare generations to learn whether a (re)enumeration is needed
-	// without taking the lock — the live sampler's steady-state fast path.
-	gen atomic.Uint64
 }
 
 // NewRegistry returns an empty registry.
@@ -139,48 +135,6 @@ func NewRegistry() *Registry {
 		gauges:     map[string]*Gauge{},
 		histograms: map[string]*Histogram{},
 		texts:      map[string]*Text{},
-	}
-}
-
-// Gen returns the metric-creation generation: it changes exactly when a new
-// metric name is created, so a cached enumeration is valid while Gen is
-// stable. Safe on a nil registry.
-func (r *Registry) Gen() uint64 {
-	if r == nil {
-		return 0
-	}
-	return r.gen.Load()
-}
-
-// Visit calls the non-nil callbacks for every registered metric while
-// holding the registry lock. Iteration order is unspecified (map order);
-// callers needing determinism sort what they collect. Safe on a nil
-// registry.
-func (r *Registry) Visit(counter func(string, *Counter), gauge func(string, *Gauge), hist func(string, *Histogram), text func(string, *Text)) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if counter != nil {
-		for n, c := range r.counters {
-			counter(n, c)
-		}
-	}
-	if gauge != nil {
-		for n, g := range r.gauges {
-			gauge(n, g)
-		}
-	}
-	if hist != nil {
-		for n, h := range r.histograms {
-			hist(n, h)
-		}
-	}
-	if text != nil {
-		for n, t := range r.texts {
-			text(n, t)
-		}
 	}
 }
 
@@ -196,7 +150,6 @@ func (r *Registry) Counter(name string) *Counter {
 	if !ok {
 		c = &Counter{}
 		r.counters[name] = c
-		r.gen.Add(1)
 	}
 	return c
 }
@@ -213,7 +166,6 @@ func (r *Registry) Gauge(name string) *Gauge {
 	if !ok {
 		g = &Gauge{}
 		r.gauges[name] = g
-		r.gen.Add(1)
 	}
 	return g
 }
@@ -230,7 +182,6 @@ func (r *Registry) Histogram(name string) *Histogram {
 	if !ok {
 		h = NewHistogram()
 		r.histograms[name] = h
-		r.gen.Add(1)
 	}
 	return h
 }
@@ -247,7 +198,6 @@ func (r *Registry) Text(name string) *Text {
 	if !ok {
 		t = &Text{}
 		r.texts[name] = t
-		r.gen.Add(1)
 	}
 	return t
 }
@@ -398,16 +348,24 @@ type MetricsSnapshot struct {
 	Ranks         []RankMetrics                `json:"ranks"`
 }
 
-// Snapshot captures the registry and per-rank breakdowns.
+// Snapshot captures the registry and per-rank breakdowns. Rank goroutines
+// write their breakdowns without locks, so call it after mp.Run returns.
 func (o *Obs) Snapshot() MetricsSnapshot {
-	c, g := o.Reg.Snapshot()
+	s := o.Reg.MetricsSnapshot()
+	s.Ranks = o.RankMetrics()
+	return s
+}
+
+// MetricsSnapshot captures the registry alone, without per-rank
+// breakdowns; unlike Obs.Snapshot it is safe while a run is in flight.
+func (r *Registry) MetricsSnapshot() MetricsSnapshot {
+	c, g := r.Snapshot()
 	return MetricsSnapshot{
 		SchemaVersion: MetricsSchemaVersion,
 		Counters:      c,
 		Gauges:        g,
-		Histograms:    o.Reg.HistogramSnapshots(),
-		Texts:         o.Reg.TextSnapshots(),
-		Ranks:         o.RankMetrics(),
+		Histograms:    r.HistogramSnapshots(),
+		Texts:         r.TextSnapshots(),
 	}
 }
 

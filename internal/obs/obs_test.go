@@ -150,7 +150,7 @@ func TestTraceJSONShape(t *testing.T) {
 	}
 }
 
-func TestTextAndGen(t *testing.T) {
+func TestTextMetric(t *testing.T) {
 	var nilR *Registry
 	if nilR.Text("x") != nil {
 		t.Fatal("nil registry Text should be nil")
@@ -162,20 +162,9 @@ func TestTextAndGen(t *testing.T) {
 	}
 
 	r := NewRegistry()
-	g0 := r.Gen()
-	r.Counter("c")
-	r.Gauge("g")
-	r.Histogram("h")
 	tx := r.Text("t")
-	if r.Gen() != g0+4 {
-		t.Fatalf("gen after 4 creations: %d -> %d", g0, r.Gen())
-	}
-	// Lookups of existing metrics do not bump the generation.
-	g1 := r.Gen()
-	r.Counter("c")
-	r.Text("t")
-	if r.Gen() != g1 {
-		t.Fatal("lookup bumped gen")
+	if r.Text("t") != tx {
+		t.Fatal("Text lookup is not get-or-create")
 	}
 	tx.Set("phase-1")
 	tx.Set("phase-2")
@@ -185,18 +174,6 @@ func TestTextAndGen(t *testing.T) {
 	if got := r.TextSnapshots(); got["t"] != "phase-2" {
 		t.Fatalf("TextSnapshots = %v", got)
 	}
-
-	var nc, ng, nh, nt int
-	r.Visit(
-		func(string, *Counter) { nc++ },
-		func(string, *Gauge) { ng++ },
-		func(string, *Histogram) { nh++ },
-		func(string, *Text) { nt++ },
-	)
-	if nc != 1 || ng != 1 || nh != 1 || nt != 1 {
-		t.Fatalf("visit counts: %d %d %d %d", nc, ng, nh, nt)
-	}
-	nilR.Visit(nil, nil, nil, nil) // nil registry is a no-op
 }
 
 func TestProgressPublisher(t *testing.T) {

@@ -9,7 +9,6 @@ import (
 	"spacesim/internal/netsim"
 	"spacesim/internal/obs"
 	"spacesim/internal/obs/ledger"
-	"spacesim/internal/obs/live"
 )
 
 // JobSpec is the client-facing description of one simulation job — exactly
@@ -182,9 +181,10 @@ type Job struct {
 	// intr holds the pending interrupt reason ("drain", "cancel",
 	// "watchdog: ..."); nil means keep running. Set once per attempt.
 	intr atomic.Pointer[string]
-	// sampler observes the running attempt (progress, ETA); nil unless
-	// running.
-	sampler *live.Sampler
+	// seg is the running attempt's current segment Obs, whose progress
+	// publisher answers for the job's fraction and ETA; nil between
+	// attempts and until the attempt's first segment starts.
+	seg atomic.Pointer[obs.Obs]
 }
 
 // requestInterrupt asks the running attempt to stop at the next step
@@ -219,7 +219,7 @@ type jobView struct {
 	FinishedUnixNS  int64 `json:"finished_unix_ns,omitempty"`
 	RetryAtUnixNS   int64 `json:"retry_at_unix_ns,omitempty"`
 
-	Progress *live.ProgressSnapshot `json:"progress,omitempty"`
+	Progress *obs.ProgressSnapshot `json:"progress,omitempty"`
 }
 
 // view snapshots a job for the API. Called with the server mutex held.
@@ -231,8 +231,8 @@ func (j *Job) view(withProgress bool) jobView {
 		SubmittedUnixNS: j.SubmittedUnixNS, StartedUnixNS: j.StartedUnixNS,
 		FinishedUnixNS: j.FinishedUnixNS, RetryAtUnixNS: j.RetryAtUnixNS,
 	}
-	if withProgress && j.State == StateRunning && j.sampler != nil {
-		p := j.sampler.Progress()
+	if o := j.seg.Load(); withProgress && j.State == StateRunning && o != nil {
+		p := o.Progress().Snapshot()
 		v.Progress = &p
 	}
 	return v

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"spacesim/internal/obs"
 	"spacesim/internal/obs/ledger"
 )
 
@@ -29,7 +30,7 @@ func newTestServer(t *testing.T, dir string, mut func(*Config)) *Server {
 	cfg := Config{
 		Dir: dir, Workers: 1,
 		RetryBase: time.Millisecond, RetryMax: 5 * time.Millisecond,
-		SampleEvery: 5 * time.Millisecond, WatchdogEvery: 5 * time.Millisecond,
+		WatchdogEvery: 5 * time.Millisecond,
 	}
 	if mut != nil {
 		mut(&cfg)
@@ -259,6 +260,32 @@ func TestWatchdogTimesOutStuckJob(t *testing.T) {
 	}
 	if n := s.m.watchdog.Value(); n < 1 {
 		t.Fatalf("watchdog_timeouts = %d, want >= 1", n)
+	}
+}
+
+// A running job's view carries its current segment's progress: the step
+// fraction, and the ETA once a step has completed.
+func TestJobViewCarriesProgress(t *testing.T) {
+	j := &Job{ID: "j1", State: StateRunning}
+	if v := j.view(true); v.Progress != nil {
+		t.Fatalf("progress before the first segment: %+v", v.Progress)
+	}
+	o := obs.New(false)
+	j.seg.Store(o)
+	p := o.Progress()
+	p.SetTotal(4)
+	time.Sleep(time.Millisecond)
+	p.StepDone(1, 0.5)
+	v := j.view(true)
+	if v.Progress == nil || v.Progress.StepFraction != 0.25 || v.Progress.ETASec <= 0 {
+		t.Fatalf("running view progress %+v, want fraction 0.25 and an ETA", v.Progress)
+	}
+	if j.view(false).Progress != nil {
+		t.Fatal("list view carries progress")
+	}
+	j.State = StateDone
+	if j.view(true).Progress != nil {
+		t.Fatal("finished job carries progress")
 	}
 }
 

@@ -13,8 +13,8 @@
 //     core.RunRecovered — the finished artifact is bit-identical to an
 //     uninterrupted run (the energy sidecar makes checkpoints
 //     self-contained across processes).
-//   - a stuck job trips a watchdog whose deadline comes from the live
-//     sampler's own ETA, is interrupted cooperatively at a step boundary,
+//   - a stuck job trips a watchdog whose deadline comes from the job's own
+//     progress ETA, is interrupted cooperatively at a step boundary,
 //     and retries with exponential backoff and deterministic jitter until
 //     the retry budget is spent.
 //   - a drain (SIGTERM) interrupts running jobs at the next step boundary —
@@ -71,9 +71,7 @@ type Config struct {
 	// (default 4; negative disables the ETA term — MinDeadline alone
 	// applies).
 	DeadlineFactor float64
-	// SampleEvery is the per-job and daemon live-sampler cadence
-	// (default 100ms). WatchdogEvery is the deadline poll (default 250ms).
-	SampleEvery   time.Duration
+	// WatchdogEvery is the deadline poll (default 250ms).
 	WatchdogEvery time.Duration
 	// Ledger, when non-nil, receives a run record per computed job and is
 	// mounted at /runs.
@@ -109,9 +107,6 @@ func (c Config) withDefaults() Config {
 		c.DeadlineFactor = 0
 	} else if c.DeadlineFactor == 0 {
 		c.DeadlineFactor = 4
-	}
-	if c.SampleEvery <= 0 {
-		c.SampleEvery = 100 * time.Millisecond
 	}
 	if c.WatchdogEvery <= 0 {
 		c.WatchdogEvery = 250 * time.Millisecond
@@ -150,7 +145,6 @@ func newMetrics(o *obs.Obs) *metrics {
 type Server struct {
 	cfg     Config
 	obs     *obs.Obs
-	sampler *live.Sampler // daemon-level: serve.* metrics at /metrics
 	m       *metrics
 	journal *journal
 	cache   *cache
@@ -203,8 +197,6 @@ func New(cfg Config) (*Server, error) {
 		queue: make(chan string, 4096),
 		stop:  make(chan struct{}),
 	}
-	s.sampler = live.NewSampler(o, live.Config{Every: cfg.SampleEvery})
-	s.sampler.Start()
 	for _, id := range order {
 		if n := jobSeq(id); n > s.seq {
 			s.seq = n
@@ -250,7 +242,6 @@ func (s *Server) Drain() {
 		close(s.stop)
 	})
 	s.wg.Wait()
-	s.sampler.Stop()
 	s.journal.close()
 }
 
@@ -398,19 +389,13 @@ func (s *Server) runJob(id string) {
 	j.Attempts++
 	j.StartedUnixNS = time.Now().UnixNano()
 	j.intr.Store(nil)
-	sampler := live.NewSampler(nil, live.Config{Every: s.cfg.SampleEvery})
-	j.sampler = sampler
 	attempt := j.Attempts
 	spec := j.Spec
 	s.mu.Unlock()
 
 	s.m.running.Add(1)
 	defer s.m.running.Add(-1)
-	defer func() {
-		s.mu.Lock()
-		j.sampler = nil
-		s.mu.Unlock()
-	}()
+	defer j.seg.Store(nil)
 	s.journal.append(event{Ev: evStart, ID: id, Attempts: attempt})
 
 	if s.cfg.BeforeAttempt != nil {
@@ -434,7 +419,7 @@ func (s *Server) runJob(id string) {
 		}
 	}
 
-	res, st, err := s.execute(j, spec, sampler)
+	res, st, err := s.execute(j, spec)
 	if err != nil {
 		s.attemptFailed(j, err.Error())
 		return
@@ -499,7 +484,7 @@ func (s *Server) jobDir(id string) string { return filepath.Join(s.cfg.Dir, "job
 // execute runs one attempt of a job under the watchdog: resume from disk if
 // checkpoints exist, checkpoint on cadence, poll the job's interrupt word
 // at every step boundary.
-func (s *Server) execute(j *Job, spec JobSpec, sampler *live.Sampler) (core.Result, core.RecoveryStats, error) {
+func (s *Server) execute(j *Job, spec JobSpec) (core.Result, core.RecoveryStats, error) {
 	ics, err := core.MakeICs(spec.Scenario, spec.Seed, spec.N)
 	if err != nil {
 		return core.Result{}, core.RecoveryStats{}, err
@@ -507,7 +492,7 @@ func (s *Server) execute(j *Job, spec JobSpec, sampler *live.Sampler) (core.Resu
 	newObs := func(int) *obs.Obs {
 		o := obs.New(false)
 		ledger.Prov().Stamp(o.Reg)
-		sampler.SetObs(o)
+		j.seg.Store(o)
 		return o
 	}
 	cfg := spec.runConfig(obs.New(false))
@@ -539,12 +524,10 @@ func (s *Server) execute(j *Job, spec JobSpec, sampler *live.Sampler) (core.Resu
 		}))
 	}
 
-	sampler.Start()
-	defer sampler.Stop()
 	wdStop := make(chan struct{})
 	var wdWg sync.WaitGroup
 	wdWg.Add(1)
-	go s.watchdog(j, sampler, wdStop, &wdWg)
+	go s.watchdog(j, wdStop, &wdWg)
 	defer func() { close(wdStop); wdWg.Wait() }()
 
 	return core.RunRecovered(core.RecoveryConfig{
@@ -556,11 +539,12 @@ func (s *Server) execute(j *Job, spec JobSpec, sampler *live.Sampler) (core.Resu
 }
 
 // watchdog enforces the attempt deadline. The estimate freezes at the first
-// tick where the sampler knows an ETA (elapsed + ETA at that moment); until
-// then MinDeadline alone applies. On breach it requests a cooperative
+// poll after the running segment completes a step, when its progress knows
+// an ETA (elapsed + ETA at that moment); until then MinDeadline alone
+// applies. On breach it requests a cooperative
 // interrupt — the job checkpoints at the step boundary and stops, so the
 // retry resumes rather than recomputes.
-func (s *Server) watchdog(j *Job, sampler *live.Sampler, stop <-chan struct{}, wg *sync.WaitGroup) {
+func (s *Server) watchdog(j *Job, stop <-chan struct{}, wg *sync.WaitGroup) {
 	defer wg.Done()
 	t := time.NewTicker(s.cfg.WatchdogEvery)
 	defer t.Stop()
@@ -573,7 +557,7 @@ func (s *Server) watchdog(j *Job, sampler *live.Sampler, stop <-chan struct{}, w
 		case <-t.C:
 			elapsed := time.Since(start).Seconds()
 			if estimate < 0 {
-				if p := sampler.Progress(); p.ETASec >= 0 {
+				if p := j.seg.Load().Progress().Snapshot(); p.ETASec >= 0 {
 					estimate = elapsed + p.ETASec
 				}
 			}
@@ -681,11 +665,13 @@ func (s *Server) appendLedger(a *Artifact) {
 //	POST   /jobs            submit a JobSpec; 202 + job, 429 when full,
 //	                        503 while draining
 //	GET    /jobs            all jobs, submission order
-//	GET    /jobs/{id}       one job (+ live progress while running)
+//	GET    /jobs/{id}       one job (+ its step fraction, rate and ETA
+//	                        while running)
 //	GET    /jobs/{id}/artifact   the cached result artifact
 //	DELETE /jobs/{id}       cancel
-//	/metrics, /progress.json, /series.json, /debug/pprof/  (live exposition
-//	        over the daemon registry), /runs (ledger text view, if open)
+//	/metrics, /metrics.json, /progress.json, /debug/pprof/  (live
+//	        exposition over the daemon registry, which runs no steps of
+//	        its own), /runs (ledger text view, if open)
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/jobs", s.handleJobs)
@@ -694,7 +680,7 @@ func (s *Server) Handler() http.Handler {
 	if s.cfg.Ledger != nil {
 		mounts = append(mounts, live.Mount{Prefix: "/runs", Handler: s.cfg.Ledger.Handler()})
 	}
-	mux.Handle("/", live.Handler(s.sampler, mounts...))
+	mux.Handle("/", live.Handler(s.Obs, mounts...))
 	return mux
 }
 
