@@ -159,12 +159,15 @@ smoke:
 	$(GO) run ./cmd/spacesim -n 600 -procs 3 -steps 2 \
 		-trace /tmp/spacesim-smoke-trace.json -metrics /tmp/spacesim-smoke-metrics.json
 
-# Trace-analysis smoke: a quick analyze run on the 2-module slice (the
-# report is checked as it is written) and a self-diff, which reads it back
-# and must pass — the no-op case of the CI perf gate.
+# Trace-analysis smoke: two quick analyze runs on the 2-module slice (each
+# report is checked as it is written), then the perf gate judges the second
+# against the first. Analyze runs on one engine worker, so the two reports
+# carry the same virtual headline and `ssbench diff` must exit 0.
 analyze-smoke:
-	$(GO) run ./cmd/ssbench analyze -quick -analysis-out /tmp/spacesim-smoke-analysis.json
-	$(GO) run ./cmd/ssbench diff /tmp/spacesim-smoke-analysis.json /tmp/spacesim-smoke-analysis.json
+	$(GO) build -o /tmp/spacesim-smoke-ssbench ./cmd/ssbench
+	/tmp/spacesim-smoke-ssbench analyze -quick -analysis-out /tmp/spacesim-smoke-analysis-a.json
+	/tmp/spacesim-smoke-ssbench analyze -quick -analysis-out /tmp/spacesim-smoke-analysis-b.json
+	/tmp/spacesim-smoke-ssbench diff /tmp/spacesim-smoke-analysis-a.json /tmp/spacesim-smoke-analysis-b.json
 
 # Fault-injection smoke: a seeded fault-injected run that must crash at
 # least once, recover through checkpoint rollback bit-identically to an
@@ -201,10 +204,9 @@ live-smoke:
 # Run-ledger smoke: two identical short spacesim runs recorded into a
 # scratch ledger must stamp identical config digests (the digest covers only
 # deterministic invocation parameters); the trend view (the same text as
-# the live server's /runs) must print them as one group of 2 runs; and the
-# baseline arm of the perf gate must pass the second run's report against
-# the first (one engine worker, so the virtual schedule repeats), which
-# also proves the first run was recorded.
+# the live server's /runs) must print them as one group of 2 runs; and
+# `trend -gate` on run B's config digest must judge B against A's record
+# and pass (one engine worker, so the virtual schedule repeats).
 ledger-smoke:
 	$(GO) build -o /tmp/spacesim-smoke-ssbench ./cmd/ssbench
 	$(GO) build -o /tmp/spacesim-smoke-spacesim ./cmd/spacesim
@@ -221,10 +223,12 @@ ledger-smoke:
 	@[ "$$(grep -c '^config ' /tmp/spacesim-smoke-ledger-trend.log)" = 1 ] \
 		&& grep -q '^config .*  2 runs (latest ' /tmp/spacesim-smoke-ledger-trend.log \
 		|| { echo "ledger-smoke: trend did not print one group of 2 runs"; exit 1; }
-	/tmp/spacesim-smoke-ssbench diff -baseline -ledger /tmp/spacesim-smoke-ledger \
-		/tmp/spacesim-smoke-ledger-b.json | tee /tmp/spacesim-smoke-ledger-diff.log
-	@grep -q 'OK vs baseline of 1 comparable runs' /tmp/spacesim-smoke-ledger-diff.log \
-		|| { echo "ledger-smoke: the baseline gate did not find the first run's record"; exit 1; }
+	@db=$$(sed -n 's/.*"config_digest": *"\([0-9a-f]*\)".*/\1/p' /tmp/spacesim-smoke-ledger-b.json); \
+	/tmp/spacesim-smoke-ssbench trend -gate -ledger /tmp/spacesim-smoke-ledger -config "$$db" \
+		> /tmp/spacesim-smoke-ledger-gate.log; code=$$?; cat /tmp/spacesim-smoke-ledger-gate.log; \
+	[ $$code = 0 ] || { echo "ledger-smoke: trend -gate failed run B against run A"; exit 1; }; \
+	grep -q '^config .*  2 runs (latest ' /tmp/spacesim-smoke-ledger-gate.log \
+		|| { echo "ledger-smoke: trend -gate did not judge run B against run A's record"; exit 1; }
 
 # Job-server smoke: the crash-safety story end to end. A spacesimd daemon
 # takes a job, is killed -9 mid-run after its first checkpoint, and a

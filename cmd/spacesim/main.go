@@ -374,7 +374,7 @@ func runWithFaults(cfg core.RunConfig, ics []core.Body, seed int64, accel float6
 		if st.Crashes == 0 {
 			log.Fatalf("verify-recovery: no crash fired within the %.3fs horizon — raise -fault-accel or change -faults seed", base.ElapsedVirtual)
 		}
-		ok := bitIdentical(base, res)
+		ok := core.BitIdentical(base, res)
 		fs.RecoveredBitIdentical = &ok
 		if !ok {
 			log.Fatal("verify-recovery: recovered state differs from the uninterrupted twin")
@@ -382,26 +382,6 @@ func runWithFaults(cfg core.RunConfig, ics []core.Body, seed int64, accel float6
 		fmt.Println("verify-recovery: recovered state bit-identical to the uninterrupted twin")
 	}
 	return res, fs
-}
-
-// bitIdentical compares the gathered bodies and energy histories of two
-// runs exactly.
-func bitIdentical(a, b core.Result) bool {
-	if len(a.Bodies) != len(b.Bodies) || len(a.EnergyHistory) != len(b.EnergyHistory) {
-		return false
-	}
-	for i := range a.Bodies {
-		x, y := a.Bodies[i], b.Bodies[i]
-		if x.ID != y.ID || x.Pos != y.Pos || x.Vel != y.Vel || x.Mass != y.Mass {
-			return false
-		}
-	}
-	for i := range a.EnergyHistory {
-		if a.EnergyHistory[i] != b.EnergyHistory[i] {
-			return false
-		}
-	}
-	return true
 }
 
 func abs(x float64) float64 {

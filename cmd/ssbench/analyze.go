@@ -3,6 +3,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -10,6 +11,7 @@ import (
 	"spacesim/internal/core"
 	"spacesim/internal/machine"
 	"spacesim/internal/netsim"
+	"spacesim/internal/obs"
 	"spacesim/internal/obs/analysis"
 	"spacesim/internal/obs/ledger"
 )
@@ -46,20 +48,7 @@ func analyzeBench() {
 	if *quick {
 		n, steps = 2048, 1
 	}
-	runObs.EnableEvents()
-	cl := analyzeCluster().WithObs(runObs)
-
-	rng := rand.New(rand.NewSource(1))
-	ics := core.PlummerSphere(rng, n, 1.0)
-	res := core.Run(core.RunConfig{
-		Cluster: cl, Procs: 8, Steps: steps,
-		Opt: core.Options{Theta: 0.7, Eps: 0.01, DT: 1e-3, MaxLeaf: 16, Workers: 4},
-	}, ics)
-
-	rep, err := analysis.Analyze(runObs, cl, analysis.Options{})
-	if err != nil {
-		die(1, "analyze:", err)
-	}
+	rep, res, cl := analyzeRun(runObs, n, steps)
 	cfg := ledgerConfig("analyze", n, 8, steps, 4, 1)
 	if rep.Provenance != nil {
 		rep.Provenance.ConfigDigest = cfg.Digest()
@@ -76,131 +65,67 @@ func analyzeBench() {
 	}
 }
 
-// diffCmd compares two ANALYSIS.json files and exits nonzero when the new
-// run regressed past the thresholds. This is the CI perf gate.
+// analyzeRun runs n Plummer bodies for steps steps on the slice under o and
+// analyzes the trace. One engine worker keeps the virtual schedule, and so
+// the report, the same from run to run.
+func analyzeRun(o *obs.Obs, n, steps int) (*analysis.Report, core.Result, machine.Cluster) {
+	o.EnableEvents()
+	cl := analyzeCluster().WithObs(o)
+	rng := rand.New(rand.NewSource(1))
+	ics := core.PlummerSphere(rng, n, 1.0)
+	res := core.Run(core.RunConfig{
+		Cluster: cl, Procs: 8, Steps: steps, EngineWorkers: 1,
+		Opt: core.Options{Theta: 0.7, Eps: 0.01, DT: 1e-3, MaxLeaf: 16, Workers: 4},
+	}, ics)
+	rep, err := analysis.Analyze(o, cl, analysis.Options{})
+	if err != nil {
+		die(1, "analyze:", err)
+	}
+	return rep, res, cl
+}
+
+// diffCmd is the run-to-run perf gate (see runDiff).
 func diffCmd(args []string) {
-	fs := flag.NewFlagSet("diff", flag.ExitOnError)
-	th := analysis.DefaultThresholds()
-	fs.Float64Var(&th.MakespanFrac, "makespan-frac", th.MakespanFrac,
-		"allowed relative virtual-makespan increase")
-	fs.Float64Var(&th.CategoryFrac, "category-frac", th.CategoryFrac,
-		"allowed relative increase per critical-path category")
-	fs.Float64Var(&th.LatencyP99Frac, "latency-p99-frac", th.LatencyP99Frac,
-		"allowed relative message-latency p99 increase")
-	fs.Float64Var(&th.EfficiencyDrop, "efficiency-drop", th.EfficiencyDrop,
-		"allowed absolute parallel-efficiency drop")
-	baseline := fs.Bool("baseline", false,
-		"gate NEW.json against its ledger history instead of an OLD.json file")
-	ledgerFlag := fs.String("ledger", *ledgerDir, "ledger directory for -baseline")
-	lastK := fs.Int("last", 10, "baseline window: most recent K comparable runs")
-	allowCross := fs.Bool("allow-cross-machine", false,
-		"compare runs from different hosts/modeled machines anyway (normally refused)")
-	fs.Usage = func() {
-		fmt.Fprintln(os.Stderr, "usage: ssbench diff [flags] OLD.json NEW.json")
-		fmt.Fprintln(os.Stderr, "       ssbench diff -baseline [flags] NEW.json")
-		fs.PrintDefaults()
+	if code := runDiff(os.Stdout, args); code != 0 {
+		os.Exit(code)
 	}
+}
+
+// runDiff is `ssbench diff OLD.json NEW.json` writing to w; it returns the
+// exit code. Both files must be analysis reports run from one config
+// digest (exit 2 otherwise). analysis.Gate judges NEW's headline metrics
+// against a one-run baseline of OLD's with ledger.GateAgainst, the judge of
+// `ssbench trend -gate`; with one baseline run the verdict is the
+// ledger.Gates band alone. Exit 1 on a regression.
+func runDiff(w io.Writer, args []string) int {
+	fs := flag.NewFlagSet("diff", flag.ContinueOnError)
+	fs.Usage = func() { fmt.Fprintln(fs.Output(), "usage: ssbench diff OLD.json NEW.json") }
 	if err := fs.Parse(args); err != nil {
-		os.Exit(2)
-	}
-	th.AllowCrossMachine = *allowCross
-	if *allowCross {
-		fmt.Fprintln(os.Stderr, "diff: warning: -allow-cross-machine compares runs from different machines; deltas may be configuration drift, not regressions")
-	}
-	if *baseline {
-		if fs.NArg() != 1 {
-			fs.Usage()
-			os.Exit(2)
-		}
-		diffBaseline(fs.Arg(0), *ledgerFlag, *lastK, *allowCross)
-		return
+		return 2
 	}
 	if fs.NArg() != 2 {
 		fs.Usage()
-		os.Exit(2)
+		return 2
 	}
-	oldR, err := analysis.ReadFile(fs.Arg(0))
-	if err != nil {
-		die(2, "diff:", err)
-	}
-	newR, err := analysis.ReadFile(fs.Arg(1))
-	if err != nil {
-		die(2, "diff:", err)
-	}
-	d := analysis.Diff(oldR, newR, th)
-	fmt.Print(d.Render())
-	if !d.OK() {
-		os.Exit(1)
-	}
-}
-
-// diffBaseline is the ledger arm of the diff gate: it keys the NEW report
-// back to its comparable ledger history (same config digest, same host
-// unless crossed) and judges each headline metric against the median/MAD of
-// the last K runs. Exit 1 on regression; an empty baseline passes with a
-// note, so the gate is safe to enable before any history exists.
-func diffBaseline(newPath, ledgerPath string, lastK int, allowCross bool) {
-	rep, err := analysis.ReadFile(newPath)
-	if err != nil {
-		die(2, "diff:", err)
-	}
-	data, err := os.ReadFile(newPath)
-	if err != nil {
-		die(2, "diff:", err)
-	}
-	prov := rep.Provenance
-	if prov == nil || prov.ConfigDigest == "" {
-		die(2, fmt.Sprintf("diff: %s carries no provenance config digest; regenerate it with a current ssbench", newPath))
-	}
-	st := openLedgerAt(ledgerPath)
-	if st == nil {
-		fmt.Println("diff: ledger disabled or unavailable; no baseline to gate against")
-		return
-	}
-	recs, err := st.Records()
-	if err != nil {
-		die(2, "diff:", err)
-	}
-	var base []ledger.Record
-	if allowCross {
-		for _, r := range recs {
-			if r.ConfigDigest == prov.ConfigDigest {
-				base = append(base, r)
-			}
+	var reps [2]*analysis.Report
+	for i, path := range fs.Args() {
+		rep, err := analysis.ReadFile(path)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "diff:", err)
+			return 2
 		}
-	} else {
-		base = ledger.Comparable(recs, prov.ConfigDigest, ledger.Prov().HostKey())
+		reps[i] = rep
 	}
-	// NEW may itself be the most recent ledgered artifact (the smoke gates a
-	// file the run just recorded): drop the newest record holding these exact
-	// bytes, keeping any earlier identical results as legitimate baseline.
-	newDigest := ledger.BlobDigest(data)
-	for i := len(base) - 1; i >= 0; i-- {
-		if hasArtifactDigest(base[i], newDigest) {
-			base = append(base[:i], base[i+1:]...)
-			break
-		}
+	trends, err := analysis.Gate(reps[0], reps[1])
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "diff:", err)
+		return 2
 	}
-	if len(base) == 0 {
-		fmt.Printf("diff: no comparable runs for config %.12s in %s; nothing to gate against\n",
-			prov.ConfigDigest, st.Dir)
-		return
-	}
-	trends := ledger.GateAgainst(base, rep.Headline(), lastK)
-	ledger.WriteTrends(os.Stdout, trends)
+	ledger.WriteTrends(w, trends)
 	if ledger.AnyRegression(trends) {
-		fmt.Printf("diff: FAIL (baseline of %d comparable runs)\n", len(base))
-		os.Exit(1)
+		fmt.Fprintln(w, "diff: FAIL (regression against OLD)")
+		return 1
 	}
-	fmt.Printf("diff: OK vs baseline of %d comparable runs\n", len(base))
-}
-
-// hasArtifactDigest reports whether rec stored an artifact with digest.
-func hasArtifactDigest(rec ledger.Record, digest string) bool {
-	for _, d := range rec.Artifacts {
-		if d == digest {
-			return true
-		}
-	}
-	return false
+	fmt.Fprintln(w, "diff: OK")
+	return 0
 }

@@ -87,7 +87,7 @@ func faultsweepCmd(args []string) {
 	rng := rand.New(rand.NewSource(2))
 	ics := core.PlummerSphere(rng, n, 1.0)
 	cfg := core.RunConfig{
-		Cluster: cl, Procs: procs, Steps: steps,
+		Cluster: cl, Procs: procs, Steps: steps, EngineWorkers: 1,
 		Opt:          core.Options{Theta: 0.7, Eps: 0.01, DT: 1e-3, MaxLeaf: 16},
 		GatherBodies: true,
 	}
@@ -164,7 +164,7 @@ func faultsweepCmd(args []string) {
 			TotalVirtualSec:  st.TotalVirtualSec,
 			CheckpointWrites: st.CheckpointWrites,
 			CorruptStripes:   st.CorruptStripes,
-			BitIdentical:     sweepBitIdentical(base, rec),
+			BitIdentical:     core.BitIdentical(base, rec),
 		}
 		rep.Entries = append(rep.Entries, e)
 		fmt.Printf("  K=%d: io overhead %.4fs, %d crash(es), lost %.4fs, replayed %d steps, total %.4fs, bit-identical %v\n",
@@ -240,23 +240,4 @@ func (r *FaultsweepReport) headline() map[string]float64 {
 		out["lost_virtual_sec"] = math.Max(out["lost_virtual_sec"], e.LostVirtualSec)
 	}
 	return out
-}
-
-// sweepBitIdentical compares gathered bodies and energy histories exactly.
-func sweepBitIdentical(a, b core.Result) bool {
-	if len(a.Bodies) != len(b.Bodies) || len(a.EnergyHistory) != len(b.EnergyHistory) {
-		return false
-	}
-	for i := range a.Bodies {
-		x, y := a.Bodies[i], b.Bodies[i]
-		if x.ID != y.ID || x.Pos != y.Pos || x.Vel != y.Vel || x.Mass != y.Mass {
-			return false
-		}
-	}
-	for i := range a.EnergyHistory {
-		if a.EnergyHistory[i] != b.EnergyHistory[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -105,8 +105,7 @@ func main() {
 func usage() {
 	fmt.Fprintln(os.Stderr, "usage: ssbench [-quick] [-ledger DIR] [-trace FILE] [-metrics FILE] [-http ADDR] [-cpuprofile FILE] [-memprofile FILE] <all|row-id prefix (table3, fig8, s2.1, ...)|analyze|diff|faultsweep|trend>")
 	fmt.Fprintln(os.Stderr, "       (global flags are accepted before or after the experiment name)")
-	fmt.Fprintln(os.Stderr, "       ssbench diff [flags] OLD.json NEW.json   (two ANALYSIS.json reports)")
-	fmt.Fprintln(os.Stderr, "       ssbench diff -baseline [flags] NEW.json  (gate NEW against its ledger history)")
+	fmt.Fprintln(os.Stderr, "       ssbench diff OLD.json NEW.json   (gate NEW against OLD, two ANALYSIS.json reports of one config digest, with the ledger's bands)")
 	fmt.Fprintln(os.Stderr, "       ssbench trend [-ledger DIR] [-config DIGEST] [-host KEY|-all-hosts] [-last K] [-gate]   (per-metric history vs median/MAD baseline; the /runs text)")
 }
 

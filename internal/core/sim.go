@@ -57,6 +57,27 @@ type Result struct {
 	Interrupted bool
 }
 
+// BitIdentical reports whether two runs gathered the same bodies (ID,
+// position, velocity, mass) and the same energy history, bit for bit: the
+// test a recovered run must pass against its uninterrupted twin.
+func BitIdentical(a, b Result) bool {
+	if len(a.Bodies) != len(b.Bodies) || len(a.EnergyHistory) != len(b.EnergyHistory) {
+		return false
+	}
+	for i := range a.Bodies {
+		x, y := a.Bodies[i], b.Bodies[i]
+		if x.ID != y.ID || x.Pos != y.Pos || x.Vel != y.Vel || x.Mass != y.Mass {
+			return false
+		}
+	}
+	for i := range a.EnergyHistory {
+		if a.EnergyHistory[i] != b.EnergyHistory[i] {
+			return false
+		}
+	}
+	return true
+}
+
 // RunConfig couples the cluster model and run controls.
 type RunConfig struct {
 	Cluster machine.Cluster

@@ -139,8 +139,8 @@ const (
 	// macBand is six orders above what rounding can move either form: a few
 	// ulps (1e-16) on r, on the threshold and on their squares.
 	macBand = 1e-9
-	// Thresholds outside [macMin, macMax] have squares that lose precision to
-	// underflow, or overflow; a zero threshold (a cell of coincident bodies
+	// A threshold outside [macMin, macMax] has a square that loses precision
+	// to underflow, or overflow; a zero threshold (a cell of coincident bodies
 	// seen from a one-body bucket) falls outside too.
 	macMin = 0x1p-480
 	macMax = 0x1p+480

@@ -100,9 +100,9 @@ type Report struct {
 
 	// Provenance records the binary and host that produced the report
 	// (go version, VCS revision, hostname, GOMAXPROCS) plus — when the
-	// driver runs with a ledger — the run's config digest, which lets
-	// `ssbench diff -baseline` key a bare report back to its comparable
-	// ledger history.
+	// driver runs with a ledger — the run's config digest, which keys the
+	// report to its comparable ledger history; `ssbench diff` compares only
+	// two reports that carry the same one.
 	Provenance *ledger.Provenance `json:"provenance,omitempty"`
 }
 
@@ -486,7 +486,7 @@ func phaseAt(rd *rankData, t float64) string {
 // phaseStats aggregates phase spans across ranks.
 func phaseStats(ranks []rankData) []PhaseStats {
 	type acc struct {
-		perRank map[int]float64
+		perRank []float64 // indexed like ranks, so sums and ties repeat
 		wait    float64
 		count   int
 	}
@@ -494,15 +494,15 @@ func phaseStats(ranks []rankData) []PhaseStats {
 	get := func(name string) *acc {
 		a, ok := accs[name]
 		if !ok {
-			a = &acc{perRank: map[int]float64{}}
+			a = &acc{perRank: make([]float64, len(ranks))}
 			accs[name] = a
 		}
 		return a
 	}
-	for _, rd := range ranks {
+	for i, rd := range ranks {
 		for _, iv := range rd.phases {
 			a := get(iv.name)
-			a.perRank[rd.id] += iv.t1 - iv.t0
+			a.perRank[i] += iv.t1 - iv.t0
 			a.count++
 		}
 		// Attribute each blocking wait to its innermost enclosing phase.
@@ -519,11 +519,11 @@ func phaseStats(ranks []rankData) []PhaseStats {
 	out := make([]PhaseStats, 0, len(accs))
 	for name, a := range accs {
 		ps := PhaseStats{Name: name, Count: a.count}
-		for rank, d := range a.perRank {
+		for i, d := range a.perRank {
 			ps.TotalSec += d
 			if d > ps.MaxSec {
 				ps.MaxSec = d
-				ps.MaxRank = rank
+				ps.MaxRank = ranks[i].id
 			}
 		}
 		ps.MeanSec = ps.TotalSec / n

@@ -174,6 +174,25 @@ func (r *Report) Headline() map[string]float64 {
 	return out
 }
 
+// Gate judges cur's headline metrics against base's with the ledger's
+// bands: ledger.GateAgainst over a one-record baseline, whose MAD is 0, so
+// each verdict is the declared band alone. Two reports are comparable only
+// when both carry the same non-empty provenance config digest; otherwise
+// Gate returns an error and no verdicts.
+func Gate(base, cur *Report) ([]ledger.MetricTrend, error) {
+	var digests [2]string
+	for i, r := range []*Report{base, cur} {
+		if r.Provenance != nil {
+			digests[i] = r.Provenance.ConfigDigest
+		}
+	}
+	if digests[0] == "" || digests[0] != digests[1] {
+		return nil, fmt.Errorf("config digests %q and %q differ or are missing; the runs are not comparable",
+			digests[0], digests[1])
+	}
+	return ledger.GateAgainst([]ledger.Record{{Metrics: base.Headline()}}, cur.Headline(), 1), nil
+}
+
 // Render formats the report for humans.
 func (r *Report) Render() string {
 	var b strings.Builder

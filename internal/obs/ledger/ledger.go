@@ -22,6 +22,12 @@
 // results, not with invocations — the identical-seed+config ⇒ digest keying
 // a simulation-as-a-service result cache needs.
 //
+// The package is also the repository's one regression judge: GateAgainst
+// holds a run's headline metrics to the bands of the Gates table, against
+// the median/MAD of comparable earlier runs. `ssbench trend -gate` judges
+// the newest record of each group that way, and `ssbench diff` judges one
+// report against another of the same config digest.
+//
 // Ledger writes are best-effort and happen strictly after a run's virtual
 // clocks have stopped: a failed append never fails the run, and an enabled
 // ledger never perturbs bit-identity (core.TestLiveReadersBitIdentical and

@@ -22,7 +22,7 @@ const (
 // GateSpec declares how a headline metric is judged against its baseline.
 // Frac is a relative threshold on the robust median; Abs (when nonzero)
 // replaces it with an absolute threshold (parallel efficiency is a
-// fraction already, so ±0.05 absolute matches the analysis.Diff gate).
+// fraction already, so its band is ±0.05 absolute).
 type GateSpec struct {
 	Frac         float64
 	Abs          float64
@@ -30,11 +30,13 @@ type GateSpec struct {
 	Gated        bool
 }
 
-// Gates maps headline metrics to their specs. Virtual-time metrics are
-// deterministic per config digest, so their bands are tight (mirroring
-// analysis.DefaultThresholds); host-timed metrics wobble with machine load,
-// so their bands are loose. A metric without an entry — such as those of
-// records written by tools since deleted — is tracked, never gated.
+// Gates maps headline metrics to their specs: the one table of regression
+// bands in the repository, applied by `ssbench trend -gate`, `ssbench diff`
+// and the /runs pages through GateAgainst. Virtual-time metrics are
+// deterministic per config digest, so their bands are tight; host-timed
+// metrics wobble with machine load, so their bands are loose. A metric
+// without an entry — such as those of records written by tools since
+// deleted — is tracked, never gated.
 var Gates = map[string]GateSpec{
 	"makespan_sec":        {Frac: 0.10, Gated: true},
 	"parallel_efficiency": {Abs: 0.05, HigherBetter: true, Gated: true},
