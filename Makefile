@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet cross-build kernels-widths fmt-check reachable loc experiments experiments-check fuzz-smoke bench-e2e profile-serial profile-sph profile-dist8 profile-dist64 smoke analyze-smoke fault-smoke live-smoke ledger-smoke serve-smoke one-slot ci all
+.PHONY: build test race vet cross-build kernels-widths fmt-check reachable loc experiments experiments-check fuzz-smoke bench-e2e bench-smoke profile-serial profile-sph profile-dist8 profile-dist64 smoke analyze-smoke fault-smoke live-smoke ledger-smoke serve-smoke one-slot ci all
 
 all: build test vet fmt-check
 
@@ -115,6 +115,24 @@ fuzz-smoke:
 # which goes first, then `go run ./bench -compare A/record.json B/record.json`.
 bench-e2e:
 	$(GO) run ./bench -seed 2 -runs 5
+
+# The benchmark's own checks on the fetch path, at miniature size: the three
+# treecode workloads with 2048 bodies for two steps, end to end (-trace 0)
+# and traced (-trace 1). The bench fails such a run (exit 1, `correct:
+# false`) when the force error leaves its band, the energy drifts, or the
+# traced run's forces differ from the plain run's. It writes only under
+# /tmp: nothing under bench/ and no .bench_out in the checkout.
+bench-smoke:
+	@for w in plummer-serial plummer-dist8 coldsphere-dist64; do \
+		for tr in 0 1; do \
+			echo "bench-smoke: $$w -trace $$tr"; \
+			$(GO) run ./bench -workload $$w -n 2048 -steps 2 -trace $$tr \
+				-dir /tmp/spacesim-bench-smoke > /tmp/spacesim-bench-smoke.log 2>&1 \
+				|| { cat /tmp/spacesim-bench-smoke.log; echo "bench-smoke: $$w -trace $$tr failed"; exit 1; }; \
+			tail -1 /tmp/spacesim-bench-smoke.log | grep -q '^{"correct":true' \
+				|| { cat /tmp/spacesim-bench-smoke.log; echo "bench-smoke: $$w -trace $$tr is not correct"; exit 1; }; \
+		done; \
+	done
 
 # The one-rank budget in one command: BenchmarkStep/serial is bench/'s
 # plummer-serial configuration (spacesim cannot be given MaxLeaf or Workers,
@@ -287,7 +305,8 @@ serve-smoke:
 
 # Full local CI pass: formatting, static checks, the reachability check, the
 # arm64 cross-build, tests, race detector, the one-slot pass, the per-width
-# kernel pass, the observability + trace-analysis + fault-injection +
-# live-telemetry + run-ledger + job-server smoke runs, the fuzz smoke, and the
-# check that EXPERIMENTS.md's tables are what the registry prints.
-ci: fmt-check vet reachable cross-build test race one-slot kernels-widths smoke analyze-smoke fault-smoke live-smoke ledger-smoke serve-smoke fuzz-smoke experiments-check
+# kernel pass, the benchmark's miniature runs, the observability +
+# trace-analysis + fault-injection + live-telemetry + run-ledger + job-server
+# smoke runs, the fuzz smoke, and the check that EXPERIMENTS.md's tables are
+# what the registry prints.
+ci: fmt-check vet reachable cross-build test race one-slot kernels-widths bench-smoke smoke analyze-smoke fault-smoke live-smoke ledger-smoke serve-smoke fuzz-smoke experiments-check

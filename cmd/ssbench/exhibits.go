@@ -306,7 +306,7 @@ func exhibits(quick bool) []exhibit {
 					Cluster: ssCluster(), Procs: size(32, 8), Steps: 1, EngineWorkers: 1,
 					Opt: core.Options{Theta: 0.7, Eps: 0.01, DT: 1e-3},
 				}, core.ColdSphere(rand.New(rand.NewSource(1)), size(20000, 4000), 1.0)).MflopsPerProc
-			}).deviates("ROADMAP item 1: the virtual schedule serialises compute through the ranks' clocks"))},
+			}).deviates("ROADMAP item 1: the ranks idle half the modeled step, in fetch waits during the walk and in ring collectives"))},
 		{"fig7", "§4.3 / Fig. 7 — The 134M-particle cosmology run", "", []row{
 			near("io-avg-mbs", 417, 0.02, prod, fixed(fig7.AvgIORate()/1e6)),
 			near("io-peak-gbs", 7, 0.05, prod, fixed(fig7.PeakIORate()/1e9)),

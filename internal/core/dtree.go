@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"spacesim/internal/gravity"
 	"spacesim/internal/htree"
 	"spacesim/internal/key"
@@ -53,8 +55,9 @@ type DTree struct {
 	// The top is one array for the whole world and nobody writes it. route is
 	// this rank's overlay on it, the index a walk takes each top cell at
 	// (htree.Far): for a branch this rank owns, its local cell; for another
-	// rank's branch whose expansion a reply has brought, this rank's copy of
-	// it in the fetched slab, which links to that; otherwise the cell itself.
+	// rank's branch whose subtree a reply has brought, this rank's copy of it
+	// at the head of that subtree in the fetched slab; otherwise the cell
+	// itself.
 	top   *topTree
 	route []int32
 	// The rank's fetch state, kept from step to step (fetchArena).
@@ -64,61 +67,50 @@ type DTree struct {
 	fetches int64
 
 	// metric handles, resolved once at build time (all nil-safe).
-	ro                                    *obs.RankObs
-	o                                     *obs.Obs
-	cFetch, cDedup, cCacheHit, cCacheMiss *obs.Counter
-	cListCells, cListBodies, cBuckets     *obs.Counter
-	cWalkDirect, cWalkSecond              *obs.Counter
-	gListCellsMax, gListBodiesMax         *obs.Gauge
-	hListCells, hListBodies               *obs.Histogram
-	cPoolBusyNS, cPoolWallNS, cPoolJobs   *obs.Counter
-	cPoolInline                           *obs.Counter
+	ro                                  *obs.RankObs
+	o                                   *obs.Obs
+	cFetch, cDedup, cCacheHit           *obs.Counter
+	cListCells, cListBodies, cBuckets   *obs.Counter
+	gListCellsMax, gListBodiesMax       *obs.Gauge
+	hListCells, hListBodies             *obs.Histogram
+	cPoolBusyNS, cPoolWallNS, cPoolJobs *obs.Counter
+	cPoolInline                         *obs.Counter
 }
 
 // fetchArena is what a rank's fetches write: the slab of fetched cells, the
-// table of leaf body segments and the waiter lists. Run keeps one per rank
-// next to its build arena, so a steady step grows none of it; a DTree built
-// without one (BuildDistributed) starts from an empty arena. It is rank
-// state: one goroutine at a time.
+// table of leaf body segments, and the top walks' requests and scratch. Run
+// keeps one per rank next to its build arena, so a steady step grows none of
+// it; a DTree built without one (BuildDistributed) starts from an empty
+// arena. It is rank state: one goroutine at a time.
 type fetchArena struct {
 	// fetched is the rank's own slab, at indices from nLocal+len(top.cells)
-	// on. A reply appends the daughters of the cell asked for and links them,
-	// or appends a leaf's bodies to bodies and points the leaf's Lo:Hi at
-	// that entry (empty until then). Appends that grow them move them: hold
-	// no pointer into them across a Poll while a request is outstanding. Once
-	// none is, nothing writes them until the next evaluation resets them, and
-	// the eval pool reads them (pass 2).
+	// on. A reply appends its copy of the branch asked for and the whole
+	// subtree below it, every sibling group side by side and linked from its
+	// parent, and appends each leaf's bodies to bodies, pointing the leaf's
+	// Lo:Hi at that entry. Appends that grow them move them, so a walk holds
+	// no pointer into them across a Poll; a list may, since a reply writes
+	// only cells it appends and the arrays moved from stay as they were.
 	fetched []htree.Cell
 	bodies  [][]gravity.Source
 
-	// waiting tracks in-flight expansion requests: waiting[i-nLocal] is the
-	// list of walkers waiting on slab cell i, in the order they asked — the
-	// first and last of its entries in waiters, chained by next; -1 when no
-	// request for i is in flight. It deduplicates concurrent requests:
-	// whichever walker asks first triggers the one ABM request, later
-	// walkers for the same cell just join the list. inFlight counts the
-	// lists that are not empty.
-	waiting  []waitList
-	waiters  []waiter
-	inFlight int
-}
-
-type waitList struct{ head, tail int32 }
-
-type waiter struct {
-	w    *bucketWalker
-	next int32
+	// asked[j] is set once this rank has asked for top cell j, the one
+	// request per branch however many groups open it. opens holds, group
+	// after group, the branches each group's walk opens (walkTop); stack is
+	// the top walks' scratch.
+	asked []bool
+	opens []int32
+	stack []int32
 }
 
 // resetCaches drops the transient per-evaluation state: every cell and body a
-// fetch reply brought, the routes to them and the waiter entries, keeping
-// their storage. The second pass needs all that one evaluation fetched
-// resident; none of it survives into the next, which is the bound on the
-// slab.
+// fetch reply brought, the routes to them and the requests, keeping their
+// storage. None of it survives into the next evaluation, which is the bound
+// on the slab.
 func (dt *DTree) resetCaches() {
 	clear(dt.bodies) // release the other ranks' trees
-	clear(dt.waiters)
-	dt.fetched, dt.bodies, dt.waiters = dt.fetched[:0], dt.bodies[:0], dt.waiters[:0]
+	dt.fetched, dt.bodies, dt.opens = dt.fetched[:0], dt.bodies[:0], dt.opens[:0]
+	dt.asked = slices.Grow(dt.asked[:0], len(dt.top.cells))[:len(dt.top.cells)]
+	clear(dt.asked)
 	for j, o := range dt.top.owner {
 		dt.route[j] = dt.nLocal + int32(j)
 		if int(o) == dt.r.ID() {
@@ -127,28 +119,16 @@ func (dt *DTree) resetCaches() {
 	}
 }
 
-// requestCell asks the owner of slab cell i, key k, for its expansion on
-// behalf of walker w, calling resume for every waiting walker, in the order
-// they asked, when the reply has arrived during a Poll and is resident — a
-// leaf's bodies, or an internal cell's daughters appended to the slab and
-// linked from the cell (for a top branch, from this rank's copy of it) — so
-// later walkers are served locally. resume gets the resident cell and its
-// slab index.
-func (dt *DTree) requestCell(i int32, k key.K, st *TraversalStats, w *bucketWalker, resume func(*bucketWalker, *htree.Cell, int32)) {
-	j := i - dt.nLocal
-	for int(j) >= len(dt.waiting) {
-		dt.waiting = append(dt.waiting, waitList{-1, -1})
-	}
-	n := int32(len(dt.waiters))
-	dt.waiters = append(dt.waiters, waiter{w, -1})
-	if l := &dt.waiting[j]; l.head >= 0 {
-		// Another walker already asked for this cell; no new request goes out.
-		dt.waiters[l.tail].next, l.tail = n, n
+// requestBranch asks the owner of top branch j for the subtree below it,
+// unless this rank has asked already. The reply continuation runs during a
+// Poll: it appends this rank's copy of the branch to the slab, routes the
+// branch there and copies the subtree in behind it (copySubtree).
+func (dt *DTree) requestBranch(j int32, st *TraversalStats) {
+	if dt.asked[j] {
 		dt.cDedup.Inc()
 		return
 	}
-	dt.waiting[j] = waitList{n, n}
-	dt.inFlight++
+	dt.asked[j] = true
 	st.Fetches++
 	dt.fetches++
 	dt.cFetch.Inc()
@@ -156,6 +136,7 @@ func (dt *DTree) requestCell(i int32, k key.K, st *TraversalStats, w *bucketWalk
 	// when the reply continuation runs (both points on the rank goroutine).
 	fid := dt.fetches
 	t0 := dt.r.Clock()
+	k := dt.top.cells[j].Key
 	lo, _ := k.BodyKeyRange()
 	dt.abm.Request(Owner(dt.splitters, lo), hFetch, k, 8, func(resp any) {
 		dt.ro.Async("fetch", "fetch", fid, t0, dt.r.Clock())
@@ -164,35 +145,35 @@ func (dt *DTree) requestCell(i int32, k key.K, st *TraversalStats, w *bucketWalk
 			// surface; a rank that opens nothing (one rank) allocates nothing.
 			dt.fetched = make([]htree.Cell, 0, 2*dt.nLocal)
 		}
-		base := dt.nLocal + int32(len(dt.top.cells))
-		at := i
-		if j < int32(len(dt.top.cells)) {
-			// The top is the world's: this rank's copy of the branch takes the link.
-			at = base + int32(len(dt.fetched))
-			dt.route[j] = at
-			dt.fetched = append(dt.fetched, dt.top.cells[j])
-		}
-		first := base + int32(len(dt.fetched))
+		at := int32(len(dt.fetched))
+		dt.route[j] = dt.nLocal + int32(len(dt.top.cells)) + at
+		dt.fetched = append(dt.fetched, dt.top.cells[j])
 		rep := resp.(fetchReply)
-		oc := rep.t.At(rep.i)
-		var kids [8]int32
-		for _, d := range oc.Daughters(rep.i, kids[:0]) {
-			dt.fetched = append(dt.fetched, rep.t.At(d).Bare())
-		}
-		c := &dt.fetched[at-base]
-		if oc.Leaf {
-			c.Lo, c.Hi = len(dt.bodies), len(dt.bodies)+1
-			dt.bodies = append(dt.bodies, rep.t.Sources()[oc.Lo:oc.Hi:oc.Hi])
-		} else {
-			c.Link(at, first)
-		}
-		head := dt.waiting[j].head
-		dt.waiting[j] = waitList{-1, -1}
-		dt.inFlight--
-		for n := head; n >= 0; n = dt.waiters[n].next {
-			resume(dt.waiters[n].w, c, at)
-		}
+		dt.copySubtree(rep.t, rep.i, at)
 	})
+}
+
+// copySubtree copies what lies below cell i of the owner's tree t into the
+// slab below slab cell at, its copy: the daughters of an internal cell bare,
+// side by side behind the slab's end and linked from at, then each of their
+// subtrees in turn; or a leaf's bodies, as the capacity-capped segment of
+// t.Sources() that at's Lo:Hi points at.
+func (dt *DTree) copySubtree(t *htree.Tree, i, at int32) {
+	c := t.At(i)
+	if c.Leaf {
+		dt.fetched[at].Lo, dt.fetched[at].Hi = len(dt.bodies), len(dt.bodies)+1
+		dt.bodies = append(dt.bodies, t.Sources()[c.Lo:c.Hi:c.Hi])
+		return
+	}
+	var kids [8]int32
+	first := int32(len(dt.fetched))
+	for _, d := range c.Daughters(i, kids[:0]) {
+		dt.fetched = append(dt.fetched, t.At(d).Bare())
+	}
+	dt.fetched[at].Link(at, first)
+	for n, d := range c.Daughters(i, kids[:0]) {
+		dt.copySubtree(t, d, first+int32(n))
+	}
 }
 
 // BuildDistributed constructs the per-rank tree over the (already
@@ -215,12 +196,9 @@ func buildDistributed(r *mp.Rank, bodies []Body, splitters []key.K, boxLo vec.V3
 	dt.cFetch = reg.Counter("core.fetch.requests")
 	dt.cDedup = reg.Counter("core.fetch.dedup_hits")
 	dt.cCacheHit = reg.Counter("core.bodycache.hits")
-	dt.cCacheMiss = reg.Counter("core.bodycache.misses")
 	dt.cListCells = reg.Counter("core.list.cells")
 	dt.cListBodies = reg.Counter("core.list.bodies")
 	dt.cBuckets = reg.Counter("core.buckets")
-	dt.cWalkDirect = reg.Counter("core.walk.direct")
-	dt.cWalkSecond = reg.Counter("core.walk.second_pass")
 	dt.gListCellsMax = reg.Gauge("core.list.cells_max")
 	dt.gListBodiesMax = reg.Gauge("core.list.bodies_max")
 	dt.hListCells = reg.Histogram("core.list.cells_len")
@@ -384,20 +362,19 @@ func buildTop(branches [][]htree.Cell) *topTree {
 	return top
 }
 
-// fetchReply is the answer to an expansion request: cell i of the owner's
-// local tree t, by reference. The requester copies the daughters of an
-// internal cell into its slab, bare, or keeps a leaf's bodies as a segment
-// of t.Sources(). The owner builds t again only after the next Decompose's
-// collectives, which a requester enters only once its evaluation — pass 2
-// on the pool included — is over (DESIGN.md, "What the world shares").
+// fetchReply is the answer to a branch request: cell i of the owner's local
+// tree t, by reference. The requester copies the subtree below it into its
+// slab, bare, and keeps each leaf's bodies as a segment of t.Sources(). The
+// owner builds t again only after the next Decompose's collectives, which a
+// requester enters only once its evaluation — the pool's last group included
+// — is over (DESIGN.md, "What the world shares").
 type fetchReply struct {
 	t *htree.Tree
 	i int32
 }
 
-// serveFetch answers an expansion request, charging the wire size of what
-// it refers to: the daughters of an internal cell, sent bare, or the bodies
-// of a leaf.
+// serveFetch answers a branch request, charging the wire size of what it
+// refers to: every cell below the branch, sent bare, and every body.
 func (dt *DTree) serveFetch(src int, req any) (any, int64) {
 	k := req.(key.K)
 	if dt.local == nil {
@@ -408,13 +385,19 @@ func (dt *DTree) serveFetch(src int, req any) (any, int64) {
 		panic("core: fetch request for unknown cell " + k.String())
 	}
 	c := dt.local.At(i)
-	bytes := int64(32 * (c.Hi - c.Lo))
-	if !c.Leaf {
-		var kids [8]int32
-		bytes = int64(cellWireBytes * len(c.Daughters(i, kids[:0])))
-	}
+	bytes := int64(cellWireBytes*cellsBelow(dt.local, i) + 32*(c.Hi-c.Lo))
 	return fetchReply{dt.local, i}, bytes
 }
 
-// Fetches returns the number of remote expansion requests issued.
+// cellsBelow counts the cells of t below cell i.
+func cellsBelow(t *htree.Tree, i int32) int {
+	var kids [8]int32
+	n := 0
+	for _, d := range t.At(i).Daughters(i, kids[:0]) {
+		n += 1 + cellsBelow(t, d)
+	}
+	return n
+}
+
+// Fetches returns the number of branch requests issued.
 func (dt *DTree) Fetches() int64 { return dt.fetches }

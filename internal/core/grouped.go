@@ -16,112 +16,71 @@ package core
 // Every list is gathered by the one loop of htree.Tree.Gather and applied by
 // Tree.EvalBucket, as in the serial Tree.AccelAllGrouped; the walker is the
 // loop's htree.Far, laying out the indices past the local tree's (dtree.go)
-// and answering a miss. This file adds that hook, fetch continuations, the
-// second pass and deterministic charging.
+// and handing it a fetched leaf's bodies. This file adds the top walks that
+// fetch, the one gather per group and deterministic charging.
 //
-// Two passes. Pass 1 is the latency-hiding traversal of Section 4.2 — "we
+// Walk once. Section 4.2 hides latency by putting walks aside: "we
 // effectively do explicit context switching using a software queue to keep
 // track of which computations have been put aside waiting for messages to
-// arrive": a walker that needs a remote cell that is not resident asks for
-// it and is put aside. One that never misses has its list in depth-first
-// tree order and is evaluated at once; after the run in which it first
-// misses a walker gives its list up and from then on only counts what it
-// accepts, in the loop's count-only mode — all the accounting and the
-// virtual-time charge need — so a rank holds the lists in evaluation, not
-// one per waiting bucket. Pass 2 starts when every walker has finished:
-// whatever a suspended walk opened is resident by then, so its bucket is
-// walked again from the root without waiting, and evaluated. Pass 2 is the
-// pool's: the rank hands it the suspended walkers and goes on into Quiesce,
-// so on a host thread shared by many ranks (the event engine) other ranks'
-// pass 1 runs beside this rank's pass 2.
+// arrive". Here a fetch reply brings the whole subtree below the branch asked
+// for (dtree.go), so the only cells a group's walk can find missing are other
+// ranks' top branches, and which of those it opens the replicated top alone
+// decides. Each group first walks the top (walkTop), asking once per rank for
+// every remote branch it does not accept; then, in the order of the groups'
+// stack (the last group first), each group is gathered once, as soon as every
+// branch it opens is resident — the rank polls and yields until then — charged
+// and handed to the eval pool. A miss in a group walk is a bug, and panics.
 //
-// Determinism rule: the pass-1 traversal, interaction counting and
-// virtual-time charging all run on the rank's own goroutine in bucket order;
-// evaluation — on a worker or on the rank — only writes a bucket's disjoint
-// output range from its list, and either pass yields the list in tree order
-// — a function of the tree and the bucket, not of when fetch replies
-// arrived. The result is therefore bit-identical for any Workers count, and
-// virtual time cannot tell who evaluated what. What the pool reads while the
-// rank is in Quiesce cannot change under it: the replicated top is never
-// written, the rank's slab and overlay only by fetch replies, and a rank
-// whose walkers have all finished has none outstanding (ComputeForces panics
-// otherwise); serving other ranks' fetches reads the local tree, which is
-// immutable once built, as are the other ranks' lists that a reply made
-// refer to it.
+// Determinism rule: the top walks, every gather, interaction counting and
+// virtual-time charging run on the rank's own goroutine in group order;
+// evaluation — on a worker or on the rank — only writes a group's disjoint
+// output range from its list, and the list is in depth-first tree order — a
+// function of the tree and the group, not of when fetch replies arrived. The
+// result is therefore bit-identical for any Workers count, and virtual time
+// cannot tell who evaluated what. What a list refers to cannot change under
+// the pool: the replicated top is never written; a reply only appends to the
+// rank's slab and writes the overlay, which no list refers to; and serving
+// other ranks' fetches reads the local tree, which is immutable once built, as
+// are the other ranks' trees that a reply made the slab refer to.
 
 import (
 	"context"
 	"fmt"
 	"runtime"
 	"runtime/pprof"
-	"slices"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"spacesim/internal/gravity"
 	"spacesim/internal/htree"
-	"spacesim/internal/key"
 	"spacesim/internal/obs"
 	"spacesim/internal/vec"
 )
 
-// Scratch recycles through two pools across buckets, steps and tree
-// rebuilds, so steady-state force evaluation allocates almost nothing: one
-// for the lists being gathered or evaluated, one for the tallies of
-// suspended walks, which never hold a list.
-var (
-	listPool  = sync.Pool{New: func() any { return new(htree.BucketScratch) }}
-	countPool = sync.Pool{New: func() any { return &htree.BucketScratch{CountOnly: true} }}
-)
+// listPool recycles the scratch of the lists being gathered or evaluated
+// across groups, steps and tree rebuilds, so steady-state force evaluation
+// allocates almost nothing.
+var listPool = sync.Pool{New: func() any { return new(htree.BucketScratch) }}
 
-// bucketWalker is one sink group's traversal state, and the htree.Far of its
-// walks: it lays out the indices past the local tree's and answers a far
-// leaf, or a miss the way the pass says.
+// bucketWalker is one sink group's walk, and the htree.Far of it: it lays
+// out the indices past the local tree's and hands the loop a fetched leaf's
+// bodies.
 type bucketWalker struct {
 	dt   *DTree
 	cell *htree.Cell
 	mac  htree.BucketMAC
-	// sc is the walk's scratch: a list scratch until the walk misses, a
-	// count-only one from then on in pass 1, a list scratch again in pass 2.
-	sc *htree.BucketScratch
-	// miss is pass 1's answer to a cell that is not resident; nil in pass 2,
-	// where every cell is.
-	miss func(w *bucketWalker, i int32, k key.K)
-	// nc cells and nb bodies in nseg segments: the list's lengths.
-	nc, nb, nseg int
-	blocked      int
-	queued       bool
-	suspended    bool
+	sc   *htree.BucketScratch
+	// opens[lo:hi] of the rank's fetch arena are the other ranks' branches
+	// the group's walk opens (walkTop); those below lo are resident.
+	lo, hi int32
 }
 
-// begin starts a walk at the root with an empty list on a pooled scratch,
-// with room for the lengths the walker knows (pass 2 knows them all).
+// begin starts a walk at the root with an empty list on a pooled scratch.
 func (w *bucketWalker) begin() {
 	w.sc = listPool.Get().(*htree.BucketScratch)
 	w.sc.Reset()
-	l := &w.sc.List
-	l.Cells, l.Segs = slices.Grow(l.Cells, w.nc), slices.Grow(l.Segs, w.nseg)
 	w.sc.Push(w.dt.route[0]) // the root: on one rank, the local tree's
-}
-
-// lengths takes the walker's counts from its list, or its tally.
-func (w *bucketWalker) lengths() {
-	if sc := w.sc; sc.CountOnly {
-		w.nc, w.nb, w.nseg = sc.NCells, sc.NSrcs, sc.NSegs
-	} else {
-		w.nc, w.nb, w.nseg = len(sc.List.Cells), sc.List.Bodies(), len(sc.List.Segs)
-	}
-}
-
-// suspend gives up the list after the run in which the walk first missed,
-// going on from its lengths in count-only mode.
-func (w *bucketWalker) suspend() {
-	w.lengths()
-	listPool.Put(w.sc)
-	w.sc, w.suspended = countPool.Get().(*htree.BucketScratch), true
-	w.sc.NCells, w.sc.NSrcs, w.sc.NSegs = w.nc, w.nb, w.nseg
 }
 
 // Layout hands the walk the top with this rank's routes through it, and the
@@ -131,22 +90,26 @@ func (w *bucketWalker) Layout() ([]htree.Cell, []int32, int32, []htree.Cell) {
 	return dt.top.cells, dt.route, dt.nLocal + int32(len(dt.top.cells)), dt.fetched
 }
 
-// Open returns the bodies of remote leaf i if a reply has brought them, and
-// otherwise passes the miss to the pass.
+// Open returns the bodies of remote leaf i, which a reply has brought: a
+// group is gathered only once every branch it opens is resident, and with it
+// everything below.
 func (w *bucketWalker) Open(i int32, c *htree.Cell) []gravity.Source {
+	if c.Hi <= c.Lo {
+		panic("core: group walk reached non-resident cell " + c.Key.String())
+	}
+	w.dt.cCacheHit.Inc()
+	return w.dt.bodies[c.Lo]
+}
+
+// resident reports whether every branch the group's walk opens has arrived,
+// moving lo past those that have.
+func (w *bucketWalker) resident() bool {
 	dt := w.dt
-	if c.Hi > c.Lo {
-		dt.cCacheHit.Inc()
-		return dt.bodies[c.Lo]
+	base := dt.nLocal + int32(len(dt.top.cells))
+	for w.lo < w.hi && dt.route[dt.opens[w.lo]] >= base {
+		w.lo++
 	}
-	if c.Leaf {
-		dt.cCacheMiss.Inc()
-	}
-	if w.miss == nil {
-		panic("core: second pass reached non-resident cell " + c.Key.String())
-	}
-	w.miss(w, i, c.Key)
-	return nil
+	return w.lo == w.hi
 }
 
 // evalPool runs bucket evaluations on a fixed set of host goroutines. The
@@ -162,8 +125,8 @@ type evalPool struct {
 }
 
 // holdWorkers is a test hook (export_test.go): while it is set, a new pool's
-// workers take no job until the rank first finds the queue full, or hands
-// the pool pass 2, so the queue fills whatever the host's speeds.
+// workers take no job until the rank first finds the queue full, or waits
+// for the pool, so the queue fills whatever the host's speeds.
 var holdWorkers bool
 
 // poolJob is one piece of work and the name of its span on the worker's
@@ -218,13 +181,6 @@ func (dt *DTree) newEvalPool(workers int) *evalPool {
 	return p
 }
 
-// submit queues f, waiting for room.
-func (p *evalPool) submit(name string, f func()) {
-	p.release()
-	p.wg.Add(1)
-	p.jobs <- poolJob{name, f}
-}
-
 // run queues f if there is room and otherwise calls it here, reporting
 // which: the caller was going to wait for a worker anyway, and what a
 // bucket evaluation writes does not depend on who runs it.
@@ -249,8 +205,11 @@ func (p *evalPool) release() {
 	}
 }
 
-// wait blocks until every submitted job has finished.
-func (p *evalPool) wait() { p.wg.Wait() }
+// wait blocks until every job handed to the pool has finished.
+func (p *evalPool) wait() {
+	p.release()
+	p.wg.Wait()
+}
 
 // close releases the worker goroutines.
 func (p *evalPool) close() {
@@ -316,124 +275,81 @@ func (dt *DTree) ComputeForces(bodies []Body) ([]vec.V3, []float64, TraversalSta
 
 	groups := dt.local.Groups()
 	walkers := make([]bucketWalker, len(groups))
-	runnable := make([]*bucketWalker, 0, len(groups))
 	for i, c := range groups {
-		walkers[i] = bucketWalker{dt: dt, cell: c, mac: htree.NewGroupMAC(c, dt.opt.Theta), queued: true}
-		runnable = append(runnable, &walkers[i])
+		walkers[i] = bucketWalker{dt: dt, cell: c, mac: htree.NewGroupMAC(c, dt.opt.Theta)}
 	}
-	remaining := len(walkers)
 
 	charge := dt.chargeFunc(&st)
 	hostStart := time.Now()
 	pool := dt.newEvalPool(dt.opt.Workers)
 	defer pool.close()
 
-	// Pass 1's answer to a miss: ask for the cell and put the walker aside;
-	// resume takes it up again once the reply has made the cell resident.
-	resume := func(w *bucketWalker, c *htree.Cell, at int32) {
-		w.blocked--
-		if c.Leaf {
-			w.sc.NSrcs += c.N
-			w.sc.NSegs++
-		} else {
-			var kids [8]int32
-			w.sc.Push(c.Daughters(at, kids[:0])...)
-		}
-		if !w.queued {
-			w.queued = true
-			runnable = append(runnable, w)
-		}
+	// The groups go in the order of a stack of them, the last first.
+	for i := len(walkers) - 1; i >= 0; i-- {
+		dt.walkTop(&walkers[i], &st)
 	}
-	fetch := func(w *bucketWalker, i int32, k key.K) {
-		w.blocked++
-		dt.requestCell(i, k, &st, w, resume)
-	}
-
-	for remaining > 0 {
-		if len(runnable) == 0 {
-			dt.abm.FlushAll()
+	dt.abm.FlushAll()
+	for i := len(walkers) - 1; i >= 0; i-- {
+		w := &walkers[i]
+		for !w.resident() {
 			if dt.abm.Poll() == 0 {
 				// Hand the execution slot to the rank we are waiting on
 				// (required: the scheduler's pool may be one slot wide).
 				dt.r.Yield()
 			}
-			continue
 		}
-		w := runnable[len(runnable)-1]
-		runnable = runnable[:len(runnable)-1]
-		w.queued = false
-		if w.sc == nil {
-			w.begin()
-			w.miss = fetch
-		}
+		w.begin()
 		dt.local.Gather(&w.mac, w.sc, w)
-		if w.blocked > 0 && !w.suspended {
-			w.suspend()
-		}
-		if w.blocked == 0 {
-			remaining--
-			dt.finishBucket(w, &st, charge)
-			if !w.suspended && !pool.run("bucket", func() { dt.evalBucket(w, acc, pot) }) {
-				dt.cPoolInline.Inc()
-			}
+		dt.finishBucket(w, &st, charge)
+		if !pool.run("bucket", func() { dt.evalBucket(w, acc, pot) }) {
+			dt.cPoolInline.Inc()
 		}
 		dt.abm.Poll()
 	}
 
-	// Pass 2: the pool's workers pull the suspended walkers off a shared index
-	// while this goroutine goes on into Quiesce. The slab they read is final
-	// only if no reply is still to come. Every bucket was charged at
-	// finishBucket, so virtual time does not see where or when pass 2 runs.
-	if dt.inFlight != 0 || dt.abm.Outstanding() != 0 {
-		panic(fmt.Sprintf("core: rank %d starts pass 2 with %d cells being fetched, %d requests outstanding",
-			dt.r.ID(), dt.inFlight, dt.abm.Outstanding()))
-	}
-	var next atomic.Int64
-	second := func() {
-		for i := next.Add(1) - 1; i < int64(len(walkers)); i = next.Add(1) - 1 {
-			if w := &walkers[i]; w.suspended {
-				nc, nb, nseg := w.nc, w.nb, w.nseg
-				dt.regather(w)
-				if w.lengths(); nc != w.nc || nb != w.nb || nseg != w.nseg {
-					panic(fmt.Sprintf("core: bucket %v: pass 2 gathered %d+%d/%d, pass 1 counted %d+%d/%d",
-						w.cell.Key, w.nc, w.nb, w.nseg, nc, nb, nseg))
-				}
-				dt.evalBucket(w, acc, pot)
-			}
-		}
-	}
-	for range pool.workers {
-		pool.submit("second-pass", second)
-	}
+	// Every reply this rank waits for is in; it serves the others' requests
+	// while the pool finishes its groups.
 	dt.abm.Quiesce()
 	pool.wait() // acc and pot are complete only now
 	dt.cPoolWallNS.Add(time.Since(hostStart).Nanoseconds())
 	return acc, pot, st
 }
 
-// regather is pass 2's walk: it rebuilds a suspended walker's list from
-// resident cells alone, in tree order.
-func (dt *DTree) regather(w *bucketWalker) {
-	w.miss = nil
-	w.begin()
-	dt.local.Gather(&w.mac, w.sc, w)
+// walkTop walks the replicated top alone for w's group — testing fills and
+// branches as Gather does, descending into no branch — and lists in the
+// rank's opens every other rank's branch it does not accept: all that the
+// group's walk can find missing. It asks for each one no group has asked for
+// yet.
+func (dt *DTree) walkTop(w *bucketWalker, st *TraversalStats) {
+	cells, owner, me := dt.top.cells, dt.top.owner, int32(dt.r.ID())
+	w.lo = int32(len(dt.opens))
+	stack := append(dt.stack[:0], 0)
+	for len(stack) > 0 {
+		j := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		c := &cells[j]
+		switch o := owner[j]; {
+		case o == me: // the local tree's
+		case o < 0 && w.mac.OwnsKey(c.Key): // above the group's own bodies
+			stack = c.Daughters(j, stack)
+		case w.mac.Accept(c):
+		case o < 0:
+			stack = c.Daughters(j, stack)
+		default:
+			dt.opens = append(dt.opens, j)
+			dt.requestBranch(j, st)
+		}
+	}
+	dt.stack = stack
+	w.hi = int32(len(dt.opens))
 }
 
-// finishBucket accounts the bucket's work deterministically: counts derive
-// from list lengths alone, whether the list is at hand or was only counted.
-// A suspended walker's tally goes back to its pool here.
+// finishBucket accounts the group's work deterministically, from its list's
+// lengths alone.
 func (dt *DTree) finishBucket(w *bucketWalker, st *TraversalStats, charge func()) {
-	w.lengths()
-	if w.suspended {
-		dt.cWalkSecond.Inc()
-		w.sc.Reset()
-		countPool.Put(w.sc)
-		w.sc = nil
-	} else {
-		dt.cWalkDirect.Inc()
-	}
+	l := &w.sc.List
 	ns := w.cell.Hi - w.cell.Lo
-	nc, nb := w.nc, w.nb
+	nc, nb := len(l.Cells), l.Bodies()
 	dt.cBuckets.Inc()
 	dt.cListCells.Add(int64(nc))
 	dt.cListBodies.Add(int64(nb))

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -175,12 +176,12 @@ func TestGroupedWorkersBitIdentical(t *testing.T) {
 		}
 	}
 
-	// Pass 2 runs on the pool while the rank serves fetches in Quiesce. Eight
-	// ranks with four fifths of the bodies on rank 0 (the decomposition
-	// balances work, so the first bodies in key order are made cheap): the
-	// light ranks are through pass 1 and into pass 2 long before rank 0 stops
-	// asking them for cells, and rank 0's own pass 2 runs while they wait in
-	// Quiesce. At any width of the scheduler's pool, whatever runs beside
+	// The pool evaluates while its rank walks on or serves fetches in
+	// Quiesce. Eight ranks with four fifths of the bodies on rank 0 (the
+	// decomposition balances work, so the first bodies in key order are made
+	// cheap): the light ranks are through their walks long before rank 0
+	// stops asking them for branches, and rank 0's pool runs while they wait
+	// in Quiesce. At any width of the scheduler's pool, whatever runs beside
 	// whatever, every bit must come out the same — a digest recorded at
 	// commit 623b44b, where the goroutine runtime was the first row, and
 	// re-pinned once, with the kernels' arithmetic (ISSUE 24): the one that
@@ -244,40 +245,106 @@ func positions(bodies []Body) []vec.V3 {
 	return pos
 }
 
-// waitingOn returns the walkers waiting on slab cell i, in the order they
-// asked.
-func (dt *DTree) waitingOn(i int32) []*bucketWalker {
-	var ws []*bucketWalker
-	if j := int(i - dt.nLocal); j < len(dt.waiting) {
-		for n := dt.waiting[j].head; n >= 0; n = dt.waiters[n].next {
-			ws = append(ws, dt.waiters[n].w)
-		}
-	}
-	return ws
+// regather walks group w again over what the rank holds — the engine's own
+// gather, from the root on a fresh scratch — for tests to compare against.
+func (dt *DTree) regather(w *bucketWalker) {
+	w.begin()
+	dt.local.Gather(&w.mac, w.sc, w)
 }
 
-// Pass 2 hands the slab to the pool on the strength of one fact: no request
-// is outstanding, so nothing can write it. A rank that reaches pass 2 with a
-// fetch still in flight must say so, not race.
-func TestSecondPassRefusesOutstandingFetch(t *testing.T) {
-	ics := PlummerSphere(rand.New(rand.NewSource(38)), 300, 1.0)
-	mp.Run(testCluster(), 1, func(r *mp.Rank) {
-		bodies, splitters, boxLo, boxSize := Decompose(r, ics)
-		dt := BuildDistributed(r, bodies, splitters, boxLo, boxSize, Options{Theta: 0.6, Eps: 0.02})
-		dt.inFlight = 1 // a request no reply will ever clear
-		defer func() {
-			if e, want := fmt.Sprint(recover()), "starts pass 2 with 1 cells being fetched"; !strings.Contains(e, want) {
-				t.Errorf("ComputeForces with a fetch in flight: recovered %q, want a panic saying %q", e, want)
+// submit queues f, waiting for room: it holds a worker in
+// TestEvalPoolRunsInlineWhenFull.
+func (p *evalPool) submit(name string, f func()) {
+	p.release()
+	p.wg.Add(1)
+	p.jobs <- poolJob{name, f}
+}
+
+// topOpens is the oracle of walkTop: Gather itself, over the routes the
+// branch exchange left — every other rank's branch at the bare top cell —
+// appends to opens each such branch the walk of group g reaches and does
+// not accept, in the order it reaches them.
+type topOpens struct {
+	dt    *DTree
+	route []int32
+	opens []int32
+}
+
+func (o *topOpens) Layout() ([]htree.Cell, []int32, int32, []htree.Cell) {
+	dt := o.dt
+	return dt.top.cells, o.route, dt.nLocal + int32(len(dt.top.cells)), nil
+}
+
+func (o *topOpens) Open(i int32, c *htree.Cell) []gravity.Source {
+	if j := i - o.dt.nLocal; c.Hi > c.Lo || o.dt.top.owner[j] < 0 || &o.dt.top.cells[j] != c {
+		panic(fmt.Sprintf("oracle reached cell %d (%v), not a bare remote branch", i, c.Key))
+	}
+	o.opens = append(o.opens, i-o.dt.nLocal)
+	return nil
+}
+
+// opened returns the remote branches group g's walk opens, by the oracle.
+func (o *topOpens) opened(g *htree.Cell) []int32 {
+	if o.route == nil {
+		o.route = make([]int32, len(o.dt.top.cells))
+		for j, own := range o.dt.top.owner {
+			o.route[j] = o.dt.nLocal + int32(j)
+			if int(own) == o.dt.r.ID() {
+				o.route[j] = o.dt.local.Find(o.dt.top.cells[j].Key)
 			}
-		}()
-		dt.ComputeForces(bodies)
+		}
+	}
+	o.opens = o.opens[:0]
+	mac := htree.NewGroupMAC(g, o.dt.opt.Theta)
+	var sc htree.BucketScratch
+	sc.Push(o.route[0])
+	o.dt.local.Gather(&mac, &sc, o)
+	return o.opens
+}
+
+// A group is gathered only once every branch it opens is resident, so its
+// walk can meet no cell without bodies or daughters; one that does is a
+// bug, and the walk says so. On two ranks, before any fetch: every group
+// whose walk opens one of the other rank's branches panics naming a
+// non-resident cell, and every other group gathers.
+func TestGroupWalkPanicsOnMiss(t *testing.T) {
+	ics := PlummerSphere(rand.New(rand.NewSource(38)), 600, 1.0)
+	const p = 2
+	mp.Run(testCluster(), p, func(r *mp.Rank) {
+		n := len(ics)
+		lo, hi := n*r.ID()/p, n*(r.ID()+1)/p
+		bodies, splitters, boxLo, boxSize := Decompose(r, append([]Body(nil), ics[lo:hi]...))
+		dt := BuildDistributed(r, bodies, splitters, boxLo, boxSize, Options{Theta: 0.6, Eps: 0.02})
+		if r.ID() == 0 {
+			oracle, opening := &topOpens{dt: dt}, 0
+			for _, g := range dt.local.Groups() {
+				w := dt.walker(g)
+				missing := len(oracle.opened(g)) > 0
+				func() {
+					defer func() {
+						e := recover()
+						if missing {
+							opening++
+						}
+						if got := e != nil && strings.Contains(fmt.Sprint(e), "group walk reached non-resident cell"); got != missing {
+							t.Errorf("group %v opens %d remote branches: recovered %v", g.Key, len(oracle.opens), e)
+						}
+					}()
+					dt.regather(&w)
+				}()
+			}
+			if opening == 0 {
+				t.Error("no group of rank 0 opens a branch of rank 1")
+			}
+		}
+		dt.abm.Quiesce()
 	})
 }
 
 // The slab's memory bound: what one evaluation fetches is resident until the
 // next one starts and no longer. resetCaches empties the rank's fetched slab,
-// releases the bodies it held and the walkers that waited, and drops the
-// overlay's links into it, so a second evaluation on the same tree
+// releases the bodies it held, forgets the requests and drops the overlay's
+// links into it, so a second evaluation on the same tree
 // re-fetches exactly the same cells and reproduces the forces bit for bit —
 // into the same storage, which the rank's fetch arena keeps, as it does for
 // the next tree built on it.
@@ -313,12 +380,13 @@ func TestCachesBoundedAcrossEvaluations(t *testing.T) {
 		}
 
 		drained := func(when string) {
-			if dt.inFlight != 0 {
-				t.Errorf("rank %d: %s %d cells in flight", r.ID(), when, dt.inFlight)
+			if n := dt.abm.Outstanding(); n != 0 {
+				t.Errorf("rank %d: %s %d requests outstanding", r.ID(), when, n)
 			}
-			for j, l := range dt.waiting {
-				if l.head >= 0 {
-					t.Errorf("rank %d: %s slab cell %d has waiters", r.ID(), when, dt.nLocal+int32(j))
+			base := dt.nLocal + int32(len(dt.top.cells))
+			for j, asked := range dt.asked {
+				if asked && dt.route[j] < base {
+					t.Errorf("rank %d: %s branch %v was asked for and is not resident", r.ID(), when, dt.top.cells[j].Key)
 					return
 				}
 			}
@@ -368,11 +436,8 @@ func TestCachesBoundedAcrossEvaluations(t *testing.T) {
 				break
 			}
 		}
-		for _, w := range dt.waiters[:cap(dt.waiters)] {
-			if w.w != nil {
-				t.Errorf("rank %d: emptied waiter table still references walkers", r.ID())
-				break
-			}
+		if len(dt.opens) != 0 || slices.Contains(dt.asked, true) {
+			t.Errorf("rank %d: the reset left %d opens and requests marked", r.ID(), len(dt.opens))
 		}
 		for i, o := range dt.route {
 			if o != route0[i] {
@@ -401,7 +466,8 @@ func TestCachesBoundedAcrossEvaluations(t *testing.T) {
 
 // With every bucket's list recycled through one scratch instead of being
 // kept until the end, a warm single-rank evaluation allocates its outputs,
-// its walkers and little else (hundreds of MB before the two-pass walk).
+// its walkers and little else (hundreds of MB when every suspended walk kept
+// its list).
 func TestWarmEvaluationAllocatesLittle(t *testing.T) {
 	skipUnderRace(t)
 	ics := PlummerSphere(rand.New(rand.NewSource(36)), 8192, 1.0)
@@ -431,17 +497,15 @@ func skipUnderRace(t *testing.T) {
 	}
 }
 
-// The fetch path allocates next to nothing per fetch once a rank is warm:
-// Run keeps each rank's slab, body-segment table and waiter lists from step
-// to step, and a reply refers to the owner's tree instead of copying it.
-// Measured over the second step of an 8-rank run — Interrupt is polled on
-// rank 0 between steps, when every rank is through the last evaluation —
-// and divided by the fetches of the mean evaluation, the whole step reads
-// ~550 B a fetch on amd64. About 200 B of it is the fetch path (the ABM's
-// request record and continuation, the boxed key and reply), the rest the
-// decomposition, the build and the outputs. With the slab regrown every
-// step, every reply copied and a map of waiter slices it read ~1600 B.
-func TestWarmStepAllocatesLittlePerFetch(t *testing.T) {
+// A warm step on many ranks allocates little: Run keeps each rank's slab,
+// body-segment table, request flags and opens from step to step, and a reply
+// refers to the owner's tree instead of copying it. Measured over the second
+// step of an 8-rank run — Interrupt is polled on rank 0 between steps, when
+// every rank is through the last evaluation — the step reads about 1.7 MB on
+// amd64: the decomposition, the build, the outputs, the walkers, and about
+// 870 fetches an evaluation with their ABM records. With one-level replies
+// and a second walk of every group it read 2.7 MB, for 4500 fetches.
+func TestWarmStepAllocatesLittle(t *testing.T) {
 	skipUnderRace(t)
 	ics := PlummerSphere(rand.New(rand.NewSource(46)), 4096, 1.0)
 	var mark []uint64
@@ -458,20 +522,24 @@ func TestWarmStepAllocatesLittlePerFetch(t *testing.T) {
 	if res.Err != nil || len(mark) != 3 || res.Fetches == 0 {
 		t.Fatalf("run: err %v, %d polls, %d fetches", res.Err, len(mark), res.Fetches)
 	}
-	perEval := float64(res.Fetches) / 4
-	if b := float64(mark[2]-mark[1]) / perEval; b > 800 {
-		t.Errorf("the second step allocated %.0f B per fetch (%.0f fetches an evaluation), want <= 800", b, perEval)
+	mb := float64(mark[2]-mark[1]) / (1 << 20)
+	t.Logf("the second step allocated %.2f MB (%.0f fetches an evaluation)", mb, float64(res.Fetches)/4)
+	if mb > 2.5 {
+		t.Errorf("the second step allocated %.2f MB (%.0f fetches an evaluation), want <= 2.5", mb, float64(res.Fetches)/4)
 	}
 }
 
-// Two walkers requesting the same remote cell must trigger exactly one ABM
-// request; the second walker just joins the waiter list and both are
-// resumed when the one reply arrives.
+// Two groups that open the same remote branch make one request between
+// them, and the one reply brings the owner's whole subtree below it: this
+// rank's copy of the branch heads the slab, every slab cell is linked to all
+// the daughters its ChildMask names or is a leaf carrying its bodies, and
+// the slab holds exactly the owner's cells below the branch, key for key.
 func TestFetchDedup(t *testing.T) {
 	rng := rand.New(rand.NewSource(33))
 	const n = 300
 	ics := PlummerSphere(rng, n, 1.0)
 	const p = 2
+	var owner atomic.Pointer[DTree]
 	mp.Run(testCluster(), p, func(r *mp.Rank) {
 		lo, hi := n*r.ID()/p, n*(r.ID()+1)/p
 		local := append([]Body(nil), ics[lo:hi]...)
@@ -479,76 +547,81 @@ func TestFetchDedup(t *testing.T) {
 		dt := BuildDistributed(r, bodies, splitters, boxLo, boxSize, Options{Theta: 0.5, Eps: 0.02})
 		if r.ID() != 0 {
 			// Serve rank 0's requests until global quiescence.
+			owner.Store(dt)
 			dt.abm.Quiesce()
 			return
 		}
-		// First remote-owned internal cell of the top: deterministic pick.
+		// First remote-owned internal branch of the top: deterministic pick.
 		target := int32(-1)
-		for i, o := range dt.top.owner {
-			if o >= 0 && int(o) != r.ID() && !dt.top.cells[i].Leaf {
-				target = dt.nLocal + int32(i)
+		for j, o := range dt.top.owner {
+			if o >= 0 && int(o) != r.ID() && !dt.top.cells[j].Leaf {
+				target = int32(j)
 				break
 			}
 		}
 		if target == -1 {
-			t.Error("no remote-owned internal cells on 2 ranks")
+			t.Error("no remote-owned internal branch on 2 ranks")
 			dt.abm.Quiesce()
 			return
 		}
 		var st TraversalStats
-		var resumed []*bucketWalker
-		ats := []int32{}
-		resume := func(w *bucketWalker, _ *htree.Cell, at int32) { resumed = append(resumed, w); ats = append(ats, at) }
-		k := dt.top.cells[target-dt.nLocal].Key
-		w1, w2 := new(bucketWalker), new(bucketWalker)
-		dt.requestCell(target, k, &st, w1, resume)
-		dt.requestCell(target, k, &st, w2, resume)
+		dt.requestBranch(target, &st)
+		dt.requestBranch(target, &st)
 		if dt.Fetches() != 1 || st.Fetches != 1 {
-			t.Errorf("two concurrent requests issued %d fetches (stats %d), want 1", dt.Fetches(), st.Fetches)
-		}
-		if ws := dt.waitingOn(target); len(ws) != 2 || ws[0] != w1 || ws[1] != w2 || dt.inFlight != 1 {
-			t.Errorf("waiter list has %d entries, %d cells in flight; want the two walkers in the order they asked, one cell", len(ws), dt.inFlight)
+			t.Errorf("two groups opening one branch issued %d fetches (stats %d), want 1", dt.Fetches(), st.Fetches)
 		}
 		dt.abm.Quiesce()
-		if len(resumed) != 2 || resumed[0] != w1 || resumed[1] != w2 {
-			t.Errorf("%d walkers resumed, want 2 in the order they asked", len(resumed))
-		}
-		if ws := dt.waitingOn(target); len(ws) != 0 || dt.inFlight != 0 {
-			t.Errorf("waiter tables not drained: %d waiting, %d in flight", len(ws), dt.inFlight)
-		}
-		// The reply is resident: this rank's copy of the cell that was asked
-		// for heads its own slab, indexed behind the top and linked from the
-		// overlay, and the children follow it side by side, linked from the
-		// copy — not from the top's cell, which is everybody's.
+
 		base := dt.nLocal + int32(len(dt.top.cells))
-		asked, copyAt := &dt.top.cells[target-dt.nLocal], dt.route[target-dt.nLocal]
-		fetched := func(i int32) *htree.Cell { return &dt.fetched[i-base] }
-		if copyAt != base || fetched(copyAt).Key != asked.Key {
-			t.Errorf("cell %d: overlay leads to %d, want the copy at the head of the slab, %d", target, copyAt, base)
+		asked, copyAt := &dt.top.cells[target], dt.route[target]
+		if copyAt != base || dt.fetched[0].Key != asked.Key {
+			t.Errorf("branch %d: overlay leads to %d, want the copy at the head of the slab, %d", target, copyAt, base)
 		}
-		if d := asked.Daughters(target, nil); len(d) != 0 {
-			t.Errorf("cell %d: the shared cell links to daughters %v", target, d)
+		if d := asked.Daughters(dt.nLocal+target, nil); len(d) != 0 {
+			t.Errorf("branch %d: the shared cell links to daughters %v", target, d)
 		}
-		kids := fetched(copyAt).Daughters(copyAt, nil)
-		if len(kids) != bits.OnesCount8(asked.ChildMask) || int(base)+len(dt.fetched) != int(copyAt)+1+len(kids) {
-			t.Errorf("children of cell %d: %v, slab [%d,%d)", target, kids, base, int(base)+len(dt.fetched))
-		}
-		for j, prev := range kids {
-			if c := fetched(prev); prev != copyAt+1+int32(j) || c.Key.Parent() != asked.Key || (j > 0 && c.Key <= fetched(kids[j-1]).Key) {
-				t.Errorf("slab cell %d (%v) is not the next daughter of %v", prev, c.Key, asked.Key)
+		keys := map[key.K]bool{}
+		for i := range dt.fetched {
+			c := &dt.fetched[i]
+			keys[c.Key] = true
+			if c.Leaf {
+				if c.Hi != c.Lo+1 || len(dt.bodies[c.Lo]) != c.N {
+					t.Errorf("slab leaf %v: segment %d:%d, %d bodies", c.Key, c.Lo, c.Hi, c.N)
+				}
+				continue
+			}
+			kids := c.Daughters(int32(i), nil)
+			if len(kids) != bits.OnesCount8(c.ChildMask) {
+				t.Errorf("slab cell %v: %d daughters linked, mask %08b", c.Key, len(kids), c.ChildMask)
+			}
+			for j, d := range kids {
+				if k := dt.fetched[d].Key; k.Parent() != c.Key || (j > 0 && k <= dt.fetched[kids[j-1]].Key) {
+					t.Errorf("slab cell %d (%v) is not the next daughter of %v", d, k, c.Key)
+				}
 			}
 		}
-		for _, at := range ats {
-			if at != copyAt {
-				t.Errorf("a walker resumed at %d, the copy is at %d", at, copyAt)
+		o := owner.Load()
+		var below func(i int32) int
+		below = func(i int32) int {
+			c := o.local.At(i)
+			if !keys[c.Key] {
+				t.Errorf("owner's cell %v is not on the slab", c.Key)
 			}
+			m := 1
+			for _, d := range c.Daughters(i, nil) {
+				m += below(d)
+			}
+			return m
+		}
+		if m := below(o.local.Find(asked.Key)); m != len(dt.fetched) || len(keys) != len(dt.fetched) {
+			t.Errorf("slab holds %d cells (%d keys), the owner's subtree %d", len(dt.fetched), len(keys), m)
 		}
 	})
 }
 
 // regatherForces re-walks every bucket of a finished evaluation — the same
-// sink groups, over the slab they fetched — with the engine's own resident
-// walk (pass 2's) and evaluates the lists. With seed
+// sink groups, over the slab they fetched — with the engine's own gather
+// (regather) and evaluates the lists. With seed
 // set it evaluates them the way the seed did: what the list refers to is
 // copied out row by row, sorted by value, the list pointed at the copies —
 // cells in sorted order, bodies as one sorted segment — and summed with the
@@ -593,14 +666,14 @@ func positionsOf(bodies []htree.Body) []vec.V3 {
 	return pos
 }
 
-// A bucket whose walk never suspended is evaluated from its pass-1 list; one
-// that did is gathered again by pass 2. Both lists are the depth-first walk
-// of the same resident tree, so re-gathering every bucket after the fact
-// reproduces the engine's forces bit for bit, whichever pass produced them.
+// Every group's list is the depth-first walk of what the rank holds once
+// the branches it opens are resident, so gathering every group again after
+// the fact, with nothing outstanding, reproduces the engine's forces bit for
+// bit.
 func TestDirectEqualsSecondPass(t *testing.T) {
 	const n, p = 1500, 3
 	ics := PlummerSphere(rand.New(rand.NewSource(37)), n, 1.0)
-	st := mp.Run(testCluster(), p, func(r *mp.Rank) {
+	mp.Run(testCluster(), p, func(r *mp.Rank) {
 		lo, hi := n*r.ID()/p, n*(r.ID()+1)/p
 		bodies, splitters, boxLo, boxSize := Decompose(r, append([]Body(nil), ics[lo:hi]...))
 		dt := BuildDistributed(r, bodies, splitters, boxLo, boxSize, Options{Theta: 0.7, Eps: 0.01})
@@ -613,69 +686,83 @@ func TestDirectEqualsSecondPass(t *testing.T) {
 			}
 		}
 	})
-	direct := st.Obs.Reg.Counter("core.walk.direct").Value()
-	second := st.Obs.Reg.Counter("core.walk.second_pass").Value()
-	if direct == 0 || second == 0 || direct+second != st.Obs.Reg.Counter("core.buckets").Value() {
-		t.Errorf("walks: %d direct + %d second pass of %d buckets; want both kinds", direct, second, st.Obs.Reg.Counter("core.buckets").Value())
-	}
 }
 
-// The count-only mode of the one walk loop, across ranks: after an
-// evaluation every group is walked again over the resident slab, once
-// gathering its list and once only counting, and the tallies equal the
-// list's lengths. On several ranks the lists mix local cells, fills, other
-// ranks' branches and fetched cells, and every kind is checked to appear.
-func TestCountOnlyMatchesListAcrossRanks(t *testing.T) {
+// The top walks fetch exactly what the groups open. Over theta, rank counts
+// and Plummer and uniform bodies: the branches each group's top walk lists
+// are, group after group, those the walk loop itself reaches without
+// accepting when no remote branch is resident (the topOpens oracle); the
+// branches the rank asked for are their union; and the evaluation and every
+// group's walk after it gather with no miss. Theta 3 is there because only
+// that far out does a top walk that accepted a fill over its group's own
+// key (Gather never does) miss a branch, and panic. On several ranks the
+// lists mix local cells, fills, other ranks' branches and fetched cells, and
+// every kind is checked to appear.
+func TestCoarseWalkCoversGroups(t *testing.T) {
 	const n = 1500
-	ics := PlummerSphere(rand.New(rand.NewSource(7)), n, 1.0)
-	for _, p := range []int{1, 3, 8} {
-		var kinds [4]atomic.Int64 // local, top fill, top branch, fetched
-		mp.Run(testCluster(), p, func(r *mp.Rank) {
-			lo, hi := n*r.ID()/p, n*(r.ID()+1)/p
-			bodies, splitters, boxLo, boxSize := Decompose(r, append([]Body(nil), ics[lo:hi]...))
-			dt := BuildDistributed(r, bodies, splitters, boxLo, boxSize, Options{Theta: 0.7, Eps: 0.01})
-			dt.ComputeForces(bodies)
-			if dt.local == nil {
-				return
-			}
-			kind := func(m *gravity.Multipole) int {
-				for j := range dt.top.cells {
-					if m == &dt.top.cells[j].Mp {
-						return 1 + int(min(dt.top.owner[j]+1, 1))
+	for _, ic := range []string{"plummer", "uniform"} {
+		rng := rand.New(rand.NewSource(7))
+		ics := PlummerSphere(rng, n, 1.0)
+		if ic == "uniform" {
+			ics = ColdSphere(rng, n, 1.0)
+		}
+		for _, theta := range []float64{0.4, 0.7, 1, 1.5, 2, 3} {
+			for _, p := range []int{1, 3, 8} {
+				var kinds [4]atomic.Int64 // local, top fill, top branch, fetched
+				mp.Run(testCluster(), p, func(r *mp.Rank) {
+					lo, hi := n*r.ID()/p, n*(r.ID()+1)/p
+					bodies, splitters, boxLo, boxSize := Decompose(r, append([]Body(nil), ics[lo:hi]...))
+					dt := BuildDistributed(r, bodies, splitters, boxLo, boxSize, Options{Theta: theta, Eps: 0.01})
+					dt.ComputeForces(bodies)
+					if dt.local == nil {
+						return
+					}
+					where := fmt.Sprintf("%s theta=%v p=%d rank %d", ic, theta, p, r.ID())
+					oracle := &topOpens{dt: dt}
+					var want []int32
+					groups := dt.local.Groups()
+					for i := len(groups) - 1; i >= 0; i-- {
+						want = append(want, oracle.opened(groups[i])...)
+					}
+					if !slices.Equal(dt.opens, want) {
+						t.Errorf("%s: the top walks list %d branches, the groups' walks open %d", where, len(dt.opens), len(want))
+						return
+					}
+					for j, asked := range dt.asked {
+						if asked != slices.Contains(want, int32(j)) {
+							t.Errorf("%s: branch %v asked for %v", where, dt.top.cells[j].Key, asked)
+							return
+						}
+					}
+					kind := func(m *gravity.Multipole) int {
+						for j := range dt.top.cells {
+							if m == &dt.top.cells[j].Mp {
+								return 1 + int(min(dt.top.owner[j]+1, 1))
+							}
+						}
+						for j := range dt.fetched {
+							if m == &dt.fetched[j].Mp {
+								return 3
+							}
+						}
+						return 0
+					}
+					for _, g := range groups {
+						w := dt.walker(g)
+						dt.regather(&w)
+						for _, m := range w.sc.List.Cells {
+							kinds[kind(m)].Add(1)
+						}
+					}
+				})
+				if theta != 0.7 {
+					continue
+				}
+				for k, name := range []string{"local cells", "fills", "other ranks' branches", "fetched cells"} {
+					if got := kinds[k].Load(); (got == 0) != (p == 1 && k > 0) {
+						t.Errorf("%s p=%d: %d %s on the lists", ic, p, got, name)
 					}
 				}
-				for j := range dt.fetched {
-					if m == &dt.fetched[j].Mp {
-						return 3
-					}
-				}
-				return 0
-			}
-			count := htree.BucketScratch{CountOnly: true}
-			for _, g := range dt.local.Groups() {
-				w := dt.walker(g)
-				dt.regather(&w)
-				count.Reset()
-				count.Push(dt.route[0])
-				dt.local.Gather(&w.mac, &count, &w)
-				l := &w.sc.List
-				if count.NCells != len(l.Cells) || count.NSrcs != l.Bodies() || count.NSegs != len(l.Segs) {
-					t.Errorf("p=%d rank %d group %v: counted %d cells + %d bodies in %d segments, list holds %d + %d in %d",
-						p, r.ID(), g.Key, count.NCells, count.NSrcs, count.NSegs, len(l.Cells), l.Bodies(), len(l.Segs))
-					return
-				}
-				if len(count.List.Cells) != 0 || len(count.List.Segs) != 0 {
-					t.Errorf("p=%d rank %d group %v: count-only walk appended to the list", p, r.ID(), g.Key)
-					return
-				}
-				for _, m := range l.Cells {
-					kinds[kind(m)].Add(1)
-				}
-			}
-		})
-		for k, name := range []string{"local cells", "fills", "other ranks' branches", "fetched cells"} {
-			if got := kinds[k].Load(); (got == 0) != (p == 1 && k > 0) {
-				t.Errorf("p=%d: %d %s on the lists", p, got, name)
 			}
 		}
 	}
@@ -699,14 +786,14 @@ func TestMoreRanksThanBodies(t *testing.T) {
 	}
 }
 
-// The schedule pin: pass 1 is the same message DAG as the one-pass walk it
-// replaced — same stack discipline, fetches, dedup and charge points — so
-// the virtual makespan and every count of a reproducible-mode run (event
-// engine, one engine worker) one walker per leaf equal the values recorded at
-// the parent commit 0b4a841, before the two-pass walk was written. One walker
-// per sink group has its own, recorded when the walk went to groups and
-// again when local leaves were tested like remote ones and groups grew to 80
-// bodies.
+// The schedule pin: the virtual makespan and every count of a
+// reproducible-mode run (event engine, one engine worker), one walker per
+// leaf and one per sink group. Recorded at 0b4a841 for the one-pass walk and
+// held through the two-pass rewrite; the group pin re-recorded when the walk
+// went to groups and when local leaves were tested like remote ones; both
+// re-pinned once when replies brought whole subtrees and each group came to
+// be walked once (fetches 7835 and 3130, messages 1140 and 824, makespans
+// 0.3966 and 0.2657 s before). Interactions did not move.
 func TestSchedulePinnedAcrossTwoPassRewrite(t *testing.T) {
 	ics := PlummerSphere(rand.New(rand.NewSource(43)), 2000, 1.0)
 	for _, pin := range []struct {
@@ -714,8 +801,8 @@ func TestSchedulePinnedAcrossTwoPassRewrite(t *testing.T) {
 		fetches, interactions, messages int64
 		makespan                        float64
 	}{
-		{false, 7835, 6950842, 1140, 0.396624630252577},
-		{true, 3130, 3558151, 824, 0.2657051716832888},
+		{false, 717, 6950842, 464, 0.22804403323169442},
+		{true, 570, 3558151, 464, 0.11750740052966605},
 	} {
 		if pin.leaves {
 			leafGroups(t)

@@ -65,8 +65,8 @@ func TestGatherListBall(t *testing.T) {
 				sc.Reset()
 				mac := NewBucketMAC(center, radius+R, 1)
 				tr.GatherList(key.Root, &mac, &sc)
-				if len(sc.List.Cells)+len(sc.List.Segs)+sc.NCells+sc.NSrcs+sc.NSegs != 0 {
-					t.Fatalf("%s: ball walk touched the list or the tallies", name)
+				if len(sc.List.Cells)+len(sc.List.Segs) != 0 {
+					t.Fatalf("%s: ball walk touched the list", name)
 				}
 				listed := make([]bool, len(tr.Bodies))
 				for _, rg := range sc.Ranges {
@@ -105,15 +105,15 @@ func TestGatherListBall(t *testing.T) {
 	}
 }
 
-// A scratch that has made a ball walk lists and counts like a new one once
-// the mode is switched off.
+// A scratch that has made a ball walk lists like a new one once the mode is
+// switched off.
 func TestGatherListAfterBallWalk(t *testing.T) {
 	tr := ballTrees(t)["plummer"]
 	var used, fresh BucketScratch
 	for _, b := range tr.Leaves() {
 		center, radius := b.BoundingSphere()
 		used.Reset()
-		used.Ball, used.CountOnly = true, false
+		used.Ball = true
 		ball := NewBucketMAC(center, radius+0.1, 1)
 		tr.GatherList(key.Root, &ball, &used)
 		if len(used.Ranges) == 0 {
@@ -141,14 +141,6 @@ func TestGatherListAfterBallWalk(t *testing.T) {
 			if len(lu.Segs[i]) != len(lf.Segs[i]) || &lu.Segs[i][0] != &lf.Segs[i][0] {
 				t.Fatalf("bucket %v: body segment %d differs", b.Key, i)
 			}
-		}
-
-		used.Reset()
-		used.CountOnly = true
-		tr.GatherList(key.Root, &mac, &used)
-		if used.NCells != len(lf.Cells) || used.NSrcs != lf.Bodies() || used.NSegs != len(lf.Segs) {
-			t.Fatalf("bucket %v: counted %d+%d in %d after a ball walk, list holds %d+%d in %d",
-				b.Key, used.NCells, used.NSrcs, used.NSegs, len(lf.Cells), lf.Bodies(), len(lf.Segs))
 		}
 	}
 }

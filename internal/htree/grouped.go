@@ -209,11 +209,21 @@ func (m *BucketMAC) Exact(com *vec.V3, bmax float64) bool {
 	return AcceptMAC(com.Dist(m.center)-m.radius, bmax, m.theta)
 }
 
+// Accept is the test of cell c as a walk makes it: Prefilter, and Exact
+// where Prefilter declines. Gather spells it out, to keep its registers.
+func (m *BucketMAC) Accept(c *Cell) bool {
+	accept, decided := m.Prefilter(m.Dist2(&c.Mp.COM), c.Bmax)
+	if !decided {
+		accept = m.Exact(&c.Mp.COM, c.Bmax)
+	}
+	return accept
+}
+
 // BucketScratch holds one bucket's interaction list and the reusable
 // traversal and sink-side buffers of its evaluation. It is the one scratch
 // type of the grouped walk: the serial tree keeps one per worker, the
-// parallel engine (package core) one per list being gathered or evaluated
-// and one per suspended walk, count-only. The zero value is ready to use.
+// parallel engine (package core) one per list being gathered or evaluated.
+// The zero value is ready to use.
 type BucketScratch struct {
 	// List is the interaction list: accepted cells and segments of direct
 	// bodies, appended to by Gather. It refers to the tree's cells and
@@ -221,21 +231,14 @@ type BucketScratch struct {
 	// are.
 	List gravity.List
 
-	// CountOnly makes Gather tally what it would have appended — cells in
-	// NCells, bodies in NSrcs, the segments they come in in NSegs — and
-	// leave the list alone: the mode of a walk whose list lengths are
-	// wanted but whose list will be gathered again later.
-	CountOnly            bool
-	NCells, NSrcs, NSegs int
-
 	// Ball turns the walk into a neighbour search around the bucket: with a
 	// test built as NewBucketMAC(center, radius+R, 1), "accepted" means the
 	// cell's bounding sphere (COM, Bmax) lies wholly outside the ball of
 	// radius R around the bucket's bounding sphere, so GatherList drops an
 	// accepted cell instead of listing it and appends the body range of every
-	// leaf that survives to Ranges. The list and the count-only tallies are
-	// left alone. Every body within R of any point of the bucket's sphere is
-	// in a listed range, up to the rounding of the distances involved.
+	// leaf that survives to Ranges. The list is left alone. Every body within
+	// R of any point of the bucket's sphere is in a listed range, up to the
+	// rounding of the distances involved.
 	Ball   bool
 	Ranges []BodyRange
 
@@ -250,10 +253,9 @@ type BucketScratch struct {
 type BodyRange struct{ Lo, Hi int }
 
 // Reset empties the interaction list and the ball search's ranges, keeping
-// the backing arrays, and zeroes the count-only tallies.
+// the backing arrays.
 func (sc *BucketScratch) Reset() {
 	sc.List.Reset()
-	sc.NCells, sc.NSrcs, sc.NSegs = 0, 0, 0
 	sc.Ranges = sc.Ranges[:0]
 }
 
@@ -294,17 +296,17 @@ type Far interface {
 	// accepts no top cell linked to daughters (it is above several owners'
 	// bodies) whose key overlaps the group's (OwnsKey).
 	Layout() (top []Cell, route []int32, base int32, fetched []Cell)
-	// Open returns the bodies of far cell i, not accepted, if resident;
-	// otherwise it handles the miss and returns nil.
+	// Open returns the bodies of far cell i, which the walk neither accepted
+	// nor could open: a leaf's, as the segment the walk lists. A far cell
+	// with neither bodies nor daughters is a miss, and Open's to refuse.
 	Open(i int32, c *Cell) []gravity.Source
 }
 
 // Gather drains the scratch's walk stack (Push) for the bucket whose test is
 // mac, appending accepted cells and direct-interaction bodies to the list
-// (or, in count-only mode, counting them; or, in ball mode, appending the
-// body ranges of the leaves the ball reaches to Ranges), and returns the
-// number of cells it opened. Daughters are pushed in ascending octant order
-// and popped last first. A leaf is tested like any other cell: accepted, it
+// (or, in ball mode, appending the body ranges of the leaves the ball
+// reaches to Ranges), and returns the number of cells it opened. Daughters
+// are pushed in ascending octant order and popped last first. A leaf is tested like any other cell: accepted, it
 // goes on the list as its multipole (a one-body leaf's is exact); rejected,
 // as its bodies. No cell of this tree that the test Owns is accepted, and
 // under Grouping's exact leaves its leaves are listed untested. far lays out
@@ -312,7 +314,7 @@ type Far interface {
 func (t *Tree) Gather(mac *BucketMAC, sc *BucketScratch, far Far) (opened int) {
 	cells := t.store.cells
 	stack := sc.stack
-	countOnly, ball := sc.CountOnly, sc.Ball
+	ball := sc.Ball
 	exact := exactLeaves && !ball
 	// Local cells link only to local cells: a walk meets far cells only if it
 	// starts among them, and asks far for them only then.
@@ -356,8 +358,6 @@ func (t *Tree) Gather(mac *BucketMAC, sc *BucketScratch, far Far) (opened int) {
 		}
 		switch {
 		case accept && ball: // wholly outside the ball: dropped
-		case accept && countOnly:
-			sc.NCells++
 		case accept:
 			sc.List.Cells = append(sc.List.Cells, &c.Mp)
 		case c.kids[0] != 0:
@@ -368,20 +368,10 @@ func (t *Tree) Gather(mac *BucketMAC, sc *BucketScratch, far Far) (opened int) {
 				}
 				stack = append(stack, ci+d)
 			}
-		case int(ci) >= len(cells): // not this tree's: far has its bodies, or the miss
-			switch seg := fv.far.Open(ci, c); {
-			case seg == nil:
-			case countOnly:
-				sc.NSrcs += len(seg)
-				sc.NSegs++
-			default:
-				sc.List.Segs = append(sc.List.Segs, seg)
-			}
+		case int(ci) >= len(cells): // not this tree's: far has its bodies
+			sc.List.Segs = append(sc.List.Segs, fv.far.Open(ci, c))
 		case ball:
 			sc.Ranges = append(sc.Ranges, BodyRange{c.Lo, c.Hi})
-		case countOnly:
-			sc.NSrcs += c.Hi - c.Lo
-			sc.NSegs++
 		default:
 			sc.List.Segs = append(sc.List.Segs, t.src[c.Lo:c.Hi])
 		}

@@ -135,36 +135,6 @@ func TestGroupedWorkerCountInvariance(t *testing.T) {
 	}
 }
 
-// Count-only mode runs the same walk and reports the lengths the list would
-// have had, without touching the list.
-func TestGatherListCountOnly(t *testing.T) {
-	pos, mass := randomBodies(rand.New(rand.NewSource(24)), 900)
-	tr, err := Build(pos, mass, Options{MaxLeaf: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var list BucketScratch
-	count := BucketScratch{CountOnly: true}
-	for _, b := range tr.Leaves() {
-		center, radius := b.BoundingSphere()
-		list.Reset()
-		count.Reset()
-		mac := NewBucketMAC(center, radius, 0.6)
-		opened := tr.GatherList(key.Root, &mac, &list)
-		if got := tr.GatherList(key.Root, &mac, &count); got != opened {
-			t.Fatalf("bucket %v: count-only walk opened %d cells, list walk %d", b.Key, got, opened)
-		}
-		l := &list.List
-		if count.NCells != len(l.Cells) || count.NSrcs != l.Bodies() || count.NSegs != len(l.Segs) {
-			t.Fatalf("bucket %v: counted %d cells + %d bodies in %d segments, list holds %d + %d in %d",
-				b.Key, count.NCells, count.NSrcs, count.NSegs, len(l.Cells), l.Bodies(), len(l.Segs))
-		}
-		if len(count.List.Cells) != 0 || len(count.List.Segs) != 0 {
-			t.Fatalf("bucket %v: count-only walk appended to the list", b.Key)
-		}
-	}
-}
-
 // groupTrees are the trees the sink-group contract is checked on, at two
 // bucket sizes: a Plummer-like cluster with coincident pairs, a cold uniform
 // sphere, and a Gaussian blob with a pile of coincident bodies larger than
