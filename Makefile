@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet cross-build kernels-widths fmt-check reachable loc experiments experiments-check fuzz-smoke bench-e2e bench-smoke profile-serial profile-sph profile-dist8 profile-dist64 smoke analyze-smoke fault-smoke live-smoke ledger-smoke serve-smoke one-slot ci all
+.PHONY: build test race vet cross-build kernels-widths fmt-check reachable loc experiments experiments-check fuzz-smoke bench-e2e bench-smoke profile-serial profile-sph profile-dist8 profile-dist64 smoke analyze-smoke fault-smoke live-smoke ledger-smoke serve-smoke one-slot widths ci all
 
 all: build test vet fmt-check
 
@@ -20,6 +20,20 @@ race:
 # failure.
 one-slot:
 	GOMAXPROCS=1 $(GO) test -count=1 -timeout 300s ./internal/mp ./internal/core ./internal/serve
+
+# The virtual schedule must not depend on the width of the scheduler's pool:
+# the force walk polls only inside a one-slot region entered in rank order,
+# and the blocking phases around it are a function of the message DAG. The
+# reproducibility, schedule-pin and region tests of core and mp, at four
+# host widths (each pins or compares every rank clock and the makespan).
+widths:
+	@for p in 1 2 4 8; do \
+		echo "widths: GOMAXPROCS=$$p"; \
+		GOMAXPROCS=$$p $(GO) test -count=1 -timeout 300s \
+			-run '^(TestEventEngineReproducibleSchedule|TestSchedulePinnedAcrossTwoPassRewrite|TestEngineBitIdentical)$$' ./internal/core || exit 1; \
+		GOMAXPROCS=$$p $(GO) test -count=1 -timeout 300s \
+			-run '^(TestOneSlot.*|TestCollectivesBothEngines|TestEventEnginePointToPoint|TestEventEngineGather)$$' ./internal/mp || exit 1; \
+	done
 
 # Also the asmdecl check of internal/gravity/lanes_amd64.s, AVX2 and AVX-512
 # bodies alike: frame sizes and argument offsets against the Go declarations
@@ -157,8 +171,8 @@ profile-sph:
 
 # The many-rank budgets in one command each: BenchmarkStep/dist8 and
 # BenchmarkStep/dist64 are bench/'s plummer-dist8 and coldsphere-dist64
-# configurations (32768 bodies, 8 or 64 ranks, one engine thread, two pool
-# workers a rank), one step per iteration through core.Run, run under the
+# configurations (32768 bodies, 8 or 64 ranks, a host-wide pool of rank
+# slots, two eval workers a rank), one step per iteration through core.Run, run under the
 # CPU and memory profilers and listed; then the split of the CPU samples by
 # the `phase` label the rank runtime and the eval pool put on their
 # goroutines, and the sites that allocate the most bytes.
@@ -179,8 +193,8 @@ smoke:
 
 # Trace-analysis smoke: two quick analyze runs on the 2-module slice (each
 # report is checked as it is written), then the perf gate judges the second
-# against the first. Analyze runs on one engine worker, so the two reports
-# carry the same virtual headline and `ssbench diff` must exit 0.
+# against the first. The virtual schedule repeats at any pool width, so the
+# two reports carry the same virtual headline and `ssbench diff` must exit 0.
 analyze-smoke:
 	$(GO) build -o /tmp/spacesim-smoke-ssbench ./cmd/ssbench
 	/tmp/spacesim-smoke-ssbench analyze -quick -analysis-out /tmp/spacesim-smoke-analysis-a.json
@@ -224,14 +238,14 @@ live-smoke:
 # deterministic invocation parameters); the trend view (the same text as
 # the live server's /runs) must print them as one group of 2 runs; and
 # `trend -gate` on run B's config digest must judge B against A's record
-# and pass (one engine worker, so the virtual schedule repeats).
+# and pass (the virtual schedule repeats at any pool width).
 ledger-smoke:
 	$(GO) build -o /tmp/spacesim-smoke-ssbench ./cmd/ssbench
 	$(GO) build -o /tmp/spacesim-smoke-spacesim ./cmd/spacesim
 	rm -rf /tmp/spacesim-smoke-ledger
-	/tmp/spacesim-smoke-spacesim -n 600 -procs 3 -steps 2 -engine-workers 1 -report \
+	/tmp/spacesim-smoke-spacesim -n 600 -procs 3 -steps 2 -report \
 		-ledger /tmp/spacesim-smoke-ledger -analysis /tmp/spacesim-smoke-ledger-a.json
-	/tmp/spacesim-smoke-spacesim -n 600 -procs 3 -steps 2 -engine-workers 1 -report \
+	/tmp/spacesim-smoke-spacesim -n 600 -procs 3 -steps 2 -report \
 		-ledger /tmp/spacesim-smoke-ledger -analysis /tmp/spacesim-smoke-ledger-b.json
 	@da=$$(grep -o '"config_digest": *"[0-9a-f]*"' /tmp/spacesim-smoke-ledger-a.json); \
 	db=$$(grep -o '"config_digest": *"[0-9a-f]*"' /tmp/spacesim-smoke-ledger-b.json); \
@@ -304,9 +318,9 @@ serve-smoke:
 	echo "serve-smoke: SIGTERM drained cleanly (exit 0)"
 
 # Full local CI pass: formatting, static checks, the reachability check, the
-# arm64 cross-build, tests, race detector, the one-slot pass, the per-width
-# kernel pass, the benchmark's miniature runs, the observability +
+# arm64 cross-build, tests, race detector, the one-slot pass, the schedule at
+# four pool widths, the per-width kernel pass, the benchmark's miniature runs, the observability +
 # trace-analysis + fault-injection + live-telemetry + run-ledger + job-server
 # smoke runs, the fuzz smoke, and the check that EXPERIMENTS.md's tables are
 # what the registry prints.
-ci: fmt-check vet reachable cross-build test race one-slot kernels-widths bench-smoke smoke analyze-smoke fault-smoke live-smoke ledger-smoke serve-smoke fuzz-smoke experiments-check
+ci: fmt-check vet reachable cross-build test race one-slot widths kernels-widths bench-smoke smoke analyze-smoke fault-smoke live-smoke ledger-smoke serve-smoke fuzz-smoke experiments-check

@@ -70,7 +70,6 @@ func main() {
 		aOut    = flag.String("analysis", "ANALYSIS.json", "analysis report path (with -report)")
 		cpuProf = flag.String("cpuprofile", "", "write a host-side CPU profile to this file")
 		memProf = flag.String("memprofile", "", "write a host-side heap profile to this file on exit")
-		engineW = flag.Int("engine-workers", 0, "rank scheduler's worker pool size (0 = host cores; 1 = fully reproducible schedules)")
 		httpA   = flag.String("http", "", "serve live telemetry (metrics, progress, pprof) on this address during the run")
 		ledgerD = flag.String("ledger", ledger.DefaultDir, "run-ledger directory for the cross-run history (empty disables ledger writes)")
 	)
@@ -82,10 +81,9 @@ func main() {
 	var stopFlag atomic.Bool
 	cfg := core.RunConfig{
 		Cluster: machine.SpaceSimulator(netsim.ProfileLAM), Procs: *procs, Steps: *steps,
-		Opt:           core.Options{Theta: *theta, Eps: *eps, DT: *dt},
-		GatherBodies:  *ckpt != "" || *fSeed != 0,
-		EngineWorkers: *engineW,
-		Interrupt:     stopFlag.Load,
+		Opt:          core.Options{Theta: *theta, Eps: *eps, DT: *dt},
+		GatherBodies: *ckpt != "" || *fSeed != 0,
+		Interrupt:    stopFlag.Load,
 	}
 	err := cfg.Validate()
 	var ics []core.Body
@@ -173,7 +171,7 @@ func main() {
 	lcfg := ledger.Config{
 		Tool: "spacesim", Experiment: "run", Scenario: *ic,
 		N: *n, Ranks: *procs, Steps: *steps,
-		Workers: *engineW, Seed: *seed,
+		Seed: *seed,
 		Flags: map[string]string{
 			"theta": fmt.Sprint(*theta), "dt": fmt.Sprint(*dt),
 			"eps": fmt.Sprint(*eps),

@@ -66,15 +66,15 @@ func analyzeBench() {
 }
 
 // analyzeRun runs n Plummer bodies for steps steps on the slice under o and
-// analyzes the trace. One engine worker keeps the virtual schedule, and so
-// the report, the same from run to run.
+// analyzes the trace. The virtual schedule, and so the report, is the same
+// from run to run at any pool width.
 func analyzeRun(o *obs.Obs, n, steps int) (*analysis.Report, core.Result, machine.Cluster) {
 	o.EnableEvents()
 	cl := analyzeCluster().WithObs(o)
 	rng := rand.New(rand.NewSource(1))
 	ics := core.PlummerSphere(rng, n, 1.0)
 	res := core.Run(core.RunConfig{
-		Cluster: cl, Procs: 8, Steps: steps, EngineWorkers: 1,
+		Cluster: cl, Procs: 8, Steps: steps,
 		Opt: core.Options{Theta: 0.7, Eps: 0.01, DT: 1e-3, MaxLeaf: 16, Workers: 4},
 	}, ics)
 	rep, err := analysis.Analyze(o, cl, analysis.Options{})

@@ -303,10 +303,10 @@ func exhibits(quick bool) []exhibit {
 		{"table6", "Table 6 — Historical treecode performance (Mflop/s per processor)", "", append(table6,
 			near("treecode", 623.9, 0.1, "the virtual-time treecode: cold sphere, 20000 bodies on 32 ranks (-quick 4000 on 8), one step", func() float64 {
 				return core.Run(core.RunConfig{
-					Cluster: ssCluster(), Procs: size(32, 8), Steps: 1, EngineWorkers: 1,
+					Cluster: ssCluster(), Procs: size(32, 8), Steps: 1,
 					Opt: core.Options{Theta: 0.7, Eps: 0.01, DT: 1e-3},
 				}, core.ColdSphere(rand.New(rand.NewSource(1)), size(20000, 4000), 1.0)).MflopsPerProc
-			}).deviates("ROADMAP item 1: the ranks idle half the modeled step, in fetch waits during the walk and in ring collectives"))},
+			}).deviates("ROADMAP item 1: the ranks idle 29% of the modeled step, most of it in fetch waits during the walk"))},
 		{"fig7", "§4.3 / Fig. 7 — The 134M-particle cosmology run", "", []row{
 			near("io-avg-mbs", 417, 0.02, prod, fixed(fig7.AvgIORate()/1e6)),
 			near("io-peak-gbs", 7, 0.05, prod, fixed(fig7.PeakIORate()/1e9)),
@@ -375,7 +375,7 @@ func morton() (pic string, locality float64) {
 func cosmoHalos(cl machine.Cluster, gridN int) float64 {
 	ics := cosmo.GenerateICs(cosmo.EdS(), cosmo.ICOptions{GridN: gridN, BoxMpch: 32, AStart: 0.15, Seed: 9})
 	res := core.Run(core.RunConfig{
-		Cluster: cl, Procs: 8, Steps: 6, EngineWorkers: 1, GatherBodies: true,
+		Cluster: cl, Procs: 8, Steps: 6, GatherBodies: true,
 		Opt: core.Options{Theta: 0.7, Eps: 0.3, DT: 0.6},
 	}, ics.Bodies)
 	pos := make([]vec.V3, len(res.Bodies))

@@ -87,7 +87,7 @@ func faultsweepCmd(args []string) {
 	rng := rand.New(rand.NewSource(2))
 	ics := core.PlummerSphere(rng, n, 1.0)
 	cfg := core.RunConfig{
-		Cluster: cl, Procs: procs, Steps: steps, EngineWorkers: 1,
+		Cluster: cl, Procs: procs, Steps: steps,
 		Opt:          core.Options{Theta: 0.7, Eps: 0.01, DT: 1e-3, MaxLeaf: 16},
 		GatherBodies: true,
 	}

@@ -55,8 +55,8 @@ func BenchmarkComputeForcesSerial(b *testing.B) {
 // BenchmarkStep runs bench/'s three N-body configurations — serial: 32768
 // Plummer bodies on one rank with one pool worker; dist8: the same bodies on
 // 8 ranks in one switch module; dist64: 32768 cold-sphere bodies on 64 ranks
-// over four, both with two pool workers a rank — every rank on one engine
-// thread and buckets of 16, through Run, one leapfrog step per iteration:
+// over four, both with two pool workers a rank — the ranks on a pool as wide
+// as the host and buckets of 16, through Run, one leapfrog step per iteration:
 // decomposition, tree build and branch exchange, walk and kernels, all P
 // times over on one host. The initial evaluation is inside the timer, so b.N
 // iterations are b.N+1 force evaluations and the reported metrics are per
@@ -78,7 +78,7 @@ func BenchmarkStep(b *testing.B) {
 			runtime.ReadMemStats(&before)
 			b.ResetTimer()
 			res := Run(RunConfig{
-				Cluster: testCluster().WithObs(o), Procs: w.procs, Steps: b.N, EngineWorkers: 1,
+				Cluster: testCluster().WithObs(o), Procs: w.procs, Steps: b.N,
 				Opt: Options{Theta: 0.7, Eps: 0.01, DT: 0.005, MaxLeaf: 16, Workers: w.workers},
 			}, ics)
 			b.StopTimer()

@@ -29,12 +29,13 @@ func globalBox(r *mp.Rank, bodies []Body) (vec.V3, float64) {
 		mn = vec.Min(mn, bodies[i].Pos)
 		mx = vec.Max(mx, bodies[i].Pos)
 	}
-	lo := r.Allreduce(mn[:], mp.OpMin)
-	hi := r.Allreduce(mx[:], mp.OpMax)
+	// One reduction: the minimum of -hi is -(the maximum of hi), exactly.
+	b := r.Allreduce([]float64{mn[0], mn[1], mn[2], -mx[0], -mx[1], -mx[2]}, mp.OpMin)
+	lo, hi := vec.V3{b[0], b[1], b[2]}, vec.V3{-b[3], -b[4], -b[5]}
 	if lo[0] > hi[0] { // no bodies anywhere
 		return htree.BoundingCube([]vec.V3{{}})
 	}
-	return htree.BoundingCube([]vec.V3{{lo[0], lo[1], lo[2]}, {hi[0], hi[1], hi[2]}})
+	return htree.BoundingCube([]vec.V3{lo, hi})
 }
 
 // cubeError says why no run can integrate bodies in the cube of this side
@@ -51,12 +52,13 @@ func cubeError(lo vec.V3, side float64) error {
 // identical to a parallel sorting algorithm, with the modification that the
 // amount of data that ends up in each processor is weighted by the work
 // associated with each item." Bodies are key-labeled in the global box,
-// sample-sorted on keys with work-weighted splitters, exchanged all-to-all,
-// and returned locally sorted. The splitters slice (length P-1) and the box
-// are also returned; rank p owns keys in [splitters[p-1], splitters[p]). The
-// splitters are one slice for the whole world (allgatherOnce): never write it.
-// Decompose takes ownership of bodies: it reorders them and hands runs of the
-// slice to other ranks by reference, so the caller must not touch it again.
+// sample-sorted on keys with work-weighted splitters, sent to the ranks whose
+// new key range they fall in, and returned locally sorted. The splitters
+// slice (length P-1) and the box are also returned; rank p owns keys in
+// [splitters[p-1], splitters[p]). The splitters are one slice for the whole
+// world (allgatherOnce): never write it. Decompose takes ownership of bodies:
+// it reorders them and hands runs of the slice to other ranks by reference,
+// so the caller must not touch it again.
 func Decompose(r *mp.Rank, bodies []Body) (local []Body, splitters []key.K, boxLo vec.V3, boxSize float64) {
 	p := r.Size()
 	boxLo, boxSize = globalBox(r, bodies)
@@ -86,50 +88,72 @@ func Decompose(r *mp.Rank, bodies []Body) (local []Body, splitters []key.K, boxL
 	}
 
 	// Regular sampling weighted by work: each rank emits s samples at equal
-	// cumulative-work positions, each carrying its work quantum.
+	// cumulative-work positions, each carrying its work quantum. The rank's
+	// key span rides along, so that every rank learns who sends to whom.
 	const s = 32
 	localWork := 0.0
 	for i := range bodies {
 		localWork += bodies[i].Work
 	}
-	mySamples := make([]sample, 0, s)
+	mine := splitChunk{samples: make([]sample, 0, s)}
 	if n > 0 {
+		mine.first, mine.last, mine.nonempty = bodies[0].Key, bodies[n-1].Key, true
 		quantum := localWork / float64(s)
 		cum, next := 0.0, quantum/2
 		j := 0
 		for i := range bodies {
 			cum += bodies[i].Work
 			for cum >= next && j < s {
-				mySamples = append(mySamples, sample{k: bodies[i].Key, w: quantum})
+				mine.samples = append(mine.samples, sample{k: bodies[i].Key, w: quantum})
 				next += quantum
 				j++
 			}
 		}
 	}
-	splitters = allgatherOnce(r, mySamples, int64(16*len(mySamples)), func(samples [][]sample) []key.K {
+	plan := allgatherOnce(r, mine, int64(16*len(mine.samples)+16), func(chunks []splitChunk) *splitPlan {
 		r.Metrics().Counter("core.splitters.builds").Inc()
-		return splitterTable(samples)
+		return newSplitPlan(chunks)
 	})
+	splitters = plan.splitters
 
 	// Exchange. The bodies are key-sorted and the splitters ascend, so what
-	// goes to each rank is a contiguous run, handed over by reference.
-	chunks := make([]any, p)
-	sizes := make([]int64, p)
+	// goes to each rank is a contiguous run, handed over by reference. A rank
+	// sends to every rank whose range meets its span, even an empty run, and
+	// receives from every rank whose span meets its range: both sides read
+	// the pairs off the one plan, and no counts need exchanging.
+	me := r.ID()
+	var own []Body
+	var to []int
+	var runs []any
+	var sizes []int64
 	lo := 0
-	for d := range chunks {
+	for d := plan.reach[me][0]; d <= plan.reach[me][1]; d++ {
 		hi := lo
 		for hi < n && (d == p-1 || bodies[hi].Key < splitters[d]) {
 			hi++
 		}
-		chunks[d] = bodies[lo:hi]
-		sizes[d] = int64((hi - lo) * bodyWireBytes)
+		if d == me {
+			own = bodies[lo:hi]
+		} else {
+			to = append(to, d)
+			runs = append(runs, bodies[lo:hi])
+			sizes = append(sizes, int64((hi-lo)*bodyWireBytes))
+		}
 		lo = hi
 	}
-	runs := make([][]Body, p)
-	for src, c := range r.AlltoallAny(chunks, sizes) {
-		runs[src] = c.([]Body)
+	var from []int
+	for src, rc := range plan.reach {
+		if src != me && rc[0] <= me && me <= rc[1] {
+			from = append(from, src)
+		}
 	}
-	local = slices.Concat(runs...)
+	got := r.Exchange(to, runs, sizes, from)
+	parts := make([][]Body, 0, len(got)+1)
+	parts = append(parts, own)
+	for _, g := range got {
+		parts = append(parts, g.([]Body))
+	}
+	local = slices.Concat(parts...)
 	endSort = r.Span("phase", "tree-sort")
 	sortBodiesByKey(local)
 	if m := len(local); m > 1 {
@@ -144,6 +168,39 @@ func Decompose(r *mp.Rank, bodies []Body) (local []Body, splitters []key.K, boxL
 type sample struct {
 	k key.K
 	w float64
+}
+
+// splitChunk is a rank's part of the splitter allgather: its samples and,
+// when it holds bodies (nonempty), its first and last key.
+type splitChunk struct {
+	samples     []sample
+	first, last key.K
+	nonempty    bool
+}
+
+// splitPlan is the world's decomposition: the splitters and, for every rank,
+// the first and last rank its bodies go to — those whose new key range
+// meets its key span (first > last when it holds no bodies).
+type splitPlan struct {
+	splitters []key.K
+	reach     [][2]int
+}
+
+// newSplitPlan cuts the splitters from every rank's samples and reads off
+// where each rank's span falls.
+func newSplitPlan(chunks []splitChunk) *splitPlan {
+	samples := make([][]sample, len(chunks))
+	for i := range chunks {
+		samples[i] = chunks[i].samples
+	}
+	plan := &splitPlan{splitters: splitterTable(samples), reach: make([][2]int, len(chunks))}
+	for i, c := range chunks {
+		plan.reach[i] = [2]int{1, 0}
+		if c.nonempty {
+			plan.reach[i] = [2]int{Owner(plan.splitters, c.first), Owner(plan.splitters, c.last)}
+		}
+	}
+	return plan
 }
 
 // splitterTable merges every rank's samples and cuts them into one run of

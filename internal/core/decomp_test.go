@@ -8,6 +8,7 @@ import (
 
 	"spacesim/internal/htree"
 	"spacesim/internal/key"
+	"spacesim/internal/mp"
 	"spacesim/internal/vec"
 )
 
@@ -105,5 +106,91 @@ func BenchmarkSortBodiesByKey(b *testing.B) {
 				sortBodiesByKey(bodies)
 			}
 		})
+	}
+}
+
+// denseDecompose is the oracle of Decompose's exchange: every body keyed in
+// the same cube, and sent by a dense pairwise exchange (every rank to every
+// rank, one AlltoallAny) to the owner its key has under the same splitters.
+func denseDecompose(r *mp.Rank, bodies []Body, splitters []key.K, boxLo vec.V3, boxSize float64) []Body {
+	chunks := make([][]Body, r.Size())
+	for _, b := range bodies {
+		b.Key = key.FromPosition(b.Pos, boxLo, boxSize)
+		if b.Work <= 0 {
+			b.Work = 1
+		}
+		d := Owner(splitters, b.Key)
+		chunks[d] = append(chunks[d], b)
+	}
+	send := make([]any, r.Size())
+	sizes := make([]int64, r.Size())
+	for d := range chunks {
+		send[d], sizes[d] = chunks[d], int64(len(chunks[d])*bodyWireBytes)
+	}
+	var local []Body
+	for _, c := range r.AlltoallAny(send, sizes) {
+		local = append(local, c.([]Body)...)
+	}
+	sortBodiesByKeyReference(local)
+	return local
+}
+
+// Decompose sends each body only to the ranks whose new key range its
+// sender's span reaches, and it must hand every rank exactly the bodies a
+// dense exchange would: on Plummer, uniform and clustered bodies (coincident
+// ones included), with random work weights, on rank counts that are and are
+// not powers of two, with fewer bodies than ranks, and twice in a row — the
+// first time from the block scatter, where spans cover most of key space, the
+// second from the decomposed state, where they reach a neighbour or two.
+func TestDecomposeMatchesDenseExchange(t *testing.T) {
+	clustered := func(rng *rand.Rand, n int) []Body {
+		bodies := PlummerSphere(rng, n, 0.02)
+		for i := range bodies {
+			c := float64(i % 4)
+			bodies[i].Pos = bodies[i].Pos.Add(vec.V3{c, c * c / 3, -c})
+			if i%10 == 0 {
+				bodies[i].Pos = vec.V3{2, 1, -2} // a pile of coincident bodies
+			}
+		}
+		return bodies
+	}
+	for _, ic := range []struct {
+		name string
+		make func(rng *rand.Rand, n int) []Body
+	}{
+		{"plummer", func(rng *rand.Rand, n int) []Body { return PlummerSphere(rng, n, 1.0) }},
+		{"uniform", func(rng *rand.Rand, n int) []Body { return ColdSphere(rng, n, 1.0) }},
+		{"clustered", clustered},
+	} {
+		for _, tc := range []struct{ n, p int }{{1500, 3}, {1500, 8}, {2000, 13}, {5, 8}, {0, 4}} {
+			rng := rand.New(rand.NewSource(int64(tc.n + tc.p)))
+			ics := ic.make(rng, tc.n)
+			for i := range ics {
+				ics[i].Work = 1 + 9*rng.Float64()
+			}
+			mp.Run(testCluster(), tc.p, func(r *mp.Rank) {
+				lo, hi := tc.n*r.ID()/tc.p, tc.n*(r.ID()+1)/tc.p
+				local := append([]Body(nil), ics[lo:hi]...)
+				for round := 0; round < 2; round++ {
+					in := append([]Body(nil), local...)
+					got, splitters, boxLo, boxSize := Decompose(r, local)
+					want := denseDecompose(r, in, splitters, boxLo, boxSize)
+					if len(got) != len(want) {
+						t.Fatalf("%s n=%d p=%d round %d: rank %d holds %d bodies, the dense exchange %d",
+							ic.name, tc.n, tc.p, round, r.ID(), len(got), len(want))
+					}
+					for i := range want {
+						if got[i] != want[i] {
+							t.Fatalf("%s n=%d p=%d round %d: rank %d body %d is %+v, the dense exchange's %+v",
+								ic.name, tc.n, tc.p, round, r.ID(), i, got[i], want[i])
+						}
+					}
+					local = got
+					for i := range local {
+						local[i].Pos = local[i].Pos.AddScaled(0.01, local[i].Vel)
+					}
+				}
+			})
+		}
 	}
 }

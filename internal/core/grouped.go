@@ -257,10 +257,19 @@ func (dt *DTree) chargeFunc(st *TraversalStats) func() {
 
 // ComputeForces evaluates the gravitational field at every local body using
 // the distributed tree, returning accelerations, potentials and work stats.
-// All ranks must call it collectively (it quiesces the ABM traffic).
+// All ranks must call it collectively (it quiesces the ABM traffic). It runs
+// as a polling region (mp.Rank.OneSlot): the ranks enter it together, in
+// rank order, onto one execution slot, so what each poll finds — and the
+// virtual schedule — is the same at any width of the scheduler's pool.
 // Transient state from any previous evaluation on this tree is dropped
 // first, so repeated evaluations do not accumulate unbounded state.
-func (dt *DTree) ComputeForces(bodies []Body) ([]vec.V3, []float64, TraversalStats) {
+func (dt *DTree) ComputeForces(bodies []Body) (acc []vec.V3, pot []float64, st TraversalStats) {
+	dt.r.OneSlot(func() { acc, pot, st = dt.computeForces(bodies) })
+	return acc, pot, st
+}
+
+// computeForces is ComputeForces inside its region.
+func (dt *DTree) computeForces(bodies []Body) ([]vec.V3, []float64, TraversalStats) {
 	dt.resetCaches()
 	defer dt.r.Span("phase", "walk")()
 	acc := make([]vec.V3, len(bodies))
@@ -294,7 +303,7 @@ func (dt *DTree) ComputeForces(bodies []Body) ([]vec.V3, []float64, TraversalSta
 		for !w.resident() {
 			if dt.abm.Poll() == 0 {
 				// Hand the execution slot to the rank we are waiting on
-				// (required: the scheduler's pool may be one slot wide).
+				// (required: the region is one slot wide).
 				dt.r.Yield()
 			}
 		}

@@ -510,7 +510,7 @@ func TestWarmStepAllocatesLittle(t *testing.T) {
 	ics := PlummerSphere(rand.New(rand.NewSource(46)), 4096, 1.0)
 	var mark []uint64
 	res := Run(RunConfig{
-		Cluster: testCluster(), Procs: 8, Steps: 3, EngineWorkers: 1,
+		Cluster: testCluster(), Procs: 8, Steps: 3,
 		Opt: Options{Theta: 0.7, Eps: 0.01, DT: 0.005, MaxLeaf: 16, Workers: 2},
 		Interrupt: func() bool {
 			var ms runtime.MemStats
@@ -772,28 +772,34 @@ func TestCoarseWalkCoversGroups(t *testing.T) {
 // rank that has some is built from a handful of deep branches.
 func TestMoreRanksThanBodies(t *testing.T) {
 	for _, n := range []int{1, 2, 3, 9} {
-		for _, engineWorkers := range []int{0, 1} {
+		for _, w := range []int{1, 4} {
 			ics := PlummerSphere(rand.New(rand.NewSource(44)), n, 1.0)
-			res := Run(RunConfig{
-				Cluster: testCluster(), Procs: 8, Steps: 2,
-				Opt:           Options{Theta: 0.6, Eps: 0.02, DT: 0.005},
-				EngineWorkers: engineWorkers,
-			}, ics)
+			var res Result
+			atWidth(w, func() {
+				res = Run(RunConfig{
+					Cluster: testCluster(), Procs: 8, Steps: 2,
+					Opt: Options{Theta: 0.6, Eps: 0.02, DT: 0.005},
+				}, ics)
+			})
 			if res.Err != nil || res.CompletedSteps != 2 {
-				t.Errorf("n=%d engine-workers=%d: err %v after %d steps", n, engineWorkers, res.Err, res.CompletedSteps)
+				t.Errorf("n=%d width=%d: err %v after %d steps", n, w, res.Err, res.CompletedSteps)
 			}
 		}
 	}
 }
 
-// The schedule pin: the virtual makespan and every count of a
-// reproducible-mode run (event engine, one engine worker), one walker per
-// leaf and one per sink group. Recorded at 0b4a841 for the one-pass walk and
-// held through the two-pass rewrite; the group pin re-recorded when the walk
-// went to groups and when local leaves were tested like remote ones; both
-// re-pinned once when replies brought whole subtrees and each group came to
-// be walked once (fetches 7835 and 3130, messages 1140 and 824, makespans
-// 0.3966 and 0.2657 s before). Interactions did not move.
+// The schedule pin: the virtual makespan and every count of a run, one
+// walker per leaf and one per sink group, at any width of the pool. Recorded
+// at 0b4a841 for the one-pass walk, on one engine worker, and held through
+// the two-pass rewrite; the group pin re-recorded when the walk went to
+// groups and when local leaves were tested like remote ones; both re-pinned
+// once when replies brought whole subtrees and each group came to be walked
+// once (fetches 7835 and 3130, messages 1140 and 824, makespans 0.3966 and
+// 0.2657 s before), and once when the walk became a one-slot region, the
+// allgathers took log P rounds, the body exchange went only where a rank's
+// span reaches and a step lost three allreduces (messages 464 and 464,
+// makespans 0.22804 and 0.11751 s before). Interactions and fetches did not
+// move.
 func TestSchedulePinnedAcrossTwoPassRewrite(t *testing.T) {
 	ics := PlummerSphere(rand.New(rand.NewSource(43)), 2000, 1.0)
 	for _, pin := range []struct {
@@ -801,17 +807,15 @@ func TestSchedulePinnedAcrossTwoPassRewrite(t *testing.T) {
 		fetches, interactions, messages int64
 		makespan                        float64
 	}{
-		{false, 717, 6950842, 464, 0.22804403323169442},
-		{true, 570, 3558151, 464, 0.11750740052966605},
+		{false, 717, 6950842, 344, 0.22444557573022256},
+		{true, 570, 3558151, 346, 0.11455440831101472},
 	} {
 		if pin.leaves {
 			leafGroups(t)
 		}
 		res := Run(RunConfig{
 			Cluster: testCluster(), Procs: 4, Steps: 3,
-			Opt:           Options{Theta: 0.6, Eps: 0.02, DT: 0.005},
-			Engine:        mp.EngineEvent,
-			EngineWorkers: 1,
+			Opt: Options{Theta: 0.6, Eps: 0.02, DT: 0.005},
 		}, ics)
 		if res.Err != nil {
 			t.Fatal(res.Err)

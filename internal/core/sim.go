@@ -95,8 +95,10 @@ type RunConfig struct {
 	// may not edit and which spells RunConfig{Engine: mp.EngineEvent}
 	// (see mp.Engine). Goes with the next [benchmark] PR.
 	Engine mp.Engine
-	// EngineWorkers sizes the message layer's pool of execution slots
-	// (0 = host cores; 1 = reproducible schedules, see mp.RunOptions).
+	// EngineWorkers is read by no code: retained for bench/, which spells
+	// RunConfig{EngineWorkers: 1}. The pool is as wide as the host, and the
+	// schedule repeats at any width, since the force walk runs as a polling
+	// region (mp.Rank.OneSlot). Goes with the next [benchmark] PR.
 	EngineWorkers int
 	// Interrupt, when non-nil, is polled host-side by rank 0 at every step
 	// boundary and the decision broadcast to all ranks (one extra scalar
@@ -112,9 +114,16 @@ type RunConfig struct {
 }
 
 // runOptions maps RunConfig onto the message layer's options (the fault
-// plan rides along so restarts inherit it).
+// plan rides along so restarts inherit it). A run with crashes scheduled
+// runs on one slot: a crash aborts the world at once, and where the other
+// ranks are then — which stripes they wrote, how far their clocks got — is
+// where the host had taken them, which only one slot makes repeatable.
 func (cfg RunConfig) runOptions() mp.RunOptions {
-	return mp.RunOptions{Plan: cfg.Faults, Workers: cfg.EngineWorkers}
+	opt := mp.RunOptions{Plan: cfg.Faults}
+	if !cfg.Faults.Empty() {
+		opt.Workers = 1
+	}
+	return opt
 }
 
 // Validate reports the first field of the configuration, taken after option
@@ -309,8 +318,7 @@ func run(cfg RunConfig, ics []Body, seg segment) Result {
 			if local, acc, pot, ts, ok = eval(0); !ok {
 				return
 			}
-			recordStats(r, ts, &totalInts, &totalFlops, &totalFetches, &imbHist)
-			if e := diagnostics(r, local, pot); r.ID() == 0 {
+			if e := recordStats(r, ts, local, pot, &totalInts, &totalFlops, &totalFetches, &imbHist); r.ID() == 0 {
 				energyAt[0] = e
 			}
 		}
@@ -360,8 +368,7 @@ func run(cfg RunConfig, ics []Body, seg segment) Result {
 				local[i].Vel = local[i].Vel.AddScaled(opt.DT/2, acc[i])
 			}
 			r.Charge(float64(6*len(local)), 0.5, float64(48*len(local)))
-			recordStats(r, ts, &totalInts, &totalFlops, &totalFetches, &imbHist)
-			if e := diagnostics(r, local, pot); r.ID() == 0 {
+			if e := recordStats(r, ts, local, pot, &totalInts, &totalFlops, &totalFetches, &imbHist); r.ID() == 0 {
 				energyAt[s+1] = e
 			}
 			endStep()
@@ -433,14 +440,27 @@ func run(cfg RunConfig, ics []Body, seg segment) Result {
 	return res
 }
 
-// recordStats folds one rank's traversal stats into the shared totals.
+// recordStats folds one rank's traversal stats into the shared totals and
+// returns the conservation diagnostics, from one sum reduction and one max.
 // Writes are rank-parallel, so reduce through the communication layer and
-// let rank 0 publish (all ranks write the same reduced values).
-func recordStats(r *mp.Rank, ts TraversalStats, ints *int64, flops *float64, fetches *int64, imbHist *[]float64) {
+// let rank 0 publish (all ranks write the same reduced values). The
+// potential from the tree counts each pair twice (once per body), so
+// U = sum(m*pot)/2.
+func recordStats(r *mp.Rank, ts TraversalStats, local []Body, pot []float64, ints *int64, flops *float64, fetches *int64, imbHist *[]float64) Energies {
+	var ke, pe float64
+	var mom, ang vec.V3
+	for i := range local {
+		m := local[i].Mass
+		ke += 0.5 * m * local[i].Vel.Norm2()
+		pe += 0.5 * m * pot[i]
+		mom = mom.AddScaled(m, local[i].Vel)
+		ang = ang.Add(local[i].Pos.Cross(local[i].Vel).Scale(m))
+	}
 	sums := r.Allreduce([]float64{
 		float64(ts.BodyInteractions + ts.CellInteractions),
 		ts.Flops,
 		float64(ts.Fetches),
+		ke, pe, mom[0], mom[1], mom[2], ang[0], ang[1], ang[2],
 	}, mp.OpSum)
 	maxWork := r.AllreduceScalar(ts.Flops, mp.OpMax)
 	if r.ID() == 0 {
@@ -452,25 +472,10 @@ func recordStats(r *mp.Rank, ts TraversalStats, ints *int64, flops *float64, fet
 			*imbHist = append(*imbHist, maxWork/mean)
 		}
 	}
-}
-
-// diagnostics reduces the conservation quantities. The potential from the
-// tree counts each pair twice (once per body), so U = sum(m*pot)/2.
-func diagnostics(r *mp.Rank, local []Body, pot []float64) Energies {
-	var ke, pe float64
-	var mom, ang vec.V3
-	for i := range local {
-		m := local[i].Mass
-		ke += 0.5 * m * local[i].Vel.Norm2()
-		pe += 0.5 * m * pot[i]
-		mom = mom.AddScaled(m, local[i].Vel)
-		ang = ang.Add(local[i].Pos.Cross(local[i].Vel).Scale(m))
-	}
-	out := r.Allreduce([]float64{ke, pe, mom[0], mom[1], mom[2], ang[0], ang[1], ang[2]}, mp.OpSum)
 	return Energies{
-		Kinetic:   out[0],
-		Potential: out[1],
-		Momentum:  vec.V3{out[2], out[3], out[4]},
-		AngMom:    vec.V3{out[5], out[6], out[7]},
+		Kinetic:   sums[3],
+		Potential: sums[4],
+		Momentum:  vec.V3{sums[5], sums[6], sums[7]},
+		AngMom:    vec.V3{sums[8], sums[9], sums[10]},
 	}
 }

@@ -90,21 +90,23 @@ func TestSharedTopEqualsEveryRanksOwnBuild(t *testing.T) {
 // `go test -race` is for), every body comes out where one thread puts it.
 func TestOneTopBuildPerEvaluation(t *testing.T) {
 	ics := PlummerSphere(rand.New(rand.NewSource(51)), 1600, 1.0)
-	run := func(procs, steps, engineWorkers int) Result {
+	run := func(procs, steps, width int) (res Result) {
 		o := obs.New(false)
-		res := Run(RunConfig{
-			Cluster: testCluster().WithObs(o), Procs: procs, Steps: steps, EngineWorkers: engineWorkers,
-			Opt:          Options{Theta: 0.6, Eps: 0.02, DT: 0.005},
-			GatherBodies: true,
-		}, ics)
+		atWidth(width, func() {
+			res = Run(RunConfig{
+				Cluster: testCluster().WithObs(o), Procs: procs, Steps: steps,
+				Opt:          Options{Theta: 0.6, Eps: 0.02, DT: 0.005},
+				GatherBodies: true,
+			}, ics)
+		})
 		if res.Err != nil {
-			t.Fatalf("procs=%d engine-workers=%d: %v", procs, engineWorkers, res.Err)
+			t.Fatalf("procs=%d width=%d: %v", procs, width, res.Err)
 		}
 		c := o.Snapshot().Counters
 		evals := int64(steps + 1)
 		if c["core.top.builds"] != evals || c["core.splitters.builds"] != evals {
-			t.Errorf("procs=%d engine-workers=%d: %d top builds and %d splitter tables for %d force evaluations",
-				procs, engineWorkers, c["core.top.builds"], c["core.splitters.builds"], evals)
+			t.Errorf("procs=%d width=%d: %d top builds and %d splitter tables for %d force evaluations",
+				procs, width, c["core.top.builds"], c["core.splitters.builds"], evals)
 		}
 		if c["core.top.cells"] < evals*int64(procs) {
 			t.Errorf("procs=%d: core.top.cells = %d over %d tops of at least one branch per rank", procs, c["core.top.cells"], evals)
@@ -115,7 +117,7 @@ func TestOneTopBuildPerEvaluation(t *testing.T) {
 	one, four := run(16, 3, 1), run(16, 3, 4)
 	for i := range one.Bodies {
 		if one.Bodies[i].Pos != four.Bodies[i].Pos || one.Bodies[i].Vel != four.Bodies[i].Vel {
-			t.Fatalf("body %d: %+v on one engine thread, %+v on four", i, one.Bodies[i], four.Bodies[i])
+			t.Fatalf("body %d: %+v at width one, %+v at four", i, one.Bodies[i], four.Bodies[i])
 		}
 	}
 }

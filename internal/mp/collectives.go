@@ -175,24 +175,14 @@ func (r *Rank) Gather(root int, chunk []float64) [][]float64 {
 // (-2000 .. -3023).
 const tagGatherBase = -2000
 
-// Allgather collects every rank's chunk on every rank (ring algorithm:
-// n-1 rounds passing accumulated data around the ring).
+// Allgather collects every rank's chunk on every rank (AllgatherAny). The
+// chunk is copied once, as a send would; the slices returned are shared by
+// every rank, so none may write them.
 func (r *Rank) Allgather(chunk []float64) [][]float64 {
-	n := r.w.n
-	out := make([][]float64, n)
-	out[r.id] = chunk
-	if n == 1 {
-		return out
-	}
-	defer r.collective("allgather")()
-	right := (r.id + 1) % n
-	left := (r.id - 1 + n) % n
-	cur := r.id
-	for round := 0; round < n-1; round++ {
-		r.SendFloats(right, tagAllgather, out[cur])
-		data, _ := r.RecvFloats(left, tagAllgather)
-		cur = (cur - 1 + n) % n
-		out[cur] = data
+	parts := r.AllgatherAny(append([]float64(nil), chunk...), SizeFloats(len(chunk)))
+	out := make([][]float64, len(parts))
+	for i, p := range parts {
+		out[i] = p.([]float64)
 	}
 	return out
 }
@@ -215,7 +205,7 @@ func (r *Rank) Alltoall(chunks [][]float64) [][]float64 {
 		// Power of two: XOR pairwise exchange.
 		for round := 1; round < n; round++ {
 			partner := r.id ^ round
-			r.sendAt(partner, tagAlltoall, chunks[partner], SizeFloats(len(chunks[partner])), true)
+			r.sendAt(partner, tagAlltoall, chunks[partner], SizeFloats(len(chunks[partner])), true, 0)
 			data, _ := r.Recv(partner, tagAlltoall)
 			if data != nil {
 				out[partner] = data.([]float64)
@@ -228,7 +218,7 @@ func (r *Rank) Alltoall(chunks [][]float64) [][]float64 {
 	for round := 1; round < n; round++ {
 		dst := (r.id + round) % n
 		src := (r.id - round + n) % n
-		r.sendAt(dst, tagAlltoall, chunks[dst], SizeFloats(len(chunks[dst])), true)
+		r.sendAt(dst, tagAlltoall, chunks[dst], SizeFloats(len(chunks[dst])), true, 0)
 		data, _ := r.Recv(src, tagAlltoall)
 		if data != nil {
 			out[src] = data.([]float64)
@@ -253,7 +243,7 @@ func (r *Rank) AlltoallAny(chunks []any, bytes []int64) []any {
 	if n&(n-1) == 0 {
 		for round := 1; round < n; round++ {
 			partner := r.id ^ round
-			r.sendAt(partner, tagAlltoall, chunks[partner], bytes[partner], true)
+			r.sendAt(partner, tagAlltoall, chunks[partner], bytes[partner], true, 0)
 			data, _ := r.Recv(partner, tagAlltoall)
 			out[partner] = data
 		}
@@ -262,34 +252,82 @@ func (r *Rank) AlltoallAny(chunks []any, bytes []int64) []any {
 	for round := 1; round < n; round++ {
 		dst := (r.id + round) % n
 		src := (r.id - round + n) % n
-		r.sendAt(dst, tagAlltoall, chunks[dst], bytes[dst], true)
+		r.sendAt(dst, tagAlltoall, chunks[dst], bytes[dst], true, 0)
 		data, _ := r.Recv(src, tagAlltoall)
 		out[src] = data
 	}
 	return out
 }
 
-// AllgatherAny collects every rank's payload on every rank (ring), with the
-// given accounted wire size. Payloads are delivered by reference.
+// AllgatherAny collects every rank's payload on every rank, with the given
+// accounted wire size, indexed by rank. Payloads are delivered by reference.
+//
+// Bruck's algorithm, in ceil(log2 n) rounds: before the round at distance d
+// a rank holds the chunks of itself and of the d-1 ranks below it (mod n);
+// it sends the first min(d, n-d) of them to the rank d above and receives as
+// many from the rank d below. With chunks of equal size every rank sends n-1
+// chunks' bytes, as in a ring, in one message a round.
 func (r *Rank) AllgatherAny(chunk any, bytes int64) []any {
 	n := r.w.n
 	out := make([]any, n)
-	sizes := make([]int64, n)
 	out[r.id] = chunk
-	sizes[r.id] = bytes
 	if n == 1 {
 		return out
 	}
 	defer r.collective("allgather")()
-	right := (r.id + 1) % n
-	left := (r.id - 1 + n) % n
-	cur := r.id
-	for round := 0; round < n-1; round++ {
-		r.Send(right, tagAllgather, out[cur], sizes[cur])
-		data, st := r.Recv(left, tagAllgather)
-		cur = (cur - 1 + n) % n
-		out[cur] = data
-		sizes[cur] = st.Bytes
+	// held[k] is the chunk of rank id-k; a round only appends, so what was
+	// sent stays as it was while the receiver reads it.
+	held := make([]any, 1, n)
+	sizes := make([]int64, 1, n)
+	held[0], sizes[0] = chunk, bytes
+	for d := 1; d < n; d *= 2 {
+		cnt := min(d, n-d)
+		var b int64
+		for _, s := range sizes[:cnt] {
+			b += s
+		}
+		r.Send((r.id+d)%n, tagAllgather, bruckBlock{held[:cnt:cnt], sizes[:cnt:cnt]}, b)
+		data, _ := r.Recv((r.id-d+n)%n, tagAllgather)
+		in := data.(bruckBlock)
+		held = append(held, in.chunks...)
+		sizes = append(sizes, in.sizes...)
+	}
+	for k, c := range held {
+		out[(r.id-k+n)%n] = c
+	}
+	return out
+}
+
+// bruckBlock is one round's message of AllgatherAny: consecutive chunks, by
+// reference, and their accounted sizes.
+type bruckBlock struct {
+	chunks []any
+	sizes  []int64
+}
+
+// Exchange is a sparse all-to-all: it sends chunks[k], accounted at
+// bytes[k], to rank to[k], and returns one payload from each rank in from,
+// in from's order. Both sides must already know who talks to whom — every
+// rank in to must list this one in its from, and the other way round —
+// and neither list may name this rank. Payloads are delivered by
+// reference. The messages take the loaded-network model of Alltoall, and
+// the sender's NIC streams them one after another, so a dense exchange
+// costs the sum of its transfers, not the longest one.
+func (r *Rank) Exchange(to []int, chunks []any, bytes []int64, from []int) []any {
+	if len(chunks) != len(to) || len(bytes) != len(to) {
+		panic("mp: Exchange needs one chunk and size per destination")
+	}
+	out := make([]any, len(from))
+	if len(to) == 0 && len(from) == 0 {
+		return out
+	}
+	defer r.collective("exchange")()
+	nic := 0.0
+	for k, d := range to {
+		nic = r.sendAt(d, tagExchange, chunks[k], bytes[k], true, nic)
+	}
+	for k, s := range from {
+		out[k], _ = r.Recv(s, tagExchange)
 	}
 	return out
 }

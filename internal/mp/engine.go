@@ -19,6 +19,8 @@ package mp
 //	          task struct until their first dispatch);
 //	blocked — parked in takeBlocking with its (src, tag, deadline)
 //	          pattern armed, waiting for a matching message's event;
+//	waiting — parked at a rendezvous (OneSlot), until every live rank
+//	          has arrived;
 //	done    — fn returned or unwound.
 //
 // Parking protocol (no lost wakeups): a receiver marks itself blocked
@@ -35,20 +37,25 @@ package mp
 // which *host* execution resumes blocked ranks (earliest virtual arrival
 // first); it never alters a timestamp. A TryRecv sees whatever has been put
 // so far, so a polling program's clocks depend on the order the host ran
-// the ranks; one worker makes that order, and the schedule, repeatable.
+// the ranks. A polling region (OneSlot) fixes that order: every live rank
+// meets at a rendezvous, the ranks enter the region in rank order onto one
+// slot, and a second rendezvous at its end gives the pool back its width.
+// Blocking phases between regions run at any width, so the whole schedule
+// repeats at any slot count.
 //
 // Quiescence: when no task is running or ready and the event heap is
-// empty, no rank can ever run again — detected in O(1) on the last slot
-// release. Detection is by state, never by wall clock: virtual time has no
-// relation to host time, so a timer would misfire on a slow host. The
-// resolution ladder, in order of preference:
+// empty, no rank can ever run again — every live rank is blocked in a
+// receive or waits at a rendezvous that a blocked rank holds up — detected
+// in O(1) on the last slot release. Detection is by state, never by wall
+// clock: virtual time has no relation to host time, so a timer would
+// misfire on a slow host. The resolution ladder, in order of preference:
 //  1. wake the RecvTimeout with the earliest virtual deadline (ties to the
 //     lowest rank) — a timed receive is a recoverable event;
-//  2. fire the earliest scheduled crash among the blocked ranks — a rank
+//  2. fire the earliest scheduled crash among the parked ranks — a rank
 //     whose clock froze before its crash time still dies, it just dies
-//     blocked;
+//     parked;
 //  3. abort the world with a DeadlockError naming every blocked rank and
-//     its pending receive.
+//     its pending receive, and every rank waiting at the rendezvous.
 //
 // Known limitation: a rank that polls with TryRecv (the ABM layer) yields
 // its slot but never parks, so a pure polling livelock is not detected.
@@ -59,7 +66,6 @@ package mp
 import (
 	"math"
 	"runtime"
-	"sort"
 	"sync"
 
 	"spacesim/internal/obs"
@@ -72,6 +78,7 @@ const (
 	taskReady taskState = iota
 	taskRunning
 	taskBlocked
+	taskWaiting
 	taskDone
 )
 
@@ -146,7 +153,10 @@ func (h *eventHeap) pop() event {
 
 // eventEngine is the per-world scheduler state.
 type eventEngine struct {
-	w       *World
+	w *World
+	// width is the pool's size; workers is the number of slots in use: 1
+	// inside a polling region, width outside.
+	width   int
 	workers int
 
 	mu      sync.Mutex
@@ -155,9 +165,13 @@ type eventEngine struct {
 	rhead   int
 	running int
 	blocked int
+	waiting int // ranks parked at the rendezvous
 	done    int
 	heap    eventHeap
 	seq     uint64
+	// slots is what the pending rendezvous hands out: 1 at a region's
+	// entry, width at its end.
+	slots int
 
 	fn     func(*Rank)
 	clocks []float64
@@ -178,6 +192,7 @@ func newEventEngine(w *World, ranks []*Rank, workers int) *eventEngine {
 	}
 	e := &eventEngine{
 		w:       w,
+		width:   workers,
 		workers: workers,
 		tasks:   make([]*task, len(ranks)),
 		ready:   make([]*task, 0, len(ranks)),
@@ -289,14 +304,75 @@ func (e *eventEngine) dispatch(t *task) {
 	t.resume <- struct{}{}
 }
 
-// taskExit retires a finished task and releases its slot.
+// taskExit retires a finished task and releases its slot. A rank that
+// exits before a rendezvous no longer holds it up.
 func (e *eventEngine) taskExit(t *task) {
 	e.mu.Lock()
 	t.state = taskDone
 	e.running--
 	e.done++
+	e.releaseRendezvous()
 	e.pump()
 	e.mu.Unlock()
+}
+
+// OneSlot runs fn as a polling region. It is entered at a host-side
+// rendezvous of every live rank: once all have arrived they are released in
+// rank order onto one execution slot, so the order in which the host runs
+// the ranks — and with it what every TryRecv finds — is the same at any
+// pool width. A second rendezvous at the end of fn gives the pool back its
+// width. Neither rendezvous moves a virtual clock. Every live rank must call
+// it, in the same order with respect to its collectives; on one rank it is
+// fn.
+func (r *Rank) OneSlot(fn func()) {
+	if r.w.n == 1 {
+		fn()
+		return
+	}
+	e := r.w.eng
+	e.rendezvous(e.tasks[r.id], 1)
+	fn()
+	e.rendezvous(e.tasks[r.id], e.width)
+}
+
+// rendezvous parks t until every live rank has arrived, then releases them
+// all in rank order onto a pool of the given number of slots. It panics
+// rankAbort when the world aborts meanwhile.
+func (e *eventEngine) rendezvous(t *task, slots int) {
+	w := e.w
+	e.mu.Lock()
+	if w.aborted.Load() {
+		e.mu.Unlock()
+		panic(rankAbort{})
+	}
+	t.state = taskWaiting
+	e.running--
+	e.waiting++
+	e.slots = slots
+	e.releaseRendezvous()
+	e.pump()
+	e.mu.Unlock()
+	<-t.resume
+	if w.aborted.Load() {
+		panic(rankAbort{})
+	}
+}
+
+// releaseRendezvous readies the ranks at the rendezvous, lowest rank first,
+// once every live rank is among them, and resizes the pool to what the
+// rendezvous hands out. Caller holds mu.
+func (e *eventEngine) releaseRendezvous() {
+	if e.waiting == 0 || e.waiting < len(e.tasks)-e.done {
+		return
+	}
+	e.workers = e.slots
+	for _, t := range e.tasks {
+		if t.state == taskWaiting {
+			t.state = taskReady
+			e.readyPush(t)
+		}
+	}
+	e.waiting = 0
 }
 
 // put delivers a message: enqueue under the receiver's inbox mutex, and
@@ -413,7 +489,7 @@ func (r *Rank) Yield() {
 	<-t.resume
 }
 
-// abort marks the world dead with the given cause and readies every blocked
+// abort marks the world dead with the given cause and readies every parked
 // task so it can observe the flag and unwind. Only the first abort wins;
 // abort reports whether this call was it.
 func (w *World) abort(err error) bool {
@@ -428,15 +504,21 @@ func (w *World) abort(err error) bool {
 	return true
 }
 
-// wakeAllLocked readies every blocked task; the world must already be
-// marked aborted. Caller holds mu.
+// wakeAllLocked readies every parked task, blocked in a receive or waiting
+// at a rendezvous; the world must already be marked aborted. Caller holds
+// mu.
 func (e *eventEngine) wakeAllLocked() {
 	for _, t := range e.tasks {
-		if t.state == taskBlocked {
-			t.state = taskReady
+		switch t.state {
+		case taskBlocked:
 			e.blocked--
-			e.readyPush(t)
+		case taskWaiting:
+			e.waiting--
+		default:
+			continue
 		}
+		t.state = taskReady
+		e.readyPush(t)
 	}
 }
 
@@ -463,11 +545,11 @@ func (e *eventEngine) resolveQuiescence() bool {
 		e.readyPush(ti)
 		return true
 	}
-	// 2. Fire the earliest scheduled crash among the blocked ranks.
+	// 2. Fire the earliest scheduled crash among the parked ranks.
 	var ci *task
 	var ciAt float64
 	for _, t := range e.tasks {
-		if t.state != taskBlocked {
+		if t.state != taskBlocked && t.state != taskWaiting {
 			continue
 		}
 		at := w.crashTime(t.r.id)
@@ -485,17 +567,20 @@ func (e *eventEngine) resolveQuiescence() bool {
 		e.wakeAllLocked()
 		return true
 	}
-	// 3. True deadlock: abort with the full diagnostic.
-	var blocked []BlockedRank
+	// 3. True deadlock: abort with the full diagnostic. The tasks are in
+	// rank order.
+	de := &DeadlockError{}
 	for _, t := range e.tasks {
-		if t.state == taskBlocked {
-			blocked = append(blocked, BlockedRank{
+		switch t.state {
+		case taskBlocked:
+			de.Blocked = append(de.Blocked, BlockedRank{
 				Rank: t.r.id, Src: t.src, Tag: t.tag, Clock: t.r.clock,
 			})
+		case taskWaiting:
+			de.Waiting = append(de.Waiting, t.r.id)
 		}
 	}
-	sort.Slice(blocked, func(i, j int) bool { return blocked[i].Rank < blocked[j].Rank })
-	w.setAborted(&DeadlockError{Blocked: blocked})
+	w.setAborted(de)
 	e.wakeAllLocked()
 	return true
 }

@@ -33,7 +33,8 @@ var (
 	// by the virtual deadline.
 	ErrTimeout = errors.New("mp: receive timed out")
 	// ErrDeadlock marks a run aborted at quiescence: every live rank was
-	// blocked in a receive no pending send could satisfy.
+	// blocked in a receive no pending send could satisfy, or waited at a
+	// rendezvous such a rank held up.
 	ErrDeadlock = errors.New("mp: world deadlocked")
 )
 
@@ -61,10 +62,12 @@ type BlockedRank struct {
 }
 
 // DeadlockError reports a run aborted by quiescence resolution, listing
-// every blocked rank and its pending receive so the hang is debuggable
-// instead of a silent `go test` timeout.
+// every blocked rank and its pending receive, and the ranks waiting at a
+// rendezvous (Rank.OneSlot) that the blocked ones hold up, so the hang is
+// debuggable instead of a silent `go test` timeout.
 type DeadlockError struct {
 	Blocked []BlockedRank
+	Waiting []int // ascending
 }
 
 func (e *DeadlockError) Error() string {
@@ -73,6 +76,9 @@ func (e *DeadlockError) Error() string {
 	for _, x := range e.Blocked {
 		fmt.Fprintf(&b, "\n  rank %d blocked in Recv(src=%s, tag=%s) at t=%.6gs",
 			x.Rank, fmtSel(x.Src), fmtSel(x.Tag), x.Clock)
+	}
+	for _, r := range e.Waiting {
+		fmt.Fprintf(&b, "\n  rank %d waiting at a rendezvous", r)
 	}
 	return b.String()
 }

@@ -14,7 +14,7 @@
 // throughput) are reproduced on a single host CPU. For programs built from
 // blocking operations the schedule is a pure function of the message DAG;
 // polling (TryRecv, ABM) makes it depend on the order the host runs the
-// ranks, which one engine worker fixes (RunOptions.Workers).
+// ranks, which a polling region (Rank.OneSlot) fixes at any pool width.
 //
 // Sends are buffered (they never block); receives block until a matching
 // message exists. Collectives are implemented on top of point-to-point with
@@ -51,7 +51,7 @@ const (
 	tagScan
 	tagGather
 	tagABM
-	tagSort
+	tagExchange
 )
 
 // message is an in-flight payload with its virtual arrival time. sent is
@@ -241,7 +241,8 @@ type RunOptions struct {
 	Engine Engine
 	// Workers bounds the concurrently-executing ranks; <= 0 means
 	// min(GOMAXPROCS, nprocs). With one worker the host runs the ranks in
-	// one fixed order, so even a polling program repeats its schedule.
+	// one fixed order, so even a polling program repeats its schedule; a
+	// program that polls only inside Rank.OneSlot repeats it at any width.
 	Workers int
 }
 
@@ -506,12 +507,15 @@ type Status struct {
 // wire size (use SizeFloats and friends). Sends are buffered: the call
 // returns after charging the sender-side overhead only.
 func (r *Rank) Send(dst, tag int, data any, bytes int64) {
-	r.sendAt(dst, tag, data, bytes, false)
+	r.sendAt(dst, tag, data, bytes, false, 0)
 }
 
 // sendAt implements Send; congested selects the loaded-network bandwidth
-// used by dense collectives.
-func (r *Rank) sendAt(dst, tag int, data any, bytes int64, congested bool) {
+// used by dense collectives. A congested message leaves the sender's NIC
+// no earlier than nicFree, when the NIC has streamed the messages posted
+// before it, and sendAt returns when this one has left; collectives that
+// wait for each round's reply pass zero.
+func (r *Rank) sendAt(dst, tag int, data any, bytes int64, congested bool, nicFree float64) float64 {
 	if dst < 0 || dst >= r.w.n {
 		panic(fmt.Sprintf("mp: send to rank %d of %d", dst, r.w.n))
 	}
@@ -521,6 +525,7 @@ func (r *Rank) sendAt(dst, tag int, data any, bytes int64, congested bool) {
 	t0 := r.clock
 	r.clock += net.Prof.PerMsgOverheadSec
 	var xfer float64
+	left := r.clock
 	if dst == r.id {
 		xfer = net.TransferTime(r.id, r.id, bytes)
 	} else if congested {
@@ -537,7 +542,13 @@ func (r *Rank) sendAt(dst, tag int, data any, bytes int64, congested bool) {
 			bw *= math.Min(h.CapFactor(netsim.LinkNICTx, r.id, t0),
 				h.CapFactor(netsim.LinkNICRx, dst, t0))
 		}
-		xfer += float64(bytes) * 8 / bw
+		// wire runs until the message has left the NIC, queueing included.
+		wire := float64(bytes) * 8 / bw
+		if nicFree > r.clock {
+			wire += nicFree - r.clock
+		}
+		xfer += wire
+		left = r.clock + wire
 		r.w.congestedMsgs.Inc()
 	} else {
 		xfer = net.TransferTimeAt(r.id, dst, bytes, t0)
@@ -545,6 +556,7 @@ func (r *Rank) sendAt(dst, tag int, data any, bytes int64, congested bool) {
 	m := message{src: r.id, tag: tag, data: data, bytes: bytes, sent: t0, arrive: r.clock + xfer}
 	r.w.eng.put(dst, m)
 	r.observeSend(dst, bytes, t0, m.arrive)
+	return left
 }
 
 // observeSend folds one message into the world totals, the per-rank

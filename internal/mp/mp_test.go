@@ -307,3 +307,97 @@ func max(a, b int) int {
 	}
 	return b
 }
+
+// Bruck's allgather: every rank ends with every payload indexed by its rank,
+// in ceil(log2 n) messages a rank, and — with payloads of equal size — each
+// rank accounts the bytes of n-1 payloads, as the ring it replaced did.
+func TestAllgatherBruck(t *testing.T) {
+	const size = 24
+	for _, n := range []int{1, 2, 3, 5, 7, 8, 13, 64, 294} {
+		st := Run(testCluster(n), n, func(r *Rank) {
+			type payload struct{ rank, sq int }
+			got := r.AllgatherAny(payload{r.ID(), r.ID() * r.ID()}, size)
+			for i, g := range got {
+				if p, ok := g.(payload); !ok || p.rank != i || p.sq != i*i {
+					t.Errorf("n=%d rank %d: payload %d is %v", n, r.ID(), i, g)
+				}
+			}
+			fl := r.Allgather([]float64{float64(r.ID()), -1})
+			for i, f := range fl {
+				if len(f) != 2 || f[0] != float64(i) || f[1] != -1 {
+					t.Errorf("n=%d rank %d: float payload %d is %v", n, r.ID(), i, f)
+				}
+			}
+		})
+		rounds := 0
+		for d := 1; d < n; d *= 2 {
+			rounds++
+		}
+		if want := int64(2 * n * rounds); st.Messages != want || st.CollectiveMessages != want {
+			t.Errorf("n=%d: %d messages (%d collective), want 2·n·ceil(log2 n) = %d", n, st.Messages, st.CollectiveMessages, want)
+		}
+		for i, m := range st.Obs.RankMetrics() {
+			if want := int64(n-1) * (size + SizeFloats(2)); m.Bytes != want {
+				t.Errorf("n=%d: rank %d sent %d bytes, want %d", n, i, m.Bytes, want)
+			}
+		}
+	}
+}
+
+// Exchange delivers each chunk to the rank named for it and returns what
+// each named source sent, in the order the sources are named: here every
+// rank sends to the two ranks above it and hears from the two below.
+func TestExchange(t *testing.T) {
+	for _, n := range []int{1, 2, 3, 6} {
+		st := Run(testCluster(n), n, func(r *Rank) {
+			var to, from []int
+			var chunks []any
+			var bytes []int64
+			for k := 1; k <= 2 && k < n; k++ {
+				to = append(to, (r.ID()+k)%n)
+				chunks = append(chunks, 100*r.ID()+k)
+				bytes = append(bytes, int64(8*k))
+				from = append(from, (r.ID()-k+n)%n)
+			}
+			for i, g := range r.Exchange(to, chunks, bytes, from) {
+				if want := 100*from[i] + i + 1; g != want {
+					t.Errorf("n=%d rank %d: from %d got %v, want %d", n, r.ID(), from[i], g, want)
+				}
+			}
+		})
+		links := min(2, n-1)
+		if want := int64(n * links); st.CollectiveMessages != want {
+			t.Errorf("n=%d: %d collective messages, want %d", n, st.CollectiveMessages, want)
+		}
+	}
+}
+
+// An exchange is charged like the dense all-to-all it replaces: each message
+// at the loaded-network rate, and the sender's NIC streams them one after
+// another. Rank 0 sends 1 MB to each of seven ranks; the k-th in its list
+// has it k-1 wire times after the first.
+func TestExchangeStreamsThroughOneNIC(t *testing.T) {
+	const n, size = 8, 1 << 20
+	clocks := make([]float64, n)
+	var wire float64
+	Run(testCluster(n), n, func(r *Rank) {
+		if r.ID() == 0 {
+			wire = size * 8 / r.w.congestedRate()
+			var to []int
+			var chunks []any
+			var bytes []int64
+			for d := 1; d < n; d++ {
+				to, chunks, bytes = append(to, d), append(chunks, d), append(bytes, size)
+			}
+			r.Exchange(to, chunks, bytes, nil)
+		} else {
+			r.Exchange(nil, nil, nil, []int{0})
+		}
+		clocks[r.ID()] = r.Clock()
+	})
+	for d := 2; d < n; d++ {
+		if gap, want := clocks[d]-clocks[1], float64(d-1)*wire; math.Abs(gap-want) > 1e-9*want {
+			t.Errorf("rank %d has its message %v s after rank 1, want %v", d, gap, want)
+		}
+	}
+}

@@ -527,8 +527,9 @@ func phaseStats(ranks []rankData) []PhaseStats {
 			}
 		}
 		ps.MeanSec = ps.TotalSec / n
-		// A phase that costs no virtual time anywhere (core's second pass:
-		// its work was charged when pass 1 counted it) is balanced.
+		// A phase that costs no virtual time anywhere (core's tree-merge on
+		// one rank: the branch exchange sends nothing and charges nothing)
+		// is balanced.
 		ps.Imbalance = 1
 		if ps.MeanSec > 0 {
 			ps.Imbalance = ps.MaxSec / ps.MeanSec

@@ -20,15 +20,13 @@ type JobSpec struct {
 	N        int    `json:"n,omitempty"`
 	Ranks    int    `json:"ranks,omitempty"`
 	Steps    int    `json:"steps,omitempty"`
-	// EngineWorkers sizes the rank scheduler's pool (0 = host cores; 1 =
-	// fully reproducible schedules). There is no runtime to select: an
-	// "engine" key, which older clients sent and older journals carry in
-	// every spec, is ignored like any unknown key.
-	EngineWorkers int     `json:"engine_workers,omitempty"`
-	Seed          int64   `json:"seed,omitempty"`
-	DT            float64 `json:"dt,omitempty"`
-	Theta         float64 `json:"theta,omitempty"`
-	Eps           float64 `json:"eps,omitempty"`
+	// There is no runtime to select and no pool to size: the "engine" and
+	// "engine_workers" keys, which older clients sent and older journals
+	// carry, are ignored like any unknown key.
+	Seed  int64   `json:"seed,omitempty"`
+	DT    float64 `json:"dt,omitempty"`
+	Theta float64 `json:"theta,omitempty"`
+	Eps   float64 `json:"eps,omitempty"`
 	// CheckpointEvery is the recovery checkpoint cadence in steps
 	// (default 2). Checkpoints are what make a killed daemon resumable.
 	CheckpointEvery int `json:"checkpoint_every,omitempty"`
@@ -112,7 +110,7 @@ func (sp JobSpec) LedgerConfig() ledger.Config {
 	cfg := ledger.Config{
 		Tool: "spacesimd", Experiment: "job", Scenario: sp.Scenario,
 		N: sp.N, Ranks: sp.Ranks, Steps: sp.Steps,
-		Workers: sp.EngineWorkers, Seed: sp.Seed,
+		Seed: sp.Seed,
 		Flags: map[string]string{
 			"theta": fmt.Sprint(sp.Theta), "dt": fmt.Sprint(sp.DT),
 			"eps": fmt.Sprint(sp.Eps),
@@ -136,9 +134,8 @@ func (sp JobSpec) runConfig(o *obs.Obs) core.RunConfig {
 	cl := machine.SpaceSimulator(netsim.ProfileLAM).WithObs(o)
 	return core.RunConfig{
 		Cluster: cl, Procs: sp.Ranks, Steps: sp.Steps,
-		Opt:           core.Options{Theta: sp.Theta, Eps: sp.Eps, DT: sp.DT},
-		GatherBodies:  true,
-		EngineWorkers: sp.EngineWorkers,
+		Opt:          core.Options{Theta: sp.Theta, Eps: sp.Eps, DT: sp.DT},
+		GatherBodies: true,
 	}
 }
 

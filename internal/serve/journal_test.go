@@ -108,8 +108,10 @@ func TestReplayResumesKilledJobBitIdentical(t *testing.T) {
 // A journal written before the rank runtime stopped being selectable: the
 // two lines are what commit 623b44b's daemon appended for smallSpec() before
 // a kill -9, "engine":"goroutine" included (withDefaults put it in every
-// spec). The job must load, run and finish; the dead key changes nothing, so
-// the job is keyed and answered like the same spec submitted today.
+// spec), and "engine_workers":1, which sized the rank pool until the force
+// walk became a one-slot region. The job must load, run and finish; the dead
+// keys change nothing, so the job is keyed and answered like the same spec
+// submitted today.
 func TestReplayJournalFromBeforeEngineRemoval(t *testing.T) {
 	const id = "j000001-7fe866fd"
 	journal := `{"ev":"submit","id":"j000001-7fe866fd","t":1,"spec":{"scenario":"plummer","n":300,"ranks":2,"steps":2,"engine":"goroutine","engine_workers":1,"seed":7,"dt":0.005,"theta":0.7,"eps":0.01,"checkpoint_every":1}}

@@ -20,7 +20,7 @@ import (
 // ranks, two steps, a checkpoint after every step.
 func smallSpec() JobSpec {
 	return JobSpec{Scenario: "plummer", N: 300, Ranks: 2, Steps: 2,
-		CheckpointEvery: 1, Seed: 7, EngineWorkers: 1}
+		CheckpointEvery: 1, Seed: 7}
 }
 
 // newTestServer opens a server on dir with fast test timings; mut adjusts
@@ -479,9 +479,10 @@ func TestSpecValidation(t *testing.T) {
 	}
 }
 
-// Clients written against the two-runtime daemon still send "engine". The
-// key selects nothing now and is dropped like any unknown key — whatever its
-// value, the submission is accepted, not a 400, and keyed like one without.
+// Clients written against the two-runtime daemon still send "engine", and
+// older ones "engine_workers". The keys select nothing now and are dropped
+// like any unknown key — whatever their values, the submission is accepted,
+// not a 400, and keyed like one without.
 func TestSubmittedEngineFieldIgnored(t *testing.T) {
 	s := newTestServer(t, t.TempDir(), nil)
 	defer s.Drain()
