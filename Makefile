@@ -215,11 +215,12 @@ fault-smoke:
 # Live-telemetry smoke: a run served over -http is probed while in flight
 # (Prometheus exposition, the progress/ETA JSON, /series.json answering
 # 404, and a 1-second CPU profile from net/http/pprof — so the run is sized
-# to last a few seconds); its analysis report, checked as spacesim writes
-# it, must carry no live block.
+# to outlast the profile with margin: 60 steps of 30000 bodies, about 4 s on
+# two cores, where 10 steps ended before the profile did); its analysis
+# report, checked as spacesim writes it, must carry no live block.
 live-smoke:
 	$(GO) build -o /tmp/spacesim-live ./cmd/spacesim
-	/tmp/spacesim-live -n 30000 -procs 4 -steps 10 -http 127.0.0.1:17071 \
+	/tmp/spacesim-live -n 30000 -procs 4 -steps 60 -http 127.0.0.1:17071 \
 		-report -analysis /tmp/spacesim-smoke-live.json >/tmp/spacesim-smoke-live.log & pid=$$!; \
 	up=0; for i in $$(seq 1 50); do \
 		if curl -sf http://127.0.0.1:17071/progress.json >/dev/null; then up=1; break; fi; sleep 0.1; done; \

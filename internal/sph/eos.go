@@ -48,11 +48,17 @@ func (e *EOS) Pressure(rho, u float64) float64 {
 
 // SoundSpeed returns an effective adiabatic sound speed at (rho, u).
 func (e *EOS) SoundSpeed(rho, u float64) float64 {
+	return e.soundSpeed(rho, e.Pressure(rho, u))
+}
+
+// soundSpeed returns the sound speed at density rho and pressure p: the
+// one at (rho, u) when p is Pressure(rho, u), without evaluating it again.
+func (e *EOS) soundSpeed(rho, p float64) float64 {
 	gamma := e.Gamma1
 	if rho > e.RhoNuc {
 		gamma = e.Gamma2
 	}
-	cs2 := gamma * e.Pressure(rho, u) / rho
+	cs2 := gamma * p / rho
 	if cs2 < 0 {
 		cs2 = 0
 	}

@@ -69,7 +69,7 @@ type nbrList struct {
 // worker is the reusable state of one pass goroutine: its walk scratch, the
 // kept runs of the leaf it is on, and the buffers the ball searches, the
 // neighbour records and the pair pass append to. What a leaf or a particle
-// keeps (leafSearch.ranges, nbrList.src, Sim.pairs) is a run of these
+// keeps (leafSearch.ranges, nbrList.src, leafPairs.recs) is a run of these
 // buffers, resliced: append writes only past a buffer's length or into a new
 // array, so the run stays valid while the buffer grows, until the next reset
 // (ensureTree for the ranges, UpdateDensity and ensureTree for the records,
@@ -157,23 +157,32 @@ func (s *Sim) search(w *worker, li int) *leafSearch {
 
 // keep distance-tests the candidates cand of the particle at tree position k
 // and appends to w.kept, in candidate order, those within cover of it. It
-// returns their run and the number of candidates tested.
+// returns their run and the number of candidates tested. The scan has no
+// branch on the test: every candidate is written to the next free slot, which
+// advances only past one inside the cover.
 func (s *Sim) keep(w *worker, k int, cand []htree.BodyRange, cover float64) (r run, tested int) {
 	src := s.tree.Sources()
 	xi, r2max := src[k].Pos, cover*cover
-	out := w.kept
-	r = run{lo: len(out), cover: cover}
 	for _, rg := range cand {
 		tested += rg.Hi - rg.Lo
+	}
+	r = run{lo: len(w.kept), cover: cover}
+	out := slices.Grow(w.kept, tested)[:len(w.kept)+tested]
+	n := r.lo
+	for _, rg := range cand {
 		for kj := rg.Lo; kj < rg.Hi; kj++ {
 			sj := &src[kj]
 			dx, dy, dz := xi[0]-sj.Pos[0], xi[1]-sj.Pos[1], xi[2]-sj.Pos[2]
-			if r2 := dx*dx + dy*dy + dz*dz; r2 <= r2max {
-				out = append(out, kept{int32(kj), r2})
+			r2 := dx*dx + dy*dy + dz*dz
+			out[n] = kept{int32(kj), r2}
+			inside := 0
+			if r2 <= r2max {
+				inside = 1
 			}
+			n += inside
 		}
 	}
-	w.kept, r.hi = out, len(out)
+	w.kept, r.hi = out[:n], n
 	return r, tested
 }
 
@@ -215,10 +224,7 @@ func (s *Sim) record(w *worker, run []kept, h float64) nbrList {
 func (s *Sim) fanOut(parallel bool, n int, do func(w *worker, i int) (tested, found int)) {
 	workers := 1
 	if parallel {
-		if workers = s.Cfg.Workers; workers < 1 {
-			workers = runtime.GOMAXPROCS(0)
-		}
-		workers = max(min(workers, n), 1)
+		workers = s.width(n)
 	}
 	for len(s.work) < workers {
 		s.work = append(s.work, worker{sc: htree.BucketScratch{Ball: true}})
@@ -252,6 +258,30 @@ func (s *Sim) fanOut(parallel bool, n int, do func(w *worker, i int) (tested, fo
 	}
 	s.cCand.Add(tested.Load())
 	s.cNbr.Add(found.Load())
+}
+
+// width is the number of goroutines a parallel fanOut over n items runs on:
+// Cfg.Workers, GOMAXPROCS when < 1, at most n and at least one.
+func (s *Sim) width(n int) int {
+	workers := s.Cfg.Workers
+	if workers < 1 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	return max(min(workers, n), 1)
+}
+
+// perParticle is the number of particles one claim of a per-particle loop
+// covers.
+const perParticle = 512
+
+// forEach calls do(lo, hi) over consecutive spans of [0, n) that together
+// cover it once, on Cfg.Workers goroutines (fanOut): the per-particle loops,
+// each of which writes only the particles of its own span.
+func (s *Sim) forEach(n int, do func(lo, hi int)) {
+	s.fanOut(true, (n+perParticle-1)/perParticle, func(_ *worker, c int) (int, int) {
+		do(c*perParticle, min((c+1)*perParticle, n))
+		return 0, 0
+	})
 }
 
 // phase runs f under the pprof label phase=name, which the goroutines f

@@ -219,6 +219,74 @@ func TestDensityAgainstBruteForce(t *testing.T) {
 	}
 }
 
+// pairTermsByID is the pair evaluation before the particle rows, every
+// factor read by particle index from the particle arrays and from diffD,
+// and computed once per pair: the oracle of pairTerms.
+func pairTermsByID(s *Sim, diffD []float64, i, j int, rij vec.V3, r, hm float64) pairRec {
+	p, cfg := s.P, &s.Cfg
+	dw := DW(r, hm)
+	gradW := rij.Scale(dw / r)
+	vij := p.Vel[i].Sub(p.Vel[j])
+	pi := 0.0
+	vdotr := vij.Dot(rij)
+	if vdotr < 0 {
+		mu := hm * vdotr / (r*r + 0.01*hm*hm)
+		cm := 0.5 * (p.Cs[i] + p.Cs[j])
+		rhom := 0.5 * (p.Rho[i] + p.Rho[j])
+		pi = (-cfg.AlphaVisc*cm*mu + cfg.BetaVisc*mu*mu) / rhom
+	}
+	rec := pairRec{i: int32(i), j: int32(j), gradW: gradW}
+	rec.term = p.P[i]/(p.Rho[i]*p.Rho[i]) + p.P[j]/(p.Rho[j]*p.Rho[j]) + pi
+	gth := cfg.EOS.GammaTh - 1
+	thTerm := gth*p.U[i]/p.Rho[i] + gth*p.U[j]/p.Rho[j] + pi
+	rec.work = 0.5 * thTerm * vij.Dot(gradW)
+	if di, dj := diffD[i], diffD[j]; cfg.FLD != nil && di > 0 && dj > 0 {
+		dbar := 4 * di * dj / (di + dj)
+		f := -dw / r
+		rec.flux = dbar * f / (p.Rho[i] * p.Rho[j]) *
+			(p.Rho[j]*p.Enu[j] - p.Rho[i]*p.Enu[i])
+	}
+	return rec
+}
+
+// Every pair record the pass evaluates from the tree-ordered rows holds the
+// bits the by-index evaluation gives for the same two particles.
+func TestPairTermsMatchByID(t *testing.T) {
+	s := collapseState(t)
+	p := s.P
+	for i := range p.Enu {
+		p.Enu[i] = 0.02 * p.U[i] * (1 + math.Sin(float64(i)))
+	}
+	s.computeForces()
+	bodies, src := s.tree.Bodies, s.tree.Sources()
+	diffD := make([]float64, p.N())
+	for k, b := range bodies {
+		diffD[b.ID] = s.diffD[k]
+	}
+	pairs, fluxes := 0, 0
+	for _, leaf := range s.pairs {
+		for _, got := range leaf.recs {
+			k, kj := int(got.i), int(got.j)
+			i, j := bodies[k].ID, bodies[kj].ID
+			xi, xj := src[k].Pos, src[kj].Pos
+			rij := vec.V3{xi[0] - xj[0], xi[1] - xj[1], xi[2] - xj[2]}
+			r := math.Sqrt(rij[0]*rij[0] + rij[1]*rij[1] + rij[2]*rij[2])
+			want := pairTermsByID(s, diffD, i, j, rij, r, 0.5*(p.H[i]+p.H[j]))
+			want.i, want.j = got.i, got.j
+			if got != want {
+				t.Fatalf("pair (%d, %d): %+v, by index %+v", i, j, got, want)
+			}
+			pairs++
+			if got.flux != 0 {
+				fluxes++
+			}
+		}
+	}
+	if pairs == 0 || fluxes == 0 {
+		t.Fatalf("%d pairs, %d with a neutrino flux", pairs, fluxes)
+	}
+}
+
 // The force pass against O(N^2) loops: the FLD gradient gathered over
 // r <= 2 h_i, every pair with r < h_i + h_j evaluated once.
 func TestForcesAgainstBruteForce(t *testing.T) {
@@ -552,12 +620,19 @@ func sameBits(a, b []float64) int {
 // rho, h, P, Cs, every neighbour record, and the forces.
 func matchOracle(t *testing.T, what string, s, o *Sim, diffD []float64) {
 	t.Helper()
+	// s.diffD is indexed by tree position, the oracle's by particle.
+	gotD := make([]float64, s.P.N())
+	if s.tree != nil {
+		for k, b := range s.tree.Bodies {
+			gotD[b.ID] = s.diffD[k]
+		}
+	}
 	for _, f := range []struct {
 		name string
 		a, b []float64
 	}{
 		{"rho", s.P.Rho, o.P.Rho}, {"h", s.P.H, o.P.H}, {"P", s.P.P, o.P.P}, {"Cs", s.P.Cs, o.P.Cs},
-		{"dudt", s.dudt, o.dudt}, {"dnu", s.dnu, o.dnu}, {"diffD", s.diffD, diffD},
+		{"dudt", s.dudt, o.dudt}, {"dnu", s.dnu, o.dnu}, {"diffD", gotD, diffD},
 	} {
 		if i := sameBits(f.a, f.b); i >= 0 {
 			t.Fatalf("%s: %s differs from the two-pass oracle's at %d", what, f.name, i)

@@ -44,9 +44,11 @@ type Config struct {
 	// CFL is the timestep safety factor.
 	CFL float64
 	// Workers bounds the host goroutines of the tree build, the grouped
-	// force walk, the density and FLD gather passes and the evaluation of
-	// the hydro pairs (<= 0 means GOMAXPROCS). Results are bit-identical for
-	// any value: pairs are applied in tree order on one goroutine.
+	// force walk, every pass of the step over leaves or particles and the
+	// apply of the hydro pairs (<= 0 means GOMAXPROCS). Results are
+	// bit-identical for any value: each goroutine of the apply adds, in
+	// record order, only the contributions to its own span of particles, so
+	// every sum is taken in the order of a serial pass.
 	Workers int
 }
 
@@ -94,10 +96,14 @@ type Sim struct {
 	// UpdateDensity or, when stale, by computeForces' FLD gather.
 	nbr []nbrList
 
-	// computeForces' per-step state, kept for its capacity: the diffusion
-	// coefficients; per leaf, the pairs evaluated from its particles' side.
+	// computeForces' per-step state, kept for its capacity, all indexed by
+	// tree position: the particle rows the passes read, the diffusion
+	// coefficients and the sums of the pair apply; and, per leaf, the pairs
+	// evaluated from its particles' side.
+	rows  []row
 	diffD []float64
-	pairs [][]pairRec
+	sums  []accum
+	pairs []leafPairs
 
 	// observation handles (no-ops until SetObs).
 	o      *obs.Obs
@@ -154,7 +160,6 @@ func NewSim(cfg Config, p *Particles) *Sim {
 	s.acc = make([]vec.V3, n)
 	s.dudt = make([]float64, n)
 	s.dnu = make([]float64, n)
-	s.diffD = make([]float64, n)
 	s.nbr = make([]nbrList, n)
 	if len(p.H) == 0 && n > 0 {
 		p.H = make([]float64, n)
@@ -178,7 +183,8 @@ func NewSim(cfg Config, p *Particles) *Sim {
 // toward the target neighbor count) and densities, and records each
 // particle's neighbours at the final h for the force pass. Each particle
 // gathers within its own support 2h and writes only its own rho, h and
-// record, so the buckets run on Cfg.Workers goroutines.
+// record, so the buckets run on Cfg.Workers goroutines, and so does the
+// equation of state after them.
 //
 // A particle tests the candidates of its leaf's search once: the first
 // iteration keeps those within the search's support, and the second
@@ -239,31 +245,39 @@ func (s *Sim) UpdateDensity() {
 			s.cRefits.Add(int64(refits))
 			return tested, found
 		})
+		eos := s.Cfg.EOS
+		s.forEach(n, func(lo, hi int) {
+			for i := lo; i < hi; i++ {
+				p.P[i] = eos.Pressure(p.Rho[i], p.U[i])
+				p.Cs[i] = eos.soundSpeed(p.Rho[i], p.P[i])
+			}
+		})
 	})
-	for i := 0; i < n; i++ {
-		p.P[i] = s.Cfg.EOS.Pressure(p.Rho[i], p.U[i])
-		p.Cs[i] = s.Cfg.EOS.SoundSpeed(p.Rho[i], p.U[i])
-	}
 }
 
 // computeForces fills acc (pressure + viscosity + gravity), dudt, and the
 // neutrino-field derivatives.
+//
+// Every pass reads in tree order: a row per tree position holds what the
+// passes read of a particle, the per-particle factors of the pair terms
+// among it, and the FLD gather, the pair pass and the apply read a
+// partner's row at its tree position. The apply sums in tree order; the sums
+// are scattered to particle order once.
 func (s *Sim) computeForces() {
 	defer s.span("forces")()
 	p := s.P
-	n := p.N()
 	cfg := s.Cfg
-	for i := range s.acc {
-		s.acc[i] = vec.V3{}
-		s.dudt[i] = 0
-		s.dnu[i] = 0
-	}
 	s.maxDiffOverH2 = 0
 	s.ensureTree()
 	if s.tree == nil {
 		return
 	}
 	bodies, src := s.tree.Bodies, s.tree.Sources()
+	n := len(bodies)
+	s.rows = slices.Grow(s.rows[:0], n)[:n]
+	s.diffD = slices.Grow(s.diffD[:0], n)[:n]
+	s.sums = slices.Grow(s.sums[:0], n)[:n]
+	rows, diffD, sums := s.rows, s.diffD, s.sums
 
 	// The FLD gather: energy density and limited diffusion coefficient, a
 	// gather over each particle's own support like the density iterations,
@@ -271,19 +285,31 @@ func (s *Sim) computeForces() {
 	// whose record is stale (the tree or its h changed since, or its final
 	// support outgrew its kept run) is recorded again from its leaf's search
 	// first. The pair pass reads the same records.
-	diffD := s.diffD
-	clear(diffD)
 	for w := range s.work {
 		s.work[w].pairs = s.work[w].pairs[:0]
 	}
 	phase("fld", func() {
+		gth := cfg.EOS.GammaTh - 1
+		s.forEach(n, func(lo, hi int) {
+			for k := lo; k < hi; k++ {
+				i := bodies[k].ID
+				rho := p.Rho[i]
+				rows[k] = row{
+					vel: p.Vel[i], h: p.H[i], rho: rho, cs: p.Cs[i],
+					pOverRho2: p.P[i] / (rho * rho), uTh: gth * p.U[i] / rho,
+					mOverRho: src[k].Mass / rho, e: rho * p.Enu[i],
+					id: int32(i),
+				}
+				diffD[k] = 0
+			}
+		})
 		s.fanOut(true, len(s.leaves), func(w *worker, li int) (tested, found int) {
 			b := s.leaves[li]
 			var c *leafSearch
 			refits := 0
 			for k := b.Lo; k < b.Hi; k++ {
-				i := bodies[k].ID
-				xi, h := src[k].Pos, p.H[i]
+				ri := &rows[k]
+				xi, h := src[k].Pos, ri.h
 				nb := &s.nbr[k]
 				if nb.gen != s.gen || nb.h != h {
 					if c == nil {
@@ -299,25 +325,22 @@ func (s *Sim) computeForces() {
 				if cfg.FLD == nil {
 					continue
 				}
-				e := p.Rho[i] * p.Enu[i]
 				// gradient magnitude estimate via SPH
 				var grad vec.V3
 				for _, kj := range nb.src {
-					sj := &src[kj]
+					sj, rj := &src[kj], &rows[kj]
 					rij := vec.V3{xi[0] - sj.Pos[0], xi[1] - sj.Pos[1], xi[2] - sj.Pos[2]}
 					r := math.Sqrt(rij[0]*rij[0] + rij[1]*rij[1] + rij[2]*rij[2])
-					j := bodies[kj].ID
-					ej := p.Rho[j] * p.Enu[j]
-					grad = grad.AddScaled(sj.Mass/p.Rho[j]*(ej-e)*DW(r, h)/r, rij)
+					grad = grad.AddScaled(rj.mOverRho*(rj.e-ri.e)*DW(r, h)/r, rij)
 				}
-				diffD[i] = cfg.FLD.DiffusionCoeff(p.Rho[i], e, grad.Norm())
+				diffD[k] = cfg.FLD.DiffusionCoeff(ri.rho, ri.e, grad.Norm())
 			}
 			s.cRefits.Add(int64(refits))
 			return tested, found
 		})
 	})
-	for i := 0; i < n; i++ {
-		if v := diffD[i] / (p.H[i] * p.H[i]); v > s.maxDiffOverH2 {
+	for k := range diffD {
+		if v := diffD[k] / (rows[k].h * rows[k].h); v > s.maxDiffOverH2 {
 			s.maxDiffOverH2 = v
 		}
 	}
@@ -327,20 +350,20 @@ func (s *Sim) computeForces() {
 	// index): h_j <= h_i puts the partner inside that particle's own support
 	// 2 h_i, so it is on the particle's FLD gather list and no cell needs to
 	// know the largest h below it. Leaves fan out over Cfg.Workers to
-	// evaluate their pairs into records; one goroutine then adds the records
-	// to both partners in tree order, every sum in the order of a serial pass.
+	// evaluate their pairs into records.
 	s.pairs = slices.Grow(s.pairs[:0], len(s.leaves))[:len(s.leaves)]
 	phase("pairs", func() {
 		s.fanOut(true, len(s.leaves), func(w *worker, li int) (tested, found int) {
 			b, lo := s.leaves[li], len(w.pairs)
+			reach := leafPairs{lo: b.Lo, hi: b.Hi - 1}
 			for k := b.Lo; k < b.Hi; k++ {
-				i := bodies[k].ID
-				xi, hi := src[k].Pos, p.H[i]
+				ri := &rows[k]
+				xi, hi := src[k].Pos, ri.h
 				tested += len(s.nbr[k].src)
 				for _, kj := range s.nbr[k].src {
-					j := bodies[kj].ID
-					hj := p.H[j]
-					if hj > hi || (hj == hi && j < i) {
+					rj := &rows[kj]
+					hj := rj.h
+					if hj > hi || (hj == hi && rj.id < ri.id) {
 						continue // the partner's side evaluates this pair
 					}
 					sj := &src[kj]
@@ -351,100 +374,157 @@ func (s *Sim) computeForces() {
 						continue
 					}
 					found++
-					w.pairs = append(w.pairs, s.pairTerms(i, j, rij, r, hm))
+					w.pairs = append(w.pairs, pairRec{})
+					s.pairTerms(&w.pairs[len(w.pairs)-1], k, int(kj), rij, r, hm)
+					reach.lo, reach.hi = min(reach.lo, int(kj)), max(reach.hi, int(kj))
 				}
 			}
-			s.pairs[li] = w.pairs[lo:]
+			reach.recs = w.pairs[lo:]
+			s.pairs[li] = reach
 			return tested, found
 		})
 	})
+
+	// The apply adds every record to both partners. It is split by
+	// destination: each of Cfg.Workers goroutines owns a span of tree
+	// positions and reads, in order, every leaf's records that reach it,
+	// adding only the contributions to its own particles, so each sum is
+	// taken in record order however the particles are split. The sums are
+	// then scattered to particle order with the neutrino emission: thermal
+	// energy converts to neutrino energy in the hot dense core.
 	phase("pair-apply", func() {
-		for _, pairs := range s.pairs {
-			for q := range pairs {
-				rec := &pairs[q]
-				i, j := int(rec.i), int(rec.j)
-				s.acc[i] = s.acc[i].AddScaled(-p.Mass[j]*rec.term, rec.gradW)
-				s.acc[j] = s.acc[j].AddScaled(p.Mass[i]*rec.term, rec.gradW)
-				s.dudt[i] += p.Mass[j] * rec.work
-				s.dudt[j] += p.Mass[i] * rec.work
-				if di, dj := diffD[i], diffD[j]; cfg.FLD != nil && di > 0 && dj > 0 {
-					s.dnu[i] += p.Mass[j] * rec.flux
-					s.dnu[j] -= p.Mass[i] * rec.flux
+		fld := cfg.FLD != nil
+		parts := s.width(n)
+		s.fanOut(true, parts, func(_ *worker, part int) (int, int) {
+			lo, hi := part*n/parts, (part+1)*n/parts
+			clear(sums[lo:hi])
+			span := uint(hi - lo)
+			for _, leaf := range s.pairs {
+				if leaf.hi < lo || leaf.lo >= hi {
+					continue
+				}
+				for q := range leaf.recs {
+					rec := &leaf.recs[q]
+					i, j := int(rec.i), int(rec.j)
+					if uint(i-lo) < span {
+						a, mj := &sums[i], src[j].Mass
+						a.acc = a.acc.AddScaled(-mj*rec.term, rec.gradW)
+						a.dudt += mj * rec.work
+						if fld && diffD[i] > 0 && diffD[j] > 0 {
+							a.dnu += mj * rec.flux
+						}
+					}
+					if uint(j-lo) < span {
+						a, mi := &sums[j], src[i].Mass
+						a.acc = a.acc.AddScaled(mi*rec.term, rec.gradW)
+						a.dudt += mi * rec.work
+						if fld && diffD[i] > 0 && diffD[j] > 0 {
+							a.dnu -= mi * rec.flux
+						}
+					}
 				}
 			}
-		}
-	})
-
-	// neutrino emission: thermal energy converts to neutrino energy in the
-	// hot dense core
-	if cfg.FLD != nil {
+			return 0, 0
+		})
 		f := cfg.FLD
-		for i := 0; i < n; i++ {
-			if p.Rho[i] > f.RhoEmit && p.U[i] > 0 {
-				rate := f.EmissRate * (p.Rho[i] / f.RhoEmit) * (p.Rho[i] / f.RhoEmit)
-				s.dudt[i] -= rate * p.U[i]
-				s.dnu[i] += rate * p.U[i]
+		s.forEach(n, func(lo, hi int) {
+			for k := lo; k < hi; k++ {
+				i, a := bodies[k].ID, &sums[k]
+				s.acc[i], s.dudt[i], s.dnu[i] = a.acc, a.dudt, a.dnu
+				if f != nil && p.Rho[i] > f.RhoEmit && p.U[i] > 0 {
+					rate := f.EmissRate * (p.Rho[i] / f.RhoEmit) * (p.Rho[i] / f.RhoEmit)
+					s.dudt[i] -= rate * p.U[i]
+					s.dnu[i] += rate * p.U[i]
+				}
 			}
-		}
-	}
+		})
+	})
 
 	// self-gravity on the same tree
 	phase("gravity", func() {
 		gacc, _, _ := s.tree.AccelAllGrouped(cfg.GravTheta, cfg.GravEps, false, gravity.Float64, cfg.Workers)
-		for i := 0; i < n; i++ {
-			s.acc[i] = s.acc[i].Add(gacc[i])
-		}
+		s.forEach(n, func(lo, hi int) {
+			for i := lo; i < hi; i++ {
+				s.acc[i] = s.acc[i].Add(gacc[i])
+			}
+		})
 	})
 }
 
-// pairRec is one evaluated pair, i the particle whose side evaluated it and
-// j its partner, holding what the apply scales by the partners' masses: the
-// kernel gradient, the pressure and viscosity term along it, the work on u
-// and the neutrino flux.
+// row is what the passes of computeForces read of one particle, stored at
+// its tree position: its smoothing length and index in Particles (all the
+// pair pass reads of most partners), its velocity, density and sound speed,
+// the per-particle factors of the pair terms and the FLD gather
+// (P/rho^2, the thermal (gamma_th-1) u/rho, m/rho and the neutrino energy
+// density rho e_nu).
+type row struct {
+	h                           float64
+	id                          int32
+	vel                         vec.V3
+	rho, cs                     float64
+	pOverRho2, uTh, mOverRho, e float64
+}
+
+// accum is one particle's sums of the pair apply: acceleration, du/dt and
+// de_nu/dt.
+type accum struct {
+	acc       vec.V3
+	dudt, dnu float64
+}
+
+// leafPairs is the pairs evaluated from one leaf's side and the span
+// [lo, hi] of the tree positions they name, the leaf's own included.
+type leafPairs struct {
+	recs   []pairRec
+	lo, hi int
+}
+
+// pairRec is one evaluated pair, i the tree position of the particle whose
+// side evaluated it and j its partner's, holding what the apply scales by
+// the partners' masses: the kernel gradient, the pressure and viscosity term
+// along it, the work on u and the neutrino flux.
 type pairRec struct {
 	i, j             int32
 	gradW            vec.V3
 	term, work, flux float64
 }
 
-// pairTerms evaluates the interaction of particles i and j, a distance r =
-// |rij| apart with rij = x_i - x_j and mean smoothing length hm: pressure and
-// viscous acceleration, their work on u, and the neutrino flux between them,
-// from s.diffD. Every term is symmetric or antisymmetric under exchange of i
-// and j, so it does not matter which side calls. It reads the particles and
-// writes nothing, so pairs may be evaluated concurrently.
-func (s *Sim) pairTerms(i, j int, rij vec.V3, r, hm float64) pairRec {
-	p, cfg := s.P, &s.Cfg
+// pairTerms evaluates into rec the interaction of the particles at tree
+// positions k and kj, a distance r = |rij| apart with rij = x_k - x_kj and
+// mean smoothing length hm: pressure and viscous acceleration, their work on
+// u, and the neutrino flux between them, from their rows and s.diffD. Every
+// term is symmetric or antisymmetric under exchange of the two, so it does
+// not matter which side calls. It reads the rows and writes only rec, so
+// pairs may be evaluated concurrently.
+func (s *Sim) pairTerms(rec *pairRec, k, kj int, rij vec.V3, r, hm float64) {
+	cfg := &s.Cfg
+	a, b := &s.rows[k], &s.rows[kj]
 	dw := DW(r, hm)
 	gradW := rij.Scale(dw / r)
-	vij := p.Vel[i].Sub(p.Vel[j])
+	vij := a.vel.Sub(b.vel)
 
 	// Monaghan artificial viscosity for approaching pairs
 	pi := 0.0
 	vdotr := vij.Dot(rij)
 	if vdotr < 0 {
 		mu := hm * vdotr / (r*r + 0.01*hm*hm)
-		cm := 0.5 * (p.Cs[i] + p.Cs[j])
-		rhom := 0.5 * (p.Rho[i] + p.Rho[j])
+		cm := 0.5 * (a.cs + b.cs)
+		rhom := 0.5 * (a.rho + b.rho)
 		pi = (-cfg.AlphaVisc*cm*mu + cfg.BetaVisc*mu*mu) / rhom
 	}
-	rec := pairRec{i: int32(i), j: int32(j), gradW: gradW}
-	rec.term = p.P[i]/(p.Rho[i]*p.Rho[i]) + p.P[j]/(p.Rho[j]*p.Rho[j]) + pi
+	*rec = pairRec{i: int32(k), j: int32(kj), gradW: gradW}
+	rec.term = a.pOverRho2 + b.pOverRho2 + pi
 	// Only the thermal pressure and viscosity do work on u: the cold branch
 	// is barotropic, its energy is a function of rho alone and is accounted
 	// separately (EOS.ColdEnergy).
-	gth := cfg.EOS.GammaTh - 1
-	thTerm := gth*p.U[i]/p.Rho[i] + gth*p.U[j]/p.Rho[j] + pi
-	rec.work = 0.5 * thTerm * vij.Dot(gradW)
+	rec.work = 0.5 * (a.uTh + b.uTh + pi) * vij.Dot(gradW)
 
 	// FLD diffusion between the pair (Cleary-Monaghan form)
-	if di, dj := s.diffD[i], s.diffD[j]; cfg.FLD != nil && di > 0 && dj > 0 {
+	if di, dj := s.diffD[k], s.diffD[kj]; cfg.FLD != nil && di > 0 && dj > 0 {
 		dbar := 4 * di * dj / (di + dj)
 		f := -dw / r // >= 0
-		rec.flux = dbar * f / (p.Rho[i] * p.Rho[j]) *
-			(p.Rho[j]*p.Enu[j] - p.Rho[i]*p.Enu[i])
+		rec.flux = dbar * f / (a.rho * b.rho) * (b.e - a.e)
 	}
-	return rec
 }
 
 // TimestepCFL returns the Courant-limited timestep.
@@ -530,7 +610,6 @@ func (s *Sim) Diag() Diagnostics {
 		return d
 	}
 	_, pot, _ := s.tree.AccelAllGrouped(0.3, s.Cfg.GravEps, false, gravity.Float64, s.Cfg.Workers)
-	dense := make([]rhoi, p.N())
 	for i := 0; i < p.N(); i++ {
 		m := p.Mass[i]
 		d.Kinetic += 0.5 * m * p.Vel[i].Norm2()
@@ -539,8 +618,23 @@ func (s *Sim) Diag() Diagnostics {
 		d.Potential += 0.5 * m * pot[i]
 		d.Momentum = d.Momentum.AddScaled(m, p.Vel[i])
 		d.AngMom = d.AngMom.Add(p.Pos[i].Cross(p.Vel[i]).Scale(m))
-		if p.Rho[i] > d.MaxRho {
-			d.MaxRho = p.Rho[i]
+	}
+	d.MaxRho, d.CentralVr = s.coreState()
+	return d
+}
+
+// coreState returns the peak density and the mass-weighted radial velocity of
+// the densest tenth of the particles, the two diagnostics that detect the
+// bounce; zero when there are no particles.
+func (s *Sim) coreState() (maxRho, centralVr float64) {
+	p := s.P
+	if p.N() == 0 {
+		return 0, 0
+	}
+	dense := make([]rhoi, p.N())
+	for i := range dense {
+		if p.Rho[i] > maxRho {
+			maxRho = p.Rho[i]
 		}
 		dense[i] = rhoi{p.Rho[i], i}
 	}
@@ -558,9 +652,9 @@ func (s *Sim) Diag() Diagnostics {
 		m += p.Mass[i]
 	}
 	if m > 0 {
-		d.CentralVr = vr / m
+		centralVr = vr / m
 	}
-	return d
+	return maxRho, centralVr
 }
 
 // rhoi pairs a density with its particle index for the central-velocity
@@ -689,7 +783,9 @@ func NewRotatingCollapse(opt RotatingCollapseOptions) *Sim {
 
 // RunUntilBounce advances the collapse until the core reaches nuclear
 // density and the central radial velocity turns around (or maxSteps).
-// It returns the step count and whether bounce was detected.
+// It returns the step count and whether bounce was detected. It reads only
+// the core's two diagnostics after each step, not the potential Diag walks
+// the tree for.
 func (s *Sim) RunUntilBounce(maxSteps int) (int, bool) {
 	s.prog.SetTotal(maxSteps)
 	s.prog.State("running")
@@ -698,11 +794,11 @@ func (s *Sim) RunUntilBounce(maxSteps int) (int, bool) {
 	for step := 1; step <= maxSteps; step++ {
 		s.Step()
 		s.prog.StepDone(step, s.Time)
-		d := s.Diag()
-		if d.MaxRho > s.Cfg.EOS.RhoNuc {
+		maxRho, centralVr := s.coreState()
+		if maxRho > s.Cfg.EOS.RhoNuc {
 			reachedNuc = true
 		}
-		if reachedNuc && d.CentralVr > 0 {
+		if reachedNuc && centralVr > 0 {
 			s.prog.State("done")
 			return step, true
 		}

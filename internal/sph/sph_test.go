@@ -292,7 +292,9 @@ func TestSimWorkersBitIdentical(t *testing.T) {
 		return s.P, s.Diag()
 	}
 	wantP, wantD := run(1)
-	for _, w := range []int{2, 4, 7} {
+	// 16 workers split the pair apply into spans of 25 particles, shorter
+	// than the runs of tree positions many leaves' pairs reach.
+	for _, w := range []int{2, 4, 7, 16} {
 		gotP, gotD := run(w)
 		if gotD != wantD {
 			t.Fatalf("workers=%d diagnostics diverge:\n%+v\nvs\n%+v", w, gotD, wantD)
@@ -387,6 +389,33 @@ func TestCollapseTrajectoryPinned(t *testing.T) {
 		}
 		if runtime.GOARCH == "amd64" && d != collapseDigest {
 			t.Errorf("workers=%d: digest %#x, want %#x", w, d, uint64(collapseDigest))
+		}
+	}
+}
+
+// benchDigest is digestParticles of bench/'s sph-collapse configuration
+// (8000 particles, seed 1) after its 12 steps.
+const benchDigest = 0xeba8a6454378793f
+
+// The trajectory the benchmark times is pinned too, at its size, where the
+// leaves, the kept runs and the spans of the per-particle loops and of the
+// pair apply are many more than at TestCollapseTrajectoryPinned's.
+func TestBenchSizeTrajectoryPinned(t *testing.T) {
+	first := uint64(0)
+	for _, w := range []int{1, 2, 3} {
+		s := NewRotatingCollapse(RotatingCollapseOptions{N: 8000, Omega: 0.3, PressureDeficit: 0.85, Seed: 1})
+		s.Cfg.Workers = w
+		for i := 0; i < 12; i++ {
+			s.Step()
+		}
+		d := digestParticles(s.P)
+		if w == 1 {
+			first = d
+		} else if d != first {
+			t.Fatalf("workers=%d digest %#x != workers=1 digest %#x", w, d, first)
+		}
+		if runtime.GOARCH == "amd64" && d != benchDigest {
+			t.Errorf("workers=%d: digest %#x, want %#x", w, d, uint64(benchDigest))
 		}
 	}
 }
