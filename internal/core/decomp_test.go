@@ -135,6 +135,20 @@ func denseDecompose(r *mp.Rank, bodies []Body, splitters []key.K, boxLo vec.V3, 
 	return local
 }
 
+// clusteredBodies returns n bodies in four tight Plummer clumps, one in ten
+// of them piled on a single point.
+func clusteredBodies(rng *rand.Rand, n int) []Body {
+	bodies := PlummerSphere(rng, n, 0.02)
+	for i := range bodies {
+		c := float64(i % 4)
+		bodies[i].Pos = bodies[i].Pos.Add(vec.V3{c, c * c / 3, -c})
+		if i%10 == 0 {
+			bodies[i].Pos = vec.V3{2, 1, -2} // a pile of coincident bodies
+		}
+	}
+	return bodies
+}
+
 // Decompose sends each body only to the ranks whose new key range its
 // sender's span reaches, and it must hand every rank exactly the bodies a
 // dense exchange would: on Plummer, uniform and clustered bodies (coincident
@@ -143,24 +157,13 @@ func denseDecompose(r *mp.Rank, bodies []Body, splitters []key.K, boxLo vec.V3, 
 // first time from the block scatter, where spans cover most of key space, the
 // second from the decomposed state, where they reach a neighbour or two.
 func TestDecomposeMatchesDenseExchange(t *testing.T) {
-	clustered := func(rng *rand.Rand, n int) []Body {
-		bodies := PlummerSphere(rng, n, 0.02)
-		for i := range bodies {
-			c := float64(i % 4)
-			bodies[i].Pos = bodies[i].Pos.Add(vec.V3{c, c * c / 3, -c})
-			if i%10 == 0 {
-				bodies[i].Pos = vec.V3{2, 1, -2} // a pile of coincident bodies
-			}
-		}
-		return bodies
-	}
 	for _, ic := range []struct {
 		name string
 		make func(rng *rand.Rand, n int) []Body
 	}{
 		{"plummer", func(rng *rand.Rand, n int) []Body { return PlummerSphere(rng, n, 1.0) }},
 		{"uniform", func(rng *rand.Rand, n int) []Body { return ColdSphere(rng, n, 1.0) }},
-		{"clustered", clustered},
+		{"clustered", clusteredBodies},
 	} {
 		for _, tc := range []struct{ n, p int }{{1500, 3}, {1500, 8}, {2000, 13}, {5, 8}, {0, 4}} {
 			rng := rand.New(rand.NewSource(int64(tc.n + tc.p)))

@@ -21,10 +21,10 @@ import (
 // layer using the global key name space: "a hash table is used in order to
 // translate the key into a pointer ... this level of indirection can also
 // be used to catch accesses to non-local data" (Section 4.2). Here the key
-// is resolved once, when a cell enters the slab below; after that a cell is
-// its slab index, and a cell whose daughters or bodies are not resident
-// catches the non-local access. Every cell is an htree.Cell, in one index
-// space (htree.Far): the local tree's, then the top's, then those fetched.
+// is resolved once, when a reply names the owner's cell, and a top branch with
+// nothing resident below it catches the non-local access. Every cell is an
+// htree.Cell, walked where it lies, in one index space (htree.Far): the local
+// tree's, then the top's, then one per resident branch of another rank.
 
 // cellWireBytes is the accounted wire size of one cell in the branch
 // exchange and in fetch replies, whatever Go struct carries it.
@@ -55,9 +55,8 @@ type DTree struct {
 	// The top is one array for the whole world and nobody writes it. route is
 	// this rank's overlay on it, the index a walk takes each top cell at
 	// (htree.Far): for a branch this rank owns, its local cell; for another
-	// rank's branch whose subtree a reply has brought, this rank's copy of it
-	// at the head of that subtree in the fetched slab; otherwise the cell
-	// itself.
+	// rank's branch that a reply has named, the index of that reply; otherwise
+	// the cell itself.
 	top   *topTree
 	route []int32
 	// The rank's fetch state, kept from step to step (fetchArena).
@@ -77,38 +76,36 @@ type DTree struct {
 	cPoolInline                         *obs.Counter
 }
 
-// fetchArena is what a rank's fetches write: the slab of fetched cells, the
-// table of leaf body segments, and the top walks' requests and scratch. Run
-// keeps one per rank next to its build arena, so a steady step grows none of
-// it; a DTree built without one (BuildDistributed) starts from an empty
-// arena. It is rank state: one goroutine at a time.
+// fetchArena is the rank's fetch state and the cell counts its replies are
+// priced by. Run keeps one per rank next to its build arena, so a steady step
+// grows none of it; a DTree built without one (BuildDistributed) starts from
+// an empty arena. It is rank state: one goroutine at a time.
 type fetchArena struct {
-	// fetched is the rank's own slab, at indices from nLocal+len(top.cells)
-	// on. A reply appends its copy of the branch asked for and the whole
-	// subtree below it, every sibling group side by side and linked from its
-	// parent, and appends each leaf's bodies to bodies, pointing the leaf's
-	// Lo:Hi at that entry. Appends that grow them move them, so a walk holds
-	// no pointer into them across a Poll; a list may, since a reply writes
-	// only cells it appends and the arrays moved from stay as they were.
-	fetched []htree.Cell
-	bodies  [][]gravity.Source
+	// replies holds the other ranks' branches this rank asked for, in
+	// arrival order: reply k is index base()+k of a walk.
+	replies []fetchReply
 
 	// asked[j] is set once this rank has asked for top cell j, the one
-	// request per branch however many groups open it. opens holds, group
-	// after group, the branches each group's walk opens (walkTop); stack is
-	// the top walks' scratch.
-	asked []bool
-	opens []int32
-	stack []int32
+	// request per branch however many groups open it. Group after group,
+	// opens holds the branches each group's walk opens and frontier the top
+	// cells where its top walk stopped, in pop order: j, or ^(nLocal+j) for
+	// one it accepted (walkTop); stack is the top walks' scratch.
+	asked    []bool
+	opens    []int32
+	frontier []int32
+	stack    []int32
+
+	// below[i] counts the cells below local cell i (branches), the price of
+	// a reply for it.
+	below []int32
 }
 
-// resetCaches drops the transient per-evaluation state: every cell and body a
-// fetch reply brought, the routes to them and the requests, keeping their
-// storage. None of it survives into the next evaluation, which is the bound
-// on the slab.
+// resetCaches drops the transient per-evaluation state — the replies, the
+// routes to them, the requests and the top walks' records — keeping their
+// storage: the bound on what a rank holds of the others' trees.
 func (dt *DTree) resetCaches() {
-	clear(dt.bodies) // release the other ranks' trees
-	dt.fetched, dt.bodies, dt.opens = dt.fetched[:0], dt.bodies[:0], dt.opens[:0]
+	clear(dt.replies) // release the other ranks' trees
+	dt.replies, dt.opens, dt.frontier = dt.replies[:0], dt.opens[:0], dt.frontier[:0]
 	dt.asked = slices.Grow(dt.asked[:0], len(dt.top.cells))[:len(dt.top.cells)]
 	clear(dt.asked)
 	for j, o := range dt.top.owner {
@@ -120,9 +117,8 @@ func (dt *DTree) resetCaches() {
 }
 
 // requestBranch asks the owner of top branch j for the subtree below it,
-// unless this rank has asked already. The reply continuation runs during a
-// Poll: it appends this rank's copy of the branch to the slab, routes the
-// branch there and copies the subtree in behind it (copySubtree).
+// unless this rank has asked already. The reply, run during a Poll, appends
+// the owner's cell by reference to the rank's table and routes j to it.
 func (dt *DTree) requestBranch(j int32, st *TraversalStats) {
 	if dt.asked[j] {
 		dt.cDedup.Inc()
@@ -140,41 +136,13 @@ func (dt *DTree) requestBranch(j int32, st *TraversalStats) {
 	lo, _ := k.BodyKeyRange()
 	dt.abm.Request(Owner(dt.splitters, lo), hFetch, k, 8, func(resp any) {
 		dt.ro.Async("fetch", "fetch", fid, t0, dt.r.Clock())
-		if dt.fetched == nil {
-			// What a rank opens of its neighbours goes with its domain's
-			// surface; a rank that opens nothing (one rank) allocates nothing.
-			dt.fetched = make([]htree.Cell, 0, 2*dt.nLocal)
-		}
-		at := int32(len(dt.fetched))
-		dt.route[j] = dt.nLocal + int32(len(dt.top.cells)) + at
-		dt.fetched = append(dt.fetched, dt.top.cells[j])
-		rep := resp.(fetchReply)
-		dt.copySubtree(rep.t, rep.i, at)
+		dt.route[j] = dt.base() + int32(len(dt.replies))
+		dt.replies = append(dt.replies, resp.(fetchReply))
 	})
 }
 
-// copySubtree copies what lies below cell i of the owner's tree t into the
-// slab below slab cell at, its copy: the daughters of an internal cell bare,
-// side by side behind the slab's end and linked from at, then each of their
-// subtrees in turn; or a leaf's bodies, as the capacity-capped segment of
-// t.Sources() that at's Lo:Hi points at.
-func (dt *DTree) copySubtree(t *htree.Tree, i, at int32) {
-	c := t.At(i)
-	if c.Leaf {
-		dt.fetched[at].Lo, dt.fetched[at].Hi = len(dt.bodies), len(dt.bodies)+1
-		dt.bodies = append(dt.bodies, t.Sources()[c.Lo:c.Hi:c.Hi])
-		return
-	}
-	var kids [8]int32
-	first := int32(len(dt.fetched))
-	for _, d := range c.Daughters(i, kids[:0]) {
-		dt.fetched = append(dt.fetched, t.At(d).Bare())
-	}
-	dt.fetched[at].Link(at, first)
-	for n, d := range c.Daughters(i, kids[:0]) {
-		dt.copySubtree(t, d, first+int32(n))
-	}
-}
+// base is the index of the first reply, past the local tree and the top.
+func (dt *DTree) base() int32 { return dt.nLocal + int32(len(dt.top.cells)) }
 
 // BuildDistributed constructs the per-rank tree over the (already
 // decomposed, key-sorted) local bodies, and performs the branch exchange.
@@ -263,25 +231,30 @@ func (dt *DTree) complete(k key.K) bool {
 	return Owner(dt.splitters, lo) == dt.r.ID() && Owner(dt.splitters, hi-1) == dt.r.ID()
 }
 
-// branches returns this rank's maximal complete cells, bare.
+// branches returns this rank's maximal complete cells, bare, and counts the
+// cells below every local cell into below.
 func (dt *DTree) branches() []htree.Cell {
 	if dt.local == nil {
 		return nil
 	}
+	dt.below = slices.Grow(dt.below[:0], int(dt.nLocal))[:dt.nLocal]
 	var out []htree.Cell
-	var walk func(i int32)
-	walk = func(i int32) {
+	var walk func(i int32, inBranch bool) int32
+	walk = func(i int32, inBranch bool) int32 {
 		c := dt.local.At(i)
-		if dt.complete(c.Key) {
+		if !inBranch && dt.complete(c.Key) {
 			out = append(out, c.Bare())
-			return
+			inBranch = true
 		}
 		var kids [8]int32
+		n := int32(0)
 		for _, d := range c.Daughters(i, kids[:0]) {
-			walk(d)
+			n += 1 + walk(d, inBranch)
 		}
+		dt.below[i] = n
+		return n
 	}
-	walk(dt.local.Find(key.Root))
+	walk(dt.local.Find(key.Root), false)
 	return out
 }
 
@@ -363,18 +336,17 @@ func buildTop(branches [][]htree.Cell) *topTree {
 }
 
 // fetchReply is the answer to a branch request: cell i of the owner's local
-// tree t, by reference. The requester copies the subtree below it into its
-// slab, bare, and keeps each leaf's bodies as a segment of t.Sources(). The
-// owner builds t again only after the next Decompose's collectives, which a
-// requester enters only once its evaluation — the pool's last group included
-// — is over (DESIGN.md, "What the world shares").
+// tree t, by reference, walked in t by the requester. The owner builds t again
+// only after the next Decompose's collectives, which a requester enters only
+// once its evaluation — the pool's last group included — is over (DESIGN.md,
+// "What the world shares").
 type fetchReply struct {
 	t *htree.Tree
 	i int32
 }
 
 // serveFetch answers a branch request, charging the wire size of what it
-// refers to: every cell below the branch, sent bare, and every body.
+// refers to: every cell below the branch (below), sent bare, and every body.
 func (dt *DTree) serveFetch(src int, req any) (any, int64) {
 	k := req.(key.K)
 	if dt.local == nil {
@@ -385,18 +357,8 @@ func (dt *DTree) serveFetch(src int, req any) (any, int64) {
 		panic("core: fetch request for unknown cell " + k.String())
 	}
 	c := dt.local.At(i)
-	bytes := int64(cellWireBytes*cellsBelow(dt.local, i) + 32*(c.Hi-c.Lo))
+	bytes := int64(cellWireBytes*int(dt.below[i]) + 32*(c.Hi-c.Lo))
 	return fetchReply{dt.local, i}, bytes
-}
-
-// cellsBelow counts the cells of t below cell i.
-func cellsBelow(t *htree.Tree, i int32) int {
-	var kids [8]int32
-	n := 0
-	for _, d := range t.At(i).Daughters(i, kids[:0]) {
-		n += 1 + cellsBelow(t, d)
-	}
-	return n
 }
 
 // Fetches returns the number of branch requests issued.

@@ -16,20 +16,22 @@ package core
 // Every list is gathered by the one loop of htree.Tree.Gather and applied by
 // Tree.EvalBucket, as in the serial Tree.AccelAllGrouped; the walker is the
 // loop's htree.Far, laying out the indices past the local tree's (dtree.go)
-// and handing it a fetched leaf's bodies. This file adds the top walks that
-// fetch, the one gather per group and deterministic charging.
+// and resolving a resident remote branch to the owner's tree it is walked in.
+// This file adds the top walks that fetch, the one gather per group and
+// deterministic charging.
 //
 // Walk once. Section 4.2 hides latency by putting walks aside: "we
 // effectively do explicit context switching using a software queue to keep
 // track of which computations have been put aside waiting for messages to
-// arrive". Here a fetch reply brings the whole subtree below the branch asked
-// for (dtree.go), so the only cells a group's walk can find missing are other
-// ranks' top branches, and which of those it opens the replicated top alone
-// decides. Each group first walks the top (walkTop), asking once per rank for
-// every remote branch it does not accept; then, in the order of the groups'
-// stack (the last group first), each group is gathered once, as soon as every
-// branch it opens is resident — the rank polls and yields until then — charged
-// and handed to the eval pool. A miss in a group walk is a bug, and panics.
+// arrive". Here a fetch reply makes the whole subtree below the branch asked
+// for resident (dtree.go), so the only cells a group's walk can find missing
+// are other ranks' top branches, and which of those it opens the replicated
+// top alone decides. Each group first walks the top (walkTop), asking once
+// per rank for every remote branch it does not accept and recording where it
+// stopped; then, in the order of the groups' stack (the last group first),
+// each group is gathered once from there, as soon as every branch it opens is
+// resident — the rank polls and yields until then — charged and handed to the
+// eval pool. A miss in a group walk is a bug, and panics.
 //
 // Determinism rule: the top walks, every gather, interaction counting and
 // virtual-time charging run on the rank's own goroutine in group order;
@@ -39,9 +41,9 @@ package core
 // result is therefore bit-identical for any Workers count, and virtual time
 // cannot tell who evaluated what. What a list refers to cannot change under
 // the pool: the replicated top is never written; a reply only appends to the
-// rank's slab and writes the overlay, which no list refers to; and serving
-// other ranks' fetches reads the local tree, which is immutable once built, as
-// are the other ranks' trees that a reply made the slab refer to.
+// rank's reply table and writes the overlay, which no list refers to; and
+// serving other ranks' fetches reads the local tree, which is immutable once
+// built, as are the other ranks' trees that the lists refer into.
 
 import (
 	"context"
@@ -64,49 +66,57 @@ import (
 var listPool = sync.Pool{New: func() any { return new(htree.BucketScratch) }}
 
 // bucketWalker is one sink group's walk, and the htree.Far of it: it lays
-// out the indices past the local tree's and hands the loop a fetched leaf's
-// bodies.
+// out the indices past the local tree's and resolves a resident remote
+// branch to the owner's tree.
 type bucketWalker struct {
 	dt   *DTree
 	cell *htree.Cell
 	mac  htree.BucketMAC
 	sc   *htree.BucketScratch
-	// opens[lo:hi] of the rank's fetch arena are the other ranks' branches
-	// the group's walk opens (walkTop); those below lo are resident.
-	lo, hi int32
+	// opens[lo:hi] and frontier[flo:fhi] of the rank's fetch arena are the
+	// group's (walkTop); the opens below lo are resident.
+	lo, hi, flo, fhi int32
+	hits             int64 // remote branches the gather entered
 }
 
-// begin starts a walk at the root with an empty list on a pooled scratch.
+// begin starts a walk with an empty list on a pooled scratch from the
+// group's frontier, in walkTop's pop order, the cells it accepted as accepted
+// (htree.Far) and the rest by route. On one rank that is the local root.
 func (w *bucketWalker) begin() {
 	w.sc = listPool.Get().(*htree.BucketScratch)
 	w.sc.Reset()
-	w.sc.Push(w.dt.route[0]) // the root: on one rank, the local tree's
-}
-
-// Layout hands the walk the top with this rank's routes through it, and the
-// fetched slab.
-func (w *bucketWalker) Layout() ([]htree.Cell, []int32, int32, []htree.Cell) {
-	dt := w.dt
-	return dt.top.cells, dt.route, dt.nLocal + int32(len(dt.top.cells)), dt.fetched
-}
-
-// Open returns the bodies of remote leaf i, which a reply has brought: a
-// group is gathered only once every branch it opens is resident, and with it
-// everything below.
-func (w *bucketWalker) Open(i int32, c *htree.Cell) []gravity.Source {
-	if c.Hi <= c.Lo {
-		panic("core: group walk reached non-resident cell " + c.Key.String())
+	for f := w.fhi - 1; f >= w.flo; f-- {
+		x := w.dt.frontier[f]
+		if x >= 0 {
+			x = w.dt.route[x]
+		}
+		w.sc.Push(x)
 	}
-	w.dt.cCacheHit.Inc()
-	return w.dt.bodies[c.Lo]
+}
+
+// Layout hands the walk the top with this rank's routes through it.
+func (w *bucketWalker) Layout() ([]htree.Cell, []int32, int32) {
+	return w.dt.top.cells, w.dt.route, w.dt.base()
+}
+
+// Remote resolves index i to its reply, the owner's branch in the owner's
+// tree: a hit of the rank's cache of the others' trees.
+func (w *bucketWalker) Remote(i int32) (*htree.Tree, int32) {
+	w.hits++
+	rep := w.dt.replies[i-w.dt.base()]
+	return rep.t, rep.i
+}
+
+// Open refuses a branch that is not resident: a group is gathered only once
+// every branch it opens has arrived.
+func (w *bucketWalker) Open(_ int32, c *htree.Cell) {
+	panic("core: group walk reached non-resident cell " + c.Key.String())
 }
 
 // resident reports whether every branch the group's walk opens has arrived,
 // moving lo past those that have.
 func (w *bucketWalker) resident() bool {
-	dt := w.dt
-	base := dt.nLocal + int32(len(dt.top.cells))
-	for w.lo < w.hi && dt.route[dt.opens[w.lo]] >= base {
+	for w.lo < w.hi && w.dt.route[w.dt.opens[w.lo]] >= w.dt.base() {
 		w.lo++
 	}
 	return w.lo == w.hi
@@ -325,13 +335,15 @@ func (dt *DTree) computeForces(bodies []Body) ([]vec.V3, []float64, TraversalSta
 }
 
 // walkTop walks the replicated top alone for w's group — testing fills and
-// branches as Gather does, descending into no branch — and lists in the
-// rank's opens every other rank's branch it does not accept: all that the
-// group's walk can find missing. It asks for each one no group has asked for
-// yet.
+// branches as Gather does, descending into no branch — and records in the
+// rank's frontier every top cell where it stops, and in its opens every other
+// rank's branch it does not accept, asking for each one no group has asked
+// for yet. From the root, Gather would decide the fills alike and reach the
+// frontier in this order, each cell with only later ones and unopened fills
+// below it on the stack: the gather may start from the frontier (begin).
 func (dt *DTree) walkTop(w *bucketWalker, st *TraversalStats) {
 	cells, owner, me := dt.top.cells, dt.top.owner, int32(dt.r.ID())
-	w.lo = int32(len(dt.opens))
+	w.lo, w.flo = int32(len(dt.opens)), int32(len(dt.frontier))
 	stack := append(dt.stack[:0], 0)
 	for len(stack) > 0 {
 		j := stack[len(stack)-1]
@@ -341,16 +353,21 @@ func (dt *DTree) walkTop(w *bucketWalker, st *TraversalStats) {
 		case o == me: // the local tree's
 		case o < 0 && w.mac.OwnsKey(c.Key): // above the group's own bodies
 			stack = c.Daughters(j, stack)
+			continue
 		case w.mac.Accept(c):
+			dt.frontier = append(dt.frontier, ^(dt.nLocal + j))
+			continue
 		case o < 0:
 			stack = c.Daughters(j, stack)
+			continue
 		default:
 			dt.opens = append(dt.opens, j)
 			dt.requestBranch(j, st)
 		}
+		dt.frontier = append(dt.frontier, j)
 	}
 	dt.stack = stack
-	w.hi = int32(len(dt.opens))
+	w.hi, w.fhi = int32(len(dt.opens)), int32(len(dt.frontier))
 }
 
 // finishBucket accounts the group's work deterministically, from its list's
@@ -360,6 +377,7 @@ func (dt *DTree) finishBucket(w *bucketWalker, st *TraversalStats, charge func()
 	ns := w.cell.Hi - w.cell.Lo
 	nc, nb := len(l.Cells), l.Bodies()
 	dt.cBuckets.Inc()
+	dt.cCacheHit.Add(w.hits)
 	dt.cListCells.Add(int64(nc))
 	dt.cListBodies.Add(int64(nb))
 	dt.gListCellsMax.Max(float64(nc))

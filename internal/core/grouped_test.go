@@ -246,9 +246,12 @@ func positions(bodies []Body) []vec.V3 {
 }
 
 // regather walks group w again over what the rank holds — the engine's own
-// gather, from the root on a fresh scratch — for tests to compare against.
+// gather loop, from the root on a fresh scratch rather than from the group's
+// frontier — for tests to compare against.
 func (dt *DTree) regather(w *bucketWalker) {
-	w.begin()
+	w.sc = listPool.Get().(*htree.BucketScratch)
+	w.sc.Reset()
+	w.sc.Push(dt.route[0])
 	dt.local.Gather(&w.mac, w.sc, w)
 }
 
@@ -270,17 +273,20 @@ type topOpens struct {
 	opens []int32
 }
 
-func (o *topOpens) Layout() ([]htree.Cell, []int32, int32, []htree.Cell) {
+func (o *topOpens) Layout() ([]htree.Cell, []int32, int32) {
 	dt := o.dt
-	return dt.top.cells, o.route, dt.nLocal + int32(len(dt.top.cells)), nil
+	return dt.top.cells, o.route, dt.base()
 }
 
-func (o *topOpens) Open(i int32, c *htree.Cell) []gravity.Source {
-	if j := i - o.dt.nLocal; c.Hi > c.Lo || o.dt.top.owner[j] < 0 || &o.dt.top.cells[j] != c {
+func (o *topOpens) Remote(i int32) (*htree.Tree, int32) {
+	panic(fmt.Sprintf("oracle reached index %d, a resident branch", i))
+}
+
+func (o *topOpens) Open(i int32, c *htree.Cell) {
+	if j := i - o.dt.nLocal; o.dt.top.owner[j] < 0 || &o.dt.top.cells[j] != c {
 		panic(fmt.Sprintf("oracle reached cell %d (%v), not a bare remote branch", i, c.Key))
 	}
 	o.opens = append(o.opens, i-o.dt.nLocal)
-	return nil
 }
 
 // opened returns the remote branches group g's walk opens, by the oracle.
@@ -341,14 +347,15 @@ func TestGroupWalkPanicsOnMiss(t *testing.T) {
 	})
 }
 
-// The slab's memory bound: what one evaluation fetches is resident until the
-// next one starts and no longer. resetCaches empties the rank's fetched slab,
-// releases the bodies it held, forgets the requests and drops the overlay's
-// links into it, so a second evaluation on the same tree
-// re-fetches exactly the same cells and reproduces the forces bit for bit —
-// into the same storage, which the rank's fetch arena keeps, as it does for
-// the next tree built on it.
-// None of it touches the replicated top, which is the world's: an evaluation
+// The memory bound on what a rank holds of the others' trees: what one
+// evaluation fetches is referred to until the next one starts and no longer.
+// resetCaches empties the rank's reply table, clearing its entries so that
+// the other ranks' trees are released, forgets the requests and the top
+// walks' records and drops the overlay's routes to the replies, so a second
+// evaluation on the same tree re-fetches exactly the same branches and
+// reproduces the forces bit for bit — into the same storage, which the
+// rank's fetch arena keeps, as it does for the next tree built on it. None
+// of it touches the replicated top, which is the world's: an evaluation
 // leaves every bit of it as the branch exchange made it.
 func TestCachesBoundedAcrossEvaluations(t *testing.T) {
 	rng := rand.New(rand.NewSource(32))
@@ -361,9 +368,9 @@ func TestCachesBoundedAcrossEvaluations(t *testing.T) {
 		bodies, splitters, boxLo, boxSize := Decompose(r, local)
 		opt, fa := Options{Theta: 0.5, Eps: 0.02}, &fetchArena{}
 		dt := buildDistributed(r, bodies, splitters, boxLo, boxSize, opt, fa)
-		if len(dt.fetched) != 0 || len(dt.route) != len(dt.top.cells) {
-			t.Errorf("rank %d: after the branch exchange the slab holds %d cells, the overlay %d entries for a top of %d",
-				r.ID(), len(dt.fetched), len(dt.route), len(dt.top.cells))
+		if len(dt.replies) != 0 || len(dt.route) != len(dt.top.cells) {
+			t.Errorf("rank %d: after the branch exchange the table holds %d replies, the overlay %d entries for a top of %d",
+				r.ID(), len(dt.replies), len(dt.route), len(dt.top.cells))
 		}
 		route0 := append([]int32(nil), dt.route...)
 		top0 := make([]cellBits, len(dt.top.cells))
@@ -383,7 +390,7 @@ func TestCachesBoundedAcrossEvaluations(t *testing.T) {
 			if n := dt.abm.Outstanding(); n != 0 {
 				t.Errorf("rank %d: %s %d requests outstanding", r.ID(), when, n)
 			}
-			base := dt.nLocal + int32(len(dt.top.cells))
+			base := dt.base()
 			for j, asked := range dt.asked {
 				if asked && dt.route[j] < base {
 					t.Errorf("rank %d: %s branch %v was asked for and is not resident", r.ID(), when, dt.top.cells[j].Key)
@@ -391,29 +398,30 @@ func TestCachesBoundedAcrossEvaluations(t *testing.T) {
 				}
 			}
 		}
-		sameStorage := func(when string, slab *htree.Cell) {
-			if len(dt.fetched) == 0 || &dt.fetched[0] != slab {
-				t.Errorf("rank %d: %s the slab of %d cells is not the arena's storage", r.ID(), when, len(dt.fetched))
+		sameStorage := func(when string, table *fetchReply) {
+			if len(dt.replies) == 0 || &dt.replies[0] != table {
+				t.Errorf("rank %d: %s the table of %d replies is not the arena's storage", r.ID(), when, len(dt.replies))
 			}
 		}
 
 		acc1, pot1, _ := dt.ComputeForces(bodies)
-		n1, f1 := len(dt.fetched), dt.Fetches()
-		if f1 == 0 || n1 == 0 || len(dt.bodies) == 0 {
-			t.Errorf("rank %d: %d fetches left %d cells and %d leaves' bodies on the slab on %d ranks", r.ID(), f1, n1, len(dt.bodies), p)
+		n1, f1 := len(dt.replies), dt.Fetches()
+		if f1 == 0 || int64(n1) != f1 {
+			t.Errorf("rank %d: %d fetches left %d replies in the table on %d ranks", r.ID(), f1, n1, p)
 		}
-		var slab *htree.Cell
+		var table *fetchReply
 		if n1 > 0 {
-			slab = &dt.fetched[0]
+			table = &dt.replies[0]
 		}
+		cap1 := cap(dt.replies)
 		topUnwritten("during the first evaluation")
 		drained("after the first evaluation")
 
 		acc2, pot2, _ := dt.ComputeForces(bodies)
-		if n2 := len(dt.fetched); n2 != n1 {
-			t.Errorf("rank %d: slab grew across evaluations: %d -> %d cells", r.ID(), n1, n2)
+		if n2 := len(dt.replies); n2 != n1 || cap(dt.replies) != cap1 {
+			t.Errorf("rank %d: table grew across evaluations: %d -> %d replies, capacity %d -> %d", r.ID(), n1, n2, cap1, cap(dt.replies))
 		}
-		sameStorage("in the second evaluation", slab)
+		sameStorage("in the second evaluation", table)
 		drained("after the second evaluation")
 		if f2 := dt.Fetches(); f2 != 2*f1 {
 			t.Errorf("rank %d: fetch counts %d then %d, want exact repeat", r.ID(), f1, f2)
@@ -427,17 +435,17 @@ func TestCachesBoundedAcrossEvaluations(t *testing.T) {
 		topUnwritten("during the second evaluation")
 
 		dt.resetCaches()
-		if len(dt.fetched) != 0 || len(dt.bodies) != 0 {
-			t.Errorf("rank %d: slab not emptied: %d cells, %d leaves' bodies", r.ID(), len(dt.fetched), len(dt.bodies))
+		if len(dt.replies) != 0 {
+			t.Errorf("rank %d: table not emptied: %d replies", r.ID(), len(dt.replies))
 		}
-		for _, b := range dt.bodies[:cap(dt.bodies)] {
-			if b != nil {
-				t.Errorf("rank %d: emptied slab still references fetched bodies", r.ID())
+		for _, rep := range dt.replies[:cap(dt.replies)] {
+			if rep != (fetchReply{}) {
+				t.Errorf("rank %d: emptied table still references another rank's tree", r.ID())
 				break
 			}
 		}
-		if len(dt.opens) != 0 || slices.Contains(dt.asked, true) {
-			t.Errorf("rank %d: the reset left %d opens and requests marked", r.ID(), len(dt.opens))
+		if len(dt.opens) != 0 || len(dt.frontier) != 0 || slices.Contains(dt.asked, true) {
+			t.Errorf("rank %d: the reset left %d opens, %d frontier cells and requests marked", r.ID(), len(dt.opens), len(dt.frontier))
 		}
 		for i, o := range dt.route {
 			if o != route0[i] {
@@ -446,14 +454,14 @@ func TestCachesBoundedAcrossEvaluations(t *testing.T) {
 		}
 
 		dt = buildDistributed(r, bodies, splitters, boxLo, boxSize, opt, fa)
-		if len(dt.fetched) != 0 {
-			t.Errorf("rank %d: the next tree on the arena starts with %d cells on the slab", r.ID(), len(dt.fetched))
+		if len(dt.replies) != 0 {
+			t.Errorf("rank %d: the next tree on the arena starts with %d replies in the table", r.ID(), len(dt.replies))
 		}
 		acc3, pot3, _ := dt.ComputeForces(bodies)
-		if n3 := len(dt.fetched); n3 != n1 {
-			t.Errorf("rank %d: the next tree on the same bodies fetched %d cells, the first %d", r.ID(), n3, n1)
+		if n3 := len(dt.replies); n3 != n1 || cap(dt.replies) != cap1 {
+			t.Errorf("rank %d: the next tree on the same bodies holds %d replies (capacity %d), the first %d (%d)", r.ID(), n3, cap(dt.replies), n1, cap1)
 		}
-		sameStorage("on the next tree", slab)
+		sameStorage("on the next tree", table)
 		drained("after the next tree's evaluation")
 		for i := range acc1 {
 			if acc3[i] != acc1[i] || pot3[i] != pot1[i] {
@@ -497,14 +505,15 @@ func skipUnderRace(t *testing.T) {
 	}
 }
 
-// A warm step on many ranks allocates little: Run keeps each rank's slab,
-// body-segment table, request flags and opens from step to step, and a reply
+// A warm step on many ranks allocates little: Run keeps each rank's reply
+// table, request flags, opens and frontiers from step to step, and a reply
 // refers to the owner's tree instead of copying it. Measured over the second
 // step of an 8-rank run — Interrupt is polled on rank 0 between steps, when
-// every rank is through the last evaluation — the step reads about 1.7 MB on
-// amd64: the decomposition, the build, the outputs, the walkers, and about
-// 870 fetches an evaluation with their ABM records. With one-level replies
-// and a second walk of every group it read 2.7 MB, for 4500 fetches.
+// every rank is through the last evaluation — the step reads about 1.8 MB on
+// amd64: the decomposition, the build, the outputs, the walkers, the walk
+// stacks the frontiers fill, and about 870 fetches an evaluation with their
+// ABM records. With one-level replies and a second walk of every group it
+// read 2.7 MB, for 4500 fetches.
 func TestWarmStepAllocatesLittle(t *testing.T) {
 	skipUnderRace(t)
 	ics := PlummerSphere(rand.New(rand.NewSource(46)), 4096, 1.0)
@@ -530,10 +539,12 @@ func TestWarmStepAllocatesLittle(t *testing.T) {
 }
 
 // Two groups that open the same remote branch make one request between
-// them, and the one reply brings the owner's whole subtree below it: this
-// rank's copy of the branch heads the slab, every slab cell is linked to all
-// the daughters its ChildMask names or is a leaf carrying its bodies, and
-// the slab holds exactly the owner's cells below the branch, key for key.
+// them, and the one reply is a reference: the owner's tree and its cell of
+// the branch, entry 0 of the rank's reply table, which the overlay routes the
+// branch to. Nothing is copied: the shared top cell links to no daughters,
+// and the owner's cell is the one its own walks read, with the moments the
+// branch exchange published, every cell below it linked to all the
+// daughters its ChildMask names.
 func TestFetchDedup(t *testing.T) {
 	rng := rand.New(rand.NewSource(33))
 	const n = 300
@@ -572,55 +583,41 @@ func TestFetchDedup(t *testing.T) {
 		}
 		dt.abm.Quiesce()
 
-		base := dt.nLocal + int32(len(dt.top.cells))
-		asked, copyAt := &dt.top.cells[target], dt.route[target]
-		if copyAt != base || dt.fetched[0].Key != asked.Key {
-			t.Errorf("branch %d: overlay leads to %d, want the copy at the head of the slab, %d", target, copyAt, base)
+		base := dt.base()
+		asked := &dt.top.cells[target]
+		if got := dt.route[target]; got != base || len(dt.replies) != 1 {
+			t.Fatalf("branch %d: overlay leads to %d with %d replies, want the table's first entry, %d", target, got, len(dt.replies), base)
 		}
 		if d := asked.Daughters(dt.nLocal+target, nil); len(d) != 0 {
 			t.Errorf("branch %d: the shared cell links to daughters %v", target, d)
 		}
-		keys := map[key.K]bool{}
-		for i := range dt.fetched {
-			c := &dt.fetched[i]
-			keys[c.Key] = true
+		o, rep := owner.Load(), dt.replies[0]
+		if rep.t != o.local || rep.i != o.local.Find(asked.Key) {
+			t.Fatalf("reply refers to cell %d of %p, want the owner's cell %d of %p", rep.i, rep.t, o.local.Find(asked.Key), o.local)
+		}
+		if c := rep.t.At(rep.i).Bare(); bitsOf(&c, 0, 0) != bitsOf(asked, 0, 0) {
+			t.Errorf("the owner's cell %v is not the branch the top published", c.Key)
+		}
+		var check func(i int32)
+		check = func(i int32) {
+			c := rep.t.At(i)
 			if c.Leaf {
-				if c.Hi != c.Lo+1 || len(dt.bodies[c.Lo]) != c.N {
-					t.Errorf("slab leaf %v: segment %d:%d, %d bodies", c.Key, c.Lo, c.Hi, c.N)
-				}
-				continue
+				return
 			}
-			kids := c.Daughters(int32(i), nil)
+			kids := c.Daughters(i, nil)
 			if len(kids) != bits.OnesCount8(c.ChildMask) {
-				t.Errorf("slab cell %v: %d daughters linked, mask %08b", c.Key, len(kids), c.ChildMask)
+				t.Errorf("owner's cell %v: %d daughters linked, mask %08b", c.Key, len(kids), c.ChildMask)
 			}
-			for j, d := range kids {
-				if k := dt.fetched[d].Key; k.Parent() != c.Key || (j > 0 && k <= dt.fetched[kids[j-1]].Key) {
-					t.Errorf("slab cell %d (%v) is not the next daughter of %v", d, k, c.Key)
-				}
+			for _, d := range kids {
+				check(d)
 			}
 		}
-		o := owner.Load()
-		var below func(i int32) int
-		below = func(i int32) int {
-			c := o.local.At(i)
-			if !keys[c.Key] {
-				t.Errorf("owner's cell %v is not on the slab", c.Key)
-			}
-			m := 1
-			for _, d := range c.Daughters(i, nil) {
-				m += below(d)
-			}
-			return m
-		}
-		if m := below(o.local.Find(asked.Key)); m != len(dt.fetched) || len(keys) != len(dt.fetched) {
-			t.Errorf("slab holds %d cells (%d keys), the owner's subtree %d", len(dt.fetched), len(keys), m)
-		}
+		check(rep.i)
 	})
 }
 
 // regatherForces re-walks every bucket of a finished evaluation — the same
-// sink groups, over the slab they fetched — with the engine's own gather
+// sink groups, over the branches they fetched — with the engine's own gather
 // (regather) and evaluates the lists. With seed
 // set it evaluates them the way the seed did: what the list refers to is
 // copied out row by row, sorted by value, the list pointed at the copies —
@@ -688,6 +685,74 @@ func TestDirectEqualsSecondPass(t *testing.T) {
 	})
 }
 
+// A group's gather starts where its top walk stopped (begin), and lists what
+// a gather from the root (regather) lists: the same multipole values and the
+// same body segments, in the same order. The values, not the cells: a remote
+// branch the top walk accepted is listed as the top's copy of it, which a
+// gather from the root finds routed to the owner's cell once it is resident.
+// Over rank counts, theta and Plummer, uniform and clustered bodies with a
+// pile of coincident ones, once every branch is resident; on one rank the
+// frontier is the root.
+func TestFrontierGatherEqualsRootGather(t *testing.T) {
+	const n = 1500
+	for _, ic := range []struct {
+		name string
+		make func(rng *rand.Rand, n int) []Body
+	}{
+		{"plummer", func(rng *rand.Rand, n int) []Body { return PlummerSphere(rng, n, 1.0) }},
+		{"uniform", func(rng *rand.Rand, n int) []Body { return ColdSphere(rng, n, 1.0) }},
+		{"clustered", clusteredBodies},
+	} {
+		ics := ic.make(rand.New(rand.NewSource(48)), n)
+		for _, theta := range []float64{0.3, 0.7, 1.2} {
+			for _, p := range []int{1, 2, 3, 8, 13} {
+				mp.Run(testCluster(), p, func(r *mp.Rank) {
+					lo, hi := n*r.ID()/p, n*(r.ID()+1)/p
+					bodies, splitters, boxLo, boxSize := Decompose(r, append([]Body(nil), ics[lo:hi]...))
+					dt := BuildDistributed(r, bodies, splitters, boxLo, boxSize, Options{Theta: theta, Eps: 0.01})
+					dt.ComputeForces(bodies)
+					if dt.local == nil {
+						return
+					}
+					where := fmt.Sprintf("%s theta=%v p=%d rank %d", ic.name, theta, p, r.ID())
+					fetches := dt.Fetches()
+					var st TraversalStats
+					for _, g := range dt.local.Groups() {
+						w, root := dt.walker(g), dt.walker(g)
+						dt.walkTop(&w, &st)
+						if p == 1 && !slices.Equal(dt.frontier[w.flo:w.fhi], []int32{0}) {
+							t.Errorf("%s: group %v starts from top cells %v, not the root", where, g.Key, dt.frontier[w.flo:w.fhi])
+						}
+						w.begin()
+						dt.local.Gather(&w.mac, w.sc, &w)
+						dt.regather(&root)
+						a, b := &w.sc.List, &root.sc.List
+						same := len(a.Cells) == len(b.Cells)
+						for i := 0; same && i < len(a.Cells); i++ {
+							same = mpBits(a.Cells[i]) == mpBits(b.Cells[i])
+						}
+						if !same {
+							t.Errorf("%s: group %v lists %d cells from its frontier, %d from the root, not the same", where, g.Key, len(a.Cells), len(b.Cells))
+						}
+						same = len(a.Segs) == len(b.Segs)
+						for i := 0; same && i < len(a.Segs); i++ {
+							same = len(a.Segs[i]) == len(b.Segs[i]) && &a.Segs[i][0] == &b.Segs[i][0]
+						}
+						if !same {
+							t.Errorf("%s: group %v lists %d segments from its frontier, %d from the root, not the same", where, g.Key, len(a.Segs), len(b.Segs))
+						}
+						listPool.Put(w.sc)
+						listPool.Put(root.sc)
+					}
+					if dt.Fetches() != fetches {
+						t.Errorf("%s: the top walks after the evaluation asked for %d more branches", where, dt.Fetches()-fetches)
+					}
+				})
+			}
+		}
+	}
+}
+
 // The top walks fetch exactly what the groups open. Over theta, rank counts
 // and Plummer and uniform bodies: the branches each group's top walk lists
 // are, group after group, those the walk loop itself reaches without
@@ -696,8 +761,8 @@ func TestDirectEqualsSecondPass(t *testing.T) {
 // group's walk after it gather with no miss. Theta 3 is there because only
 // that far out does a top walk that accepted a fill over its group's own
 // key (Gather never does) miss a branch, and panic. On several ranks the
-// lists mix local cells, fills, other ranks' branches and fetched cells, and
-// every kind is checked to appear.
+// lists mix local cells, fills, other ranks' branches and cells of other
+// ranks' trees (fetched), and every kind is checked to appear.
 func TestCoarseWalkCoversGroups(t *testing.T) {
 	const n = 1500
 	for _, ic := range []string{"plummer", "uniform"} {
@@ -734,24 +799,30 @@ func TestCoarseWalkCoversGroups(t *testing.T) {
 							return
 						}
 					}
-					kind := func(m *gravity.Multipole) int {
-						for j := range dt.top.cells {
-							if m == &dt.top.cells[j].Mp {
-								return 1 + int(min(dt.top.owner[j]+1, 1))
-							}
+					// A multipole is fetched when it lies in another rank's
+					// tree, which a reply refers to.
+					kind := map[*gravity.Multipole]int{}
+					for _, rep := range dt.replies {
+						for i := 0; i < rep.t.NumCells(); i++ {
+							kind[&rep.t.At(int32(i)).Mp] = 3
 						}
-						for j := range dt.fetched {
-							if m == &dt.fetched[j].Mp {
-								return 3
-							}
-						}
-						return 0
+					}
+					for i := 0; i < dt.local.NumCells(); i++ {
+						kind[&dt.local.At(int32(i)).Mp] = 0
+					}
+					for j := range dt.top.cells {
+						kind[&dt.top.cells[j].Mp] = 1 + int(min(dt.top.owner[j]+1, 1))
 					}
 					for _, g := range groups {
 						w := dt.walker(g)
 						dt.regather(&w)
 						for _, m := range w.sc.List.Cells {
-							kinds[kind(m)].Add(1)
+							k, ok := kind[m]
+							if !ok {
+								t.Errorf("%s: group %v lists a multipole in no tree the rank holds or refers to", where, g.Key)
+								return
+							}
+							kinds[k].Add(1)
 						}
 					}
 				})
@@ -768,8 +839,8 @@ func TestCoarseWalkCoversGroups(t *testing.T) {
 	}
 }
 
-// More ranks than bodies: ranks without bodies only serve, and the slab of a
-// rank that has some is built from a handful of deep branches.
+// More ranks than bodies: ranks without bodies only serve, and a rank that
+// has some fetches a handful of deep branches.
 func TestMoreRanksThanBodies(t *testing.T) {
 	for _, n := range []int{1, 2, 3, 9} {
 		for _, w := range []int{1, 4} {

@@ -154,6 +154,10 @@ func TestEngineMetricsPopulated(t *testing.T) {
 			t.Errorf("counter %s = %d, want > 0", name, snap.Counters[name])
 		}
 	}
+	// Every branch fetched is entered by the group that opened it, at least.
+	if hits, req := snap.Counters["core.bodycache.hits"], snap.Counters["core.fetch.requests"]; hits < req {
+		t.Errorf("core.bodycache.hits = %d for %d fetches, want at least one hit per fetched branch", hits, req)
+	}
 	if snap.Gauges["core.list.cells_max"] <= 0 {
 		t.Errorf("gauge core.list.cells_max = %v, want > 0", snap.Gauges["core.list.cells_max"])
 	}

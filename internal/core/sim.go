@@ -256,8 +256,8 @@ func run(cfg RunConfig, ics []Body, seg segment) Result {
 		}
 
 		// Per-rank arenas: every step's tree rebuild reuses this rank's
-		// key/body/cell storage, and every evaluation its fetched slab and
-		// request tables, instead of re-allocating. Arenas are exclusive
+		// key/body/cell storage, and every evaluation its reply and request
+		// tables, instead of re-allocating. Arenas are exclusive
 		// state, so each rank goroutine gets its own (any arena set on
 		// cfg.Opt is deliberately not shared).
 		ropt := opt

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"spacesim/internal/gravity"
 	"spacesim/internal/htree"
 	"spacesim/internal/key"
 	"spacesim/internal/mp"
@@ -32,12 +33,18 @@ func bitsOf(c *htree.Cell, at, owner int32) cellBits {
 		owner: owner, leaf: c.Leaf, mask: c.ChildMask,
 	}
 	copy(b.kids[:], c.Daughters(at, nil))
-	b.mp[0] = math.Float64bits(c.Mp.M)
-	for i, x := range c.Mp.COM {
-		b.mp[1+i] = math.Float64bits(x)
+	b.mp = mpBits(&c.Mp)
+	return b
+}
+
+// mpBits is multipole m as the bit patterns of its floats.
+func mpBits(m *gravity.Multipole) (b [10]uint64) {
+	b[0] = math.Float64bits(m.M)
+	for i, x := range m.COM {
+		b[1+i] = math.Float64bits(x)
 	}
-	for i, x := range c.Mp.Q {
-		b.mp[4+i] = math.Float64bits(x)
+	for i, x := range m.Q {
+		b[4+i] = math.Float64bits(x)
 	}
 	return b
 }

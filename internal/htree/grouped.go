@@ -290,27 +290,33 @@ func (sc *BucketScratch) Push(i ...int32) { sc.stack = append(sc.stack, i...) }
 // Far lays out the cells at indices from a tree's NumCells on, which other
 // ranks own, for a walk over a distributed tree (package core).
 type Far interface {
-	// Layout returns the top, the cells from index NumCells on, and the
-	// fetched cells, from index base on. The walk takes top cell j at index
-	// route[j] — at NumCells+j as it is, at another index instead — and
-	// accepts no top cell linked to daughters (it is above several owners'
-	// bodies) whose key overlaps the group's (OwnsKey).
-	Layout() (top []Cell, route []int32, base int32, fetched []Cell)
-	// Open returns the bodies of far cell i, which the walk neither accepted
-	// nor could open: a leaf's, as the segment the walk lists. A far cell
-	// with neither bodies nor daughters is a miss, and Open's to refuse.
-	Open(i int32, c *Cell) []gravity.Source
+	// Layout returns the top, the cells from index NumCells on, and base, the
+	// first index past it. The walk takes top cell j at index route[j] — at
+	// NumCells+j as it is, at another index instead — and accepts no top cell
+	// linked to daughters (it is above several owners' bodies) whose key
+	// overlaps the group's (OwnsKey). Pushed as ^(NumCells+j), top cell j is
+	// one the caller's own test accepted, and is listed untested.
+	Layout() (top []Cell, route []int32, base int32)
+	// Remote resolves index i ≥ base to the branch it stands for: cell ri of
+	// another rank's tree rt, which the walk goes through in place.
+	Remote(i int32) (rt *Tree, ri int32)
+	// Open is told of top cell i, which the walk could neither accept nor
+	// open: a branch with nothing resident below it, a miss, Open's to refuse.
+	Open(i int32, c *Cell)
 }
 
 // Gather drains the scratch's walk stack (Push) for the bucket whose test is
 // mac, appending accepted cells and direct-interaction bodies to the list
 // (or, in ball mode, appending the body ranges of the leaves the ball
 // reaches to Ranges), and returns the number of cells it opened. Daughters
-// are pushed in ascending octant order and popped last first. A leaf is tested like any other cell: accepted, it
-// goes on the list as its multipole (a one-body leaf's is exact); rejected,
-// as its bodies. No cell of this tree that the test Owns is accepted, and
-// under Grouping's exact leaves its leaves are listed untested. far lays out
-// the indices past NumCells; it may be nil if the stack holds none.
+// are pushed in ascending octant order and popped last first. A leaf is
+// tested like any other cell: accepted, it goes on the list as its multipole
+// (a one-body leaf's is exact); rejected, as its bodies. No cell of this tree
+// that the test Owns is accepted, and under Grouping's exact leaves its
+// leaves are listed untested. far lays out the indices past NumCells; it may
+// be nil if the stack holds none. A resident branch of another rank's tree
+// is walked in that tree, every cell tested, its leaves listed as segments
+// of that tree's sources.
 func (t *Tree) Gather(mac *BucketMAC, sc *BucketScratch, far Far) (opened int) {
 	cells := t.store.cells
 	stack := sc.stack
@@ -318,10 +324,10 @@ func (t *Tree) Gather(mac *BucketMAC, sc *BucketScratch, far Far) (opened int) {
 	exact := exactLeaves && !ball
 	// Local cells link only to local cells: a walk meets far cells only if it
 	// starts among them, and asks far for them only then.
-	fv := farView{far: far, n: int32(len(cells))}
+	fv := farView{far: far, n: int32(len(cells)), off: math.MaxInt32}
 	for _, i := range stack {
-		if int(i) >= len(cells) {
-			fv.top, fv.route, fv.base, fv.fetched = far.Layout()
+		if uint(i) >= uint(len(cells)) {
+			fv.top, fv.route, fv.base = far.Layout()
 			break
 		}
 	}
@@ -329,10 +335,12 @@ func (t *Tree) Gather(mac *BucketMAC, sc *BucketScratch, far Far) (opened int) {
 		ci := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		var c *Cell
-		var test bool
-		if int(ci) < len(cells) {
-			c = &cells[ci]
+		var test, accept bool
+		if uint(ci) < uint(len(cells)) {
+			c = &cells[uint(ci)]
 			test = !(exact && c.Leaf) && !mac.Owns(c.Lo, c.Hi)
+		} else if ci < 0 { // a top cell the caller has accepted
+			c, accept = &fv.top[^ci-fv.n], true
 		} else {
 			if ci < fv.base {
 				ci = fv.route[ci-fv.n]
@@ -341,14 +349,19 @@ func (t *Tree) Gather(mac *BucketMAC, sc *BucketScratch, far Far) (opened int) {
 			case int(ci) < len(cells): // a branch this tree holds
 				c = &cells[ci]
 				test = !(exact && c.Leaf) && !mac.Owns(c.Lo, c.Hi)
-			case ci >= fv.base:
-				c, test = &fv.fetched[ci-fv.base], true
+			case ci >= fv.base: // another rank's branch, walked where it lies
+				if ci < fv.off { // entered: the view moves to the owner's tree
+					rt, ri := fv.far.Remote(ci)
+					fv.cells, fv.src = rt.store.cells, rt.src
+					fv.off = math.MaxInt32 - int32(len(fv.cells))
+					ci = fv.off + ri
+				}
+				c, test = &fv.cells[ci-fv.off], true
 			default:
 				c = &fv.top[ci-fv.n]
 				test = c.kids[0] == 0 || !mac.OwnsKey(c.Key)
 			}
 		}
-		accept := false
 		if test {
 			var decided bool
 			accept, decided = mac.Prefilter(mac.Dist2(&c.Mp.COM), c.Bmax)
@@ -368,8 +381,10 @@ func (t *Tree) Gather(mac *BucketMAC, sc *BucketScratch, far Far) (opened int) {
 				}
 				stack = append(stack, ci+d)
 			}
-		case int(ci) >= len(cells): // not this tree's: far has its bodies
-			sc.List.Segs = append(sc.List.Segs, fv.far.Open(ci, c))
+		case int(ci) >= len(cells) && ci >= fv.off: // a leaf of another rank's tree
+			sc.List.Segs = append(sc.List.Segs, fv.src[c.Lo:c.Hi:c.Hi])
+		case int(ci) >= len(cells): // a top branch with nothing below it
+			fv.far.Open(ci, c)
 		case ball:
 			sc.Ranges = append(sc.Ranges, BodyRange{c.Lo, c.Hi})
 		default:
@@ -380,13 +395,17 @@ func (t *Tree) Gather(mac *BucketMAC, sc *BucketScratch, far Far) (opened int) {
 	return opened
 }
 
-// farView is a walk's copy of its Far's Layout, kept in memory and read
-// for far cells only, so that the registers stay with the local walk.
+// farView is a walk's copy of its Far's Layout and of the other rank's tree
+// it is in, kept in memory for far cells only, so that the registers stay
+// with the local walk. The walk names cell i of that tree off+i, past its own
+// indices, so the cells link as in their tree; it is through one branch
+// before it enters the next.
 type farView struct {
 	far          Far
-	top, fetched []Cell
+	top, cells   []Cell
+	src          []gravity.Source
 	route        []int32
-	n, base      int32
+	n, base, off int32
 }
 
 // EvalBucket applies the scratch's interaction list to every body of the

@@ -172,7 +172,7 @@ func (c *Cell) Daughters(at int32, dst []int32) []int32 {
 }
 
 // Link makes the cell at index at of a slab that no build laid out (package
-// core's replicated top and fetched cells) the parent of the cells at first,
+// core's replicated top) the parent of the cells at first,
 // first+1, ..., one per bit of ChildMask in ascending octant order: a walk
 // then opens it like a cell of a built tree.
 func (c *Cell) Link(at, first int32) {
