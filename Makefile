@@ -204,13 +204,24 @@ analyze-smoke:
 # Fault-injection smoke: a seeded fault-injected run that must crash at
 # least once, recover through checkpoint rollback bit-identically to an
 # uninterrupted twin, and emit a fault-annotated analysis report; then a
-# quick checkpoint-cadence sweep. Each writer checks its artifact before
-# writing it and exits nonzero when an invariant fails.
+# quick checkpoint-cadence sweep at one and at two host cores. Each writer
+# checks its artifact before writing it and exits nonzero when an invariant
+# fails. A world with crashes scheduled runs on one slot, so the two sweeps
+# must write the same file apart from its trailing provenance object.
 fault-smoke:
 	$(GO) run ./cmd/spacesim -n 600 -procs 4 -steps 6 \
 		-faults 11 -fault-accel 3000 -verify-recovery \
 		-report -analysis /tmp/spacesim-smoke-faults.json
-	$(GO) run ./cmd/ssbench faultsweep -quick -o /tmp/spacesim-smoke-faultsweep.json
+	$(GO) build -o /tmp/spacesim-smoke-faultsweep ./cmd/ssbench
+	@for p in 1 2; do \
+		echo "fault-smoke: faultsweep at GOMAXPROCS=$$p"; \
+		GOMAXPROCS=$$p /tmp/spacesim-smoke-faultsweep faultsweep -quick \
+			-o /tmp/spacesim-smoke-faultsweep-$$p.json || exit 1; \
+		sed '/^  "provenance": {/,$$d' /tmp/spacesim-smoke-faultsweep-$$p.json \
+			> /tmp/spacesim-smoke-faultsweep-$$p.body || exit 1; \
+	done
+	@cmp /tmp/spacesim-smoke-faultsweep-1.body /tmp/spacesim-smoke-faultsweep-2.body || { \
+		echo "fault-smoke: FAULTSWEEP.json differs between GOMAXPROCS=1 and 2"; exit 1; }
 
 # Live-telemetry smoke: a run served over -http is probed while in flight
 # (Prometheus exposition, the progress/ETA JSON, /series.json answering

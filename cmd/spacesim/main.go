@@ -187,7 +187,7 @@ func main() {
 	cl := cfg.Cluster
 
 	var res core.Result
-	var faultRep *analysis.FaultSummary
+	var faultRep *faults.Recovery
 	if *fSeed != 0 {
 		res, faultRep = runWithFaults(cfg, ics, *fSeed, *fAccel, *ckEvery, *verify, newObs)
 		// Report from the completing segment's observation handle.
@@ -235,7 +235,7 @@ func main() {
 		// the ledger under the full configuration's digest.
 		fmt.Fprintln(os.Stderr, "spacesim: interrupted — skipping the analysis report")
 	} else if *report {
-		rep, err := analysis.Analyze(o, cl, analysis.Options{})
+		rep, err := analysis.Analyze(o, cl)
 		if err != nil {
 			log.Fatalf("report: %v", err)
 		}
@@ -316,17 +316,12 @@ func appendRun(dir string, cfg ledger.Config, artifactPath string, headline map[
 // run measures the virtual horizon (and, with verify, the reference state),
 // then a schedule drawn from the paper's hazard rates is injected and the
 // run recovers through checkpoint rollback.
-func runWithFaults(cfg core.RunConfig, ics []core.Body, seed int64, accel float64, every int, verify bool, newObs func() *obs.Obs) (core.Result, *analysis.FaultSummary) {
-	probeCfg := cfg
-	probeCfg.Cluster.Obs = obs.New(false)
-	base := core.Run(probeCfg, ics)
+func runWithFaults(cfg core.RunConfig, ics []core.Body, seed int64, accel float64, every int, verify bool, newObs func() *obs.Obs) (core.Result, *faults.Recovery) {
+	base, sched := core.ProbeFaults(cfg, ics, faults.Options{Seed: seed, Accel: accel})
 	if base.Err != nil {
 		log.Fatalf("faults: fault-free probe failed: %v", base.Err)
 	}
 
-	sched := faults.New(faults.Options{
-		Ranks: cfg.Procs, Horizon: base.ElapsedVirtual, Seed: seed, Accel: accel,
-	})
 	fmt.Printf("fault schedule: seed %d, accel %g, horizon %.3fs — %d crash, %d degrade, %d flap, %d disk\n",
 		seed, accel, base.ElapsedVirtual,
 		sched.Count(faults.RankCrash), sched.Count(faults.LinkDegrade),
@@ -350,21 +345,6 @@ func runWithFaults(cfg core.RunConfig, ics []core.Body, seed int64, accel float6
 		log.Fatalf("faults: recovery failed: %v", err)
 	}
 
-	fs := &analysis.FaultSummary{
-		Attempts:         st.Attempts,
-		Crashes:          st.Crashes,
-		CrashRanks:       st.CrashRanks,
-		CrashTimesSec:    st.CrashTimes,
-		RestoredSteps:    st.RestoredSteps,
-		ReplayedSteps:    st.ReplayedSteps,
-		LostVirtualSec:   st.LostVirtualSec,
-		TotalVirtualSec:  st.TotalVirtualSec,
-		DegradedLinkSec:  st.DegradedLinkSec,
-		FlappingPortSec:  st.FlappingPortSec,
-		CheckpointWrites: st.CheckpointWrites,
-		CheckpointSec:    st.CheckpointSec,
-		CorruptStripes:   st.CorruptStripes,
-	}
 	fmt.Printf("recovery: %d crash(es), %d attempt(s), rollbacks %v, %d steps replayed, %.3fs virtual lost\n",
 		st.Crashes, st.Attempts, st.RestoredSteps, st.ReplayedSteps, st.LostVirtualSec)
 
@@ -373,13 +353,13 @@ func runWithFaults(cfg core.RunConfig, ics []core.Body, seed int64, accel float6
 			log.Fatalf("verify-recovery: no crash fired within the %.3fs horizon — raise -fault-accel or change -faults seed", base.ElapsedVirtual)
 		}
 		ok := core.BitIdentical(base, res)
-		fs.RecoveredBitIdentical = &ok
+		st.RecoveredBitIdentical = &ok
 		if !ok {
 			log.Fatal("verify-recovery: recovered state differs from the uninterrupted twin")
 		}
 		fmt.Println("verify-recovery: recovered state bit-identical to the uninterrupted twin")
 	}
-	return res, fs
+	return res, &st
 }
 
 func abs(x float64) float64 {

@@ -77,7 +77,7 @@ func analyzeRun(o *obs.Obs, n, steps int) (*analysis.Report, core.Result, machin
 		Cluster: cl, Procs: 8, Steps: steps,
 		Opt: core.Options{Theta: 0.7, Eps: 0.01, DT: 1e-3, MaxLeaf: 16, Workers: 4},
 	}, ics)
-	rep, err := analysis.Analyze(o, cl, analysis.Options{})
+	rep, err := analysis.Analyze(o, cl)
 	if err != nil {
 		die(1, "analyze:", err)
 	}

@@ -16,7 +16,13 @@ import (
 )
 
 // FaultsweepSchemaVersion stamps FAULTSWEEP.json.
-const FaultsweepSchemaVersion = 1
+//
+//	1 — each entry spells out its recovery outcome, bit_identical included
+//	2 — each entry embeds the recovery record (faults.Recovery), so it
+//	    adds crash_ranks, crash_times_sec, degraded_link_sec,
+//	    flapping_port_sec and checkpoint_sec, and bit_identical becomes
+//	    recovered_bit_identical
+const FaultsweepSchemaVersion = 2
 
 // FaultsweepReport is the machine-readable faultsweep artifact: how the
 // checkpoint interval trades expected lost work against I/O overhead under
@@ -46,18 +52,9 @@ type FaultsweepEntry struct {
 	// checkpoint writes at this cadence (rank 0; writes are parallel, so
 	// this approximates the makespan cost).
 	IOOverheadSec float64 `json:"io_overhead_sec"`
-	// The recovery outcome under the shared fault schedule.
-	Crashes          int     `json:"crashes"`
-	Attempts         int     `json:"attempts"`
-	RestoredSteps    []int   `json:"restored_steps,omitempty"`
-	ReplayedSteps    int     `json:"replayed_steps"`
-	LostVirtualSec   float64 `json:"lost_virtual_sec"`
-	TotalVirtualSec  float64 `json:"total_virtual_sec"`
-	CheckpointWrites int     `json:"checkpoint_writes"`
-	CorruptStripes   int     `json:"corrupt_stripes"`
-	// BitIdentical records whether the recovered state matched the
-	// fault-free run exactly.
-	BitIdentical bool `json:"bit_identical"`
+	// The recovery outcome under the shared fault schedule, verified
+	// against the fault-free run.
+	faults.Recovery
 }
 
 // faultsweepCmd sweeps the checkpoint interval under a fixed seeded fault
@@ -92,7 +89,7 @@ func faultsweepCmd(args []string) {
 		GatherBodies: true,
 	}
 
-	base := core.Run(cfg, ics)
+	base, sched := core.ProbeFaults(cfg, ics, faults.Options{Seed: *seed, Accel: *accel})
 	if base.Err != nil {
 		die(1, "faultsweep: baseline:", base.Err)
 	}
@@ -103,8 +100,8 @@ func faultsweepCmd(args []string) {
 	if *accel <= 0 {
 		perUnitAccel := faults.ExpectedCrashes(faults.Options{Ranks: procs, Horizon: horizon, Accel: 1})
 		*accel = 1.5 / perUnitAccel
+		sched = faults.New(faults.Options{Ranks: procs, Horizon: horizon, Seed: *seed, Accel: *accel})
 	}
-	sched := faults.New(faults.Options{Ranks: procs, Horizon: horizon, Seed: *seed, Accel: *accel})
 	// A sweep without a crash measures nothing; double the acceleration
 	// until the draw holds one.
 	for tries := 0; sched.Count(faults.RankCrash) == 0 && tries < 8; tries++ {
@@ -153,25 +150,12 @@ func faultsweepCmd(args []string) {
 			die(1, "faultsweep: recovery:", err)
 		}
 
-		e := FaultsweepEntry{
-			IntervalSteps:    k,
-			IOOverheadSec:    clean.CheckpointSec,
-			Crashes:          st.Crashes,
-			Attempts:         st.Attempts,
-			RestoredSteps:    st.RestoredSteps,
-			ReplayedSteps:    st.ReplayedSteps,
-			LostVirtualSec:   st.LostVirtualSec,
-			TotalVirtualSec:  st.TotalVirtualSec,
-			CheckpointWrites: st.CheckpointWrites,
-			CorruptStripes:   st.CorruptStripes,
-			BitIdentical:     core.BitIdentical(base, rec),
-		}
+		ok := core.BitIdentical(base, rec)
+		st.RecoveredBitIdentical = &ok
+		e := FaultsweepEntry{IntervalSteps: k, IOOverheadSec: clean.CheckpointSec, Recovery: st}
 		rep.Entries = append(rep.Entries, e)
 		fmt.Printf("  K=%d: io overhead %.4fs, %d crash(es), lost %.4fs, replayed %d steps, total %.4fs, bit-identical %v\n",
-			k, e.IOOverheadSec, e.Crashes, e.LostVirtualSec, e.ReplayedSteps, e.TotalVirtualSec, e.BitIdentical)
-		if !e.BitIdentical {
-			die(1, fmt.Sprintf("faultsweep: K=%d recovery diverged from the fault-free run", k))
-		}
+			k, e.IOOverheadSec, e.Crashes, e.LostVirtualSec, e.ReplayedSteps, e.TotalVirtualSec, ok)
 		if err := rep.checkEntry(e); err != nil {
 			die(1, "faultsweep:", err)
 		}
@@ -197,29 +181,26 @@ func faultsweepCmd(args []string) {
 	ledgerAppend(lcfg, filepath.Base(*out), *out, rep.headline())
 }
 
-// checkEntry holds the invariants of one cadence's outcome: one attempt per
-// crash plus one, every scheduled crash fired, no more rollbacks than
-// crashes and each to a step of the run, no negative cost, and a total no
-// cheaper than the fault-free baseline.
+// checkEntry holds the invariants of one cadence's outcome: the recovery
+// record's own (faults.Recovery.Check, which refuses a recovery that
+// diverged from the fault-free run), then the sweep's: every scheduled
+// crash fired, each rollback to a step of the run, no negative I/O
+// overhead, and a total no cheaper than the fault-free baseline.
 func (r *FaultsweepReport) checkEntry(e FaultsweepEntry) error {
 	k := e.IntervalSteps
-	if e.Attempts != e.Crashes+1 {
-		return fmt.Errorf("K=%d: %d attempts inconsistent with %d crashes", k, e.Attempts, e.Crashes)
+	if err := e.Check(); err != nil {
+		return fmt.Errorf("K=%d: %w", k, err)
 	}
 	if e.Crashes != r.ScheduledCrashes {
 		return fmt.Errorf("K=%d: %d crashes fired, schedule holds %d", k, e.Crashes, r.ScheduledCrashes)
 	}
-	if len(e.RestoredSteps) > e.Crashes {
-		return fmt.Errorf("K=%d: %d rollbacks exceed %d crashes", k, len(e.RestoredSteps), e.Crashes)
-	}
 	for _, s := range e.RestoredSteps {
-		if s < 0 || s >= r.Steps {
+		if s >= r.Steps {
 			return fmt.Errorf("K=%d: rollback step %d outside [0, %d)", k, s, r.Steps)
 		}
 	}
-	if e.IOOverheadSec < 0 || e.ReplayedSteps < 0 || e.LostVirtualSec < 0 ||
-		e.TotalVirtualSec < 0 || e.CheckpointWrites < 0 || e.CorruptStripes < 0 {
-		return fmt.Errorf("K=%d: negative cost metric: %+v", k, e)
+	if e.IOOverheadSec < 0 {
+		return fmt.Errorf("K=%d: negative I/O overhead %g", k, e.IOOverheadSec)
 	}
 	if e.TotalVirtualSec < r.BaselineVirtualSec*(1-1e-9) {
 		return fmt.Errorf("K=%d: total virtual %g below the fault-free baseline %g",

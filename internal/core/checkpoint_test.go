@@ -48,8 +48,8 @@ func TestResumeRejectsForeignSet(t *testing.T) {
 			if !errors.Is(err, errForeignSet) || !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("err = %v, want %v naming %q", err, errForeignSet, tc.want)
 			}
-			if st.Attempts != 0 || st.Resumed {
-				t.Fatalf("a segment ran (attempts %d, resumed %v)", st.Attempts, st.Resumed)
+			if st.Attempts != 0 || st.ResumedFromStep != 0 {
+				t.Fatalf("a segment ran (attempts %d, resumed from step %d)", st.Attempts, st.ResumedFromStep)
 			}
 		})
 	}

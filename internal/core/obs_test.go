@@ -43,7 +43,7 @@ func TestTracingBitIdentical(t *testing.T) {
 		if mode == "analyze" {
 			// The analysis itself is read-only on telemetry; it must
 			// succeed and account for the whole makespan.
-			rep, err := analysis.Analyze(o, cl, analysis.Options{})
+			rep, err := analysis.Analyze(o, cl)
 			if err != nil {
 				t.Fatalf("procs=%d workers=%d: analyze: %v", procs, workers, err)
 			}

@@ -9,8 +9,12 @@ import (
 	"spacesim/internal/obs"
 )
 
+// maxRestarts bounds recovery attempts: one crash more returns the last
+// crash as the error.
+const maxRestarts = 8
+
 // RecoveryConfig drives a checkpoint–restart run: the base run plus a fault
-// injector and a restart budget.
+// injector.
 type RecoveryConfig struct {
 	RunConfig
 	// Injector supplies the fault timeline. Each segment gets a crash plan
@@ -18,9 +22,6 @@ type RecoveryConfig struct {
 	// faults corrupt that rank's first checkpoint write of the segment.
 	// Nil runs fault-free (but still honors RunConfig.Faults/Checkpoint).
 	Injector *faults.Injector
-	// MaxRestarts bounds recovery attempts (default 8). Exceeding it
-	// returns the last crash as the error.
-	MaxRestarts int
 	// NewObs, when non-nil, supplies a fresh observation handle for each
 	// segment (attempt is 0-based) in place of Cluster.Obs. The analysis
 	// layer requires one run per event log, so a recovered run must not
@@ -38,44 +39,20 @@ type RecoveryConfig struct {
 	ResumeFromDisk bool
 }
 
-// RecoveryStats summarizes what fault recovery cost a run.
-type RecoveryStats struct {
-	// Attempts counts run segments (1 = no crash).
-	Attempts int
-	// Crashes, CrashRanks and CrashTimes record each rank crash in global
-	// virtual time (seconds since the original start).
-	Crashes    int
-	CrashRanks []int
-	CrashTimes []float64
-	// RestoredSteps records the checkpoint step each restart rolled back
-	// to (0 = restarted from the initial conditions).
-	RestoredSteps []int
-	// ReplayedSteps totals steps that were re-run after rollbacks.
-	ReplayedSteps int
-	// LostVirtualSec totals virtual seconds of discarded progress: each
-	// aborted segment's elapsed time minus the clock of the checkpoint it
-	// resumed from (when that checkpoint was written in the same segment).
-	LostVirtualSec float64
-	// DegradedLinkSec / FlappingPortSec are the schedule's fabric-fault
-	// exposure (link-seconds of degraded capacity, port-seconds of added
-	// latency).
-	DegradedLinkSec float64
-	FlappingPortSec float64
-	// CheckpointWrites counts completed checkpoints across all segments;
-	// CheckpointSec is rank 0's virtual disk time spent writing them.
-	CheckpointWrites int
-	CheckpointSec    float64
-	// CorruptStripes counts checkpoint sets rejected during recovery scans
-	// because a stripe failed verification.
-	CorruptStripes int
-	// TotalVirtualSec sums elapsed virtual time over every segment — the
-	// machine-time cost of the run including all replay.
-	TotalVirtualSec float64
-	// ResumedFromStep is the checkpoint step the first segment started
-	// from under ResumeFromDisk (0 = the initial conditions); Resumed
-	// reports whether an on-disk checkpoint was actually used.
-	ResumedFromStep int
-	Resumed         bool
+// ProbeFaults runs cfg fault-free, without checkpoints and on a private
+// Obs, and draws a fault schedule over that run's virtual makespan on
+// cfg.Procs ranks; opt supplies the seed, acceleration and rates. The run it
+// returns is the uninterrupted twin BitIdentical compares a recovered run
+// against. When the run fails or is interrupted no schedule is drawn.
+func ProbeFaults(cfg RunConfig, ics []Body, opt faults.Options) (Result, faults.Schedule) {
+	cfg.Checkpoint, cfg.Faults = nil, nil
+	cfg.Cluster.Obs = obs.New(false)
+	base := Run(cfg, ics)
+	if base.Err != nil || base.Interrupted {
+		return base, faults.Schedule{}
+	}
+	opt.Ranks, opt.Horizon = cfg.Procs, base.ElapsedVirtual
+	return base, faults.New(opt)
 }
 
 // RunRecovered executes a simulation under fault injection with
@@ -89,20 +66,17 @@ type RecoveryStats struct {
 // The returned error is non-nil only when recovery itself fails: the
 // restart budget is exhausted, a non-crash abort (deadlock) occurs, or a
 // checkpoint stripe turns out to be misrouted or another run's.
-func RunRecovered(cfg RecoveryConfig, ics []Body) (Result, RecoveryStats, error) {
-	if cfg.MaxRestarts == 0 {
-		cfg.MaxRestarts = 8
-	}
+func RunRecovered(cfg RecoveryConfig, ics []Body) (Result, faults.Recovery, error) {
+	var st faults.Recovery
 	if err := cfg.Validate(); err != nil {
-		return Result{}, RecoveryStats{}, err
+		return Result{}, st, err
 	}
 	if err := ValidateBodies(ics); err != nil {
-		return Result{}, RecoveryStats{}, err
+		return Result{}, st, err
 	}
 	if cfg.Injector != nil && cfg.Checkpoint == nil {
-		return Result{}, RecoveryStats{}, errors.New("core: fault injection without a checkpoint config cannot recover")
+		return Result{}, st, errors.New("core: fault injection without a checkpoint config cannot recover")
 	}
-	var st RecoveryStats
 	if cfg.Injector != nil {
 		st.DegradedLinkSec, st.FlappingPortSec = cfg.Injector.DegradedSeconds()
 	}
@@ -123,7 +97,6 @@ func RunRecovered(cfg RecoveryConfig, ics []Body) (Result, RecoveryStats, error)
 		if ok {
 			seg = segment{startStep: step, restore: restore, energies: hist}
 			st.ResumedFromStep = step
-			st.Resumed = true
 			// The sidecar history is the master prefix: the resumed
 			// segment records energies only from step+1 on.
 			copy(master.EnergyHistory, hist)
@@ -185,9 +158,9 @@ func RunRecovered(cfg RecoveryConfig, ics []Body) (Result, RecoveryStats, error)
 		}
 		st.Crashes++
 		st.CrashRanks = append(st.CrashRanks, ce.Rank)
-		st.CrashTimes = append(st.CrashTimes, offset+ce.AtSec)
-		if st.Crashes > cfg.MaxRestarts {
-			return master, st, fmt.Errorf("core: giving up after %d restarts: %w", cfg.MaxRestarts, res.Err)
+		st.CrashTimesSec = append(st.CrashTimesSec, offset+ce.AtSec)
+		if st.Crashes > maxRestarts {
+			return master, st, fmt.Errorf("core: giving up after %d restarts: %w", maxRestarts, res.Err)
 		}
 
 		// Roll back to the newest checkpoint that verifies.

@@ -3,6 +3,8 @@ package core
 import (
 	"math"
 	"math/rand"
+	"os"
+	"reflect"
 	"testing"
 
 	"spacesim/internal/faults"
@@ -80,8 +82,8 @@ func TestRecoveryBitIdentical(t *testing.T) {
 	if st.CrashRanks[0] != 2 {
 		t.Fatalf("crashed rank %d, want 2", st.CrashRanks[0])
 	}
-	if math.Abs(st.CrashTimes[0]-crashAt) > 1e-9 {
-		t.Fatalf("crash recorded at %g, scheduled %g", st.CrashTimes[0], crashAt)
+	if math.Abs(st.CrashTimesSec[0]-crashAt) > 1e-9 {
+		t.Fatalf("crash recorded at %g, scheduled %g", st.CrashTimesSec[0], crashAt)
 	}
 	if len(st.RestoredSteps) != 1 || st.RestoredSteps[0] == 0 {
 		t.Fatalf("expected rollback to a real checkpoint, got %v", st.RestoredSteps)
@@ -160,7 +162,7 @@ func TestRecoveryRepeatedCrashes(t *testing.T) {
 		t.Fatalf("recovery failed: %v (stats %+v)", err, st)
 	}
 	if st.Crashes != 2 {
-		t.Fatalf("expected both crashes to fire, got %d (times %v)", st.Crashes, st.CrashTimes)
+		t.Fatalf("expected both crashes to fire, got %d (times %v)", st.Crashes, st.CrashTimesSec)
 	}
 	if st.Attempts != 3 {
 		t.Fatalf("expected 3 segments, got %d", st.Attempts)
@@ -215,9 +217,9 @@ func TestResumeFromDiskBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatalf("resume failed: %v", err)
 	}
-	if !st.Resumed || st.ResumedFromStep != 3 {
-		t.Fatalf("expected resume from the interrupt-flushed checkpoint at step 3, got resumed=%v step=%d",
-			st.Resumed, st.ResumedFromStep)
+	if st.ResumedFromStep != 3 {
+		t.Fatalf("expected resume from the interrupt-flushed checkpoint at step 3, got step %d",
+			st.ResumedFromStep)
 	}
 	if st.Attempts != 1 {
 		t.Fatalf("resume took %d segments, want 1", st.Attempts)
@@ -261,8 +263,8 @@ func TestResumeFromDiskRepeated(t *testing.T) {
 	if err != nil {
 		t.Fatalf("mid resume failed: %v", err)
 	}
-	if !st.Resumed || st.ResumedFromStep != 2 {
-		t.Fatalf("mid resume from step %d (resumed=%v), want 2", st.ResumedFromStep, st.Resumed)
+	if st.ResumedFromStep != 2 {
+		t.Fatalf("mid resume from step %d, want 2", st.ResumedFromStep)
 	}
 	if !mid.Interrupted || mid.CompletedSteps != 4 {
 		t.Fatalf("second interrupt: completed=%d interrupted=%v", mid.CompletedSteps, mid.Interrupted)
@@ -275,7 +277,7 @@ func TestResumeFromDiskRepeated(t *testing.T) {
 	if err != nil {
 		t.Fatalf("final resume failed: %v", err)
 	}
-	if !st2.Resumed || st2.ResumedFromStep != 4 {
+	if st2.ResumedFromStep != 4 {
 		t.Fatalf("final resume from step %d, want 4", st2.ResumedFromStep)
 	}
 	assertBitIdentical(t, base, rec)
@@ -299,6 +301,40 @@ func TestRecoveryNoFaults(t *testing.T) {
 		t.Fatalf("clean schedule took %d attempts, %d crashes", st.Attempts, st.Crashes)
 	}
 	assertBitIdentical(t, base, rec)
+}
+
+// TestProbeFaultsIsTheTwin: the probe runs without checkpoints, draws the
+// schedule faults.New draws over its makespan on Procs ranks, and returns
+// the run a recovery under that schedule reproduces bit for bit; an
+// interrupted probe draws nothing.
+func TestProbeFaultsIsTheTwin(t *testing.T) {
+	ics := PlummerSphere(rand.New(rand.NewSource(7)), 120, 1.0)
+	probeDir := t.TempDir()
+	base, sched := ProbeFaults(recoveryBaseCfg(probeDir), ics, faults.Options{Seed: 11, Accel: 3000})
+	if base.Err != nil || base.Interrupted {
+		t.Fatalf("probe failed: err %v, interrupted %v", base.Err, base.Interrupted)
+	}
+	if ents, _ := os.ReadDir(probeDir); len(ents) != 0 {
+		t.Fatalf("the probe wrote %d checkpoint files", len(ents))
+	}
+	want := faults.New(faults.Options{Ranks: 4, Horizon: base.ElapsedVirtual, Seed: 11, Accel: 3000})
+	if !reflect.DeepEqual(sched, want) {
+		t.Fatalf("schedule %+v, want %+v", sched, want)
+	}
+	rec, _, err := RunRecovered(RecoveryConfig{
+		RunConfig: recoveryBaseCfg(t.TempDir()),
+		Injector:  faults.NewInjector(sched),
+	}, ics)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertBitIdentical(t, base, rec)
+
+	cfg := recoveryBaseCfg(t.TempDir())
+	cfg.Interrupt = func() bool { return true }
+	if base, sched := ProbeFaults(cfg, ics, faults.Options{Seed: 11, Accel: 3000}); !base.Interrupted || len(sched.Faults) != 0 {
+		t.Fatalf("interrupted probe: interrupted %v, %d faults drawn", base.Interrupted, len(sched.Faults))
+	}
 }
 
 // TestCheckpointRoundTrip pins the state serialization: encode → decode is

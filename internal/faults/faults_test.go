@@ -128,12 +128,9 @@ func TestInjectorPlanRebaseAndDisarm(t *testing.T) {
 	if got := p1.CrashAtSec[1]; got != 40 {
 		t.Fatalf("rebased rank 1 crash at %g, want 40", got)
 	}
-	if f, ok := in.NextCrash(0); !ok || f.Rank != 1 {
-		t.Fatalf("NextCrash = %+v, %v", f, ok)
-	}
 	in.Disarm(in.Sched.Faults[1].ID)
-	if _, ok := in.NextCrash(0); ok {
-		t.Fatal("all crashes disarmed but NextCrash found one")
+	if p2 := in.PlanAt(30); !p2.Empty() {
+		t.Fatalf("all crashes disarmed but the plan still holds one: %v", p2.CrashAtSec)
 	}
 }
 

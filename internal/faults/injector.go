@@ -59,9 +59,6 @@ func (in *Injector) DisarmBefore(t float64) {
 	}
 }
 
-// Armed reports whether a fault is still live.
-func (in *Injector) Armed(id int) bool { return !in.disarmed[id] }
-
 // PlanAt builds the mp crash plan for a segment whose clocks start at
 // global time offset: every armed crash strikes at its global time minus
 // the offset (crashes already in the past strike immediately — a node that
@@ -115,18 +112,6 @@ func (in *Injector) DiskFaultAt(rank int, t float64) (id int, ok bool) {
 		}
 	}
 	return 0, false
-}
-
-// NextCrash returns the earliest armed crash at or after global time t
-// (ok=false when none remains) — the driver's lookahead for deciding
-// whether another restart cycle can still be hit.
-func (in *Injector) NextCrash(t float64) (Fault, bool) {
-	for _, f := range in.Sched.Faults {
-		if f.Kind == RankCrash && !in.disarmed[f.ID] && f.Start >= t {
-			return f, true
-		}
-	}
-	return Fault{}, false
 }
 
 // DegradedSeconds sums degraded link-seconds and flapping port-seconds of

@@ -113,6 +113,8 @@ func TestLinpackClockScalingShape(t *testing.T) {
 	// memory-bound fraction; see perfmodel for the full Table 2 machinery.
 	// Here we verify the measured serial code is compute-dominated: time
 	// must grow superlinearly from n to 2n (cubic flops, quadratic memory).
+	// Each order is timed as the best of five runs, so a busy host that
+	// stalls one run does not flatten the ratio.
 	a1, _ := NewRandom(128, 1)
 	a2, _ := NewRandom(256, 1)
 	t1 := timeLU(a1)
@@ -123,13 +125,18 @@ func TestLinpackClockScalingShape(t *testing.T) {
 	}
 }
 
+// timeLU returns the fastest of five LU factorizations of copies of m.
 func timeLU(m *Matrix) float64 {
-	work := &Matrix{N: m.N, A: append([]float64(nil), m.A...)}
-	start := nowSec()
-	if _, err := work.LU(); err != nil {
-		panic(err)
+	best := math.Inf(1)
+	for range 5 {
+		work := &Matrix{N: m.N, A: append([]float64(nil), m.A...)}
+		start := nowSec()
+		if _, err := work.LU(); err != nil {
+			panic(err)
+		}
+		best = min(best, nowSec()-start)
 	}
-	return nowSec() - start
+	return best
 }
 
 func BenchmarkSerialLU256(b *testing.B) {

@@ -188,48 +188,28 @@ func (r *Rank) Allgather(chunk []float64) [][]float64 {
 }
 
 // Alltoall delivers chunks[d] to rank d and returns the received chunks
-// indexed by source. Pairwise-exchange algorithm with congested-network
-// bandwidth accounting, since an all-to-all saturates the fabric (this is
-// where the module backplane and trunk limits of Section 3.1 bite).
+// indexed by source (AlltoallAny). Chunks are delivered by reference: the
+// sender must not mutate one after the call.
 func (r *Rank) Alltoall(chunks [][]float64) [][]float64 {
-	n := r.w.n
-	if len(chunks) != n {
-		panic("mp: Alltoall needs one chunk per rank")
+	parts := make([]any, len(chunks))
+	bytes := make([]int64, len(chunks))
+	for d, c := range chunks {
+		parts[d], bytes[d] = c, SizeFloats(len(c))
 	}
-	if n > 1 {
-		defer r.collective("alltoall")()
-	}
-	out := make([][]float64, n)
-	out[r.id] = chunks[r.id]
-	if n&(n-1) == 0 {
-		// Power of two: XOR pairwise exchange.
-		for round := 1; round < n; round++ {
-			partner := r.id ^ round
-			r.sendAt(partner, tagAlltoall, chunks[partner], SizeFloats(len(chunks[partner])), true, 0)
-			data, _ := r.Recv(partner, tagAlltoall)
-			if data != nil {
-				out[partner] = data.([]float64)
-			}
-		}
-		return out
-	}
-	// General n: shifted-ring exchange; in round k send to id+k, receive
-	// from id-k.
-	for round := 1; round < n; round++ {
-		dst := (r.id + round) % n
-		src := (r.id - round + n) % n
-		r.sendAt(dst, tagAlltoall, chunks[dst], SizeFloats(len(chunks[dst])), true, 0)
-		data, _ := r.Recv(src, tagAlltoall)
-		if data != nil {
-			out[src] = data.([]float64)
-		}
+	parts = r.AlltoallAny(parts, bytes)
+	out := make([][]float64, len(parts))
+	for i, p := range parts {
+		out[i] = p.([]float64)
 	}
 	return out
 }
 
-// AlltoallAny is Alltoall for arbitrary payloads with caller-supplied wire
-// sizes (bytes[d] accounts chunk[d]). Payloads are delivered by reference:
-// the sender must not mutate a chunk after the call.
+// AlltoallAny delivers chunks[d] to rank d, with caller-supplied wire sizes
+// (bytes[d] accounts chunk[d]), and returns the received chunks indexed by
+// source. Pairwise-exchange algorithm with congested-network bandwidth
+// accounting, since an all-to-all saturates the fabric (this is where the
+// module backplane and trunk limits of Section 3.1 bite). Payloads are
+// delivered by reference: the sender must not mutate a chunk after the call.
 func (r *Rank) AlltoallAny(chunks []any, bytes []int64) []any {
 	n := r.w.n
 	if len(chunks) != n || len(bytes) != n {
@@ -241,6 +221,7 @@ func (r *Rank) AlltoallAny(chunks []any, bytes []int64) []any {
 	out := make([]any, n)
 	out[r.id] = chunks[r.id]
 	if n&(n-1) == 0 {
+		// Power of two: XOR pairwise exchange.
 		for round := 1; round < n; round++ {
 			partner := r.id ^ round
 			r.sendAt(partner, tagAlltoall, chunks[partner], bytes[partner], true, 0)
@@ -249,6 +230,8 @@ func (r *Rank) AlltoallAny(chunks []any, bytes []int64) []any {
 		}
 		return out
 	}
+	// General n: shifted-ring exchange; in round k send to id+k, receive
+	// from id-k.
 	for round := 1; round < n; round++ {
 		dst := (r.id + round) % n
 		src := (r.id - round + n) % n

@@ -17,8 +17,8 @@ package mp
 //	          started task still owns a goroutine — but only `workers`
 //	          of them are ever runnable, and unstarted tasks are a bare
 //	          task struct until their first dispatch);
-//	blocked — parked in takeBlocking with its (src, tag, deadline)
-//	          pattern armed, waiting for a matching message's event;
+//	blocked — parked in takeBlocking with its (src, tag) pattern
+//	          armed, waiting for a matching message's event;
 //	waiting — parked at a rendezvous (OneSlot), until every live rank
 //	          has arrived;
 //	done    — fn returned or unwound.
@@ -49,12 +49,10 @@ package mp
 // in O(1) on the last slot release. Detection is by state, never by wall
 // clock: virtual time has no relation to host time, so a timer would
 // misfire on a slow host. The resolution ladder, in order of preference:
-//  1. wake the RecvTimeout with the earliest virtual deadline (ties to the
-//     lowest rank) — a timed receive is a recoverable event;
-//  2. fire the earliest scheduled crash among the parked ranks — a rank
-//     whose clock froze before its crash time still dies, it just dies
-//     parked;
-//  3. abort the world with a DeadlockError naming every blocked rank and
+//  1. fire the earliest scheduled crash among the parked ranks (ties to the
+//     lowest rank) — a rank whose clock froze before its crash time still
+//     dies, it just dies parked;
+//  2. abort the world with a DeadlockError naming every blocked rank and
 //     its pending receive, and every rank waiting at the rendezvous.
 //
 // Known limitation: a rank that polls with TryRecv (the ABM layer) yields
@@ -92,10 +90,6 @@ type task struct {
 	resume chan struct{}
 	// Armed receive pattern while blocked.
 	src, tag int
-	deadline float64 // virtual deadline; +Inf for plain Recv
-	// timedOut is set by quiescence resolution before the wake: the parked
-	// receive must report ErrTimeout instead of rescanning.
-	timedOut bool
 }
 
 // event is one pending wakeup: dst's parked receive has a matching message
@@ -164,7 +158,6 @@ type eventEngine struct {
 	ready   []*task // FIFO dispatch queue, q[rhead:] live
 	rhead   int
 	running int
-	blocked int
 	waiting int // ranks parked at the rendezvous
 	done    int
 	heap    eventHeap
@@ -258,7 +251,6 @@ func (e *eventEngine) drainHeap() {
 		ev := e.heap.pop()
 		if ev.t.state == taskBlocked {
 			ev.t.state = taskReady
-			e.blocked--
 			e.readyPush(ev.t)
 		}
 	}
@@ -284,9 +276,7 @@ func (e *eventEngine) pump() {
 		}
 		// Nothing runs, nothing is ready, the heap is drained, and tasks
 		// remain: every live rank is parked. Quiescent.
-		if !e.resolveQuiescence() {
-			return
-		}
+		e.resolveQuiescence()
 	}
 }
 
@@ -385,7 +375,7 @@ func (e *eventEngine) put(dst int, m message) {
 	ib.enqueue(m)
 	t := e.tasks[dst]
 	e.mu.Lock()
-	if t.state == taskBlocked && matchMsg(m, t.src, t.tag) {
+	if t.state == taskBlocked && matchMsg(&m, t.src, t.tag) {
 		e.heap.push(event{at: m.arrive, seq: e.seq, t: t})
 		e.seq++
 		e.cEvents.Inc()
@@ -396,45 +386,34 @@ func (e *eventEngine) put(dst int, m message) {
 }
 
 // matchMsg is the MPI-style (src, tag) match with wildcards.
-func matchMsg(m message, src, tag int) bool {
+func matchMsg(m *message, src, tag int) bool {
 	return (src == AnySource || m.src == src) && (tag == AnyTag || m.tag == tag)
 }
 
-// takeBlocking removes and returns a message matching (src, tag) from this
-// rank's inbox, parking the rank until one exists. With a finite deadline it
-// implements RecvTimeout's virtual-time semantics: among queued matches it
-// picks the earliest virtual arrival, reports a timeout (leaving the message
-// queued) when that arrival is past the deadline, and reports a timeout when
-// quiescence resolution fires this receive's deadline (a wake with timedOut
-// set). Any other wake means a matching message was delivered (rescanned,
-// since a raced earlier wake may have consumed it). It panics rankAbort when
-// the world aborts.
-func (r *Rank) takeBlocking(src, tag int, deadline float64) (message, bool) {
+// takeBlocking removes and returns the first message in queue order matching
+// (src, tag) from this rank's inbox, parking the rank until one exists. A
+// wake means a matching message was delivered; the inbox is rescanned, since
+// a raced earlier wake may have consumed it. It panics rankAbort when the
+// world aborts.
+func (r *Rank) takeBlocking(src, tag int) message {
 	w := r.w
 	e := w.eng
 	ib := w.boxes[r.id]
 	t := e.tasks[r.id]
-	finite := !math.IsInf(deadline, 1)
 	for {
 		if w.aborted.Load() {
 			panic(rankAbort{})
 		}
 		ib.mu.Lock()
-		if best := ib.scanMatch(src, tag, finite); best >= 0 {
-			m := ib.q[best]
-			if m.arrive > deadline {
-				ib.mu.Unlock()
-				return message{}, true
-			}
-			ib.removeAt(best)
+		if i := ib.scanMatch(src, tag); i >= 0 {
+			m := ib.q[i]
+			ib.removeAt(i)
 			ib.mu.Unlock()
-			return m, false
+			return m
 		}
 		e.mu.Lock()
-		t.src, t.tag, t.deadline = src, tag, deadline
-		t.timedOut = false
+		t.src, t.tag = src, tag
 		t.state = taskBlocked
-		e.blocked++
 		e.running--
 		e.cParks.Inc()
 		parked := true
@@ -443,7 +422,6 @@ func (r *Rank) takeBlocking(src, tag int, deadline float64) (message, bool) {
 			// visible; self-revert under the lock instead of sleeping (the
 			// loop top unwinds).
 			t.state = taskRunning
-			e.blocked--
 			e.running++
 			parked = false
 		} else {
@@ -455,9 +433,6 @@ func (r *Rank) takeBlocking(src, tag int, deadline float64) (message, bool) {
 			continue
 		}
 		<-t.resume
-		if t.timedOut {
-			return message{}, true
-		}
 	}
 }
 
@@ -511,7 +486,6 @@ func (e *eventEngine) wakeAllLocked() {
 	for _, t := range e.tasks {
 		switch t.state {
 		case taskBlocked:
-			e.blocked--
 		case taskWaiting:
 			e.waiting--
 		default:
@@ -523,29 +497,11 @@ func (e *eventEngine) wakeAllLocked() {
 }
 
 // resolveQuiescence applies the resolution ladder at a proven quiescent
-// point and reports whether it made a task dispatchable. Caller holds mu.
-func (e *eventEngine) resolveQuiescence() bool {
+// point: either rung aborts the world and readies every parked task so it
+// can unwind. Caller holds mu.
+func (e *eventEngine) resolveQuiescence() {
 	w := e.w
-	// 1. Fire the earliest-deadline timed receive (ties to the lowest
-	// rank) — a recoverable event.
-	var ti *task
-	for _, t := range e.tasks {
-		if t.state != taskBlocked || math.IsInf(t.deadline, 1) {
-			continue
-		}
-		if ti == nil || t.deadline < ti.deadline ||
-			(t.deadline == ti.deadline && t.r.id < ti.r.id) {
-			ti = t
-		}
-	}
-	if ti != nil {
-		ti.timedOut = true
-		ti.state = taskReady
-		e.blocked--
-		e.readyPush(ti)
-		return true
-	}
-	// 2. Fire the earliest scheduled crash among the parked ranks.
+	// 1. Fire the earliest scheduled crash among the parked ranks.
 	var ci *task
 	var ciAt float64
 	for _, t := range e.tasks {
@@ -564,25 +520,23 @@ func (e *eventEngine) resolveQuiescence() bool {
 		if w.setAborted(&CrashError{Rank: ci.r.id, AtSec: ciAt, Cause: w.plan.cause(ci.r.id)}) {
 			w.cCrashes.Inc()
 		}
-		e.wakeAllLocked()
-		return true
-	}
-	// 3. True deadlock: abort with the full diagnostic. The tasks are in
-	// rank order.
-	de := &DeadlockError{}
-	for _, t := range e.tasks {
-		switch t.state {
-		case taskBlocked:
-			de.Blocked = append(de.Blocked, BlockedRank{
-				Rank: t.r.id, Src: t.src, Tag: t.tag, Clock: t.r.clock,
-			})
-		case taskWaiting:
-			de.Waiting = append(de.Waiting, t.r.id)
+	} else {
+		// 2. True deadlock: abort with the full diagnostic. The tasks are
+		// in rank order.
+		de := &DeadlockError{}
+		for _, t := range e.tasks {
+			switch t.state {
+			case taskBlocked:
+				de.Blocked = append(de.Blocked, BlockedRank{
+					Rank: t.r.id, Src: t.src, Tag: t.tag, Clock: t.r.clock,
+				})
+			case taskWaiting:
+				de.Waiting = append(de.Waiting, t.r.id)
+			}
 		}
+		w.setAborted(de)
 	}
-	w.setAborted(de)
 	e.wakeAllLocked()
-	return true
 }
 
 // crashTime is rank's scheduled crash time, +Inf without one.

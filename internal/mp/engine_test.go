@@ -193,41 +193,35 @@ func TestEventEnginePointToPoint(t *testing.T) {
 	}
 }
 
-// TestEventEngineRecvTimeout checks both timeout modes: a queued-but-late
-// match times out immediately leaving the message behind, and a never-sent
-// match fires only at quiescence, at the exact virtual deadline.
-func TestEventEngineRecvTimeout(t *testing.T) {
+// TestEventEngineQuiescentCrash checks the first rung of the quiescence
+// ladder at every pool width: when every live rank is parked, the earliest
+// scheduled crash among them fires (ties to the lowest rank), so the world
+// dies of that crash, not of a deadlock, and the clocks froze where the
+// ranks parked.
+func TestEventEngineQuiescentCrash(t *testing.T) {
 	for _, ec := range engineConfigs {
 		ec := ec
 		t.Run(ec.name, func(t *testing.T) {
-			st := RunWith(testCluster(2), 2, ec.opt, func(r *Rank) {
-				if r.ID() == 0 {
-					r.SendFloats(1, 5, []float64{1}) // arrives after ~transfer time
-					return
-				}
-				// Deadline far before the arrival: immediate virtual timeout,
-				// message stays queued.
-				_, _, err := r.RecvTimeout(0, 5, 0)
-				if !errors.Is(err, ErrTimeout) {
-					t.Errorf("want immediate timeout, got %v", err)
-				}
-				// The late message is still receivable.
-				if xs, _ := r.RecvFloats(0, 5); xs[0] != 1 {
-					t.Errorf("queued message lost: %v", xs)
-				}
-				// Never-sent: fires at quiescence, clock advances to the
-				// exact deadline.
-				before := r.Clock()
-				_, _, err = r.RecvTimeout(0, 77, 0.25)
-				if !errors.Is(err, ErrTimeout) {
-					t.Errorf("want quiescent timeout, got %v", err)
-				}
-				if got := r.Clock() - before; math.Abs(got-0.25) > 1e-12 {
-					t.Errorf("clock advanced %v, want 0.25", got)
-				}
+			plan := NewFaultPlan(3)
+			plan.Crash(2, 5, "PSU")
+			plan.Crash(1, 3, "Fan")
+			opt := ec.opt
+			opt.Plan = plan
+			st := RunWith(testCluster(3), 3, opt, func(r *Rank) {
+				r.Charge(1e6*float64(1+r.ID()), 1, 0)
+				r.Recv(AnySource, 42) // nobody ever sends
 			})
-			if st.Err != nil {
-				t.Fatalf("run err = %v", st.Err)
+			var ce *CrashError
+			if !errors.As(st.Err, &ce) {
+				t.Fatalf("want CrashError, got %v", st.Err)
+			}
+			if ce.Rank != 1 || ce.AtSec != 3 || ce.Cause != "Fan" {
+				t.Errorf("crash = %+v, want rank 1 at 3s (Fan)", ce)
+			}
+			for i, c := range st.RankClocks {
+				if c <= 0 || c >= 3 {
+					t.Errorf("rank %d clock %g, want its parked clock before the crash", i, c)
+				}
 			}
 		})
 	}

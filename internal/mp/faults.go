@@ -22,16 +22,13 @@ import (
 	"strings"
 )
 
-// Sentinel errors for fault-aware callers. Stats.Err (and RecvTimeout's
-// error) wrap these, so drivers dispatch with errors.Is.
+// Sentinel errors for fault-aware callers. Stats.Err wraps these, so
+// drivers dispatch with errors.Is.
 var (
 	// ErrRankDown marks a run aborted because a rank crashed; sends to and
 	// receives from the dead rank fail fast by aborting the world instead of
 	// deadlocking it.
 	ErrRankDown = errors.New("mp: rank down")
-	// ErrTimeout is returned by RecvTimeout when no matching message arrives
-	// by the virtual deadline.
-	ErrTimeout = errors.New("mp: receive timed out")
 	// ErrDeadlock marks a run aborted at quiescence: every live rank was
 	// blocked in a receive no pending send could satisfy, or waited at a
 	// rendezvous such a rank held up.

@@ -2,7 +2,6 @@ package mp
 
 import (
 	"errors"
-	"math"
 	"testing"
 )
 
@@ -45,81 +44,6 @@ func TestWatchdogCrossedReceives(t *testing.T) {
 		if b.Rank != i { // sorted by rank
 			t.Fatalf("diagnostic not sorted: %+v", de.Blocked)
 		}
-	}
-}
-
-// TestRecvTimeoutNoSender: the timeout fires via the watchdog (the world is
-// quiescent), advancing exactly to the virtual deadline, and the world then
-// completes without error.
-func TestRecvTimeoutNoSender(t *testing.T) {
-	var clock float64
-	st := Run(testCluster(2), 2, func(r *Rank) {
-		if r.ID() == 0 {
-			_, _, err := r.RecvTimeout(1, 5, 0.25)
-			if !errors.Is(err, ErrTimeout) {
-				t.Errorf("err = %v, want ErrTimeout", err)
-			}
-			clock = r.Clock()
-		}
-	})
-	if st.Err != nil {
-		t.Fatalf("run errored: %v", st.Err)
-	}
-	if clock != 0.25 {
-		t.Fatalf("clock after timeout = %g, want 0.25", clock)
-	}
-}
-
-// TestRecvTimeoutDelivery: a message arriving within the window is delivered
-// exactly like Recv.
-func TestRecvTimeoutDelivery(t *testing.T) {
-	st := Run(testCluster(2), 2, func(r *Rank) {
-		if r.ID() == 1 {
-			r.SendFloats(0, 5, []float64{42})
-			return
-		}
-		d, status, err := r.RecvTimeout(1, 5, 10)
-		if err != nil {
-			t.Errorf("err = %v", err)
-			return
-		}
-		if xs := d.([]float64); xs[0] != 42 || status.Source != 1 {
-			t.Errorf("payload %v status %+v", xs, status)
-		}
-	})
-	if st.Err != nil {
-		t.Fatalf("run errored: %v", st.Err)
-	}
-}
-
-// TestRecvTimeoutLateArrival: a queued match whose virtual arrival is past
-// the deadline must time out (the receiver cannot see the future), and the
-// message must remain available to a later Recv.
-func TestRecvTimeoutLateArrival(t *testing.T) {
-	st := Run(testCluster(2), 2, func(r *Rank) {
-		if r.ID() == 1 {
-			r.AdvanceClock(1.0) // message will arrive after t=1
-			r.SendFloats(0, 5, []float64{7})
-			return
-		}
-		_, _, err := r.RecvTimeout(1, 5, 0.01)
-		if !errors.Is(err, ErrTimeout) {
-			t.Errorf("err = %v, want ErrTimeout", err)
-			return
-		}
-		if c := r.Clock(); math.Abs(c-0.01) > 1e-12 {
-			t.Errorf("clock after timeout = %g, want 0.01", c)
-		}
-		xs, _ := r.RecvFloats(1, 5) // still queued
-		if xs[0] != 7 {
-			t.Errorf("late message payload = %v", xs)
-		}
-		if c := r.Clock(); c < 1.0 {
-			t.Errorf("clock after late delivery = %g, want >= 1", c)
-		}
-	})
-	if st.Err != nil {
-		t.Fatalf("run errored: %v", st.Err)
 	}
 }
 
@@ -236,7 +160,7 @@ func TestCrashDuringABMQuiesce(t *testing.T) {
 	}
 }
 
-// TestNoFaultRunsUnaffected: with no plan and no timeouts, a lopsided but
+// TestNoFaultRunsUnaffected: with no plan, a lopsided but
 // live communication pattern completes exactly as before (no watchdog false
 // positives), and Err stays nil.
 func TestNoFaultRunsUnaffected(t *testing.T) {

@@ -14,7 +14,7 @@ import (
 
 func shiftTake(q []message, src, tag int) ([]message, bool) {
 	for i := range q {
-		if matchMsg(q[i], src, tag) {
+		if matchMsg(&q[i], src, tag) {
 			return append(q[:i], q[i+1:]...), true
 		}
 	}
@@ -112,9 +112,8 @@ func BenchmarkInboxSelective(b *testing.B) {
 	})
 }
 
-// TestInboxRing pins the ring's matching semantics: queue order for plain
-// receives, earliest-arrival for finite-deadline scans, compaction keeps
-// the live window intact.
+// TestInboxRing pins the ring's matching semantics: queue order for every
+// receive, compaction keeps the live window intact.
 func TestInboxRing(t *testing.T) {
 	ib := &inbox{}
 	for i := 0; i < 300; i++ {
@@ -129,14 +128,9 @@ func TestInboxRing(t *testing.T) {
 	if got := ib.pending(); got != 50 {
 		t.Fatalf("pending = %d, want 50", got)
 	}
-	// Earliest-arrival scan: arrivals descend, so the earliest live one is
-	// the last enqueued (i=299: src 2, tag 1, arrive 1).
-	best := ib.scanMatch(AnySource, AnyTag, true)
-	if best < 0 || ib.q[best].arrive != 1 {
-		t.Fatalf("earliest scan got arrive=%v", ib.q[best].arrive)
-	}
-	// Queue-order scan picks the oldest live message instead.
-	first := ib.scanMatch(AnySource, AnyTag, false)
+	// The scan picks the oldest live message, not the earliest arrival
+	// (arrivals descend, so that is the last enqueued).
+	first := ib.scanMatch(AnySource, AnyTag)
 	if first < 0 || ib.q[first].arrive != 50 {
 		t.Fatalf("queue-order scan got arrive=%v", ib.q[first].arrive)
 	}

@@ -80,25 +80,15 @@ type inbox struct {
 // enqueue appends a message; caller holds mu.
 func (ib *inbox) enqueue(m message) { ib.q = append(ib.q, m) }
 
-// scanMatch returns the physical index of the message a blocking receive
-// should take: the first match in queue order, or — when earliest is set
-// (RecvTimeout's virtual-deadline semantics) — the match with the earliest
-// virtual arrival. Returns -1 with no match queued. Caller holds mu.
-func (ib *inbox) scanMatch(src, tag int, earliest bool) int {
-	best := -1
+// scanMatch returns the physical index of the first message in queue
+// order matching (src, tag), or -1 with no match queued. Caller holds mu.
+func (ib *inbox) scanMatch(src, tag int) int {
 	for i := ib.head; i < len(ib.q); i++ {
-		m := &ib.q[i]
-		if (src != AnySource && m.src != src) || (tag != AnyTag && m.tag != tag) {
-			continue
-		}
-		if best < 0 || (earliest && m.arrive < ib.q[best].arrive) {
-			best = i
-		}
-		if !earliest {
-			break // plain Recv keeps queue order
+		if matchMsg(&ib.q[i], src, tag) {
+			return i
 		}
 	}
-	return best
+	return -1
 }
 
 // removeAt deletes the message at physical index i, preserving queue order.
@@ -133,7 +123,7 @@ func (ib *inbox) pending() int { return len(ib.q) - ib.head }
 func (ib *inbox) tryTake(src, tag int) (message, bool) {
 	ib.mu.Lock()
 	defer ib.mu.Unlock()
-	if i := ib.scanMatch(src, tag, false); i >= 0 {
+	if i := ib.scanMatch(src, tag); i >= 0 {
 		m := ib.q[i]
 		ib.removeAt(i)
 		return m, true
@@ -156,12 +146,6 @@ type World struct {
 	aborted  atomic.Bool
 	abortMu  sync.Mutex
 	abortErr error
-
-	statsMu    sync.Mutex
-	totalMsgs  int64
-	totalBytes int64
-	collMsgs   int64
-	collBytes  int64
 
 	// obs observes the run: always non-nil inside Run (a private handle is
 	// created when the cluster carries none), with per-module byte counters
@@ -272,12 +256,12 @@ func RunWith(cluster machine.Cluster, nprocs int, opt RunOptions, fn func(r *Ran
 	}
 	w.eng = newEventEngine(w, ranks, opt.Workers)
 	w.eng.run(fn, clocks)
-	st := Stats{
-		RankClocks: clocks,
-		Messages:   w.totalMsgs, Bytes: w.totalBytes,
-		CollectiveMessages: w.collMsgs, CollectiveBytes: w.collBytes,
-		Obs: w.obs,
-		Err: w.abortErr,
+	st := Stats{RankClocks: clocks, Obs: w.obs, Err: w.abortErr}
+	for _, r := range ranks {
+		st.Messages += r.sent.msgs
+		st.Bytes += r.sent.bytes
+		st.CollectiveMessages += r.sent.collMsgs
+		st.CollectiveBytes += r.sent.collBytes
 	}
 	for _, c := range clocks {
 		if c > st.ElapsedVirtual {
@@ -384,6 +368,9 @@ type Rank struct {
 
 	flopsCharged float64
 	bytesMoved   float64
+	// sent counts this rank's messages and bytes, in all and inside
+	// collectives; RunWith sums them into Stats once every rank is done.
+	sent struct{ msgs, bytes, collMsgs, collBytes int64 }
 
 	// gatherSeq stamps Gather rounds (collectives are SPMD-ordered, so the
 	// per-rank counter is globally consistent).
@@ -559,21 +546,19 @@ func (r *Rank) sendAt(dst, tag int, data any, bytes int64, congested bool, nicFr
 	return left
 }
 
-// observeSend folds one message into the world totals, the per-rank
+// observeSend folds one message into the rank's totals, the per-rank
 // breakdown, the per-module byte counters, the latency/size histograms, the
 // structured event log, and — when tracing — the network rows (an async
 // slice on the source module spanning the transfer).
 func (r *Rank) observeSend(dst int, bytes int64, t0, arrive float64) {
 	w := r.w
 	coll := r.collDepth > 0
-	w.statsMu.Lock()
-	w.totalMsgs++
-	w.totalBytes += bytes
+	r.sent.msgs++
+	r.sent.bytes += bytes
 	if coll {
-		w.collMsgs++
-		w.collBytes += bytes
+		r.sent.collMsgs++
+		r.sent.collBytes += bytes
 	}
-	w.statsMu.Unlock()
 	r.obs.M.Messages++
 	r.obs.M.Bytes += bytes
 	r.obs.M.SendSec += w.cluster.Net.Prof.PerMsgOverheadSec
@@ -606,40 +591,10 @@ func (r *Rank) observeSend(dst int, bytes int64, t0, arrive float64) {
 // returns its payload.
 func (r *Rank) Recv(src, tag int) (any, Status) {
 	r.checkFaults()
-	m, _ := r.takeBlocking(src, tag, math.Inf(1))
+	m := r.takeBlocking(src, tag)
 	st := r.deliver(m)
 	r.checkFaults() // a crash scheduled during the wait fires now
 	return m.data, st
-}
-
-// RecvTimeout is Recv with a virtual-time deadline of timeoutSec from now.
-// On timeout it returns an error wrapping ErrTimeout with the clock advanced
-// to the deadline and any late-arriving match left queued for a later
-// receive. Timeouts are exact in virtual time: a match whose arrival is past
-// the deadline times out even if it is already queued, and a receive with no
-// match pending only times out once the scheduler proves the world
-// quiescent (no sender can still be running) — never earlier, so a slow host
-// cannot change the virtual schedule.
-func (r *Rank) RecvTimeout(src, tag int, timeoutSec float64) (any, Status, error) {
-	if timeoutSec < 0 {
-		panic("mp: negative receive timeout")
-	}
-	r.checkFaults()
-	deadline := r.clock + timeoutSec
-	m, timedOut := r.takeBlocking(src, tag, deadline)
-	if timedOut {
-		if deadline > r.clock {
-			r.obs.M.WaitSec += deadline - r.clock
-			r.obs.Span("comm", "recv-timeout", r.clock, deadline)
-			r.clock = deadline
-		}
-		r.checkFaults()
-		return nil, Status{}, fmt.Errorf("recv(src=%s, tag=%s) at t=%.6gs: %w",
-			fmtSel(src), fmtSel(tag), r.clock, ErrTimeout)
-	}
-	st := r.deliver(m)
-	r.checkFaults()
-	return m.data, st, nil
 }
 
 // TryRecv is Recv without blocking. Unlike Recv it does not wait, and only

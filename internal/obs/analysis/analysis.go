@@ -26,6 +26,7 @@ import (
 	"math"
 	"sort"
 
+	"spacesim/internal/faults"
 	"spacesim/internal/machine"
 	"spacesim/internal/obs"
 	"spacesim/internal/obs/ledger"
@@ -48,25 +49,13 @@ const (
 	CatOther      = "other" // virtual time advanced outside any leaf span
 )
 
-// Options tunes the analysis.
-type Options struct {
-	// TimelineBins is the number of bins in each link-utilization timeline
-	// (default 64).
-	TimelineBins int
-	// NICLinkLimit bounds the per-host NIC links included in the report; a
-	// run with more ranks reports only module and trunk links (default 32).
-	NICLinkLimit int
-}
-
-func (o Options) withDefaults() Options {
-	if o.TimelineBins <= 0 {
-		o.TimelineBins = 64
-	}
-	if o.NICLinkLimit <= 0 {
-		o.NICLinkLimit = 32
-	}
-	return o
-}
+// timelineBins is the number of bins in each link-utilization timeline;
+// nicLinkLimit bounds the ranks of a run whose per-host NIC links the
+// report includes (a larger run reports only module and trunk links).
+const (
+	timelineBins = 64
+	nicLinkLimit = 32
+)
 
 // Report is the machine-readable analysis artifact (ANALYSIS.json).
 type Report struct {
@@ -92,11 +81,11 @@ type Report struct {
 	Counters    map[string]int64                 `json:"counters,omitempty"`
 	Gauges      map[string]float64               `json:"gauges,omitempty"`
 
-	// Faults summarizes fault injection and checkpoint recovery when the
-	// run was driven by core.RunRecovered; nil for fault-free runs. It is
-	// attached by the driver (the telemetry Analyze consumes covers only
-	// the completing segment).
-	Faults *FaultSummary `json:"faults,omitempty"`
+	// Faults is the recovery record when the run was driven by
+	// core.RunRecovered; nil for fault-free runs. It is attached by the
+	// driver (the telemetry Analyze consumes covers only the completing
+	// segment).
+	Faults *faults.Recovery `json:"faults,omitempty"`
 
 	// Provenance records the binary and host that produced the report
 	// (go version, VCS revision, hostname, GOMAXPROCS) plus — when the
@@ -104,38 +93,6 @@ type Report struct {
 	// report to its comparable ledger history; `ssbench diff` compares only
 	// two reports that carry the same one.
 	Provenance *ledger.Provenance `json:"provenance,omitempty"`
-}
-
-// FaultSummary is the fault-injection and recovery record of a run
-// (ANALYSIS.json "faults"). Times are global virtual seconds.
-type FaultSummary struct {
-	// Attempts counts run segments (1 = never crashed); Crashes the rank
-	// crashes that fired, with their ranks and global virtual times.
-	Attempts      int       `json:"attempts"`
-	Crashes       int       `json:"crashes"`
-	CrashRanks    []int     `json:"crash_ranks,omitempty"`
-	CrashTimesSec []float64 `json:"crash_times_sec,omitempty"`
-	// RestoredSteps are the checkpoint steps each restart rolled back to
-	// (0 = initial conditions); ReplayedSteps totals re-run steps.
-	RestoredSteps []int `json:"restored_steps,omitempty"`
-	ReplayedSteps int   `json:"replayed_steps"`
-	// LostVirtualSec is discarded progress; TotalVirtualSec the machine
-	// cost summed over every segment including replay.
-	LostVirtualSec  float64 `json:"lost_virtual_sec"`
-	TotalVirtualSec float64 `json:"total_virtual_sec"`
-	// DegradedLinkSec / FlappingPortSec are the schedule's fabric-fault
-	// exposure.
-	DegradedLinkSec float64 `json:"degraded_link_sec"`
-	FlappingPortSec float64 `json:"flapping_port_sec"`
-	// CheckpointWrites counts completed checkpoints; CheckpointSec is the
-	// virtual disk time spent writing them; CorruptStripes the checkpoint
-	// sets rejected during recovery scans.
-	CheckpointWrites int     `json:"checkpoint_writes"`
-	CheckpointSec    float64 `json:"checkpoint_sec"`
-	CorruptStripes   int     `json:"corrupt_stripes"`
-	// RecoveredBitIdentical, when set, records the outcome of a
-	// verification pass against an uninterrupted twin run.
-	RecoveredBitIdentical *bool `json:"recovered_bit_identical,omitempty"`
 }
 
 // CriticalPath is the longest causal chain of the run. Its segments tile
@@ -256,14 +213,13 @@ func leafCat(s obs.SpanEvent) string {
 // enabled (Obs.EnableEvents before the run) and must have observed exactly
 // one mp.Run invocation — spans from several runs share one virtual
 // timeline and cannot be told apart.
-func Analyze(o *obs.Obs, cl machine.Cluster, opt Options) (*Report, error) {
+func Analyze(o *obs.Obs, cl machine.Cluster) (*Report, error) {
 	if o == nil {
 		return nil, errors.New("analysis: nil Obs")
 	}
 	if o.Events == nil {
 		return nil, errors.New("analysis: event retention is off — call Obs.EnableEvents() before the run")
 	}
-	opt = opt.withDefaults()
 	metrics := o.RankMetrics()
 	events := o.Events.Ranks()
 	if len(events) == 0 || len(metrics) == 0 {
@@ -334,7 +290,7 @@ func Analyze(o *obs.Obs, cl machine.Cluster, opt Options) (*Report, error) {
 	rep.CriticalPath = criticalPath(ranks, start, makespan)
 	rep.Phases = phaseStats(ranks)
 	if cl.Net != nil {
-		rep.Links = linkStats(events, cl, makespan, opt)
+		rep.Links = linkStats(events, cl, makespan)
 	}
 	return rep, nil
 }
@@ -553,14 +509,14 @@ func phaseStats(ranks []rankData) []PhaseStats {
 
 // linkStats bins every recorded transfer onto the links of its
 // Topology.PathLinks route. Module and trunk links are always reported;
-// per-host NIC links only for runs of at most opt.NICLinkLimit ranks.
-func linkStats(events []*obs.RankEvents, cl machine.Cluster, makespan float64, opt Options) []LinkStats {
+// per-host NIC links only for runs of at most nicLinkLimit ranks.
+func linkStats(events []*obs.RankEvents, cl machine.Cluster, makespan float64) []LinkStats {
 	if makespan <= 0 {
 		return nil
 	}
 	topo := cl.Net.Topo
-	includeNIC := len(events) <= opt.NICLinkLimit
-	bins := opt.TimelineBins
+	includeNIC := len(events) <= nicLinkLimit
+	bins := timelineBins
 	binDur := makespan / float64(bins)
 	type la struct {
 		cap   float64

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"spacesim/internal/core"
+	"spacesim/internal/faults"
 	"spacesim/internal/machine"
 	"spacesim/internal/netsim"
 	"spacesim/internal/obs"
@@ -70,7 +71,7 @@ func handCluster() machine.Cluster {
 }
 
 func TestCriticalPathHandBuilt(t *testing.T) {
-	rep, err := analysis.Analyze(handTrace(), handCluster(), analysis.Options{})
+	rep, err := analysis.Analyze(handTrace(), handCluster())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,10 +162,10 @@ func TestCriticalPathHandBuilt(t *testing.T) {
 
 func TestAnalyzeRequiresEvents(t *testing.T) {
 	o := obs.New(false) // no EnableEvents
-	if _, err := analysis.Analyze(o, handCluster(), analysis.Options{}); err == nil {
+	if _, err := analysis.Analyze(o, handCluster()); err == nil {
 		t.Fatal("expected error without event retention")
 	}
-	if _, err := analysis.Analyze(nil, handCluster(), analysis.Options{}); err == nil {
+	if _, err := analysis.Analyze(nil, handCluster()); err == nil {
 		t.Fatal("expected error for nil Obs")
 	}
 }
@@ -205,7 +206,7 @@ func TestLinkUtilizationPinnedBytes(t *testing.T) {
 	r2.MsgSent(2, 999, 0, 0, 0, false)
 	r2.M.Clock = 1
 
-	rep, err := analysis.Analyze(o, cl, analysis.Options{TimelineBins: 10})
+	rep, err := analysis.Analyze(o, cl)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,6 +253,11 @@ func TestLinkUtilizationPinnedBytes(t *testing.T) {
 	if l := byName["trunk"]; l.BusyFraction != 0.5 {
 		t.Errorf("trunk busy fraction = %v, want 0.5", l.BusyFraction)
 	}
+	for name, l := range byName {
+		if len(l.Timeline) != 64 {
+			t.Errorf("%s: %d timeline bins, want 64", name, len(l.Timeline))
+		}
+	}
 }
 
 func newRand() *rand.Rand { return rand.New(rand.NewSource(7)) }
@@ -270,7 +276,7 @@ func TestCriticalPathEqualsMakespan(t *testing.T) {
 		Opt: core.Options{Theta: 0.7, Eps: 0.01, DT: 1e-3, MaxLeaf: 16, Workers: 2},
 	}, ics)
 
-	rep, err := analysis.Analyze(o, cl, analysis.Options{})
+	rep, err := analysis.Analyze(o, cl)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -358,7 +364,7 @@ func TestCriticalPathEqualsMakespan(t *testing.T) {
 // of them as an empty diff.
 func TestReadFileRefusesOtherDocuments(t *testing.T) {
 	dir := t.TempDir()
-	rep, err := analysis.Analyze(handTrace(), handCluster(), analysis.Options{})
+	rep, err := analysis.Analyze(handTrace(), handCluster())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -371,9 +377,9 @@ func TestReadFileRefusesOtherDocuments(t *testing.T) {
 	}
 	for _, tc := range []struct{ name, doc string }{
 		{"empty", `{"schema_version": 3}`},
-		{"faultsweep", `{"schema_version": 1, "seed": 1, "ranks": 8, "bodies": 1024, "steps": 12,
+		{"faultsweep", `{"schema_version": 2, "seed": 1, "ranks": 8, "bodies": 1024, "steps": 12,
 			"baseline_virtual_sec": 0.4, "scheduled_crashes": 1,
-			"entries": [{"interval_steps": 1, "crashes": 1, "attempts": 2, "bit_identical": true}]}`},
+			"entries": [{"interval_steps": 1, "crashes": 1, "attempts": 2, "recovered_bit_identical": true}]}`},
 		{"bench-v8", `{"schema_version": 8, "n": 32768, "theta": 0.7,
 			"results": [{"engine": "grouped", "workers": 1, "ns_per_interaction": 15.5}],
 			"analysis": {"makespan_sec": 12.5, "critical_path_sec": 12.5, "parallel_efficiency": 0.9},
@@ -393,7 +399,7 @@ func TestReadFileRefusesOtherDocuments(t *testing.T) {
 // error or a report that WriteJSON writes back and ReadFile reads again to
 // the same bytes; no input panics.
 func FuzzReadReport(f *testing.F) {
-	rep, err := analysis.Analyze(handTrace(), handCluster(), analysis.Options{})
+	rep, err := analysis.Analyze(handTrace(), handCluster())
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -440,7 +446,7 @@ func TestHeadline(t *testing.T) {
 	rep := &analysis.Report{
 		MakespanSec: 12.5, ParallelEfficiency: 0.91, IdleFraction: 0.04,
 		Histograms: map[string]obs.HistogramSnapshot{"mp.msg.latency_sec": {Count: 10, P99: 0.0021}},
-		Faults:     &analysis.FaultSummary{CheckpointSec: 0.4, LostVirtualSec: 1.2},
+		Faults:     &faults.Recovery{CheckpointSec: 0.4, LostVirtualSec: 1.2},
 	}
 	want := map[string]float64{
 		"makespan_sec":            12.5,

@@ -1,11 +1,14 @@
 package analysis
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
+	"spacesim/internal/faults"
 	"spacesim/internal/obs"
 )
 
@@ -85,11 +88,11 @@ func TestCheckPathAndSummaries(t *testing.T) {
 		{"link peak below mean", func(r *Report) { r.Links = []LinkStats{{Name: "trunk", MeanUtil: 0.5, PeakUtil: 0.1}} }, "link trunk: bytes 0 mean 0.5 peak 0.1"},
 		{"link busy", func(r *Report) { r.Links = []LinkStats{{Name: "trunk", BusyFraction: 1.5}} }, "link trunk: busy fraction 1.5"},
 		{"attempts", func(r *Report) {
-			r.Faults = &FaultSummary{Attempts: 1, Crashes: 1, CrashRanks: []int{0}, CrashTimesSec: []float64{1}}
+			r.Faults = &faults.Recovery{Attempts: 1, Crashes: 1, CrashRanks: []int{0}, CrashTimesSec: []float64{1}}
 		}, "faults: 1 attempts inconsistent with 1 crashes"},
 		{"divergent recovery", func(r *Report) {
 			diverged := false
-			r.Faults = &FaultSummary{Attempts: 1, RecoveredBitIdentical: &diverged}
+			r.Faults = &faults.Recovery{Attempts: 1, RecoveredBitIdentical: &diverged}
 		}, "recovery verification recorded a divergent state"},
 	}
 	for _, c := range cases {
@@ -133,5 +136,53 @@ func TestReadFileIgnoresV2LiveBlock(t *testing.T) {
 	}
 	if rep.SchemaVersion != 2 || rep.MakespanSec != 10 {
 		t.Fatalf("v2 report read as %+v", rep)
+	}
+}
+
+// A schema-3 report's faults block reads into the recovery record and
+// writes back with the same keys and values: the block spacesim
+// -verify-recovery writes, key for key.
+func TestFaultsBlockRoundTrip(t *testing.T) {
+	const block = `{"attempts": 2, "crashes": 1, "crash_ranks": [0],
+		"crash_times_sec": [0.03135203544073419], "restored_steps": [0],
+		"replayed_steps": 2, "lost_virtual_sec": 0.033801074368584094,
+		"total_virtual_sec": 0.10172500271911894, "degraded_link_sec": 0,
+		"flapping_port_sec": 0.0018691062024490043, "checkpoint_writes": 3,
+		"checkpoint_sec": 0.0017154285714285691, "corrupt_stripes": 1,
+		"recovered_bit_identical": true}`
+	doc, err := json.Marshal(validReport())
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc = append(doc[:len(doc)-1], `, "faults": `+block+`}`...)
+	dir := t.TempDir()
+	in, out := filepath.Join(dir, "in.json"), filepath.Join(dir, "out.json")
+	if err := os.WriteFile(in, doc, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := ReadFile(in)
+	if err != nil {
+		t.Fatalf("schema-3 report with a faults block refused: %v", err)
+	}
+	if f := rep.Faults; f == nil || f.Crashes != 1 || f.CorruptStripes != 1 || f.RecoveredBitIdentical == nil {
+		t.Fatalf("faults block read as %+v", rep.Faults)
+	}
+	if err := rep.WriteJSON(out); err != nil {
+		t.Fatal(err)
+	}
+	written, err := os.ReadFile(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want map[string]any
+	var got struct{ Faults map[string]any }
+	if err := json.Unmarshal([]byte(block), &want); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(written, &got); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got.Faults, want) {
+		t.Fatalf("faults block written back as\n%v\nwant\n%v", got.Faults, want)
 	}
 }

@@ -12,7 +12,7 @@ import (
 // and a config digest, so Gate has all three gated metrics to judge.
 func gatedReport(t *testing.T) *analysis.Report {
 	t.Helper()
-	rep, err := analysis.Analyze(handTrace(), handCluster(), analysis.Options{})
+	rep, err := analysis.Analyze(handTrace(), handCluster())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -49,8 +49,8 @@ func ReadFile(path string) (*Report, error) {
 // tiles the makespan, and its nonnegative categories sum to it. Parallel
 // efficiency is a share no larger than 1 - idle fraction, and equals what
 // the rank metrics' compute seconds give. Phase, histogram and link
-// summaries are ordered and in range. The fault summary counts one attempt
-// per crash plus one and records no divergent recovery.
+// summaries are ordered and in range. The recovery record holds its own
+// invariants (faults.Recovery.Check).
 func (r *Report) check() error {
 	switch {
 	case r.SchemaVersion < 1:
@@ -122,31 +122,8 @@ func (r *Report) check() error {
 	}
 
 	if fr := r.Faults; fr != nil {
-		if fr.Attempts < 1 {
-			return fmt.Errorf("faults: attempts %d < 1", fr.Attempts)
-		}
-		if fr.Crashes != len(fr.CrashRanks) || fr.Crashes != len(fr.CrashTimesSec) {
-			return fmt.Errorf("faults: %d crashes but %d ranks, %d times",
-				fr.Crashes, len(fr.CrashRanks), len(fr.CrashTimesSec))
-		}
-		if fr.Attempts != fr.Crashes+1 {
-			return fmt.Errorf("faults: %d attempts inconsistent with %d crashes", fr.Attempts, fr.Crashes)
-		}
-		if len(fr.RestoredSteps) > fr.Crashes {
-			return fmt.Errorf("faults: %d rollbacks exceed %d crashes", len(fr.RestoredSteps), fr.Crashes)
-		}
-		for i, t := range fr.CrashTimesSec {
-			if t < 0 {
-				return fmt.Errorf("faults: crash %d at negative time %g", i, t)
-			}
-		}
-		if fr.ReplayedSteps < 0 || fr.LostVirtualSec < 0 || fr.TotalVirtualSec < 0 ||
-			fr.DegradedLinkSec < 0 || fr.FlappingPortSec < 0 ||
-			fr.CheckpointWrites < 0 || fr.CheckpointSec < 0 || fr.CorruptStripes < 0 {
-			return fmt.Errorf("faults: negative recovery metric: %+v", fr)
-		}
-		if fr.RecoveredBitIdentical != nil && !*fr.RecoveredBitIdentical {
-			return errors.New("faults: recovery verification recorded a divergent state")
+		if err := fr.Check(); err != nil {
+			return fmt.Errorf("faults: %w", err)
 		}
 	}
 	return nil

@@ -448,10 +448,7 @@ func (s *Server) runJob(id string) {
 		return
 	}
 
-	resumed := 0
-	if st.Resumed {
-		resumed = st.ResumedFromStep
-	}
+	resumed := st.ResumedFromStep
 	art := buildArtifact(spec, res, resumed, attempt)
 	if err := s.cache.put(art); err != nil {
 		s.attemptFailed(j, fmt.Sprintf("artifact write: %v", err))
@@ -484,10 +481,10 @@ func (s *Server) jobDir(id string) string { return filepath.Join(s.cfg.Dir, "job
 // execute runs one attempt of a job under the watchdog: resume from disk if
 // checkpoints exist, checkpoint on cadence, poll the job's interrupt word
 // at every step boundary.
-func (s *Server) execute(j *Job, spec JobSpec) (core.Result, core.RecoveryStats, error) {
+func (s *Server) execute(j *Job, spec JobSpec) (core.Result, faults.Recovery, error) {
 	ics, err := core.MakeICs(spec.Scenario, spec.Seed, spec.N)
 	if err != nil {
-		return core.Result{}, core.RecoveryStats{}, err
+		return core.Result{}, faults.Recovery{}, err
 	}
 	newObs := func(int) *obs.Obs {
 		o := obs.New(false)
@@ -498,7 +495,7 @@ func (s *Server) execute(j *Job, spec JobSpec) (core.Result, core.RecoveryStats,
 	cfg := spec.runConfig(obs.New(false))
 	ckDir := s.jobDir(j.ID)
 	if err := os.MkdirAll(ckDir, 0o755); err != nil {
-		return core.Result{}, core.RecoveryStats{}, err
+		return core.Result{}, faults.Recovery{}, err
 	}
 	cfg.Checkpoint = &core.CheckpointConfig{Dir: ckDir, Every: spec.CheckpointEvery}
 	cfg.Interrupt = func() bool { return j.intr.Load() != nil }
@@ -506,22 +503,15 @@ func (s *Server) execute(j *Job, spec JobSpec) (core.Result, core.RecoveryStats,
 	var inj *faults.Injector
 	if spec.FaultSeed != 0 {
 		// A fault-free probe measures the virtual horizon the schedule is
-		// drawn over — the same two-pass shape as the spacesim CLI.
-		probe := cfg
-		probe.Checkpoint = nil
-		probe.Cluster.Obs = obs.New(false)
-		base := core.Run(probe, ics)
+		// drawn over, as in the spacesim CLI.
+		base, sched := core.ProbeFaults(cfg, ics, faults.Options{Seed: spec.FaultSeed, Accel: spec.FaultAccel})
 		if base.Err != nil {
-			return core.Result{}, core.RecoveryStats{}, fmt.Errorf("fault probe: %w", base.Err)
+			return core.Result{}, faults.Recovery{}, fmt.Errorf("fault probe: %w", base.Err)
 		}
 		if base.Interrupted {
-			res := base
-			return res, core.RecoveryStats{}, nil
+			return base, faults.Recovery{}, nil
 		}
-		inj = faults.NewInjector(faults.New(faults.Options{
-			Ranks: spec.Ranks, Horizon: base.ElapsedVirtual,
-			Seed: spec.FaultSeed, Accel: spec.FaultAccel,
-		}))
+		inj = faults.NewInjector(sched)
 	}
 
 	wdStop := make(chan struct{})
