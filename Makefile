@@ -26,6 +26,8 @@ one-slot:
 # and the blocking phases around it are a function of the message DAG. The
 # reproducibility, schedule-pin and region tests of core and mp, at four
 # host widths (each pins or compares every rank clock and the makespan).
+# The key sort, tree build, grouped walk and SPH tests below take their
+# default width from par.Width, so the one host loop runs at four widths too.
 widths:
 	@for p in 1 2 4 8; do \
 		echo "widths: GOMAXPROCS=$$p"; \
@@ -33,6 +35,10 @@ widths:
 			-run '^(TestEventEngineReproducibleSchedule|TestSchedulePinnedAcrossTwoPassRewrite|TestEngineBitIdentical)$$' ./internal/core || exit 1; \
 		GOMAXPROCS=$$p $(GO) test -count=1 -timeout 300s \
 			-run '^(TestOneSlot.*|TestCollectivesBothEngines|TestEventEnginePointToPoint|TestEventEngineGather)$$' ./internal/mp || exit 1; \
+		GOMAXPROCS=$$p $(GO) test -count=1 -timeout 300s -run '^TestSortPerm.*$$' ./internal/key || exit 1; \
+		GOMAXPROCS=$$p $(GO) test -count=1 -timeout 300s \
+			-run '^(TestBuildBitIdentical.*|TestGroupedWorkerCountInvariance|TestGroupedGoldenDigest)$$' ./internal/htree || exit 1; \
+		GOMAXPROCS=$$p $(GO) test -count=1 -timeout 300s -run '^TestSimWorkersBitIdentical$$' ./internal/sph || exit 1; \
 	done
 
 # Also the asmdecl check of internal/gravity/lanes_amd64.s, AVX2 and AVX-512

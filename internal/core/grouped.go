@@ -48,7 +48,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"runtime/pprof"
 	"strconv"
 	"sync"
@@ -57,6 +56,7 @@ import (
 	"spacesim/internal/gravity"
 	"spacesim/internal/htree"
 	"spacesim/internal/obs"
+	"spacesim/internal/par"
 	"spacesim/internal/vec"
 )
 
@@ -150,9 +150,6 @@ type poolJob struct {
 // nanoseconds (the pool is real host parallelism, not part of the virtual
 // machine model) and, when tracing, gets its own host-time trace row.
 func (dt *DTree) newEvalPool(workers int) *evalPool {
-	if workers < 1 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	p := &evalPool{workers: workers, jobs: make(chan poolJob, 4*workers)}
 	if holdWorkers {
 		p.hold = make(chan struct{})
@@ -300,7 +297,7 @@ func (dt *DTree) computeForces(bodies []Body) ([]vec.V3, []float64, TraversalSta
 
 	charge := dt.chargeFunc(&st)
 	hostStart := time.Now()
-	pool := dt.newEvalPool(dt.opt.Workers)
+	pool := dt.newEvalPool(par.Width(dt.opt.Workers, len(groups)))
 	defer pool.close()
 
 	// The groups go in the order of a stack of them, the last first.

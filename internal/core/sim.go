@@ -300,6 +300,20 @@ func run(cfg RunConfig, ics []Body, seg segment) Result {
 		var pot []float64
 		var ts TraversalStats
 		var ok bool
+		// checkpoint writes the state after step s under the progress
+		// phase name; rank 0 books the write.
+		checkpoint := func(name string, s int) {
+			prog.Phase(name)
+			t0 := r.Clock()
+			writeCheckpoint(r, cp, s, local, acc, energyAt[:s+1])
+			lastCk = s
+			if r.ID() == 0 {
+				ckWrites++
+				ckClocks[s] = r.Clock()
+				ckSec += r.Clock() - t0
+				prog.Checkpoint()
+			}
+		}
 		if seg.restore != nil {
 			// Resume: the restored stripe carries this rank's exact bodies
 			// (with decomposition weights) and accelerations, so the
@@ -335,15 +349,7 @@ func run(cfg RunConfig, ics []Body, seg segment) Result {
 				}
 				if r.AllreduceScalar(flag, mp.OpMax) > 0 {
 					if cp != nil && lastCk != s {
-						prog.Phase("interrupt-checkpoint")
-						t0 := r.Clock()
-						writeCheckpoint(r, cp, s, local, acc, energyAt[:s+1])
-						if r.ID() == 0 {
-							ckWrites++
-							ckClocks[s] = r.Clock()
-							ckSec += r.Clock() - t0
-							prog.Checkpoint()
-						}
+						checkpoint("interrupt-checkpoint", s)
 					}
 					if r.ID() == 0 {
 						interrupted = true
@@ -377,16 +383,7 @@ func run(cfg RunConfig, ics []Body, seg segment) Result {
 				prog.StepDone(s+1, r.Clock())
 			}
 			if cp != nil && (s+1)%cp.Every == 0 && s+1 < cfg.Steps {
-				prog.Phase("checkpoint")
-				t0 := r.Clock()
-				writeCheckpoint(r, cp, s+1, local, acc, energyAt[:s+2])
-				lastCk = s + 1
-				if r.ID() == 0 {
-					ckWrites++
-					ckClocks[s+1] = r.Clock()
-					ckSec += r.Clock() - t0
-					prog.Checkpoint()
-				}
+				checkpoint("checkpoint", s+1)
 			}
 		}
 

@@ -47,9 +47,8 @@ type Options struct {
 	// MaxLeaf is the tree bucket size (default 8).
 	MaxLeaf int
 	// Workers is the number of host goroutines evaluating bucket
-	// interaction lists and running the tree-build
-	// pipeline (default runtime.GOMAXPROCS(0)). Results are bit-identical
-	// for any value.
+	// interaction lists and running the tree-build pipeline (< 1 means
+	// GOMAXPROCS: par.Width). Results are bit-identical for any value.
 	Workers int
 	// BuildArena, when non-nil, supplies reusable tree-build storage so a
 	// rank's per-step rebuilds stop allocating. An arena is exclusive

@@ -1,19 +1,15 @@
 package htree
 
 import (
-	"context"
 	"fmt"
 	"math"
-	"runtime"
-	"runtime/pprof"
 	"sort"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"spacesim/internal/gravity"
 	"spacesim/internal/key"
 	"spacesim/internal/obs"
+	"spacesim/internal/par"
 	"spacesim/internal/vec"
 )
 
@@ -86,7 +82,7 @@ func (a *Arena) PosMassScratch(n int) ([]vec.V3, []float64) {
 }
 
 // buildTask is one subtree assignment: cell k over Bodies[lo:hi]. Workers
-// claim tasks by atomic counter and record where the task's cells landed in
+// claim tasks through par.For and record where the task's cells landed in
 // their private buffer (worker/off/n) for the merge phase.
 type buildTask struct {
 	k      key.K
@@ -128,10 +124,8 @@ func Build(pos []vec.V3, mass []float64, opt Options) (*Tree, error) {
 	if size == 0 {
 		lo, size = BoundingCube(pos)
 	}
-	workers := opt.Workers
-	if workers < 1 {
-		workers = runtime.GOMAXPROCS(0)
-	}
+	n := len(pos)
+	workers := par.Width(opt.Workers, n)
 	ar := opt.Arena
 	if ar == nil {
 		ar = &Arena{}
@@ -142,7 +136,6 @@ func Build(pos []vec.V3, mass []float64, opt Options) (*Tree, error) {
 		MaxLeaf:    opt.MaxLeaf,
 		forceSplit: opt.ForceSplit,
 	}
-	n := len(pos)
 	var tracer *obs.Tracer
 	if opt.Obs != nil {
 		tracer = opt.Obs.Tracer
@@ -161,7 +154,12 @@ func Build(pos []vec.V3, mass []float64, opt Options) (*Tree, error) {
 	}
 	ar.keys = ar.keys[:n]
 	keys := ar.keys
-	parallelRanges(n, workers, func(klo, khi int) {
+	// The keying and the gather split [0, n) into one chunk per worker, at
+	// most one per buildGrain bodies, chunk c being [n*c/chunks,
+	// n*(c+1)/chunks).
+	chunks := par.Width(workers, (n+buildGrain-1)/buildGrain)
+	par.For(chunks, workers, func(_, c int) {
+		klo, khi := n*c/chunks, n*(c+1)/chunks
 		for i := klo; i < khi; i++ {
 			keys[i] = key.FromPosition(pos[i], lo, size)
 		}
@@ -176,7 +174,8 @@ func Build(pos []vec.V3, mass []float64, opt Options) (*Tree, error) {
 	}
 	ar.bodies, ar.src = ar.bodies[:n], ar.src[:n]
 	bodies, src := ar.bodies, ar.src
-	parallelRanges(n, workers, func(blo, bhi int) {
+	par.For(chunks, workers, func(_, c int) {
+		blo, bhi := n*c/chunks, n*(c+1)/chunks
 		for i := blo; i < bhi; i++ {
 			p := perm[i]
 			bodies[i] = Body{Pos: pos[p], Mass: mass[p], Key: keys[p], ID: int(p)}
@@ -185,52 +184,27 @@ func Build(pos []vec.V3, mass []float64, opt Options) (*Tree, error) {
 	})
 	t.Bodies, t.src = bodies, src
 
-	// Phase 3: plan subtree tasks and build them in the worker pool.
+	// Phase 3: plan subtree tasks and build them, each worker appending
+	// the cells of the tasks it claims to its own buffer. The workers
+	// inherit the caller's profiler labels (core builds under its rank's
+	// phase=tree-construct).
 	t2, h2 := time.Now(), hostNow()
 	tasks, skel := t.planTasks(ar, workers)
-	if len(ar.workers) < workers {
-		ar.workers = append(ar.workers, make([]buildWorker, workers-len(ar.workers))...)
+	nw := par.Width(workers, len(tasks))
+	if len(ar.workers) < nw {
+		ar.workers = append(ar.workers, make([]buildWorker, nw-len(ar.workers))...)
 	}
-	ws := ar.workers[:workers]
-	nw := workers
-	if nw > len(tasks) {
-		nw = len(tasks)
+	ws := ar.workers[:nw]
+	for w := range ws {
+		ws[w].cells = ws[w].cells[:0]
 	}
-	var next int64
-	claim := func() int { return int(atomic.AddInt64(&next, 1)) - 1 }
-	work := func(w int) {
-		bw := &ws[w]
-		bw.cells = bw.cells[:0]
-		for {
-			i := claim()
-			if i >= len(tasks) {
-				return
-			}
-			tk := &tasks[i]
-			tk.worker = int32(w)
-			tk.off = int32(len(bw.cells))
-			bw.buildRange(t, tk.k, tk.lo, tk.hi)
-			tk.n = int32(len(bw.cells)) - tk.off
-		}
-	}
-	if nw <= 1 {
-		work(0)
-	} else {
-		var wg sync.WaitGroup
-		wg.Add(nw)
-		for w := 0; w < nw; w++ {
-			go func(w int) {
-				defer wg.Done()
-				// Host CPU profiles attribute construction workers to the
-				// tree-build phase (labels, like all observation, never
-				// touch virtual time).
-				pprof.SetGoroutineLabels(pprof.WithLabels(context.Background(),
-					pprof.Labels("engine", "tree-build", "phase", "tree-construct")))
-				work(w)
-			}(w)
-		}
-		wg.Wait()
-	}
+	par.For(len(tasks), workers, func(w, i int) {
+		bw, tk := &ws[w], &tasks[i]
+		tk.worker = int32(w)
+		tk.off = int32(len(bw.cells))
+		bw.buildRange(t, tk.k, tk.lo, tk.hi)
+		tk.n = int32(len(bw.cells)) - tk.off
+	})
 
 	// Phase 4: merge — assemble the slab, index it, fill the skeleton.
 	t3, h3 := time.Now(), hostNow()
@@ -490,27 +464,4 @@ func farthest2(bodies []Body, cells []Cell, ci int, c vec.V3, m float64) float64
 		m = farthest2(bodies, cells, kid[j], c, m)
 	}
 	return m
-}
-
-// parallelRanges runs fn over an even partition of [0, n) on up to workers
-// goroutines (inline when one suffices). Chunks are sized so tiny inputs
-// stay serial.
-func parallelRanges(n, workers int, fn func(lo, hi int)) {
-	chunks := workers
-	if maxChunks := (n + buildGrain - 1) / buildGrain; chunks > maxChunks {
-		chunks = maxChunks
-	}
-	if chunks <= 1 {
-		fn(0, n)
-		return
-	}
-	var wg sync.WaitGroup
-	wg.Add(chunks)
-	for c := 0; c < chunks; c++ {
-		go func(lo, hi int) {
-			defer wg.Done()
-			fn(lo, hi)
-		}(n*c/chunks, n*(c+1)/chunks)
-	}
-	wg.Wait()
 }

@@ -15,13 +15,11 @@ package htree
 
 import (
 	"math"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"spacesim/internal/gravity"
 	"spacesim/internal/key"
 	"spacesim/internal/obs"
+	"spacesim/internal/par"
 	"spacesim/internal/vec"
 )
 
@@ -428,8 +426,8 @@ func (t *Tree) EvalBucket(bucket *Cell, eps float64, sc *BucketScratch, acc []ve
 }
 
 // AccelAllGrouped evaluates the field at every body with the grouped walk,
-// fanning sink groups out over the given number of host workers (workers < 1
-// means runtime.GOMAXPROCS(0)). Each group writes a disjoint slice of the
+// fanning sink groups out over the given number of host workers (par.For;
+// workers < 1 means GOMAXPROCS). Each group writes a disjoint slice of the
 // output and its stats are merged in group order, so the result — including
 // every floating-point bit — is identical for any worker count. The bool and
 // gravity.Precision arguments are read by nothing: the kernels have one
@@ -445,39 +443,20 @@ func (t *Tree) AccelAllGrouped(theta, eps float64, _ bool, _ gravity.Precision, 
 	pot := make([]float64, n)
 	groups := t.Groups()
 	stats := make([]WalkStats, len(groups))
-	if workers < 1 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(groups) {
-		workers = len(groups)
-	}
-	var next int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			var sc BucketScratch
-			for {
-				i := int(atomic.AddInt64(&next, 1)) - 1
-				if i >= len(groups) {
-					return
-				}
-				b := groups[i]
-				mac := NewGroupMAC(b, theta)
-				sc.Reset()
-				opened := t.GatherList(key.Root, &mac, &sc)
-				ns := b.Hi - b.Lo
-				stats[i] = WalkStats{
-					CellsOpened:      opened,
-					CellInteractions: ns * len(sc.List.Cells),
-					BodyInteractions: ns*sc.List.Bodies() - ns,
-				}
-				t.EvalBucket(b, eps, &sc, acc, pot)
-			}
-		}()
-	}
-	wg.Wait()
+	scs := make([]BucketScratch, par.Width(workers, len(groups)))
+	par.For(len(groups), workers, func(w, i int) {
+		b, sc := groups[i], &scs[w]
+		mac := NewGroupMAC(b, theta)
+		sc.Reset()
+		opened := t.GatherList(key.Root, &mac, sc)
+		ns := b.Hi - b.Lo
+		stats[i] = WalkStats{
+			CellsOpened:      opened,
+			CellInteractions: ns * len(sc.List.Cells),
+			BodyInteractions: ns*sc.List.Bodies() - ns,
+		}
+		t.EvalBucket(b, eps, sc, acc, pot)
+	})
 	var total WalkStats
 	for i := range stats {
 		total.CellInteractions += stats[i].CellInteractions

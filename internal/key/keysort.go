@@ -1,9 +1,9 @@
 package key
 
 import (
-	"runtime"
 	"slices"
-	"sync"
+
+	"spacesim/internal/par"
 )
 
 // keysort.go implements a parallel least-significant-digit radix sort over
@@ -47,7 +47,7 @@ type Sorter struct {
 
 // SortPerm computes the permutation that stably sorts keys ascending: the
 // returned slice p satisfies keys[p[0]] <= keys[p[1]] <= ... with ties in
-// original-index order. workers <= 0 means runtime.GOMAXPROCS(0). The result
+// original-index order. workers < 1 means GOMAXPROCS (par.Width). The result
 // is identical for every worker count; it aliases internal scratch and is
 // valid until the next SortPerm call. Inputs are limited to n < 2^31 (ids
 // are int32, matching the tree's body-count limits).
@@ -57,9 +57,6 @@ type Sorter struct {
 // exactly the stable answer, without a radix pass.
 func (s *Sorter) SortPerm(keys []K, workers int) []int32 {
 	n := len(keys)
-	if workers < 1 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	if cap(s.a) < n {
 		s.a = make([]sortPair, n)
 		s.b = make([]sortPair, n)
@@ -73,19 +70,16 @@ func (s *Sorter) SortPerm(keys []K, workers int) []int32 {
 		return s.perm
 	}
 
-	chunks := workers
-	if maxChunks := (n + radixMinChunk - 1) / radixMinChunk; chunks > maxChunks {
-		chunks = maxChunks
-	}
-	if chunks < 1 {
-		chunks = 1
-	}
+	// Chunk c is [n*c/chunks, n*(c+1)/chunks), a fixed partition that
+	// depends only on (n, chunks), never on scheduling.
+	chunks := par.Width(workers, (n+radixMinChunk-1)/radixMinChunk)
 	if len(s.count) < chunks {
 		s.count = make([][radixBuckets]int32, chunks)
 	}
 
 	src, dst := s.a, s.b
-	parallelChunks(n, chunks, func(c, lo, hi int) {
+	par.For(chunks, workers, func(_, c int) {
+		lo, hi := n*c/chunks, n*(c+1)/chunks
 		for i := lo; i < hi; i++ {
 			src[i] = sortPair{k: keys[i], id: int32(i)}
 		}
@@ -93,7 +87,8 @@ func (s *Sorter) SortPerm(keys []K, workers int) []int32 {
 
 	for pass := 0; pass < radixPasses; pass++ {
 		shift := uint(pass * radixBits)
-		parallelChunks(n, chunks, func(c, lo, hi int) {
+		par.For(chunks, workers, func(_, c int) {
+			lo, hi := n*c/chunks, n*(c+1)/chunks
 			cnt := &s.count[c]
 			for d := range cnt {
 				cnt[d] = 0
@@ -123,7 +118,8 @@ func (s *Sorter) SortPerm(keys []K, workers int) []int32 {
 			continue
 		}
 
-		parallelChunks(n, chunks, func(c, lo, hi int) {
+		par.For(chunks, workers, func(_, c int) {
+			lo, hi := n*c/chunks, n*(c+1)/chunks
 			cnt := &s.count[c]
 			for i := lo; i < hi; i++ {
 				d := uint8(src[i].k >> shift)
@@ -135,30 +131,11 @@ func (s *Sorter) SortPerm(keys []K, workers int) []int32 {
 	}
 
 	perm := s.perm
-	parallelChunks(n, chunks, func(c, lo, hi int) {
+	par.For(chunks, workers, func(_, c int) {
+		lo, hi := n*c/chunks, n*(c+1)/chunks
 		for i := lo; i < hi; i++ {
 			perm[i] = src[i].id
 		}
 	})
 	return perm
-}
-
-// parallelChunks runs fn over the fixed even partition of [0, n) into the
-// given number of chunks. The partition depends only on (n, chunks), never on
-// scheduling, so callers can rely on chunk boundaries being reproducible.
-func parallelChunks(n, chunks int, fn func(c, lo, hi int)) {
-	if chunks <= 1 {
-		fn(0, 0, n)
-		return
-	}
-	var wg sync.WaitGroup
-	for c := 0; c < chunks; c++ {
-		lo, hi := n*c/chunks, n*(c+1)/chunks
-		wg.Add(1)
-		go func(c, lo, hi int) {
-			defer wg.Done()
-			fn(c, lo, hi)
-		}(c, lo, hi)
-	}
-	wg.Wait()
 }

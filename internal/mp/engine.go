@@ -67,6 +67,7 @@ import (
 	"sync"
 
 	"spacesim/internal/obs"
+	"spacesim/internal/par"
 )
 
 // taskState is the scheduler state of one rank task; guarded by engine.mu.
@@ -174,15 +175,10 @@ type eventEngine struct {
 	cParks  *obs.Counter // blocking parks
 }
 
-// newEventEngine builds the scheduler for one world. workers <= 0 picks
-// min(GOMAXPROCS, nprocs).
+// newEventEngine builds the scheduler for one world, par.Width(workers,
+// nprocs) slots wide: workers <= 0 picks min(GOMAXPROCS, nprocs).
 func newEventEngine(w *World, ranks []*Rank, workers int) *eventEngine {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(ranks) {
-		workers = len(ranks)
-	}
+	workers = par.Width(workers, len(ranks))
 	e := &eventEngine{
 		w:       w,
 		width:   workers,

@@ -22,14 +22,12 @@ package sph
 import (
 	"context"
 	"math"
-	"runtime"
 	"runtime/pprof"
 	"slices"
-	"sync"
-	"sync/atomic"
 
 	"spacesim/internal/htree"
 	"spacesim/internal/key"
+	"spacesim/internal/par"
 )
 
 // leafSearch is one leaf's last ball search on the current tree: the body
@@ -81,6 +79,8 @@ type worker struct {
 	runs  []run
 	nbr   []int32
 	pairs []pairRec
+	// tested and found sum what fanOut's calls on this worker report.
+	tested, found int
 }
 
 // treeCurrent reports whether s.tree is a tree over exactly the current
@@ -216,58 +216,27 @@ func (s *Sim) record(w *worker, run []kept, h float64) nbrList {
 	return nbrList{gen: s.gen, h: h, found: found, src: w.nbr[lo:]}
 }
 
-// fanOut calls do once for every i in [0, n), the indices claimed in
-// ascending order by Cfg.Workers goroutines (GOMAXPROCS when < 1, at most n)
-// with parallel set, or else by the caller's alone; each goroutine has its
-// own worker. The tested and found counts do reports go to the sph.search
-// counters.
-func (s *Sim) fanOut(parallel bool, n int, do func(w *worker, i int) (tested, found int)) {
-	workers := 1
-	if parallel {
-		workers = s.width(n)
-	}
-	for len(s.work) < workers {
+// fanOut calls do once for every i in [0, n) through par.For on
+// Cfg.Workers goroutines, each with its own worker. The tested and found
+// counts do reports go to the sph.search counters.
+func (s *Sim) fanOut(n int, do func(w *worker, i int) (tested, found int)) {
+	width := par.Width(s.Cfg.Workers, n)
+	for len(s.work) < width {
 		s.work = append(s.work, worker{sc: htree.BucketScratch{Ball: true}})
 	}
-	var next, tested, found atomic.Int64
-	work := func(w *worker) {
-		var nt, nf int
-		for {
-			i := int(next.Add(1)) - 1
-			if i >= n {
-				break
-			}
-			dt, df := do(w, i)
-			nt, nf = nt+dt, nf+df
-		}
-		tested.Add(int64(nt))
-		found.Add(int64(nf))
+	ws := s.work[:width]
+	for w := range ws {
+		ws[w].tested, ws[w].found = 0, 0
 	}
-	if workers == 1 {
-		work(&s.work[0])
-	} else {
-		var wg sync.WaitGroup
-		wg.Add(workers)
-		for w := range s.work[:workers] {
-			go func() {
-				defer wg.Done()
-				work(&s.work[w])
-			}()
-		}
-		wg.Wait()
+	par.For(n, s.Cfg.Workers, func(w, i int) {
+		tested, found := do(&ws[w], i)
+		ws[w].tested += tested
+		ws[w].found += found
+	})
+	for w := range ws {
+		s.cCand.Add(int64(ws[w].tested))
+		s.cNbr.Add(int64(ws[w].found))
 	}
-	s.cCand.Add(tested.Load())
-	s.cNbr.Add(found.Load())
-}
-
-// width is the number of goroutines a parallel fanOut over n items runs on:
-// Cfg.Workers, GOMAXPROCS when < 1, at most n and at least one.
-func (s *Sim) width(n int) int {
-	workers := s.Cfg.Workers
-	if workers < 1 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	return max(min(workers, n), 1)
 }
 
 // perParticle is the number of particles one claim of a per-particle loop
@@ -275,12 +244,11 @@ func (s *Sim) width(n int) int {
 const perParticle = 512
 
 // forEach calls do(lo, hi) over consecutive spans of [0, n) that together
-// cover it once, on Cfg.Workers goroutines (fanOut): the per-particle loops,
-// each of which writes only the particles of its own span.
+// cover it once, on Cfg.Workers goroutines (par.For): the per-particle
+// loops, each of which writes only the particles of its own span.
 func (s *Sim) forEach(n int, do func(lo, hi int)) {
-	s.fanOut(true, (n+perParticle-1)/perParticle, func(_ *worker, c int) (int, int) {
+	par.For((n+perParticle-1)/perParticle, s.Cfg.Workers, func(_, c int) {
 		do(c*perParticle, min((c+1)*perParticle, n))
-		return 0, 0
 	})
 }
 

@@ -413,7 +413,8 @@ func TestNeighbourSetsEqualGrid(t *testing.T) {
 	s.ensureTree()
 	bodies := s.tree.Bodies
 	visited := 0
-	s.eachBucket(false, func(b *htree.Cell, cand []htree.BodyRange) (int, int) {
+	s.Cfg.Workers = 1 // visited and t.Fatalf: the buckets one at a time
+	s.eachBucket(func(b *htree.Cell, cand []htree.BodyRange) (int, int) {
 		for k := b.Lo; k < b.Hi; k++ {
 			i := bodies[k].ID
 			visited++
@@ -487,11 +488,11 @@ func BenchmarkCollapseStep(b *testing.B) {
 }
 
 // eachBucket calls visit once per leaf bucket of s.tree with the body ranges
-// of the leaf's ball search (Sim.search): in tree order on the caller's
-// goroutine, or with parallel set over Cfg.Workers goroutines. The tested and
-// found counts visit reports go to the sph.search counters.
-func (s *Sim) eachBucket(parallel bool, visit func(b *htree.Cell, cand []htree.BodyRange) (tested, found int)) {
-	s.fanOut(parallel, len(s.leaves), func(w *worker, li int) (int, int) {
+// of the leaf's ball search (Sim.search), over Cfg.Workers goroutines (on the
+// caller's alone, in tree order, at one). The tested and found counts visit
+// reports go to the sph.search counters.
+func (s *Sim) eachBucket(visit func(b *htree.Cell, cand []htree.BodyRange) (tested, found int)) {
+	s.fanOut(len(s.leaves), func(w *worker, li int) (int, int) {
 		return visit(s.leaves[li], s.search(w, li).ranges)
 	})
 }
@@ -510,7 +511,7 @@ func twoPassDensity(s *Sim) {
 	bodies, src := s.tree.Bodies, s.tree.Sources()
 	eta := 0.5 * math.Cbrt(3*float64(s.Cfg.NNeighbors)/(4*math.Pi))
 	for pass := 0; pass < 2; pass++ {
-		s.eachBucket(true, func(b *htree.Cell, cand []htree.BodyRange) (tested, found int) {
+		s.eachBucket(func(b *htree.Cell, cand []htree.BodyRange) (tested, found int) {
 			for k := b.Lo; k < b.Hi; k++ {
 				i := bodies[k].ID
 				xi, h := src[k].Pos, p.H[i]
@@ -551,7 +552,7 @@ func twoPassNeighbours(s *Sim) []float64 {
 		return diffD
 	}
 	bodies, src := s.tree.Bodies, s.tree.Sources()
-	s.eachBucket(true, func(b *htree.Cell, cand []htree.BodyRange) (tested, found int) {
+	s.eachBucket(func(b *htree.Cell, cand []htree.BodyRange) (tested, found int) {
 		for k := b.Lo; k < b.Hi; k++ {
 			i := bodies[k].ID
 			xi, h := src[k].Pos, p.H[i]

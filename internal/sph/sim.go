@@ -10,6 +10,7 @@ import (
 	"spacesim/internal/gravity"
 	"spacesim/internal/htree"
 	"spacesim/internal/obs"
+	"spacesim/internal/par"
 	"spacesim/internal/vec"
 )
 
@@ -208,7 +209,7 @@ func (s *Sim) UpdateDensity() {
 		s.work[w].nbr = s.work[w].nbr[:0]
 	}
 	phase("density", func() {
-		s.fanOut(true, len(s.leaves), func(w *worker, li int) (tested, found int) {
+		s.fanOut(len(s.leaves), func(w *worker, li int) (tested, found int) {
 			b := s.leaves[li]
 			w.kept, w.runs = w.kept[:0], w.runs[:0]
 			c := s.search(w, li)
@@ -303,7 +304,7 @@ func (s *Sim) computeForces() {
 				diffD[k] = 0
 			}
 		})
-		s.fanOut(true, len(s.leaves), func(w *worker, li int) (tested, found int) {
+		s.fanOut(len(s.leaves), func(w *worker, li int) (tested, found int) {
 			b := s.leaves[li]
 			var c *leafSearch
 			refits := 0
@@ -353,7 +354,7 @@ func (s *Sim) computeForces() {
 	// evaluate their pairs into records.
 	s.pairs = slices.Grow(s.pairs[:0], len(s.leaves))[:len(s.leaves)]
 	phase("pairs", func() {
-		s.fanOut(true, len(s.leaves), func(w *worker, li int) (tested, found int) {
+		s.fanOut(len(s.leaves), func(w *worker, li int) (tested, found int) {
 			b, lo := s.leaves[li], len(w.pairs)
 			reach := leafPairs{lo: b.Lo, hi: b.Hi - 1}
 			for k := b.Lo; k < b.Hi; k++ {
@@ -386,16 +387,16 @@ func (s *Sim) computeForces() {
 	})
 
 	// The apply adds every record to both partners. It is split by
-	// destination: each of Cfg.Workers goroutines owns a span of tree
-	// positions and reads, in order, every leaf's records that reach it,
-	// adding only the contributions to its own particles, so each sum is
-	// taken in record order however the particles are split. The sums are
-	// then scattered to particle order with the neutrino emission: thermal
+	// destination: the tree positions fall into one span per goroutine
+	// (par.Width), and the call for a span reads, in order, every leaf's
+	// records that reach it, adding only the contributions to its own
+	// particles, so each sum is taken in record order however the particles
+	// are split. The sums are then scattered to particle order with the neutrino emission: thermal
 	// energy converts to neutrino energy in the hot dense core.
 	phase("pair-apply", func() {
 		fld := cfg.FLD != nil
-		parts := s.width(n)
-		s.fanOut(true, parts, func(_ *worker, part int) (int, int) {
+		parts := par.Width(cfg.Workers, n)
+		par.For(parts, cfg.Workers, func(_, part int) {
 			lo, hi := part*n/parts, (part+1)*n/parts
 			clear(sums[lo:hi])
 			span := uint(hi - lo)
@@ -424,7 +425,6 @@ func (s *Sim) computeForces() {
 					}
 				}
 			}
-			return 0, 0
 		})
 		f := cfg.FLD
 		s.forEach(n, func(lo, hi int) {
