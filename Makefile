@@ -72,18 +72,13 @@ fmt-check:
 	fi
 
 # Every package under internal/ must be built into a command, an example or
-# the benchmark: a package no binary imports is surface nothing runs. The
-# one exception is internal/gravity/seedref, the tests' reference
-# arithmetic. Plain sh, like every recipe here.
+# the benchmark, and every function, method, constant and variable outside
+# _test.go files must have a caller outside them: TestReachable
+# (reachable_test.go) parses the module with go/parser and names what fails,
+# and its oracle table lists the few declarations other packages' tests keep.
+# go test ./... runs it too.
 reachable:
-	@deps=$$($(GO) list -deps ./cmd/... ./examples/... ./bench) && \
-	pkgs=$$($(GO) list ./internal/...) || exit 1; \
-	dead=$$(echo "$$pkgs" | grep -vxF -e "$$deps" | grep -vx 'spacesim/internal/gravity/seedref'); \
-	if [ -n "$$dead" ]; then \
-		echo "reachable: no command, example or bench/ imports these packages:"; \
-		echo "$$dead"; exit 1; \
-	fi; \
-	echo "reachable: every package under internal/ is built into a binary"
+	$(GO) test -count=1 -run Reachable .
 
 # The size figure every PR reports in CHANGES.md: non-test Go lines outside
 # bench/, the core+htree+gravity subtotal of ROADMAP's deletion score, and

@@ -160,9 +160,6 @@ func (p PowerBudget) TotalWatts() float64 {
 	return float64(p.Nodes)*p.NodeWatts + p.SwitchWatts
 }
 
-// WithinLimit reports whether the budget holds.
-func (p PowerBudget) WithinLimit() bool { return p.TotalWatts() <= p.LimitWatts }
-
 // MaxNodes returns how many nodes the room could power.
 func (p PowerBudget) MaxNodes() int {
 	return int((p.LimitWatts - p.SwitchWatts) / p.NodeWatts)

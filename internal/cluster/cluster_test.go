@@ -52,7 +52,7 @@ func TestRender(t *testing.T) {
 // Section 2: the 294-node cluster fits the ~35 kW cooling budget.
 func TestPowerBudget(t *testing.T) {
 	p := SpaceSimulatorPower()
-	if !p.WithinLimit() {
+	if p.TotalWatts() > p.LimitWatts {
 		t.Fatalf("total %v W exceeds %v W", p.TotalWatts(), p.LimitWatts)
 	}
 	if p.MaxNodes() < p.Nodes {

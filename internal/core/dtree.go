@@ -2,6 +2,7 @@ package core
 
 import (
 	"slices"
+	"sync"
 
 	"spacesim/internal/gravity"
 	"spacesim/internal/htree"
@@ -68,18 +69,17 @@ type DTree struct {
 	// metric handles, resolved once at build time (all nil-safe).
 	ro                                  *obs.RankObs
 	o                                   *obs.Obs
-	cFetch, cDedup, cCacheHit           *obs.Counter
-	cListCells, cListBodies, cBuckets   *obs.Counter
-	gListCellsMax, gListBodiesMax       *obs.Gauge
+	cFetch, cDedup, cCacheHit, cBuckets *obs.Counter
 	hListCells, hListBodies             *obs.Histogram
 	cPoolBusyNS, cPoolWallNS, cPoolJobs *obs.Counter
 	cPoolInline                         *obs.Counter
 }
 
-// fetchArena is the rank's fetch state and the cell counts its replies are
-// priced by. Run keeps one per rank next to its build arena, so a steady step
-// grows none of it; a DTree built without one (BuildDistributed) starts from
-// an empty arena. It is rank state: one goroutine at a time.
+// fetchArena is the rank's fetch state, the cell counts its replies are
+// priced by and the scratch of its walks' lists. Run keeps one per rank next
+// to its build arena, so a steady step grows none of it; a DTree built
+// without one (BuildDistributed) starts from an empty arena. It is rank
+// state, one goroutine at a time, but for the list free list (listMu).
 type fetchArena struct {
 	// replies holds the other ranks' branches this rank asked for, in
 	// arrival order: reply k is index base()+k of a walk.
@@ -98,6 +98,33 @@ type fetchArena struct {
 	// below[i] counts the cells below local cell i (branches), the price of
 	// a reply for it.
 	below []int32
+
+	// lists is the free list of the walks' list scratch: the rank takes one
+	// for each group it gathers (takeList) and the group's evaluation hands
+	// it back (putList), on a pool worker or on the rank, so the list never
+	// holds more than were in flight at once. listMu guards it.
+	listMu sync.Mutex
+	lists  []*htree.BucketScratch
+}
+
+// takeList pops a list scratch off the rank's free list, or makes one.
+func (fa *fetchArena) takeList() *htree.BucketScratch {
+	fa.listMu.Lock()
+	defer fa.listMu.Unlock()
+	n := len(fa.lists)
+	if n == 0 {
+		return new(htree.BucketScratch)
+	}
+	sc := fa.lists[n-1]
+	fa.lists = fa.lists[:n-1]
+	return sc
+}
+
+// putList returns a list scratch to the rank's free list.
+func (fa *fetchArena) putList(sc *htree.BucketScratch) {
+	fa.listMu.Lock()
+	fa.lists = append(fa.lists, sc)
+	fa.listMu.Unlock()
 }
 
 // resetCaches drops the transient per-evaluation state — the replies, the
@@ -164,11 +191,7 @@ func buildDistributed(r *mp.Rank, bodies []Body, splitters []key.K, boxLo vec.V3
 	dt.cFetch = reg.Counter("core.fetch.requests")
 	dt.cDedup = reg.Counter("core.fetch.dedup_hits")
 	dt.cCacheHit = reg.Counter("core.bodycache.hits")
-	dt.cListCells = reg.Counter("core.list.cells")
-	dt.cListBodies = reg.Counter("core.list.bodies")
 	dt.cBuckets = reg.Counter("core.buckets")
-	dt.gListCellsMax = reg.Gauge("core.list.cells_max")
-	dt.gListBodiesMax = reg.Gauge("core.list.bodies_max")
 	dt.hListCells = reg.Histogram("core.list.cells_len")
 	dt.hListBodies = reg.Histogram("core.list.bodies_len")
 	dt.cPoolBusyNS = reg.Counter("core.pool.busy_ns")

@@ -60,11 +60,6 @@ import (
 	"spacesim/internal/vec"
 )
 
-// listPool recycles the scratch of the lists being gathered or evaluated
-// across groups, steps and tree rebuilds, so steady-state force evaluation
-// allocates almost nothing.
-var listPool = sync.Pool{New: func() any { return new(htree.BucketScratch) }}
-
 // bucketWalker is one sink group's walk, and the htree.Far of it: it lays
 // out the indices past the local tree's and resolves a resident remote
 // branch to the owner's tree.
@@ -79,11 +74,11 @@ type bucketWalker struct {
 	hits             int64 // remote branches the gather entered
 }
 
-// begin starts a walk with an empty list on a pooled scratch from the
+// begin starts a walk with an empty list on a recycled scratch from the
 // group's frontier, in walkTop's pop order, the cells it accepted as accepted
 // (htree.Far) and the rest by route. On one rank that is the local root.
 func (w *bucketWalker) begin() {
-	w.sc = listPool.Get().(*htree.BucketScratch)
+	w.sc = w.dt.takeList()
 	w.sc.Reset()
 	for f := w.fhi - 1; f >= w.flo; f-- {
 		x := w.dt.frontier[f]
@@ -375,10 +370,6 @@ func (dt *DTree) finishBucket(w *bucketWalker, st *TraversalStats, charge func()
 	nc, nb := len(l.Cells), l.Bodies()
 	dt.cBuckets.Inc()
 	dt.cCacheHit.Add(w.hits)
-	dt.cListCells.Add(int64(nc))
-	dt.cListBodies.Add(int64(nb))
-	dt.gListCellsMax.Max(float64(nc))
-	dt.gListBodiesMax.Max(float64(nb))
 	dt.hListCells.Observe(float64(nc))
 	dt.hListBodies.Observe(float64(nb))
 	st.CellInteractions += int64(ns * nc)
@@ -399,6 +390,6 @@ func (dt *DTree) finishBucket(w *bucketWalker, st *TraversalStats, charge func()
 func (dt *DTree) evalBucket(w *bucketWalker, acc []vec.V3, pot []float64) {
 	dt.local.EvalBucket(w.cell, dt.opt.Eps, w.sc, acc, pot)
 	dt.cPoolJobs.Inc()
-	listPool.Put(w.sc)
+	dt.putList(w.sc)
 	w.sc = nil
 }

@@ -249,7 +249,7 @@ func positions(bodies []Body) []vec.V3 {
 // gather loop, from the root on a fresh scratch rather than from the group's
 // frontier — for tests to compare against.
 func (dt *DTree) regather(w *bucketWalker) {
-	w.sc = listPool.Get().(*htree.BucketScratch)
+	w.sc = dt.takeList()
 	w.sc.Reset()
 	w.sc.Push(dt.route[0])
 	dt.local.Gather(&w.mac, w.sc, w)
@@ -741,8 +741,8 @@ func TestFrontierGatherEqualsRootGather(t *testing.T) {
 						if !same {
 							t.Errorf("%s: group %v lists %d segments from its frontier, %d from the root, not the same", where, g.Key, len(a.Segs), len(b.Segs))
 						}
-						listPool.Put(w.sc)
-						listPool.Put(root.sc)
+						dt.putList(w.sc)
+						dt.putList(root.sc)
 					}
 					if dt.Fetches() != fetches {
 						t.Errorf("%s: the top walks after the evaluation asked for %d more branches", where, dt.Fetches()-fetches)

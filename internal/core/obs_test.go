@@ -147,8 +147,7 @@ func TestEngineMetricsPopulated(t *testing.T) {
 		t.Errorf("schema_version = %d, want %d", snap.SchemaVersion, obs.MetricsSchemaVersion)
 	}
 	for _, name := range []string{
-		"core.fetch.requests", "core.buckets", "core.list.cells",
-		"core.list.bodies", "core.pool.jobs", "mp.abm.batches",
+		"core.fetch.requests", "core.buckets", "core.pool.jobs", "mp.abm.batches",
 	} {
 		if snap.Counters[name] <= 0 {
 			t.Errorf("counter %s = %d, want > 0", name, snap.Counters[name])
@@ -158,8 +157,13 @@ func TestEngineMetricsPopulated(t *testing.T) {
 	if hits, req := snap.Counters["core.bodycache.hits"], snap.Counters["core.fetch.requests"]; hits < req {
 		t.Errorf("core.bodycache.hits = %d for %d fetches, want at least one hit per fetched branch", hits, req)
 	}
-	if snap.Gauges["core.list.cells_max"] <= 0 {
-		t.Errorf("gauge core.list.cells_max = %v, want > 0", snap.Gauges["core.list.cells_max"])
+	// One list a group: the list-length histograms carry the count, sum
+	// and maximum of the lists.
+	for _, name := range []string{"core.list.cells_len", "core.list.bodies_len"} {
+		if h := snap.Histograms[name]; h.Count != snap.Counters["core.buckets"] || h.Sum <= 0 || h.Max <= 0 {
+			t.Errorf("histogram %s: count %d for %d groups, sum %v, max %v; want one list a group, sum and max > 0",
+				name, h.Count, snap.Counters["core.buckets"], h.Sum, h.Max)
+		}
 	}
 	if len(snap.Ranks) != 3 {
 		t.Fatalf("want 3 rank breakdowns, got %d", len(snap.Ranks))

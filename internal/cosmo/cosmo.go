@@ -30,11 +30,6 @@ func EdS() Cosmology {
 	return Cosmology{OmegaM: 1, OmegaL: 0, H0: 0.5, Sigma8: 0.7, NSpec: 1}
 }
 
-// LCDM returns a concordance cosmology.
-func LCDM() Cosmology {
-	return Cosmology{OmegaM: 0.3, OmegaL: 0.7, H0: 0.7, Sigma8: 0.9, NSpec: 1}
-}
-
 // E returns H(a)/H0.
 func (c Cosmology) E(a float64) float64 {
 	return math.Sqrt(c.OmegaM/(a*a*a) + c.OmegaL + (1-c.OmegaM-c.OmegaL)/(a*a))
@@ -63,18 +58,6 @@ func (c Cosmology) GrowthRate(a float64) float64 {
 	d1 := c.GrowthFactor(a - da)
 	d2 := c.GrowthFactor(a + da)
 	return (math.Log(d2) - math.Log(d1)) / (math.Log(a+da) - math.Log(a-da))
-}
-
-// AgeOfUniverse returns t(a) in units of 1/H0 (EdS: (2/3) a^{3/2}).
-func (c Cosmology) AgeOfUniverse(a float64) float64 {
-	const n = 4000
-	sum := 0.0
-	da := a / n
-	for i := 0; i < n; i++ {
-		x := (float64(i) + 0.5) * da
-		sum += da / (x * c.E(x))
-	}
-	return sum
 }
 
 // shape returns the BBKS shape parameter Gamma = Omega_m h.
@@ -129,11 +112,6 @@ func (c Cosmology) Normalization() float64 {
 // in (Mpc/h)^3, k in h/Mpc.
 func (c Cosmology) Power(k float64) float64 {
 	return c.Normalization() * c.powerUnnorm(k)
-}
-
-// Sigma returns the normalized sigma(r).
-func (c Cosmology) Sigma(r float64) float64 {
-	return c.sigmaR(c.Normalization(), r)
 }
 
 func (c Cosmology) String() string {

@@ -28,8 +28,7 @@ func NewInjector(s Schedule) *Injector {
 }
 
 // Manual builds an injector from an explicit fault list, assigning IDs in
-// order — the deterministic hand-built path used by tests and by
-// `spacesim` when pinning a single fault.
+// order — the deterministic hand-built path the restart tests use.
 func Manual(ranks int, horizon float64, fs ...Fault) *Injector {
 	s := Schedule{Ranks: ranks, Horizon: horizon}
 	for _, f := range fs {

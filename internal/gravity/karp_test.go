@@ -1,17 +1,18 @@
-// Package gravity implements the gravitational force kernels of the
-// treecode: the O(N^2) direct-summation reference, the micro-kernel of
-// Table 5 in both its libm-sqrt and Karp reciprocal-sqrt variants, and the
-// multipole (monopole + quadrupole) cell-body interaction used by the
-// hashed oct-tree traversal.
 package gravity
 
-import "math"
+import (
+	"math"
+
+	"spacesim/internal/vec"
+)
 
 // The Karp decomposition of the reciprocal square root (A. Karp, 1992, as
 // cited by the paper): range-reduce the argument by exponent manipulation,
 // look up a first-order Chebyshev fit of 1/sqrt(m) on [1,4) in a table, and
 // polish with Newton-Raphson iterations — a sequence of adds and multiplies
-// only, which pipelines where the hardware sqrt/divide chain stalls.
+// only, which pipelines where the hardware sqrt/divide chain stalls. It is
+// the second column of Table 5, timed against KernelLibm by
+// BenchmarkKernelKarp; the production kernels take Rsqrt (newton.go).
 
 // karpTableBits sets the lookup-table size: 2^bits segments over [1,4).
 const karpTableBits = 8
@@ -104,9 +105,23 @@ func karpRsqrtEdge(x float64) float64 {
 	}
 }
 
-// KarpRsqrt3 returns 1/sqrt(x) cubed, i.e. x^(-3/2), the quantity the
-// gravitational kernel actually needs, with the same method.
-func KarpRsqrt3(x float64) float64 {
-	r := KarpRsqrt(x)
-	return r * r * r
+// KernelKarp is KernelLibm with the reciprocal square root computed by the
+// Karp decomposition (adds and multiplies only) — the second column of
+// Table 5.
+func KernelKarp(sink vec.V3, src []Source, eps2 float64) (acc vec.V3, pot float64) {
+	var ax, ay, az, p float64
+	for i := range src {
+		dx := src[i].Pos[0] - sink[0]
+		dy := src[i].Pos[1] - sink[1]
+		dz := src[i].Pos[2] - sink[2]
+		r2 := dx*dx + dy*dy + dz*dz + eps2
+		rinv := KarpRsqrt(r2)
+		rinv3 := rinv * rinv * rinv
+		mr3 := src[i].Mass * rinv3
+		ax += mr3 * dx
+		ay += mr3 * dy
+		az += mr3 * dz
+		p -= src[i].Mass * rinv
+	}
+	return vec.V3{ax, ay, az}, p
 }

@@ -1,3 +1,8 @@
+// Package gravity implements the gravitational force kernels of the
+// treecode: the O(N^2) direct-summation reference, the libm-sqrt
+// micro-kernel of Table 5 (its Karp reciprocal-sqrt twin lives in the
+// tests, which time the two), and the multipole (monopole + quadrupole)
+// cell-body interaction used by the hashed oct-tree traversal.
 package gravity
 
 import (
@@ -30,27 +35,6 @@ func KernelLibm(sink vec.V3, src []Source, eps2 float64) (acc vec.V3, pot float6
 		dz := src[i].Pos[2] - sink[2]
 		r2 := dx*dx + dy*dy + dz*dz + eps2
 		rinv := 1 / math.Sqrt(r2)
-		rinv3 := rinv * rinv * rinv
-		mr3 := src[i].Mass * rinv3
-		ax += mr3 * dx
-		ay += mr3 * dy
-		az += mr3 * dz
-		p -= src[i].Mass * rinv
-	}
-	return vec.V3{ax, ay, az}, p
-}
-
-// KernelKarp is KernelLibm with the reciprocal square root computed by the
-// Karp decomposition (adds and multiplies only) — the second column of
-// Table 5.
-func KernelKarp(sink vec.V3, src []Source, eps2 float64) (acc vec.V3, pot float64) {
-	var ax, ay, az, p float64
-	for i := range src {
-		dx := src[i].Pos[0] - sink[0]
-		dy := src[i].Pos[1] - sink[1]
-		dz := src[i].Pos[2] - sink[2]
-		r2 := dx*dx + dy*dy + dz*dz + eps2
-		rinv := KarpRsqrt(r2)
 		rinv3 := rinv * rinv * rinv
 		mr3 := src[i].Mass * rinv3
 		ax += mr3 * dx

@@ -1,10 +1,6 @@
 package gravity
 
-import (
-	"math"
-
-	"spacesim/internal/vec"
-)
+import "spacesim/internal/vec"
 
 // Multipole is the truncated expansion of a particle aggregate: total mass,
 // center of mass, and the traceless quadrupole tensor
@@ -74,14 +70,4 @@ func Combine(parts ...Multipole) Multipole {
 func (m Multipole) AccelAt(p vec.V3, eps float64) (vec.V3, float64) {
 	ax, ay, az, pot := m.addField(p[0], p[1], p[2], eps*eps, 0, 0, 0, 0)
 	return vec.V3{ax, ay, az}, pot
-}
-
-// MonopoleOnly evaluates just the monopole term — used when comparing the
-// accuracy gain of carrying quadrupoles.
-func (m Multipole) MonopoleOnly(p vec.V3, eps float64) (vec.V3, float64) {
-	x := p.Sub(m.COM)
-	r2 := x.Norm2() + eps*eps
-	rinv := 1 / math.Sqrt(r2)
-	rinv3 := rinv * rinv * rinv
-	return x.Scale(-m.M * rinv3), -m.M * rinv
 }

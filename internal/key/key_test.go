@@ -16,12 +16,6 @@ func TestRootProperties(t *testing.T) {
 	if Root.Parent() != Root {
 		t.Fatal("parent of root must be root")
 	}
-	if !Root.Valid() {
-		t.Fatal("root must be valid")
-	}
-	if Invalid.Valid() {
-		t.Fatal("zero key must be invalid")
-	}
 	if Invalid.Level() != -1 {
 		t.Fatal("invalid level must be -1")
 	}
@@ -133,7 +127,7 @@ func TestBodyKeyRange(t *testing.T) {
 	if !c.Contains(lo) {
 		t.Fatal("lo must lie inside cell")
 	}
-	if c.Contains(hi) && hi.Valid() {
+	if c.Contains(hi) {
 		t.Fatal("hi must be exclusive")
 	}
 	// width = 8^(MaxLevel - level)

@@ -1,8 +1,6 @@
 package machine
 
 import (
-	"fmt"
-
 	"spacesim/internal/netsim"
 	"spacesim/internal/obs"
 )
@@ -88,59 +86,6 @@ func SpaceSimulator(p netsim.Profile) Cluster {
 		Node:    SpaceSimulatorNode,
 		Net:     netsim.MustNew(netsim.SpaceSimulatorTopology(), p),
 		CostUSD: 483855,
-	}
-}
-
-// HypotheticalSpaceSimulator returns a scaled-up Space Simulator: the same
-// node hardware and library profile on a ScaledSpaceSimulatorTopology grown
-// to the given node count (294 and below returns the real machine). Cost
-// extrapolates the real per-node price. Used by scaling studies that run
-// worlds larger than the machine that was actually built.
-func HypotheticalSpaceSimulator(nodes int, p netsim.Profile) Cluster {
-	if nodes <= 294 {
-		return SpaceSimulator(p)
-	}
-	return Cluster{
-		Name:    fmt.Sprintf("Space Simulator (hypothetical %d-node)", nodes),
-		Nodes:   nodes,
-		Node:    SpaceSimulatorNode,
-		Net:     netsim.MustNew(netsim.ScaledSpaceSimulatorTopology(nodes), p),
-		CostUSD: 483855 / 294 * float64(nodes),
-	}
-}
-
-// Loki returns the 1996 16-node Pentium Pro cluster of Table 7.
-func Loki() Cluster {
-	return Cluster{
-		Name:  "Loki",
-		Nodes: 16,
-		Node:  LokiNode,
-		Net: netsim.MustNew(netsim.LokiTopology(), netsim.Profile{
-			Name: "MPICH/Fast Ethernet", LatencySec: 120e-6, PeakBps: 88e6,
-		}),
-		CostUSD: 51379,
-	}
-}
-
-// ASCIQ returns a 1024-processor slice of the ASCI Q system (Alpha EV68 +
-// Quadrics) used as the paper's comparison machine in Tables 3, 4 and 6.
-func ASCIQ() Cluster {
-	topo := netsim.Topology{
-		Nodes:           1024,
-		PortsPerModule:  64,
-		ModulesSwitchA:  16,
-		ModuleUplinkBps: 2.6e9 * 64, // fat tree: no module bottleneck to speak of
-		TrunkBps:        2.6e9 * 512,
-		NICBps:          2.6e9, // Quadrics Elan3 ~340 MB/s
-		Efficiency:      0.9,
-	}
-	prof := netsim.Profile{Name: "Quadrics Elan3", LatencySec: 5e-6, PeakBps: 2.6e9}
-	return Cluster{
-		Name:    "ASCI Q (1024-proc slice)",
-		Nodes:   1024,
-		Node:    ASCIQNode,
-		Net:     netsim.MustNew(topo, prof),
-		CostUSD: 0, // not priced in the paper
 	}
 }
 

@@ -57,11 +57,6 @@ func (c CPU) KernelMflops(karp bool) float64 {
 	return KernelFlops * c.ClockHz / c.CyclesPerInteraction(karp) / 1e6
 }
 
-// InteractionsPerSec returns interactions retired per second.
-func (c CPU) InteractionsPerSec(karp bool) float64 {
-	return c.ClockHz / c.CyclesPerInteraction(karp)
-}
-
 // Table5CPUs is the processor list of Table 5 with calibrated model
 // parameters. EffIPC and SqrtLatencyCycles are set from the architectural
 // character of each part (x87 vs. SIMD issue width, divider/sqrt latency);
@@ -95,9 +90,3 @@ var Table5Paper = [][2]float64{
 	{935.2, 1141.0},
 	{1170.0, 1357.0},
 }
-
-// SpaceSimulatorCPU is the SS node processor (gcc entry of Table 5).
-var SpaceSimulatorCPU = Table5CPUs[7]
-
-// SpaceSimulatorCPUIcc is the SS processor with the Intel compiler.
-var SpaceSimulatorCPUIcc = Table5CPUs[10]

@@ -43,18 +43,6 @@ func (n Node) Time(flops, eff, bytes float64) float64 {
 // DiskTime returns seconds to stream bytes to or from the local disk.
 func (n Node) DiskTime(bytes float64) float64 { return bytes / n.DiskBps }
 
-// Scaled returns a derived node with CPU and memory clocks scaled by the
-// given factors — the BIOS experiment of Table 2 (slow mem = 0.6, slow CPU
-// = 0.75, overclock = 1.0526 on both).
-func (n Node) Scaled(cpuFactor, memFactor float64) Node {
-	s := n
-	s.Name = fmt.Sprintf("%s (cpu x%.4g, mem x%.4g)", n.Name, cpuFactor, memFactor)
-	s.ClockHz *= cpuFactor
-	s.PeakFlops *= cpuFactor
-	s.StreamBps *= memFactor
-	return s
-}
-
 // SpaceSimulatorNode is the Shuttle XPC SS51G node of Table 1: P4/2.53 GHz,
 // 1 GB DDR333 (10% of bandwidth shared with the on-board video), 80 GB
 // 5400 rpm disk.
@@ -65,35 +53,4 @@ var SpaceSimulatorNode = Node{
 	StreamBps:   1238.2e6, // Table 2 triad, MB/s
 	DiskBps:     28e6,
 	MemoryBytes: 1 << 30,
-}
-
-// SpaceSimulatorNodeNoVGA is the node with the on-board video disabled,
-// which the paper measured to gain ~10% memory copy bandwidth.
-var SpaceSimulatorNodeNoVGA = func() Node {
-	n := SpaceSimulatorNode
-	n.Name = "Space Simulator node (VGA disabled)"
-	n.StreamBps *= 1.10
-	return n
-}()
-
-// LokiNode is the 1996 Loki node of Table 7: 200 MHz Pentium Pro, 128 MB
-// FPM, 3.2 GB disk.
-var LokiNode = Node{
-	Name:        "Loki node (Pentium Pro 200)",
-	ClockHz:     200e6,
-	PeakFlops:   200e6,
-	StreamBps:   90e6,
-	DiskBps:     5e6,
-	MemoryBytes: 128 << 20,
-}
-
-// ASCIQNode is one EV68 Alpha processor of the ASCI Q system (1.25 GHz,
-// 2 flops/cycle) used in the paper's NPB and treecode comparisons.
-var ASCIQNode = Node{
-	Name:        "ASCI Q processor (Alpha EV68 1.25 GHz)",
-	ClockHz:     1.25e9,
-	PeakFlops:   2.5e9,
-	StreamBps:   1.9e9,
-	DiskBps:     50e6,
-	MemoryBytes: 4 << 30,
 }

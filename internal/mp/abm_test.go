@@ -1,6 +1,7 @@
 package mp
 
 import (
+	"math/rand"
 	"testing"
 )
 
@@ -78,11 +79,12 @@ func TestABMQuiesceRandomTraffic(t *testing.T) {
 		Run(testCluster(n), n, func(r *Rank) {
 			a := NewABM(r)
 			a.Handle(hEcho, func(src int, req any) (any, int64) { return req, 8 })
-			nreq := 50 + r.Rng().Intn(100)
+			rng := rand.New(rand.NewSource(int64(r.ID())*2654435761 + 1))
+			nreq := 50 + rng.Intn(100)
 			wanted[r.ID()] = nreq
 			count := 0
 			for i := 0; i < nreq; i++ {
-				dst := r.Rng().Intn(n)
+				dst := rng.Intn(n)
 				a.Request(dst, hEcho, i, 8, func(resp any) { count++ })
 				if i%17 == 0 {
 					a.Poll() // interleave serving

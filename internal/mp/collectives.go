@@ -62,34 +62,6 @@ func (r *Rank) Bcast(root int, buf []float64) []float64 {
 	return buf
 }
 
-// Reduce combines per-rank buffers elementwise with op onto the root, via a
-// binomial tree. Non-root ranks return nil. The input is not modified.
-func (r *Rank) Reduce(root int, buf []float64, op Op) []float64 {
-	n := r.w.n
-	acc := append([]float64(nil), buf...)
-	if n == 1 {
-		return acc
-	}
-	defer r.collective("reduce")()
-	vr := (r.id - root + n) % n
-	for bit := 1; bit < n; bit *= 2 {
-		if vr&bit != 0 {
-			parent := ((vr &^ bit) + root) % n
-			r.SendFloats(parent, tagReduce, acc)
-			return nil
-		}
-		child := vr | bit
-		if child < n {
-			other, _ := r.RecvFloats((child+root)%n, tagReduce)
-			r.Charge(float64(len(acc)), 0.5, float64(16*len(acc)))
-			for i := range acc {
-				acc[i] = op(acc[i], other[i])
-			}
-		}
-	}
-	return acc
-}
-
 // Allreduce combines buffers elementwise with op and returns the result on
 // every rank (recursive doubling; for non-power-of-two sizes the excess
 // ranks fold into partners first).
@@ -141,11 +113,6 @@ func (r *Rank) AllreduceScalar(v float64, op Op) float64 {
 	return r.Allreduce([]float64{v}, op)[0]
 }
 
-// AllreduceInt sums one integer across ranks (exact for |v| < 2^53).
-func (r *Rank) AllreduceInt(v int) int {
-	return int(r.AllreduceScalar(float64(v), OpSum))
-}
-
 // Gather collects per-rank chunks on root, which receives them indexed by
 // source rank; other ranks return nil. Because the root matches AnySource,
 // each Gather call carries a round-stamped tag so back-to-back gathers
@@ -174,18 +141,6 @@ func (r *Rank) Gather(root int, chunk []float64) [][]float64 {
 // tagGatherBase starts the reserved tag range for gather rounds
 // (-2000 .. -3023).
 const tagGatherBase = -2000
-
-// Allgather collects every rank's chunk on every rank (AllgatherAny). The
-// chunk is copied once, as a send would; the slices returned are shared by
-// every rank, so none may write them.
-func (r *Rank) Allgather(chunk []float64) [][]float64 {
-	parts := r.AllgatherAny(append([]float64(nil), chunk...), SizeFloats(len(chunk)))
-	out := make([][]float64, len(parts))
-	for i, p := range parts {
-		out[i] = p.([]float64)
-	}
-	return out
-}
 
 // Alltoall delivers chunks[d] to rank d and returns the received chunks
 // indexed by source (AlltoallAny). Chunks are delivered by reference: the
@@ -313,34 +268,4 @@ func (r *Rank) Exchange(to []int, chunks []any, bytes []int64, from []int) []any
 		out[k], _ = r.Recv(s, tagExchange)
 	}
 	return out
-}
-
-// ExScan returns the exclusive prefix reduction of v: rank i receives
-// op(v_0, ..., v_{i-1}); rank 0 receives 0 (for OpSum semantics).
-func (r *Rank) ExScan(v float64, op Op) float64 {
-	n := r.w.n
-	if n > 1 {
-		defer r.collective("exscan")()
-	}
-	acc := v      // running inclusive value to forward
-	result := 0.0 // exclusive prefix
-	havePrefix := false
-	for bit := 1; bit < n; bit *= 2 {
-		partner := r.id ^ bit
-		if partner >= n {
-			continue
-		}
-		r.SendFloats(partner, tagScan, []float64{acc})
-		other, _ := r.RecvFloats(partner, tagScan)
-		if partner < r.id {
-			if havePrefix {
-				result = op(result, other[0])
-			} else {
-				result = other[0]
-				havePrefix = true
-			}
-		}
-		acc = op(acc, other[0])
-	}
-	return result
 }

@@ -26,7 +26,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"math/rand"
 	"sync"
 	"sync/atomic"
 
@@ -48,8 +47,6 @@ const (
 	tagReduce
 	tagAllgather
 	tagAlltoall
-	tagScan
-	tagGather
 	tagABM
 	tagExchange
 )
@@ -250,7 +247,7 @@ func RunWith(cluster machine.Cluster, nprocs int, opt RunOptions, fn func(r *Ran
 	clocks := make([]float64, nprocs)
 	ranks := make([]*Rank, nprocs)
 	for i := range ranks {
-		r := &Rank{id: i, w: w, rng: rand.New(rand.NewSource(int64(i)*2654435761 + 1))}
+		r := &Rank{id: i, w: w}
 		r.obs = w.obs.Rank(i)
 		ranks[i] = r
 	}
@@ -364,10 +361,7 @@ type Rank struct {
 	id    int
 	w     *World
 	clock float64
-	rng   *rand.Rand
 
-	flopsCharged float64
-	bytesMoved   float64
 	// sent counts this rank's messages and bytes, in all and inside
 	// collectives; RunWith sums them into Stats once every rank is done.
 	sent struct{ msgs, bytes, collMsgs, collBytes int64 }
@@ -442,31 +436,12 @@ func (r *Rank) Size() int { return r.w.n }
 // Clock returns the rank's current virtual time in seconds.
 func (r *Rank) Clock() float64 { return r.clock }
 
-// AdvanceClock moves the clock forward by dt seconds (dt >= 0); used for
-// modeled costs outside the roofline (e.g. disk I/O waits).
-func (r *Rank) AdvanceClock(dt float64) {
-	if dt < 0 {
-		panic("mp: negative clock advance")
-	}
-	r.checkFaults()
-	r.clock += dt
-}
-
-// Rng returns the rank's deterministic private random source.
-func (r *Rank) Rng() *rand.Rand { return r.rng }
-
-// Node returns the node model this rank runs on.
-func (r *Rank) Node() machine.Node { return r.w.cluster.Node }
-
 // Charge advances virtual time for a compute kernel: flops at efficiency
-// eff plus bytes of main-memory traffic (roofline, no overlap). It also
-// accumulates the rank's flop counter for rate reporting.
+// eff plus bytes of main-memory traffic (roofline, no overlap).
 func (r *Rank) Charge(flops, eff, bytes float64) {
 	r.checkFaults()
 	t0 := r.clock
 	r.clock += r.w.cluster.Node.Time(flops, eff, bytes)
-	r.flopsCharged += flops
-	r.bytesMoved += bytes
 	r.obs.M.ComputeSec += r.clock - t0
 	r.obs.Span("compute", "compute", t0, r.clock)
 }
@@ -479,9 +454,6 @@ func (r *Rank) ChargeDisk(bytes float64) {
 	r.obs.M.DiskSec += r.clock - t0
 	r.obs.Span("disk", "disk", t0, r.clock)
 }
-
-// FlopsCharged returns the cumulative flops this rank has charged.
-func (r *Rank) FlopsCharged() float64 { return r.flopsCharged }
 
 // Status describes a received message.
 type Status struct {
@@ -650,6 +622,3 @@ func (r *Rank) RecvFloats(src, tag int) ([]float64, Status) {
 
 // SizeFloats returns the wire size of n float64 values.
 func SizeFloats(n int) int64 { return int64(8 * n) }
-
-// SizeBytes returns the wire size of a byte slice.
-func SizeBytes(b []byte) int64 { return int64(len(b)) }

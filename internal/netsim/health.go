@@ -167,19 +167,6 @@ func (n *Network) WithHealth(h *Health) *Network {
 	return &cp
 }
 
-// PathLinksAt is Topology.PathLinks with the network's health applied: each
-// link's capacity is scaled by its degradation factor at virtual time t.
-func (n *Network) PathLinksAt(src, dst int, t float64) []Link {
-	links := n.Topo.PathLinks(src, dst)
-	if n.Health.Empty() {
-		return links
-	}
-	for i := range links {
-		links[i].CapacityBps *= n.Health.CapFactor(links[i].Kind, links[i].ID, t)
-	}
-	return links
-}
-
 // TransferTimeAt is TransferTime evaluated at virtual time t: a degraded
 // NIC at either endpoint caps the payload bandwidth, and a flapping switch
 // port at either endpoint adds its latency spike. With no health attached it
@@ -196,10 +183,4 @@ func (n *Network) TransferTimeAt(src, dst int, bytes int64, t float64) float64 {
 	}
 	f := math.Min(n.Health.CapFactor(LinkNICTx, src, t), n.Health.CapFactor(LinkNICRx, dst, t))
 	return tt + float64(bytes)*8/(p.PeakBps*f)
-}
-
-// FairShareAt computes max-min fair rates like FairShare, but over the
-// health-degraded link capacities at virtual time t.
-func (n *Network) FairShareAt(flows []Flow, t float64) []float64 {
-	return n.fairShare(flows, func(src, dst int) []Link { return n.PathLinksAt(src, dst, t) })
 }

@@ -90,63 +90,6 @@ func TestFlapAddsLatencyNotBandwidth(t *testing.T) {
 	}
 }
 
-func TestPathLinksAtScalesCapacities(t *testing.T) {
-	n := testNet(t)
-	h := NewHealth()
-	h.DegradeLink(LinkTrunk, 0, 0, 1000, 0.5)
-	n = n.WithHealth(h)
-
-	// Cross-switch pair: trunk is on the path.
-	src, dst := 0, 260
-	healthy := n.Topo.PathLinks(src, dst)
-	at := n.PathLinksAt(src, dst, 500)
-	if len(at) != len(healthy) {
-		t.Fatalf("link count changed: %d vs %d", len(at), len(healthy))
-	}
-	for i := range at {
-		want := healthy[i].CapacityBps
-		if at[i].Kind == LinkTrunk {
-			want *= 0.5
-		}
-		if at[i].CapacityBps != want {
-			t.Fatalf("link %s capacity %g, want %g", at[i].Name(), at[i].CapacityBps, want)
-		}
-	}
-	// Outside the window the path is pristine.
-	for i, l := range n.PathLinksAt(src, dst, 2000) {
-		if l.CapacityBps != healthy[i].CapacityBps {
-			t.Fatalf("outside window, link %s degraded", l.Name())
-		}
-	}
-}
-
-func TestFairShareAtRespectsDegradedTrunk(t *testing.T) {
-	n := testNet(t)
-	h := NewHealth()
-	h.DegradeLink(LinkTrunk, 0, 0, 1000, 0.5)
-	n = n.WithHealth(h)
-
-	// Enough cross-switch flows to saturate the trunk.
-	var flows []Flow
-	for i := 0; i < 16; i++ {
-		flows = append(flows, Flow{Src: i, Dst: 260 + i})
-	}
-	healthyRates := n.FairShare(flows)
-	degraded := n.FairShareAt(flows, 500)
-	var hSum, dSum float64
-	for i := range flows {
-		hSum += healthyRates[i]
-		dSum += degraded[i]
-	}
-	trunkCap := n.Topo.TrunkBps * n.Topo.Efficiency
-	if hSum > trunkCap*(1+1e-9) {
-		t.Fatalf("healthy aggregate %g exceeds trunk %g", hSum, trunkCap)
-	}
-	if math.Abs(dSum-trunkCap*0.5) > 1e-6*trunkCap {
-		t.Fatalf("degraded aggregate %g, want half trunk %g", dSum, trunkCap*0.5)
-	}
-}
-
 func TestOverlappingDegradationsCompound(t *testing.T) {
 	h := NewHealth()
 	h.DegradeLink(LinkNICTx, 1, 0, 10, 0.5)

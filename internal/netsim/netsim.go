@@ -54,40 +54,6 @@ func SpaceSimulatorTopology() Topology {
 	}
 }
 
-// ScaledSpaceSimulatorTopology returns a hypothetical enlargement of the
-// Space Simulator fabric to the given node count: the same 16-port module
-// design, module interconnect, and trunk, with switch A grown to hold
-// roughly half the modules so both chassis stay in use. It models "what if
-// the machine kept its architecture but grew" for scaling studies beyond
-// the real 294 nodes.
-func ScaledSpaceSimulatorTopology(nodes int) Topology {
-	t := SpaceSimulatorTopology()
-	if nodes <= t.Nodes {
-		return t
-	}
-	t.Nodes = nodes
-	modules := (nodes + t.PortsPerModule - 1) / t.PortsPerModule
-	// Keep the real machine's 15-module FastIron 1500 as switch A until the
-	// second chassis fills past it, then split the modules evenly.
-	if modules > 2*t.ModulesSwitchA {
-		t.ModulesSwitchA = (modules + 1) / 2
-	}
-	return t
-}
-
-// LokiTopology returns Loki's two 8-port Fast Ethernet switches (Table 7).
-func LokiTopology() Topology {
-	return Topology{
-		Nodes:           16,
-		PortsPerModule:  8,
-		ModulesSwitchA:  1,
-		ModuleUplinkBps: 800e6,
-		TrunkBps:        800e6,
-		NICBps:          100e6,
-		Efficiency:      0.85,
-	}
-}
-
 // Module returns the switch-module index of a node (modules are numbered
 // consecutively across both switches).
 func (t Topology) Module(node int) int { return node / t.PortsPerModule }
@@ -118,7 +84,7 @@ type Profile struct {
 
 // Library profiles calibrated to Figure 2: plain TCP peaks at 779 Mb/s with
 // 79 us latency; LAM -O approaches TCP; stock LAM is slightly slower;
-// mpich2-0.92 fixed the large-message problem of mpich-1.2.5.
+// mpich-1.2.5 trails at large messages.
 var (
 	ProfileTCP = Profile{
 		Name: "TCP", LatencySec: 79e-6, PeakBps: 779e6,
@@ -133,22 +99,12 @@ var (
 		PerMsgOverheadSec: 3e-6,
 		RendezvousBytes:   64 * 1024, RendezvousSec: 40e-6,
 	}
-	ProfileMPICH2 = Profile{
-		Name: "mpich2-0.92", LatencySec: 87e-6, PeakBps: 750e6,
-		PerMsgOverheadSec: 2e-6,
-		RendezvousBytes:   128 * 1024, RendezvousSec: 30e-6,
-	}
 	ProfileMPICH1 = Profile{
 		Name: "mpich-1.2.5", LatencySec: 87e-6, PeakBps: 560e6,
 		PerMsgOverheadSec: 4e-6,
 		RendezvousBytes:   128 * 1024, RendezvousSec: 60e-6,
 	}
 )
-
-// AllProfiles lists the Figure 2 curves in the paper's legend order.
-func AllProfiles() []Profile {
-	return []Profile{ProfileMPICH1, ProfileMPICH2, ProfileLAM, ProfileLAMO, ProfileTCP}
-}
 
 // TransferTime returns the uncontended one-way time in seconds to move the
 // given payload between two distinct hosts under this profile.
@@ -213,10 +169,9 @@ func (n *Network) TransferTime(src, dst int, bytes int64) float64 {
 }
 
 // Flow is a unidirectional stream between two hosts, used by the contention
-// solver. Rate is filled in by FairShare.
+// solver.
 type Flow struct {
 	Src, Dst int
-	Rate     float64 // bits/s, output
 }
 
 // Link identifies one shared capacity in the fabric: a host NIC transmit
@@ -289,21 +244,13 @@ type resource struct {
 // flows using progressive filling over the PathLinks of every flow.
 func (n *Network) FairShare(flows []Flow) []float64 {
 	t := n.Topo
-	return n.fairShare(flows, t.PathLinks)
-}
-
-// fairShare is the progressive-filling solver over an arbitrary path oracle,
-// shared by FairShare (pristine capacities) and FairShareAt (health-degraded
-// capacities at one virtual time).
-func (n *Network) fairShare(flows []Flow, pathLinks func(src, dst int) []Link) []float64 {
-	t := n.Topo
 	caps := map[resource]float64{}
 	paths := make([][]resource, len(flows))
 	for i, f := range flows {
 		if f.Src == f.Dst {
 			continue // local copies do not touch the fabric
 		}
-		links := pathLinks(f.Src, f.Dst)
+		links := t.PathLinks(f.Src, f.Dst)
 		path := make([]resource, len(links))
 		for j, l := range links {
 			path[j] = l.key()
@@ -393,31 +340,6 @@ func (n *Network) AggregateBandwidth(flows []Flow) float64 {
 		total += r
 	}
 	return total
-}
-
-// CongestedTransferTime is TransferTime with the payload bandwidth replaced
-// by a concurrent-flow fair share; latency terms are unchanged. The flows
-// slice must contain the (src,dst) flow itself.
-func (n *Network) CongestedTransferTime(src, dst int, bytes int64, flows []Flow) float64 {
-	if src == dst {
-		return n.TransferTime(src, dst, bytes)
-	}
-	rates := n.FairShare(flows)
-	for i, f := range flows {
-		if f.Src == src && f.Dst == dst {
-			bw := math.Min(rates[i], n.Prof.PeakBps)
-			if bw <= 0 {
-				bw = n.Prof.PeakBps
-			}
-			p := n.Prof
-			t := p.LatencySec + p.PerMsgOverheadSec
-			if p.RendezvousBytes > 0 && bytes >= p.RendezvousBytes {
-				t += p.RendezvousSec
-			}
-			return t + float64(bytes)*8/bw
-		}
-	}
-	return n.TransferTime(src, dst, bytes)
 }
 
 // HypercubePairs returns the flow set of the paper's switch-probe program:

@@ -7,11 +7,8 @@ import (
 
 	"spacesim/internal/machine"
 	"spacesim/internal/mp"
-	"spacesim/internal/netsim"
 	"spacesim/internal/obs"
 )
-
-func lamProfile() netsim.Profile { return netsim.ProfileLAM }
 
 // cgOpsPerRow is the accounted operation count per matrix row per CG
 // iteration (NPB: two passes over ~13 nonzeros per row plus vector ops).

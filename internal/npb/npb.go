@@ -20,8 +20,6 @@ package npb
 
 import (
 	"fmt"
-
-	"spacesim/internal/machine"
 )
 
 // Benchmark identifies one NPB kernel.
@@ -134,10 +132,4 @@ func finish(res *Result, elapsed float64) {
 		res.MopsTotal = res.Ops / elapsed / 1e6
 		res.MopsPerProc = res.MopsTotal / float64(res.Procs)
 	}
-}
-
-// SpaceSimulatorRun couples a cluster preset to the paper's measurement
-// configuration (Intel 7.1 compilers + LAM 6.5.9).
-func SpaceSimulatorRun() machine.Cluster {
-	return machine.SpaceSimulator(lamProfile())
 }

@@ -188,7 +188,7 @@ func TestLUCacheSuperlinearity(t *testing.T) {
 // slow memory must degrade close to the 0.6 scaling, while LU degrades less.
 func TestSlowMemoryShape(t *testing.T) {
 	slowCluster := cl()
-	slowCluster.Node = slowCluster.Node.Scaled(1.0, 0.6)
+	slowCluster.Node.StreamBps *= 0.6
 	ratio := func(b Benchmark) float64 {
 		norm := mustRun(t, b, 1, "A")
 		res, err := Run(b, slowCluster, 1, "A")

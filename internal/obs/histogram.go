@@ -17,7 +17,8 @@ import (
 // 2^histMinExp .. 2^histMaxExp, plus a dedicated bucket for zero (and any
 // negative or NaN input, which is clamped there). Quantiles are answered
 // from bucket midpoints clamped into [Min, Max], so their relative error is
-// bounded by the sub-bucket width (about 1/(2*histSub) ~ 6%).
+// bounded by the sub-bucket width: TestHistogramQuantileAccuracy holds it
+// under 9%.
 const (
 	histMinExp = -64 // smallest resolved magnitude, 2^-64 ~ 5.4e-20
 	histMaxExp = 64  // largest resolved magnitude, 2^64 ~ 1.8e19

@@ -98,7 +98,6 @@ func TestTraceJSONShape(t *testing.T) {
 	r0.Async("fetch", "cell", 42, 0.001, 0.003)
 	net := tr.Track(PidNet, 3, "module 3")
 	net.Async("net", "msg", 7, 0.0, 0.001)
-	net.Instant("net", "drop", 0.002)
 	// same (pid, tid) returns the same track
 	if tr.Track(PidRanks, 0, "other") != r0 {
 		t.Fatal("Track lookup did not return the existing track")

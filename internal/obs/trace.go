@@ -116,19 +116,6 @@ func (tr *Track) Async(cat, name string, id int64, t0, t1 float64) {
 	tr.mu.Unlock()
 }
 
-// Instant records a zero-duration marker.
-func (tr *Track) Instant(cat, name string, ts float64) {
-	if tr == nil {
-		return
-	}
-	tr.mu.Lock()
-	tr.events = append(tr.events, event{
-		Name: name, Cat: cat, Ph: "i",
-		Ts: ts * 1e6, Pid: tr.pid, Tid: tr.tid,
-	})
-	tr.mu.Unlock()
-}
-
 // processNames labels the pid groups in the viewer.
 var processNames = map[int]string{
 	PidRanks:   "ranks (virtual time)",

@@ -180,11 +180,6 @@ func (m RunModel) PeakIORate() float64 {
 	return float64(m.Procs) * m.Node.DiskBps
 }
 
-// IOTimeFraction returns the share of wall time spent in I/O phases.
-func (m RunModel) IOTimeFraction() float64 {
-	return m.IOTime() / (m.HoursElapsed * 3600)
-}
-
 func uint64frombits(f float64) uint64 { return math.Float64bits(f) }
 
 func float64frombits(u uint64) float64 { return math.Float64frombits(u) }

@@ -131,7 +131,7 @@ func TestFig7RunModel(t *testing.T) {
 	if got := m.PeakIORate() / 1e9; got < 6 || got > 8 {
 		t.Fatalf("peak IO = %.1f GB/s want ~7", got)
 	}
-	if f := m.IOTimeFraction(); f <= 0 || f > 0.1 {
+	if f := m.IOTime() / (m.HoursElapsed * 3600); f <= 0 || f > 0.1 {
 		t.Fatalf("IO fraction = %v: checkpointing should be a small share", f)
 	}
 }

@@ -19,18 +19,14 @@ type Config struct {
 	MemFactor float64
 }
 
-// The four Table 2 configurations: DDR333/2.53 GHz normal; memory clocked
-// 2x166 -> 2x100 MHz (0.6); CPU clocked 2.53 -> 1.9 GHz (0.75); FSB
-// overclocked 133 -> 140 MHz, speeding both by 1.0526.
+// The three Table 2 configurations beside the DDR333/2.53 GHz normal node
+// (factors 1): memory clocked 2x166 -> 2x100 MHz (0.6); CPU clocked 2.53 ->
+// 1.9 GHz (0.75); FSB overclocked 133 -> 140 MHz, speeding both by 1.0526.
 var (
-	Normal    = Config{Name: "Normal", CPUFactor: 1, MemFactor: 1}
 	SlowMem   = Config{Name: "Slow mem", CPUFactor: 1, MemFactor: 0.6}
 	SlowCPU   = Config{Name: "Slow CPU", CPUFactor: 0.75, MemFactor: 1}
 	Overclock = Config{Name: "Overclock", CPUFactor: 140.0 / 133.0, MemFactor: 140.0 / 133.0}
 )
-
-// Configs lists the Table 2 columns in order.
-func Configs() []Config { return []Config{Normal, SlowMem, SlowCPU, Overclock} }
 
 // Workload characterizes one benchmark row: the fraction of its normal-node
 // execution time spent waiting on memory (memFrac), the rest scaling with

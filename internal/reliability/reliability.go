@@ -1,7 +1,6 @@
 // Package reliability models Section 2.1 of the paper: component failures
 // over the Space Simulator's first nine months, the infant-mortality burst
-// found during installation, SMART-based disk-failure prediction, and
-// whole-cluster downtime events.
+// found during installation, and SMART-based disk-failure prediction.
 //
 // Component failure counts are Poisson draws from per-component hazard
 // rates; infant mortality is a separate (higher) rate applied during the
@@ -173,18 +172,6 @@ func sortedComponents(m map[Component]float64) []Component {
 	return out
 }
 
-// Counts tallies events by component for the install phase (install=true)
-// or the operating period.
-func (s *Simulation) Counts(install bool) map[Component]int {
-	out := map[Component]int{}
-	for _, e := range s.Events {
-		if (e.Month < 0) == install {
-			out[e.Component]++
-		}
-	}
-	return out
-}
-
 // SMARTPredictedFraction returns the fraction of operating-period disk
 // failures that were predicted.
 func (s *Simulation) SMARTPredictedFraction() float64 {
@@ -216,41 +203,6 @@ func ExpectedCounts(nodes int, months float64) (install, operating map[Component
 		operating[c] = (1 - math.Exp(-hz*months)) * float64(Population(c, nodes))
 	}
 	return install, operating
-}
-
-// Downtime models the three whole-cluster outages: one PDU replacement
-// (three days) and two power outages, plus the tripped 15-amp branch
-// breakers that forced a power-distribution rebalance.
-type Downtime struct {
-	Cause string
-	Days  float64
-}
-
-// PaperDowntime returns the reported outages.
-func PaperDowntime() []Downtime {
-	return []Downtime{
-		{Cause: "120 kVA PDU failure (replaced)", Days: 3},
-		{Cause: "facility power outage", Days: 0.25},
-		{Cause: "facility power outage", Days: 0.25},
-	}
-}
-
-// Availability returns the fraction of the period the whole cluster was up.
-func Availability(months float64, downs []Downtime) float64 {
-	total := months * 30.4
-	lost := 0.0
-	for _, d := range downs {
-		lost += d.Days
-	}
-	return 1 - lost/total
-}
-
-// BreakerCheck models the power-strip sizing problem: strips on 15-amp
-// breakers at 115 V must carry their nodes' worst-case draw with margin.
-// It returns the maximum safe nodes per strip for a given per-node draw.
-func BreakerCheck(nodeWatts, breakerAmps, volts, derating float64) int {
-	budget := breakerAmps * volts * derating
-	return int(budget / nodeWatts)
 }
 
 // String renders an event.

@@ -163,28 +163,6 @@ func TestSMARTMajorityPrediction(t *testing.T) {
 	}
 }
 
-// Three outages over nine months still leave availability above 98%.
-func TestAvailability(t *testing.T) {
-	a := Availability(9, PaperDowntime())
-	if a < 0.98 || a >= 1 {
-		t.Fatalf("availability = %v", a)
-	}
-}
-
-// The breaker rebalance: at 110 W per node, a 15 A / 115 V strip derated to
-// 80% safely carries 12 nodes; a conservative 70% figure drops it to 10 —
-// the "slightly more conservative maximum power consumption figure".
-func TestBreakerCheck(t *testing.T) {
-	if n := BreakerCheck(110, 15, 115, 0.8); n != 12 {
-		t.Fatalf("80%% derating: %d nodes", n)
-	}
-	n80 := BreakerCheck(110, 15, 115, 0.8)
-	n70 := BreakerCheck(110, 15, 115, 0.7)
-	if n70 >= n80 {
-		t.Fatal("conservative derating must reduce nodes per strip")
-	}
-}
-
 func TestEventString(t *testing.T) {
 	e := Event{Month: -1, Component: DiskDrive, Unit: 3}
 	if got := e.String(); got != "install: disk drive unit 3" {

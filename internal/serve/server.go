@@ -222,9 +222,6 @@ func New(cfg Config) (*Server, error) {
 // Obs returns the daemon's observation handle (the serve.* metrics).
 func (s *Server) Obs() *obs.Obs { return s.obs }
 
-// Draining reports whether a drain is in progress or complete.
-func (s *Server) Draining() bool { return s.draining.Load() }
-
 // Drain stops the server gracefully: running jobs are interrupted at their
 // next step boundary (checkpointed and requeued in the journal), workers
 // exit, the journal closes. New submissions get 503 from the moment the

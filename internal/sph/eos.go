@@ -46,11 +46,6 @@ func (e *EOS) Pressure(rho, u float64) float64 {
 	return p
 }
 
-// SoundSpeed returns an effective adiabatic sound speed at (rho, u).
-func (e *EOS) SoundSpeed(rho, u float64) float64 {
-	return e.soundSpeed(rho, e.Pressure(rho, u))
-}
-
 // soundSpeed returns the sound speed at density rho and pressure p: the
 // one at (rho, u) when p is Pressure(rho, u), without evaluating it again.
 func (e *EOS) soundSpeed(rho, p float64) float64 {

@@ -1,7 +1,5 @@
 package sph
 
-import "math"
-
 // Gray flux-limited diffusion (FLD) for the neutrino field: each particle
 // carries a specific neutrino energy enu. The flux is
 //
@@ -50,26 +48,4 @@ func (f *FLD) DiffusionCoeff(rho, e, gradE float64) float64 {
 	}
 	r := gradE / (chi * e)
 	return f.C * FluxLimiter(r) / chi
-}
-
-// OpticalDepthRegimes verifies limiter asymptotics: returns lambda in the
-// opaque (R->0) and transparent (R->inf surrogate) limits.
-func OpticalDepthRegimes() (opaque, transparent float64) {
-	return FluxLimiter(0), FluxLimiter(1e9)
-}
-
-// FreeStreamBound reports whether the implied flux respects causality:
-// |F| = D*gradE <= C*e (the defining property of a flux limiter).
-func (f *FLD) FreeStreamBound(rho, e, gradE float64) bool {
-	d := f.DiffusionCoeff(rho, e, gradE)
-	return d*gradE <= f.C*e*(1+1e-12)
-}
-
-// lpR recovers R = |gradE|/(chi E) -- helper for tests.
-func (f *FLD) lpR(rho, e, gradE float64) float64 {
-	chi := f.Opacity(rho)
-	if chi <= 0 || e <= 0 {
-		return math.Inf(1)
-	}
-	return gradE / (chi * e)
 }

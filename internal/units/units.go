@@ -1,77 +1,19 @@
-// Package units provides physical constants and the unit systems used by the
-// astrophysical applications (cosmology and core-collapse SPH).
-//
-// Two systems appear in this repository:
-//
-//   - CGS: centimetre/gram/second, used by the supernova code where nuclear
-//     densities and neutrino transport make CGS the community convention.
-//   - N-body units: G = 1 with problem-scale mass and length, used by the
-//     treecode and cosmology drivers; conversion helpers are provided.
+// Package units provides the physical constants and the N-body unit system
+// that anchor the supernova code's G = 1 units to CGS.
 package units
 
 import "math"
 
-// Fundamental constants (CGS).
+// Constants (CGS).
 const (
 	// G is Newton's gravitational constant in cm^3 g^-1 s^-2.
 	G = 6.67430e-8
-	// C is the speed of light in cm/s.
-	C = 2.99792458e10
-	// KB is Boltzmann's constant in erg/K.
-	KB = 1.380649e-16
-	// SigmaSB is the Stefan-Boltzmann constant in erg cm^-2 s^-1 K^-4.
-	SigmaSB = 5.670374419e-5
-	// ARad is the radiation constant a = 4*sigma/c in erg cm^-3 K^-4.
-	ARad = 4 * SigmaSB / C
-	// MeV in erg.
-	MeV = 1.602176634e-6
-	// AMU is the atomic mass unit in grams.
-	AMU = 1.66053906660e-24
-)
-
-// Astronomical scales (CGS).
-const (
 	// MSun is the solar mass in grams.
 	MSun = 1.98892e33
-	// RSun is the solar radius in cm.
-	RSun = 6.957e10
-	// Parsec in cm.
-	Parsec = 3.0856775814913673e18
-	// Kiloparsec in cm.
-	Kiloparsec = 1e3 * Parsec
-	// Megaparsec in cm.
-	Megaparsec = 1e6 * Parsec
-	// Year in seconds.
-	Year = 3.15576e7
-	// Gyr in seconds.
-	Gyr = 1e9 * Year
-	// KmPerSec in cm/s.
-	KmPerSec = 1e5
 )
-
-// Nuclear-physics scales used by the supernova EOS.
-const (
-	// RhoNuc is the nuclear saturation density in g/cm^3.
-	RhoNuc = 2.7e14
-	// NeutronStarRadius is a fiducial cold NS radius in cm.
-	NeutronStarRadius = 1.2e6
-)
-
-// Cosmological conventions.
-const (
-	// H100 is 100 km/s/Mpc expressed in 1/s; the Hubble constant is h*H100.
-	H100 = 100 * KmPerSec / Megaparsec
-	// DeltaVir is the conventional spherical-overdensity virialization
-	// threshold used by the friends-of-friends linking-length heuristic.
-	DeltaVir = 178.0
-)
-
-// RhoCritH2 is the critical density divided by h^2, in g/cm^3:
-// rho_c = 3 H0^2 / (8 pi G).
-var RhoCritH2 = 3 * H100 * H100 / (8 * math.Pi * G)
 
 // NBodySystem describes a G=1 unit system anchored by a mass and length
-// scale. The implied time and velocity units follow from G=1.
+// scale. The implied time unit follows from G=1.
 type NBodySystem struct {
 	MassG    float64 // grams per mass unit
 	LengthCM float64 // cm per length unit
@@ -82,21 +24,6 @@ func (s NBodySystem) TimeSec() float64 {
 	l3 := s.LengthCM * s.LengthCM * s.LengthCM
 	return math.Sqrt(l3 / (G * s.MassG))
 }
-
-// VelocityCMS returns cm/s per N-body velocity unit.
-func (s NBodySystem) VelocityCMS() float64 {
-	return s.LengthCM / s.TimeSec()
-}
-
-// EnergyErg returns erg per N-body energy unit.
-func (s NBodySystem) EnergyErg() float64 {
-	v := s.VelocityCMS()
-	return s.MassG * v * v
-}
-
-// GalacticUnits is the conventional system for galaxy-scale problems:
-// 1 mass unit = 1e11 Msun, 1 length unit = 1 kpc.
-var GalacticUnits = NBodySystem{MassG: 1e11 * MSun, LengthCM: Kiloparsec}
 
 // SupernovaUnits anchors the core-collapse problem: 1 mass unit = 1 Msun,
 // 1 length unit = 10^8 cm (a convenient core scale).

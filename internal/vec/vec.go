@@ -43,9 +43,6 @@ func (a V3) Norm() float64 { return math.Sqrt(a.Norm2()) }
 // Dist returns |a-b|.
 func (a V3) Dist(b V3) float64 { return a.Sub(b).Norm() }
 
-// Neg returns -a.
-func (a V3) Neg() V3 { return V3{-a[0], -a[1], -a[2]} }
-
 // Unit returns a/|a|, or the zero vector if |a| == 0.
 func (a V3) Unit() V3 {
 	n := a.Norm()
@@ -100,15 +97,3 @@ func (m *Sym33) Add(o Sym33) {
 
 // Trace returns xx+yy+zz.
 func (m Sym33) Trace() float64 { return m[0] + m[1] + m[2] }
-
-// MulVec returns m * v.
-func (m Sym33) MulVec(v V3) V3 {
-	return V3{
-		m[0]*v[0] + m[3]*v[1] + m[4]*v[2],
-		m[3]*v[0] + m[1]*v[1] + m[5]*v[2],
-		m[4]*v[0] + m[5]*v[1] + m[2]*v[2],
-	}
-}
-
-// Quad returns the quadratic form v^T m v.
-func (m Sym33) Quad(v V3) float64 { return v.Dot(m.MulVec(v)) }

@@ -86,8 +86,8 @@ func TestSym33OuterAndQuad(t *testing.T) {
 			t.Fatalf("MulVec[%d] = %v want %v", i, got[i], want[i])
 		}
 	}
-	if !almostEq(m.Quad(w), 2*v.Dot(w)*v.Dot(w), 1e-14) {
-		t.Fatalf("Quad = %v", m.Quad(w))
+	if q := w.Dot(m.MulVec(w)); !almostEq(q, 2*v.Dot(w)*v.Dot(w), 1e-14) {
+		t.Fatalf("w^T m w = %v", q)
 	}
 	if !almostEq(m.Trace(), 2*v.Norm2(), 1e-14) {
 		t.Fatalf("Trace = %v", m.Trace())
