@@ -27,12 +27,15 @@ one-slot:
 # reproducibility, schedule-pin and region tests of core and mp, at four
 # host widths (each pins or compares every rank clock and the makespan).
 # The key sort, tree build, grouped walk and SPH tests below take their
-# default width from par.Width, so the one host loop runs at four widths too.
+# default width from par.Width, so the one host loop runs at four widths too;
+# so do the grouped walk's runs of groups (TestGroupedWorkersBitIdentical),
+# and the bound on a 64-rank world's goroutines, which scales with the width
+# of the scheduler's pool (TestWorldGoroutinesBounded).
 widths:
 	@for p in 1 2 4 8; do \
 		echo "widths: GOMAXPROCS=$$p"; \
 		GOMAXPROCS=$$p $(GO) test -count=1 -timeout 300s \
-			-run '^(TestEventEngineReproducibleSchedule|TestSchedulePinnedAcrossTwoPassRewrite|TestEngineBitIdentical)$$' ./internal/core || exit 1; \
+			-run '^(TestEventEngineReproducibleSchedule|TestSchedulePinnedAcrossTwoPassRewrite|TestEngineBitIdentical|TestGroupedWorkersBitIdentical|TestWorldGoroutinesBounded)$$' ./internal/core || exit 1; \
 		GOMAXPROCS=$$p $(GO) test -count=1 -timeout 300s \
 			-run '^(TestOneSlot.*|TestCollectivesBothEngines|TestEventEnginePointToPoint|TestEventEngineGather)$$' ./internal/mp || exit 1; \
 		GOMAXPROCS=$$p $(GO) test -count=1 -timeout 300s -run '^TestSortPerm.*$$' ./internal/key || exit 1; \
@@ -173,10 +176,12 @@ profile-sph:
 # The many-rank budgets in one command each: BenchmarkStep/dist8 and
 # BenchmarkStep/dist64 are bench/'s plummer-dist8 and coldsphere-dist64
 # configurations (32768 bodies, 8 or 64 ranks, a host-wide pool of rank
-# slots, two eval workers a rank), one step per iteration through core.Run, run under the
-# CPU and memory profilers and listed; then the split of the CPU samples by
-# the `phase` label the rank runtime and the eval pool put on their
-# goroutines, and the sites that allocate the most bytes.
+# slots, two workers a rank), one step per iteration through core.Run, run
+# under the CPU and memory profilers and listed; then the split of the CPU
+# samples by the `phase` label the rank runtime puts on its goroutines —
+# `eval` on the loops that gather and evaluate runs of sink groups, `walk` on
+# the top walks, the polls and the charging around them — and the sites that
+# allocate the most bytes.
 profile-dist8 profile-dist64: profile-dist%:
 	$(GO) test -run '^$$' -bench '^BenchmarkStep$$/^dist$*$$' -benchtime 30x \
 		-cpuprofile /tmp/spacesim-dist$*.pprof -memprofile /tmp/spacesim-dist$*.mem \

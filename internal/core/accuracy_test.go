@@ -77,9 +77,8 @@ func TestOwnBodyOnceAtThetaTwo(t *testing.T) {
 		src := dt.local.Sources()
 		for _, g := range dt.local.Groups() {
 			w := dt.walker(g)
-			dt.regather(&w)
 			seen := map[*gravity.Source]int{}
-			for _, seg := range w.sc.List.Segs {
+			for _, seg := range dt.regather(&w).List.Segs {
 				for j := range seg {
 					seen[&seg[j]]++
 				}

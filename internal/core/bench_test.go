@@ -31,31 +31,27 @@ func BenchmarkComputeForcesGrouped(b *testing.B) {
 
 // BenchmarkComputeForcesSerial is one force evaluation per iteration at the
 // configuration of bench/'s plummer-serial workload — 32768 bodies, one rank,
-// one pool worker, buckets of 16 — on a tree built once: the walk, the list
+// one worker, buckets of 16 — on a tree built once: the walk, the list
 // assembly and the kernels, without decomposition or build. `make
 // profile-serial` profiles it.
 func BenchmarkComputeForcesSerial(b *testing.B) {
 	ics := PlummerSphere(rand.New(rand.NewSource(1)), 32768, 1.0)
 	opt := Options{Theta: 0.7, Eps: 0.01, MaxLeaf: 16, Workers: 1}
-	st := mp.Run(testCluster(), 1, func(r *mp.Rank) {
+	mp.Run(testCluster(), 1, func(r *mp.Rank) {
 		bodies, splitters, boxLo, boxSize := Decompose(r, ics)
 		dt := BuildDistributed(r, bodies, splitters, boxLo, boxSize, opt)
-		dt.ComputeForces(bodies) // warm the scratch pool
+		dt.ComputeForces(bodies) // warm the list scratch
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			dt.ComputeForces(bodies)
 		}
 	})
-	// How the evaluations split between the pool's worker and the rank.
-	c := func(name string) float64 { return float64(st.Obs.Reg.Counter(name).Value()) }
-	b.ReportMetric(c("core.pool.busy_ns")/c("core.pool.wall_ns"), "pool-busy")
-	b.ReportMetric(c("core.pool.inline_jobs")/c("core.pool.jobs"), "inline-share")
 }
 
 // BenchmarkStep runs bench/'s three N-body configurations — serial: 32768
-// Plummer bodies on one rank with one pool worker; dist8: the same bodies on
+// Plummer bodies on one rank with one worker; dist8: the same bodies on
 // 8 ranks in one switch module; dist64: 32768 cold-sphere bodies on 64 ranks
-// over four, both with two pool workers a rank — the ranks on a pool as wide
+// over four, both with two workers a rank — the ranks on a pool as wide
 // as the host and buckets of 16, through Run, one leapfrog step per iteration:
 // decomposition, tree build and branch exchange, walk and kernels, all P
 // times over on one host. The initial evaluation is inside the timer, so b.N

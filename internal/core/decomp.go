@@ -60,6 +60,15 @@ func cubeError(lo vec.V3, side float64) error {
 // it reorders them and hands runs of the slice to other ranks by reference,
 // so the caller must not touch it again.
 func Decompose(r *mp.Rank, bodies []Body) (local []Body, splitters []key.K, boxLo vec.V3, boxSize float64) {
+	return decompose(r, bodies, nil)
+}
+
+// decompose is Decompose building the new local array, when there are
+// several ranks, in into's storage, which must not overlap bodies. Run passes
+// the array the previous step's decompose took: the ranks that received runs
+// of it copied them out within that decompose, before entering this one's
+// collectives.
+func decompose(r *mp.Rank, bodies, into []Body) (local []Body, splitters []key.K, boxLo vec.V3, boxSize float64) {
 	p := r.Size()
 	boxLo, boxSize = globalBox(r, bodies)
 	endKey := r.Span("phase", "tree-key")
@@ -148,12 +157,14 @@ func Decompose(r *mp.Rank, bodies []Body) (local []Body, splitters []key.K, boxL
 		}
 	}
 	got := r.Exchange(to, runs, sizes, from)
-	parts := make([][]Body, 0, len(got)+1)
-	parts = append(parts, own)
+	total := len(own)
 	for _, g := range got {
-		parts = append(parts, g.([]Body))
+		total += len(g.([]Body))
 	}
-	local = slices.Concat(parts...)
+	local = append(slices.Grow(into[:0], total), own...)
+	for _, g := range got {
+		local = append(local, g.([]Body)...)
+	}
 	endSort = r.Span("phase", "tree-sort")
 	sortBodiesByKey(local)
 	if m := len(local); m > 1 {

@@ -2,7 +2,6 @@ package core
 
 import (
 	"slices"
-	"sync"
 
 	"spacesim/internal/gravity"
 	"spacesim/internal/htree"
@@ -71,15 +70,13 @@ type DTree struct {
 	o                                   *obs.Obs
 	cFetch, cDedup, cCacheHit, cBuckets *obs.Counter
 	hListCells, hListBodies             *obs.Histogram
-	cPoolBusyNS, cPoolWallNS, cPoolJobs *obs.Counter
-	cPoolInline                         *obs.Counter
 }
 
 // fetchArena is the rank's fetch state, the cell counts its replies are
 // priced by and the scratch of its walks' lists. Run keeps one per rank next
 // to its build arena, so a steady step grows none of it; a DTree built
 // without one (BuildDistributed) starts from an empty arena. It is rank
-// state, one goroutine at a time, but for the list free list (listMu).
+// state, one goroutine at a time.
 type fetchArena struct {
 	// replies holds the other ranks' branches this rank asked for, in
 	// arrival order: reply k is index base()+k of a walk.
@@ -99,32 +96,9 @@ type fetchArena struct {
 	// a reply for it.
 	below []int32
 
-	// lists is the free list of the walks' list scratch: the rank takes one
-	// for each group it gathers (takeList) and the group's evaluation hands
-	// it back (putList), on a pool worker or on the rank, so the list never
-	// holds more than were in flight at once. listMu guards it.
-	listMu sync.Mutex
-	lists  []*htree.BucketScratch
-}
-
-// takeList pops a list scratch off the rank's free list, or makes one.
-func (fa *fetchArena) takeList() *htree.BucketScratch {
-	fa.listMu.Lock()
-	defer fa.listMu.Unlock()
-	n := len(fa.lists)
-	if n == 0 {
-		return new(htree.BucketScratch)
-	}
-	sc := fa.lists[n-1]
-	fa.lists = fa.lists[:n-1]
-	return sc
-}
-
-// putList returns a list scratch to the rank's free list.
-func (fa *fetchArena) putList(sc *htree.BucketScratch) {
-	fa.listMu.Lock()
-	fa.lists = append(fa.lists, sc)
-	fa.listMu.Unlock()
+	// lists[k] is the list scratch of goroutine k of the loop that gathers
+	// and evaluates a run of groups (evalRun).
+	lists []*htree.BucketScratch
 }
 
 // resetCaches drops the transient per-evaluation state — the replies, the
@@ -194,10 +168,6 @@ func buildDistributed(r *mp.Rank, bodies []Body, splitters []key.K, boxLo vec.V3
 	dt.cBuckets = reg.Counter("core.buckets")
 	dt.hListCells = reg.Histogram("core.list.cells_len")
 	dt.hListBodies = reg.Histogram("core.list.bodies_len")
-	dt.cPoolBusyNS = reg.Counter("core.pool.busy_ns")
-	dt.cPoolWallNS = reg.Counter("core.pool.wall_ns")
-	dt.cPoolJobs = reg.Counter("core.pool.jobs")
-	dt.cPoolInline = reg.Counter("core.pool.inline_jobs")
 
 	defer r.Span("phase", "tree-build")()
 
@@ -361,7 +331,7 @@ func buildTop(branches [][]htree.Cell) *topTree {
 // fetchReply is the answer to a branch request: cell i of the owner's local
 // tree t, by reference, walked in t by the requester. The owner builds t again
 // only after the next Decompose's collectives, which a requester enters only
-// once its evaluation — the pool's last group included — is over (DESIGN.md,
+// once its evaluation — its last run of groups included — is over (DESIGN.md,
 // "What the world shares").
 type fetchReply struct {
 	t *htree.Tree

@@ -13,13 +13,3 @@ import (
 func leafGroups(t testing.TB) {
 	t.Cleanup(htree.Grouping(0, true))
 }
-
-// holdPoolWorkers makes the eval pools created until restore is called hold
-// their workers before the first job, until the rank finds the queue full:
-// the rank then evaluates a bucket itself however fast the workers are. It
-// writes package state, so a test that uses it must not run in parallel
-// with others.
-func holdPoolWorkers() (restore func()) {
-	holdWorkers = true
-	return func() { holdWorkers = false }
-}

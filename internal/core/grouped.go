@@ -9,9 +9,8 @@ package core
 // and the per-body error bound is preserved. The walk accumulates an
 // interaction list by reference (gravity.List: pointers to the multipoles
 // of accepted cells, segments of direct-interaction bodies, all of it
-// payload that is resident and unchanging for the evaluation); completed
-// lists are evaluated for the whole bucket by the batched kernels on a pool
-// of host workers — or, when the pool's queue is full, by the rank itself.
+// payload that is resident and unchanging for the evaluation), which the
+// batched kernels evaluate for the whole bucket.
 //
 // Every list is gathered by the one loop of htree.Tree.Gather and applied by
 // Tree.EvalBucket, as in the serial Tree.AccelAllGrouped; the walker is the
@@ -30,32 +29,32 @@ package core
 // per rank for every remote branch it does not accept and recording where it
 // stopped; then, in the order of the groups' stack (the last group first),
 // each group is gathered once from there, as soon as every branch it opens is
-// resident — the rank polls and yields until then — charged and handed to the
-// eval pool. A miss in a group walk is a bug, and panics.
+// resident — the rank polls and yields until then. The group the rank reaches
+// and the groups after it that are resident too form a run, gathered and
+// evaluated at once on one host loop (evalRun); then the run's groups are
+// charged, a poll after each. A miss in a group walk is a bug, and panics.
 //
-// Determinism rule: the top walks, every gather, interaction counting and
-// virtual-time charging run on the rank's own goroutine in group order;
-// evaluation — on a worker or on the rank — only writes a group's disjoint
-// output range from its list, and the list is in depth-first tree order — a
-// function of the tree and the group, not of when fetch replies arrived. The
-// result is therefore bit-identical for any Workers count, and virtual time
-// cannot tell who evaluated what. What a list refers to cannot change under
-// the pool: the replicated top is never written; a reply only appends to the
-// rank's reply table and writes the overlay, which no list refers to; and
-// serving other ranks' fetches reads the local tree, which is immutable once
-// built, as are the other ranks' trees that the lists refer into.
+// Determinism rule: the top walks, the residency tests, interaction counting,
+// virtual-time charging and every poll run on the rank's own goroutine in
+// group order, between runs; a run's loop gathers and evaluates while the
+// rank waits for it, each group writing only its disjoint output range, from
+// a list in depth-first tree order — a function of the tree and the group,
+// not of when fetch replies arrived or which goroutine gathered it. The
+// result is therefore bit-identical for any Workers count, and so is every
+// poll point and charge: residency only grows, so the groups of a run would
+// have been resident one by one too, and their charges come from the lists'
+// lengths alone. Nothing a gather reads changes under the loop: the
+// replicated top is never written, the routes and the reply table change
+// only in a poll, and the local tree and the other ranks' trees that the
+// lists refer into are immutable once built.
 
 import (
 	"context"
-	"fmt"
 	"runtime/pprof"
 	"strconv"
-	"sync"
-	"time"
 
 	"spacesim/internal/gravity"
 	"spacesim/internal/htree"
-	"spacesim/internal/obs"
 	"spacesim/internal/par"
 	"spacesim/internal/vec"
 )
@@ -67,25 +66,24 @@ type bucketWalker struct {
 	dt   *DTree
 	cell *htree.Cell
 	mac  htree.BucketMAC
-	sc   *htree.BucketScratch
 	// opens[lo:hi] and frontier[flo:fhi] of the rank's fetch arena are the
 	// group's (walkTop); the opens below lo are resident.
 	lo, hi, flo, fhi int32
 	hits             int64 // remote branches the gather entered
+	nc, nb           int   // the lengths of its list: cells and bodies
 }
 
-// begin starts a walk with an empty list on a recycled scratch from the
-// group's frontier, in walkTop's pop order, the cells it accepted as accepted
+// begin starts a walk with an empty list on scratch sc from the group's
+// frontier, in walkTop's pop order, the cells it accepted as accepted
 // (htree.Far) and the rest by route. On one rank that is the local root.
-func (w *bucketWalker) begin() {
-	w.sc = w.dt.takeList()
-	w.sc.Reset()
+func (w *bucketWalker) begin(sc *htree.BucketScratch) {
+	sc.Reset()
 	for f := w.fhi - 1; f >= w.flo; f-- {
 		x := w.dt.frontier[f]
 		if x >= 0 {
 			x = w.dt.route[x]
 		}
-		w.sc.Push(x)
+		sc.Push(x)
 	}
 }
 
@@ -115,108 +113,6 @@ func (w *bucketWalker) resident() bool {
 		w.lo++
 	}
 	return w.lo == w.hi
-}
-
-// evalPool runs bucket evaluations on a fixed set of host goroutines. The
-// job channel is bounded, so a traversal that outruns the workers does not
-// queue unbounded interaction lists: it evaluates the bucket itself (run).
-type evalPool struct {
-	workers int
-	jobs    chan poolJob
-	wg      sync.WaitGroup
-	// hold, when holdWorkers is set, keeps the workers from their first job
-	// until release.
-	hold chan struct{}
-}
-
-// holdWorkers is a test hook (export_test.go): while it is set, a new pool's
-// workers take no job until the rank first finds the queue full, or waits
-// for the pool, so the queue fills whatever the host's speeds.
-var holdWorkers bool
-
-// poolJob is one piece of work and the name of its span on the worker's
-// host-time trace row.
-type poolJob struct {
-	name string
-	f    func()
-}
-
-// newEvalPool starts the workers. Each measures its busy time in *host*
-// nanoseconds (the pool is real host parallelism, not part of the virtual
-// machine model) and, when tracing, gets its own host-time trace row.
-func (dt *DTree) newEvalPool(workers int) *evalPool {
-	p := &evalPool{workers: workers, jobs: make(chan poolJob, 4*workers)}
-	if holdWorkers {
-		p.hold = make(chan struct{})
-	}
-	hold := p.hold
-	dt.r.Metrics().Gauge("core.pool.workers").Max(float64(workers))
-	for i := 0; i < workers; i++ {
-		var tr *obs.Track
-		if dt.o != nil && dt.o.Tracer != nil {
-			tr = dt.o.Tracer.Track(obs.PidWorkers, dt.r.ID()*256+i,
-				fmt.Sprintf("rank %d worker %d", dt.r.ID(), i))
-		}
-		go func() {
-			// Host CPU profiles attribute these workers to the force
-			// evaluation of their owning rank (see mp/labels.go).
-			pprof.SetGoroutineLabels(pprof.WithLabels(context.Background(), pprof.Labels(
-				"engine", "core-eval", "rank", strconv.Itoa(dt.r.ID()), "phase", "eval")))
-			if hold != nil {
-				<-hold
-			}
-			for job := range p.jobs {
-				t0 := time.Now()
-				var h0 float64
-				if tr != nil {
-					h0 = dt.o.Tracer.HostNow()
-				}
-				job.f()
-				if tr != nil {
-					tr.Span("eval", job.name, h0, dt.o.Tracer.HostNow())
-				}
-				dt.cPoolBusyNS.Add(time.Since(t0).Nanoseconds())
-				p.wg.Done()
-			}
-		}()
-	}
-	return p
-}
-
-// run queues f if there is room and otherwise calls it here, reporting
-// which: the caller was going to wait for a worker anyway, and what a
-// bucket evaluation writes does not depend on who runs it.
-func (p *evalPool) run(name string, f func()) (queued bool) {
-	p.wg.Add(1)
-	select {
-	case p.jobs <- poolJob{name, f}:
-		return true
-	default:
-		p.release()
-		f()
-		p.wg.Done()
-		return false
-	}
-}
-
-// release lets held workers (holdWorkers) take jobs.
-func (p *evalPool) release() {
-	if p.hold != nil {
-		close(p.hold)
-		p.hold = nil
-	}
-}
-
-// wait blocks until every job handed to the pool has finished.
-func (p *evalPool) wait() {
-	p.release()
-	p.wg.Wait()
-}
-
-// close releases the worker goroutines.
-func (p *evalPool) close() {
-	p.release()
-	close(p.jobs)
 }
 
 // cellFlops is the accounted flop cost of one cell-body (quadrupole)
@@ -291,39 +187,57 @@ func (dt *DTree) computeForces(bodies []Body) ([]vec.V3, []float64, TraversalSta
 	}
 
 	charge := dt.chargeFunc(&st)
-	hostStart := time.Now()
-	pool := dt.newEvalPool(par.Width(dt.opt.Workers, len(groups)))
-	defer pool.close()
+	// The rank's profiler labels in the walk, which evalRun's loop overlays.
+	labels := pprof.WithLabels(context.Background(), pprof.Labels("rank", strconv.Itoa(dt.r.ID()), "phase", "walk"))
 
 	// The groups go in the order of a stack of them, the last first.
 	for i := len(walkers) - 1; i >= 0; i-- {
 		dt.walkTop(&walkers[i], &st)
 	}
 	dt.abm.FlushAll()
-	for i := len(walkers) - 1; i >= 0; i-- {
-		w := &walkers[i]
-		for !w.resident() {
+	for i := len(walkers) - 1; i >= 0; {
+		for !walkers[i].resident() {
 			if dt.abm.Poll() == 0 {
 				// Hand the execution slot to the rank we are waiting on
 				// (required: the region is one slot wide).
 				dt.r.Yield()
 			}
 		}
-		w.begin()
-		dt.local.Gather(&w.mac, w.sc, w)
-		dt.finishBucket(w, &st, charge)
-		if !pool.run("bucket", func() { dt.evalBucket(w, acc, pot) }) {
-			dt.cPoolInline.Inc()
+		j := i
+		for j > 0 && walkers[j-1].resident() {
+			j--
 		}
-		dt.abm.Poll()
+		dt.evalRun(labels, walkers[j:i+1], acc, pot)
+		for ; i >= j; i-- {
+			dt.finishBucket(&walkers[i], &st, charge)
+			dt.abm.Poll()
+		}
 	}
 
 	// Every reply this rank waits for is in; it serves the others' requests
-	// while the pool finishes its groups.
+	// until every rank's are.
 	dt.abm.Quiesce()
-	pool.wait() // acc and pot are complete only now
-	dt.cPoolWallNS.Add(time.Since(hostStart).Nanoseconds())
 	return acc, pot, st
+}
+
+// evalRun gathers and evaluates a run of resident groups on one host loop,
+// Workers wide and one more for the rank, which would otherwise only wait for
+// it; each of the loop's goroutines has a list scratch of its own in the
+// rank's arena. It records each group's list lengths for finishBucket.
+func (dt *DTree) evalRun(labels context.Context, run []bucketWalker, acc []vec.V3, pot []float64) {
+	width := par.Width(dt.opt.Workers, len(run)) + 1
+	for len(dt.lists) < width {
+		dt.lists = append(dt.lists, new(htree.BucketScratch))
+	}
+	pprof.Do(labels, pprof.Labels("phase", "eval"), func(context.Context) {
+		par.For(len(run), width, func(k, i int) {
+			w, sc := &run[i], dt.lists[k]
+			w.begin(sc)
+			dt.local.Gather(&w.mac, sc, w)
+			w.nc, w.nb = len(sc.List.Cells), sc.List.Bodies()
+			dt.local.EvalBucket(w.cell, dt.opt.Eps, sc, acc, pot)
+		})
+	})
 }
 
 // walkTop walks the replicated top alone for w's group — testing fills and
@@ -365,9 +279,8 @@ func (dt *DTree) walkTop(w *bucketWalker, st *TraversalStats) {
 // finishBucket accounts the group's work deterministically, from its list's
 // lengths alone.
 func (dt *DTree) finishBucket(w *bucketWalker, st *TraversalStats, charge func()) {
-	l := &w.sc.List
 	ns := w.cell.Hi - w.cell.Lo
-	nc, nb := len(l.Cells), l.Bodies()
+	nc, nb := w.nc, w.nb
 	dt.cBuckets.Inc()
 	dt.cCacheHit.Add(w.hits)
 	dt.hListCells.Observe(float64(nc))
@@ -382,14 +295,4 @@ func (dt *DTree) finishBucket(w *bucketWalker, st *TraversalStats, charge func()
 		st.PerBody[dt.local.Bodies[i].ID] = work
 	}
 	charge()
-}
-
-// evalBucket applies the walker's list and recycles the scratch. On a pool
-// worker or the rank: touches only the walker, its scratch, what the list
-// refers to — read-only — and the bucket's entries of acc and pot.
-func (dt *DTree) evalBucket(w *bucketWalker, acc []vec.V3, pot []float64) {
-	dt.local.EvalBucket(w.cell, dt.opt.Eps, w.sc, acc, pot)
-	dt.cPoolJobs.Inc()
-	dt.putList(w.sc)
-	w.sc = nil
 }

@@ -12,12 +12,14 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"spacesim/internal/gravity"
 	"spacesim/internal/gravity/seedref"
 	"spacesim/internal/htree"
 	"spacesim/internal/key"
 	"spacesim/internal/mp"
+	"spacesim/internal/par"
 	"spacesim/internal/vec"
 )
 
@@ -144,44 +146,26 @@ func TestGroupedWorkersBitIdentical(t *testing.T) {
 		}
 	}
 
-	// One worker and hundreds of buckets, the worker held until the queue of
-	// four is full: from then on the rank evaluates what does not fit itself.
-	// Who evaluated a bucket shows in a counter and nowhere in the forces.
+	// Hundreds of groups on one rank, all resident at once: one run, gathered
+	// and evaluated by a loop two wide on one worker and nine wide on eight.
 	many := PlummerSphere(rand.New(rand.NewSource(45)), 3000, 1.0)
-	restore := holdPoolWorkers()
 	var accW [2][]vec.V3
 	var potW [2][]float64
 	for i, workers := range []int{1, 8} {
-		accW[i], potW[i] = make([]vec.V3, len(many)), make([]float64, len(many))
-		st := mp.Run(testCluster(), 1, func(r *mp.Rank) {
-			bodies, splitters, boxLo, boxSize := Decompose(r, append([]Body(nil), many...))
-			dt := BuildDistributed(r, bodies, splitters, boxLo, boxSize, Options{Theta: 0.6, Eps: 0.02, Workers: workers})
-			a, ph, _ := dt.ComputeForces(bodies)
-			for j := range bodies {
-				accW[i][bodies[j].ID], potW[i][bodies[j].ID] = a[j], ph[j]
-			}
-		})
-		reg := st.Obs.Reg
-		inline, jobs, buckets := reg.Counter("core.pool.inline_jobs").Value(), reg.Counter("core.pool.jobs").Value(), reg.Counter("core.buckets").Value()
-		if jobs != buckets || inline > jobs || (workers == 1 && inline == 0) {
-			t.Errorf("workers=%d: %d of %d buckets evaluated, %d of them by the rank; want all, and some by the rank on one worker",
-				workers, jobs, buckets, inline)
-		}
+		accW[i], potW[i] = forcesWith(many, 1, Options{Theta: 0.6, Eps: 0.02, Workers: workers})
 	}
-	restore()
 	for i := range accW[0] {
 		if accW[0][i] != accW[1][i] || potW[0][i] != potW[1][i] {
-			t.Fatalf("saturated queue: body %d differs: (%v, %v) on one worker, (%v, %v) on eight",
+			t.Fatalf("one run of groups: body %d differs: (%v, %v) on one worker, (%v, %v) on eight",
 				i, accW[0][i], potW[0][i], accW[1][i], potW[1][i])
 		}
 	}
 
-	// The pool evaluates while its rank walks on or serves fetches in
-	// Quiesce. Eight ranks with four fifths of the bodies on rank 0 (the
-	// decomposition balances work, so the first bodies in key order are made
-	// cheap): the light ranks are through their walks long before rank 0
-	// stops asking them for branches, and rank 0's pool runs while they wait
-	// in Quiesce. At any width of the scheduler's pool, whatever runs beside
+	// Runs of groups as long as the replies make them. Eight ranks with four
+	// fifths of the bodies on rank 0 (the decomposition balances work, so the
+	// first bodies in key order are made cheap): the light ranks are through
+	// their walks long before rank 0 stops asking them for branches, and
+	// wait in Quiesce while rank 0 gathers and evaluates. At any width of the scheduler's pool, whatever runs beside
 	// whatever, every bit must come out the same — a digest recorded at
 	// commit 623b44b, where the goroutine runtime was the first row, and
 	// re-pinned once, with the kernels' arithmetic (ISSUE 24): the one that
@@ -247,20 +231,12 @@ func positions(bodies []Body) []vec.V3 {
 
 // regather walks group w again over what the rank holds — the engine's own
 // gather loop, from the root on a fresh scratch rather than from the group's
-// frontier — for tests to compare against.
-func (dt *DTree) regather(w *bucketWalker) {
-	w.sc = dt.takeList()
-	w.sc.Reset()
-	w.sc.Push(dt.route[0])
-	dt.local.Gather(&w.mac, w.sc, w)
-}
-
-// submit queues f, waiting for room: it holds a worker in
-// TestEvalPoolRunsInlineWhenFull.
-func (p *evalPool) submit(name string, f func()) {
-	p.release()
-	p.wg.Add(1)
-	p.jobs <- poolJob{name, f}
+// frontier — for tests to compare against, and returns the scratch.
+func (dt *DTree) regather(w *bucketWalker) *htree.BucketScratch {
+	sc := new(htree.BucketScratch)
+	sc.Push(dt.route[0])
+	dt.local.Gather(&w.mac, sc, w)
+	return sc
 }
 
 // topOpens is the oracle of walkTop: Gather itself, over the routes the
@@ -627,19 +603,18 @@ func regatherForces(dt *DTree, bodies []Body, seed bool) ([]vec.V3, []float64) {
 	acc := make([]vec.V3, len(bodies))
 	pot := make([]float64, len(bodies))
 	for _, c := range dt.local.Groups() {
-		wk := dt.walker(c)
-		w := &wk
-		dt.regather(w)
+		w := dt.walker(c)
+		sc := dt.regather(&w)
 		if !seed {
-			dt.evalBucket(w, acc, pot)
+			dt.local.EvalBucket(c, dt.opt.Eps, sc, acc, pot)
 			continue
 		}
 		var cells gravity.MultipoleSoA
 		var srcs gravity.SoA
-		for _, m := range w.sc.List.Cells {
+		for _, m := range sc.List.Cells {
 			cells.Push(m)
 		}
-		for _, seg := range w.sc.List.Segs {
+		for _, seg := range sc.List.Segs {
 			for _, b := range seg {
 				srcs.Push(b.Pos, b.Mass)
 			}
@@ -723,10 +698,10 @@ func TestFrontierGatherEqualsRootGather(t *testing.T) {
 						if p == 1 && !slices.Equal(dt.frontier[w.flo:w.fhi], []int32{0}) {
 							t.Errorf("%s: group %v starts from top cells %v, not the root", where, g.Key, dt.frontier[w.flo:w.fhi])
 						}
-						w.begin()
-						dt.local.Gather(&w.mac, w.sc, &w)
-						dt.regather(&root)
-						a, b := &w.sc.List, &root.sc.List
+						sc := new(htree.BucketScratch)
+						w.begin(sc)
+						dt.local.Gather(&w.mac, sc, &w)
+						a, b := &sc.List, &dt.regather(&root).List
 						same := len(a.Cells) == len(b.Cells)
 						for i := 0; same && i < len(a.Cells); i++ {
 							same = mpBits(a.Cells[i]) == mpBits(b.Cells[i])
@@ -741,8 +716,6 @@ func TestFrontierGatherEqualsRootGather(t *testing.T) {
 						if !same {
 							t.Errorf("%s: group %v lists %d segments from its frontier, %d from the root, not the same", where, g.Key, len(a.Segs), len(b.Segs))
 						}
-						dt.putList(w.sc)
-						dt.putList(root.sc)
 					}
 					if dt.Fetches() != fetches {
 						t.Errorf("%s: the top walks after the evaluation asked for %d more branches", where, dt.Fetches()-fetches)
@@ -815,8 +788,7 @@ func TestCoarseWalkCoversGroups(t *testing.T) {
 					}
 					for _, g := range groups {
 						w := dt.walker(g)
-						dt.regather(&w)
-						for _, m := range w.sc.List.Cells {
+						for _, m := range dt.regather(&w).List.Cells {
 							k, ok := kind[m]
 							if !ok {
 								t.Errorf("%s: group %v lists a multipole in no tree the rank holds or refers to", where, g.Key)
@@ -901,42 +873,10 @@ func TestSchedulePinnedAcrossTwoPassRewrite(t *testing.T) {
 	}
 }
 
-// run hands a job to the pool while the queue has room and calls it on the
-// spot when it has not: with the one worker held inside a job, four more fit
-// the queue and the fifth runs before run returns.
-func TestEvalPoolRunsInlineWhenFull(t *testing.T) {
-	ics := PlummerSphere(rand.New(rand.NewSource(39)), 50, 1.0)
-	mp.Run(testCluster(), 1, func(r *mp.Rank) {
-		bodies, splitters, boxLo, boxSize := Decompose(r, ics)
-		dt := BuildDistributed(r, bodies, splitters, boxLo, boxSize, Options{Theta: 0.6, Eps: 0.02})
-		pool := dt.newEvalPool(1)
-		defer pool.close()
-		started, release := make(chan struct{}), make(chan struct{})
-		pool.submit("hold", func() { close(started); <-release })
-		<-started
-		var ran atomic.Int32
-		for i := 0; i < cap(pool.jobs); i++ {
-			if !pool.run("queued", func() { ran.Add(1) }) {
-				t.Errorf("job %d ran on the caller with room in the queue", i)
-			}
-		}
-		if n := ran.Load(); n != 0 {
-			t.Errorf("%d queued jobs ran while the worker was held", n)
-		}
-		if pool.run("inline", func() { ran.Add(100) }) || ran.Load() != 100 {
-			t.Errorf("job offered to a full queue: ran counter %d, want it run on the caller before run returned", ran.Load())
-		}
-		close(release)
-		pool.wait()
-		if n := ran.Load(); n != 100+int32(cap(pool.jobs)) {
-			t.Errorf("ran counter %d after wait, want %d", n, 100+cap(pool.jobs))
-		}
-	})
-}
-
-// Exercises the grouped engine's worker pool across multiple steps and
-// ranks; run under `go test -race` this checks the pool's sharing discipline
-// (workers write only disjoint output ranges and their own scratch).
+// Exercises the grouped engine's loops across multiple steps and ranks; run
+// under `go test -race` this checks their sharing discipline (each group's
+// gather and evaluation write only its disjoint output range and the loop
+// goroutine's own scratch).
 func TestGroupedWorkerPoolConcurrency(t *testing.T) {
 	rng := rand.New(rand.NewSource(34))
 	ics := PlummerSphere(rng, 500, 1.0)
@@ -952,6 +892,44 @@ func TestGroupedWorkerPoolConcurrency(t *testing.T) {
 		if math.Abs(e.Total()-e0) > 2e-3*math.Abs(e0) {
 			t.Fatalf("energy drift with worker pool: %v vs %v", e.Total(), e0)
 		}
+	}
+}
+
+// A world's goroutines are its ranks and the host loops of the ranks that
+// hold an execution slot, not an evaluation pool per rank: on 64 ranks with
+// eight workers, what a one-step run reaches stays below P, plus Workers+1
+// for each of the scheduler's min(GOMAXPROCS, P) slots, plus a few.
+func TestWorldGoroutinesBounded(t *testing.T) {
+	const p, workers, few = 64, 8, 8
+	ics := ColdSphere(rand.New(rand.NewSource(47)), 16384, 1.0)
+	base, peak := runtime.NumGoroutine()+1, 0 // +1: the sampler
+	stop, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		for {
+			peak = max(peak, runtime.NumGoroutine())
+			select {
+			case <-stop:
+				return
+			default:
+				time.Sleep(20 * time.Microsecond)
+			}
+		}
+	}()
+	res := Run(RunConfig{
+		Cluster: testCluster(), Procs: p, Steps: 1,
+		Opt: Options{Theta: 0.7, Eps: 0.01, DT: 0.005, MaxLeaf: 16, Workers: workers},
+	}, ics)
+	close(stop)
+	<-done
+	if res.Err != nil {
+		t.Fatal(res.Err)
+	}
+	bound := base + p + par.Width(0, p)*(workers+1) + few
+	t.Logf("peak %d goroutines, %d before the run, bound %d", peak, base, bound)
+	if peak >= bound {
+		t.Errorf("the run reached %d goroutines, %d before it; want below %d: %d ranks, %d slots of %d+1",
+			peak, base, bound, p, par.Width(0, p), workers)
 	}
 }
 

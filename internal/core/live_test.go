@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"testing"
 
 	"spacesim/internal/obs"
@@ -14,9 +15,10 @@ import (
 // TestLiveReadersBitIdentical is the live-telemetry determinism guard:
 // while the run executes, a goroutine reads /progress.json and /metrics
 // through live.Handler in a loop, and the run must produce bit-identical
-// state to the unobserved run, at both Workers=1 and Workers=4 — reading
-// the registry and the progress marks from a host goroutine must never
-// perturb virtual time or evaluation order.
+// state — bodies, every rank's virtual clock and the makespan — to the
+// unobserved run, at both Workers=1 and Workers=4, on one rank and on eight:
+// reading the registry and the progress marks from a host goroutine must
+// never perturb virtual time or evaluation order.
 func TestLiveReadersBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	ics := PlummerSphere(rng, 600, 1.0)
@@ -74,7 +76,7 @@ func TestLiveReadersBitIdentical(t *testing.T) {
 		return res
 	}
 
-	for _, procs := range []int{1, 3} {
+	for _, procs := range []int{1, 8} {
 		ref := run(procs, 1, false)
 		if len(ref.Bodies) != 600 {
 			t.Fatalf("procs=%d: gathered %d bodies, want 600", procs, len(ref.Bodies))
@@ -87,17 +89,9 @@ func TestLiveReadersBitIdentical(t *testing.T) {
 						procs, workers, i, got.Bodies[i], ref.Bodies[i])
 				}
 			}
-			// Rank clocks are only comparable on a single rank: with
-			// several, the congestion model sees the host-time send
-			// interleaving, so clocks vary run to run even unobserved
-			// (same caveat as TestTracingBitIdentical).
-			if procs == 1 {
-				for r := range ref.Comm.RankClocks {
-					if got.Comm.RankClocks[r] != ref.Comm.RankClocks[r] {
-						t.Fatalf("procs=%d workers=%d served: rank %d clock %v, want %v",
-							procs, workers, r, got.Comm.RankClocks[r], ref.Comm.RankClocks[r])
-					}
-				}
+			if !slices.Equal(got.Comm.RankClocks, ref.Comm.RankClocks) || got.Comm.ElapsedVirtual != ref.Comm.ElapsedVirtual {
+				t.Fatalf("procs=%d workers=%d served: rank clocks %v, makespan %v; want %v, %v",
+					procs, workers, got.Comm.RankClocks, got.Comm.ElapsedVirtual, ref.Comm.RankClocks, ref.Comm.ElapsedVirtual)
 			}
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"spacesim/internal/obs"
@@ -13,12 +14,9 @@ import (
 
 // Observation must be purely observational: a grouped-engine run with the
 // tracer enabled — or with event retention plus a post-run analysis — at
-// any worker count, must produce bit-identical accelerations and
-// velocities. Virtual clocks are additionally pinned on single-rank runs,
-// where they are a pure function of the charged work; on multi-rank
-// polling workloads the clock depends on host-time message arrival order
-// (a pre-existing property of the latency-hiding engine, see DESIGN.md on
-// virtual-time semantics), so only the numerics are compared there.
+// any worker count, must produce bit-identical positions and velocities,
+// every rank's virtual clock and the makespan, on one rank and on eight
+// (the virtual schedule repeats: DESIGN.md §12).
 func TestTracingBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(40))
 	ics := PlummerSphere(rng, 600, 1.0)
@@ -59,7 +57,7 @@ func TestTracingBitIdentical(t *testing.T) {
 		return res
 	}
 
-	for _, procs := range []int{1, 3} {
+	for _, procs := range []int{1, 8} {
 		ref := run(procs, "plain", 1)
 		if len(ref.Bodies) != 600 {
 			t.Fatalf("procs=%d: gathered %d bodies, want 600", procs, len(ref.Bodies))
@@ -76,44 +74,11 @@ func TestTracingBitIdentical(t *testing.T) {
 							procs, mode, workers, i, got.Bodies[i], ref.Bodies[i])
 					}
 				}
-				if procs == 1 {
-					for r := range ref.Comm.RankClocks {
-						if got.Comm.RankClocks[r] != ref.Comm.RankClocks[r] {
-							t.Fatalf("procs=%d mode=%v workers=%d: rank %d clock %v, want %v",
-								procs, mode, workers, r, got.Comm.RankClocks[r], ref.Comm.RankClocks[r])
-						}
-					}
+				if !slices.Equal(got.Comm.RankClocks, ref.Comm.RankClocks) || got.Comm.ElapsedVirtual != ref.Comm.ElapsedVirtual {
+					t.Fatalf("procs=%d mode=%v workers=%d: rank clocks %v, makespan %v; want %v, %v",
+						procs, mode, workers, got.Comm.RankClocks, got.Comm.ElapsedVirtual, ref.Comm.RankClocks, ref.Comm.ElapsedVirtual)
 				}
 			}
-		}
-	}
-}
-
-// The eval pool's accounting identities, which keep core.pool_utilization —
-// busy / (wall × workers) — a share: every sink group is evaluated exactly
-// once, on a worker, inline on the rank or in pass 2; the rank evaluates no
-// more than all of them; and the workers are busy no longer than the pool's
-// wall time allows.
-func TestEvalPoolAccounting(t *testing.T) {
-	ics := PlummerSphere(rand.New(rand.NewSource(46)), 3000, 1.0)
-	for _, procs := range []int{1, 8} {
-		o := obs.New(false)
-		res := Run(RunConfig{
-			Cluster: testCluster().WithObs(o), Procs: procs, Steps: 2,
-			Opt: Options{Theta: 0.7, Eps: 0.01, DT: 0.005, MaxLeaf: 16, Workers: 2},
-		}, ics)
-		if res.Err != nil {
-			t.Fatal(res.Err)
-		}
-		snap := o.Snapshot()
-		c := snap.Counters
-		jobs, inline, buckets := c["core.pool.jobs"], c["core.pool.inline_jobs"], c["core.buckets"]
-		busy, wall, workers := c["core.pool.busy_ns"], c["core.pool.wall_ns"], snap.Gauges["core.pool.workers"]
-		if jobs != buckets || buckets == 0 || inline > jobs {
-			t.Errorf("procs=%d: %d evaluations (%d inline) of %d groups; want each group once", procs, jobs, inline, buckets)
-		}
-		if workers != 2 || float64(busy) > float64(wall)*workers {
-			t.Errorf("procs=%d: pool busy %d ns on %v workers over %d ns wall", procs, busy, workers, wall)
 		}
 	}
 }
@@ -147,7 +112,7 @@ func TestEngineMetricsPopulated(t *testing.T) {
 		t.Errorf("schema_version = %d, want %d", snap.SchemaVersion, obs.MetricsSchemaVersion)
 	}
 	for _, name := range []string{
-		"core.fetch.requests", "core.buckets", "core.pool.jobs", "mp.abm.batches",
+		"core.fetch.requests", "core.buckets", "mp.abm.batches",
 	} {
 		if snap.Counters[name] <= 0 {
 			t.Errorf("counter %s = %d, want > 0", name, snap.Counters[name])

@@ -263,13 +263,19 @@ func run(cfg RunConfig, ics []Body, seg segment) Result {
 		ropt := opt
 		ropt.BuildArena = &htree.Arena{}
 		fa := &fetchArena{}
+		// spare is the body array the last decomposition took, which the
+		// next one builds its local array in (decompose).
+		var spare []Body
 
 		// eval computes the forces at step s, or reports that the bodies have
 		// left the cube a run can integrate in. The cube is the world's, so
 		// every rank decides alike and none waits in a collective.
 		eval := func(s int) ([]Body, []vec.V3, []float64, TraversalStats, bool) {
 			endDecomp := r.Span("phase", "decompose")
-			bodies, splitters, boxLo, boxSize := Decompose(r, local)
+			bodies, splitters, boxLo, boxSize := decompose(r, local, spare)
+			if r.Size() > 1 {
+				spare = local
+			}
 			endDecomp()
 			if err := cubeError(boxLo, boxSize); err != nil {
 				if r.ID() == 0 {

@@ -1,6 +1,6 @@
 // Package obs is the observability layer of the simulator: a lightweight
 // metrics registry (typed counters and gauges, cheap enough to stay on by
-// default and safe under the host worker pool) and an opt-in event tracer
+// default and safe under the host's parallel loops) and an opt-in event tracer
 // that records per-rank spans in *virtual* time and emits Chrome
 // trace_event JSON.
 //
@@ -11,7 +11,7 @@
 //     run with tracing off.
 //  2. Metric aggregation is order-independent. Counters only Add and gauges
 //     only fold with Max/Add, so concurrent updates from rank goroutines
-//     and pool workers commute and a snapshot does not depend on host
+//     and host loops commute and a snapshot does not depend on host
 //     scheduling.
 package obs
 

@@ -60,7 +60,7 @@ func TestNilSafety(t *testing.T) {
 func TestMetricsSnapshotJSON(t *testing.T) {
 	o := New(false)
 	o.Reg.Counter("core.fetches").Add(7)
-	o.Reg.Gauge("core.pool.utilization").Max(0.5)
+	o.Reg.Gauge("core.max_imbalance").Max(0.5)
 	ro := o.Rank(0)
 	ro.M.ComputeSec = 1.25
 	ro.M.WaitSec = 0.75

@@ -16,19 +16,16 @@ import (
 //   - PidRanks:   one row per rank, timestamps are VIRTUAL seconds.
 //   - PidNet:     one row per switch module (plus the trunk), virtual time;
 //     message transits are async slices so concurrent transfers stack.
-//   - PidWorkers: one row per host pool worker, timestamps are HOST seconds
-//     since the tracer was created (kernel evaluation is real work on the
-//     host, it has no virtual duration).
 //   - PidHost:    host-time rows for shared-memory phase spans (htree,
-//     sph) that run outside any rank.
+//     sph) that run outside any rank, timestamps are HOST seconds since the
+//     tracer was created.
 //
 // Virtual and host rows deliberately live in different trace "processes" so
 // the two time bases are never compared side by side within one group.
 const (
-	PidRanks   = 1
-	PidNet     = 2
-	PidWorkers = 3
-	PidHost    = 4
+	PidRanks = 1
+	PidNet   = 2
+	PidHost  = 4
 )
 
 // event is one trace_event entry; ts/dur are microseconds.
@@ -118,10 +115,9 @@ func (tr *Track) Async(cat, name string, id int64, t0, t1 float64) {
 
 // processNames labels the pid groups in the viewer.
 var processNames = map[int]string{
-	PidRanks:   "ranks (virtual time)",
-	PidNet:     "network (virtual time)",
-	PidWorkers: "pool workers (host time)",
-	PidHost:    "host phases (host time)",
+	PidRanks: "ranks (virtual time)",
+	PidNet:   "network (virtual time)",
+	PidHost:  "host phases (host time)",
 }
 
 // traceFile is the top-level JSON object of the Chrome trace format.
