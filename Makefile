@@ -17,9 +17,9 @@ race:
 # The rank scheduler's pool defaults to min(GOMAXPROCS, ranks) slots, so a
 # 1-CPU host runs every world on one slot: a polling loop that does not
 # Yield livelocks there and nowhere else. The timeout turns that into a
-# failure.
+# failure. internal/job runs whole jobs (probe, recovery) the same way.
 one-slot:
-	GOMAXPROCS=1 $(GO) test -count=1 -timeout 300s ./internal/mp ./internal/core ./internal/serve
+	GOMAXPROCS=1 $(GO) test -count=1 -timeout 300s ./internal/mp ./internal/core ./internal/serve ./internal/job
 
 # The virtual schedule must not depend on the width of the scheduler's pool:
 # the force walk polls only inside a one-slot region entered in rank order,

@@ -1,0 +1,147 @@
+package main
+
+import (
+	"encoding/json"
+	"fmt"
+	"net/http"
+	"net/http/httptest"
+	"strings"
+	"testing"
+	"time"
+
+	"spacesim/internal/job"
+	"spacesim/internal/serve"
+)
+
+// The config digests of the smoke targets' runs, recorded from their
+// ANALYSIS.json files before the flags became a job.Spec: the ledger's
+// trend series for every spacesim invocation must stay where it was.
+func TestFlagDigestsPinned(t *testing.T) {
+	for _, c := range []struct {
+		args, want string
+	}{
+		{"-n 600 -procs 3 -steps 2", "73eb1bd4157f2676a3974a5fa452d7d96075a28d777e6b02c62454eab6710c43"},
+		{"-n 600 -procs 4 -steps 6 -faults 11 -fault-accel 3000", "51ea1f524a542f72f21abd32c892c576f4ae73edcfcbae8753327b6081c3650f"},
+	} {
+		sp, _, err := parse(strings.Fields(c.args))
+		if err != nil {
+			t.Fatalf("%s: %v", c.args, err)
+		}
+		if got := sp.Digest(); got != c.want {
+			t.Errorf("spacesim %s: config digest %s, want %s", c.args, got, c.want)
+		}
+	}
+}
+
+// A fault acceleration that is negative or not finite is refused by both
+// front ends, before anything runs: spacesim exits 2, and spacesimd answers
+// a POST with 400 (JSON has no NaN or infinity, so those rows go through
+// Submit). Zero means faults.DefaultAccel and is accepted by both.
+func TestFaultAccelRefusedByBothFrontEnds(t *testing.T) {
+	s, err := serve.New(serve.Config{Dir: t.TempDir(), Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Drain()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	for _, c := range []struct {
+		accel string
+		ok    bool
+		post  bool // the value has a JSON spelling
+	}{
+		{"NaN", false, false}, {"+Inf", false, false}, {"-Inf", false, false},
+		{"-5", false, true}, {"-1e-300", false, true}, {"0", true, true},
+	} {
+		args := []string{"-ledger", "", "-n", "300", "-procs", "2", "-steps", "2", "-faults", "1", "-fault-accel", c.accel}
+		sp, _, err := parse(args)
+		if err != nil {
+			t.Fatalf("%s: parse: %v", c.accel, err)
+		}
+		if err := sp.Validate(); (err == nil) != c.ok {
+			t.Errorf("spacesim -fault-accel %s: Validate = %v", c.accel, err)
+		}
+		if !c.ok {
+			if code := run(args); code != 2 {
+				t.Errorf("spacesim -fault-accel %s: exit %d, want 2", c.accel, code)
+			}
+		}
+		if _, err := s.Submit(sp); (err == nil) != c.ok {
+			t.Errorf("spacesimd submit fault_accel %s: %v", c.accel, err)
+		}
+		if !c.post {
+			continue
+		}
+		body := fmt.Sprintf(`{"n":300,"ranks":2,"steps":2,"fault_seed":1,"fault_accel":%s}`, c.accel)
+		resp, err := http.Post(ts.URL+"/jobs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if want := map[bool]int{true: http.StatusAccepted, false: http.StatusBadRequest}[c.ok]; resp.StatusCode != want {
+			t.Errorf("POST fault_accel %s: status %d, want %d", c.accel, resp.StatusCode, want)
+		}
+	}
+}
+
+// One spec, parsed from spacesim's flags, run on spacesim's path and
+// submitted to a spacesimd server, gives one config digest and one result
+// (the daemon's digest over the final bodies and the energy history) —
+// with faults and recovery, and without, where spacesim gathers the bodies
+// for -checkpoint and the daemon checkpoints on cadence.
+func TestCLIAndDaemonAgree(t *testing.T) {
+	s, err := serve.New(serve.Config{Dir: t.TempDir(), Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Drain()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	for _, args := range []string{
+		"-n 600 -procs 4 -steps 6 -faults 11 -fault-accel 3000",
+		"-n 500 -procs 3 -steps 3 -ic coldsphere -checkpoint " + t.TempDir(),
+	} {
+		sp, o, err := parse(strings.Fields(args))
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, _, err := job.Execute(sp, job.Hooks{GatherBodies: o.snapshot != ""})
+		if err != nil {
+			t.Fatalf("%s: %v", args, err)
+		}
+		cli := job.ResultDigest(job.Bodies(res.Bodies), res.EnergyHistory)
+
+		v, err := s.Submit(sp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got struct {
+			State        string `json:"state"`
+			ConfigDigest string `json:"config_digest"`
+			ResultDigest string `json:"result_digest"`
+			Error        string `json:"error"`
+		}
+		for deadline := time.Now().Add(60 * time.Second); got.State != serve.StateDone; time.Sleep(5 * time.Millisecond) {
+			if time.Now().After(deadline) || got.State == serve.StateFailed {
+				t.Fatalf("%s: daemon job %s is %s (%s)", args, v.ID, got.State, got.Error)
+			}
+			resp, err := http.Get(ts.URL + "/jobs/" + v.ID)
+			if err != nil {
+				t.Fatal(err)
+			}
+			err = json.NewDecoder(resp.Body).Decode(&got)
+			resp.Body.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got.ConfigDigest != sp.Digest() {
+			t.Errorf("%s: daemon config digest %s, spacesim %s", args, got.ConfigDigest, sp.Digest())
+		}
+		if got.ResultDigest != cli {
+			t.Errorf("%s: daemon result digest %s, spacesim %s", args, got.ResultDigest, cli)
+		}
+	}
+}

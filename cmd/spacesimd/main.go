@@ -15,6 +15,12 @@
 //	curl -s -X POST localhost:8080/jobs -d '{"scenario":"plummer","n":4000,
 //	  "ranks":16,"steps":10,"checkpoint_every":2,"seed":1}'
 //
+// A job is a job.Spec, the description spacesim parses its run flags
+// into; an absent key takes spacesim's default (job.Defaults: plummer, 4000
+// bodies, 16 ranks, 10 steps, seed 1, dt 0.005, theta 0.7, eps 0.01, a
+// checkpoint every 2 steps), so the job above is what an empty POST runs,
+// and it shares its config digest and result digest with a bare spacesim.
+//
 // then poll /jobs/{id} (live progress and ETA while running) and fetch
 // /jobs/{id}/artifact when done. Identical configurations return the cached
 // artifact without re-simulating; "no_cache":true forces a recompute.

@@ -12,6 +12,7 @@ import (
 
 	"spacesim/internal/core"
 	"spacesim/internal/faults"
+	"spacesim/internal/job"
 	"spacesim/internal/obs/ledger"
 )
 
@@ -123,39 +124,23 @@ func faultsweepCmd(args []string) {
 		n, steps, horizon, *accel, rep.ScheduledCrashes)
 
 	for _, k := range []int{1, 2, 4, 8} {
-		dir, err := os.MkdirTemp("", "faultsweep-ck-")
+		// The clean leg's checkpoint writes are the cadence's I/O overhead.
+		_, clean, err := job.Recover(core.RecoveryConfig{RunConfig: cfg}, ics, "", k, nil)
 		if err != nil {
-			die(1, "faultsweep:", err)
+			die(1, "faultsweep: clean run:", err)
 		}
-		ckCfg := cfg
-		ckCfg.Checkpoint = &core.CheckpointConfig{Dir: dir, Every: k}
-		clean := core.Run(ckCfg, ics)
-		os.RemoveAll(dir)
-		if clean.Err != nil {
-			die(1, "faultsweep: clean run:", clean.Err)
-		}
-
-		dir, err = os.MkdirTemp("", "faultsweep-ck-")
-		if err != nil {
-			die(1, "faultsweep:", err)
-		}
-		fCfg := ckCfg
-		fCfg.Checkpoint = &core.CheckpointConfig{Dir: dir, Every: k}
-		rec, st, err := core.RunRecovered(core.RecoveryConfig{
-			RunConfig: fCfg,
+		_, st, err := job.Recover(core.RecoveryConfig{
+			RunConfig: cfg,
 			Injector:  faults.NewInjector(sched),
-		}, ics)
-		os.RemoveAll(dir)
+		}, ics, "", k, &base)
 		if err != nil {
 			die(1, "faultsweep: recovery:", err)
 		}
 
-		ok := core.BitIdentical(base, rec)
-		st.RecoveredBitIdentical = &ok
 		e := FaultsweepEntry{IntervalSteps: k, IOOverheadSec: clean.CheckpointSec, Recovery: st}
 		rep.Entries = append(rep.Entries, e)
 		fmt.Printf("  K=%d: io overhead %.4fs, %d crash(es), lost %.4fs, replayed %d steps, total %.4fs, bit-identical %v\n",
-			k, e.IOOverheadSec, e.Crashes, e.LostVirtualSec, e.ReplayedSteps, e.TotalVirtualSec, ok)
+			k, e.IOOverheadSec, e.Crashes, e.LostVirtualSec, e.ReplayedSteps, e.TotalVirtualSec, *st.RecoveredBitIdentical)
 		if err := rep.checkEntry(e); err != nil {
 			die(1, "faultsweep:", err)
 		}

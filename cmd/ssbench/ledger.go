@@ -18,20 +18,6 @@ import (
 var ledgerDir = flag.String("ledger", ledger.DefaultDir,
 	"run-ledger directory for the cross-run history (empty disables ledger writes)")
 
-// openLedgerAt opens the ledger store in dir, or nil when dir is empty
-// (ledger disabled) or unopenable (warned once).
-func openLedgerAt(dir string) *ledger.Store {
-	if dir == "" {
-		return nil
-	}
-	st, err := ledger.Open(dir)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "ledger:", err)
-		return nil
-	}
-	return st
-}
-
 // ledgerConfig assembles the canonical config for an ssbench experiment.
 // Only deterministic invocation parameters go in — the digest must be
 // identical across repeated identical invocations on any machine.
@@ -59,9 +45,9 @@ func provFor(cfg ledger.Config) *ledger.Provenance {
 
 // ledgerAppend records one finished experiment: the artifact file at path
 // is stored as a content-addressed blob and a run record appended with the
-// headline metrics the caller holds. Best-effort by contract.
+// headline metrics the caller holds and the process's peak RSS.
 func ledgerAppend(cfg ledger.Config, artifactName, artifactPath string, metrics map[string]float64) {
-	st := openLedgerAt(*ledgerDir)
+	st := ledger.OpenIf(*ledgerDir)
 	if st == nil {
 		return
 	}
@@ -73,12 +59,7 @@ func ledgerAppend(cfg ledger.Config, artifactName, artifactPath string, metrics 
 	if rss := ledger.PeakRSSBytes(); rss > 0 {
 		metrics["peak_rss_bytes"] = float64(rss)
 	}
-	rec := &ledger.Record{Config: cfg, Build: ledger.Prov(), Metrics: metrics}
-	id, err := st.Append(rec, map[string][]byte{artifactName: data})
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "ledger:", err)
-		return
+	if rec := st.AppendRun(cfg, metrics, map[string][]byte{artifactName: data}); rec != nil {
+		fmt.Printf("ledger: recorded run %s (config %s) in %s\n", rec.ID, rec.ConfigDigest[:12], st.Dir)
 	}
-	fmt.Printf("ledger: recorded run %s (config %s) in %s\n",
-		id, rec.ConfigDigest[:12], st.Dir)
 }

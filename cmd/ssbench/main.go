@@ -114,11 +114,7 @@ func startLive() {
 	if *httpAddr == "" {
 		return
 	}
-	var mounts []live.Mount
-	if st := openLedgerAt(*ledgerDir); st != nil {
-		mounts = append(mounts, live.Mount{Prefix: "/runs", Handler: st.Handler()})
-	}
-	srv, err := live.Serve(*httpAddr, func() *obs.Obs { return runObs }, mounts...)
+	srv, err := live.Serve(*httpAddr, func() *obs.Obs { return runObs }, ledger.OpenIf(*ledgerDir).Handler())
 	if err != nil {
 		die(1, "http:", err)
 	}

@@ -40,7 +40,7 @@ func runTrend(w io.Writer, args []string) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	st := openLedgerAt(*dir)
+	st := ledger.OpenIf(*dir)
 	if st == nil {
 		fmt.Fprintln(os.Stderr, "trend: no ledger")
 		return 2

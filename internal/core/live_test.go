@@ -29,7 +29,7 @@ func TestLiveReadersBitIdentical(t *testing.T) {
 		var reads int
 		stop, done := make(chan struct{}), make(chan struct{})
 		if served {
-			srv := httptest.NewServer(live.Handler(func() *obs.Obs { return o }))
+			srv := httptest.NewServer(live.Handler(func() *obs.Obs { return o }, nil))
 			defer srv.Close()
 			go func() {
 				defer close(done)

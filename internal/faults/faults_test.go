@@ -5,7 +5,6 @@ import (
 	"reflect"
 	"testing"
 
-	"spacesim/internal/netsim"
 	"spacesim/internal/reliability"
 )
 
@@ -143,7 +142,7 @@ func TestInjectorHealthRebase(t *testing.T) {
 	if h == nil {
 		t.Fatal("no health built")
 	}
-	if f := h.CapFactor(netsim.LinkNICTx, 0, 20); f != 0.5 {
+	if f := h.CapFactor(0, 20); f != 0.5 {
 		t.Fatalf("degrade factor %g", f)
 	}
 	if l := h.PortLatency(3, 2); l != 1e-3 {
@@ -151,10 +150,10 @@ func TestInjectorHealthRebase(t *testing.T) {
 	}
 	// Re-based at t=40: 10 s of degradation left, the flap fully expired.
 	h40 := in.HealthAt(40)
-	if f := h40.CapFactor(netsim.LinkNICTx, 0, 5); f != 0.5 {
+	if f := h40.CapFactor(0, 5); f != 0.5 {
 		t.Fatalf("rebased degrade factor %g", f)
 	}
-	if f := h40.CapFactor(netsim.LinkNICTx, 0, 15); f != 1 {
+	if f := h40.CapFactor(0, 15); f != 1 {
 		t.Fatalf("rebased degrade should have ended: %g", f)
 	}
 	if l := h40.PortLatency(3, 0); l != 0 {

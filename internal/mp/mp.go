@@ -498,8 +498,7 @@ func (r *Rank) sendAt(dst, tag int, data any, bytes int64, congested bool, nicFr
 			// Degraded endpoints squeeze the already-congested share, and
 			// a flapping port at either end adds its latency spike.
 			xfer += h.PortLatency(r.id, t0) + h.PortLatency(dst, t0)
-			bw *= math.Min(h.CapFactor(netsim.LinkNICTx, r.id, t0),
-				h.CapFactor(netsim.LinkNICRx, dst, t0))
+			bw *= math.Min(h.CapFactor(r.id, t0), h.CapFactor(dst, t0))
 		}
 		// wire runs until the message has left the NIC, queueing included.
 		wire := float64(bytes) * 8 / bw

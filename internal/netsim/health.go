@@ -8,13 +8,16 @@ package netsim
 // schedule is deterministic in virtual time. Two effect classes model the
 // Section 2.1 failure log:
 //
-//   - capacity degradation: a link (typically a host NIC after a partial
-//     hardware failure or renegotiation to a lower rate) carries a
-//     multiplicative capacity factor over an interval;
+//   - NIC degradation: a host's NIC, both directions (a partial hardware
+//     failure or a renegotiation to a lower rate), carries a multiplicative
+//     capacity factor over an interval;
 //   - port flaps: a soft switch port adds a latency spike to every message
 //     entering or leaving the attached host while the flap window is open.
 
-import "math"
+import (
+	"math"
+	"sort"
+)
 
 // Interval is one health effect window in virtual time. Value is a capacity
 // multiplier in (0, 1] for degradations, or an added latency in seconds for
@@ -27,33 +30,26 @@ type Interval struct {
 // Health is the time-indexed fault state of a fabric. The zero value (and a
 // nil *Health) mean a perfectly healthy network.
 type Health struct {
-	linkCap map[resource][]Interval
+	nicCap  map[int][]Interval
 	portLat map[int][]Interval
 }
 
 // NewHealth returns an empty (fully healthy) health map.
 func NewHealth() *Health {
 	return &Health{
-		linkCap: map[resource][]Interval{},
+		nicCap:  map[int][]Interval{},
 		portLat: map[int][]Interval{},
 	}
 }
 
-// DegradeLink scales the capacity of one shared link by factor over
-// [start, end) of virtual time. Factor must be in (0, 1].
-func (h *Health) DegradeLink(kind LinkKind, id int, start, end, factor float64) {
+// DegradeNIC scales the capacity of both directions of a host's NIC by
+// factor over [start, end) of virtual time — the common "ethernet card
+// going bad" presentation of Section 2.1. Factor must be in (0, 1].
+func (h *Health) DegradeNIC(host int, start, end, factor float64) {
 	if factor <= 0 || factor > 1 {
 		panic("netsim: degradation factor must be in (0, 1]")
 	}
-	r := resource{string(kind), id}
-	h.linkCap[r] = append(h.linkCap[r], Interval{Start: start, End: end, Value: factor})
-}
-
-// DegradeNIC degrades both directions of a host's NIC — the common
-// "ethernet card going bad" presentation of Section 2.1.
-func (h *Health) DegradeNIC(host int, start, end, factor float64) {
-	h.DegradeLink(LinkNICTx, host, start, end, factor)
-	h.DegradeLink(LinkNICRx, host, start, end, factor)
+	h.nicCap[host] = append(h.nicCap[host], Interval{Start: start, End: end, Value: factor})
 }
 
 // FlapPort adds extraLatency seconds to every message entering or leaving
@@ -72,23 +68,17 @@ func (h *Health) Shift(t0 float64) *Health {
 	if h == nil {
 		return nil
 	}
-	out := NewHealth()
-	for r, ivs := range h.linkCap {
+	return &Health{nicCap: shift(h.nicCap, t0), portLat: shift(h.portLat, t0)}
+}
+
+func shift(m map[int][]Interval, t0 float64) map[int][]Interval {
+	out := map[int][]Interval{}
+	for host, ivs := range m {
 		for _, iv := range ivs {
 			if iv.End <= t0 {
 				continue
 			}
-			out.linkCap[r] = append(out.linkCap[r], Interval{
-				Start: math.Max(0, iv.Start-t0), End: iv.End - t0, Value: iv.Value,
-			})
-		}
-	}
-	for host, ivs := range h.portLat {
-		for _, iv := range ivs {
-			if iv.End <= t0 {
-				continue
-			}
-			out.portLat[host] = append(out.portLat[host], Interval{
+			out[host] = append(out[host], Interval{
 				Start: math.Max(0, iv.Start-t0), End: iv.End - t0, Value: iv.Value,
 			})
 		}
@@ -98,17 +88,17 @@ func (h *Health) Shift(t0 float64) *Health {
 
 // Empty reports whether the health map carries no effects at all.
 func (h *Health) Empty() bool {
-	return h == nil || (len(h.linkCap) == 0 && len(h.portLat) == 0)
+	return h == nil || (len(h.nicCap) == 0 && len(h.portLat) == 0)
 }
 
-// CapFactor returns the capacity multiplier for a link at virtual time t
+// CapFactor returns the capacity multiplier of host's NIC at virtual time t
 // (overlapping degradations compound; 1 when healthy). Nil-safe.
-func (h *Health) CapFactor(kind LinkKind, id int, t float64) float64 {
+func (h *Health) CapFactor(host int, t float64) float64 {
 	if h == nil {
 		return 1
 	}
 	f := 1.0
-	for _, iv := range h.linkCap[resource{string(kind), id}] {
+	for _, iv := range h.nicCap[host] {
 		if t >= iv.Start && t < iv.End {
 			f *= iv.Value
 		}
@@ -133,29 +123,32 @@ func (h *Health) PortLatency(host int, t float64) float64 {
 
 // DegradedSeconds returns the total degraded link-seconds and flapping
 // port-seconds overlapping [0, horizon) — the "degraded-link seconds"
-// reliability metric surfaced by the fault report.
+// reliability metric surfaced by the fault report. A degraded NIC counts
+// once per direction.
 func (h *Health) DegradedSeconds(horizon float64) (degraded, flapping float64) {
 	if h == nil {
 		return 0, 0
 	}
-	clip := func(iv Interval) float64 {
-		lo, hi := math.Max(0, iv.Start), math.Min(horizon, iv.End)
-		if hi <= lo {
-			return 0
-		}
-		return hi - lo
+	return 2 * seconds(h.nicCap, horizon), seconds(h.portLat, horizon)
+}
+
+// seconds sums the intervals' overlap with [0, horizon), host by host in
+// ascending order so the sum does not depend on map order.
+func seconds(m map[int][]Interval, horizon float64) float64 {
+	hosts := make([]int, 0, len(m))
+	for host := range m {
+		hosts = append(hosts, host)
 	}
-	for _, ivs := range h.linkCap {
-		for _, iv := range ivs {
-			degraded += clip(iv)
+	sort.Ints(hosts)
+	sum := 0.0
+	for _, host := range hosts {
+		for _, iv := range m[host] {
+			if lo, hi := math.Max(0, iv.Start), math.Min(horizon, iv.End); hi > lo {
+				sum += hi - lo
+			}
 		}
 	}
-	for _, ivs := range h.portLat {
-		for _, iv := range ivs {
-			flapping += clip(iv)
-		}
-	}
-	return degraded, flapping
+	return sum
 }
 
 // WithHealth returns a copy of the network with the given health map
@@ -181,6 +174,6 @@ func (n *Network) TransferTimeAt(src, dst int, bytes int64, t float64) float64 {
 	if p.RendezvousBytes > 0 && bytes >= p.RendezvousBytes {
 		tt += p.RendezvousSec
 	}
-	f := math.Min(n.Health.CapFactor(LinkNICTx, src, t), n.Health.CapFactor(LinkNICRx, dst, t))
+	f := math.Min(n.Health.CapFactor(src, t), n.Health.CapFactor(dst, t))
 	return tt + float64(bytes)*8/(p.PeakBps*f)
 }

@@ -16,7 +16,7 @@ func testNet(t *testing.T) *Network {
 
 func TestHealthNilIsHealthy(t *testing.T) {
 	var h *Health
-	if f := h.CapFactor(LinkNICTx, 3, 1.0); f != 1 {
+	if f := h.CapFactor(3, 1.0); f != 1 {
 		t.Fatalf("nil health cap factor = %g, want 1", f)
 	}
 	if l := h.PortLatency(3, 1.0); l != 0 {
@@ -92,12 +92,12 @@ func TestFlapAddsLatencyNotBandwidth(t *testing.T) {
 
 func TestOverlappingDegradationsCompound(t *testing.T) {
 	h := NewHealth()
-	h.DegradeLink(LinkNICTx, 1, 0, 10, 0.5)
-	h.DegradeLink(LinkNICTx, 1, 5, 15, 0.5)
-	if f := h.CapFactor(LinkNICTx, 1, 7); f != 0.25 {
+	h.DegradeNIC(1, 0, 10, 0.5)
+	h.DegradeNIC(1, 5, 15, 0.5)
+	if f := h.CapFactor(1, 7); f != 0.25 {
 		t.Fatalf("compound factor %g, want 0.25", f)
 	}
-	if f := h.CapFactor(LinkNICTx, 1, 12); f != 0.5 {
+	if f := h.CapFactor(1, 12); f != 0.5 {
 		t.Fatalf("single factor %g, want 0.5", f)
 	}
 }
@@ -109,10 +109,10 @@ func TestHealthShift(t *testing.T) {
 
 	s := h.Shift(12)
 	// The NIC window [10,20) becomes [0,8); the flap [5,8) is fully past.
-	if f := s.CapFactor(LinkNICTx, 2, 4); f != 0.5 {
+	if f := s.CapFactor(2, 4); f != 0.5 {
 		t.Fatalf("shifted factor at 4 = %g, want 0.5", f)
 	}
-	if f := s.CapFactor(LinkNICTx, 2, 9); f != 1 {
+	if f := s.CapFactor(2, 9); f != 1 {
 		t.Fatalf("shifted factor at 9 = %g, want 1", f)
 	}
 	if l := s.PortLatency(3, 0); l != 0 {

@@ -101,6 +101,37 @@ func Open(dir string) (*Store, error) {
 	return &Store{Dir: dir}, nil
 }
 
+// OpenIf opens the store a command's -ledger flag names, or returns nil
+// when dir is empty (the ledger is off) or cannot be opened (warned on
+// stderr): a command runs the same without its ledger.
+func OpenIf(dir string) *Store {
+	if dir == "" {
+		return nil
+	}
+	st, err := Open(dir)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		return nil
+	}
+	return st
+}
+
+// AppendRun records one finished run: cfg under this process's
+// provenance, its metrics, and each named artifact as a blob. It is
+// best-effort like every ledger write: a failure warns on stderr and
+// returns nil, and a nil store (the ledger is off) records nothing.
+func (s *Store) AppendRun(cfg Config, metrics map[string]float64, artifacts map[string][]byte) *Record {
+	if s == nil {
+		return nil
+	}
+	rec := &Record{Config: cfg, Build: Prov(), Metrics: metrics}
+	if _, err := s.Append(rec, artifacts); err != nil {
+		fmt.Fprintln(os.Stderr, "ledger:", err)
+		return nil
+	}
+	return rec
+}
+
 // IndexPath returns the path of the JSONL index.
 func (s *Store) IndexPath() string { return filepath.Join(s.Dir, IndexFile) }
 

@@ -78,8 +78,12 @@ func WriteTrends(w io.Writer, trends []MetricTrend) {
 // Handler serves the ledger as plain text: /runs prints every group on
 // every host (WriteGroups), /runs/{id} one record with its metrics gated
 // against the comparable runs before it, /runs/{id}/blob/{name} the raw
-// artifact bytes. The CLIs mount it on their live servers.
+// artifact bytes. The CLIs mount it on their live servers. A nil store
+// (the ledger is off) has no handler.
 func (s *Store) Handler() http.Handler {
+	if s == nil {
+		return nil
+	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("/runs", func(w http.ResponseWriter, r *http.Request) {
 		recs, err := s.Records()

@@ -36,10 +36,10 @@ import (
 //
 // All endpoints are read-only and safe while a run is in flight.
 //
-// Extra page trees — the run ledger's /runs, for one — are attached via
-// Mounts; live itself stays ignorant of what it hosts, which keeps the
+// A non-nil runs handler (the run ledger's text view) serves /runs and the
+// tree under it; live stays ignorant of what it hosts, which keeps the
 // dependency arrow pointing into this package only.
-func Handler(cur func() *obs.Obs, mounts ...Mount) http.Handler {
+func Handler(cur func() *obs.Obs, runs http.Handler) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
@@ -61,36 +61,20 @@ func Handler(cur func() *obs.Obs, mounts ...Mount) http.Handler {
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	var extra []string
-	for _, m := range mounts {
-		if m.Prefix == "" || m.Handler == nil {
-			continue
-		}
-		// Register both the bare prefix and the subtree so /runs and
-		// /runs/{id} land on the same mounted handler.
-		mux.Handle(m.Prefix, m.Handler)
-		mux.Handle(strings.TrimSuffix(m.Prefix, "/")+"/", m.Handler)
-		extra = append(extra, m.Prefix)
+	index := "spacesim live telemetry\n\n/metrics\n/metrics.json\n/progress.json\n/debug/pprof/\n"
+	if runs != nil {
+		mux.Handle("/runs", runs)
+		mux.Handle("/runs/", runs)
+		index += "/runs\n"
 	}
 	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path != "/" {
 			http.NotFound(w, r)
 			return
 		}
-		fmt.Fprint(w, "spacesim live telemetry\n\n/metrics\n/metrics.json\n/progress.json\n/debug/pprof/\n")
-		for _, p := range extra {
-			fmt.Fprintln(w, p)
-		}
+		fmt.Fprint(w, index)
 	})
 	return mux
-}
-
-// Mount attaches an extra handler subtree to the live server — e.g. the
-// run ledger's text view at /runs. The prefix is registered both bare and as
-// a subtree.
-type Mount struct {
-	Prefix  string
-	Handler http.Handler
 }
 
 func writeJSON(w http.ResponseWriter, v any) {
@@ -182,14 +166,13 @@ type Server struct {
 
 // Serve starts an HTTP server over cur's Obs on addr (host:port; port 0 picks a
 // free port) and returns once the listener is bound. The server runs until
-// Close. Extra mounts (the run ledger's /runs) are passed through to
-// Handler.
-func Serve(addr string, cur func() *obs.Obs, mounts ...Mount) (*Server, error) {
+// Close. A non-nil runs handler serves /runs, as in Handler.
+func Serve(addr string, cur func() *obs.Obs, runs http.Handler) (*Server, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, err
 	}
-	srv := &http.Server{Handler: Handler(cur, mounts...)}
+	srv := &http.Server{Handler: Handler(cur, runs)}
 	go srv.Serve(ln)
 	return &Server{ln: ln, srv: srv}, nil
 }

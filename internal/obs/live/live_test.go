@@ -20,7 +20,7 @@ func TestHandlerEndpoints(t *testing.T) {
 	o.Progress().StepDone(1, 0.5)
 	o.Progress().State("running")
 
-	srv := httptest.NewServer(Handler(func() *obs.Obs { return o }))
+	srv := httptest.NewServer(Handler(func() *obs.Obs { return o }, nil))
 	defer srv.Close()
 
 	getStatus := func(path string) (int, string) {
@@ -84,7 +84,7 @@ func TestHandlerEndpoints(t *testing.T) {
 
 func TestServeAndClose(t *testing.T) {
 	o := obs.New(false)
-	srv, err := Serve("127.0.0.1:0", func() *obs.Obs { return o })
+	srv, err := Serve("127.0.0.1:0", func() *obs.Obs { return o }, nil)
 	if err != nil {
 		t.Fatalf("serve: %v", err)
 	}

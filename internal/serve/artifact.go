@@ -7,8 +7,8 @@ import (
 	"path/filepath"
 
 	"spacesim/internal/core"
+	"spacesim/internal/job"
 	"spacesim/internal/obs/ledger"
-	"spacesim/internal/vec"
 )
 
 // ArtifactSchemaVersion stamps every result artifact.
@@ -20,16 +20,6 @@ const ArtifactSchemaVersion = 1
 // config digest.
 const resultsDir = "results"
 
-// ArtifactBody is one body of the final state: the deterministic outputs
-// only (ID, position, velocity, mass) — the fields the bit-identity pins
-// compare.
-type ArtifactBody struct {
-	ID   int64   `json:"id"`
-	Pos  vec.V3  `json:"pos"`
-	Vel  vec.V3  `json:"vel"`
-	Mass float64 `json:"mass"`
-}
-
 // Artifact is a completed job's result: the deterministic final state plus
 // informational modeled-performance numbers. ResultDigest covers only the
 // deterministic part ({bodies, energy history}), so a resumed or replayed
@@ -40,7 +30,7 @@ type Artifact struct {
 	Config        ledger.Config   `json:"config"`
 	ConfigDigest  string          `json:"config_digest"`
 	Steps         int             `json:"steps"`
-	Bodies        []ArtifactBody  `json:"bodies"`
+	Bodies        []job.Body      `json:"bodies"`
 	EnergyHistory []core.Energies `json:"energy_history"`
 	ResultDigest  string          `json:"result_digest"`
 	// Informational (vary under resume/replay; excluded from the digest).
@@ -51,25 +41,9 @@ type Artifact struct {
 	Attempts          int     `json:"attempts,omitempty"`
 }
 
-// resultDigest hashes the deterministic result content in canonical JSON
-// form (struct field order is fixed; see ledger.Config for the contract).
-func resultDigest(bodies []ArtifactBody, hist []core.Energies) string {
-	data, err := json.Marshal(struct {
-		Bodies        []ArtifactBody  `json:"bodies"`
-		EnergyHistory []core.Energies `json:"energy_history"`
-	}{bodies, hist})
-	if err != nil {
-		panic("serve: result marshal: " + err.Error())
-	}
-	return ledger.BlobDigest(data)
-}
-
 // buildArtifact converts a completed run into its artifact.
-func buildArtifact(spec JobSpec, res core.Result, resumedStep, attempts int) *Artifact {
-	bodies := make([]ArtifactBody, len(res.Bodies))
-	for i, b := range res.Bodies {
-		bodies[i] = ArtifactBody{ID: b.ID, Pos: b.Pos, Vel: b.Vel, Mass: b.Mass}
-	}
+func buildArtifact(spec job.Spec, res core.Result, resumedStep, attempts int) *Artifact {
+	bodies := job.Bodies(res.Bodies)
 	cfg := spec.LedgerConfig()
 	return &Artifact{
 		SchemaVersion:     ArtifactSchemaVersion,
@@ -78,7 +52,7 @@ func buildArtifact(spec JobSpec, res core.Result, resumedStep, attempts int) *Ar
 		Steps:             res.Steps,
 		Bodies:            bodies,
 		EnergyHistory:     res.EnergyHistory,
-		ResultDigest:      resultDigest(bodies, res.EnergyHistory),
+		ResultDigest:      job.ResultDigest(bodies, res.EnergyHistory),
 		ElapsedVirtualSec: res.ElapsedVirtual,
 		Gflops:            res.Gflops,
 		Interactions:      res.Interactions,

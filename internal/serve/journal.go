@@ -10,6 +10,7 @@ import (
 	"sync"
 	"time"
 
+	"spacesim/internal/job"
 	"spacesim/internal/obs/ledger"
 )
 
@@ -33,13 +34,13 @@ const (
 
 // event is one journal line.
 type event struct {
-	Ev         string   `json:"ev"`
-	ID         string   `json:"id"`
-	TimeUnixNS int64    `json:"t"`
-	Spec       *JobSpec `json:"spec,omitempty"`
-	Attempts   int      `json:"attempts,omitempty"`
-	Retries    int      `json:"retries,omitempty"`
-	RetryAtNS  int64    `json:"retry_at_unix_ns,omitempty"`
+	Ev         string    `json:"ev"`
+	ID         string    `json:"id"`
+	TimeUnixNS int64     `json:"t"`
+	Spec       *job.Spec `json:"spec,omitempty"`
+	Attempts   int       `json:"attempts,omitempty"`
+	Retries    int       `json:"retries,omitempty"`
+	RetryAtNS  int64     `json:"retry_at_unix_ns,omitempty"`
 	// done details
 	ResultDigest string `json:"result_digest,omitempty"`
 	ResumedStep  int    `json:"resumed_step,omitempty"`

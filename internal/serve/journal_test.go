@@ -9,7 +9,7 @@ import (
 	"testing"
 
 	"spacesim/internal/core"
-	"spacesim/internal/obs"
+	"spacesim/internal/job"
 )
 
 // seedKilledDaemonState fabricates the on-disk state a kill -9 leaves
@@ -17,13 +17,12 @@ import (
 // clean shutdown) and the checkpoints the job wrote before the process
 // died. The checkpoints come from running the identical simulation with a
 // counting interrupt, exactly what the daemon's cooperative stop does.
-func seedKilledDaemonState(t *testing.T, dir string, spec JobSpec, stopAfterSteps int) string {
+func seedKilledDaemonState(t *testing.T, dir string, spec job.Spec, stopAfterSteps int) string {
 	t.Helper()
-	spec = spec.withDefaults()
+	spec = spec.WithDefaults()
 	id := fmt.Sprintf("j%06d-%s", 1, spec.Digest()[:8])
 
-	o := obs.New(false)
-	cfg := spec.runConfig(o)
+	cfg := spec.RunConfig()
 	ckDir := filepath.Join(dir, "jobs", id)
 	if err := os.MkdirAll(ckDir, 0o755); err != nil {
 		t.Fatal(err)
@@ -127,7 +126,7 @@ func TestReplayJournalFromBeforeEngineRemoval(t *testing.T) {
 		t.Fatalf("replayed_jobs = %d, want 1", n)
 	}
 	got := waitJob(t, s, id, StateDone)
-	if want := smallSpec().withDefaults().Digest(); got.ConfigDigest != want {
+	if want := smallSpec().WithDefaults().Digest(); got.ConfigDigest != want {
 		t.Fatalf("replayed job keyed %s, the same spec submitted now %s", got.ConfigDigest, want)
 	}
 	again, err := s.Submit(smallSpec())
@@ -143,7 +142,7 @@ func TestReplayJournalFromBeforeEngineRemoval(t *testing.T) {
 // tornJournal is a journal whose daemon died halfway through appending the
 // start event after one submit.
 func tornJournal(t testing.TB) []byte {
-	spec := smallSpec().withDefaults()
+	spec := smallSpec().WithDefaults()
 	b, err := json.Marshal(event{Ev: evSubmit, ID: "j000001-deadbeef", TimeUnixNS: 1, Spec: &spec})
 	if err != nil {
 		t.Fatal(err)
@@ -179,7 +178,7 @@ func TestJournalEventRoundtrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec := smallSpec().withDefaults()
+	spec := smallSpec().WithDefaults()
 	evs := []event{
 		{Ev: evSubmit, ID: "j000001-ab", Spec: &spec},
 		{Ev: evStart, ID: "j000001-ab", Attempts: 1},

@@ -12,14 +12,15 @@ import (
 	"testing"
 	"time"
 
+	"spacesim/internal/job"
 	"spacesim/internal/obs"
 	"spacesim/internal/obs/ledger"
 )
 
 // smallSpec is the cheapest job that still exercises checkpoints: two
 // ranks, two steps, a checkpoint after every step.
-func smallSpec() JobSpec {
-	return JobSpec{Scenario: "plummer", N: 300, Ranks: 2, Steps: 2,
+func smallSpec() job.Spec {
+	return job.Spec{Scenario: "plummer", N: 300, Ranks: 2, Steps: 2,
 		CheckpointEvery: 1, Seed: 7}
 }
 
@@ -93,7 +94,7 @@ func TestSubmitComputesArtifact(t *testing.T) {
 	if len(a.Bodies) != 300 || len(a.EnergyHistory) != 3 {
 		t.Fatalf("artifact shape: %d bodies, %d energy records", len(a.Bodies), len(a.EnergyHistory))
 	}
-	if resultDigest(a.Bodies, a.EnergyHistory) != a.ResultDigest {
+	if job.ResultDigest(a.Bodies, a.EnergyHistory) != a.ResultDigest {
 		t.Fatal("artifact result digest does not re-verify")
 	}
 	// The spent checkpoints are cleaned up once the job completes.
@@ -448,7 +449,7 @@ func TestHTTPJobLifecycle(t *testing.T) {
 		t.Fatal("daemon /metrics missing serve.jobs_completed")
 	}
 	// The computed job's ledger record heads the mounted /runs page.
-	if runs := string(get("/runs")); !strings.Contains(runs, "spacesimd job  host ") ||
+	if runs := string(get("/runs")); !strings.Contains(runs, "spacesim run  host ") ||
 		!strings.Contains(runs, " 1 runs (latest ") {
 		t.Fatalf("daemon /runs lacks the job's group header:\n%s", runs)
 	}
@@ -457,7 +458,7 @@ func TestHTTPJobLifecycle(t *testing.T) {
 func TestSpecValidation(t *testing.T) {
 	s := newTestServer(t, t.TempDir(), nil)
 	defer s.Drain()
-	bad := []JobSpec{
+	bad := []job.Spec{
 		{Scenario: "warpdrive"},
 		{Ranks: 500},
 		{N: 4},
@@ -500,7 +501,7 @@ func TestSubmittedEngineFieldIgnored(t *testing.T) {
 		if resp.StatusCode != http.StatusAccepted || err != nil {
 			t.Fatalf("engine=%q: status %d (decode: %v), want 202", engine, resp.StatusCode, err)
 		}
-		if want := smallSpec().withDefaults().Digest(); v.ConfigDigest != want {
+		if want := smallSpec().WithDefaults().Digest(); v.ConfigDigest != want {
 			t.Fatalf("engine=%q: config digest %s, without the key %s", engine, v.ConfigDigest, want)
 		}
 		waitJob(t, s, v.ID, StateDone)

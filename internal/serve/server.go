@@ -40,6 +40,7 @@ import (
 
 	"spacesim/internal/core"
 	"spacesim/internal/faults"
+	"spacesim/internal/job"
 	"spacesim/internal/obs"
 	"spacesim/internal/obs/ledger"
 	"spacesim/internal/obs/live"
@@ -282,9 +283,9 @@ func (s *Server) pendingLocked() int {
 // Submit admits one job: journal first, then the in-memory table and the
 // queue, so a crash between the two replays the submission instead of
 // losing it.
-func (s *Server) Submit(spec JobSpec) (jobView, error) {
-	spec = spec.withDefaults()
-	if err := spec.Validate(); err != nil {
+func (s *Server) Submit(spec job.Spec) (jobView, error) {
+	spec = spec.WithDefaults()
+	if err := admit(spec); err != nil {
 		return jobView{}, err
 	}
 	digest := spec.Digest()
@@ -315,6 +316,19 @@ func (s *Server) Submit(spec JobSpec) (jobView, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return j.view(false), nil
+}
+
+// admit bounds a defaulted spec to what a multi-tenant daemon runs (the
+// tenancy policy: n in [16, 10^6], steps in [1, 10^4]), then holds it to the
+// spec's own rule.
+func admit(spec job.Spec) error {
+	if spec.N < 16 || spec.N > 1_000_000 {
+		return fmt.Errorf("serve: n %d out of range [16, 1000000]", spec.N)
+	}
+	if spec.Steps < 1 || spec.Steps > 10_000 {
+		return fmt.Errorf("serve: steps %d out of range [1, 10000]", spec.Steps)
+	}
+	return spec.Validate()
 }
 
 // retryAfterSec estimates how long a rejected client should wait: the
@@ -451,7 +465,13 @@ func (s *Server) runJob(id string) {
 		s.attemptFailed(j, fmt.Sprintf("artifact write: %v", err))
 		return
 	}
-	s.appendLedger(art)
+	// The ledger record (best-effort, like every ledger write) carries the
+	// artifact as its blob.
+	if data, err := json.MarshalIndent(art, "", "  "); err == nil {
+		s.cfg.Ledger.AppendRun(art.Config, map[string]float64{
+			"makespan_sec": art.ElapsedVirtualSec, "gflops": art.Gflops,
+		}, map[string][]byte{"JOB.json": data})
+	}
 	// The artifact is durable, so the checkpoints are spent. They go before
 	// the job reads as done: a client that sees "done" sees no job directory.
 	os.RemoveAll(s.jobDir(id))
@@ -475,54 +495,29 @@ func (s *Server) runJob(id string) {
 // jobDir is the per-job checkpoint directory.
 func (s *Server) jobDir(id string) string { return filepath.Join(s.cfg.Dir, "jobs", id) }
 
-// execute runs one attempt of a job under the watchdog: resume from disk if
-// checkpoints exist, checkpoint on cadence, poll the job's interrupt word
-// at every step boundary.
-func (s *Server) execute(j *Job, spec JobSpec) (core.Result, faults.Recovery, error) {
-	ics, err := core.MakeICs(spec.Scenario, spec.Seed, spec.N)
-	if err != nil {
-		return core.Result{}, faults.Recovery{}, err
-	}
-	newObs := func(int) *obs.Obs {
-		o := obs.New(false)
-		ledger.Prov().Stamp(o.Reg)
-		j.seg.Store(o)
-		return o
-	}
-	cfg := spec.runConfig(obs.New(false))
-	ckDir := s.jobDir(j.ID)
-	if err := os.MkdirAll(ckDir, 0o755); err != nil {
-		return core.Result{}, faults.Recovery{}, err
-	}
-	cfg.Checkpoint = &core.CheckpointConfig{Dir: ckDir, Every: spec.CheckpointEvery}
-	cfg.Interrupt = func() bool { return j.intr.Load() != nil }
-
-	var inj *faults.Injector
-	if spec.FaultSeed != 0 {
-		// A fault-free probe measures the virtual horizon the schedule is
-		// drawn over, as in the spacesim CLI.
-		base, sched := core.ProbeFaults(cfg, ics, faults.Options{Seed: spec.FaultSeed, Accel: spec.FaultAccel})
-		if base.Err != nil {
-			return core.Result{}, faults.Recovery{}, fmt.Errorf("fault probe: %w", base.Err)
-		}
-		if base.Interrupted {
-			return base, faults.Recovery{}, nil
-		}
-		inj = faults.NewInjector(sched)
-	}
-
+// execute runs one attempt of a job: it resumes from the job directory's
+// checkpoints, checkpoints there on cadence, polls the job's interrupt word
+// at every step boundary, and runs under the watchdog once any fault probe
+// is done.
+func (s *Server) execute(j *Job, spec job.Spec) (core.Result, faults.Recovery, error) {
 	wdStop := make(chan struct{})
 	var wdWg sync.WaitGroup
-	wdWg.Add(1)
-	go s.watchdog(j, wdStop, &wdWg)
 	defer func() { close(wdStop); wdWg.Wait() }()
-
-	return core.RunRecovered(core.RecoveryConfig{
-		RunConfig:      cfg,
-		Injector:       inj,
-		NewObs:         newObs,
-		ResumeFromDisk: true,
-	}, ics)
+	return job.Execute(spec, job.Hooks{
+		NewObs: func() *obs.Obs {
+			o := obs.New(false)
+			ledger.Prov().Stamp(o.Reg)
+			j.seg.Store(o)
+			return o
+		},
+		Interrupt:    func() bool { return j.intr.Load() != nil },
+		Dir:          s.jobDir(j.ID),
+		GatherBodies: true,
+		Started: func(faults.Schedule) {
+			wdWg.Add(1)
+			go s.watchdog(j, wdStop, &wdWg)
+		},
+	})
 }
 
 // watchdog enforces the attempt deadline. The estimate freezes at the first
@@ -625,28 +620,6 @@ func backoffDelay(base, max time.Duration, id string, retry int) time.Duration {
 	return d
 }
 
-// appendLedger records a computed job in the run ledger (best-effort, like
-// every ledger write in this repo).
-func (s *Server) appendLedger(a *Artifact) {
-	if s.cfg.Ledger == nil {
-		return
-	}
-	data, err := json.MarshalIndent(a, "", "  ")
-	if err != nil {
-		return
-	}
-	rec := &ledger.Record{
-		Config: a.Config, Build: ledger.Prov(),
-		Metrics: map[string]float64{
-			"makespan_sec": a.ElapsedVirtualSec,
-			"gflops":       a.Gflops,
-		},
-	}
-	if _, err := s.cfg.Ledger.Append(rec, map[string][]byte{"JOB.json": data}); err != nil {
-		fmt.Fprintln(os.Stderr, "spacesimd: ledger:", err)
-	}
-}
-
 // Handler returns the daemon's HTTP surface:
 //
 //	POST   /jobs            submit a JobSpec; 202 + job, 429 when full,
@@ -663,11 +636,7 @@ func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/jobs", s.handleJobs)
 	mux.HandleFunc("/jobs/", s.handleJob)
-	var mounts []live.Mount
-	if s.cfg.Ledger != nil {
-		mounts = append(mounts, live.Mount{Prefix: "/runs", Handler: s.cfg.Ledger.Handler()})
-	}
-	mux.Handle("/", live.Handler(s.Obs, mounts...))
+	mux.Handle("/", live.Handler(s.Obs, s.cfg.Ledger.Handler()))
 	return mux
 }
 
@@ -678,7 +647,7 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 			http.Error(w, "draining", http.StatusServiceUnavailable)
 			return
 		}
-		var spec JobSpec
+		var spec job.Spec
 		if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
