@@ -41,8 +41,6 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
-	"runtime"
-	"runtime/pprof"
 	"sync/atomic"
 	"syscall"
 
@@ -112,29 +110,7 @@ func run(args []string) int {
 		return 2
 	}
 
-	if o.cpuProf != "" {
-		f, err := os.Create(o.cpuProf)
-		if err != nil {
-			log.Fatalf("cpuprofile: %v", err)
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			log.Fatalf("cpuprofile: %v", err)
-		}
-		defer pprof.StopCPUProfile()
-	}
-	if o.memProf != "" {
-		defer func() {
-			f, err := os.Create(o.memProf)
-			if err != nil {
-				log.Fatalf("memprofile: %v", err)
-			}
-			defer f.Close()
-			runtime.GC()
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				log.Fatalf("memprofile: %v", err)
-			}
-		}()
-	}
+	defer obs.StartProfiles(o.cpuProf, o.memProf, func(err error) { log.Fatal(err) })()
 
 	// Graceful interrupt: the first SIGINT/SIGTERM raises a flag that rank
 	// 0 polls at step boundaries — the run checkpoints (when enabled),

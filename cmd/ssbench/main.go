@@ -9,8 +9,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
-	"runtime/pprof"
 
 	"spacesim/internal/obs"
 	"spacesim/internal/obs/ledger"
@@ -19,15 +17,15 @@ import (
 
 var (
 	quick      = flag.Bool("quick", false, "shrink the simulated workloads for a fast pass")
-	traceOut   = flag.String("trace", "", "write a Chrome trace_event JSON file of the run (enables the tracer)")
+	traceOut   = flag.String("trace", "", "write a Chrome trace_event JSON file of the run (retains its event log)")
 	metricsOut = flag.String("metrics", "", "write a metrics snapshot JSON file of the run")
 	cpuProfile = flag.String("cpuprofile", "", "write a host-side CPU profile to this file")
 	memProfile = flag.String("memprofile", "", "write a host-side heap profile to this file on exit")
 	httpAddr   = flag.String("http", "", "serve live telemetry (/metrics, /progress.json, /debug/pprof/) on this address during the run")
 )
 
-// runObs observes every cluster run of the invocation (see ssCluster); the
-// tracer is attached only when -trace is set.
+// runObs observes every cluster run of the invocation (see ssCluster); it
+// retains the runs' event log only when -trace is set.
 var runObs *obs.Obs
 
 // liveServer serves runObs while -http live telemetry is on; nil otherwise.
@@ -85,9 +83,8 @@ func main() {
 	ledger.Prov().Stamp(runObs.Reg)
 	startLive()
 	defer writeObs()
-	defer stopProfiles()
 	defer liveServer.Close()
-	startProfiles()
+	defer obs.StartProfiles(*cpuProfile, *memProfile, func(err error) { die(1, err) })()
 	if cmd == "analyze" {
 		analyzeBench()
 		return
@@ -120,37 +117,6 @@ func startLive() {
 	}
 	liveServer = srv
 	fmt.Printf("live telemetry on http://%s/ (metrics, progress.json, runs, debug/pprof)\n", srv.Addr())
-}
-
-// startProfiles begins host-side pprof capture when requested.
-func startProfiles() {
-	if *cpuProfile != "" {
-		f, err := os.Create(*cpuProfile)
-		if err != nil {
-			die(1, "cpuprofile:", err)
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			die(1, "cpuprofile:", err)
-		}
-	}
-}
-
-// stopProfiles flushes the pprof outputs.
-func stopProfiles() {
-	if *cpuProfile != "" {
-		pprof.StopCPUProfile()
-	}
-	if *memProfile != "" {
-		f, err := os.Create(*memProfile)
-		if err != nil {
-			die(1, "memprofile:", err)
-		}
-		defer f.Close()
-		runtime.GC()
-		if err := pprof.WriteHeapProfile(f); err != nil {
-			die(1, "memprofile:", err)
-		}
-	}
 }
 
 // writeObs flushes the run's trace and metrics files, if requested.

@@ -136,16 +136,7 @@ func Build(pos []vec.V3, mass []float64, opt Options) (*Tree, error) {
 		MaxLeaf:    opt.MaxLeaf,
 		forceSplit: opt.ForceSplit,
 	}
-	var tracer *obs.Tracer
-	if opt.Obs != nil {
-		tracer = opt.Obs.Tracer
-	}
-	hostNow := func() float64 {
-		if tracer != nil {
-			return tracer.HostNow()
-		}
-		return 0
-	}
+	hostNow := opt.Obs.HostNow
 
 	// Phase 1: parallel Morton keying.
 	t0, h0 := time.Now(), hostNow()
@@ -267,13 +258,10 @@ func Build(pos []vec.V3, mass []float64, opt Options) (*Tree, error) {
 		reg.Histogram("htree.build.build_sec").Observe(t.Phases.BuildSec)
 		reg.Histogram("htree.build.merge_sec").Observe(t.Phases.MergeSec)
 		t.SetObs(o)
-		if tracer != nil {
-			tr := tracer.Track(obs.PidHost, 4, "htree build")
-			tr.Span("htree", "key", h0, h1)
-			tr.Span("htree", "sort", h1, h2)
-			tr.Span("htree", "build", h2, h3)
-			tr.Span("htree", "merge", h3, h4)
-		}
+		o.HostSpan(obs.HostBuild, "htree", "key", h0, h1)
+		o.HostSpan(obs.HostBuild, "htree", "sort", h1, h2)
+		o.HostSpan(obs.HostBuild, "htree", "build", h2, h3)
+		o.HostSpan(obs.HostBuild, "htree", "merge", h3, h4)
 	}
 	return t, nil
 }

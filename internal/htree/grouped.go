@@ -24,15 +24,10 @@ import (
 )
 
 // SetObs attaches an observation handle to the tree: grouped walks then
-// accumulate bucket/interaction counters and, when the tracer is enabled,
-// record each walk as a host-time span (the shared-memory tree runs on the
-// host, outside the virtual machine model).
-func (t *Tree) SetObs(o *obs.Obs) {
-	t.o = o
-	if o.Tracer != nil {
-		t.tr = o.Tracer.Track(obs.PidHost, 3, "htree walks")
-	}
-}
+// accumulate bucket/interaction counters and, when retention is on, record
+// each walk as a host-time span (the shared-memory tree runs on the host,
+// outside the virtual machine model).
+func (t *Tree) SetObs(o *obs.Obs) { t.o = o }
 
 // Leaves returns the leaf buckets in body order, so leaf i covers
 // Bodies[leafI.Lo:leafI.Hi] with ascending, adjacent ranges. The slab is
@@ -434,10 +429,7 @@ func (t *Tree) EvalBucket(bucket *Cell, eps float64, sc *BucketScratch, acc []ve
 // reciprocal square root and one arithmetic; they are retained for bench/
 // (see gravity.Precision).
 func (t *Tree) AccelAllGrouped(theta, eps float64, _ bool, _ gravity.Precision, workers int) ([]vec.V3, []float64, WalkStats) {
-	var h0 float64
-	if t.tr != nil {
-		h0 = t.o.Tracer.HostNow()
-	}
+	h0 := t.o.HostNow()
 	n := len(t.Bodies)
 	acc := make([]vec.V3, n)
 	pot := make([]float64, n)
@@ -469,9 +461,7 @@ func (t *Tree) AccelAllGrouped(theta, eps float64, _ bool, _ gravity.Precision, 
 		reg.Counter("htree.walk.cells_opened").Add(int64(total.CellsOpened))
 		reg.Counter("htree.walk.cell_interactions").Add(int64(total.CellInteractions))
 		reg.Counter("htree.walk.body_interactions").Add(int64(total.BodyInteractions))
-		if t.tr != nil {
-			t.tr.Span("htree", "grouped-walk", h0, t.o.Tracer.HostNow())
-		}
+		t.o.HostSpan(obs.HostWalks, "htree", "grouped-walk", h0, t.o.HostNow())
 	}
 	return acc, pot, total
 }

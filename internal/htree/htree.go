@@ -80,9 +80,8 @@ type Tree struct {
 	// groups are the sink groups in body order, recorded at build (Groups).
 	groups []*Cell
 
-	// observation handles (no-ops until SetObs).
-	o  *obs.Obs
-	tr *obs.Track
+	// observation handle (no-op until SetObs).
+	o *obs.Obs
 }
 
 // Options configures tree construction.

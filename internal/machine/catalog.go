@@ -15,8 +15,8 @@ type Cluster struct {
 	Net     *netsim.Network
 	CostUSD float64
 	// Obs, when set, observes every run on this cluster: the message-passing
-	// layer records metrics into its registry and — if its tracer is enabled
-	// — emits per-rank virtual-time spans. A nil Obs still collects metrics
+	// layer records metrics into its registry and — if its event log is on —
+	// per-rank virtual-time spans and messages. A nil Obs still collects metrics
 	// (mp.Run creates a private one); attaching it here is how callers get
 	// the data out and how tracing is switched on.
 	Obs *obs.Obs

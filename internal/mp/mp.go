@@ -153,7 +153,6 @@ type World struct {
 	trunkBytes    *obs.Counter
 	congestedMsgs *obs.Counter
 	cCrashes      *obs.Counter
-	netTracks     []*obs.Track // per switch module; nil without a tracer
 	hMsgLatency   *obs.Histogram
 	hMsgBytes     *obs.Histogram
 	hCollBytes    *obs.Histogram
@@ -288,8 +287,8 @@ func (w *World) rankMain(r *Rank, fn func(r *Rank), clocks []float64, exit func(
 }
 
 // initObs resolves the run's observation handle (the cluster's, or a fresh
-// private one) and pre-creates the per-module network counters and trace
-// rows so the send path never takes the registry lock.
+// private one) and pre-creates the per-module network counters so the send
+// path never takes the registry lock.
 func (w *World) initObs() {
 	w.obs = w.cluster.Obs
 	if w.obs == nil {
@@ -310,12 +309,7 @@ func (w *World) initObs() {
 	w.hMsgBytes = w.obs.Reg.Histogram("mp.msg.bytes")
 	w.hCollBytes = w.obs.Reg.Histogram("mp.collective.msg_bytes")
 	w.hCollSec = w.obs.Reg.Histogram("mp.collective.sec")
-	if tr := w.obs.Tracer; tr != nil {
-		w.netTracks = make([]*obs.Track, modules)
-		for m := 0; m < modules; m++ {
-			w.netTracks[m] = tr.Track(obs.PidNet, m, fmt.Sprintf("module %d", m))
-		}
-	}
+	w.obs.NetModules(modules)
 }
 
 // congestedRate returns the mean fair per-flow bandwidth (bits/s) across
@@ -375,8 +369,6 @@ type Rank struct {
 	obs *obs.RankObs
 	// collDepth > 0 while inside a collective, for traffic attribution.
 	collDepth int
-	// msgSeq numbers this rank's sends for async trace slice ids.
-	msgSeq int64
 	// labelCtx is the current pprof label set on the rank's goroutine
 	// (the rank base label plus the innermost Span's phase overlay); owned
 	// by the rank's goroutine, see labels.go.
@@ -384,7 +376,8 @@ type Rank struct {
 }
 
 // Obs returns the rank's observation handle: per-rank metric accumulators
-// plus its virtual-time trace row (Track is nil when tracing is off).
+// plus its event buffer, the one record of its virtual timeline (E is nil
+// when retention is off).
 func (r *Rank) Obs() *obs.RankObs { return r.obs }
 
 // Metrics returns the run-wide metrics registry, for engine-level counters.
@@ -393,7 +386,7 @@ func (r *Rank) Metrics() *obs.Registry { return r.w.obs.Reg }
 // WorldObs returns the run's observation handle (shared across ranks).
 func (r *Rank) WorldObs() *obs.Obs { return r.w.obs }
 
-// Span records a virtual-time phase span on this rank's trace row, closed
+// Span records a virtual-time phase span in this rank's event buffer, closed
 // when the returned function is invoked:
 //
 //	defer r.Span("comm", "panel-bcast")()
@@ -518,11 +511,13 @@ func (r *Rank) sendAt(dst, tag int, data any, bytes int64, congested bool, nicFr
 }
 
 // observeSend folds one message into the rank's totals, the per-rank
-// breakdown, the per-module byte counters, the latency/size histograms, the
-// structured event log, and — when tracing — the network rows (an async
-// slice on the source module spanning the transfer).
+// breakdown, the per-module byte counters, the latency/size histograms and
+// the event log (which the trace draws as a slice on the source module's
+// network row).
 func (r *Rank) observeSend(dst int, bytes int64, t0, arrive float64) {
 	w := r.w
+	topo := w.cluster.Net.Topo
+	ms := topo.Module(r.id)
 	coll := r.collDepth > 0
 	r.sent.msgs++
 	r.sent.bytes += bytes
@@ -534,7 +529,8 @@ func (r *Rank) observeSend(dst int, bytes int64, t0, arrive float64) {
 	r.obs.M.Bytes += bytes
 	r.obs.M.SendSec += w.cluster.Net.Prof.PerMsgOverheadSec
 	r.obs.Span("comm", "send", t0, r.clock)
-	r.obs.MsgSent(dst, bytes, t0, r.clock, arrive, coll)
+	r.obs.MsgSent(obs.SendEvent{Dst: dst, Module: ms, Bytes: bytes,
+		T0: t0, Depart: r.clock, Arrive: arrive, Collective: coll})
 	w.hMsgLatency.Observe(arrive - t0)
 	w.hMsgBytes.Observe(float64(bytes))
 	if coll {
@@ -543,17 +539,11 @@ func (r *Rank) observeSend(dst int, bytes int64, t0, arrive float64) {
 	if dst == r.id {
 		return
 	}
-	topo := w.cluster.Net.Topo
-	ms, md := topo.Module(r.id), topo.Module(dst)
+	md := topo.Module(dst)
 	w.moduleTx[ms].Add(bytes)
 	w.moduleRx[md].Add(bytes)
 	if topo.Switch(r.id) != topo.Switch(dst) {
 		w.trunkBytes.Add(bytes)
-	}
-	if w.netTracks != nil {
-		r.msgSeq++
-		id := int64(r.id)<<40 | r.msgSeq
-		w.netTracks[ms].Async("net", "msg", id, r.clock, arrive)
 	}
 }
 

@@ -75,7 +75,7 @@ func TestPointToPointNotCollective(t *testing.T) {
 
 // TestRankBreakdownAndTraceDeterminism checks that the per-rank wait/compute
 // breakdown is populated, that tracing does not perturb virtual time, and
-// that the trace file contains the run's spans.
+// that the traced run retains the ranks' messages.
 func TestRankBreakdownAndTraceDeterminism(t *testing.T) {
 	work := func(r *Rank) {
 		r.Charge(1e9, 0.5, 1e6)
@@ -114,7 +114,16 @@ func TestRankBreakdownAndTraceDeterminism(t *testing.T) {
 	if rm[1].WaitSec <= 0 {
 		t.Errorf("rank 1: WaitSec = %v, want > 0", rm[1].WaitSec)
 	}
-	if o.Tracer == nil {
-		t.Fatal("tracer missing")
+	// A traced run retains each rank's timeline: rank 0's send to rank 1,
+	// and rank 1's waited receive.
+	ev := o.Events.Ranks()
+	if len(ev) != 4 {
+		t.Fatalf("want 4 retained ranks, got %d", len(ev))
+	}
+	if s := ev[0].Sends; len(s) == 0 || s[0].Dst != 1 || s[0].Bytes != SizeFloats(1024) {
+		t.Errorf("rank 0 sends %+v, want the point-to-point message to rank 1 first", s)
+	}
+	if r := ev[1].Recvs; len(r) == 0 || r[0].Src != 0 || !r[0].Waited {
+		t.Errorf("rank 1 receives %+v, want a waited receive from rank 0 first", r)
 	}
 }

@@ -37,9 +37,10 @@ func handTrace() *obs.Obs {
 	r0.Span("phase", "step", 0, 4.5)
 	r0.Span("compute", "compute", 0, 4)
 	r0.Span("comm", "send", 4, 4.5)
-	r0.MsgSent(1, 100, 4, 4.5, 6, false)
+	r0.MsgSent(obs.SendEvent{Dst: 1, Bytes: 100, T0: 4, Depart: 4.5, Arrive: 6})
 	r0.M.Clock = 4.5
 	r0.M.ComputeSec = 4
+	r0.M.SendSec = 0.5
 
 	r1 := o.Rank(1)
 	r1.Span("phase", "step", 0, 9.5)
@@ -48,10 +49,11 @@ func handTrace() *obs.Obs {
 	r1.MsgRecvd(0, 100, 4, 6, 2, true)
 	r1.Span("compute", "compute", 6, 9)
 	r1.Span("comm", "send", 9, 9.5)
-	r1.MsgSent(2, 200, 9, 9.5, 10, false)
+	r1.MsgSent(obs.SendEvent{Dst: 2, Bytes: 200, T0: 9, Depart: 9.5, Arrive: 10})
 	r1.M.Clock = 9.5
 	r1.M.ComputeSec = 5
 	r1.M.WaitSec = 4
+	r1.M.SendSec = 0.5
 
 	r2 := o.Rank(2)
 	r2.Span("phase", "step", 0, 12)
@@ -199,11 +201,11 @@ func TestLinkUtilizationPinnedBytes(t *testing.T) {
 	// rank 2 -> 2: self-send, must not touch any link.
 	r0 := o.Rank(0)
 	r0.Span("compute", "compute", 0, 1)
-	r0.MsgSent(1, 1000, 0, 0, 0.5, false)
-	r0.MsgSent(4, 2000, 0.5, 0.5, 1.0, false)
+	r0.MsgSent(obs.SendEvent{Dst: 1, Bytes: 1000, Arrive: 0.5})
+	r0.MsgSent(obs.SendEvent{Dst: 4, Bytes: 2000, T0: 0.5, Depart: 0.5, Arrive: 1.0})
 	r0.M.Clock = 1
 	r2 := o.Rank(2)
-	r2.MsgSent(2, 999, 0, 0, 0, false)
+	r2.MsgSent(obs.SendEvent{Dst: 2, Bytes: 999})
 	r2.M.Clock = 1
 
 	rep, err := analysis.Analyze(o, cl)

@@ -14,15 +14,15 @@ import (
 
 // validReport is a minimal sound report. Two ranks, makespan 10: 6 + 2
 // compute seconds of 20, a quarter of the ranks' 16 clock seconds spent
-// waiting; the critical path tiles the makespan.
+// waiting, the rest in send overhead; the critical path tiles the makespan.
 func validReport() *Report {
 	return &Report{
 		SchemaVersion: SchemaVersion, Ranks: 2, MakespanSec: 10,
 		ParallelEfficiency: 0.4, IdleFraction: 0.25,
 		CriticalPath: CriticalPath{TotalSec: 10, ByCategory: map[string]float64{CatCompute: 8, CatSend: 2}},
 		RankMetrics: []obs.RankMetrics{
-			{Rank: 0, Clock: 10, ComputeSec: 6, WaitSec: 1},
-			{Rank: 1, Clock: 6, ComputeSec: 2, WaitSec: 3},
+			{Rank: 0, Clock: 10, ComputeSec: 6, WaitSec: 1, SendSec: 3},
+			{Rank: 1, Clock: 6, ComputeSec: 2, WaitSec: 3, SendSec: 1},
 		},
 	}
 }
@@ -61,6 +61,12 @@ func TestCheckEfficiency(t *testing.T) {
 			wantErr: "rank_metrics give 8 s compute",
 		},
 		{"idle out of range", func(r *Report) { r.IdleFraction = 1.5 }, "idle fraction 1.5 outside"},
+		{
+			// A rank whose clock moved by something no share records.
+			name:    "clock not tiled",
+			mutate:  func(r *Report) { r.RankMetrics[1].Clock = 7 },
+			wantErr: "rank 1: compute 2 + disk 0 + send 1 + wait 3 = 6 s, but its clock is 7 s",
+		},
 	}
 	for _, c := range cases {
 		rep := validReport()

@@ -48,7 +48,9 @@ func ReadFile(path string) (*Report, error) {
 // version, ranks, a positive makespan and a critical path. The critical path
 // tiles the makespan, and its nonnegative categories sum to it. Parallel
 // efficiency is a share no larger than 1 - idle fraction, and equals what
-// the rank metrics' compute seconds give. Phase, histogram and link
+// the rank metrics' compute seconds give. A rank clock moves only by
+// compute, disk, send overhead and blocked waits, so each rank's four
+// shares sum to its clock. Phase, histogram and link
 // summaries are ordered and in range. The recovery record holds its own
 // invariants (faults.Recovery.Check).
 func (r *Report) check() error {
@@ -77,6 +79,11 @@ func (r *Report) check() error {
 		var compute float64
 		for _, rm := range r.RankMetrics {
 			compute += rm.ComputeSec
+			parts := rm.ComputeSec + rm.DiskSec + rm.SendSec + rm.WaitSec
+			if math.Abs(parts-rm.Clock) > 1e-9*math.Abs(rm.Clock) {
+				return fmt.Errorf("rank %d: compute %g + disk %g + send %g + wait %g = %g s, but its clock is %g s",
+					rm.Rank, rm.ComputeSec, rm.DiskSec, rm.SendSec, rm.WaitSec, parts, rm.Clock)
+			}
 		}
 		want := compute / (float64(r.Ranks) * r.MakespanSec)
 		if math.Abs(eff-want) > 1e-9 {

@@ -1,34 +1,40 @@
 package obs
 
-import "sync"
+import (
+	"sync"
+	"time"
+)
 
-// Structured telemetry retention. The Chrome tracer serializes spans for a
-// human in a viewer; the event log keeps the same telemetry — plus the
-// send/recv causality the trace flattens away — as in-memory records that
-// the analysis layer (internal/obs/analysis) can walk: critical-path
-// extraction, per-phase imbalance, and link-utilization timelines all
-// consume these.
+// The event log is the one record of a run's virtual timeline. Each rank's
+// spans, sends and receives are appended once, in program order, to its
+// RankEvents; the analysis layer (internal/obs/analysis) walks them for
+// critical-path extraction, per-phase imbalance and link-utilization
+// timelines, and the Chrome trace (trace.go) is written from the same
+// buffers, so the two cannot disagree.
 //
 // Writes follow the rank-ownership discipline of RankMetrics: each rank's
 // slices are appended only by the owning rank goroutine during the run and
 // read after mp.Run returns, so appends take no lock. Retention is opt-in
-// (EnableEvents) because a long run can accumulate millions of records;
-// like the tracer it is purely observational and never touches a clock.
+// (New(true) or EnableEvents) because a long run can accumulate millions of
+// records; it is purely observational and never touches a clock.
 
-// SpanEvent is one closed virtual-time span on a rank.
+// SpanEvent is one closed virtual-time span on a rank. ID is nonzero for
+// an async span, one that may overlap others (an outstanding fetch).
 type SpanEvent struct {
 	Cat  string  `json:"cat"`
 	Name string  `json:"name"`
 	T0   float64 `json:"t0"`
 	T1   float64 `json:"t1"`
+	ID   int64   `json:"id,omitempty"`
 }
 
 // SendEvent is one message leaving a rank. T0 is the sender's clock when
 // the send began, Depart the clock after the per-message software overhead
 // (when the payload enters the fabric), Arrive the virtual time it reaches
-// the destination.
+// the destination. Module is the sender's switch module.
 type SendEvent struct {
 	Dst        int     `json:"dst"`
+	Module     int     `json:"module"`
 	Bytes      int64   `json:"bytes"`
 	T0         float64 `json:"t0"`
 	Depart     float64 `json:"depart"`
@@ -59,11 +65,14 @@ type RankEvents struct {
 }
 
 // EventLog owns the per-rank event buffers of one observed run (or several:
-// like trace tracks, buffers are reused by rank id across mp.Run calls on
-// the same Obs).
+// buffers are reused by rank id across mp.Run calls on the same Obs), the
+// host-time spans, and the module count of the widest fabric observed.
 type EventLog struct {
-	mu    sync.Mutex
-	ranks []*RankEvents
+	mu      sync.Mutex
+	ranks   []*RankEvents
+	host    []hostSpan
+	modules int
+	t0      time.Time // host-time epoch
 }
 
 // rank returns the buffer for a rank id, creating it on first use.
@@ -103,20 +112,17 @@ func (o *Obs) EnableEvents() *Obs {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	if o.Events == nil {
-		o.Events = &EventLog{}
+		o.Events = &EventLog{t0: time.Now()}
 	}
 	return o
 }
 
 // MsgSent records one departing message; no-op without event retention.
-func (ro *RankObs) MsgSent(dst int, bytes int64, t0, depart, arrive float64, collective bool) {
+func (ro *RankObs) MsgSent(e SendEvent) {
 	if ro == nil || ro.E == nil {
 		return
 	}
-	ro.E.Sends = append(ro.E.Sends, SendEvent{
-		Dst: dst, Bytes: bytes, T0: t0, Depart: depart, Arrive: arrive,
-		Collective: collective,
-	})
+	ro.E.Sends = append(ro.E.Sends, e)
 }
 
 // MsgRecvd records one consumed message; no-op without event retention.

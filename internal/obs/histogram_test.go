@@ -178,7 +178,7 @@ func TestEventLogRetention(t *testing.T) {
 		t.Fatal("rank with events should be observing")
 	}
 	ro.Span("compute", "compute", 0, 2)
-	ro.MsgSent(2, 64, 2, 2.5, 3, false)
+	ro.MsgSent(SendEvent{Dst: 2, Bytes: 64, T0: 2, Depart: 2.5, Arrive: 3})
 	ro.MsgRecvd(0, 32, 1, 2, 1.5, true)
 
 	ranks := o.Events.Ranks()
@@ -206,7 +206,7 @@ func TestEventLogRetention(t *testing.T) {
 	if ro2.Observing() {
 		t.Fatal("metrics-only rank should not be 'observing'")
 	}
-	ro2.MsgSent(1, 1, 0, 0, 0, false)
+	ro2.MsgSent(SendEvent{Dst: 1, Bytes: 1})
 	if o2.Events != nil {
 		t.Fatal("events enabled unexpectedly")
 	}

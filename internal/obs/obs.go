@@ -1,14 +1,14 @@
 // Package obs is the observability layer of the simulator: a lightweight
 // metrics registry (typed counters and gauges, cheap enough to stay on by
-// default and safe under the host's parallel loops) and an opt-in event tracer
-// that records per-rank spans in *virtual* time and emits Chrome
-// trace_event JSON.
+// default and safe under the host's parallel loops) and an opt-in event log
+// that records per-rank spans and messages in *virtual* time, read by the
+// analysis report and written out as Chrome trace_event JSON.
 //
 // Two invariants make instrumentation safe to leave enabled:
 //
 //  1. Observation never perturbs virtual time. Every hook reads a rank's
-//     clock; none advances it. A run with tracing on is bit-identical to a
-//     run with tracing off.
+//     clock; none advances it. A run with retention on is bit-identical to
+//     a run with it off.
 //  2. Metric aggregation is order-independent. Counters only Add and gauges
 //     only fold with Max/Add, so concurrent updates from rank goroutines
 //     and host loops commute and a snapshot does not depend on host
@@ -17,9 +17,12 @@ package obs
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 	"math"
 	"os"
+	"runtime"
+	"runtime/pprof"
 	"sync"
 	"sync/atomic"
 )
@@ -279,13 +282,12 @@ type RankMetrics struct {
 	Bytes    int64 `json:"bytes"`
 }
 
-// Obs couples one run's registry, per-rank metrics, and optional tracer.
-// One Obs may observe several mp.Run invocations (e.g. a benchmark sweep):
-// per-rank accumulators and trace tracks are reused by rank id.
+// Obs couples one run's registry, per-rank metrics, and optional event
+// log. One Obs may observe several mp.Run invocations (e.g. a benchmark
+// sweep): per-rank accumulators and event buffers are reused by rank id.
 type Obs struct {
 	Reg    *Registry
-	Tracer *Tracer   // nil when tracing is disabled
-	Events *EventLog // nil unless EnableEvents was called
+	Events *EventLog // nil unless retention is on (New(true) or EnableEvents)
 
 	mu    sync.Mutex
 	ranks []*RankObs
@@ -293,17 +295,18 @@ type Obs struct {
 	progress progressOnce
 }
 
-// New returns an Obs with metrics enabled and, if trace is set, a tracer.
+// New returns an Obs with metrics enabled and, if trace is set, event
+// retention (which the trace is written from).
 func New(trace bool) *Obs {
 	o := &Obs{Reg: NewRegistry()}
 	if trace {
-		o.Tracer = NewTracer()
+		o.EnableEvents()
 	}
 	return o
 }
 
 // Rank returns the accumulator for the given rank id, creating it (and its
-// trace track) on first use. Called from the run setup goroutine; the
+// event buffer) on first use. Called from the run setup goroutine; the
 // returned RankObs is then owned by the rank's goroutine.
 func (o *Obs) Rank(id int) *RankObs {
 	o.mu.Lock()
@@ -313,9 +316,6 @@ func (o *Obs) Rank(id int) *RankObs {
 	}
 	if o.ranks[id] == nil {
 		ro := &RankObs{M: RankMetrics{Rank: id}}
-		if o.Tracer != nil {
-			ro.Track = o.Tracer.Track(PidRanks, id, rankName(id))
-		}
 		if o.Events != nil {
 			ro.E = o.Events.rank(id)
 		}
@@ -393,57 +393,85 @@ func (o *Obs) WriteMetricsFile(path string) error {
 	return f.Close()
 }
 
-// WriteTraceFile dumps the Chrome trace to path; no-op without a tracer.
+// WriteTraceFile writes the event log to path as a Chrome trace; no-op
+// without retention.
 func (o *Obs) WriteTraceFile(path string) error {
-	if o.Tracer == nil {
+	if o.Events == nil {
 		return nil
 	}
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	if err := o.Tracer.WriteJSON(f); err != nil {
+	if err := o.Events.writeTrace(f); err != nil {
 		f.Close()
 		return err
 	}
 	return f.Close()
 }
 
+// StartProfiles starts the host's CPU profile into the file cpu, when set,
+// and returns the function that stops it and, when mem is set, writes a
+// heap profile after a GC into the file mem. A failure goes to fail as an
+// error that names the profile.
+func StartProfiles(cpu, mem string, fail func(error)) (stop func()) {
+	var cf *os.File
+	if cpu != "" {
+		var err error
+		if cf, err = os.Create(cpu); err == nil {
+			err = pprof.StartCPUProfile(cf)
+		}
+		if err != nil {
+			fail(fmt.Errorf("cpuprofile: %w", err))
+		}
+	}
+	return func() {
+		if cf != nil {
+			pprof.StopCPUProfile()
+			if err := cf.Close(); err != nil {
+				fail(fmt.Errorf("cpuprofile: %w", err))
+			}
+		}
+		if mem == "" {
+			return
+		}
+		f, err := os.Create(mem)
+		if err == nil {
+			runtime.GC()
+			err = pprof.WriteHeapProfile(f)
+			if cerr := f.Close(); err == nil {
+				err = cerr
+			}
+		}
+		if err != nil {
+			fail(fmt.Errorf("memprofile: %w", err))
+		}
+	}
+}
+
 // RankObs is one rank's observation handle: metric accumulators owned by
-// the rank goroutine, the rank's trace track (nil without a tracer), and
-// its structured event buffer (nil without EnableEvents).
+// the rank goroutine, and its event buffer (nil without retention).
 type RankObs struct {
-	M     RankMetrics
-	Track *Track
-	E     *RankEvents
+	M RankMetrics
+	E *RankEvents
 }
 
-// Observing reports whether spans are being consumed by anything (trace or
-// event log); callers may skip span bookkeeping entirely when false.
-func (ro *RankObs) Observing() bool {
-	return ro != nil && (ro.Track != nil || ro.E != nil)
-}
+// Observing reports whether spans are retained; callers may skip span
+// bookkeeping entirely when false.
+func (ro *RankObs) Observing() bool { return ro != nil && ro.E != nil }
 
-// Span records a complete virtual-time span on the rank's trace row and in
-// the structured event log; no-op when neither is enabled. Purely
-// observational: never touches the clock.
+// Span records a complete virtual-time span in the rank's event buffer;
+// no-op without retention. Purely observational: never touches the clock.
 func (ro *RankObs) Span(cat, name string, t0, t1 float64) {
-	if ro == nil {
-		return
-	}
-	if ro.E != nil {
-		ro.E.Spans = append(ro.E.Spans, SpanEvent{Cat: cat, Name: name, T0: t0, T1: t1})
-	}
-	if ro.Track != nil {
-		ro.Track.Span(cat, name, t0, t1)
-	}
+	ro.Async(cat, name, 0, t0, t1)
 }
 
-// Async records a virtual-time span that may overlap others on the rank's
-// row (rendered as a nestable async slice keyed by id).
+// Async records a virtual-time span keyed by id: a nonzero id marks one
+// that may overlap others on the rank's row (the trace draws it as a
+// nestable async slice), id 0 a complete span; no-op without retention.
 func (ro *RankObs) Async(cat, name string, id int64, t0, t1 float64) {
-	if ro == nil || ro.Track == nil {
+	if ro == nil || ro.E == nil {
 		return
 	}
-	ro.Track.Async(cat, name, id, t0, t1)
+	ro.E.Spans = append(ro.E.Spans, SpanEvent{Cat: cat, Name: name, T0: t0, T1: t1, ID: id})
 }

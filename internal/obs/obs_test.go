@@ -3,6 +3,11 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"os"
+	"path/filepath"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -49,8 +54,9 @@ func TestNilSafety(t *testing.T) {
 	var ro *RankObs
 	ro.Span("c", "n", 0, 1)
 	ro.Async("c", "n", 1, 0, 1)
-	var tr *Track
-	tr.Span("c", "n", 0, 1)
+	var o *Obs
+	o.HostSpan(HostWalks, "c", "n", o.HostNow(), 1)
+	o.NetModules(2)
 	c, g := reg.Snapshot()
 	if len(c) != 0 || len(g) != 0 {
 		t.Fatal("nil registry snapshot should be empty")
@@ -90,62 +96,111 @@ func TestMetricsSnapshotJSON(t *testing.T) {
 	}
 }
 
+// The trace is written from the event log: rank spans as complete slices,
+// a fetch as an async pair under its own id, and each send to another rank
+// as an async slice on its source module's row, id rank<<40 | n for the
+// n-th such send, from departure to arrival. Self-sends draw nothing, and
+// an idle module still gets its named row.
 func TestTraceJSONShape(t *testing.T) {
-	tr := NewTracer()
-	r0 := tr.Track(PidRanks, 0, "rank 0")
-	r0.Span("compute", "charge", 0.001, 0.002)
-	r0.Span("wait", "recv", 0.002, 0.004)
-	r0.Async("fetch", "cell", 42, 0.001, 0.003)
-	net := tr.Track(PidNet, 3, "module 3")
-	net.Async("net", "msg", 7, 0.0, 0.001)
-	// same (pid, tid) returns the same track
-	if tr.Track(PidRanks, 0, "other") != r0 {
-		t.Fatal("Track lookup did not return the existing track")
-	}
+	o := New(true)
+	o.NetModules(4)
+	r1 := o.Rank(1)
+	r1.Span("compute", "charge", 0.001, 0.002)
+	r1.Async("fetch", "fetch", 42, 0.001, 0.003)
+	r1.MsgSent(SendEvent{Dst: 1, Module: 3, Bytes: 8, T0: 0.002, Depart: 0.0025, Arrive: 0.0025})
+	r1.MsgSent(SendEvent{Dst: 0, Module: 3, Bytes: 8, T0: 0.003, Depart: 0.0035, Arrive: 0.005})
+	o.HostSpan(HostBuild, "htree", "key", 0, 0.5)
 
-	var buf bytes.Buffer
-	if err := tr.WriteJSON(&buf); err != nil {
+	path := filepath.Join(t.TempDir(), "trace.json")
+	if err := o.WriteTraceFile(path); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
 		t.Fatal(err)
 	}
 	var tf struct {
-		TraceEvents []map[string]any `json:"traceEvents"`
+		TraceEvents []event `json:"traceEvents"`
 	}
-	if err := json.Unmarshal(buf.Bytes(), &tf); err != nil {
+	if err := json.Unmarshal(data, &tf); err != nil {
 		t.Fatalf("trace JSON does not parse: %v", err)
 	}
-	var complete, async, meta int
+	var got []string
+	rows := map[[2]int]string{}
 	for _, ev := range tf.TraceEvents {
-		ph, _ := ev["ph"].(string)
-		switch ph {
-		case "X":
-			complete++
-			if ev["dur"].(float64) <= 0 {
-				t.Fatalf("complete event without duration: %v", ev)
+		if ev.Ph == "M" {
+			if ev.Name == "thread_name" {
+				rows[[2]int{ev.Pid, ev.Tid}] = ev.Args["name"].(string)
 			}
-		case "b", "e":
-			async++
-			if ev["id"] == nil {
-				t.Fatalf("async event without id: %v", ev)
-			}
-		case "M":
-			meta++
+			continue
 		}
-		if _, ok := ev["ts"]; !ok && ph != "M" {
-			t.Fatalf("event without ts: %v", ev)
+		got = append(got, fmt.Sprintf("%d/%d %s %s %s %g+%g", ev.Pid, ev.Tid, ev.Ph, ev.Name, ev.ID, ev.Ts, ev.Dur))
+	}
+	want := []string{
+		"1/1 X charge  1000+1000",
+		"1/1 b fetch 0x2a 1000+0",
+		"1/1 e fetch 0x2a 3000+0",
+		"2/3 b msg 0x10000000001 3500+0",
+		"2/3 e msg 0x10000000001 5000+0",
+		"4/4 X key  0+500000",
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("trace events:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
+	for row, name := range map[[2]int]string{
+		{PidRanks, 1}: "rank 1", {PidNet, 0}: "module 0", {PidNet, 3}: "module 3", {PidHost, 4}: "htree build",
+	} {
+		if rows[row] != name {
+			t.Errorf("row %v named %q, want %q", row, rows[row], name)
 		}
 	}
-	if complete != 2 || async != 4 || meta < 4 {
-		t.Fatalf("event mix: complete=%d async=%d meta=%d", complete, async, meta)
+
+	// Without retention there is no trace, and no file is written.
+	if err := New(false).WriteTraceFile(path + ".off"); err != nil {
+		t.Fatal(err)
 	}
-	// Microsecond conversion: 1 ms span starts at 1000 us.
-	found := false
+	if _, err := os.Stat(path + ".off"); !os.IsNotExist(err) {
+		t.Fatalf("untraced run wrote a trace: %v", err)
+	}
+}
+
+// Host spans come from several rank goroutines at once (each builds its
+// own tree); every one reaches the trace, on its named row.
+func TestHostSpansConcurrent(t *testing.T) {
+	o := New(true)
+	var wg sync.WaitGroup
+	const workers, per = 4, 50
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < per; i++ {
+				o.HostSpan(HostBuild, "htree", "key", o.HostNow(), o.HostNow())
+			}
+		}()
+	}
+	wg.Wait()
+	var buf bytes.Buffer
+	if err := o.Events.writeTrace(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var tf struct {
+		TraceEvents []event `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &tf); err != nil {
+		t.Fatal(err)
+	}
+	spans, rows := 0, 0
 	for _, ev := range tf.TraceEvents {
-		if ev["name"] == "charge" && ev["ts"].(float64) == 1000 {
-			found = true
+		switch {
+		case ev.Ph == "X" && ev.Pid == PidHost && ev.Tid == int(HostBuild):
+			spans++
+		case ev.Name == "thread_name" && ev.Args["name"] == "htree build":
+			rows++
 		}
 	}
-	if !found {
-		t.Fatal("virtual seconds were not converted to microseconds")
+	if spans != workers*per || rows != 1 {
+		t.Fatalf("%d host spans on %d htree build rows, want %d on 1", spans, rows, workers*per)
 	}
 }
 

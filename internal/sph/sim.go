@@ -108,7 +108,6 @@ type Sim struct {
 
 	// observation handles (no-ops until SetObs).
 	o      *obs.Obs
-	tr     *obs.Track
 	cSteps *obs.Counter
 	// cCand counts the neighbour search's distance tests: one per candidate
 	// a scan of a leaf's search tested and one per entry of a kept run that
@@ -127,7 +126,7 @@ type Sim struct {
 
 // SetObs attaches an observation handle: a step counter, the neighbour
 // search's walk, refit, candidate and neighbour counters, the run-progress
-// publisher, and, when the tracer is enabled, a host-time row with the
+// publisher, and, when retention is on, a host-time row with the
 // per-step phase spans (SPH runs on the host, not inside the virtual machine
 // model).
 func (s *Sim) SetObs(o *obs.Obs) {
@@ -138,19 +137,16 @@ func (s *Sim) SetObs(o *obs.Obs) {
 	s.cWalks = o.Reg.Counter("sph.search.walks")
 	s.cRefits = o.Reg.Counter("sph.search.refits")
 	s.prog = o.Progress()
-	if o.Tracer != nil {
-		s.tr = o.Tracer.Track(obs.PidHost, 2, "sph sim")
-	}
 }
 
 // span opens a host-time span on the simulation's trace row; the returned
-// closure ends it (a no-op without a tracer).
+// closure ends it (a no-op without retention).
 func (s *Sim) span(name string) func() {
-	if s.tr == nil {
+	if s.o == nil || s.o.Events == nil {
 		return func() {}
 	}
-	h0 := s.o.Tracer.HostNow()
-	return func() { s.tr.Span("sph", name, h0, s.o.Tracer.HostNow()) }
+	h0 := s.o.HostNow()
+	return func() { s.o.HostSpan(obs.HostSPH, "sph", name, h0, s.o.HostNow()) }
 }
 
 // NewSim wraps particle state with a configuration and initializes
