@@ -37,7 +37,7 @@ widths:
 		GOMAXPROCS=$$p $(GO) test -count=1 -timeout 300s \
 			-run '^(TestEventEngineReproducibleSchedule|TestSchedulePinnedAcrossTwoPassRewrite|TestEngineBitIdentical|TestGroupedWorkersBitIdentical|TestWorldGoroutinesBounded|TestTraceReproducible)$$' ./internal/core || exit 1; \
 		GOMAXPROCS=$$p $(GO) test -count=1 -timeout 300s \
-			-run '^(TestOneSlot.*|TestCollectivesBothEngines|TestEventEnginePointToPoint|TestEventEngineGather)$$' ./internal/mp || exit 1; \
+			-run '^(TestOneSlot.*|TestCollectivesBothEngines|TestEventEnginePointToPoint|TestEventEngineGather|TestWakeOrderIsPutOrder)$$' ./internal/mp || exit 1; \
 		GOMAXPROCS=$$p $(GO) test -count=1 -timeout 300s -run '^TestSortPerm.*$$' ./internal/key || exit 1; \
 		GOMAXPROCS=$$p $(GO) test -count=1 -timeout 300s \
 			-run '^(TestBuildBitIdentical.*|TestGroupedWorkerCountInvariance|TestGroupedGoldenDigest)$$' ./internal/htree || exit 1; \

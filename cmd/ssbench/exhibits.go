@@ -235,7 +235,7 @@ func exhibits(quick bool) []exhibit {
 			shape("smart", 0.5, 1, "Monte-Carlo histories, seeds 1–100: mean share of disk failures SMART flagged (\"a majority\")", func() float64 {
 				s := 0.0
 				for seed := int64(1); seed <= 100; seed++ {
-					s += reliability.Simulate(reliability.Options{Seed: seed}).SMARTPredictedFraction()
+					s += reliability.Simulate(seed).SMARTPredictedFraction()
 				}
 				return s / 100
 			}))},

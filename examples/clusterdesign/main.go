@@ -32,7 +32,7 @@ func main() {
 	for c, v := range op {
 		fmt.Printf("  %-18s %.1f\n", c, v)
 	}
-	sim := reliability.Simulate(reliability.Options{Seed: 7})
+	sim := reliability.Simulate(7)
 	fmt.Printf("SMART would have predicted %.0f%% of this draw's disk failures\n",
 		100*sim.SMARTPredictedFraction())
 

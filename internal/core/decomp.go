@@ -120,7 +120,7 @@ func decompose(r *mp.Rank, bodies, into []Body) (local []Body, splitters []key.K
 		}
 	}
 	plan := allgatherOnce(r, mine, int64(16*len(mine.samples)+16), func(chunks []splitChunk) *splitPlan {
-		r.Metrics().Counter("core.splitters.builds").Inc()
+		r.WorldObs().Reg.Counter("core.splitters.builds").Inc()
 		return newSplitPlan(chunks)
 	})
 	splitters = plan.splitters

@@ -161,7 +161,7 @@ func buildDistributed(r *mp.Rank, bodies []Body, splitters []key.K, boxLo vec.V3
 	// Resolve metric handles once; hot paths use the pointers directly.
 	dt.ro = r.Obs()
 	dt.o = r.WorldObs()
-	reg := r.Metrics()
+	reg := r.WorldObs().Reg
 	dt.cFetch = reg.Counter("core.fetch.requests")
 	dt.cDedup = reg.Counter("core.fetch.dedup_hits")
 	dt.cCacheHit = reg.Counter("core.bodycache.hits")

@@ -28,18 +28,12 @@ type ParallelResult struct {
 // their trailing columns. The solve and residual run on rank 0 after a
 // gather (the benchmark's timed region is the factorization, as in HPL).
 func RunParallel(cluster machine.Cluster, nprocs, n, nb int, seed int64) (ParallelResult, error) {
-	return RunParallelWith(cluster, nprocs, n, nb, seed, mp.RunOptions{})
-}
-
-// RunParallelWith is RunParallel with explicit message-layer options, so
-// callers can select the discrete-event engine for large worlds.
-func RunParallelWith(cluster machine.Cluster, nprocs, n, nb int, seed int64, opt mp.RunOptions) (ParallelResult, error) {
 	if n%nb != 0 {
 		return ParallelResult{}, fmt.Errorf("hpl: n=%d must be a multiple of nb=%d", n, nb)
 	}
 	res := ParallelResult{N: n, NB: nb, Procs: nprocs}
 	var resid float64
-	st := mp.RunWith(cluster, nprocs, opt, func(r *mp.Rank) {
+	st := mp.Run(cluster, nprocs, func(r *mp.Rank) {
 		p := r.Size()
 		me := r.ID()
 		owner := func(gcol int) int { return (gcol / nb) % p }

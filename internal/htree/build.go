@@ -35,15 +35,6 @@ import (
 // so accelerations, potentials, and every stored float are identical for
 // any Workers setting, including the serial reference path.
 
-// BuildPhases records the host wall-clock seconds each construction phase
-// took (for the most recent build of the tree).
-type BuildPhases struct {
-	KeySec   float64 `json:"key_sec"`
-	SortSec  float64 `json:"sort_sec"`
-	BuildSec float64 `json:"build_sec"`
-	MergeSec float64 `json:"merge_sec"`
-}
-
 // Arena holds every reusable buffer of the build pipeline: key and body
 // storage, radix-sort scratch, the cell slab and hash index, task lists,
 // and per-worker leaf scratch. Passing the same Arena to successive builds
@@ -243,20 +234,14 @@ func Build(pos []vec.V3, mass []float64, opt Options) (*Tree, error) {
 	ar.groups = t.groups
 	t4, h4 := time.Now(), hostNow()
 
-	t.Phases = BuildPhases{
-		KeySec:   t1.Sub(t0).Seconds(),
-		SortSec:  t2.Sub(t1).Seconds(),
-		BuildSec: t3.Sub(t2).Seconds(),
-		MergeSec: t4.Sub(t3).Seconds(),
-	}
 	if o := opt.Obs; o != nil {
 		reg := o.Reg
 		reg.Counter("htree.builds").Inc()
 		reg.Counter("htree.build.cells").Add(int64(len(cs.cells)))
-		reg.Histogram("htree.build.key_sec").Observe(t.Phases.KeySec)
-		reg.Histogram("htree.build.sort_sec").Observe(t.Phases.SortSec)
-		reg.Histogram("htree.build.build_sec").Observe(t.Phases.BuildSec)
-		reg.Histogram("htree.build.merge_sec").Observe(t.Phases.MergeSec)
+		reg.Histogram("htree.build.key_sec").Observe(t1.Sub(t0).Seconds())
+		reg.Histogram("htree.build.sort_sec").Observe(t2.Sub(t1).Seconds())
+		reg.Histogram("htree.build.build_sec").Observe(t3.Sub(t2).Seconds())
+		reg.Histogram("htree.build.merge_sec").Observe(t4.Sub(t3).Seconds())
 		t.SetObs(o)
 		o.HostSpan(obs.HostBuild, "htree", "key", h0, h1)
 		o.HostSpan(obs.HostBuild, "htree", "sort", h1, h2)

@@ -68,8 +68,6 @@ type Tree struct {
 	// MaxLeaf is the bucket size: cells with at most this many bodies are
 	// not subdivided.
 	MaxLeaf int
-	// Phases records the construction phase timings of this tree.
-	Phases BuildPhases
 
 	forceSplit func(k key.K) bool
 	store      cellStore

@@ -3,22 +3,22 @@ package mp
 // Discrete-event rank scheduler: the runtime every mp.Run executes on.
 // Ranks are resumable tasks executed by a pool of host-core-sized execution
 // slots: at most `workers` ranks run user code at any instant, the rest are
-// parked. Message delivery to a parked receiver goes through a per-world
-// min-heap of wake events keyed by (virtual arrival, sequence), so a wakeup
-// is an O(log E) heap operation and blocking costs one leaf-lock
-// acquisition.
+// parked. The scheduler is the World itself: one FIFO dispatch queue, from
+// which readyPop hands out every slot. A message to a parked receiver whose
+// pattern it matches readies that receiver at the back of the queue, so a
+// wakeup is an O(1) append and blocking costs one leaf-lock acquisition.
 //
 // Task states:
 //
-//	ready   — enqueued for an execution slot (initially, after a wake
-//	          event fires, or after a cooperative yield);
+//	ready   — enqueued for an execution slot (initially, after a wake,
+//	          a rendezvous release or a cooperative yield);
 //	running — executing user code on a slot (the rank's goroutine is
 //	          live; its fn cannot be suspended from outside, so each
 //	          started task still owns a goroutine — but only `workers`
 //	          of them are ever runnable, and unstarted tasks are a bare
 //	          task struct until their first dispatch);
 //	blocked — parked in takeBlocking with its (src, tag) pattern
-//	          armed, waiting for a matching message's event;
+//	          armed, waiting for a matching message;
 //	waiting — parked at a rendezvous (OneSlot), until every live rank
 //	          has arrived;
 //	done    — fn returned or unwound.
@@ -27,26 +27,24 @@ package mp
 // while holding its own inbox mutex; a sender enqueues the message and
 // checks the receiver's state under that same mutex. Either the put lands
 // before the receiver's scan (the receiver consumes it) or it lands after
-// the receiver is marked blocked (the sender pushes a wake event). The
-// scheduler lock nests strictly under any single inbox mutex.
+// the receiver is marked blocked (the sender readies it). The scheduler
+// lock nests strictly under any single inbox mutex.
 //
 // Determinism rule: a receive advances the receiver's clock to
 // max(clock, arrival) regardless of host order, so for programs built from
 // blocking operations virtual clocks are a pure function of the message
-// causality DAG, whatever the worker count. The heap fixes the order in
-// which *host* execution resumes blocked ranks (earliest virtual arrival
-// first); it never alters a timestamp. A TryRecv sees whatever has been put
-// so far, so a polling program's clocks depend on the order the host ran
-// the ranks. A polling region (OneSlot) fixes that order: every live rank
-// meets at a rendezvous, the ranks enter the region in rank order onto one
-// slot, and a second rendezvous at its end gives the pool back its width.
-// Blocking phases between regions run at any width, so the whole schedule
-// repeats at any slot count.
+// causality DAG, whatever the worker count. Wakes are readied in put order,
+// which is host order; no clock depends on it. A TryRecv sees whatever has
+// been put so far, so a polling program's clocks depend on the order the
+// host ran the ranks. A polling region (OneSlot) fixes that order: every
+// live rank meets at a rendezvous, the ranks enter the region in rank order
+// onto one slot, and a second rendezvous at its end gives the pool back its
+// width. Blocking phases between regions run at any width, so the whole
+// schedule repeats at any slot count.
 //
-// Quiescence: when no task is running or ready and the event heap is
-// empty, no rank can ever run again — every live rank is blocked in a
-// receive or waits at a rendezvous that a blocked rank holds up — detected
-// in O(1) on the last slot release. Detection is by state, never by wall
+// Quiescence: when no task is running or ready, no rank can ever run
+// again — every live rank is blocked in a receive or waits at a rendezvous
+// that a blocked rank holds up — detected in O(1) on the last slot release. Detection is by state, never by wall
 // clock: virtual time has no relation to host time, so a timer would
 // misfire on a slow host. The resolution ladder, in order of preference:
 //  1. fire the earliest scheduled crash among the parked ranks (ties to the
@@ -64,13 +62,9 @@ package mp
 import (
 	"math"
 	"runtime"
-	"sync"
-
-	"spacesim/internal/obs"
-	"spacesim/internal/par"
 )
 
-// taskState is the scheduler state of one rank task; guarded by engine.mu.
+// taskState is the scheduler state of one rank task; guarded by World.mu.
 type taskState int32
 
 const (
@@ -93,198 +87,61 @@ type task struct {
 	src, tag int
 }
 
-// event is one pending wakeup: dst's parked receive has a matching message
-// arriving at virtual time `at`. seq breaks ties in push order.
-type event struct {
-	at  float64
-	seq uint64
-	t   *task
-}
-
-// eventHeap is a binary min-heap over (at, seq).
-type eventHeap []event
-
-func (h eventHeap) less(i, j int) bool {
-	return h[i].at < h[j].at || (h[i].at == h[j].at && h[i].seq < h[j].seq)
-}
-
-func (h *eventHeap) push(e event) {
-	*h = append(*h, e)
-	q := *h
-	for i := len(q) - 1; i > 0; {
-		p := (i - 1) / 2
-		if !q.less(i, p) {
-			break
-		}
-		q[i], q[p] = q[p], q[i]
-		i = p
-	}
-}
-
-func (h *eventHeap) pop() event {
-	q := *h
-	top := q[0]
-	n := len(q) - 1
-	q[0] = q[n]
-	q[n] = event{}
-	q = q[:n]
-	*h = q
-	for i := 0; ; {
-		c := 2*i + 1
-		if c >= n {
-			break
-		}
-		if c+1 < n && q.less(c+1, c) {
-			c++
-		}
-		if !q.less(c, i) {
-			break
-		}
-		q[i], q[c] = q[c], q[i]
-		i = c
-	}
-	return top
-}
-
-// eventEngine is the per-world scheduler state.
-type eventEngine struct {
-	w *World
-	// width is the pool's size; workers is the number of slots in use: 1
-	// inside a polling region, width outside.
-	width   int
-	workers int
-
-	mu      sync.Mutex
-	tasks   []*task
-	ready   []*task // FIFO dispatch queue, q[rhead:] live
-	rhead   int
-	running int
-	waiting int // ranks parked at the rendezvous
-	done    int
-	heap    eventHeap
-	seq     uint64
-	// slots is what the pending rendezvous hands out: 1 at a region's
-	// entry, width at its end.
-	slots int
-
-	fn     func(*Rank)
-	clocks []float64
-	wg     *sync.WaitGroup
-
-	cEvents *obs.Counter // wake events pushed
-	cParks  *obs.Counter // blocking parks
-}
-
-// newEventEngine builds the scheduler for one world, par.Width(workers,
-// nprocs) slots wide: workers <= 0 picks min(GOMAXPROCS, nprocs).
-func newEventEngine(w *World, ranks []*Rank, workers int) *eventEngine {
-	workers = par.Width(workers, len(ranks))
-	e := &eventEngine{
-		w:       w,
-		width:   workers,
-		workers: workers,
-		tasks:   make([]*task, len(ranks)),
-		ready:   make([]*task, 0, len(ranks)),
-		cEvents: w.obs.Reg.Counter("mp.engine.events"),
-		cParks:  w.obs.Reg.Counter("mp.engine.parks"),
-	}
-	for i, r := range ranks {
-		t := &task{r: r, state: taskReady, resume: make(chan struct{}, 1)}
-		e.tasks[i] = t
-		e.ready = append(e.ready, t)
-	}
-	return e
-}
-
-// run executes fn on every rank and returns when all tasks are done.
-func (e *eventEngine) run(fn func(*Rank), clocks []float64) {
-	var wg sync.WaitGroup
-	wg.Add(len(e.tasks))
-	e.fn, e.clocks, e.wg = fn, clocks, &wg
-	e.mu.Lock()
-	e.pump()
-	e.mu.Unlock()
-	wg.Wait()
-}
-
 // readyLen returns the live dispatch-queue length; caller holds mu.
-func (e *eventEngine) readyLen() int { return len(e.ready) - e.rhead }
+func (w *World) readyLen() int { return len(w.ready) - w.rhead }
 
 // readyPush appends a task to the dispatch queue; caller holds mu.
-func (e *eventEngine) readyPush(t *task) {
-	if e.rhead > 0 && e.rhead == len(e.ready) {
-		e.ready = e.ready[:0]
-		e.rhead = 0
-	}
-	e.ready = append(e.ready, t)
-}
+func (w *World) readyPush(t *task) { w.ready = append(w.ready, t) }
 
 // readyPop removes the front task; caller holds mu and checked readyLen.
-func (e *eventEngine) readyPop() *task {
-	t := e.ready[e.rhead]
-	e.ready[e.rhead] = nil
-	e.rhead++
-	if e.rhead == len(e.ready) {
-		e.ready = e.ready[:0]
-		e.rhead = 0
-	} else if e.rhead >= 64 && e.rhead*2 >= len(e.ready) {
-		n := copy(e.ready, e.ready[e.rhead:])
-		clearTail := e.ready[n:]
+// It is the one dispatch point: every slot goes to the task it returns.
+func (w *World) readyPop() *task {
+	t := w.ready[w.rhead]
+	w.ready[w.rhead] = nil
+	w.rhead++
+	if w.rhead == len(w.ready) {
+		w.ready = w.ready[:0]
+		w.rhead = 0
+	} else if w.rhead >= 64 && w.rhead*2 >= len(w.ready) {
+		n := copy(w.ready, w.ready[w.rhead:])
+		clearTail := w.ready[n:]
 		for i := range clearTail {
 			clearTail[i] = nil
 		}
-		e.ready = e.ready[:n]
-		e.rhead = 0
+		w.ready = w.ready[:n]
+		w.rhead = 0
 	}
 	return t
 }
 
-// drainHeap converts every pending wake event into a ready task, in
-// virtual-arrival order. Events whose target is no longer blocked (an
-// earlier wake already readied it) are dropped. Caller holds mu.
-func (e *eventEngine) drainHeap() {
-	for len(e.heap) > 0 {
-		ev := e.heap.pop()
-		if ev.t.state == taskBlocked {
-			ev.t.state = taskReady
-			e.readyPush(ev.t)
-		}
-	}
-}
-
 // pump advances the scheduler until every execution slot is busy or no
-// dispatchable work remains: it converts heap events (in virtual-arrival
-// order) into ready tasks, fills free slots from the ready queue, and —
+// dispatchable work remains: it fills free slots from the ready queue and —
 // when the world has provably quiesced — runs the resolution ladder.
-// Caller holds mu. Called on every slot release and wake-event push, so
-// the invariant "free slot + dispatchable task never coexist" holds.
-func (e *eventEngine) pump() {
+// Caller holds mu. Called on every slot release and every wake, so the
+// invariant "free slot + dispatchable task never coexist" holds.
+func (w *World) pump() {
 	for {
-		e.drainHeap()
-		for e.running < e.workers && e.readyLen() > 0 {
-			t := e.readyPop()
+		for w.running < w.workers && w.readyLen() > 0 {
+			t := w.readyPop()
 			t.state = taskRunning
-			e.running++
-			e.dispatch(t)
+			w.running++
+			w.dispatch(t)
 		}
-		if e.running > 0 || e.readyLen() > 0 || e.done == len(e.tasks) || e.w.aborted.Load() {
+		if w.running > 0 || w.readyLen() > 0 || w.done == len(w.tasks) || w.aborted.Load() {
 			return
 		}
-		// Nothing runs, nothing is ready, the heap is drained, and tasks
-		// remain: every live rank is parked. Quiescent.
-		e.resolveQuiescence()
+		// Nothing runs, nothing is ready, and tasks remain: every live
+		// rank is parked. Quiescent.
+		w.resolveQuiescence()
 	}
 }
 
 // dispatch hands an execution slot to a task: the first dispatch spawns its
 // goroutine, later ones post the resume token. Caller holds mu.
-func (e *eventEngine) dispatch(t *task) {
+func (w *World) dispatch(t *task) {
 	if !t.started {
 		t.started = true
-		go func() {
-			defer e.wg.Done()
-			e.w.rankMain(t.r, e.fn, e.clocks, func() { e.taskExit(t) })
-		}()
+		go w.rankMain(t)
 		return
 	}
 	t.resume <- struct{}{}
@@ -292,14 +149,14 @@ func (e *eventEngine) dispatch(t *task) {
 
 // taskExit retires a finished task and releases its slot. A rank that
 // exits before a rendezvous no longer holds it up.
-func (e *eventEngine) taskExit(t *task) {
-	e.mu.Lock()
+func (w *World) taskExit(t *task) {
+	w.mu.Lock()
 	t.state = taskDone
-	e.running--
-	e.done++
-	e.releaseRendezvous()
-	e.pump()
-	e.mu.Unlock()
+	w.running--
+	w.done++
+	w.releaseRendezvous()
+	w.pump()
+	w.mu.Unlock()
 }
 
 // OneSlot runs fn as a polling region. It is entered at a host-side
@@ -311,33 +168,32 @@ func (e *eventEngine) taskExit(t *task) {
 // it, in the same order with respect to its collectives; on one rank it is
 // fn.
 func (r *Rank) OneSlot(fn func()) {
-	if r.w.n == 1 {
+	w := r.w
+	if w.n == 1 {
 		fn()
 		return
 	}
-	e := r.w.eng
-	e.rendezvous(e.tasks[r.id], 1)
+	w.rendezvous(w.tasks[r.id], 1)
 	fn()
-	e.rendezvous(e.tasks[r.id], e.width)
+	w.rendezvous(w.tasks[r.id], w.width)
 }
 
 // rendezvous parks t until every live rank has arrived, then releases them
 // all in rank order onto a pool of the given number of slots. It panics
 // rankAbort when the world aborts meanwhile.
-func (e *eventEngine) rendezvous(t *task, slots int) {
-	w := e.w
-	e.mu.Lock()
+func (w *World) rendezvous(t *task, slots int) {
+	w.mu.Lock()
 	if w.aborted.Load() {
-		e.mu.Unlock()
+		w.mu.Unlock()
 		panic(rankAbort{})
 	}
 	t.state = taskWaiting
-	e.running--
-	e.waiting++
-	e.slots = slots
-	e.releaseRendezvous()
-	e.pump()
-	e.mu.Unlock()
+	w.running--
+	w.waiting++
+	w.slots = slots
+	w.releaseRendezvous()
+	w.pump()
+	w.mu.Unlock()
 	<-t.resume
 	if w.aborted.Load() {
 		panic(rankAbort{})
@@ -347,37 +203,38 @@ func (e *eventEngine) rendezvous(t *task, slots int) {
 // releaseRendezvous readies the ranks at the rendezvous, lowest rank first,
 // once every live rank is among them, and resizes the pool to what the
 // rendezvous hands out. Caller holds mu.
-func (e *eventEngine) releaseRendezvous() {
-	if e.waiting == 0 || e.waiting < len(e.tasks)-e.done {
+func (w *World) releaseRendezvous() {
+	if w.waiting == 0 || w.waiting < len(w.tasks)-w.done {
 		return
 	}
-	e.workers = e.slots
-	for _, t := range e.tasks {
+	w.workers = w.slots
+	for _, t := range w.tasks {
 		if t.state == taskWaiting {
 			t.state = taskReady
-			e.readyPush(t)
+			w.readyPush(t)
 		}
 	}
-	e.waiting = 0
+	w.waiting = 0
 }
 
 // put delivers a message: enqueue under the receiver's inbox mutex, and
-// push a wake event (keyed by virtual arrival) when — and only when — the
-// receiver is parked on a matching receive. The inbox mutex serializes this
-// against the receiver's scan-then-park, so a wakeup can never be lost.
-func (e *eventEngine) put(dst int, m message) {
-	ib := e.w.boxes[dst]
+// ready the receiver at the back of the dispatch queue when — and only
+// when — it is parked on a matching receive. The inbox mutex serializes
+// this against the receiver's scan-then-park, so a wakeup can never be
+// lost.
+func (w *World) put(dst int, m message) {
+	ib := w.boxes[dst]
 	ib.mu.Lock()
 	ib.enqueue(m)
-	t := e.tasks[dst]
-	e.mu.Lock()
+	t := w.tasks[dst]
+	w.mu.Lock()
 	if t.state == taskBlocked && matchMsg(&m, t.src, t.tag) {
-		e.heap.push(event{at: m.arrive, seq: e.seq, t: t})
-		e.seq++
-		e.cEvents.Inc()
-		e.pump()
+		t.state = taskReady
+		w.readyPush(t)
+		w.cWakes.Inc()
+		w.pump()
 	}
-	e.mu.Unlock()
+	w.mu.Unlock()
 	ib.mu.Unlock()
 }
 
@@ -393,9 +250,8 @@ func matchMsg(m *message, src, tag int) bool {
 // world aborts.
 func (r *Rank) takeBlocking(src, tag int) message {
 	w := r.w
-	e := w.eng
 	ib := w.boxes[r.id]
-	t := e.tasks[r.id]
+	t := w.tasks[r.id]
 	for {
 		if w.aborted.Load() {
 			panic(rankAbort{})
@@ -407,23 +263,23 @@ func (r *Rank) takeBlocking(src, tag int) message {
 			ib.mu.Unlock()
 			return m
 		}
-		e.mu.Lock()
+		w.mu.Lock()
 		t.src, t.tag = src, tag
 		t.state = taskBlocked
-		e.running--
-		e.cParks.Inc()
+		w.running--
+		w.cParks.Inc()
 		parked := true
 		if w.aborted.Load() {
 			// The abort's wakeAll may have swept before this park became
 			// visible; self-revert under the lock instead of sleeping (the
 			// loop top unwinds).
 			t.state = taskRunning
-			e.running++
+			w.running++
 			parked = false
 		} else {
-			e.pump()
+			w.pump()
 		}
-		e.mu.Unlock()
+		w.mu.Unlock()
 		ib.mu.Unlock()
 		if !parked {
 			continue
@@ -440,23 +296,19 @@ func (r *Rank) takeBlocking(src, tag int) message {
 // else is dispatchable the slot is kept and the host scheduler is yielded
 // instead.
 func (r *Rank) Yield() {
-	e := r.w.eng
-	t := e.tasks[r.id]
-	e.mu.Lock()
-	// Ready any pending wakeups first, so the yielder queues BEHIND the
-	// ranks it is presumably waiting on — re-queuing ahead of them would
-	// spin the single-worker pool forever.
-	e.drainHeap()
-	if e.readyLen() == 0 {
-		e.mu.Unlock()
+	w := r.w
+	t := w.tasks[r.id]
+	w.mu.Lock()
+	if w.readyLen() == 0 {
+		w.mu.Unlock()
 		runtime.Gosched()
 		return
 	}
 	t.state = taskReady
-	e.running--
-	e.readyPush(t)
-	e.pump()
-	e.mu.Unlock()
+	w.running--
+	w.readyPush(t)
+	w.pump()
+	w.mu.Unlock()
 	<-t.resume
 }
 
@@ -467,40 +319,38 @@ func (w *World) abort(err error) bool {
 	if !w.setAborted(err) {
 		return false
 	}
-	e := w.eng
-	e.mu.Lock()
-	e.wakeAllLocked()
-	e.pump()
-	e.mu.Unlock()
+	w.mu.Lock()
+	w.wakeAllLocked()
+	w.pump()
+	w.mu.Unlock()
 	return true
 }
 
 // wakeAllLocked readies every parked task, blocked in a receive or waiting
 // at a rendezvous; the world must already be marked aborted. Caller holds
 // mu.
-func (e *eventEngine) wakeAllLocked() {
-	for _, t := range e.tasks {
+func (w *World) wakeAllLocked() {
+	for _, t := range w.tasks {
 		switch t.state {
 		case taskBlocked:
 		case taskWaiting:
-			e.waiting--
+			w.waiting--
 		default:
 			continue
 		}
 		t.state = taskReady
-		e.readyPush(t)
+		w.readyPush(t)
 	}
 }
 
 // resolveQuiescence applies the resolution ladder at a proven quiescent
 // point: either rung aborts the world and readies every parked task so it
 // can unwind. Caller holds mu.
-func (e *eventEngine) resolveQuiescence() {
-	w := e.w
+func (w *World) resolveQuiescence() {
 	// 1. Fire the earliest scheduled crash among the parked ranks.
 	var ci *task
 	var ciAt float64
-	for _, t := range e.tasks {
+	for _, t := range w.tasks {
 		if t.state != taskBlocked && t.state != taskWaiting {
 			continue
 		}
@@ -520,7 +370,7 @@ func (e *eventEngine) resolveQuiescence() {
 		// 2. True deadlock: abort with the full diagnostic. The tasks are
 		// in rank order.
 		de := &DeadlockError{}
-		for _, t := range e.tasks {
+		for _, t := range w.tasks {
 			switch t.state {
 			case taskBlocked:
 				de.Blocked = append(de.Blocked, BlockedRank{
@@ -532,7 +382,7 @@ func (e *eventEngine) resolveQuiescence() {
 		}
 		w.setAborted(de)
 	}
-	e.wakeAllLocked()
+	w.wakeAllLocked()
 }
 
 // crashTime is rank's scheduled crash time, +Inf without one.

@@ -8,6 +8,8 @@ import (
 	"math"
 	"runtime"
 	"testing"
+
+	"spacesim/internal/obs"
 )
 
 // engineConfigs are the worker-pool widths under test: the default (host
@@ -190,6 +192,46 @@ func TestEventEnginePointToPoint(t *testing.T) {
 			}
 			r.Barrier()
 		})
+	}
+}
+
+// TestWakeOrderIsPutOrder pins the order in which the scheduler readies
+// woken receivers: put order, not virtual-arrival order. On one slot, rank 0
+// wakes blocked rank 2 with a late arrival and then blocked rank 1 with an
+// early one; the host runs rank 2 first, and each clock is still its
+// message's arrival.
+func TestWakeOrderIsPutOrder(t *testing.T) {
+	var order []int // appended only by the rank holding the one slot
+	o := obs.New(true)
+	st := RunWith(testCluster(3).WithObs(o), 3, RunOptions{Workers: 1}, func(r *Rank) {
+		if r.ID() == 0 {
+			r.Yield() // ranks 1 and 2 run and park in Recv
+			r.Send(2, 0, nil, 1<<20)
+			r.Send(1, 0, nil, 8)
+			return
+		}
+		r.Recv(0, 0)
+		order = append(order, r.ID())
+	})
+	if st.Err != nil {
+		t.Fatal(st.Err)
+	}
+	if len(order) != 2 || order[0] != 2 || order[1] != 1 {
+		t.Errorf("host ran the woken ranks in order %v, want [2 1]", order)
+	}
+	sends := o.Events.Ranks()[0].Sends
+	if len(sends) != 2 || sends[0].Dst != 2 || sends[1].Dst != 1 {
+		t.Fatalf("rank 0 sends %+v, want one to rank 2, then one to rank 1", sends)
+	}
+	late, early := sends[0].Arrive, sends[1].Arrive
+	if late <= early {
+		t.Fatalf("arrival at rank 2 %v not after arrival at rank 1 %v", late, early)
+	}
+	if st.RankClocks[2] != late || st.RankClocks[1] != early {
+		t.Errorf("clocks %v, want rank 1 at %v and rank 2 at %v", st.RankClocks, early, late)
+	}
+	if got := o.Reg.Counter("mp.engine.events").Value(); got != 2 {
+		t.Errorf("mp.engine.events = %d, want 2 wakes", got)
 	}
 }
 

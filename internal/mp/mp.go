@@ -32,6 +32,7 @@ import (
 	"spacesim/internal/machine"
 	"spacesim/internal/netsim"
 	"spacesim/internal/obs"
+	"spacesim/internal/par"
 )
 
 // AnySource and AnyTag are wildcard selectors for Recv.
@@ -163,8 +164,27 @@ type World struct {
 	congestedOnce sync.Once
 	congestedBps  float64
 
-	// eng is the discrete-event scheduler that runs the ranks.
-	eng *eventEngine
+	// The discrete-event scheduler that runs the ranks (engine.go). width
+	// is the pool's size; workers is the number of slots in use: 1 inside
+	// a polling region, width outside. mu guards the fields after it.
+	width   int
+	workers int
+	mu      sync.Mutex
+	tasks   []*task // in rank order
+	ready   []*task // FIFO dispatch queue, ready[rhead:] live
+	rhead   int
+	running int
+	waiting int // ranks parked at the rendezvous
+	done    int
+	// slots is what the pending rendezvous hands out: 1 at a region's
+	// entry, width at its end.
+	slots int
+
+	fn     func(*Rank)
+	clocks []float64
+	wg     sync.WaitGroup
+	cWakes *obs.Counter // mp.engine.events: parked receivers readied
+	cParks *obs.Counter // mp.engine.parks: blocking parks
 }
 
 // Stats summarizes a completed run.
@@ -237,29 +257,38 @@ func RunWith(cluster machine.Cluster, nprocs int, opt RunOptions, fn func(r *Ran
 	if nprocs > cluster.Nodes {
 		panic(fmt.Sprintf("mp: %d ranks exceed %d nodes of %s", nprocs, cluster.Nodes, cluster.Name))
 	}
-	w := &World{n: nprocs, cluster: cluster, plan: opt.Plan}
+	w := &World{n: nprocs, cluster: cluster, plan: opt.Plan, fn: fn}
 	w.boxes = make([]*inbox, nprocs)
 	for i := range w.boxes {
 		w.boxes[i] = &inbox{}
 	}
 	w.initObs()
-	clocks := make([]float64, nprocs)
-	ranks := make([]*Rank, nprocs)
-	for i := range ranks {
-		r := &Rank{id: i, w: w}
-		r.obs = w.obs.Rank(i)
-		ranks[i] = r
+	// The pool is par.Width(Workers, nprocs) slots wide: Workers <= 0
+	// picks min(GOMAXPROCS, nprocs). Every task starts ready, in rank order.
+	w.width = par.Width(opt.Workers, nprocs)
+	w.workers = w.width
+	w.clocks = make([]float64, nprocs)
+	w.tasks = make([]*task, nprocs)
+	w.ready = make([]*task, nprocs)
+	for i := range w.tasks {
+		t := &task{r: &Rank{id: i, w: w, obs: w.obs.Rank(i)}, resume: make(chan struct{}, 1)}
+		w.tasks[i] = t
+		w.ready[i] = t
 	}
-	w.eng = newEventEngine(w, ranks, opt.Workers)
-	w.eng.run(fn, clocks)
-	st := Stats{RankClocks: clocks, Obs: w.obs, Err: w.abortErr}
-	for _, r := range ranks {
+	w.wg.Add(nprocs)
+	w.mu.Lock()
+	w.pump()
+	w.mu.Unlock()
+	w.wg.Wait()
+	st := Stats{RankClocks: w.clocks, Obs: w.obs, Err: w.abortErr}
+	for _, t := range w.tasks {
+		r := t.r
 		st.Messages += r.sent.msgs
 		st.Bytes += r.sent.bytes
 		st.CollectiveMessages += r.sent.collMsgs
 		st.CollectiveBytes += r.sent.collBytes
 	}
-	for _, c := range clocks {
+	for _, c := range w.clocks {
 		if c > st.ElapsedVirtual {
 			st.ElapsedVirtual = c
 		}
@@ -268,14 +297,15 @@ func RunWith(cluster machine.Cluster, nprocs int, opt RunOptions, fn func(r *Ran
 }
 
 // rankMain is the body of one rank's goroutine: it runs fn, recovers the
-// rankAbort unwind, records the rank's final clock, and calls exit (the
-// scheduler's task retirement).
-func (w *World) rankMain(r *Rank, fn func(r *Rank), clocks []float64, exit func()) {
+// rankAbort unwind, records the rank's final clock, and retires the task.
+func (w *World) rankMain(t *task) {
+	r := t.r
+	defer w.wg.Done()
 	defer func() {
 		e := recover()
-		clocks[r.id] = r.clock
+		w.clocks[r.id] = r.clock
 		r.obs.M.Clock = r.clock
-		exit()
+		w.taskExit(t)
 		if e != nil {
 			if _, ok := e.(rankAbort); !ok {
 				panic(e) // real bug, not a world abort
@@ -283,7 +313,7 @@ func (w *World) rankMain(r *Rank, fn func(r *Rank), clocks []float64, exit func(
 		}
 	}()
 	defer r.applyLabels()()
-	fn(r)
+	w.fn(r)
 }
 
 // initObs resolves the run's observation handle (the cluster's, or a fresh
@@ -309,6 +339,8 @@ func (w *World) initObs() {
 	w.hMsgBytes = w.obs.Reg.Histogram("mp.msg.bytes")
 	w.hCollBytes = w.obs.Reg.Histogram("mp.collective.msg_bytes")
 	w.hCollSec = w.obs.Reg.Histogram("mp.collective.sec")
+	w.cWakes = w.obs.Reg.Counter("mp.engine.events")
+	w.cParks = w.obs.Reg.Counter("mp.engine.parks")
 	w.obs.NetModules(modules)
 }
 
@@ -379,9 +411,6 @@ type Rank struct {
 // plus its event buffer, the one record of its virtual timeline (E is nil
 // when retention is off).
 func (r *Rank) Obs() *obs.RankObs { return r.obs }
-
-// Metrics returns the run-wide metrics registry, for engine-level counters.
-func (r *Rank) Metrics() *obs.Registry { return r.w.obs.Reg }
 
 // WorldObs returns the run's observation handle (shared across ranks).
 func (r *Rank) WorldObs() *obs.Obs { return r.w.obs }
@@ -505,7 +534,7 @@ func (r *Rank) sendAt(dst, tag int, data any, bytes int64, congested bool, nicFr
 		xfer = net.TransferTimeAt(r.id, dst, bytes, t0)
 	}
 	m := message{src: r.id, tag: tag, data: data, bytes: bytes, sent: t0, arrive: r.clock + xfer}
-	r.w.eng.put(dst, m)
+	r.w.put(dst, m)
 	r.observeSend(dst, bytes, t0, m.arrive)
 	return left
 }

@@ -19,7 +19,7 @@ import (
 // The miniature evolves an actualGrid^3 field and is verified against a
 // single-rank execution (the ADI update is deterministic), plus a maximum
 // principle check (diffusion never creates new extrema).
-func RunADI(bench Benchmark, cluster machine.Cluster, procs int, class Class, actualGrid int, opt mp.RunOptions) Result {
+func RunADI(bench Benchmark, cluster machine.Cluster, procs int, class Class, actualGrid int) Result {
 	if bench != BT && bench != SP {
 		panic("npb: RunADI serves BT and SP only")
 	}
@@ -30,7 +30,7 @@ func RunADI(bench Benchmark, cluster machine.Cluster, procs int, class Class, ac
 
 	verified := true
 	detail := ""
-	st := mp.RunWith(cluster, procs, opt, func(r *mp.Rank) {
+	st := mp.Run(cluster, procs, func(r *mp.Rank) {
 		iters := min(class.Iters, 3)
 		u := adiInit(actualGrid, r.Size(), r.ID())
 		u0max := maxAbs(u)

@@ -18,7 +18,7 @@ const cgOpsPerRow = 60
 // 3-D 7-point Laplacian system distributed as z-slabs (halo exchange per
 // SpMV, two allreduce dot products per iteration — the NPB CG pattern),
 // verified by residual reduction; costs are charged at the class size.
-func RunCG(cluster machine.Cluster, procs int, class Class, actualGrid int, opt mp.RunOptions) Result {
+func RunCG(cluster machine.Cluster, procs int, class Class, actualGrid int) Result {
 	res := Result{Benchmark: CG, Class: class.Name, Procs: procs}
 	res.Ops = float64(class.Iters) * float64(class.N) * cgOpsPerRow
 	den := densities[CG]
@@ -36,7 +36,7 @@ func RunCG(cluster machine.Cluster, procs int, class Class, actualGrid int, opt 
 
 	verified := true
 	detail := ""
-	st := mp.RunWith(cluster, procs, opt, func(r *mp.Rank) {
+	st := mp.Run(cluster, procs, func(r *mp.Rank) {
 		g := actualGrid
 		nz := slabSize(g, r.Size(), r.ID())
 		f := newField(g, nz)

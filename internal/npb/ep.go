@@ -12,7 +12,7 @@ import (
 // pairs by the Box-Muller/acceptance method and histogram them in annuli;
 // the only communication is the final 10-bin reduction. The miniature
 // generates 2^actualLog pairs; costs are charged at 2^class.N pairs.
-func RunEP(cluster machine.Cluster, procs int, class Class, actualLog int, opt mp.RunOptions) Result {
+func RunEP(cluster machine.Cluster, procs int, class Class, actualLog int) Result {
 	res := Result{Benchmark: EP, Class: class.Name, Procs: procs}
 	pairs := math.Pow(2, float64(class.N))
 	den := densities[EP]
@@ -20,7 +20,7 @@ func RunEP(cluster machine.Cluster, procs int, class Class, actualLog int, opt m
 
 	verified := true
 	detail := ""
-	st := mp.RunWith(cluster, procs, opt, func(r *mp.Rank) {
+	st := mp.Run(cluster, procs, func(r *mp.Rank) {
 		nLocal := int(math.Pow(2, float64(actualLog))) / r.Size()
 		rng := rand.New(rand.NewSource(int64(r.ID())*7919 + 1))
 		var bins [10]float64

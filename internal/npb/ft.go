@@ -19,7 +19,7 @@ func fft(a []complex128, inverse bool) { fftpkg.Transform(a, inverse) }
 // decomposition (local 2-D FFTs + a global transpose implemented as
 // all-to-all). The miniature uses an actualGrid^3 field; costs are charged
 // at class.N^3.
-func RunFT(cluster machine.Cluster, procs int, class Class, actualGrid int, opt mp.RunOptions) Result {
+func RunFT(cluster machine.Cluster, procs int, class Class, actualGrid int) Result {
 	res := Result{Benchmark: FT, Class: class.Name, Procs: procs}
 	ntot := math.Pow(float64(class.N), 3)
 	// NPB counts the FFT butterfly work: ~5 N log2 N per full 3-D
@@ -30,7 +30,7 @@ func RunFT(cluster machine.Cluster, procs int, class Class, actualGrid int, opt 
 
 	verified := true
 	detail := ""
-	st := mp.RunWith(cluster, procs, opt, func(r *mp.Rank) {
+	st := mp.Run(cluster, procs, func(r *mp.Rank) {
 		p := r.Size()
 		g := actualGrid
 		if g%p != 0 {

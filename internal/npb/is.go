@@ -14,7 +14,7 @@ import (
 // the keys themselves), repeated class.Iters times. The miniature sorts
 // 2^actualLog keys; costs are charged at 2^class.N keys. Verification:
 // global sortedness across rank boundaries and key conservation.
-func RunIS(cluster machine.Cluster, procs int, class Class, actualLog int, opt mp.RunOptions) Result {
+func RunIS(cluster machine.Cluster, procs int, class Class, actualLog int) Result {
 	res := Result{Benchmark: IS, Class: class.Name, Procs: procs}
 	keys := math.Pow(2, float64(class.N))
 	den := densities[IS]
@@ -22,7 +22,7 @@ func RunIS(cluster machine.Cluster, procs int, class Class, actualLog int, opt m
 
 	verified := true
 	detail := ""
-	st := mp.RunWith(cluster, procs, opt, func(r *mp.Rank) {
+	st := mp.Run(cluster, procs, func(r *mp.Rank) {
 		p := r.Size()
 		nLocal := int(math.Pow(2, float64(actualLog))) / p
 		maxKey := 1 << 16

@@ -21,7 +21,7 @@ import (
 //
 // Verification: the SSOR residual of the Poisson system must decrease
 // monotonically and substantially.
-func RunLU(cluster machine.Cluster, procs int, class Class, actualGrid int, opt mp.RunOptions) Result {
+func RunLU(cluster machine.Cluster, procs int, class Class, actualGrid int) Result {
 	res := Result{Benchmark: LU, Class: class.Name, Procs: procs}
 	ntot := math.Pow(float64(class.N), 3)
 	den := densities[LU]
@@ -43,7 +43,7 @@ func RunLU(cluster machine.Cluster, procs int, class Class, actualGrid int, opt 
 
 	verified := true
 	detail := ""
-	st := mp.RunWith(cluster, procs, opt, func(r *mp.Rank) {
+	st := mp.Run(cluster, procs, func(r *mp.Rank) {
 		p := r.Size()
 		g := actualGrid
 		if g%p != 0 {

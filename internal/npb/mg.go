@@ -14,7 +14,7 @@ import (
 // miniature runs on actualGrid^3 (power of two, divisible by the rank
 // count); costs are charged at class.N^3. Verification: the residual norm
 // must fall by at least 3x per V-cycle.
-func RunMG(cluster machine.Cluster, procs int, class Class, actualGrid int, opt mp.RunOptions) Result {
+func RunMG(cluster machine.Cluster, procs int, class Class, actualGrid int) Result {
 	res := Result{Benchmark: MG, Class: class.Name, Procs: procs}
 	ntot := math.Pow(float64(class.N), 3)
 	den := densities[MG]
@@ -24,7 +24,7 @@ func RunMG(cluster machine.Cluster, procs int, class Class, actualGrid int, opt 
 
 	verified := true
 	detail := ""
-	st := mp.RunWith(cluster, procs, opt, func(r *mp.Rank) {
+	st := mp.Run(cluster, procs, func(r *mp.Rank) {
 		p := r.Size()
 		g := actualGrid
 		if g&(g-1) != 0 || p&(p-1) != 0 || g%p != 0 || g/p < 2 {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"spacesim/internal/machine"
-	"spacesim/internal/mp"
 )
 
 // ActualSize picks the miniature problem size for a benchmark at a given
@@ -37,12 +36,6 @@ func ActualSize(b Benchmark, procs int) int {
 // Run executes one benchmark at the given class and processor count on the
 // cluster, choosing the miniature size automatically.
 func Run(b Benchmark, cluster machine.Cluster, procs int, className string) (Result, error) {
-	return RunWith(b, cluster, procs, className, mp.RunOptions{})
-}
-
-// RunWith is Run with explicit message-layer options — fault plan, engine
-// selection, worker-pool size — threaded through to every kernel.
-func RunWith(b Benchmark, cluster machine.Cluster, procs int, className string, opt mp.RunOptions) (Result, error) {
 	class, ok := Classes(b)[className]
 	if !ok {
 		return Result{}, fmt.Errorf("npb: %s has no class %q", b, className)
@@ -56,21 +49,21 @@ func RunWith(b Benchmark, cluster machine.Cluster, procs int, className string, 
 	}
 	switch b {
 	case CG:
-		return RunCG(cluster, procs, class, actual, opt), nil
+		return RunCG(cluster, procs, class, actual), nil
 	case MG:
-		return RunMG(cluster, procs, class, actual, opt), nil
+		return RunMG(cluster, procs, class, actual), nil
 	case FT:
-		return RunFT(cluster, procs, class, actual, opt), nil
+		return RunFT(cluster, procs, class, actual), nil
 	case IS:
-		return RunIS(cluster, procs, class, actual, opt), nil
+		return RunIS(cluster, procs, class, actual), nil
 	case EP:
-		return RunEP(cluster, procs, class, actual, opt), nil
+		return RunEP(cluster, procs, class, actual), nil
 	case BT:
-		return RunADI(BT, cluster, procs, class, actual, opt), nil
+		return RunADI(BT, cluster, procs, class, actual), nil
 	case SP:
-		return RunADI(SP, cluster, procs, class, actual, opt), nil
+		return RunADI(SP, cluster, procs, class, actual), nil
 	case LU:
-		return RunLU(cluster, procs, class, actual, opt), nil
+		return RunLU(cluster, procs, class, actual), nil
 	}
 	return Result{}, fmt.Errorf("npb: unknown benchmark %q", b)
 }

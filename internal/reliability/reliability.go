@@ -108,36 +108,26 @@ type Simulation struct {
 	Events []Event
 }
 
-// Options configures a simulation run.
-type Options struct {
-	Nodes  int
-	Months float64
-	// SMARTSensitivity is the probability a disk failure is preceded by a
-	// SMART warning (default 0.7).
-	SMARTSensitivity float64
-	Seed             int64
-}
+// The simulated cluster and period: the paper's 294 nodes over its first
+// nine months. smartSensitivity is the probability a disk failure is
+// preceded by a SMART warning.
+const (
+	nodes            = 294
+	months           = 9
+	smartSensitivity = 0.7
+)
 
-// Simulate draws one failure history.
-func Simulate(opt Options) *Simulation {
-	if opt.Nodes == 0 {
-		opt.Nodes = 294
-	}
-	if opt.Months == 0 {
-		opt.Months = 9
-	}
-	if opt.SMARTSensitivity == 0 {
-		opt.SMARTSensitivity = 0.7
-	}
-	rng := rand.New(rand.NewSource(opt.Seed))
+// Simulate draws one failure history from the seed.
+func Simulate(seed int64) *Simulation {
+	rng := rand.New(rand.NewSource(seed))
 	rates := PaperCalibrated()
-	sim := &Simulation{Nodes: opt.Nodes, Months: opt.Months}
+	sim := &Simulation{Nodes: nodes, Months: months}
 	// Iterate components in sorted order: randomized map order would
 	// otherwise consume the RNG stream differently on every run, breaking
 	// seed determinism.
 	for _, c := range sortedComponents(rates.Install) {
 		p := rates.Install[c]
-		n := Population(c, opt.Nodes)
+		n := Population(c, nodes)
 		for u := 0; u < n; u++ {
 			if rng.Float64() < p {
 				sim.Events = append(sim.Events, Event{Month: -1, Component: c, Unit: u})
@@ -146,14 +136,14 @@ func Simulate(opt Options) *Simulation {
 	}
 	for _, c := range sortedComponents(rates.PerMonth) {
 		hz := rates.PerMonth[c]
-		n := Population(c, opt.Nodes)
+		n := Population(c, nodes)
 		for u := 0; u < n; u++ {
 			// exponential time to failure with the monthly hazard
 			tf := rng.ExpFloat64() / hz
-			if tf <= opt.Months {
+			if tf <= months {
 				ev := Event{Month: tf, Component: c, Unit: u}
 				if c == DiskDrive {
-					ev.Predicted = rng.Float64() < opt.SMARTSensitivity
+					ev.Predicted = rng.Float64() < smartSensitivity
 				}
 				sim.Events = append(sim.Events, ev)
 			}

@@ -40,7 +40,7 @@ func TestSimulationConvergesToPaper(t *testing.T) {
 	sumOp := map[Component]float64{}
 	sumIn := map[Component]float64{}
 	for seed := int64(0); seed < runs; seed++ {
-		sim := Simulate(Options{Seed: seed})
+		sim := Simulate(seed)
 		for c, n := range sim.Counts(true) {
 			sumIn[c] += float64(n)
 		}
@@ -62,13 +62,13 @@ func TestSimulationConvergesToPaper(t *testing.T) {
 	}
 }
 
-// Simulate is a pure function of its options: the same seed must reproduce
+// Simulate is a pure function of its seed: the same seed must reproduce
 // the same failure history event for event. The fault injector relies on
 // this to replay identical schedules across checkpoint-restart segments.
 func TestSimulateDeterministicPerSeed(t *testing.T) {
 	for seed := int64(0); seed < 20; seed++ {
-		a := Simulate(Options{Seed: seed})
-		b := Simulate(Options{Seed: seed})
+		a := Simulate(seed)
+		b := Simulate(seed)
 		if len(a.Events) != len(b.Events) {
 			t.Fatalf("seed %d: %d vs %d events", seed, len(a.Events), len(b.Events))
 		}
@@ -78,10 +78,10 @@ func TestSimulateDeterministicPerSeed(t *testing.T) {
 			}
 		}
 	}
-	if len(Simulate(Options{Seed: 1}).Events) == len(Simulate(Options{Seed: 2}).Events) {
+	if len(Simulate(1).Events) == len(Simulate(2).Events) {
 		// Different seeds *can* collide on count, but the histories must
 		// differ somewhere; check the first operating failure time.
-		a, b := Simulate(Options{Seed: 1}), Simulate(Options{Seed: 2})
+		a, b := Simulate(1), Simulate(2)
 		same := true
 		for i := range a.Events {
 			if a.Events[i] != b.Events[i] {
@@ -105,7 +105,7 @@ func TestSimulateMeanWithin3Sigma(t *testing.T) {
 	sumIn := map[Component]float64{}
 	sumOp := map[Component]float64{}
 	for seed := int64(1000); seed < 1000+runs; seed++ {
-		sim := Simulate(Options{Seed: seed})
+		sim := Simulate(seed)
 		for c, n := range sim.Counts(true) {
 			sumIn[c] += float64(n)
 		}
@@ -143,7 +143,7 @@ func TestDisksDominate(t *testing.T) {
 func TestSMARTMajorityPrediction(t *testing.T) {
 	pred, disks := 0.0, 0.0
 	for seed := int64(0); seed < 200; seed++ {
-		sim := Simulate(Options{Seed: seed})
+		sim := Simulate(seed)
 		for _, e := range sim.Events {
 			if e.Month >= 0 && e.Component == DiskDrive {
 				disks++
@@ -157,7 +157,7 @@ func TestSMARTMajorityPrediction(t *testing.T) {
 	if frac <= 0.5 {
 		t.Fatalf("SMART predicted fraction %.2f: paper says a majority", frac)
 	}
-	sim := Simulate(Options{Seed: 42})
+	sim := Simulate(42)
 	if f := sim.SMARTPredictedFraction(); f < 0 || f > 1 {
 		t.Fatalf("fraction out of range: %v", f)
 	}
