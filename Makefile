@@ -285,8 +285,10 @@ ledger-smoke:
 # restarted daemon replays the journal, resumes the job from the checkpoint
 # (resumed_step > 0), and finishes it. A duplicate submission must then be a
 # cache hit (asserted in the job record and the /metrics counter), a
-# no_cache submission must recompute to the identical result digest, and a
-# SIGTERM must drain the daemon to a zero exit.
+# no_cache submission must recompute to the identical result digest, the
+# daemon's ledger (its one result store, under the state directory with
+# -ledger "") must hold exactly the two computed results as one /runs group
+# of 2 runs, and a SIGTERM must drain the daemon to a zero exit.
 serve-smoke:
 	$(GO) build -o /tmp/spacesimd-smoke ./cmd/spacesimd
 	rm -rf /tmp/spacesim-smoke-serve
@@ -331,6 +333,12 @@ serve-smoke:
 	nd=$$(curl -sf http://127.0.0.1:17073/jobs | grep -o '"result_digest": "[0-9a-f]*"' | sort -u | wc -l); \
 	[ "$$nd" -eq 1 ] || { echo "serve-smoke: $$nd distinct result digests across resumed/cached/recomputed runs, want 1"; kill $$pid; exit 1; }; \
 	echo "serve-smoke: kill-9-resumed, cached, and no_cache-recomputed digests all identical"; \
+	runs=$$(curl -sf http://127.0.0.1:17073/runs); echo "$$runs"; \
+	[ "$$(echo "$$runs" | grep -c '^config ')" = 1 ] && echo "$$runs" | grep -q '^config .*  2 runs (latest ' \
+		|| { echo "serve-smoke: /runs is not one group of 2 runs (the resumed job and the recompute)"; kill $$pid; exit 1; }; \
+	[ ! -e /tmp/spacesim-smoke-serve/results ] \
+		|| { echo "serve-smoke: a results/ directory exists under the state directory"; kill $$pid; exit 1; }; \
+	echo "serve-smoke: the ledger holds the 2 computed results, the cache hit appended nothing"; \
 	kill -TERM $$pid; wait $$pid \
 		|| { echo "serve-smoke: drain exited nonzero"; exit 1; }; \
 	echo "serve-smoke: SIGTERM drained cleanly (exit 0)"

@@ -133,10 +133,7 @@ func run(args []string) int {
 	// recovery segment.
 	var cur atomic.Pointer[obs.Obs]
 	newObs := func() *obs.Obs {
-		ob := obs.New(o.trace != "")
-		if o.report {
-			ob.EnableEvents()
-		}
+		ob := obs.New(o.trace != "" || o.report)
 		ledger.Prov().Stamp(ob.Reg)
 		cur.Store(ob)
 		return ob

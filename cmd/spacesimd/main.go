@@ -1,7 +1,7 @@
 // Command spacesimd is the simulation job server: a crash-safe daemon that
 // accepts per-job configurations over HTTP, persists them to a durable
-// journal, executes them on a bounded worker pool, and caches results
-// content-addressed by configuration digest.
+// journal, executes them on a bounded worker pool, and keeps each result
+// once, as a run-ledger record keyed by configuration digest.
 //
 // Usage:
 //
@@ -22,8 +22,12 @@
 // and it shares its config digest and result digest with a bare spacesim.
 //
 // then poll /jobs/{id} (live progress and ETA while running) and fetch
-// /jobs/{id}/artifact when done. Identical configurations return the cached
-// artifact without re-simulating; "no_cache":true forces a recompute.
+// /jobs/{id}/artifact when done. The ledger (-ledger, default .ssruns; with
+// -ledger "" the directory runs/ under -state) is the one result store: a
+// computed job appends one record whose JOB.json blob is its artifact, and
+// an identical configuration is answered from that blob without
+// re-simulating; "no_cache":true forces a recompute. /runs lists the
+// records.
 //
 // The daemon is built to be killed. kill -9 it mid-job and restart: the
 // journal replays, the job requeues, and it resumes from its newest intact
@@ -50,7 +54,7 @@ import (
 func main() {
 	var (
 		addr     = flag.String("addr", "127.0.0.1:8080", "listen address (host:port; port 0 picks a free port)")
-		state    = flag.String("state", ".spacesimd", "state directory: job journal, result cache, checkpoints")
+		state    = flag.String("state", ".spacesimd", "state directory: job journal, checkpoints (and the ledger, with -ledger \"\")")
 		workers  = flag.Int("workers", 2, "concurrent job executions")
 		maxQueue = flag.Int("max-queue", 64, "admitted-but-unfinished job bound (beyond it: 429 + Retry-After)")
 		retries  = flag.Int("max-retries", 2, "retry budget per job (0 = fail on the first bad attempt)")
@@ -58,7 +62,7 @@ func main() {
 		rMax     = flag.Duration("retry-max", 30*time.Second, "retry backoff cap")
 		minDL    = flag.Duration("min-deadline", 60*time.Second, "watchdog deadline floor per attempt")
 		dlFactor = flag.Float64("deadline-factor", 4, "watchdog deadline as a multiple of the job's own first ETA estimate")
-		ledgerD  = flag.String("ledger", ledger.DefaultDir, "run-ledger directory (empty disables ledger records and /runs)")
+		ledgerD  = flag.String("ledger", ledger.DefaultDir, "run-ledger directory, the result store (empty: runs/ under -state)")
 	)
 	flag.Parse()
 

@@ -101,9 +101,10 @@ func (sp Spec) Validate() error {
 }
 
 // LedgerConfig is the canonical configuration, the key of ledger records
-// and of the daemon's cache. It keys the physics, not the tool, in the
-// strings spacesim has always recorded, so a CLI run and a daemon job of
-// one spec meet in one trend series.
+// and so of the daemon's stored results. It keys the physics, not the
+// tool, in the strings spacesim has always recorded, so a CLI run and a
+// daemon job of one spec share a config digest. The daemon's record holds
+// its result and no metrics, so it never enters the CLI runs' trend.
 func (sp Spec) LedgerConfig() ledger.Config {
 	cfg := ledger.Config{
 		Tool: "spacesim", Experiment: "run", Scenario: sp.Scenario,

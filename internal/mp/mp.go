@@ -183,8 +183,12 @@ type World struct {
 	fn     func(*Rank)
 	clocks []float64
 	wg     sync.WaitGroup
-	cWakes *obs.Counter // mp.engine.events: parked receivers readied
-	cParks *obs.Counter // mp.engine.parks: blocking parks
+	// mp.engine.events (parked receivers readied) and mp.engine.parks
+	// (blocking parks) count host-order wakes and parks: whether a
+	// receiver parks before its message lands depends on the host
+	// schedule, so both vary with the pool width the way host time does.
+	cWakes *obs.Counter
+	cParks *obs.Counter
 }
 
 // Stats summarizes a completed run.

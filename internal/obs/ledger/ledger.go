@@ -1,6 +1,7 @@
 // Package ledger is the persistent cross-run history of the simulator: an
 // append-only local store (default .ssruns/) to which every spacesim and
-// ssbench invocation adds one run record. A record carries
+// ssbench invocation adds one run record, and in which spacesimd keeps
+// each computed job's result. A record carries
 //
 //   - a SHA-256 digest of the run's canonical configuration (scenario, N,
 //     ranks, engine, workers, seed, flags — see Config), the key under
@@ -9,7 +10,8 @@
 //     runtime/debug.ReadBuildInfo, hostname, GOMAXPROCS — see Provenance),
 //   - the run's headline metrics, which the writer takes from the report it
 //     holds (virtual makespan, parallel efficiency, message latency,
-//     checkpoint overhead) plus its own (Gflop/s, peak RSS), and
+//     checkpoint overhead) plus its own (Gflop/s, peak RSS); a spacesimd
+//     record holds a result, not a measurement, and has none, and
 //   - SHA-256 digests of the full artifacts (ANALYSIS.json,
 //     FAULTSWEEP.json, ...) stored content-addressed under blobs/.
 //
@@ -20,7 +22,7 @@
 //
 // Identical artifact bytes share one blob, so the store grows with distinct
 // results, not with invocations — the identical-seed+config ⇒ digest keying
-// a simulation-as-a-service result cache needs.
+// spacesimd's result cache reads (its JOB.json blobs).
 //
 // The package is also the repository's one regression judge: GateAgainst
 // holds a run's headline metrics to the bands of the Gates table, against
@@ -28,14 +30,16 @@
 // the newest record of each group that way, and `ssbench diff` judges one
 // report against another of the same config digest.
 //
-// Ledger writes are best-effort and happen strictly after a run's virtual
-// clocks have stopped: a failed append never fails the run, and an enabled
-// ledger never perturbs bit-identity (core.TestLiveReadersBitIdentical and
-// the other pins hold with the ledger on).
+// Ledger writes happen strictly after a run's virtual clocks have stopped,
+// so an enabled ledger never perturbs bit-identity
+// (core.TestLiveReadersBitIdentical and the other pins hold with the ledger
+// on). The CLIs' writes are best-effort: a failed append never fails the
+// run. spacesimd's are its result store: a failed append fails the attempt.
 package ledger
 
 import (
 	"bufio"
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -148,11 +152,12 @@ func BlobDigest(data []byte) string {
 }
 
 // PutBlob stores data content-addressed and returns its digest. Re-storing
-// identical bytes is a no-op (the blob already exists under its name).
+// identical bytes is a no-op while the blob under their name is intact; a
+// damaged one is written again.
 func (s *Store) PutBlob(data []byte) (string, error) {
 	d := BlobDigest(data)
 	path := s.BlobPath(d)
-	if _, err := os.Stat(path); err == nil {
+	if old, err := os.ReadFile(path); err == nil && bytes.Equal(old, data) {
 		return d, nil
 	}
 	// Write-then-rename so a crashed writer never leaves a half blob under
@@ -193,8 +198,7 @@ func (s *Store) ReadBlob(digest string) ([]byte, error) {
 // Append stores the artifacts as blobs, fills rec.Artifacts, stamps the
 // record (schema version, time, the digest of rec.Config, ID) and appends
 // it to the index. The returned ID identifies the record (e.g. at
-// /runs/{id} on the live server). Callers treat errors as best-effort: a run never fails
-// because its ledger write did.
+// /runs/{id} on the live server).
 func (s *Store) Append(rec *Record, artifacts map[string][]byte) (string, error) {
 	if rec.TimeUnixNS == 0 {
 		rec.TimeUnixNS = time.Now().UnixNano()

@@ -119,6 +119,13 @@ func TestBlobsContentAddressedAndVerified(t *testing.T) {
 	if _, err := s.ReadBlob(d1); err == nil || !strings.Contains(err.Error(), "corrupt") {
 		t.Fatalf("tampered blob read err = %v, want corrupt error", err)
 	}
+	// Storing the same bytes again repairs it.
+	if d3, err := s.PutBlob(data); err != nil || d3 != d1 {
+		t.Fatalf("re-store: digest %s, err %v; want %s", d3, err, d1)
+	}
+	if back, err := s.ReadBlob(d1); err != nil || string(back) != string(data) {
+		t.Fatalf("blob after re-store: %q, %v", back, err)
+	}
 }
 
 func TestFindByPrefix(t *testing.T) {

@@ -171,15 +171,17 @@ func GateAgainst(baseline []Record, newMetrics map[string]float64, lastK int) []
 	return out
 }
 
-// Trend treats the newest record in group as the run under test and gates
-// it against the older ones. The group must already share a config digest
-// and host (see GroupRecords).
+// Trend treats the newest record in group that has metrics as the run
+// under test and gates it against the older ones; a record without metrics
+// (a spacesimd result) is no run under test. The group must already share
+// a config digest and host (see GroupRecords).
 func Trend(group []Record, lastK int) []MetricTrend {
-	if len(group) == 0 {
-		return nil
+	for i := len(group) - 1; i >= 0; i-- {
+		if len(group[i].Metrics) > 0 {
+			return GateAgainst(group[:i], group[i].Metrics, lastK)
+		}
 	}
-	latest := group[len(group)-1]
-	return GateAgainst(group[:len(group)-1], latest.Metrics, lastK)
+	return nil
 }
 
 // AnyRegression reports whether any metric regressed.

@@ -94,6 +94,10 @@ func TestGateNoisyBaselineWidens(t *testing.T) {
 
 func TestTrendUsesNewestAsLatest(t *testing.T) {
 	recs := recsWithMetric("makespan_sec", 10, 10, 10, 14)
+	// A newer record without metrics (a spacesimd result) is not the run
+	// under test: the newest record that has metrics still is.
+	recs = append(recs, Record{TimeUnixNS: 5, ConfigDigest: "d", Build: Prov(),
+		Artifacts: map[string]string{"JOB.json": "ab"}})
 	trends := Trend(recs, 10)
 	if len(trends) != 1 || trends[0].Verdict != VerdictRegression {
 		t.Fatalf("trend = %+v, want one regression", trends)

@@ -3,8 +3,6 @@ package serve
 import (
 	"encoding/json"
 	"fmt"
-	"os"
-	"path/filepath"
 
 	"spacesim/internal/core"
 	"spacesim/internal/job"
@@ -15,10 +13,6 @@ import (
 //
 //	1 — config + digest, final bodies, energy history, result digest
 const ArtifactSchemaVersion = 1
-
-// resultsDir holds cached artifacts under the state directory, one file per
-// config digest.
-const resultsDir = "results"
 
 // Artifact is a completed job's result: the deterministic final state plus
 // informational modeled-performance numbers. ResultDigest covers only the
@@ -61,74 +55,50 @@ func buildArtifact(spec job.Spec, res core.Result, resumedStep, attempts int) *A
 	}
 }
 
-// cache is the content-addressed result store: one JSON artifact per config
-// digest under <state>/results/. Writes go through tmp+rename so a crashed
-// daemon never leaves a half artifact under a valid key.
-type cache struct {
-	dir string
-}
+// artifactBlob names the artifact in its ledger record.
+const artifactBlob = "JOB.json"
 
-func openCache(stateDir string) (*cache, error) {
-	dir := filepath.Join(stateDir, resultsDir)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, err
-	}
-	return &cache{dir: dir}, nil
-}
-
-func (c *cache) path(configDigest string) string {
-	return filepath.Join(c.dir, configDigest+".json")
-}
-
-// get loads the cached artifact for a config digest; ok=false on a miss. A
-// present-but-unreadable artifact is treated as a miss (the job recomputes
-// and rewrites it) rather than an error.
-func (c *cache) get(configDigest string) (*Artifact, bool) {
-	data, err := os.ReadFile(c.path(configDigest))
-	if err != nil {
-		return nil, false
-	}
-	var a Artifact
-	if err := json.Unmarshal(data, &a); err != nil {
-		return nil, false
-	}
-	if a.ConfigDigest != configDigest {
-		return nil, false
-	}
-	return &a, true
-}
-
-// put stores an artifact under its config digest.
-func (c *cache) put(a *Artifact) error {
+// storeArtifact appends a computed artifact to the run ledger as the
+// JOB.json blob of one record (the result, no metrics: a daemon job is not
+// a measurement) and points its config digest at that blob.
+func (s *Server) storeArtifact(a *Artifact) error {
 	data, err := json.MarshalIndent(a, "", "  ")
 	if err != nil {
 		return err
 	}
-	tmp, err := os.CreateTemp(c.dir, ".tmp-*")
-	if err != nil {
+	rec := &ledger.Record{Config: a.Config, Build: ledger.Prov()}
+	if _, err := s.runs.Append(rec, map[string][]byte{artifactBlob: append(data, '\n')}); err != nil {
 		return err
 	}
-	if _, err := tmp.Write(append(data, '\n')); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := os.Rename(tmp.Name(), c.path(a.ConfigDigest)); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
+	s.mu.Lock()
+	s.artifacts[rec.ConfigDigest] = rec.Artifacts[artifactBlob]
+	s.mu.Unlock()
 	return nil
 }
 
-// readRaw returns the raw artifact bytes for serving over HTTP.
-func (c *cache) readRaw(configDigest string) ([]byte, error) {
-	data, err := os.ReadFile(c.path(configDigest))
-	if err != nil {
-		return nil, fmt.Errorf("serve: artifact for %s: %w", configDigest[:12], err)
+// artifactBytes returns the stored artifact of a config digest, its blob
+// checked against its SHA-256.
+func (s *Server) artifactBytes(configDigest string) ([]byte, error) {
+	s.mu.Lock()
+	blob, ok := s.artifacts[configDigest]
+	s.mu.Unlock()
+	if !ok {
+		return nil, fmt.Errorf("serve: no artifact for %s", configDigest[:12])
 	}
-	return data, nil
+	return s.runs.ReadBlob(blob)
+}
+
+// artifact loads the stored artifact of a config digest; ok=false on a
+// miss. A present-but-unreadable artifact is a miss: the job recomputes and
+// stores it again.
+func (s *Server) artifact(configDigest string) (*Artifact, bool) {
+	data, err := s.artifactBytes(configDigest)
+	if err != nil {
+		return nil, false
+	}
+	var a Artifact
+	if err := json.Unmarshal(data, &a); err != nil || a.ConfigDigest != configDigest {
+		return nil, false
+	}
+	return &a, true
 }

@@ -19,29 +19,34 @@ const (
 	StateCanceled = "canceled"
 )
 
-// Job is one tracked submission. Fields are guarded by the server mutex;
-// the interrupt word is atomic because rank 0 polls it from inside the
-// simulation.
-type Job struct {
-	ID           string
-	Spec         job.Spec
-	ConfigDigest string
-	State        string
+// jobRecord is what a job reports: the /jobs JSON, in this key order.
+// Fields are guarded by the server mutex.
+type jobRecord struct {
+	ID           string   `json:"id"`
+	State        string   `json:"state"`
+	Spec         job.Spec `json:"spec"`
+	ConfigDigest string   `json:"config_digest"`
 	// Attempts counts started executions; Retries counts backoff cycles.
-	Attempts int
-	Retries  int
-	// CacheHit marks a job answered from the result cache without running.
-	CacheHit bool
+	Attempts int `json:"attempts"`
+	Retries  int `json:"retries"`
+	// CacheHit marks a job answered from the result store without running.
+	CacheHit bool `json:"cache_hit"`
 	// ResumedStep is the checkpoint step the final attempt resumed from
 	// (0 = ran from the initial conditions).
-	ResumedStep  int
-	ResultDigest string
-	Error        string
+	ResumedStep  int    `json:"resumed_step"`
+	ResultDigest string `json:"result_digest,omitempty"`
+	Error        string `json:"error,omitempty"`
 
-	SubmittedUnixNS int64
-	StartedUnixNS   int64
-	FinishedUnixNS  int64
-	RetryAtUnixNS   int64
+	SubmittedUnixNS int64 `json:"submitted_unix_ns"`
+	StartedUnixNS   int64 `json:"started_unix_ns,omitempty"`
+	FinishedUnixNS  int64 `json:"finished_unix_ns,omitempty"`
+	RetryAtUnixNS   int64 `json:"retry_at_unix_ns,omitempty"`
+}
+
+// Job is one tracked submission: its record, plus the interrupt word,
+// which is atomic because rank 0 polls it from inside the simulation.
+type Job struct {
+	jobRecord
 
 	// intr holds the pending interrupt reason ("drain", "cancel",
 	// "watchdog: ..."); nil means keep running. Set once per attempt.
@@ -68,34 +73,13 @@ func (j *Job) interruptReason() string {
 
 // jobView is the JSON shape of a job in API responses.
 type jobView struct {
-	ID           string   `json:"id"`
-	State        string   `json:"state"`
-	Spec         job.Spec `json:"spec"`
-	ConfigDigest string   `json:"config_digest"`
-	Attempts     int      `json:"attempts"`
-	Retries      int      `json:"retries"`
-	CacheHit     bool     `json:"cache_hit"`
-	ResumedStep  int      `json:"resumed_step"`
-	ResultDigest string   `json:"result_digest,omitempty"`
-	Error        string   `json:"error,omitempty"`
-
-	SubmittedUnixNS int64 `json:"submitted_unix_ns"`
-	StartedUnixNS   int64 `json:"started_unix_ns,omitempty"`
-	FinishedUnixNS  int64 `json:"finished_unix_ns,omitempty"`
-	RetryAtUnixNS   int64 `json:"retry_at_unix_ns,omitempty"`
-
+	jobRecord
 	Progress *obs.ProgressSnapshot `json:"progress,omitempty"`
 }
 
 // view snapshots a job for the API. Called with the server mutex held.
 func (j *Job) view(withProgress bool) jobView {
-	v := jobView{
-		ID: j.ID, State: j.State, Spec: j.Spec, ConfigDigest: j.ConfigDigest,
-		Attempts: j.Attempts, Retries: j.Retries, CacheHit: j.CacheHit,
-		ResumedStep: j.ResumedStep, ResultDigest: j.ResultDigest, Error: j.Error,
-		SubmittedUnixNS: j.SubmittedUnixNS, StartedUnixNS: j.StartedUnixNS,
-		FinishedUnixNS: j.FinishedUnixNS, RetryAtUnixNS: j.RetryAtUnixNS,
-	}
+	v := jobView{jobRecord: j.jobRecord}
 	if o := j.seg.Load(); withProgress && j.State == StateRunning && o != nil {
 		p := o.Progress().Snapshot()
 		v.Progress = &p

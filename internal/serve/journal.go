@@ -114,10 +114,10 @@ func replayJournal(dir string) (jobs map[string]*Job, order []string, torn bool,
 			if ev.Spec == nil {
 				return fmt.Errorf("submit event for %s carries no spec", ev.ID)
 			}
-			j := &Job{
+			j := &Job{jobRecord: jobRecord{
 				ID: ev.ID, Spec: *ev.Spec, ConfigDigest: ev.Spec.Digest(),
 				State: StateQueued, SubmittedUnixNS: ev.TimeUnixNS,
-			}
+			}}
 			jobs[ev.ID] = j
 			order = append(order, ev.ID)
 			return nil

@@ -84,7 +84,7 @@ func TestSubmitComputesArtifact(t *testing.T) {
 	if got.CacheHit {
 		t.Fatal("first computation marked as cache hit")
 	}
-	a, ok := s.cache.get(got.ConfigDigest)
+	a, ok := s.artifact(got.ConfigDigest)
 	if !ok {
 		t.Fatal("no cached artifact for the completed job")
 	}
@@ -267,7 +267,7 @@ func TestWatchdogTimesOutStuckJob(t *testing.T) {
 // A running job's view carries its current segment's progress: the step
 // fraction, and the ETA once a step has completed.
 func TestJobViewCarriesProgress(t *testing.T) {
-	j := &Job{ID: "j1", State: StateRunning}
+	j := &Job{jobRecord: jobRecord{ID: "j1", State: StateRunning}}
 	if v := j.view(true); v.Progress != nil {
 		t.Fatalf("progress before the first segment: %+v", v.Progress)
 	}

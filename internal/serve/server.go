@@ -2,8 +2,9 @@
 // server over the deterministic core. Clients POST job specs (scenario, N,
 // ranks, steps, faults, seed); the server persists every state
 // transition to an append-only journal, executes jobs on a bounded worker
-// pool, and caches results content-addressed by the ledger config digest —
-// the same invocation never simulates twice.
+// pool, and keeps each result once, as the JOB.json blob of a run-ledger
+// record keyed by the config digest — the same invocation never simulates
+// twice.
 //
 // Robustness is the point, and it is built from the determinism the rest of
 // the repo already pins:
@@ -48,8 +49,9 @@ import (
 
 // Config sizes and tunes a Server. Zero values take defaults.
 type Config struct {
-	// Dir is the state directory: jobs.jsonl journal, results/ cache,
-	// jobs/<id>/ checkpoint directories (default .spacesimd).
+	// Dir is the state directory: jobs.jsonl journal, jobs/<id>/
+	// checkpoint directories and, when Ledger is nil, the runs/ ledger
+	// (default .spacesimd).
 	Dir string
 	// Workers bounds concurrent job executions (default 2).
 	Workers int
@@ -74,7 +76,9 @@ type Config struct {
 	DeadlineFactor float64
 	// WatchdogEvery is the deadline poll (default 250ms).
 	WatchdogEvery time.Duration
-	// Ledger, when non-nil, receives a run record per computed job and is
+	// Ledger is the result store: each computed job appends one record
+	// carrying its artifact, and a submission of a config digest it holds
+	// is answered from it. Nil means a ledger under Dir/runs. It is
 	// mounted at /runs.
 	Ledger *ledger.Store
 	// BeforeAttempt, when non-nil, runs at the start of every execution
@@ -148,12 +152,14 @@ type Server struct {
 	obs     *obs.Obs
 	m       *metrics
 	journal *journal
-	cache   *cache
+	runs    *ledger.Store
 
-	mu    sync.Mutex // guards jobs, order, seq, ewmaSec
-	jobs  map[string]*Job
-	order []string
-	seq   int
+	mu sync.Mutex // guards jobs, order, seq, ewmaSec, artifacts
+	// artifacts maps a config digest to its artifact's blob in runs.
+	artifacts map[string]string
+	jobs      map[string]*Job
+	order     []string
+	seq       int
 	// ewmaSec tracks recent computed-job durations for Retry-After.
 	ewmaSec float64
 
@@ -164,9 +170,9 @@ type Server struct {
 	drainOne sync.Once
 }
 
-// New opens the state directory, replays the journal (requeuing every job
-// that was queued, in backoff, or running when the previous process died),
-// and starts the worker pool.
+// New opens the state directory and the result store, replays the journal
+// (requeuing every job that was queued, in backoff, or running when the
+// previous process died), and starts the worker pool.
 func New(cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
 	if err := os.MkdirAll(filepath.Join(cfg.Dir, "jobs"), 0o755); err != nil {
@@ -180,20 +186,33 @@ func New(cfg Config) (*Server, error) {
 		fmt.Fprintf(os.Stderr, "spacesimd: %s: skipping torn trailing record (crash mid-append)\n",
 			filepath.Join(cfg.Dir, JournalFile))
 	}
+	runs := cfg.Ledger
+	if runs == nil {
+		if runs, err = ledger.Open(filepath.Join(cfg.Dir, "runs")); err != nil {
+			return nil, err
+		}
+	}
+	// The newest record of a digest names its artifact. An unreadable
+	// index leaves the map empty: every lookup is a miss and recomputes.
+	artifacts := map[string]string{}
+	recs, err := runs.Records()
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "spacesimd: %v: starting with no stored results\n", err)
+	}
+	for _, r := range recs {
+		if d, ok := r.Artifacts[artifactBlob]; ok {
+			artifacts[r.ConfigDigest] = d
+		}
+	}
 	jnl, err := openJournal(cfg.Dir)
 	if err != nil {
-		return nil, err
-	}
-	cch, err := openCache(cfg.Dir)
-	if err != nil {
-		jnl.close()
 		return nil, err
 	}
 	o := obs.New(false)
 	ledger.Prov().Stamp(o.Reg)
 	s := &Server{
 		cfg: cfg, obs: o, m: newMetrics(o),
-		journal: jnl, cache: cch,
+		journal: jnl, runs: runs, artifacts: artifacts,
 		jobs: jobs, order: order,
 		queue: make(chan string, 4096),
 		stop:  make(chan struct{}),
@@ -297,10 +316,10 @@ func (s *Server) Submit(spec job.Spec) (jobView, error) {
 	}
 	s.seq++
 	id := fmt.Sprintf("j%06d-%s", s.seq, digest[:8])
-	j := &Job{
+	j := &Job{jobRecord: jobRecord{
 		ID: id, Spec: spec, ConfigDigest: digest,
 		State: StateQueued, SubmittedUnixNS: time.Now().UnixNano(),
-	}
+	}}
 	s.jobs[id] = j
 	s.order = append(s.order, id)
 	s.mu.Unlock()
@@ -416,7 +435,7 @@ func (s *Server) runJob(id string) {
 		}
 	}
 	if !spec.NoCache {
-		if a, ok := s.cache.get(j.ConfigDigest); ok {
+		if a, ok := s.artifact(j.ConfigDigest); ok {
 			s.mu.Lock()
 			j.State = StateDone
 			j.CacheHit = true
@@ -461,16 +480,9 @@ func (s *Server) runJob(id string) {
 
 	resumed := st.ResumedFromStep
 	art := buildArtifact(spec, res, resumed, attempt)
-	if err := s.cache.put(art); err != nil {
+	if err := s.storeArtifact(art); err != nil {
 		s.attemptFailed(j, fmt.Sprintf("artifact write: %v", err))
 		return
-	}
-	// The ledger record (best-effort, like every ledger write) carries the
-	// artifact as its blob.
-	if data, err := json.MarshalIndent(art, "", "  "); err == nil {
-		s.cfg.Ledger.AppendRun(art.Config, map[string]float64{
-			"makespan_sec": art.ElapsedVirtualSec, "gflops": art.Gflops,
-		}, map[string][]byte{"JOB.json": data})
 	}
 	// The artifact is durable, so the checkpoints are spent. They go before
 	// the job reads as done: a client that sees "done" sees no job directory.
@@ -627,16 +639,16 @@ func backoffDelay(base, max time.Duration, id string, retry int) time.Duration {
 //	GET    /jobs            all jobs, submission order
 //	GET    /jobs/{id}       one job (+ its step fraction, rate and ETA
 //	                        while running)
-//	GET    /jobs/{id}/artifact   the cached result artifact
+//	GET    /jobs/{id}/artifact   the result artifact (its ledger blob)
 //	DELETE /jobs/{id}       cancel
 //	/metrics, /metrics.json, /progress.json, /debug/pprof/  (live
 //	        exposition over the daemon registry, which runs no steps of
-//	        its own), /runs (ledger text view, if open)
+//	        its own), /runs (the result store's ledger text view)
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/jobs", s.handleJobs)
 	mux.HandleFunc("/jobs/", s.handleJob)
-	mux.Handle("/", live.Handler(s.Obs, s.cfg.Ledger.Handler()))
+	mux.Handle("/", live.Handler(s.Obs, s.runs.Handler()))
 	return mux
 }
 
@@ -700,7 +712,7 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 			http.Error(w, fmt.Sprintf("job %s is %s, not done", id, state), http.StatusConflict)
 			return
 		}
-		data, err := s.cache.readRaw(digest)
+		data, err := s.artifactBytes(digest)
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusNotFound)
 			return
