@@ -1,16 +1,19 @@
 GO ?= go
 
-.PHONY: build test race vet cross-build kernels-widths fmt-check reachable loc experiments experiments-check fuzz-smoke bench-e2e bench-smoke profile-serial profile-sph profile-dist8 profile-dist64 smoke analyze-smoke fault-smoke live-smoke ledger-smoke serve-smoke one-slot widths ci all
+.PHONY: build test race vet cross-build kernels-widths fmt-check reachable loc experiments experiments-check fuzz-smoke bench-e2e bench-smoke profile-serial profile-sph profile-dist8 profile-dist64 one-slot widths ci all
 
 all: build test vet fmt-check
 
 build:
 	$(GO) build ./...
 
+# Also the smoke tests (smoke_test.go): the three commands built once and
+# run as processes in temporary directories, a daemon killed -9 and resumed.
 test:
 	$(GO) test ./...
 
-# Race-detector pass over the whole tree (a few minutes on two cores).
+# Race-detector pass over the whole tree (a few minutes on two cores),
+# smoke tests included.
 race:
 	$(GO) test -race ./...
 
@@ -190,163 +193,9 @@ profile-dist8 profile-dist64: profile-dist%:
 	$(GO) tool pprof -tags -tagshow '^phase$$' /tmp/spacesim-dist$*.test /tmp/spacesim-dist$*.pprof
 	$(GO) tool pprof -sample_index=alloc_space -top -nodecount 15 /tmp/spacesim-dist$*.test /tmp/spacesim-dist$*.mem
 
-# Writes a small trace + metrics pair from a short distributed run (the
-# files' invariants are asserted on the same run by
-# core.TestEngineMetricsPopulated).
-smoke:
-	$(GO) run ./cmd/spacesim -n 600 -procs 3 -steps 2 \
-		-trace /tmp/spacesim-smoke-trace.json -metrics /tmp/spacesim-smoke-metrics.json
-
-# Trace-analysis smoke: two quick analyze runs on the 2-module slice (each
-# report is checked as it is written), then the perf gate judges the second
-# against the first. The virtual schedule repeats at any pool width, so the
-# two reports carry the same virtual headline and `ssbench diff` must exit 0.
-analyze-smoke:
-	$(GO) build -o /tmp/spacesim-smoke-ssbench ./cmd/ssbench
-	/tmp/spacesim-smoke-ssbench analyze -quick -analysis-out /tmp/spacesim-smoke-analysis-a.json
-	/tmp/spacesim-smoke-ssbench analyze -quick -analysis-out /tmp/spacesim-smoke-analysis-b.json
-	/tmp/spacesim-smoke-ssbench diff /tmp/spacesim-smoke-analysis-a.json /tmp/spacesim-smoke-analysis-b.json
-
-# Fault-injection smoke: a seeded fault-injected run that must crash at
-# least once, recover through checkpoint rollback bit-identically to an
-# uninterrupted twin, and emit a fault-annotated analysis report; then a
-# quick checkpoint-cadence sweep at one and at two host cores. Each writer
-# checks its artifact before writing it and exits nonzero when an invariant
-# fails. A world with crashes scheduled runs on one slot, so the two sweeps
-# must write the same file apart from its trailing provenance object.
-fault-smoke:
-	$(GO) run ./cmd/spacesim -n 600 -procs 4 -steps 6 \
-		-faults 11 -fault-accel 3000 -verify-recovery \
-		-report -analysis /tmp/spacesim-smoke-faults.json
-	$(GO) build -o /tmp/spacesim-smoke-faultsweep ./cmd/ssbench
-	@for p in 1 2; do \
-		echo "fault-smoke: faultsweep at GOMAXPROCS=$$p"; \
-		GOMAXPROCS=$$p /tmp/spacesim-smoke-faultsweep faultsweep -quick \
-			-o /tmp/spacesim-smoke-faultsweep-$$p.json || exit 1; \
-		sed '/^  "provenance": {/,$$d' /tmp/spacesim-smoke-faultsweep-$$p.json \
-			> /tmp/spacesim-smoke-faultsweep-$$p.body || exit 1; \
-	done
-	@cmp /tmp/spacesim-smoke-faultsweep-1.body /tmp/spacesim-smoke-faultsweep-2.body || { \
-		echo "fault-smoke: FAULTSWEEP.json differs between GOMAXPROCS=1 and 2"; exit 1; }
-
-# Live-telemetry smoke: a run served over -http is probed while in flight
-# (Prometheus exposition, the progress/ETA JSON, /series.json answering
-# 404, and a 1-second CPU profile from net/http/pprof — so the run is sized
-# to outlast the profile with margin: 60 steps of 30000 bodies, about 4 s on
-# two cores, where 10 steps ended before the profile did); its analysis
-# report, checked as spacesim writes it, must carry no live block.
-live-smoke:
-	$(GO) build -o /tmp/spacesim-live ./cmd/spacesim
-	/tmp/spacesim-live -n 30000 -procs 4 -steps 60 -http 127.0.0.1:17071 \
-		-report -analysis /tmp/spacesim-smoke-live.json >/tmp/spacesim-smoke-live.log & pid=$$!; \
-	up=0; for i in $$(seq 1 50); do \
-		if curl -sf http://127.0.0.1:17071/progress.json >/dev/null; then up=1; break; fi; sleep 0.1; done; \
-	[ $$up = 1 ] || { echo "live-smoke: server never came up"; kill $$pid 2>/dev/null; exit 1; }; \
-	curl -sf http://127.0.0.1:17071/metrics | grep -q "# TYPE" || { echo "live-smoke: /metrics"; kill $$pid 2>/dev/null; exit 1; }; \
-	curl -sf http://127.0.0.1:17071/progress.json | grep -q '"eta_sec"' || { echo "live-smoke: /progress.json"; kill $$pid 2>/dev/null; exit 1; }; \
-	code=$$(curl -s -o /dev/null -w '%{http_code}' http://127.0.0.1:17071/series.json); \
-	[ "$$code" = 404 ] || { echo "live-smoke: /series.json answered $$code, want 404"; kill $$pid 2>/dev/null; exit 1; }; \
-	curl -sf -o /tmp/spacesim-smoke-live.pprof "http://127.0.0.1:17071/debug/pprof/profile?seconds=1" || { echo "live-smoke: pprof"; kill $$pid 2>/dev/null; exit 1; }; \
-	wait $$pid || exit 1; \
-	test -s /tmp/spacesim-smoke-live.json || { echo "live-smoke: no report written"; exit 1; }; \
-	if grep -q '"live"' /tmp/spacesim-smoke-live.json; then echo "live-smoke: the report carries a live block"; exit 1; fi
-
-# Run-ledger smoke: two identical short spacesim runs recorded into a
-# scratch ledger must stamp identical config digests (the digest covers only
-# deterministic invocation parameters); the trend view (the same text as
-# the live server's /runs) must print them as one group of 2 runs; and
-# `trend -gate` on run B's config digest must judge B against A's record
-# and pass (the virtual schedule repeats at any pool width).
-ledger-smoke:
-	$(GO) build -o /tmp/spacesim-smoke-ssbench ./cmd/ssbench
-	$(GO) build -o /tmp/spacesim-smoke-spacesim ./cmd/spacesim
-	rm -rf /tmp/spacesim-smoke-ledger
-	/tmp/spacesim-smoke-spacesim -n 600 -procs 3 -steps 2 -report \
-		-ledger /tmp/spacesim-smoke-ledger -analysis /tmp/spacesim-smoke-ledger-a.json
-	/tmp/spacesim-smoke-spacesim -n 600 -procs 3 -steps 2 -report \
-		-ledger /tmp/spacesim-smoke-ledger -analysis /tmp/spacesim-smoke-ledger-b.json
-	@da=$$(grep -o '"config_digest": *"[0-9a-f]*"' /tmp/spacesim-smoke-ledger-a.json); \
-	db=$$(grep -o '"config_digest": *"[0-9a-f]*"' /tmp/spacesim-smoke-ledger-b.json); \
-	[ -n "$$da" ] && [ "$$da" = "$$db" ] || { echo "ledger-smoke: config digests differ: $$da vs $$db"; exit 1; }; \
-	echo "ledger-smoke: identical config digests across both runs"
-	/tmp/spacesim-smoke-ssbench trend -ledger /tmp/spacesim-smoke-ledger | tee /tmp/spacesim-smoke-ledger-trend.log
-	@[ "$$(grep -c '^config ' /tmp/spacesim-smoke-ledger-trend.log)" = 1 ] \
-		&& grep -q '^config .*  2 runs (latest ' /tmp/spacesim-smoke-ledger-trend.log \
-		|| { echo "ledger-smoke: trend did not print one group of 2 runs"; exit 1; }
-	@db=$$(sed -n 's/.*"config_digest": *"\([0-9a-f]*\)".*/\1/p' /tmp/spacesim-smoke-ledger-b.json); \
-	/tmp/spacesim-smoke-ssbench trend -gate -ledger /tmp/spacesim-smoke-ledger -config "$$db" \
-		> /tmp/spacesim-smoke-ledger-gate.log; code=$$?; cat /tmp/spacesim-smoke-ledger-gate.log; \
-	[ $$code = 0 ] || { echo "ledger-smoke: trend -gate failed run B against run A"; exit 1; }; \
-	grep -q '^config .*  2 runs (latest ' /tmp/spacesim-smoke-ledger-gate.log \
-		|| { echo "ledger-smoke: trend -gate did not judge run B against run A's record"; exit 1; }
-
-# Job-server smoke: the crash-safety story end to end. A spacesimd daemon
-# takes a job, is killed -9 mid-run after its first checkpoint, and a
-# restarted daemon replays the journal, resumes the job from the checkpoint
-# (resumed_step > 0), and finishes it. A duplicate submission must then be a
-# cache hit (asserted in the job record and the /metrics counter), a
-# no_cache submission must recompute to the identical result digest, the
-# daemon's ledger (its one result store, under the state directory with
-# -ledger "") must hold exactly the two computed results as one /runs group
-# of 2 runs, and a SIGTERM must drain the daemon to a zero exit.
-serve-smoke:
-	$(GO) build -o /tmp/spacesimd-smoke ./cmd/spacesimd
-	rm -rf /tmp/spacesim-smoke-serve
-	/tmp/spacesimd-smoke -addr 127.0.0.1:17073 -state /tmp/spacesim-smoke-serve \
-		-workers 1 -ledger "" >/tmp/spacesim-smoke-serve.log 2>&1 & pid=$$!; \
-	up=0; for i in $$(seq 1 50); do \
-		if curl -sf http://127.0.0.1:17073/jobs >/dev/null; then up=1; break; fi; sleep 0.1; done; \
-	[ $$up = 1 ] || { echo "serve-smoke: daemon never came up"; kill $$pid 2>/dev/null; exit 1; }; \
-	curl -sf -X POST http://127.0.0.1:17073/jobs \
-		-d '{"n":6000,"ranks":4,"steps":10,"checkpoint_every":1,"seed":3}' >/dev/null \
-		|| { echo "serve-smoke: submit failed"; kill -9 $$pid; exit 1; }; \
-	ck=0; for i in $$(seq 1 100); do \
-		if ls /tmp/spacesim-smoke-serve/jobs/*/ck-* >/dev/null 2>&1; then ck=1; break; fi; sleep 0.1; done; \
-	[ $$ck = 1 ] || { echo "serve-smoke: no checkpoint appeared before the kill"; kill -9 $$pid; exit 1; }; \
-	kill -9 $$pid; wait $$pid 2>/dev/null; \
-	echo "serve-smoke: daemon killed -9 mid-job after its first checkpoint"
-	/tmp/spacesimd-smoke -addr 127.0.0.1:17073 -state /tmp/spacesim-smoke-serve \
-		-workers 1 -ledger "" >>/tmp/spacesim-smoke-serve.log 2>&1 & pid=$$!; \
-	ok=0; for i in $$(seq 1 300); do \
-		if curl -sf http://127.0.0.1:17073/jobs 2>/dev/null | grep -q '"state": "done"'; then ok=1; break; fi; sleep 0.2; done; \
-	[ $$ok = 1 ] || { echo "serve-smoke: job never finished after restart"; kill $$pid 2>/dev/null; exit 1; }; \
-	curl -sf http://127.0.0.1:17073/jobs | grep -q '"resumed_step": [1-9]' \
-		|| { echo "serve-smoke: restarted job recomputed instead of resuming"; kill $$pid; exit 1; }; \
-	echo "serve-smoke: journal replayed, job resumed from its checkpoint"; \
-	curl -sf -X POST http://127.0.0.1:17073/jobs \
-		-d '{"n":6000,"ranks":4,"steps":10,"checkpoint_every":1,"seed":3}' >/dev/null \
-		|| { echo "serve-smoke: duplicate submit failed"; kill $$pid; exit 1; }; \
-	ok=0; for i in $$(seq 1 100); do \
-		if [ "$$(curl -sf http://127.0.0.1:17073/jobs | grep -c '"state": "done"')" -ge 2 ]; then ok=1; break; fi; sleep 0.1; done; \
-	[ $$ok = 1 ] || { echo "serve-smoke: duplicate job never finished"; kill $$pid; exit 1; }; \
-	curl -sf http://127.0.0.1:17073/jobs | grep -q '"cache_hit": true' \
-		|| { echo "serve-smoke: duplicate submission missed the cache"; kill $$pid; exit 1; }; \
-	curl -sf http://127.0.0.1:17073/metrics | grep -q '^spacesim_serve_cache_hits 1' \
-		|| { echo "serve-smoke: cache_hits counter not 1"; kill $$pid; exit 1; }; \
-	echo "serve-smoke: duplicate submission was a cache hit"; \
-	curl -sf -X POST http://127.0.0.1:17073/jobs \
-		-d '{"n":6000,"ranks":4,"steps":10,"checkpoint_every":1,"seed":3,"no_cache":true}' >/dev/null \
-		|| { echo "serve-smoke: no_cache submit failed"; kill $$pid; exit 1; }; \
-	ok=0; for i in $$(seq 1 300); do \
-		if [ "$$(curl -sf http://127.0.0.1:17073/jobs | grep -c '"state": "done"')" -ge 3 ]; then ok=1; break; fi; sleep 0.2; done; \
-	[ $$ok = 1 ] || { echo "serve-smoke: no_cache job never finished"; kill $$pid; exit 1; }; \
-	nd=$$(curl -sf http://127.0.0.1:17073/jobs | grep -o '"result_digest": "[0-9a-f]*"' | sort -u | wc -l); \
-	[ "$$nd" -eq 1 ] || { echo "serve-smoke: $$nd distinct result digests across resumed/cached/recomputed runs, want 1"; kill $$pid; exit 1; }; \
-	echo "serve-smoke: kill-9-resumed, cached, and no_cache-recomputed digests all identical"; \
-	runs=$$(curl -sf http://127.0.0.1:17073/runs); echo "$$runs"; \
-	[ "$$(echo "$$runs" | grep -c '^config ')" = 1 ] && echo "$$runs" | grep -q '^config .*  2 runs (latest ' \
-		|| { echo "serve-smoke: /runs is not one group of 2 runs (the resumed job and the recompute)"; kill $$pid; exit 1; }; \
-	[ ! -e /tmp/spacesim-smoke-serve/results ] \
-		|| { echo "serve-smoke: a results/ directory exists under the state directory"; kill $$pid; exit 1; }; \
-	echo "serve-smoke: the ledger holds the 2 computed results, the cache hit appended nothing"; \
-	kill -TERM $$pid; wait $$pid \
-		|| { echo "serve-smoke: drain exited nonzero"; exit 1; }; \
-	echo "serve-smoke: SIGTERM drained cleanly (exit 0)"
-
 # Full local CI pass: formatting, static checks, the reachability check, the
-# arm64 cross-build, tests, race detector, the one-slot pass, the schedule at
-# four pool widths, the per-width kernel pass, the benchmark's miniature runs, the observability +
-# trace-analysis + fault-injection + live-telemetry + run-ledger + job-server
-# smoke runs, the fuzz smoke, and the check that EXPERIMENTS.md's tables are
-# what the registry prints.
-ci: fmt-check vet reachable cross-build test race one-slot widths kernels-widths bench-smoke smoke analyze-smoke fault-smoke live-smoke ledger-smoke serve-smoke fuzz-smoke experiments-check
+# arm64 cross-build, tests (smoke tests included), race detector, the
+# one-slot pass, the schedule at four pool widths, the per-width kernel pass,
+# the benchmark's miniature runs, the fuzz smoke, and the check that
+# EXPERIMENTS.md's tables are what the registry prints.
+ci: fmt-check vet reachable cross-build test race one-slot widths kernels-widths bench-smoke fuzz-smoke experiments-check

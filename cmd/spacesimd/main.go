@@ -41,6 +41,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"net"
 	"net/http"
 	"os"
 	"os/signal"
@@ -83,13 +84,19 @@ func main() {
 		log.Fatalf("spacesimd: %v", err)
 	}
 
-	srv := &http.Server{Addr: *addr, Handler: s.Handler()}
+	// Listen before printing, so the line names the port the kernel chose
+	// when -addr asks for port 0.
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		log.Fatalf("spacesimd: http: %v", err)
+	}
+	srv := &http.Server{Handler: s.Handler()}
 	errc := make(chan error, 1)
-	go func() { errc <- srv.ListenAndServe() }()
+	go func() { errc <- srv.Serve(ln) }()
 
 	sigc := make(chan os.Signal, 2)
 	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
-	fmt.Printf("spacesimd: serving on http://%s/ (state %s, %d workers)\n", *addr, *state, *workers)
+	fmt.Printf("spacesimd: serving on http://%s/ (state %s, %d workers)\n", ln.Addr(), *state, *workers)
 
 	select {
 	case err := <-errc:

@@ -138,7 +138,7 @@ func TestTraceReproducible(t *testing.T) {
 
 // The engine counters must be populated on a multi-rank run, and the
 // per-rank breakdown must expose nonzero compute and wait time. The run is
-// `make smoke`'s size (600 bodies, 3 ranks) with tracing on, and the trace
+// TestSmokeReports' size (600 bodies, 3 ranks) with tracing on, and the trace
 // and metrics files it writes must hold the formats' invariants.
 func TestEngineMetricsPopulated(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))

@@ -176,12 +176,22 @@ func GateAgainst(baseline []Record, newMetrics map[string]float64, lastK int) []
 // (a spacesimd result) is no run under test. The group must already share
 // a config digest and host (see GroupRecords).
 func Trend(group []Record, lastK int) []MetricTrend {
+	i := underTest(group)
+	if i < 0 {
+		return nil
+	}
+	return GateAgainst(group[:i], group[i].Metrics, lastK)
+}
+
+// underTest returns the index of the newest record in group that has
+// metrics, the run Trend judges, or -1 when no record has any.
+func underTest(group []Record) int {
 	for i := len(group) - 1; i >= 0; i-- {
 		if len(group[i].Metrics) > 0 {
-			return GateAgainst(group[:i], group[i].Metrics, lastK)
+			return i
 		}
 	}
-	return nil
+	return -1
 }
 
 // AnyRegression reports whether any metric regressed.

@@ -41,15 +41,20 @@ func GroupRecords(recs []Record) []Group {
 // recentRuns is how many run IDs a group's view lists, newest first.
 const recentRuns = 8
 
-// WriteGroups prints each group — a header, one WriteTrends row per metric
-// of Trend(g.Recs, lastK), the IDs of its newest runs — then a blank line,
-// and reports whether the newest run of any group regressed. `ssbench
-// trend` and the /runs page both print through it.
+// WriteGroups prints each group — a header naming the run the rows judge,
+// one WriteTrends row per metric of Trend(g.Recs, lastK), the IDs of its
+// newest runs — then a blank line, and reports whether the judged run of
+// any group regressed. `ssbench trend` and the /runs page both print
+// through it.
 func WriteGroups(w io.Writer, groups []Group, lastK int) (regressed bool) {
 	for _, g := range groups {
 		latest := g.Recs[len(g.Recs)-1]
-		fmt.Fprintf(w, "config %.12s  %s %s  host %s  %d runs (latest %s)\n",
-			g.Digest, latest.Config.Tool, latest.Config.Experiment, g.Host, len(g.Recs), latest.ID)
+		judged := "no run with metrics"
+		if i := underTest(g.Recs); i >= 0 {
+			judged = "judged " + g.Recs[i].ID
+		}
+		fmt.Fprintf(w, "config %.12s  %s %s  host %s  %d runs (%s)\n",
+			g.Digest, latest.Config.Tool, latest.Config.Experiment, g.Host, len(g.Recs), judged)
 		trends := Trend(g.Recs, lastK)
 		WriteTrends(w, trends)
 		regressed = regressed || AnyRegression(trends)

@@ -68,12 +68,44 @@ func TestRunsIndexPage(t *testing.T) {
 		t.Fatalf("/runs body differs from WriteGroups:\n%s\nwant:\n%s", body, want.String())
 	}
 	for _, line := range []string{
-		fmt.Sprintf("3 runs (latest %s)", ids[2]),
+		fmt.Sprintf("3 runs (judged %s)", ids[2]),
 		fmt.Sprintf("  runs %s %s %s\n", ids[2], ids[1], ids[0]),
 	} {
 		if !strings.Contains(body, line) {
 			t.Errorf("/runs missing %q:\n%s", line, body)
 		}
+	}
+}
+
+// A group's header names the run its rows judge: the newest record with
+// metrics, not a newer metric-less daemon result of the same config.
+func TestGroupHeaderNamesJudgedRun(t *testing.T) {
+	s, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ids []string
+	for _, m := range []map[string]float64{{"makespan_sec": 10}, {"makespan_sec": 10.1}, nil} {
+		id, err := s.Append(testRecord("run", m), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, id)
+	}
+	recs, err := s.Records()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var b strings.Builder
+	WriteGroups(&b, GroupRecords(recs), 10)
+	if want := fmt.Sprintf(" 3 runs (judged %s)\n", ids[1]); !strings.Contains(b.String(), want) {
+		t.Errorf("header does not name the judged run %s:\n%s", ids[1], b.String())
+	}
+
+	b.Reset()
+	WriteGroups(&b, GroupRecords(recs[2:]), 10)
+	if !strings.Contains(b.String(), " 1 runs (no run with metrics)\n") {
+		t.Errorf("a group without metrics does not say so:\n%s", b.String())
 	}
 }
 
