@@ -33,7 +33,8 @@ one-slot:
 # default width from par.Width, so the one host loop runs at four widths too;
 # so do the grouped walk's runs of groups (TestGroupedWorkersBitIdentical),
 # and the bound on a 64-rank world's goroutines, which scales with the width
-# of the scheduler's pool (TestWorldGoroutinesBounded).
+# of the scheduler's pool (TestWorldGoroutinesBounded). The NPB kernels'
+# result digest (TestNPBResultsPinned) must not move with the width either.
 widths:
 	@for p in 1 2 4 8; do \
 		echo "widths: GOMAXPROCS=$$p"; \
@@ -45,6 +46,7 @@ widths:
 		GOMAXPROCS=$$p $(GO) test -count=1 -timeout 300s \
 			-run '^(TestBuildBitIdentical.*|TestGroupedWorkerCountInvariance|TestGroupedGoldenDigest)$$' ./internal/htree || exit 1; \
 		GOMAXPROCS=$$p $(GO) test -count=1 -timeout 300s -run '^TestSimWorkersBitIdentical$$' ./internal/sph || exit 1; \
+		GOMAXPROCS=$$p $(GO) test -count=1 -timeout 300s -run '^TestNPBResultsPinned$$' ./internal/npb || exit 1; \
 	done
 
 # Also the asmdecl check of internal/gravity/lanes_amd64.s, AVX2 and AVX-512
