@@ -113,30 +113,30 @@ func TestLinpackClockScalingShape(t *testing.T) {
 	// memory-bound fraction; see perfmodel for the full Table 2 machinery.
 	// Here we verify the measured serial code is compute-dominated: time
 	// must grow superlinearly from n to 2n (cubic flops, quadratic memory).
-	// Each order is timed as the best of five runs, so a busy host that
-	// stalls one run does not flatten the ratio.
+	// Each order is timed as the best of five runs, and the two orders
+	// alternate, so a burst of host load that stalls some runs hits both
+	// sizes rather than flattening the ratio.
 	a1, _ := NewRandom(128, 1)
 	a2, _ := NewRandom(256, 1)
-	t1 := timeLU(a1)
-	t2 := timeLU(a2)
+	t1, t2 := math.Inf(1), math.Inf(1)
+	for range 5 {
+		t1 = min(t1, timeLU(a1))
+		t2 = min(t2, timeLU(a2))
+	}
 	ratio := t2 / t1
 	if ratio < 4.5 {
 		t.Fatalf("LU time ratio for 2x size = %.1f, want >4.5 (cubic)", ratio)
 	}
 }
 
-// timeLU returns the fastest of five LU factorizations of copies of m.
+// timeLU returns the host seconds of one LU factorization of a copy of m.
 func timeLU(m *Matrix) float64 {
-	best := math.Inf(1)
-	for range 5 {
-		work := &Matrix{N: m.N, A: append([]float64(nil), m.A...)}
-		start := nowSec()
-		if _, err := work.LU(); err != nil {
-			panic(err)
-		}
-		best = min(best, nowSec()-start)
+	work := &Matrix{N: m.N, A: append([]float64(nil), m.A...)}
+	start := nowSec()
+	if _, err := work.LU(); err != nil {
+		panic(err)
 	}
-	return best
+	return nowSec() - start
 }
 
 func BenchmarkSerialLU256(b *testing.B) {

@@ -2,6 +2,7 @@ package hpl
 
 import (
 	"fmt"
+	"math"
 
 	"spacesim/internal/machine"
 	"spacesim/internal/mp"
@@ -36,14 +37,8 @@ func RunParallel(cluster machine.Cluster, nprocs, n, nb int, seed int64) (Parall
 	st := mp.Run(cluster, nprocs, func(r *mp.Rank) {
 		p := r.Size()
 		me := r.ID()
-		owner := func(gcol int) int { return (gcol / nb) % p }
 		// local storage: columns this rank owns, in global order
-		var myCols []int
-		for j := 0; j < n; j++ {
-			if owner(j) == me {
-				myCols = append(myCols, j)
-			}
-		}
+		myCols := colsOf(n, nb, p, me)
 		// cols[l][i] = A[i, myCols[l]]
 		full, bvec := NewRandom(n, seed)
 		cols := make([][]float64, len(myCols))
@@ -71,7 +66,7 @@ func RunParallel(cluster machine.Cluster, nprocs, n, nb int, seed int64) (Parall
 		for pk := 0; pk < nPanels; pk++ {
 			k0 := pk * nb
 			k1 := k0 + nb
-			ow := owner(k0)
+			ow := pk % p // block-cyclic owner of panel pk
 			// panel payload: nb pivot indices + nb factored columns (rows k0..n)
 			var panel []float64
 			if ow == me {
@@ -81,9 +76,9 @@ func RunParallel(cluster machine.Cluster, nprocs, n, nb int, seed int64) (Parall
 					lj := lidx[j]
 					col := cols[lj]
 					// pivot search below the diagonal
-					piv, maxv := j, abs(col[j])
+					piv, maxv := j, math.Abs(col[j])
 					for i := j + 1; i < n; i++ {
-						if v := abs(col[i]); v > maxv {
+						if v := math.Abs(col[i]); v > maxv {
 							piv, maxv = i, v
 						}
 					}
@@ -197,6 +192,8 @@ func RunParallel(cluster machine.Cluster, nprocs, n, nb int, seed int64) (Parall
 	return res, nil
 }
 
+// colsOf lists, in order, the columns rank owns under the 1-D
+// block-cyclic distribution of nb-wide blocks over p ranks.
 func colsOf(n, nb, p, rank int) []int {
 	var out []int
 	for j := 0; j < n; j++ {
@@ -216,13 +213,6 @@ func flatten(cols [][]float64) []float64 {
 		out = append(out, c...)
 	}
 	return out
-}
-
-func abs(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
 }
 
 // ModelConfig describes one full-machine Linpack configuration of Figure 3.

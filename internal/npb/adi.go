@@ -8,7 +8,7 @@ import (
 	"spacesim/internal/obs"
 )
 
-// RunADI executes the BT/SP-style pseudo-application: an alternating
+// runADI executes the BT/SP-style pseudo-application: an alternating
 // direction implicit (ADI) solve of the 3-D heat equation. Each iteration
 // performs tridiagonal line solves along x, y (local to the z-slabs) and z
 // (made local by a global transpose, as NPB's multipartition effectively
@@ -16,29 +16,23 @@ import (
 // and SP differ in their per-point operation density (block 5x5 vs scalar
 // pentadiagonal solves), captured by the densities table.
 //
-// The miniature evolves an actualGrid^3 field and is verified against a
+// The miniature evolves a g^3 field and is verified against a
 // single-rank execution (the ADI update is deterministic), plus a maximum
 // principle check (diffusion never creates new extrema).
-func RunADI(bench Benchmark, cluster machine.Cluster, procs int, class Class, actualGrid int) Result {
-	if bench != BT && bench != SP {
-		panic("npb: RunADI serves BT and SP only")
-	}
-	res := Result{Benchmark: bench, Class: class.Name, Procs: procs}
+func runADI(res Result, cluster machine.Cluster, class Class, g int) Result {
 	ntot := math.Pow(float64(class.N), 3)
-	den := densities[bench]
+	den := densities[res.Benchmark]
 	res.Ops = den.flopsPerPt * ntot * float64(class.Iters)
 
-	verified := true
-	detail := ""
-	st := mp.Run(cluster, procs, func(r *mp.Rank) {
+	return run(res, cluster, func(r *mp.Rank) (bool, string) {
 		iters := min(class.Iters, 3)
-		u := adiInit(actualGrid, r.Size(), r.ID())
+		u := adiInit(g, r.Size(), r.ID())
 		u0max := maxAbs(u)
-		adiEvolve(r, bench, class, u, actualGrid, iters)
+		adiEvolve(r, den, class, u, g, iters)
 		// maximum principle: diffusion with zero boundaries contracts
+		ok, detail := true, ""
 		if maxAbs(u) > u0max*(1+1e-12) {
-			verified = false
-			detail = "maximum principle violated"
+			ok, detail = false, "maximum principle violated"
 		}
 		// cross-rank check: global checksum must match the serial value
 		sum := 0.0
@@ -47,17 +41,13 @@ func RunADI(bench Benchmark, cluster machine.Cluster, procs int, class Class, ac
 		}
 		tot := r.AllreduceScalar(sum, mp.OpSum)
 		if r.ID() == 0 {
-			serial := adiSerialChecksum(bench, class, actualGrid, iters)
+			serial := adiSerialChecksum(g, iters)
 			if math.Abs(tot-serial) > 1e-9*(1+math.Abs(serial)) {
-				verified = false
-				detail = "checksum " + fmtG(tot) + " != serial " + fmtG(serial)
+				ok, detail = false, "checksum "+fmtG(tot)+" != serial "+fmtG(serial)
 			}
 		}
+		return ok, detail
 	})
-	res.Verified = verified
-	res.VerifyDetail = detail
-	finish(&res, st.ElapsedVirtual)
-	return res
 }
 
 // adiInit builds this rank's z-slab of the deterministic initial field.
@@ -92,13 +82,9 @@ func adiValue(i int64) float64 {
 
 // adiEvolve advances the field by iters ADI steps, charging class-size
 // costs.
-func adiEvolve(r *mp.Rank, bench Benchmark, class Class, u []float64, g, iters int) {
+func adiEvolve(r *mp.Rank, den density, class Class, u []float64, g, iters int) {
 	p := r.Size()
-	if g%p != 0 {
-		panic("npb: ADI grid must divide rank count")
-	}
 	nz := g / p
-	den := densities[bench]
 	ntot := math.Pow(float64(class.N), 3)
 	scale := float64(class.Iters) / float64(iters)
 	acctPtsPerRank := ntot / float64(p) * scale
@@ -123,17 +109,16 @@ func adiEvolve(r *mp.Rank, bench Benchmark, class Class, u []float64, g, iters i
 			r.Charge(acctPtsPerRank*den.flopsPerPt/3, den.eff, acctPtsPerRank*den.bytesPerPt/3)
 		}
 		// z direction: transpose so z becomes local, solve, transpose back
-		tr := transposeZX(r, u, g, nz, acctChunk)
-		nx := g / p
+		tr := transpose(r, u, g, acctChunk, true)
 		// tr layout: [x-local][y][z-global]; solve along z
-		for x := 0; x < nx; x++ {
+		for x := 0; x < g/p; x++ {
 			for y := 0; y < g; y++ {
 				line := tr[(x*g+y)*g : (x*g+y)*g+g]
 				thomasSolve(line, lambda)
 			}
 		}
 		r.Charge(acctPtsPerRank*den.flopsPerPt/3, den.eff, acctPtsPerRank*den.bytesPerPt/3)
-		transposeXZ(r, tr, u, g, nz, acctChunk)
+		copy(u, transpose(r, tr, g, acctChunk, false))
 		endIter()
 		prog.StepDone(it+1, r.Clock())
 	}
@@ -185,83 +170,9 @@ func thomasSolve(x []float64, l float64) {
 	}
 }
 
-// transposeZX redistributes a z-slab field to x-slabs: result[(x*g+y)*g+zg].
-func transposeZX(r *mp.Rank, u []float64, g, nz int, acctChunk int64) []float64 {
-	p := r.Size()
-	nx := g / p
-	chunks := make([]any, p)
-	sizes := make([]int64, p)
-	for d := 0; d < p; d++ {
-		buf := make([]float64, nz*g*nx)
-		k := 0
-		for z := 0; z < nz; z++ {
-			for y := 0; y < g; y++ {
-				for x := d * nx; x < (d+1)*nx; x++ {
-					buf[k] = u[(z*g+y)*g+x]
-					k++
-				}
-			}
-		}
-		chunks[d] = buf
-		sizes[d] = acctChunk
-	}
-	recv := r.AlltoallAny(chunks, sizes)
-	tr := make([]float64, nx*g*g)
-	for src := 0; src < p; src++ {
-		buf := recv[src].([]float64)
-		k := 0
-		for zz := 0; zz < nz; zz++ {
-			zg := src*nz + zz
-			for y := 0; y < g; y++ {
-				for x := 0; x < nx; x++ {
-					tr[(x*g+y)*g+zg] = buf[k]
-					k++
-				}
-			}
-		}
-	}
-	return tr
-}
-
-// transposeXZ is the inverse of transposeZX, writing back into u.
-func transposeXZ(r *mp.Rank, tr, u []float64, g, nz int, acctChunk int64) {
-	p := r.Size()
-	nx := g / p
-	chunks := make([]any, p)
-	sizes := make([]int64, p)
-	for d := 0; d < p; d++ {
-		buf := make([]float64, nx*g*nz)
-		k := 0
-		for zz := 0; zz < nz; zz++ {
-			zg := d*nz + zz
-			for y := 0; y < g; y++ {
-				for x := 0; x < nx; x++ {
-					buf[k] = tr[(x*g+y)*g+zg]
-					k++
-				}
-			}
-		}
-		chunks[d] = buf
-		sizes[d] = acctChunk
-	}
-	recv := r.AlltoallAny(chunks, sizes)
-	for src := 0; src < p; src++ {
-		buf := recv[src].([]float64)
-		k := 0
-		for zz := 0; zz < nz; zz++ {
-			for y := 0; y < g; y++ {
-				for x := src * nx; x < (src+1)*nx; x++ {
-					u[(zz*g+y)*g+x] = buf[k]
-					k++
-				}
-			}
-		}
-	}
-}
-
 // adiSerialChecksum runs the same evolution on one rank without any
 // communication machinery, returning the field sum.
-func adiSerialChecksum(bench Benchmark, class Class, g, iters int) float64 {
+func adiSerialChecksum(g, iters int) float64 {
 	u := adiInit(g, 1, 0)
 	const lambda = 0.4
 	tr := make([]float64, g*g*g)

@@ -8,19 +8,16 @@ import (
 	"spacesim/internal/mp"
 )
 
-// RunEP executes the embarrassingly parallel benchmark: generate Gaussian
+// runEP executes the embarrassingly parallel benchmark: generate Gaussian
 // pairs by the Box-Muller/acceptance method and histogram them in annuli;
 // the only communication is the final 10-bin reduction. The miniature
 // generates 2^actualLog pairs; costs are charged at 2^class.N pairs.
-func RunEP(cluster machine.Cluster, procs int, class Class, actualLog int) Result {
-	res := Result{Benchmark: EP, Class: class.Name, Procs: procs}
+func runEP(res Result, cluster machine.Cluster, class Class, actualLog int) Result {
 	pairs := math.Pow(2, float64(class.N))
 	den := densities[EP]
 	res.Ops = pairs * den.flopsPerPt
 
-	verified := true
-	detail := ""
-	st := mp.Run(cluster, procs, func(r *mp.Rank) {
+	return run(res, cluster, func(r *mp.Rank) (bool, string) {
 		nLocal := int(math.Pow(2, float64(actualLog))) / r.Size()
 		rng := rand.New(rand.NewSource(int64(r.ID())*7919 + 1))
 		var bins [10]float64
@@ -51,33 +48,23 @@ func RunEP(cluster machine.Cluster, procs int, class Class, actualLog int) Resul
 		copy(buf, bins[:])
 		buf[10], buf[11], buf[12] = sx, sy, float64(accepted)
 		tot := r.Allreduce(buf, mp.OpSum)
-		if r.ID() == 0 {
-			var binSum float64
-			for i := 0; i < 10; i++ {
-				binSum += tot[i]
-			}
-			acc := tot[12]
-			// all accepted pairs must land in the first 10 annuli, the
-			// acceptance rate must be ~ pi/4, and the Gaussian means ~0
-			if binSum != acc {
-				verified = false
-				detail = "bin sum mismatch"
-			}
-			total := float64(nLocal * r.Size())
-			rate := acc / total
-			if math.Abs(rate-math.Pi/4) > 0.05 {
-				verified = false
-				detail = "acceptance rate " + fmtG(rate)
-			}
-			mean := math.Abs(tot[10]/acc) + math.Abs(tot[11]/acc)
-			if mean > 0.05 {
-				verified = false
-				detail = "gaussian mean bias " + fmtG(mean)
-			}
+		var binSum float64
+		for i := 0; i < 10; i++ {
+			binSum += tot[i]
 		}
+		acc := tot[12]
+		rate := acc / float64(nLocal*r.Size())
+		mean := math.Abs(tot[10]/acc) + math.Abs(tot[11]/acc)
+		// the Gaussian means must be ~0, the acceptance rate ~ pi/4, and
+		// every accepted pair must land in the first 10 annuli
+		switch {
+		case mean > 0.05:
+			return false, "gaussian mean bias " + fmtG(mean)
+		case math.Abs(rate-math.Pi/4) > 0.05:
+			return false, "acceptance rate " + fmtG(rate)
+		case binSum != acc:
+			return false, "bin sum mismatch"
+		}
+		return true, ""
 	})
-	res.Verified = verified
-	res.VerifyDetail = detail
-	finish(&res, st.ElapsedVirtual)
-	return res
 }

@@ -10,17 +10,13 @@ import (
 	"spacesim/internal/mp"
 )
 
-// fft delegates to the shared radix-2 implementation.
-func fft(a []complex128, inverse bool) { fftpkg.Transform(a, inverse) }
-
-// RunFT executes the 3-D FFT spectral benchmark: forward transform of a
+// runFT executes the 3-D FFT spectral benchmark: forward transform of a
 // random complex field, per-iteration evolution by frequency-dependent
 // phase factors, inverse transform, and checksum — with the NPB slab
 // decomposition (local 2-D FFTs + a global transpose implemented as
-// all-to-all). The miniature uses an actualGrid^3 field; costs are charged
+// all-to-all). The miniature uses a g^3 field; costs are charged
 // at class.N^3.
-func RunFT(cluster machine.Cluster, procs int, class Class, actualGrid int) Result {
-	res := Result{Benchmark: FT, Class: class.Name, Procs: procs}
+func runFT(res Result, cluster machine.Cluster, class Class, g int) Result {
 	ntot := math.Pow(float64(class.N), 3)
 	// NPB counts the FFT butterfly work: ~5 N log2 N per full 3-D
 	// transform pair per iteration.
@@ -28,14 +24,8 @@ func RunFT(cluster machine.Cluster, procs int, class Class, actualGrid int) Resu
 	res.Ops = opsPerIter * float64(class.Iters)
 	den := densities[FT]
 
-	verified := true
-	detail := ""
-	st := mp.Run(cluster, procs, func(r *mp.Rank) {
+	return run(res, cluster, func(r *mp.Rank) (bool, string) {
 		p := r.Size()
-		g := actualGrid
-		if g%p != 0 {
-			panic("npb: FT actual grid must divide rank count")
-		}
 		nz := g / p
 		rng := rand.New(rand.NewSource(int64(r.ID())*31 + 3))
 		// u[z][y][x], z local slab
@@ -59,90 +49,29 @@ func RunFT(cluster machine.Cluster, procs int, class Class, actualGrid int) Resu
 			for z := 0; z < nz; z++ {
 				plane := field[z*g*g : (z+1)*g*g]
 				for y := 0; y < g; y++ {
-					fft(plane[y*g:(y+1)*g], inv)
+					fftpkg.Transform(plane[y*g:(y+1)*g], inv)
 				}
 				for x := 0; x < g; x++ {
 					for y := 0; y < g; y++ {
 						row[y] = plane[y*g+x]
 					}
-					fft(row, inv)
+					fftpkg.Transform(row, inv)
 					for y := 0; y < g; y++ {
 						plane[y*g+x] = row[y]
 					}
 				}
 			}
 			r.Charge(acctFFTOps*2/3, den.eff, acctFFTOps*2/3*den.bytesPerPt)
-			// transpose z<->x: send to rank owning each x-slab
-			chunks := make([]any, p)
-			sizes := make([]int64, p)
-			for d := 0; d < p; d++ {
-				// x range owned by d after transpose
-				buf := make([]complex128, nz*g*nz*0+nz*g*(g/p))
-				k := 0
-				for z := 0; z < nz; z++ {
-					for y := 0; y < g; y++ {
-						for x := d * (g / p); x < (d+1)*(g/p); x++ {
-							buf[k] = field[(z*g+y)*g+x]
-							k++
-						}
-					}
-				}
-				chunks[d] = buf
-				sizes[d] = acctChunk
-			}
-			recv := r.AlltoallAny(chunks, sizes)
-			// reassemble: now x is local (width g/p), z spans the globe
-			nx := g / p
-			tr := make([]complex128, nx*g*g) // [x][y][zglobal]
-			for src := 0; src < p; src++ {
-				buf := recv[src].([]complex128)
-				k := 0
-				for zz := 0; zz < nz; zz++ {
-					zg := src*nz + zz
-					for y := 0; y < g; y++ {
-						for x := 0; x < nx; x++ {
-							tr[(x*g+y)*g+zg] = buf[k]
-							k++
-						}
-					}
-				}
-			}
-			// FFT along z (now contiguous)
-			for x := 0; x < nx; x++ {
+			// transpose z<->x so z becomes local: tr is [x][y][zglobal]
+			tr := transpose(r, field, g, acctChunk, true)
+			// FFT along z (now contiguous; the pencils are nz wide)
+			for x := 0; x < nz; x++ {
 				for y := 0; y < g; y++ {
-					fft(tr[(x*g+y)*g:(x*g+y)*g+g], inv)
+					fftpkg.Transform(tr[(x*g+y)*g:(x*g+y)*g+g], inv)
 				}
 			}
 			r.Charge(acctFFTOps/3, den.eff, acctFFTOps/3*den.bytesPerPt)
-			// transpose back
-			for d := 0; d < p; d++ {
-				buf := make([]complex128, nx*g*nz)
-				k := 0
-				for zz := 0; zz < nz; zz++ {
-					zg := d*nz + zz
-					for y := 0; y < g; y++ {
-						for x := 0; x < nx; x++ {
-							buf[k] = tr[(x*g+y)*g+zg]
-							k++
-						}
-					}
-				}
-				chunks[d] = buf
-				sizes[d] = acctChunk
-			}
-			recv = r.AlltoallAny(chunks, sizes)
-			for src := 0; src < p; src++ {
-				buf := recv[src].([]complex128)
-				k := 0
-				for zz := 0; zz < nz; zz++ {
-					for y := 0; y < g; y++ {
-						for x := src * nx; x < (src+1)*nx; x++ {
-							field[(zz*g+y)*g+x] = buf[k]
-							k++
-						}
-					}
-				}
-			}
+			copy(field, transpose(r, tr, g, acctChunk, false))
 		}
 
 		for it := 0; it < iters; it++ {
@@ -165,17 +94,9 @@ func RunFT(cluster machine.Cluster, procs int, class Class, actualGrid int) Resu
 			}
 		}
 		tot := r.AllreduceScalar(maxErr, mp.OpMax)
-		if r.ID() == 0 {
-			if tot > 1e-10 {
-				verified = false
-				detail = "fft roundtrip error " + fmtG(tot)
-			} else {
-				detail = "roundtrip error " + fmtG(tot)
-			}
+		if tot > 1e-10 {
+			return false, "fft roundtrip error " + fmtG(tot)
 		}
+		return true, "roundtrip error " + fmtG(tot)
 	})
-	res.Verified = verified
-	res.VerifyDetail = detail
-	finish(&res, st.ElapsedVirtual)
-	return res
 }

@@ -9,20 +9,17 @@ import (
 	"spacesim/internal/mp"
 )
 
-// RunIS executes the integer sort benchmark: bucketed key ranking with the
+// runIS executes the integer sort benchmark: bucketed key ranking with the
 // NPB communication pattern (alltoall of bucket counts, then alltoall of
 // the keys themselves), repeated class.Iters times. The miniature sorts
 // 2^actualLog keys; costs are charged at 2^class.N keys. Verification:
 // global sortedness across rank boundaries and key conservation.
-func RunIS(cluster machine.Cluster, procs int, class Class, actualLog int) Result {
-	res := Result{Benchmark: IS, Class: class.Name, Procs: procs}
+func runIS(res Result, cluster machine.Cluster, class Class, actualLog int) Result {
 	keys := math.Pow(2, float64(class.N))
 	den := densities[IS]
 	res.Ops = keys * float64(class.Iters) // NPB counts keys ranked
 
-	verified := true
-	detail := ""
-	st := mp.Run(cluster, procs, func(r *mp.Rank) {
+	return run(res, cluster, func(r *mp.Rank) (bool, string) {
 		p := r.Size()
 		nLocal := int(math.Pow(2, float64(actualLog))) / p
 		maxKey := 1 << 16
@@ -97,21 +94,14 @@ func RunIS(cluster machine.Cluster, procs int, class Class, actualLog int) Resul
 			sum += k
 		}
 		tot := r.Allreduce([]float64{sum, checksum, b2f(ok)}, mp.OpSum)
-		if r.ID() == 0 {
-			if tot[0] != tot[1] {
-				verified = false
-				detail = "checksum mismatch"
-			}
-			if int(tot[2]) != p {
-				verified = false
-				detail = "ordering violated"
-			}
+		switch {
+		case int(tot[2]) != p:
+			return false, "ordering violated"
+		case tot[0] != tot[1]:
+			return false, "checksum mismatch"
 		}
+		return true, ""
 	})
-	res.Verified = verified
-	res.VerifyDetail = detail
-	finish(&res, st.ElapsedVirtual)
-	return res
 }
 
 func b2f(b bool) float64 {

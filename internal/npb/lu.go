@@ -8,7 +8,7 @@ import (
 	"spacesim/internal/mp"
 )
 
-// RunLU executes the LU pseudo-application analogue: SSOR sweeps on a 3-D
+// runLU executes the LU pseudo-application analogue: SSOR sweeps on a 3-D
 // Poisson problem with the NPB LU wavefront pattern. The domain is
 // decomposed into x-pencils (each rank owns an x-range, full y and z); the
 // lower sweep ascends z plane by plane, each rank forwarding its boundary
@@ -21,15 +21,14 @@ import (
 //
 // Verification: the SSOR residual of the Poisson system must decrease
 // monotonically and substantially.
-func RunLU(cluster machine.Cluster, procs int, class Class, actualGrid int) Result {
-	res := Result{Benchmark: LU, Class: class.Name, Procs: procs}
+func runLU(res Result, cluster machine.Cluster, class Class, g int) Result {
 	ntot := math.Pow(float64(class.N), 3)
 	den := densities[LU]
 	// The Figure 5 cache effect: when a rank's working set approaches the
 	// P4's cache, LU's wavefront reuse turns main-memory traffic into cache
 	// hits ("the problem being divided into enough pieces that it fits into
 	// L2 cache"), so the per-point memory traffic shrinks.
-	wsBytes := 8 * 5 * ntot / float64(procs)
+	wsBytes := 8 * 5 * ntot / float64(res.Procs)
 	const cacheKnee = 4 << 20
 	cacheFactor := wsBytes / cacheKnee
 	if cacheFactor > 1 {
@@ -41,17 +40,10 @@ func RunLU(cluster machine.Cluster, procs int, class Class, actualGrid int) Resu
 	den.bytesPerPt *= cacheFactor
 	res.Ops = den.flopsPerPt * ntot * float64(class.Iters)
 
-	verified := true
-	detail := ""
-	st := mp.Run(cluster, procs, func(r *mp.Rank) {
+	return run(res, cluster, func(r *mp.Rank) (bool, string) {
 		p := r.Size()
-		g := actualGrid
-		if g%p != 0 {
-			panic("npb: LU grid must divide rank count")
-		}
 		nx := g / p
-		me := r.ID()
-		rng := rand.New(rand.NewSource(int64(me)*41 + 11))
+		rng := rand.New(rand.NewSource(int64(r.ID())*41 + 11))
 		// layout: [(z*g + y)*nx + lx], full z and y, local x range
 		b := make([]float64, g*g*nx)
 		for i := range b {
@@ -81,73 +73,74 @@ func RunLU(cluster machine.Cluster, procs int, class Class, actualGrid int) Resu
 		}
 
 		const omega = 1.2
-		norm0 := luResidualNorm(r, u, b, g, nx, sideBytes)
-		prev := norm0
+		norm0 := luResidualNorm(r, exchangeSides(r, u, g, nx, sideBytes), b)
+		prev, increased := norm0, false
 		for it := 0; it < iters; it++ {
-			// old-value side planes for the downstream x-neighbor
-			leftOld, rightOld := exchangeSides(r, u, g, nx, sideBytes)
-			luSweep(r, u, b, g, nx, leftOld, rightOld, true, omega, stripBytes, chargePlane)
-			leftMid, rightMid := exchangeSides(r, u, g, nx, sideBytes)
-			luSweep(r, u, b, g, nx, leftMid, rightMid, false, omega, stripBytes, chargePlane)
-			cur := luResidualNorm(r, u, b, g, nx, sideBytes)
-			if r.ID() == 0 {
-				if cur > prev*(1+1e-12) {
-					verified = false
-					detail = "SSOR residual increased"
-				}
-				prev = cur
+			// each sweep reads the x-neighbors' old-value side planes
+			luSweep(r, exchangeSides(r, u, g, nx, sideBytes), b, true, omega, stripBytes, chargePlane)
+			luSweep(r, exchangeSides(r, u, g, nx, sideBytes), b, false, omega, stripBytes, chargePlane)
+			cur := luResidualNorm(r, exchangeSides(r, u, g, nx, sideBytes), b)
+			if cur > prev*(1+1e-12) {
+				increased = true
 			}
+			prev = cur
 		}
-		if r.ID() == 0 && prev > 0.7*norm0 {
-			verified = false
-			detail = "SSOR reduction too weak: " + fmtG(prev/norm0)
+		// the norms are allreduced: every rank checks the same residuals
+		switch {
+		case prev > 0.7*norm0:
+			return false, "SSOR reduction too weak: " + fmtG(prev/norm0)
+		case increased:
+			return false, "SSOR residual increased"
 		}
+		return true, ""
 	})
-	res.Verified = verified
-	res.VerifyDetail = detail
-	finish(&res, st.ElapsedVirtual)
-	return res
 }
 
-// luSweep performs one SOR pass in ascending (lower=true) or descending
-// order with plane-pipelined boundary strips between x-neighbor ranks.
-// left and right are the neighbors' old side planes ([z*g+y] indexed).
-func luSweep(r *mp.Rank, u, b []float64, g, nx int, left, right []float64, lower bool, omega float64, stripBytes int64, chargePlane func()) {
+// pencil is a rank's x-pencil of a g^3 grid, u[(z*g+y)*nx+lx] over its nx
+// x planes, with the facing side planes ([z*g+y]) of its x-neighbors; a nil
+// side is the Dirichlet-0 boundary.
+type pencil struct {
+	g, nx          int
+	u, left, right []float64
+}
+
+// at reads the pencil at local x plane lx, across its sides, and zero
+// outside the global domain.
+func (pc *pencil) at(lx, y, z int) float64 {
+	g := pc.g
+	switch {
+	case lx < 0:
+		return planeAt(pc.left, g, y, z)
+	case lx >= pc.nx:
+		return planeAt(pc.right, g, y, z)
+	case uint(y) >= uint(g) || uint(z) >= uint(g):
+		return 0
+	}
+	return pc.u[(z*g+y)*pc.nx+lx]
+}
+
+// luSweep performs one SOR pass over the pencil pc in ascending
+// (lower=true) or descending order with plane-pipelined boundary strips
+// between x-neighbor ranks; pc's sides are the neighbors' old planes.
+func luSweep(r *mp.Rank, pc pencil, b []float64, lower bool, omega float64, stripBytes int64, chargePlane func()) {
 	p := r.Size()
 	me := r.ID()
+	g, nx, u := pc.g, pc.nx, pc.u
 	const tag = 95
 	// fresh holds the upstream neighbor's just-computed boundary strip for
 	// the current plane; it overrides the old side plane.
 	fresh := make([]float64, g)
-	at := func(lx, y, z int) float64 {
-		if y < 0 || y >= g || z < 0 || z >= g {
-			return 0
-		}
-		if lx < 0 {
-			if left == nil {
-				return 0
-			}
-			return left[z*g+y]
-		}
-		if lx >= nx {
-			if right == nil {
-				return 0
-			}
-			return right[z*g+y]
-		}
-		return u[(z*g+y)*nx+lx]
-	}
 	update := func(lx, y, z int, upstream []float64) {
 		i := (z*g+y)*nx + lx
-		low := at(lx-1, y, z)  // old side plane when lx == 0
-		high := at(lx+1, y, z) // old side plane when lx == nx-1
+		low := pc.at(lx-1, y, z)  // old side plane when lx == 0
+		high := pc.at(lx+1, y, z) // old side plane when lx == nx-1
 		if lower && lx == 0 && upstream != nil {
 			low = upstream[y] // fresh strip from the left, same plane
 		}
 		if !lower && lx == nx-1 && upstream != nil {
 			high = upstream[y] // fresh strip from the right, same plane
 		}
-		sum := low + high + at(lx, y-1, z) + at(lx, y+1, z) + at(lx, y, z-1) + at(lx, y, z+1)
+		sum := low + high + pc.at(lx, y-1, z) + pc.at(lx, y+1, z) + pc.at(lx, y, z-1) + pc.at(lx, y, z+1)
 		gs := (b[i] + sum) / 6.0
 		u[i] += omega * (gs - u[i])
 	}
@@ -197,15 +190,10 @@ func luSweep(r *mp.Rank, u, b []float64, g, nx int, left, right []float64, lower
 	}
 }
 
-// exchangeSides swaps full side planes (x boundaries) with the x-neighbor
-// ranks; returns the left neighbor's rightmost plane and the right
-// neighbor's leftmost plane (nil at domain edges).
-func exchangeSides(r *mp.Rank, u []float64, g, nx int, acctBytes int64) (left, right []float64) {
-	const tag = 97
-	me, p := r.ID(), r.Size()
-	if p == 1 {
-		return nil, nil
-	}
+// exchangeSides returns u's pencil with the side planes (x boundaries)
+// of its x-neighbor ranks: the left neighbor's rightmost plane and the
+// right neighbor's leftmost (nil at domain edges).
+func exchangeSides(r *mp.Rank, u []float64, g, nx int, acctBytes int64) pencil {
 	myLeft := make([]float64, g*g)
 	myRight := make([]float64, g*g)
 	for z := 0; z < g; z++ {
@@ -214,52 +202,21 @@ func exchangeSides(r *mp.Rank, u []float64, g, nx int, acctBytes int64) (left, r
 			myRight[z*g+y] = u[(z*g+y)*nx+nx-1]
 		}
 	}
-	if me > 0 {
-		r.Send(me-1, tag, myLeft, acctBytes)
-	}
-	if me < p-1 {
-		r.Send(me+1, tag, myRight, acctBytes)
-	}
-	if me < p-1 {
-		d, _ := r.Recv(me+1, tag)
-		right = d.([]float64)
-	}
-	if me > 0 {
-		d, _ := r.Recv(me-1, tag)
-		left = d.([]float64)
-	}
-	return left, right
+	right, left := exchangeHalos(r, myLeft, myRight, acctBytes)
+	return pencil{g: g, nx: nx, u: u, left: left, right: right}
 }
 
 // luResidualNorm computes the global L2 residual of the Poisson system on
-// the pencil layout.
-func luResidualNorm(r *mp.Rank, u, b []float64, g, nx int, acctBytes int64) float64 {
-	left, right := exchangeSides(r, u, g, nx, acctBytes)
-	at := func(lx, y, z int) float64 {
-		if y < 0 || y >= g || z < 0 || z >= g {
-			return 0
-		}
-		if lx < 0 {
-			if left == nil {
-				return 0
-			}
-			return left[z*g+y]
-		}
-		if lx >= nx {
-			if right == nil {
-				return 0
-			}
-			return right[z*g+y]
-		}
-		return u[(z*g+y)*nx+lx]
-	}
+// the pencil.
+func luResidualNorm(r *mp.Rank, pc pencil, b []float64) float64 {
+	g, nx, u := pc.g, pc.nx, pc.u
 	s := 0.0
 	for z := 0; z < g; z++ {
 		for y := 0; y < g; y++ {
 			for lx := 0; lx < nx; lx++ {
 				i := (z*g+y)*nx + lx
-				au := 6*u[i] - at(lx-1, y, z) - at(lx+1, y, z) -
-					at(lx, y-1, z) - at(lx, y+1, z) - at(lx, y, z-1) - at(lx, y, z+1)
+				au := 6*u[i] - pc.at(lx-1, y, z) - pc.at(lx+1, y, z) -
+					pc.at(lx, y-1, z) - pc.at(lx, y+1, z) - pc.at(lx, y, z-1) - pc.at(lx, y, z+1)
 				d := b[i] - au
 				s += d * d
 			}

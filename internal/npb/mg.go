@@ -8,28 +8,21 @@ import (
 	"spacesim/internal/mp"
 )
 
-// RunMG executes the multigrid benchmark: V-cycles on a 3-D Poisson
+// runMG executes the multigrid benchmark: V-cycles on a 3-D Poisson
 // problem, z-slab distributed with halo exchanges at every level (the NPB
 // MG pattern: comm at all grid levels, coarse levels gathered). The
-// miniature runs on actualGrid^3 (power of two, divisible by the rank
-// count); costs are charged at class.N^3. Verification: the residual norm
-// must fall by at least 3x per V-cycle.
-func RunMG(cluster machine.Cluster, procs int, class Class, actualGrid int) Result {
-	res := Result{Benchmark: MG, Class: class.Name, Procs: procs}
+// miniature runs on g^3 (Run picks a power of two with at least two
+// planes per rank); costs are charged at class.N^3. Verification: the
+// residual norm must fall by at least 3x per V-cycle.
+func runMG(res Result, cluster machine.Cluster, class Class, g int) Result {
 	ntot := math.Pow(float64(class.N), 3)
 	den := densities[MG]
 	// Work per V-cycle ~ (1 + 1/8 + 1/64 + ...) * level-0 work.
 	opsPerCycle := den.flopsPerPt * ntot * 8.0 / 7.0
 	res.Ops = opsPerCycle * float64(class.Iters)
 
-	verified := true
-	detail := ""
-	st := mp.Run(cluster, procs, func(r *mp.Rank) {
+	return run(res, cluster, func(r *mp.Rank) (bool, string) {
 		p := r.Size()
-		g := actualGrid
-		if g&(g-1) != 0 || p&(p-1) != 0 || g%p != 0 || g/p < 2 {
-			panic("npb: MG needs power-of-two grid divisible by power-of-two ranks")
-		}
 		nz := g / p
 		rng := rand.New(rand.NewSource(int64(r.ID())*13 + 7))
 		b := make([]float64, g*g*nz)
@@ -43,32 +36,24 @@ func RunMG(cluster machine.Cluster, procs int, class Class, actualGrid int) Resu
 		acctPlane := int64(8 * float64(class.N*class.N) * scale)
 		acctPtsPerRank := ntot * 8.0 / 7.0 / float64(p) * scale
 
-		res0 := mgResidualNorm(r, g, nz, u, b, acctPlane)
-		prev := res0
+		prev := mgResidualNorm(r, g, u, b, acctPlane)
 		factors := make([]float64, 0, iters)
 		for it := 0; it < iters; it++ {
 			mgVCycle(r, g, nz, u, b, acctPlane)
 			r.Charge(acctPtsPerRank*den.flopsPerPt, den.eff, acctPtsPerRank*den.bytesPerPt)
-			cur := mgResidualNorm(r, g, nz, u, b, acctPlane)
+			cur := mgResidualNorm(r, g, u, b, acctPlane)
 			factors = append(factors, prev/cur)
 			prev = cur
 		}
-		if r.ID() == 0 {
-			for _, f := range factors {
-				if f < 3 {
-					verified = false
-					detail = "V-cycle reduction only " + fmtG(f)
-				}
-			}
-			if detail == "" {
-				detail = "per-cycle reduction " + fmtG(factors[0])
+		// the norms are allreduced: every rank checks the same factors
+		ok, detail := true, "per-cycle reduction "+fmtG(factors[0])
+		for _, f := range factors {
+			if f < 3 {
+				ok, detail = false, "V-cycle reduction only "+fmtG(f)
 			}
 		}
+		return ok, detail
 	})
-	res.Verified = verified
-	res.VerifyDetail = detail
-	finish(&res, st.ElapsedVirtual)
-	return res
 }
 
 // mgVCycle performs one V-cycle on the slab-distributed grid (g global
@@ -77,11 +62,12 @@ func RunMG(cluster machine.Cluster, procs int, class Class, actualGrid int) Resu
 // and relaxed to convergence there.
 func mgVCycle(r *mp.Rank, g, nz int, u, b []float64, acctPlane int64) {
 	const pre, post = 3, 3
-	if g >= 4 && nz >= 2 && (g/2)/max(1, r.Size()) >= 1 && nz%2 == 0 && g/2 >= 4 && (nz/2) >= 1 && (nz/2)*r.Size() == g/2 {
+	// nz = g/P with both powers of two, so nz >= 2 halves on every rank
+	if nz >= 2 && g >= 8 {
 		for s := 0; s < pre; s++ {
-			mgSmooth(r, g, nz, u, b, acctPlane)
+			mgSmooth(exchanged(r, g, u, acctPlane), b)
 		}
-		rres := mgResidual(r, g, nz, u, b, acctPlane)
+		rres := mgResidual(r, g, u, b, acctPlane)
 		// restrict by 2x2x2 cell averaging (slab-aligned: fine planes 2z and
 		// 2z+1 are both local because nz is even)
 		cg, cnz := g/2, nz/2
@@ -109,27 +95,7 @@ func mgVCycle(r *mp.Rank, g, nz int, u, b []float64, acctPlane int64) {
 		mgVCycle(r, cg, cnz, cu, cb, acctPlane/4)
 		// prolong with cell-centered trilinear interpolation; z interpolation
 		// at slab edges needs the coarse halo planes of both neighbors
-		up, down := exchangeHalos(r, cu[:cg*cg], cu[len(cu)-cg*cg:], acctPlane/4)
-		cAt := func(cx, cy, cz int) float64 {
-			// Dirichlet ghosts: zero outside the global domain; slab edges
-			// in z use the neighbor's halo plane.
-			if cx < 0 || cx >= cg || cy < 0 || cy >= cg {
-				return 0
-			}
-			if cz < 0 {
-				if down != nil {
-					return down[cy*cg+cx]
-				}
-				return 0
-			}
-			if cz >= cnz {
-				if up != nil {
-					return up[cy*cg+cx]
-				}
-				return 0
-			}
-			return cu[(cz*cg+cy)*cg+cx]
-		}
+		coarse := exchanged(r, cg, cu, acctPlane/4)
 		for z := 0; z < nz; z++ {
 			cz0, wz := interpWeight(z)
 			for y := 0; y < g; y++ {
@@ -141,7 +107,7 @@ func mgVCycle(r *mp.Rank, g, nz int, u, b []float64, acctPlane int64) {
 						for dy := 0; dy < 2; dy++ {
 							for dx := 0; dx < 2; dx++ {
 								w := pick(wx, dx) * pick(wy, dy) * pick(wz, dz)
-								v += w * cAt(cx0+dx, cy0+dy, cz0+dz)
+								v += w * planeAt(coarse.plane(cz0+dz), cg, cx0+dx, cy0+dy)
 							}
 						}
 					}
@@ -150,31 +116,25 @@ func mgVCycle(r *mp.Rank, g, nz int, u, b []float64, acctPlane int64) {
 			}
 		}
 		for s := 0; s < post; s++ {
-			mgSmooth(r, g, nz, u, b, acctPlane)
+			mgSmooth(exchanged(r, g, u, acctPlane), b)
 		}
 		return
 	}
 	// Coarse solve: gather the whole level onto rank 0, relax, scatter.
 	parts := r.Gather(0, u)
 	bparts := r.Gather(0, b)
-	var full, fullB []float64
 	if r.ID() == 0 {
+		var full, fullB []float64
 		for i := range parts {
 			full = append(full, parts[i]...)
 			fullB = append(fullB, bparts[i]...)
 		}
-		fnz := g // whole grid local now
+		// the whole grid is local now: its halos are the domain boundary
 		for s := 0; s < 60; s++ {
-			serialSmooth(g, fnz, full, fullB)
+			mgSmooth(field{g: g, v: full}, fullB)
 		}
-	}
-	// scatter back
-	if r.ID() == 0 {
-		off := 0
 		for d := 0; d < r.Size(); d++ {
-			n := len(u)
-			r.SendFloats(d, 91, full[off:off+n])
-			off += n
+			r.SendFloats(d, 91, full[d*len(u):(d+1)*len(u)])
 		}
 	}
 	part, _ := r.RecvFloats(0, 91)
@@ -199,29 +159,19 @@ func pick(wLow float64, dx int) float64 {
 	return 1 - wLow
 }
 
-// mgSmooth applies one damped-Jacobi sweep with halo exchange.
-func mgSmooth(r *mp.Rank, g, nz int, u, b []float64, acctPlane int64) {
-	res := mgResidual(r, g, nz, u, b, acctPlane)
+// mgSmooth applies one damped-Jacobi sweep to the slab u = f.v, whose
+// halos f carries.
+func mgSmooth(f field, b []float64) {
+	au := f.laplacian()
 	const omega = 2.0 / 3.0
-	for i := range u {
-		u[i] += omega / 6.0 * res[i]
-	}
-}
-
-// serialSmooth is mgSmooth without communication (whole grid local).
-func serialSmooth(g, nz int, u, b []float64) {
-	f := &field{g: g, nz: nz, v: u}
-	au := f.applyLaplacianSerial(u)
-	const omega = 2.0 / 3.0
-	for i := range u {
-		u[i] += omega / 6.0 * (b[i] - au[i])
+	for i := range f.v {
+		f.v[i] += omega / 6.0 * (b[i] - au[i])
 	}
 }
 
 // mgResidual returns b - A u on the slab.
-func mgResidual(r *mp.Rank, g, nz int, u, b []float64, acctPlane int64) []float64 {
-	f := &field{g: g, nz: nz, v: u}
-	au := f.applyLaplacian(r, u, acctPlane)
+func mgResidual(r *mp.Rank, g int, u, b []float64, acctPlane int64) []float64 {
+	au := exchanged(r, g, u, acctPlane).laplacian()
 	out := make([]float64, len(u))
 	for i := range out {
 		out[i] = b[i] - au[i]
@@ -230,33 +180,11 @@ func mgResidual(r *mp.Rank, g, nz int, u, b []float64, acctPlane int64) []float6
 }
 
 // mgResidualNorm returns the global L2 norm of the residual.
-func mgResidualNorm(r *mp.Rank, g, nz int, u, b []float64, acctPlane int64) float64 {
-	res := mgResidual(r, g, nz, u, b, acctPlane)
+func mgResidualNorm(r *mp.Rank, g int, u, b []float64, acctPlane int64) float64 {
+	res := mgResidual(r, g, u, b, acctPlane)
 	s := 0.0
 	for _, v := range res {
 		s += v * v
 	}
 	return math.Sqrt(r.AllreduceScalar(s, mp.OpSum))
-}
-
-// applyLaplacianSerial is applyLaplacian for a fully local grid.
-func (f *field) applyLaplacianSerial(p []float64) []float64 {
-	g, nz := f.g, f.nz
-	out := make([]float64, len(p))
-	at := func(x, y, z int) float64 {
-		if x < 0 || x >= g || y < 0 || y >= g || z < 0 || z >= nz {
-			return 0
-		}
-		return p[(z*g+y)*g+x]
-	}
-	for z := 0; z < nz; z++ {
-		for y := 0; y < g; y++ {
-			for x := 0; x < g; x++ {
-				i := (z*g+y)*g + x
-				out[i] = 6*p[i] - at(x-1, y, z) - at(x+1, y, z) -
-					at(x, y-1, z) - at(x, y+1, z) - at(x, y, z-1) - at(x, y, z+1)
-			}
-		}
-	}
-	return out
 }

@@ -125,11 +125,3 @@ func (r Result) String() string {
 	return fmt.Sprintf("%s class %s on %d procs: %.0f Mop/s total, %.1f Mop/s/proc (verified=%v)",
 		r.Benchmark, r.Class, r.Procs, r.MopsTotal, r.MopsPerProc, r.Verified)
 }
-
-func finish(res *Result, elapsed float64) {
-	res.ElapsedVirtual = elapsed
-	if elapsed > 0 {
-		res.MopsTotal = res.Ops / elapsed / 1e6
-		res.MopsPerProc = res.MopsTotal / float64(res.Procs)
-	}
-}

@@ -4,9 +4,12 @@ import (
 	"math"
 	"math/cmplx"
 	"math/rand"
+	"strconv"
 	"testing"
 
+	fftpkg "spacesim/internal/fft"
 	"spacesim/internal/machine"
+	"spacesim/internal/mp"
 	"spacesim/internal/netsim"
 )
 
@@ -36,13 +39,47 @@ func TestAllBenchmarksVerifySmall(t *testing.T) {
 }
 
 func TestNonPowerOfTwoRanks(t *testing.T) {
-	// IS and EP have no grid constraint; CG/LU accept any divisor of the
-	// grid edge.
+	// IS and EP have no grid constraint; the grid kernels take power-of-two
+	// rank counts, up to the grid edge and beyond (the grid grows).
 	for _, b := range []Benchmark{IS, EP} {
 		mustRun(t, b, 3, "A")
 	}
 	mustRun(t, CG, 8, "A")
 	mustRun(t, LU, 16, "A")
+}
+
+// A rank count the cluster or the kernel cannot take is an error, not a
+// hang (a grid edge that never divides) or a panic (zero ranks, or more
+// ranks than nodes).
+func TestBadRankCountsRejected(t *testing.T) {
+	c := cl()
+	for _, b := range []Benchmark{CG, MG, FT, IS, EP, BT, SP, LU} {
+		bad := []int{0, -1, c.Nodes + 1}
+		if b != IS && b != EP {
+			bad = append(bad, 3, 6, 12)
+		}
+		for _, p := range bad {
+			if _, err := Run(b, c, p, "A"); err == nil {
+				t.Errorf("%s on %d ranks: want an error", b, p)
+			}
+		}
+	}
+}
+
+// The run frame verifies a run only when every rank does, and reports the
+// first failing rank's detail, otherwise rank 0's.
+func TestRunFrameMergesRanksInOrder(t *testing.T) {
+	detail := func(r *mp.Rank) string { return "rank " + strconv.Itoa(r.ID()) }
+	res := run(Result{Procs: 4}, cl(), func(r *mp.Rank) (bool, string) {
+		return r.ID() < 2, detail(r)
+	})
+	if res.Verified || res.VerifyDetail != "rank 2" {
+		t.Fatalf("ranks 2 and 3 fail: got verified=%v %q", res.Verified, res.VerifyDetail)
+	}
+	res = run(Result{Procs: 4}, cl(), func(r *mp.Rank) (bool, string) { return true, detail(r) })
+	if !res.Verified || res.VerifyDetail != "rank 0" {
+		t.Fatalf("every rank passes: got verified=%v %q", res.Verified, res.VerifyDetail)
+	}
 }
 
 func TestUnknownClassRejected(t *testing.T) {
@@ -68,14 +105,14 @@ func TestFFTMatchesDFT(t *testing.T) {
 		want[k] = s
 	}
 	got := append([]complex128(nil), a...)
-	fft(got, false)
+	fftpkg.Transform(got, false)
 	for k := range got {
 		if cmplx.Abs(got[k]-want[k]) > 1e-10 {
 			t.Fatalf("fft[%d] = %v want %v", k, got[k], want[k])
 		}
 	}
 	// inverse round trip
-	fft(got, true)
+	fftpkg.Transform(got, true)
 	for k := range got {
 		if cmplx.Abs(got[k]-a[k]) > 1e-12 {
 			t.Fatalf("ifft roundtrip at %d", k)
