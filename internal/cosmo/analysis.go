@@ -109,15 +109,15 @@ func FoFGroups(pos []vec.V3, mass []float64, link float64, minMembers int) []Hal
 func TwoPointCorrelation(pos []vec.V3, box float64, rMin, rMax float64, nbins int) (r []float64, xi []float64) {
 	n := len(pos)
 	counts := make([]float64, nbins)
-	logMin := ln(rMin)
-	dlog := (ln(rMax) - logMin) / float64(nbins)
+	logMin := math.Log(rMin)
+	dlog := (math.Log(rMax) - logMin) / float64(nbins)
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
 			d := minImage(pos[i].Sub(pos[j]), box).Norm()
 			if d < rMin || d >= rMax {
 				continue
 			}
-			b := int((ln(d) - logMin) / dlog)
+			b := int((math.Log(d) - logMin) / dlog)
 			if b >= 0 && b < nbins {
 				counts[b] += 2 // each pair counts both directions
 			}
@@ -125,11 +125,11 @@ func TwoPointCorrelation(pos []vec.V3, box float64, rMin, rMax float64, nbins in
 	}
 	dens := float64(n) / (box * box * box)
 	for b := 0; b < nbins; b++ {
-		lo := exp(logMin + float64(b)*dlog)
-		hi := exp(logMin + float64(b+1)*dlog)
+		lo := math.Exp(logMin + float64(b)*dlog)
+		hi := math.Exp(logMin + float64(b+1)*dlog)
 		shell := 4.0 / 3.0 * math.Pi * (hi*hi*hi - lo*lo*lo)
 		expected := float64(n) * dens * shell // expected directed pairs
-		r = append(r, exp(logMin+(float64(b)+0.5)*dlog))
+		r = append(r, math.Exp(logMin+(float64(b)+0.5)*dlog))
 		if expected > 0 {
 			xi = append(xi, counts[b]/expected-1)
 		} else {
@@ -150,6 +150,3 @@ func minImage(d vec.V3, box float64) vec.V3 {
 	}
 	return d
 }
-
-func ln(x float64) float64  { return math.Log(x) }
-func exp(x float64) float64 { return math.Exp(x) }

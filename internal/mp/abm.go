@@ -54,9 +54,9 @@ type ABM struct {
 	// rounds cannot confuse each other's messages.
 	ctlRound int
 
-	// MaxBatchItems and MaxBatchBytes trigger an automatic flush.
-	MaxBatchItems int
-	MaxBatchBytes int64
+	// maxBatchItems and maxBatchBytes trigger an automatic flush.
+	maxBatchItems int
+	maxBatchBytes int64
 
 	// metric counters, resolved once at construction.
 	cBatches, cItems, cServed, cLocal *obs.Counter
@@ -75,8 +75,8 @@ func NewABM(r *Rank) *ABM {
 		batch:         make([][]abmItem, r.Size()),
 		batchBytes:    make([]int64, r.Size()),
 		pending:       map[int64]func(resp any){},
-		MaxBatchItems: 32,
-		MaxBatchBytes: 16 << 10,
+		maxBatchItems: 32,
+		maxBatchBytes: 16 << 10,
 		cBatches:      reg.Counter("mp.abm.batches"),
 		cItems:        reg.Counter("mp.abm.items"),
 		cServed:       reg.Counter("mp.abm.served"),
@@ -110,7 +110,7 @@ func (a *ABM) Request(dst, id int, payload any, bytes int64, cont func(resp any)
 	a.sent++
 	a.batch[dst] = append(a.batch[dst], abmItem{seq: seq, handler: id, payload: payload, bytes: bytes})
 	a.batchBytes[dst] += bytes
-	if len(a.batch[dst]) >= a.MaxBatchItems || a.batchBytes[dst] >= a.MaxBatchBytes {
+	if len(a.batch[dst]) >= a.maxBatchItems || a.batchBytes[dst] >= a.maxBatchBytes {
 		a.Flush(dst)
 	}
 }

@@ -63,7 +63,7 @@ func TestABMBatching(t *testing.T) {
 			a.Quiesce()
 		}
 	})
-	// 256 requests with MaxBatchItems=32 -> 8 request messages + 8 response
+	// 256 requests with maxBatchItems=32 -> 8 request messages + 8 response
 	// messages + quiescence control traffic. Far below 512.
 	if st.Messages > 100 {
 		t.Fatalf("messages = %d, batching not effective", st.Messages)
@@ -115,7 +115,7 @@ func TestABMLatencyHiding(t *testing.T) {
 			a := NewABM(r)
 			a.Handle(hEcho, func(src int, req any) (any, int64) { return req, 1024 })
 			if r.ID() == 0 {
-				a.MaxBatchItems = 8
+				a.maxBatchItems = 8
 				for i := 0; i < nreq; i++ {
 					a.Request(1, hEcho, i, 1024, func(resp any) {})
 					r.Charge(flopsPerItem, 0.5, 0) // overlap compute
@@ -135,7 +135,7 @@ func TestABMLatencyHiding(t *testing.T) {
 			a := NewABM(r)
 			a.Handle(hEcho, func(src int, req any) (any, int64) { return req, 1024 })
 			if r.ID() == 0 {
-				a.MaxBatchItems = 1 // no batching
+				a.maxBatchItems = 1 // no batching
 				for i := 0; i < nreq; i++ {
 					done := false
 					a.Request(1, hEcho, i, 1024, func(resp any) { done = true })

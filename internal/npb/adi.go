@@ -2,6 +2,7 @@ package npb
 
 import (
 	"math"
+	"sync"
 
 	"spacesim/internal/machine"
 	"spacesim/internal/mp"
@@ -170,9 +171,22 @@ func thomasSolve(x []float64, l float64) {
 	}
 }
 
+// serialSums memoizes adiSerialChecksum per (g, iters): BT, SP and every
+// scaling row at one grid check against the same serial evolution.
+var serialSums = struct {
+	sync.Mutex
+	m map[[2]int]float64
+}{m: map[[2]int]float64{}}
+
 // adiSerialChecksum runs the same evolution on one rank without any
 // communication machinery, returning the field sum.
 func adiSerialChecksum(g, iters int) float64 {
+	serialSums.Lock()
+	defer serialSums.Unlock()
+	key := [2]int{g, iters}
+	if s, ok := serialSums.m[key]; ok {
+		return s
+	}
 	u := adiInit(g, 1, 0)
 	const lambda = 0.4
 	tr := make([]float64, g*g*g)
@@ -204,6 +218,7 @@ func adiSerialChecksum(g, iters int) float64 {
 	for _, v := range u {
 		s += v
 	}
+	serialSums.m[key] = s
 	return s
 }
 

@@ -57,7 +57,7 @@ func WriteStripe(dir, name string, rank int, data []float64) (string, error) {
 	}
 	buf := make([]byte, 8)
 	for _, v := range data {
-		binary.LittleEndian.PutUint64(buf, uint64frombits(v))
+		binary.LittleEndian.PutUint64(buf, math.Float64bits(v))
 		if _, err := out.Write(buf); err != nil {
 			return "", err
 		}
@@ -117,7 +117,7 @@ func ReadStripe(path string, wantRank int) ([]float64, error) {
 		if _, err := io.ReadFull(tee, buf); err != nil {
 			return nil, fmt.Errorf("%w: %s: truncated payload: %v", ErrCorrupt, path, err)
 		}
-		data[i] = float64frombits(binary.LittleEndian.Uint64(buf))
+		data[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf))
 	}
 	sum := h.Sum64()
 	var want uint64
@@ -179,7 +179,3 @@ func (m RunModel) AvgFlops() float64 {
 func (m RunModel) PeakIORate() float64 {
 	return float64(m.Procs) * m.Node.DiskBps
 }
-
-func uint64frombits(f float64) uint64 { return math.Float64bits(f) }
-
-func float64frombits(u uint64) float64 { return math.Float64frombits(u) }

@@ -20,7 +20,7 @@ const (
 )
 
 // jobRecord is what a job reports: the /jobs JSON, in this key order.
-// Fields are guarded by the server mutex.
+// Fields are guarded by the server mutex and move only by (*Job).apply.
 type jobRecord struct {
 	ID           string   `json:"id"`
 	State        string   `json:"state"`

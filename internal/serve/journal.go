@@ -3,12 +3,7 @@ package serve
 import (
 	"encoding/json"
 	"fmt"
-	"os"
 	"path/filepath"
-	"strconv"
-	"strings"
-	"sync"
-	"time"
 
 	"spacesim/internal/job"
 	"spacesim/internal/obs/ledger"
@@ -17,7 +12,8 @@ import (
 // JournalFile is the durable job queue: one JSON event per line, append-only
 // under the state directory. Replaying it on startup reconstructs every
 // job's state, so a kill -9 loses nothing but the record being written at
-// the instant of death (which ledger.ReadJSONL's torn-tail tolerance skips).
+// the instant of death (which ledger.ReadJSONL's torn-tail tolerance skips
+// and New cuts off).
 const JournalFile = "jobs.jsonl"
 
 // Journal event kinds. submit carries the spec; the rest reference the job
@@ -25,7 +21,7 @@ const JournalFile = "jobs.jsonl"
 const (
 	evSubmit  = "submit"  // job created → queued
 	evStart   = "start"   // attempt began → running
-	evRequeue = "requeue" // drain gave the job back → queued
+	evRequeue = "requeue" // drain, backoff expiry or restart → queued
 	evBackoff = "backoff" // attempt failed, retry scheduled → backoff
 	evDone    = "done"    // artifact produced (or cache hit) → done
 	evFail    = "fail"    // retries exhausted → failed
@@ -39,8 +35,9 @@ type event struct {
 	TimeUnixNS int64     `json:"t"`
 	Spec       *job.Spec `json:"spec,omitempty"`
 	Attempts   int       `json:"attempts,omitempty"`
-	Retries    int       `json:"retries,omitempty"`
-	RetryAtNS  int64     `json:"retry_at_unix_ns,omitempty"`
+	// Retries is the retry count a backoff or fail leaves the job at.
+	Retries   int   `json:"retries,omitempty"`
+	RetryAtNS int64 `json:"retry_at_unix_ns,omitempty"`
 	// done details
 	ResultDigest string `json:"result_digest,omitempty"`
 	ResumedStep  int    `json:"resumed_step,omitempty"`
@@ -48,53 +45,46 @@ type event struct {
 	Error        string `json:"error,omitempty"`
 }
 
-// journal is the open append handle. One file handle, one mutex: every
-// event is a single O_APPEND write of one line, so concurrent workers never
-// interleave partial records.
-type journal struct {
-	mu   sync.Mutex
-	f    *os.File
-	path string
-}
-
-func openJournal(dir string) (*journal, error) {
-	path := filepath.Join(dir, JournalFile)
-	f, err := os.OpenFile(path, os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
-	if err != nil {
-		return nil, err
+// apply moves the job's record by one event. It is the one transition
+// function: Server.record runs it on the live table and replayJournal folds
+// the journal through it, so a restarted daemon reports each job as the
+// running one did.
+func (j *Job) apply(ev event) {
+	switch ev.Ev {
+	case evSubmit:
+		j.jobRecord = jobRecord{
+			ID: ev.ID, Spec: *ev.Spec, ConfigDigest: ev.Spec.Digest(),
+			State: StateQueued, SubmittedUnixNS: ev.TimeUnixNS,
+		}
+	case evStart:
+		j.State = StateRunning
+		j.Attempts = ev.Attempts
+		j.StartedUnixNS = ev.TimeUnixNS
+	case evRequeue:
+		j.State = StateQueued
+	case evBackoff:
+		j.State = StateBackoff
+		j.Retries = ev.Retries
+		j.RetryAtUnixNS = ev.RetryAtNS
+		j.Error = ev.Error
+	case evDone:
+		j.State = StateDone
+		j.ResultDigest = ev.ResultDigest
+		j.ResumedStep = ev.ResumedStep
+		j.CacheHit = ev.CacheHit
+		j.FinishedUnixNS = ev.TimeUnixNS
+		j.Error = ""
+	case evFail:
+		j.State = StateFailed
+		// A fail written before the event carried retries keeps the count
+		// of the last backoff.
+		j.Retries = max(j.Retries, ev.Retries)
+		j.Error = ev.Error
+		j.FinishedUnixNS = ev.TimeUnixNS
+	case evCancel:
+		j.State = StateCanceled
+		j.FinishedUnixNS = ev.TimeUnixNS
 	}
-	return &journal{f: f, path: path}, nil
-}
-
-// append writes one event. Errors surface to the caller (the server treats
-// a dead journal as fatal for new submissions but never kills running
-// jobs).
-func (j *journal) append(ev event) error {
-	if ev.TimeUnixNS == 0 {
-		ev.TimeUnixNS = time.Now().UnixNano()
-	}
-	line, err := json.Marshal(ev)
-	if err != nil {
-		return err
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.f == nil {
-		return fmt.Errorf("serve: journal closed")
-	}
-	_, err = j.f.Write(append(line, '\n'))
-	return err
-}
-
-func (j *journal) close() error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.f == nil {
-		return nil
-	}
-	err := j.f.Close()
-	j.f = nil
-	return err
 }
 
 // replayJournal folds the journal into the job table, preserving submit
@@ -114,44 +104,11 @@ func replayJournal(dir string) (jobs map[string]*Job, order []string, torn bool,
 			if ev.Spec == nil {
 				return fmt.Errorf("submit event for %s carries no spec", ev.ID)
 			}
-			j := &Job{jobRecord: jobRecord{
-				ID: ev.ID, Spec: *ev.Spec, ConfigDigest: ev.Spec.Digest(),
-				State: StateQueued, SubmittedUnixNS: ev.TimeUnixNS,
-			}}
-			jobs[ev.ID] = j
+			jobs[ev.ID] = &Job{}
 			order = append(order, ev.ID)
-			return nil
 		}
-		j, ok := jobs[ev.ID]
-		if !ok {
-			return nil
-		}
-		switch ev.Ev {
-		case evStart:
-			j.State = StateRunning
-			j.Attempts = ev.Attempts
-			j.StartedUnixNS = ev.TimeUnixNS
-		case evRequeue:
-			j.State = StateQueued
-		case evBackoff:
-			j.State = StateBackoff
-			j.Retries = ev.Retries
-			j.RetryAtUnixNS = ev.RetryAtNS
-			j.Error = ev.Error
-		case evDone:
-			j.State = StateDone
-			j.ResultDigest = ev.ResultDigest
-			j.ResumedStep = ev.ResumedStep
-			j.CacheHit = ev.CacheHit
-			j.FinishedUnixNS = ev.TimeUnixNS
-			j.Error = ""
-		case evFail:
-			j.State = StateFailed
-			j.Error = ev.Error
-			j.FinishedUnixNS = ev.TimeUnixNS
-		case evCancel:
-			j.State = StateCanceled
-			j.FinishedUnixNS = ev.TimeUnixNS
+		if j, ok := jobs[ev.ID]; ok {
+			j.apply(ev)
 		}
 		return nil
 	})
@@ -162,17 +119,11 @@ func replayJournal(dir string) (jobs map[string]*Job, order []string, torn bool,
 }
 
 // jobSeq extracts the numeric sequence from a job ID (j000012-abcdef01 →
-// 12) so a restarted daemon continues numbering where it stopped.
+// 12) so a restarted daemon continues numbering where it stopped; an ID of
+// another shape reads 0.
 func jobSeq(id string) int {
-	if !strings.HasPrefix(id, "j") {
-		return 0
-	}
-	dash := strings.IndexByte(id, '-')
-	if dash < 0 {
-		return 0
-	}
-	n, err := strconv.Atoi(id[1:dash])
-	if err != nil {
+	var n int
+	if _, err := fmt.Sscanf(id, "j%d-", &n); err != nil {
 		return 0
 	}
 	return n
