@@ -8,6 +8,8 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -26,7 +28,7 @@ func smallSpec() job.Spec {
 
 // newTestServer opens a server on dir with fast test timings; mut adjusts
 // the config before New.
-func newTestServer(t *testing.T, dir string, mut func(*Config)) *Server {
+func newTestServer(t testing.TB, dir string, mut func(*Config)) *Server {
 	t.Helper()
 	cfg := Config{
 		Dir: dir, Workers: 1,
@@ -45,7 +47,7 @@ func newTestServer(t *testing.T, dir string, mut func(*Config)) *Server {
 
 // waitJob polls until the job reaches a terminal state (or want, if given)
 // and returns its view.
-func waitJob(t *testing.T, s *Server, id, want string) jobView {
+func waitJob(t testing.TB, s *Server, id, want string) jobView {
 	t.Helper()
 	deadline := time.Now().Add(60 * time.Second)
 	for time.Now().Before(deadline) {
@@ -68,6 +70,70 @@ func waitJob(t *testing.T, s *Server, id, want string) jobView {
 	}
 	t.Fatalf("job %s never reached %s", id, want)
 	return jobView{}
+}
+
+// BenchmarkCachedBurst submits MaxQueue jobs of one cached spec while a
+// client polls GET /jobs, and reports the mean Submit latency and the
+// median poll latency: status traffic against a burst of cache hits, each
+// of which goes submit → start → done within about a millisecond.
+func BenchmarkCachedBurst(b *testing.B) {
+	runs, err := ledger.Open(filepath.Join(b.TempDir(), "runs"))
+	if err != nil {
+		b.Fatal(err)
+	}
+	spec := smallSpec()
+	spec.Steps = 1
+	withRuns := func(c *Config) { c.Ledger, c.Workers = runs, 2 }
+	seed := newTestServer(b, b.TempDir(), withRuns)
+	v, err := seed.Submit(spec)
+	if err != nil {
+		b.Fatal(err)
+	}
+	waitJob(b, seed, v.ID, StateDone)
+	seed.Drain()
+	b.ResetTimer()
+	var submit time.Duration
+	var submits int
+	var polls []time.Duration
+	for i := 0; i < b.N; i++ {
+		s := newTestServer(b, b.TempDir(), withRuns)
+		h := s.Handler()
+		stop, got := make(chan struct{}), make(chan []time.Duration)
+		go func() {
+			var lat []time.Duration
+			for {
+				select {
+				case <-stop:
+					got <- lat
+					return
+				default:
+				}
+				t0 := time.Now()
+				h.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest("GET", "/jobs", nil))
+				lat = append(lat, time.Since(t0))
+			}
+		}()
+		var ids []string
+		for k := 0; k < s.cfg.MaxQueue; k++ {
+			t0 := time.Now()
+			v, err := s.Submit(spec)
+			submit += time.Since(t0)
+			if err != nil {
+				b.Fatal(err)
+			}
+			ids = append(ids, v.ID)
+		}
+		submits += len(ids)
+		for _, id := range ids {
+			waitJob(b, s, id, StateDone)
+		}
+		close(stop)
+		polls = append(polls, <-got...)
+		s.Drain()
+	}
+	sort.Slice(polls, func(i, k int) bool { return polls[i] < polls[k] })
+	b.ReportMetric(float64(submit.Nanoseconds())/1e3/float64(submits), "submit-µs")
+	b.ReportMetric(float64(polls[len(polls)/2].Nanoseconds())/1e3, "poll-p50-µs")
 }
 
 func TestSubmitComputesArtifact(t *testing.T) {
