@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet cross-build kernels-widths fmt-check reachable loc experiments experiments-check fuzz-smoke bench-e2e bench-smoke profile-serial profile-sph profile-dist8 profile-dist64 one-slot widths ci all
+.PHONY: build test race vet cross-build fmt-check reachable loc experiments experiments-check fuzz-smoke bench-e2e bench-smoke profile-serial profile-sph profile-dist8 profile-dist64 one-slot widths ci all
 
 all: build test vet fmt-check
 
@@ -63,16 +63,6 @@ vet:
 cross-build:
 	GOARCH=arm64 $(GO) build ./... && GOARCH=arm64 $(GO) vet ./internal/gravity
 	GOAMD64=v1 $(GO) build ./...
-
-# One arithmetic at every width: the lane, list, allocation, digest and
-# scaling tests of internal/gravity — the last three through htree's grouped
-# walk and core.Run — once per kernel body, each forced through the
-# test-only override (gravity.EachISA; a body this CPU lacks is skipped).
-kernels-widths:
-	@for isa in go avx2 avx512; do \
-		echo "kernel bodies: $$isa"; \
-		$(GO) test -count=1 -run "^(TestLanes|TestListEval|TestKernelAllocs|TestFallbackDigest|TestWidths)/^$$isa$$" ./internal/gravity || exit 1; \
-	done
 
 fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
@@ -200,4 +190,4 @@ profile-dist8 profile-dist64: profile-dist%:
 # one-slot pass, the schedule at four pool widths, the per-width kernel pass,
 # the benchmark's miniature runs, the fuzz smoke, and the check that
 # EXPERIMENTS.md's tables are what the registry prints.
-ci: fmt-check vet reachable cross-build test race one-slot widths kernels-widths bench-smoke fuzz-smoke experiments-check
+ci: fmt-check vet reachable cross-build test race one-slot widths bench-smoke fuzz-smoke experiments-check

@@ -110,6 +110,13 @@ func run(args []string) int {
 		return 2
 	}
 
+	// The final checkpoint's directory is made before the run, so a path
+	// that cannot hold it fails before any step is simulated.
+	if o.snapshot != "" {
+		if err := os.MkdirAll(o.snapshot, 0o755); err != nil {
+			log.Fatalf("checkpoint: %v", err)
+		}
+	}
 	defer obs.StartProfiles(o.cpuProf, o.memProf, func(err error) { log.Fatal(err) })()
 
 	// Graceful interrupt: the first SIGINT/SIGTERM raises a flag that rank

@@ -5,11 +5,13 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
 	"spacesim/internal/job"
+	"spacesim/internal/pario"
 	"spacesim/internal/serve"
 )
 
@@ -143,5 +145,21 @@ func TestCLIAndDaemonAgree(t *testing.T) {
 		if got.ResultDigest != cli {
 			t.Errorf("%s: daemon result digest %s, spacesim %s", args, got.ResultDigest, cli)
 		}
+	}
+}
+
+// -checkpoint DIR makes DIR when it does not exist yet, before the run, and
+// the final state lands in it.
+func TestCheckpointMakesDir(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "not", "yet")
+	if code := run(strings.Fields("-ic coldsphere -n 300 -procs 2 -steps 1 -ledger= -checkpoint " + dir)); code != 0 {
+		t.Fatalf("spacesim exited %d", code)
+	}
+	data, err := pario.ReadStripe(filepath.Join(dir, "snapshot.0000"), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(data) != 7*300 {
+		t.Fatalf("snapshot holds %d floats, want 7 for each of 300 bodies", len(data))
 	}
 }

@@ -129,10 +129,7 @@ func faultsweepCmd(args []string) {
 		if err != nil {
 			die(1, "faultsweep: clean run:", err)
 		}
-		_, st, err := job.Recover(core.RecoveryConfig{
-			RunConfig: cfg,
-			Injector:  faults.NewInjector(sched),
-		}, ics, "", k, &base)
+		_, st, err := job.Recover(core.RecoveryConfig{RunConfig: cfg, Schedule: sched}, ics, "", k, &base)
 		if err != nil {
 			die(1, "faultsweep: recovery:", err)
 		}

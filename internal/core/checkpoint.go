@@ -26,10 +26,6 @@ type CheckpointConfig struct {
 	// Every is the checkpoint cadence in steps (disabled when <= 0). The
 	// final step is never checkpointed — the run is already over.
 	Every int
-	// Corrupt, when non-nil, is consulted after each stripe write; a true
-	// return flips a payload byte on disk, simulating a dying drive. Used
-	// by the fault injector; leave nil for healthy disks.
-	Corrupt func(rank, step int) bool
 }
 
 // ckFloatsPerBody is the serialized width of one body in a checkpoint
@@ -134,10 +130,10 @@ func decodeEnergies(data []float64) ([]Energies, error) {
 }
 
 // writeCheckpoint writes one rank's stripe for the checkpoint at step,
-// charging the virtual disk time, and applies any injected corruption.
-// Rank 0 additionally writes the energy sidecar carrying hist (the
-// diagnostics for steps 0..step).
-func writeCheckpoint(r *mp.Rank, cp *CheckpointConfig, step int, local []Body, acc []vec.V3, hist []Energies) {
+// charging the virtual disk time, and corrupts it on disk when the rank's
+// drive is dying. Rank 0 additionally writes the energy sidecar carrying
+// hist (the diagnostics for steps 0..step).
+func writeCheckpoint(r *mp.Rank, cp *CheckpointConfig, step int, local []Body, acc []vec.V3, hist []Energies, corrupt bool) {
 	data := encodeState(local, acc)
 	path, err := pario.WriteStripe(cp.Dir, ckName(step), r.ID(), data)
 	if err != nil {
@@ -151,7 +147,7 @@ func writeCheckpoint(r *mp.Rank, cp *CheckpointConfig, step int, local []Body, a
 		}
 		r.ChargeDisk(float64(len(edata) * 8))
 	}
-	if cp.Corrupt != nil && cp.Corrupt(r.ID(), step) {
+	if corrupt {
 		corruptStripe(path)
 	}
 }
@@ -255,20 +251,20 @@ func loadCheckpoint(dir string, step, nprocs, nbodies, nsteps int) ([][]float64,
 }
 
 // lastGoodCheckpoint walks the on-disk checkpoints newest-first and returns
-// the first one whose stripes (and energy sidecar) all verify, together
-// with how many corrupt stripe sets were skipped on the way. ok=false means
-// recovery must restart from the initial conditions. A rank-mismatched
-// stripe or a set another run wrote aborts with an error: that is never
-// disk damage.
-func lastGoodCheckpoint(dir string, nprocs, nbodies, nsteps int) (step int, restore [][]float64, hist []Energies, corrupt int, ok bool, err error) {
+// the segment that starts from the first one whose stripes (and energy
+// sidecar) all verify, together with how many corrupt stripe sets were
+// skipped on the way. A zero segment (nil restore) means the run starts
+// from the initial conditions. A rank-mismatched stripe or a set another
+// run wrote aborts with an error: that is never disk damage.
+func lastGoodCheckpoint(dir string, nprocs, nbodies, nsteps int) (seg segment, corrupt int, err error) {
 	steps := FindCheckpoints(dir)
 	for i := len(steps) - 1; i >= 0; i-- {
 		data, energies, lerr := loadCheckpoint(dir, steps[i], nprocs, nbodies, nsteps)
 		if lerr == nil {
-			return steps[i], data, energies, corrupt, true, nil
+			return segment{startStep: steps[i], restore: data, energies: energies}, corrupt, nil
 		}
 		if errors.Is(lerr, pario.ErrWrongRank) || errors.Is(lerr, errForeignSet) {
-			return 0, nil, nil, corrupt, false, lerr
+			return segment{}, corrupt, lerr
 		}
 		if errors.Is(lerr, pario.ErrCorrupt) {
 			corrupt++
@@ -276,5 +272,5 @@ func lastGoodCheckpoint(dir string, nprocs, nbodies, nsteps int) (step int, rest
 		// Missing stripes (a checkpoint interrupted by the crash) are
 		// skipped silently: that checkpoint never completed.
 	}
-	return 0, nil, nil, corrupt, false, nil
+	return segment{}, corrupt, nil
 }

@@ -44,7 +44,7 @@ func TestResumeRejectsForeignSet(t *testing.T) {
 			cfg := recoveryBaseCfg(dir)
 			cfg.Procs, cfg.Steps = tc.procs, tc.steps
 			ics := PlummerSphere(rand.New(rand.NewSource(42)), tc.n, 1.0)
-			_, st, err := RunRecovered(RecoveryConfig{RunConfig: cfg, ResumeFromDisk: true}, ics)
+			_, st, err := RunRecovered(RecoveryConfig{RunConfig: cfg}, ics)
 			if !errors.Is(err, errForeignSet) || !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("err = %v, want %v naming %q", err, errForeignSet, tc.want)
 			}
@@ -102,8 +102,8 @@ func FuzzLoadCheckpoint(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	if _, _, _, _, ok, err := lastGoodCheckpoint(dir, 2, 40, 4); !ok || err != nil {
-		f.Fatalf("the set core.Run wrote does not load: ok %v, err %v", ok, err)
+	if seg, _, err := lastGoodCheckpoint(dir, 2, 40, 4); seg.restore == nil || err != nil {
+		f.Fatalf("the set core.Run wrote does not load: step %d, err %v", seg.startStep, err)
 	}
 	p1, e := floatBytes(payload1), floatBytes(energies)
 	f.Add(stripe0, p1, e, uint8(2), uint16(40), uint8(4))
@@ -136,14 +136,15 @@ func FuzzLoadCheckpoint(f *testing.F) {
 		if _, err := pario.WriteStripe(dir, ckEnergyName(int(at)), 0, bytesFloats(energies)); err != nil {
 			t.Fatal(err)
 		}
-		step, restore, hist, _, ok, err := lastGoodCheckpoint(dir, 2, int(nbodies), int(nsteps))
+		seg, _, err := lastGoodCheckpoint(dir, 2, int(nbodies), int(nsteps))
 		if err != nil {
 			if !errors.Is(err, errForeignSet) && !errors.Is(err, pario.ErrWrongRank) {
 				t.Fatalf("error %v is neither a foreign set nor a misrouted stripe", err)
 			}
 			return
 		}
-		if !ok {
+		step, restore, hist := seg.startStep, seg.restore, seg.energies
+		if restore == nil {
 			return
 		}
 		if step != int(at) || step > int(nsteps) || len(hist) != step+1 || len(restore) != 2 {

@@ -66,10 +66,10 @@ type DTree struct {
 	fetches int64
 
 	// metric handles, resolved once at build time (all nil-safe).
-	ro                                  *obs.RankObs
-	o                                   *obs.Obs
-	cFetch, cDedup, cCacheHit, cBuckets *obs.Counter
-	hListCells, hListBodies             *obs.Histogram
+	ro                       *obs.RankObs
+	o                        *obs.Obs
+	cFetch, cDedup, cBuckets *obs.Counter
+	hListCells, hListBodies  *obs.Histogram
 }
 
 // fetchArena is the rank's fetch state, the cell counts its replies are
@@ -164,7 +164,6 @@ func buildDistributed(r *mp.Rank, bodies []Body, splitters []key.K, boxLo vec.V3
 	reg := r.WorldObs().Reg
 	dt.cFetch = reg.Counter("core.fetch.requests")
 	dt.cDedup = reg.Counter("core.fetch.dedup_hits")
-	dt.cCacheHit = reg.Counter("core.bodycache.hits")
 	dt.cBuckets = reg.Counter("core.buckets")
 	dt.hListCells = reg.Histogram("core.list.cells_len")
 	dt.hListBodies = reg.Histogram("core.list.bodies_len")

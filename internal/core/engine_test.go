@@ -183,19 +183,18 @@ func TestEventEngineReproducibleSchedule(t *testing.T) {
 	}
 }
 
-// An armed fault plan works through core.Run: the scheduled crash aborts the
-// run with its diagnostic. core.Run puts a world with crashes scheduled on
-// one slot, so the width of the pool does not enter here.
+// A segment's crash plan works through the run: the scheduled crash aborts
+// the run with its diagnostic. A segment with crashes scheduled runs on one
+// slot, so the width of the pool does not enter here.
 func TestEngineFaultPlan(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	ics := PlummerSphere(rng, 400, 1.0)
 	plan := mp.NewFaultPlan(4)
 	plan.Crash(2, 0.002, "PSU")
-	res := Run(RunConfig{
+	res := run(RunConfig{
 		Cluster: testCluster(), Procs: 4, Steps: 3,
-		Opt:    Options{Theta: 0.6, Eps: 0.02, DT: 0.005},
-		Faults: plan,
-	}, ics)
+		Opt: Options{Theta: 0.6, Eps: 0.02, DT: 0.005},
+	}, ics, segment{plan: plan})
 	var ce *mp.CrashError
 	if !errors.As(res.Err, &ce) || ce.Rank != 2 || ce.AtSec != 0.002 {
 		t.Fatalf("want rank-2 crash at 0.002, got %v", res.Err)

@@ -69,8 +69,7 @@ type bucketWalker struct {
 	// opens[lo:hi] and frontier[flo:fhi] of the rank's fetch arena are the
 	// group's (walkTop); the opens below lo are resident.
 	lo, hi, flo, fhi int32
-	hits             int64 // remote branches the gather entered
-	nc, nb           int   // the lengths of its list: cells and bodies
+	nc, nb           int // the lengths of its list: cells and bodies
 }
 
 // begin starts a walk with an empty list on scratch sc from the group's
@@ -95,7 +94,6 @@ func (w *bucketWalker) Layout() ([]htree.Cell, []int32, int32) {
 // Remote resolves index i to its reply, the owner's branch in the owner's
 // tree: a hit of the rank's cache of the others' trees.
 func (w *bucketWalker) Remote(i int32) (*htree.Tree, int32) {
-	w.hits++
 	rep := w.dt.replies[i-w.dt.base()]
 	return rep.t, rep.i
 }
@@ -282,7 +280,6 @@ func (dt *DTree) finishBucket(w *bucketWalker, st *TraversalStats, charge func()
 	ns := w.cell.Hi - w.cell.Lo
 	nc, nb := w.nc, w.nb
 	dt.cBuckets.Inc()
-	dt.cCacheHit.Add(w.hits)
 	dt.hListCells.Observe(float64(nc))
 	dt.hListBodies.Observe(float64(nb))
 	st.CellInteractions += int64(ns * nc)

@@ -171,10 +171,6 @@ func TestEngineMetricsPopulated(t *testing.T) {
 			t.Errorf("counter %s = %d, want > 0", name, snap.Counters[name])
 		}
 	}
-	// Every branch fetched is entered by the group that opened it, at least.
-	if hits, req := snap.Counters["core.bodycache.hits"], snap.Counters["core.fetch.requests"]; hits < req {
-		t.Errorf("core.bodycache.hits = %d for %d fetches, want at least one hit per fetched branch", hits, req)
-	}
 	// One list a group: the list-length histograms carry the count, sum
 	// and maximum of the lists.
 	for _, name := range []string{"core.list.cells_len", "core.list.bodies_len"} {
@@ -266,5 +262,47 @@ func readJSON(t *testing.T, path string, v any) {
 	}
 	if err := json.Unmarshal(data, v); err != nil {
 		t.Fatalf("%s: %v", path, err)
+	}
+}
+
+// A registry snapshot is a function of the run (the obs package's invariant
+// 2): a 16-rank run at GOMAXPROCS 1 and 4 gives the same counters, and the
+// same count, minimum, maximum and quantiles for every histogram. A
+// histogram's float sum is left out: it is taken in host order.
+func TestSnapshotAtAnyWidth(t *testing.T) {
+	ics := ColdSphere(rand.New(rand.NewSource(5)), 2048, 1.0)
+	snap := func(width int) (s obs.MetricsSnapshot) {
+		atWidth(width, func() {
+			o := obs.New(false)
+			res := Run(RunConfig{
+				Cluster: testCluster().WithObs(o), Procs: 16, Steps: 2,
+				Opt: Options{Eps: 0.01, DT: 0.005},
+			}, ics)
+			if res.Err != nil {
+				t.Fatal(res.Err)
+			}
+			s = o.Reg.MetricsSnapshot()
+		})
+		return s
+	}
+	a, b := snap(1), snap(4)
+	if len(a.Counters) == 0 || len(a.Histograms) == 0 {
+		t.Fatalf("empty snapshot: %d counters, %d histograms", len(a.Counters), len(a.Histograms))
+	}
+	for name, v := range a.Counters {
+		if b.Counters[name] != v {
+			t.Errorf("counter %s = %d at width 1, %d at width 4", name, v, b.Counters[name])
+		}
+	}
+	for name, h := range a.Histograms {
+		g := b.Histograms[name]
+		h.Sum, h.Mean, g.Sum, g.Mean = 0, 0, 0, 0
+		if h != g {
+			t.Errorf("histogram %s at width 1 %+v, at width 4 %+v", name, h, g)
+		}
+	}
+	if len(a.Counters) != len(b.Counters) || len(a.Histograms) != len(b.Histograms) {
+		t.Errorf("widths 1 and 4 registered %d/%d counters and %d/%d histograms",
+			len(a.Counters), len(b.Counters), len(a.Histograms), len(b.Histograms))
 	}
 }

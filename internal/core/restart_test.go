@@ -65,7 +65,7 @@ func TestRecoveryBitIdentical(t *testing.T) {
 	crashAt := 0.6 * base.ElapsedVirtual
 	cfg := RecoveryConfig{
 		RunConfig: recoveryBaseCfg(t.TempDir()),
-		Injector: faults.Manual(4, 2*base.ElapsedVirtual,
+		Schedule: faults.Manual(4, 2*base.ElapsedVirtual,
 			faults.Fault{Kind: faults.RankCrash, Rank: 2, Start: crashAt, Cause: "power supply"},
 		),
 	}
@@ -95,6 +95,35 @@ func TestRecoveryBitIdentical(t *testing.T) {
 	assertBitIdentical(t, base, rec)
 }
 
+// TestScheduleReusable hands one schedule with one crash to two recovered
+// runs: a schedule is a value, and the faults that fired in the first run
+// are the first run's alone, so each run crashes once, records the same
+// recovery and ends in the same state.
+func TestScheduleReusable(t *testing.T) {
+	ics := PlummerSphere(rand.New(rand.NewSource(42)), 160, 1.0)
+	base := Run(recoveryBaseCfg(t.TempDir()), ics)
+	sched := faults.Manual(4, 2*base.ElapsedVirtual,
+		faults.Fault{Kind: faults.RankCrash, Rank: 2, Start: 0.6 * base.ElapsedVirtual, Cause: "power supply"},
+	)
+	var recs [2]faults.Recovery
+	var results [2]Result
+	for i := range recs {
+		res, st, err := RunRecovered(RecoveryConfig{RunConfig: recoveryBaseCfg(t.TempDir()), Schedule: sched}, ics)
+		if err != nil {
+			t.Fatalf("run %d: %v", i, err)
+		}
+		if st.Crashes != 1 || st.Attempts != 2 {
+			t.Fatalf("run %d: %d crashes, %d attempts, want 1 and 2", i, st.Crashes, st.Attempts)
+		}
+		recs[i], results[i] = st, res
+	}
+	if !reflect.DeepEqual(recs[0], recs[1]) {
+		t.Fatalf("recoveries differ:\n%+v\n%+v", recs[0], recs[1])
+	}
+	assertBitIdentical(t, results[0], results[1])
+	assertBitIdentical(t, base, results[1])
+}
+
 // TestRecoveryCorruptStripeFallsBack injects a disk fault alongside the
 // crash: the newest checkpoint has a corrupt stripe, so recovery must fall
 // back (to an older checkpoint or the initial conditions) and still finish
@@ -113,7 +142,7 @@ func TestRecoveryCorruptStripeFallsBack(t *testing.T) {
 	// the initial conditions (ck-2 is the first checkpoint, nothing older).
 	cfg := RecoveryConfig{
 		RunConfig: recoveryBaseCfg(t.TempDir()),
-		Injector: faults.Manual(4, 2*base.ElapsedVirtual,
+		Schedule: faults.Manual(4, 2*base.ElapsedVirtual,
 			faults.Fault{Kind: faults.DiskCorrupt, Rank: 1, Start: 0, Cause: "disk drive"},
 			faults.Fault{Kind: faults.RankCrash, Rank: 3, Start: 0.8 * base.ElapsedVirtual, Cause: "DRAM stick"},
 		),
@@ -152,7 +181,7 @@ func TestRecoveryRepeatedCrashes(t *testing.T) {
 	T := base.ElapsedVirtual
 	cfg := RecoveryConfig{
 		RunConfig: recoveryBaseCfg(t.TempDir()),
-		Injector: faults.Manual(4, 4*T,
+		Schedule: faults.Manual(4, 4*T,
 			faults.Fault{Kind: faults.RankCrash, Rank: 2, Start: 0.45 * T, Cause: "power supply"},
 			faults.Fault{Kind: faults.RankCrash, Rank: 1, Start: 0.80 * T, Cause: "DRAM stick"},
 		),
@@ -178,8 +207,8 @@ func TestRecoveryRepeatedCrashes(t *testing.T) {
 
 // TestResumeFromDiskBitIdentical pins the job-server restart path: a run is
 // interrupted at a step boundary (flushing a checkpoint + energy sidecar),
-// the process "dies", and a fresh RunRecovered with ResumeFromDisk picks up
-// from the on-disk stripes — finishing with bodies AND the full energy
+// the process "dies", and a fresh RunRecovered on the same directory picks
+// up from the on-disk stripes — finishing with bodies AND the full energy
 // history bit-identical to a run that was never stopped.
 func TestResumeFromDiskBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
@@ -211,8 +240,7 @@ func TestResumeFromDiskBitIdentical(t *testing.T) {
 	}
 
 	rec, st, err := RunRecovered(RecoveryConfig{
-		RunConfig:      mkCfg(dir, 0),
-		ResumeFromDisk: true,
+		RunConfig: mkCfg(dir, 0),
 	}, ics)
 	if err != nil {
 		t.Fatalf("resume failed: %v", err)
@@ -257,8 +285,7 @@ func TestResumeFromDiskRepeated(t *testing.T) {
 	// poll fires, stopping at step 4 — the cadence checkpoint just
 	// written).
 	mid, st, err := RunRecovered(RecoveryConfig{
-		RunConfig:      mkCfg(dir, 2),
-		ResumeFromDisk: true,
+		RunConfig: mkCfg(dir, 2),
 	}, ics)
 	if err != nil {
 		t.Fatalf("mid resume failed: %v", err)
@@ -271,8 +298,7 @@ func TestResumeFromDiskRepeated(t *testing.T) {
 	}
 
 	rec, st2, err := RunRecovered(RecoveryConfig{
-		RunConfig:      mkCfg(dir, 0),
-		ResumeFromDisk: true,
+		RunConfig: mkCfg(dir, 0),
 	}, ics)
 	if err != nil {
 		t.Fatalf("final resume failed: %v", err)
@@ -292,7 +318,7 @@ func TestRecoveryNoFaults(t *testing.T) {
 	base := Run(recoveryBaseCfg(t.TempDir()), ics)
 	rec, st, err := RunRecovered(RecoveryConfig{
 		RunConfig: recoveryBaseCfg(t.TempDir()),
-		Injector:  faults.Manual(4, 100),
+		Schedule:  faults.Manual(4, 100),
 	}, ics)
 	if err != nil {
 		t.Fatal(err)
@@ -323,7 +349,7 @@ func TestProbeFaultsIsTheTwin(t *testing.T) {
 	}
 	rec, _, err := RunRecovered(RecoveryConfig{
 		RunConfig: recoveryBaseCfg(t.TempDir()),
-		Injector:  faults.NewInjector(sched),
+		Schedule:  sched,
 	}, ics)
 	if err != nil {
 		t.Fatal(err)

@@ -86,9 +86,6 @@ type RunConfig struct {
 	Opt     Options
 	// GatherBodies returns the final particle state in Result.Bodies.
 	GatherBodies bool
-	// Faults schedules rank crashes in virtual time (nil injects nothing);
-	// link/port degradation rides on Cluster.Net health.
-	Faults *mp.FaultPlan
 	// Checkpoint enables periodic state stripes for crash recovery.
 	Checkpoint *CheckpointConfig
 	// Engine is read by no code: retained for bench/, which builder PRs
@@ -111,19 +108,6 @@ type RunConfig struct {
 	// interrupted-then-resumed run completes bit-identical to an
 	// uninterrupted run with the same Interrupt wiring.
 	Interrupt func() bool
-}
-
-// runOptions maps RunConfig onto the message layer's options (the fault
-// plan rides along so restarts inherit it). A run with crashes scheduled
-// runs on one slot: a crash aborts the world at once, and where the other
-// ranks are then — which stripes they wrote, how far their clocks got — is
-// where the host had taken them, which only one slot makes repeatable.
-func (cfg RunConfig) runOptions() mp.RunOptions {
-	opt := mp.RunOptions{Plan: cfg.Faults}
-	if !cfg.Faults.Empty() {
-		opt.Workers = 1
-	}
-	return opt
 }
 
 // Validate reports the first field of the configuration, taken after option
@@ -189,15 +173,45 @@ func ValidateBodies(ics []Body) error {
 	return nil
 }
 
-// segment describes where a run (re)starts: from the initial conditions
-// (zero value), or from a restored checkpoint at startStep with each rank's
-// verified stripe payload in restore and the energy history through
-// startStep in energies (seeded into the segment so later sidecar writes —
-// and the segment's own Result — always carry a complete prefix).
+// segment is one run between restarts: where it starts — from the initial
+// conditions (zero value), or from a restored checkpoint at startStep with
+// each rank's verified stripe payload in restore and the energy history
+// through startStep in energies (seeded into the segment so later sidecar
+// writes, and the segment's own Result, always carry a complete prefix) —
+// and the faults that strike it.
 type segment struct {
 	startStep int
 	restore   [][]float64
 	energies  []Energies
+	// plan schedules rank crashes in the segment's clock (nil: none).
+	plan *mp.FaultPlan
+	// disk holds, per rank, the disk fault that corrupts the rank's next
+	// checkpoint stripe (-1, or past the end: a healthy drive). A rank
+	// clears its own entry when its fault strikes.
+	disk []int
+}
+
+// runOptions maps the segment onto the message layer's options. A segment
+// with crashes scheduled runs on one slot: a crash aborts the world at
+// once, and where the other ranks are then — which stripes they wrote, how
+// far their clocks got — is where the host had taken them, which only one
+// slot makes repeatable.
+func (seg segment) runOptions() mp.RunOptions {
+	opt := mp.RunOptions{Plan: seg.plan}
+	if !seg.plan.Empty() {
+		opt.Workers = 1
+	}
+	return opt
+}
+
+// strikes reports whether rank's drive corrupts the stripe it is writing,
+// and clears the rank's fault: one bad stripe per dead drive.
+func (seg segment) strikes(rank int) bool {
+	if rank >= len(seg.disk) || seg.disk[rank] < 0 {
+		return false
+	}
+	seg.disk[rank] = -1
+	return true
 }
 
 // Run executes a parallel N-body simulation of the given bodies. The input
@@ -236,7 +250,7 @@ func run(cfg RunConfig, ics []Body, seg segment) Result {
 	}
 	var stepErr error // rank 0's; every rank stops at the same step
 
-	st := mp.RunWith(cfg.Cluster, cfg.Procs, cfg.runOptions(), func(r *mp.Rank) {
+	st := mp.RunWith(cfg.Cluster, cfg.Procs, seg.runOptions(), func(r *mp.Rank) {
 		var local []Body
 
 		// Rank 0 publishes run progress into the metrics registry (all
@@ -311,7 +325,7 @@ func run(cfg RunConfig, ics []Body, seg segment) Result {
 		checkpoint := func(name string, s int) {
 			prog.Phase(name)
 			t0 := r.Clock()
-			writeCheckpoint(r, cp, s, local, acc, energyAt[:s+1])
+			writeCheckpoint(r, cp, s, local, acc, energyAt[:s+1], seg.strikes(r.ID()))
 			lastCk = s
 			if r.ID() == 0 {
 				ckWrites++

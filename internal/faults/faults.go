@@ -20,10 +20,11 @@
 //	switch port (soft)                          → port latency flaps
 //	disk drive                                  → checkpoint stripe corruption
 //
-// A Schedule is immutable once drawn; the Injector layers per-run state on
-// top (which faults have fired or been repaired) and hands the runtime the
-// pieces it consumes: an mp.FaultPlan for crashes, a netsim.Health for
-// fabric effects, and stripe-corruption queries for the checkpoint writer.
+// A Schedule is a value, immutable once drawn. The restart driver keeps the
+// set of faults that have fired and derives from the schedule, that set and
+// a segment's clock offset the pieces the runtime consumes: an mp.FaultPlan
+// for crashes, a netsim.Health for fabric effects, and the per-rank disk
+// faults the checkpoint writer applies.
 package faults
 
 import (

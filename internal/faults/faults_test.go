@@ -106,12 +106,13 @@ func TestCrashCountsMatchHazard(t *testing.T) {
 	}
 }
 
-func TestInjectorPlanRebaseAndDisarm(t *testing.T) {
-	in := Manual(4, 100,
+func TestCrashPlanRebaseAndRetire(t *testing.T) {
+	s := Manual(4, 100,
 		Fault{Kind: RankCrash, Rank: 2, Start: 30, Cause: "PSU"},
 		Fault{Kind: RankCrash, Rank: 1, Start: 70, Cause: "DRAM stick"},
 	)
-	p0 := in.PlanAt(0)
+	fired := map[int]bool{}
+	p0 := s.CrashPlan(fired, 0)
 	if got := p0.CrashAtSec[2]; got != 30 {
 		t.Fatalf("rank 2 crash at %g, want 30", got)
 	}
@@ -119,26 +120,31 @@ func TestInjectorPlanRebaseAndDisarm(t *testing.T) {
 		t.Fatalf("rank 1 crash at %g, want 70", got)
 	}
 	// Segment restarts at global t=30 after the first crash fired.
-	in.DisarmBefore(30)
-	p1 := in.PlanAt(30)
+	s.Retire(fired, 30)
+	p1 := s.CrashPlan(fired, 30)
 	if !math.IsInf(p1.CrashAtSec[2], 1) {
-		t.Fatalf("disarmed crash still scheduled: %g", p1.CrashAtSec[2])
+		t.Fatalf("fired crash still scheduled: %g", p1.CrashAtSec[2])
 	}
 	if got := p1.CrashAtSec[1]; got != 40 {
 		t.Fatalf("rebased rank 1 crash at %g, want 40", got)
 	}
-	in.Disarm(in.Sched.Faults[1].ID)
-	if p2 := in.PlanAt(30); !p2.Empty() {
-		t.Fatalf("all crashes disarmed but the plan still holds one: %v", p2.CrashAtSec)
+	// The plan is a function of its arguments: an empty fired set plans
+	// both crashes again.
+	if p := s.CrashPlan(map[int]bool{}, 0); !reflect.DeepEqual(p, p0) {
+		t.Fatalf("replanned %v, first plan %v", p.CrashAtSec, p0.CrashAtSec)
+	}
+	fired[s.Faults[1].ID] = true
+	if p2 := s.CrashPlan(fired, 30); !p2.Empty() {
+		t.Fatalf("every crash fired but the plan still holds one: %v", p2.CrashAtSec)
 	}
 }
 
-func TestInjectorHealthRebase(t *testing.T) {
-	in := Manual(4, 100,
+func TestHealthRebase(t *testing.T) {
+	s := Manual(4, 100,
 		Fault{Kind: LinkDegrade, Rank: 0, Start: 10, End: 50, Severity: 0.5, Cause: "ethernet card"},
 		Fault{Kind: PortFlap, Rank: 3, Start: 0, End: 5, Severity: 1e-3, Cause: "switch port (soft)"},
 	)
-	h := in.HealthAt(0)
+	h := s.Health(0)
 	if h == nil {
 		t.Fatal("no health built")
 	}
@@ -149,7 +155,7 @@ func TestInjectorHealthRebase(t *testing.T) {
 		t.Fatalf("flap latency %g", l)
 	}
 	// Re-based at t=40: 10 s of degradation left, the flap fully expired.
-	h40 := in.HealthAt(40)
+	h40 := s.Health(40)
 	if f := h40.CapFactor(0, 5); f != 0.5 {
 		t.Fatalf("rebased degrade factor %g", f)
 	}
@@ -159,36 +165,39 @@ func TestInjectorHealthRebase(t *testing.T) {
 	if l := h40.PortLatency(3, 0); l != 0 {
 		t.Fatalf("expired flap survived rebase: %g", l)
 	}
-	// Past every armed effect the health collapses to nil.
-	if h60 := in.HealthAt(60); h60 != nil {
+	// Past every effect the health collapses to nil.
+	if h60 := s.Health(60); h60 != nil {
 		t.Fatalf("health past all effects should be nil, got %+v", h60)
 	}
-	deg, flap := in.DegradedSeconds()
+	deg, flap := s.DegradedSeconds()
 	if deg != 80 { // two NIC directions x 40 s
 		t.Fatalf("degraded seconds %g, want 80", deg)
 	}
 	if flap != 5 {
 		t.Fatalf("flapping seconds %g, want 5", flap)
 	}
+	if h := (Schedule{}).Health(0); h != nil {
+		t.Fatalf("the zero schedule built health %+v", h)
+	}
 }
 
-func TestInjectorDiskFault(t *testing.T) {
-	in := Manual(4, 100,
+func TestDiskFaults(t *testing.T) {
+	s := Manual(4, 100,
 		Fault{Kind: DiskCorrupt, Rank: 1, Start: 25, Cause: "disk drive"},
+		Fault{Kind: DiskCorrupt, Rank: 1, Start: 60, Cause: "disk drive"},
+		Fault{Kind: DiskCorrupt, Rank: 2, Start: 150, Cause: "disk drive"},
 	)
-	if _, ok := in.DiskFaultAt(1, 10); ok {
-		t.Fatal("disk fault fired before its strike time")
+	fired := map[int]bool{}
+	if got, want := s.DiskFaults(fired), []int{-1, 0, -1, -1}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("pending disk faults %v, want %v (the first of rank 1, none past the horizon)", got, want)
 	}
-	if _, ok := in.DiskFaultAt(0, 30); ok {
-		t.Fatal("disk fault fired on the wrong rank")
+	fired[0] = true
+	if got, want := s.DiskFaults(fired), []int{-1, 1, -1, -1}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("after the first fired: %v, want %v", got, want)
 	}
-	id, ok := in.DiskFaultAt(1, 30)
-	if !ok {
-		t.Fatal("disk fault not found at t=30")
-	}
-	in.Disarm(id)
-	if _, ok := in.DiskFaultAt(1, 30); ok {
-		t.Fatal("disarmed disk fault fired again")
+	s.Retire(fired, 60)
+	if got, want := s.DiskFaults(fired), []int{-1, -1, -1, -1}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("after retiring through t=60: %v, want %v", got, want)
 	}
 }
 

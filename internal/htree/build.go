@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"time"
 
 	"spacesim/internal/gravity"
 	"spacesim/internal/key"
@@ -130,7 +129,7 @@ func Build(pos []vec.V3, mass []float64, opt Options) (*Tree, error) {
 	hostNow := opt.Obs.HostNow
 
 	// Phase 1: parallel Morton keying.
-	t0, h0 := time.Now(), hostNow()
+	h0 := hostNow()
 	if cap(ar.keys) < n {
 		ar.keys = make([]key.K, n)
 	}
@@ -148,7 +147,7 @@ func Build(pos []vec.V3, mass []float64, opt Options) (*Tree, error) {
 	})
 
 	// Phase 2: radix sort the keys, then gather bodies into tree order.
-	t1, h1 := time.Now(), hostNow()
+	h1 := hostNow()
 	perm := ar.sorter.SortPerm(keys, workers)
 	if cap(ar.bodies) < n {
 		ar.bodies = make([]Body, n)
@@ -170,7 +169,7 @@ func Build(pos []vec.V3, mass []float64, opt Options) (*Tree, error) {
 	// the cells of the tasks it claims to its own buffer. The workers
 	// inherit the caller's profiler labels (core builds under its rank's
 	// phase=tree-construct).
-	t2, h2 := time.Now(), hostNow()
+	h2 := hostNow()
 	tasks, skel := t.planTasks(ar, workers)
 	nw := par.Width(workers, len(tasks))
 	if len(ar.workers) < nw {
@@ -189,7 +188,7 @@ func Build(pos []vec.V3, mass []float64, opt Options) (*Tree, error) {
 	})
 
 	// Phase 4: merge — assemble the slab, index it, fill the skeleton.
-	t3, h3 := time.Now(), hostNow()
+	h3 := hostNow()
 	total := 0
 	for i := range tasks {
 		total += int(tasks[i].n)
@@ -232,16 +231,12 @@ func Build(pos []vec.V3, mass []float64, opt Options) (*Tree, error) {
 	t.store = *cs
 	t.recordGroups(ar.groups[:0])
 	ar.groups = t.groups
-	t4, h4 := time.Now(), hostNow()
+	h4 := hostNow()
 
 	if o := opt.Obs; o != nil {
 		reg := o.Reg
 		reg.Counter("htree.builds").Inc()
 		reg.Counter("htree.build.cells").Add(int64(len(cs.cells)))
-		reg.Histogram("htree.build.key_sec").Observe(t1.Sub(t0).Seconds())
-		reg.Histogram("htree.build.sort_sec").Observe(t2.Sub(t1).Seconds())
-		reg.Histogram("htree.build.build_sec").Observe(t3.Sub(t2).Seconds())
-		reg.Histogram("htree.build.merge_sec").Observe(t4.Sub(t3).Seconds())
 		t.SetObs(o)
 		o.HostSpan(obs.HostBuild, "htree", "key", h0, h1)
 		o.HostSpan(obs.HostBuild, "htree", "sort", h1, h2)

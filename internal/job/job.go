@@ -161,18 +161,14 @@ func Execute(sp Spec, h Hooks) (core.Result, faults.Recovery, error) {
 	if err != nil {
 		return core.Result{}, faults.Recovery{}, err
 	}
-	rc := core.RecoveryConfig{RunConfig: sp.RunConfig(), ResumeFromDisk: h.Dir != ""}
+	rc := core.RecoveryConfig{RunConfig: sp.RunConfig(), NewObs: h.NewObs}
 	rc.Interrupt = h.Interrupt
 	rc.GatherBodies = h.GatherBodies || sp.FaultSeed != 0
-	if h.NewObs != nil {
-		rc.NewObs = func(int) *obs.Obs { return h.NewObs() }
-	}
 	every := sp.CheckpointEvery
 	if h.Dir == "" && sp.FaultSeed == 0 {
 		every = 0
 	}
 	var twin *core.Result
-	var sched faults.Schedule
 	if sp.FaultSeed != 0 {
 		base, s := core.ProbeFaults(rc.RunConfig, ics, faults.Options{Seed: sp.FaultSeed, Accel: sp.FaultAccel})
 		if base.Err != nil {
@@ -181,10 +177,10 @@ func Execute(sp Spec, h Hooks) (core.Result, faults.Recovery, error) {
 		if base.Interrupted {
 			return base, faults.Recovery{}, nil
 		}
-		rc.Injector, twin, sched = faults.NewInjector(s), &base, s
+		rc.Schedule, twin = s, &base
 	}
 	if h.Started != nil {
-		h.Started(sched)
+		h.Started(rc.Schedule)
 	}
 	return Recover(rc, ics, h.Dir, every, twin)
 }

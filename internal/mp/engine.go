@@ -231,7 +231,6 @@ func (w *World) put(dst int, m message) {
 	if t.state == taskBlocked && matchMsg(&m, t.src, t.tag) {
 		t.state = taskReady
 		w.readyPush(t)
-		w.cWakes.Inc()
 		w.pump()
 	}
 	w.mu.Unlock()
@@ -267,7 +266,6 @@ func (r *Rank) takeBlocking(src, tag int) message {
 		t.src, t.tag = src, tag
 		t.state = taskBlocked
 		w.running--
-		w.cParks.Inc()
 		parked := true
 		if w.aborted.Load() {
 			// The abort's wakeAll may have swept before this park became

@@ -230,9 +230,6 @@ func TestWakeOrderIsPutOrder(t *testing.T) {
 	if st.RankClocks[2] != late || st.RankClocks[1] != early {
 		t.Errorf("clocks %v, want rank 1 at %v and rank 2 at %v", st.RankClocks, early, late)
 	}
-	if got := o.Reg.Counter("mp.engine.events").Value(); got != 2 {
-		t.Errorf("mp.engine.events = %d, want 2 wakes", got)
-	}
 }
 
 // TestEventEngineQuiescentCrash checks the first rung of the quiescence

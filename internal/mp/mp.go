@@ -183,12 +183,6 @@ type World struct {
 	fn     func(*Rank)
 	clocks []float64
 	wg     sync.WaitGroup
-	// mp.engine.events (parked receivers readied) and mp.engine.parks
-	// (blocking parks) count host-order wakes and parks: whether a
-	// receiver parks before its message lands depends on the host
-	// schedule, so both vary with the pool width the way host time does.
-	cWakes *obs.Counter
-	cParks *obs.Counter
 }
 
 // Stats summarizes a completed run.
@@ -343,8 +337,6 @@ func (w *World) initObs() {
 	w.hMsgBytes = w.obs.Reg.Histogram("mp.msg.bytes")
 	w.hCollBytes = w.obs.Reg.Histogram("mp.collective.msg_bytes")
 	w.hCollSec = w.obs.Reg.Histogram("mp.collective.sec")
-	w.cWakes = w.obs.Reg.Counter("mp.engine.events")
-	w.cParks = w.obs.Reg.Counter("mp.engine.parks")
 	w.obs.NetModules(modules)
 }
 

@@ -7,9 +7,11 @@ import (
 
 // Histogram is a lock-free log-bucketed distribution metric for nonnegative
 // values (virtual seconds, byte counts, list lengths). Like Counter and
-// Gauge it is safe for concurrent writers and order-independent: Observe
-// only performs atomic adds and monotone CAS folds, so a snapshot never
-// depends on host scheduling, and all methods are no-ops on a nil receiver.
+// Gauge it is safe for concurrent writers: Observe only performs atomic adds
+// and monotone CAS folds, so the count, buckets, minimum and maximum (and
+// the quantiles read from them) never depend on host scheduling, while the
+// float sum is added in host order and is exact only up to rounding. All
+// methods are no-ops on a nil receiver.
 // Construct with NewHistogram (or through Registry.Histogram), which seeds
 // the min/max sentinels.
 //

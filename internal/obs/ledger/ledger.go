@@ -45,6 +45,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -234,15 +235,34 @@ func (s *Store) Append(rec *Record, artifacts map[string][]byte) (string, error)
 	return rec.ID, errors.Join(AppendJSONL(f, rec), f.Close())
 }
 
-// OpenJSONL opens a JSONL file for AppendJSONL, creating it if missing.
+// OpenJSONL opens a JSONL file for AppendJSONL, creating it if missing. A
+// file whose last line has no newline — a writer died mid-append — gets
+// one, so the next record starts a line of its own and the fragment stays
+// a torn line that ReadJSONL skips. Nothing is truncated: other processes
+// may be appending to the same file.
 func OpenJSONL(path string) (*os.File, error) {
-	return os.OpenFile(path, os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
+	f, err := os.OpenFile(path, os.O_APPEND|os.O_CREATE|os.O_RDWR, 0o644)
+	if err != nil {
+		return nil, err
+	}
+	fi, err := f.Stat()
+	if err == nil && fi.Size() > 0 {
+		last := []byte{0}
+		if _, err = f.ReadAt(last, fi.Size()-1); err == nil && last[0] != '\n' {
+			_, err = f.Write([]byte{'\n'})
+		}
+	}
+	if err != nil {
+		f.Close()
+		return nil, err
+	}
+	return f, nil
 }
 
 // AppendJSONL appends v to a file OpenJSONL opened as one line, written by
 // one O_APPEND write, so concurrent appenders never interleave partial
 // records and a crash leaves at most a torn final line, which ReadJSONL
-// skips.
+// skips and the next OpenJSONL ends.
 func AppendJSONL(f *os.File, v any) error {
 	line, err := json.Marshal(v)
 	if err != nil {
@@ -253,12 +273,13 @@ func AppendJSONL(f *os.File, v any) error {
 }
 
 // ReadJSONL streams the non-empty lines of a JSONL file through fn with
-// torn-tail tolerance: when fn rejects the FINAL non-empty line — the
-// signature of a crash mid-append — the line is skipped and reported via
-// torn instead of failing the read, because an append-only journal loses
-// nothing but the record that was being written when the power went out. A
-// rejected line anywhere else is real corruption and returns fn's error
-// wrapped with its line number. A missing file reads as empty.
+// torn-record tolerance, because an append-only file loses nothing but the
+// record that was being written when its writer died. A rejected line that
+// breaks off inside a JSON value (a crash mid-append, which the next
+// OpenJSONL ended with a newline) is skipped wherever it is, and so is a
+// rejected FINAL line of any kind; both are reported via torn. Any other
+// rejected line is real corruption and returns fn's error wrapped with its
+// line number. A missing file reads as empty.
 func ReadJSONL(path string, fn func(line []byte) error) (torn bool, err error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -283,19 +304,30 @@ func ReadJSONL(path string, fn func(line []byte) error) (torn bool, err error) {
 			return false, fmt.Errorf("%s line %d: %w", path, pendingLine, pendingErr)
 		}
 		if err := fn(line); err != nil {
+			if brokenOff(line) {
+				torn = true
+				continue
+			}
 			pendingErr, pendingLine = err, lineNo
 		}
 	}
 	if err := sc.Err(); err != nil {
 		return false, err
 	}
-	return pendingErr != nil, nil
+	return torn || pendingErr != nil, nil
+}
+
+// brokenOff reports whether line is the start of a JSON value that ends
+// before the value does: what a crash mid-append leaves.
+func brokenOff(line []byte) bool {
+	var v json.RawMessage
+	return errors.Is(json.NewDecoder(bytes.NewReader(line)).Decode(&v), io.ErrUnexpectedEOF)
 }
 
 // Records reads every index record, oldest first. A missing index is an
-// empty ledger, not an error. A truncated final line (a writer crashed
-// mid-append) is skipped with a warning on stderr — the records before it
-// are intact by construction; a malformed line anywhere else is an error
+// empty ledger, not an error. A torn record (a writer crashed mid-append)
+// is skipped with a warning on stderr — the records around it are intact by
+// construction; any other malformed line is an error unless it is the last
 // (the index is append-only and ours).
 func (s *Store) Records() ([]Record, error) {
 	var out []Record
@@ -311,7 +343,7 @@ func (s *Store) Records() ([]Record, error) {
 		return nil, fmt.Errorf("ledger: %w", err)
 	}
 	if torn {
-		fmt.Fprintf(os.Stderr, "ledger: %s: skipping torn trailing record (crash mid-append)\n", s.IndexPath())
+		fmt.Fprintf(os.Stderr, "ledger: %s: skipping a torn record (crash mid-append)\n", s.IndexPath())
 	}
 	sort.SliceStable(out, func(i, j int) bool { return out[i].TimeUnixNS < out[j].TimeUnixNS })
 	return out, nil

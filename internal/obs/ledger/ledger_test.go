@@ -1,8 +1,11 @@
 package ledger
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -169,6 +172,9 @@ const (
 	indexGood1 = `{"schema_version":1,"id":"aaaaaaaaaaaa","time_unix_ns":1,"config_digest":"d1","config":{"tool":"ssbench"},"build":{},"metrics":{"makespan_sec":1.5}}`
 	indexGood2 = `{"schema_version":1,"id":"bbbbbbbbbbbb","time_unix_ns":2,"config_digest":"d1","config":{"tool":"ssbench"},"build":{},"metrics":{"makespan_sec":1.6}}`
 	indexTorn  = `{"schema_version":1,"id":"cccccccccccc","time_un` // crash mid-append
+	// indexCorrupt is whole JSON with a stray brace after it: no crash
+	// leaves that.
+	indexCorrupt = `{"schema_version":1,"id":"cccccccccccc"}}`
 )
 
 var tornIndexes = []struct {
@@ -183,8 +189,10 @@ var tornIndexes = []struct {
 		wantIDs: []string{"aaaaaaaaaaaa", "bbbbbbbbbbbb"}},
 	{name: "torn final line no newline before", index: indexGood1 + "\n" + indexTorn,
 		wantIDs: []string{"aaaaaaaaaaaa"}},
-	{name: "corrupt middle line errors", index: indexGood1 + "\n" + indexTorn + "\n" + indexGood2 + "\n",
+	{name: "corrupt middle line errors", index: indexGood1 + "\n" + indexCorrupt + "\n" + indexGood2 + "\n",
 		wantErr: true},
+	{name: "torn middle line skipped", index: indexGood1 + "\n" + indexTorn + "\n" + indexGood2 + "\n",
+		wantIDs: []string{"aaaaaaaaaaaa", "bbbbbbbbbbbb"}},
 	{name: "empty index", index: "", wantIDs: nil},
 	{name: "blank lines only", index: "\n\n", wantIDs: nil},
 	{name: "trailing blank line after torn", index: indexGood1 + "\n" + indexTorn + "\n\n",
@@ -223,6 +231,45 @@ func TestRecordsTornWriteTolerance(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// A writer that dies mid-append costs only its own record: the appends
+// after the fragment and the reads after them keep every whole record.
+func TestAppendAfterTornRecord(t *testing.T) {
+	s, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []string
+	appendOne := func() {
+		id, err := s.Append(testRecord(fmt.Sprint("run", len(want)), nil), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, id)
+	}
+	appendOne()
+	f, err := os.OpenFile(s.IndexPath(), os.O_APPEND|os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteString(`{"schema_version":1,"id"`); err != nil { // 24 bytes
+		t.Fatal(err)
+	}
+	f.Close()
+	appendOne()
+	appendOne()
+	recs, err := s.Records()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, r := range recs {
+		got = append(got, r.ID)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("records %v, appended %v", got, want)
 	}
 }
 
@@ -298,8 +345,8 @@ func TestAppendJSONLRoundtrip(t *testing.T) {
 // with a reader that rejects what is not JSON. It must never panic, and its
 // answer must follow from the file's non-empty lines: they reach the reader
 // whole and in order, a clean read accepted every one, a torn read rejected
-// the last one only, and an error stops at a rejected line that is not the
-// last.
+// only lines that break off inside a value and perhaps the last, and an
+// error stops at a rejected line that is neither.
 func FuzzReadJSONL(f *testing.F) {
 	f.Add([]byte("{\"a\":1}\n{\"bro"))
 	for _, tc := range tornIndexes {
@@ -312,11 +359,15 @@ func FuzzReadJSONL(f *testing.F) {
 			t.Fatal(err)
 		}
 		var seen []string
-		rejected := -1
+		rejected, whole := -1, -1 // the last rejected line, and the last that does not break off
 		torn, err := ReadJSONL(path, func(line []byte) error {
 			seen = append(seen, string(line))
 			if !json.Valid(line) {
 				rejected = len(seen) - 1
+				var v json.RawMessage
+				if json.NewDecoder(bytes.NewReader(line)).Decode(&v) != io.ErrUnexpectedEOF {
+					whole = rejected
+				}
 				return errors.New("not JSON")
 			}
 			return nil
@@ -340,13 +391,13 @@ func FuzzReadJSONL(f *testing.F) {
 		last := len(lines) - 1
 		switch {
 		case err != nil:
-			if rejected < 0 || rejected != len(seen)-1 || rejected == last {
-				t.Fatalf("error %v after %d of %d lines, last rejected %d", err, len(seen), len(lines), rejected)
+			if whole < 0 || whole != len(seen)-1 || whole == last {
+				t.Fatalf("error %v after %d of %d lines, last whole rejected %d", err, len(seen), len(lines), whole)
 			}
 		case len(seen) != len(lines):
 			t.Fatalf("clean read saw %d of %d lines", len(seen), len(lines))
-		case torn != (rejected >= 0) || (torn && rejected != last):
-			t.Fatalf("torn %v, but line %d of %d was rejected", torn, rejected, len(lines))
+		case torn != (rejected >= 0) || (whole >= 0 && whole != last):
+			t.Fatalf("torn %v, but line %d of %d was rejected (%d whole)", torn, rejected, len(lines), whole)
 		}
 	})
 }

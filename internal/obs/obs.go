@@ -9,10 +9,14 @@
 //  1. Observation never perturbs virtual time. Every hook reads a rank's
 //     clock; none advances it. A run with retention on is bit-identical to
 //     a run with it off.
-//  2. Metric aggregation is order-independent. Counters only Add and gauges
-//     only fold with Max/Add, so concurrent updates from rank goroutines
-//     and host loops commute and a snapshot does not depend on host
-//     scheduling.
+//  2. A registry snapshot is a function of the run. Counters only Add,
+//     histograms count into buckets and fold their minimum and maximum,
+//     and gauges fold with Max, so concurrent updates from rank goroutines
+//     and host loops commute exactly, and nothing the registry holds is
+//     measured on the host clock. Float sums (a histogram's sum and mean, a
+//     gauge's Add) commute only up to rounding: they are taken in host
+//     order, so their last bits can differ between two runs of one
+//     configuration.
 package obs
 
 import (

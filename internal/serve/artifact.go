@@ -71,34 +71,51 @@ func (s *Server) storeArtifact(a *Artifact) error {
 		return err
 	}
 	s.mu.Lock()
-	s.artifacts[rec.ConfigDigest] = rec.Artifacts[artifactBlob]
+	s.artifacts[rec.ConfigDigest] = stored{blob: rec.Artifacts[artifactBlob], result: a.ResultDigest}
 	s.mu.Unlock()
 	return nil
 }
 
+// stored is where a config digest's result is: the ledger blob holding its
+// artifact and, once this process wrote or first decoded that blob, the
+// artifact's result digest ("" until then).
+type stored struct{ blob, result string }
+
 // artifactBytes returns the stored artifact of a config digest, its blob
-// checked against its SHA-256.
-func (s *Server) artifactBytes(configDigest string) ([]byte, error) {
+// checked against its SHA-256, and where it is stored.
+func (s *Server) artifactBytes(configDigest string) ([]byte, stored, error) {
 	s.mu.Lock()
-	blob, ok := s.artifacts[configDigest]
+	st, ok := s.artifacts[configDigest]
 	s.mu.Unlock()
 	if !ok {
-		return nil, fmt.Errorf("serve: no artifact for %s", configDigest[:12])
+		return nil, st, fmt.Errorf("serve: no artifact for %s", configDigest[:12])
 	}
-	return s.runs.ReadBlob(blob)
+	data, err := s.runs.ReadBlob(st.blob)
+	return data, st, err
 }
 
-// artifact loads the stored artifact of a config digest; ok=false on a
-// miss. A present-but-unreadable artifact is a miss: the job recomputes and
-// stores it again.
-func (s *Server) artifact(configDigest string) (*Artifact, bool) {
-	data, err := s.artifactBytes(configDigest)
+// cachedResult returns the result digest of a config digest's stored
+// artifact; ok=false on a miss. Every hit checks the blob against its
+// SHA-256, and only the first hit on a blob this process did not write
+// decodes it: the digest is kept in memory from then on. A
+// present-but-unreadable artifact is a miss: the job recomputes and stores
+// it again.
+func (s *Server) cachedResult(configDigest string) (string, bool) {
+	data, st, err := s.artifactBytes(configDigest)
 	if err != nil {
-		return nil, false
+		return "", false
 	}
-	var a Artifact
-	if err := json.Unmarshal(data, &a); err != nil || a.ConfigDigest != configDigest {
-		return nil, false
+	if st.result == "" {
+		var a Artifact
+		if err := json.Unmarshal(data, &a); err != nil || a.ConfigDigest != configDigest {
+			return "", false
+		}
+		st.result = a.ResultDigest
+		s.mu.Lock()
+		if s.artifacts[configDigest].blob == st.blob {
+			s.artifacts[configDigest] = st
+		}
+		s.mu.Unlock()
 	}
-	return &a, true
+	return st.result, true
 }

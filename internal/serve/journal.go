@@ -12,8 +12,8 @@ import (
 // JournalFile is the durable job queue: one JSON event per line, append-only
 // under the state directory. Replaying it on startup reconstructs every
 // job's state, so a kill -9 loses nothing but the record being written at
-// the instant of death (which ledger.ReadJSONL's torn-tail tolerance skips
-// and New cuts off).
+// the instant of death (a torn record: ledger.OpenJSONL ends it with a
+// newline and ledger.ReadJSONL skips it).
 const JournalFile = "jobs.jsonl"
 
 // Journal event kinds. submit carries the spec; the rest reference the job
@@ -88,8 +88,8 @@ func (j *Job) apply(ev event) {
 }
 
 // replayJournal folds the journal into the job table, preserving submit
-// order. A torn final line — the daemon died mid-append — is skipped (torn
-// reports it); corruption anywhere else is an error. Events for unknown
+// order. A torn record — the daemon died mid-append — is skipped (torn
+// reports it); any other corruption before the last line is an error. Events for unknown
 // IDs are skipped rather than fatal: a torn submit line orphans its later
 // events, and refusing to start over that would turn one lost record into
 // a dead daemon.

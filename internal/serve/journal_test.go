@@ -158,7 +158,8 @@ func tornJournal(t testing.TB) []byte {
 
 // A crash mid-append leaves a final line without its newline: torn
 // mid-record, or whole but for the newline. Either way the daemon starts,
-// and so does the one after it.
+// ends the line and appends after it, and the daemon after that reads past
+// the torn record to the events the first one appended.
 func TestReplayToleratesTornTail(t *testing.T) {
 	torn := tornJournal(t)
 	for name, journal := range map[string][]byte{
@@ -174,7 +175,7 @@ func TestReplayToleratesTornTail(t *testing.T) {
 			waitJob(t, s, "j000001-deadbeef", StateDone)
 			s.Drain()
 
-			// The last line was cut off or ended, not extended by the
+			// The last line was ended, not extended by the
 			// appends after it: the next start reads the job as the last
 			// one left it.
 			again := newTestServer(t, dir, nil)
@@ -184,10 +185,13 @@ func TestReplayToleratesTornTail(t *testing.T) {
 	}
 }
 
+// A line no crash leaves — whole JSON with a stray brace after it — before
+// the last is corruption, and the daemon refuses to start on it. (A line
+// that breaks off inside its value is a torn record, skipped anywhere.)
 func TestReplayRejectsMidJournalCorruption(t *testing.T) {
 	dir := t.TempDir()
 	if err := os.WriteFile(filepath.Join(dir, JournalFile),
-		[]byte("{\"ev\":\"garbage\n{\"ev\":\"submit\",\"id\":\"j000001-x\",\"t\":1,\"spec\":{}}\n"), 0o644); err != nil {
+		[]byte("{\"ev\":\"garbage\"}}\n{\"ev\":\"submit\",\"id\":\"j000001-x\",\"t\":1,\"spec\":{}}\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := New(Config{Dir: dir}); err == nil {

@@ -136,6 +136,16 @@ func BenchmarkCachedBurst(b *testing.B) {
 	b.ReportMetric(float64(polls[len(polls)/2].Nanoseconds())/1e3, "poll-p50-µs")
 }
 
+// artifact decodes the stored artifact of a config digest.
+func (s *Server) artifact(configDigest string) (*Artifact, bool) {
+	data, _, err := s.artifactBytes(configDigest)
+	var a Artifact
+	if err != nil || json.Unmarshal(data, &a) != nil {
+		return nil, false
+	}
+	return &a, true
+}
+
 func TestSubmitComputesArtifact(t *testing.T) {
 	s := newTestServer(t, t.TempDir(), nil)
 	defer s.Drain()

@@ -25,7 +25,6 @@
 package serve
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -159,8 +158,8 @@ type Server struct {
 	// the server's life (so a cancel after Drain is journaled too).
 	mu      sync.Mutex
 	journal *os.File
-	// artifacts maps a config digest to its artifact's blob in runs.
-	artifacts map[string]string
+	// artifacts maps a config digest to where its artifact is in runs.
+	artifacts map[string]stored
 	jobs      map[string]*Job
 	order     []string
 	seq       int
@@ -186,41 +185,30 @@ func New(cfg Config) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
+	path := filepath.Join(cfg.Dir, JournalFile)
+	if torn {
+		fmt.Fprintf(os.Stderr, "spacesimd: %s: skipping a torn record (crash mid-append)\n", path)
+	}
 	runs := cfg.Ledger
 	if runs == nil {
 		if runs, err = ledger.Open(filepath.Join(cfg.Dir, "runs")); err != nil {
 			return nil, err
 		}
 	}
-	path := filepath.Join(cfg.Dir, JournalFile)
 	jnl, err := ledger.OpenJSONL(path)
 	if err != nil {
 		return nil, err
 	}
-	// A crash mid-append can leave a final line without its newline: cut
-	// it off if replay skipped it as torn, else end it, so the next append
-	// does not join it into a corrupt line the next start would refuse.
-	data, err := os.ReadFile(path)
-	if err == nil && torn {
-		fmt.Fprintf(os.Stderr, "spacesimd: %s: skipping torn trailing record (crash mid-append)\n", path)
-		err = os.Truncate(path, int64(bytes.LastIndexByte(bytes.TrimRight(data, "\r\n"), '\n')+1))
-	} else if n := len(data); err == nil && n > 0 && data[n-1] != '\n' {
-		_, err = jnl.Write([]byte{'\n'})
-	}
-	if err != nil {
-		jnl.Close()
-		return nil, err
-	}
 	// The newest record of a digest names its artifact. An unreadable
 	// index leaves the map empty: every lookup is a miss and recomputes.
-	artifacts := map[string]string{}
+	artifacts := map[string]stored{}
 	recs, err := runs.Records()
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "spacesimd: %v: starting with no stored results\n", err)
 	}
 	for _, r := range recs {
 		if d, ok := r.Artifacts[artifactBlob]; ok {
-			artifacts[r.ConfigDigest] = d
+			artifacts[r.ConfigDigest] = stored{blob: d}
 		}
 	}
 	o := obs.New(false)
@@ -437,12 +425,12 @@ func (s *Server) runJob(id string) {
 		}
 	}
 	if !spec.NoCache {
-		if a, ok := s.artifact(j.ConfigDigest); ok {
+		if result, ok := s.cachedResult(j.ConfigDigest); ok {
 			s.mu.Lock()
 			defer s.mu.Unlock()
 			s.m.cacheHits.Inc()
 			s.m.completed.Inc()
-			s.record(j, event{Ev: evDone, ResultDigest: a.ResultDigest, CacheHit: true})
+			s.record(j, event{Ev: evDone, ResultDigest: result, CacheHit: true})
 			return
 		}
 	}
@@ -690,7 +678,7 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 			http.Error(w, fmt.Sprintf("job %s is %s, not done", id, v.State), http.StatusConflict)
 			return
 		}
-		data, err := s.artifactBytes(v.ConfigDigest)
+		data, _, err := s.artifactBytes(v.ConfigDigest)
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusNotFound)
 			return

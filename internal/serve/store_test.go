@@ -66,7 +66,7 @@ func TestDamagedArtifactRecomputes(t *testing.T) {
 
 	first := runToDone(t, s)
 	s.mu.Lock()
-	blob := s.artifacts[first.ConfigDigest]
+	blob := s.artifacts[first.ConfigDigest].blob
 	s.mu.Unlock()
 	if err := os.WriteFile(s.runs.BlobPath(blob), []byte("{}\n"), 0o644); err != nil {
 		t.Fatal(err)
@@ -80,7 +80,7 @@ func TestDamagedArtifactRecomputes(t *testing.T) {
 		t.Fatalf("recompute digest %s, first %s", again.ResultDigest, first.ResultDigest)
 	}
 	s.mu.Lock()
-	stored := s.artifacts[first.ConfigDigest]
+	stored := s.artifacts[first.ConfigDigest].blob
 	s.mu.Unlock()
 	if stored != blob {
 		t.Fatalf("recompute stored blob %s, first %s: the artifact is not deterministic", stored, blob)
