@@ -29,9 +29,10 @@ one-slot:
 # and the blocking phases around it are a function of the message DAG. The
 # reproducibility, schedule-pin and region tests of core and mp, at four
 # host widths (each pins or compares every rank clock and the makespan).
-# The key sort, tree build, grouped walk and SPH tests below take their
-# default width from par.Width, so the one host loop runs at four widths too;
-# so do the grouped walk's runs of groups (TestGroupedWorkersBitIdentical),
+# The grouped walk and SPH tests below take their default width from
+# par.Width, so the one host loop runs at four widths too (the key sort and
+# the tree build run on the caller's goroutine and have no width); so do the
+# grouped walk's runs of groups (TestGroupedWorkersBitIdentical),
 # and the bound on a 64-rank world's goroutines, which scales with the width
 # of the scheduler's pool (TestWorldGoroutinesBounded). The NPB kernels'
 # result digest (TestNPBResultsPinned) must not move with the width either.
@@ -42,9 +43,8 @@ widths:
 			-run '^(TestEventEngineReproducibleSchedule|TestSchedulePinnedAcrossTwoPassRewrite|TestEngineBitIdentical|TestGroupedWorkersBitIdentical|TestWorldGoroutinesBounded|TestTraceReproducible)$$' ./internal/core || exit 1; \
 		GOMAXPROCS=$$p $(GO) test -count=1 -timeout 300s \
 			-run '^(TestOneSlot.*|TestCollectivesBothEngines|TestEventEnginePointToPoint|TestEventEngineGather|TestWakeOrderIsPutOrder)$$' ./internal/mp || exit 1; \
-		GOMAXPROCS=$$p $(GO) test -count=1 -timeout 300s -run '^TestSortPerm.*$$' ./internal/key || exit 1; \
 		GOMAXPROCS=$$p $(GO) test -count=1 -timeout 300s \
-			-run '^(TestBuildBitIdentical.*|TestGroupedWorkerCountInvariance|TestGroupedGoldenDigest)$$' ./internal/htree || exit 1; \
+			-run '^(TestGroupedWorkerCountInvariance|TestGroupedGoldenDigest)$$' ./internal/htree || exit 1; \
 		GOMAXPROCS=$$p $(GO) test -count=1 -timeout 300s -run '^TestSimWorkersBitIdentical$$' ./internal/sph || exit 1; \
 		GOMAXPROCS=$$p $(GO) test -count=1 -timeout 300s -run '^TestNPBResultsPinned$$' ./internal/npb || exit 1; \
 	done

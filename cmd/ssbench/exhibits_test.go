@@ -132,3 +132,33 @@ func BenchmarkExhibits(b *testing.B) {
 		}
 	}
 }
+
+// TestDeviationsNamedInDesign reads the registry and DESIGN.md §16: every
+// row marked deviates must be named there, as `exhibit/id`, so a reader of
+// the design learns what to distrust.
+func TestDeviationsNamedInDesign(t *testing.T) {
+	design, err := os.ReadFile("../../DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, sec, ok := strings.Cut(string(design), "\n## 16. ")
+	if !ok {
+		t.Fatal("DESIGN.md has no §16")
+	}
+	sec, _, _ = strings.Cut(sec, "\n## ")
+	n := 0
+	for _, e := range exhibits(true) {
+		for _, r := range e.rows {
+			if !r.dev {
+				continue
+			}
+			n++
+			if id := e.name + "/" + r.id; !strings.Contains(sec, "`"+id+"`") {
+				t.Errorf("%s deviates but DESIGN.md §16 does not name it", id)
+			}
+		}
+	}
+	if n == 0 {
+		t.Fatal("no row deviates: the walk read nothing")
+	}
+}

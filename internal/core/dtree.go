@@ -186,7 +186,6 @@ func buildDistributed(r *mp.Rank, bodies []Body, splitters []key.K, boxLo vec.V3
 			// Split domain-straddling cells so every leaf is complete and
 			// the branch cells exactly tile this rank's key range.
 			ForceSplit: func(k key.K) bool { return !dt.complete(k) },
-			Workers:    opt.Workers,
 			Arena:      arena,
 			Obs:        dt.o,
 		})

@@ -21,7 +21,7 @@ type RecoveryConfig struct {
 	// Schedule is the drawn fault timeline; the zero schedule injects no
 	// faults. Each segment gets a crash plan and network health re-based
 	// onto its own clock origin, and each rank's first pending disk fault
-	// corrupts its first checkpoint stripe of the segment.
+	// corrupts the first checkpoint stripe the rank writes after it strikes.
 	Schedule faults.Schedule
 	// NewObs, when non-nil, supplies a fresh observation handle for each
 	// segment in place of Cluster.Obs. The analysis layer requires one run
@@ -33,7 +33,7 @@ type RecoveryConfig struct {
 
 // ProbeFaults runs cfg fault-free, without checkpoints and on a private
 // Obs, and draws a fault schedule over that run's virtual makespan on
-// cfg.Procs ranks; opt supplies the seed, acceleration and rates. The run it
+// cfg.Procs ranks; opt supplies the seed and acceleration. The run it
 // returns is the uninterrupted twin BitIdentical compares a recovered run
 // against. When the run fails or is interrupted no schedule is drawn.
 func ProbeFaults(cfg RunConfig, ics []Body, opt faults.Options) (Result, faults.Schedule) {
@@ -125,8 +125,8 @@ func RunRecovered(cfg RecoveryConfig, ics []Body) (Result, faults.Recovery, erro
 		if h := sched.Health(offset); h != nil {
 			rc.Cluster.Net = baseNet.WithHealth(h)
 		}
-		disk := sched.DiskFaults(fired)
-		seg.plan, seg.disk = sched.CrashPlan(fired, offset), slices.Clone(disk)
+		disk, diskAt := sched.DiskFaults(fired, offset)
+		seg.plan, seg.disk, seg.diskAt = sched.CrashPlan(fired, offset), slices.Clone(disk), diskAt
 
 		res := run(rc, ics, seg)
 		st.Attempts++
@@ -135,8 +135,8 @@ func RunRecovered(cfg RecoveryConfig, ics []Body) (Result, faults.Recovery, erro
 		st.CheckpointSec += res.CheckpointSec
 		accumulate(&master, &res, seg.startStep)
 		// Retire only the disk faults that struck a stripe this segment
-		// (their rank cleared its entry); a drive that never wrote stays
-		// armed.
+		// (their rank cleared its entry); a drive that wrote nothing after
+		// it failed stays armed.
 		for rank, id := range disk {
 			if id >= 0 && seg.disk[rank] < 0 {
 				fired[id] = true

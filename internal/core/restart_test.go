@@ -137,9 +137,10 @@ func TestRecoveryCorruptStripeFallsBack(t *testing.T) {
 		t.Fatalf("baseline failed: %v", base.Err)
 	}
 
-	// The disk fault corrupts rank 1's first checkpoint write (step 2); the
-	// crash fires after it, so the scan must reject ck-2 and restart from
-	// the initial conditions (ck-2 is the first checkpoint, nothing older).
+	// The disk fault strikes at once and corrupts rank 1's first checkpoint
+	// write (step 3); the crash fires after it, so the scan must reject
+	// ck-3 and restart from the initial conditions (ck-3 is the first
+	// checkpoint, nothing older).
 	cfg := RecoveryConfig{
 		RunConfig: recoveryBaseCfg(t.TempDir()),
 		Schedule: faults.Manual(4, 2*base.ElapsedVirtual,
@@ -160,6 +161,50 @@ func TestRecoveryCorruptStripeFallsBack(t *testing.T) {
 	}
 	if len(st.RestoredSteps) != 1 || st.RestoredSteps[0] != 0 {
 		t.Fatalf("expected fallback to initial conditions, got %v", st.RestoredSteps)
+	}
+	assertBitIdentical(t, base, rec)
+}
+
+// TestRecoveryDiskFaultSparesEarlierStripes puts the disk fault between the
+// step-3 checkpoint and the crash: the drive dies after rank 1 wrote its
+// step-3 stripe and before it writes another, so that checkpoint is intact
+// and recovery resumes from it, with no corrupt stripe found.
+func TestRecoveryDiskFaultSparesEarlierStripes(t *testing.T) {
+	rng := rand.New(rand.NewSource(42))
+	ics := PlummerSphere(rng, 160, 1.0)
+
+	baseCfg := recoveryBaseCfg(t.TempDir())
+	baseCfg.Checkpoint.Every = 3
+	base := Run(baseCfg, ics)
+	if base.Err != nil {
+		t.Fatalf("baseline failed: %v", base.Err)
+	}
+	ck3, ok := base.CheckpointClocks[3]
+	crashAt := 0.8 * base.ElapsedVirtual
+	if !ok || ck3 >= crashAt {
+		t.Fatalf("step-3 checkpoint at %g (written %v), want one before the crash at %g", ck3, ok, crashAt)
+	}
+
+	cfg := RecoveryConfig{
+		RunConfig: recoveryBaseCfg(t.TempDir()),
+		Schedule: faults.Manual(4, 2*base.ElapsedVirtual,
+			faults.Fault{Kind: faults.DiskCorrupt, Rank: 1, Start: (ck3 + crashAt) / 2, Cause: "disk drive"},
+			faults.Fault{Kind: faults.RankCrash, Rank: 3, Start: crashAt, Cause: "DRAM stick"},
+		),
+	}
+	cfg.Checkpoint.Every = 3
+	rec, st, err := RunRecovered(cfg, ics)
+	if err != nil {
+		t.Fatalf("recovery failed: %v (stats %+v)", err, st)
+	}
+	if st.Crashes != 1 {
+		t.Fatalf("expected one crash, got %d", st.Crashes)
+	}
+	if st.CorruptStripes != 0 {
+		t.Fatalf("%d corrupt stripes, want none: the drive failed after the step-3 write", st.CorruptStripes)
+	}
+	if len(st.RestoredSteps) != 1 || st.RestoredSteps[0] != 3 {
+		t.Fatalf("expected a resume from step 3, got %v", st.RestoredSteps)
 	}
 	assertBitIdentical(t, base, rec)
 }

@@ -185,10 +185,12 @@ type segment struct {
 	energies  []Energies
 	// plan schedules rank crashes in the segment's clock (nil: none).
 	plan *mp.FaultPlan
-	// disk holds, per rank, the disk fault that corrupts the rank's next
-	// checkpoint stripe (-1, or past the end: a healthy drive). A rank
+	// disk holds, per rank, the disk fault that corrupts the first
+	// checkpoint stripe the rank starts writing at or after diskAt[rank] on
+	// the segment's clock (-1, or past the end: a healthy drive). A rank
 	// clears its own entry when its fault strikes.
-	disk []int
+	disk   []int
+	diskAt []float64
 }
 
 // runOptions maps the segment onto the message layer's options. A segment
@@ -204,10 +206,11 @@ func (seg segment) runOptions() mp.RunOptions {
 	return opt
 }
 
-// strikes reports whether rank's drive corrupts the stripe it is writing,
-// and clears the rank's fault: one bad stripe per dead drive.
-func (seg segment) strikes(rank int) bool {
-	if rank >= len(seg.disk) || seg.disk[rank] < 0 {
+// strikes reports whether rank's drive corrupts the stripe whose write
+// starts at clock t, and clears the rank's fault: one bad stripe per dead
+// drive.
+func (seg segment) strikes(rank int, t float64) bool {
+	if rank >= len(seg.disk) || seg.disk[rank] < 0 || t < seg.diskAt[rank] {
 		return false
 	}
 	seg.disk[rank] = -1
@@ -325,7 +328,7 @@ func run(cfg RunConfig, ics []Body, seg segment) Result {
 		checkpoint := func(name string, s int) {
 			prog.Phase(name)
 			t0 := r.Clock()
-			writeCheckpoint(r, cp, s, local, acc, energyAt[:s+1], seg.strikes(r.ID()))
+			writeCheckpoint(r, cp, s, local, acc, energyAt[:s+1], seg.strikes(r.ID(), t0))
 			lastCk = s
 			if r.ID() == 0 {
 				ckWrites++

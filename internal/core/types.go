@@ -46,10 +46,10 @@ type Options struct {
 	DT float64
 	// MaxLeaf is the tree bucket size (default 8).
 	MaxLeaf int
-	// Workers is the width of the host loops that build a rank's tree and,
-	// one wider for the rank itself, gather and evaluate each run of its
-	// resident sink groups (< 1 means GOMAXPROCS: par.Width). Results are
-	// bit-identical for any value.
+	// Workers is the width of the host loop that gathers and evaluates each
+	// run of a rank's resident sink groups, one wider for the rank itself
+	// (< 1 means GOMAXPROCS: par.Width). Results are bit-identical for any
+	// value.
 	Workers int
 	// BuildArena, when non-nil, supplies reusable tree-build storage so a
 	// rank's per-step rebuilds stop allocating. An arena is exclusive

@@ -94,8 +94,6 @@ type Options struct {
 	// Accel is component-months of hazard per virtual second
 	// (DefaultAccel when zero).
 	Accel float64
-	// Rates overrides the hazard table (PaperCalibrated when nil).
-	Rates *reliability.Rates
 }
 
 // Schedule is a fixed, ordered fault timeline for one job.
@@ -130,14 +128,13 @@ func New(opt Options) Schedule {
 	if opt.Accel == 0 {
 		opt.Accel = DefaultAccel
 	}
-	rates := defaultRates(opt.Rates)
 	rng := rand.New(rand.NewSource(opt.Seed))
 	s := Schedule{Ranks: opt.Ranks, Horizon: opt.Horizon, Accel: opt.Accel, Seed: opt.Seed}
 	// Hazards are per month; opt.Accel months elapse per virtual second.
 	monthsPerSec := opt.Accel
 	for rank := 0; rank < opt.Ranks; rank++ {
 		for _, cu := range componentUnits {
-			hz := rates.PerMonth[cu.c] * monthsPerSec // per virtual second
+			hz := hazards.PerMonth[cu.c] * monthsPerSec // per virtual second
 			for u := 0; u < cu.n; u++ {
 				if hz <= 0 {
 					continue
@@ -172,16 +169,13 @@ func New(opt Options) Schedule {
 	return s
 }
 
-// defaultRates resolves the hazard table. The paper's nine months saw no
-// in-service NIC death (only one at install), so PaperCalibrated carries no
-// PerMonth entry for it; since degrading NICs are exactly the fault class
-// the ISSUE's Section 2.1 narrative cares about, the default table
-// extrapolates the install observation to roughly one bad card per nine
-// cluster-months. An explicit Rates override is used untouched.
-func defaultRates(override *reliability.Rates) reliability.Rates {
-	if override != nil {
-		return *override
-	}
+// hazards is the hazard table, the paper's calibration with one addition.
+// The paper's nine months saw no in-service NIC death (only one at
+// install), so PaperCalibrated carries no PerMonth entry for it; since
+// degrading NICs are exactly the fault class Section 2.1's narrative cares
+// about, the table extrapolates the install observation to roughly one bad
+// card per nine cluster-months.
+var hazards = func() reliability.Rates {
 	rates := reliability.PaperCalibrated()
 	pm := make(map[reliability.Component]float64, len(rates.PerMonth)+1)
 	for c, hz := range rates.PerMonth {
@@ -192,7 +186,7 @@ func defaultRates(override *reliability.Rates) reliability.Rates {
 	}
 	rates.PerMonth = pm
 	return rates
-}
+}()
 
 // Count returns the number of scheduled faults of one kind.
 func (s Schedule) Count(k Kind) int {
@@ -211,14 +205,13 @@ func ExpectedCrashes(opt Options) float64 {
 	if opt.Accel == 0 {
 		opt.Accel = DefaultAccel
 	}
-	rates := defaultRates(opt.Rates)
 	var mean float64
 	for _, cu := range componentUnits {
 		switch cu.c {
 		case reliability.EthernetNIC, reliability.SwitchPort, reliability.DiskDrive:
 			continue
 		}
-		hz := rates.PerMonth[cu.c] * opt.Accel
+		hz := hazards.PerMonth[cu.c] * opt.Accel
 		perUnit := 1 - math.Exp(-hz*opt.Horizon)
 		mean += perUnit * float64(cu.n*opt.Ranks)
 	}

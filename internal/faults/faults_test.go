@@ -4,8 +4,6 @@ import (
 	"math"
 	"reflect"
 	"testing"
-
-	"spacesim/internal/reliability"
 )
 
 func TestScheduleDeterministicPerSeed(t *testing.T) {
@@ -188,24 +186,18 @@ func TestDiskFaults(t *testing.T) {
 		Fault{Kind: DiskCorrupt, Rank: 2, Start: 150, Cause: "disk drive"},
 	)
 	fired := map[int]bool{}
-	if got, want := s.DiskFaults(fired), []int{-1, 0, -1, -1}; !reflect.DeepEqual(got, want) {
-		t.Fatalf("pending disk faults %v, want %v (the first of rank 1, none past the horizon)", got, want)
+	check := func(label string, offset float64, wantIDs []int, wantAt []float64) {
+		t.Helper()
+		ids, at := s.DiskFaults(fired, offset)
+		if !reflect.DeepEqual(ids, wantIDs) || !reflect.DeepEqual(at, wantAt) {
+			t.Fatalf("%s: pending disk faults %v at %v, want %v at %v", label, ids, at, wantIDs, wantAt)
+		}
 	}
+	// The first of rank 1, none past the horizon, each on the segment's clock.
+	check("start", 0, []int{-1, 0, -1, -1}, []float64{0, 25, 0, 0})
+	check("offset", 10, []int{-1, 0, -1, -1}, []float64{0, 15, 0, 0})
 	fired[0] = true
-	if got, want := s.DiskFaults(fired), []int{-1, 1, -1, -1}; !reflect.DeepEqual(got, want) {
-		t.Fatalf("after the first fired: %v, want %v", got, want)
-	}
+	check("after the first fired", 10, []int{-1, 1, -1, -1}, []float64{0, 50, 0, 0})
 	s.Retire(fired, 60)
-	if got, want := s.DiskFaults(fired), []int{-1, -1, -1, -1}; !reflect.DeepEqual(got, want) {
-		t.Fatalf("after retiring through t=60: %v, want %v", got, want)
-	}
-}
-
-func TestManualRespectsRatesOverride(t *testing.T) {
-	// All-zero rates → empty schedule even at absurd acceleration.
-	empty := reliability.Rates{PerMonth: map[reliability.Component]float64{}}
-	s := New(Options{Ranks: 16, Horizon: 100, Seed: 1, Accel: 1e6, Rates: &empty})
-	if len(s.Faults) != 0 {
-		t.Fatalf("zero rates drew %d faults", len(s.Faults))
-	}
+	check("after retiring through t=60", 60, []int{-1, -1, -1, -1}, []float64{0, 0, 0, 0})
 }

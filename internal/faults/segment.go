@@ -75,19 +75,21 @@ func (s Schedule) Health(offset float64) *netsim.Health {
 }
 
 // DiskFaults returns, per rank, the first disk corruption not in fired
-// that strikes within the horizon (its ID, or -1): that rank's drive
-// corrupts the first checkpoint stripe it writes in the segment.
-func (s Schedule) DiskFaults(fired map[int]bool) []int {
-	ids := make([]int, s.Ranks)
+// that strikes within the horizon (its ID, or -1), and when it strikes on
+// the clock of a segment starting at global time offset: that rank's drive
+// corrupts the first checkpoint stripe whose write starts at or after then.
+// A stripe written before the drive failed is intact.
+func (s Schedule) DiskFaults(fired map[int]bool, offset float64) (ids []int, at []float64) {
+	ids, at = make([]int, s.Ranks), make([]float64, s.Ranks)
 	for rank := range ids {
 		ids[rank] = -1
 	}
 	for _, f := range s.Faults {
 		if f.Kind == DiskCorrupt && f.Start <= s.Horizon && !fired[f.ID] && ids[f.Rank] < 0 {
-			ids[f.Rank] = f.ID
+			ids[f.Rank], at[f.Rank] = f.ID, f.Start-offset
 		}
 	}
-	return ids
+	return ids, at
 }
 
 // DegradedSeconds sums degraded link-seconds and flapping port-seconds of

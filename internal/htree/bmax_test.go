@@ -46,9 +46,8 @@ func atScale(pos []vec.V3, k int) []vec.V3 {
 }
 
 // TestBmaxExact checks that pruning the Bmax scan by daughter bounds finds
-// exactly the farthest body of every cell, on the serial path and through
-// the skeleton merge, over the body sets whose bounds are tight, loose or
-// degenerate: a Plummer sphere, a uniform cube, a coincident pile alone and
+// exactly the farthest body of every cell, over the body sets whose bounds
+// are tight, loose or degenerate: a Plummer sphere, a uniform cube, a coincident pile alone and
 // inside a cluster, two bodies, the Plummer sphere at 2^±300, and a
 // ForceSplit tree cut below the bucket size.
 func TestBmaxExact(t *testing.T) {
@@ -87,15 +86,11 @@ func TestBmaxExact(t *testing.T) {
 		{"forcesplit", plPos[:3000], plMass[:3000], Options{MaxLeaf: 16, ForceSplit: func(k key.K) bool { return k.Level() < 3 }}},
 	}
 	for _, c := range cases {
-		for _, workers := range []int{1, 4} {
-			o := c.opt
-			o.Workers = workers
-			tr, err := Build(c.pos, c.mass, o)
-			if err != nil {
-				t.Fatal(err)
-			}
-			checkBmaxExact(t, c.name, tr)
+		tr, err := Build(c.pos, c.mass, c.opt)
+		if err != nil {
+			t.Fatal(err)
 		}
+		checkBmaxExact(t, c.name, tr)
 	}
 }
 
@@ -120,7 +115,7 @@ func TestBmaxNearTies(t *testing.T) {
 		}
 		for _, k := range []int{0, 300, -300, -530} {
 			for _, leaf := range []int{1, 2} {
-				tr, err := Build(atScale(pos, k), mass, Options{MaxLeaf: leaf, Workers: 1})
+				tr, err := Build(atScale(pos, k), mass, Options{MaxLeaf: leaf})
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -8,50 +8,36 @@ import (
 	"spacesim/internal/gravity"
 	"spacesim/internal/key"
 	"spacesim/internal/obs"
-	"spacesim/internal/par"
 	"spacesim/internal/vec"
 )
 
-// The parallel construction pipeline. Build runs four phases:
+// Build runs three phases on the calling goroutine:
 //
-//  1. key:   Morton-key every body (embarrassingly parallel);
-//  2. sort:  stable parallel LSD radix sort of the keys (key.Sorter), then
-//            gather bodies into tree order through the permutation;
-//  3. build: split the sorted array into subtree tasks at the top key
-//            levels and build them concurrently in a worker pool;
-//  4. merge: concatenate the per-task cell runs into the slab, index the
-//            hash table, and fill the skeleton cells above the task
-//            frontier bottom-up by combining daughter multipoles.
+//  1. key:   Morton-key every body;
+//  2. sort:  stable LSD radix sort of the keys (key.Sorter), then gather
+//            bodies into tree order through the permutation;
+//  3. build: one pre-order recursion over the sorted array appends every
+//            cell to the slab, and the hash table indexes the slab after.
 //
-// Bit-identity across worker counts: the radix sort's output permutation is
-// a pure function of the keys (see keysort.go), the task frontier is derived
-// from the sorted array by the same leaf test and binary-search partition
-// the serial recursion uses, every task cell is a pure function of its body
-// range (computed by the exact serial per-cell code), and every skeleton
-// cell combines its daughters in octant order exactly as a serial recursion
-// returning through that cell would. Worker scheduling decides only *who*
-// computes a cell, never *what* is computed or in which arithmetic order —
-// so accelerations, potentials, and every stored float are identical for
-// any Workers setting, including the serial reference path.
+// Every cell is a pure function of its body range, so the tree is bit for
+// bit the serial reference's (BuildReference), and a rank's tree is what
+// the paper's processor builds from its own key-sorted bodies (§4.2).
 
-// Arena holds every reusable buffer of the build pipeline: key and body
-// storage, radix-sort scratch, the cell slab and hash index, task lists,
-// and per-worker leaf scratch. Passing the same Arena to successive builds
-// makes steady-state per-step rebuilds allocation-free.
+// Arena holds every reusable buffer of a build: key and body storage,
+// radix-sort scratch, the cell slab and hash index, and the sink groups.
+// Passing the same Arena to successive builds makes steady-state per-step
+// rebuilds allocation-free.
 //
 // An Arena is exclusive state: it must not be shared by concurrent builds,
 // and building with it invalidates any Tree previously built from it (the
 // new tree takes over the backing storage). The zero value is ready to use.
 type Arena struct {
-	sorter  key.Sorter
-	keys    []key.K
-	bodies  []Body
-	src     []gravity.Source
-	store   cellStore
-	tasks   []buildTask
-	skel    []skelCell
-	workers []buildWorker
-	groups  []*Cell
+	sorter key.Sorter
+	keys   []key.K
+	bodies []Body
+	src    []gravity.Source
+	store  cellStore
+	groups []*Cell
 
 	pos  []vec.V3
 	mass []float64
@@ -71,34 +57,6 @@ func (a *Arena) PosMassScratch(n int) ([]vec.V3, []float64) {
 	return a.pos, a.mass
 }
 
-// buildTask is one subtree assignment: cell k over Bodies[lo:hi]. Workers
-// claim tasks through par.For and record where the task's cells landed in
-// their private buffer (worker/off/n) for the merge phase.
-type buildTask struct {
-	k      key.K
-	lo, hi int
-	worker int32
-	off    int32
-	n      int32
-}
-
-// skelCell is an internal cell above the task frontier, recorded during
-// task planning (in expansion order, so children always appear after their
-// parent) and filled bottom-up in the merge phase.
-type skelCell struct {
-	k      key.K
-	lo, hi int
-}
-
-// buildWorker is one worker's private state: the cells it has built.
-type buildWorker struct {
-	cells []Cell
-}
-
-// buildGrain is the smallest task worth splitting further during planning:
-// below this, per-task scheduling overhead beats any parallelism win.
-const buildGrain = 2048
-
 // Build constructs the tree for the given positions and masses.
 func Build(pos []vec.V3, mass []float64, opt Options) (*Tree, error) {
 	if len(pos) != len(mass) {
@@ -115,7 +73,6 @@ func Build(pos []vec.V3, mass []float64, opt Options) (*Tree, error) {
 		lo, size = BoundingCube(pos)
 	}
 	n := len(pos)
-	workers := par.Width(opt.Workers, n)
 	ar := opt.Arena
 	if ar == nil {
 		ar = &Arena{}
@@ -128,167 +85,53 @@ func Build(pos []vec.V3, mass []float64, opt Options) (*Tree, error) {
 	}
 	hostNow := opt.Obs.HostNow
 
-	// Phase 1: parallel Morton keying.
+	// Phase 1: Morton keying.
 	h0 := hostNow()
 	if cap(ar.keys) < n {
 		ar.keys = make([]key.K, n)
 	}
 	ar.keys = ar.keys[:n]
 	keys := ar.keys
-	// The keying and the gather split [0, n) into one chunk per worker, at
-	// most one per buildGrain bodies, chunk c being [n*c/chunks,
-	// n*(c+1)/chunks).
-	chunks := par.Width(workers, (n+buildGrain-1)/buildGrain)
-	par.For(chunks, workers, func(_, c int) {
-		klo, khi := n*c/chunks, n*(c+1)/chunks
-		for i := klo; i < khi; i++ {
-			keys[i] = key.FromPosition(pos[i], lo, size)
-		}
-	})
+	for i := range keys {
+		keys[i] = key.FromPosition(pos[i], lo, size)
+	}
 
 	// Phase 2: radix sort the keys, then gather bodies into tree order.
 	h1 := hostNow()
-	perm := ar.sorter.SortPerm(keys, workers)
+	perm := ar.sorter.SortPerm(keys, 1)
 	if cap(ar.bodies) < n {
 		ar.bodies = make([]Body, n)
 		ar.src = make([]gravity.Source, n)
 	}
 	ar.bodies, ar.src = ar.bodies[:n], ar.src[:n]
 	bodies, src := ar.bodies, ar.src
-	par.For(chunks, workers, func(_, c int) {
-		blo, bhi := n*c/chunks, n*(c+1)/chunks
-		for i := blo; i < bhi; i++ {
-			p := perm[i]
-			bodies[i] = Body{Pos: pos[p], Mass: mass[p], Key: keys[p], ID: int(p)}
-			src[i] = gravity.Source{Pos: pos[p], Mass: mass[p]}
-		}
-	})
+	for i, p := range perm {
+		bodies[i] = Body{Pos: pos[p], Mass: mass[p], Key: keys[p], ID: int(p)}
+		src[i] = gravity.Source{Pos: pos[p], Mass: mass[p]}
+	}
 	t.Bodies, t.src = bodies, src
 
-	// Phase 3: plan subtree tasks and build them, each worker appending
-	// the cells of the tasks it claims to its own buffer. The workers
-	// inherit the caller's profiler labels (core builds under its rank's
-	// phase=tree-construct).
+	// Phase 3: build the cells into the slab in pre-order, then index it.
 	h2 := hostNow()
-	tasks, skel := t.planTasks(ar, workers)
-	nw := par.Width(workers, len(tasks))
-	if len(ar.workers) < nw {
-		ar.workers = append(ar.workers, make([]buildWorker, nw-len(ar.workers))...)
-	}
-	ws := ar.workers[:nw]
-	for w := range ws {
-		ws[w].cells = ws[w].cells[:0]
-	}
-	par.For(len(tasks), workers, func(w, i int) {
-		bw, tk := &ws[w], &tasks[i]
-		tk.worker = int32(w)
-		tk.off = int32(len(bw.cells))
-		bw.buildRange(t, tk.k, tk.lo, tk.hi)
-		tk.n = int32(len(bw.cells)) - tk.off
-	})
-
-	// Phase 4: merge — assemble the slab, index it, fill the skeleton.
-	h3 := hostNow()
-	total := 0
-	for i := range tasks {
-		total += int(tasks[i].n)
-	}
-	cs := &ar.store
-	cs.reset(total + len(skel))
-	cs.cells = cs.cells[:total]
-	off := 0
-	for i := range tasks {
-		tk := &tasks[i]
-		copy(cs.cells[off:off+int(tk.n)], ws[tk.worker].cells[tk.off:tk.off+tk.n])
-		off += int(tk.n)
-	}
-	for i := range cs.cells {
-		cs.insert(int32(i))
-	}
-	for i := len(skel) - 1; i >= 0; i-- {
-		sk := &skel[i]
-		var parts [8]gravity.Multipole
-		var kids [8]int32
-		np := 0
-		var mask uint8
-		idx := int32(len(cs.cells))
-		for oct := 0; oct < 8; oct++ {
-			if ci := cs.find(sk.k.Child(oct)); ci >= 0 {
-				mask |= 1 << uint(oct)
-				parts[np] = cs.cells[ci].Mp
-				kids[np] = ci - idx
-				np++
-			}
-		}
-		mp := gravity.Combine(parts[:np]...)
-		cs.cells = append(cs.cells, Cell{
-			Key: sk.k, Mp: mp, N: sk.hi - sk.lo, Lo: sk.lo, Hi: sk.hi,
-			ChildMask: mask, kids: kids,
-		})
-		cs.cells[idx].Bmax = math.Sqrt(farthest2(t.Bodies, cs.cells, int(idx), mp.COM, 0))
-		cs.insert(idx)
-	}
-	t.store = *cs
+	t.store = ar.store
+	t.store.cells = t.store.cells[:0]
+	t.buildRange(key.Root, 0, n)
+	t.store.index()
+	ar.store = t.store
 	t.recordGroups(ar.groups[:0])
 	ar.groups = t.groups
-	h4 := hostNow()
+	h3 := hostNow()
 
 	if o := opt.Obs; o != nil {
 		reg := o.Reg
 		reg.Counter("htree.builds").Inc()
-		reg.Counter("htree.build.cells").Add(int64(len(cs.cells)))
+		reg.Counter("htree.build.cells").Add(int64(len(t.store.cells)))
 		t.SetObs(o)
 		o.HostSpan(obs.HostBuild, "htree", "key", h0, h1)
 		o.HostSpan(obs.HostBuild, "htree", "sort", h1, h2)
 		o.HostSpan(obs.HostBuild, "htree", "build", h2, h3)
-		o.HostSpan(obs.HostBuild, "htree", "merge", h3, h4)
 	}
 	return t, nil
-}
-
-// planTasks derives the subtree task frontier from the sorted body array.
-// Starting from the root, it repeatedly splits the largest splittable task
-// into its daughter ranges (recording the split cell as a skeleton cell)
-// until there are enough tasks to keep the pool busy or nothing worth
-// splitting remains. The frontier depends only on the body data and the
-// worker *count*, never on scheduling; and since a cell's content is a pure
-// function of its range, even a different frontier (a different Workers
-// value) yields the same cells.
-func (t *Tree) planTasks(ar *Arena, workers int) ([]buildTask, []skelCell) {
-	tasks := ar.tasks[:0]
-	skel := ar.skel[:0]
-	tasks = append(tasks, buildTask{k: key.Root, lo: 0, hi: len(t.Bodies)})
-	if workers > 1 {
-		target := 4 * workers
-		for len(tasks) < target {
-			best, bestSz := -1, buildGrain-1
-			for i := range tasks {
-				sz := tasks[i].hi - tasks[i].lo
-				if sz > bestSz && !t.isLeafRange(tasks[i].k, tasks[i].lo, tasks[i].hi) {
-					best, bestSz = i, sz
-				}
-			}
-			if best < 0 {
-				break
-			}
-			tk := tasks[best]
-			tasks[best] = tasks[len(tasks)-1]
-			tasks = tasks[:len(tasks)-1]
-			skel = append(skel, skelCell{k: tk.k, lo: tk.lo, hi: tk.hi})
-			start := tk.lo
-			for oct := 0; oct < 8; oct++ {
-				ck := tk.k.Child(oct)
-				end := t.childEnd(ck, start, tk.hi)
-				if end > start {
-					tasks = append(tasks, buildTask{k: ck, lo: start, hi: end})
-				}
-				start = end
-			}
-		}
-	}
-	sort.Slice(tasks, func(i, j int) bool { return tasks[i].lo < tasks[j].lo })
-	ar.tasks, ar.skel = tasks, skel
-	return tasks, skel
 }
 
 // isLeafRange is the serial leaf test: a range becomes a bucket when it
@@ -314,9 +157,9 @@ func (t *Tree) childEnd(ck key.K, start, hi int) int {
 	})
 }
 
-// buildRange recursively constructs the cells for k covering Bodies[lo:hi]
-// into the worker's private buffer, in pre-order (parent before daughters,
-// daughters in octant order — so leaves land in ascending body order).
+// buildRange recursively appends the cells for k covering Bodies[lo:hi] to
+// the slab in pre-order (parent before daughters, daughters in octant order
+// — so leaves land in ascending body order).
 //
 // The per-cell arithmetic is bit-identical to the serial reference: the
 // leaf multipole mirrors gravity.FromBodies term for term (reading bodies
@@ -324,9 +167,9 @@ func (t *Tree) childEnd(ck key.K, start, hi int) int {
 // takes the maximum of squared distances with one final square root —
 // math.Sqrt is correctly rounded, hence monotone, so
 // sqrt(max d^2) == max sqrt(d^2) exactly.
-func (bw *buildWorker) buildRange(t *Tree, k key.K, lo, hi int) {
-	ci := len(bw.cells)
-	bw.cells = append(bw.cells, Cell{Key: k, N: hi - lo, Lo: lo, Hi: hi})
+func (t *Tree) buildRange(k key.K, lo, hi int) {
+	ci := len(t.store.cells)
+	t.store.cells = append(t.store.cells, Cell{Key: k, N: hi - lo, Lo: lo, Hi: hi})
 	if t.isLeafRange(k, lo, hi) {
 		bodies := t.Bodies[lo:hi]
 		var mp gravity.Multipole
@@ -352,7 +195,7 @@ func (bw *buildWorker) buildRange(t *Tree, k key.K, lo, hi int) {
 				bm2 = r2
 			}
 		}
-		c := &bw.cells[ci]
+		c := &t.store.cells[ci]
 		c.Leaf = true
 		c.Mp = mp
 		c.Bmax = math.Sqrt(bm2)
@@ -368,21 +211,21 @@ func (bw *buildWorker) buildRange(t *Tree, k key.K, lo, hi int) {
 		ck := k.Child(oct)
 		end := t.childEnd(ck, start, hi)
 		if end > start {
-			childCi := len(bw.cells)
-			bw.buildRange(t, ck, start, end)
+			childCi := len(t.store.cells)
+			t.buildRange(ck, start, end)
 			mask |= 1 << uint(oct)
-			parts[np] = bw.cells[childCi].Mp
+			parts[np] = t.store.cells[childCi].Mp
 			kids[np] = int32(childCi - ci)
 			np++
 		}
 		start = end
 	}
 	mp := gravity.Combine(parts[:np]...)
-	c := &bw.cells[ci]
+	c := &t.store.cells[ci]
 	c.ChildMask = mask
 	c.kids = kids
 	c.Mp = mp
-	c.Bmax = math.Sqrt(farthest2(t.Bodies, bw.cells, ci, mp.COM, 0))
+	c.Bmax = math.Sqrt(farthest2(t.Bodies, t.store.cells, ci, mp.COM, 0))
 }
 
 // bmaxMargin widens the bound on a daughter's bodies far beyond the few ulps

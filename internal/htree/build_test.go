@@ -2,7 +2,6 @@ package htree
 
 import (
 	"math/rand"
-	"spacesim/internal/gravity"
 	"testing"
 
 	"spacesim/internal/key"
@@ -64,9 +63,8 @@ func sameTree(t *testing.T, label string, a, b *Tree) {
 	}
 }
 
-// TestBuildBitIdentical pins the tentpole guarantee: the parallel pipeline
-// produces, for every worker count, exactly the tree and exactly the
-// accelerations/potentials of the serial reference path — every float bit.
+// TestBuildBitIdentical pins Build to the serial reference path: exactly
+// the tree and exactly the accelerations/potentials — every float bit.
 func TestBuildBitIdentical(t *testing.T) {
 	pos, mass := plummerBodies(6000, 11)
 	opt := Options{MaxLeaf: 8}
@@ -79,33 +77,19 @@ func TestBuildBitIdentical(t *testing.T) {
 	}
 	refAcc, refPot, _ := ref.AccelAll(0.7, 0.01)
 
-	for _, workers := range []int{1, 2, 4, 7} {
-		o := opt
-		o.Workers = workers
-		tr, err := Build(pos, mass, o)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := tr.CheckInvariants(); err != nil {
-			t.Fatalf("workers=%d invariants: %v", workers, err)
-		}
-		sameTree(t, "workers", ref, tr)
-		acc, pot, _ := tr.AccelAll(0.7, 0.01)
-		for i := range acc {
-			if acc[i] != refAcc[i] || pot[i] != refPot[i] {
-				t.Fatalf("workers=%d: body %d acc/pot differ: %v/%v vs %v/%v",
-					workers, i, acc[i], pot[i], refAcc[i], refPot[i])
-			}
-		}
-		// The grouped walk on the pipeline tree must also match itself
-		// across worker counts (its own bit-identity guarantee composed
-		// with the build's).
-		gacc, gpot, _ := tr.AccelAllGrouped(0.7, 0.01, false, gravity.Float64, 1)
-		gacc2, gpot2, _ := tr.AccelAllGrouped(0.7, 0.01, false, gravity.Float64, workers)
-		for i := range gacc {
-			if gacc[i] != gacc2[i] || gpot[i] != gpot2[i] {
-				t.Fatalf("workers=%d: grouped walk diverges at body %d", workers, i)
-			}
+	tr, err := Build(pos, mass, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.CheckInvariants(); err != nil {
+		t.Fatalf("invariants: %v", err)
+	}
+	sameTree(t, "build", ref, tr)
+	acc, pot, _ := tr.AccelAll(0.7, 0.01)
+	for i := range acc {
+		if acc[i] != refAcc[i] || pot[i] != refPot[i] {
+			t.Fatalf("body %d acc/pot differ: %v/%v vs %v/%v",
+				i, acc[i], pot[i], refAcc[i], refPot[i])
 		}
 	}
 }
@@ -121,18 +105,14 @@ func TestBuildBitIdenticalForceSplit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{1, 2, 4, 7} {
-		o := opt
-		o.Workers = workers
-		tr, err := Build(pos, mass, o)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := tr.CheckInvariants(); err != nil {
-			t.Fatalf("workers=%d invariants: %v", workers, err)
-		}
-		sameTree(t, "forcesplit", ref, tr)
+	tr, err := Build(pos, mass, opt)
+	if err != nil {
+		t.Fatal(err)
 	}
+	if err := tr.CheckInvariants(); err != nil {
+		t.Fatalf("invariants: %v", err)
+	}
+	sameTree(t, "forcesplit", ref, tr)
 }
 
 // TestBuildDuplicateOrder is the key-sort tie regression test: coincident
@@ -150,10 +130,7 @@ func TestBuildDuplicateOrder(t *testing.T) {
 	for _, build := range []struct {
 		name string
 		fn   func([]vec.V3, []float64, Options) (*Tree, error)
-	}{{"reference", BuildReference}, {"pipeline", func(p []vec.V3, m []float64, o Options) (*Tree, error) {
-		o.Workers = 4
-		return Build(p, m, o)
-	}}} {
+	}{{"reference", BuildReference}, {"build", Build}} {
 		tr, err := build.fn(pos, mass, Options{MaxLeaf: 2})
 		if err != nil {
 			t.Fatal(err)
@@ -176,11 +153,11 @@ func TestBuildArenaReuse(t *testing.T) {
 	ar := &Arena{}
 	for i, n := range []int{5000, 300, 5000, 1200, 47, 3000} {
 		pos, mass := plummerBodies(n, int64(100+i))
-		withAr, err := Build(pos, mass, Options{MaxLeaf: 8, Workers: 4, Arena: ar})
+		withAr, err := Build(pos, mass, Options{MaxLeaf: 8, Arena: ar})
 		if err != nil {
 			t.Fatal(err)
 		}
-		fresh, err := Build(pos, mass, Options{MaxLeaf: 8, Workers: 1})
+		fresh, err := Build(pos, mass, Options{MaxLeaf: 8})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -191,25 +168,23 @@ func TestBuildArenaReuse(t *testing.T) {
 	}
 }
 
-// TestLeavesBodyOrder checks the slab-scan Leaves contract on both paths:
-// ascending, adjacent ranges covering the whole body array.
+// TestLeavesBodyOrder checks the slab-scan Leaves contract: ascending,
+// adjacent ranges covering the whole body array.
 func TestLeavesBodyOrder(t *testing.T) {
 	pos, mass := plummerBodies(4000, 9)
-	for _, workers := range []int{1, 4} {
-		tr, err := Build(pos, mass, Options{MaxLeaf: 8, Workers: workers})
-		if err != nil {
-			t.Fatal(err)
+	tr, err := Build(pos, mass, Options{MaxLeaf: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	leaves := tr.Leaves()
+	at := 0
+	for i, c := range leaves {
+		if c.Lo != at {
+			t.Fatalf("leaf %d starts at %d, want %d", i, c.Lo, at)
 		}
-		leaves := tr.Leaves()
-		at := 0
-		for i, c := range leaves {
-			if c.Lo != at {
-				t.Fatalf("workers=%d: leaf %d starts at %d, want %d", workers, i, c.Lo, at)
-			}
-			at = c.Hi
-		}
-		if at != len(tr.Bodies) {
-			t.Fatalf("workers=%d: leaves end at %d of %d", workers, at, len(tr.Bodies))
-		}
+		at = c.Hi
+	}
+	if at != len(tr.Bodies) {
+		t.Fatalf("leaves end at %d of %d", at, len(tr.Bodies))
 	}
 }

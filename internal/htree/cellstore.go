@@ -13,9 +13,9 @@ import "spacesim/internal/key"
 // the root of a walk; the walks themselves go from a cell to its daughters
 // by slab position (Cell.kids) and never come here.
 type cellStore struct {
-	// cells is the slab. Construction appends task-built cells in body
-	// order first, then the skeleton cells above the task frontier, so a
-	// forward scan meets leaves in ascending Lo order (see Tree.Leaves).
+	// cells is the slab. Construction appends the cells in pre-order,
+	// daughters in octant order, so a forward scan meets leaves in
+	// ascending Lo order (see Tree.Leaves).
 	cells []Cell
 	// tab holds slab index + 1, with 0 meaning empty. Its length is always
 	// a power of two at least twice the cell count, so linear probing
@@ -34,45 +34,34 @@ func (cs *cellStore) slot(k key.K) uint64 {
 	return (uint64(k) * fibMul) >> cs.shift
 }
 
-// reset prepares the store for exactly total cells: the slab is emptied
-// with capacity for all of them (so later appends never move the backing
-// array and transient *Cell pointers taken during construction stay valid)
-// and the index is cleared and sized to keep the load factor at or below
-// one half.
-func (cs *cellStore) reset(total int) {
-	if cap(cs.cells) < total {
-		cs.cells = make([]Cell, 0, total)
-	} else {
-		cs.cells = cs.cells[:0]
-	}
+// index sizes the hash table to the slab and fills it: a power of two at
+// least twice the cell count, so the load factor stays at or below one
+// half. A table already large enough keeps its size and is cleared.
+func (cs *cellStore) index() {
 	need := 16
-	for need < 2*total {
+	for need < 2*len(cs.cells) {
 		need <<= 1
 	}
 	if len(cs.tab) < need {
 		cs.tab = make([]int32, need)
 	} else {
-		// Keep the previous (power-of-two) size; just clear it.
-		for i := range cs.tab {
-			cs.tab[i] = 0
-		}
+		clear(cs.tab)
 	}
 	bits := uint(0)
 	for 1<<bits < len(cs.tab) {
 		bits++
 	}
 	cs.shift = 64 - bits
-}
-
-// insert indexes slab entry idx under its key. Keys are unique within a
-// build, so no equality probe is needed on the way in.
-func (cs *cellStore) insert(idx int32) {
+	// Keys are unique within a build, so no equality probe is needed on
+	// the way in.
 	mask := uint64(len(cs.tab) - 1)
-	i := cs.slot(cs.cells[idx].Key)
-	for cs.tab[i] != 0 {
-		i = (i + 1) & mask
+	for idx := range cs.cells {
+		i := cs.slot(cs.cells[idx].Key)
+		for cs.tab[i] != 0 {
+			i = (i + 1) & mask
+		}
+		cs.tab[i] = int32(idx) + 1
 	}
-	cs.tab[i] = idx + 1
 }
 
 // find returns the slab position of the cell stored under k, or -1.

@@ -31,9 +31,8 @@ func (t *Tree) SetObs(o *obs.Obs) { t.o = o }
 
 // Leaves returns the leaf buckets in body order, so leaf i covers
 // Bodies[leafI.Lo:leafI.Hi] with ascending, adjacent ranges. The slab is
-// laid out with task cells in pre-order, tasks in body order, and skeleton
-// cells (never leaves) at the end, so a single forward scan suffices — no
-// tree walk, no hash probes.
+// laid out in pre-order, daughters in octant order, so a single forward
+// scan suffices — no tree walk, no hash probes.
 func (t *Tree) Leaves() []*Cell {
 	cells := t.store.cells
 	out := make([]*Cell, 0, len(cells)/2+1)

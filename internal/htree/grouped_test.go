@@ -168,7 +168,7 @@ func groupTrees(t *testing.T) map[string]*Tree {
 			mass[i] = 1 + 0.5*rng.Float64()
 		}
 		for _, maxLeaf := range []int{8, 16} {
-			tr, err := Build(pos, mass, Options{MaxLeaf: maxLeaf, Workers: 3})
+			tr, err := Build(pos, mass, Options{MaxLeaf: maxLeaf})
 			if err != nil {
 				t.Fatal(err)
 			}

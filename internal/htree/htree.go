@@ -5,11 +5,10 @@
 // lets the parallel code (package core) catch accesses to non-local cells
 // and request them from other processors by global key name.
 //
-// Construction is a parallel pipeline (see build.go): parallel Morton
-// keying, a stable parallel radix sort, octant-parallel subtree builds, and
-// a bottom-up multipole merge — bit-identical to a serial build for any
-// worker count. Cells live in a contiguous slab addressed through a flat
-// open-addressing hash table (see cellstore.go).
+// Construction runs on the calling goroutine (see build.go): Morton keying,
+// a stable radix sort, and one pre-order recursion that appends every cell
+// to a contiguous slab, addressed through a flat open-addressing hash table
+// (see cellstore.go).
 package htree
 
 import (
@@ -95,9 +94,9 @@ type Options struct {
 	// parallel code uses it to split cells straddling domain boundaries so
 	// that every leaf is complete within one processor's key range.
 	ForceSplit func(k key.K) bool
-	// Workers bounds the host goroutines of the build pipeline (keying,
-	// radix sort, subtree construction); <= 0 means GOMAXPROCS. The built
-	// tree is bit-identical for every value.
+	// Workers is read by no code: retained for bench/, which spells
+	// Options{Workers: ...}. A build runs on the calling goroutine. Goes
+	// with the next [benchmark] PR.
 	Workers int
 	// Arena, when non-nil, supplies reusable build storage so per-step
 	// rebuilds stop allocating. Building invalidates any tree previously

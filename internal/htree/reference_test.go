@@ -18,7 +18,7 @@ import (
 // The one deviation from the original seed is the sort order: the seed used
 // an unstable key-only sort.Slice, which put coincident bodies (equal
 // Morton keys) in arbitrary order and perturbed leaf combine order. Both
-// this path and the pipeline order bodies by (Key, ID), so their trees —
+// this path and Build order bodies by (Key, ID), so their trees —
 // and every derived float — are directly comparable bit for bit.
 func BuildReference(pos []vec.V3, mass []float64, opt Options) (*Tree, error) {
 	if len(pos) != len(mass) {
@@ -58,14 +58,12 @@ func BuildReference(pos []vec.V3, mass []float64, opt Options) (*Tree, error) {
 
 	// Convert the cell map into the flat store, pre-order from the root so
 	// the slab meets leaves in body order (what Leaves relies on), linking
-	// each cell to where its daughters land.
-	t.store.reset(len(cells))
+	// each cell to where its daughters land, then index the slab.
 	var flatten func(k key.K) int32
 	flatten = func(k key.K) int32 {
 		c := cells[k]
 		idx := int32(len(t.store.cells))
 		t.store.cells = append(t.store.cells, *c)
-		t.store.insert(idx)
 		n := 0
 		for oct := 0; oct < 8; oct++ {
 			if c.ChildMask&(1<<uint(oct)) != 0 {
@@ -76,6 +74,7 @@ func BuildReference(pos []vec.V3, mass []float64, opt Options) (*Tree, error) {
 		return idx
 	}
 	flatten(key.Root)
+	t.store.index()
 	t.recordGroups(nil)
 	if opt.Obs != nil {
 		t.SetObs(opt.Obs)

@@ -39,19 +39,17 @@ func gatherByKey(t *Tree, root key.K, mac *BucketMAC) (cells []*Cell, ranges [][
 }
 
 // The walk by slab position emits the cells and body ranges of the walk by
-// key, in the same order, as references into the tree itself — on trees
-// whose slab has the skeleton cells behind the task cells (Workers > 1), on
-// force-split trees with their one-body leaves, and from roots below the
-// top, for groups that own a leaf.
+// key, in the same order, as references into the tree itself — on built
+// and reference trees, on force-split trees with their one-body leaves, and
+// from roots below the top, for groups that own a leaf.
 func TestIndexWalkMatchesKeyWalk(t *testing.T) {
 	pos, mass := plummerBodies(5000, 31)
 	for _, tc := range []struct {
 		name string
 		opt  Options
 	}{
-		{"one task", Options{MaxLeaf: 8, Workers: 1}},
-		{"skeleton", Options{MaxLeaf: 8, Workers: 3}},
-		{"force-split", Options{MaxLeaf: 8, Workers: 3, ForceSplit: func(k key.K) bool { return k.Level() < 4 }}},
+		{"build", Options{MaxLeaf: 8}},
+		{"force-split", Options{MaxLeaf: 8, ForceSplit: func(k key.K) bool { return k.Level() < 4 }}},
 		{"reference", Options{MaxLeaf: 8}},
 	} {
 		build := Build

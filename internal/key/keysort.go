@@ -1,34 +1,19 @@
 package key
 
-import (
-	"slices"
+import "slices"
 
-	"spacesim/internal/par"
-)
-
-// keysort.go implements a parallel least-significant-digit radix sort over
-// 64-bit Morton keys, the one key sort of the decomposition and the tree
-// build: a Plummer sphere's key distribution is close to uniform over the
-// high bits, so the 8x8-bit counting passes beat sort.Slice by a wide margin
-// and, unlike it, are stable.
-//
-// Determinism: the output permutation is a pure function of the input keys —
-// it does not depend on the worker count. Each pass splits the input into
-// fixed chunks, builds per-chunk digit histograms, and computes scatter
-// offsets with a digit-major, chunk-minor prefix sum. A record in chunk c is
-// therefore placed after every record with a smaller digit and after every
-// equal-digit record from chunks < c (and earlier in its own chunk) — exactly
-// the stable serial order. Combined with the initial identity permutation,
-// ties on the full key come out ordered by original index, which is the
-// (Key, ID) order the tree build needs for coincident bodies.
+// keysort.go implements a least-significant-digit radix sort over 64-bit
+// Morton keys, the one key sort of the decomposition and the tree build: a
+// Plummer sphere's key distribution is close to uniform over the high bits,
+// so the 8x8-bit counting passes beat sort.Slice by a wide margin and,
+// unlike it, are stable. Started from the identity permutation, ties on the
+// full key come out ordered by original index, which is the (Key, ID) order
+// the tree build needs for coincident bodies.
 
 const (
 	radixBits    = 8
 	radixBuckets = 1 << radixBits
 	radixPasses  = 64 / radixBits
-	// radixMinChunk bounds the per-worker chunk size from below so tiny
-	// inputs do not pay per-goroutine overhead for a handful of keys.
-	radixMinChunk = 2048
 )
 
 type sortPair struct {
@@ -40,17 +25,19 @@ type sortPair struct {
 // sorts allocate nothing. The zero value is ready to use; a Sorter must not
 // be used from multiple goroutines at once.
 type Sorter struct {
-	a, b  []sortPair
-	perm  []int32
-	count [][radixBuckets]int32
+	a, b []sortPair
+	perm []int32
 }
 
 // SortPerm computes the permutation that stably sorts keys ascending: the
 // returned slice p satisfies keys[p[0]] <= keys[p[1]] <= ... with ties in
-// original-index order. workers < 1 means GOMAXPROCS (par.Width). The result
-// is identical for every worker count; it aliases internal scratch and is
-// valid until the next SortPerm call. Inputs are limited to n < 2^31 (ids
-// are int32, matching the tree's body-count limits).
+// original-index order. It aliases internal scratch and is valid until the
+// next SortPerm call. Inputs are limited to n < 2^31 (ids are int32,
+// matching the tree's body-count limits).
+//
+// workers is read by no code: retained for bench/, which spells
+// SortPerm(keys, 1). The sort runs on the calling goroutine. Goes with the
+// next [benchmark] PR.
 //
 // Keys that are already non-decreasing — the tree build's, whenever its
 // bodies come from a key-sorted decomposition — get the identity, which is
@@ -63,79 +50,47 @@ func (s *Sorter) SortPerm(keys []K, workers int) []int32 {
 		s.perm = make([]int32, n)
 	}
 	s.a, s.b, s.perm = s.a[:n], s.b[:n], s.perm[:n]
+	perm := s.perm
 	if slices.IsSorted(keys) {
-		for i := range s.perm {
-			s.perm[i] = int32(i)
+		for i := range perm {
+			perm[i] = int32(i)
 		}
-		return s.perm
+		return perm
 	}
 
-	// Chunk c is [n*c/chunks, n*(c+1)/chunks), a fixed partition that
-	// depends only on (n, chunks), never on scheduling.
-	chunks := par.Width(workers, (n+radixMinChunk-1)/radixMinChunk)
-	if len(s.count) < chunks {
-		s.count = make([][radixBuckets]int32, chunks)
-	}
-
+	// A pass's digit counts do not depend on the order of the records, so
+	// one scan of the keys counts every pass's.
+	var count [radixPasses][radixBuckets]int32
 	src, dst := s.a, s.b
-	par.For(chunks, workers, func(_, c int) {
-		lo, hi := n*c/chunks, n*(c+1)/chunks
-		for i := lo; i < hi; i++ {
-			src[i] = sortPair{k: keys[i], id: int32(i)}
+	for i, k := range keys {
+		src[i] = sortPair{k: k, id: int32(i)}
+		for pass := range count {
+			count[pass][uint8(k>>(pass*radixBits))]++
 		}
-	})
-
-	for pass := 0; pass < radixPasses; pass++ {
+	}
+	for pass := range count {
 		shift := uint(pass * radixBits)
-		par.For(chunks, workers, func(_, c int) {
-			lo, hi := n*c/chunks, n*(c+1)/chunks
-			cnt := &s.count[c]
-			for d := range cnt {
-				cnt[d] = 0
-			}
-			for i := lo; i < hi; i++ {
-				cnt[uint8(src[i].k>>shift)]++
-			}
-		})
-
-		// Digit-major, chunk-minor exclusive prefix sum: count[c][d]
-		// becomes the first output slot for chunk c's digit-d records.
-		// If one digit holds every record the pass is the identity —
-		// skip it (common for the high placeholder-adjacent bytes).
-		total := int32(0)
-		skip := false
-		for d := 0; d < radixBuckets; d++ {
-			for c := 0; c < chunks; c++ {
-				v := s.count[c][d]
-				s.count[c][d] = total
-				total += v
-			}
-			if total == int32(n) && s.count[0][d] == 0 {
-				skip = true
-			}
-		}
-		if skip {
+		cnt := &count[pass]
+		// If one digit holds every record the pass is the identity: skip
+		// it (common for the high placeholder-adjacent bytes).
+		if cnt[uint8(src[0].k>>shift)] == int32(n) {
 			continue
 		}
-
-		par.For(chunks, workers, func(_, c int) {
-			lo, hi := n*c/chunks, n*(c+1)/chunks
-			cnt := &s.count[c]
-			for i := lo; i < hi; i++ {
-				d := uint8(src[i].k >> shift)
-				dst[cnt[d]] = src[i]
-				cnt[d]++
-			}
-		})
+		// Exclusive prefix sum: cnt[d] becomes the first output slot of
+		// the digit-d records, which keep their order.
+		total := int32(0)
+		for d, c := range cnt {
+			cnt[d], total = total, total+c
+		}
+		for _, p := range src {
+			d := uint8(p.k >> shift)
+			dst[cnt[d]] = p
+			cnt[d]++
+		}
 		src, dst = dst, src
 	}
-
-	perm := s.perm
-	par.For(chunks, workers, func(_, c int) {
-		lo, hi := n*c/chunks, n*(c+1)/chunks
-		for i := lo; i < hi; i++ {
-			perm[i] = src[i].id
-		}
-	})
+	for i := range perm {
+		perm[i] = src[i].id
+	}
 	return perm
 }

@@ -20,17 +20,15 @@ func refPerm(keys []K) []int32 {
 func checkPerm(t *testing.T, name string, keys []K) {
 	t.Helper()
 	want := refPerm(keys)
-	for _, workers := range []int{1, 2, 4, 7} {
-		var s Sorter
-		got := s.SortPerm(keys, workers)
-		if len(got) != len(want) {
-			t.Fatalf("%s workers=%d: len %d, want %d", name, workers, len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("%s workers=%d: perm[%d] = %d, want %d (keys %x vs %x)",
-					name, workers, i, got[i], want[i], keys[got[i]], keys[want[i]])
-			}
+	var s Sorter
+	got := s.SortPerm(keys, 1)
+	if len(got) != len(want) {
+		t.Fatalf("%s: len %d, want %d", name, len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("%s: perm[%d] = %d, want %d (keys %x vs %x)",
+				name, i, got[i], want[i], keys[got[i]], keys[want[i]])
 		}
 	}
 }
@@ -100,12 +98,10 @@ func TestSortPermSortedFastPath(t *testing.T) {
 	const n = 5000
 	identity := func(name string, keys []K) {
 		t.Helper()
-		for _, workers := range []int{1, 4} {
-			var s Sorter
-			for i, p := range s.SortPerm(keys, workers) {
-				if p != int32(i) {
-					t.Fatalf("%s workers=%d: perm[%d] = %d, want the identity", name, workers, i, p)
-				}
+		var s Sorter
+		for i, p := range s.SortPerm(keys, 1) {
+			if p != int32(i) {
+				t.Fatalf("%s: perm[%d] = %d, want the identity", name, i, p)
 			}
 		}
 		checkPerm(t, name, keys)
@@ -134,7 +130,7 @@ func TestSortPermSortedFastPath(t *testing.T) {
 
 func TestSortPermEmpty(t *testing.T) {
 	var s Sorter
-	if got := s.SortPerm(nil, 4); len(got) != 0 {
+	if got := s.SortPerm(nil, 1); len(got) != 0 {
 		t.Fatalf("empty input: got %v", got)
 	}
 }
@@ -150,7 +146,7 @@ func TestSortPermReuse(t *testing.T) {
 			keys[i] = K(rng.Uint64())
 		}
 		want := refPerm(keys)
-		got := s.SortPerm(keys, 4)
+		got := s.SortPerm(keys, 1)
 		for i := range want {
 			if got[i] != want[i] {
 				t.Fatalf("reuse n=%d: perm[%d] = %d, want %d", n, i, got[i], want[i])
@@ -169,6 +165,6 @@ func BenchmarkSortPerm32k(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.SortPerm(keys, 4)
+		s.SortPerm(keys, 1)
 	}
 }

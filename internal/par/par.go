@@ -1,7 +1,6 @@
-// Package par is the host's one parallel loop. The key sort, the tree build,
-// the grouped walk and every SPH pass spread their work over goroutines
-// through For, and every pool that sizes itself by the host takes its
-// default from Width. Each caller writes only what index i owns (or what
+// Package par is the host's one parallel loop. The grouped walk and every
+// SPH pass spread their work over goroutines through For, and every pool
+// that sizes itself by the host takes its default from Width. Each caller writes only what index i owns (or what
 // worker w owns), so what it computes does not depend on the width.
 package par
 

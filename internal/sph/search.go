@@ -118,7 +118,7 @@ func (s *Sim) ensureTree() {
 		return
 	}
 	t, err := htree.Build(p.Pos, p.Mass, htree.Options{
-		MaxLeaf: 8, Workers: s.Cfg.Workers, Arena: &s.arena, Obs: s.o,
+		MaxLeaf: 8, Arena: &s.arena, Obs: s.o,
 	})
 	if err != nil {
 		panic("sph: tree: " + err.Error())

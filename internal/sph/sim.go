@@ -44,12 +44,12 @@ type Config struct {
 	GravTheta float64
 	// CFL is the timestep safety factor.
 	CFL float64
-	// Workers bounds the host goroutines of the tree build, the grouped
-	// force walk, every pass of the step over leaves or particles and the
-	// apply of the hydro pairs (<= 0 means GOMAXPROCS). Results are
-	// bit-identical for any value: each goroutine of the apply adds, in
-	// record order, only the contributions to its own span of particles, so
-	// every sum is taken in the order of a serial pass.
+	// Workers bounds the host goroutines of the grouped force walk, every
+	// pass of the step over leaves or particles and the apply of the hydro
+	// pairs (<= 0 means GOMAXPROCS). Results are bit-identical for any
+	// value: each goroutine of the apply adds, in record order, only the
+	// contributions to its own span of particles, so every sum is taken in
+	// the order of a serial pass.
 	Workers int
 }
 
