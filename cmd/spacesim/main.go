@@ -197,8 +197,7 @@ func run(args []string) int {
 	e0 := hist[0]
 	eN := hist[len(hist)-1]
 	fmt.Printf("%s: %d bodies on %d virtual processors, %d steps\n", cl.Name, sp.N, sp.Ranks, sp.Steps)
-	fmt.Printf("  energy %.6f -> %.6f (drift %.2e)\n", e0.Total(), eN.Total(),
-		math.Abs(eN.Total()-e0.Total())/math.Abs(e0.Total()))
+	fmt.Printf("  energy %.6f -> %.6f (drift %s)\n", e0.Total(), eN.Total(), drift(e0.Total(), eN.Total()))
 	fmt.Printf("  interactions %.3g, fetches %d, imbalance %.2f\n",
 		float64(res.Interactions), res.Fetches, res.MaxImbalance)
 	fmt.Printf("  modeled: %.2f s virtual, %.2f Gflop/s aggregate, %.1f Mflops/proc\n",
@@ -278,4 +277,14 @@ func run(args []string) int {
 		fmt.Printf("  ledger: run %s (config %s) in %s\n", r.ID, r.ConfigDigest[:12], st.Dir)
 	}
 	return 0
+}
+
+// drift formats the relative energy drift from e0 to eN, or "—" when the
+// initial energy is 0 (no bodies, or one at rest), which has no relative
+// drift.
+func drift(e0, eN float64) string {
+	if e0 == 0 {
+		return "—"
+	}
+	return fmt.Sprintf("%.2e", math.Abs(eN-e0)/math.Abs(e0))
 }

@@ -163,3 +163,22 @@ func TestCheckpointMakesDir(t *testing.T) {
 		t.Fatalf("snapshot holds %d floats, want 7 for each of 300 bodies", len(data))
 	}
 }
+
+// Drift is relative to the initial energy; a run that starts at energy 0
+// (no bodies, or one at rest) prints "—", never NaN or Inf.
+func TestDriftFormat(t *testing.T) {
+	for _, c := range []struct {
+		e0, eN float64
+		want   string
+	}{
+		{0, 0, "—"},
+		{0, 1, "—"},
+		{-2, -2, "0.00e+00"},
+		{-2, -2.00002, "1.00e-05"},
+		{4, 3, "2.50e-01"},
+	} {
+		if got := drift(c.e0, c.eN); got != c.want {
+			t.Errorf("drift(%v, %v) = %q, want %q", c.e0, c.eN, got, c.want)
+		}
+	}
+}

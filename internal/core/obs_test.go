@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"slices"
 	"testing"
 
@@ -265,10 +266,9 @@ func readJSON(t *testing.T, path string, v any) {
 	}
 }
 
-// A registry snapshot is a function of the run (the obs package's invariant
-// 2): a 16-rank run at GOMAXPROCS 1 and 4 gives the same counters, and the
-// same count, minimum, maximum and quantiles for every histogram. A
-// histogram's float sum is left out: it is taken in host order.
+// A metrics snapshot is a function of the run (the obs package's invariant
+// 2): a 16-rank run at GOMAXPROCS 1 and 4 gives the same registry, float
+// sums included, and the same per-rank breakdowns.
 func TestSnapshotAtAnyWidth(t *testing.T) {
 	ics := ColdSphere(rand.New(rand.NewSource(5)), 2048, 1.0)
 	snap := func(width int) (s obs.MetricsSnapshot) {
@@ -281,28 +281,26 @@ func TestSnapshotAtAnyWidth(t *testing.T) {
 			if res.Err != nil {
 				t.Fatal(res.Err)
 			}
-			s = o.Reg.MetricsSnapshot()
+			s = o.Snapshot()
 		})
 		return s
 	}
 	a, b := snap(1), snap(4)
-	if len(a.Counters) == 0 || len(a.Histograms) == 0 {
-		t.Fatalf("empty snapshot: %d counters, %d histograms", len(a.Counters), len(a.Histograms))
+	if len(a.Counters) == 0 || len(a.Histograms) == 0 || len(a.Ranks) != 16 {
+		t.Fatalf("empty snapshot: %d counters, %d histograms, %d ranks", len(a.Counters), len(a.Histograms), len(a.Ranks))
 	}
-	for name, v := range a.Counters {
-		if b.Counters[name] != v {
-			t.Errorf("counter %s = %d at width 1, %d at width 4", name, v, b.Counters[name])
+	for _, part := range []struct {
+		name string
+		a, b any
+	}{
+		{"counters", a.Counters, b.Counters},
+		{"gauges", a.Gauges, b.Gauges},
+		{"histograms", a.Histograms, b.Histograms},
+		{"texts", a.Texts, b.Texts},
+		{"ranks", a.Ranks, b.Ranks},
+	} {
+		if !reflect.DeepEqual(part.a, part.b) {
+			t.Errorf("%s at width 1:\n%+v\nat width 4:\n%+v", part.name, part.a, part.b)
 		}
-	}
-	for name, h := range a.Histograms {
-		g := b.Histograms[name]
-		h.Sum, h.Mean, g.Sum, g.Mean = 0, 0, 0, 0
-		if h != g {
-			t.Errorf("histogram %s at width 1 %+v, at width 4 %+v", name, h, g)
-		}
-	}
-	if len(a.Counters) != len(b.Counters) || len(a.Histograms) != len(b.Histograms) {
-		t.Errorf("widths 1 and 4 registered %d/%d counters and %d/%d histograms",
-			len(a.Counters), len(b.Counters), len(a.Histograms), len(b.Histograms))
 	}
 }

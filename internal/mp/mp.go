@@ -146,18 +146,10 @@ type World struct {
 	abortErr error
 
 	// obs observes the run: always non-nil inside Run (a private handle is
-	// created when the cluster carries none), with per-module byte counters
-	// resolved once so the send path stays cheap.
-	obs           *obs.Obs
-	moduleTx      []*obs.Counter
-	moduleRx      []*obs.Counter
-	trunkBytes    *obs.Counter
-	congestedMsgs *obs.Counter
-	cCrashes      *obs.Counter
-	hMsgLatency   *obs.Histogram
-	hMsgBytes     *obs.Histogram
-	hCollBytes    *obs.Histogram
-	hCollSec      *obs.Histogram
+	// created when the cluster carries none). The send path never touches
+	// its registry; fold adds what the ranks sent once they are done.
+	obs      *obs.Obs
+	cCrashes *obs.Counter
 
 	// congestedBps caches the per-flow fair-share bandwidth under a full
 	// random-permutation load, used by dense collectives (alltoall).
@@ -260,7 +252,13 @@ func RunWith(cluster machine.Cluster, nprocs int, opt RunOptions, fn func(r *Ran
 	for i := range w.boxes {
 		w.boxes[i] = &inbox{}
 	}
-	w.initObs()
+	w.obs = cluster.Obs
+	if w.obs == nil {
+		w.obs = obs.New(false)
+	}
+	w.cCrashes = w.obs.Reg.Counter("faults.crashes")
+	topo := cluster.Net.Topo
+	w.obs.NetModules((topo.Nodes + topo.PortsPerModule - 1) / topo.PortsPerModule)
 	// The pool is par.Width(Workers, nprocs) slots wide: Workers <= 0
 	// picks min(GOMAXPROCS, nprocs). Every task starts ready, in rank order.
 	w.width = par.Width(opt.Workers, nprocs)
@@ -278,20 +276,7 @@ func RunWith(cluster machine.Cluster, nprocs int, opt RunOptions, fn func(r *Ran
 	w.pump()
 	w.mu.Unlock()
 	w.wg.Wait()
-	st := Stats{RankClocks: w.clocks, Obs: w.obs, Err: w.abortErr}
-	for _, t := range w.tasks {
-		r := t.r
-		st.Messages += r.sent.msgs
-		st.Bytes += r.sent.bytes
-		st.CollectiveMessages += r.sent.collMsgs
-		st.CollectiveBytes += r.sent.collBytes
-	}
-	for _, c := range w.clocks {
-		if c > st.ElapsedVirtual {
-			st.ElapsedVirtual = c
-		}
-	}
-	return st
+	return w.fold()
 }
 
 // rankMain is the body of one rank's goroutine: it runs fn, recovers the
@@ -314,30 +299,34 @@ func (w *World) rankMain(t *task) {
 	w.fn(r)
 }
 
-// initObs resolves the run's observation handle (the cluster's, or a fresh
-// private one) and pre-creates the per-module network counters so the send
-// path never takes the registry lock.
-func (w *World) initObs() {
-	w.obs = w.cluster.Obs
-	if w.obs == nil {
-		w.obs = obs.New(false)
+// fold returns the run's Stats once every rank is done, adding each rank's
+// send record, in rank order, to them, to the rank's breakdown and to the
+// registry, so no sum depends on the order the host ran the ranks in.
+func (w *World) fold() Stats {
+	st := Stats{RankClocks: w.clocks, Obs: w.obs, Err: w.abortErr}
+	reg := w.obs.Reg
+	latency, size := reg.Histogram("mp.msg.latency_sec"), reg.Histogram("mp.msg.bytes")
+	collSize, collSec := reg.Histogram("mp.collective.msg_bytes"), reg.Histogram("mp.collective.sec")
+	var trunk, congested int64
+	for i, t := range w.tasks {
+		r, s := t.r, &t.r.sent
+		st.ElapsedVirtual = max(st.ElapsedVirtual, w.clocks[i])
+		st.Messages += s.msgs
+		st.Bytes += s.bytes
+		st.CollectiveMessages += s.collMsgs
+		st.CollectiveBytes += s.collBytes
+		r.obs.M.Messages += s.msgs
+		r.obs.M.Bytes += s.bytes
+		trunk += s.trunkBytes
+		congested += s.congested
+		latency.Merge(&s.latency)
+		size.Merge(&s.size)
+		collSize.Merge(&s.collSize)
+		collSec.Merge(&s.collSec)
 	}
-	topo := w.cluster.Net.Topo
-	modules := (topo.Nodes + topo.PortsPerModule - 1) / topo.PortsPerModule
-	w.moduleTx = make([]*obs.Counter, modules)
-	w.moduleRx = make([]*obs.Counter, modules)
-	for m := 0; m < modules; m++ {
-		w.moduleTx[m] = w.obs.Reg.Counter(fmt.Sprintf("net.module.%02d.tx_bytes", m))
-		w.moduleRx[m] = w.obs.Reg.Counter(fmt.Sprintf("net.module.%02d.rx_bytes", m))
-	}
-	w.trunkBytes = w.obs.Reg.Counter("net.trunk.bytes")
-	w.congestedMsgs = w.obs.Reg.Counter("net.congested.msgs")
-	w.cCrashes = w.obs.Reg.Counter("faults.crashes")
-	w.hMsgLatency = w.obs.Reg.Histogram("mp.msg.latency_sec")
-	w.hMsgBytes = w.obs.Reg.Histogram("mp.msg.bytes")
-	w.hCollBytes = w.obs.Reg.Histogram("mp.collective.msg_bytes")
-	w.hCollSec = w.obs.Reg.Histogram("mp.collective.sec")
-	w.obs.NetModules(modules)
+	reg.Counter("net.trunk.bytes").Add(trunk)
+	reg.Counter("net.congested.msgs").Add(congested)
+	return st
 }
 
 // congestedRate returns the mean fair per-flow bandwidth (bits/s) across
@@ -384,9 +373,9 @@ type Rank struct {
 	w     *World
 	clock float64
 
-	// sent counts this rank's messages and bytes, in all and inside
-	// collectives; RunWith sums them into Stats once every rank is done.
-	sent struct{ msgs, bytes, collMsgs, collBytes int64 }
+	// sent is the one record of what this rank sent in this run; fold
+	// reads it once every rank is done.
+	sent sendRecord
 
 	// gatherSeq stamps Gather rounds (collectives are SPMD-ordered, so the
 	// per-rank counter is globally consistent).
@@ -401,6 +390,17 @@ type Rank struct {
 	// (the rank base label plus the innermost Span's phase overlay); owned
 	// by the rank's goroutine, see labels.go.
 	labelCtx context.Context
+}
+
+// sendRecord is what one rank sent in one run: its messages and bytes, in
+// all and inside collectives, its bytes that crossed a trunk, its messages
+// sent at the congested rate, and the distributions of its message
+// latencies, message sizes, collective message sizes and collective spans.
+// Only the rank's goroutine writes it.
+type sendRecord struct {
+	msgs, bytes, collMsgs, collBytes int64
+	trunkBytes, congested            int64
+	latency, size, collSize, collSec obs.Histogram
 }
 
 // Obs returns the rank's observation handle: per-rank metric accumulators
@@ -440,7 +440,7 @@ func (r *Rank) collective(name string) func() {
 		if r.collDepth == 0 {
 			r.obs.M.CollectiveSec += r.clock - t0
 			r.obs.Span("collective", name, t0, r.clock)
-			r.w.hCollSec.Observe(r.clock - t0)
+			r.sent.collSec.Observe(r.clock - t0)
 		}
 	}
 }
@@ -525,7 +525,7 @@ func (r *Rank) sendAt(dst, tag int, data any, bytes int64, congested bool, nicFr
 		}
 		xfer += wire
 		left = r.clock + wire
-		r.w.congestedMsgs.Inc()
+		r.sent.congested++
 	} else {
 		xfer = net.TransferTimeAt(r.id, dst, bytes, t0)
 	}
@@ -535,41 +535,29 @@ func (r *Rank) sendAt(dst, tag int, data any, bytes int64, congested bool, nicFr
 	return left
 }
 
-// observeSend folds one message into the rank's totals, the per-rank
-// breakdown, the per-module byte counters, the latency/size histograms and
-// the event log (which the trace draws as a slice on the source module's
-// network row).
+// observeSend folds one message into the rank's send record, its send
+// overhead and the event log (which the trace draws as a slice on the
+// source module's network row).
 func (r *Rank) observeSend(dst int, bytes int64, t0, arrive float64) {
-	w := r.w
-	topo := w.cluster.Net.Topo
-	ms := topo.Module(r.id)
+	net := r.w.cluster.Net
+	s := &r.sent
 	coll := r.collDepth > 0
-	r.sent.msgs++
-	r.sent.bytes += bytes
+	s.msgs++
+	s.bytes += bytes
+	s.latency.Observe(arrive - t0)
+	s.size.Observe(float64(bytes))
 	if coll {
-		r.sent.collMsgs++
-		r.sent.collBytes += bytes
+		s.collMsgs++
+		s.collBytes += bytes
+		s.collSize.Observe(float64(bytes))
 	}
-	r.obs.M.Messages++
-	r.obs.M.Bytes += bytes
-	r.obs.M.SendSec += w.cluster.Net.Prof.PerMsgOverheadSec
+	if net.Topo.Switch(r.id) != net.Topo.Switch(dst) {
+		s.trunkBytes += bytes
+	}
+	r.obs.M.SendSec += net.Prof.PerMsgOverheadSec
 	r.obs.Span("comm", "send", t0, r.clock)
-	r.obs.MsgSent(obs.SendEvent{Dst: dst, Module: ms, Bytes: bytes,
+	r.obs.MsgSent(obs.SendEvent{Dst: dst, Module: net.Topo.Module(r.id), Bytes: bytes,
 		T0: t0, Depart: r.clock, Arrive: arrive, Collective: coll})
-	w.hMsgLatency.Observe(arrive - t0)
-	w.hMsgBytes.Observe(float64(bytes))
-	if coll {
-		w.hCollBytes.Observe(float64(bytes))
-	}
-	if dst == r.id {
-		return
-	}
-	md := topo.Module(dst)
-	w.moduleTx[ms].Add(bytes)
-	w.moduleRx[md].Add(bytes)
-	if topo.Switch(r.id) != topo.Switch(dst) {
-		w.trunkBytes.Add(bytes)
-	}
 }
 
 // Recv blocks until a message matching (src, tag) arrives (wildcards

@@ -261,13 +261,6 @@ func TestAlltoallCongestionCharged(t *testing.T) {
 	}
 }
 
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // Bruck's allgather: every rank ends with every payload indexed by its rank,
 // in ceil(log2 n) messages a rank, and — with payloads of equal size — each
 // rank accounts the bytes of n-1 payloads, as the ring it replaced did.

@@ -1,6 +1,7 @@
 package mp
 
 import (
+	"reflect"
 	"testing"
 
 	"spacesim/internal/obs"
@@ -9,19 +10,24 @@ import (
 // TestCollectiveByteAccounting pins the message/byte counts of a small
 // broadcast + allreduce so collective traffic stays consistently accounted
 // with point-to-point sends (each hop of the logarithmic algorithms is one
-// message at its wire size).
+// message at its wire size), and holds the three places the fold writes to
+// one count: Stats, the per-rank breakdowns and the registry. Stats is one
+// run's; the breakdowns and the registry accumulate over every run on one
+// Obs.
 func TestCollectiveByteAccounting(t *testing.T) {
 	const n = 4
 	const elems = 16
 	const wire = 8 * elems // SizeFloats(16)
-	st := Run(testCluster(n), n, func(r *Rank) {
+	o := obs.New(false)
+	work := func(r *Rank) {
 		buf := make([]float64, elems)
 		for i := range buf {
 			buf[i] = float64(i)
 		}
 		r.Bcast(0, buf)
 		r.Allreduce(buf, OpSum)
-	})
+	}
+	st := Run(testCluster(n).WithObs(o), n, work)
 
 	// Binomial-tree bcast: n-1 = 3 messages. Recursive-doubling allreduce
 	// at a power-of-two size: log2(4) = 2 rounds, every rank sends once per
@@ -39,15 +45,36 @@ func TestCollectiveByteAccounting(t *testing.T) {
 		t.Errorf("collective breakdown = %d msgs / %d bytes, want %d / %d",
 			st.CollectiveMessages, st.CollectiveBytes, wantMsgs, wantBytes)
 	}
-	// The per-rank accounting must sum to the world totals.
-	var rankMsgs, rankBytes int64
-	for _, m := range st.Obs.RankMetrics() {
-		rankMsgs += m.Messages
-		rankBytes += m.Bytes
-	}
-	if rankMsgs != wantMsgs || rankBytes != wantBytes {
-		t.Errorf("per-rank sums = %d msgs / %d bytes, want %d / %d",
-			rankMsgs, rankBytes, wantMsgs, wantBytes)
+	for runs := int64(1); runs <= 2; runs++ {
+		if runs == 2 {
+			again := Run(testCluster(n).WithObs(o), n, work)
+			if !reflect.DeepEqual(again, st) {
+				t.Errorf("second run on one Obs: %+v, first %+v", again, st)
+			}
+		}
+		// The per-rank accounting must sum to the world totals.
+		var rankMsgs, rankBytes int64
+		for _, m := range o.RankMetrics() {
+			rankMsgs += m.Messages
+			rankBytes += m.Bytes
+		}
+		if rankMsgs != runs*st.Messages || rankBytes != runs*st.Bytes {
+			t.Errorf("after %d runs: per-rank sums = %d msgs / %d bytes, want %d / %d",
+				runs, rankMsgs, rankBytes, runs*st.Messages, runs*st.Bytes)
+		}
+		h := o.Reg.HistogramSnapshots()
+		for _, c := range []struct {
+			name        string
+			msgs, bytes int64
+		}{
+			{"mp.msg.bytes", st.Messages, st.Bytes},
+			{"mp.collective.msg_bytes", st.CollectiveMessages, st.CollectiveBytes},
+		} {
+			if got := h[c.name]; got.Count != runs*c.msgs || got.Sum != float64(runs*c.bytes) {
+				t.Errorf("after %d runs: %s count %d sum %v, want %d / %d",
+					runs, c.name, got.Count, got.Sum, runs*c.msgs, runs*c.bytes)
+			}
+		}
 	}
 }
 

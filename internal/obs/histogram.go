@@ -2,19 +2,9 @@ package obs
 
 import (
 	"math"
-	"sync/atomic"
+	"sync"
 )
 
-// Histogram is a lock-free log-bucketed distribution metric for nonnegative
-// values (virtual seconds, byte counts, list lengths). Like Counter and
-// Gauge it is safe for concurrent writers: Observe only performs atomic adds
-// and monotone CAS folds, so the count, buckets, minimum and maximum (and
-// the quantiles read from them) never depend on host scheduling, while the
-// float sum is added in host order and is exact only up to rounding. All
-// methods are no-ops on a nil receiver.
-// Construct with NewHistogram (or through Registry.Histogram), which seeds
-// the min/max sentinels.
-//
 // Buckets are logarithmic: histSub sub-buckets per power of two, spanning
 // 2^histMinExp .. 2^histMaxExp, plus a dedicated bucket for zero (and any
 // negative or NaN input, which is clamped there). Quantiles are answered
@@ -30,21 +20,21 @@ const (
 	histBuckets = (histMaxExp-histMinExp)*histSub + 2
 )
 
-// Histogram accumulates a value distribution.
+// Histogram is a log-bucketed distribution metric for nonnegative values
+// (virtual seconds, byte counts, list lengths). One mutex guards it, so it
+// is safe for concurrent writers; its count, buckets, minimum and maximum
+// (and the quantiles read from them) commute exactly, and its float sum is
+// a function of the order its values arrive in. mp observes into each
+// rank's own histograms and merges them into the registry's in rank order
+// once the ranks are done; the registry's other histograms take whole
+// numbers, whose sums commute. The zero value is empty and ready to use,
+// and every method is a no-op on a nil receiver.
 type Histogram struct {
-	count   atomic.Int64
-	sum     atomic.Uint64 // float64 bits, CAS-add like Gauge
-	min     atomic.Uint64 // float64 bits, seeded +Inf
-	max     atomic.Uint64 // float64 bits, seeded -Inf
-	buckets [histBuckets]atomic.Int64
-}
-
-// NewHistogram returns an empty histogram ready for concurrent Observe.
-func NewHistogram() *Histogram {
-	h := &Histogram{}
-	h.min.Store(math.Float64bits(math.Inf(1)))
-	h.max.Store(math.Float64bits(math.Inf(-1)))
-	return h
+	mu       sync.Mutex
+	count    int64
+	sum      float64
+	min, max float64 // valid once count > 0
+	buckets  [histBuckets]int64
 }
 
 // bucketIndex maps a value to its bucket.
@@ -88,110 +78,69 @@ func (h *Histogram) Observe(v float64) {
 	if h == nil {
 		return
 	}
-	h.buckets[bucketIndex(v)].Add(1)
-	h.count.Add(1)
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	h.buckets[bucketIndex(v)]++
 	if math.IsNaN(v) {
 		v = 0
 	}
-	for {
-		old := h.sum.Load()
-		nv := math.Float64frombits(old) + v
-		if h.sum.CompareAndSwap(old, math.Float64bits(nv)) {
-			break
-		}
+	if h.count == 0 || v < h.min {
+		h.min = v
 	}
-	h.foldMin(v)
-	h.foldMax(v)
+	if h.count == 0 || v > h.max {
+		h.max = v
+	}
+	h.count++
+	h.sum += v
 }
 
-func (h *Histogram) foldMin(v float64) {
-	for {
-		old := h.min.Load()
-		if v >= math.Float64frombits(old) {
-			return
-		}
-		if h.min.CompareAndSwap(old, math.Float64bits(v)) {
-			return
-		}
+// Merge folds every observation of part into h: the counts, buckets,
+// minimum and maximum as if each value had been observed, and part's sum
+// added to h's in one addition. part must be another histogram than h.
+func (h *Histogram) Merge(part *Histogram) {
+	if h == nil || part == nil {
+		return
 	}
+	part.mu.Lock()
+	defer part.mu.Unlock()
+	if part.count == 0 {
+		return
+	}
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	for i, c := range part.buckets {
+		h.buckets[i] += c
+	}
+	if h.count == 0 || part.min < h.min {
+		h.min = part.min
+	}
+	if h.count == 0 || part.max > h.max {
+		h.max = part.max
+	}
+	h.count += part.count
+	h.sum += part.sum
 }
 
-func (h *Histogram) foldMax(v float64) {
-	for {
-		old := h.max.Load()
-		if v <= math.Float64frombits(old) {
-			return
-		}
-		if h.max.CompareAndSwap(old, math.Float64bits(v)) {
-			return
-		}
-	}
-}
-
-// Count returns the number of observations.
-func (h *Histogram) Count() int64 {
-	if h == nil {
-		return 0
-	}
-	return h.count.Load()
-}
-
-// Sum returns the total of all observed values.
-func (h *Histogram) Sum() float64 {
-	if h == nil {
-		return 0
-	}
-	return math.Float64frombits(h.sum.Load())
-}
-
-// Mean returns Sum/Count, or 0 with no observations.
-func (h *Histogram) Mean() float64 {
-	if c := h.Count(); c > 0 {
-		return h.Sum() / float64(c)
-	}
-	return 0
-}
-
-// Min returns the smallest observed value, or 0 with no observations.
-func (h *Histogram) Min() float64 {
-	if h.Count() == 0 {
-		return 0
-	}
-	return math.Float64frombits(h.min.Load())
-}
-
-// Max returns the largest observed value, or 0 with no observations.
-func (h *Histogram) Max() float64 {
-	if h.Count() == 0 {
-		return 0
-	}
-	return math.Float64frombits(h.max.Load())
-}
-
-// Quantile returns an estimate of the p-quantile (p in [0,1]) from the
-// bucket midpoints, exact at the extremes: Quantile(0) = Min and
-// Quantile(1) = Max. Returns 0 with no observations.
-func (h *Histogram) Quantile(p float64) float64 {
-	if h == nil {
-		return 0
-	}
-	n := h.count.Load()
+// quantile returns an estimate of the p-quantile (p in [0,1]) from the
+// bucket midpoints, exact at the extremes: quantile(0) = min and
+// quantile(1) = max. Returns 0 with no observations; caller holds mu.
+func (h *Histogram) quantile(p float64) float64 {
+	n := h.count
 	if n == 0 {
 		return 0
 	}
 	if p <= 0 {
-		return h.Min()
+		return h.min
 	}
 	if p >= 1 {
-		return h.Max()
+		return h.max
 	}
 	rank := int64(math.Ceil(p * float64(n)))
 	if rank < 1 {
 		rank = 1
 	}
 	var cum int64
-	for i := 0; i < histBuckets; i++ {
-		c := h.buckets[i].Load()
+	for i, c := range h.buckets {
 		if c == 0 {
 			continue
 		}
@@ -200,16 +149,16 @@ func (h *Histogram) Quantile(p float64) float64 {
 			// Clamp the midpoint estimate into the observed range so tiny
 			// histograms (single bucket, single sample) answer exactly.
 			v := bucketMid(i)
-			if mn := h.Min(); v < mn {
-				v = mn
+			if v < h.min {
+				v = h.min
 			}
-			if mx := h.Max(); v > mx {
-				v = mx
+			if v > h.max {
+				v = h.max
 			}
 			return v
 		}
 	}
-	return h.Max()
+	return h.max
 }
 
 // HistogramSnapshot is the JSON shape of one histogram in a metrics dump.
@@ -224,14 +173,20 @@ type HistogramSnapshot struct {
 	P99   float64 `json:"p99"`
 }
 
-// Snapshot summarizes the distribution.
+// Snapshot summarizes the distribution; every field is 0 with no
+// observations.
 func (h *Histogram) Snapshot() HistogramSnapshot {
 	if h == nil {
 		return HistogramSnapshot{}
 	}
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if h.count == 0 {
+		return HistogramSnapshot{}
+	}
 	return HistogramSnapshot{
-		Count: h.Count(), Sum: h.Sum(),
-		Min: h.Min(), Max: h.Max(), Mean: h.Mean(),
-		P50: h.Quantile(0.50), P95: h.Quantile(0.95), P99: h.Quantile(0.99),
+		Count: h.count, Sum: h.sum,
+		Min: h.min, Max: h.max, Mean: h.sum / float64(h.count),
+		P50: h.quantile(0.50), P95: h.quantile(0.95), P99: h.quantile(0.99),
 	}
 }

@@ -7,116 +7,112 @@ import (
 )
 
 func TestHistogramEmpty(t *testing.T) {
-	h := NewHistogram()
-	if h.Count() != 0 || h.Sum() != 0 || h.Mean() != 0 {
-		t.Fatalf("empty: count=%d sum=%v mean=%v", h.Count(), h.Sum(), h.Mean())
-	}
-	if h.Min() != 0 || h.Max() != 0 {
-		t.Fatalf("empty min/max: %v/%v", h.Min(), h.Max())
+	h := &Histogram{}
+	if s := h.Snapshot(); s != (HistogramSnapshot{}) {
+		t.Fatalf("empty snapshot: %+v", s)
 	}
 	for _, p := range []float64{0, 0.5, 0.99, 1} {
-		if q := h.Quantile(p); q != 0 {
-			t.Fatalf("empty Quantile(%v) = %v", p, q)
+		if q := h.quantile(p); q != 0 {
+			t.Fatalf("empty quantile(%v) = %v", p, q)
 		}
-	}
-	s := h.Snapshot()
-	if s.Count != 0 || s.P50 != 0 || s.P99 != 0 {
-		t.Fatalf("empty snapshot: %+v", s)
 	}
 }
 
 func TestHistogramNilSafe(t *testing.T) {
 	var h *Histogram
 	h.Observe(1) // must not panic
-	if h.Count() != 0 || h.Sum() != 0 || h.Min() != 0 || h.Max() != 0 || h.Mean() != 0 {
-		t.Fatal("nil histogram should read as empty")
-	}
-	if h.Quantile(0.5) != 0 {
-		t.Fatal("nil Quantile")
-	}
-	if s := h.Snapshot(); s.Count != 0 {
+	h.Merge(&Histogram{})
+	if s := h.Snapshot(); s != (HistogramSnapshot{}) {
 		t.Fatalf("nil snapshot: %+v", s)
+	}
+	g := &Histogram{}
+	g.Merge(nil)
+	if s := g.Snapshot(); s.Count != 0 {
+		t.Fatalf("merging nil: %+v", s)
 	}
 }
 
 func TestHistogramSingleSample(t *testing.T) {
-	h := NewHistogram()
+	h := &Histogram{}
 	h.Observe(42.5)
-	if h.Count() != 1 || h.Sum() != 42.5 || h.Mean() != 42.5 {
-		t.Fatalf("count=%d sum=%v", h.Count(), h.Sum())
+	s := h.Snapshot()
+	if s.Count != 1 || s.Sum != 42.5 || s.Mean != 42.5 {
+		t.Fatalf("count=%d sum=%v mean=%v", s.Count, s.Sum, s.Mean)
 	}
-	if h.Min() != 42.5 || h.Max() != 42.5 {
-		t.Fatalf("min/max %v/%v", h.Min(), h.Max())
+	if s.Min != 42.5 || s.Max != 42.5 {
+		t.Fatalf("min/max %v/%v", s.Min, s.Max)
 	}
 	// With one sample every quantile is clamped to the exact value.
 	for _, p := range []float64{0, 0.5, 0.95, 0.99, 1} {
-		if q := h.Quantile(p); q != 42.5 {
-			t.Fatalf("Quantile(%v) = %v, want 42.5", p, q)
+		if q := h.quantile(p); q != 42.5 {
+			t.Fatalf("quantile(%v) = %v, want 42.5", p, q)
 		}
 	}
 }
 
 func TestHistogramQuantileAccuracy(t *testing.T) {
-	h := NewHistogram()
+	h := &Histogram{}
 	n := 10000
 	for i := 1; i <= n; i++ {
 		h.Observe(float64(i))
 	}
-	if h.Count() != int64(n) {
-		t.Fatalf("count = %d", h.Count())
+	s := h.Snapshot()
+	if s.Count != int64(n) {
+		t.Fatalf("count = %d", s.Count)
 	}
-	if h.Min() != 1 || h.Max() != float64(n) {
-		t.Fatalf("min/max = %v/%v", h.Min(), h.Max())
+	if s.Min != 1 || s.Max != float64(n) {
+		t.Fatalf("min/max = %v/%v", s.Min, s.Max)
 	}
 	// Log-bucketed with 8 sub-buckets per octave: relative error under ~9%.
 	for _, p := range []float64{0.5, 0.95, 0.99} {
 		want := p * float64(n)
-		got := h.Quantile(p)
+		got := h.quantile(p)
 		if rel := math.Abs(got-want) / want; rel > 0.09 {
-			t.Fatalf("Quantile(%v) = %v, want ~%v (rel err %v)", p, got, want, rel)
+			t.Fatalf("quantile(%v) = %v, want ~%v (rel err %v)", p, got, want, rel)
 		}
 	}
 	// Quantiles are monotone in p and clamped into [Min, Max].
-	prev := h.Quantile(0)
+	prev := h.quantile(0)
 	for p := 0.05; p <= 1.0; p += 0.05 {
-		q := h.Quantile(p)
+		q := h.quantile(p)
 		if q < prev-1e-12 {
-			t.Fatalf("Quantile not monotone at p=%v: %v < %v", p, q, prev)
+			t.Fatalf("quantile not monotone at p=%v: %v < %v", p, q, prev)
 		}
-		if q < h.Min() || q > h.Max() {
-			t.Fatalf("Quantile(%v) = %v outside [%v, %v]", p, q, h.Min(), h.Max())
+		if q < s.Min || q > s.Max {
+			t.Fatalf("quantile(%v) = %v outside [%v, %v]", p, q, s.Min, s.Max)
 		}
 		prev = q
 	}
 }
 
 func TestHistogramExtremesAndZero(t *testing.T) {
-	h := NewHistogram()
+	h := &Histogram{}
 	h.Observe(0)
 	h.Observe(-5) // negative: counted, lands in the underflow bucket
 	h.Observe(math.NaN())
 	h.Observe(1e300) // beyond the bucketed range: overflow bucket
 	h.Observe(1e-300)
-	if h.Count() != 5 {
-		t.Fatalf("count = %d", h.Count())
+	s := h.Snapshot()
+	if s.Count != 5 {
+		t.Fatalf("count = %d", s.Count)
 	}
-	if h.Max() != 1e300 {
-		t.Fatalf("max = %v", h.Max())
+	if s.Max != 1e300 {
+		t.Fatalf("max = %v", s.Max)
 	}
-	if h.Min() != -5 {
-		t.Fatalf("min = %v", h.Min())
+	if s.Min != -5 {
+		t.Fatalf("min = %v", s.Min)
 	}
 	// Quantiles stay within observed bounds even for sentinel buckets.
 	for _, p := range []float64{0.01, 0.5, 0.99} {
-		q := h.Quantile(p)
-		if q < h.Min() || q > h.Max() {
-			t.Fatalf("Quantile(%v) = %v outside [%v, %v]", p, q, h.Min(), h.Max())
+		q := h.quantile(p)
+		if q < s.Min || q > s.Max {
+			t.Fatalf("quantile(%v) = %v outside [%v, %v]", p, q, s.Min, s.Max)
 		}
 	}
 }
 
 func TestHistogramConcurrentWriters(t *testing.T) {
-	h := NewHistogram()
+	h := &Histogram{}
 	const writers = 8
 	const perWriter = 10000
 	var wg sync.WaitGroup
@@ -124,22 +120,60 @@ func TestHistogramConcurrentWriters(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
+			// Odd writers observe into a part of their own and merge it.
+			dst := h
+			if w%2 == 1 {
+				dst = &Histogram{}
+				defer h.Merge(dst)
+			}
 			for i := 1; i <= perWriter; i++ {
-				h.Observe(float64(w*perWriter + i))
+				dst.Observe(float64(w*perWriter + i))
 			}
 		}(w)
 	}
 	wg.Wait()
 	n := int64(writers * perWriter)
-	if h.Count() != n {
-		t.Fatalf("count = %d, want %d", h.Count(), n)
+	s := h.Snapshot()
+	if s.Count != n {
+		t.Fatalf("count = %d, want %d", s.Count, n)
 	}
-	wantSum := float64(n) * float64(n+1) / 2
-	if math.Abs(h.Sum()-wantSum) > 1e-6*wantSum {
-		t.Fatalf("sum = %v, want %v", h.Sum(), wantSum)
+	// Whole numbers sum exactly in any order.
+	if wantSum := float64(n) * float64(n+1) / 2; s.Sum != wantSum {
+		t.Fatalf("sum = %v, want %v", s.Sum, wantSum)
 	}
-	if h.Min() != 1 || h.Max() != float64(n) {
-		t.Fatalf("min/max = %v/%v", h.Min(), h.Max())
+	if s.Min != 1 || s.Max != float64(n) {
+		t.Fatalf("min/max = %v/%v", s.Min, s.Max)
+	}
+}
+
+// Merging part histograms in order is observing every value in that order:
+// the same snapshot, bit for bit, when each part's sum is exact (here
+// multiples of 1/8 well inside 2^53), including empty parts, zeros and
+// parts whose ranges interleave.
+func TestHistogramMerge(t *testing.T) {
+	parts := [][]float64{
+		{3, 0.125, 7.5},
+		nil,
+		{0, 1024, 2.25, 2.25},
+		{0.5, 65536.875},
+		{1e6, 0.375, 40},
+	}
+	whole, merged := &Histogram{}, &Histogram{}
+	for _, vs := range parts {
+		part := &Histogram{}
+		for _, v := range vs {
+			whole.Observe(v)
+			part.Observe(v)
+		}
+		merged.Merge(part)
+	}
+	if a, b := whole.Snapshot(), merged.Snapshot(); a != b {
+		t.Fatalf("observed %+v, merged %+v", a, b)
+	}
+	for p := 0.0; p <= 1; p += 0.01 {
+		if a, b := whole.quantile(p), merged.quantile(p); a != b {
+			t.Fatalf("quantile(%v): observed %v, merged %v", p, a, b)
+		}
 	}
 }
 

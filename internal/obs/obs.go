@@ -11,12 +11,12 @@
 //     a run with it off.
 //  2. A registry snapshot is a function of the run. Counters only Add,
 //     histograms count into buckets and fold their minimum and maximum,
-//     and gauges fold with Max, so concurrent updates from rank goroutines
-//     and host loops commute exactly, and nothing the registry holds is
-//     measured on the host clock. Float sums (a histogram's sum and mean, a
-//     gauge's Add) commute only up to rounding: they are taken in host
-//     order, so their last bits can differ between two runs of one
-//     configuration.
+//     and gauges fold with Max or Add whole numbers, so concurrent updates
+//     from rank goroutines and host loops commute exactly, and nothing the
+//     registry holds is measured on the host clock. The one float sum that
+//     would not commute, a histogram's sum of virtual seconds, never sees
+//     host order: each rank observes into its own histograms and mp merges
+//     them into the registry in rank order once the ranks are done.
 package obs
 
 import (
@@ -187,7 +187,7 @@ func (r *Registry) Histogram(name string) *Histogram {
 	defer r.mu.Unlock()
 	h, ok := r.histograms[name]
 	if !ok {
-		h = NewHistogram()
+		h = &Histogram{}
 		r.histograms[name] = h
 	}
 	return h
@@ -255,16 +255,17 @@ func (r *Registry) HistogramSnapshots() map[string]HistogramSnapshot {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	for n, h := range r.histograms {
-		if h.Count() > 0 {
-			out[n] = h.Snapshot()
+		if s := h.Snapshot(); s.Count > 0 {
+			out[n] = s
 		}
 	}
 	return out
 }
 
 // RankMetrics is the per-rank virtual-time breakdown of a run. The fields
-// are written only by the owning rank's goroutine during the run and read
-// after mp.Run returns, so no locking is needed.
+// are written only by the owning rank's goroutine during the run, or by
+// mp.Run's fold after its ranks are done, and read after mp.Run returns, so
+// no locking is needed.
 type RankMetrics struct {
 	Rank int `json:"rank"`
 	// Clock is the rank's final virtual clock in seconds.
@@ -281,7 +282,8 @@ type RankMetrics struct {
 	CollectiveSec float64 `json:"collective_sec"`
 	// DiskSec is virtual time charged to local-disk streaming I/O.
 	DiskSec float64 `json:"disk_sec"`
-	// Messages and Bytes count messages this rank sent.
+	// Messages and Bytes count messages this rank sent; mp.Run's fold adds
+	// them from the rank's send record once the run's ranks are done.
 	Messages int64 `json:"messages"`
 	Bytes    int64 `json:"bytes"`
 }

@@ -128,7 +128,9 @@ func get(t *testing.T, url string, v any) []byte {
 var groupRE = regexp.MustCompile(`(?m)^config .*  (\d+ runs \(.*\))$`)
 
 // Two runs write the files their flags name under one config digest, shown
-// by `ssbench trend [-gate]` as one group judging run B; `ssbench diff` passes.
+// by `ssbench trend [-gate]` as one group judging run B; the quick analysis
+// writes the same report but for its provenance at GOMAXPROCS 1 and 8, and
+// `ssbench diff` passes.
 func TestSmokeReports(t *testing.T) {
 	t.Parallel()
 	dir := t.TempDir()
@@ -153,9 +155,15 @@ func TestSmokeReports(t *testing.T) {
 		check(t, len(g) == 1, "trend%s: want one group:\n%s", gate, out)
 		check(t, g[0][1] == "2 runs (judged "+runs[1][1]+")", "trend%s: want 2 runs judging %s:\n%s", gate, runs[1][1], out)
 	}
-	run(t, dir, "ssbench analyze -quick -analysis-out x.json")
-	run(t, dir, "ssbench analyze -quick -analysis-out y.json")
-	run(t, dir, "ssbench diff x.json y.json")
+	var reports [2]map[string]any
+	for i, procs := range []int{1, 8} {
+		f := fmt.Sprintf("a%d.json", procs)
+		run(t, dir, "ssbench analyze -quick -analysis-out "+f, fmt.Sprint("GOMAXPROCS=", procs))
+		readJSON(t, filepath.Join(dir, f), &reports[i])
+		delete(reports[i], "provenance")
+	}
+	check(t, reflect.DeepEqual(reports[0], reports[1]), "the analysis reports at GOMAXPROCS 1 and 8 differ")
+	run(t, dir, "ssbench diff a1.json a8.json")
 }
 
 // A fault-injected run crashes and recovers bit-identically; the quick sweep
