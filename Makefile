@@ -32,15 +32,17 @@ one-slot:
 # The grouped walk and SPH tests below take their default width from
 # par.Width, so the one host loop runs at four widths too (the key sort and
 # the tree build run on the caller's goroutine and have no width); so do the
-# grouped walk's runs of groups (TestGroupedWorkersBitIdentical),
-# and the bound on a 64-rank world's goroutines, which scales with the width
-# of the scheduler's pool (TestWorldGoroutinesBounded). The NPB kernels'
-# result digest (TestNPBResultsPinned) must not move with the width either.
+# grouped walk's loop over every group (TestGroupedWorkersBitIdentical), the
+# lists it gathers before the region from branches read in place
+# (TestOpenedBranchesReadInPlace), and the bound on a 64-rank world's
+# goroutines, which scales with the width of the scheduler's pool
+# (TestWorldGoroutinesBounded). The NPB kernels' result digest
+# (TestNPBResultsPinned) must not move with the width either.
 widths:
 	@for p in 1 2 4 8; do \
 		echo "widths: GOMAXPROCS=$$p"; \
 		GOMAXPROCS=$$p $(GO) test -count=1 -timeout 300s \
-			-run '^(TestEventEngineReproducibleSchedule|TestSchedulePinnedAcrossTwoPassRewrite|TestEngineBitIdentical|TestGroupedWorkersBitIdentical|TestWorldGoroutinesBounded|TestTraceReproducible)$$' ./internal/core || exit 1; \
+			-run '^(TestEventEngineReproducibleSchedule|TestSchedulePinnedAcrossTwoPassRewrite|TestEngineBitIdentical|TestGroupedWorkersBitIdentical|TestOpenedBranchesReadInPlace|TestWorldGoroutinesBounded|TestTraceReproducible)$$' ./internal/core || exit 1; \
 		GOMAXPROCS=$$p $(GO) test -count=1 -timeout 300s \
 			-run '^(TestOneSlot.*|TestCollectivesBothEngines|TestEventEnginePointToPoint|TestEventEngineGather|TestWakeOrderIsPutOrder)$$' ./internal/mp || exit 1; \
 		GOMAXPROCS=$$p $(GO) test -count=1 -timeout 300s \
@@ -174,8 +176,9 @@ profile-sph:
 # slots, two workers a rank), one step per iteration through core.Run, run
 # under the CPU and memory profilers and listed; then the split of the CPU
 # samples by the `phase` label the rank runtime puts on its goroutines —
-# `eval` on the loops that gather and evaluate runs of sink groups, `walk` on
-# the top walks, the polls and the charging around them — and the sites that
+# `eval` on each rank's top walks and the loop that gathers and evaluates all
+# its sink groups before the polling region, `walk` on the region itself: the
+# requests, polls and charging of the fetch protocol — and the sites that
 # allocate the most bytes.
 profile-dist8 profile-dist64: profile-dist%:
 	$(GO) test -run '^$$' -bench '^BenchmarkStep$$/^dist$*$$' -benchtime 30x \

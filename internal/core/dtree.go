@@ -21,10 +21,11 @@ import (
 // layer using the global key name space: "a hash table is used in order to
 // translate the key into a pointer ... this level of indirection can also
 // be used to catch accesses to non-local data" (Section 4.2). Here the key
-// is resolved once, when a reply names the owner's cell, and a top branch with
-// nothing resident below it catches the non-local access. Every cell is an
-// htree.Cell, walked where it lies, in one index space (htree.Far): the local
-// tree's, then the top's, then one per resident branch of another rank.
+// is resolved once per branch exchange, when the world's table names each
+// branch's cell in its owner's tree, and a top branch that no group opened
+// catches the non-local access. Every cell is an htree.Cell, walked where it
+// lies, in one index space (htree.Far): the local tree's, then the top's,
+// then one per branch of another rank that a group opens.
 
 // cellWireBytes is the accounted wire size of one cell in the branch
 // exchange and in fetch replies, whatever Go struct carries it.
@@ -35,10 +36,22 @@ const hFetch = 1
 
 // topTree is the replicated top of the tree, laid out by buildTop: root at
 // index 0, fills and every rank's branches, the daughters of one parent side
-// by side in ascending octant order, each fill linked to its daughters.
+// by side in ascending octant order, each fill linked to its daughters. With
+// it the branch exchange carries every rank's local tree by reference: trees
+// is indexed by rank (nil for a rank without bodies), and branch j is cell
+// at[j] of trees[owner[j]], the cell the owner's serveFetch names.
 type topTree struct {
 	cells []htree.Cell
 	owner []int32 // owning rank of each cell; -1 for a fill
+	trees []*htree.Tree
+	at    []int32
+}
+
+// rankBranches is one rank's part of the branch exchange: its local tree, by
+// reference, and its branch cells, bare.
+type rankBranches struct {
+	tree  *htree.Tree
+	cells []htree.Cell
 }
 
 // DTree is the per-rank view of the distributed tree.
@@ -55,8 +68,9 @@ type DTree struct {
 	// The top is one array for the whole world and nobody writes it. route is
 	// this rank's overlay on it, the index a walk takes each top cell at
 	// (htree.Far): for a branch this rank owns, its local cell; for another
-	// rank's branch that a reply has named, the index of that reply; otherwise
-	// the cell itself.
+	// rank's branch j that a group's top walk opens, base()+j, which the walk
+	// resolves to the owner's cell (bucketWalker.Remote); otherwise the cell
+	// itself.
 	top   *topTree
 	route []int32
 	// The rank's fetch state, kept from step to step (fetchArena).
@@ -78,16 +92,14 @@ type DTree struct {
 // without one (BuildDistributed) starts from an empty arena. It is rank
 // state, one goroutine at a time.
 type fetchArena struct {
-	// replies holds the other ranks' branches this rank asked for, in
-	// arrival order: reply k is index base()+k of a walk.
-	replies []fetchReply
-
 	// asked[j] is set once this rank has asked for top cell j, the one
-	// request per branch however many groups open it. Group after group,
-	// opens holds the branches each group's walk opens and frontier the top
-	// cells where its top walk stopped, in pop order: j, or ^(nLocal+j) for
-	// one it accepted (walkTop); stack is the top walks' scratch.
+	// request per branch however many groups open it, and arrived[j] once
+	// the reply has come back. Group after group, opens holds the branches
+	// each group's walk opens and frontier the top cells where its top walk
+	// stopped, in pop order: j, or ^(nLocal+j) for one it accepted
+	// (walkTop); stack is the top walks' scratch.
 	asked    []bool
+	arrived  []bool
 	opens    []int32
 	frontier []int32
 	stack    []int32
@@ -97,29 +109,31 @@ type fetchArena struct {
 	below []int32
 
 	// lists[k] is the list scratch of goroutine k of the loop that gathers
-	// and evaluates a run of groups (evalRun).
+	// and evaluates the groups (evalGroups).
 	lists []*htree.BucketScratch
 }
 
-// resetCaches drops the transient per-evaluation state — the replies, the
-// routes to them, the requests and the top walks' records — keeping their
-// storage: the bound on what a rank holds of the others' trees.
+// resetCaches drops the transient per-evaluation state — the routes to the
+// other ranks' branches, the requests, the arrivals and the top walks'
+// records — keeping their storage.
 func (dt *DTree) resetCaches() {
-	clear(dt.replies) // release the other ranks' trees
-	dt.replies, dt.opens, dt.frontier = dt.replies[:0], dt.opens[:0], dt.frontier[:0]
-	dt.asked = slices.Grow(dt.asked[:0], len(dt.top.cells))[:len(dt.top.cells)]
+	dt.opens, dt.frontier = dt.opens[:0], dt.frontier[:0]
+	n := len(dt.top.cells)
+	dt.asked = slices.Grow(dt.asked[:0], n)[:n]
+	dt.arrived = slices.Grow(dt.arrived[:0], n)[:n]
 	clear(dt.asked)
+	clear(dt.arrived)
 	for j, o := range dt.top.owner {
 		dt.route[j] = dt.nLocal + int32(j)
 		if int(o) == dt.r.ID() {
-			dt.route[j] = dt.local.Find(dt.top.cells[j].Key)
+			dt.route[j] = dt.top.at[j]
 		}
 	}
 }
 
 // requestBranch asks the owner of top branch j for the subtree below it,
-// unless this rank has asked already. The reply, run during a Poll, appends
-// the owner's cell by reference to the rank's table and routes j to it.
+// unless this rank has asked already. The reply, run during a Poll, marks j
+// arrived.
 func (dt *DTree) requestBranch(j int32, st *TraversalStats) {
 	if dt.asked[j] {
 		dt.cDedup.Inc()
@@ -133,16 +147,14 @@ func (dt *DTree) requestBranch(j int32, st *TraversalStats) {
 	// when the reply continuation runs (both points on the rank goroutine).
 	fid := dt.fetches
 	t0 := dt.r.Clock()
-	k := dt.top.cells[j].Key
-	lo, _ := k.BodyKeyRange()
-	dt.abm.Request(Owner(dt.splitters, lo), hFetch, k, 8, func(resp any) {
+	dt.abm.Request(int(dt.top.owner[j]), hFetch, dt.top.cells[j].Key, 8, func(any) {
 		dt.ro.Async("fetch", "fetch", fid, t0, dt.r.Clock())
-		dt.route[j] = dt.base() + int32(len(dt.replies))
-		dt.replies = append(dt.replies, resp.(fetchReply))
+		dt.arrived[j] = true
 	})
 }
 
-// base is the index of the first reply, past the local tree and the top.
+// base is the first index past the local tree and the top: base()+j stands
+// for another rank's branch j, read in the owner's tree.
 func (dt *DTree) base() int32 { return dt.nLocal + int32(len(dt.top.cells)) }
 
 // BuildDistributed constructs the per-rank tree over the (already
@@ -202,9 +214,20 @@ func buildDistributed(r *mp.Rank, bodies []Body, splitters []key.K, boxLo vec.V3
 
 	// One rank's tree-merge span is long (it built the world's top), the rest short.
 	endMerge := r.Span("phase", "tree-merge")
-	mine := dt.branches()
-	dt.top = allgatherOnce(r, mine, int64(len(mine)*cellWireBytes), func(branches [][]htree.Cell) *topTree {
+	mine := rankBranches{dt.local, dt.branches()}
+	dt.top = allgatherOnce(r, mine, int64(len(mine.cells)*cellWireBytes), func(chunks []rankBranches) *topTree {
+		branches := make([][]htree.Cell, len(chunks))
+		trees := make([]*htree.Tree, len(chunks))
+		for p, c := range chunks {
+			branches[p], trees[p] = c.cells, c.tree
+		}
 		top := buildTop(branches)
+		top.trees, top.at = trees, make([]int32, len(top.cells))
+		for j, o := range top.owner {
+			if o >= 0 {
+				top.at[j] = trees[o].Find(top.cells[j].Key)
+			}
+		}
 		reg.Counter("core.top.builds").Inc()
 		reg.Counter("core.top.cells").Add(int64(len(top.cells)))
 		return top
@@ -327,10 +350,11 @@ func buildTop(branches [][]htree.Cell) *topTree {
 }
 
 // fetchReply is the answer to a branch request: cell i of the owner's local
-// tree t, by reference, walked in t by the requester. The owner builds t again
-// only after the next Decompose's collectives, which a requester enters only
-// once its evaluation — its last run of groups included — is over (DESIGN.md,
-// "What the world shares").
+// tree t, by reference — the cell the world's table routes the branch to
+// (topTree.at), which the requester has walked in t already; the reply only
+// marks the branch arrived. The owner builds t again only after the next
+// Decompose's collectives, which a requester enters only once its evaluation
+// is over (DESIGN.md, "What the world shares").
 type fetchReply struct {
 	t *htree.Tree
 	i int32

@@ -15,9 +15,9 @@ package core
 // Every list is gathered by the one loop of htree.Tree.Gather and applied by
 // Tree.EvalBucket, as in the serial Tree.AccelAllGrouped; the walker is the
 // loop's htree.Far, laying out the indices past the local tree's (dtree.go)
-// and resolving a resident remote branch to the owner's tree it is walked in.
-// This file adds the top walks that fetch, the one gather per group and
-// deterministic charging.
+// and resolving another rank's branch to the owner's tree it is walked in.
+// This file adds the top walks, the one gather per group, and the fetch
+// protocol with its deterministic charging.
 //
 // Walk once. Section 4.2 hides latency by putting walks aside: "we
 // effectively do explicit context switching using a software queue to keep
@@ -25,34 +25,32 @@ package core
 // arrive". Here a fetch reply makes the whole subtree below the branch asked
 // for resident (dtree.go), so the only cells a group's walk can find missing
 // are other ranks' top branches, and which of those it opens the replicated
-// top alone decides. Each group first walks the top (walkTop), asking once
-// per rank for every remote branch it does not accept and recording where it
-// stopped; then, in the order of the groups' stack (the last group first),
-// each group is gathered once from there, as soon as every branch it opens is
-// resident — the rank polls and yields until then. The group the rank reaches
-// and the groups after it that are resident too form a run, gathered and
-// evaluated at once on one host loop (evalRun); then the run's groups are
-// charged, a poll after each. A miss in a group walk is a bug, and panics.
+// top alone decides. Each group first walks the top (walkTop), recording the
+// remote branches it does not accept and where it stopped; every branch a
+// group opens is routed to the owner's cell, read in place. Then the rank
+// gathers every group once, from there, and evaluates it, all on one host
+// loop (evalGroups), before it enters the polling region. The region replays
+// the fetch protocol alone (replay): one request per branch, in the order of
+// the top walks; then, in the order of the groups' stack (the last group
+// first), the rank polls and yields until every branch a group opens has
+// arrived, and charges the group from its list's lengths, a poll after each.
+// A miss in a group walk is a bug, and panics.
 //
-// Determinism rule: the top walks, the residency tests, interaction counting,
-// virtual-time charging and every poll run on the rank's own goroutine in
-// group order, between runs; a run's loop gathers and evaluates while the
-// rank waits for it, each group writing only its disjoint output range, from
-// a list in depth-first tree order — a function of the tree and the group,
-// not of when fetch replies arrived or which goroutine gathered it. The
-// result is therefore bit-identical for any Workers count, and so is every
-// poll point and charge: residency only grows, so the groups of a run would
-// have been resident one by one too, and their charges come from the lists'
-// lengths alone. Nothing a gather reads changes under the loop: the
-// replicated top is never written, the routes and the reply table change
-// only in a poll, and the local tree and the other ranks' trees that the
-// lists refer into are immutable once built.
+// Determinism rule: the top walks, the requests, the arrival tests,
+// interaction counting, virtual-time charging and every poll run on the
+// rank's own goroutine in group order; the loop gathers and evaluates while
+// the rank waits for it, each group writing only its disjoint output range,
+// from a list in depth-first tree order — a function of the tree and the
+// group, not of when fetch replies arrived or which goroutine gathered it.
+// The result is therefore bit-identical for any Workers count, and so is
+// every poll point and charge: they come from the arrival of the replies and
+// the lists' lengths alone. Nothing a gather reads changes under the loop:
+// the replicated top and the world's table of rank trees are never written,
+// the routes are written by the top walks before it, and the local tree and
+// the other ranks' trees that the lists refer into are immutable until every
+// rank is through its evaluation (DESIGN.md §6, "What the world shares").
 
 import (
-	"context"
-	"runtime/pprof"
-	"strconv"
-
 	"spacesim/internal/gravity"
 	"spacesim/internal/htree"
 	"spacesim/internal/par"
@@ -60,14 +58,14 @@ import (
 )
 
 // bucketWalker is one sink group's walk, and the htree.Far of it: it lays
-// out the indices past the local tree's and resolves a resident remote
-// branch to the owner's tree.
+// out the indices past the local tree's and resolves another rank's branch to
+// the owner's tree.
 type bucketWalker struct {
 	dt   *DTree
 	cell *htree.Cell
 	mac  htree.BucketMAC
 	// opens[lo:hi] and frontier[flo:fhi] of the rank's fetch arena are the
-	// group's (walkTop); the opens below lo are resident.
+	// group's (walkTop); the opens below lo have arrived.
 	lo, hi, flo, fhi int32
 	nc, nb           int // the lengths of its list: cells and bodies
 }
@@ -91,15 +89,16 @@ func (w *bucketWalker) Layout() ([]htree.Cell, []int32, int32) {
 	return w.dt.top.cells, w.dt.route, w.dt.base()
 }
 
-// Remote resolves index i to its reply, the owner's branch in the owner's
-// tree: a hit of the rank's cache of the others' trees.
+// Remote resolves index i, routed to top branch i-base, to the owner's cell of
+// that branch in the owner's tree, from the world's table of rank trees.
 func (w *bucketWalker) Remote(i int32) (*htree.Tree, int32) {
-	rep := w.dt.replies[i-w.dt.base()]
-	return rep.t, rep.i
+	top := w.dt.top
+	j := i - w.dt.base()
+	return top.trees[top.owner[j]], top.at[j]
 }
 
-// Open refuses a branch that is not resident: a group is gathered only once
-// every branch it opens has arrived.
+// Open refuses a branch that no group's top walk opened: the top walks
+// route every branch a group's walk opens.
 func (w *bucketWalker) Open(_ int32, c *htree.Cell) {
 	panic("core: group walk reached non-resident cell " + c.Key.String())
 }
@@ -107,7 +106,7 @@ func (w *bucketWalker) Open(_ int32, c *htree.Cell) {
 // resident reports whether every branch the group's walk opens has arrived,
 // moving lo past those that have.
 func (w *bucketWalker) resident() bool {
-	for w.lo < w.hi && w.dt.route[w.dt.opens[w.lo]] >= w.dt.base() {
+	for w.lo < w.hi && w.dt.arrived[w.dt.opens[w.lo]] {
 		w.lo++
 	}
 	return w.lo == w.hi
@@ -153,100 +152,93 @@ func (dt *DTree) chargeFunc(st *TraversalStats) func() {
 
 // ComputeForces evaluates the gravitational field at every local body using
 // the distributed tree, returning accelerations, potentials and work stats.
-// All ranks must call it collectively (it quiesces the ABM traffic). It runs
-// as a polling region (mp.Rank.OneSlot): the ranks enter it together, in
-// rank order, onto one execution slot, so what each poll finds — and the
-// virtual schedule — is the same at any width of the scheduler's pool.
-// Transient state from any previous evaluation on this tree is dropped
-// first, so repeated evaluations do not accumulate unbounded state.
+// All ranks must call it collectively (it quiesces the ABM traffic). Each
+// rank gathers and evaluates its groups first (evalGroups); then the ranks
+// enter a polling region (mp.Rank.OneSlot) together, in rank order, onto one
+// execution slot, for the fetch protocol and the charging (replay), so what
+// each poll finds — and the virtual schedule — is the same at any width of
+// the scheduler's pool. Transient state from any previous evaluation on this
+// tree is dropped first, so repeated evaluations do not accumulate unbounded
+// state.
 func (dt *DTree) ComputeForces(bodies []Body) (acc []vec.V3, pot []float64, st TraversalStats) {
-	dt.r.OneSlot(func() { acc, pot, st = dt.computeForces(bodies) })
+	acc, pot = make([]vec.V3, len(bodies)), make([]float64, len(bodies))
+	st.PerBody = make([]float64, len(bodies))
+	dt.resetCaches()
+	walkers := dt.evalGroups(acc, pot)
+	dt.r.OneSlot(func() { dt.replay(walkers, &st) })
 	return acc, pot, st
 }
 
-// computeForces is ComputeForces inside its region.
-func (dt *DTree) computeForces(bodies []Body) ([]vec.V3, []float64, TraversalStats) {
-	dt.resetCaches()
-	defer dt.r.Span("phase", "walk")()
-	acc := make([]vec.V3, len(bodies))
-	pot := make([]float64, len(bodies))
-	var st TraversalStats
-	st.PerBody = make([]float64, len(bodies))
-	if dt.local == nil || len(bodies) == 0 {
-		// No local work: serve everyone else's fetches until quiescence.
-		dt.abm.Quiesce()
-		return acc, pot, st
+// evalGroups walks the top for every local group, in the order of a stack of
+// them (the last first), then gathers and evaluates every group on one host
+// loop, Workers wide and one more for the rank, which would otherwise only
+// wait for it; each of the loop's goroutines has a list scratch of its own in
+// the rank's arena. It returns the groups' walkers, which hold their list
+// lengths for finishBucket. It sends nothing and moves no clock.
+func (dt *DTree) evalGroups(acc []vec.V3, pot []float64) []bucketWalker {
+	if dt.local == nil || len(acc) == 0 {
+		return nil
 	}
-
+	defer dt.r.Label("eval")()
 	groups := dt.local.Groups()
 	walkers := make([]bucketWalker, len(groups))
-	for i, c := range groups {
+	for i := len(groups) - 1; i >= 0; i-- {
+		c := groups[i]
 		walkers[i] = bucketWalker{dt: dt, cell: c, mac: htree.NewGroupMAC(c, dt.opt.Theta)}
+		dt.walkTop(&walkers[i])
 	}
+	width := par.Width(dt.opt.Workers, len(walkers)) + 1
+	for len(dt.lists) < width {
+		dt.lists = append(dt.lists, new(htree.BucketScratch))
+	}
+	par.For(len(walkers), width, func(k, i int) {
+		w, sc := &walkers[i], dt.lists[k]
+		w.begin(sc)
+		dt.local.Gather(&w.mac, sc, w)
+		w.nc, w.nb = len(sc.List.Cells), sc.List.Bodies()
+		dt.local.EvalBucket(w.cell, dt.opt.Eps, sc, acc, pot)
+	})
+	return walkers
+}
 
-	charge := dt.chargeFunc(&st)
-	// The rank's profiler labels in the walk, which evalRun's loop overlays.
-	labels := pprof.WithLabels(context.Background(), pprof.Labels("rank", strconv.Itoa(dt.r.ID()), "phase", "walk"))
-
-	// The groups go in the order of a stack of them, the last first.
-	for i := len(walkers) - 1; i >= 0; i-- {
-		dt.walkTop(&walkers[i], &st)
+// replay is ComputeForces inside its region: the fetch protocol of the
+// evaluation evalGroups made. It asks once for every branch the groups open,
+// in the order the top walks opened them; then, in the groups' stack order,
+// it polls and yields until a group's branches have arrived, and charges the
+// group. A rank without groups serves everyone else's fetches. Every reply
+// this rank waits for is in before it quiesces, serving the others' requests
+// until every rank's are.
+func (dt *DTree) replay(walkers []bucketWalker, st *TraversalStats) {
+	defer dt.r.Span("phase", "walk")()
+	for _, j := range dt.opens {
+		dt.requestBranch(j, st)
 	}
 	dt.abm.FlushAll()
-	for i := len(walkers) - 1; i >= 0; {
-		for !walkers[i].resident() {
+	charge := dt.chargeFunc(st)
+	for i := len(walkers) - 1; i >= 0; i-- {
+		w := &walkers[i]
+		for !w.resident() {
 			if dt.abm.Poll() == 0 {
 				// Hand the execution slot to the rank we are waiting on
 				// (required: the region is one slot wide).
 				dt.r.Yield()
 			}
 		}
-		j := i
-		for j > 0 && walkers[j-1].resident() {
-			j--
-		}
-		dt.evalRun(labels, walkers[j:i+1], acc, pot)
-		for ; i >= j; i-- {
-			dt.finishBucket(&walkers[i], &st, charge)
-			dt.abm.Poll()
-		}
+		dt.finishBucket(w, st, charge)
+		dt.abm.Poll()
 	}
-
-	// Every reply this rank waits for is in; it serves the others' requests
-	// until every rank's are.
 	dt.abm.Quiesce()
-	return acc, pot, st
-}
-
-// evalRun gathers and evaluates a run of resident groups on one host loop,
-// Workers wide and one more for the rank, which would otherwise only wait for
-// it; each of the loop's goroutines has a list scratch of its own in the
-// rank's arena. It records each group's list lengths for finishBucket.
-func (dt *DTree) evalRun(labels context.Context, run []bucketWalker, acc []vec.V3, pot []float64) {
-	width := par.Width(dt.opt.Workers, len(run)) + 1
-	for len(dt.lists) < width {
-		dt.lists = append(dt.lists, new(htree.BucketScratch))
-	}
-	pprof.Do(labels, pprof.Labels("phase", "eval"), func(context.Context) {
-		par.For(len(run), width, func(k, i int) {
-			w, sc := &run[i], dt.lists[k]
-			w.begin(sc)
-			dt.local.Gather(&w.mac, sc, w)
-			w.nc, w.nb = len(sc.List.Cells), sc.List.Bodies()
-			dt.local.EvalBucket(w.cell, dt.opt.Eps, sc, acc, pot)
-		})
-	})
 }
 
 // walkTop walks the replicated top alone for w's group — testing fills and
 // branches as Gather does, descending into no branch — and records in the
 // rank's frontier every top cell where it stops, and in its opens every other
-// rank's branch it does not accept, asking for each one no group has asked
-// for yet. From the root, Gather would decide the fills alike and reach the
-// frontier in this order, each cell with only later ones and unopened fills
-// below it on the stack: the gather may start from the frontier (begin).
-func (dt *DTree) walkTop(w *bucketWalker, st *TraversalStats) {
-	cells, owner, me := dt.top.cells, dt.top.owner, int32(dt.r.ID())
+// rank's branch it does not accept, routing each to the owner's cell. From the
+// root, Gather would decide the fills alike and reach the frontier in this
+// order, each cell with only later ones and unopened fills below it on the
+// stack: the gather may start from the frontier (begin).
+func (dt *DTree) walkTop(w *bucketWalker) {
+	cells, owner, me, base := dt.top.cells, dt.top.owner, int32(dt.r.ID()), dt.base()
 	w.lo, w.flo = int32(len(dt.opens)), int32(len(dt.frontier))
 	stack := append(dt.stack[:0], 0)
 	for len(stack) > 0 {
@@ -266,7 +258,7 @@ func (dt *DTree) walkTop(w *bucketWalker, st *TraversalStats) {
 			continue
 		default:
 			dt.opens = append(dt.opens, j)
-			dt.requestBranch(j, st)
+			dt.route[j] = base + j // the owner's cell (Remote)
 		}
 		dt.frontier = append(dt.frontier, j)
 	}

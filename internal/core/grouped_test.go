@@ -146,8 +146,8 @@ func TestGroupedWorkersBitIdentical(t *testing.T) {
 		}
 	}
 
-	// Hundreds of groups on one rank, all resident at once: one run, gathered
-	// and evaluated by a loop two wide on one worker and nine wide on eight.
+	// Hundreds of groups on one rank, gathered and evaluated by one loop two
+	// wide on one worker and nine wide on eight.
 	many := PlummerSphere(rand.New(rand.NewSource(45)), 3000, 1.0)
 	var accW [2][]vec.V3
 	var potW [2][]float64
@@ -156,16 +156,16 @@ func TestGroupedWorkersBitIdentical(t *testing.T) {
 	}
 	for i := range accW[0] {
 		if accW[0][i] != accW[1][i] || potW[0][i] != potW[1][i] {
-			t.Fatalf("one run of groups: body %d differs: (%v, %v) on one worker, (%v, %v) on eight",
+			t.Fatalf("one loop over groups: body %d differs: (%v, %v) on one worker, (%v, %v) on eight",
 				i, accW[0][i], potW[0][i], accW[1][i], potW[1][i])
 		}
 	}
 
-	// Runs of groups as long as the replies make them. Eight ranks with four
+	// Replies in whatever order the ranks make them. Eight ranks with four
 	// fifths of the bodies on rank 0 (the decomposition balances work, so the
 	// first bodies in key order are made cheap): the light ranks are through
-	// their walks long before rank 0 stops asking them for branches, and
-	// wait in Quiesce while rank 0 gathers and evaluates. At any width of the scheduler's pool, whatever runs beside
+	// their protocols long before rank 0 stops asking them for branches, and
+	// wait in Quiesce while rank 0 charges its groups. At any width of the scheduler's pool, whatever runs beside
 	// whatever, every bit must come out the same — a digest recorded at
 	// commit 623b44b, where the goroutine runtime was the first row, and
 	// re-pinned once, with the kernels' arithmetic (ISSUE 24): the one that
@@ -284,11 +284,11 @@ func (o *topOpens) opened(g *htree.Cell) []int32 {
 	return o.opens
 }
 
-// A group is gathered only once every branch it opens is resident, so its
-// walk can meet no cell without bodies or daughters; one that does is a
-// bug, and the walk says so. On two ranks, before any fetch: every group
-// whose walk opens one of the other rank's branches panics naming a
-// non-resident cell, and every other group gathers.
+// A group is gathered only once the top walks have routed every branch it
+// opens, so its walk can meet no cell without bodies or daughters; one that
+// does is a bug, and the walk says so. On two ranks, before any top walk:
+// every group whose walk opens one of the other rank's branches panics
+// naming a non-resident cell, and every other group gathers.
 func TestGroupWalkPanicsOnMiss(t *testing.T) {
 	ics := PlummerSphere(rand.New(rand.NewSource(38)), 600, 1.0)
 	const p = 2
@@ -323,16 +323,14 @@ func TestGroupWalkPanicsOnMiss(t *testing.T) {
 	})
 }
 
-// The memory bound on what a rank holds of the others' trees: what one
-// evaluation fetches is referred to until the next one starts and no longer.
-// resetCaches empties the rank's reply table, clearing its entries so that
-// the other ranks' trees are released, forgets the requests and the top
-// walks' records and drops the overlay's routes to the replies, so a second
-// evaluation on the same tree re-fetches exactly the same branches and
-// reproduces the forces bit for bit — into the same storage, which the
-// rank's fetch arena keeps, as it does for the next tree built on it. None
-// of it touches the replicated top, which is the world's: an evaluation
-// leaves every bit of it as the branch exchange made it.
+// What one evaluation routes, asks for and records is dropped when the next
+// one starts. resetCaches forgets the requests, the arrivals and the top
+// walks' records and drops the overlay's routes to the other ranks' branches,
+// so a second evaluation on the same tree routes and fetches exactly the same
+// branches and reproduces the forces bit for bit — into the same storage,
+// which the rank's fetch arena keeps, as it does for the next tree built on
+// it. None of it touches the replicated top, which is the world's: an
+// evaluation leaves every bit of it as the branch exchange made it.
 func TestCachesBoundedAcrossEvaluations(t *testing.T) {
 	rng := rand.New(rand.NewSource(32))
 	const n = 600
@@ -344,9 +342,9 @@ func TestCachesBoundedAcrossEvaluations(t *testing.T) {
 		bodies, splitters, boxLo, boxSize := Decompose(r, local)
 		opt, fa := Options{Theta: 0.5, Eps: 0.02}, &fetchArena{}
 		dt := buildDistributed(r, bodies, splitters, boxLo, boxSize, opt, fa)
-		if len(dt.replies) != 0 || len(dt.route) != len(dt.top.cells) {
-			t.Errorf("rank %d: after the branch exchange the table holds %d replies, the overlay %d entries for a top of %d",
-				r.ID(), len(dt.replies), len(dt.route), len(dt.top.cells))
+		if len(dt.route) != len(dt.top.cells) || slices.Contains(dt.arrived, true) {
+			t.Errorf("rank %d: after the branch exchange the overlay has %d entries for a top of %d, arrivals %v",
+				r.ID(), len(dt.route), len(dt.top.cells), slices.Contains(dt.arrived, true))
 		}
 		route0 := append([]int32(nil), dt.route...)
 		top0 := make([]cellBits, len(dt.top.cells))
@@ -368,36 +366,36 @@ func TestCachesBoundedAcrossEvaluations(t *testing.T) {
 			}
 			base := dt.base()
 			for j, asked := range dt.asked {
-				if asked && dt.route[j] < base {
-					t.Errorf("rank %d: %s branch %v was asked for and is not resident", r.ID(), when, dt.top.cells[j].Key)
+				if asked != dt.arrived[j] || asked && dt.route[j] != base+int32(j) {
+					t.Errorf("rank %d: %s branch %v was asked for %v, arrived %v, routed to %d", r.ID(), when, dt.top.cells[j].Key, asked, dt.arrived[j], dt.route[j])
 					return
 				}
 			}
 		}
-		sameStorage := func(when string, table *fetchReply) {
-			if len(dt.replies) == 0 || &dt.replies[0] != table {
-				t.Errorf("rank %d: %s the table of %d replies is not the arena's storage", r.ID(), when, len(dt.replies))
+		sameStorage := func(when string, opens *int32) {
+			if len(dt.opens) == 0 || &dt.opens[0] != opens {
+				t.Errorf("rank %d: %s the %d opens are not in the arena's storage", r.ID(), when, len(dt.opens))
 			}
 		}
 
 		acc1, pot1, _ := dt.ComputeForces(bodies)
-		n1, f1 := len(dt.replies), dt.Fetches()
-		if f1 == 0 || int64(n1) != f1 {
-			t.Errorf("rank %d: %d fetches left %d replies in the table on %d ranks", r.ID(), f1, n1, p)
+		n1, f1 := len(dt.opens), dt.Fetches()
+		if f1 == 0 || int64(n1) < f1 {
+			t.Errorf("rank %d: %d fetches for %d branches opened on %d ranks", r.ID(), f1, n1, p)
 		}
-		var table *fetchReply
+		var opens *int32
 		if n1 > 0 {
-			table = &dt.replies[0]
+			opens = &dt.opens[0]
 		}
-		cap1 := cap(dt.replies)
+		cap1 := cap(dt.opens)
 		topUnwritten("during the first evaluation")
 		drained("after the first evaluation")
 
 		acc2, pot2, _ := dt.ComputeForces(bodies)
-		if n2 := len(dt.replies); n2 != n1 || cap(dt.replies) != cap1 {
-			t.Errorf("rank %d: table grew across evaluations: %d -> %d replies, capacity %d -> %d", r.ID(), n1, n2, cap1, cap(dt.replies))
+		if n2 := len(dt.opens); n2 != n1 || cap(dt.opens) != cap1 {
+			t.Errorf("rank %d: opens grew across evaluations: %d -> %d, capacity %d -> %d", r.ID(), n1, n2, cap1, cap(dt.opens))
 		}
-		sameStorage("in the second evaluation", table)
+		sameStorage("in the second evaluation", opens)
 		drained("after the second evaluation")
 		if f2 := dt.Fetches(); f2 != 2*f1 {
 			t.Errorf("rank %d: fetch counts %d then %d, want exact repeat", r.ID(), f1, f2)
@@ -411,17 +409,8 @@ func TestCachesBoundedAcrossEvaluations(t *testing.T) {
 		topUnwritten("during the second evaluation")
 
 		dt.resetCaches()
-		if len(dt.replies) != 0 {
-			t.Errorf("rank %d: table not emptied: %d replies", r.ID(), len(dt.replies))
-		}
-		for _, rep := range dt.replies[:cap(dt.replies)] {
-			if rep != (fetchReply{}) {
-				t.Errorf("rank %d: emptied table still references another rank's tree", r.ID())
-				break
-			}
-		}
-		if len(dt.opens) != 0 || len(dt.frontier) != 0 || slices.Contains(dt.asked, true) {
-			t.Errorf("rank %d: the reset left %d opens, %d frontier cells and requests marked", r.ID(), len(dt.opens), len(dt.frontier))
+		if len(dt.opens) != 0 || len(dt.frontier) != 0 || slices.Contains(dt.asked, true) || slices.Contains(dt.arrived, true) {
+			t.Errorf("rank %d: the reset left %d opens, %d frontier cells and requests or arrivals marked", r.ID(), len(dt.opens), len(dt.frontier))
 		}
 		for i, o := range dt.route {
 			if o != route0[i] {
@@ -430,14 +419,14 @@ func TestCachesBoundedAcrossEvaluations(t *testing.T) {
 		}
 
 		dt = buildDistributed(r, bodies, splitters, boxLo, boxSize, opt, fa)
-		if len(dt.replies) != 0 {
-			t.Errorf("rank %d: the next tree on the arena starts with %d replies in the table", r.ID(), len(dt.replies))
+		if len(dt.opens) != 0 {
+			t.Errorf("rank %d: the next tree on the arena starts with %d opens", r.ID(), len(dt.opens))
 		}
 		acc3, pot3, _ := dt.ComputeForces(bodies)
-		if n3 := len(dt.replies); n3 != n1 || cap(dt.replies) != cap1 {
-			t.Errorf("rank %d: the next tree on the same bodies holds %d replies (capacity %d), the first %d (%d)", r.ID(), n3, cap(dt.replies), n1, cap1)
+		if n3 := len(dt.opens); n3 != n1 || cap(dt.opens) != cap1 {
+			t.Errorf("rank %d: the next tree on the same bodies opens %d branches (capacity %d), the first %d (%d)", r.ID(), n3, cap(dt.opens), n1, cap1)
 		}
-		sameStorage("on the next tree", table)
+		sameStorage("on the next tree", opens)
 		drained("after the next tree's evaluation")
 		for i := range acc1 {
 			if acc3[i] != acc1[i] || pot3[i] != pot1[i] {
@@ -481,15 +470,16 @@ func skipUnderRace(t *testing.T) {
 	}
 }
 
-// A warm step on many ranks allocates little: Run keeps each rank's reply
-// table, request flags, opens and frontiers from step to step, and a reply
-// refers to the owner's tree instead of copying it. Measured over the second
+// A warm step on many ranks allocates little: Run keeps each rank's request
+// and arrival flags, opens and frontiers from step to step, and a group reads
+// the owner's tree instead of a copy of it. Measured over the second
 // step of an 8-rank run — Interrupt is polled on rank 0 between steps, when
-// every rank is through the last evaluation — the step reads about 1.8 MB on
+// every rank is through the last evaluation — the step reads about 1.4 MB on
 // amd64: the decomposition, the build, the outputs, the walkers, the walk
 // stacks the frontiers fill, and about 870 fetches an evaluation with their
-// ABM records. With one-level replies and a second walk of every group it
-// read 2.7 MB, for 4500 fetches.
+// ABM records. With a reply table and dense per-rank send histograms it read
+// 1.8 MB; with one-level replies and a second walk of every group, 2.7 MB,
+// for 4500 fetches.
 func TestWarmStepAllocatesLittle(t *testing.T) {
 	skipUnderRace(t)
 	ics := PlummerSphere(rand.New(rand.NewSource(46)), 4096, 1.0)
@@ -515,12 +505,13 @@ func TestWarmStepAllocatesLittle(t *testing.T) {
 }
 
 // Two groups that open the same remote branch make one request between
-// them, and the one reply is a reference: the owner's tree and its cell of
-// the branch, entry 0 of the rank's reply table, which the overlay routes the
-// branch to. Nothing is copied: the shared top cell links to no daughters,
-// and the owner's cell is the one its own walks read, with the moments the
-// branch exchange published, every cell below it linked to all the
-// daughters its ChildMask names.
+// them, and the branch is read in place: before any request, the top walk
+// routes it past the top, to the owner's tree and its cell of the branch —
+// the one the owner's serveFetch names — and the reply only marks it
+// arrived. Nothing is copied: the shared top cell links to no daughters, and
+// the owner's cell is the one its own walks read, with the moments the
+// branch exchange published, every cell below it linked to all the daughters
+// its ChildMask names.
 func TestFetchDedup(t *testing.T) {
 	rng := rand.New(rand.NewSource(33))
 	const n = 300
@@ -538,19 +529,30 @@ func TestFetchDedup(t *testing.T) {
 			dt.abm.Quiesce()
 			return
 		}
-		// First remote-owned internal branch of the top: deterministic pick.
+		// The first remote internal branch the top walks open, in their order.
+		groups := dt.local.Groups()
+		for i := len(groups) - 1; i >= 0; i-- {
+			w := dt.walker(groups[i])
+			dt.walkTop(&w)
+		}
 		target := int32(-1)
-		for j, o := range dt.top.owner {
-			if o >= 0 && int(o) != r.ID() && !dt.top.cells[j].Leaf {
-				target = int32(j)
+		for _, j := range dt.opens {
+			if !dt.top.cells[j].Leaf {
+				target = j
 				break
 			}
 		}
 		if target == -1 {
-			t.Error("no remote-owned internal branch on 2 ranks")
+			t.Error("no remote internal branch opened on 2 ranks")
 			dt.abm.Quiesce()
 			return
 		}
+		base, w := dt.base(), dt.walker(groups[0])
+		if got := dt.route[target]; got != base+target || dt.arrived[target] {
+			t.Fatalf("branch %d before any request: overlay leads to %d, arrived %v; want %d, not arrived", target, got, dt.arrived[target], base+target)
+		}
+		rt, ri := w.Remote(dt.route[target])
+
 		var st TraversalStats
 		dt.requestBranch(target, &st)
 		dt.requestBranch(target, &st)
@@ -558,25 +560,25 @@ func TestFetchDedup(t *testing.T) {
 			t.Errorf("two groups opening one branch issued %d fetches (stats %d), want 1", dt.Fetches(), st.Fetches)
 		}
 		dt.abm.Quiesce()
-
-		base := dt.base()
-		asked := &dt.top.cells[target]
-		if got := dt.route[target]; got != base || len(dt.replies) != 1 {
-			t.Fatalf("branch %d: overlay leads to %d with %d replies, want the table's first entry, %d", target, got, len(dt.replies), base)
+		if got := dt.route[target]; got != base+target || !dt.arrived[target] {
+			t.Fatalf("branch %d after the reply: overlay leads to %d, arrived %v; want %d, arrived", target, got, dt.arrived[target], base+target)
 		}
+
+		asked := &dt.top.cells[target]
 		if d := asked.Daughters(dt.nLocal+target, nil); len(d) != 0 {
 			t.Errorf("branch %d: the shared cell links to daughters %v", target, d)
 		}
-		o, rep := owner.Load(), dt.replies[0]
-		if rep.t != o.local || rep.i != o.local.Find(asked.Key) {
-			t.Fatalf("reply refers to cell %d of %p, want the owner's cell %d of %p", rep.i, rep.t, o.local.Find(asked.Key), o.local)
+		o := owner.Load()
+		rep, _ := o.serveFetch(0, asked.Key)
+		if want := rep.(fetchReply); rt != want.t || ri != want.i || rt != o.local {
+			t.Fatalf("route leads to cell %d of %p, the owner serves cell %d of %p (its tree %p)", ri, rt, want.i, want.t, o.local)
 		}
-		if c := rep.t.At(rep.i).Bare(); bitsOf(&c, 0, 0) != bitsOf(asked, 0, 0) {
+		if c := rt.At(ri).Bare(); bitsOf(&c, 0, 0) != bitsOf(asked, 0, 0) {
 			t.Errorf("the owner's cell %v is not the branch the top published", c.Key)
 		}
 		var check func(i int32)
 		check = func(i int32) {
-			c := rep.t.At(i)
+			c := rt.At(i)
 			if c.Leaf {
 				return
 			}
@@ -588,8 +590,111 @@ func TestFetchDedup(t *testing.T) {
 				check(d)
 			}
 		}
-		check(rep.i)
+		check(ri)
 	})
+}
+
+// listBits is an interaction list as its multipoles' values and its body
+// segments' first rows and lengths.
+type listBits struct {
+	cells [][10]uint64
+	segs  []segRef
+}
+
+type segRef struct {
+	first *gravity.Source
+	n     int
+}
+
+func bitsOfList(l *gravity.List) listBits {
+	var b listBits
+	for _, m := range l.Cells {
+		b.cells = append(b.cells, mpBits(m))
+	}
+	for _, seg := range l.Segs {
+		b.segs = append(b.segs, segRef{&seg[0], len(seg)})
+	}
+	return b
+}
+
+// Every branch a group opens is read in place, before the region: before any
+// request, the route the top walks give it leads to the cell of the owner's
+// tree that the owner's serveFetch names; and each group's list, gathered
+// then, is the list a gather from the root builds over what the rank holds
+// once the region has quiesced (regather) — the same multipole values and the
+// same body segments, in the same order, of the lengths the region charges.
+// On 3, 8 and 64 ranks of a cold sphere.
+func TestOpenedBranchesReadInPlace(t *testing.T) {
+	const n = 4096
+	ics := ColdSphere(rand.New(rand.NewSource(52)), n, 1.0)
+	type read struct {
+		j  int32
+		rt *htree.Tree
+		ri int32
+	}
+	for _, p := range []int{3, 8, 64} {
+		dts, reads := make([]*DTree, p), make([][]read, p)
+		var opened atomic.Int64
+		mp.Run(testCluster(), p, func(r *mp.Rank) {
+			lo, hi := n*r.ID()/p, n*(r.ID()+1)/p
+			bodies, splitters, boxLo, boxSize := Decompose(r, append([]Body(nil), ics[lo:hi]...))
+			dt := BuildDistributed(r, bodies, splitters, boxLo, boxSize, Options{Theta: 0.7, Eps: 0.01})
+			dts[r.ID()] = dt
+			// ComputeForces, step by step.
+			acc, pot := make([]vec.V3, len(bodies)), make([]float64, len(bodies))
+			dt.resetCaches()
+			walkers := dt.evalGroups(acc, pot)
+			lists := make([]listBits, len(walkers))
+			for i := range walkers {
+				w, sc := walkers[i], new(htree.BucketScratch)
+				w.begin(sc)
+				dt.local.Gather(&w.mac, sc, &w)
+				lists[i] = bitsOfList(&sc.List)
+			}
+			for _, j := range dt.opens {
+				if dt.asked[j] || dt.arrived[j] {
+					t.Errorf("p=%d rank %d: branch %v asked for before the region", p, r.ID(), dt.top.cells[j].Key)
+				}
+				rt, ri := walkers[0].Remote(dt.route[j])
+				reads[r.ID()] = append(reads[r.ID()], read{j, rt, ri})
+			}
+			opened.Add(int64(len(dt.opens)))
+			st := TraversalStats{PerBody: make([]float64, len(bodies))}
+			r.OneSlot(func() { dt.replay(walkers, &st) })
+
+			for i := range walkers {
+				w := &walkers[i]
+				root := dt.walker(w.cell)
+				got := bitsOfList(&dt.regather(&root).List)
+				if !slices.Equal(got.cells, lists[i].cells) || !slices.Equal(got.segs, lists[i].segs) {
+					t.Errorf("p=%d rank %d: group %v lists %d cells and %d segments before the region, a gather from the root after it %d and %d, not the same",
+						p, r.ID(), w.cell.Key, len(lists[i].cells), len(lists[i].segs), len(got.cells), len(got.segs))
+					return
+				}
+				nb := 0
+				for _, seg := range got.segs {
+					nb += seg.n
+				}
+				if w.nc != len(got.cells) || w.nb != nb {
+					t.Errorf("p=%d rank %d: group %v charged %d cells and %d bodies, lists %d and %d", p, r.ID(), w.cell.Key, w.nc, w.nb, len(got.cells), nb)
+				}
+			}
+		})
+		if opened.Load() == 0 {
+			t.Errorf("p=%d: no rank opened another rank's branch", p)
+		}
+		for rank, rs := range reads {
+			top := dts[rank].top
+			for _, rd := range rs {
+				o := dts[top.owner[rd.j]]
+				rep, _ := o.serveFetch(rank, top.cells[rd.j].Key)
+				if want := rep.(fetchReply); rd.rt != want.t || rd.ri != want.i {
+					t.Errorf("p=%d rank %d: branch %v routed to cell %d of %p, its owner serves cell %d of %p",
+						p, rank, top.cells[rd.j].Key, rd.ri, rd.rt, want.i, want.t)
+				}
+			}
+		}
+	}
 }
 
 // regatherForces re-walks every bucket of a finished evaluation — the same
@@ -690,11 +795,9 @@ func TestFrontierGatherEqualsRootGather(t *testing.T) {
 						return
 					}
 					where := fmt.Sprintf("%s theta=%v p=%d rank %d", ic.name, theta, p, r.ID())
-					fetches := dt.Fetches()
-					var st TraversalStats
 					for _, g := range dt.local.Groups() {
 						w, root := dt.walker(g), dt.walker(g)
-						dt.walkTop(&w, &st)
+						dt.walkTop(&w)
 						if p == 1 && !slices.Equal(dt.frontier[w.flo:w.fhi], []int32{0}) {
 							t.Errorf("%s: group %v starts from top cells %v, not the root", where, g.Key, dt.frontier[w.flo:w.fhi])
 						}
@@ -716,9 +819,6 @@ func TestFrontierGatherEqualsRootGather(t *testing.T) {
 						if !same {
 							t.Errorf("%s: group %v lists %d segments from its frontier, %d from the root, not the same", where, g.Key, len(a.Segs), len(b.Segs))
 						}
-					}
-					if dt.Fetches() != fetches {
-						t.Errorf("%s: the top walks after the evaluation asked for %d more branches", where, dt.Fetches()-fetches)
 					}
 				})
 			}
@@ -772,12 +872,16 @@ func TestCoarseWalkCoversGroups(t *testing.T) {
 							return
 						}
 					}
-					// A multipole is fetched when it lies in another rank's
-					// tree, which a reply refers to.
+					// A multipole is fetched when it lies in the tree of a
+					// rank this rank asked for a branch.
 					kind := map[*gravity.Multipole]int{}
-					for _, rep := range dt.replies {
-						for i := 0; i < rep.t.NumCells(); i++ {
-							kind[&rep.t.At(int32(i)).Mp] = 3
+					for j, asked := range dt.asked {
+						if !asked {
+							continue
+						}
+						ft := dt.top.trees[dt.top.owner[j]]
+						for i := 0; i < ft.NumCells(); i++ {
+							kind[&ft.At(int32(i)).Mp] = 3
 						}
 					}
 					for i := 0; i < dt.local.NumCells(); i++ {

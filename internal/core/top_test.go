@@ -172,3 +172,31 @@ func TestDegenerateWorlds(t *testing.T) {
 		}
 	}
 }
+
+// A branch request goes to the branch's owner in the top, which is the rank
+// the splitters give its first body key: on every branch of a 64-rank cold
+// sphere, as every rank sees the world's top.
+func TestTopOwnerIsSplitterOwner(t *testing.T) {
+	const n, p = 4096, 64
+	ics := ColdSphere(rand.New(rand.NewSource(53)), n, 1.0)
+	mp.Run(testCluster(), p, func(r *mp.Rank) {
+		lo, hi := n*r.ID()/p, n*(r.ID()+1)/p
+		bodies, splitters, boxLo, boxSize := Decompose(r, append([]Body(nil), ics[lo:hi]...))
+		dt := BuildDistributed(r, bodies, splitters, boxLo, boxSize, Options{Theta: 0.7, Eps: 0.01})
+		branches := 0
+		for j, o := range dt.top.owner {
+			if o < 0 {
+				continue
+			}
+			branches++
+			first, _ := dt.top.cells[j].Key.BodyKeyRange()
+			if want := Owner(splitters, first); int(o) != want {
+				t.Errorf("rank %d: branch %v owned by %d in the top, by %d by the splitters", r.ID(), dt.top.cells[j].Key, o, want)
+				return
+			}
+		}
+		if branches < p {
+			t.Errorf("rank %d: %d branches in a top over %d ranks", r.ID(), branches, p)
+		}
+	})
+}

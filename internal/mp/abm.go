@@ -42,8 +42,9 @@ type ABM struct {
 	batch      [][]abmItem // per-destination pending requests
 	batchBytes []int64
 
-	pending map[int64]func(resp any)
-	nextSeq int64
+	// pending[seq] is the continuation of request seq, nil once its
+	// response is in; Quiesce empties it, so sequence numbers restart at 0.
+	pending []func(resp any)
 
 	// quiescence counters
 	sent    int64 // requests issued (remote only)
@@ -74,7 +75,6 @@ func NewABM(r *Rank) *ABM {
 		handlers:      map[int]Handler{},
 		batch:         make([][]abmItem, r.Size()),
 		batchBytes:    make([]int64, r.Size()),
-		pending:       map[int64]func(resp any){},
 		maxBatchItems: 32,
 		maxBatchBytes: 16 << 10,
 		cBatches:      reg.Counter("mp.abm.batches"),
@@ -88,7 +88,7 @@ func NewABM(r *Rank) *ABM {
 func (a *ABM) Handle(id int, fn Handler) { a.handlers[id] = fn }
 
 // Outstanding returns the number of requests awaiting responses.
-func (a *ABM) Outstanding() int { return len(a.pending) }
+func (a *ABM) Outstanding() int { return int(a.sent - a.gotResp) }
 
 // Request asks rank dst to run handler id on payload; cont is invoked with
 // the response when it arrives (during a Poll). Local requests execute
@@ -104,9 +104,8 @@ func (a *ABM) Request(dst, id int, payload any, bytes int64, cont func(resp any)
 		cont(resp)
 		return
 	}
-	seq := a.nextSeq
-	a.nextSeq++
-	a.pending[seq] = cont
+	seq := int64(len(a.pending))
+	a.pending = append(a.pending, cont)
 	a.sent++
 	a.batch[dst] = append(a.batch[dst], abmItem{seq: seq, handler: id, payload: payload, bytes: bytes})
 	a.batchBytes[dst] += bytes
@@ -151,7 +150,7 @@ func (a *ABM) Poll() int {
 		if env.isResp {
 			for _, it := range env.items {
 				cont := a.pending[it.seq]
-				delete(a.pending, it.seq)
+				a.pending[it.seq] = nil
 				a.gotResp++
 				if cont != nil {
 					cont(it.payload)
@@ -186,7 +185,7 @@ func (a *ABM) Quiesce() {
 	prev := [3]float64{-1, -1, -1}
 	for {
 		a.FlushAll()
-		for len(a.pending) > 0 {
+		for a.sent > a.gotResp {
 			if a.Poll() == 0 {
 				// Hand the execution slot to a ready rank: the one whose
 				// reply we await may be queued behind us.
@@ -195,6 +194,7 @@ func (a *ABM) Quiesce() {
 		}
 		sums := a.pollingAllreduce3(float64(a.sent), float64(a.gotResp), float64(a.served))
 		if sums[0] == sums[1] && sums[1] == sums[2] && sums == prev {
+			a.pending = a.pending[:0]
 			return
 		}
 		prev = sums

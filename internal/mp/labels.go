@@ -7,11 +7,11 @@ import (
 )
 
 // Profiler labels: every rank goroutine carries a "rank" pprof label, and
-// Rank.Span overlays a "phase" label for the span's extent, so host CPU
-// profiles taken through the live /debug/pprof endpoints attribute samples
-// to simulation phases. Labels are host-side observation only — they never
-// touch virtual time, so runs stay bit-identical with or without a profiler
-// attached.
+// Rank.Span and Rank.Label overlay a "phase" label for their extent, so host
+// CPU profiles taken through the live /debug/pprof endpoints attribute
+// samples to simulation phases. Labels are host-side observation only —
+// they never touch virtual time, so runs stay bit-identical with or without
+// a profiler attached.
 
 // applyLabels stamps the calling goroutine (the rank's) with this rank's
 // base label and returns a restore function.
@@ -26,10 +26,12 @@ func (r *Rank) applyLabels() func() {
 	}
 }
 
-// labelPhase overlays a "phase" label on the rank's goroutine until the
-// returned function runs. Phases nest; the previous label set is restored.
-// Only the rank's own goroutine touches labelCtx, so no locking.
-func (r *Rank) labelPhase(name string) func() {
+// Label overlays a "phase" label on the rank's goroutine until the returned
+// function runs, and on the goroutines it starts meanwhile; unlike Span it
+// records nothing on the virtual timeline. Phases nest; the previous label
+// set is restored. Only the rank's own goroutine touches labelCtx, so no
+// locking.
+func (r *Rank) Label(name string) func() {
 	prev := r.labelCtx
 	if prev == nil {
 		return func() {}

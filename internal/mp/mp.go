@@ -418,7 +418,7 @@ func (r *Rank) WorldObs() *obs.Obs { return r.w.obs }
 //
 // The span is purely observational; it reads the clock at both ends.
 func (r *Rank) Span(cat, name string) func() {
-	unlabel := r.labelPhase(name)
+	unlabel := r.Label(name)
 	if !r.obs.Observing() {
 		return unlabel
 	}

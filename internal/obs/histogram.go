@@ -34,7 +34,27 @@ type Histogram struct {
 	count    int64
 	sum      float64
 	min, max float64 // valid once count > 0
-	buckets  [histBuckets]int64
+	// buckets[k] counts bucket lo+k. The window covers every bucket observed
+	// so far and grows as values arrive, so a distribution that spans a few
+	// octaves — a rank's message latencies — holds a few dozen counters, not
+	// the whole layout.
+	lo      int
+	buckets []int64
+}
+
+// widen grows the window to cover buckets [lo, hi), with room to spare on
+// either side so that a histogram grows a few times at most.
+func (h *Histogram) widen(lo, hi int) {
+	if len(h.buckets) > 0 {
+		lo, hi = min(lo, h.lo), max(hi, h.lo+len(h.buckets))
+	}
+	pad := histSub + len(h.buckets)/2
+	lo, hi = max(lo-pad, 0), min(hi+pad, histBuckets)
+	b := make([]int64, hi-lo)
+	if len(h.buckets) > 0 {
+		copy(b[h.lo-lo:], h.buckets)
+	}
+	h.lo, h.buckets = lo, b
 }
 
 // bucketIndex maps a value to its bucket.
@@ -80,7 +100,11 @@ func (h *Histogram) Observe(v float64) {
 	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	h.buckets[bucketIndex(v)]++
+	i := bucketIndex(v)
+	if uint(i-h.lo) >= uint(len(h.buckets)) {
+		h.widen(i, i+1)
+	}
+	h.buckets[i-h.lo]++
 	if math.IsNaN(v) {
 		v = 0
 	}
@@ -108,8 +132,11 @@ func (h *Histogram) Merge(part *Histogram) {
 	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	for i, c := range part.buckets {
-		h.buckets[i] += c
+	if part.lo < h.lo || part.lo+len(part.buckets) > h.lo+len(h.buckets) {
+		h.widen(part.lo, part.lo+len(part.buckets))
+	}
+	for k, c := range part.buckets {
+		h.buckets[part.lo+k-h.lo] += c
 	}
 	if h.count == 0 || part.min < h.min {
 		h.min = part.min
@@ -148,7 +175,7 @@ func (h *Histogram) quantile(p float64) float64 {
 		if cum >= rank {
 			// Clamp the midpoint estimate into the observed range so tiny
 			// histograms (single bucket, single sample) answer exactly.
-			v := bucketMid(i)
+			v := bucketMid(h.lo + i)
 			if v < h.min {
 				v = h.min
 			}
