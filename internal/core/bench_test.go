@@ -88,3 +88,18 @@ func BenchmarkStep(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkMakeICs is the set-up of bench/'s N-body workloads: 32768 bodies
+// of each scenario per iteration, drawn on one goroutine and mapped on the
+// host's width.
+func BenchmarkMakeICs(b *testing.B) {
+	for _, scenario := range Scenarios() {
+		b.Run(scenario, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := MakeICs(scenario, 1, 32768); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

@@ -17,6 +17,7 @@ import (
 
 	"spacesim/internal/htree"
 	"spacesim/internal/key"
+	"spacesim/internal/par"
 	"spacesim/internal/vec"
 )
 
@@ -69,29 +70,46 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
+// icClaim is the number of bodies one goroutine of a sampler's map pass
+// claims at a time.
+const icClaim = 2048
+
 // PlummerSphere samples n bodies from a Plummer model with total mass 1 and
 // scale radius a, at virial equilibrium — the classic stable test cluster.
+//
+// It runs in two passes. The first, on the caller's goroutine, takes every
+// draw from rng in the order one body after another would, rejections
+// included, and parks each body's draws in the Pos and Vel fields; the
+// second maps the draws to positions and velocities on every host CPU
+// (par.For), one body at a time with the same expressions, so the bodies and
+// the draws left in rng do not depend on the width.
 func PlummerSphere(rng *rand.Rand, n int, a float64) []Body {
 	bodies := make([]Body, n)
 	for i := range bodies {
-		// radius from the cumulative mass profile
-		x := rng.Float64()
-		r := a / math.Sqrt(math.Pow(x, -2.0/3.0)-1)
-		pos := randomDirection(rng).Scale(r)
-		// velocity from the local escape speed via von Neumann rejection
-		// (Aarseth, Henon & Wielen 1974)
-		var q float64
-		for {
+		b := &bodies[i]
+		// radius from the cumulative mass profile, then its direction
+		b.Pos = vec.V3{rng.Float64(), rng.Float64(), rng.Float64()}
+		// speed as a fraction q of the local escape speed, by von Neumann
+		// rejection (Aarseth, Henon & Wielen 1974), then its direction
+		q := rng.Float64()
+		for !plummerAccept(q, rng.Float64()) {
 			q = rng.Float64()
-			g := q * q * math.Pow(1-q*q, 3.5)
-			if 0.1*rng.Float64() < g {
-				break
-			}
 		}
-		ve := math.Sqrt2 * math.Pow(1+r*r/(a*a), -0.25)
-		vel := randomDirection(rng).Scale(q * ve)
-		bodies[i] = Body{Pos: pos, Vel: vel, Mass: 1.0 / float64(n), ID: int64(i)}
+		b.Vel = vec.V3{q, rng.Float64(), rng.Float64()}
 	}
+	mass := 1.0 / float64(n)
+	mapClaims(n, func(i int) {
+		b := &bodies[i]
+		x, q := b.Pos[0], b.Vel[0]
+		r := a / math.Sqrt(math.Pow(x, -2.0/3.0)-1)
+		ve := math.Sqrt2 * math.Pow(1+r*r/(a*a), -0.25)
+		*b = Body{
+			Pos:  direction(b.Pos[1], b.Pos[2]).Scale(r),
+			Vel:  direction(b.Vel[1], b.Vel[2]).Scale(q * ve),
+			Mass: mass,
+			ID:   int64(i),
+		}
+	})
 	// Remove the sampling-noise net momentum so conservation diagnostics
 	// start from P = 0.
 	var p vec.V3
@@ -107,21 +125,51 @@ func PlummerSphere(rng *rand.Rand, n int, a float64) []Body {
 	return bodies
 }
 
+// plummerAccept is the von Neumann test of a speed fraction q against the
+// uniform draw u: 0.1u < q²(1−q²)^3.5. It decides from q²w³√w (w = 1−q²),
+// which differs from math.Pow(w, 3.5) by a few ulps, and calls math.Pow
+// only when 0.1u lies within a relative 1e-12 of it, so every decision is
+// the one math.Pow gives.
+func plummerAccept(q, u float64) bool {
+	w := 1 - q*q
+	v := 0.1 * u
+	g := q * q * w * w * w * math.Sqrt(w)
+	if math.Abs(v-g) <= 1e-12*g {
+		return v < q*q*math.Pow(w, 3.5)
+	}
+	return v < g
+}
+
 // ColdSphere returns n bodies uniformly filling a sphere of the given
 // radius at rest — the paper's "standard simulation problem ... a spherical
 // distribution of particles which represents the initial evolution of a
-// cosmological N-body simulation" (Table 6).
+// cosmological N-body simulation" (Table 6). Like PlummerSphere it draws on
+// the caller's goroutine and maps on every host CPU.
 func ColdSphere(rng *rand.Rand, n int, radius float64) []Body {
 	bodies := make([]Body, n)
 	for i := range bodies {
-		r := radius * math.Cbrt(rng.Float64())
+		bodies[i].Pos = vec.V3{rng.Float64(), rng.Float64(), rng.Float64()}
+	}
+	mass := 1.0 / float64(n)
+	mapClaims(n, func(i int) {
+		d := bodies[i].Pos
 		bodies[i] = Body{
-			Pos:  randomDirection(rng).Scale(r),
-			Mass: 1.0 / float64(n),
+			Pos:  direction(d[1], d[2]).Scale(radius * math.Cbrt(d[0])),
+			Mass: mass,
 			ID:   int64(i),
 		}
-	}
+	})
 	return bodies
+}
+
+// mapClaims calls fn for every body index below n, icClaim indices to a
+// claim, on par.For at the host's width.
+func mapClaims(n int, fn func(i int)) {
+	par.For((n+icClaim-1)/icClaim, 0, func(_, c int) {
+		for i := c * icClaim; i < min((c+1)*icClaim, n); i++ {
+			fn(i)
+		}
+	})
 }
 
 // Scenarios names the initial-condition generators MakeICs accepts.
@@ -144,9 +192,11 @@ func MakeICs(scenario string, seed int64, n int) ([]Body, error) {
 	return nil, fmt.Errorf("core: unknown scenario %q (have %v)", scenario, Scenarios())
 }
 
-func randomDirection(rng *rand.Rand) vec.V3 {
-	u := 2*rng.Float64() - 1
-	ph := 2 * math.Pi * rng.Float64()
+// direction is the unit vector of two uniform draws: the cosine of the polar
+// angle from the first, the azimuth from the second.
+func direction(d1, d2 float64) vec.V3 {
+	u := 2*d1 - 1
+	ph := 2 * math.Pi * d2
 	s := math.Sqrt(1 - u*u)
 	return vec.V3{s * math.Cos(ph), s * math.Sin(ph), u}
 }
