@@ -20,6 +20,7 @@
 // bodies, 16 ranks, 10 steps, seed 1, dt 0.005, theta 0.7, eps 0.01, a
 // checkpoint every 2 steps), so the job above is what an empty POST runs,
 // and it shares its config digest and result digest with a bare spacesim.
+// A key that is present keeps its value, zero included, as a flag does.
 //
 // then poll /jobs/{id} (live progress and ETA while running) and fetch
 // /jobs/{id}/artifact when done. The ledger (-ledger, default .ssruns; with

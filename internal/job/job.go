@@ -9,6 +9,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"os"
 
@@ -23,64 +24,53 @@ import (
 
 // Spec is the deterministic description of one run on the modeled Space
 // Simulator: two specs with equal digests produce bit-identical bodies and
-// energy histories. The JSON keys are the daemon's wire and journal format.
+// energy histories. The JSON keys are the daemon's wire and journal format;
+// a spec is read onto Defaults (DecodeSpec, as spacesim's flags are), so a
+// key a client leaves out keeps its default and an explicit zero stays zero.
 type Spec struct {
 	// Scenario selects the initial conditions (core.Scenarios()).
-	Scenario string `json:"scenario,omitempty"`
-	N        int    `json:"n,omitempty"`
-	Ranks    int    `json:"ranks,omitempty"`
-	Steps    int    `json:"steps,omitempty"`
+	Scenario string `json:"scenario"`
+	N        int    `json:"n"`
+	Ranks    int    `json:"ranks"`
+	Steps    int    `json:"steps"`
 	// The "engine" and "engine_workers" keys of older clients and journals
 	// select nothing and are ignored like any unknown key.
-	Seed  int64   `json:"seed,omitempty"`
-	DT    float64 `json:"dt,omitempty"`
-	Theta float64 `json:"theta,omitempty"`
-	Eps   float64 `json:"eps,omitempty"`
+	Seed  int64   `json:"seed"`
+	DT    float64 `json:"dt"`
+	Theta float64 `json:"theta"`
+	Eps   float64 `json:"eps"`
 	// CheckpointEvery is the recovery checkpoint cadence in steps, used
 	// with faults or a checkpoint directory (Hooks.Dir).
-	CheckpointEvery int `json:"checkpoint_every,omitempty"`
+	CheckpointEvery int `json:"checkpoint_every"`
 	// FaultSeed injects a seeded fault schedule (0 = off), accelerated by
-	// FaultAccel component-months of hazard per virtual second (0 means
-	// faults.DefaultAccel).
-	FaultSeed  int64   `json:"fault_seed,omitempty"`
-	FaultAccel float64 `json:"fault_accel,omitempty"`
+	// FaultAccel component-months of hazard per virtual second, which must
+	// be finite and non-negative and is keyed and drawn only with faults
+	// on. It keeps the value it was given: absent it is Defaults'
+	// faults.DefaultAccel, and an explicit 0 is keyed as 0 and drawn at
+	// faults.DefaultAccel, the zero of faults.Options.
+	FaultSeed  int64   `json:"fault_seed"`
+	FaultAccel float64 `json:"fault_accel"`
 	// NoCache bypasses the daemon's result cache. It directs execution and
 	// stays out of the config digest: a recompute must land on the same key.
 	NoCache bool `json:"no_cache,omitempty"`
 }
 
-// Defaults are spacesim's flag defaults and fill a submitted spec's zero
-// fields: 4000 Plummer bodies on 16 ranks for 10 steps (~0.25 s, 2 CPUs).
+// Defaults are spacesim's flag defaults and the values a submitted spec's
+// absent keys keep: 4000 Plummer bodies on 16 ranks for 10 steps (~0.25 s,
+// 2 CPUs).
 var Defaults = Spec{
 	Scenario: "plummer", N: 4000, Ranks: 16, Steps: 10, Seed: 1,
 	DT: 0.005, Theta: 0.7, Eps: 0.01, CheckpointEvery: 2,
 	FaultAccel: faults.DefaultAccel,
 }
 
-// WithDefaults fills the zero fields from Defaults (the fault acceleration
-// only with faults on): JSON cannot tell a zero from an absent key.
-func (sp Spec) WithDefaults() Spec {
-	d := Defaults
-	fill(&sp.Scenario, d.Scenario)
-	fill(&sp.N, d.N)
-	fill(&sp.Ranks, d.Ranks)
-	fill(&sp.Steps, d.Steps)
-	fill(&sp.Seed, d.Seed)
-	fill(&sp.DT, d.DT)
-	fill(&sp.Theta, d.Theta)
-	fill(&sp.Eps, d.Eps)
-	fill(&sp.CheckpointEvery, d.CheckpointEvery)
-	if sp.FaultSeed != 0 {
-		fill(&sp.FaultAccel, d.FaultAccel)
-	}
-	return sp
-}
-
-func fill[T comparable](v *T, d T) {
-	var zero T
-	if *v == zero {
-		*v = d
-	}
+// DecodeSpec reads one JSON spec onto a copy of Defaults: the keys present
+// set their fields, zeros included, and every other field keeps its default.
+// Unknown keys are ignored.
+func DecodeSpec(r io.Reader) (Spec, error) {
+	sp := Defaults
+	err := json.NewDecoder(r).Decode(&sp)
+	return sp, err
 }
 
 // Validate reports the first thing no run can honour: an unknown scenario,

@@ -3,6 +3,7 @@ package job
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"spacesim/internal/faults"
@@ -46,19 +47,34 @@ func TestExecuteInterruptedProbe(t *testing.T) {
 	}
 }
 
-// A submitted spec's zero fields take Defaults; the fault acceleration only
-// when faults are on, so a spec without faults keys no acceleration.
-func TestWithDefaults(t *testing.T) {
-	if got := (Spec{}).WithDefaults(); got != (Spec{
-		Scenario: "plummer", N: 4000, Ranks: 16, Steps: 10, Seed: 1,
-		DT: 0.005, Theta: 0.7, Eps: 0.01, CheckpointEvery: 2,
-	}) {
-		t.Fatalf("empty spec defaults to %+v", got)
+// A spec read from JSON starts from Defaults: an absent key keeps its
+// default, a present one sets its field, zero included, and unknown keys
+// are ignored.
+func TestDecodeSpecKeepsZeros(t *testing.T) {
+	for _, c := range []struct {
+		body string
+		want func(*Spec)
+	}{
+		{`{}`, func(*Spec) {}},
+		{`{"n": 7, "eps": 0.5, "engine": "event"}`, func(sp *Spec) { sp.N, sp.Eps = 7, 0.5 }},
+		{`{"n": 0, "eps": 0, "seed": 0}`, func(sp *Spec) { sp.N, sp.Eps, sp.Seed = 0, 0, 0 }},
+		{`{"fault_seed": 3}`, func(sp *Spec) { sp.FaultSeed = 3 }},
+		{`{"fault_seed": 3, "fault_accel": 0}`, func(sp *Spec) { sp.FaultSeed, sp.FaultAccel = 3, 0 }},
+	} {
+		got, err := DecodeSpec(strings.NewReader(c.body))
+		if err != nil {
+			t.Fatalf("%s: %v", c.body, err)
+		}
+		want := Defaults
+		c.want(&want)
+		if got != want {
+			t.Errorf("%s: decoded %+v, want %+v", c.body, got, want)
+		}
 	}
-	if got := (Spec{FaultSeed: 3}).WithDefaults().FaultAccel; got != faults.DefaultAccel {
-		t.Fatalf("fault accel defaults to %g, want %g", got, float64(faults.DefaultAccel))
+	if got := Defaults.FaultAccel; got != faults.DefaultAccel {
+		t.Errorf("default fault acceleration %g, want %g", got, float64(faults.DefaultAccel))
 	}
-	if got := (Spec{N: 7, Eps: 0.5}).WithDefaults(); got.N != 7 || got.Eps != 0.5 {
-		t.Fatalf("set fields overwritten: %+v", got)
+	if _, err := DecodeSpec(strings.NewReader(`{"n": "many"}`)); err == nil {
+		t.Error("a string body count decoded")
 	}
 }

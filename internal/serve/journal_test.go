@@ -21,7 +21,6 @@ import (
 // counting interrupt, exactly what the daemon's cooperative stop does.
 func seedKilledDaemonState(t *testing.T, dir string, spec job.Spec, stopAfterSteps int) string {
 	t.Helper()
-	spec = spec.WithDefaults()
 	id := fmt.Sprintf("j%06d-%s", 1, spec.Digest()[:8])
 
 	cfg := spec.RunConfig()
@@ -132,7 +131,7 @@ func TestReplayJournalFromBeforeEngineRemoval(t *testing.T) {
 		t.Fatalf("replayed_jobs = %d, want 1", n)
 	}
 	got := waitJob(t, s, id, StateDone)
-	if want := smallSpec().WithDefaults().Digest(); got.ConfigDigest != want {
+	if want := smallSpec().Digest(); got.ConfigDigest != want {
 		t.Fatalf("replayed job keyed %s, the same spec submitted now %s", got.ConfigDigest, want)
 	}
 	again, err := s.Submit(smallSpec())
@@ -148,7 +147,7 @@ func TestReplayJournalFromBeforeEngineRemoval(t *testing.T) {
 // tornJournal is a journal whose daemon died halfway through appending the
 // start event after one submit.
 func tornJournal(t testing.TB) []byte {
-	spec := smallSpec().WithDefaults()
+	spec := smallSpec()
 	b, err := json.Marshal(event{Ev: evSubmit, ID: "j000001-deadbeef", TimeUnixNS: 1, Spec: &spec})
 	if err != nil {
 		t.Fatal(err)
@@ -255,7 +254,7 @@ func TestJobSeq(t *testing.T) {
 // fail predates the count (it keeps the backoff's), and one canceled while
 // queued.
 func everyKind() []event {
-	spec := smallSpec().WithDefaults()
+	spec := smallSpec()
 	return []event{
 		{Ev: evSubmit, ID: "j000001-ab", TimeUnixNS: 1, Spec: &spec},
 		{Ev: evStart, ID: "j000001-ab", TimeUnixNS: 2, Attempts: 1},

@@ -22,8 +22,9 @@ import (
 // smallSpec is the cheapest job that still exercises checkpoints: two
 // ranks, two steps, a checkpoint after every step.
 func smallSpec() job.Spec {
-	return job.Spec{Scenario: "plummer", N: 300, Ranks: 2, Steps: 2,
-		CheckpointEvery: 1, Seed: 7}
+	sp := job.Defaults
+	sp.N, sp.Ranks, sp.Steps, sp.CheckpointEvery, sp.Seed = 300, 2, 2, 1, 7
+	return sp
 }
 
 // newTestServer opens a server on dir with fast test timings; mut adjusts
@@ -532,22 +533,31 @@ func TestHTTPJobLifecycle(t *testing.T) {
 	}
 }
 
+// Each spec differs from a valid one in one field, and each is refused:
+// by the daemon's admission bounds or by the spec's own rule. A zero is
+// judged as given, never replaced by a default.
 func TestSpecValidation(t *testing.T) {
 	s := newTestServer(t, t.TempDir(), nil)
 	defer s.Drain()
-	bad := []job.Spec{
-		{Scenario: "warpdrive"},
-		{Ranks: 500},
-		{N: 4},
-		{Steps: -1},
-		{DT: -0.1},
-		{Theta: math.NaN()},
-		{Eps: math.NaN()},
-		{DT: math.NaN()},
-		{Theta: math.Inf(1)},
-		{Eps: -1},
-	}
-	for _, spec := range bad {
+	for _, mut := range []func(*job.Spec){
+		func(sp *job.Spec) { sp.Scenario = "warpdrive" },
+		func(sp *job.Spec) { sp.Scenario = "" },
+		func(sp *job.Spec) { sp.Ranks = 500 },
+		func(sp *job.Spec) { sp.Ranks = 0 },
+		func(sp *job.Spec) { sp.N = 4 },
+		func(sp *job.Spec) { sp.N = 0 },
+		func(sp *job.Spec) { sp.Steps = -1 },
+		func(sp *job.Spec) { sp.Steps = 0 },
+		func(sp *job.Spec) { sp.CheckpointEvery = 0 },
+		func(sp *job.Spec) { sp.DT = -0.1 },
+		func(sp *job.Spec) { sp.Theta = math.NaN() },
+		func(sp *job.Spec) { sp.Eps = math.NaN() },
+		func(sp *job.Spec) { sp.DT = math.NaN() },
+		func(sp *job.Spec) { sp.Theta = math.Inf(1) },
+		func(sp *job.Spec) { sp.Eps = -1 },
+	} {
+		spec := smallSpec()
+		mut(&spec)
 		if _, err := s.Submit(spec); err == nil {
 			t.Fatalf("spec %+v was accepted", spec)
 		}
@@ -578,7 +588,7 @@ func TestSubmittedEngineFieldIgnored(t *testing.T) {
 		if resp.StatusCode != http.StatusAccepted || err != nil {
 			t.Fatalf("engine=%q: status %d (decode: %v), want 202", engine, resp.StatusCode, err)
 		}
-		if want := smallSpec().WithDefaults().Digest(); v.ConfigDigest != want {
+		if want := smallSpec().Digest(); v.ConfigDigest != want {
 			t.Fatalf("engine=%q: config digest %s, without the key %s", engine, v.ConfigDigest, want)
 		}
 		waitJob(t, s, v.ID, StateDone)

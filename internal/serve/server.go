@@ -321,11 +321,11 @@ func (s *Server) pendingLocked() int {
 	return n
 }
 
-// Submit admits one job: the job is built from its submit event and joins
-// the table and the queue only once the journal holds that event, so a
-// crash never loses an admitted job.
+// Submit admits one job of the spec as given (a POST body is read onto
+// job.Defaults first, job.DecodeSpec): the job is built from its submit
+// event and joins the table and the queue only once the journal holds that
+// event, so a crash never loses an admitted job.
 func (s *Server) Submit(spec job.Spec) (jobView, error) {
-	spec = spec.WithDefaults()
 	if err := admit(spec); err != nil {
 		return jobView{}, err
 	}
@@ -348,7 +348,7 @@ func (s *Server) Submit(spec job.Spec) (jobView, error) {
 	return j.view(false), nil
 }
 
-// admit bounds a defaulted spec to what a multi-tenant daemon runs (the
+// admit bounds a spec to what a multi-tenant daemon runs (the
 // tenancy policy: n in [16, 10^6], steps in [1, 10^4]), then holds it to the
 // spec's own rule.
 func admit(spec job.Spec) error {
@@ -602,8 +602,8 @@ func backoffDelay(base, max time.Duration, id string, retry int) time.Duration {
 
 // Handler returns the daemon's HTTP surface:
 //
-//	POST   /jobs            submit a JobSpec; 202 + job, 429 when full,
-//	                        503 while draining
+//	POST   /jobs            submit a job.Spec (absent keys keep job.Defaults);
+//	                        202 + job, 429 when full, 503 while draining
 //	GET    /jobs            all jobs, submission order
 //	GET    /jobs/{id}       one job (+ its step fraction, rate and ETA
 //	                        while running)
@@ -627,8 +627,8 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 			http.Error(w, "draining", http.StatusServiceUnavailable)
 			return
 		}
-		var spec job.Spec
-		if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
+		spec, err := job.DecodeSpec(r.Body)
+		if err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
