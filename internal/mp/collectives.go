@@ -179,7 +179,7 @@ func (r *Rank) AlltoallAny(chunks []any, bytes []int64) []any {
 		// Power of two: XOR pairwise exchange.
 		for round := 1; round < n; round++ {
 			partner := r.id ^ round
-			r.sendAt(partner, tagAlltoall, chunks[partner], bytes[partner], true, 0)
+			r.sendAt(partner, tagAlltoall, chunks[partner], bytes[partner], true)
 			data, _ := r.Recv(partner, tagAlltoall)
 			out[partner] = data
 		}
@@ -190,7 +190,7 @@ func (r *Rank) AlltoallAny(chunks []any, bytes []int64) []any {
 	for round := 1; round < n; round++ {
 		dst := (r.id + round) % n
 		src := (r.id - round + n) % n
-		r.sendAt(dst, tagAlltoall, chunks[dst], bytes[dst], true, 0)
+		r.sendAt(dst, tagAlltoall, chunks[dst], bytes[dst], true)
 		data, _ := r.Recv(src, tagAlltoall)
 		out[src] = data
 	}
@@ -260,9 +260,8 @@ func (r *Rank) Exchange(to []int, chunks []any, bytes []int64, from []int) []any
 		return out
 	}
 	defer r.collective("exchange")()
-	nic := 0.0
 	for k, d := range to {
-		nic = r.sendAt(d, tagExchange, chunks[k], bytes[k], true, nic)
+		r.sendAt(d, tagExchange, chunks[k], bytes[k], true)
 	}
 	for k, s := range from {
 		out[k], _ = r.Recv(s, tagExchange)

@@ -6,8 +6,9 @@
 //
 // Virtual time: every rank owns a clock (seconds). Computation is charged
 // explicitly through Charge (roofline node model); communication is charged
-// by the network model — a message sent at sender-time t arrives at
-// t + transfer(bytes), and the receiver's clock advances to
+// by the network model — a message leaves its sender's NIC once the NIC has
+// streamed the messages sent before it, arrives one latency after its last
+// byte (netsim.Network.Transfer), and the receiver's clock advances to
 // max(receiver clock, arrival). A receive cannot return before its message
 // was really put, so the resulting virtual schedule is causally consistent,
 // and cluster-scale performance shapes (Linpack, NPB scaling, treecode
@@ -25,7 +26,6 @@ package mp
 import (
 	"context"
 	"fmt"
-	"math"
 	"sync"
 	"sync/atomic"
 
@@ -372,6 +372,9 @@ type Rank struct {
 	id    int
 	w     *World
 	clock float64
+	// txFree is when the rank's NIC has streamed every message it was
+	// given; only the rank's goroutine advances it, in program order.
+	txFree float64
 
 	// sent is the one record of what this rank sent in this run; fold
 	// reads it once every rank is done.
@@ -484,61 +487,42 @@ type Status struct {
 // wire size (use SizeFloats and friends). Sends are buffered: the call
 // returns after charging the sender-side overhead only.
 func (r *Rank) Send(dst, tag int, data any, bytes int64) {
-	r.sendAt(dst, tag, data, bytes, false, 0)
+	r.sendAt(dst, tag, data, bytes, false)
 }
 
 // sendAt implements Send; congested selects the loaded-network bandwidth
-// used by dense collectives. A congested message leaves the sender's NIC
-// no earlier than nicFree, when the NIC has streamed the messages posted
-// before it, and sendAt returns when this one has left; collectives that
-// wait for each round's reply pass zero.
-func (r *Rank) sendAt(dst, tag int, data any, bytes int64, congested bool, nicFree float64) float64 {
+// used by dense collectives. A message to another rank leaves the sender's
+// NIC once the clock has paid the software overhead and the NIC has
+// streamed every message posted before it (txFree), and arrives one
+// latency after its last byte left (netsim.Network.Transfer).
+func (r *Rank) sendAt(dst, tag int, data any, bytes int64, congested bool) {
 	if dst < 0 || dst >= r.w.n {
 		panic(fmt.Sprintf("mp: send to rank %d of %d", dst, r.w.n))
 	}
 	r.checkFaults()
 	net := r.w.cluster.Net
-	// Sender-side software overhead.
 	t0 := r.clock
 	r.clock += net.Prof.PerMsgOverheadSec
-	var xfer float64
-	left := r.clock
-	if dst == r.id {
-		xfer = net.TransferTime(r.id, r.id, bytes)
-	} else if congested {
-		p := net.Prof
-		xfer = p.LatencySec
-		if p.RendezvousBytes > 0 && bytes >= p.RendezvousBytes {
-			xfer += p.RendezvousSec
-		}
-		bw := r.w.congestedRate()
-		if h := net.Health; !h.Empty() {
-			// Degraded endpoints squeeze the already-congested share, and
-			// a flapping port at either end adds its latency spike.
-			xfer += h.PortLatency(r.id, t0) + h.PortLatency(dst, t0)
-			bw *= math.Min(h.CapFactor(r.id, t0), h.CapFactor(dst, t0))
-		}
-		// wire runs until the message has left the NIC, queueing included.
-		wire := float64(bytes) * 8 / bw
-		if nicFree > r.clock {
-			wire += nicFree - r.clock
-		}
-		xfer += wire
-		left = r.clock + wire
+	var bps float64 // 0: the profile's peak
+	if congested {
+		bps = r.w.congestedRate()
 		r.sent.congested++
-	} else {
-		xfer = net.TransferTimeAt(r.id, dst, bytes, t0)
 	}
-	m := message{src: r.id, tag: tag, data: data, bytes: bytes, sent: t0, arrive: r.clock + xfer}
+	latency, wire := net.Transfer(r.id, dst, bytes, bps, t0)
+	depart := r.clock
+	if dst != r.id {
+		depart = max(depart, r.txFree)
+		r.txFree = depart + wire
+	}
+	m := message{src: r.id, tag: tag, data: data, bytes: bytes, sent: t0, arrive: depart + wire + latency}
 	r.w.put(dst, m)
-	r.observeSend(dst, bytes, t0, m.arrive)
-	return left
+	r.observeSend(dst, bytes, t0, depart, m.arrive)
 }
 
 // observeSend folds one message into the rank's send record, its send
 // overhead and the event log (which the trace draws as a slice on the
 // source module's network row).
-func (r *Rank) observeSend(dst int, bytes int64, t0, arrive float64) {
+func (r *Rank) observeSend(dst int, bytes int64, t0, depart, arrive float64) {
 	net := r.w.cluster.Net
 	s := &r.sent
 	coll := r.collDepth > 0
@@ -557,7 +541,7 @@ func (r *Rank) observeSend(dst int, bytes int64, t0, arrive float64) {
 	r.obs.M.SendSec += net.Prof.PerMsgOverheadSec
 	r.obs.Span("comm", "send", t0, r.clock)
 	r.obs.MsgSent(obs.SendEvent{Dst: dst, Module: net.Topo.Module(r.id), Bytes: bytes,
-		T0: t0, Depart: r.clock, Arrive: arrive, Collective: coll})
+		T0: t0, Depart: depart, Arrive: arrive, Collective: coll})
 }
 
 // Recv blocks until a message matching (src, tag) arrives (wildcards

@@ -64,9 +64,10 @@ func TestRecvWildcards(t *testing.T) {
 	})
 }
 
+// A ping-pong of B bytes costs exactly two NetPIPE one-way times,
+// 2*(overhead+latency+rendezvous+B*8/bw): each message pays the sender's
+// overhead once, and an idle NIC sends it at once.
 func TestVirtualTimePingPong(t *testing.T) {
-	// A ping-pong of B bytes should cost ~2*(overhead+latency+B*8/bw)
-	// of virtual time, far more than any real wall time here.
 	const bytes = 1 << 20
 	cl := testCluster(2)
 	var t1 float64
@@ -80,10 +81,34 @@ func TestVirtualTimePingPong(t *testing.T) {
 			r.Send(0, 1, nil, bytes)
 		}
 	})
+	want := 2 * cl.Net.Prof.TransferTime(bytes)
+	if math.Abs(t1-want) > 1e-12*want {
+		t.Fatalf("ping-pong virtual time = %v want %v", t1, want)
+	}
+}
+
+// Point-to-point sends share the sender's NIC as an exchange's do: two
+// back-to-back 1 MB sends from rank 0 arrive one wire time apart at the
+// profile's peak, while rank 0's clock pays only the two overheads.
+func TestSendsStreamThroughOneNIC(t *testing.T) {
+	const size = 1 << 20
+	cl := testCluster(3)
+	clocks := make([]float64, 3)
+	Run(cl, 3, func(r *Rank) {
+		if r.ID() == 0 {
+			r.Send(1, 0, nil, size)
+			r.Send(2, 0, nil, size)
+		} else {
+			r.Recv(0, 0)
+		}
+		clocks[r.ID()] = r.Clock()
+	})
 	p := cl.Net.Prof
-	want := 2 * p.TransferTime(bytes)
-	if math.Abs(t1-want)/want > 0.05 {
-		t.Fatalf("ping-pong virtual time = %v want ~%v", t1, want)
+	if want := 2 * p.PerMsgOverheadSec; clocks[0] != want {
+		t.Errorf("sender's clock %v, want two overheads %v", clocks[0], want)
+	}
+	if gap, want := clocks[2]-clocks[1], size*8/p.PeakBps; math.Abs(gap-want) > 1e-9*want {
+		t.Errorf("second message %v s after the first, want one wire time %v", gap, want)
 	}
 }
 

@@ -159,21 +159,3 @@ func (n *Network) WithHealth(h *Health) *Network {
 	cp.Health = h
 	return &cp
 }
-
-// TransferTimeAt is TransferTime evaluated at virtual time t: a degraded
-// NIC at either endpoint caps the payload bandwidth, and a flapping switch
-// port at either endpoint adds its latency spike. With no health attached it
-// equals TransferTime exactly.
-func (n *Network) TransferTimeAt(src, dst int, bytes int64, t float64) float64 {
-	if src == dst || n.Health.Empty() {
-		return n.TransferTime(src, dst, bytes)
-	}
-	p := n.Prof
-	tt := p.LatencySec + p.PerMsgOverheadSec
-	tt += n.Health.PortLatency(src, t) + n.Health.PortLatency(dst, t)
-	if p.RendezvousBytes > 0 && bytes >= p.RendezvousBytes {
-		tt += p.RendezvousSec
-	}
-	f := math.Min(n.Health.CapFactor(src, t), n.Health.CapFactor(dst, t))
-	return tt + float64(bytes)*8/(p.PeakBps*f)
-}

@@ -27,18 +27,25 @@ func TestHealthNilIsHealthy(t *testing.T) {
 	}
 }
 
-func TestTransferTimeAtMatchesHealthyBaseline(t *testing.T) {
+// transferTime is a message's one-way time at the profile's peak, without
+// the sender's software overhead.
+func transferTime(n *Network, src, dst int, bytes int64, t float64) float64 {
+	latency, wire := n.Transfer(src, dst, bytes, 0, t)
+	return latency + wire
+}
+
+// With no health, or an empty one, a message costs the NetPIPE curve less
+// the sender's overhead, which the sender's clock pays.
+func TestTransferMatchesHealthyBaseline(t *testing.T) {
 	n := testNet(t)
+	empty := n.WithHealth(NewHealth())
 	for _, bytes := range []int64{64, 8 << 10, 1 << 20} {
-		base := n.TransferTime(0, 20, bytes)
-		if got := n.TransferTimeAt(0, 20, bytes, 5.0); got != base {
-			t.Fatalf("no health: TransferTimeAt = %g, TransferTime = %g", got, base)
+		want := n.Prof.TransferTime(bytes) - n.Prof.PerMsgOverheadSec
+		for _, net := range []*Network{n, empty} {
+			if got := transferTime(net, 0, 20, bytes, 5.0); math.Abs(got-want) > 1e-15 {
+				t.Fatalf("%d bytes: Transfer = %g, want %g", bytes, got, want)
+			}
 		}
-	}
-	// Attached-but-empty health must also match exactly.
-	n2 := n.WithHealth(NewHealth())
-	if got, want := n2.TransferTimeAt(0, 20, 1<<20, 5.0), n.TransferTime(0, 20, 1<<20); got != want {
-		t.Fatalf("empty health: TransferTimeAt = %g, want %g", got, want)
 	}
 }
 
@@ -49,10 +56,10 @@ func TestDegradedNICSlowsTransfersOnlyInWindow(t *testing.T) {
 	n = n.WithHealth(h)
 
 	bytes := int64(1 << 20)
-	base := n.Prof.TransferTime(bytes)
-	before := n.TransferTimeAt(0, 20, bytes, 5)
-	during := n.TransferTimeAt(0, 20, bytes, 15)
-	after := n.TransferTimeAt(0, 20, bytes, 20) // end is exclusive
+	base := transferTime(n.WithHealth(nil), 0, 20, bytes, 0)
+	before := transferTime(n, 0, 20, bytes, 5)
+	during := transferTime(n, 0, 20, bytes, 15)
+	after := transferTime(n, 0, 20, bytes, 20) // end is exclusive
 
 	if before != base || after != base {
 		t.Fatalf("outside window: got %g / %g, want baseline %g", before, after, base)
@@ -60,15 +67,21 @@ func TestDegradedNICSlowsTransfersOnlyInWindow(t *testing.T) {
 	if during <= base {
 		t.Fatalf("inside window: %g not slower than baseline %g", during, base)
 	}
-	// Payload term scales by exactly 1/0.25; latency terms are unchanged.
-	wantPayload := float64(bytes) * 8 / (n.Prof.PeakBps * 0.25)
-	gotPayload := during - (base - float64(bytes)*8/n.Prof.PeakBps)
-	if math.Abs(gotPayload-wantPayload) > 1e-12*wantPayload {
-		t.Fatalf("degraded payload time %g, want %g", gotPayload, wantPayload)
+	// The wire part scales by exactly 1/0.25; the latency part is unchanged.
+	lat, wire := n.Transfer(0, 20, bytes, 0, 15)
+	if wantLat, _ := n.Transfer(0, 20, bytes, 0, 5); lat != wantLat {
+		t.Fatalf("degraded latency part %g, want %g", lat, wantLat)
 	}
-	// The degraded receiver NIC slows inbound transfers too.
-	if in := n.TransferTimeAt(20, 0, bytes, 15); in != during {
+	if want := float64(bytes) * 8 / (n.Prof.PeakBps * 0.25); math.Abs(wire-want) > 1e-12*want {
+		t.Fatalf("degraded wire time %g, want %g", wire, want)
+	}
+	// The degraded receiver NIC slows inbound transfers too, and a loaded
+	// rate is capped the same way.
+	if in := transferTime(n, 20, 0, bytes, 15); in != during {
 		t.Fatalf("rx degradation %g != tx degradation %g", in, during)
+	}
+	if _, w := n.Transfer(0, 20, bytes, 1e8, 15); math.Abs(w-float64(bytes)*8/(1e8*0.25)) > 1e-12*w {
+		t.Fatalf("degraded wire time at 100 Mb/s = %g", w)
 	}
 }
 
@@ -79,13 +92,13 @@ func TestFlapAddsLatencyNotBandwidth(t *testing.T) {
 	n = n.WithHealth(h)
 
 	bytes := int64(4096)
-	base := n.Prof.TransferTime(bytes)
-	got := n.TransferTimeAt(7, 40, bytes, 50)
+	base := transferTime(n.WithHealth(nil), 7, 40, bytes, 50)
+	got := transferTime(n, 7, 40, bytes, 50)
 	if d := got - base; math.Abs(d-2e-3) > 1e-12 {
 		t.Fatalf("flap delta = %g, want 2e-3", d)
 	}
 	// Either endpoint's flap applies.
-	if got2 := n.TransferTimeAt(40, 7, bytes, 50); got2 != got {
+	if got2 := transferTime(n, 40, 7, bytes, 50); got2 != got {
 		t.Fatalf("flap on dst %g != flap on src %g", got2, got)
 	}
 }

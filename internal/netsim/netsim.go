@@ -127,8 +127,8 @@ func (p Profile) Bandwidth(bytes int64) float64 {
 
 // Network couples a topology with a library profile and answers timing and
 // contention queries for the message-passing layer. Health, when non-nil,
-// carries time-indexed fault effects (see WithHealth); the *At query
-// variants consult it, the plain variants assume a perfect fabric.
+// carries time-indexed fault effects (see WithHealth) that Transfer
+// consults; FairShare assumes a perfect fabric.
 type Network struct {
 	Topo   Topology
 	Prof   Profile
@@ -158,14 +158,25 @@ func MustNew(t Topology, p Profile) *Network {
 	return n
 }
 
-// TransferTime returns the uncontended time to move bytes from src to dst.
-// A self-send costs only a memory copy, modeled at node memory bandwidth
-// (approximated here as 10x the NIC rate).
-func (n *Network) TransferTime(src, dst int, bytes int64) float64 {
+// Transfer prices a message from src to dst sent at virtual time t:
+// latency is the profile's latency, the rendezvous handshake at or above
+// RendezvousBytes and a flapping port's spike at either end; wire is the
+// time its bytes take at bps (0: the profile's peak), that rate cut by the
+// weaker NIC's CapFactor. The sender's clock pays PerMsgOverheadSec. A
+// self-send is a memory copy at 10x the NIC rate, with no latency.
+func (n *Network) Transfer(src, dst int, bytes int64, bps, t float64) (latency, wire float64) {
 	if src == dst {
-		return float64(bytes) * 8 / (10 * n.Topo.NICBps)
+		return 0, float64(bytes) * 8 / (10 * n.Topo.NICBps)
 	}
-	return n.Prof.TransferTime(bytes)
+	p, h := n.Prof, n.Health
+	latency = p.LatencySec + h.PortLatency(src, t) + h.PortLatency(dst, t)
+	if p.RendezvousBytes > 0 && bytes >= p.RendezvousBytes {
+		latency += p.RendezvousSec
+	}
+	if bps == 0 {
+		bps = p.PeakBps
+	}
+	return latency, float64(bytes) * 8 / (bps * math.Min(h.CapFactor(src, t), h.CapFactor(dst, t)))
 }
 
 // Flow is a unidirectional stream between two hosts, used by the contention

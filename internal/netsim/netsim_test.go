@@ -78,12 +78,12 @@ func TestBandwidthMonotoneInSize(t *testing.T) {
 	}
 }
 
-func TestTransferTimeSelfSend(t *testing.T) {
+func TestTransferSelfSend(t *testing.T) {
 	n := ssNet(t)
-	local := n.TransferTime(3, 3, 1<<20)
-	remote := n.TransferTime(3, 4, 1<<20)
-	if local >= remote {
-		t.Fatal("local copy must beat the wire")
+	lat, local := n.Transfer(3, 3, 1<<20, 0, 0)
+	_, remote := n.Transfer(3, 4, 1<<20, 0, 0)
+	if lat != 0 || local >= remote {
+		t.Fatalf("local copy: latency %g, %g s against the wire's %g s", lat, local, remote)
 	}
 }
 

@@ -28,6 +28,7 @@ import (
 
 	"spacesim/internal/faults"
 	"spacesim/internal/machine"
+	"spacesim/internal/netsim"
 	"spacesim/internal/obs"
 	"spacesim/internal/obs/ledger"
 )
@@ -156,10 +157,10 @@ type LinkStats struct {
 	MeanUtil     float64 `json:"mean_util"`
 	PeakUtil     float64 `json:"peak_util"`
 	BusyFraction float64 `json:"busy_fraction"`
-	// Timeline is per-bin utilization in [0, ~1] (bin width =
-	// makespan/len). Transfers are spread uniformly over their
-	// depart->arrive interval, so latency-dominated messages appear as low
-	// sustained rates rather than bursts.
+	// Timeline is per-bin utilization (bin width = makespan/len).
+	// Transfers are spread uniformly over their depart->arrive interval,
+	// so latency-dominated messages appear as low sustained rates rather
+	// than bursts; on a nic-tx link over their wire time alone (linkStats).
 	Timeline []float64 `json:"timeline,omitempty"`
 }
 
@@ -509,7 +510,10 @@ func phaseStats(ranks []rankData) []PhaseStats {
 
 // linkStats bins every recorded transfer onto the links of its
 // Topology.PathLinks route. Module and trunk links are always reported;
-// per-host NIC links only for runs of at most nicLinkLimit ranks.
+// per-host NIC links only for runs of at most nicLinkLimit ranks. A
+// transfer is spread from departure to arrival, but on the sender's NIC,
+// which sends one message at a time, over its wire time at the profile's
+// peak, the shortest the NIC can take: no nic-tx bin exceeds PeakBps/NICBps.
 func linkStats(events []*obs.RankEvents, cl machine.Cluster, makespan float64) []LinkStats {
 	if makespan <= 0 {
 		return nil
@@ -530,7 +534,7 @@ func linkStats(events []*obs.RankEvents, cl machine.Cluster, makespan float64) [
 				continue // self-sends never touch the fabric
 			}
 			for _, l := range topo.PathLinks(re.Rank, s.Dst) {
-				if !includeNIC && (l.Kind == "nic-tx" || l.Kind == "nic-rx") {
+				if !includeNIC && (l.Kind == netsim.LinkNICTx || l.Kind == netsim.LinkNICRx) {
 					continue
 				}
 				key := l.Name()
@@ -540,7 +544,12 @@ func linkStats(events []*obs.RankEvents, cl machine.Cluster, makespan float64) [
 					links[key] = a
 				}
 				a.bytes += s.Bytes
-				spread(a.bits, s.Depart, s.Arrive, float64(s.Bytes)*8, makespan)
+				t1 := s.Arrive
+				if l.Kind == netsim.LinkNICTx {
+					_, wire := cl.Net.Transfer(re.Rank, s.Dst, s.Bytes, 0, s.T0)
+					t1 = s.Depart + wire
+				}
+				spread(a.bits, s.Depart, t1, float64(s.Bytes)*8, makespan)
 			}
 		}
 	}

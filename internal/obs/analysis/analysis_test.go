@@ -246,10 +246,17 @@ func TestLinkUtilizationPinnedBytes(t *testing.T) {
 			t.Errorf("%s: mean util = %v, want %v", name, l.MeanUtil, wantMean)
 		}
 	}
-	// nic-tx 0 carries traffic for the whole run; both transfers spread
-	// over their halves so all bins are busy.
-	if l := byName["nic-tx 0"]; l.BusyFraction != 1 {
-		t.Errorf("nic-tx 0 busy fraction = %v, want 1", l.BusyFraction)
+	// nic-tx 0 holds each message for its wire time alone, 8 and 16 µs at
+	// 1 Gb/s from departures 0 and 0.5: bins 0 and 32 of 64, each carrying
+	// its message's bits. The receiving NIC spreads its message over the
+	// whole flight, the first half of the run.
+	binCap := rep.MakespanSec / 64 * 1e9
+	if l := byName["nic-tx 0"]; l.BusyFraction != 2.0/64 ||
+		math.Abs(l.Timeline[0]-8000/binCap) > 1e-12 || math.Abs(l.Timeline[32]-16000/binCap) > 1e-12 {
+		t.Errorf("nic-tx 0: busy fraction %v, bins 0 and 32 at %v and %v", l.BusyFraction, l.Timeline[0], l.Timeline[32])
+	}
+	if l := byName["nic-rx 1"]; l.BusyFraction != 0.5 {
+		t.Errorf("nic-rx 1 busy fraction = %v, want 0.5", l.BusyFraction)
 	}
 	// trunk only carries the second message: first half of its timeline idle.
 	if l := byName["trunk"]; l.BusyFraction != 0.5 {

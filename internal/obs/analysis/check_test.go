@@ -93,6 +93,9 @@ func TestCheckPathAndSummaries(t *testing.T) {
 		}, "histogram lat: inconsistent summary"},
 		{"link peak below mean", func(r *Report) { r.Links = []LinkStats{{Name: "trunk", MeanUtil: 0.5, PeakUtil: 0.1}} }, "link trunk: bytes 0 mean 0.5 peak 0.1"},
 		{"link busy", func(r *Report) { r.Links = []LinkStats{{Name: "trunk", BusyFraction: 1.5}} }, "link trunk: busy fraction 1.5"},
+		{"sending NIC above its rate", func(r *Report) {
+			r.Links = []LinkStats{{Name: "nic-rx 3", MeanUtil: 0.1, PeakUtil: 2.05}, {Name: "nic-tx 5", MeanUtil: 0.1, PeakUtil: 3.04}}
+		}, "link nic-tx 5: peak 3.04 of its capacity, above 1"},
 		{"attempts", func(r *Report) {
 			r.Faults = &faults.Recovery{Attempts: 1, Crashes: 1, CrashRanks: []int{0}, CrashTimesSec: []float64{1}}
 		}, "faults: 1 attempts inconsistent with 1 crashes"},
@@ -190,5 +193,15 @@ func TestFaultsBlockRoundTrip(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got.Faults, want) {
 		t.Fatalf("faults block written back as\n%v\nwant\n%v", got.Faults, want)
+	}
+}
+
+// The bound covers sending NICs alone: a receiving NIC at 205% still passes
+// until ROADMAP item 15(c) orders what many senders put on one link.
+func TestCheckBoundsSendingNICsOnly(t *testing.T) {
+	rep := validReport()
+	rep.Links = []LinkStats{{Name: "nic-rx 3", MeanUtil: 0.1, PeakUtil: 2.05}, {Name: "nic-tx 5", MeanUtil: 0.1, PeakUtil: 0.76}}
+	if err := rep.check(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"sort"
 	"strings"
 
+	"spacesim/internal/netsim"
 	"spacesim/internal/obs/ledger"
 )
 
@@ -50,9 +51,9 @@ func ReadFile(path string) (*Report, error) {
 // efficiency is a share no larger than 1 - idle fraction, and equals what
 // the rank metrics' compute seconds give. A rank clock moves only by
 // compute, disk, send overhead and blocked waits, so each rank's four
-// shares sum to its clock. Phase, histogram and link
-// summaries are ordered and in range. The recovery record holds its own
-// invariants (faults.Recovery.Check).
+// shares sum to its clock. Phase, histogram and link summaries are ordered
+// and in range, and no sending NIC peaks above its rate. The recovery
+// record holds its own invariants (faults.Recovery.Check).
 func (r *Report) check() error {
 	switch {
 	case r.SchemaVersion < 1:
@@ -125,6 +126,16 @@ func (r *Report) check() error {
 		}
 		if l.BusyFraction < 0 || l.BusyFraction > 1 {
 			return fmt.Errorf("link %s: busy fraction %g", l.Name, l.BusyFraction)
+		}
+		// A NIC sends one message at a time, and linkStats spreads each
+		// over its wire time at the profile's peak, which is below the
+		// NIC's line rate: a nic-tx bin holds at most PeakBps/NICBps of its
+		// capacity (0.76 under LAM -O), and only the rounding of the pieces
+		// spread cuts at bin edges can add to that (the 1e-9). The receiving
+		// NIC, the module links and the trunk are shared by many senders
+		// that nothing orders yet; they join this check with item 15(c).
+		if strings.HasPrefix(l.Name, string(netsim.LinkNICTx)+" ") && l.PeakUtil > 1+1e-9 {
+			return fmt.Errorf("link %s: peak %g of its capacity, above 1", l.Name, l.PeakUtil)
 		}
 	}
 

@@ -29,9 +29,10 @@ type SpanEvent struct {
 }
 
 // SendEvent is one message leaving a rank. T0 is the sender's clock when
-// the send began, Depart the clock after the per-message software overhead
-// (when the payload enters the fabric), Arrive the virtual time it reaches
-// the destination. Module is the sender's switch module.
+// the send began, Depart the time the message starts to leave the sender's
+// NIC (the clock after the per-message software overhead, or later, once
+// the NIC has sent the messages before it), Arrive the virtual time it
+// reaches the destination. Module is the sender's switch module.
 type SendEvent struct {
 	Dst        int     `json:"dst"`
 	Module     int     `json:"module"`
