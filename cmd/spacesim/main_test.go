@@ -91,6 +91,31 @@ func TestFaultAccelRefusedByBothFrontEnds(t *testing.T) {
 	}
 }
 
+// θ 0 would open every cell; no default stands in for it any more, so both
+// front ends refuse it before anything runs: spacesim exits 2 and spacesimd
+// answers a POST with 400.
+func TestThetaZeroRefusedByBothFrontEnds(t *testing.T) {
+	args := []string{"-ledger", "", "-n", "300", "-procs", "2", "-steps", "1", "-theta", "0"}
+	if code := run(args); code != 2 {
+		t.Errorf("spacesim -theta 0: exit %d, want 2", code)
+	}
+	s, err := serve.New(serve.Config{Dir: t.TempDir(), Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Drain()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	resp, err := http.Post(ts.URL+"/jobs", "application/json", strings.NewReader(`{"n":300,"ranks":2,"steps":1,"theta":0}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Errorf(`POST {"theta":0}: status %d, want %d`, resp.StatusCode, http.StatusBadRequest)
+	}
+}
+
 // One spec, parsed from spacesim's flags, run on spacesim's path and
 // submitted to a spacesimd server, gives one config digest and one result
 // (the daemon's digest over the final bodies and the energy history) —

@@ -276,7 +276,7 @@ func TestSnapshotAtAnyWidth(t *testing.T) {
 			o := obs.New(false)
 			res := Run(RunConfig{
 				Cluster: testCluster().WithObs(o), Procs: 16, Steps: 2,
-				Opt: Options{Eps: 0.01, DT: 0.005},
+				Opt: Options{Theta: 0.7, Eps: 0.01, DT: 0.005},
 			}, ics)
 			if res.Err != nil {
 				t.Fatal(res.Err)

@@ -19,7 +19,7 @@ func recoveryBaseCfg(dir string) RunConfig {
 		Cluster:      testCluster(),
 		Procs:        4,
 		Steps:        6,
-		Opt:          Options{DT: 0.01},
+		Opt:          Options{Theta: 0.7, DT: 0.01},
 		GatherBodies: true,
 		Checkpoint:   &CheckpointConfig{Dir: dir, Every: 2},
 	}

@@ -37,7 +37,8 @@ type Body struct {
 
 // Options configures a simulation.
 type Options struct {
-	// Theta is the multipole acceptance parameter (default 0.7).
+	// Theta is the multipole acceptance parameter. There is no default: a
+	// run refuses zero (RunConfig.Validate).
 	Theta float64
 	// Eps is the Plummer softening length. There is no default: zero means
 	// unsoftened gravity, which also sends every bucket through the slower
@@ -61,9 +62,6 @@ type Options struct {
 }
 
 func (o Options) withDefaults() Options {
-	if o.Theta == 0 {
-		o.Theta = 0.7
-	}
 	if o.MaxLeaf == 0 {
 		o.MaxLeaf = 8
 	}

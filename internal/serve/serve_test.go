@@ -550,6 +550,7 @@ func TestSpecValidation(t *testing.T) {
 		func(sp *job.Spec) { sp.Steps = 0 },
 		func(sp *job.Spec) { sp.CheckpointEvery = 0 },
 		func(sp *job.Spec) { sp.DT = -0.1 },
+		func(sp *job.Spec) { sp.Theta = 0 },
 		func(sp *job.Spec) { sp.Theta = math.NaN() },
 		func(sp *job.Spec) { sp.Eps = math.NaN() },
 		func(sp *job.Spec) { sp.DT = math.NaN() },
