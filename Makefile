@@ -34,7 +34,10 @@ one-slot:
 # the tree build run on the caller's goroutine and have no width); so do the
 # grouped walk's loop over every group (TestGroupedWorkersBitIdentical), the
 # lists it gathers before the region from branches read in place
-# (TestOpenedBranchesReadInPlace), and the bound on a 64-rank world's
+# (TestOpenedBranchesReadInPlace), the branches each group's gather records
+# in its goroutine's slot, against an oracle walk and across evaluations
+# (TestCoarseWalkCoversGroups, TestCachesBoundedAcrossEvaluations,
+# TestFetchDedup), and the bound on a 64-rank world's
 # goroutines, which scales with the width of the scheduler's pool
 # (TestWorldGoroutinesBounded). The NPB kernels' result digest
 # (TestNPBResultsPinned) must not move with the width either, nor must the
@@ -44,7 +47,7 @@ widths:
 	@for p in 1 2 4 8; do \
 		echo "widths: GOMAXPROCS=$$p"; \
 		GOMAXPROCS=$$p $(GO) test -count=1 -timeout 300s \
-			-run '^(TestEventEngineReproducibleSchedule|TestSchedulePinnedAcrossTwoPassRewrite|TestEngineBitIdentical|TestGroupedWorkersBitIdentical|TestOpenedBranchesReadInPlace|TestWorldGoroutinesBounded|TestTraceReproducible|TestMakeICsPinned)$$' ./internal/core || exit 1; \
+			-run '^(TestEventEngineReproducibleSchedule|TestSchedulePinnedAcrossTwoPassRewrite|TestEngineBitIdentical|TestGroupedWorkersBitIdentical|TestOpenedBranchesReadInPlace|TestCoarseWalkCoversGroups|TestCachesBoundedAcrossEvaluations|TestFetchDedup|TestWorldGoroutinesBounded|TestTraceReproducible|TestMakeICsPinned)$$' ./internal/core || exit 1; \
 		GOMAXPROCS=$$p $(GO) test -count=1 -timeout 300s \
 			-run '^(TestOneSlot.*|TestCollectivesBothEngines|TestEventEnginePointToPoint|TestEventEngineGather|TestWakeOrderIsPutOrder|TestVirtualTimePingPong|TestSendsStreamThroughOneNIC)$$' ./internal/mp || exit 1; \
 		GOMAXPROCS=$$p $(GO) test -count=1 -timeout 300s \
@@ -181,8 +184,9 @@ profile-sph:
 # slots, two workers a rank), one step per iteration through core.Run, run
 # under the CPU and memory profilers and listed; then the split of the CPU
 # samples by the `phase` label the rank runtime puts on its goroutines —
-# `eval` on each rank's top walks and the loop that gathers and evaluates all
-# its sink groups before the polling region, `walk` on the region itself: the
+# `eval` on each rank's loop that gathers (one walk per sink group, from the
+# top's root, opening other ranks' branches where they lie) and evaluates all
+# its groups before the polling region, `walk` on the region itself: the
 # requests, polls and charging of the fetch protocol — and the sites that
 # allocate the most bytes.
 profile-dist8 profile-dist64: profile-dist%:

@@ -22,10 +22,10 @@ import (
 // translate the key into a pointer ... this level of indirection can also
 // be used to catch accesses to non-local data" (Section 4.2). Here the key
 // is resolved once per branch exchange, when the world's table names each
-// branch's cell in its owner's tree, and a top branch that no group opened
-// catches the non-local access. Every cell is an htree.Cell, walked where it
-// lies, in one index space (htree.Far): the local tree's, then the top's,
-// then one per branch of another rank that a group opens.
+// branch's cell in its owner's tree, and a walk that opens another rank's
+// branch catches the non-local access (htree.Far's Open). Every cell is an
+// htree.Cell, walked where it lies, in one index space: the local tree's,
+// then the top's, then the cells of the other rank's tree the walk is in.
 
 // cellWireBytes is the accounted wire size of one cell in the branch
 // exchange and in fetch replies, whatever Go struct carries it.
@@ -66,11 +66,9 @@ type DTree struct {
 	nLocal int32       // the local tree's NumCells: where the top's indices start
 
 	// The top is one array for the whole world and nobody writes it. route is
-	// this rank's overlay on it, the index a walk takes each top cell at
-	// (htree.Far): for a branch this rank owns, its local cell; for another
-	// rank's branch j that a group's top walk opens, base()+j, which the walk
-	// resolves to the owner's cell (bucketWalker.Remote); otherwise the cell
-	// itself.
+	// this rank's overlay on it, fixed at the branch exchange, the index a
+	// walk takes each top cell at (htree.Far): for a branch this rank owns,
+	// its local cell; otherwise the top cell itself.
 	top   *topTree
 	route []int32
 	// The rank's fetch state, kept from step to step (fetchArena).
@@ -87,48 +85,46 @@ type DTree struct {
 }
 
 // fetchArena is the rank's fetch state, the cell counts its replies are
-// priced by and the scratch of its walks' lists. Run keeps one per rank next
-// to its build arena, so a steady step grows none of it; a DTree built
+// priced by and the scratch of its walks. Run keeps one per rank next
+// to its build arena, so a steady step grows almost none of it (a slot's
+// opens grow only past the most its goroutine has held); a DTree built
 // without one (BuildDistributed) starts from an empty arena. It is rank
 // state, one goroutine at a time.
 type fetchArena struct {
 	// asked[j] is set once this rank has asked for top cell j, the one
 	// request per branch however many groups open it, and arrived[j] once
-	// the reply has come back. Group after group, opens holds the branches
-	// each group's walk opens and frontier the top cells where its top walk
-	// stopped, in pop order: j, or ^(nLocal+j) for one it accepted
-	// (walkTop); stack is the top walks' scratch.
-	asked    []bool
-	arrived  []bool
-	opens    []int32
-	frontier []int32
-	stack    []int32
+	// the reply has come back.
+	asked   []bool
+	arrived []bool
 
 	// below[i] counts the cells below local cell i (branches), the price of
 	// a reply for it.
 	below []int32
 
-	// lists[k] is the list scratch of goroutine k of the loop that gathers
-	// and evaluates the groups (evalGroups).
-	lists []*htree.BucketScratch
+	// slots[k] is the scratch of goroutine k of the loop that gathers and
+	// evaluates the groups (evalGroups).
+	slots []*gatherSlot
 }
 
-// resetCaches drops the transient per-evaluation state — the routes to the
-// other ranks' branches, the requests, the arrivals and the top walks'
-// records — keeping their storage.
+// gatherSlot is one goroutine's scratch in evalGroups: the list it gathers
+// into, and the branches its groups open, group after group, each group's
+// run in its walk's order (bucketWalker.Open).
+type gatherSlot struct {
+	sc    htree.BucketScratch
+	opens []int32
+}
+
+// resetCaches drops the transient per-evaluation state — the requests, the
+// arrivals and the groups' opens — keeping their storage.
 func (dt *DTree) resetCaches() {
-	dt.opens, dt.frontier = dt.opens[:0], dt.frontier[:0]
+	for _, s := range dt.slots {
+		s.opens = s.opens[:0]
+	}
 	n := len(dt.top.cells)
 	dt.asked = slices.Grow(dt.asked[:0], n)[:n]
 	dt.arrived = slices.Grow(dt.arrived[:0], n)[:n]
 	clear(dt.asked)
 	clear(dt.arrived)
-	for j, o := range dt.top.owner {
-		dt.route[j] = dt.nLocal + int32(j)
-		if int(o) == dt.r.ID() {
-			dt.route[j] = dt.top.at[j]
-		}
-	}
 }
 
 // requestBranch asks the owner of top branch j for the subtree below it,
@@ -152,10 +148,6 @@ func (dt *DTree) requestBranch(j int32, st *TraversalStats) {
 		dt.arrived[j] = true
 	})
 }
-
-// base is the first index past the local tree and the top: base()+j stands
-// for another rank's branch j, read in the owner's tree.
-func (dt *DTree) base() int32 { return dt.nLocal + int32(len(dt.top.cells)) }
 
 // BuildDistributed constructs the per-rank tree over the (already
 // decomposed, key-sorted) local bodies, and performs the branch exchange.
@@ -233,6 +225,12 @@ func buildDistributed(r *mp.Rank, bodies []Body, splitters []key.K, boxLo vec.V3
 		return top
 	})
 	dt.route = make([]int32, len(dt.top.cells))
+	for j, o := range dt.top.owner {
+		dt.route[j] = dt.nLocal + int32(j)
+		if int(o) == r.ID() {
+			dt.route[j] = dt.top.at[j]
+		}
+	}
 	dt.resetCaches()
 	endMerge()
 	return dt

@@ -14,41 +14,41 @@ package core
 //
 // Every list is gathered by the one loop of htree.Tree.Gather and applied by
 // Tree.EvalBucket, as in the serial Tree.AccelAllGrouped; the walker is the
-// loop's htree.Far, laying out the indices past the local tree's (dtree.go)
-// and resolving another rank's branch to the owner's tree it is walked in.
-// This file adds the top walks, the one gather per group, and the fetch
-// protocol with its deterministic charging.
+// loop's htree.Far, laying out the top past the local tree's indices
+// (dtree.go) and opening another rank's branch in the owner's tree. This
+// file adds the one gather per group and the fetch protocol with its
+// deterministic charging.
 //
 // Walk once. Section 4.2 hides latency by putting walks aside: "we
 // effectively do explicit context switching using a software queue to keep
 // track of which computations have been put aside waiting for messages to
 // arrive". Here a fetch reply makes the whole subtree below the branch asked
 // for resident (dtree.go), so the only cells a group's walk can find missing
-// are other ranks' top branches, and which of those it opens the replicated
-// top alone decides. Each group first walks the top (walkTop), recording the
-// remote branches it does not accept and where it stopped; every branch a
-// group opens is routed to the owner's cell, read in place. Then the rank
-// gathers every group once, from there, and evaluates it, all on one host
-// loop (evalGroups), before it enters the polling region. The region replays
-// the fetch protocol alone (replay): one request per branch, in the order of
-// the top walks; then, in the order of the groups' stack (the last group
-// first), the rank polls and yields until every branch a group opens has
-// arrived, and charges the group from its list's lengths, a poll after each.
-// A miss in a group walk is a bug, and panics.
+// are other ranks' top branches, and the walk itself names them: each
+// group's gather starts at the top's root and, for every other rank's branch
+// it does not accept, records the branch among the group's opens and goes
+// through the owner's cell in place (Open). The rank gathers and evaluates
+// every group on one host loop (evalGroups) before it enters the polling
+// region. The region replays the fetch protocol alone (replay): one request
+// per opened branch, in the order of the groups' stack (the last group
+// first) and of each group's walk; then, in that order, the rank polls and
+// yields until every branch a group opens has arrived, and charges the group
+// from its list's lengths, a poll after each.
 //
-// Determinism rule: the top walks, the requests, the arrival tests,
-// interaction counting, virtual-time charging and every poll run on the
-// rank's own goroutine in group order; the loop gathers and evaluates while
-// the rank waits for it, each group writing only its disjoint output range,
-// from a list in depth-first tree order — a function of the tree and the
-// group, not of when fetch replies arrived or which goroutine gathered it.
-// The result is therefore bit-identical for any Workers count, and so is
-// every poll point and charge: they come from the arrival of the replies and
-// the lists' lengths alone. Nothing a gather reads changes under the loop:
-// the replicated top and the world's table of rank trees are never written,
-// the routes are written by the top walks before it, and the local tree and
-// the other ranks' trees that the lists refer into are immutable until every
-// rank is through its evaluation (DESIGN.md §6, "What the world shares").
+// Determinism rule: the requests, the arrival tests, interaction counting,
+// virtual-time charging and every poll run on the rank's own goroutine in
+// group order; the loop gathers and evaluates while the rank waits for it,
+// each group writing only its walker, its disjoint output range and its run
+// of its goroutine's opens, from a list in depth-first tree order — a
+// function of the tree and the group, not of when fetch replies arrived or
+// which goroutine gathered it. The result is therefore bit-identical for any
+// Workers count, and so is every poll point and charge: they come from the
+// arrival of the replies and the lists' lengths alone. Nothing a gather
+// reads changes under the loop: the replicated top, the routes and the
+// world's table of rank trees are fixed at the branch exchange, and the
+// local tree and the other ranks' trees that the lists refer into are
+// immutable until every rank is through its evaluation (DESIGN.md §6, "What
+// the world shares").
 
 import (
 	"spacesim/internal/gravity"
@@ -58,55 +58,37 @@ import (
 )
 
 // bucketWalker is one sink group's walk, and the htree.Far of it: it lays
-// out the indices past the local tree's and resolves another rank's branch to
-// the owner's tree.
+// out the top with the rank's routes and opens another rank's branch in the
+// owner's tree.
 type bucketWalker struct {
 	dt   *DTree
 	cell *htree.Cell
 	mac  htree.BucketMAC
-	// opens[lo:hi] and frontier[flo:fhi] of the rank's fetch arena are the
-	// group's (walkTop); the opens below lo have arrived.
-	lo, hi, flo, fhi int32
-	nc, nb           int // the lengths of its list: cells and bodies
-}
-
-// begin starts a walk with an empty list on scratch sc from the group's
-// frontier, in walkTop's pop order, the cells it accepted as accepted
-// (htree.Far) and the rest by route. On one rank that is the local root.
-func (w *bucketWalker) begin(sc *htree.BucketScratch) {
-	sc.Reset()
-	for f := w.fhi - 1; f >= w.flo; f-- {
-		x := w.dt.frontier[f]
-		if x >= 0 {
-			x = w.dt.route[x]
-		}
-		sc.Push(x)
-	}
+	// slot.opens[lo:hi] are the branches the group's gather opens, in its
+	// order; those below lo have arrived (resident).
+	slot   *gatherSlot
+	lo, hi int32
+	nc, nb int // the lengths of its list: cells and bodies
 }
 
 // Layout hands the walk the top with this rank's routes through it.
-func (w *bucketWalker) Layout() ([]htree.Cell, []int32, int32) {
-	return w.dt.top.cells, w.dt.route, w.dt.base()
+func (w *bucketWalker) Layout() ([]htree.Cell, []int32) {
+	return w.dt.top.cells, w.dt.route
 }
 
-// Remote resolves index i, routed to top branch i-base, to the owner's cell of
-// that branch in the owner's tree, from the world's table of rank trees.
-func (w *bucketWalker) Remote(i int32) (*htree.Tree, int32) {
+// Open records another rank's top branch j among the group's opens and
+// resolves it to the owner's cell of that branch in the owner's tree, from
+// the world's table of rank trees.
+func (w *bucketWalker) Open(j int32) (*htree.Tree, int32) {
+	w.slot.opens = append(w.slot.opens, j)
 	top := w.dt.top
-	j := i - w.dt.base()
 	return top.trees[top.owner[j]], top.at[j]
-}
-
-// Open refuses a branch that no group's top walk opened: the top walks
-// route every branch a group's walk opens.
-func (w *bucketWalker) Open(_ int32, c *htree.Cell) {
-	panic("core: group walk reached non-resident cell " + c.Key.String())
 }
 
 // resident reports whether every branch the group's walk opens has arrived,
 // moving lo past those that have.
 func (w *bucketWalker) resident() bool {
-	for w.lo < w.hi && w.dt.arrived[w.dt.opens[w.lo]] {
+	for w.lo < w.hi && w.dt.arrived[w.slot.opens[w.lo]] {
 		w.lo++
 	}
 	return w.lo == w.hi
@@ -169,12 +151,13 @@ func (dt *DTree) ComputeForces(bodies []Body) (acc []vec.V3, pot []float64, st T
 	return acc, pot, st
 }
 
-// evalGroups walks the top for every local group, in the order of a stack of
-// them (the last first), then gathers and evaluates every group on one host
-// loop, Workers wide and one more for the rank, which would otherwise only
-// wait for it; each of the loop's goroutines has a list scratch of its own in
-// the rank's arena. It returns the groups' walkers, which hold their list
-// lengths for finishBucket. It sends nothing and moves no clock.
+// evalGroups gathers and evaluates every local group on one host loop,
+// Workers wide and one more for the rank, which would otherwise only wait
+// for it; each of the loop's goroutines has a slot of its own in the rank's
+// arena, for its lists and the branches its groups open. Each gather starts
+// at the top's root, by its route (the local root on one rank). It returns
+// the groups' walkers, which hold their opens and list lengths for replay.
+// It sends nothing and moves no clock.
 func (dt *DTree) evalGroups(acc []vec.V3, pot []float64) []bucketWalker {
 	if dt.local == nil || len(acc) == 0 {
 		return nil
@@ -182,19 +165,18 @@ func (dt *DTree) evalGroups(acc []vec.V3, pot []float64) []bucketWalker {
 	defer dt.r.Label("eval")()
 	groups := dt.local.Groups()
 	walkers := make([]bucketWalker, len(groups))
-	for i := len(groups) - 1; i >= 0; i-- {
-		c := groups[i]
-		walkers[i] = bucketWalker{dt: dt, cell: c, mac: htree.NewGroupMAC(c, dt.opt.Theta)}
-		dt.walkTop(&walkers[i])
-	}
 	width := par.Width(dt.opt.Workers, len(walkers)) + 1
-	for len(dt.lists) < width {
-		dt.lists = append(dt.lists, new(htree.BucketScratch))
+	for len(dt.slots) < width {
+		dt.slots = append(dt.slots, new(gatherSlot))
 	}
 	par.For(len(walkers), width, func(k, i int) {
-		w, sc := &walkers[i], dt.lists[k]
-		w.begin(sc)
+		w, slot := &walkers[i], dt.slots[k]
+		*w = bucketWalker{dt: dt, cell: groups[i], mac: htree.NewGroupMAC(groups[i], dt.opt.Theta), slot: slot, lo: int32(len(slot.opens))}
+		sc := &slot.sc
+		sc.Reset()
+		sc.Push(dt.route[0])
 		dt.local.Gather(&w.mac, sc, w)
+		w.hi = int32(len(slot.opens))
 		w.nc, w.nb = len(sc.List.Cells), sc.List.Bodies()
 		dt.local.EvalBucket(w.cell, dt.opt.Eps, sc, acc, pot)
 	})
@@ -203,15 +185,18 @@ func (dt *DTree) evalGroups(acc []vec.V3, pot []float64) []bucketWalker {
 
 // replay is ComputeForces inside its region: the fetch protocol of the
 // evaluation evalGroups made. It asks once for every branch the groups open,
-// in the order the top walks opened them; then, in the groups' stack order,
-// it polls and yields until a group's branches have arrived, and charges the
-// group. A rank without groups serves everyone else's fetches. Every reply
-// this rank waits for is in before it quiesces, serving the others' requests
-// until every rank's are.
+// in the groups' stack order and each group's walk order; then, in the
+// groups' stack order, it polls and yields until a group's branches have
+// arrived, and charges the group. A rank without groups serves everyone
+// else's fetches. Every reply this rank waits for is in before it quiesces,
+// serving the others' requests until every rank's are.
 func (dt *DTree) replay(walkers []bucketWalker, st *TraversalStats) {
 	defer dt.r.Span("phase", "walk")()
-	for _, j := range dt.opens {
-		dt.requestBranch(j, st)
+	for i := len(walkers) - 1; i >= 0; i-- {
+		w := &walkers[i]
+		for _, j := range w.slot.opens[w.lo:w.hi] {
+			dt.requestBranch(j, st)
+		}
 	}
 	dt.abm.FlushAll()
 	charge := dt.chargeFunc(st)
@@ -228,42 +213,6 @@ func (dt *DTree) replay(walkers []bucketWalker, st *TraversalStats) {
 		dt.abm.Poll()
 	}
 	dt.abm.Quiesce()
-}
-
-// walkTop walks the replicated top alone for w's group — testing fills and
-// branches as Gather does, descending into no branch — and records in the
-// rank's frontier every top cell where it stops, and in its opens every other
-// rank's branch it does not accept, routing each to the owner's cell. From the
-// root, Gather would decide the fills alike and reach the frontier in this
-// order, each cell with only later ones and unopened fills below it on the
-// stack: the gather may start from the frontier (begin).
-func (dt *DTree) walkTop(w *bucketWalker) {
-	cells, owner, me, base := dt.top.cells, dt.top.owner, int32(dt.r.ID()), dt.base()
-	w.lo, w.flo = int32(len(dt.opens)), int32(len(dt.frontier))
-	stack := append(dt.stack[:0], 0)
-	for len(stack) > 0 {
-		j := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		c := &cells[j]
-		switch o := owner[j]; {
-		case o == me: // the local tree's
-		case o < 0 && w.mac.OwnsKey(c.Key): // above the group's own bodies
-			stack = c.Daughters(j, stack)
-			continue
-		case w.mac.Accept(c):
-			dt.frontier = append(dt.frontier, ^(dt.nLocal + j))
-			continue
-		case o < 0:
-			stack = c.Daughters(j, stack)
-			continue
-		default:
-			dt.opens = append(dt.opens, j)
-			dt.route[j] = base + j // the owner's cell (Remote)
-		}
-		dt.frontier = append(dt.frontier, j)
-	}
-	dt.stack = stack
-	w.hi, w.fhi = int32(len(dt.opens)), int32(len(dt.frontier))
 }
 
 // finishBucket accounts the group's work deterministically, from its list's

@@ -9,7 +9,6 @@ import (
 	"runtime/debug"
 	"slices"
 	"sort"
-	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -216,9 +215,9 @@ func TestGroupedWorkersBitIdentical(t *testing.T) {
 	}
 }
 
-// walker returns the walker of sink group g, not yet begun.
+// walker returns the walker of sink group g, with a slot of its own.
 func (dt *DTree) walker(g *htree.Cell) bucketWalker {
-	return bucketWalker{dt: dt, cell: g, mac: htree.NewGroupMAC(g, dt.opt.Theta)}
+	return bucketWalker{dt: dt, cell: g, mac: htree.NewGroupMAC(g, dt.opt.Theta), slot: new(gatherSlot)}
 }
 
 func positions(bodies []Body) []vec.V3 {
@@ -230,8 +229,9 @@ func positions(bodies []Body) []vec.V3 {
 }
 
 // regather walks group w again over what the rank holds — the engine's own
-// gather loop, from the root on a fresh scratch rather than from the group's
-// frontier — for tests to compare against, and returns the scratch.
+// gather, from the top's root by its route, on a fresh scratch — for tests to compare
+// against, and returns the scratch. The branches it opens are appended to
+// w's slot.
 func (dt *DTree) regather(w *bucketWalker) *htree.BucketScratch {
 	sc := new(htree.BucketScratch)
 	sc.Push(dt.route[0])
@@ -239,98 +239,87 @@ func (dt *DTree) regather(w *bucketWalker) *htree.BucketScratch {
 	return sc
 }
 
-// topOpens is the oracle of walkTop: Gather itself, over the routes the
-// branch exchange left — every other rank's branch at the bare top cell —
-// appends to opens each such branch the walk of group g reaches and does
-// not accept, in the order it reaches them.
+// opensOf returns the branches the groups' gathers opened, group after group
+// in the groups' stack order (replay's), as evalGroups recorded them; it
+// must be read before replay.
+func opensOf(walkers []bucketWalker) []int32 {
+	var out []int32
+	for i := len(walkers) - 1; i >= 0; i-- {
+		w := &walkers[i]
+		out = append(out, w.slot.opens[w.lo:w.hi]...)
+	}
+	return out
+}
+
+// evaluate is ComputeForces, step by step: it returns the walkers and the
+// branches they opened (opensOf) as well.
+func (dt *DTree) evaluate(bodies []Body) (walkers []bucketWalker, opens []int32) {
+	acc, pot := make([]vec.V3, len(bodies)), make([]float64, len(bodies))
+	st := TraversalStats{PerBody: make([]float64, len(bodies))}
+	dt.resetCaches()
+	walkers = dt.evalGroups(acc, pot)
+	opens = opensOf(walkers)
+	dt.r.OneSlot(func() { dt.replay(walkers, &st) })
+	return walkers, opens
+}
+
+// topOpens is the oracle of the opens a group's gather records: Gather
+// itself, over routes of its own — this rank's branches to its local cells,
+// every other top cell at itself — with a Far that appends to opens each
+// other rank's bare branch the walk of group g reaches and does not accept,
+// in the order it reaches them, and does not descend into it (it hands the
+// walk a one-body stub tree instead of the owner's).
 type topOpens struct {
 	dt    *DTree
 	route []int32
+	stub  *htree.Tree
 	opens []int32
 }
 
-func (o *topOpens) Layout() ([]htree.Cell, []int32, int32) {
+func (o *topOpens) Layout() ([]htree.Cell, []int32) { return o.dt.top.cells, o.route }
+
+func (o *topOpens) Open(j int32) (*htree.Tree, int32) {
 	dt := o.dt
-	return dt.top.cells, o.route, dt.base()
-}
-
-func (o *topOpens) Remote(i int32) (*htree.Tree, int32) {
-	panic(fmt.Sprintf("oracle reached index %d, a resident branch", i))
-}
-
-func (o *topOpens) Open(i int32, c *htree.Cell) {
-	if j := i - o.dt.nLocal; o.dt.top.owner[j] < 0 || &o.dt.top.cells[j] != c {
-		panic(fmt.Sprintf("oracle reached cell %d (%v), not a bare remote branch", i, c.Key))
+	if own := dt.top.owner[j]; own < 0 || int(own) == dt.r.ID() || len(dt.top.cells[j].Daughters(dt.nLocal+j, nil)) != 0 {
+		panic(fmt.Sprintf("oracle opened top cell %d (%v), not another rank's bare branch", j, dt.top.cells[j].Key))
 	}
-	o.opens = append(o.opens, i-o.dt.nLocal)
+	o.opens = append(o.opens, j)
+	return o.stub, o.stub.Find(key.Root)
 }
 
 // opened returns the remote branches group g's walk opens, by the oracle.
 func (o *topOpens) opened(g *htree.Cell) []int32 {
+	dt := o.dt
 	if o.route == nil {
-		o.route = make([]int32, len(o.dt.top.cells))
-		for j, own := range o.dt.top.owner {
-			o.route[j] = o.dt.nLocal + int32(j)
-			if int(own) == o.dt.r.ID() {
-				o.route[j] = o.dt.local.Find(o.dt.top.cells[j].Key)
+		o.route = make([]int32, len(dt.top.cells))
+		for j, own := range dt.top.owner {
+			o.route[j] = dt.nLocal + int32(j)
+			if int(own) == dt.r.ID() {
+				o.route[j] = dt.local.Find(dt.top.cells[j].Key)
 			}
 		}
+		stub, err := htree.Build([]vec.V3{{}}, []float64{1}, htree.Options{})
+		if err != nil {
+			panic(err)
+		}
+		o.stub = stub
 	}
 	o.opens = o.opens[:0]
-	mac := htree.NewGroupMAC(g, o.dt.opt.Theta)
+	mac := htree.NewGroupMAC(g, dt.opt.Theta)
 	var sc htree.BucketScratch
 	sc.Push(o.route[0])
-	o.dt.local.Gather(&mac, &sc, o)
+	dt.local.Gather(&mac, &sc, o)
 	return o.opens
 }
 
-// A group is gathered only once the top walks have routed every branch it
-// opens, so its walk can meet no cell without bodies or daughters; one that
-// does is a bug, and the walk says so. On two ranks, before any top walk:
-// every group whose walk opens one of the other rank's branches panics
-// naming a non-resident cell, and every other group gathers.
-func TestGroupWalkPanicsOnMiss(t *testing.T) {
-	ics := PlummerSphere(rand.New(rand.NewSource(38)), 600, 1.0)
-	const p = 2
-	mp.Run(testCluster(), p, func(r *mp.Rank) {
-		n := len(ics)
-		lo, hi := n*r.ID()/p, n*(r.ID()+1)/p
-		bodies, splitters, boxLo, boxSize := Decompose(r, append([]Body(nil), ics[lo:hi]...))
-		dt := BuildDistributed(r, bodies, splitters, boxLo, boxSize, Options{Theta: 0.6, Eps: 0.02})
-		if r.ID() == 0 {
-			oracle, opening := &topOpens{dt: dt}, 0
-			for _, g := range dt.local.Groups() {
-				w := dt.walker(g)
-				missing := len(oracle.opened(g)) > 0
-				func() {
-					defer func() {
-						e := recover()
-						if missing {
-							opening++
-						}
-						if got := e != nil && strings.Contains(fmt.Sprint(e), "group walk reached non-resident cell"); got != missing {
-							t.Errorf("group %v opens %d remote branches: recovered %v", g.Key, len(oracle.opens), e)
-						}
-					}()
-					dt.regather(&w)
-				}()
-			}
-			if opening == 0 {
-				t.Error("no group of rank 0 opens a branch of rank 1")
-			}
-		}
-		dt.abm.Quiesce()
-	})
-}
-
-// What one evaluation routes, asks for and records is dropped when the next
-// one starts. resetCaches forgets the requests, the arrivals and the top
-// walks' records and drops the overlay's routes to the other ranks' branches,
-// so a second evaluation on the same tree routes and fetches exactly the same
-// branches and reproduces the forces bit for bit — into the same storage,
-// which the rank's fetch arena keeps, as it does for the next tree built on
-// it. None of it touches the replicated top, which is the world's: an
-// evaluation leaves every bit of it as the branch exchange made it.
+// What one evaluation asks for and records is dropped when the next one
+// starts. resetCaches forgets the requests, the arrivals and the groups'
+// opens, so a second evaluation on the same tree opens and fetches exactly
+// the same branches and reproduces the forces bit for bit — into the same
+// storage, which the rank's fetch arena keeps, as it does for the next tree
+// built on it. None of it touches the replicated top, which is the world's,
+// or the routes through it, fixed at the branch exchange: an evaluation
+// leaves every bit of them as the branch exchange made them.
 func TestCachesBoundedAcrossEvaluations(t *testing.T) {
 	rng := rand.New(rand.NewSource(32))
 	const n = 600
@@ -346,56 +335,92 @@ func TestCachesBoundedAcrossEvaluations(t *testing.T) {
 			t.Errorf("rank %d: after the branch exchange the overlay has %d entries for a top of %d, arrivals %v",
 				r.ID(), len(dt.route), len(dt.top.cells), slices.Contains(dt.arrived, true))
 		}
+		for j, o := range dt.top.owner {
+			want := dt.nLocal + int32(j)
+			if int(o) == r.ID() {
+				want = dt.local.Find(dt.top.cells[j].Key)
+			}
+			if dt.route[j] != want {
+				t.Errorf("rank %d: top cell %v routed to %d, want %d", r.ID(), dt.top.cells[j].Key, dt.route[j], want)
+				break
+			}
+		}
 		route0 := append([]int32(nil), dt.route...)
 		top0 := make([]cellBits, len(dt.top.cells))
 		for i := range dt.top.cells {
 			top0[i] = bitsOf(&dt.top.cells[i], int32(i), dt.top.owner[i])
 		}
-		topUnwritten := func(when string) {
+		unwritten := func(when string) {
 			for i := range dt.top.cells {
 				if got := bitsOf(&dt.top.cells[i], int32(i), dt.top.owner[i]); got != top0[i] {
 					t.Errorf("rank %d: top cell %d (%v) changed %s", r.ID(), i, dt.top.cells[i].Key, when)
 					return
 				}
 			}
+			if !slices.Equal(dt.route, route0) {
+				t.Errorf("rank %d: the routes changed %s", r.ID(), when)
+			}
 		}
-
 		drained := func(when string) {
 			if n := dt.abm.Outstanding(); n != 0 {
 				t.Errorf("rank %d: %s %d requests outstanding", r.ID(), when, n)
 			}
-			base := dt.base()
 			for j, asked := range dt.asked {
-				if asked != dt.arrived[j] || asked && dt.route[j] != base+int32(j) {
-					t.Errorf("rank %d: %s branch %v was asked for %v, arrived %v, routed to %d", r.ID(), when, dt.top.cells[j].Key, asked, dt.arrived[j], dt.route[j])
+				if asked != dt.arrived[j] {
+					t.Errorf("rank %d: %s branch %v was asked for %v, arrived %v", r.ID(), when, dt.top.cells[j].Key, asked, dt.arrived[j])
 					return
 				}
 			}
 		}
-		sameStorage := func(when string, opens *int32) {
-			if len(dt.opens) == 0 || &dt.opens[0] != opens {
-				t.Errorf("rank %d: %s the %d opens are not in the arena's storage", r.ID(), when, len(dt.opens))
+		// The slots are the arena's, and a slot's opens stay in its storage
+		// unless they outgrow it (which goroutine gathers which group varies).
+		type store struct {
+			slot  *gatherSlot
+			first *int32
+			cap   int
+		}
+		stores := func() []store {
+			var out []store
+			for _, sl := range dt.slots {
+				st := store{slot: sl, cap: cap(sl.opens)}
+				if st.cap > 0 {
+					st.first = &sl.opens[:1][0]
+				}
+				out = append(out, st)
+			}
+			return out
+		}
+		sameStorage := func(when string, was []store, n int) {
+			now := stores()
+			if len(now) != len(was) {
+				t.Errorf("rank %d: %s %d slots, %d before", r.ID(), when, len(now), len(was))
+				return
+			}
+			total := 0
+			for k := range now {
+				total += len(now[k].slot.opens)
+				if now[k].slot != was[k].slot || len(now[k].slot.opens) <= was[k].cap && now[k].first != was[k].first {
+					t.Errorf("rank %d: %s slot %d's %d opens are not in the arena's storage", r.ID(), when, k, len(now[k].slot.opens))
+				}
+			}
+			if total != n {
+				t.Errorf("rank %d: %s %d branches opened, the first evaluation %d", r.ID(), when, total, n)
 			}
 		}
 
 		acc1, pot1, _ := dt.ComputeForces(bodies)
-		n1, f1 := len(dt.opens), dt.Fetches()
+		stores1, n1, f1 := stores(), 0, dt.Fetches()
+		for _, st := range stores1 {
+			n1 += len(st.slot.opens)
+		}
 		if f1 == 0 || int64(n1) < f1 {
 			t.Errorf("rank %d: %d fetches for %d branches opened on %d ranks", r.ID(), f1, n1, p)
 		}
-		var opens *int32
-		if n1 > 0 {
-			opens = &dt.opens[0]
-		}
-		cap1 := cap(dt.opens)
-		topUnwritten("during the first evaluation")
+		unwritten("during the first evaluation")
 		drained("after the first evaluation")
 
 		acc2, pot2, _ := dt.ComputeForces(bodies)
-		if n2 := len(dt.opens); n2 != n1 || cap(dt.opens) != cap1 {
-			t.Errorf("rank %d: opens grew across evaluations: %d -> %d, capacity %d -> %d", r.ID(), n1, n2, cap1, cap(dt.opens))
-		}
-		sameStorage("in the second evaluation", opens)
+		sameStorage("in the second evaluation", stores1, n1)
 		drained("after the second evaluation")
 		if f2 := dt.Fetches(); f2 != 2*f1 {
 			t.Errorf("rank %d: fetch counts %d then %d, want exact repeat", r.ID(), f1, f2)
@@ -406,28 +431,24 @@ func TestCachesBoundedAcrossEvaluations(t *testing.T) {
 				break
 			}
 		}
-		topUnwritten("during the second evaluation")
+		unwritten("during the second evaluation")
 
+		stores2 := stores()
 		dt.resetCaches()
-		if len(dt.opens) != 0 || len(dt.frontier) != 0 || slices.Contains(dt.asked, true) || slices.Contains(dt.arrived, true) {
-			t.Errorf("rank %d: the reset left %d opens, %d frontier cells and requests or arrivals marked", r.ID(), len(dt.opens), len(dt.frontier))
+		sameStorage("after the reset", stores2, 0)
+		if slices.Contains(dt.asked, true) || slices.Contains(dt.arrived, true) {
+			t.Errorf("rank %d: the reset left requests or arrivals marked", r.ID())
 		}
-		for i, o := range dt.route {
-			if o != route0[i] {
-				t.Errorf("rank %d: overlay entry of %v is %d after the reset, %d after the branch exchange", r.ID(), dt.top.cells[i].Key, o, route0[i])
-			}
-		}
+		unwritten("by the reset")
 
 		dt = buildDistributed(r, bodies, splitters, boxLo, boxSize, opt, fa)
-		if len(dt.opens) != 0 {
-			t.Errorf("rank %d: the next tree on the arena starts with %d opens", r.ID(), len(dt.opens))
-		}
+		sameStorage("on the next tree before its evaluation", stores2, 0)
 		acc3, pot3, _ := dt.ComputeForces(bodies)
-		if n3 := len(dt.opens); n3 != n1 || cap(dt.opens) != cap1 {
-			t.Errorf("rank %d: the next tree on the same bodies opens %d branches (capacity %d), the first %d (%d)", r.ID(), n3, cap(dt.opens), n1, cap1)
-		}
-		sameStorage("on the next tree", opens)
+		sameStorage("on the next tree", stores2, n1)
 		drained("after the next tree's evaluation")
+		if !slices.Equal(dt.route, route0) {
+			t.Errorf("rank %d: the next tree on the same bodies routes the top otherwise", r.ID())
+		}
 		for i := range acc1 {
 			if acc3[i] != acc1[i] || pot3[i] != pot1[i] {
 				t.Errorf("rank %d: body %d changed on the next tree", r.ID(), i)
@@ -471,13 +492,12 @@ func skipUnderRace(t *testing.T) {
 }
 
 // A warm step on many ranks allocates little: Run keeps each rank's request
-// and arrival flags, opens and frontiers from step to step, and a group reads
-// the owner's tree instead of a copy of it. Measured over the second
-// step of an 8-rank run — Interrupt is polled on rank 0 between steps, when
-// every rank is through the last evaluation — the step reads about 1.4 MB on
-// amd64: the decomposition, the build, the outputs, the walkers, the walk
-// stacks the frontiers fill, and about 870 fetches an evaluation with their
-// ABM records. With a reply table and dense per-rank send histograms it read
+// and arrival flags and opens from step to step, and a group reads the
+// owner's tree instead of a copy of it. Measured over the second step of an
+// 8-rank run — Interrupt is polled on rank 0 between steps, when every rank
+// is through the last evaluation — the step reads about 1.4 MB on amd64: the
+// decomposition, the build, the outputs, the walkers, and about 870 fetches
+// an evaluation with their ABM records. With a reply table and dense per-rank send histograms it read
 // 1.8 MB; with one-level replies and a second walk of every group, 2.7 MB,
 // for 4500 fetches.
 func TestWarmStepAllocatesLittle(t *testing.T) {
@@ -505,10 +525,9 @@ func TestWarmStepAllocatesLittle(t *testing.T) {
 }
 
 // Two groups that open the same remote branch make one request between
-// them, and the branch is read in place: before any request, the top walk
-// routes it past the top, to the owner's tree and its cell of the branch —
-// the one the owner's serveFetch names — and the reply only marks it
-// arrived. Nothing is copied: the shared top cell links to no daughters, and
+// them, and the branch is read in place: before any request, a group's
+// gather opens it (Open) in the owner's tree at its cell of the branch — the
+// one the owner's serveFetch names — and the reply only marks it arrived. Nothing is copied: the shared top cell links to no daughters, and
 // the owner's cell is the one its own walks read, with the moments the
 // branch exchange published, every cell below it linked to all the daughters
 // its ChildMask names.
@@ -529,14 +548,11 @@ func TestFetchDedup(t *testing.T) {
 			dt.abm.Quiesce()
 			return
 		}
-		// The first remote internal branch the top walks open, in their order.
+		// The first remote internal branch the groups open, in replay's order.
 		groups := dt.local.Groups()
-		for i := len(groups) - 1; i >= 0; i-- {
-			w := dt.walker(groups[i])
-			dt.walkTop(&w)
-		}
+		walkers := dt.evalGroups(make([]vec.V3, len(bodies)), make([]float64, len(bodies)))
 		target := int32(-1)
-		for _, j := range dt.opens {
+		for _, j := range opensOf(walkers) {
 			if !dt.top.cells[j].Leaf {
 				target = j
 				break
@@ -547,11 +563,11 @@ func TestFetchDedup(t *testing.T) {
 			dt.abm.Quiesce()
 			return
 		}
-		base, w := dt.base(), dt.walker(groups[0])
-		if got := dt.route[target]; got != base+target || dt.arrived[target] {
-			t.Fatalf("branch %d before any request: overlay leads to %d, arrived %v; want %d, not arrived", target, got, dt.arrived[target], base+target)
+		at, w := dt.nLocal+target, dt.walker(groups[0])
+		if got := dt.route[target]; got != at || dt.arrived[target] {
+			t.Fatalf("branch %d before any request: overlay leads to %d, arrived %v; want %d, not arrived", target, got, dt.arrived[target], at)
 		}
-		rt, ri := w.Remote(dt.route[target])
+		rt, ri := w.Open(target)
 
 		var st TraversalStats
 		dt.requestBranch(target, &st)
@@ -560,8 +576,8 @@ func TestFetchDedup(t *testing.T) {
 			t.Errorf("two groups opening one branch issued %d fetches (stats %d), want 1", dt.Fetches(), st.Fetches)
 		}
 		dt.abm.Quiesce()
-		if got := dt.route[target]; got != base+target || !dt.arrived[target] {
-			t.Fatalf("branch %d after the reply: overlay leads to %d, arrived %v; want %d, arrived", target, got, dt.arrived[target], base+target)
+		if got := dt.route[target]; got != at || !dt.arrived[target] {
+			t.Fatalf("branch %d after the reply: overlay leads to %d, arrived %v; want %d, arrived", target, got, dt.arrived[target], at)
 		}
 
 		asked := &dt.top.cells[target]
@@ -571,7 +587,7 @@ func TestFetchDedup(t *testing.T) {
 		o := owner.Load()
 		rep, _ := o.serveFetch(0, asked.Key)
 		if want := rep.(fetchReply); rt != want.t || ri != want.i || rt != o.local {
-			t.Fatalf("route leads to cell %d of %p, the owner serves cell %d of %p (its tree %p)", ri, rt, want.i, want.t, o.local)
+			t.Fatalf("Open leads to cell %d of %p, the owner serves cell %d of %p (its tree %p)", ri, rt, want.i, want.t, o.local)
 		}
 		if c := rt.At(ri).Bare(); bitsOf(&c, 0, 0) != bitsOf(asked, 0, 0) {
 			t.Errorf("the owner's cell %v is not the branch the top published", c.Key)
@@ -618,12 +634,12 @@ func bitsOfList(l *gravity.List) listBits {
 }
 
 // Every branch a group opens is read in place, before the region: before any
-// request, the route the top walks give it leads to the cell of the owner's
-// tree that the owner's serveFetch names; and each group's list, gathered
-// then, is the list a gather from the root builds over what the rank holds
-// once the region has quiesced (regather) — the same multipole values and the
-// same body segments, in the same order, of the lengths the region charges.
-// On 3, 8 and 64 ranks of a cold sphere.
+// request, each branch a group's gather recorded opens (Open) at the cell of
+// the owner's tree that the owner's serveFetch names; and each group's list,
+// gathered then, is the list a gather builds over what the rank holds once
+// the region has quiesced — the same multipole values and the same body
+// segments, in the same order, of the lengths the region charges, opening
+// the same branches. On 3, 8 and 64 ranks of a cold sphere.
 func TestOpenedBranchesReadInPlace(t *testing.T) {
 	const n = 4096
 	ics := ColdSphere(rand.New(rand.NewSource(52)), n, 1.0)
@@ -644,21 +660,24 @@ func TestOpenedBranchesReadInPlace(t *testing.T) {
 			acc, pot := make([]vec.V3, len(bodies)), make([]float64, len(bodies))
 			dt.resetCaches()
 			walkers := dt.evalGroups(acc, pot)
-			lists := make([]listBits, len(walkers))
+			lists, opens := make([]listBits, len(walkers)), make([][]int32, len(walkers))
 			for i := range walkers {
-				w, sc := walkers[i], new(htree.BucketScratch)
-				w.begin(sc)
-				dt.local.Gather(&w.mac, sc, &w)
-				lists[i] = bitsOfList(&sc.List)
-			}
-			for _, j := range dt.opens {
-				if dt.asked[j] || dt.arrived[j] {
-					t.Errorf("p=%d rank %d: branch %v asked for before the region", p, r.ID(), dt.top.cells[j].Key)
+				w := &walkers[i]
+				opens[i] = slices.Clone(w.slot.opens[w.lo:w.hi])
+				root := dt.walker(w.cell)
+				lists[i] = bitsOfList(&dt.regather(&root).List)
+				if !slices.Equal(root.slot.opens, opens[i]) {
+					t.Errorf("p=%d rank %d: group %v opens %v in the engine, %v gathered again", p, r.ID(), w.cell.Key, opens[i], root.slot.opens)
 				}
-				rt, ri := walkers[0].Remote(dt.route[j])
-				reads[r.ID()] = append(reads[r.ID()], read{j, rt, ri})
+				for _, j := range opens[i] {
+					if dt.asked[j] || dt.arrived[j] {
+						t.Errorf("p=%d rank %d: branch %v asked for before the region", p, r.ID(), dt.top.cells[j].Key)
+					}
+					rt, ri := root.Open(j)
+					reads[r.ID()] = append(reads[r.ID()], read{j, rt, ri})
+				}
+				opened.Add(int64(len(opens[i])))
 			}
-			opened.Add(int64(len(dt.opens)))
 			st := TraversalStats{PerBody: make([]float64, len(bodies))}
 			r.OneSlot(func() { dt.replay(walkers, &st) })
 
@@ -666,9 +685,9 @@ func TestOpenedBranchesReadInPlace(t *testing.T) {
 				w := &walkers[i]
 				root := dt.walker(w.cell)
 				got := bitsOfList(&dt.regather(&root).List)
-				if !slices.Equal(got.cells, lists[i].cells) || !slices.Equal(got.segs, lists[i].segs) {
-					t.Errorf("p=%d rank %d: group %v lists %d cells and %d segments before the region, a gather from the root after it %d and %d, not the same",
-						p, r.ID(), w.cell.Key, len(lists[i].cells), len(lists[i].segs), len(got.cells), len(got.segs))
+				if !slices.Equal(got.cells, lists[i].cells) || !slices.Equal(got.segs, lists[i].segs) || !slices.Equal(root.slot.opens, opens[i]) {
+					t.Errorf("p=%d rank %d: group %v lists %d cells and %d segments and opens %d branches before the region, after it %d, %d and %d, not the same",
+						p, r.ID(), w.cell.Key, len(lists[i].cells), len(lists[i].segs), len(opens[i]), len(got.cells), len(got.segs), len(root.slot.opens))
 					return
 				}
 				nb := 0
@@ -689,7 +708,7 @@ func TestOpenedBranchesReadInPlace(t *testing.T) {
 				o := dts[top.owner[rd.j]]
 				rep, _ := o.serveFetch(rank, top.cells[rd.j].Key)
 				if want := rep.(fetchReply); rd.rt != want.t || rd.ri != want.i {
-					t.Errorf("p=%d rank %d: branch %v routed to cell %d of %p, its owner serves cell %d of %p",
+					t.Errorf("p=%d rank %d: branch %v opened at cell %d of %p, its owner serves cell %d of %p",
 						p, rank, top.cells[rd.j].Key, rd.ri, rd.rt, want.i, want.t)
 				}
 			}
@@ -765,77 +784,13 @@ func TestDirectEqualsSecondPass(t *testing.T) {
 	})
 }
 
-// A group's gather starts where its top walk stopped (begin), and lists what
-// a gather from the root (regather) lists: the same multipole values and the
-// same body segments, in the same order. The values, not the cells: a remote
-// branch the top walk accepted is listed as the top's copy of it, which a
-// gather from the root finds routed to the owner's cell once it is resident.
-// Over rank counts, theta and Plummer, uniform and clustered bodies with a
-// pile of coincident ones, once every branch is resident; on one rank the
-// frontier is the root.
-func TestFrontierGatherEqualsRootGather(t *testing.T) {
-	const n = 1500
-	for _, ic := range []struct {
-		name string
-		make func(rng *rand.Rand, n int) []Body
-	}{
-		{"plummer", func(rng *rand.Rand, n int) []Body { return PlummerSphere(rng, n, 1.0) }},
-		{"uniform", func(rng *rand.Rand, n int) []Body { return ColdSphere(rng, n, 1.0) }},
-		{"clustered", clusteredBodies},
-	} {
-		ics := ic.make(rand.New(rand.NewSource(48)), n)
-		for _, theta := range []float64{0.3, 0.7, 1.2} {
-			for _, p := range []int{1, 2, 3, 8, 13} {
-				mp.Run(testCluster(), p, func(r *mp.Rank) {
-					lo, hi := n*r.ID()/p, n*(r.ID()+1)/p
-					bodies, splitters, boxLo, boxSize := Decompose(r, append([]Body(nil), ics[lo:hi]...))
-					dt := BuildDistributed(r, bodies, splitters, boxLo, boxSize, Options{Theta: theta, Eps: 0.01})
-					dt.ComputeForces(bodies)
-					if dt.local == nil {
-						return
-					}
-					where := fmt.Sprintf("%s theta=%v p=%d rank %d", ic.name, theta, p, r.ID())
-					for _, g := range dt.local.Groups() {
-						w, root := dt.walker(g), dt.walker(g)
-						dt.walkTop(&w)
-						if p == 1 && !slices.Equal(dt.frontier[w.flo:w.fhi], []int32{0}) {
-							t.Errorf("%s: group %v starts from top cells %v, not the root", where, g.Key, dt.frontier[w.flo:w.fhi])
-						}
-						sc := new(htree.BucketScratch)
-						w.begin(sc)
-						dt.local.Gather(&w.mac, sc, &w)
-						a, b := &sc.List, &dt.regather(&root).List
-						same := len(a.Cells) == len(b.Cells)
-						for i := 0; same && i < len(a.Cells); i++ {
-							same = mpBits(a.Cells[i]) == mpBits(b.Cells[i])
-						}
-						if !same {
-							t.Errorf("%s: group %v lists %d cells from its frontier, %d from the root, not the same", where, g.Key, len(a.Cells), len(b.Cells))
-						}
-						same = len(a.Segs) == len(b.Segs)
-						for i := 0; same && i < len(a.Segs); i++ {
-							same = len(a.Segs[i]) == len(b.Segs[i]) && &a.Segs[i][0] == &b.Segs[i][0]
-						}
-						if !same {
-							t.Errorf("%s: group %v lists %d segments from its frontier, %d from the root, not the same", where, g.Key, len(a.Segs), len(b.Segs))
-						}
-					}
-				})
-			}
-		}
-	}
-}
-
-// The top walks fetch exactly what the groups open. Over theta, rank counts
-// and Plummer and uniform bodies: the branches each group's top walk lists
-// are, group after group, those the walk loop itself reaches without
-// accepting when no remote branch is resident (the topOpens oracle); the
-// branches the rank asked for are their union; and the evaluation and every
-// group's walk after it gather with no miss. Theta 3 is there because only
-// that far out does a top walk that accepted a fill over its group's own
-// key (Gather never does) miss a branch, and panic. On several ranks the
-// lists mix local cells, fills, other ranks' branches and cells of other
-// ranks' trees (fetched), and every kind is checked to appear.
+// The groups' gathers fetch exactly what they open. Over theta, rank counts
+// and Plummer and uniform bodies: the branches each group's gather records
+// are, group after group, those the walk loop reaches without accepting when
+// it descends into no remote branch (the topOpens oracle); the branches the
+// rank asked for are their union. On several ranks the lists mix local
+// cells, fills, other ranks' branches and cells of other ranks' trees
+// (fetched), and every kind is checked to appear.
 func TestCoarseWalkCoversGroups(t *testing.T) {
 	const n = 1500
 	for _, ic := range []string{"plummer", "uniform"} {
@@ -851,7 +806,7 @@ func TestCoarseWalkCoversGroups(t *testing.T) {
 					lo, hi := n*r.ID()/p, n*(r.ID()+1)/p
 					bodies, splitters, boxLo, boxSize := Decompose(r, append([]Body(nil), ics[lo:hi]...))
 					dt := BuildDistributed(r, bodies, splitters, boxLo, boxSize, Options{Theta: theta, Eps: 0.01})
-					dt.ComputeForces(bodies)
+					_, opens := dt.evaluate(bodies)
 					if dt.local == nil {
 						return
 					}
@@ -862,8 +817,8 @@ func TestCoarseWalkCoversGroups(t *testing.T) {
 					for i := len(groups) - 1; i >= 0; i-- {
 						want = append(want, oracle.opened(groups[i])...)
 					}
-					if !slices.Equal(dt.opens, want) {
-						t.Errorf("%s: the top walks list %d branches, the groups' walks open %d", where, len(dt.opens), len(want))
+					if !slices.Equal(opens, want) {
+						t.Errorf("%s: the groups' gathers record %d branches, the oracle's walks open %d", where, len(opens), len(want))
 						return
 					}
 					for j, asked := range dt.asked {

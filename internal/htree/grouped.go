@@ -201,16 +201,6 @@ func (m *BucketMAC) Exact(com *vec.V3, bmax float64) bool {
 	return AcceptMAC(com.Dist(m.center)-m.radius, bmax, m.theta)
 }
 
-// Accept is the test of cell c as a walk makes it: Prefilter, and Exact
-// where Prefilter declines. Gather spells it out, to keep its registers.
-func (m *BucketMAC) Accept(c *Cell) bool {
-	accept, decided := m.Prefilter(m.Dist2(&c.Mp.COM), c.Bmax)
-	if !decided {
-		accept = m.Exact(&c.Mp.COM, c.Bmax)
-	}
-	return accept
-}
-
 // BucketScratch holds one bucket's interaction list and the reusable
 // traversal and sink-side buffers of its evaluation. It is the one scratch
 // type of the grouped walk: the serial tree keeps one per worker, the
@@ -282,19 +272,16 @@ func (sc *BucketScratch) Push(i ...int32) { sc.stack = append(sc.stack, i...) }
 // Far lays out the cells at indices from a tree's NumCells on, which other
 // ranks own, for a walk over a distributed tree (package core).
 type Far interface {
-	// Layout returns the top, the cells from index NumCells on, and base, the
-	// first index past it. The walk takes top cell j at index route[j] — at
-	// NumCells+j as it is, at another index instead — and accepts no top cell
-	// linked to daughters (it is above several owners' bodies) whose key
-	// overlaps the group's (OwnsKey). Pushed as ^(NumCells+j), top cell j is
-	// one the caller's own test accepted, and is listed untested.
-	Layout() (top []Cell, route []int32, base int32)
-	// Remote resolves index i ≥ base to the branch it stands for: cell ri of
-	// another rank's tree rt, which the walk goes through in place.
-	Remote(i int32) (rt *Tree, ri int32)
-	// Open is told of top cell i, which the walk could neither accept nor
-	// open: a branch with nothing resident below it, a miss, Open's to refuse.
-	Open(i int32, c *Cell)
+	// Layout returns the top, the cells from index NumCells on, and route.
+	// The walk takes top cell j at index route[j] — at NumCells+j as it is,
+	// or at a cell of this tree — and accepts no top cell linked to daughters
+	// (it is above several owners' bodies) whose key overlaps the group's
+	// (OwnsKey).
+	Layout() (top []Cell, route []int32)
+	// Open is told of top cell j, another rank's branch, bare in the top,
+	// which the walk tested and did not accept, and returns the owner's cell
+	// ri of it in the owner's tree rt, which the walk goes through in place.
+	Open(j int32) (rt *Tree, ri int32)
 }
 
 // Gather drains the scratch's walk stack (Push) for the bucket whose test is
@@ -306,9 +293,9 @@ type Far interface {
 // (a one-body leaf's is exact); rejected, as its bodies. No cell of this tree
 // that the test Owns is accepted, and under Grouping's exact leaves its
 // leaves are listed untested. far lays out the indices past NumCells; it may
-// be nil if the stack holds none. A resident branch of another rank's tree
-// is walked in that tree, every cell tested, its leaves listed as segments
-// of that tree's sources.
+// be nil if the stack holds none. Another rank's branch that the walk does
+// not accept is opened by far (Open) and walked in the owner's tree, every
+// cell tested, its leaves listed as segments of that tree's sources.
 func (t *Tree) Gather(mac *BucketMAC, sc *BucketScratch, far Far) (opened int) {
 	cells := t.store.cells
 	stack := sc.stack
@@ -319,7 +306,7 @@ func (t *Tree) Gather(mac *BucketMAC, sc *BucketScratch, far Far) (opened int) {
 	fv := farView{far: far, n: int32(len(cells)), off: math.MaxInt32}
 	for _, i := range stack {
 		if uint(i) >= uint(len(cells)) {
-			fv.top, fv.route, fv.base = far.Layout()
+			fv.top, fv.route = far.Layout()
 			break
 		}
 	}
@@ -331,28 +318,14 @@ func (t *Tree) Gather(mac *BucketMAC, sc *BucketScratch, far Far) (opened int) {
 		if uint(ci) < uint(len(cells)) {
 			c = &cells[uint(ci)]
 			test = !(exact && c.Leaf) && !mac.Owns(c.Lo, c.Hi)
-		} else if ci < 0 { // a top cell the caller has accepted
-			c, accept = &fv.top[^ci-fv.n], true
+		} else if ci >= fv.off { // a cell of the other rank's tree the walk is in
+			c, test = &fv.cells[ci-fv.off], true
+		} else if ci = fv.route[ci-fv.n]; int(ci) < len(cells) { // a branch this tree holds
+			c = &cells[ci]
+			test = !(exact && c.Leaf) && !mac.Owns(c.Lo, c.Hi)
 		} else {
-			if ci < fv.base {
-				ci = fv.route[ci-fv.n]
-			}
-			switch {
-			case int(ci) < len(cells): // a branch this tree holds
-				c = &cells[ci]
-				test = !(exact && c.Leaf) && !mac.Owns(c.Lo, c.Hi)
-			case ci >= fv.base: // another rank's branch, walked where it lies
-				if ci < fv.off { // entered: the view moves to the owner's tree
-					rt, ri := fv.far.Remote(ci)
-					fv.cells, fv.src = rt.store.cells, rt.src
-					fv.off = math.MaxInt32 - int32(len(fv.cells))
-					ci = fv.off + ri
-				}
-				c, test = &fv.cells[ci-fv.off], true
-			default:
-				c = &fv.top[ci-fv.n]
-				test = c.kids[0] == 0 || !mac.OwnsKey(c.Key)
-			}
+			c = &fv.top[ci-fv.n]
+			test = c.kids[0] == 0 || !mac.OwnsKey(c.Key)
 		}
 		if test {
 			var decided bool
@@ -373,10 +346,15 @@ func (t *Tree) Gather(mac *BucketMAC, sc *BucketScratch, far Far) (opened int) {
 				}
 				stack = append(stack, ci+d)
 			}
-		case int(ci) >= len(cells) && ci >= fv.off: // a leaf of another rank's tree
+		case ci >= fv.off: // a leaf of another rank's tree
 			sc.List.Segs = append(sc.List.Segs, fv.src[c.Lo:c.Hi:c.Hi])
-		case int(ci) >= len(cells): // a top branch with nothing below it
-			fv.far.Open(ci, c)
+		case int(ci) >= len(cells):
+			// Another rank's branch, walked where it lies: the owner's cell
+			// carries the top copy's moments, so its test opens it too.
+			rt, ri := fv.far.Open(ci - fv.n)
+			fv.cells, fv.src = rt.store.cells, rt.src
+			fv.off = math.MaxInt32 - int32(len(fv.cells))
+			stack = append(stack, fv.off+ri)
 		case ball:
 			sc.Ranges = append(sc.Ranges, BodyRange{c.Lo, c.Hi})
 		default:
@@ -390,14 +368,14 @@ func (t *Tree) Gather(mac *BucketMAC, sc *BucketScratch, far Far) (opened int) {
 // farView is a walk's copy of its Far's Layout and of the other rank's tree
 // it is in, kept in memory for far cells only, so that the registers stay
 // with the local walk. The walk names cell i of that tree off+i, past its own
-// indices, so the cells link as in their tree; it is through one branch
-// before it enters the next.
+// indices and the top's, so the cells link as in their tree; it is through
+// one branch before it opens the next.
 type farView struct {
-	far          Far
-	top, cells   []Cell
-	src          []gravity.Source
-	route        []int32
-	n, base, off int32
+	far        Far
+	top, cells []Cell
+	src        []gravity.Source
+	route      []int32
+	n, off     int32
 }
 
 // EvalBucket applies the scratch's interaction list to every body of the
