@@ -108,3 +108,58 @@ func TestMomentumConservedToMACError(t *testing.T) {
 		})
 	}
 }
+
+// A cold uniform sphere of mass M and radius R collapses homologously: every
+// shell reaches the centre at the free-fall time t_ff = π/2·√(R³/2GM), where
+// the potential energy is deepest. Three things move the measured minimum of
+// the N-body run off t_ff, and the tolerance is their sum:
+//   - Poisson noise. The n = N/8 bodies inside R/2 sample the mean density
+//     to a relative 1/√n, and a shell's free-fall time goes as ρ^{-1/2}, so
+//     the shells outside R/2 — which carry 97% of the initial potential
+//     energy, 1 − 2⁻⁵ — arrive within 1/(2√n) = √(2/N) of t_ff at one sigma.
+//     Two sigma: 2√(2/N)·t_ff, 0.0702 at N 2000.
+//   - Sampling: the energy is read at the end of each step, so the minimum
+//     is seen up to one dt from where it falls.
+//   - Softening weakens every pair force and so only delays the collapse,
+//     by about the time a shell takes through the last ε, √(2ε³/9GM) =
+//     0.0013 here: folded into the step.
+//
+// The runs read 1.035 t_ff on P 1 and 4 (1.026 and 1.035 on seeds 2 and 3;
+// the delay shrinks with N, 1.053 at 1000 bodies and 1.017 at 4000, and does
+// not move with dt or ε). A kick scaled by 0.85 collapses at 1.125 t_ff
+// and leaves the window.
+func TestColdCollapseFreeFallTime(t *testing.T) {
+	const (
+		n, eps, dt, theta = 2000, 0.02, 0.01, 0.7
+		radius, mass      = 1.0, 1.0 // ColdSphere's total mass is 1; G = 1
+	)
+	tff := math.Pi / 2 * math.Sqrt(radius*radius*radius/(2*mass))
+	tol := 2*math.Sqrt(2.0/n)*tff + dt
+	steps := int(math.Ceil((tff + 2*tol) / dt))
+	ics := ColdSphere(rand.New(rand.NewSource(1)), n, radius)
+	for _, p := range []int{1, 4} {
+		t.Run(fmt.Sprintf("P%d", p), func(t *testing.T) {
+			res := Run(RunConfig{
+				Cluster: testCluster(), Procs: p, Steps: steps,
+				Opt: Options{Theta: theta, Eps: eps, DT: dt},
+			}, ics)
+			if res.Err != nil {
+				t.Fatal(res.Err)
+			}
+			deepest := 0
+			for i, e := range res.EnergyHistory {
+				if e.Potential < res.EnergyHistory[deepest].Potential {
+					deepest = i
+				}
+			}
+			at := float64(deepest) * dt
+			t.Logf("potential deepest at step %d, t = %.3f = %.4f t_ff (t_ff %.4f, tolerance ±%.4f)", deepest, at, at/tff, tff, tol)
+			if deepest == steps {
+				t.Fatalf("the potential still deepens at the last step, t = %.3f", at)
+			}
+			if math.Abs(at-tff) > tol {
+				t.Errorf("potential deepest at t = %.4f, want t_ff %.4f within %.4f", at, tff, tol)
+			}
+		})
+	}
+}
