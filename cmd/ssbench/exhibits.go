@@ -324,7 +324,7 @@ func exhibits(quick bool) []exhibit {
 					return j[5] / j[0]
 				}
 				return math.NaN()
-			}).deviates("the paper's ~100× is at 5M particles; at 1500 the polar bin's noise floor holds the ratio near 40×"),
+			}).deviates("solid-body rotation sets it: 29.0 at t = 0, 33–41 at bounce for 1500–24 000 particles and seeds 3–4, with no trend toward ~100 (sph TestFig8RatioTable)"),
 		}},
 		{"table7", "Table 7 — Loki architecture and price (September 1996)", loki.Render(), []row{
 			near("total-usd", 51379, 0.001, bom, fixed(loki.Total())),
